@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchjson benchdiff clusterrace replaygate bordergate workersgate scalegate
+.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchjson benchdiff clusterrace fuzzsmoke replaygate bordergate workersgate scalegate
 
-ci: vet fmtcheck build race clusterrace validate replaygate bordergate workersgate scalegate benchsmoke benchdiff
+ci: vet fmtcheck build benchcheck race clusterrace fuzzsmoke validate replaygate bordergate workersgate scalegate benchsmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,21 @@ race:
 # budget.
 clusterrace:
 	$(GO) test -race -count=1 -p 1 -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/world/ ./internal/scenario/ ./internal/rtserve/ ./internal/bench/
+
+# fuzzsmoke runs every native Fuzz* target in the tree for FUZZTIME each:
+# long enough to replay the checked-in seed corpus under coverage
+# instrumentation and mutate it a few ten-thousand times, short enough for
+# every CI run. -fuzzminimizetime is capped because minimising a
+# multi-kilobyte chunk encoding at the default 60 s per new input would
+# otherwise eat the whole budget. A crasher is written to the package's
+# testdata/fuzz/ and fails the target; check it in with the fix.
+FUZZTIME ?= 5s
+fuzzsmoke:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ {names = names " " $$1} /^ok/ {n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = ""}' | \
+	while read pkg name; do \
+		echo "fuzz $$pkg $$name"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x $$pkg || exit 1; \
+	done
 
 # validate parses and validates every bundled scenario without running it.
 validate:
@@ -86,11 +101,18 @@ bench:
 benchsmoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x .
 
+# benchcheck vets and builds the end-to-end benchmark. It is a module of
+# its own (benchmark/go.mod, replaced onto this one), so `go build ./...`
+# and `go vet ./...` above never see it and an API it calls could drift
+# unnoticed.
+benchcheck:
+	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
+
 # benchjson records the performance trajectory: the headline benchmark
 # suite (tick latency, handoff p99, digest encode, visibility scan,
 # scenario throughput) written as a schema'd BENCH_$(PR).json artifact,
 # checked in with the PR that changed the numbers.
-PR ?= 10
+PR ?= 12
 benchjson:
 	$(GO) run ./cmd/servo-bench -format json -pr $(PR) -out BENCH_$(PR).json
 

@@ -596,9 +596,6 @@ type uncachedStore struct {
 	remote *blob.Store
 	// pool recycles decoded chunks; nil falls back to plain allocation.
 	pool *world.ChunkPool
-	// scratch is the reused encode buffer; the blob store retains the
-	// bytes it is handed, so writes copy it into one exact-size slice.
-	scratch []byte
 }
 
 var _ mve.ChunkStore = (*uncachedStore)(nil)
@@ -631,22 +628,17 @@ func (u *uncachedStore) LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPo
 	}
 }
 
-func (u *uncachedStore) encode(c *world.Chunk) []byte {
-	u.scratch = c.EncodeAppend(u.scratch[:0])
-	out := make([]byte, len(u.scratch))
-	copy(out, u.scratch)
-	return out
-}
-
+// Store implements mve.ChunkStore. The blob store retains the bytes it is
+// handed, so each write encodes into a slice of its own.
 func (u *uncachedStore) Store(c *world.Chunk) {
-	u.remote.PutRetrying(tcache.Key(c.Pos), u.encode(c))
+	u.remote.PutRetrying(tcache.Key(c.Pos), c.Encode())
 }
 
 // StoreThen implements mve.SyncingChunkStore: done runs once data for
 // the chunk is durably stored — even if a concurrent unload-path write
 // superseded this one (ownership migrations gate the tile flip on it).
 func (u *uncachedStore) StoreThen(c *world.Chunk, done func()) {
-	u.remote.PutDurablyThen(tcache.Key(c.Pos), u.encode(c), done)
+	u.remote.PutDurablyThen(tcache.Key(c.Pos), c.Encode(), done)
 }
 
 // SavePlayer implements mve.PlayerStore.

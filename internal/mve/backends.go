@@ -131,8 +131,11 @@ type LocalTerrain struct {
 	// blocks/s but not 6+ (Fig. 10).
 	nsPerUnit time.Duration
 
-	busy      int
-	queue     []world.ChunkPos
+	busy  int
+	queue []world.ChunkPos
+	// requested holds every position between Request and the end of its
+	// generation, for duplicate suppression. It must not outlive that: a
+	// chunk generated, unloaded and demanded again is generated again.
 	requested map[world.ChunkPos]bool
 	done      []*world.Chunk
 }
@@ -181,6 +184,7 @@ func (l *LocalTerrain) dispatch() {
 		genTime += time.Duration(l.clock.RNG().Int63n(int64(genTime)/5)) - genTime/10
 		l.clock.After(genTime, func() {
 			l.busy--
+			delete(l.requested, c.Pos)
 			l.done = append(l.done, c)
 			l.dispatch()
 		})

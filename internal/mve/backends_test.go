@@ -1,6 +1,7 @@
 package mve
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -130,5 +131,42 @@ func TestLocalTerrainChunksAreDeterministic(t *testing.T) {
 	got := lt.Drain()[0]
 	if !got.Equal(gen.Generate(world.ChunkPos{X: 5, Z: -5})) {
 		t.Fatal("pool-generated chunk differs from direct generation")
+	}
+}
+
+// TestLocalTerrainRegeneratesUnloadedChunks: with the local backend and no
+// store, terrain that was generated, left behind until it unloaded, and
+// walked back into must be generated a second time — a backend that
+// remembers a position as requested forever leaves holes in the view.
+func TestLocalTerrainRegeneratesUnloadedChunks(t *testing.T) {
+	loop := sim.NewLoop(9)
+	s := NewServer(loop, Config{Profile: ProfileOpencraft, WorldType: "flat", Seed: 9, ViewDistance: 64})
+	// Out well past the preloaded spawn area and the unload margin, then
+	// back to a point whose whole view was generated on the way out.
+	waypoints := []float64{900, 400}
+	p := s.Connect("pacer", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+		if p.Moving() || len(waypoints) == 0 {
+			return nil
+		}
+		x := waypoints[0]
+		waypoints = waypoints[1:]
+		return []Action{MoveTo(x, 0, 30)}
+	}))
+	s.Start()
+	runFor(loop, 60*time.Second)
+	if p.Moving() || p.Pos().X != 400 {
+		t.Fatalf("player at %v, still moving %v: the walk did not finish", p.Pos(), p.Moving())
+	}
+	if s.World().Loaded(world.ChunkPos{X: 900 / world.ChunkSizeX}) {
+		t.Fatal("the far end of the walk never unloaded; the test walks too short a way")
+	}
+	missing := 0
+	for _, cp := range world.ChunksWithin(p.Pos(), s.Config().ViewDistance) {
+		if !s.World().Loaded(cp) {
+			missing++
+		}
+	}
+	if missing != 0 {
+		t.Fatalf("%d chunks in view are missing after walking back over unloaded terrain", missing)
 	}
 }

@@ -21,10 +21,9 @@ type Store struct {
 	// pool recycles decoded chunks (UseChunkPool); nil falls back to
 	// plain allocation.
 	pool *world.ChunkPool
-	// scratch is the reused encode buffer: the cache retains the bytes it
-	// is handed, so writes copy the scratch into one exact-size slice —
-	// still dropping Encode's index side-table and growth reallocations.
-	scratch []byte
+	// seen and batch are ObserveAvatars' working set, reused across calls.
+	seen  map[world.ChunkPos]bool
+	batch []world.ChunkPos
 
 	// DecodeFailures counts stored objects that failed to decode
 	// (corruption guard; always zero in healthy runs).
@@ -33,7 +32,7 @@ type Store struct {
 
 // New returns a store over the given cache.
 func New(cache *tcache.Cache) *Store {
-	return &Store{cache: cache}
+	return &Store{cache: cache, seen: make(map[world.ChunkPos]bool)}
 }
 
 // Cache exposes the underlying terrain cache (for metrics).
@@ -79,19 +78,11 @@ func (s *Store) LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPos, c *wo
 	}
 }
 
-// encode serialises c through the reused scratch buffer into an owned
-// exact-size slice (the cache retains what it is handed).
-func (s *Store) encode(c *world.Chunk) []byte {
-	s.scratch = c.EncodeAppend(s.scratch[:0])
-	out := make([]byte, len(s.scratch))
-	copy(out, s.scratch)
-	return out
-}
-
 // Store implements mve.ChunkStore: encode and write back through the
-// cache (flushed to remote storage periodically).
+// cache (flushed to remote storage periodically). The cache retains the
+// bytes it is handed, so each write encodes into a slice of its own.
 func (s *Store) Store(c *world.Chunk) {
-	s.cache.Put(c.Pos, s.encode(c))
+	s.cache.Put(c.Pos, c.Encode())
 }
 
 // StoreThen implements mve.SyncingChunkStore: the chunk is written
@@ -100,7 +91,7 @@ func (s *Store) Store(c *world.Chunk) {
 // source shard's band through this path before flipping the band to its
 // new owner.
 func (s *Store) StoreThen(c *world.Chunk, done func()) {
-	s.cache.PutThen(c.Pos, s.encode(c), done)
+	s.cache.PutThen(c.Pos, c.Encode(), done)
 }
 
 // PlayerKey returns the storage key for a player record.
@@ -124,16 +115,25 @@ func (s *Store) LoadPlayer(name string, cb func(data []byte, ok bool)) {
 // ObserveAvatars implements mve.AvatarObserver: pre-fetch every chunk
 // within the pre-fetch radius of any avatar (§III-E: "pre-fetches terrain
 // data outside of, but close to, the player's view distance").
+//
+// The batch lists each chunk once, in order of first appearance; that
+// order is the prefetch order and so fixes every storage-latency draw.
 func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
-	seen := make(map[world.ChunkPos]bool)
-	var batch []world.ChunkPos
+	clear(s.seen)
+	s.batch = s.batch[:0]
 	for _, p := range positions {
-		for _, cp := range world.ChunksWithin(p, radius) {
-			if !seen[cp] {
-				seen[cp] = true
-				batch = append(batch, cp)
+		// Each avatar's chunks are appended and the ones already seen
+		// compacted away in place.
+		n := len(s.batch)
+		s.batch = world.ChunksWithinAppend(s.batch, p, radius)
+		for _, cp := range s.batch[n:] {
+			if !s.seen[cp] {
+				s.seen[cp] = true
+				s.batch[n] = cp
+				n++
 			}
 		}
+		s.batch = s.batch[:n]
 	}
-	s.cache.Prefetch(batch)
+	s.cache.Prefetch(s.batch)
 }

@@ -79,11 +79,10 @@ func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handle
 			return nil, 1
 		}
 		c := gen.Generate(pos)
-		// EncodeAppend(nil) sizes the response in one pass without the
-		// 64K index side-table Encode used to build; the slice is owned
-		// by the invocation (it outlives this call), so it cannot come
-		// from a reused scratch buffer.
-		return c.EncodeAppend(nil), c.GenWork
+		// The response is owned by the invocation (it outlives this
+		// call), so it cannot come from a reused scratch buffer; Encode
+		// allocates it once, at its final size.
+		return c.Encode(), c.GenWork
 	}
 }
 

@@ -1,9 +1,11 @@
 package world
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Chunk is one 16×16×256 column of blocks. Blocks are stored in a flat
@@ -101,8 +103,26 @@ func (c *Chunk) Equal(o *Chunk) bool {
 //
 // The palette makes typical terrain chunks (a handful of block types)
 // encode in a few kilobytes instead of the raw 128 KiB.
+//
+// Layer alignment. Indices are packed in block order (y, z, x), the i-th
+// at bit offset i*bits, least-significant bit first. One Y-layer is
+// layerBlocks = 256 indices, so it occupies 256*bits bits = 8*bits 32-bit
+// words for every legal width: each layer starts word-aligned at byte
+// y*32*bits of data, and a layer of one block type is a bits-byte pattern
+// (eight indices) repeated 32 times. The codec below relies on both facts —
+// it packs and unpacks a layer at a time through whole 32-bit words and
+// fills repetitive layers by copying — but they are properties of the
+// format above, not additions to it: the bytes are exactly those the
+// per-block packing loop (kept as the test oracle in codec_oracle_test.go)
+// produces, and any stream in this format decodes, whoever wrote it.
 
 const chunkMagic = 0x53564f43
+
+// layerBlocks is the number of blocks in one Y-layer of a chunk.
+const layerBlocks = ChunkSizeX * ChunkSizeZ
+
+// chunkHeaderLen is the fixed part of an encoding before the palette.
+const chunkHeaderLen = 14
 
 // ErrBadChunkEncoding is returned by DecodeChunk for malformed input.
 var ErrBadChunkEncoding = errors.New("world: bad chunk encoding")
@@ -116,84 +136,119 @@ func bitsFor(n int) uint {
 	return bits
 }
 
+// packedLen returns the byte length of the packed indices of n layers.
+func packedLen(layers int, bits uint) int {
+	return layers * layerBlocks / 8 * int(bits)
+}
+
 // Encode serialises the chunk to the palette format described above.
 func (c *Chunk) Encode() []byte {
 	return c.EncodeAppend(nil)
 }
 
 // EncodeAppend serialises the chunk to the palette format described above,
-// appending to dst and returning the extended slice. With a reused scratch
-// buffer (`buf = c.EncodeAppend(buf[:0])`) it performs zero allocations
-// once the buffer has grown to steady-state capacity — EncodeAppend is the
-// hot path of chunk persistence, terrain generation and the wire protocol.
+// appending to dst and returning the extended slice. dst grows at most
+// once, to the encoding's final size, so EncodeAppend(nil) costs a single
+// allocation and a reused buffer (`buf = c.EncodeAppend(buf[:0])`) none —
+// EncodeAppend is the hot path of chunk persistence, terrain generation
+// and the wire protocol.
 //
-// Palette lookups use a linear scan with a last-hit memo instead of a map:
-// real chunks have tiny palettes (a handful of block types) and long runs
-// of identical blocks, which makes this several times faster than hashing.
-// The palette is discovered in a first pass that writes it straight into
-// dst (first-appearance order for determinism); a second pass re-derives
-// each block's index against that in-place palette and packs the bits, so
-// no 64K index side-table is materialised.
+// A first pass over the layers discovers the palette (first-appearance
+// order, for determinism) and notes which layers hold a single block type;
+// a second packs the indices. Palette lookups use a linear scan with a
+// last-hit memo instead of a map: real chunks have tiny palettes and long
+// runs of identical blocks, which makes this several times faster than
+// hashing. Uniform layers — all but a dozen or so of a terrain chunk's
+// 256 — are never walked block by block: one array comparison classifies
+// them and copies fill them.
 func (c *Chunk) EncodeAppend(dst []byte) []byte {
-	base := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, chunkMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(c.Pos.X)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(c.Pos.Z)))
-	dst = binary.LittleEndian.AppendUint16(dst, 0) // palLen, patched below
-	palOff := len(dst)
-	lastKey := uint16(0xffff)
-	for i := range c.blocks {
-		k := c.blocks[i].key()
-		if k == lastKey {
-			continue
+	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
+	lastKey, lastIdx := c.blocks[0].key(), 0
+	pal := append(palArr[:0], lastKey)
+	// uniform[y] is the palette index filling layer y, or -1 if the layer
+	// mixes block types.
+	var uniform [ChunkSizeY]int32
+	for y := range uniform {
+		layer := c.blocks[y*layerBlocks:][:layerBlocks]
+		// A layer equal to itself shifted by one block is one block
+		// repeated; comparing arrays compiles to a single memequal.
+		isUniform := *(*[layerBlocks - 1]Block)(layer) == *(*[layerBlocks - 1]Block)(layer[1:])
+		if isUniform {
+			layer = layer[:1]
 		}
-		found := false
-		for j := palOff; j < len(dst); j += 2 {
-			if binary.LittleEndian.Uint16(dst[j:]) == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = binary.LittleEndian.AppendUint16(dst, k)
-		}
-		lastKey = k
-	}
-	palLen := (len(dst) - palOff) / 2
-	binary.LittleEndian.PutUint16(dst[base+12:], uint16(palLen))
-	bits := bitsFor(palLen)
-	dst = append(dst, byte(bits))
-	dataLen := (BlocksPerChunk*int(bits) + 7) / 8
-	dataOff := len(dst)
-	// The region must start zeroed because writeBits ORs into it. A warm
-	// buffer re-slices and clears in place — unconditional
-	// append(s, make(...)...) is compiled to the same thing in normal
-	// builds, but allocates under the race detector's instrumentation,
-	// which would fail the codec's gated zero-alloc contract there too.
-	if cap(dst) >= dataOff+dataLen {
-		dst = dst[:dataOff+dataLen]
-		clear(dst[dataOff:])
-	} else {
-		dst = append(dst, make([]byte, dataLen)...)
-	}
-	data := dst[dataOff:]
-	lastKey = 0xffff
-	lastIdx := uint32(0)
-	var bitPos uint
-	for i := range c.blocks {
-		k := c.blocks[i].key()
-		if k != lastKey {
-			for j := 0; j < palLen; j++ {
-				if binary.LittleEndian.Uint16(dst[palOff+2*j:]) == k {
-					lastKey, lastIdx = k, uint32(j)
-					break
+		for _, b := range layer {
+			if k := b.key(); k != lastKey {
+				lastKey, lastIdx = k, slices.Index(pal, k)
+				if lastIdx < 0 {
+					lastIdx = len(pal)
+					pal = append(pal, k)
 				}
 			}
 		}
-		writeBits(data, bitPos, bits, lastIdx)
-		bitPos += bits
+		uniform[y] = -1
+		if isUniform {
+			uniform[y] = int32(lastIdx)
+		}
+	}
+
+	// The size is known now: grow dst once and fill it in place.
+	bits := bitsFor(len(pal))
+	dataOff := chunkHeaderLen + 2*len(pal) + 1
+	base := len(dst)
+	dst = slices.Grow(dst, dataOff+packedLen(ChunkSizeY, bits))[:base+dataOff+packedLen(ChunkSizeY, bits)]
+	hdr, data := dst[base:base+dataOff], dst[base+dataOff:]
+	binary.LittleEndian.PutUint32(hdr, chunkMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(c.Pos.X)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(c.Pos.Z)))
+	binary.LittleEndian.PutUint16(hdr[12:], uint16(len(pal)))
+	for i, k := range pal {
+		binary.LittleEndian.PutUint16(hdr[chunkHeaderLen+2*i:], k)
+	}
+	hdr[dataOff-1] = byte(bits)
+
+	layerLen := packedLen(1, bits)
+	for y, idx := range uniform {
+		out := data[y*layerLen:][:layerLen]
+		layer := c.blocks[y*layerBlocks:][:layerBlocks]
+		switch {
+		case idx < 0:
+			packIndices(out, layer, bits, pal)
+		case y > 0 && uniform[y-1] == idx:
+			copy(out, data[(y-1)*layerLen:]) // runs of one layer are the norm
+		default:
+			// 32 indices are `bits` whole words; the rest of the layer
+			// repeats them.
+			n := 4 * int(bits)
+			packIndices(out[:n], layer[:32], bits, pal)
+			for ; n < layerLen; n *= 2 {
+				copy(out[n:], out[:n])
+			}
+		}
 	}
 	return dst
+}
+
+// packIndices packs the palette index of every block in blocks, bits wide
+// each, into out, which they must fill to a whole number of 32-bit words
+// (any multiple of 32 blocks does). Every block must be in pal.
+func packIndices(out []byte, blocks []Block, bits uint, pal []uint16) {
+	lastKey := blocks[0].key()
+	lastIdx := slices.Index(pal, lastKey)
+	var acc uint64 // pending bits, the oldest lowest
+	var n uint     // how many of them
+	for _, b := range blocks {
+		if k := b.key(); k != lastKey {
+			lastKey, lastIdx = k, slices.Index(pal, k)
+		}
+		acc |= uint64(lastIdx) << n
+		n += bits
+		if n >= 32 {
+			binary.LittleEndian.PutUint32(out, uint32(acc))
+			out = out[4:]
+			acc >>= 32
+			n -= 32
+		}
+	}
 }
 
 // DecodeChunk parses a chunk previously produced by Encode.
@@ -210,8 +265,12 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 // no prior reset, so pooled (recycled) chunks decode identically to fresh
 // ones. On error the chunk's contents are unspecified. Small palettes
 // (the terrain norm) decode with zero allocations.
+//
+// It accepts any stream in the format, not only EncodeAppend's: index
+// widths wider than the palette needs, palettes with repeated entries and
+// arbitrary index patterns all decode, and every index is range-checked.
 func DecodeChunkInto(c *Chunk, buf []byte) error {
-	if len(buf) < 15 {
+	if len(buf) < chunkHeaderLen+1 {
 		return fmt.Errorf("%w: truncated header (%d bytes)", ErrBadChunkEncoding, len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf) != chunkMagic {
@@ -225,7 +284,7 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 	if palLen == 0 {
 		return fmt.Errorf("%w: empty palette", ErrBadChunkEncoding)
 	}
-	off := 14
+	off := chunkHeaderLen
 	if len(buf) < off+2*palLen+1 {
 		return fmt.Errorf("%w: truncated palette", ErrBadChunkEncoding)
 	}
@@ -245,50 +304,55 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 	if bits == 0 || bits > 16 {
 		return fmt.Errorf("%w: bad index width %d", ErrBadChunkEncoding, bits)
 	}
-	dataLen := (BlocksPerChunk*int(bits) + 7) / 8
-	if len(buf) < off+dataLen {
+	if len(buf) < off+packedLen(ChunkSizeY, bits) {
 		return fmt.Errorf("%w: truncated block data", ErrBadChunkEncoding)
 	}
-	data := buf[off : off+dataLen]
+	data := buf[off:]
 	c.Pos = pos
 	c.Version = 0
 	c.GenWork = 0
-	var bitPos uint
-	for i := 0; i < BlocksPerChunk; i++ {
-		idx := readBits(data, bitPos, bits)
-		bitPos += bits
-		if int(idx) >= palLen {
-			return fmt.Errorf("%w: palette index %d out of range", ErrBadChunkEncoding, idx)
+	layerLen := packedLen(1, bits)
+	for y := 0; y < ChunkSizeY; y++ {
+		in := data[y*layerLen:][:layerLen]
+		layer := c.blocks[y*layerBlocks:][:layerBlocks]
+		// Eight indices are `bits` whole bytes, so a packed layer equal to
+		// itself shifted by that many bytes repeats its first eight blocks
+		// throughout (a uniform layer is the common case): unpack — and
+		// range-check — those, and copy the rest.
+		n := layerBlocks
+		if bytes.Equal(in[:layerLen-int(bits)], in[bits:]) {
+			n = 8
 		}
-		c.blocks[i] = palette[idx]
+		if err := unpackIndices(layer[:n], in, bits, palette); err != nil {
+			return err
+		}
+		for ; n < layerBlocks; n *= 2 {
+			copy(layer[n:], layer[:n])
+		}
 	}
 	return nil
 }
 
-// writeBits writes the low `bits` bits of v at bit offset pos. Values span
-// at most three bytes (bits ≤ 16), written little-endian within the byte
-// stream.
-func writeBits(data []byte, pos, bits uint, v uint32) {
-	w := uint32(v) << (pos % 8)
-	i := pos / 8
-	data[i] |= byte(w)
-	if bits+pos%8 > 8 {
-		data[i+1] |= byte(w >> 8)
+// unpackIndices reads len(blocks) indices, bits wide each, from the start
+// of in, 32 bits at a time, and stores the palette entry of each into
+// blocks. in must hold the indices rounded up to a whole 32-bit word.
+func unpackIndices(blocks []Block, in []byte, bits uint, palette []Block) error {
+	mask := uint64(1)<<bits - 1
+	var acc uint64 // unread bits, the next index lowest
+	var n uint     // how many of them
+	for i := range blocks {
+		if n < bits {
+			acc |= uint64(binary.LittleEndian.Uint32(in)) << n
+			in = in[4:]
+			n += 32
+		}
+		idx := acc & mask
+		acc >>= bits
+		n -= bits
+		if idx >= uint64(len(palette)) {
+			return fmt.Errorf("%w: palette index %d out of range", ErrBadChunkEncoding, idx)
+		}
+		blocks[i] = palette[idx]
 	}
-	if bits+pos%8 > 16 {
-		data[i+2] |= byte(w >> 16)
-	}
-}
-
-// readBits reads `bits` bits at bit offset pos.
-func readBits(data []byte, pos, bits uint) uint32 {
-	i := pos / 8
-	var v uint32 = uint32(data[i])
-	if i+1 < uint(len(data)) {
-		v |= uint32(data[i+1]) << 8
-	}
-	if i+2 < uint(len(data)) {
-		v |= uint32(data[i+2]) << 16
-	}
-	return (v >> (pos % 8)) & ((1 << bits) - 1)
+	return nil
 }

@@ -1,0 +1,319 @@
+package world_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"servo/internal/terrain"
+	"servo/internal/world"
+)
+
+// keyBlock is the block a 16-bit palette key stands for.
+func keyBlock(k int) world.Block {
+	return world.Block{ID: world.BlockID(k >> 8), Data: uint8(k)}
+}
+
+// fillChunk sets every block of a new chunk from f(x, y, z).
+func fillChunk(pos world.ChunkPos, f func(x, y, z int) world.Block) *world.Chunk {
+	c := world.NewChunk(pos)
+	for y := 0; y < world.ChunkSizeY; y++ {
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			for x := 0; x < world.ChunkSizeX; x++ {
+				c.Set(x, y, z, f(x, y, z))
+			}
+		}
+	}
+	return c
+}
+
+func randomPos(r *rand.Rand) world.ChunkPos {
+	return world.ChunkPos{X: r.Intn(2001) - 1000, Z: r.Intn(2001) - 1000}
+}
+
+// paletteChunk returns a chunk holding exactly n distinct blocks: mostly
+// uniform layers with a band of noise, or noise throughout.
+func paletteChunk(r *rand.Rand, n int, noisy bool) *world.Chunk {
+	keys := r.Perm(1 << 16)[:n]
+	c := fillChunk(randomPos(r), func(x, y, z int) world.Block {
+		if noisy || y%16 == 7 {
+			return keyBlock(keys[r.Intn(n)])
+		}
+		return keyBlock(keys[y%n])
+	})
+	// Every key appears at least once, whatever the draws above did.
+	for i, k := range keys {
+		c.Set(i%16, 100+i/256, (i/16)%16, keyBlock(k))
+	}
+	return c
+}
+
+// codecShapes are the chunk shapes the codec is held to the oracle on.
+var codecShapes = []struct {
+	name string
+	runs int
+	gen  func(r *rand.Rand) *world.Chunk
+	// palLen, when set, is the palette size (and so the index width)
+	// the shape exists to reach.
+	palLen int
+}{
+	{"default-terrain", 12, func(r *rand.Rand) *world.Chunk {
+		return terrain.Default{Seed: r.Int63()}.Generate(randomPos(r))
+	}, 0},
+	{"flat", 2, func(r *rand.Rand) *world.Chunk { return terrain.Flat{}.Generate(randomPos(r)) }, 0},
+	{"all-air", 1, func(r *rand.Rand) *world.Chunk { return world.NewChunk(randomPos(r)) }, 0},
+	{"single-block-type", 3, func(r *rand.Rand) *world.Chunk {
+		b := keyBlock(1 + r.Intn(1<<16-1))
+		return fillChunk(randomPos(r), func(int, int, int) world.Block { return b })
+	}, 0},
+	{"constructs", 6, func(r *rand.Rand) *world.Chunk {
+		// Flat terrain carrying circuits: stateful blocks whose Data
+		// differs block to block, on and above the surface.
+		c := terrain.Flat{}.Generate(randomPos(r))
+		stateful := []world.BlockID{world.Wire, world.Battery, world.Lamp, world.Repeater, world.Inverter}
+		for i := 0; i < 250*(1+r.Intn(4)); i++ {
+			c.Set(r.Intn(16), terrain.FlatSurfaceY+1+r.Intn(3), r.Intn(16),
+				world.Block{ID: stateful[r.Intn(len(stateful))], Data: uint8(r.Intn(16))})
+		}
+		return c
+	}, 0},
+	{"noise", 3, func(r *rand.Rand) *world.Chunk {
+		n := 2 + r.Intn(40)
+		return fillChunk(randomPos(r), func(int, int, int) world.Block { return keyBlock(r.Intn(n) * 257) })
+	}, 0},
+	{"stripes", 3, func(r *rand.Rand) *world.Chunk {
+		// Layers that repeat every 2, 4, 8 or 16 blocks: the first three
+		// repeat within the decoder's eight-index period without being
+		// uniform, the last does not.
+		return fillChunk(randomPos(r), func(x, y, z int) world.Block {
+			return keyBlock((x % (2 << (y % 4))) + y/64*16)
+		})
+	}, 0},
+	{"palette-2", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 2, false) }, 2},
+	{"palette-3", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 3, false) }, 3},
+	{"palette-65", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 65, false) }, 65},
+	{"palette-257", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 257, false) }, 257},
+	{"palette-4097", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 4097, false) }, 4097},
+	{"palette-65-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 65, true) }, 65},
+	{"palette-4097-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 4097, true) }, 4097},
+}
+
+// dirtyChunk returns a chunk as a pool hands one to a decoder at worst:
+// every block, the position and the metadata hold another occupant's.
+func dirtyChunk(r *rand.Rand) *world.Chunk {
+	c := fillChunk(randomPos(r), func(int, int, int) world.Block { return keyBlock(r.Intn(1 << 16)) })
+	c.GenWork = 77
+	return c
+}
+
+// TestCodecMatchesOracle is the differential property the rewrite rests
+// on: over every chunk shape the encoding is byte-identical to the
+// per-block oracle's, and decoding it into a dirty recycled chunk yields
+// the oracle's blocks.
+func TestCodecMatchesOracle(t *testing.T) {
+	for _, shape := range codecShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(12))
+			for i := 0; i < shape.runs; i++ {
+				c := shape.gen(r)
+				want := world.OracleEncode(c)
+				got := c.EncodeAppend(nil)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("run %d: encoding differs from the oracle's (%d vs %d bytes)", i, len(got), len(want))
+				}
+				if n := int(binary.LittleEndian.Uint16(got[12:])); shape.palLen != 0 && n != shape.palLen {
+					t.Fatalf("run %d: palette has %d entries, want %d", i, n, shape.palLen)
+				}
+				dec := dirtyChunk(r)
+				if err := world.DecodeChunkInto(dec, got); err != nil {
+					t.Fatalf("run %d: decode: %v", i, err)
+				}
+				ref := new(world.Chunk)
+				if err := world.OracleDecodeInto(ref, got); err != nil {
+					t.Fatalf("run %d: oracle decode: %v", i, err)
+				}
+				if !dec.Equal(ref) || !dec.Equal(c) {
+					t.Fatalf("run %d: decode into a dirty chunk differs from the oracle's or the source", i)
+				}
+				if dec.Version != 0 || dec.GenWork != 0 {
+					t.Fatalf("run %d: decode left version %d, genwork %d", i, dec.Version, dec.GenWork)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeFirstBlockAllOnes covers the one input the oracle gets wrong:
+// a first block whose key is the old encoder's "no memo" sentinel.
+func TestEncodeFirstBlockAllOnes(t *testing.T) {
+	c := world.NewChunk(world.ChunkPos{X: 1, Z: 2})
+	c.Set(0, 0, 0, keyBlock(0xffff))
+	c.Set(1, 0, 0, keyBlock(0xffff))
+	dec, err := world.DecodeChunk(c.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Equal(c) {
+		t.Fatal("round trip mismatch")
+	}
+}
+
+// handStream builds a stream no Servo encoder writes: the given palette,
+// an index width of the caller's choosing, and indices from idx.
+func handStream(palette []uint16, bits uint, idx func(i int) uint32) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 0x53564f43)
+	buf = binary.LittleEndian.AppendUint32(buf, 0xfffffffd) // X = -3
+	buf = binary.LittleEndian.AppendUint32(buf, 9)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(palette)))
+	for _, k := range palette {
+		buf = binary.LittleEndian.AppendUint16(buf, k)
+	}
+	buf = append(buf, byte(bits))
+	off := len(buf)
+	buf = append(buf, make([]byte, world.BlocksPerChunk*int(bits)/8)...)
+	for i := 0; i < world.BlocksPerChunk; i++ {
+		v, pos := uint64(idx(i)), uint(i)*bits
+		for b := uint(0); b < bits; b++ {
+			if v>>b&1 != 0 {
+				buf[off+int((pos+b)/8)] |= 1 << ((pos + b) % 8)
+			}
+		}
+	}
+	return buf
+}
+
+// TestDecodeForeignStreams holds the decoder to the oracle on streams in
+// the format that EncodeAppend would never produce, and checks that an
+// out-of-range index is refused wherever it sits — inside a uniform layer,
+// where the decoder takes its copying shortcut, included.
+func TestDecodeForeignStreams(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	pal := []uint16{0, 0x0100, 0x0b07, 0x0100, 0xffff} // a repeated entry too
+	for bits := uint(3); bits <= 16; bits++ {
+		streams := map[string][]byte{
+			"wide-uniform": handStream(pal, bits, func(i int) uint32 { return uint32(i / 256 % 5) }),
+			"wide-noise":   handStream(pal, bits, func(int) uint32 { return uint32(r.Intn(5)) }),
+			"wide-period8": handStream(pal, bits, func(i int) uint32 { return uint32(i % 8 % 5) }),
+		}
+		for name, buf := range streams {
+			dec, ref := dirtyChunk(r), new(world.Chunk)
+			if err := world.DecodeChunkInto(dec, buf); err != nil {
+				t.Fatalf("%s bits=%d: %v", name, bits, err)
+			}
+			if err := world.OracleDecodeInto(ref, buf); err != nil {
+				t.Fatalf("%s bits=%d: oracle: %v", name, bits, err)
+			}
+			if !dec.Equal(ref) {
+				t.Fatalf("%s bits=%d: decode differs from the oracle's", name, bits)
+			}
+			// What decoded re-encodes (at the natural width) to an equal chunk.
+			again, err := world.DecodeChunk(dec.Encode())
+			if err != nil || !again.Equal(dec) {
+				t.Fatalf("%s bits=%d: re-encode round trip failed: %v", name, bits, err)
+			}
+		}
+		// Index 5 is one past the palette: as a whole uniform layer, as
+		// one block of an otherwise uniform layer, and as the last block.
+		bad := map[string]func(i int) uint32{
+			"uniform-layer": func(i int) uint32 {
+				if i/256 == 200 {
+					return 5
+				}
+				return 1
+			},
+			"one-block": func(i int) uint32 {
+				if i == 77*256+13 {
+					return 5
+				}
+				return 1
+			},
+			"last-block": func(i int) uint32 {
+				if i == world.BlocksPerChunk-1 {
+					return 7
+				}
+				return 0
+			},
+		}
+		for name, idx := range bad {
+			err := world.DecodeChunkInto(dirtyChunk(r), handStream(pal, bits, idx))
+			if !errors.Is(err, world.ErrBadChunkEncoding) {
+				t.Fatalf("%s bits=%d: bad index accepted (err %v)", name, bits, err)
+			}
+		}
+	}
+}
+
+// TestDecodeChunkAllocationBounded: a hostile header cannot make the
+// decoder allocate beyond what the input itself justifies — the palette is
+// sized only after the buffer is known to hold it.
+func TestDecodeChunkAllocationBounded(t *testing.T) {
+	hostile := binary.LittleEndian.AppendUint32(nil, 0x53564f43)
+	hostile = append(hostile, make([]byte, 8)...)
+	hostile = binary.LittleEndian.AppendUint16(hostile, 0xffff) // 65 535 palette entries, none present
+	hostile = append(hostile, make([]byte, 64)...)
+	big := paletteChunk(rand.New(rand.NewSource(1)), 4097, false).Encode()
+	c := new(world.Chunk)
+	for name, buf := range map[string][]byte{"hostile": hostile, "palette-4097": big} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = world.DecodeChunkInto(c, buf)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(buf)+1024); got > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d, want at most %d", name, len(buf), got, limit)
+		}
+	}
+}
+
+// FuzzDecodeChunk feeds the decoder arbitrary bytes. It must not panic,
+// must agree with the per-block oracle on what is accepted and on every
+// decoded block (decoding into a dirty recycled chunk), and whatever
+// decodes must re-encode to something that decodes to an equal chunk.
+// Allocation is bounded by construction; TestDecodeChunkAllocationBounded
+// holds that. The seeds are the differential test's shapes (bar the
+// largest palettes, whose 70–110 KB inputs and linear-scan re-encode slow
+// the fuzzer to a crawl) plus the hostile files under
+// testdata/fuzz/FuzzDecodeChunk.
+func FuzzDecodeChunk(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, shape := range codecShapes {
+		if shape.palLen <= 65 {
+			f.Add(shape.gen(r).Encode())
+		}
+	}
+	dirty := dirtyChunk(r)
+	scribble := dirty.Clone()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, ref := scribble, new(world.Chunk)
+		*dec = *dirty
+		err, oerr := world.DecodeChunkInto(dec, data), world.OracleDecodeInto(ref, data)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("decoder says %v, oracle says %v", err, oerr)
+		}
+		if err != nil {
+			if !errors.Is(err, world.ErrBadChunkEncoding) {
+				t.Fatalf("rejection %v does not wrap ErrBadChunkEncoding", err)
+			}
+			return
+		}
+		if !dec.Equal(ref) {
+			t.Fatal("decoded blocks differ from the oracle's")
+		}
+		// The encoder's palette search is linear (fine for real chunks,
+		// whose palettes are tiny), so a mutated header declaring tens of
+		// thousands of entries over noise costs seconds to re-encode and
+		// stalls the fuzzer; TestCodecMatchesOracle covers large palettes.
+		if binary.LittleEndian.Uint16(data[12:]) > 512 {
+			return
+		}
+		again, err := world.DecodeChunk(dec.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded chunk does not decode: %v", err)
+		}
+		if !again.Equal(dec) {
+			t.Fatal("re-encoded chunk decodes to a different chunk")
+		}
+	})
+}
