@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchjson benchdiff clusterrace fuzzsmoke replaygate bordergate workersgate scalegate
+.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchjson benchdiff clusterrace fuzzsmoke replaygate paritygate parity-update bordergate workersgate scalegate
 
-ci: vet fmtcheck build benchcheck race clusterrace fuzzsmoke validate replaygate bordergate workersgate scalegate benchsmoke benchdiff
+ci: vet fmtcheck build benchcheck race clusterrace fuzzsmoke validate replaygate paritygate bordergate workersgate scalegate benchsmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +67,21 @@ validate:
 replaygate:
 	$(GO) run ./cmd/servo-sim replay all
 
+# paritygate is the parent-parity gate. replaygate proves a build agrees
+# with itself; this proves it agrees with the build that last pinned
+# PARITY.sha256 (one SHA-256 per bundled scenario, over the same text +
+# CSV rendering replaygate compares), and prints the names of the
+# scenarios that do not. A perf or refactoring PR must leave the file
+# alone; a PR that is *meant* to change a report re-pins it with
+# parity-update and says why. The hashes are pinned on linux/amd64:
+# report floats are formatted from float64 arithmetic that another
+# architecture may fuse or round differently.
+paritygate:
+	$(GO) run ./cmd/servo-sim parity all
+
+parity-update:
+	$(GO) run ./cmd/servo-sim parity -update all
+
 # bordergate runs the border-patrol scenario with assertions on: the
 # cross-shard visibility contract — zero visibility-gap ticks while
 # fleets pace across a grid tile seam.
@@ -112,7 +127,7 @@ benchcheck:
 # suite (tick latency, handoff p99, digest encode, visibility scan,
 # scenario throughput) written as a schema'd BENCH_$(PR).json artifact,
 # checked in with the PR that changed the numbers.
-PR ?= 12
+PR ?= 13
 benchjson:
 	$(GO) run ./cmd/servo-bench -format json -pr $(PR) -out BENCH_$(PR).json
 

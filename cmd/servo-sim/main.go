@@ -12,15 +12,20 @@
 //	servo-sim run -format csv rebalance-hotspot   # machine-readable report
 //	servo-sim run -topology grid:4x4 sharded-stress  # 2-D region tiles
 //	servo-sim replay all               # byte-identical replay gate
+//	servo-sim parity all               # reports hash-identical to PARITY.sha256
+//	servo-sim parity -update all       # re-pin after a change meant to alter reports
 //
 // Arguments to run/validate/replay are bundled scenario names or paths
 // to scenario JSON files (anything containing a path separator or ending
 // in .json is treated as a file). run exits non-zero if any scenario
 // fails its assertions; replay runs every scenario twice and exits
-// non-zero on any report byte difference.
+// non-zero on any report byte difference; parity compares each
+// scenario's report hash with the checked-in one and exits non-zero
+// naming the scenarios that differ.
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +42,8 @@ func usage() {
   servo-sim list
   servo-sim validate all | <name|file.json>...
   servo-sim run [-v] [-seed N] [-shards N] [-workers N] [-topology band|grid:XxZ] [-autoscale] [-format text|csv] all | <name|file.json>...
-  servo-sim replay all | <name|file.json>...`)
+  servo-sim replay all | <name|file.json>...
+  servo-sim parity [-update] [-file PARITY.sha256] all | <name|file.json>...`)
 }
 
 func run(args []string) int {
@@ -54,6 +60,8 @@ func run(args []string) int {
 		return cmdRun(args[1:])
 	case "replay":
 		return cmdReplay(args[1:])
+	case "parity":
+		return cmdParity(args[1:])
 	case "-h", "--help", "help":
 		usage()
 		return 0
@@ -267,5 +275,91 @@ func cmdReplay(args []string) int {
 		return 1
 	}
 	fmt.Printf("%d scenario(s) replayed byte-identically\n", len(specs))
+	return 0
+}
+
+// parityHeader opens the pinned-hash file.
+const parityHeader = `# SHA-256 of each bundled scenario's report (text rendering followed by
+# the CSV rows, as ` + "`servo-sim replay`" + ` compares them), in sha256sum format.
+# ` + "`make paritygate`" + ` fails when a scenario's report no longer hashes to its
+# line: a change that claims to leave behaviour alone must leave this file
+# alone. ` + "`make parity-update`" + ` rewrites it when a change is meant to alter
+# reports. Pinned on linux/amd64; another platform may round a float
+# differently.
+`
+
+// cmdParity is the parent-parity gate. replay proves a build agrees with
+// itself; this proves it agrees with the build that last pinned the
+// hashes, which is what a behaviour-preserving change asserts. With
+// -update it rewrites the lines of the scenarios it ran (all of them for
+// "all") instead of comparing.
+func cmdParity(args []string) int {
+	fs := flag.NewFlagSet("parity", flag.ExitOnError)
+	update := fs.Bool("update", false, "rewrite the pinned hashes of the scenarios run instead of comparing")
+	file := fs.String("file", "PARITY.sha256", "pinned-hash file")
+	_ = fs.Parse(args)
+	specs, err := resolve(fs.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
+		return 1
+	}
+	// pinned keeps the file's order so an update of one scenario leaves
+	// the other lines where they were.
+	var names []string
+	pinned := map[string]string{}
+	if data, err := os.ReadFile(*file); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if hash, name, ok := strings.Cut(line, "  "); ok && !strings.HasPrefix(hash, "#") {
+				names = append(names, name)
+				pinned[name] = hash
+			}
+		}
+	} else if !*update {
+		fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
+		return 1
+	}
+	var differ []string
+	for _, spec := range specs {
+		rep, err := scenario.Run(spec, nil)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
+			return 1
+		}
+		hash := fmt.Sprintf("%x", sha256.Sum256([]byte(rep.Render()+rep.RenderCSVRows())))
+		old, known := pinned[spec.Name]
+		switch {
+		case *update:
+			if !known {
+				names = append(names, spec.Name)
+			}
+			pinned[spec.Name] = hash
+		case !known:
+			fmt.Printf("parity NEW   %s: no pinned hash\n", spec.Name)
+			differ = append(differ, spec.Name)
+		case old != hash:
+			fmt.Printf("parity DIFF  %s: report hashes to %s, pinned %s\n", spec.Name, hash, old)
+			differ = append(differ, spec.Name)
+		default:
+			fmt.Printf("parity ok    %s\n", spec.Name)
+		}
+	}
+	if *update {
+		var b strings.Builder
+		b.WriteString(parityHeader)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s  %s\n", pinned[name], name)
+		}
+		if err := os.WriteFile(*file, []byte(b.String()), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
+			return 1
+		}
+		fmt.Printf("pinned %d scenario(s) in %s\n", len(specs), *file)
+		return 0
+	}
+	if len(differ) > 0 {
+		fmt.Printf("%d scenario(s) differ from %s: %s\n", len(differ), *file, strings.Join(differ, " "))
+		return 1
+	}
+	fmt.Printf("%d scenario(s) match %s\n", len(specs), *file)
 	return 0
 }

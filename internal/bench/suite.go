@@ -13,11 +13,14 @@ import (
 	"time"
 
 	"servo"
+	"servo/internal/blob"
 	"servo/internal/cluster"
 	"servo/internal/core"
 	"servo/internal/mve"
 	"servo/internal/sc"
 	"servo/internal/scenario"
+	"servo/internal/servo/rstore"
+	"servo/internal/servo/tcache"
 	"servo/internal/sim"
 	"servo/internal/workload"
 	"servo/internal/world"
@@ -105,6 +108,13 @@ func steps() []suiteStep {
 				"terrain_scan_speedup_x"},
 			func(f *File) error {
 				terrainScanMetrics(f)
+				return nil
+			}},
+		{"avatar prefetch observer (100 avatars over known ground)",
+			[]string{"observe_avatars_ns_per_avatar", "observe_avatars_allocs_per_op",
+				"observe_avatars_walking_ns_per_avatar", "observe_avatars_unsettled_ns_per_avatar"},
+			func(f *File) error {
+				observeAvatarsMetrics(f)
 				return nil
 			}},
 		{"scenario " + ScenarioName,
@@ -387,6 +397,60 @@ func terrainScanMetrics(f *File) {
 	f.Add("terrain_scan_full_ns_per_player", "ns/player", Lower, false, fullNs/players)
 	f.Add("terrain_scan_full_allocs_per_op", "allocs/op", Lower, false, fullAllocs)
 	f.Add("terrain_scan_speedup_x", "x", Higher, true, fullNs/incNs)
+}
+
+// observeAvatarsMetrics measures one rstore.ObserveAvatars call over a
+// 100-avatar fleet at the default prefetch radius, on ground the cache
+// already knows (so no fetch is ever started and the call is pure
+// bookkeeping): standing still, and walking two blocks a call down a
+// 1024-block corridor and back, which keeps every avatar entering rects
+// it has not stood in and the settled set being pruned.
+func observeAvatarsMetrics(f *File) {
+	const (
+		avatars = 100
+		length  = 1024
+		radius  = 128 + mve.PrefetchMargin
+	)
+	loop := sim.NewLoop(9)
+	cache := tcache.New(loop, blob.NewStore(loop, blob.TierPremium), tcache.DefaultConfig())
+	fleet := make([]world.BlockPos, avatars)
+	for i := range fleet {
+		fleet[i] = world.BlockPos{Z: 40 * i}
+	}
+	lo := world.ChunkRectWithin(fleet[0], radius).Min
+	hi := world.ChunkRectWithin(world.BlockPos{X: length, Z: fleet[avatars-1].Z}, radius).Max
+	data := []byte("known")
+	for x := lo.X; x <= hi.X; x++ {
+		for z := lo.Z; z <= hi.Z; z++ {
+			cache.Put(world.ChunkPos{X: x, Z: z}, data)
+		}
+	}
+
+	store := rstore.New(cache)
+	store.ObserveAvatars(fleet, radius)
+	ns, allocs := wallBench(func() { store.ObserveAvatars(fleet, radius) })
+	f.Add("observe_avatars_ns_per_avatar", "ns/avatar", Lower, true, ns/avatars)
+	f.Add("observe_avatars_allocs_per_op", "allocs/op", Lower, true, allocs)
+
+	dx := 2
+	ns, _ = wallBench(func() {
+		if x := fleet[0].X + dx; x < 0 || x > length {
+			dx = -dx
+		}
+		for i := range fleet {
+			fleet[i].X += dx
+		}
+		store.ObserveAvatars(fleet, radius)
+	})
+	f.Add("observe_avatars_walking_ns_per_avatar", "ns/avatar", Lower, true, ns/avatars)
+
+	// With nothing settled every avatar's whole rect is walked, which is
+	// what every call did before the settled set; recorded (not gated) so
+	// the artifact carries the comparison. The pre-PR-13 loop itself is
+	// test-only code (rstore's BenchmarkObserveAvatars/oracle); it paid a
+	// dedup-map insert per chunk on top of this.
+	ns, _ = wallBench(func() { rstore.New(cache).ObserveAvatars(fleet, radius) })
+	f.Add("observe_avatars_unsettled_ns_per_avatar", "ns/avatar", Lower, false, ns/avatars)
 }
 
 // scenarioMetrics runs the bundled benchmark scenario and records its

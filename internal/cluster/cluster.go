@@ -260,8 +260,11 @@ type Cluster struct {
 	// Config.LogRetention.
 	GhostLog RecordRing[GhostRecord]
 	// VisRecomputes counts border-membership recomputations — the dirty
-	// set's size summed over scans. With idle sessions it stops growing:
-	// the incremental scan's observable win.
+	// set's size summed over scans, where dirty means a membership input
+	// changed (the chunk underfoot, the margin square's chunk rect, the
+	// host shard, or the ownership epoch), not merely that the session
+	// moved. Idle sessions and sessions pacing inside one chunk leave it
+	// still: the incremental scan's observable win.
 	VisRecomputes metrics.Counter
 	// DigestErrors counts digests the encoder refused to emit (an entry
 	// the wire form cannot represent; the ghosts still apply).

@@ -12,11 +12,14 @@
 // display-and-prefetch state only; the real session stays where it is.
 //
 // The scan is incremental. Border membership — which shards a session
-// replicates to — is a function of the session's block position, its
-// host shard, and the ownership epoch, so it is cached per session and
-// recomputed only for the dirty set: sessions that moved at least one
-// block, were handed off, or saw the ownership table change under them
-// (every migration, failover, and recovery bumps the epoch). The
+// replicates to — reads only which tiles the margin square touches and
+// which tile is underfoot, and tiles are unions of whole chunks: it is a
+// function of the chunk under the session, the chunk rect of its margin
+// square, its host shard, and the ownership epoch. So it is cached per
+// session and recomputed only for the dirty set: sessions whose chunk or
+// margin rect changed (about one step in sixteen for a walker), were
+// handed off, or saw the ownership table change under them (every
+// migration, failover, and recovery bumps the epoch). The
 // displaced-session pairing and the gap audit run over a spatial bucket
 // index instead of all pairs. VisibilityConfig.FullRescan disables the
 // cache (every scan recomputes everything) — the benchmark baseline and
@@ -325,13 +328,19 @@ func (c *Cluster) visMargin() int {
 }
 
 // visCache is one session's cached border membership: the replication
-// targets of its current block position under the current ownership
-// epoch and host shard. Any of the three changing dirties the session.
+// targets of its position under the current ownership epoch and host
+// shard. Position enters only through the chunk underfoot (which names
+// the home tile) and the margin square's chunk rect (which names the
+// tiles in reach); both are kept because a margin that is not a whole
+// number of chunks can leave the rect in place while the session
+// crosses into another tile. Any of the four changing dirties the
+// session.
 type visCache struct {
 	valid     bool
 	epoch     uint64
 	shard     int
-	pos       world.BlockPos
+	chunk     world.ChunkPos
+	rect      world.ChunkRect
 	displaced bool
 	// dsts are the replication target shards, ascending, own shard
 	// excluded. The slice is reused across recomputations.
@@ -465,8 +474,8 @@ func (c *Cluster) VisibilityScanOnce() {
 	// plus the owner of the terrain under the session when that differs
 	// from its host (residents of a freshly migrated tile stay visible to
 	// the new owner's players until the handoff scan moves them). Only
-	// the dirty set — moved a block, handed off, or stale against the
-	// ownership epoch — recomputes membership.
+	// the dirty set — chunk or margin rect changed, handed off, or stale
+	// against the ownership epoch — recomputes membership.
 	all := c.visAll[:0]
 	displacedAny := false
 	for _, id := range c.order {
@@ -479,7 +488,8 @@ func (c *Cluster) VisibilityScanOnce() {
 			continue
 		}
 		pos := sp.Pos()
-		if c.vis.FullRescan || !p.vc.valid || p.vc.epoch != epoch || p.vc.shard != p.shard || p.vc.pos != pos {
+		chunk, rect := pos.Chunk(), world.ChunkRectWithin(pos, margin)
+		if c.vis.FullRescan || !p.vc.valid || p.vc.epoch != epoch || p.vc.shard != p.shard || p.vc.chunk != chunk || p.vc.rect != rect {
 			c.VisRecomputes.Inc()
 			home := c.table.ShardOfBlock(pos)
 			dsts := p.vc.dsts[:0]
@@ -492,7 +502,7 @@ func (c *Cluster) VisibilityScanOnce() {
 					dsts = addSorted(dsts, o)
 				}
 			}
-			p.vc = visCache{valid: true, epoch: epoch, shard: p.shard, pos: pos, displaced: home != p.shard, dsts: dsts}
+			p.vc = visCache{valid: true, epoch: epoch, shard: p.shard, chunk: chunk, rect: rect, displaced: home != p.shard, dsts: dsts}
 		}
 		if p.vc.displaced {
 			displacedAny = true

@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,102 @@ func TestVisRecomputesStopIdle(t *testing.T) {
 	}
 	if c.GhostUpdates.Value() == updates {
 		t.Fatal("replication stopped along with the recomputation")
+	}
+}
+
+// TestVisRecomputesFollowChunks: membership reads tiles, and tiles are
+// whole chunks, so a session pacing inside one chunk (its margin square
+// staying on the same chunks) is as quiet as an idle one, and a session
+// walking in a straight line recomputes once per chunk boundary, not
+// once per block.
+func TestVisRecomputesFollowChunks(t *testing.T) {
+	loop, c := newTestCluster(t, 46, 2, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
+	// x 36..42 keeps the avatar on chunk 2 and x±16 on chunks 1 and 3.
+	pc := c.ConnectAt("pacer", pacer(36, 8, 42, 8, 5), world.BlockPos{X: 36, Y: 0, Z: 8})
+	c.Start()
+	loop.RunUntil(time.Second)
+	settled := c.VisRecomputes.Value()
+	if settled == 0 {
+		t.Fatal("no membership recomputation at all; test proves nothing")
+	}
+	loop.RunUntil(1500 * time.Millisecond)
+	if !c.Session(pc).Moving() {
+		t.Fatal("pacer is not moving; test proves nothing")
+	}
+	loop.RunUntil(10 * time.Second)
+	if got := c.VisRecomputes.Value(); got != settled {
+		t.Fatalf("pacing inside one chunk still recomputes membership: %d → %d", settled, got)
+	}
+
+	// 160 blocks along Z inside band 0: ten chunk boundaries, each one
+	// also moving both edges of the 16-block margin square.
+	wk := c.ConnectAt("walker", walker(40, 168, 8), world.BlockPos{X: 40, Y: 0, Z: 8})
+	before := c.VisRecomputes.Value()
+	loop.RunUntil(40 * time.Second)
+	if got := c.Session(wk).Pos(); got.Z != 168 {
+		t.Fatalf("walker stopped at %v", got)
+	}
+	if got := c.VisRecomputes.Value() - before; got != 11 {
+		t.Fatalf("160-block walk recomputed membership %d times, want 11 (the join and ten chunk boundaries)", got)
+	}
+}
+
+// TestIncrementalScanOddMargin: with a margin that is not a whole number
+// of chunks the margin square's chunk rect can stay put while the
+// session steps over a tile boundary (x 60 → 70 under margin 24 keeps
+// chunks 2..5 but moves from band 0 to band 1). The chunk underfoot is
+// part of the cache key for exactly this: without it the crosser's
+// displaced flag goes stale, and "east" (24 blocks from the crosser but
+// 26 from shard 0's band, so reachable only through the displaced
+// pairing) is never mirrored to the crosser's shard.
+func TestIncrementalScanOddMargin(t *testing.T) {
+	run := func(full bool) ([]byte, []GhostRecord) {
+		loop := sim.NewLoop(47)
+		var stream bytes.Buffer
+		cfg := Config{
+			Shards:       2,
+			Topology:     world.BandTopology{BandChunks: 4},
+			ScanInterval: time.Hour, // park handoffs: the crosser stays on shard 0 and turns displaced
+			Visibility: VisibilityConfig{
+				Enabled:    true,
+				Margin:     24,
+				FullRescan: full,
+				Observer: func(src, dst int, digest []byte) {
+					fmt.Fprintf(&stream, "%d>%d:", src, dst)
+					stream.Write(digest)
+				},
+			},
+		}
+		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
+			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
+		})
+		c.ConnectAt("crosser", pacer(60, 8, 70, 8, 2), world.BlockPos{X: 60, Y: 0, Z: 8})
+		c.ConnectAt("west", nil, world.BlockPos{X: 50, Y: 0, Z: 8})
+		c.ConnectAt("east", nil, world.BlockPos{X: 90, Y: 0, Z: 8})
+		c.Start()
+		loop.RunUntil(30 * time.Second)
+		mirrored := false
+		for _, g := range c.GhostLog.All() {
+			mirrored = mirrored || (g.Player == "east" && g.Shard == 0)
+		}
+		if !mirrored {
+			t.Fatal("east was never mirrored to the displaced crosser's shard")
+		}
+		if got := c.VisibilityGaps.Value(); got != 0 {
+			t.Fatalf("visibility gap ticks = %d, want 0", got)
+		}
+		return stream.Bytes(), c.GhostLog.All()
+	}
+	inc, glogI := run(false)
+	fullD, glogF := run(true)
+	if len(inc) == 0 || len(glogI) == 0 {
+		t.Fatalf("empty replay surface (digests %d, ghost log %d); test proves nothing", len(inc), len(glogI))
+	}
+	if !bytes.Equal(inc, fullD) {
+		t.Fatalf("incremental and full-rescan digest streams diverge (%d vs %d bytes)", len(inc), len(fullD))
+	}
+	if !slices.Equal(glogI, glogF) {
+		t.Fatalf("incremental and full-rescan ghost logs diverge (%d vs %d records)", len(glogI), len(glogF))
 	}
 }
 

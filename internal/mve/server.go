@@ -32,7 +32,20 @@ type BatchingChunkStore interface {
 }
 
 // AvatarObserver is implemented by stores that pre-fetch based on avatar
-// positions (Servo's terrain cache, §III-E).
+// positions (Servo's terrain cache, §III-E). The server calls it once per
+// demand scan with every resident avatar, then every ghost; terrain
+// within viewDistance blocks of any of them should be made warm.
+//
+//   - The order of positions is significant: a store with a prefetch
+//     budget serves earlier avatars first, and the order of the reads it
+//     starts fixes their storage-latency draws. The server passes a
+//     deterministic order (join order, then ghost order).
+//   - The slice is the server's scratch buffer, reused after the call
+//     returns: an observer must not retain it.
+//   - An observer may skip any avatar it has proven settled (rstore
+//     skips those whose surroundings hold nothing left to fetch), as long
+//     as what it fetches, and in which order, is what visiting every
+//     avatar would have fetched.
 type AvatarObserver interface {
 	ObserveAvatars(positions []world.BlockPos, viewDistance int)
 }

@@ -21,9 +21,19 @@ type Store struct {
 	// pool recycles decoded chunks (UseChunkPool); nil falls back to
 	// plain allocation.
 	pool *world.ChunkPool
-	// seen and batch are ObserveAvatars' working set, reused across calls.
+	// seen and batch are ObserveAvatars' working set, reused across calls:
+	// the chunks of this call's batch, and the batch in prefetch order.
 	seen  map[world.ChunkPos]bool
 	batch []world.ChunkPos
+	// settled holds view rects known to contain no tcache.Unknown chunk,
+	// under settledRadius. The cache's status is monotone (see
+	// tcache.Cache), so such a rect can never contribute a prefetch
+	// again and ObserveAvatars skips it. It is only a skip hint:
+	// dropping it costs one re-walk per avatar and changes nothing else.
+	settled       map[world.ChunkRect]struct{}
+	settledRadius int
+	// live is pruneSettled's scratch.
+	live []world.ChunkRect
 
 	// DecodeFailures counts stored objects that failed to decode
 	// (corruption guard; always zero in healthy runs).
@@ -32,7 +42,11 @@ type Store struct {
 
 // New returns a store over the given cache.
 func New(cache *tcache.Cache) *Store {
-	return &Store{cache: cache, seen: make(map[world.ChunkPos]bool)}
+	return &Store{
+		cache:   cache,
+		seen:    make(map[world.ChunkPos]bool),
+		settled: make(map[world.ChunkRect]struct{}),
+	}
 }
 
 // Cache exposes the underlying terrain cache (for metrics).
@@ -112,28 +126,110 @@ func (s *Store) LoadPlayer(name string, cb func(data []byte, ok bool)) {
 	})
 }
 
+// settledPerAvatar bounds the settled set at this many rects per live
+// avatar (plus settledSlack). A walker leaves one rect behind per chunk
+// boundary it crosses; the trail is kept that long because avatars pace
+// and turn back, then pruned.
+const (
+	settledPerAvatar = 8
+	settledSlack     = 64
+)
+
 // ObserveAvatars implements mve.AvatarObserver: pre-fetch every chunk
 // within the pre-fetch radius of any avatar (§III-E: "pre-fetches terrain
 // data outside of, but close to, the player's view distance").
 //
-// The batch lists each chunk once, in order of first appearance; that
-// order is the prefetch order and so fixes every storage-latency draw.
+// The batch lists each chunk the cache has never been asked about once,
+// in order of first appearance over the avatars' view rects (avatar
+// order, then X-major within a rect); that order is the prefetch order
+// and so fixes every storage-latency draw. Prefetch ignores every other
+// chunk, so the cost is kept to finding the unknown ones: an avatar whose
+// rect is settled is skipped, a rect one chunk over from a settled one is
+// walked only where the two differ, and a call that has found a whole
+// prefetch budget of unknown chunks stops looking.
 func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
+	if radius != s.settledRadius {
+		clear(s.settled)
+		s.settledRadius = radius
+	}
+	if len(s.settled) > settledPerAvatar*len(positions)+settledSlack {
+		s.pruneSettled(positions, radius)
+	}
 	clear(s.seen)
 	s.batch = s.batch[:0]
+	budget := s.cache.PrefetchBudget()
 	for _, p := range positions {
-		// Each avatar's chunks are appended and the ones already seen
-		// compacted away in place.
-		n := len(s.batch)
-		s.batch = world.ChunksWithinAppend(s.batch, p, radius)
-		for _, cp := range s.batch[n:] {
-			if !s.seen[cp] {
-				s.seen[cp] = true
-				s.batch[n] = cp
-				n++
-			}
+		r := world.ChunkRectWithin(p, radius)
+		if _, ok := s.settled[r]; ok {
+			continue
 		}
-		s.batch = s.batch[:n]
+		if budget > 0 && len(s.batch) >= budget {
+			// Prefetch starts no more than this; the avatars not
+			// reached stay unsettled for the next call.
+			break
+		}
+		if s.walk(r) {
+			s.settled[r] = struct{}{}
+		}
 	}
 	s.cache.Prefetch(s.batch)
+}
+
+// pruneSettled drops every settled rect no avatar stands in now.
+func (s *Store) pruneSettled(positions []world.BlockPos, radius int) {
+	s.live = s.live[:0]
+	for _, p := range positions {
+		r := world.ChunkRectWithin(p, radius)
+		if _, ok := s.settled[r]; ok {
+			s.live = append(s.live, r)
+		}
+	}
+	clear(s.settled)
+	for _, r := range s.live {
+		s.settled[r] = struct{}{}
+	}
+}
+
+// walk appends r's unknown chunks to the batch, skipping the ones
+// already in it, and reports whether r had none. Chunks inside a settled
+// neighbour (r moved one chunk along X or Z) are known without asking,
+// which leaves one edge strip for an avatar that crossed a chunk
+// boundary, one corner chunk when both axes have a settled neighbour.
+func (s *Store) walk(r world.ChunkRect) bool {
+	w := r
+	if s.isSettled(r, -1, 0) {
+		w.Min.X = r.Max.X
+	}
+	if s.isSettled(r, 1, 0) {
+		w.Max.X = r.Min.X
+	}
+	if s.isSettled(r, 0, -1) {
+		w.Min.Z = r.Max.Z
+	}
+	if s.isSettled(r, 0, 1) {
+		w.Max.Z = r.Min.Z
+	}
+	clean := true
+	for cx := w.Min.X; cx <= w.Max.X; cx++ {
+		for cz := w.Min.Z; cz <= w.Max.Z; cz++ {
+			cp := world.ChunkPos{X: cx, Z: cz}
+			if s.cache.Status(cp) != tcache.Unknown {
+				continue
+			}
+			clean = false
+			if !s.seen[cp] {
+				s.seen[cp] = true
+				s.batch = append(s.batch, cp)
+			}
+		}
+	}
+	return clean
+}
+
+// isSettled reports whether r moved by (dx, dz) chunks is settled.
+func (s *Store) isSettled(r world.ChunkRect, dx, dz int) bool {
+	r.Min.X, r.Max.X = r.Min.X+dx, r.Max.X+dx
+	r.Min.Z, r.Max.Z = r.Min.Z+dz, r.Max.Z+dz
+	_, ok := s.settled[r]
+	return ok
 }

@@ -56,7 +56,34 @@ func DefaultConfig() Config {
 	}
 }
 
+// Status is what the cache knows about one chunk position.
+type Status uint8
+
+const (
+	// Unknown: never asked about; the only status Prefetch acts on.
+	Unknown Status = iota
+	// Pending: a remote read is in flight.
+	Pending
+	// Local: the encoded chunk is in the local cache.
+	Local
+	// Absent: remote storage answered not-found and nothing has been
+	// written here since.
+	Absent
+)
+
 // Cache is a write-back terrain cache bound to a clock and a remote store.
+//
+// Invariant (status is monotone): a position moves Unknown → Pending →
+// Local or Absent, and Absent → Local on Put/PutThen. It never returns
+// to Unknown: local is never evicted, absent is only ever replaced by
+// local, and fetch (GetRetrying) ends in data or not-found, never in
+// "forget". Exactly one of local, absent and pending holds a known
+// position, except that a Put may land on a Pending one (local wins
+// when the read lands). rstore's avatar observer leans on this: an area
+// it has seen free of Unknown positions can never need a prefetch again,
+// so it stops looking. Any future change that lets a position fall back
+// to Unknown (say, evicting from local) must also clear that observer's
+// settled set (rstore.Store.settled).
 type Cache struct {
 	clock  sim.Clock
 	remote *blob.Store
@@ -146,16 +173,14 @@ func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
 	// trigger destructive regeneration) and never double-counts
 	// hits/misses — those were tallied once in Get.
 	c.remote.GetRetrying(Key(pos), func(data []byte, err error) {
-		if errors.Is(err, blob.ErrNotFound) {
+		// A local write that raced the fetch wins, whatever the remote
+		// answered: it is newer.
+		if newer, ok := c.local[pos]; ok {
+			data, err = newer, nil
+		} else if err == nil {
+			c.local[pos] = data
+		} else if errors.Is(err, blob.ErrNotFound) {
 			c.absent[pos] = true
-		}
-		if err == nil {
-			// A local write that raced the fetch wins: it is newer.
-			if _, ok := c.local[pos]; !ok {
-				c.local[pos] = data
-			} else {
-				data = c.local[pos]
-			}
 		}
 		waiters := c.pending[pos]
 		delete(c.pending, pos)
@@ -165,22 +190,34 @@ func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
 	})
 }
 
-// Prefetch starts background fetches for every position not already local
-// or in flight. Completion is not reported; the chunks simply appear in the
-// local cache.
+// Status reports what the cache knows about pos.
+func (c *Cache) Status(pos world.ChunkPos) Status {
+	if _, ok := c.local[pos]; ok {
+		return Local
+	}
+	if c.absent[pos] {
+		return Absent
+	}
+	if _, inflight := c.pending[pos]; inflight {
+		return Pending
+	}
+	return Unknown
+}
+
+// PrefetchBudget returns how many fetches one Prefetch call may start
+// (0 = unlimited).
+func (c *Cache) PrefetchBudget() int { return c.cfg.PrefetchBudget }
+
+// Prefetch starts background fetches for the Unknown positions in the
+// list, in order, up to the budget. Completion is not reported; the
+// chunks simply appear in the local cache.
 func (c *Cache) Prefetch(positions []world.ChunkPos) {
 	started := 0
 	for _, pos := range positions {
 		if c.cfg.PrefetchBudget > 0 && started >= c.cfg.PrefetchBudget {
 			return
 		}
-		if _, ok := c.local[pos]; ok {
-			continue
-		}
-		if c.absent[pos] {
-			continue
-		}
-		if _, inflight := c.pending[pos]; inflight {
+		if c.Status(pos) != Unknown {
 			continue
 		}
 		started++
@@ -210,12 +247,6 @@ func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 	// This write supersedes any queued write-back of the same chunk.
 	delete(c.dirty, pos)
 	c.remote.PutDurablyThen(Key(pos), data, done)
-}
-
-// Contains reports whether pos is in the local cache.
-func (c *Cache) Contains(pos world.ChunkPos) bool {
-	_, ok := c.local[pos]
-	return ok
 }
 
 // LocalLen returns the number of locally cached chunks.

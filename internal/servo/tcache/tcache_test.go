@@ -2,6 +2,7 @@ package tcache
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestGetMissFetchesFromRemoteAndCaches(t *testing.T) {
 	if c.Misses.Value() != 1 || c.Hits.Value() != 0 {
 		t.Fatalf("hits/misses = %d/%d, want 0/1", c.Hits.Value(), c.Misses.Value())
 	}
-	if !c.Contains(pos) {
+	if c.Status(pos) != Local {
 		t.Fatal("fetched chunk not cached locally")
 	}
 
@@ -176,6 +177,107 @@ func TestLocalWriteWinsOverRacingFetch(t *testing.T) {
 	loop.Run()
 	if string(second) != "fresh" {
 		t.Fatalf("cache kept stale data %q", second)
+	}
+}
+
+// TestLocalWriteWinsOverRacingNotFound: the same rule when the remote
+// read comes back not-found. The waiters get the newer local bytes, and
+// the position is not also recorded absent ("absent" means we hold
+// nothing).
+func TestLocalWriteWinsOverRacingNotFound(t *testing.T) {
+	loop, _, c := newFixture(7)
+	pos := world.ChunkPos{X: 4, Z: 4}
+	var got []byte
+	var gotErr error
+	c.Get(pos, func(data []byte, err error) { got, gotErr = data, err })
+	c.Put(pos, []byte("fresh"))
+	loop.Run()
+	if gotErr != nil || string(got) != "fresh" {
+		t.Fatalf("racing fetch returned %q, %v; want the newer local write", got, gotErr)
+	}
+	if c.absent[pos] {
+		t.Fatal("position recorded absent beside its local bytes")
+	}
+	if got := c.Status(pos); got != Local {
+		t.Fatalf("status = %d, want Local", got)
+	}
+	if c.RetrievalLatency.Len() != 1 {
+		t.Fatalf("latency samples = %d, want 1 (the read succeeded)", c.RetrievalLatency.Len())
+	}
+}
+
+// TestStatusIsMonotone drives a random Get / Prefetch / Put / PutThen /
+// Flush schedule (reads failing and retrying one time in five) and
+// checks the invariant stated on Cache after every operation and every
+// clock advance: no position ever returns to Unknown, Local is final,
+// Absent only ever becomes Local, and absent and local never both hold
+// a position.
+func TestStatusIsMonotone(t *testing.T) {
+	const side = 12
+	for seed := int64(1); seed <= 5; seed++ {
+		loop, remote, c := newFixture(seed)
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < side*side/2; i++ {
+			remote.Put(Key(world.ChunkPos{X: r.Intn(side), Z: r.Intn(side)}), []byte("remote"), nil)
+		}
+		loop.Run()
+		remote.SetChaos(&blob.Chaos{ReadErrorRate: 0.2})
+
+		var prev [side][side]Status
+		check := func(step int, op string) {
+			t.Helper()
+			for pos := range c.absent {
+				if _, ok := c.local[pos]; ok {
+					t.Fatalf("seed %d step %d (%s): %v is absent and local at once", seed, step, op, pos)
+				}
+			}
+			for x := 0; x < side; x++ {
+				for z := 0; z < side; z++ {
+					was, now := prev[x][z], c.Status(world.ChunkPos{X: x, Z: z})
+					ok := now == was || was == Unknown ||
+						(was == Pending && (now == Local || now == Absent)) ||
+						(was == Absent && now == Local)
+					if !ok {
+						t.Fatalf("seed %d step %d (%s): chunk(%d,%d) went from status %d to %d", seed, step, op, x, z, was, now)
+					}
+					prev[x][z] = now
+				}
+			}
+		}
+		for step := 0; step < 2000; step++ {
+			pos := world.ChunkPos{X: r.Intn(side), Z: r.Intn(side)}
+			var op string
+			switch r.Intn(10) {
+			case 0, 1, 2:
+				op = "Get"
+				c.Get(pos, func([]byte, error) {})
+			case 3, 4:
+				op = "Prefetch"
+				c.Prefetch(world.ChunksWithin(pos.Origin(), 16*r.Intn(3)))
+			case 5:
+				op = "Put"
+				c.Put(pos, []byte("written"))
+			case 6:
+				op = "PutThen"
+				c.PutThen(pos, []byte("written"), func() {})
+			case 7:
+				op = "Flush"
+				c.Flush()
+			default:
+				op = "advance"
+				loop.RunUntil(loop.Now() + time.Duration(r.Intn(40))*time.Millisecond)
+			}
+			check(step, op)
+		}
+		loop.Run()
+		check(2000, "drain")
+		for x := 0; x < side; x++ {
+			for z := 0; z < side; z++ {
+				if prev[x][z] == Pending {
+					t.Fatalf("seed %d: chunk(%d,%d) still pending after the loop drained", seed, x, z)
+				}
+			}
+		}
 	}
 }
 
