@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchjson benchdiff clusterrace fuzzsmoke replaygate paritygate parity-update bordergate workersgate scalegate
+.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchtest benchjson benchdiff clusterrace fuzzsmoke replaygate paritygate parity-update bordergate workersgate scalegate
 
-ci: vet fmtcheck build benchcheck race clusterrace fuzzsmoke validate replaygate paritygate bordergate workersgate scalegate benchsmoke benchdiff
+ci: vet fmtcheck build benchcheck benchtest race clusterrace fuzzsmoke validate replaygate paritygate bordergate workersgate scalegate benchsmoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -123,11 +123,19 @@ benchsmoke:
 benchcheck:
 	cd benchmark && $(GO) vet . && $(GO) build -o /dev/null .
 
+# benchtest runs the end-to-end benchmark's own tests (manifest <->
+# program tables, a smoke run of all five workloads; ~15 s). The
+# benchmark's files are frozen between benchmark-defining PRs, so a PR
+# that deletes or reshapes an API it calls can break it in a way the
+# build alone does not show.
+benchtest:
+	cd benchmark && $(GO) test .
+
 # benchjson records the performance trajectory: the headline benchmark
 # suite (tick latency, handoff p99, digest encode, visibility scan,
 # scenario throughput) written as a schema'd BENCH_$(PR).json artifact,
 # checked in with the PR that changed the numbers.
-PR ?= 13
+PR ?= 14
 benchjson:
 	$(GO) run ./cmd/servo-bench -format json -pr $(PR) -out BENCH_$(PR).json
 

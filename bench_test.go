@@ -181,12 +181,12 @@ func BenchmarkTableI(b *testing.B) {
 // border residents paired across a band seam (the internal/bench scan
 // harness layout, rebuilt here because this in-package test file cannot
 // import internal/bench without a cycle through servo itself).
-func visBenchCluster(n int, fullRescan bool) *cluster.Cluster {
+func visBenchCluster(n int) *cluster.Cluster {
 	loop := sim.NewLoop(7)
 	c := cluster.New(loop, cluster.Config{
 		Shards:     2,
 		Topology:   world.BandTopology{BandChunks: 4},
-		Visibility: cluster.VisibilityConfig{Enabled: true, Margin: 16, FullRescan: fullRescan},
+		Visibility: cluster.VisibilityConfig{Enabled: true, Margin: 16},
 	}, func(i int, region world.Region) *mve.Server {
 		return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 	})
@@ -202,24 +202,20 @@ func visBenchCluster(n int, fullRescan bool) *cluster.Cluster {
 }
 
 // BenchmarkVisibilityScan measures one replication tick of the interest-
-// management layer at 1k and 4k border residents: the incremental
-// (dirty-set) scan against the full-rescan baseline it replaced. The
-// incremental path must be allocation-free in steady state.
+// management layer at 1k and 4k border residents. The dirty-set scan
+// must be allocation-free in steady state. (The full-rescan reference it
+// replaced is benchmarked beside the reference itself, in
+// internal/cluster.)
 func BenchmarkVisibilityScan(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
-		for _, mode := range []struct {
-			name string
-			full bool
-		}{{"incremental", false}, {"full-rescan", true}} {
-			b.Run(fmt.Sprintf("%s-%d", mode.name, n), func(b *testing.B) {
-				c := visBenchCluster(n, mode.full)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.VisibilityScanOnce()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("incremental-%d", n), func(b *testing.B) {
+			c := visBenchCluster(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.VisibilityScanOnce()
+			}
+		})
 	}
 }
 

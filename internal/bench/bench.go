@@ -43,8 +43,8 @@ type Metric struct {
 	// Better is "lower" or "higher": which direction is an improvement.
 	Better string `json:"better"`
 	// Gate marks the metric as regression-gated; ungated metrics are
-	// recorded context (e.g. the full-rescan baseline the incremental
-	// scan is measured against).
+	// recorded context (e.g. what an avatar-prefetch call costs a store
+	// that has settled nothing yet).
 	Gate  bool    `json:"gate"`
 	Value float64 `json:"value"`
 }

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"servo/internal/cluster"
 )
 
 func baseFile() File {
@@ -111,33 +109,5 @@ func TestLatestArtifact(t *testing.T) {
 	}
 	if got := LatestArtifact(t.TempDir()); got != "" {
 		t.Fatalf("latest in empty dir = %q, want empty", got)
-	}
-}
-
-// TestScanClusterModesAgree: the benchmark harness itself must uphold
-// the determinism contract it measures — incremental and full-rescan
-// clusters over the same layout replicate identically. (Also the race-
-// detector surface for the dirty-set bookkeeping under `make
-// clusterrace`.)
-func TestScanClusterModesAgree(t *testing.T) {
-	run := func(full bool) (int, []cluster.GhostRecord) {
-		c := NewScanCluster(64, full)
-		for i := 0; i < 5; i++ {
-			c.VisibilityScanOnce()
-		}
-		return c.GhostCount(), c.GhostLog.All()
-	}
-	incCount, incLog := run(false)
-	fullCount, fullLog := run(true)
-	if incCount == 0 || incCount != fullCount {
-		t.Fatalf("ghost counts diverge: inc %d, full %d", incCount, fullCount)
-	}
-	if len(incLog) != len(fullLog) {
-		t.Fatalf("ghost logs diverge: %d vs %d records", len(incLog), len(fullLog))
-	}
-	for i := range incLog {
-		if incLog[i] != fullLog[i] {
-			t.Fatalf("ghost log[%d] differs: %+v vs %+v", i, incLog[i], fullLog[i])
-		}
 	}
 }

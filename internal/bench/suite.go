@@ -103,9 +103,7 @@ func steps() []suiteStep {
 				return nil
 			}},
 		{"terrain demand scan (100 players)",
-			[]string{"terrain_scan_inc_ns_per_player", "terrain_scan_inc_allocs_per_op",
-				"terrain_scan_full_ns_per_player", "terrain_scan_full_allocs_per_op",
-				"terrain_scan_speedup_x"},
+			[]string{"terrain_scan_inc_ns_per_player", "terrain_scan_inc_allocs_per_op"},
 			func(f *File) error {
 				terrainScanMetrics(f)
 				return nil
@@ -128,15 +126,13 @@ func steps() []suiteStep {
 				return nil
 			}},
 		{"visibility scan, 1000 border residents",
-			[]string{"vis_scan_1k_inc_ns_per_resident", "vis_scan_1k_inc_allocs_per_op",
-				"vis_scan_1k_full_ns_per_resident", "vis_scan_1k_full_allocs_per_op"},
+			[]string{"vis_scan_1k_inc_ns_per_resident", "vis_scan_1k_inc_allocs_per_op"},
 			func(f *File) error {
 				scanMetrics(f, 1000)
 				return nil
 			}},
 		{"visibility scan, 4000 border residents",
-			[]string{"vis_scan_4k_inc_ns_per_resident", "vis_scan_4k_inc_allocs_per_op",
-				"vis_scan_4k_full_ns_per_resident", "vis_scan_4k_full_allocs_per_op"},
+			[]string{"vis_scan_4k_inc_ns_per_resident", "vis_scan_4k_inc_allocs_per_op"},
 			func(f *File) error {
 				scanMetrics(f, 4000)
 				return nil
@@ -363,14 +359,9 @@ func saturatedSpeedup(phaseLock bool) float64 {
 // newScanServer builds a single-shard server with n stationary players
 // spread over a settled flat world — every demanded chunk streamed in
 // and acknowledged — so repeated demand scans isolate the scan itself.
-// full selects the full-rescan baseline mode.
-func newScanServer(n int, full bool) *mve.Server {
+func newScanServer(n int) *mve.Server {
 	loop := sim.NewLoop(9)
-	srv := mve.NewServer(loop, mve.Config{
-		WorldType:        "flat",
-		ViewDistance:     64,
-		FullDemandRescan: full,
-	})
+	srv := mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 64})
 	for i := 0; i < n; i++ {
 		srv.ConnectAt(fmt.Sprintf("p%d", i), nil, float64((i%10)*24-108), float64(i/10*24-108))
 	}
@@ -381,22 +372,13 @@ func newScanServer(n int, full bool) *mve.Server {
 }
 
 // terrainScanMetrics measures one terrain-demand scan over a settled
-// 100-player fleet, incremental (demand cursors, the tick fast path)
-// vs. the full per-player rescan baseline, and records the speedup the
-// cursor buys. The incremental steady state must not allocate.
+// 100-player fleet (demand cursors, the tick fast path). The steady
+// state must not allocate.
 func terrainScanMetrics(f *File) {
 	const players = 100
-	inc := newScanServer(players, false)
-	incNs, incAllocs := wallBench(inc.ScanTerrainDemand)
-	full := newScanServer(players, true)
-	fullNs, fullAllocs := wallBench(full.ScanTerrainDemand)
-	f.Add("terrain_scan_inc_ns_per_player", "ns/player", Lower, true, incNs/players)
-	f.Add("terrain_scan_inc_allocs_per_op", "allocs/op", Lower, true, incAllocs)
-	// The pre-cursor baseline, recorded (not gated) so every artifact
-	// carries the comparison it claims.
-	f.Add("terrain_scan_full_ns_per_player", "ns/player", Lower, false, fullNs/players)
-	f.Add("terrain_scan_full_allocs_per_op", "allocs/op", Lower, false, fullAllocs)
-	f.Add("terrain_scan_speedup_x", "x", Higher, true, fullNs/incNs)
+	ns, allocs := wallBench(newScanServer(players).ScanTerrainDemand)
+	f.Add("terrain_scan_inc_ns_per_player", "ns/player", Lower, true, ns/players)
+	f.Add("terrain_scan_inc_allocs_per_op", "allocs/op", Lower, true, allocs)
 }
 
 // observeAvatarsMetrics measures one rstore.ObserveAvatars call over a
@@ -634,14 +616,13 @@ func digestMetrics(f *File) {
 
 // NewScanCluster builds a two-shard visibility cluster with n idle
 // border residents paired across a band seam, spaced along Z so each
-// pair audits locally, with membership caches warmed by one scan. full
-// selects the full-rescan baseline mode.
-func NewScanCluster(n int, full bool) *cluster.Cluster {
+// pair audits locally, with membership caches warmed by one scan.
+func NewScanCluster(n int) *cluster.Cluster {
 	loop := sim.NewLoop(7)
 	c := cluster.New(loop, cluster.Config{
 		Shards:     2,
 		Topology:   world.BandTopology{BandChunks: 4},
-		Visibility: cluster.VisibilityConfig{Enabled: true, Margin: 16, FullRescan: full},
+		Visibility: cluster.VisibilityConfig{Enabled: true, Margin: 16},
 	}, func(i int, region world.Region) *mve.Server {
 		return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 	})
@@ -656,22 +637,11 @@ func NewScanCluster(n int, full bool) *cluster.Cluster {
 	return c
 }
 
-// scanMetrics measures one visibility replication tick over n border
-// residents, incremental vs. the full-rescan baseline, and records the
-// allocation improvement factor the incremental path buys.
+// scanMetrics measures one visibility replication tick over n idle
+// border residents. The steady state must not allocate.
 func scanMetrics(f *File, n int) {
 	tag := fmt.Sprintf("vis_scan_%dk", n/1000)
-	inc := NewScanCluster(n, false)
-	incNs, incAllocs := wallBench(inc.VisibilityScanOnce)
-	full := NewScanCluster(n, true)
-	fullNs, fullAllocs := wallBench(full.VisibilityScanOnce)
-	f.Add(tag+"_inc_ns_per_resident", "ns/resident", Lower, true, incNs/float64(n))
-	f.Add(tag+"_inc_allocs_per_op", "allocs/op", Lower, true, incAllocs)
-	// The pre-incremental baseline, recorded (not gated) so every artifact
-	// carries the comparison it claims. (The _alloc_improvement ratio the
-	// artifact used to carry is gone: BordersWithinAppend made the full
-	// path allocation-free too, so the ratio degenerated to 0/0 — the
-	// gated absolute allocs/op rows above are the surviving contract.)
-	f.Add(tag+"_full_ns_per_resident", "ns/resident", Lower, false, fullNs/float64(n))
-	f.Add(tag+"_full_allocs_per_op", "allocs/op", Lower, false, fullAllocs)
+	ns, allocs := wallBench(NewScanCluster(n).VisibilityScanOnce)
+	f.Add(tag+"_inc_ns_per_resident", "ns/resident", Lower, true, ns/float64(n))
+	f.Add(tag+"_inc_allocs_per_op", "allocs/op", Lower, true, allocs)
 }

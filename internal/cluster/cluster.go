@@ -249,6 +249,12 @@ type Cluster struct {
 	vis VisibilityConfig
 	// visSeq numbers replication scans (ghost staleness stamps).
 	visSeq uint64
+	// fullRescan makes every scan recompute every session's border
+	// membership from scratch, the pre-incremental behaviour: the
+	// reference the in-package tests and benchmarks compare the
+	// membership cache against (digest bytes, ghost log and gap audit
+	// are identical either way). Nothing outside the package can set it.
+	fullRescan bool
 	// GhostUpdates counts digest entries applied to ghost registries.
 	GhostUpdates metrics.Counter
 	// VisibilityGaps counts replication scans during which some

@@ -21,10 +21,9 @@
 // handed off, or saw the ownership table change under them (every
 // migration, failover, and recovery bumps the epoch). The
 // displaced-session pairing and the gap audit run over a spatial bucket
-// index instead of all pairs. VisibilityConfig.FullRescan disables the
-// cache (every scan recomputes everything) — the benchmark baseline and
-// the determinism cross-check; both modes produce byte-identical
-// digests, ghost logs, and reports.
+// index instead of all pairs. The in-package tests cross-check the cache
+// against a scan that recomputes everything (Cluster.fullRescan): both
+// produce byte-identical digests and ghost logs.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
 // session demotes it to a pinned ghost on the source shard (viewers keep
@@ -75,12 +74,6 @@ type VisibilityConfig struct {
 	Margin int
 	// Interval is the replication cadence (0 → DefaultVisibilityInterval).
 	Interval time.Duration
-	// FullRescan disables the incremental membership cache: every scan
-	// recomputes every session's border membership from scratch, the
-	// pre-incremental behaviour. The digest bytes, ghost log, and gap
-	// audit are identical either way — this is the benchmark baseline
-	// and the determinism cross-check, not a correctness knob.
-	FullRescan bool
 	// Observer, when set, receives every published per-shard-pair digest
 	// (a test hook for the determinism contract; not consulted by the
 	// bus itself). The digest buffer is reused on the next scan: observers
@@ -390,9 +383,9 @@ type visPairState struct {
 
 // shouldSkip reports whether this scan's entries may go unpublished:
 // identical to the last published digest, same ownership epoch, and the
-// consecutive-skip cap not yet reached. Shared verbatim by the
-// incremental and FullRescan paths — both feed the same apply loop, so
-// the digest stream stays byte-identical across the two modes.
+// consecutive-skip cap not yet reached. Shared by the incremental scan
+// and the full-rescan reference — both feed the same apply loop, so the
+// digest stream stays byte-identical across the two.
 func (ps *visPairState) shouldSkip(epoch uint64) bool {
 	if !ps.pubValid || epoch != ps.lastEpoch || ps.skips >= digestMaxSkips {
 		return false
@@ -489,7 +482,7 @@ func (c *Cluster) VisibilityScanOnce() {
 		}
 		pos := sp.Pos()
 		chunk, rect := pos.Chunk(), world.ChunkRectWithin(pos, margin)
-		if c.vis.FullRescan || !p.vc.valid || p.vc.epoch != epoch || p.vc.shard != p.shard || p.vc.chunk != chunk || p.vc.rect != rect {
+		if c.fullRescan || !p.vc.valid || p.vc.epoch != epoch || p.vc.shard != p.shard || p.vc.chunk != chunk || p.vc.rect != rect {
 			c.VisRecomputes.Inc()
 			home := c.table.ShardOfBlock(pos)
 			dsts := p.vc.dsts[:0]

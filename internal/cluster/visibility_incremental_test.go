@@ -88,9 +88,8 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 			Topology:     world.BandTopology{BandChunks: 4},
 			ScanInterval: time.Hour, // park handoffs: hold the displaced transient open
 			Visibility: VisibilityConfig{
-				Enabled:    true,
-				Margin:     16,
-				FullRescan: full,
+				Enabled: true,
+				Margin:  16,
 				Observer: func(src, dst int, digest []byte) {
 					fmt.Fprintf(&stream, "%d>%d:", src, dst)
 					stream.Write(digest)
@@ -100,6 +99,7 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 		})
+		c.fullRescan = full
 		// Tile 2 is shard 0's, tile 3 shard 1's; the two sessions stand
 		// 10 blocks apart across that seam, and each tile then migrates to
 		// the other shard — leaving both sessions displaced, on different
@@ -230,9 +230,8 @@ func TestIncrementalScanOddMargin(t *testing.T) {
 			Topology:     world.BandTopology{BandChunks: 4},
 			ScanInterval: time.Hour, // park handoffs: the crosser stays on shard 0 and turns displaced
 			Visibility: VisibilityConfig{
-				Enabled:    true,
-				Margin:     24,
-				FullRescan: full,
+				Enabled: true,
+				Margin:  24,
 				Observer: func(src, dst int, digest []byte) {
 					fmt.Fprintf(&stream, "%d>%d:", src, dst)
 					stream.Write(digest)
@@ -242,6 +241,7 @@ func TestIncrementalScanOddMargin(t *testing.T) {
 		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 		})
+		c.fullRescan = full
 		c.ConnectAt("crosser", pacer(60, 8, 70, 8, 2), world.BlockPos{X: 60, Y: 0, Z: 8})
 		c.ConnectAt("west", nil, world.BlockPos{X: 50, Y: 0, Z: 8})
 		c.ConnectAt("east", nil, world.BlockPos{X: 90, Y: 0, Z: 8})
@@ -386,5 +386,38 @@ func TestDigestRateLimiterSkipsIdlePairs(t *testing.T) {
 	}
 	if c.VisibilityGaps.Value() != 0 {
 		t.Fatalf("rate limiting opened %d visibility gap ticks", c.VisibilityGaps.Value())
+	}
+}
+
+// BenchmarkVisibilityScanFullRescan measures one replication tick of the
+// full-rescan reference at 1k and 4k idle border residents paired across
+// a band seam — the layout of the root package's BenchmarkVisibilityScan,
+// whose incremental numbers it is the baseline for.
+func BenchmarkVisibilityScanFullRescan(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			loop := sim.NewLoop(7)
+			c := New(loop, Config{
+				Shards:     2,
+				Topology:   world.BandTopology{BandChunks: 4},
+				Visibility: VisibilityConfig{Enabled: true, Margin: 16},
+			}, func(i int, region world.Region) *mve.Server {
+				return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
+			})
+			c.fullRescan = true
+			for i := 0; i < n; i++ {
+				x := 60 // 4 blocks west of the x=64 band seam, shard 0
+				if i%2 == 1 {
+					x = 70 // 6 blocks east, shard 1
+				}
+				c.ConnectAt(fmt.Sprintf("r%d", i), nil, world.BlockPos{X: x, Y: 0, Z: (i / 2) * 48})
+			}
+			c.VisibilityScanOnce() // warm the ghost registries
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.VisibilityScanOnce()
+			}
+		})
 	}
 }

@@ -150,13 +150,14 @@ type Config struct {
 	// (0 → cluster.DefaultLogRetention, < 0 → unbounded).
 	LogRetention int
 
-	// Workers > 0 runs shard game loops on the virtual clock's
-	// lane-batched scheduler: same-timestamp ticks of distinct shards
-	// execute concurrently on a pool of Workers goroutines, with shared-
+	// Workers > 0 gives every shard game loop a lane of the virtual
+	// clock: same-timestamp ticks of distinct shards execute
+	// concurrently on a pool of Workers goroutines, with shared-
 	// substrate side effects deferred to the deterministic post-wave
-	// commit drain. Every pool size produces identical runs; 0 (the
-	// default) keeps the classic serial loop. Requires a *sim.Loop clock
-	// (ignored under the real-time clock).
+	// commit drain. Every pool size produces identical runs; at 0 (the
+	// default) shards share the loop's serial lane and side effects
+	// apply inline. Requires a *sim.Loop clock (ignored under the
+	// real-time clock).
 	Workers int
 
 	// PhaseLock re-aligns each shard's tick schedule to the global

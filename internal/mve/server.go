@@ -99,12 +99,6 @@ type Config struct {
 	// and its own region's home band so shard-aware fleet placement does
 	// not open with a generation storm.
 	BootCenters []world.BlockPos
-	// FullDemandRescan disables the incremental terrain-demand cursor:
-	// every scan re-walks every player's whole view rect, the
-	// pre-incremental behaviour. The observable request/send streams are
-	// identical either way — this is the benchmark baseline and the
-	// determinism cross-check, not a correctness knob.
-	FullDemandRescan bool
 	// PhaseLock keeps the tick schedule phase-aligned through overload:
 	// after an overlong tick (duration > TickInterval) the next tick
 	// snaps to the next global TickInterval boundary instead of running
@@ -209,6 +203,11 @@ type Server struct {
 	// demand scan: the only chunks a clean-cursor player can newly see
 	// (see scanTerrainDemand).
 	newlyLoaded []world.ChunkPos
+	// fullDemandRescan makes every scan re-walk every player's whole view
+	// rect, the pre-incremental behaviour: the reference the in-package
+	// tests compare the demand cursor against. Nothing outside the
+	// package can set it.
+	fullDemandRescan bool
 
 	// Reusable tick-loop scratch, so the steady-state tick allocates
 	// nothing. obsBufs double-buffers the avatar positions handed to the
@@ -714,7 +713,7 @@ func (s *Server) tickOnce() {
 // dirty players — fresh sessions, handoff arrivals, chunk-rect
 // crossings, view-distance changes — take the full walk and count one
 // TerrainRecomputes. The request/send streams are byte-identical to the
-// full rescan (Config.FullDemandRescan is the cross-check).
+// full rescan (fullDemandRescan is the in-package tests' cross-check).
 func (s *Server) scanTerrainDemand() {
 	avatars := s.obsBufs[s.obsIdx][:0]
 	newly := s.newlyLoaded
@@ -731,7 +730,7 @@ func (s *Server) scanTerrainDemand() {
 		pos := p.Pos()
 		avatars = append(avatars, pos)
 		rect := world.ChunkRectWithin(pos, s.cfg.ViewDistance)
-		if !s.cfg.FullDemandRescan && p.demandValid && rect == p.demandRect {
+		if !s.fullDemandRescan && p.demandValid && rect == p.demandRect {
 			// Clean cursor: replay only the chunks loaded since the last
 			// scan. Sorted (X, Z) order is exactly the full walk's
 			// iteration order restricted to this set, so the send queue

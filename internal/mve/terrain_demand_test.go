@@ -72,12 +72,12 @@ func walker(stride float64) Behavior {
 func driveDemandRun(full bool) (sigs []string, recomputes int64) {
 	loop := sim.NewLoop(11)
 	s := NewServer(loop, Config{
-		Profile:          ProfileOpencraft,
-		WorldType:        "flat",
-		Seed:             11,
-		ViewDistance:     48,
-		FullDemandRescan: full,
+		Profile:      ProfileOpencraft,
+		WorldType:    "flat",
+		Seed:         11,
+		ViewDistance: 48,
 	})
+	s.fullDemandRescan = full
 	s.Connect("strider", walker(6))
 	s.Connect("camper", nil) // never moves: stays clean after its first scan
 	s.Connect("drifter", walker(3))

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // RenderCSV renders the report as CSV, covering both the summary metrics
@@ -35,7 +34,6 @@ const CSVHeader = "kind,shard,name,at_ms,value,ok"
 // each report's rows (every report starts with its own `scenario` row).
 func (r *Report) RenderCSVRows() string {
 	var b strings.Builder
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	verdict := "pass"
 	if !r.Pass {
 		verdict = "fail"

@@ -187,7 +187,9 @@ type Runner struct {
 	faasChaosGen    map[string]int
 	storageChaosGen int
 
-	base baseline
+	// base holds the warm-up snapshot of every delta row of the metric
+	// table, keyed by reported name.
+	base map[string]float64
 }
 
 // Run validates spec (normalising defaults), executes it to completion on
@@ -342,7 +344,7 @@ func (r *Runner) build() {
 	}
 	r.front.start()
 	for _, a := range spec.Assertions {
-		if a.Metric == "view_margin" && a.Windowed() {
+		if a.Metric == viewMargin.name && a.Windowed() {
 			r.viewSeries = &metrics.TimeSeries{}
 			r.loop.After(time.Second, r.sampleViewMargin)
 			break
@@ -698,89 +700,6 @@ func (r *Runner) fire(e Event) {
 	}
 }
 
-// baseline snapshots every delta-reported counter at the end of warm-up.
-// On a sharded system the scalar fields hold sums across shards.
-type baseline struct {
-	actions, chunksApplied, chunksSent, resumed int64
-	chats                                       int64
-	discards                                    int64
-	scInv, scCold, scFaults                     int64
-	tgInv, tgCold, tgFaults                     int64
-	tgBackendFailures, genDeduped               int
-	cacheHits, cacheMisses, prefetch            int64
-	reads, writes, storeFaults                  int64
-	handoffs                                    int64
-	rebalances, tilesMoved                      int64
-	failovers, playersFailedOver                int64
-	ghostUpdates, visibilityGaps                int64
-	scaleUps, scaleDowns                        int64
-	quarantines, tilesDrained                   int64
-	handoffsIn, handoffsOut                     []int64
-}
-
-func (r *Runner) snapshotBaseline() {
-	b := &r.base
-	for _, sh := range r.sys.Shards {
-		srv := sh.Server
-		b.actions += srv.ActionCount.Value()
-		b.chunksApplied += srv.ChunksApplied.Value()
-		b.chunksSent += srv.ChunksSent.Value()
-		b.resumed += srv.ConstructsResumed.Value()
-		b.chats += srv.ChatsDelivered.Value()
-		if m := sh.SpecExec; m != nil {
-			b.discards += m.Discards.Value()
-		}
-		if tb := sh.TGBackend; tb != nil {
-			b.tgBackendFailures += tb.Failures
-			b.genDeduped += tb.GenDeduped
-		}
-		if c := sh.Cache; c != nil {
-			b.cacheHits += c.Hits.Value()
-			b.cacheMisses += c.Misses.Value()
-			b.prefetch += c.PrefetchIssued.Value()
-		}
-	}
-	if f := r.sys.SCFn; f != nil {
-		b.scInv = int64(f.Invocations.Count())
-		b.scCold = f.ColdStarts.Value()
-		b.scFaults = f.FaultsInjected.Value()
-	}
-	if f := r.sys.TGFn; f != nil {
-		b.tgInv = int64(f.Invocations.Count())
-		b.tgCold = f.ColdStarts.Value()
-		b.tgFaults = f.FaultsInjected.Value()
-	}
-	if st := r.sys.Remote; st != nil {
-		b.reads = st.Reads.Value()
-		b.writes = st.Writes.Value()
-		b.storeFaults = st.FaultsInjected.Value()
-	}
-	if st := r.localAlt; st != nil {
-		b.reads += st.Reads.Value()
-		b.writes += st.Writes.Value()
-		b.storeFaults += st.FaultsInjected.Value()
-	}
-	if cl := r.sys.Cluster; cl != nil {
-		b.handoffs = cl.Handoffs.Value()
-		b.rebalances = cl.Rebalances.Value()
-		b.tilesMoved = cl.TilesMoved.Value()
-		b.failovers = cl.Failovers.Value()
-		b.playersFailedOver = cl.PlayersFailedOver.Value()
-		b.ghostUpdates = cl.GhostUpdates.Value()
-		b.visibilityGaps = cl.VisibilityGaps.Value()
-		b.scaleUps = cl.ScaleUps.Value()
-		b.scaleDowns = cl.ScaleDowns.Value()
-		b.quarantines = cl.Quarantines.Value()
-		b.tilesDrained = cl.TilesDrained.Value()
-		// Membership may have grown past the boot set by now (autoscale
-		// fires during warm-up too); the baseline covers whatever exists.
-		for i := range r.sys.Shards {
-			b.handoffsIn = append(b.handoffsIn, cl.HandoffsIn[i].Value())
-			b.handoffsOut = append(b.handoffsOut, cl.HandoffsOut[i].Value())
-		}
-	}
-}
-
 // run drives the scenario: warm up, reset measurement state, run the
 // measured window, then collect the report.
 func (r *Runner) run() *Report {
@@ -844,221 +763,10 @@ func (r *Runner) windowImbalance(from, to time.Duration) float64 {
 	return metrics.ImbalanceRatio(loads)
 }
 
-// tickMetric computes one tick metric over a sample (the shared math
-// behind end-of-run values and windowed assertions).
-func tickMetric(name string, ticks *metrics.Sample) float64 {
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	total := ticks.Len()
-	switch name {
-	case "ticks_total":
-		return float64(total)
-	case "ticks_over_budget":
-		return float64(ticks.CountAbove(qosBudget))
-	case "over_budget_frac":
-		if total == 0 {
-			return 0
-		}
-		return float64(ticks.CountAbove(qosBudget)) / float64(total)
-	case "tick_p50_ms":
-		return msOf(ticks.Percentile(50))
-	case "tick_p90_ms":
-		return msOf(ticks.Percentile(90))
-	case "tick_p95_ms":
-		return msOf(ticks.Percentile(95))
-	case "tick_p99_ms":
-		return msOf(ticks.Percentile(99))
-	case "tick_max_ms":
-		return msOf(ticks.Max())
-	case "tick_mean_ms":
-		return msOf(ticks.Mean())
-	}
-	return 0
-}
-
-// collect computes the metric map, evaluates assertions, and assembles the
+// collect reads the metric table, evaluates assertions, and assembles the
 // deterministic report.
 func (r *Runner) collect() *Report {
 	spec := r.spec
-	b := &r.base
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-	// Pool every shard's post-warm-up ticks for the cluster-wide tick
-	// statistics (a single-shard system pools trivially).
-	ticks := &metrics.Sample{}
-	for _, sh := range r.sys.Shards {
-		ticks.AddAll(sh.Server.TickDurations.Values())
-	}
-
-	vals := make(map[string]float64)
-	for _, name := range []string{
-		"ticks_total", "ticks_over_budget", "over_budget_frac",
-		"tick_p50_ms", "tick_p90_ms", "tick_p95_ms", "tick_p99_ms",
-		"tick_max_ms", "tick_mean_ms",
-	} {
-		vals[name] = tickMetric(name, ticks)
-	}
-	vals["players_final"] = float64(r.front.count())
-	vals["players_peak"] = float64(r.peak)
-	// The zero-loss audit: every join the harness made, minus confirmed
-	// leaves, minus whoever is still connected. Positive means the system
-	// dropped sessions on the floor (e.g. during a drain or failover);
-	// a transient negative can occur when a disconnect raced an in-flight
-	// handoff that the run ended before settling.
-	vals["players_lost"] = float64(r.joins-r.leaves) - vals["players_final"]
-
-	var actions, chunksApplied, chunksSent, resumed, discards, chats int64
-	var cacheHits, cacheMisses, prefetch int64
-	var tgBackendFailures, genDeduped, constructs int
-	var efficiency []float64
-	viewMargin := -1
-	for _, sh := range r.sys.Shards {
-		srv := sh.Server
-		actions += srv.ActionCount.Value()
-		chunksApplied += srv.ChunksApplied.Value()
-		chunksSent += srv.ChunksSent.Value()
-		resumed += srv.ConstructsResumed.Value()
-		chats += srv.ChatsDelivered.Value()
-		constructs += srv.SCs().Count()
-		if vm := srv.MinViewMargin(); viewMargin < 0 || vm < viewMargin {
-			viewMargin = vm
-		}
-		if m := sh.SpecExec; m != nil {
-			discards += m.Discards.Value()
-			efficiency = append(efficiency, m.Efficiency...)
-		}
-		if tb := sh.TGBackend; tb != nil {
-			tgBackendFailures += tb.Failures
-			genDeduped += tb.GenDeduped
-		}
-		if c := sh.Cache; c != nil {
-			cacheHits += c.Hits.Value()
-			cacheMisses += c.Misses.Value()
-			prefetch += c.PrefetchIssued.Value()
-		}
-	}
-	vals["actions"] = float64(actions - b.actions)
-	vals["chats_delivered"] = float64(chats - b.chats)
-	vals["chunks_applied"] = float64(chunksApplied - b.chunksApplied)
-	vals["chunks_sent"] = float64(chunksSent - b.chunksSent)
-	vals["view_margin"] = float64(viewMargin)
-	vals["constructs"] = float64(constructs)
-	vals["constructs_resumed"] = float64(resumed - b.resumed)
-
-	cost := 0.0
-	var coldStarts, faults int64
-	if spec.Backend.Constructs {
-		vals["spec_efficiency_median"] = medianOf(efficiency)
-		vals["invalidations"] = float64(discards - b.discards)
-	}
-	if f := r.sys.SCFn; f != nil {
-		vals["sc_invocations"] = float64(int64(f.Invocations.Count()) - b.scInv)
-		scCold := f.ColdStarts.Value() - b.scCold
-		vals["sc_cold_starts"] = float64(scCold)
-		coldStarts += scCold
-		faults += f.FaultsInjected.Value() - b.scFaults
-		cost += f.BilledDollars()
-	}
-	if f := r.sys.TGFn; f != nil {
-		vals["tg_invocations"] = float64(int64(f.Invocations.Count()) - b.tgInv)
-		tgCold := f.ColdStarts.Value() - b.tgCold
-		vals["tg_cold_starts"] = float64(tgCold)
-		coldStarts += tgCold
-		faults += f.FaultsInjected.Value() - b.tgFaults
-		cost += f.BilledDollars()
-	}
-	if spec.Backend.Terrain {
-		vals["tg_failures"] = float64(tgBackendFailures - b.tgBackendFailures)
-		vals["gen_deduped"] = float64(genDeduped - b.genDeduped)
-	}
-	if spec.hasFunctionBackend() {
-		vals["cold_starts"] = float64(coldStarts)
-		vals["faas_faults"] = float64(faults)
-	}
-	if r.sys.Cache != nil {
-		hits := cacheHits - b.cacheHits
-		misses := cacheMisses - b.cacheMisses
-		vals["cache_hits"] = float64(hits)
-		vals["cache_misses"] = float64(misses)
-		if hits+misses > 0 {
-			vals["cache_hit_rate"] = float64(hits) / float64(hits+misses)
-		} else {
-			vals["cache_hit_rate"] = 0
-		}
-		vals["prefetch_issued"] = float64(prefetch - b.prefetch)
-	}
-	if st := r.sys.Remote; st != nil {
-		reads, writes, storeFaults := st.Reads.Value(), st.Writes.Value(), st.FaultsInjected.Value()
-		if alt := r.localAlt; alt != nil { // count the flip's local side too
-			reads += alt.Reads.Value()
-			writes += alt.Writes.Value()
-			storeFaults += alt.FaultsInjected.Value()
-			cost += alt.BilledDollars()
-		}
-		vals["storage_reads"] = float64(reads - b.reads)
-		vals["storage_writes"] = float64(writes - b.writes)
-		vals["storage_faults"] = float64(storeFaults - b.storeFaults)
-		// p99 covers the serverless/remote store only (the flip's local
-		// side has local-disk latency and would skew the tail).
-		vals["storage_read_p99_ms"] = msOf(st.ReadLatency.Percentile(99))
-		cost += st.BilledDollars()
-	}
-	if cl := r.sys.Cluster; cl != nil {
-		vals["shards"] = float64(len(r.sys.Shards))
-		vals["handoffs"] = float64(cl.Handoffs.Value() - b.handoffs)
-		vals["handoff_mean_ms"] = msOf(cl.HandoffLatency.Mean())
-		vals["handoff_p99_ms"] = msOf(cl.HandoffLatency.Percentile(99))
-		vals["ownership_epoch"] = float64(cl.Epoch())
-		vals["rebalances"] = float64(cl.Rebalances.Value() - b.rebalances)
-		vals["tiles_moved"] = float64(cl.TilesMoved.Value() - b.tilesMoved)
-		vals["bands_moved"] = vals["tiles_moved"] // PR 3 band-era alias
-		vals["failovers"] = float64(cl.Failovers.Value() - b.failovers)
-		vals["players_failed_over"] = float64(cl.PlayersFailedOver.Value() - b.playersFailedOver)
-		vals["shards_active"] = float64(cl.AliveCount())
-		vals["shards_peak"] = float64(cl.ShardsPeak)
-		vals["scale_ups"] = float64(cl.ScaleUps.Value() - b.scaleUps)
-		vals["scale_downs"] = float64(cl.ScaleDowns.Value() - b.scaleDowns)
-		vals["quarantines"] = float64(cl.Quarantines.Value() - b.quarantines)
-		vals["tiles_drained"] = float64(cl.TilesDrained.Value() - b.tilesDrained)
-		if spec.Visibility != nil {
-			vals["ghost_avatars"] = float64(cl.GhostCount())
-			vals["ghost_updates"] = float64(cl.GhostUpdates.Value() - b.ghostUpdates)
-			vals["visibility_gap_ticks"] = float64(cl.VisibilityGaps.Value() - b.visibilityGaps)
-		}
-		// Load imbalance: max over shards of mean tick duration, divided
-		// by the cross-shard mean (1 = perfectly balanced).
-		var loads []float64
-		for _, sh := range r.sys.Shards {
-			loads = append(loads, float64(sh.Server.TickDurations.Mean()))
-		}
-		vals["load_imbalance"] = metrics.ImbalanceRatio(loads)
-		for i, sh := range r.sys.Shards {
-			srv := sh.Server
-			vals[fmt.Sprintf("shard%d_ticks_total", i)] = float64(srv.TickDurations.Len())
-			vals[fmt.Sprintf("shard%d_tick_p50_ms", i)] = msOf(srv.TickDurations.Percentile(50))
-			vals[fmt.Sprintf("shard%d_tick_p99_ms", i)] = msOf(srv.TickDurations.Percentile(99))
-			vals[fmt.Sprintf("shard%d_players_final", i)] = float64(srv.PlayerCount())
-			// Shards added after warm-up have no baseline row: their
-			// counters started at zero inside the measured window.
-			var hin, hout int64
-			if i < len(b.handoffsIn) {
-				hin, hout = b.handoffsIn[i], b.handoffsOut[i]
-			}
-			vals[fmt.Sprintf("shard%d_handoffs_in", i)] = float64(cl.HandoffsIn[i].Value() - hin)
-			vals[fmt.Sprintf("shard%d_handoffs_out", i)] = float64(cl.HandoffsOut[i].Value() - hout)
-			// Membership span: the first and last tick this shard slot ever
-			// ran (warm-up included), so a report over a dynamic shard set
-			// shows when each shard was active. -1 = the slot never ticked.
-			if times, _ := srv.TickSeries.Points(); len(times) > 0 {
-				vals[fmt.Sprintf("shard%d_first_active_ms", i)] = msOf(times[0])
-				vals[fmt.Sprintf("shard%d_last_active_ms", i)] = msOf(times[len(times)-1])
-			} else {
-				vals[fmt.Sprintf("shard%d_first_active_ms", i)] = -1
-				vals[fmt.Sprintf("shard%d_last_active_ms", i)] = -1
-			}
-		}
-	}
-	vals["cost_dollars"] = cost
-
 	rep := &Report{Name: spec.Name, Virtual: spec.Duration.D(), Pass: true, Wall: r.wall, BotSeconds: r.botSeconds}
 	for i, sh := range r.sys.Shards {
 		times, durs := sh.Server.TickSeries.Points()
@@ -1086,51 +794,15 @@ func (r *Runner) collect() *Report {
 			})
 		}
 	}
-	for _, e := range metricOrder {
-		if v, ok := vals[e.Name]; ok {
-			rep.Metrics = append(rep.Metrics, Metric{Name: e.Name, Value: v})
-		}
-	}
-	if r.sys.Cluster != nil {
-		// Per-shard rollup rows, after the registry metrics, in shard
-		// order.
-		for i := range r.sys.Shards {
-			for _, base := range shardMetricBases {
-				name := fmt.Sprintf("shard%d_%s", i, base)
-				if v, ok := vals[name]; ok {
-					rep.Metrics = append(rep.Metrics, Metric{Name: name, Value: v})
-				}
-			}
-		}
-	}
+	rep.Metrics = r.collectMetrics()
 	for _, a := range spec.Assertions {
-		actual := vals[a.Metric]
-		if a.Windowed() {
-			switch a.Metric {
-			case "load_imbalance":
-				actual = r.windowImbalance(a.From.D(), a.To.D())
-			case "view_margin":
-				actual = r.windowViewMargin(a.From.D(), a.To.D())
-			default:
-				actual = tickMetric(a.Metric, r.windowTicks(a.From.D(), a.To.D()))
-			}
-		}
-		c := Check{Assertion: a, Actual: actual, Ok: a.holds(actual)}
+		c := r.check(a, rep.Metrics)
 		if !c.Ok {
 			rep.Pass = false
 		}
 		rep.Checks = append(rep.Checks, c)
 	}
 	return rep
-}
-
-func medianOf(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 // flipStore switches the server's chunk/player store between the

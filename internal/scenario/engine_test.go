@@ -429,6 +429,45 @@ func TestShardFailInlineZeroLoss(t *testing.T) {
 	}
 }
 
+// TestShardSlotNeverCreated: per-shard assertions validate against the
+// autoscale ceiling, so a spec may name a slot the autoscaler never
+// reaches. Such a slot reports what its rows document for "never
+// existed" — -1 for the membership span, 0 for the counts — instead of
+// evaluating against a missing row, and stays out of the metric list.
+func TestShardSlotNeverCreated(t *testing.T) {
+	spec, err := Parse([]byte(`{
+		"name": "slot-never-created",
+		"duration": "30s",
+		"warmup": "5s",
+		"shards": 2,
+		"autoscale": {"min_shards": 2, "max_shards": 8},
+		"fleet": [{"count": 2, "behavior": "idle"}],
+		"assertions": [
+			{"metric": "shards", "op": "<=", "value": 2},
+			{"metric": "shard1_first_active_ms", "op": ">=", "value": 0},
+			{"metric": "shard7_first_active_ms", "op": "<", "value": 0},
+			{"metric": "shard7_last_active_ms", "op": "<", "value": 0},
+			{"metric": "shard7_ticks_total", "op": "<=", "value": 0},
+			{"metric": "shard7_handoffs_in", "op": "<=", "value": 0}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass {
+		t.Fatalf("assertions on a never-created shard slot failed:\n%s", rep.Render())
+	}
+	for _, m := range rep.Metrics {
+		if strings.HasPrefix(m.Name, "shard7_") {
+			t.Fatalf("never-created slot rendered as a row: %s", m.Name)
+		}
+	}
+}
+
 // TestRenderCSVStructure pins the CSV emitter's shape: header, a scenario
 // row, one row per metric and assertion, and per-tick rows for every
 // shard.

@@ -3,145 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 )
-
-// Metric availability classes: some metrics only exist when the matching
-// backend is configured, and assertions on them are rejected statically.
-const (
-	needsNone       = ""
-	needsSC         = "sc"         // backend.constructs
-	needsTG         = "tg"         // backend.terrain
-	needsFaaS       = "faas"       // any serverless function backend
-	needsCache      = "cache"      // backend.storage (the terrain cache)
-	needsStore      = "store"      // backend.storage or backend.local_store
-	needsCluster    = "cluster"    // shards > 1
-	needsVisibility = "visibility" // a visibility section (and shards > 1)
-)
-
-// metricOrder fixes the registry and its deterministic report order.
-// Duration-valued metrics are reported in milliseconds.
-var metricOrder = []struct {
-	Name  string
-	Needs string
-}{
-	{"ticks_total", needsNone},
-	{"ticks_over_budget", needsNone}, // ticks above the 50 ms QoS bound
-	{"over_budget_frac", needsNone},
-	{"tick_p50_ms", needsNone},
-	{"tick_p90_ms", needsNone},
-	{"tick_p95_ms", needsNone},
-	{"tick_p99_ms", needsNone},
-	{"tick_max_ms", needsNone},
-	{"tick_mean_ms", needsNone},
-	{"players_final", needsNone},
-	{"players_peak", needsNone},
-	{"players_lost", needsNone}, // joins - confirmed leaves - final (0 = zero-loss)
-	{"actions", needsNone},
-	{"chats_delivered", needsNone}, // chat deliveries (cluster-wide when sharded)
-	{"chunks_applied", needsNone},
-	{"chunks_sent", needsNone},
-	{"view_margin", needsNone}, // blocks of loaded terrain margin (Fig. 10 QoS)
-	{"constructs", needsNone},
-	{"constructs_resumed", needsNone},
-	{"spec_efficiency_median", needsSC},
-	{"invalidations", needsSC}, // speculation discards (§III-C)
-	{"sc_invocations", needsSC},
-	{"sc_cold_starts", needsSC},
-	{"tg_invocations", needsTG},
-	{"tg_cold_starts", needsTG},
-	{"tg_failures", needsTG}, // failed generation invocations (incl. retried)
-	{"gen_deduped", needsTG}, // seam chunks adopted from the cross-shard dedup cache
-	{"cold_starts", needsFaaS},
-	{"faas_faults", needsFaaS},
-	{"cache_hits", needsCache},
-	{"cache_misses", needsCache},
-	{"cache_hit_rate", needsCache},
-	{"prefetch_issued", needsCache},
-	{"storage_reads", needsStore},
-	{"storage_writes", needsStore},
-	{"storage_faults", needsStore},
-	{"storage_read_p99_ms", needsStore},
-	{"shards", needsCluster},
-	{"handoffs", needsCluster},        // completed cross-shard handoffs
-	{"handoff_mean_ms", needsCluster}, // mean handoff latency
-	{"handoff_p99_ms", needsCluster},  // p99 handoff latency
-	{"load_imbalance", needsCluster},  // max/mean per-shard mean tick duration
-	{"ownership_epoch", needsCluster}, // ownership-table version (migrations + failovers)
-	{"rebalances", needsCluster},      // controller rebalance decisions
-	{"tiles_moved", needsCluster},     // completed tile-ownership migrations
-	{"bands_moved", needsCluster},     // legacy alias of tiles_moved (PR 3 band-era name)
-	{"failovers", needsCluster},       // shards failed over
-	{"players_failed_over", needsCluster},
-	{"shards_active", needsCluster},           // alive shards at end of run
-	{"shards_peak", needsCluster},             // highest alive shard count seen
-	{"scale_ups", needsCluster},               // shards added at runtime
-	{"scale_downs", needsCluster},             // shards drained and retired
-	{"quarantines", needsCluster},             // crash-loop quarantine entries
-	{"tiles_drained", needsCluster},           // tiles migrated off draining shards
-	{"ghost_avatars", needsVisibility},        // live ghost avatars at end of run
-	{"ghost_updates", needsVisibility},        // digest entries applied to ghost registries
-	{"visibility_gap_ticks", needsVisibility}, // replication scans with an unserved visible pair
-	{"cost_dollars", needsNone},               // FaaS + storage billing over the whole run
-}
-
-// shardMetricBases are the per-shard metrics a sharded report rolls up,
-// reported (and assertable) as "shard<i>_<base>".
-var shardMetricBases = []string{
-	"ticks_total", "tick_p50_ms", "tick_p99_ms",
-	"players_final", "handoffs_in", "handoffs_out",
-	"first_active_ms", "last_active_ms",
-}
-
-// parseShardMetric splits a "shard<i>_<base>" name. ok is false if the
-// name is not a per-shard metric.
-func parseShardMetric(name string) (shard int, base string, ok bool) {
-	if !strings.HasPrefix(name, "shard") {
-		return 0, "", false
-	}
-	rest := name[len("shard"):]
-	sep := strings.IndexByte(rest, '_')
-	if sep <= 0 {
-		return 0, "", false
-	}
-	n, err := strconv.Atoi(rest[:sep])
-	if err != nil || n < 0 {
-		return 0, "", false
-	}
-	base = rest[sep+1:]
-	for _, b := range shardMetricBases {
-		if b == base {
-			return n, base, true
-		}
-	}
-	return 0, "", false
-}
-
-// windowableMetrics are the assertions that support [from, to] windows:
-// everything recomputable from a per-tick or sampled time series.
-// load_imbalance recomputes per-shard means inside the window, so a spec
-// can assert that imbalance spiked after a hotspot event and decreased
-// once the controller rebalanced. view_margin takes the minimum of a
-// once-per-second sample of the distance to the closest missing terrain
-// (the Fig. 10 QoS floor over the window).
-var windowableMetrics = map[string]bool{
-	"ticks_total": true, "ticks_over_budget": true, "over_budget_frac": true,
-	"tick_p50_ms": true, "tick_p90_ms": true, "tick_p95_ms": true,
-	"tick_p99_ms": true, "tick_max_ms": true, "tick_mean_ms": true,
-	"load_imbalance": true, "view_margin": true,
-}
-
-// metricNeeds maps metric name → availability class, derived from
-// metricOrder for validation.
-var metricNeeds = func() map[string]string {
-	m := make(map[string]string, len(metricOrder))
-	for _, e := range metricOrder {
-		m[e.Name] = e.Needs
-	}
-	return m
-}()
 
 // Metric is one named observation in a report.
 type Metric struct {

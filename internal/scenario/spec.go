@@ -21,6 +21,13 @@
 //   - assertions: end-of-run checks over the collected metrics
 //     (tick-duration percentiles, cache hit rates, fault counts, ...).
 //
+// What a metric is lives in one place, the table in metrics.go: a row
+// per metric, in report order, carrying its name, the availability class
+// validation and collection both consult, whether it is reported as
+// growth since warm-up, whether assertions may window it, and its
+// reader. The warm-up snapshot, the report and assertion validation are
+// all walks of that table; to add a metric, add a row.
+//
 // Everything runs on the deterministic virtual clock, so a scenario is a
 // pure function of its spec: running it twice produces byte-identical
 // reports (see TestDeterministicReplay).
@@ -398,8 +405,8 @@ type Spec struct {
 	LogRetention int `json:"log_retention,omitempty"`
 	// Workers > 0 runs shard game loops on the virtual clock's
 	// lane-batched parallel scheduler (a pool of Workers goroutines).
-	// The report is byte-identical for every Workers >= 1; 0 keeps the
-	// classic serial loop.
+	// The report is byte-identical for every Workers >= 1; at 0 shards
+	// get no lanes and every event runs serially.
 	Workers int `json:"workers,omitempty"`
 	// PhaseLock re-aligns a shard's tick schedule to the global tick
 	// grid after an overlong tick, so saturated shards keep ticking at
@@ -1098,22 +1105,17 @@ func (s *Spec) checkStrayEventFields(i int, e *Event) error {
 }
 
 func (s *Spec) validateAssertion(i int, a Assertion) error {
-	needs, ok := metricNeeds[a.Metric]
-	if !ok {
-		if shard, _, isShard := parseShardMetric(a.Metric); isShard {
-			if s.Shards <= 1 {
-				return s.errf("assertions[%d]: per-shard metric %q requires shards > 1", i, a.Metric)
-			}
-			if shard >= s.maxShards() {
-				return s.errf("assertions[%d]: metric %q names shard %d but the scenario reaches at most %d shards", i, a.Metric, shard, s.maxShards())
-			}
-			needs = needsNone
-		} else {
-			return s.errf("assertions[%d]: unknown metric %q", i, a.Metric)
-		}
+	m, slot, ok := findMetric(a.Metric)
+	switch {
+	case !ok:
+		return s.errf("assertions[%d]: unknown metric %q", i, a.Metric)
+	case slot >= 0 && !m.class.has(s):
+		return s.errf("assertions[%d]: per-shard metric %q requires %s", i, a.Metric, m.class.requires)
+	case slot >= s.maxShards():
+		return s.errf("assertions[%d]: metric %q names shard %d but the scenario reaches at most %d shards", i, a.Metric, slot, s.maxShards())
 	}
 	if a.From != 0 || a.To != 0 {
-		if !windowableMetrics[a.Metric] {
+		if !m.windowable() {
 			return s.errf("assertions[%d]: metric %q does not support [from, to] windows (tick metrics, load_imbalance, and view_margin only)", i, a.Metric)
 		}
 		if a.To == 0 {
@@ -1126,35 +1128,8 @@ func (s *Spec) validateAssertion(i int, a Assertion) error {
 			return s.errf("assertions[%d]: window to %s is past the scenario duration %s", i, a.To, s.Duration)
 		}
 	}
-	switch needs {
-	case needsSC:
-		if !s.Backend.Constructs {
-			return s.errf("assertions[%d]: metric %q requires backend.constructs", i, a.Metric)
-		}
-	case needsTG:
-		if !s.Backend.Terrain {
-			return s.errf("assertions[%d]: metric %q requires backend.terrain", i, a.Metric)
-		}
-	case needsFaaS:
-		if !s.hasFunctionBackend() {
-			return s.errf("assertions[%d]: metric %q requires a serverless function backend", i, a.Metric)
-		}
-	case needsCache:
-		if !s.Backend.Storage {
-			return s.errf("assertions[%d]: metric %q requires backend.storage", i, a.Metric)
-		}
-	case needsStore:
-		if !s.hasStore() {
-			return s.errf("assertions[%d]: metric %q requires a storage backend", i, a.Metric)
-		}
-	case needsCluster:
-		if s.Shards <= 1 {
-			return s.errf("assertions[%d]: metric %q requires shards > 1", i, a.Metric)
-		}
-	case needsVisibility:
-		if s.Visibility == nil {
-			return s.errf("assertions[%d]: metric %q requires a visibility section", i, a.Metric)
-		}
+	if !m.class.has(s) {
+		return s.errf("assertions[%d]: metric %q requires %s", i, a.Metric, m.class.requires)
 	}
 	switch a.Op {
 	case "<", "<=", ">", ">=":

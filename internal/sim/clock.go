@@ -64,10 +64,11 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// Loop is a virtual-time event loop. By default it is single-threaded
-// and drains events one at a time; SetWorkers(n >= 1) switches it to
-// lane-batched execution where same-timestamp events on distinct lanes
-// run concurrently (see lane.go).
+// Loop is a virtual-time event loop. It drains events one timestamp at a
+// time: lane-less events run serially in (timestamp, seq) order, and
+// same-timestamp events on distinct lanes run concurrently on a pool of
+// SetWorkers goroutines (see lane.go). A loop nobody asked a lane of is
+// single-threaded.
 // The zero value is not usable; construct with NewLoop.
 type Loop struct {
 	now   Time
@@ -140,20 +141,6 @@ func (l *Loop) After(d time.Duration, fn func()) {
 	l.At(l.now+d, fn)
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (l *Loop) Step() bool {
-	if len(l.queue) == 0 {
-		return false
-	}
-	e := popEvent(&l.queue)
-	l.now = e.at
-	fn := e.fn
-	l.recycle(e)
-	fn()
-	return true
-}
-
 // popEvent pops the earliest (at, seq) event.
 func popEvent(q *eventQueue) *event { return heap.Pop(q).(*event) }
 
@@ -161,14 +148,8 @@ func popEvent(q *eventQueue) *event { return heap.Pop(q).(*event) }
 // strictly after deadline. The clock is left at the time of the last
 // executed event (or at deadline if it advanced past all events).
 func (l *Loop) RunUntil(deadline Time) {
-	if l.workers > 0 {
-		for len(l.queue) > 0 && l.queue[0].at <= deadline {
-			l.StepBatch()
-		}
-	} else {
-		for len(l.queue) > 0 && l.queue[0].at <= deadline {
-			l.Step()
-		}
+	for len(l.queue) > 0 && l.queue[0].at <= deadline {
+		l.StepBatch()
 	}
 	if l.now < deadline {
 		l.now = deadline
@@ -177,12 +158,7 @@ func (l *Loop) RunUntil(deadline Time) {
 
 // Run executes events until the queue is empty.
 func (l *Loop) Run() {
-	if l.workers > 0 {
-		for l.StepBatch() {
-		}
-		return
-	}
-	for l.Step() {
+	for l.StepBatch() {
 	}
 }
 

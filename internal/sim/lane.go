@@ -24,8 +24,10 @@
 //     pushed onto the heap in the same ascending lane order, so sequence
 //     numbers (the FIFO tie-breaker) are assigned deterministically.
 //
-// Workers(0) — the default everywhere — bypasses all of this and runs the
-// exact legacy serial path.
+// A loop on which no lane was ever registered has only the serial order
+// left: StepBatch runs its events one by one in (timestamp, seq) order and
+// skips the wave bookkeeping, including the wall-clock reads behind
+// BatchStats.
 package sim
 
 import (
@@ -91,8 +93,8 @@ type Committer interface {
 // Commit runs fn through clock's commit buffer when the clock has one,
 // and immediately otherwise. Lane code must route every side effect that
 // touches state shared across lanes (blob store, FaaS platform, cluster
-// counters and logs) through Commit; on the legacy serial path this
-// compiles down to a direct call.
+// counters and logs) through Commit; on a plain Clock this is a direct
+// call.
 func Commit(clock Clock, fn func()) {
 	if c, ok := clock.(Committer); ok {
 		c.Commit(fn)
@@ -181,21 +183,17 @@ func (c *LaneClock) Commit(fn func()) {
 	fn()
 }
 
-// SetWorkers selects the execution mode: 0 (the default) is the exact
-// legacy serial path; n >= 1 enables lane-batched execution on a pool of
-// n goroutines. Any n >= 1 produces identical runs — the pool size only
+// SetWorkers sizes the goroutine pool waves run on; 0 (the default)
+// means 1. Every size produces identical runs — the pool size only
 // changes wall time.
 func (l *Loop) SetWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
 	l.workers = n
-	if n > 0 && cap(l.sem) != n {
-		l.sem = make(chan struct{}, n)
-	}
 }
 
-// Workers returns the configured pool size (0 = serial mode).
+// Workers returns the configured pool size.
 func (l *Loop) Workers() int { return l.workers }
 
 // AtLane schedules fn at absolute time t on the given lane (0 = serial).
@@ -213,7 +211,7 @@ func (l *Loop) AfterLane(lane int, d time.Duration, fn func()) {
 }
 
 // BatchStats returns the accumulated work/span profile of StepBatch
-// execution since the last reset.
+// execution since the last reset. It stays zero on a loop without lanes.
 func (l *Loop) BatchStats() BatchStats { return l.stats }
 
 // ResetBatchStats clears the work/span profile.
@@ -237,11 +235,17 @@ func (l *Loop) StepBatch() bool {
 	}
 	for i := 0; i < len(batch); {
 		if batch[i].lane == 0 {
-			start := time.Now()
-			batch[i].fn()
-			d := time.Since(start).Nanoseconds()
-			l.stats.WorkNs += d
-			l.stats.SpanNs += d
+			// Without lanes there are no waves to profile, and two clock
+			// reads per event are a measurable share of a cheap callback.
+			if len(l.lanes) == 0 {
+				batch[i].fn()
+			} else {
+				start := time.Now()
+				batch[i].fn()
+				d := time.Since(start).Nanoseconds()
+				l.stats.WorkNs += d
+				l.stats.SpanNs += d
+			}
 			i++
 			continue
 		}
@@ -275,8 +279,8 @@ func (l *Loop) runWave(run []*event) {
 		}
 		ls.wave = append(ls.wave, e.fn)
 	}
-	if l.sem == nil {
-		l.sem = make(chan struct{}, 1)
+	if pool := max(l.workers, 1); cap(l.sem) != pool {
+		l.sem = make(chan struct{}, pool)
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(groups))

@@ -225,6 +225,25 @@ func TestLaneBatchStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestLaneLessLoopSkipsBatchProfile: a loop nobody asked a lane of has no
+// waves to profile, so its events run without the wall-clock reads and
+// BatchStats stays zero (Speedup 1).
+func TestLaneLessLoopSkipsBatchProfile(t *testing.T) {
+	l := NewLoop(1)
+	l.SetWorkers(4)
+	ran := 0
+	for i := 0; i < 10; i++ {
+		l.After(time.Duration(i%3)*time.Millisecond, func() { ran++ })
+	}
+	l.Run()
+	if ran != 10 {
+		t.Fatalf("ran %d events, want 10", ran)
+	}
+	if s := l.BatchStats(); s != (BatchStats{}) || s.Speedup() != 1 {
+		t.Fatalf("lane-less loop profiled its events: %+v", s)
+	}
+}
+
 func TestCommitOnPlainClockRunsImmediately(t *testing.T) {
 	l := NewLoop(1)
 	ran := false

@@ -245,13 +245,8 @@ func (t *OwnershipTable) View(i int) Region {
 	return Region{Topo: t.topo, Shards: t.shards, Index: i, Table: t}
 }
 
-// Encoding magics, versioning the layout. ownershipMagicV1 is the PR 3
-// band-only layout, still decoded so a cluster restarting over a world
-// persisted before the tile rekey resumes its ownership history.
-const (
-	ownershipMagicV1 = uint32(0x53_56_4f_54) // "SVOT"
-	ownershipMagicV2 = uint32(0x53_56_4f_32) // "SVO2"
-)
+// ownershipMagicV2 heads the encoding, versioning the layout.
+const ownershipMagicV2 = uint32(0x53_56_4f_32) // "SVO2"
 
 // topology kinds on the wire.
 const (
@@ -290,50 +285,9 @@ func (t *OwnershipTable) Encode() []byte {
 // errBadOwnershipTable reports a corrupt persisted ownership table.
 var errBadOwnershipTable = errors.New("world: bad ownership table")
 
-// DecodeOwnershipTable parses an encoded table (current or PR 3 legacy
-// layout).
+// DecodeOwnershipTable parses an encoded table.
 func DecodeOwnershipTable(data []byte) (*OwnershipTable, error) {
-	if len(data) < 4 {
-		return nil, errBadOwnershipTable
-	}
-	switch binary.LittleEndian.Uint32(data) {
-	case ownershipMagicV1:
-		return decodeOwnershipV1(data)
-	case ownershipMagicV2:
-		return decodeOwnershipV2(data)
-	}
-	return nil, errBadOwnershipTable
-}
-
-// decodeOwnershipV1 parses the PR 3 band-only layout: shards, band
-// width, epoch, (band, owner) overrides.
-func decodeOwnershipV1(data []byte) (*OwnershipTable, error) {
-	if len(data) < 24 {
-		return nil, errBadOwnershipTable
-	}
-	shards := int(binary.LittleEndian.Uint32(data[4:]))
-	bandChunks := int(binary.LittleEndian.Uint32(data[8:]))
-	t := NewOwnershipTable(shards, BandTopology{BandChunks: bandChunks})
-	t.epoch = binary.LittleEndian.Uint64(data[12:])
-	n := int(binary.LittleEndian.Uint32(data[20:]))
-	buf := data[24:]
-	if len(buf) < 8*n {
-		return nil, errBadOwnershipTable
-	}
-	for i := 0; i < n; i++ {
-		band := int(int32(binary.LittleEndian.Uint32(buf)))
-		owner := int(int32(binary.LittleEndian.Uint32(buf[4:])))
-		if owner < 0 || owner >= t.shards {
-			return nil, errBadOwnershipTable
-		}
-		t.overrides[TileID{X: band}] = owner
-		buf = buf[8:]
-	}
-	return t, nil
-}
-
-func decodeOwnershipV2(data []byte) (*OwnershipTable, error) {
-	if len(data) < 36 {
+	if len(data) < 36 || binary.LittleEndian.Uint32(data) != ownershipMagicV2 {
 		return nil, errBadOwnershipTable
 	}
 	shards := int(binary.LittleEndian.Uint32(data[4:]))

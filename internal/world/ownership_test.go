@@ -220,8 +220,17 @@ func TestOwnershipEncodeDecodeRoundTripProperty(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DecodeOwnershipTable([]byte("junk")); err == nil {
-		t.Fatal("junk decoded")
+	// The magic "SVOT" (little-endian on the wire) headed the PR 3
+	// band-only layout, which is no longer read: a complete table of that
+	// shape (2 shards, 4-chunk bands, epoch 2, bands 1 and 2 overridden to
+	// shard 1 — long enough to pass for the current layout) is refused
+	// like any other unknown magic.
+	svot := append([]byte("TOVS"), 2, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+		1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0)
+	for _, bad := range [][]byte{[]byte("junk"), svot} {
+		if _, err := DecodeOwnershipTable(bad); err != errBadOwnershipTable {
+			t.Fatalf("DecodeOwnershipTable(%q) = %v, want errBadOwnershipTable", bad, err)
+		}
 	}
 }
 
@@ -275,43 +284,6 @@ func TestOwnershipAdoptEpochSkew(t *testing.T) {
 	if live.Adopt(bandTab) {
 		t.Fatal("Adopt accepted a table with a different topology kind")
 	}
-}
-
-func TestOwnershipDecodeLegacyBandLayout(t *testing.T) {
-	// A PR 3 cluster persisted band tables under the "SVOT" magic; a
-	// restarted band cluster must still resume that history.
-	legacy := NewOwnershipTable(4, BandTopology{BandChunks: 8})
-	legacy.SetOwner(TileID{X: -3}, 2)
-	legacy.SetOwner(TileID{X: 5}, 0)
-	dec, err := DecodeOwnershipTable(encodeLegacyV1(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Epoch() != legacy.Epoch() || dec.Owner(TileID{X: -3}) != 2 || dec.Owner(TileID{X: 5}) != 0 {
-		t.Fatal("legacy decode lost state")
-	}
-	live := NewOwnershipTable(4, BandTopology{BandChunks: 8})
-	if !live.Adopt(dec) {
-		t.Fatal("a live band table refused the legacy snapshot")
-	}
-}
-
-// encodeLegacyV1 renders the PR 3 wire layout for the legacy-decode test.
-func encodeLegacyV1(t *OwnershipTable) []byte {
-	ov := t.Overrides()
-	out := make([]byte, 0, 24+8*len(ov))
-	le := func(v uint32) { out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-	le(ownershipMagicV1)
-	le(uint32(t.Shards()))
-	le(uint32(t.Topology().Spec().TileChunks))
-	le(uint32(t.Epoch()))
-	le(uint32(t.Epoch() >> 32))
-	le(uint32(len(ov)))
-	for _, e := range ov {
-		le(uint32(int32(e.Tile.X)))
-		le(uint32(int32(e.Owner)))
-	}
-	return out
 }
 
 func TestRegionViewFollowsLiveTable(t *testing.T) {

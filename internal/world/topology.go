@@ -22,13 +22,6 @@ type TileID struct {
 // String implements fmt.Stringer.
 func (t TileID) String() string { return fmt.Sprintf("tile(%d,%d)", t.X, t.Z) }
 
-// Band is the PR 2/3 name for a region tile, kept as a deprecation shim
-// for servo.go-era callers that identified bands by index: band b is
-// TileID{X: b} under a BandTopology.
-//
-// Deprecated: use TileID.
-type Band = TileID
-
 // Topology maps the chunk grid onto ownership tiles. Implementations
 // must be pure value types (comparable, no internal state): the same
 // topology value always produces the same tiling, which is what keeps

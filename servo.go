@@ -157,7 +157,8 @@ type Config struct {
 	// lane-batched scheduler: same-timestamp events from distinct shards
 	// execute on a worker pool of this size, with side effects ordered so
 	// the observable event stream is byte-identical for every pool size.
-	// Zero keeps the classic serial loop. Ignored under RealTime.
+	// At zero shards get no lanes and every event runs serially. Ignored
+	// under RealTime.
 	Workers int
 	// PhaseLock snaps a shard's next tick to the global TickInterval
 	// grid after an overlong tick, so saturated shards re-align and keep
