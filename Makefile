@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck build test race validate sim bench benchsmoke benchcheck benchtest benchjson benchdiff clusterrace fuzzsmoke replaygate paritygate parity-update bordergate workersgate scalegate
+.PHONY: ci vet fmtcheck loc build test race validate sim bench benchsmoke benchcheck benchtest benchjson benchdiff clusterrace fuzzsmoke replaygate paritygate parity-update bordergate workersgate scalegate
 
 ci: vet fmtcheck build benchcheck benchtest race clusterrace fuzzsmoke validate replaygate paritygate bordergate workersgate scalegate benchsmoke benchdiff
 
@@ -14,6 +14,13 @@ vet:
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
+
+# loc prints the two line counts a simplification PR reports in
+# CHANGES.md: tracked non-test Go outside benchmark/, and the scenario
+# package's share of it.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
+	@git ls-files 'internal/scenario/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/scenario:"
 
 build:
 	$(GO) build ./...
@@ -135,7 +142,7 @@ benchtest:
 # suite (tick latency, handoff p99, digest encode, visibility scan,
 # scenario throughput) written as a schema'd BENCH_$(PR).json artifact,
 # checked in with the PR that changed the numbers.
-PR ?= 14
+PR ?= 15
 benchjson:
 	$(GO) run ./cmd/servo-bench -format json -pr $(PR) -out BENCH_$(PR).json
 

@@ -188,7 +188,7 @@ func cmdRun(args []string) int {
 			spec.Workers = *workers
 		}
 		if topo != nil {
-			// Also re-validated inside Run: a band-placement spec forced
+			// Also re-validated inside Run: an off-grid tile placement forced
 			// onto a grid (or a grid forced onto one shard) errors out.
 			t := *topo
 			spec.Topology = &t

@@ -61,10 +61,6 @@ type Config struct {
 
 	// SpecExec tunes the speculative execution unit.
 	SpecExec specexec.Config
-	// SCFn and TGFn tune the two functions; zero values take calibrated
-	// defaults.
-	SCFn faas.Config
-	TGFn faas.Config
 	// TGMaxInflight bounds each shard's concurrent terrain invocations;
 	// queued requests dispatch nearest-player-first as the window refills
 	// (0 → tgen.DefaultMaxInflight).
@@ -74,20 +70,12 @@ type Config struct {
 	// adopt seam chunks a neighbour just generated instead of re-invoking
 	// FaaS).
 	DisableGenDedup bool
-	// GenDedupSize bounds the dedup cache in encoded chunks
-	// (0 → tgen.DefaultGenCacheSize).
-	GenDedupSize int
-	// ChunkPoolSize bounds each shard's chunk freelist
-	// (0 → world.DefaultChunkPoolCap).
-	ChunkPoolSize int
 	// StorageTier for remote storage (0 → Premium).
 	StorageTier blob.Tier
 	// Remote, if non-nil, is used as the backing object store instead of
 	// creating a fresh one — e.g. to restart a server over an existing
 	// world (the Fig. 13 read phase).
 	Remote *blob.Store
-	// CacheConfig tunes the terrain cache.
-	CacheConfig *tcache.Config
 	// DisableCache bypasses the terrain cache for ServerlessRS (the
 	// "Serverless" curve of Fig. 13).
 	DisableCache bool
@@ -103,14 +91,11 @@ type Config struct {
 	// (internal/cluster). 0 or 1 builds the classic single server.
 	Shards int
 	// Topology is the region tiling the cluster splits over its shards:
-	// nil → 1-D X bands of BandChunks columns (the compatibility
-	// default); a world.GridTopology cuts chunk space along both axes.
-	// Only meaningful with Shards > 1.
+	// nil → 1-D X bands of world.DefaultBandChunks columns (the
+	// compatibility default; world.BandTopology{BandChunks: n} picks
+	// another width); a world.GridTopology cuts chunk space along both
+	// axes. Only meaningful with Shards > 1.
 	Topology world.Topology
-	// BandChunks is the band width in chunk columns for the default band
-	// topology (0 → world.DefaultBandChunks). Ignored when Topology is
-	// set. Only meaningful with Shards > 1.
-	BandChunks int
 	// Rebalance enables the cluster controller's live tile rebalancing:
 	// when per-shard tick load drifts past RebalanceThreshold, tile
 	// ownership migrates from the hottest to the coldest shard. Only
@@ -283,25 +268,17 @@ func New(clock sim.Clock, cfg Config) *System {
 	// once, regardless of the shard count.
 	spec := cfg.SpecExec
 	if cfg.ServerlessSC {
-		fnCfg := cfg.SCFn
-		if fnCfg.NsPerWorkUnit == 0 {
-			fnCfg = DefaultSCFnConfig()
-		}
-		sys.SCFn = sys.Platform.Register(SCFunctionName, fnCfg, specexec.Handler)
+		sys.SCFn = sys.Platform.Register(SCFunctionName, DefaultSCFnConfig(), specexec.Handler)
 		if spec.StepsPerInvocation == 0 {
 			spec = specexec.DefaultConfig()
 		}
 	}
 	if cfg.ServerlessTG {
-		fnCfg := cfg.TGFn
-		if fnCfg.NsPerWorkUnit == 0 {
-			fnCfg = DefaultTGFnConfig()
-		}
 		gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 		sys.TGHandlerStats = &tgen.HandlerStats{}
-		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, fnCfg, sys.TGHandlerStats)
+		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
 		if shardCount > 1 && !cfg.DisableGenDedup {
-			sys.GenCache = tgen.NewGenCache(cfg.GenDedupSize)
+			sys.GenCache = tgen.NewGenCache(0)
 		}
 	}
 	if cfg.ServerlessRS || cfg.LocalStore {
@@ -320,7 +297,7 @@ func New(clock sim.Clock, cfg Config) *System {
 
 	topo := cfg.Topology
 	if topo == nil {
-		topo = world.BandTopology{BandChunks: cfg.BandChunks}
+		topo = world.BandTopology{}
 	}
 	// Lane-parallel execution: each shard's game loop runs on its own
 	// lane of the virtual clock, so same-timestamp ticks of distinct
@@ -375,7 +352,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		// One chunk freelist per shard, shared by the game loop (unload
 		// and superseded-apply recycling), the store decode path, and the
 		// terrain backend, so recycled chunks feed every decode.
-		shard.Pool = world.NewChunkPool(cfg.ChunkPoolSize)
+		shard.Pool = world.NewChunkPool(0)
 		srvCfg.ChunkPool = shard.Pool
 		if cfg.ServerlessSC {
 			shard.SpecExec = specexec.NewManager(invoke, SCFunctionName, spec)
@@ -395,11 +372,7 @@ func New(clock sim.Clock, cfg Config) *System {
 			if cfg.DisableCache {
 				srvCfg.Store = &uncachedStore{remote: sys.Remote, pool: shard.Pool}
 			} else {
-				cacheCfg := tcache.DefaultConfig()
-				if cfg.CacheConfig != nil {
-					cacheCfg = *cfg.CacheConfig
-				}
-				shard.Cache = tcache.New(clock, sys.Remote, cacheCfg)
+				shard.Cache = tcache.New(clock, sys.Remote, tcache.DefaultConfig())
 				shard.Cache.StartFlusher()
 				shard.RStore = rstore.New(shard.Cache)
 				shard.RStore.UseChunkPool(shard.Pool)

@@ -206,7 +206,7 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 		WorldType:    "flat",
 		ViewDistance: 32,
 		Shards:       4,
-		BandChunks:   4,
+		Topology:     world.BandTopology{BandChunks: 4},
 		ServerlessSC: true,
 		ServerlessTG: true,
 		ServerlessRS: true,

@@ -99,11 +99,9 @@ type TerrainBackend interface {
 	// Request asks for the chunk at pos to be generated or loaded.
 	// Duplicate requests for in-flight positions are ignored.
 	Request(pos world.ChunkPos)
-	// Drain returns chunks that completed since the last call.
-	Drain() []*world.Chunk
 	// DrainAppend appends the chunks that completed since the last call
-	// to dst and returns it — the zero-alloc sibling of Drain, letting
-	// the game loop reuse one drain slice across ticks.
+	// to dst and returns it, so the game loop reuses one drain slice
+	// across ticks.
 	DrainAppend(dst []*world.Chunk) []*world.Chunk
 	// Load reports backlog for the cost model: busy workers (local
 	// generation competing with the loop) and queued requests.
@@ -189,13 +187,6 @@ func (l *LocalTerrain) dispatch() {
 			l.dispatch()
 		})
 	}
-}
-
-// Drain implements TerrainBackend.
-func (l *LocalTerrain) Drain() []*world.Chunk {
-	out := l.done
-	l.done = nil
-	return out
 }
 
 // DrainAppend implements TerrainBackend; the backend's done list is reset

@@ -82,7 +82,7 @@ func TestLocalTerrainWorkerPoolThroughput(t *testing.T) {
 		t.Fatalf("queued = %d, want %d", queued, 2*DefaultLocalWorkers)
 	}
 	loop.Run()
-	if got := len(lt.Drain()); got != 3*DefaultLocalWorkers {
+	if got := len(lt.DrainAppend(nil)); got != 3*DefaultLocalWorkers {
 		t.Fatalf("completed %d chunks, want %d", got, 3*DefaultLocalWorkers)
 	}
 	if busy, queued := lt.Load(); busy != 0 || queued != 0 {
@@ -98,7 +98,7 @@ func TestLocalTerrainDeduplicatesRequests(t *testing.T) {
 	lt.Request(pos)
 	lt.Request(pos)
 	loop.Run()
-	if got := len(lt.Drain()); got != 1 {
+	if got := len(lt.DrainAppend(nil)); got != 1 {
 		t.Fatalf("%d chunks for one position, want 1", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestLocalTerrainChunksAreDeterministic(t *testing.T) {
 	lt := NewLocalTerrain(loop, gen)
 	lt.Request(world.ChunkPos{X: 5, Z: -5})
 	loop.Run()
-	got := lt.Drain()[0]
+	got := lt.DrainAppend(nil)[0]
 	if !got.Equal(gen.Generate(world.ChunkPos{X: 5, Z: -5})) {
 		t.Fatal("pool-generated chunk differs from direct generation")
 	}

@@ -10,7 +10,6 @@ import (
 	"servo/internal/blob"
 	"servo/internal/cluster"
 	"servo/internal/core"
-	"servo/internal/faas"
 	"servo/internal/metrics"
 	"servo/internal/mve"
 	"servo/internal/sc"
@@ -45,38 +44,14 @@ type ref struct {
 // front routes session operations to the system under test.
 type front struct{ sys *core.System }
 
-func (f front) sharded() bool { return f.sys.Cluster != nil }
-
-// placement says where a player joins: an exact block position, a
-// specific tile's center, a shard's home tile, or world spawn.
-type placement struct {
-	shard int           // -1 = spawn (unless tile or pos is set)
-	tile  *world.TileID // tile center placement, finer-grained than shard
-	pos   *world.BlockPos
-}
-
-// atSpawn is the default placement.
-var atSpawn = placement{shard: -1}
-
-// connect joins a player at the placement (shard/tile placement needs a
-// sharded system; explicit positions work everywhere).
-func (f front) connect(name string, b mve.Behavior, pl placement) ref {
+// connect joins a player at the placement (spawn is block (0, 0) on both
+// frontends).
+func (f front) connect(name string, b mve.Behavior, pl Placement) ref {
+	at := pl.resolve(f.sys.Cluster)
 	if cl := f.sys.Cluster; cl != nil {
-		if pl.pos != nil {
-			return ref{cp: cl.ConnectAt(name, b, *pl.pos)}
-		}
-		if pl.tile != nil {
-			return ref{cp: cl.ConnectAt(name, b, cl.TileCenter(*pl.tile))}
-		}
-		if pl.shard >= 0 {
-			return ref{cp: cl.ConnectAt(name, b, cl.Home(pl.shard))}
-		}
-		return ref{cp: cl.Connect(name, b)}
+		return ref{cp: cl.ConnectAt(name, b, at)}
 	}
-	if pl.pos != nil {
-		return ref{p: f.sys.Server.ConnectAt(name, b, float64(pl.pos.X), float64(pl.pos.Z))}
-	}
-	return ref{p: f.sys.Server.Connect(name, b)}
+	return ref{p: f.sys.Server.ConnectAt(name, b, float64(at.X), float64(at.Z))}
 }
 
 // disconnect ends a session, reporting whether it was still live (a
@@ -181,11 +156,9 @@ type Runner struct {
 	botSeconds float64
 	wall       time.Duration
 
-	// Chaos window generations, keyed by target function name ("" = the
-	// whole platform / store): when windows of the same target overlap,
-	// the newest wins and an older window's end must not clear it.
-	faasChaosGen    map[string]int
-	storageChaosGen int
+	// windowGen counts the chaos windows opened per injector slot
+	// (Event.slot), so a window's end can tell whether it was replaced.
+	windowGen map[string]int
 
 	// base holds the warm-up snapshot of every delta row of the metric
 	// table, keyed by reported name.
@@ -200,10 +173,10 @@ func Run(spec *Spec, log io.Writer) (*Report, error) {
 		return nil, err
 	}
 	r := &Runner{
-		spec:         spec,
-		log:          log,
-		hrng:         rand.New(rand.NewSource(spec.Seed ^ 0x5eed0c)),
-		faasChaosGen: make(map[string]int),
+		spec:      spec,
+		log:       log,
+		hrng:      rand.New(rand.NewSource(spec.Seed ^ 0x5eed0c)),
+		windowGen: make(map[string]int),
 	}
 	r.build()
 	r.schedule()
@@ -408,7 +381,7 @@ func (r *Runner) runPrewrite(cfg core.Config) core.Config {
 		var members []ref
 		r.loop.At(g.JoinAt.D(), func() {
 			for i := 0; i < g.Count; i++ {
-				m := f.connect(fmt.Sprintf("pre%d-%d", gi, i), workload.ForName(g.Behavior), fleetPlacement(g))
+				m := f.connect(fmt.Sprintf("pre%d-%d", gi, i), workload.ForName(g.Behavior), g.Placement)
 				members = append(members, m)
 				refs = append(refs, m)
 			}
@@ -444,24 +417,6 @@ func (r *Runner) runPrewrite(cfg core.Config) core.Config {
 	return cfg
 }
 
-// fleetPlacement returns a fleet group's join placement. A legacy band
-// reference b is the band-topology tile [b, 0] (the z=0 row).
-func fleetPlacement(g FleetGroup) placement {
-	if g.Pos != nil {
-		return placement{shard: -1, pos: &world.BlockPos{X: g.Pos[0], Z: g.Pos[1]}}
-	}
-	if g.Tile != nil {
-		return placement{shard: -1, tile: &world.TileID{X: g.Tile[0], Z: g.Tile[1]}}
-	}
-	if g.Band != nil {
-		return placement{shard: -1, tile: &world.TileID{X: *g.Band}}
-	}
-	if g.Shard == nil {
-		return atSpawn
-	}
-	return placement{shard: *g.Shard}
-}
-
 // placeConstructs activates count constructs of the given size on a grid
 // near spawn. The pitch adapts to the construct footprint and every wave
 // gets a fresh Z band, so construct storms never overlap earlier
@@ -490,7 +445,7 @@ func (r *Runner) placeConstructs(count, blocks int) {
 
 // connect joins one player at the placement and tracks the concurrency
 // peak and the join audit.
-func (r *Runner) connect(name, behavior string, pl placement) ref {
+func (r *Runner) connect(name, behavior string, pl Placement) ref {
 	m := r.front.connect(name, workload.ForName(behavior), pl)
 	r.joins++
 	if n := r.front.count(); n > r.peak {
@@ -517,7 +472,7 @@ func (r *Runner) schedule() {
 		var members []ref
 		r.at(g.JoinAt.D(), func() {
 			for i := 0; i < g.Count; i++ {
-				members = append(members, r.connect(fmt.Sprintf("fleet%d-%d", gi, i), g.Behavior, fleetPlacement(g)))
+				members = append(members, r.connect(fmt.Sprintf("fleet%d-%d", gi, i), g.Behavior, g.Placement))
 			}
 			r.logf("fleet[%d]: %d %q players joined", gi, g.Count, g.Behavior)
 		})
@@ -539,7 +494,8 @@ func (r *Runner) schedule() {
 	}
 	for i := range spec.Events {
 		e := spec.Events[i]
-		r.at(e.At.D(), func() { r.fire(e) })
+		fire := findEvent(e.Kind).fire // Validate vetted the kind
+		r.at(e.At.D(), func() { fire(r, e) })
 	}
 }
 
@@ -564,19 +520,11 @@ func (r *Runner) pickBehavior(st *StressSpec) string {
 	return names[len(names)-1]
 }
 
-// botPlacement returns stress bot i's join placement.
-func (r *Runner) botPlacement(i int, st *StressSpec) placement {
-	if st.Placement != "spread" {
-		return atSpawn
-	}
-	return placement{shard: i % r.spec.Shards}
-}
-
 // runBot connects one stress bot (stable identity per index, so rejoins
 // resume persisted player data) and, under churn, schedules its session
 // end and eventual rejoin.
 func (r *Runner) runBot(i int, st *StressSpec) {
-	m := r.connect(fmt.Sprintf("bot-%d", i), r.pickBehavior(st), r.botPlacement(i, st))
+	m := r.connect(fmt.Sprintf("bot-%d", i), r.pickBehavior(st), st.placeBot(i, r.spec.Shards))
 	if st.Churn == nil {
 		return
 	}
@@ -586,118 +534,6 @@ func (r *Runner) runBot(i int, st *StressSpec) {
 		pause := time.Duration(r.hrng.ExpFloat64() * float64(st.Churn.MeanPause.D()))
 		r.loop.After(pause, func() { r.runBot(i, st) })
 	})
-}
-
-// fire executes one timed event. Validation has already checked that the
-// targeted component exists.
-func (r *Runner) fire(e Event) {
-	switch e.Kind {
-	case EvFlashCrowd:
-		seq := r.crowdSeq
-		r.crowdSeq++
-		var tile *world.TileID
-		if e.Tile != nil {
-			tile = &world.TileID{X: e.Tile[0], Z: e.Tile[1]}
-		} else if e.Band != nil {
-			tile = &world.TileID{X: *e.Band}
-		}
-		for i := 0; i < e.Count; i++ {
-			r.connect(fmt.Sprintf("crowd%d-%d", seq, i), e.Behavior, placement{shard: -1, tile: tile})
-		}
-		if tile != nil {
-			r.logf("flash crowd: %d %q players joined at %v", e.Count, e.Behavior, *tile)
-		} else {
-			r.logf("flash crowd: %d %q players joined", e.Count, e.Behavior)
-		}
-	case EvDisconnect:
-		victims := r.front.newest(e.Count)
-		for _, m := range victims {
-			r.disconnect(m)
-		}
-		r.logf("disconnect: %d players left", len(victims))
-	case EvSpawnSCs:
-		r.placeConstructs(e.Count, e.Blocks)
-		r.logf("construct storm: %d x %d-block constructs activated", e.Count, e.Blocks)
-	case EvFaasChaos:
-		r.faasChaosGen[e.Function]++
-		gen := r.faasChaosGen[e.Function]
-		ch := &faas.Chaos{
-			FailureRate:   e.FailureRate,
-			LatencyFactor: e.LatencyFactor,
-			ForceCold:     e.ForceCold,
-		}
-		setChaos := func(c *faas.Chaos) {
-			if e.Function != "" {
-				r.sys.Platform.SetFunctionChaos(e.Function, c)
-			} else {
-				r.sys.Platform.SetChaos(c)
-			}
-		}
-		setChaos(ch)
-		r.loop.After(e.Duration.D(), func() {
-			if r.faasChaosGen[e.Function] == gen { // not superseded by a newer window
-				setChaos(nil)
-				r.logf("faas chaos window ended (target %q)", e.Function)
-			}
-		})
-		target := "platform"
-		if e.Function != "" {
-			target = e.Function
-		}
-		r.logf("faas chaos on %s: failure_rate=%g latency_factor=%g for %s", target, e.FailureRate, e.LatencyFactor, e.Duration)
-	case EvStorageChaos:
-		r.storageChaosGen++
-		gen := r.storageChaosGen
-		ch := &blob.Chaos{
-			ReadErrorRate:  e.ErrorRate,
-			WriteErrorRate: e.ErrorRate,
-			LatencyFactor:  e.LatencyFactor,
-		}
-		// The brownout hits every store the server may be talking to,
-		// including the flip's local side.
-		r.sys.Remote.SetChaos(ch)
-		if r.localAlt != nil {
-			r.localAlt.SetChaos(ch)
-		}
-		r.loop.After(e.Duration.D(), func() {
-			if r.storageChaosGen == gen { // not superseded by a newer window
-				r.sys.Remote.SetChaos(nil)
-				if r.localAlt != nil {
-					r.localAlt.SetChaos(nil)
-				}
-				r.logf("storage chaos window ended")
-			}
-		})
-		r.logf("storage brownout: error_rate=%g latency_factor=%g for %s", e.ErrorRate, e.LatencyFactor, e.Duration)
-	case EvColdStartStorm:
-		end := r.loop.Now() + e.Duration.D()
-		var evict func()
-		evict = func() {
-			n := r.sys.Platform.EvictAllWarm()
-			r.logf("cold-start storm: evicted %d warm instances", n)
-			if r.loop.Now()+stormEvictPeriod <= end {
-				r.loop.After(stormEvictPeriod, evict)
-			}
-		}
-		evict()
-	case EvFlipStorage:
-		r.flip.useLocal = e.Target == "local"
-		r.logf("storage backend flipped to %s", e.Target)
-	case EvShardFail:
-		shard := *e.Shard
-		if r.sys.FailShard(shard) {
-			r.logf("shard %d killed: tiles rerouted, players re-admitting (epoch %d)", shard, r.sys.Cluster.Epoch())
-		} else {
-			r.logf("shard %d kill refused (already dead, or last alive shard)", shard)
-		}
-		if e.RecoverAt != 0 {
-			r.at(e.RecoverAt.D(), func() {
-				if r.sys.RecoverShard(shard) {
-					r.logf("shard %d recovering: rebuilding over the persisted world", shard)
-				}
-			})
-		}
-	}
 }
 
 // run drives the scenario: warm up, reset measurement state, run the

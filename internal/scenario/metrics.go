@@ -14,11 +14,11 @@ import (
 	"servo/internal/metrics"
 )
 
-// class is a metric availability class: some metrics only exist when the
-// matching backend is configured. has is the one predicate both assertion
-// validation and report collection consult, so a row is absent from the
-// report exactly when an assertion on it is rejected; requires is the
-// phrase validation prints.
+// class is an availability class: some metrics, events, placements and
+// spec sections only exist when the matching backend is configured. has
+// is the one predicate validation and report collection consult, so a
+// row is absent from the report exactly when an assertion on it is
+// rejected; requires is the phrase Spec.require prints.
 type class struct {
 	has      func(*Spec) bool
 	requires string
@@ -28,9 +28,9 @@ var (
 	always          = &class{has: func(*Spec) bool { return true }}
 	needsSC         = &class{func(s *Spec) bool { return s.Backend.Constructs }, "backend.constructs"}
 	needsTG         = &class{func(s *Spec) bool { return s.Backend.Terrain }, "backend.terrain"}
-	needsFaaS       = &class{(*Spec).hasFunctionBackend, "a serverless function backend"}
+	needsFaaS       = &class{func(s *Spec) bool { return s.Backend.Constructs || s.Backend.Terrain }, "a serverless function backend"}
 	needsCache      = &class{func(s *Spec) bool { return s.Backend.Storage }, "backend.storage"} // the terrain cache
-	needsStore      = &class{(*Spec).hasStore, "a storage backend"}
+	needsStore      = &class{func(s *Spec) bool { return s.Backend.Storage || s.Backend.LocalStore }, "a storage backend"}
 	needsCluster    = &class{func(s *Spec) bool { return s.Shards > 1 }, "shards > 1"}
 	needsVisibility = &class{func(s *Spec) bool { return s.Visibility != nil }, "a visibility section"} // validation ties it to shards > 1
 )
@@ -138,7 +138,6 @@ var metricTable = []metricDef{
 	{name: "ownership_epoch", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Epoch()) })},                    // ownership-table version (migrations + failovers)
 	{name: "rebalances", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Rebalances.Value()) })}, // controller rebalance decisions
 	{name: "tiles_moved", class: needsCluster, delta: true, read: tilesMoved},                                                                            // completed tile-ownership migrations
-	{name: "bands_moved", class: needsCluster, delta: true, read: tilesMoved},                                                                            // legacy alias of tiles_moved (PR 3 band-era name)
 	{name: "failovers", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Failovers.Value()) })},   // shards failed over
 	{name: "players_failed_over", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.PlayersFailedOver.Value()) })},
 	{name: "shards_active", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.AliveCount()) })},                                  // alive shards at end of run

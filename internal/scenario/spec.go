@@ -17,7 +17,7 @@
 //     mixes, ramped joins, and exponential session churn;
 //   - events: timed interventions — player flash crowds, construct storms,
 //     FaaS failure/slowdown windows, cold-start storms, storage brownouts,
-//     and runtime storage-backend flips;
+//     runtime storage-backend flips, and shard failures;
 //   - assertions: end-of-run checks over the collected metrics
 //     (tick-duration percentiles, cache hit rates, fault counts, ...).
 //
@@ -27,6 +27,14 @@
 // growth since warm-up, whether assertions may window it, and its
 // reader. The warm-up snapshot, the report and assertion validation are
 // all walks of that table; to add a metric, add a row.
+//
+// Events and placements are said once the same way. What an event kind is
+// lives in the table in events.go (JSON keys, required classes, field
+// check, effect); to add a kind, add a row. Where a player joins is one
+// Placement (placement.go), validated and resolved in one place for fleet
+// groups, prewrite fleets, flash crowds and stress "spread". What a
+// section, placement or event requires of the system is stated with the
+// metric table's classes and printed by Spec.require.
 //
 // Everything runs on the deterministic virtual clock, so a scenario is a
 // pure function of its spec: running it twice produces byte-identical
@@ -41,6 +49,8 @@ import (
 	"os"
 	"time"
 
+	"servo/internal/cluster"
+	"servo/internal/mve"
 	"servo/internal/workload"
 )
 
@@ -166,22 +176,9 @@ type FleetGroup struct {
 	// LeaveAt, if set, is when the group disconnects; must be after
 	// JoinAt. 0 → stay until the end.
 	LeaveAt Span `json:"leave_at,omitempty"`
-	// Shard, if set, places the group inside that shard's home tile
-	// instead of at world spawn (requires a sharded scenario).
-	Shard *int `json:"shard,omitempty"`
-	// Tile, if set, places the group at that region tile's center —
-	// finer-grained than Shard, e.g. to build a hotspot inside one
-	// specific tile of a shard's territory (requires a sharded scenario;
-	// mutually exclusive with Shard).
-	Tile *[2]int `json:"tile,omitempty"`
-	// Band is the legacy 1-D spelling of Tile: band b is tile [b, 0]
-	// under the band topology (band kind only; mutually exclusive with
-	// Shard and Tile).
-	Band *int `json:"band,omitempty"`
-	// Pos, if set, places the group at that exact block position [x, z]
-	// — e.g. directly on a tile seam, where tile centers cannot reach.
-	// Mutually exclusive with Shard, Tile, and Band.
-	Pos *[2]int `json:"pos,omitempty"`
+	// Placement is where the group joins (shard | tile | pos, mutually
+	// exclusive); unset → world spawn.
+	Placement
 }
 
 // ChurnSpec adds session churn to a stress fleet: bots play for an
@@ -207,7 +204,7 @@ type StressSpec struct {
 	// Churn, if set, recycles bot sessions.
 	Churn *ChurnSpec `json:"churn,omitempty"`
 	// Placement is "spawn" (everyone joins at world spawn, the default)
-	// or "spread" (bot i joins in shard i mod N's home band, so a
+	// or "spread" (bot i joins in shard i mod N's home tile, so a
 	// sharded cluster starts load-balanced; requires shards > 1).
 	Placement string `json:"placement,omitempty"`
 }
@@ -278,68 +275,6 @@ type PrewriteSpec struct {
 	// Fleet is the write-phase population (required; join/leave times are
 	// relative to the write phase).
 	Fleet []FleetGroup `json:"fleet"`
-}
-
-// Event kinds.
-const (
-	EvFlashCrowd     = "flash_crowd"      // Count players join at once
-	EvDisconnect     = "disconnect"       // Count newest players leave
-	EvSpawnSCs       = "spawn_constructs" // Count constructs activate
-	EvFaasChaos      = "faas_chaos"       // FaaS failure/slowdown window
-	EvStorageChaos   = "storage_chaos"    // storage brownout window
-	EvColdStartStorm = "cold_start_storm" // warm pools evicted repeatedly
-	EvFlipStorage    = "flip_storage"     // switch chunk store backend
-	EvShardFail      = "shard_fail"       // kill one shard's loop (failover)
-)
-
-// eventKinds lists the valid kinds for error messages.
-var eventKinds = []string{
-	EvFlashCrowd, EvDisconnect, EvSpawnSCs, EvFaasChaos,
-	EvStorageChaos, EvColdStartStorm, EvFlipStorage, EvShardFail,
-}
-
-// Event is one timed intervention. Kind selects which of the optional
-// fields apply.
-type Event struct {
-	At   Span   `json:"at"`
-	Kind string `json:"kind"`
-
-	// flash_crowd, disconnect, spawn_constructs.
-	Count    int    `json:"count,omitempty"`
-	Behavior string `json:"behavior,omitempty"` // flash_crowd; "" → "R"
-	Blocks   int    `json:"blocks,omitempty"`   // spawn_constructs; 0 → 250
-	// flash_crowd: land the crowd at this region tile's center instead
-	// of at world spawn, building a hotspot inside one shard's territory
-	// (requires a sharded scenario).
-	Tile *[2]int `json:"tile,omitempty"`
-	// flash_crowd: the legacy 1-D spelling of Tile — band b is tile
-	// [b, 0] under the band topology (band kind only).
-	Band *int `json:"band,omitempty"`
-
-	// shard_fail: which shard's loop to kill.
-	Shard *int `json:"shard,omitempty"`
-	// shard_fail: when to rebuild the shard over the persisted world
-	// (absolute scenario time, after at; 0 → the shard stays dead).
-	RecoverAt Span `json:"recover_at,omitempty"`
-
-	// faas_chaos, storage_chaos, cold_start_storm: window length.
-	Duration Span `json:"duration,omitempty"`
-	// faas_chaos: target one deployed function by name
-	// ("simulate-construct" or "generate-terrain") instead of the whole
-	// platform. A function-level window fully overrides the platform-wide
-	// injector for that function.
-	Function string `json:"function,omitempty"`
-	// faas_chaos: probability an invocation fails.
-	FailureRate float64 `json:"failure_rate,omitempty"`
-	// storage_chaos: probability an operation fails.
-	ErrorRate float64 `json:"error_rate,omitempty"`
-	// faas_chaos / storage_chaos: latency multiplier (> 1 slows down).
-	LatencyFactor float64 `json:"latency_factor,omitempty"`
-	// faas_chaos: every invocation pays a cold start for the window.
-	ForceCold bool `json:"force_cold,omitempty"`
-
-	// flip_storage: "local" or "serverless".
-	Target string `json:"target,omitempty"`
 }
 
 // Assertion is one check: metric OP value, evaluated end-of-run, or —
@@ -461,6 +396,39 @@ func (s *Spec) errf(format string, args ...any) error {
 	return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 }
 
+// require checks the availability classes a section, placement or event
+// needs: the one place "<thing> requires <what>" is printed.
+func (s *Spec) require(thing string, needs ...*class) error {
+	for _, c := range needs {
+		if !c.has(s) {
+			return s.errf("%s requires %s", thing, c.requires)
+		}
+	}
+	return nil
+}
+
+// checkCadence rejects a set control-loop cadence below one server tick:
+// nothing the loops observe changes faster, and a nanosecond-scale typo
+// ("50us" for "50ms") would otherwise schedule billions of scan events.
+func (s *Spec) checkCadence(field string, d Span) error {
+	if d != 0 && d.D() < mve.DefaultTickInterval {
+		return s.errf("%s must be at least %s (got %s)", field, mve.DefaultTickInterval, d)
+	}
+	return nil
+}
+
+// checkConstructBlocks applies the construct size rule: 0 → 250 (the
+// paper's §IV-B size), at least 12 when set.
+func (s *Spec) checkConstructBlocks(ctx string, blocks *int) error {
+	if *blocks == 0 {
+		*blocks = 250
+	}
+	if *blocks < 12 {
+		return s.errf("%s: blocks must be >= 12 (got %d)", ctx, *blocks)
+	}
+	return nil
+}
+
 // Validate checks the spec and normalises zero-value fields to their
 // documented defaults. It is idempotent.
 func (s *Spec) Validate() error {
@@ -486,30 +454,36 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	if rb := s.Rebalance; rb != nil {
-		if s.Shards <= 1 {
-			return s.errf("rebalance requires shards > 1")
+		if err := s.require("rebalance", needsCluster); err != nil {
+			return err
 		}
 		if rb.Threshold != 0 && rb.Threshold < 1 {
 			return s.errf("rebalance.threshold must be >= 1 (got %g)", rb.Threshold)
+		}
+		if err := s.checkCadence("rebalance.interval", rb.Interval); err != nil {
+			return err
 		}
 	}
 	if err := s.validateAutoscale(); err != nil {
 		return err
 	}
 	if v := s.Visibility; v != nil {
-		if s.Shards <= 1 {
-			return s.errf("visibility requires shards > 1")
+		if err := s.require("visibility", needsCluster); err != nil {
+			return err
 		}
 		if v.Margin < 0 || v.Margin > 1024 {
 			return s.errf("visibility.margin must be in [0, 1024] (got %d)", v.Margin)
 		}
+		if err := s.checkCadence("visibility.interval", v.Interval); err != nil {
+			return err
+		}
 	}
 	if s.Checkpoint != 0 {
-		if s.Shards <= 1 {
-			return s.errf("checkpoint requires shards > 1")
+		if err := s.require("checkpoint", needsCluster, needsStore); err != nil {
+			return err
 		}
-		if !s.hasStore() {
-			return s.errf("checkpoint requires a storage backend (backend.storage or backend.local_store)")
+		if err := s.checkCadence("checkpoint", s.Checkpoint); err != nil {
+			return err
 		}
 	}
 	if s.LogRetention < -1 {
@@ -530,14 +504,12 @@ func (s *Spec) Validate() error {
 	}
 	for i := range s.Constructs {
 		g := &s.Constructs[i]
+		ctx := fmt.Sprintf("constructs[%d]", i)
 		if g.Count <= 0 {
-			return s.errf("constructs[%d]: count must be positive", i)
+			return s.errf("%s: count must be positive", ctx)
 		}
-		if g.Blocks == 0 {
-			g.Blocks = 250
-		}
-		if g.Blocks < 12 {
-			return s.errf("constructs[%d]: blocks must be >= 12 (got %d)", i, g.Blocks)
+		if err := s.checkConstructBlocks(ctx, &g.Blocks); err != nil {
+			return err
 		}
 	}
 	if err := s.validateFleet("fleet", s.Fleet, "scenario duration", s.Duration); err != nil {
@@ -575,8 +547,11 @@ func (s *Spec) validateAutoscale() error {
 	if a == nil {
 		return nil
 	}
-	if s.Shards <= 1 {
-		return s.errf("autoscale requires shards > 1")
+	if err := s.require("autoscale", needsCluster); err != nil {
+		return err
+	}
+	if err := s.checkCadence("autoscale.interval", a.Interval); err != nil {
+		return err
 	}
 	if a.MinShards < 0 || a.MaxShards < 0 {
 		return s.errf("autoscale.min_shards and max_shards must be non-negative")
@@ -600,10 +575,10 @@ func (s *Spec) validateAutoscale() error {
 	}
 	hi, lo := a.HighUtil, a.LowUtil
 	if hi == 0 {
-		hi = 0.75
+		hi = cluster.DefaultHighUtil
 	}
 	if lo == 0 {
-		lo = 0.35
+		lo = cluster.DefaultLowUtil
 	}
 	if lo >= hi {
 		return s.errf("autoscale.low_util %g must be below high_util %g", lo, hi)
@@ -625,8 +600,8 @@ func (s *Spec) validateTopology() error {
 	if tp == nil {
 		return nil
 	}
-	if s.Shards <= 1 {
-		return s.errf("topology requires shards > 1")
+	if err := s.require("topology", needsCluster); err != nil {
+		return err
 	}
 	switch tp.Kind {
 	case "":
@@ -649,36 +624,6 @@ func (s *Spec) validateTopology() error {
 	}
 	if s.Shards > tp.TilesX*tp.TilesZ {
 		return s.errf("%d shards over a %dx%d grid: more shards than tiles", s.Shards, tp.TilesX, tp.TilesZ)
-	}
-	return nil
-}
-
-// validateTileRef checks one tile placement (fleet group or flash crowd)
-// against the scenario topology.
-func (s *Spec) validateTileRef(ctx string, tile [2]int) error {
-	if s.Shards <= 1 {
-		return s.errf("%s: tile placement requires shards > 1", ctx)
-	}
-	if s.Topology.Grid() {
-		if tile[0] < 0 || tile[0] >= s.Topology.TilesX || tile[1] < 0 || tile[1] >= s.Topology.TilesZ {
-			return s.errf("%s: tile [%d,%d] outside the %dx%d grid", ctx, tile[0], tile[1], s.Topology.TilesX, s.Topology.TilesZ)
-		}
-		return nil
-	}
-	if tile[1] != 0 {
-		return s.errf("%s: band-topology tiles lie on z=0 (got [%d,%d])", ctx, tile[0], tile[1])
-	}
-	return nil
-}
-
-// validateBandRef checks one legacy band placement: band b is tile
-// [b, 0], a band-topology concept.
-func (s *Spec) validateBandRef(ctx string) error {
-	if s.Shards <= 1 {
-		return s.errf("%s: band placement requires shards > 1", ctx)
-	}
-	if s.Topology.Grid() {
-		return s.errf("%s: band placement is a band-topology concept; use tile with a grid topology", ctx)
 	}
 	return nil
 }
@@ -749,57 +694,27 @@ func (s *Spec) validateBackend() error {
 func (s *Spec) validateFleet(section string, fleet []FleetGroup, horizonName string, horizon Span) error {
 	for i := range fleet {
 		g := &fleet[i]
+		ctx := fmt.Sprintf("%s[%d]", section, i)
 		if g.Count <= 0 {
-			return s.errf("%s[%d]: count must be positive", section, i)
+			return s.errf("%s: count must be positive", ctx)
 		}
 		if g.Behavior == "" {
 			g.Behavior = "A"
 		}
 		if !workload.Known(g.Behavior) {
-			return s.errf("%s[%d]: unknown behavior %q", section, i, g.Behavior)
+			return s.errf("%s: unknown behavior %q", ctx, g.Behavior)
 		}
 		if g.JoinAt >= horizon {
-			return s.errf("%s[%d]: join_at %s is past the %s %s", section, i, g.JoinAt, horizonName, horizon)
+			return s.errf("%s: join_at %s is past the %s %s", ctx, g.JoinAt, horizonName, horizon)
 		}
 		if g.LeaveAt != 0 && g.LeaveAt <= g.JoinAt {
-			return s.errf("%s[%d]: leave_at %s must be after join_at %s", section, i, g.LeaveAt, g.JoinAt)
+			return s.errf("%s: leave_at %s must be after join_at %s", ctx, g.LeaveAt, g.JoinAt)
 		}
 		if g.LeaveAt != 0 && g.LeaveAt >= horizon {
-			return s.errf("%s[%d]: leave_at %s is past the %s %s and would never fire", section, i, g.LeaveAt, horizonName, horizon)
+			return s.errf("%s: leave_at %s is past the %s %s and would never fire", ctx, g.LeaveAt, horizonName, horizon)
 		}
-		if g.Shard != nil {
-			if s.Shards <= 1 {
-				return s.errf("%s[%d]: shard placement requires shards > 1", section, i)
-			}
-			if *g.Shard < 0 || *g.Shard >= s.Shards {
-				return s.errf("%s[%d]: shard %d out of range [0, %d)", section, i, *g.Shard, s.Shards)
-			}
-		}
-		placements := 0
-		for _, set := range []bool{g.Shard != nil, g.Tile != nil, g.Band != nil, g.Pos != nil} {
-			if set {
-				placements++
-			}
-		}
-		if placements > 1 {
-			return s.errf("%s[%d]: shard, tile, band, and pos placement are mutually exclusive", section, i)
-		}
-		if g.Pos != nil {
-			for _, v := range *g.Pos {
-				if v < -100000 || v > 100000 {
-					return s.errf("%s[%d]: pos coordinate %d out of range [-100000, 100000]", section, i, v)
-				}
-			}
-		}
-		if g.Tile != nil {
-			if err := s.validateTileRef(fmt.Sprintf("%s[%d]", section, i), *g.Tile); err != nil {
-				return err
-			}
-		}
-		if g.Band != nil {
-			if err := s.validateBandRef(fmt.Sprintf("%s[%d]", section, i)); err != nil {
-				return err
-			}
+		if err := g.Placement.validate(s, ctx); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -813,8 +728,8 @@ func (s *Spec) validatePrewrite() error {
 	if pw == nil {
 		return nil
 	}
-	if !s.hasStore() {
-		return s.errf("prewrite requires a storage backend (backend.storage or backend.local_store)")
+	if err := s.require("prewrite", needsStore); err != nil {
+		return err
 	}
 	if pw.Duration <= 0 {
 		return s.errf("prewrite.duration is required and must be positive")
@@ -863,243 +778,11 @@ func (s *Spec) validateStress() error {
 		st.Placement = "spawn"
 	case "spawn":
 	case "spread":
-		if s.Shards <= 1 {
-			return s.errf(`stress.placement "spread" requires shards > 1`)
+		if err := s.require(`stress.placement "spread"`, needsCluster); err != nil {
+			return err
 		}
 	default:
 		return s.errf(`stress.placement must be "spawn" or "spread" (got %q)`, st.Placement)
-	}
-	return nil
-}
-
-// hasFunctionBackend reports whether any FaaS-backed component is on.
-func (s *Spec) hasFunctionBackend() bool { return s.Backend.Constructs || s.Backend.Terrain }
-
-// hasStore reports whether any chunk store is configured.
-func (s *Spec) hasStore() bool { return s.Backend.Storage || s.Backend.LocalStore }
-
-func (s *Spec) validateEvents() error {
-	// Chaos windows of the same kind must not overlap: the injector is a
-	// single slot per platform/store, so overlap would make the effective
-	// settings ambiguous.
-	windowEnd := make(map[string]Span)
-	for i := range s.Events {
-		e := &s.Events[i]
-		if i > 0 && e.At < s.Events[i-1].At {
-			return s.errf("events[%d] (%s at %s): timestamps must be non-decreasing (previous event at %s)",
-				i, e.Kind, e.At, s.Events[i-1].At)
-		}
-		if e.At >= s.Duration {
-			return s.errf("events[%d] (%s at %s): event is past the scenario duration %s and would never fire",
-				i, e.Kind, e.At, s.Duration)
-		}
-		if err := s.validateEvent(i, e); err != nil {
-			return err
-		}
-		if err := s.checkStrayEventFields(i, e); err != nil {
-			return err
-		}
-		if e.Kind == EvFaasChaos || e.Kind == EvStorageChaos {
-			// Windows targeting different functions occupy different
-			// injector slots and may overlap freely (a function-level
-			// window fully overrides the platform-wide one).
-			key := e.Kind + "/" + e.Function
-			if e.At < windowEnd[key] {
-				return s.errf("events[%d] (%s at %s): overlaps the previous %s window (ends at %s)",
-					i, e.Kind, e.At, e.Kind, windowEnd[key])
-			}
-			windowEnd[key] = e.At + e.Duration
-		}
-	}
-	return nil
-}
-
-func (s *Spec) validateEvent(i int, e *Event) error {
-	switch e.Kind {
-	case EvFlashCrowd:
-		if e.Count <= 0 {
-			return s.errf("events[%d] %s: count must be positive", i, e.Kind)
-		}
-		if e.Behavior == "" {
-			e.Behavior = "R"
-		}
-		if !workload.Known(e.Behavior) {
-			return s.errf("events[%d] %s: unknown behavior %q", i, e.Kind, e.Behavior)
-		}
-		if e.Tile != nil && e.Band != nil {
-			return s.errf("events[%d] %s: tile and band placement are mutually exclusive", i, e.Kind)
-		}
-		if e.Tile != nil {
-			if err := s.validateTileRef(fmt.Sprintf("events[%d] %s", i, e.Kind), *e.Tile); err != nil {
-				return err
-			}
-		}
-		if e.Band != nil {
-			if err := s.validateBandRef(fmt.Sprintf("events[%d] %s", i, e.Kind)); err != nil {
-				return err
-			}
-		}
-	case EvDisconnect:
-		if e.Count <= 0 {
-			return s.errf("events[%d] %s: count must be positive", i, e.Kind)
-		}
-	case EvSpawnSCs:
-		if e.Count <= 0 {
-			return s.errf("events[%d] %s: count must be positive", i, e.Kind)
-		}
-		if e.Blocks == 0 {
-			e.Blocks = 250
-		}
-		if e.Blocks < 12 {
-			return s.errf("events[%d] %s: blocks must be >= 12 (got %d)", i, e.Kind, e.Blocks)
-		}
-	case EvFaasChaos:
-		if !s.hasFunctionBackend() {
-			return s.errf("events[%d] %s: no serverless function backend configured (enable backend.constructs or backend.terrain)", i, e.Kind)
-		}
-		switch e.Function {
-		case "":
-		case "simulate-construct":
-			if !s.Backend.Constructs {
-				return s.errf("events[%d] %s: function %q requires backend.constructs", i, e.Kind, e.Function)
-			}
-		case "generate-terrain":
-			if !s.Backend.Terrain {
-				return s.errf("events[%d] %s: function %q requires backend.terrain", i, e.Kind, e.Function)
-			}
-		default:
-			return s.errf(`events[%d] %s: unknown function %q (valid: "simulate-construct", "generate-terrain")`, i, e.Kind, e.Function)
-		}
-		if e.Duration <= 0 {
-			return s.errf("events[%d] %s: duration is required", i, e.Kind)
-		}
-		if e.FailureRate < 0 || e.FailureRate > 1 {
-			return s.errf("events[%d] %s: failure_rate must be in [0, 1]", i, e.Kind)
-		}
-		if e.LatencyFactor != 0 && e.LatencyFactor < 1 {
-			return s.errf("events[%d] %s: latency_factor must be >= 1", i, e.Kind)
-		}
-		if e.FailureRate == 0 && e.LatencyFactor == 0 && !e.ForceCold {
-			return s.errf("events[%d] %s: set failure_rate, latency_factor, and/or force_cold", i, e.Kind)
-		}
-	case EvStorageChaos:
-		if !s.hasStore() {
-			return s.errf("events[%d] %s: no storage backend configured (enable backend.storage or backend.local_store)", i, e.Kind)
-		}
-		if e.Duration <= 0 {
-			return s.errf("events[%d] %s: duration is required", i, e.Kind)
-		}
-		if e.ErrorRate < 0 || e.ErrorRate > 1 {
-			return s.errf("events[%d] %s: error_rate must be in [0, 1]", i, e.Kind)
-		}
-		if e.LatencyFactor != 0 && e.LatencyFactor < 1 {
-			return s.errf("events[%d] %s: latency_factor must be >= 1", i, e.Kind)
-		}
-		if e.ErrorRate == 0 && e.LatencyFactor == 0 {
-			return s.errf("events[%d] %s: set error_rate and/or latency_factor", i, e.Kind)
-		}
-	case EvColdStartStorm:
-		if !s.hasFunctionBackend() {
-			return s.errf("events[%d] %s: no serverless function backend configured (enable backend.constructs or backend.terrain)", i, e.Kind)
-		}
-		if e.Duration == 0 {
-			e.Duration = Span(30 * time.Second)
-		}
-	case EvShardFail:
-		if s.Shards <= 1 {
-			return s.errf("events[%d] %s: requires shards > 1", i, e.Kind)
-		}
-		if e.Shard == nil {
-			return s.errf("events[%d] %s: shard is required", i, e.Kind)
-		}
-		if *e.Shard < 0 || *e.Shard >= s.Shards {
-			return s.errf("events[%d] %s: shard %d out of range [0, %d)", i, e.Kind, *e.Shard, s.Shards)
-		}
-		if e.RecoverAt != 0 {
-			if e.RecoverAt <= e.At {
-				return s.errf("events[%d] %s: recover_at %s must be after at %s", i, e.Kind, e.RecoverAt, e.At)
-			}
-			if e.RecoverAt >= s.Duration {
-				return s.errf("events[%d] %s: recover_at %s is past the scenario duration %s and would never fire", i, e.Kind, e.RecoverAt, s.Duration)
-			}
-		}
-	case EvFlipStorage:
-		if !s.Backend.Storage {
-			return s.errf("events[%d] %s: requires backend.storage", i, e.Kind)
-		}
-		if s.Shards > 1 {
-			return s.errf("events[%d] %s: runtime storage flips are not supported on a sharded cluster", i, e.Kind)
-		}
-		switch e.Target {
-		case "local", "serverless":
-		default:
-			return s.errf(`events[%d] %s: target must be "local" or "serverless" (got %q)`, i, e.Kind, e.Target)
-		}
-	default:
-		return s.errf("events[%d]: unknown event kind %q (valid kinds: %v)", i, e.Kind, eventKinds)
-	}
-	return nil
-}
-
-// checkStrayEventFields rejects fields that are valid JSON keys but do not
-// apply to the event's kind: DisallowUnknownFields catches misspelled
-// keys, this catches wrong-kind keys, so a knob the author set is never
-// silently dropped.
-func (s *Spec) checkStrayEventFields(i int, e *Event) error {
-	c := *e
-	c.At, c.Kind = 0, ""
-	switch e.Kind {
-	case EvFlashCrowd:
-		c.Count, c.Behavior, c.Tile, c.Band = 0, "", nil, nil
-	case EvDisconnect:
-		c.Count = 0
-	case EvSpawnSCs:
-		c.Count, c.Blocks = 0, 0
-	case EvFaasChaos:
-		c.Duration, c.FailureRate, c.LatencyFactor, c.ForceCold = 0, 0, 0, false
-		c.Function = ""
-	case EvStorageChaos:
-		c.Duration, c.ErrorRate, c.LatencyFactor = 0, 0, 0
-	case EvColdStartStorm:
-		c.Duration = 0
-	case EvFlipStorage:
-		c.Target = ""
-	case EvShardFail:
-		c.Shard, c.RecoverAt = nil, 0
-	}
-	stray := ""
-	switch {
-	case c.Count != 0:
-		stray = "count"
-	case c.Behavior != "":
-		stray = "behavior"
-	case c.Blocks != 0:
-		stray = "blocks"
-	case c.Tile != nil:
-		stray = "tile"
-	case c.Band != nil:
-		stray = "band"
-	case c.Shard != nil:
-		stray = "shard"
-	case c.RecoverAt != 0:
-		stray = "recover_at"
-	case c.Duration != 0:
-		stray = "duration"
-	case c.FailureRate != 0:
-		stray = "failure_rate"
-	case c.ErrorRate != 0:
-		stray = "error_rate"
-	case c.LatencyFactor != 0:
-		stray = "latency_factor"
-	case c.ForceCold:
-		stray = "force_cold"
-	case c.Target != "":
-		stray = "target"
-	case c.Function != "":
-		stray = "function"
-	}
-	if stray != "" {
-		return s.errf("events[%d] %s: field %q does not apply to this event kind", i, e.Kind, stray)
 	}
 	return nil
 }

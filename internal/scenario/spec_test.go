@@ -53,10 +53,10 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 			{"at": "5s", "kind": "disconnect", "count": 1}]`), "timestamps must be non-decreasing"},
 		{"event past duration", minimal(`"events": [{"at": "10m", "kind": "flash_crowd", "count": 1}]`), "past the scenario duration"},
 		{"flash crowd without count", minimal(`"events": [{"at": "1s", "kind": "flash_crowd"}]`), "count must be positive"},
-		{"faas chaos without functions", minimal(`"events": [{"at": "1s", "kind": "faas_chaos", "duration": "5s", "failure_rate": 0.5}]`), "no serverless function backend"},
+		{"faas chaos without functions", minimal(`"events": [{"at": "1s", "kind": "faas_chaos", "duration": "5s", "failure_rate": 0.5}]`), "requires a serverless function backend"},
 		{"faas chaos without knobs", minimal(`"backend": {"constructs": true}, "events": [{"at": "1s", "kind": "faas_chaos", "duration": "5s"}]`), "set failure_rate, latency_factor, and/or force_cold"},
 		{"faas chaos bad rate", minimal(`"backend": {"constructs": true}, "events": [{"at": "1s", "kind": "faas_chaos", "duration": "5s", "failure_rate": 1.5}]`), "failure_rate must be in [0, 1]"},
-		{"storage chaos without store", minimal(`"events": [{"at": "1s", "kind": "storage_chaos", "duration": "5s", "error_rate": 0.1}]`), "no storage backend"},
+		{"storage chaos without store", minimal(`"events": [{"at": "1s", "kind": "storage_chaos", "duration": "5s", "error_rate": 0.1}]`), "requires a storage backend"},
 		{"overlapping chaos windows", minimal(`"backend": {"constructs": true}, "events": [
 			{"at": "1s", "kind": "faas_chaos", "duration": "10s", "failure_rate": 0.5},
 			{"at": "5s", "kind": "faas_chaos", "duration": "2s", "failure_rate": 0.1}]`), "overlaps the previous faas_chaos window"},
@@ -88,9 +88,6 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"window without to", minimal(`"assertions": [{"metric": "tick_p99_ms", "op": "<", "value": 50, "from": "10s"}]`), "window has from but no to"},
 		{"rebalance without shards", minimal(`"rebalance": {}`), "rebalance requires shards > 1"},
 		{"rebalance bad threshold", minimal(`"shards": 2, "rebalance": {"threshold": 0.5}`), "rebalance.threshold must be >= 1"},
-		{"fleet band without shards", minimal(`"fleet": [{"count": 1, "band": 2}]`), "band placement requires shards > 1"},
-		{"fleet band and shard", minimal(`"shards": 2, "fleet": [{"count": 1, "shard": 0, "band": 2}]`), "mutually exclusive"},
-		{"crowd band without shards", minimal(`"events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "band": 0}]`), "band placement requires shards > 1"},
 		{"shard fail without shards", minimal(`"events": [{"at": "1s", "kind": "shard_fail", "shard": 0}]`), "requires shards > 1"},
 		{"shard fail without shard", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "shard_fail"}]`), "shard is required"},
 		{"shard fail out of range", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "shard_fail", "shard": 5}]`), "shard 5 out of range"},
@@ -98,7 +95,6 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"shard fail recover past duration", minimal(`"shards": 2, "events": [{"at": "10s", "kind": "shard_fail", "shard": 0, "recover_at": "10m"}]`), "past the scenario duration"},
 		{"recover_at on wrong kind", minimal(`"events": [{"at": "1s", "kind": "disconnect", "count": 1, "recover_at": "5s"}]`), `field "recover_at" does not apply`},
 		{"shard on wrong kind", minimal(`"events": [{"at": "1s", "kind": "disconnect", "count": 1, "shard": 0}]`), `field "shard" does not apply`},
-		{"control metric without shards", minimal(`"assertions": [{"metric": "bands_moved", "op": ">", "value": 0}]`), "requires shards > 1"},
 		{"tiles metric without shards", minimal(`"assertions": [{"metric": "tiles_moved", "op": ">", "value": 0}]`), "requires shards > 1"},
 		{"windowed imbalance without shards", minimal(`"assertions": [{"metric": "load_imbalance", "op": "<", "value": 2, "from": "1s", "to": "2s"}]`), "requires shards > 1"},
 		{"topology without shards", minimal(`"topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}`), "topology requires shards > 1"},
@@ -110,12 +106,9 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"more shards than tiles", minimal(`"shards": 8, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}`), "more shards than tiles"},
 		{"fleet tile without shards", minimal(`"fleet": [{"count": 1, "tile": [0, 0]}]`), "tile placement requires shards > 1"},
 		{"fleet tile and shard", minimal(`"shards": 2, "fleet": [{"count": 1, "shard": 0, "tile": [0, 0]}]`), "mutually exclusive"},
-		{"fleet tile and band", minimal(`"shards": 2, "fleet": [{"count": 1, "band": 1, "tile": [0, 0]}]`), "mutually exclusive"},
 		{"fleet tile off grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "fleet": [{"count": 1, "tile": [2, 0]}]`), "outside the 2x2 grid"},
 		{"fleet band tile off axis", minimal(`"shards": 2, "fleet": [{"count": 1, "tile": [0, 3]}]`), "band-topology tiles lie on z=0"},
-		{"fleet band on grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "fleet": [{"count": 1, "band": 0}]`), "band placement is a band-topology concept"},
 		{"crowd tile off grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 2, "tiles_z": 2}, "events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "tile": [0, 5]}]`), "outside the 2x2 grid"},
-		{"crowd tile and band", minimal(`"shards": 2, "events": [{"at": "1s", "kind": "flash_crowd", "count": 1, "tile": [0, 0], "band": 1}]`), "mutually exclusive"},
 		{"tile on wrong kind", minimal(`"events": [{"at": "1s", "kind": "disconnect", "count": 1, "tile": [0, 0]}]`), `field "tile" does not apply`},
 		{"windowed view_margin bad window", minimal(`"assertions": [{"metric": "view_margin", "op": ">", "value": 0, "from": "10s", "to": "5s"}]`), "from 10s must be before to 5s"},
 		{"visibility without shards", minimal(`"visibility": {}`), "visibility requires shards > 1"},
@@ -126,6 +119,10 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"checkpoint without store", minimal(`"shards": 2, "checkpoint": "10s"`), "checkpoint requires a storage backend"},
 		{"fleet pos and tile", minimal(`"shards": 2, "fleet": [{"count": 1, "tile": [0, 0], "pos": [5, 5]}]`), "mutually exclusive"},
 		{"fleet pos out of range", minimal(`"fleet": [{"count": 1, "pos": [2000000, 0]}]`), "pos coordinate 2000000 out of range"},
+		{"visibility cadence under a tick", minimal(`"shards": 2, "visibility": {"interval": "1ns"}`), "visibility.interval must be at least 50ms (got 1ns)"},
+		{"rebalance cadence under a tick", minimal(`"shards": 2, "rebalance": {"interval": "50us"}`), "rebalance.interval must be at least 50ms (got 50µs)"},
+		{"autoscale cadence under a tick", minimal(`"shards": 2, "autoscale": {"interval": "49ms"}`), "autoscale.interval must be at least 50ms (got 49ms)"},
+		{"checkpoint cadence under a tick", minimal(`"shards": 2, "backend": {"storage": true}, "checkpoint": "1ms"}`), "checkpoint must be at least 50ms (got 1ms)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -364,13 +364,6 @@ func (b *Backend) release(r *genReq) {
 	b.dispatch()
 }
 
-// Drain implements mve.TerrainBackend.
-func (b *Backend) Drain() []*world.Chunk {
-	out := b.done
-	b.done = nil
-	return out
-}
-
 // DrainAppend implements mve.TerrainBackend; the backend's done list is
 // reset in place so its backing array is reused too.
 func (b *Backend) DrainAppend(dst []*world.Chunk) []*world.Chunk {

@@ -31,7 +31,7 @@ func TestRequestGeneratesCorrectChunk(t *testing.T) {
 	pos := world.ChunkPos{X: 3, Z: -4}
 	b.Request(pos)
 	loop.Run()
-	got := b.Drain()
+	got := b.DrainAppend(nil)
 	if len(got) != 1 {
 		t.Fatalf("drained %d chunks, want 1", len(got))
 	}
@@ -60,7 +60,7 @@ func TestRequestDeduplicatesInflight(t *testing.T) {
 	if fn.Invocations.Count() != 1 {
 		t.Fatalf("invocations = %d, want 1", fn.Invocations.Count())
 	}
-	if len(b.Drain()) != 1 {
+	if len(b.DrainAppend(nil)) != 1 {
 		t.Fatal("expected exactly one completed chunk")
 	}
 }
@@ -80,7 +80,7 @@ func TestConcurrentFanOut(t *testing.T) {
 	}
 	loop.Run()
 	elapsed := loop.Now() - start
-	if got := len(b.Drain()); got != 50 {
+	if got := len(b.DrainAppend(nil)); got != 50 {
 		t.Fatalf("completed %d/50", got)
 	}
 	if elapsed > 2*time.Second {
@@ -97,7 +97,7 @@ func TestUnknownFunctionCountsFailure(t *testing.T) {
 	if b.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", b.Failures)
 	}
-	if len(b.Drain()) != 0 {
+	if len(b.DrainAppend(nil)) != 0 {
 		t.Fatal("failed request must not produce a chunk")
 	}
 }
