@@ -178,9 +178,9 @@ func BenchmarkTableI(b *testing.B) {
 }
 
 // visBenchCluster builds a two-shard visibility cluster with n idle
-// border residents paired across a band seam (the internal/bench scan
-// harness layout, rebuilt here because this in-package test file cannot
-// import internal/bench without a cycle through servo itself).
+// border residents paired across a band seam, spaced along Z so each
+// pair audits locally (the layout internal/cluster's
+// TestVisibilityScanZeroAlloc pins at zero allocations).
 func visBenchCluster(n int) *cluster.Cluster {
 	loop := sim.NewLoop(7)
 	c := cluster.New(loop, cluster.Config{

@@ -1,5 +1,4 @@
-// Command servo-bench regenerates the paper's tables and figures, and
-// records/gates the repo's performance trajectory.
+// Command servo-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -7,16 +6,8 @@
 //	servo-bench -exp all -scale 1.0      # full paper-length durations
 //	servo-bench -list                    # list available experiments
 //
-//	servo-bench -format json -pr 6 -out BENCH_6.json
-//	    run the headline benchmark suite and write the schema'd artifact
-//	servo-bench -diff latest
-//	    re-run the suite and fail (exit 1) when any gated metric regressed
-//	    more than -tolerance against the newest checked-in BENCH_*.json
-//	    ("latest"), or against an explicit artifact path
-//
-// -cpuprofile and -memprofile write pprof profiles of whichever mode ran
-// (experiments, suite, or diff), for `go tool pprof` drill-downs into
-// the hot paths the BENCH numbers summarise.
+// -cpuprofile and -memprofile write pprof profiles of the experiments
+// that ran, for `go tool pprof` drill-downs into the hot paths.
 //
 // Scale 1.0 runs the paper's 10-minute measurement windows; the default
 // 0.1 gives the same shapes in about a tenth of the wall time.
@@ -29,7 +20,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"servo/internal/bench"
 	"servo/internal/experiment"
 )
 
@@ -43,12 +33,6 @@ func run() int {
 	scale := flag.Float64("scale", 0.1, "duration scale (1.0 = paper-length windows)")
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	format := flag.String("format", "", "'json' runs the headline benchmark suite and emits the BENCH artifact")
-	out := flag.String("out", "", "with -format json: write the artifact here instead of stdout")
-	pr := flag.Int("pr", 0, "with -format json: PR number stamped into the artifact")
-	diff := flag.String("diff", "", "re-run the suite and diff against an artifact path, or 'latest' for the newest BENCH_*.json")
-	only := flag.String("only", "", "substring filter over suite metric names: run only the matching harnesses (suite and diff modes)")
-	tolerance := flag.Float64("tolerance", bench.DefaultTolerance, "relative regression tolerance of -diff")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected run to this file")
 	flag.Parse()
@@ -88,22 +72,6 @@ func run() int {
 		return 0
 	}
 
-	logf := func(string, ...any) {}
-	if *verbose {
-		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-
-	if *diff != "" {
-		return runDiff(*diff, *tolerance, *only, logf)
-	}
-	if *format != "" {
-		if *format != "json" {
-			fmt.Fprintf(os.Stderr, "servo-bench: unknown -format %q (want json)\n", *format)
-			return 2
-		}
-		return runSuite(*pr, *out, *only, logf)
-	}
-
 	opt := experiment.Options{Seed: *seed, Scale: *scale}
 	if *verbose {
 		opt.Log = os.Stderr
@@ -112,87 +80,5 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "servo-bench:", err)
 		return 1
 	}
-	return 0
-}
-
-// runSuite records the benchmark artifact.
-func runSuite(pr int, out, only string, logf func(string, ...any)) int {
-	f, err := bench.Run(pr, only, logf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "servo-bench:", err)
-		return 1
-	}
-	data, err := f.Encode()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "servo-bench:", err)
-		return 1
-	}
-	if out == "" {
-		os.Stdout.Write(data)
-		return 0
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "servo-bench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (%d metrics)\n", out, len(f.Metrics))
-	return 0
-}
-
-// runDiff re-runs the suite and gates it against a recorded artifact.
-// only narrows the re-measurement to matching metrics; Compare skips
-// whatever the filtered run did not record.
-func runDiff(ref string, tol float64, only string, logf func(string, ...any)) int {
-	if ref == "latest" {
-		ref = bench.LatestArtifact(".")
-		if ref == "" {
-			fmt.Fprintln(os.Stderr, "servo-bench: no BENCH_*.json artifact to diff against")
-			return 1
-		}
-	}
-	old, err := bench.ReadFile(ref)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "servo-bench:", err)
-		return 1
-	}
-	// A real code regression survives re-measurement; machine noise does
-	// not. Retry the suite up to diffAttempts times, merging per-metric
-	// bests, and only fail when the regression persists across all of them.
-	const diffAttempts = 3
-	var cur bench.File
-	var regs []bench.Regression
-	for attempt := 0; attempt < diffAttempts; attempt++ {
-		f, err := bench.Run(old.PR, only, logf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "servo-bench:", err)
-			return 1
-		}
-		if attempt == 0 {
-			cur = f
-		} else {
-			cur = bench.Best(cur, f)
-		}
-		regs = bench.Compare(old, cur, tol)
-		if len(regs) == 0 {
-			break
-		}
-		if attempt < diffAttempts-1 {
-			fmt.Printf("benchdiff: %d gated metrics over tolerance, re-measuring (%d/%d)\n", len(regs), attempt+2, diffAttempts)
-		}
-	}
-	for _, r := range regs {
-		fmt.Printf("REGRESSION  %s\n", r)
-	}
-	gated := 0
-	for _, m := range old.Metrics {
-		if m.Gate {
-			gated++
-		}
-	}
-	if len(regs) > 0 {
-		fmt.Printf("benchdiff: %d of %d gated metrics regressed >%.0f%% vs %s\n", len(regs), gated, tol*100, ref)
-		return 1
-	}
-	fmt.Printf("benchdiff: %d gated metrics within %.0f%% of %s\n", gated, tol*100, ref)
 	return 0
 }

@@ -207,9 +207,6 @@ func (c *Cluster) RemoveShard(i int) bool {
 	return true
 }
 
-// Draining reports whether shard i is draining toward retirement.
-func (c *Cluster) Draining(i int) bool { return c.draining[i] }
-
 // ownedTiles enumerates the tiles shard i currently owns, in
 // space-filling-index order: override tiles, tiles with attributed load,
 // and tiles hosting sessions. (On unbounded band topologies zero-state

@@ -135,6 +135,10 @@ const (
 	maxDigestHome    = math.MaxInt32
 )
 
+// digestEntryMinLen is the wire size of a full-form entry with an empty
+// name: the uint16 name length, two float64 coordinates, the uint32 home.
+const digestEntryMinLen = 2 + 8 + 8 + 4
+
 // validateDigestEntries rejects entries the wire form cannot represent.
 func validateDigestEntries(entries []DigestEntry) error {
 	for i, e := range entries {
@@ -170,7 +174,11 @@ func EncodeGhostDigest(entries []DigestEntry) ([]byte, error) {
 	if err := validateDigestEntries(entries); err != nil {
 		return nil, err
 	}
-	return appendFullDigest(make([]byte, 0, 5+24*len(entries)), entries), nil
+	size := 5 + digestEntryMinLen*len(entries)
+	for i := range entries {
+		size += len(entries[i].Name)
+	}
+	return appendFullDigest(make([]byte, 0, size), entries), nil
 }
 
 // DigestEncoder encodes the digest stream of one shard pair with delta
@@ -239,6 +247,11 @@ func DecodeGhostDigest(prev []DigestEntry, data []byte) ([]DigestEntry, error) {
 	data = data[5:]
 	switch kind {
 	case digestKindFull:
+		// A count the remaining bytes cannot hold is refused before it
+		// sizes an allocation.
+		if n > len(data)/digestEntryMinLen {
+			return nil, errors.New("ghost digest: truncated entry")
+		}
 		out := make([]DigestEntry, 0, n)
 		for i := 0; i < n; i++ {
 			if len(data) < 2 {

@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -351,6 +352,80 @@ func TestDigestEncoderDelta(t *testing.T) {
 	grown := append(gen(62), DigestEntry{Name: "carol", X: 1, Z: 2, Home: 0})
 	roundTrip(prev, grown, 2, digestKindFull)
 	_ = prev
+}
+
+// TestDigestEncodeAllocs pins the digest encoders' allocation contract on
+// a 512-entry pair: the stateless full form allocates exactly its output
+// buffer (sized from the names, so it never regrows), and the
+// steady-state delta — stable membership, one position moving per call —
+// reuses the encoder's buffer and allocates nothing.
+func TestDigestEncodeAllocs(t *testing.T) {
+	entries := make([]DigestEntry, 512)
+	for i := range entries {
+		entries[i] = DigestEntry{Name: fmt.Sprintf("player-%04d", i), X: float64(i) * 3, Z: float64(i%7) * 5, Home: i % 2}
+	}
+	full := testing.AllocsPerRun(20, func() {
+		if _, err := EncodeGhostDigest(entries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if full != 1 {
+		t.Fatalf("full digest: %v allocs per call, want 1 (the output buffer)", full)
+	}
+	var enc DigestEncoder
+	if _, err := enc.Encode(entries, 1); err != nil { // first contact: full
+		t.Fatal(err)
+	}
+	i := 0
+	delta := testing.AllocsPerRun(100, func() {
+		entries[i%len(entries)].X += 0.5
+		i++
+		if buf, err := enc.Encode(entries, 1); err != nil || buf[0] != digestKindDelta {
+			t.Fatalf("steady-state encode: kind 0x%02x, err %v, want a delta", buf[0], err)
+		}
+	})
+	if delta != 0 {
+		t.Fatalf("steady-state delta: %v allocs per call, want 0", delta)
+	}
+}
+
+// TestDecodeGhostDigestRefusesOversizedCount: a full digest whose entry
+// count exceeds what its bytes can hold is a truncation error, decided
+// before the count sizes an allocation: unchecked, these five bytes ask
+// for a 4-billion-entry slice, and out-of-memory is not recoverable.
+func TestDecodeGhostDigestRefusesOversizedCount(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeGhostDigest(nil, []byte{digestKindFull, 0xFF, 0xFF, 0xFF, 0xFF})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("digest claiming 2^32-1 entries in 0 bytes decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Fatalf("refusing the digest allocated %d bytes", got)
+	}
+}
+
+// TestVisibilityScanZeroAlloc: one replication tick over 1000 idle
+// border residents — paired across a band seam, spaced along Z so each
+// pair audits locally, membership caches and ghost registries warmed by
+// one scan — allocates nothing.
+func TestVisibilityScanZeroAlloc(t *testing.T) {
+	_, c := newTestCluster(t, 7, 2, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
+	for i := 0; i < 1000; i++ {
+		x := 60 // 4 blocks west of the x=64 band seam, shard 0
+		if i%2 == 1 {
+			x = 70 // 6 blocks east, shard 1
+		}
+		c.ConnectAt(fmt.Sprintf("r%d", i), nil, world.BlockPos{X: x, Y: 0, Z: (i / 2) * 48})
+	}
+	c.VisibilityScanOnce()
+	if c.GhostCount() != 1000 {
+		t.Fatalf("warm-up scan mirrored %d ghosts, want 1000", c.GhostCount())
+	}
+	if got := testing.AllocsPerRun(20, c.VisibilityScanOnce); got != 0 {
+		t.Fatalf("steady-state visibility scan: %v allocs per scan, want 0", got)
+	}
 }
 
 // TestDigestRateLimiterSkipsIdlePairs: a shard pair whose entry list is

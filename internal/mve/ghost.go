@@ -100,15 +100,6 @@ func (s *Server) ExpireGhosts(before uint64) []string {
 // Ghost returns the ghost mirroring name, or nil.
 func (s *Server) Ghost(name string) *GhostAvatar { return s.ghosts[name] }
 
-// Ghosts returns the live ghosts in creation order.
-func (s *Server) Ghosts() []*GhostAvatar {
-	out := make([]*GhostAvatar, 0, len(s.ghostOrder))
-	for _, name := range s.ghostOrder {
-		out = append(out, s.ghosts[name])
-	}
-	return out
-}
-
 // EachGhost visits the live ghosts in creation order without allocating
 // (the per-tick path: rtserve folds ghosts into every state update).
 // fn must not mutate the registry.

@@ -434,13 +434,6 @@ func (s *Server) noteStore(cp world.ChunkPos) {
 // Clock returns the server's clock.
 func (s *Server) Clock() sim.Clock { return s.clock }
 
-// SetStore replaces the chunk store (e.g. to interpose a measurement
-// probe). It must be called before Start.
-func (s *Server) SetStore(store ChunkStore) {
-	s.store = store
-	s.cfg.Store = store
-}
-
 // World returns the server's loaded world.
 func (s *Server) World() *world.World { return s.world }
 

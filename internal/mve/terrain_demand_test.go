@@ -151,6 +151,46 @@ func TestIncrementalDemandSteadyStateSkips(t *testing.T) {
 	}
 }
 
+// TestScanTerrainDemandZeroAlloc: with 100 stationary players on a
+// settled flat world — every demanded chunk streamed in and acknowledged,
+// demand cursors warm — a demand scan allocates nothing.
+func TestScanTerrainDemandZeroAlloc(t *testing.T) {
+	loop := sim.NewLoop(9)
+	s := NewServer(loop, Config{WorldType: "flat", ViewDistance: 64})
+	for i := 0; i < 100; i++ {
+		s.ConnectAt(fmt.Sprintf("p%d", i), nil, float64((i%10)*24-108), float64(i/10*24-108))
+	}
+	s.Start()
+	runFor(loop, 30*time.Second)
+	s.ScanTerrainDemand()
+	if got := testing.AllocsPerRun(100, s.ScanTerrainDemand); got != 0 {
+		t.Fatalf("settled demand scan: %v allocs per scan, want 0", got)
+	}
+}
+
+// TestSteadyTickZeroAlloc: a whole tick of a settled server — 50 idle
+// players whose terrain has fully streamed in and whose send queues have
+// drained — allocates nothing: demand-cursor skips, reused scan buffers,
+// the recycled tick event, the head-indexed send queues.
+func TestSteadyTickZeroAlloc(t *testing.T) {
+	loop := sim.NewLoop(5)
+	s := NewServer(loop, Config{WorldType: "flat", ViewDistance: 64})
+	for i := 0; i < 50; i++ {
+		s.ConnectAt(fmt.Sprintf("p%d", i), nil, float64((i%10)*12-54), float64(i/10*12-24))
+	}
+	s.Start()
+	runFor(loop, 30*time.Second)
+	before := s.Tick()
+	const ticks = 100
+	got := testing.AllocsPerRun(ticks, func() { runFor(loop, DefaultTickInterval) })
+	if ran := s.Tick() - before; ran != ticks+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("measured window ran %d ticks, want %d", ran, ticks+1)
+	}
+	if got != 0 {
+		t.Fatalf("steady-state tick: %v allocs per tick, want 0", got)
+	}
+}
+
 // TestPhaseLockRealignsOverlongTicks checks the re-phase-locking
 // arithmetic: with a modelled tick cost above the tick interval, a
 // phase-locked server keeps every tick on the global TickInterval grid,

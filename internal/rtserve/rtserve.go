@@ -11,7 +11,6 @@ package rtserve
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 	"net"
 	"sync"
@@ -400,8 +399,3 @@ func (c *Client) Position(id int64) (x, z float64, ok bool) {
 
 // Close terminates the connection.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// LogfVia adapts the standard logger for Config.Logf.
-func LogfVia(l *log.Logger) func(string, ...any) {
-	return func(format string, args ...any) { l.Printf(format, args...) }
-}

@@ -148,14 +148,6 @@ type Runner struct {
 	// the zero-loss invariant scale and failover scenarios assert on.
 	joins, leaves int
 
-	// botSeconds integrates concurrency over the measured window (one
-	// virtual-second samples), and wall is the wall-clock time the window
-	// took to simulate: together the engine's throughput, bots simulated
-	// per wall-second. The sampler only reads the session count, so the
-	// virtual run stays deterministic.
-	botSeconds float64
-	wall       time.Duration
-
 	// windowGen counts the chaos windows opened per injector slot
 	// (Event.slot), so a window's end can tell whether it was replaced.
 	windowGen map[string]int
@@ -339,16 +331,6 @@ func (r *Runner) sampleViewMargin() {
 	r.viewSeries.Add(r.loop.Now(), time.Duration(margin))
 	if r.loop.Now() < r.t0+r.spec.Duration.D() {
 		r.loop.After(time.Second, r.sampleViewMargin)
-	}
-}
-
-// sampleBotSeconds accumulates one virtual second of every live session
-// into the bot-seconds integral, once per second over the measured
-// window.
-func (r *Runner) sampleBotSeconds() {
-	r.botSeconds += float64(r.front.count())
-	if r.loop.Now() < r.t0+r.spec.Duration.D() {
-		r.loop.After(time.Second, r.sampleBotSeconds)
 	}
 }
 
@@ -558,10 +540,7 @@ func (r *Runner) run() *Report {
 		cl.HandoffLatency = metrics.NewSample(4096)
 	}
 	r.logf("warm-up complete; measuring")
-	r.loop.After(time.Second, r.sampleBotSeconds)
-	wallStart := time.Now()
 	r.loop.RunUntil(r.t0 + spec.Duration.D())
-	r.wall = time.Since(wallStart)
 	r.front.stop()
 	ticks := 0
 	for _, sh := range r.sys.Shards {
@@ -603,7 +582,7 @@ func (r *Runner) windowImbalance(from, to time.Duration) float64 {
 // deterministic report.
 func (r *Runner) collect() *Report {
 	spec := r.spec
-	rep := &Report{Name: spec.Name, Virtual: spec.Duration.D(), Pass: true, Wall: r.wall, BotSeconds: r.botSeconds}
+	rep := &Report{Name: spec.Name, Virtual: spec.Duration.D(), Pass: true}
 	for i, sh := range r.sys.Shards {
 		times, durs := sh.Server.TickSeries.Points()
 		series := ShardSeries{Shard: i, Ticks: make([]TickPoint, len(times))}

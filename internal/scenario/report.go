@@ -97,14 +97,6 @@ type Report struct {
 	// emitter.
 	ScaleSeries []ScalePoint
 	ScaleEvents []ScaleEventRow
-	// Wall is the wall-clock time the measured window took to simulate,
-	// and BotSeconds the bot-seconds of simulation it advanced (the
-	// concurrency integrated over virtual time). BotSeconds/Wall.Seconds()
-	// is the engine's throughput: bots simulated per wall-second. Neither
-	// field is rendered — Wall is nondeterministic, and the replay gates
-	// compare rendered reports.
-	Wall       time.Duration
-	BotSeconds float64
 }
 
 // fmtVal renders a metric value deterministically: integral values without

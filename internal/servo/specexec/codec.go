@@ -114,6 +114,11 @@ func DecodeReply(buf []byte) (Reply, error) {
 	off += 9
 	n := int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
+	// Every state costs at least its 4-byte length prefix, so a count the
+	// remaining bytes cannot hold is refused before it sizes an allocation.
+	if n > (len(buf)-off)/4 {
+		return Reply{}, errTruncated
+	}
 	r.States = make([]sc.StateVector, 0, n)
 	for i := 0; i < n; i++ {
 		if len(buf) < off+4 {

@@ -1,6 +1,7 @@
 package specexec
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -314,6 +315,25 @@ func TestCodecRejectsTruncated(t *testing.T) {
 	full := EncodeReply(Reply{States: []sc.StateVector{{1, 2, 3, 4}}})
 	if _, err := DecodeReply(full[:len(full)-2]); err == nil {
 		t.Fatal("DecodeReply accepted truncated states")
+	}
+}
+
+// TestDecodeReplyRefusesOversizedCount: a reply whose state count exceeds
+// what its bytes can hold is a truncation error, decided before the count
+// sizes an allocation: unchecked, this 37-byte reply asks for a
+// 4-billion-element slice, and out-of-memory is not recoverable.
+func TestDecodeReplyRefusesOversizedCount(t *testing.T) {
+	buf := make([]byte, 37) // header, no loop, then the count
+	copy(buf[33:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeReply(buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("reply claiming 2^32-1 states in 0 bytes decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Fatalf("refusing the reply allocated %d bytes", got)
 	}
 }
 

@@ -249,9 +249,6 @@ func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 	c.remote.PutDurablyThen(Key(pos), data, done)
 }
 
-// LocalLen returns the number of locally cached chunks.
-func (c *Cache) LocalLen() int { return len(c.local) }
-
 // DirtyLen returns the number of chunks awaiting write-back.
 func (c *Cache) DirtyLen() int { return len(c.dirty) }
 

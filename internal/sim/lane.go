@@ -196,20 +196,6 @@ func (l *Loop) SetWorkers(n int) {
 // Workers returns the configured pool size.
 func (l *Loop) Workers() int { return l.workers }
 
-// AtLane schedules fn at absolute time t on the given lane (0 = serial).
-func (l *Loop) AtLane(lane int, t Time, fn func()) {
-	l.push(lane, t, fn)
-}
-
-// AfterLane schedules fn to run d after the current virtual time on the
-// given lane (0 = serial).
-func (l *Loop) AfterLane(lane int, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	l.push(lane, l.now+d, fn)
-}
-
 // BatchStats returns the accumulated work/span profile of StepBatch
 // execution since the last reset. It stays zero on a loop without lanes.
 func (l *Loop) BatchStats() BatchStats { return l.stats }

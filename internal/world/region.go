@@ -37,9 +37,6 @@ func (r Region) Contains(cp ChunkPos) bool {
 	return DefaultOwner(r.Topo, r.Shards, r.Topo.TileOf(cp)) == r.Index
 }
 
-// ContainsBlock reports whether the region owns the block position.
-func (r Region) ContainsBlock(b BlockPos) bool { return r.Contains(b.Chunk()) }
-
 // All reports whether the region covers the whole grid (single shard).
 func (r Region) All() bool {
 	if r.Table != nil {

@@ -446,29 +446,6 @@ func (i *Instance) Run(d time.Duration) {
 	time.Sleep(d)
 }
 
-// ParallelSpeedup returns the work/span ratio of the lane-batched
-// scheduler accumulated since the last ResetParallelStats: summed
-// callback work over the critical path the lane schedule could not
-// shorten (serial segments plus each wave's longest lane). It is the
-// parallelism the schedule exposes — the wall speedup an adequately
-// provisioned worker pool realises — independent of how many cores this
-// machine actually has. 1 when the instance runs serially (Workers 0 or
-// real time).
-func (i *Instance) ParallelSpeedup() float64 {
-	if i.loop == nil || i.loop.Workers() == 0 {
-		return 1
-	}
-	return i.loop.BatchStats().Speedup()
-}
-
-// ResetParallelStats zeroes the lane scheduler's accumulated work/span
-// statistics (no-op outside lane mode).
-func (i *Instance) ResetParallelStats() {
-	if i.loop != nil {
-		i.loop.ResetBatchStats()
-	}
-}
-
 // Now returns the instance's current (virtual or wall) time.
 func (i *Instance) Now() time.Duration {
 	if i.loop != nil {

@@ -238,7 +238,7 @@ func TestGridTopologyInstance(t *testing.T) {
 
 // TestVisibilityInstance: a sharded instance with visibility on mirrors
 // border avatars as ghosts on the neighbouring shard, and rtserve-facing
-// state (Server().Ghosts()) sees them.
+// state (Server().Ghost / EachGhost) sees them.
 func TestVisibilityInstance(t *testing.T) {
 	inst := NewInstance(Config{
 		Seed: 6, WorldType: "flat", Shards: 2,
