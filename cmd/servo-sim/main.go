@@ -195,7 +195,7 @@ func cmdRun(args []string) int {
 		}
 		if *autoscale && spec.Autoscale == nil {
 			// Default knobs; re-validated inside Run, so forcing autoscale
-			// onto a single-server spec errors out instead of no-opping.
+			// onto a one-shard spec errors out instead of no-opping.
 			spec.Autoscale = &scenario.AutoscaleSpec{}
 		}
 		var log io.Writer

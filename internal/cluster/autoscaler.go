@@ -159,6 +159,7 @@ func (c *Cluster) AddShard() int {
 	if c.stopped {
 		return -1
 	}
+	first := c.table.Shards() == 1
 	idx := c.table.Grow()
 	srv := c.build(idx, c.table.View(idx))
 	if idx < len(c.shards) {
@@ -184,6 +185,11 @@ func (c *Cluster) AddShard() int {
 	c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "scale-up", Shard: idx, Epoch: c.table.Epoch()})
 	if c.running {
 		srv.Start()
+		if first {
+			// The table's second slot: the first boundary to scan for
+			// (Start left the scan unarmed on a one-shard table).
+			c.clock.After(c.cfg.ScanInterval, c.scan)
+		}
 	}
 	return idx
 }

@@ -422,10 +422,10 @@ func (c *Cluster) Shards() []*mve.Server { return c.shards }
 // Shard returns shard i's server.
 func (c *Cluster) Shard(i int) *mve.Server { return c.shards[i] }
 
-// Start starts every shard's game loop, the boundary scan, and (when
-// enabled) the rebalance controller. A persisted ownership table is
-// adopted asynchronously, so a cluster restarting over an existing world
-// resumes its ownership history.
+// Start starts every shard's game loop, the boundary scan (given a second
+// shard), and (when enabled) the rebalance controller. A persisted
+// ownership table is adopted asynchronously, so a cluster restarting over
+// an existing world resumes its ownership history.
 func (c *Cluster) Start() {
 	if c.running {
 		return
@@ -444,7 +444,15 @@ func (c *Cluster) Start() {
 			}
 		})
 	}
-	c.clock.After(c.cfg.ScanInterval, c.scan)
+	// The boundary scan needs a boundary: it is armed once the table has
+	// a second shard slot — here, or by the AddShard that creates it.
+	// Armed on a one-shard table it found nothing and still cost the
+	// ledger: one 50 ms slice in five gained a scan event, moving
+	// `revisit` action_to_update_ms_p50 (an idle-slice median) +33 %,
+	// `town` alloc_mb_per_vsec +4.2 % and vsec_per_wallsec −1 to −2 %.
+	if c.table.Shards() > 1 {
+		c.clock.After(c.cfg.ScanInterval, c.scan)
+	}
 	c.lastRateAt = c.clock.Now()
 	c.noteShardsActive()
 	if c.reb.Enabled {
@@ -535,6 +543,31 @@ func (c *Cluster) drop(id PlayerID) {
 			break
 		}
 	}
+}
+
+// HandleOf finds the handle behind a shard-level session: by pointer
+// first, and by name as a fallback for sessions that moved shards since
+// the caller obtained the pointer (a handoff installs a fresh session
+// object). The name fallback only applies when exactly one handle bears
+// the name — with duplicates it returns nil rather than risk resolving
+// to a different player's session.
+func (c *Cluster) HandleOf(sess *mve.Player) *Player {
+	var byName *Player
+	nameMatches := 0
+	for _, id := range c.order {
+		h := c.players[id]
+		if c.Session(h) == sess {
+			return h
+		}
+		if h.Name == sess.Name {
+			byName = h
+			nameMatches++
+		}
+	}
+	if nameMatches == 1 {
+		return byName
+	}
+	return nil
 }
 
 // Players returns the live session handles in join order.

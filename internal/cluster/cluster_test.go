@@ -312,3 +312,42 @@ func TestHandoffDeterministicSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestOneShardClusterScansOnlyOnceGrown pins the one condition the
+// cluster keeps for a single shard: with one slot in the ownership table
+// there is no boundary, so Start schedules no boundary scan; the AddShard
+// that creates the second slot arms it, and a migration then hands the
+// resident off like on any cluster.
+func TestOneShardClusterScansOnlyOnceGrown(t *testing.T) {
+	loop, c := newTestCluster(t, 31, 1, Config{})
+	join := world.BlockPos{X: 0, Y: 0, Z: 8}
+	p := c.ConnectAt("walker", walker(1000, 8, 8), join)
+	before := loop.Pending()
+	c.Start()
+	if got := loop.Pending() - before; got != 1 {
+		t.Fatalf("Start on one shard scheduled %d events, want 1: the shard's tick and no boundary scan", got)
+	}
+	loop.RunUntil(150 * time.Second)
+	sess := c.Session(p)
+	if sess == nil || sess.X < 999 {
+		t.Fatalf("walker did not cover its 1000 blocks: %+v", sess)
+	}
+	if got := c.Handoffs.Value(); got != 0 {
+		t.Fatalf("handoffs on a one-shard cluster = %d, want 0", got)
+	}
+	if p.lastPos != join {
+		t.Fatalf("a boundary scan ran on a one-shard cluster (last scanned position %v)", p.lastPos)
+	}
+
+	idx := c.AddShard()
+	if idx != 1 {
+		t.Fatalf("AddShard = %d, want 1", idx)
+	}
+	if !c.MigrateTile(c.Table().TileOfBlock(sess.Pos()), idx) {
+		t.Fatal("migration to the added shard refused")
+	}
+	loop.RunUntil(loop.Now() + 30*time.Second)
+	if got := c.Handoffs.Value(); got != 1 || p.Shard() != idx {
+		t.Fatalf("after AddShard + MigrateTile: %d handoffs, player on shard %d; want 1 handoff onto shard %d", got, p.Shard(), idx)
+	}
+}

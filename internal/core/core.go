@@ -85,21 +85,22 @@ type Config struct {
 	// shard's store.
 	WrapStore func(mve.ChunkStore) mve.ChunkStore
 
-	// Shards > 1 assembles a region-sharded cluster: one mve.Server per
-	// shard over a single shared substrate (one FaaS platform with shared
-	// warm pools, one blob store), with cross-shard player handoff
-	// (internal/cluster). 0 or 1 builds the classic single server.
+	// Shards is the number of region shards the cluster boots (0 → 1):
+	// one mve.Server per shard over a single shared substrate (one FaaS
+	// platform with shared warm pools, one blob store), with cross-shard
+	// player handoff (internal/cluster). One shard is the paper's single
+	// game loop: a cluster whose only shard owns every tile.
 	Shards int
 	// Topology is the region tiling the cluster splits over its shards:
 	// nil → 1-D X bands of world.DefaultBandChunks columns (the
 	// compatibility default; world.BandTopology{BandChunks: n} picks
 	// another width); a world.GridTopology cuts chunk space along both
-	// axes. Only meaningful with Shards > 1.
+	// axes.
 	Topology world.Topology
 	// Rebalance enables the cluster controller's live tile rebalancing:
 	// when per-shard tick load drifts past RebalanceThreshold, tile
-	// ownership migrates from the hottest to the coldest shard. Only
-	// meaningful with Shards > 1.
+	// ownership migrates from the hottest to the coldest shard (idle
+	// while the cluster has one shard).
 	Rebalance bool
 	// RebalanceThreshold is the load_imbalance trigger
 	// (0 → cluster.DefaultRebalanceThreshold).
@@ -110,13 +111,13 @@ type Config struct {
 	// Autoscale configures the cluster's elastic shard-count policy
 	// subsystem: utilization-band scale-up/down over the per-tile cost
 	// signal with predictive spreading and crash-loop quarantine (zero
-	// value: disabled). Only meaningful with Shards > 1.
+	// value: disabled).
 	Autoscale cluster.AutoscaleConfig
 	// Visibility enables the cluster's interest-management layer:
 	// avatars within the border margin of a tile boundary replicate to
 	// the neighbouring shards as read-only ghost avatars, so players
-	// near a seam see one continuous world. Only meaningful with
-	// Shards > 1.
+	// near a seam see one continuous world (idle while the cluster has
+	// one shard).
 	Visibility bool
 	// VisibilityMargin is the border margin in blocks
 	// (0 → the view distance).
@@ -127,8 +128,8 @@ type Config struct {
 	// CheckpointInterval, when positive, periodically persists every
 	// session's snapshot through the shared store, so a shard failover
 	// restores inventory even for players the handoff path never
-	// persisted. Requires a storage backend; only meaningful with
-	// Shards > 1.
+	// persisted. Requires a storage backend and Shards > 1 (a one-shard
+	// boot has no failover to restore from).
 	CheckpointInterval time.Duration
 	// LogRetention caps the cluster's replay logs (handoffs, migrations,
 	// ghost events) at the most recent N records
@@ -174,22 +175,26 @@ type ShardComponents struct {
 	Pool *world.ChunkPool
 }
 
-// System is an assembled Servo (or baseline) instance: one shard by
-// default, N region shards behind a Cluster when Config.Shards > 1.
+// System is an assembled Servo (or baseline) instance: Config.Shards
+// region shards (one by default) behind a Cluster.
 type System struct {
-	// Server is shard 0's game loop — the only one in the unsharded
-	// case, which keeps every single-server caller working unchanged.
+	// Server is shard 0's game loop, Cluster.Shard(0) at boot.
+	// internal/experiment and examples/ drive a one-shard system through
+	// it directly; with SpecExec and TGBackend below it is also the
+	// surface the frozen benchmark/ harness reads, which ROADMAP item
+	// 1(a) retires in favour of Cluster and Shards[0].
 	Server   *mve.Server
 	Platform *faas.Platform
 
-	// Cluster routes players across shards (nil unless Shards > 1).
+	// Cluster starts, stops and routes players across the shards. Never
+	// nil.
 	Cluster *cluster.Cluster
 	// Shards lists every shard's components in shard order (always at
-	// least one entry; entry 0 mirrors the legacy top-level fields).
+	// least one entry).
 	Shards []*ShardComponents
 
 	// SpecExec is shard 0's speculative execution unit (nil unless
-	// ServerlessSC).
+	// ServerlessSC): Shards[0].SpecExec, kept for the frozen harness.
 	SpecExec *specexec.Manager
 	// SCFn and TGFn are the deployed functions (nil if unused), shared by
 	// every shard.
@@ -200,17 +205,16 @@ type System struct {
 	// ServerlessTG).
 	TGHandlerStats *tgen.HandlerStats
 	// GenCache is the shared cross-shard generation dedup cache (nil
-	// unless sharded serverless terrain with dedup enabled).
+	// unless serverless terrain boots more than one shard with dedup
+	// enabled).
 	GenCache *tgen.GenCache
 	// TGBackend is shard 0's serverless terrain backend (nil unless
-	// ServerlessTG).
+	// ServerlessTG): Shards[0].TGBackend, kept for the frozen harness.
 	TGBackend *tgen.Backend
 
-	// Remote is the shared object store; Cache and RStore are shard 0's
-	// storage stack (nil unless a store is configured).
+	// Remote is the shared object store (nil unless a store is
+	// configured).
 	Remote *blob.Store
-	Cache  *tcache.Cache
-	RStore *rstore.Store
 }
 
 // DefaultSCFnConfig returns the construct-simulation function
@@ -245,11 +249,11 @@ func DefaultTGFnConfig() faas.Config {
 
 // New assembles a system on the clock. With all serverless toggles off it
 // builds a pure baseline server (profile-dependent), which is how the
-// experiment harness constructs Opencraft and Minecraft. With Shards > 1
-// it builds one server per region shard over a single shared substrate:
-// functions (and their warm pools) are registered once on one platform,
-// every shard's cache flushes into the same blob store, and a Cluster
-// routes players between shards.
+// experiment harness constructs Opencraft and Minecraft. Every system is
+// assembled the same way: one server per region shard over a single
+// shared substrate — functions (and their warm pools) are registered once
+// on one platform, every shard's cache flushes into the same blob store —
+// behind a Cluster that starts, stops and routes players between them.
 func New(clock sim.Clock, cfg Config) *System {
 	sys := &System{}
 	profile := cfg.Profile
@@ -260,6 +264,11 @@ func New(clock sim.Clock, cfg Config) *System {
 	if shardCount < 1 {
 		shardCount = 1
 	}
+	// neighbours is what a one-shard boot lacks, and the only thing this
+	// assembly branches on: with no second shard there is no home tile
+	// apart from spawn to boot, no seam chunk a neighbour could have
+	// generated first, and nobody to hand off or fail over to.
+	neighbours := shardCount > 1
 	if cfg.ServerlessSC || cfg.ServerlessTG {
 		sys.Platform = faas.NewPlatform(clock)
 	}
@@ -277,7 +286,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 		sys.TGHandlerStats = &tgen.HandlerStats{}
 		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
-		if shardCount > 1 && !cfg.DisableGenDedup {
+		if neighbours && !cfg.DisableGenDedup {
 			sys.GenCache = tgen.NewGenCache(0)
 		}
 	}
@@ -332,11 +341,12 @@ func New(clock sim.Clock, cfg Config) *System {
 			Region:       region,
 			PhaseLock:    cfg.PhaseLock,
 		}
-		if shardCount > 1 {
+		if neighbours {
 			// Boot both spawn and the center of the shard's own home tile
 			// (the middle of its space-filling run on finite topologies),
 			// so shard-aware fleet placement does not open with a
-			// generation storm.
+			// generation storm. One shard boots spawn alone: a second
+			// boot centre changes what is loaded before the first tick.
 			home := topo.Center(world.HomeTile(topo, shardCount, i))
 			srvCfg.BootCenters = []world.BlockPos{{}, home}
 		}
@@ -393,47 +403,46 @@ func New(clock sim.Clock, cfg Config) *System {
 		return shard.Server
 	}
 
-	if shardCount == 1 {
-		buildShard(0, world.Region{})
-	} else {
-		clCfg := cluster.Config{
-			Shards:   shardCount,
-			Topology: topo,
-			Rebalance: cluster.RebalanceConfig{
-				Enabled:   cfg.Rebalance,
-				Threshold: cfg.RebalanceThreshold,
-				Interval:  cfg.RebalanceInterval,
-			},
-			Visibility: cluster.VisibilityConfig{
-				Enabled:  cfg.Visibility,
-				Margin:   cfg.VisibilityMargin,
-				Interval: cfg.VisibilityInterval,
-			},
-			Autoscale:    cfg.Autoscale,
-			LogRetention: cfg.LogRetention,
-			// A retired shard's flusher stops like a failed shard's: the
-			// drain already flushed everything it owned.
-			OnRetire: func(i int) {
-				if i < len(sys.Shards) {
-					if ca := sys.Shards[i].Cache; ca != nil {
-						ca.StopFlusher()
-					}
+	clCfg := cluster.Config{
+		Shards:   shardCount,
+		Topology: topo,
+		Rebalance: cluster.RebalanceConfig{
+			Enabled:   cfg.Rebalance,
+			Threshold: cfg.RebalanceThreshold,
+			Interval:  cfg.RebalanceInterval,
+		},
+		Visibility: cluster.VisibilityConfig{
+			Enabled:  cfg.Visibility,
+			Margin:   cfg.VisibilityMargin,
+			Interval: cfg.VisibilityInterval,
+		},
+		Autoscale:    cfg.Autoscale,
+		LogRetention: cfg.LogRetention,
+		// A retired shard's flusher stops like a failed shard's: the
+		// drain already flushed everything it owned.
+		OnRetire: func(i int) {
+			if i < len(sys.Shards) {
+				if ca := sys.Shards[i].Cache; ca != nil {
+					ca.StopFlusher()
 				}
-			},
-		}
-		if sys.Remote != nil {
-			clCfg.Transfer = &blobTransfer{remote: sys.Remote}
-			clCfg.TableStore = &blobTableStore{remote: sys.Remote}
-			clCfg.Checkpoint = cfg.CheckpointInterval
-		}
-		sys.Cluster = cluster.New(clock, clCfg, buildShard)
+			}
+		},
 	}
+	// A one-shard boot keeps handoff state, the ownership table and
+	// checkpoints in memory. Wiring TableStore anyway makes Cluster.Start
+	// read the table back (GetRetrying), and that read's latency draw
+	// shifts the shared clock RNG: the fig13-read-phase, storage-brownout
+	// and storage-flip reports re-hash.
+	if sys.Remote != nil && neighbours {
+		clCfg.Transfer = &blobTransfer{remote: sys.Remote}
+		clCfg.TableStore = &blobTableStore{remote: sys.Remote}
+		clCfg.Checkpoint = cfg.CheckpointInterval
+	}
+	sys.Cluster = cluster.New(clock, clCfg, buildShard)
 	s0 := sys.Shards[0]
 	sys.Server = s0.Server
 	sys.SpecExec = s0.SpecExec
 	sys.TGBackend = s0.TGBackend
-	sys.Cache = s0.Cache
-	sys.RStore = s0.RStore
 	return sys
 }
 
@@ -506,18 +515,15 @@ func (t *blobTableStore) LoadTable(cb func(data []byte, ok bool)) {
 // bounded by the flush interval), and the cluster crashes the loop,
 // reroutes the shard's tiles, and re-admits its players from their last
 // snapshots. Reports whether the failover ran (refused on the last alive
-// shard or an unsharded system).
+// shard).
 func (sys *System) FailShard(i int) bool {
-	if sys.Cluster == nil || i < 0 || i >= len(sys.Shards) || !sys.Cluster.Alive(i) {
-		return false
-	}
-	if sys.Cluster.Table().AliveCount() <= 1 {
+	if !sys.Cluster.FailShard(i) {
 		return false
 	}
 	if c := sys.Shards[i].Cache; c != nil {
 		c.StopFlusher()
 	}
-	return sys.Cluster.FailShard(i)
+	return true
 }
 
 // RecoverShard rebuilds a failed shard over the persisted world: the
@@ -525,9 +531,6 @@ func (sys *System) FailShard(i int) bool {
 // replacing the crashed entry in sys.Shards, and the shard's tiles revert
 // once the survivors' flushes land.
 func (sys *System) RecoverShard(i int) bool {
-	if sys.Cluster == nil {
-		return false
-	}
 	return sys.Cluster.RecoverShard(i)
 }
 

@@ -34,7 +34,7 @@ func TestFullServoAssembly(t *testing.T) {
 		ServerlessRS: true,
 	})
 	if sys.Platform == nil || sys.SpecExec == nil || sys.TGBackend == nil ||
-		sys.Cache == nil || sys.RStore == nil || sys.Remote == nil {
+		sys.Shards[0].Cache == nil || sys.Shards[0].RStore == nil || sys.Remote == nil {
 		t.Fatal("full Servo assembly is missing components")
 	}
 	if sys.SCFn == nil || sys.TGFn == nil {
@@ -113,7 +113,7 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 	p.X = 400 // teleport outside the preload; the scan demands new chunks
 	loop.RunUntil(90 * time.Second)
 	sysA.Server.Stop()
-	sysA.Cache.Flush()
+	sysA.Shards[0].Cache.Flush()
 	loop.RunUntil(loop.Now() + 10*time.Second)
 	if sysA.Remote.Len() == 0 {
 		t.Fatal("nothing persisted to remote storage")
@@ -194,6 +194,40 @@ func TestSCAdapterModifyPath(t *testing.T) {
 	sys.Server.SCs().Remove(id)
 	if sys.Server.SCs().Count() != 0 {
 		t.Fatal("Remove through the adapter failed")
+	}
+}
+
+// TestOneShardAssemblyIsACluster: Shards 0 and 1 take the same assembly
+// path as any other count and come out as a one-shard cluster whose
+// shard 0 is System.Server.
+func TestOneShardAssemblyIsACluster(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		sys := New(sim.NewLoop(8), Config{WorldType: "flat", Shards: shards})
+		if sys.Cluster == nil {
+			t.Fatalf("Shards=%d: no cluster assembled", shards)
+		}
+		if n := len(sys.Cluster.Shards()); n != 1 || len(sys.Shards) != 1 {
+			t.Fatalf("Shards=%d: %d cluster shards, %d component sets; want 1 and 1", shards, n, len(sys.Shards))
+		}
+		if sys.Cluster.Shard(0) != sys.Server {
+			t.Fatalf("Shards=%d: Cluster.Shard(0) is not System.Server", shards)
+		}
+		if !sys.Server.OwnedRegion().All() {
+			t.Fatalf("Shards=%d: the only shard owns %v, want everything", shards, sys.Server.OwnedRegion())
+		}
+	}
+}
+
+// TestOneShardStartReadsNothingFromStorage pins why a one-shard boot
+// keeps its ownership table in memory: a wired TableStore makes
+// Cluster.Start read the table back, and that read's latency draw moves
+// the shared clock RNG under every storage-backed one-shard report.
+func TestOneShardStartReadsNothingFromStorage(t *testing.T) {
+	sys := New(sim.NewLoop(8), Config{WorldType: "flat", ServerlessRS: true})
+	reads := sys.Remote.Reads.Value()
+	sys.Cluster.Start()
+	if got := sys.Remote.Reads.Value(); got != reads {
+		t.Fatalf("Cluster.Start on a one-shard system issued %d storage read(s)", got-reads)
 	}
 }
 

@@ -114,8 +114,8 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	sys.Server.Start()
 	loop.RunUntil(window)
 	sys.Server.Stop()
-	if sys.Cache != nil {
-		sys.Cache.Flush()
+	if ca := sys.Shards[0].Cache; ca != nil {
+		ca.Flush()
 	}
 	loop.RunUntil(loop.Now() + time.Minute)
 
@@ -131,7 +131,7 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 
 	switch cfg {
 	case StorageServerlessCache:
-		return &sys2.Cache.RetrievalLatency
+		return &sys2.Shards[0].Cache.RetrievalLatency
 	default:
 		probe := sys2.Server.Config().Store.(*storeLatencyProbe)
 		return probe.Latency

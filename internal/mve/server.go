@@ -87,8 +87,9 @@ type Config struct {
 	// MaxChunkSendsPerTick throttles per-player chunk serialisation
 	// (default 4, as real servers do).
 	MaxChunkSendsPerTick int
-	// Region is the slice of chunk space this server owns. The zero value
-	// owns everything (the unsharded single-server case). A sharded server
+	// Region is the slice of chunk space this server owns: a cluster
+	// shard's view of the ownership table, or the zero value, which owns
+	// everything (a bare server outside any cluster). A sharded server
 	// still loads ghost chunks outside its region when players near a
 	// boundary can see them, but only the owning shard persists a chunk,
 	// so N shards over one storage substrate never write the same key.
@@ -164,8 +165,8 @@ type Server struct {
 	nextGhost  int64
 
 	// Per-tile cost attribution: actions and chunk stores keyed by the
-	// region tile they happened in (nil topology — the unsharded case —
-	// disables attribution entirely).
+	// region tile they happened in (nil topology — a bare server with the
+	// zero Region, outside any cluster — disables attribution entirely).
 	tileTopo    world.Topology
 	tileActions map[world.TileID]int64
 	tileStores  map[world.TileID]int64
@@ -331,10 +332,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 	}
 	if cfg.Region.Table != nil {
 		s.tileTopo = cfg.Region.Table.Topology()
-	} else {
-		s.tileTopo = cfg.Region.Topo
-	}
-	if s.tileTopo != nil {
 		s.tileActions = make(map[world.TileID]int64)
 		s.tileStores = make(map[world.TileID]int64)
 	}
@@ -371,7 +368,7 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 }
 
 // OwnedRegion returns the slice of chunk space this server owns (the whole
-// grid for an unsharded server).
+// grid for a cluster's only shard, or a bare server).
 func (s *Server) OwnedRegion() world.Region { return s.cfg.Region }
 
 // owned reports whether this server is the persisting owner of the chunk.
@@ -386,7 +383,7 @@ type TileCost struct {
 }
 
 // TileCosts returns a copy of the per-tile attributed cost since boot
-// (empty for an unsharded server, which has no tiles).
+// (empty for a bare server outside any cluster, which has no tiles).
 func (s *Server) TileCosts() map[world.TileID]TileCost {
 	out := make(map[world.TileID]TileCost, len(s.tileActions))
 	for t, n := range s.tileActions {

@@ -109,7 +109,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 func TestRegionGatedPersistence(t *testing.T) {
 	loop := sim.NewLoop(3)
 	topo := world.BandTopology{BandChunks: 4}
-	region := world.StaticRegion(topo, 2, 0)
+	region := world.NewOwnershipTable(2, topo).View(0)
 	store := &recordingStore{stored: map[world.ChunkPos]bool{}}
 	s := NewServer(loop, Config{
 		WorldType:    "flat",

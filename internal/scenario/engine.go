@@ -34,87 +34,6 @@ const stormEvictPeriod = time.Second
 // the world over the populated store.
 const prewriteDrain = time.Minute
 
-// ref is a session handle valid on either frontend: the single server or
-// the sharded cluster.
-type ref struct {
-	p  *mve.Player
-	cp *cluster.Player
-}
-
-// front routes session operations to the system under test.
-type front struct{ sys *core.System }
-
-// connect joins a player at the placement (spawn is block (0, 0) on both
-// frontends).
-func (f front) connect(name string, b mve.Behavior, pl Placement) ref {
-	at := pl.resolve(f.sys.Cluster)
-	if cl := f.sys.Cluster; cl != nil {
-		return ref{cp: cl.ConnectAt(name, b, at)}
-	}
-	return ref{p: f.sys.Server.ConnectAt(name, b, float64(at.X), float64(at.Z))}
-}
-
-// disconnect ends a session, reporting whether it was still live (a
-// false return means the player had already vanished — the signal the
-// players_lost audit counts).
-func (f front) disconnect(r ref) bool {
-	if r.cp != nil {
-		return f.sys.Cluster.Disconnect(r.cp.ID)
-	}
-	return f.sys.Server.Disconnect(r.p.ID)
-}
-
-func (f front) count() int {
-	if cl := f.sys.Cluster; cl != nil {
-		return cl.PlayerCount()
-	}
-	return f.sys.Server.PlayerCount()
-}
-
-// newest returns the n most recently joined sessions.
-func (f front) newest(n int) []ref {
-	var all []ref
-	if cl := f.sys.Cluster; cl != nil {
-		for _, p := range cl.Players() {
-			all = append(all, ref{cp: p})
-		}
-	} else {
-		for _, p := range f.sys.Server.Players() {
-			all = append(all, ref{p: p})
-		}
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[len(all)-n:]
-}
-
-func (f front) start() {
-	if cl := f.sys.Cluster; cl != nil {
-		cl.Start()
-		return
-	}
-	f.sys.Server.Start()
-}
-
-func (f front) stop() {
-	if cl := f.sys.Cluster; cl != nil {
-		cl.Stop()
-		return
-	}
-	f.sys.Server.Stop()
-}
-
-// spawnConstruct activates a construct, routed by anchor region when
-// sharded.
-func (f front) spawnConstruct(c *sc.Construct, anchor world.BlockPos) {
-	if cl := f.sys.Cluster; cl != nil {
-		cl.SpawnConstruct(c, anchor)
-		return
-	}
-	f.sys.Server.SpawnConstruct(c, anchor)
-}
-
 // Runner executes one scenario on a fresh virtual-clock system.
 type Runner struct {
 	spec *Spec
@@ -122,7 +41,6 @@ type Runner struct {
 
 	loop     *sim.Loop
 	sys      *core.System
-	front    front
 	flip     *flipStore
 	localAlt *blob.Store // backing store of the flip's "local" side
 	// t0 is the virtual time the measured scenario starts: 0, or the end
@@ -303,11 +221,10 @@ func (r *Runner) build() {
 		}
 	}
 	r.sys = core.New(r.loop, cfg)
-	r.front = front{sys: r.sys}
 	for _, g := range spec.Constructs {
 		r.placeConstructs(g.Count, g.Blocks)
 	}
-	r.front.start()
+	r.sys.Cluster.Start()
 	for _, a := range spec.Assertions {
 		if a.Metric == viewMargin.name && a.Windowed() {
 			r.viewSeries = &metrics.TimeSeries{}
@@ -322,13 +239,7 @@ func (r *Runner) build() {
 // series behind windowed view_margin assertions — the Fig. 10 QoS
 // signal, observable over time instead of only at the end of the run.
 func (r *Runner) sampleViewMargin() {
-	margin := -1
-	for _, sh := range r.sys.Shards {
-		if vm := sh.Server.MinViewMargin(); margin < 0 || vm < margin {
-			margin = vm
-		}
-	}
-	r.viewSeries.Add(r.loop.Now(), time.Duration(margin))
+	r.viewSeries.Add(r.loop.Now(), time.Duration(minViewMargin(r)))
 	if r.loop.Now() < r.t0+r.spec.Duration.D() {
 		r.loop.After(time.Second, r.sampleViewMargin)
 	}
@@ -355,34 +266,34 @@ func (r *Runner) windowViewMargin(from, to time.Duration) float64 {
 func (r *Runner) runPrewrite(cfg core.Config) core.Config {
 	pw := r.spec.Prewrite
 	sys := core.New(r.loop, cfg)
-	f := front{sys: sys}
-	var refs []ref
+	cl := sys.Cluster
+	var all []*cluster.Player
 	for gi := range pw.Fleet {
 		g := pw.Fleet[gi]
 		gi := gi
-		var members []ref
+		var members []*cluster.Player
 		r.loop.At(g.JoinAt.D(), func() {
 			for i := 0; i < g.Count; i++ {
-				m := f.connect(fmt.Sprintf("pre%d-%d", gi, i), workload.ForName(g.Behavior), g.Placement)
+				m := cl.ConnectAt(fmt.Sprintf("pre%d-%d", gi, i), workload.ForName(g.Behavior), g.Placement.resolve(cl))
 				members = append(members, m)
-				refs = append(refs, m)
+				all = append(all, m)
 			}
 			r.logf("prewrite fleet[%d]: %d %q players joined", gi, g.Count, g.Behavior)
 		})
 		if g.LeaveAt != 0 {
 			r.loop.At(g.LeaveAt.D(), func() {
 				for _, m := range members {
-					f.disconnect(m)
+					cl.Disconnect(m.ID)
 				}
 			})
 		}
 	}
-	f.start()
+	cl.Start()
 	r.loop.RunUntil(pw.Duration.D())
-	for _, m := range refs {
-		f.disconnect(m) // persist player records
+	for _, m := range all {
+		cl.Disconnect(m.ID) // persist player records
 	}
-	f.stop()
+	cl.Stop()
 	for _, sh := range sys.Shards {
 		if sh.Cache != nil {
 			sh.Cache.Flush()
@@ -402,8 +313,7 @@ func (r *Runner) runPrewrite(cfg core.Config) core.Config {
 // placeConstructs activates count constructs of the given size on a grid
 // near spawn. The pitch adapts to the construct footprint and every wave
 // gets a fresh Z band, so construct storms never overlap earlier
-// placements. On a sharded system each construct lands on the shard
-// owning its anchor.
+// placements. Each construct lands on the shard owning its anchor.
 func (r *Runner) placeConstructs(count, blocks int) {
 	w, h := sc.BuildSized(blocks).Size()
 	pitchX, pitchZ := scSpacing, scSpacing
@@ -420,26 +330,28 @@ func (r *Runner) placeConstructs(count, blocks int) {
 	for i := 0; i < count; i++ {
 		x := (i%perRow)*pitchX - 105
 		z := r.scZ + (i/perRow)*pitchZ
-		r.front.spawnConstruct(sc.BuildSized(blocks), world.BlockPos{X: x, Y: 5, Z: z})
+		r.sys.Cluster.SpawnConstruct(sc.BuildSized(blocks), world.BlockPos{X: x, Y: 5, Z: z})
 	}
 	r.scZ += (count + perRow - 1) / perRow * pitchZ
 }
 
 // connect joins one player at the placement and tracks the concurrency
 // peak and the join audit.
-func (r *Runner) connect(name, behavior string, pl Placement) ref {
-	m := r.front.connect(name, workload.ForName(behavior), pl)
+func (r *Runner) connect(name, behavior string, pl Placement) *cluster.Player {
+	cl := r.sys.Cluster
+	m := cl.ConnectAt(name, workload.ForName(behavior), pl.resolve(cl))
 	r.joins++
-	if n := r.front.count(); n > r.peak {
+	if n := cl.PlayerCount(); n > r.peak {
 		r.peak = n
 	}
 	return m
 }
 
 // disconnect ends one measured session, counting confirmed leaves for
-// the players_lost audit.
-func (r *Runner) disconnect(m ref) {
-	if r.front.disconnect(m) {
+// the players_lost audit (a false Disconnect means the player had
+// already vanished — the signal the audit counts).
+func (r *Runner) disconnect(m *cluster.Player) {
+	if r.sys.Cluster.Disconnect(m.ID) {
 		r.leaves++
 	}
 }
@@ -451,7 +363,7 @@ func (r *Runner) schedule() {
 	for gi := range spec.Fleet {
 		g := spec.Fleet[gi]
 		gi := gi
-		var members []ref
+		var members []*cluster.Player
 		r.at(g.JoinAt.D(), func() {
 			for i := 0; i < g.Count; i++ {
 				members = append(members, r.connect(fmt.Sprintf("fleet%d-%d", gi, i), g.Behavior, g.Placement))
@@ -536,12 +448,10 @@ func (r *Runner) run() *Report {
 		// over the post-warm-up window only (boot reads excluded).
 		st.ReadLatency = metrics.Sample{}
 	}
-	if cl := r.sys.Cluster; cl != nil {
-		cl.HandoffLatency = metrics.NewSample(4096)
-	}
+	r.sys.Cluster.HandoffLatency = metrics.NewSample(4096)
 	r.logf("warm-up complete; measuring")
 	r.loop.RunUntil(r.t0 + spec.Duration.D())
-	r.front.stop()
+	r.sys.Cluster.Stop()
 	ticks := 0
 	for _, sh := range r.sys.Shards {
 		ticks += sh.Server.TickDurations.Len()
@@ -591,7 +501,10 @@ func (r *Runner) collect() *Report {
 		}
 		rep.Series = append(rep.Series, series)
 	}
-	if cl := r.sys.Cluster; cl != nil {
+	// The control-plane sections belong to scenarios that ask for more
+	// than one shard; a one-shard report carries none of them.
+	if needsCluster.has(spec) {
+		cl := r.sys.Cluster
 		for _, tl := range cl.TileLoads() {
 			rep.TileLoads = append(rep.TileLoads, TileLoadRow{
 				X: tl.Tile.X, Z: tl.Tile.Z, Owner: tl.Owner,

@@ -522,6 +522,32 @@ func TestRenderCSVStructure(t *testing.T) {
 	}
 }
 
+// TestOneShardReportHasNoControlPlaneRows: every system runs behind a
+// cluster, but a spec that does not ask for more than one shard reports
+// none of the cluster's control-plane sections — the rows are gated on
+// the spec, not on whether a cluster exists.
+func TestOneShardReportHasNoControlPlaneRows(t *testing.T) {
+	spec, err := Parse([]byte(`{
+		"name": "one-shard-inline",
+		"duration": "20s",
+		"warmup": "5s",
+		"fleet": [{"count": 3, "behavior": "R"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range strings.Split(rep.RenderCSVRows(), "\n") {
+		switch kind, _, _ := strings.Cut(l, ","); kind {
+		case "tile_load", "scale", "scale_event":
+			t.Fatalf("one-shard report carries a control-plane row: %q", l)
+		}
+	}
+}
+
 // TestCrossShardChatScenario: chatty players on a sharded cluster deliver
 // to the whole cluster, not one shard — the cluster-wide count must reach
 // every player (> per-shard population could ever explain).

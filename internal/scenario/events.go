@@ -291,7 +291,10 @@ func (r *Runner) flashCrowd(e Event) {
 }
 
 func (r *Runner) disconnectNewest(e Event) {
-	victims := r.front.newest(e.Count)
+	victims := r.sys.Cluster.Players() // join order: the newest are last
+	if e.Count < len(victims) {
+		victims = victims[len(victims)-e.Count:]
+	}
 	for _, m := range victims {
 		r.disconnect(m)
 	}

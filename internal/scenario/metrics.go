@@ -90,14 +90,14 @@ var metricTable = []metricDef{
 	{name: "tick_p99_ms", class: always, tick: tickPercentile(99)},
 	{name: "tick_max_ms", class: always, tick: func(t *metrics.Sample) float64 { return msOf(t.Max()) }},
 	{name: "tick_mean_ms", class: always, tick: func(t *metrics.Sample) float64 { return msOf(t.Mean()) }},
-	{name: "players_final", class: always, read: func(r *Runner) float64 { return float64(r.front.count()) }},
+	{name: "players_final", class: always, read: func(r *Runner) float64 { return float64(r.sys.Cluster.PlayerCount()) }},
 	{name: "players_peak", class: always, read: func(r *Runner) float64 { return float64(r.peak) }},
 	// The zero-loss audit: every join the harness made, minus confirmed
 	// leaves, minus whoever is still connected (0 = zero-loss). Positive
 	// means the system dropped sessions on the floor (e.g. during a drain
 	// or failover); a transient negative can occur when a disconnect raced
 	// an in-flight handoff that the run ended before settling.
-	{name: "players_lost", class: always, read: func(r *Runner) float64 { return float64(r.joins - r.leaves - r.front.count()) }},
+	{name: "players_lost", class: always, read: func(r *Runner) float64 { return float64(r.joins - r.leaves - r.sys.Cluster.PlayerCount()) }},
 	{name: "actions", class: always, delta: true, read: sumShards(func(sh *core.ShardComponents) int64 { return sh.Server.ActionCount.Value() })},
 	{name: "chats_delivered", class: always, delta: true, read: sumShards(func(sh *core.ShardComponents) int64 { return sh.Server.ChatsDelivered.Value() })}, // cluster-wide when sharded
 	{name: "chunks_applied", class: always, delta: true, read: sumShards(func(sh *core.ShardComponents) int64 { return sh.Server.ChunksApplied.Value() })},

@@ -64,8 +64,7 @@ func (p Placement) validate(s *Spec, ctx string) error {
 }
 
 // resolve turns the placement into the block position the player joins
-// at. cl is nil on an unsharded system, where validation admits only pos
-// and spawn.
+// at.
 func (p Placement) resolve(cl *cluster.Cluster) world.BlockPos {
 	switch {
 	case p.Shard != nil:

@@ -310,9 +310,10 @@ type Spec struct {
 	// Warmup is discarded before tick statistics and counter deltas are
 	// measured; 0 → min(10s, duration/5). Must be shorter than Duration.
 	Warmup Span `json:"warmup,omitempty"`
-	// Shards > 1 runs a region-sharded cluster: one server per shard over
-	// one shared serverless substrate, with cross-shard player handoff.
-	// 0 or 1 → the classic single server.
+	// Shards is the number of region shards the cluster boots (0 → 1):
+	// one server per shard over one shared serverless substrate, with
+	// cross-shard player handoff. The control-plane sections below, and
+	// the report rows and CSV sections about shards, need shards > 1.
 	Shards int `json:"shards,omitempty"`
 	// Topology selects the region tiling of a sharded cluster: 1-D X
 	// bands (the default) or a 2-D grid (requires shards > 1).

@@ -242,7 +242,7 @@ func (t *OwnershipTable) Overrides() []TileOverride {
 // View returns shard i's region backed by this live table: Contains
 // lookups follow every later migration and failover.
 func (t *OwnershipTable) View(i int) Region {
-	return Region{Topo: t.topo, Shards: t.shards, Index: i, Table: t}
+	return Region{Index: i, Table: t}
 }
 
 // ownershipMagicV2 heads the encoding, versioning the layout.

@@ -14,6 +14,8 @@ func TestRegionZeroValueOwnsEverything(t *testing.T) {
 	}
 }
 
+// Static here means a fresh table's default assignment, before any
+// migration: every chunk has exactly one owning view.
 func TestStaticRegionsDisjointAndComplete(t *testing.T) {
 	topos := []Topology{
 		BandTopology{BandChunks: 4},
@@ -21,12 +23,13 @@ func TestStaticRegionsDisjointAndComplete(t *testing.T) {
 	}
 	for _, topo := range topos {
 		shards := 3
+		table := NewOwnershipTable(shards, topo)
 		for x := -40; x <= 40; x += 3 {
 			for z := -40; z <= 40; z += 3 {
 				cp := ChunkPos{X: x, Z: z}
 				owners := 0
 				for i := 0; i < shards; i++ {
-					if StaticRegion(topo, shards, i).Contains(cp) {
+					if table.View(i).Contains(cp) {
 						owners++
 					}
 				}
@@ -40,7 +43,7 @@ func TestStaticRegionsDisjointAndComplete(t *testing.T) {
 
 func TestBandRegionIgnoresZ(t *testing.T) {
 	topo := BandTopology{BandChunks: 8}
-	r := StaticRegion(topo, 4, 1)
+	r := NewOwnershipTable(4, topo).View(1)
 	for z := -100; z <= 100; z += 50 {
 		if !r.Contains(ChunkPos{X: 9, Z: z}) {
 			t.Errorf("band region must own chunk (9,%d) regardless of Z", z)
@@ -52,9 +55,15 @@ func TestGridRegionSplitsZAxis(t *testing.T) {
 	// The motivating case for the tile rekey: a column of chunks spread
 	// along Z must NOT all land on one shard under a grid topology.
 	topo := GridTopology{TilesX: 4, TilesZ: 4, TileChunks: 4}
+	table := NewOwnershipTable(4, topo)
 	owners := make(map[int]bool)
 	for cz := 0; cz < 16; cz++ {
-		owners[DefaultOwner(topo, 4, topo.TileOf(ChunkPos{X: 0, Z: cz}))] = true
+		cp := ChunkPos{X: 0, Z: cz}
+		for i := 0; i < 4; i++ {
+			if table.View(i).Contains(cp) {
+				owners[i] = true
+			}
+		}
 	}
 	if len(owners) < 2 {
 		t.Fatalf("a Z-axis chunk column maps to %d shard(s), want several", len(owners))

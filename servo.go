@@ -24,7 +24,9 @@
 //
 // Instances run on a deterministic virtual clock by default (experiments
 // complete in milliseconds); pass RealTime to run against the wall clock
-// for interactive use (see cmd/servo-server).
+// for interactive use (see cmd/servo-server). Every instance is a cluster
+// of Config.Shards game loops — one by default, the paper's single
+// server — so the calls above are the same at every shard count.
 package servo
 
 import (
@@ -69,7 +71,7 @@ func AllServerless() Serverless {
 	return Serverless{Constructs: true, Terrain: true, Storage: true}
 }
 
-// TopologyConfig selects how a sharded instance tiles chunk space into
+// TopologyConfig selects how an instance tiles chunk space into
 // ownership regions (see internal/world: Topology).
 type TopologyConfig struct {
 	// Kind is "band" (contiguous 1-D bands along X, the compatibility
@@ -128,27 +130,27 @@ type Config struct {
 	Servo Serverless
 	// ViewDistance in blocks (0 → 128, the paper's default).
 	ViewDistance int
-	// Shards > 1 runs a region-sharded cluster: one game loop per shard
-	// over a single shared serverless substrate, with cross-shard player
-	// handoff when avatars cross region-tile boundaries. Session calls
-	// (Connect, Disconnect, SpawnConstruct) route through the cluster
-	// automatically; Cluster() exposes the router for handoff metrics.
+	// Shards is the number of region shards (0 → 1): one game loop per
+	// shard over a single shared serverless substrate, with cross-shard
+	// player handoff when avatars cross region-tile boundaries. Every
+	// instance is a cluster — one shard is the paper's single game loop —
+	// so session calls (Connect, Disconnect, SpawnConstruct) always route
+	// through it; Cluster() exposes the router for handoff metrics.
 	Shards int
-	// Topology selects the region tiling of a sharded instance: the
-	// zero value keeps the 1-D X bands of earlier releases; Kind "grid"
-	// cuts chunk space into 2-D tiles. Only meaningful with Shards > 1.
+	// Topology selects the region tiling: the zero value keeps the 1-D X
+	// bands of earlier releases; Kind "grid" cuts chunk space into 2-D
+	// tiles.
 	Topology TopologyConfig
 	// Rebalance enables the cluster controller's live tile rebalancing:
 	// region-tile ownership migrates from the hottest to the coldest
-	// shard when per-shard tick load drifts out of balance. Only
-	// meaningful with Shards > 1.
+	// shard when per-shard tick load drifts out of balance (idle while
+	// the cluster has one shard).
 	Rebalance bool
 	// Visibility enables cross-shard avatar visibility: players near a
 	// region-tile border see the neighbouring shard's avatars as
-	// read-only ghosts. Only meaningful with Shards > 1.
+	// read-only ghosts (idle while the cluster has one shard).
 	Visibility VisibilityConfig
-	// Autoscale enables the elastic shard-count policy subsystem. Only
-	// meaningful with Shards > 1.
+	// Autoscale enables the elastic shard-count policy subsystem.
 	Autoscale AutoscaleConfig
 	// RealTime runs the instance on the wall clock instead of virtual
 	// time. Run then blocks for real durations.
@@ -239,8 +241,8 @@ func (t TickStats) String() string {
 	return fmt.Sprintf("%s over50ms=%.2f%% qos=%v", t.Box, t.OverBudget*100, t.SupportsQoS)
 }
 
-// Instance is one running MVE world: a server plus its (optional)
-// serverless backend.
+// Instance is one running MVE world: a cluster of one or more shard
+// servers plus their (optional) serverless backend.
 type Instance struct {
 	cfg   Config
 	loop  *sim.Loop      // virtual-time driver (nil in real time)
@@ -293,21 +295,18 @@ func NewInstance(cfg Config) *Instance {
 		Workers:   cfg.Workers,
 		PhaseLock: cfg.PhaseLock,
 	})
-	if cl := inst.sys.Cluster; cl != nil {
-		cl.Start()
-	} else {
-		inst.sys.Server.Start()
-	}
+	inst.sys.Cluster.Start()
 	return inst
 }
 
-// Cluster exposes the cross-shard session router (nil unless the instance
-// was built with Shards > 1).
+// Cluster exposes the session router every instance runs behind (one
+// shard unless Config.Shards asks for more).
 func (i *Instance) Cluster() *cluster.Cluster { return i.sys.Cluster }
 
 // FailShard kills one shard's game loop: its tiles reroute to the
 // surviving shards and its players are re-admitted from their last
-// snapshots (sharded instances only). Reports whether the failover ran.
+// snapshots. Reports whether the failover ran (refused on the last alive
+// shard).
 func (i *Instance) FailShard(shard int) bool {
 	if i.rtc != nil {
 		i.rtc.Lock()
@@ -317,7 +316,7 @@ func (i *Instance) FailShard(shard int) bool {
 }
 
 // RecoverShard rebuilds a failed shard over the persisted world and
-// returns its tiles (sharded instances only).
+// returns its tiles.
 func (i *Instance) RecoverShard(shard int) bool {
 	if i.rtc != nil {
 		i.rtc.Lock()
@@ -326,31 +325,9 @@ func (i *Instance) RecoverShard(shard int) bool {
 	return i.sys.RecoverShard(shard)
 }
 
-// clusterHandle finds the cluster handle behind a session: by pointer
-// first, and by name as a fallback for sessions that moved shards since
-// the caller obtained the pointer (a handoff installs a fresh session
-// object). The name fallback only applies when exactly one handle bears
-// the name — with duplicates it returns nil rather than risk
-// disconnecting a different player's session.
-func (i *Instance) clusterHandle(p *Player) *cluster.Player {
-	var byName *cluster.Player
-	nameMatches := 0
-	for _, h := range i.sys.Cluster.Players() {
-		if i.sys.Cluster.Session(h) == p {
-			return h
-		}
-		if h.Name == p.Name {
-			byName = h
-			nameMatches++
-		}
-	}
-	if nameMatches == 1 {
-		return byName
-	}
-	return nil
-}
-
-// Server exposes the underlying game server for advanced use.
+// Server exposes shard 0's game server for advanced use — the whole
+// world on a one-shard instance. rtserve streams from it, and it is part
+// of the surface the frozen benchmark/ harness reads (ROADMAP item 1(a)).
 func (i *Instance) Server() *mve.Server { return i.sys.Server }
 
 // System exposes the assembled backend (FaaS platform, functions, storage
@@ -370,13 +347,11 @@ func (i *Instance) Connect(name string, b Behavior) *Player {
 	return i.connectBehavior(name, behavior)
 }
 
-// connectBehavior joins a session through the cluster router when the
-// instance is sharded (the caller holds the real-time lock if any).
+// connectBehavior joins a session through the cluster router (the caller
+// holds the real-time lock if any).
 func (i *Instance) connectBehavior(name string, b mve.Behavior) *Player {
-	if cl := i.sys.Cluster; cl != nil {
-		return cl.Session(cl.Connect(name, b))
-	}
-	return i.sys.Server.Connect(name, b)
+	cl := i.sys.Cluster
+	return cl.Session(cl.Connect(name, b))
 }
 
 // ConnectBehavior joins a player driven by a custom mve.Behavior
@@ -401,39 +376,33 @@ func (i *Instance) Locked(fn func()) {
 }
 
 // Disconnect removes a player, reporting whether a session was actually
-// removed. On a sharded instance the session handle is resolved through
-// the cluster (by pointer, then by unique name for sessions that moved
-// shards); false means the resolution failed — the player is already
-// gone, or the stale pointer's name is ambiguous (several sessions bear
-// it) and disconnecting any of them could hit the wrong player.
+// removed. The session handle is resolved through the cluster (by
+// pointer, then by unique name for sessions that moved shards; see
+// cluster.HandleOf); false means the resolution failed — the player is
+// already gone, or the stale pointer's name is ambiguous (several
+// sessions bear it) and disconnecting any of them could hit the wrong
+// player.
 func (i *Instance) Disconnect(p *Player) bool {
 	if i.rtc != nil {
 		i.rtc.Lock()
 		defer i.rtc.Unlock()
 	}
-	if cl := i.sys.Cluster; cl != nil {
-		h := i.clusterHandle(p)
-		if h == nil {
-			return false
-		}
-		return cl.Disconnect(h.ID)
+	h := i.sys.Cluster.HandleOf(p)
+	if h == nil {
+		return false
 	}
-	return i.sys.Server.Disconnect(p.ID)
+	return i.sys.Cluster.Disconnect(h.ID)
 }
 
-// SpawnConstruct activates a construct anchored at pos and returns its id.
-// On a sharded instance the construct lands on the shard owning its
-// anchor region.
+// SpawnConstruct activates a construct anchored at pos and returns its
+// id. The construct lands on the shard owning its anchor region.
 func (i *Instance) SpawnConstruct(c *Construct, pos Pos) uint64 {
 	if i.rtc != nil {
 		i.rtc.Lock()
 		defer i.rtc.Unlock()
 	}
-	if cl := i.sys.Cluster; cl != nil {
-		_, id := cl.SpawnConstruct(c, pos)
-		return id
-	}
-	return i.sys.Server.SpawnConstruct(c, pos)
+	_, id := i.sys.Cluster.SpawnConstruct(c, pos)
+	return id
 }
 
 // Run advances the instance by d: instantaneous in virtual time, blocking
@@ -456,21 +425,14 @@ func (i *Instance) Now() time.Duration {
 
 // Stop halts the game loop(s).
 func (i *Instance) Stop() {
-	stop := func() {
-		if cl := i.sys.Cluster; cl != nil {
-			cl.Stop()
-			return
-		}
-		i.sys.Server.Stop()
-	}
 	if i.rtc != nil {
 		i.rtc.Lock()
-		stop()
+		i.sys.Cluster.Stop()
 		i.rtc.Unlock()
 		i.rtc.Close()
 		return
 	}
-	stop()
+	i.sys.Cluster.Stop()
 }
 
 // TickStats summarises the tick-duration distribution so far, pooled

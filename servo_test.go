@@ -148,40 +148,44 @@ func TestShardedInstance(t *testing.T) {
 	}
 }
 
-// TestShardedDisconnectReportsNoOps pins the Disconnect contract on a
-// sharded instance: a stale session pointer resolves by unique name, but
-// with duplicate names the resolution must refuse (returning false)
-// rather than guess and disconnect a different player's session.
+// TestShardedDisconnectReportsNoOps pins the Disconnect contract, which
+// is the same at every shard count because every instance resolves
+// sessions through its cluster: a stale session pointer resolves by
+// unique name, but with duplicate names the resolution must refuse
+// (returning false) rather than guess and disconnect a different
+// player's session.
 func TestShardedDisconnectReportsNoOps(t *testing.T) {
-	inst := NewInstance(Config{Seed: 6, WorldType: "flat", Shards: 2})
-	defer inst.Stop()
-	p1 := inst.Connect("dup", BehaviorBounded)
-	if !inst.Disconnect(p1) {
-		t.Fatal("first disconnect failed")
-	}
-	if inst.Disconnect(p1) {
-		t.Fatal("repeated disconnect of the same session reported success")
-	}
-	// Two live sessions now share the name; the stale p1 pointer matches
-	// neither, and the name fallback is ambiguous — the disconnect must
-	// no-op (false) instead of killing one of them at random.
-	inst.Connect("dup", BehaviorBounded)
-	inst.Connect("dup", BehaviorBounded)
-	if inst.Disconnect(p1) {
-		t.Fatal("ambiguous stale disconnect reported success")
-	}
-	if n := inst.Cluster().PlayerCount(); n != 2 {
-		t.Fatalf("ambiguous stale disconnect removed a session: %d live, want 2", n)
-	}
-	// A stale pointer with exactly one name match still resolves: the
-	// handle behind the surviving name is the same player.
-	p2 := inst.Connect("solo", BehaviorBounded)
-	inst.Run(time.Second)
-	if !inst.Disconnect(p2) {
-		t.Fatal("unique-name disconnect failed")
-	}
-	if n := inst.Cluster().PlayerCount(); n != 2 {
-		t.Fatalf("player count = %d after disconnecting solo, want 2", n)
+	for _, shards := range []int{2, 1} {
+		inst := NewInstance(Config{Seed: 6, WorldType: "flat", Shards: shards})
+		p1 := inst.Connect("dup", BehaviorBounded)
+		if !inst.Disconnect(p1) {
+			t.Fatalf("shards=%d: first disconnect failed", shards)
+		}
+		if inst.Disconnect(p1) {
+			t.Fatalf("shards=%d: repeated disconnect of the same session reported success", shards)
+		}
+		// Two live sessions now share the name; the stale p1 pointer matches
+		// neither, and the name fallback is ambiguous — the disconnect must
+		// no-op (false) instead of killing one of them at random.
+		inst.Connect("dup", BehaviorBounded)
+		inst.Connect("dup", BehaviorBounded)
+		if inst.Disconnect(p1) {
+			t.Fatalf("shards=%d: ambiguous stale disconnect reported success", shards)
+		}
+		if n := inst.Cluster().PlayerCount(); n != 2 {
+			t.Fatalf("shards=%d: ambiguous stale disconnect removed a session: %d live, want 2", shards, n)
+		}
+		// A stale pointer with exactly one name match still resolves: the
+		// handle behind the surviving name is the same player.
+		p2 := inst.Connect("solo", BehaviorBounded)
+		inst.Run(time.Second)
+		if !inst.Disconnect(p2) {
+			t.Fatalf("shards=%d: unique-name disconnect failed", shards)
+		}
+		if n := inst.Cluster().PlayerCount(); n != 2 {
+			t.Fatalf("shards=%d: player count = %d after disconnecting solo, want 2", shards, n)
+		}
+		inst.Stop()
 	}
 }
 
