@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke replaygate paritygate parity-update workersgate
+.PHONY: ci vet fmtcheck nofork loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update workersgate
 
-ci: vet fmtcheck nofork build benchcheck benchtest race clusterrace fuzzsmoke replaygate paritygate workersgate benchsmoke
+ci: vet fmtcheck nofork build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +77,24 @@ fuzzsmoke:
 		echo "fuzz $$pkg $$name"; \
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x $$pkg || exit 1; \
 	done
+
+# rtsmoke drives the wall-clock product end to end from its own CLIs:
+# servo-server on a free loopback port, four servo-bot clients for three
+# seconds. It fails if either exits non-zero, if no state update arrived,
+# or if no move was timed to its visible effect; it prints the
+# action→update latency the bots felt and does not gate on it (wall-clock
+# numbers are the ledger's, see benchmark/).
+rtsmoke:
+	@set -e; dir="$$(mktemp -d)"; pid=; trap 'test -z "$$pid" || kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/servo-server" ./cmd/servo-server; \
+	$(GO) build -o "$$dir/servo-bot" ./cmd/servo-bot; \
+	"$$dir/servo-server" -addr 127.0.0.1:0 -world flat 2>"$$dir/server.log" & pid=$$!; \
+	for i in $$(seq 50); do addr="$$(sed -n 's/.* on \(127\.0\.0\.1:[0-9]*\) .*/\1/p' "$$dir/server.log")"; test -n "$$addr" && break; sleep 0.1; done; \
+	test -n "$$addr" || { echo "rtsmoke: servo-server did not start"; cat "$$dir/server.log"; exit 1; }; \
+	"$$dir/servo-bot" -addr "$$addr" -n 4 -behavior star -speed 8 -duration 3s | tee "$$dir/bot.out"; \
+	kill -INT $$pid; wait $$pid; pid=; grep 'shutting down' "$$dir/server.log"; \
+	grep -Eq 'received [1-9][0-9]* state updates' "$$dir/bot.out" || { echo "rtsmoke: no state updates"; exit 1; }; \
+	grep -Eq 'ms \([1-9][0-9]*\)$$' "$$dir/bot.out" || { echo "rtsmoke: no move was timed"; exit 1; }
 
 # replaygate runs every bundled scenario twice and fails on any report
 # byte difference: the determinism contract, enforced over the whole

@@ -16,10 +16,12 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"servo/internal/metrics"
 	"servo/internal/netproto"
 )
 
@@ -32,22 +34,74 @@ func main() {
 	flag.Parse()
 
 	var wg sync.WaitGroup
-	var updates, chunks int64
-	for i := 0; i < *n; i++ {
+	var updates, chunks, failed int64
+	bots := make([]*bot, *n)
+	for i := range bots {
+		bots[i] = &bot{id: i, updates: &updates, chunks: &chunks}
 		wg.Add(1)
-		go func(id int) {
+		go func(b *bot) {
 			defer wg.Done()
-			if err := runBot(id, *addr, *behavior, *speed, *duration, &updates, &chunks); err != nil {
-				log.Printf("bot-%d: %v", id, err)
+			if err := b.run(*addr, *behavior, *speed, *duration); err != nil {
+				log.Printf("bot-%d: %v", b.id, err)
+				atomic.AddInt64(&failed, 1)
 			}
-		}(i)
+		}(bots[i])
 	}
 	wg.Wait()
-	fmt.Printf("servo-bot: %d bots done; received %d state updates, %d chunks\n",
-		*n, atomic.LoadInt64(&updates), atomic.LoadInt64(&chunks))
+	// What a player feels: from sending a move to the first state update
+	// that shows the avatar displaced.
+	felt := metrics.NewSample(0)
+	for _, b := range bots {
+		felt.AddAll(b.felt)
+	}
+	fmt.Printf("servo-bot: %d bots done; received %d state updates, %d chunks; action→update p50/p95 %.1f/%.1f ms (%d)\n",
+		*n, atomic.LoadInt64(&updates), atomic.LoadInt64(&chunks),
+		ms(felt.Percentile(50)), ms(felt.Percentile(95)), felt.Len())
+	if failed > 0 {
+		os.Exit(1)
+	}
 }
 
-func runBot(id int, addr, behavior string, speed float64, d time.Duration, updates, chunks *int64) error {
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// bot is one connection. The reader goroutine and the action loop share
+// the avatar's last seen position and the move being timed under mu.
+type bot struct {
+	id              int
+	updates, chunks *int64
+
+	mu           sync.Mutex
+	x, z         float64 // the avatar in the last state update
+	atRest       bool    // the last two updates showed it in the same place
+	timing       bool    // a move is in flight whose effect has not been seen
+	sentAt       time.Time
+	fromX, fromZ float64
+	felt         []time.Duration
+}
+
+// observe takes the avatar's position from one state update.
+func (b *bot) observe(x, z float64, at time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.timing && math.Hypot(x-b.fromX, z-b.fromZ) > 1e-3 {
+		b.felt = append(b.felt, at.Sub(b.sentAt))
+		b.timing = false
+	}
+	b.atRest = x == b.x && z == b.z
+	b.x, b.z = x, z
+}
+
+// sendingMove starts timing a move about to be sent. Only a move from
+// rest is timed: an avatar still walking is displaced by the next update
+// whatever the server did with the new move.
+func (b *bot) sendingMove() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.timing = b.atRest
+	b.sentAt, b.fromX, b.fromZ = time.Now(), b.x, b.z
+}
+
+func (b *bot) run(addr, behavior string, speed float64, d time.Duration) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("dial: %w", err)
@@ -55,14 +109,22 @@ func runBot(id int, addr, behavior string, speed float64, d time.Duration, updat
 	defer conn.Close()
 
 	if err := netproto.Write(conn, netproto.Message{
-		Type: netproto.MsgJoin, Name: fmt.Sprintf("bot-%d", id),
+		Type: netproto.MsgJoin, Name: fmt.Sprintf("bot-%d", b.id),
 	}); err != nil {
 		return err
 	}
+	r := netproto.NewReader(conn)
+	welcome, err := r.Next()
+	if err != nil || welcome.Type != netproto.MsgWelcome {
+		return fmt.Errorf("no welcome (got %v, %v)", welcome.Type, err)
+	}
 
-	// Reader goroutine: count what the server streams to us.
+	// Reader goroutine: count what the server streams to us and follow our
+	// own avatar. seen is closed at the second sighting, when the bot
+	// knows where it stands and that it stands still.
+	seen := make(chan struct{})
 	go func() {
-		r := netproto.NewReader(conn)
+		sightings := 0
 		for {
 			m, err := r.Next()
 			if err != nil {
@@ -70,16 +132,30 @@ func runBot(id int, addr, behavior string, speed float64, d time.Duration, updat
 			}
 			switch m.Type {
 			case netproto.MsgStateUpdate:
-				atomic.AddInt64(updates, 1)
+				atomic.AddInt64(b.updates, 1)
+				for _, a := range m.Avatars {
+					if a.ID == welcome.PlayerID {
+						b.observe(a.X, a.Z, time.Now())
+						if sightings++; sightings == 2 {
+							close(seen)
+						}
+						break
+					}
+				}
 			case netproto.MsgChunkData:
-				atomic.AddInt64(chunks, 1)
+				atomic.AddInt64(b.chunks, 1)
 			}
 		}
 	}()
+	select {
+	case <-seen:
+	case <-time.After(5 * time.Second):
+		return fmt.Errorf("no state update showing the bot's avatar within 5 s of joining")
+	}
 
-	rng := rand.New(rand.NewSource(int64(id) + 1))
+	rng := rand.New(rand.NewSource(int64(b.id) + 1))
 	deadline := time.Now().Add(d)
-	angle := 2 * math.Pi * float64(id%16) / 16
+	angle := 2 * math.Pi * float64(b.id%16) / 16
 	var x, z float64
 	for time.Now().Before(deadline) {
 		var msg netproto.Message
@@ -89,7 +165,7 @@ func runBot(id int, addr, behavior string, speed float64, d time.Duration, updat
 			z += math.Sin(angle) * speed
 			msg = netproto.Message{Type: netproto.MsgMove, DestX: x, DestZ: z, Speed: speed}
 		case "idle":
-			msg = netproto.Message{Type: netproto.MsgPing, Nonce: uint64(id)}
+			msg = netproto.Message{Type: netproto.MsgPing, Nonce: uint64(b.id)}
 		default: // random: rough Table II mix
 			switch roll := rng.Float64(); {
 			case roll < 0.4:
@@ -108,6 +184,9 @@ func runBot(id int, addr, behavior string, speed float64, d time.Duration, updat
 			default:
 				msg = netproto.Message{Type: netproto.MsgSetInventory, Item: uint8(rng.Intn(36))}
 			}
+		}
+		if msg.Type == netproto.MsgMove {
+			b.sendingMove()
 		}
 		if err := netproto.Write(conn, msg); err != nil {
 			return err

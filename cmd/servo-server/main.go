@@ -65,5 +65,5 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	log.Printf("servo-server: shutting down; %s", inst.TickStats())
+	log.Printf("servo-server: shutting down; %s; %+v", inst.TickStats(), srv.Stats())
 }

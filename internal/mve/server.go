@@ -225,10 +225,18 @@ type Server struct {
 	// tickFn is the stored tickOnce method value; rescheduling through it
 	// avoids a closure allocation every tick.
 	tickFn func()
+	// commitHook, when set, is the last thing a tick commits (see
+	// SetCommitHook).
+	commitHook func()
 
 	tick    uint64
 	running bool
 	stopped bool
+	// dueAt is when the running tick was due: the loop's timetable. On the
+	// virtual clock a tick runs at the instant it is due; on the wall clock
+	// it runs late by timer slack, lock wait and its own work, and the next
+	// timer is shortened by that much so the period stays TickInterval.
+	dueAt sim.Time
 
 	// chatRelay, when set, fans chat messages out beyond this server
 	// (cluster-wide delivery); it returns the number of recipients for
@@ -449,8 +457,17 @@ func (s *Server) Start() {
 		return
 	}
 	s.running = true
+	s.dueAt = s.clock.Now() + s.cfg.TickInterval
 	s.clock.After(s.cfg.TickInterval, s.tickFn)
 }
+
+// SetCommitHook installs fn to run once per tick, last, through
+// sim.Commit: inline at the end of the tick on a plain or wall clock, in
+// the serial post-wave drain (after the tick's own store and observer
+// commits) on a lane clock. It is how the network layer learns that a
+// tick's effects are visible. There is one slot; nil removes the hook, and
+// a server without one schedules and draws nothing extra.
+func (s *Server) SetCommitHook(fn func()) { s.commitHook = fn }
 
 // Stop halts the game loop after the current tick.
 func (s *Server) Stop() { s.stopped = true }
@@ -666,26 +683,34 @@ func (s *Server) tickOnce() {
 	if rng.Float64() < tailP {
 		d = time.Duration(float64(d) * (1 + rng.Float64()*(s.cost.TailScale-1)))
 	}
+	now := s.clock.Now()
 	s.TickDurations.Add(d)
-	s.TickSeries.Add(s.clock.Now(), d)
+	s.TickSeries.Add(now, d)
 
-	// 6. Next tick: at the fixed rate, or immediately after an overlong
-	// tick (an overloaded server ticks back to back). With PhaseLock the
-	// overlong reschedule snaps forward to the next global TickInterval
-	// boundary, so shards that fell behind re-join the cluster-wide wave
-	// instead of drifting off-phase forever.
-	next := s.cfg.TickInterval
-	if d > next {
-		next = d
+	// 6. Next tick: on the timetable — one TickInterval after this tick
+	// was due, however late it ran — or, after an overlong tick (an
+	// overloaded server ticks back to back), d from now. With PhaseLock
+	// the overlong reschedule snaps forward to the next global
+	// TickInterval boundary, so shards that fell behind re-join the
+	// cluster-wide wave instead of drifting off-phase forever. An overlong
+	// tick, or one a whole period late, re-bases the timetable on the
+	// clock: there is no catch-up burst.
+	due := s.dueAt + s.cfg.TickInterval
+	if d > s.cfg.TickInterval {
+		due = now + d
 		if s.cfg.PhaseLock {
-			target := s.clock.Now() + d
-			if rem := target % s.cfg.TickInterval; rem != 0 {
-				target += s.cfg.TickInterval - rem
+			if rem := due % s.cfg.TickInterval; rem != 0 {
+				due += s.cfg.TickInterval - rem
 			}
-			next = target - s.clock.Now()
 		}
+	} else if due <= now {
+		due = now + s.cfg.TickInterval
 	}
-	s.clock.After(next, s.tickFn)
+	s.dueAt = due
+	s.clock.After(due-now, s.tickFn)
+	if s.commitHook != nil {
+		sim.Commit(s.clock, s.commitHook)
+	}
 }
 
 // scanTerrainDemand requests every chunk within any player's view distance

@@ -111,50 +111,86 @@ type AvatarState struct {
 	X, Z float64
 }
 
+// avatarWireSize is one AvatarState on the wire: id, x, z.
+const avatarWireSize = 24
+
 // MaxMessageSize bounds a single frame (a compressed chunk plus headroom).
 const MaxMessageSize = 1 << 20
 
 // ErrFrameTooLarge is returned for frames exceeding MaxMessageSize.
 var ErrFrameTooLarge = errors.New("netproto: frame too large")
 
-// Encode serialises the message with its length-prefixed frame header.
-func Encode(m Message) []byte {
-	body := make([]byte, 0, 64+len(m.ChunkData))
-	body = append(body, byte(m.Type))
+// Encode serialises the message with its length-prefixed frame header
+// into a fresh slice of exactly the frame's size.
+func Encode(m Message) []byte { return AppendEncode(nil, m) }
+
+// frameSize is the encoded size of m, length prefix included.
+func frameSize(m Message) int {
+	n := 4 + 1
 	switch m.Type {
 	case MsgJoin:
-		body = appendString(body, m.Name)
+		n += 2 + len(m.Name)
 	case MsgMove:
-		body = appendF64(body, m.DestX)
-		body = appendF64(body, m.DestZ)
-		body = appendF64(body, m.Speed)
+		n += 24
 	case MsgPlaceBlock, MsgBreakBlock:
-		body = appendBlockPos(body, m.Pos)
-		body = append(body, byte(m.Block.ID), m.Block.Data)
+		n += 14
 	case MsgChat, MsgChatBroadcast:
-		body = appendString(body, m.Name)
-		body = appendString(body, m.Text)
+		n += 4 + len(m.Name) + len(m.Text)
 	case MsgSetInventory:
-		body = append(body, m.Item)
-	case MsgPing, MsgPong:
-		body = binary.LittleEndian.AppendUint64(body, m.Nonce)
-	case MsgWelcome:
-		body = binary.LittleEndian.AppendUint64(body, uint64(m.PlayerID))
+		n++
+	case MsgPing, MsgPong, MsgWelcome:
+		n += 8
 	case MsgChunkData:
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(m.ChunkData)))
-		body = append(body, m.ChunkData...)
+		n += 4 + len(m.ChunkData)
 	case MsgStateUpdate:
-		body = binary.LittleEndian.AppendUint64(body, m.Tick)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(m.Avatars)))
+		n += 12 + avatarWireSize*len(m.Avatars)
+	}
+	return n
+}
+
+// AppendEncode appends m's frame — the 4-byte length, then the body — to
+// dst and returns the extended slice. The body is written in place behind
+// a reserved length that is patched at the end: one pass, and no
+// allocation when dst has room (a dst without room grows once, to fit).
+func AppendEncode(dst []byte, m Message) []byte {
+	if need := frameSize(m); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(m.Type))
+	switch m.Type {
+	case MsgJoin:
+		dst = appendString(dst, m.Name)
+	case MsgMove:
+		dst = appendF64(dst, m.DestX)
+		dst = appendF64(dst, m.DestZ)
+		dst = appendF64(dst, m.Speed)
+	case MsgPlaceBlock, MsgBreakBlock:
+		dst = appendBlockPos(dst, m.Pos)
+		dst = append(dst, byte(m.Block.ID), m.Block.Data)
+	case MsgChat, MsgChatBroadcast:
+		dst = appendString(dst, m.Name)
+		dst = appendString(dst, m.Text)
+	case MsgSetInventory:
+		dst = append(dst, m.Item)
+	case MsgPing, MsgPong:
+		dst = binary.LittleEndian.AppendUint64(dst, m.Nonce)
+	case MsgWelcome:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.PlayerID))
+	case MsgChunkData:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.ChunkData)))
+		dst = append(dst, m.ChunkData...)
+	case MsgStateUpdate:
+		dst = binary.LittleEndian.AppendUint64(dst, m.Tick)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Avatars)))
 		for _, a := range m.Avatars {
-			body = binary.LittleEndian.AppendUint64(body, uint64(a.ID))
-			body = appendF64(body, a.X)
-			body = appendF64(body, a.Z)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(a.ID))
+			dst = appendF64(dst, a.X)
+			dst = appendF64(dst, a.Z)
 		}
 	}
-	out := make([]byte, 0, 4+len(body))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	return append(out, body...)
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 // Decode parses one message body (without the 4-byte length prefix).
@@ -200,8 +236,10 @@ func Decode(body []byte) (Message, error) {
 		if m.Tick, err = r.u64(); err == nil {
 			var n uint32
 			if n, err = r.u32(); err == nil {
-				if int(n) > MaxMessageSize/17 {
-					return Message{}, fmt.Errorf("netproto: avatar count %d too large", n)
+				// The count is the peer's word; the bytes left in the body
+				// are not. Never preallocate past what they can hold.
+				if int64(n) > int64(len(r.buf)-r.off)/avatarWireSize {
+					return Message{}, errShort
 				}
 				m.Avatars = make([]AvatarState, 0, n)
 				for i := uint32(0); i < n && err == nil; i++ {
@@ -233,6 +271,9 @@ func Write(w io.Writer, m Message) error {
 // Reader reads framed messages from a stream.
 type Reader struct {
 	br *bufio.Reader
+	// body is reused across messages: everything Decode returns is copied
+	// out of it.
+	body []byte
 }
 
 // NewReader wraps a stream for framed reads.
@@ -250,11 +291,14 @@ func (r *Reader) Next() (Message, error) {
 	if n > MaxMessageSize {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.br, body); err != nil {
+	if uint32(cap(r.body)) < n {
+		r.body = make([]byte, n)
+	}
+	r.body = r.body[:n]
+	if _, err := io.ReadFull(r.br, r.body); err != nil {
 		return Message{}, err
 	}
-	return Decode(body)
+	return Decode(r.body)
 }
 
 // --- encoding helpers --------------------------------------------------------

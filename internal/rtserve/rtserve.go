@@ -3,16 +3,27 @@
 // this package; tests drive it over loopback TCP.
 //
 // Each client session owns a player whose actions are fed from the network
-// (a queue drained by the game loop each tick) and receives 10 Hz state
-// updates plus view-local chunk data. Servo's backend is invisible at this
-// layer — the protocol is identical for baseline and serverless servers
-// (paper requirement R4).
+// (a queue drained by the game loop each tick) and receives state updates
+// plus view-local chunk data. Pushes ride the tick commit: the server
+// installs the game loop's commit hook, and at the end of every tick
+// decides which sessions are due — one whose actions the tick just
+// consumed (its update is the acknowledgement, one tick after the action
+// arrived), or one whose last update is PushInterval old, counted in
+// whole ticks. If any is, the state update is encoded once, and every due
+// session's goroutine is woken to write those same bytes to its socket;
+// only a session with chunks left to stream takes the game-loop lock.
+// Lock order is game-loop lock, then Server.mu, never the reverse.
+//
+// Servo's backend is invisible at this layer — the protocol is identical
+// for baseline and serverless servers (paper requirement R4).
 package rtserve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -34,7 +45,10 @@ type Instance interface {
 
 // Config tunes the network server.
 type Config struct {
-	// PushInterval is the state-update period (default 100 ms).
+	// PushInterval is the longest a quiet session waits between state
+	// updates (default 100 ms), counted in whole ticks; an interval below
+	// one tick means every tick. A session whose action a tick consumed is
+	// updated by that tick regardless.
 	PushInterval time.Duration
 	// ChunksPerPush caps chunk payloads per update cycle (default 4).
 	ChunksPerPush int
@@ -42,18 +56,44 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// ioTimeout bounds every session write and the wait for a connection's
+// MsgJoin. An established client may stay silent for as long as it likes;
+// one that stops reading is closed after this long.
+const ioTimeout = 10 * time.Second
+
+// Stats counts what the server did since it was built.
+type Stats struct {
+	Sessions        int   // connected right now
+	FramesBuilt     int64 // state updates encoded (at most one per tick)
+	Pushes          int64 // state updates handed to sessions
+	ActionsDropped  int64 // client actions discarded because a session's queue was full
+	SessionsStalled int64 // sessions closed because a write hit its deadline
+	JoinTimeouts    int64 // connections released without ever sending MsgJoin
+}
+
 // Server accepts protocol connections for one instance.
 type Server struct {
 	inst Instance
 	cfg  Config
+	// pushTicks is PushInterval in whole ticks, at least one.
+	pushTicks uint64
+	// ioTimeout is the package constant; in-package tests shorten it.
+	ioTimeout time.Duration
+
+	// avatars is the commit hook's reusable avatar batch: every local
+	// player and ghost, refilled under the game-loop lock each time a
+	// frame is built and fully encoded before the hook returns.
+	avatars []netproto.AvatarState
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
+	stats    Stats
 	closed   bool
 	wg       sync.WaitGroup
 }
 
-// NewServer returns a network server for inst.
+// NewServer returns a network server for inst and installs its push path
+// as the commit hook of the instance's game loop; Close removes it.
 func NewServer(inst Instance, cfg Config) *Server {
 	if cfg.PushInterval <= 0 {
 		cfg.PushInterval = 100 * time.Millisecond
@@ -64,7 +104,14 @@ func NewServer(inst Instance, cfg Config) *Server {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Server{inst: inst, cfg: cfg, sessions: make(map[*session]struct{})}
+	s := &Server{inst: inst, cfg: cfg, ioTimeout: ioTimeout, sessions: make(map[*session]struct{})}
+	inst.Locked(func() {
+		srv := inst.Server()
+		tick := srv.Config().TickInterval
+		s.pushTicks = max(1, uint64((cfg.PushInterval+tick/2)/tick))
+		srv.SetCommitHook(s.onCommit)
+	})
+	return s
 }
 
 // Serve accepts connections on ln until the listener closes or Close is
@@ -90,7 +137,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close terminates all sessions and waits for their goroutines.
+// Close terminates all sessions, waits for their goroutines and removes
+// the commit hook.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -99,13 +147,71 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.inst.Locked(func() { s.inst.Server().SetCommitHook(nil) })
 }
 
 // SessionCount returns the number of connected clients.
-func (s *Server) SessionCount() int {
+func (s *Server) SessionCount() int { return s.Stats().Sessions }
+
+// Stats returns the server's counters.
+func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	st := s.stats
+	st.Sessions = len(s.sessions)
+	return st
+}
+
+// count applies one counter update under the server lock.
+func (s *Server) count(update func(*Stats)) {
+	s.mu.Lock()
+	update(&s.stats)
+	s.mu.Unlock()
+}
+
+// onCommit is the game loop's commit hook: it runs under the game-loop
+// lock once the tick's effects are visible, finds the sessions that are
+// due an update, encodes the update once if there are any, and wakes them.
+// The frame is never written again after it is handed out, so any number
+// of session goroutines may be sending it at once.
+func (s *Server) onCommit() {
+	srv := s.inst.Server()
+	tick := srv.Tick()
+	view := srv.Config().ViewDistance
+	applied := srv.ChunksApplied.Value()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var frame []byte
+	for c := range s.sessions {
+		if !c.acted && tick-c.lastPushTick < s.pushTicks {
+			continue
+		}
+		if frame == nil {
+			s.avatars = appendAvatars(s.avatars[:0], srv)
+			frame = netproto.AppendEncode(nil, netproto.Message{
+				Type: netproto.MsgStateUpdate, Tick: tick, Avatars: s.avatars,
+			})
+			s.stats.FramesBuilt++
+		}
+		c.acted, c.lastPushTick = false, tick
+		// The chunk cursor: nothing new can be streamed to a session whose
+		// last walk covered its whole view rect, while the rect is the
+		// same and no chunk has been applied since.
+		rect := world.ChunkRectWithin(c.player.Pos(), view)
+		chunks := !c.walkDone || rect != c.walkRect || applied != c.walkApplied
+		select {
+		case c.wake <- push{frame: frame, chunks: chunks}:
+			s.stats.Pushes++
+		default: // still busy with its previous push; it is due again next interval
+		}
+	}
+}
+
+// push is one wake-up of a session's push goroutine: the shared state
+// frame to write, and whether to walk for chunks after it.
+type push struct {
+	frame  []byte
+	chunks bool
 }
 
 // session is one connected client.
@@ -114,39 +220,54 @@ type session struct {
 	conn    net.Conn
 	player  *mve.Player
 	actions chan mve.Action
-	sent    map[world.ChunkPos]bool
+	wake    chan push // 1-buffered: at most one push waits behind the one being written
 
-	// avatarBuf is the session's reusable avatar batch: each push,
-	// snapshot coalesces every local player and ghost into this one
-	// buffer and flushes it as a single state update — one message per
-	// tick instead of per-entity sends, and no steady-state allocation
-	// (the buffer is re-sliced to zero length and refilled). It is owned
-	// by the push loop: the previous update has been written before the
-	// next snapshot overwrites it.
-	avatarBuf []netproto.AvatarState
+	// Guarded by the game-loop lock. actBuf is the batch Actions hands the
+	// loop, reused every tick (the loop consumes it before the next call);
+	// acted says a tick consumed actions since the last push; the walk*
+	// fields are the chunk cursor onCommit checks (see streamChunks).
+	actBuf       []mve.Action
+	acted        bool
+	lastPushTick uint64
+	sent         map[world.ChunkPos]bool
+	walkRect     world.ChunkRect
+	walkApplied  int64
+	walkDone     bool
 
-	// chunkBuf is the session's reusable chunk-encode scratch: each push,
-	// snapshot appends every outgoing chunk's encoding into this one
-	// buffer (chunkOffs marks the boundaries) and the messages reference
-	// sub-slices of it — no per-chunk encode allocation once the buffer
-	// has warmed. Owned by the push loop, like avatarBuf: the previous
-	// push's messages are written before the next snapshot overwrites it.
-	chunkBuf  []byte
-	chunkOffs []int
+	// chunkBuf holds one chunk's encoding and frames the push's framed
+	// chunk messages; both are reused, so streaming allocates nothing once
+	// they have warmed. Owned by the push goroutine.
+	chunkBuf []byte
+	frames   []byte
 
-	writeMu sync.Mutex // serialises the push loop and pong replies
+	writeMu sync.Mutex // serialises the push goroutine and pong replies
+}
+
+// newSession returns conn's session, not yet joined to the game.
+func (s *Server) newSession(conn net.Conn) *session {
+	return &session{
+		server: s,
+		conn:   conn,
+		// Client input is queued between ticks; 256 actions is several
+		// seconds of a fast client, and overflow is dropped and counted.
+		actions: make(chan mve.Action, 256),
+		wake:    make(chan push, 1),
+		sent:    make(map[world.ChunkPos]bool),
+		acted:   true, // joining counts: the next commit sends the first update
+	}
 }
 
 // Actions implements mve.Behavior: the game loop drains the queued network
 // actions each tick.
 func (c *session) Actions(_ *rand.Rand, _ *mve.Player, _ *mve.Server) []mve.Action {
-	var out []mve.Action
+	c.actBuf = c.actBuf[:0]
 	for {
 		select {
 		case a := <-c.actions:
-			out = append(out, a)
+			c.actBuf = append(c.actBuf, a)
+			c.acted = true
 		default:
-			return out
+			return c.actBuf
 		}
 	}
 }
@@ -156,16 +277,19 @@ var _ mve.Behavior = (*session)(nil)
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := netproto.NewReader(conn)
+	// The deadline bounds the wait for MsgJoin only: nothing is written
+	// before the join, it is cleared right after, and from then on each
+	// write sets its own while reads may wait for ever.
+	conn.SetDeadline(time.Now().Add(s.ioTimeout))
 	first, err := r.Next()
 	if err != nil || first.Type != netproto.MsgJoin {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.count(func(st *Stats) { st.JoinTimeouts++ })
+		}
 		return
 	}
-	sess := &session{
-		server:  s,
-		conn:    conn,
-		actions: make(chan mve.Action, 256),
-		sent:    make(map[world.ChunkPos]bool),
-	}
+	conn.SetDeadline(time.Time{})
+	sess := s.newSession(conn)
 	sess.player = s.inst.ConnectBehavior(first.Name, sess)
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
@@ -179,15 +303,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.cfg.Logf("rtserve: %s left", first.Name)
 	}()
 
-	if err := sess.write(netproto.Message{
+	if sess.write(netproto.Encode(netproto.Message{
 		Type: netproto.MsgWelcome, PlayerID: int64(sess.player.ID),
-	}); err != nil {
+	})) != nil {
 		return
 	}
 
-	done := make(chan struct{})
-	defer close(done)
-	go sess.pushLoop(done)
+	// The push goroutine lives inside this call: closing the connection
+	// fails any write it is blocked in, done ends its wait for a wake-up.
+	done, pushed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(pushed)
+		sess.pushLoop(done)
+	}()
+	defer func() {
+		conn.Close()
+		close(done)
+		<-pushed
+	}()
 
 	for {
 		m, err := r.Next()
@@ -200,11 +333,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// write sends one message, serialised against the push loop.
-func (c *session) write(m netproto.Message) error {
+// write sends already-framed bytes under the write deadline, serialised
+// against the other writer. Any failure closes the connection, which also
+// releases the session's reader; a deadline failure is a stalled peer.
+func (c *session) write(frames []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return netproto.Write(c.conn, m)
+	c.conn.SetWriteDeadline(time.Now().Add(c.server.ioTimeout))
+	_, err := c.conn.Write(frames)
+	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			c.server.count(func(st *Stats) { st.SessionsStalled++ })
+		}
+		c.conn.Close()
+	}
+	return err
 }
 
 // handle enqueues one client message as a game action; it reports false to
@@ -223,75 +366,77 @@ func (c *session) handle(m netproto.Message) bool {
 	case netproto.MsgSetInventory:
 		a = mve.Action{Kind: mve.ActionSetInventory, Item: m.Item}
 	case netproto.MsgPing:
-		return c.write(netproto.Message{Type: netproto.MsgPong, Nonce: m.Nonce}) == nil
+		return c.write(netproto.Encode(netproto.Message{Type: netproto.MsgPong, Nonce: m.Nonce})) == nil
 	default:
 		return true // ignore unknown client messages
 	}
 	select {
 	case c.actions <- a:
 	default: // drop on overload; movement is idempotent, ops get resent
+		c.server.count(func(st *Stats) { st.ActionsDropped++ })
 	}
 	return true
 }
 
-// pushLoop streams state updates and nearby chunks at the push interval.
+// pushLoop writes each push the commit hook wakes it with: the shared
+// state frame as is — no encode, no game-loop lock — then the session's
+// own chunk payloads if the hook saw any to stream.
 func (c *session) pushLoop(done <-chan struct{}) {
-	t := time.NewTicker(c.server.cfg.PushInterval)
-	defer t.Stop()
 	for {
 		select {
 		case <-done:
 			return
-		case <-t.C:
-		}
-		update, chunks := c.snapshot()
-		if c.write(update) != nil {
-			return
-		}
-		for _, m := range chunks {
-			if c.write(m) != nil {
+		case p := <-c.wake:
+			if c.write(p.frame) != nil {
+				return
+			}
+			if p.chunks && c.streamChunks() != nil {
 				return
 			}
 		}
 	}
 }
 
-// snapshot builds the state update and pending chunk payloads under the
-// game-loop lock.
-func (c *session) snapshot() (update netproto.Message, chunks []netproto.Message) {
+// streamChunks walks the session's view rect under the game-loop lock,
+// frames up to ChunksPerPush loaded chunks the client has not been sent,
+// and writes them after releasing the lock. It leaves the cursor behind:
+// the rect it walked, the server's applied-chunk count at the time, and
+// whether the walk reached the end of the rect or stopped at the cap.
+func (c *session) streamChunks() error {
 	srv := c.server.inst.Server()
+	c.frames = c.frames[:0]
 	c.server.inst.Locked(func() {
-		update = netproto.Message{Type: netproto.MsgStateUpdate, Tick: srv.Tick()}
-		c.avatarBuf = appendAvatars(c.avatarBuf[:0], srv)
-		update.Avatars = c.avatarBuf
-		pos := c.player.Pos()
-		// Encode every outgoing chunk into the shared scratch buffer and
-		// record the boundaries; the messages are built afterwards because
-		// appends may move the buffer while it grows.
-		c.chunkBuf = c.chunkBuf[:0]
-		c.chunkOffs = append(c.chunkOffs[:0], 0)
-		for _, cp := range world.ChunksWithin(pos, srv.Config().ViewDistance) {
-			if len(c.chunkOffs)-1 >= c.server.cfg.ChunksPerPush {
-				break
+		rect := world.ChunkRectWithin(c.player.Pos(), srv.Config().ViewDistance)
+		n, done := 0, true
+	walk:
+		for cx := rect.Min.X; cx <= rect.Max.X; cx++ {
+			for cz := rect.Min.Z; cz <= rect.Max.Z; cz++ {
+				cp := world.ChunkPos{X: cx, Z: cz}
+				if c.sent[cp] {
+					continue
+				}
+				ch := srv.World().Chunk(cp)
+				if ch == nil {
+					continue
+				}
+				if n == c.server.cfg.ChunksPerPush {
+					done = false
+					break walk
+				}
+				n++
+				c.sent[cp] = true
+				c.chunkBuf = ch.EncodeAppend(c.chunkBuf[:0])
+				c.frames = netproto.AppendEncode(c.frames, netproto.Message{
+					Type: netproto.MsgChunkData, ChunkData: c.chunkBuf,
+				})
 			}
-			if c.sent[cp] {
-				continue
-			}
-			ch := srv.World().Chunk(cp)
-			if ch == nil {
-				continue
-			}
-			c.sent[cp] = true
-			c.chunkBuf = ch.EncodeAppend(c.chunkBuf)
-			c.chunkOffs = append(c.chunkOffs, len(c.chunkBuf))
 		}
-		for i := 1; i < len(c.chunkOffs); i++ {
-			chunks = append(chunks, netproto.Message{
-				Type: netproto.MsgChunkData, ChunkData: c.chunkBuf[c.chunkOffs[i-1]:c.chunkOffs[i]],
-			})
-		}
+		c.walkRect, c.walkApplied, c.walkDone = rect, srv.ChunksApplied.Value(), done
 	})
-	return update, chunks
+	if len(c.frames) == 0 {
+		return nil
+	}
+	return c.write(c.frames)
 }
 
 // appendAvatars coalesces the server's avatar state into buf: every

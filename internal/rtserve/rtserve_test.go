@@ -12,8 +12,15 @@ import (
 	"servo/internal/world"
 )
 
-// startServer boots a real-time flat-world instance on a loopback listener.
+// startServer boots a real-time flat-world instance on a loopback listener,
+// pushing every tick.
 func startServer(t *testing.T, cfg servo.Config) (*servo.Instance, *Server, string) {
+	t.Helper()
+	return startServerWith(t, cfg, Config{PushInterval: 20 * time.Millisecond})
+}
+
+// startServerWith is startServer with the network server's own config.
+func startServerWith(t *testing.T, cfg servo.Config, rc Config) (*servo.Instance, *Server, string) {
 	t.Helper()
 	cfg.RealTime = true
 	if cfg.WorldType == "" {
@@ -24,7 +31,7 @@ func startServer(t *testing.T, cfg servo.Config) (*servo.Instance, *Server, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(inst, Config{PushInterval: 20 * time.Millisecond})
+	srv := NewServer(inst, rc)
 	go srv.Serve(ln)
 	t.Cleanup(func() {
 		srv.Close()
