@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update workersgate
+.PHONY: ci vet fmtcheck nofork loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
-ci: vet fmtcheck nofork build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate workersgate benchsmoke
+ci: vet fmtcheck nofork build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -118,10 +118,48 @@ paritygate:
 parity-update:
 	$(GO) run ./cmd/servo-sim parity -update all
 
+# figuregate is the parent-parity gate of the paper's figures, which
+# drive shard 0's server directly and so are not covered by
+# PARITY.sha256: FIGURES.sha256 pins one SHA-256 per `servo-bench -list`
+# name, over the output of `servo-bench -exp <name>` at FIGURE_ARGS, and
+# the gate prints the names of the experiments that no longer hash to
+# their line. Same contract as paritygate: a perf or refactoring PR must
+# leave the file alone; a PR that is *meant* to change a figure re-pins
+# it with figure-update and says why. Pinned on linux/amd64.
+FIGURE_ARGS = -seed 42 -scale 0.05
+# figure_hashes prints one "<sha256>  <name>" line per experiment; the
+# recipe around it owns the scratch directory $$dir.
+define figure_hashes
+$(GO) build -o "$$dir/servo-bench" ./cmd/servo-bench; \
+for name in $$("$$dir/servo-bench" -list | awk '{print $$1}'); do \
+	"$$dir/servo-bench" -exp $$name $(FIGURE_ARGS) > "$$dir/out"; \
+	echo "$$(sha256sum < "$$dir/out" | cut -d' ' -f1)  $$name"; \
+done
+endef
+
+figuregate:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	{ $(figure_hashes); } > "$$dir/now"; \
+	n=0; differ=; while read hash name; do n=$$((n + 1)); \
+		pinned="$$(awk -v name="$$name" '$$2 == name {print $$1}' FIGURES.sha256)"; \
+		if [ -z "$$pinned" ]; then echo "figure NEW   $$name: no pinned hash"; differ="$$differ $$name"; \
+		elif [ "$$pinned" != "$$hash" ]; then echo "figure DIFF  $$name: output hashes to $$hash, pinned $$pinned"; differ="$$differ $$name"; \
+		else echo "figure ok    $$name"; fi; \
+	done < "$$dir/now"; \
+	if [ -n "$$differ" ]; then echo "experiment(s) differ from FIGURES.sha256:$$differ"; exit 1; fi; \
+	echo "$$n experiment(s) match FIGURES.sha256"
+
+figure-update:
+	@set -e; dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	{ $(figure_hashes); } > "$$dir/now"; \
+	{ grep '^#' FIGURES.sha256; cat "$$dir/now"; } > "$$dir/new"; \
+	mv "$$dir/new" FIGURES.sha256; \
+	echo "pinned $$(wc -l < "$$dir/now") experiment(s) in FIGURES.sha256"
+
 # workersgate is the parallel-execution determinism gate: the bundled
-# sharded scenarios must render byte-identical reports at -workers 1 and
-# -workers 4 (the lane-batched scheduler's pool-size-independence
-# contract).
+# sharded scenarios must render byte-identical reports at -workers 0, 1
+# and 4, and two one-shard scenarios at 0 and 4 (the lane-batched
+# scheduler's pool-size-independence contract).
 workersgate:
 	$(GO) test -count=1 -run TestWorkersByteIdentity ./internal/scenario/
 

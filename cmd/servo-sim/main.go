@@ -145,7 +145,7 @@ func cmdRun(args []string) int {
 	verbose := fs.Bool("v", false, "log per-event progress to stderr")
 	seed := fs.Int64("seed", 0, "override every scenario's seed (0 = use the spec's)")
 	shards := fs.Int("shards", 0, "override every scenario's shard count (0 = use the spec's; >1 runs a region-sharded cluster)")
-	workers := fs.Int("workers", -1, "override every scenario's worker-pool size (-1 = use the spec's; 0 = classic serial loop; >=1 runs lane-batched shard ticks, byte-identical for every pool size)")
+	workers := fs.Int("workers", 0, "override every scenario's worker-pool size for lane-batched shard ticks (0 = use the spec's; reports are byte-identical for every pool size)")
 	topology := fs.String("topology", "", `override every scenario's region topology: "band" or "grid:<X>x<Z>" (e.g. grid:4x4; requires a sharded scenario)`)
 	autoscale := fs.Bool("autoscale", false, "force-enable elastic shard autoscaling with default policy knobs (requires a sharded scenario; specs with their own autoscale section keep it)")
 	format := fs.String("format", "text", `report format: "text" or "csv" (csv covers summary metrics, assertions, and the per-tick series)`)
@@ -183,7 +183,7 @@ func cmdRun(args []string) int {
 			// clear error instead of running nonsense.
 			spec.Shards = *shards
 		}
-		if *workers >= 0 {
+		if *workers != 0 {
 			// Re-validated inside Run (bounds check lives in the spec).
 			spec.Workers = *workers
 		}

@@ -136,14 +136,12 @@ type Config struct {
 	// (0 → cluster.DefaultLogRetention, < 0 → unbounded).
 	LogRetention int
 
-	// Workers > 0 gives every shard game loop a lane of the virtual
-	// clock: same-timestamp ticks of distinct shards execute
-	// concurrently on a pool of Workers goroutines, with shared-
-	// substrate side effects deferred to the deterministic post-wave
-	// commit drain. Every pool size produces identical runs; at 0 (the
-	// default) shards share the loop's serial lane and side effects
-	// apply inline. Requires a *sim.Loop clock (ignored under the
-	// real-time clock).
+	// Workers sizes the goroutine pool the virtual clock runs
+	// same-timestamp ticks of distinct shards on (0 → 1). Every shard
+	// game loop has a lane of the clock, with shared-substrate side
+	// effects deferred to the deterministic post-wave commit drain, so
+	// every pool size produces identical runs. The real-time clock has
+	// no waves and ignores it.
 	Workers int
 
 	// PhaseLock re-aligns each shard's tick schedule to the global
@@ -286,6 +284,9 @@ func New(clock sim.Clock, cfg Config) *System {
 		gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 		sys.TGHandlerStats = &tgen.HandlerStats{}
 		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
+		// One shard has nobody to adopt from: a dedup cache there queues
+		// every request for adoption and retains each published chunk's
+		// bytes for no reader (`explore` live_heap_mb +5.1 %, bound 6 %).
 		if neighbours && !cfg.DisableGenDedup {
 			sys.GenCache = tgen.NewGenCache(0)
 		}
@@ -308,18 +309,16 @@ func New(clock sim.Clock, cfg Config) *System {
 	if topo == nil {
 		topo = world.BandTopology{}
 	}
-	// Lane-parallel execution: each shard's game loop runs on its own
-	// lane of the virtual clock, so same-timestamp ticks of distinct
-	// shards execute concurrently while scans, the controller, and all
-	// substrate completions stay on the serial lane. Lane ids are
-	// 1-based (lane 0 is the serial lane); a recovered shard re-acquires
-	// its lane and continues the same RNG stream.
-	var laneLoop *sim.Loop
-	if cfg.Workers > 0 {
-		if lp, ok := clock.(*sim.Loop); ok {
-			lp.SetWorkers(cfg.Workers)
-			laneLoop = lp
-		}
+	// On the virtual clock each shard's game loop runs on its own lane,
+	// so same-timestamp ticks of distinct shards execute concurrently
+	// while scans, the controller, and all substrate completions stay on
+	// the serial lane. Lane ids are 1-based (lane 0 is the serial lane);
+	// a recovered shard re-acquires its lane and continues the same RNG
+	// stream. The wall clock has no waves: its shards share it.
+	laneOf := func(int) sim.Clock { return clock }
+	if loop, ok := clock.(*sim.Loop); ok {
+		loop.SetWorkers(cfg.Workers)
+		laneOf = func(i int) sim.Clock { return loop.Lane(i + 1) }
 	}
 	// buildShard assembles shard i's components. Called once per shard at
 	// boot, and again by cluster.RecoverShard to build the replacement
@@ -327,10 +326,7 @@ func New(clock sim.Clock, cfg Config) *System {
 	// the crashed shard's entry in sys.Shards.
 	buildShard := func(i int, region world.Region) *mve.Server {
 		shard := &ShardComponents{}
-		shardClock := clock
-		if laneLoop != nil {
-			shardClock = laneLoop.Lane(i + 1)
-		}
+		shardClock := laneOf(i)
 		srvCfg := mve.Config{
 			Profile:      profile,
 			WorldType:    cfg.WorldType,
@@ -345,20 +341,18 @@ func New(clock sim.Clock, cfg Config) *System {
 			// Boot both spawn and the center of the shard's own home tile
 			// (the middle of its space-filling run on finite topologies),
 			// so shard-aware fleet placement does not open with a
-			// generation storm. One shard boots spawn alone: a second
-			// boot centre changes what is loaded before the first tick.
+			// generation storm. One shard owns every tile and boots spawn
+			// alone, like the paper's single game loop: its "home" would
+			// be a second area nobody stands in, whose boot-time loads
+			// land in the storage figures (TestFig13CacheCutsTail fails).
 			home := topo.Center(world.HomeTile(topo, shardCount, i))
 			srvCfg.BootCenters = []world.BlockPos{{}, home}
 		}
 		// FaaS submissions from a shard lane go through the commit
 		// buffer: the shared platform (warm pools, RNG-drawn latencies)
 		// must see invocations in deterministic lane order, not wave
-		// completion order. On the serial path the wrapper is a direct
-		// call.
-		var invoke laneInvoker = sys.Platform
-		if laneLoop != nil && sys.Platform != nil {
-			invoke = &commitInvoker{clock: shardClock, platform: sys.Platform}
-		}
+		// completion order.
+		invoke := &commitInvoker{clock: shardClock, platform: sys.Platform}
 		// One chunk freelist per shard, shared by the game loop (unload
 		// and superseded-apply recycling), the store decode path, and the
 		// terrain backend, so recycled chunks feed every decode.
@@ -429,10 +423,11 @@ func New(clock sim.Clock, cfg Config) *System {
 		},
 	}
 	// A one-shard boot keeps handoff state, the ownership table and
-	// checkpoints in memory. Wiring TableStore anyway makes Cluster.Start
-	// read the table back (GetRetrying), and that read's latency draw
-	// shifts the shared clock RNG: the fig13-read-phase, storage-brownout
-	// and storage-flip reports re-hash.
+	// checkpoints in memory: it has nothing durable to resume. Its table
+	// changes epoch only once AddShard grows it and Adopt refuses a
+	// persisted table of another shard count, so Cluster.Start's read-back
+	// would be a billed remote read whose answer is always discarded
+	// (TestOneShardStartReadsNothingFromStorage).
 	if sys.Remote != nil && neighbours {
 		clCfg.Transfer = &blobTransfer{remote: sys.Remote}
 		clCfg.TableStore = &blobTableStore{remote: sys.Remote}
@@ -446,18 +441,12 @@ func New(clock sim.Clock, cfg Config) *System {
 	return sys
 }
 
-// laneInvoker is the FaaS submission surface shard components are built
-// against: *faas.Platform directly on the serial path, or commitInvoker
-// under lane-parallel execution. It satisfies both specexec.TickSource
-// and tgen.Invoker.
-type laneInvoker interface {
-	Invoke(name string, payload []byte, cb func(faas.Invocation))
-}
-
-// commitInvoker defers submissions to the lane's commit drain, so the
-// shared platform processes them on the loop thread in ascending lane
-// order regardless of wave scheduling. Invocation callbacks then fire
-// from platform events in serial context.
+// commitInvoker is the FaaS submission surface shard components are
+// built against (both a specexec.TickSource and a tgen.Invoker). It
+// defers submissions to the lane's commit drain, so the shared platform
+// processes them on the loop thread in ascending lane order regardless
+// of wave scheduling; invocation callbacks then fire from platform events
+// in serial context. On the wall clock sim.Commit is an immediate call.
 type commitInvoker struct {
 	clock    sim.Clock
 	platform *faas.Platform

@@ -1,8 +1,9 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (Section IV). Each FigNN/TableN function runs the relevant
 // workload on the simulated testbed and returns a printable report whose
-// rows/series correspond to the paper's artifact. EXPERIMENTS.md records
-// paper-reported vs. measured values.
+// rows/series correspond to the paper's artifact. The paper's values are
+// quoted beside each figure's code and held by experiment_test.go;
+// FIGURES.sha256 (`make figuregate`) pins every experiment's output.
 //
 // Experiments are deterministic in Options.Seed and scale their virtual
 // duration with Options.Scale so the full suite runs in seconds as a test

@@ -339,10 +339,10 @@ type Spec struct {
 	// ghost events) at the most recent N records (0 → the cluster
 	// default, -1 → unbounded).
 	LogRetention int `json:"log_retention,omitempty"`
-	// Workers > 0 runs shard game loops on the virtual clock's
-	// lane-batched parallel scheduler (a pool of Workers goroutines).
-	// The report is byte-identical for every Workers >= 1; at 0 shards
-	// get no lanes and every event runs serially.
+	// Workers sizes the goroutine pool of the virtual clock's
+	// lane-batched scheduler, which runs same-timestamp ticks of
+	// distinct shards in parallel (0 → 1). The report is byte-identical
+	// for every value.
 	Workers int `json:"workers,omitempty"`
 	// PhaseLock re-aligns a shard's tick schedule to the global tick
 	// grid after an overlong tick, so saturated shards keep ticking at

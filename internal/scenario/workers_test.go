@@ -1,9 +1,10 @@
 // The parallel-execution determinism gate: the lane-batched scheduler's
 // contract is that the observable event stream — and therefore every
-// rendered report byte — is identical for every worker-pool size >= 1.
+// rendered report byte — is identical for every worker-pool size.
 // This test is the `make workersgate` CI step: it runs the bundled
-// sharded scenarios at Workers 1 and Workers 4 and fails on any report
-// byte diff (text and CSV renderings both).
+// sharded scenarios at Workers 0, 1 and 4, and two one-shard scenarios
+// at 0 and 4, and fails on any report byte diff (text and CSV renderings
+// both).
 
 package scenario
 
@@ -12,7 +13,7 @@ import (
 )
 
 // workersGateScenarios are the bundled scenarios the gate replays at
-// both pool sizes: the sharded workloads, covering cross-shard handoff,
+// every pool size: the sharded workloads, covering cross-shard handoff,
 // visibility replication, and the serverless substrate under
 // lane-parallel shard ticks, plus the saturated phase-locked cluster —
 // overlong ticks re-snapping to the tick grid must reschedule
@@ -26,6 +27,12 @@ var workersGateScenarios = []string{
 	"border-patrol", "sharded-stress", "saturated-lockstep",
 	"daily-cycle", "crash-loop-quarantine", "gen-storm",
 }
+
+// oneShardGateScenarios ride along at 0 and 4: a one-lane loop never
+// reaches the pool, but its side effects take the same commit buffers —
+// the FaaS submission path under fig7-sc-scalability's constructs, the
+// store and observer path under storage-brownout's cached remote store.
+var oneShardGateScenarios = []string{"fig7-sc-scalability", "storage-brownout"}
 
 // renderAtWorkers runs one bundled scenario at the given pool size and
 // returns the concatenated text + CSV renderings.
@@ -51,16 +58,20 @@ func renderAtWorkers(t *testing.T, name string, workers int) string {
 }
 
 // TestWorkersByteIdentity is the determinism gate: every report byte
-// identical at -workers 1 and -workers 4.
+// identical at -workers 0, 1 and 4.
 func TestWorkersByteIdentity(t *testing.T) {
-	for _, name := range workersGateScenarios {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			one := renderAtWorkers(t, name, 1)
-			four := renderAtWorkers(t, name, 4)
-			if one != four {
-				t.Fatalf("%s diverges between workers=1 and workers=4:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", name, one, four)
-			}
-		})
+	gate := func(names []string, sizes ...int) {
+		for _, name := range names {
+			t.Run(name, func(t *testing.T) {
+				base := renderAtWorkers(t, name, sizes[0])
+				for _, n := range sizes[1:] {
+					if got := renderAtWorkers(t, name, n); got != base {
+						t.Fatalf("%s diverges between workers=%d and workers=%d:\n--- workers=%d ---\n%s--- workers=%d ---\n%s", name, sizes[0], n, sizes[0], base, n, got)
+					}
+				}
+			})
+		}
 	}
+	gate(workersGateScenarios, 0, 1, 4)
+	gate(oneShardGateScenarios, 0, 4)
 }

@@ -321,19 +321,27 @@ func TestCodecRejectsTruncated(t *testing.T) {
 // TestDecodeReplyRefusesOversizedCount: a reply whose state count exceeds
 // what its bytes can hold is a truncation error, decided before the count
 // sizes an allocation: unchecked, this 37-byte reply asks for a
-// 4-billion-element slice, and out-of-memory is not recoverable.
+// 4-billion-element slice, and out-of-memory is not recoverable. Other
+// goroutines of the test binary (the race runtime's among them) allocate
+// too, so only an excess that repeats is the decoder's.
 func TestDecodeReplyRefusesOversizedCount(t *testing.T) {
 	buf := make([]byte, 37) // header, no loop, then the count
 	copy(buf[33:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := DecodeReply(buf)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("reply claiming 2^32-1 states in 0 bytes decoded without error")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
-		t.Fatalf("refusing the reply allocated %d bytes", got)
+	for try := 0; ; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeReply(buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("reply claiming 2^32-1 states in 0 bytes decoded without error")
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got <= 4096 {
+			return
+		}
+		if try == 3 {
+			t.Fatalf("refusing the reply allocated %d bytes", got)
+		}
 	}
 }
 

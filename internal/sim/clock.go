@@ -38,8 +38,8 @@ type Clock interface {
 // event is a single scheduled callback.
 type event struct {
 	at   Time
-	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
-	lane int    // execution lane; 0 = serial (see lane.go)
+	seq  uint64     // tie-breaker: FIFO among events with equal timestamps
+	lane *laneState // execution lane; nil = serial (see lane.go)
 	fn   func()
 }
 
@@ -67,7 +67,7 @@ func (q *eventQueue) Pop() any {
 // Loop is a virtual-time event loop. It drains events one timestamp at a
 // time: lane-less events run serially in (timestamp, seq) order, and
 // same-timestamp events on distinct lanes run concurrently on a pool of
-// SetWorkers goroutines (see lane.go). A loop nobody asked a lane of is
+// SetWorkers goroutines (see lane.go). A loop with fewer than two lanes is
 // single-threaded.
 // The zero value is not usable; construct with NewLoop.
 type Loop struct {
@@ -106,10 +106,10 @@ func (l *Loop) RNG() *rand.Rand { return l.rng }
 
 // At schedules fn at absolute virtual time t. Times in the past run at the
 // current time (they are clamped to Now).
-func (l *Loop) At(t Time, fn func()) { l.push(0, t, fn) }
+func (l *Loop) At(t Time, fn func()) { l.push(nil, t, fn) }
 
-// push schedules fn at t on the given lane, clamping past times to Now.
-func (l *Loop) push(lane int, t Time, fn func()) {
+// push schedules fn at t on lane (nil: serial), clamping past times to Now.
+func (l *Loop) push(lane *laneState, t Time, fn func()) {
 	if t < l.now {
 		t = l.now
 	}

@@ -24,15 +24,16 @@
 //     pushed onto the heap in the same ascending lane order, so sequence
 //     numbers (the FIFO tie-breaker) are assigned deterministically.
 //
-// A loop on which no lane was ever registered has only the serial order
-// left: StepBatch runs its events one by one in (timestamp, seq) order and
-// skips the wave bookkeeping, including the wall-clock reads behind
-// BatchStats.
+// A loop with fewer than two lanes has nothing to overlap: StepBatch runs
+// its events one by one on the loop thread in (timestamp, seq) order, a
+// one-lane wave still buffering its schedule requests and commits to the
+// barrier, and skips the wall-clock reads behind BatchStats.
 package sim
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -56,6 +57,9 @@ type laneState struct {
 	// after the barrier, so the lane's own goroutine reads it race-free.
 	active bool
 
+	// Reused wave after wave, each slot dropped once it has run: a lane
+	// outlives its closures, and a stale slot would pin what they captured
+	// (a stopped server and every chunk it holds) while the loop lives.
 	wave    []func()   // callbacks of the current wave, in seq order
 	pending []deferred // schedule requests made during the wave
 	commits []func()   // deferred shared-substrate side effects
@@ -124,20 +128,15 @@ func (l *Loop) Lane(id int) *LaneClock {
 	if id <= 0 {
 		panic("sim: lane ids must be > 0 (0 is the serial lane)")
 	}
-	return &LaneClock{loop: l, ls: l.lane(id)}
-}
-
-// lane returns (creating if needed) the state of lane id.
-func (l *Loop) lane(id int) *laneState {
-	if l.lanes == nil {
-		l.lanes = make(map[int]*laneState)
-	}
 	ls := l.lanes[id]
 	if ls == nil {
+		if l.lanes == nil {
+			l.lanes = make(map[int]*laneState)
+		}
 		ls = &laneState{id: id, rng: rand.New(rand.NewSource(laneSeed(l.seed, id)))}
 		l.lanes[id] = ls
 	}
-	return ls
+	return &LaneClock{loop: l, ls: ls}
 }
 
 // laneSeed derives the RNG seed of a lane from the root seed: a
@@ -149,9 +148,6 @@ func laneSeed(seed int64, lane int) int64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
 }
-
-// ID returns the lane id.
-func (c *LaneClock) ID() int { return c.ls.id }
 
 // Now implements Clock. The loop's clock is fixed for the duration of a
 // batch, so reading it from a wave goroutine is race-free.
@@ -171,7 +167,7 @@ func (c *LaneClock) After(d time.Duration, fn func()) {
 		c.ls.pending = append(c.ls.pending, deferred{at: c.loop.now + d, fn: fn})
 		return
 	}
-	c.loop.push(c.ls.id, c.loop.now+d, fn)
+	c.loop.push(c.ls, c.loop.now+d, fn)
 }
 
 // Commit implements Committer.
@@ -197,7 +193,7 @@ func (l *Loop) SetWorkers(n int) {
 func (l *Loop) Workers() int { return l.workers }
 
 // BatchStats returns the accumulated work/span profile of StepBatch
-// execution since the last reset. It stays zero on a loop without lanes.
+// execution since the last reset: zero on a loop with under two lanes.
 func (l *Loop) BatchStats() BatchStats { return l.stats }
 
 // ResetBatchStats clears the work/span profile.
@@ -220,23 +216,15 @@ func (l *Loop) StepBatch() bool {
 		batch = append(batch, popEvent(&l.queue))
 	}
 	for i := 0; i < len(batch); {
-		if batch[i].lane == 0 {
-			// Without lanes there are no waves to profile, and two clock
-			// reads per event are a measurable share of a cheap callback.
-			if len(l.lanes) == 0 {
-				batch[i].fn()
-			} else {
-				start := time.Now()
-				batch[i].fn()
-				d := time.Since(start).Nanoseconds()
-				l.stats.WorkNs += d
-				l.stats.SpanNs += d
-			}
+		if batch[i].lane == nil {
+			d := l.timed(batch[i].fn)
+			l.stats.WorkNs += d
+			l.stats.SpanNs += d
 			i++
 			continue
 		}
 		j := i
-		for j < len(batch) && batch[j].lane != 0 {
+		for j < len(batch) && batch[j].lane != nil {
 			j++
 		}
 		l.runWave(batch[i:j])
@@ -250,14 +238,28 @@ func (l *Loop) StepBatch() bool {
 	return true
 }
 
-// runWave executes one maximal run of lane-tagged events: per-lane groups
-// run serially on their own goroutine, lanes run concurrently bounded by
-// the pool, and after the barrier each lane's buffered schedule requests
-// and commits drain on the loop thread in ascending lane order.
+// timed runs fn and returns the wall ns it took — 0, untimed, on a loop
+// with fewer than two lanes: nothing can overlap there, so there is no
+// work/span profile, and two clock reads are a measurable share of a
+// cheap callback.
+func (l *Loop) timed(fn func()) int64 {
+	if len(l.lanes) < 2 {
+		fn()
+		return 0
+	}
+	start := time.Now()
+	fn()
+	return time.Since(start).Nanoseconds()
+}
+
+// runWave executes one maximal run of lane-tagged events — one lane's on
+// the loop thread, several lanes' concurrently (each serially, on its own
+// goroutine, the pool bounding how many at once) — then drains each
+// lane's buffered schedule requests and commits in ascending lane order.
 func (l *Loop) runWave(run []*event) {
 	groups := l.groups[:0]
 	for _, e := range run {
-		ls := l.lane(e.lane)
+		ls := e.lane
 		if !ls.active {
 			ls.active = true
 			ls.busy = 0
@@ -265,27 +267,26 @@ func (l *Loop) runWave(run []*event) {
 		}
 		ls.wave = append(ls.wave, e.fn)
 	}
-	if pool := max(l.workers, 1); cap(l.sem) != pool {
-		l.sem = make(chan struct{}, pool)
+	if len(groups) == 1 {
+		groups[0].busy = l.timed(groups[0].run)
+	} else {
+		if pool := max(l.workers, 1); cap(l.sem) != pool {
+			l.sem = make(chan struct{}, pool)
+		}
+		var wg sync.WaitGroup
+		wg.Add(len(groups))
+		for _, g := range groups {
+			go func() {
+				l.sem <- struct{}{}
+				g.busy = l.timed(g.run)
+				<-l.sem
+				wg.Done()
+			}()
+		}
+		wg.Wait()
+		slices.SortFunc(groups, func(a, b *laneState) int { return cmp.Compare(a.id, b.id) })
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(groups))
-	for _, g := range groups {
-		g := g
-		go func() {
-			l.sem <- struct{}{}
-			start := time.Now()
-			for _, fn := range g.wave {
-				fn()
-			}
-			g.busy = time.Since(start).Nanoseconds()
-			<-l.sem
-			wg.Done()
-		}()
-	}
-	wg.Wait()
 
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
 	var span int64
 	for _, g := range groups {
 		// Flip before draining: pendings and commits issued from the
@@ -299,14 +300,24 @@ func (l *Loop) runWave(run []*event) {
 	l.stats.SpanNs += span
 	for _, g := range groups {
 		g.wave = g.wave[:0]
-		for _, p := range g.pending {
-			l.push(g.id, p.at, p.fn)
+		for i, p := range g.pending {
+			l.push(g, p.at, p.fn)
+			g.pending[i].fn = nil
 		}
 		g.pending = g.pending[:0]
-		for _, fn := range g.commits {
+		for i, fn := range g.commits {
 			fn()
+			g.commits[i] = nil
 		}
 		g.commits = g.commits[:0]
 	}
 	l.groups = groups[:0]
+}
+
+// run runs the lane's share of the current wave, in seq order.
+func (ls *laneState) run() {
+	for i, fn := range ls.wave {
+		fn()
+		ls.wave[i] = nil
+	}
 }

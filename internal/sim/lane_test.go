@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -222,6 +223,88 @@ func TestLaneBatchStatsAccumulate(t *testing.T) {
 	l.ResetBatchStats()
 	if s := l.BatchStats(); s.WorkNs != 0 || s.SpanNs != 0 {
 		t.Fatalf("reset left stats %+v", s)
+	}
+}
+
+// steadyLaneTick starts a tick on lane 1 that reschedules itself and
+// commits a side effect every 50 ms — the shape of a shard game loop —
+// and returns the counter the commits advance.
+func steadyLaneTick(l *Loop) *int {
+	lc := l.Lane(1)
+	committed := new(int)
+	commit := func() { *committed++ }
+	var tick func()
+	tick = func() {
+		lc.Commit(commit)
+		lc.After(50*time.Millisecond, tick)
+	}
+	lc.After(50*time.Millisecond, tick)
+	return committed
+}
+
+// TestOneLaneWaveRunsOnLoopThread pins the cost contract of a wave
+// nothing can overlap with: no goroutine, WaitGroup or sort — nothing
+// allocated per StepBatch once the buffers have grown — whether the loop
+// has one lane (unprofiled: BatchStats stays zero) or the wave merely
+// holds one lane's events on a two-lane loop (profiled).
+func TestOneLaneWaveRunsOnLoopThread(t *testing.T) {
+	for _, lanes := range []int{1, 2} {
+		l := NewLoop(1)
+		l.SetWorkers(4)
+		committed := steadyLaneTick(l)
+		if lanes == 2 {
+			l.Lane(2) // registered, idle: lane 1's waves hold one group
+		}
+		for i := 0; i < 4; i++ {
+			l.StepBatch()
+		}
+		before := *committed
+		if allocs := testing.AllocsPerRun(100, func() { l.StepBatch() }); allocs != 0 {
+			t.Errorf("%d lane(s): StepBatch of a one-lane wave allocates %v objects, want 0", lanes, allocs)
+		}
+		if *committed-before != 101 { // AllocsPerRun warms up with one extra call
+			t.Errorf("%d lane(s): %d commits drained over 101 waves", lanes, *committed-before)
+		}
+		if s := l.BatchStats(); (lanes == 1) != (s == BatchStats{}) {
+			t.Errorf("%d lane(s): BatchStats = %+v, want zero only on the one-lane loop", lanes, s)
+		}
+	}
+}
+
+// TestLaneBuffersDropFinishedClosures: a lane outlives the callbacks it
+// ran, so once a wave's callback, its commit and its follow-up event are
+// done, nothing in the lane's reused buffers may still reference what
+// they captured. (A stopped server stayed resident through its lane's
+// stale wave slot.) Checked on the loop-thread path and the pooled one.
+func TestLaneBuffersDropFinishedClosures(t *testing.T) {
+	for _, lanes := range []int{1, 2} {
+		l := NewLoop(1)
+		freed := make(chan struct{})
+		schedule := func() { // its own frame, so no local here outlives it
+			captured := new([1 << 10]byte)
+			runtime.SetFinalizer(captured, func(*[1 << 10]byte) { close(freed) })
+			for id := 1; id <= lanes; id++ {
+				lc := l.Lane(id)
+				lc.After(0, func() {
+					lc.Commit(func() { captured[0]++ })
+					lc.After(0, func() { captured[1]++ })
+				})
+			}
+		}
+		schedule()
+		l.Run()
+		deadline := time.After(10 * time.Second)
+		for collected := false; !collected; {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-deadline:
+				t.Fatalf("%d lane(s): a finished wave's closures are still reachable from the loop", lanes)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		runtime.KeepAlive(l) // the loop, and so its lanes, outlive the closures
 	}
 }
 

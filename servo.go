@@ -155,12 +155,11 @@ type Config struct {
 	// RealTime runs the instance on the wall clock instead of virtual
 	// time. Run then blocks for real durations.
 	RealTime bool
-	// Workers > 0 runs shard ticks through the virtual clock's
-	// lane-batched scheduler: same-timestamp events from distinct shards
-	// execute on a worker pool of this size, with side effects ordered so
-	// the observable event stream is byte-identical for every pool size.
-	// At zero shards get no lanes and every event runs serially. Ignored
-	// under RealTime.
+	// Workers sizes the worker pool of the virtual clock's lane-batched
+	// scheduler (0 → 1): same-timestamp events from distinct shards
+	// execute on it, with side effects ordered so the observable event
+	// stream is byte-identical for every pool size. Ignored under
+	// RealTime.
 	Workers int
 	// PhaseLock snaps a shard's next tick to the global TickInterval
 	// grid after an overlong tick, so saturated shards re-align and keep
