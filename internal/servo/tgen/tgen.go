@@ -70,6 +70,10 @@ func NewHandler(gen terrain.Generator) faas.Handler {
 // NewHandlerWithStats is NewHandler with an anomaly counter: malformed
 // requests are tallied in stats instead of vanishing into a nil response.
 func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handler {
+	// The chunk is only needed until it is encoded, so every invocation
+	// generates into this one, reusing its layer storage; like stats it
+	// relies on the platform running handlers in serial order.
+	scratch := new(world.Chunk)
 	return func(payload []byte) ([]byte, int) {
 		pos, err := DecodeRequest(payload)
 		if err != nil {
@@ -78,11 +82,11 @@ func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handle
 			}
 			return nil, 1
 		}
-		c := gen.Generate(pos)
+		gen.GenerateInto(scratch, pos)
 		// The response is owned by the invocation (it outlives this
-		// call), so it cannot come from a reused scratch buffer; Encode
-		// allocates it once, at its final size.
-		return c.Encode(), c.GenWork
+		// call), so unlike the chunk it cannot come from a reused scratch
+		// buffer; Encode allocates it once, at its final size.
+		return scratch.Encode(), scratch.GenWork
 	}
 }
 

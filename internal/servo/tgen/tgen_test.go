@@ -1,6 +1,7 @@
 package tgen
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -122,5 +123,39 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 	resp, work := h([]byte{1, 2})
 	if resp != nil || work != 1 {
 		t.Fatal("handler must fail cleanly on truncated input")
+	}
+}
+
+// TestHandlerSteadyStateAllocatesItsReply: the handler generates into one
+// chunk of its own, so once that chunk has held the tallest terrain an
+// invocation allocates exactly the encoded reply it returns — and a reply
+// is still what a fresh chunk would have encoded to, whatever the scratch
+// chunk held before.
+func TestHandlerSteadyStateAllocatesItsReply(t *testing.T) {
+	gen := terrain.Default{Seed: 42}
+	h := NewHandler(gen)
+	var reqs [][]byte
+	for x := -4; x < 4; x++ {
+		for z := -4; z < 4; z++ {
+			reqs = append(reqs, EncodeRequest(world.ChunkPos{X: x, Z: z}))
+		}
+	}
+	for _, req := range reqs {
+		h(req)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(reqs), func() {
+		h(reqs[i%len(reqs)])
+		i++
+	})
+	if allocs != 1 {
+		t.Fatalf("a steady-state invocation allocates %.1f objects, want 1 (its reply)", allocs)
+	}
+	for _, req := range reqs[:8] {
+		pos, _ := DecodeRequest(req)
+		resp, work := h(req)
+		if want := gen.Generate(pos); !bytes.Equal(resp, want.Encode()) || work != want.GenWork {
+			t.Fatalf("reply for %v differs from a fresh chunk's encoding", pos)
+		}
 	}
 }

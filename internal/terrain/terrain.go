@@ -26,6 +26,10 @@ import (
 type Generator interface {
 	// Generate builds the chunk at pos.
 	Generate(pos world.ChunkPos) *world.Chunk
+	// GenerateInto builds the chunk at pos in c, whatever c held before;
+	// a caller that only needs the chunk until its next call (the FaaS
+	// handler, which encodes it) reuses one chunk and its layer storage.
+	GenerateInto(c *world.Chunk, pos world.ChunkPos)
 	// WorkUnits estimates the abstract CPU work of generating one chunk,
 	// used by the FaaS execution model and the local-generation cost
 	// model. It is constant per generator.
@@ -44,19 +48,21 @@ const FlatSurfaceY = 4
 var _ Generator = Flat{}
 
 // Generate implements Generator.
-func (Flat) Generate(pos world.ChunkPos) *world.Chunk {
+func (g Flat) Generate(pos world.ChunkPos) *world.Chunk {
 	c := world.NewChunk(pos)
-	for x := 0; x < world.ChunkSizeX; x++ {
-		for z := 0; z < world.ChunkSizeZ; z++ {
-			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
-			for y := 1; y < FlatSurfaceY; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Dirt})
-			}
-			c.Set(x, FlatSurfaceY, z, world.Block{ID: world.Grass})
-		}
-	}
-	c.GenWork = flatWorkUnits
+	g.GenerateInto(c, pos)
 	return c
+}
+
+// GenerateInto implements Generator: five uniform layers.
+func (Flat) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
+	c.Reset(pos)
+	c.FillLayer(0, world.Block{ID: world.Bedrock})
+	for y := 1; y < FlatSurfaceY; y++ {
+		c.FillLayer(y, world.Block{ID: world.Dirt})
+	}
+	c.FillLayer(FlatSurfaceY, world.Block{ID: world.Grass})
+	c.GenWork = flatWorkUnits
 }
 
 // Work-unit constants. One unit ≈ one column of simple block writes; the
@@ -92,47 +98,77 @@ const (
 // Generate implements Generator.
 func (g Default) Generate(pos world.ChunkPos) *world.Chunk {
 	c := world.NewChunk(pos)
-	origin := pos.Origin()
-	for x := 0; x < world.ChunkSizeX; x++ {
-		for z := 0; z < world.ChunkSizeZ; z++ {
-			wx, wz := origin.X+x, origin.Z+z
-			h := g.heightAt(wx, wz)
-			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
-			for y := 1; y <= h && y < world.ChunkSizeY; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Stone})
-			}
-			g.decorateColumn(c, x, z, h)
-			for y := h + 1; y <= seaLevel; y++ {
-				c.Set(x, y, z, world.Block{ID: world.Water})
-			}
-		}
-	}
-	c.GenWork = defaultWorkUnits
+	g.GenerateInto(c, pos)
 	return c
 }
 
-// decorateColumn replaces the top of a stone column with biome surface
-// material.
-func (g Default) decorateColumn(c *world.Chunk, x, z, h int) {
-	if h <= 0 || h >= world.ChunkSizeY {
-		return
+// dirtDepth is how many blocks of dirt lie under a grass or sand surface.
+const dirtDepth = 3
+
+// GenerateInto implements Generator. A column is bedrock, stone up to its
+// height h, a surface block at h (over dirtDepth blocks of dirt when it is
+// grass or sand) and water from there up to sea level. The chunk is
+// written a Y-layer at a time, because that is how world.Chunk stores it:
+// every layer more than dirtDepth below the lowest column is stone and
+// every layer above the highest column and the sea is air, each said once,
+// and only the band between — a dozen layers or so — is composed block by
+// block.
+func (g Default) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
+	c.Reset(pos)
+	const columns = world.ChunkSizeX * world.ChunkSizeZ
+	var heights [columns]int            // indexed (z, x), as a layer is
+	var surfaces [columns]world.BlockID // the block at each column's height
+	origin := pos.Origin()
+	minH, maxH := world.ChunkSizeY, 0
+	for z := 0; z < world.ChunkSizeZ; z++ {
+		for x := 0; x < world.ChunkSizeX; x++ {
+			h := g.heightAt(origin.X+x, origin.Z+z)
+			heights[z*world.ChunkSizeX+x] = h
+			surfaces[z*world.ChunkSizeX+x] = surfaceAt(h)
+			minH, maxH = min(minH, h), max(maxH, h)
+		}
 	}
-	var surface world.BlockID
+
+	c.FillLayer(0, world.Block{ID: world.Bedrock})
+	y := 1
+	for ; y < minH-dirtDepth; y++ {
+		c.FillLayer(y, world.Block{ID: world.Stone})
+	}
+	var layer [columns]world.Block
+	for ; y <= max(maxH, seaLevel); y++ {
+		for i, h := range heights {
+			surface := surfaces[i]
+			var id world.BlockID // air above the column and the sea
+			switch {
+			case y > h:
+				if y <= seaLevel {
+					id = world.Water
+				}
+			case y == h:
+				id = surface
+			case y >= h-dirtDepth && (surface == world.Grass || surface == world.Sand):
+				id = world.Dirt
+			default:
+				id = world.Stone
+			}
+			layer[i] = world.Block{ID: id}
+		}
+		c.SetLayer(y, &layer)
+	}
+	c.GenWork = defaultWorkUnits
+}
+
+// surfaceAt picks the biome surface material of a column by its height.
+func surfaceAt(h int) world.BlockID {
 	switch {
 	case h < seaLevel+2:
-		surface = world.Sand
+		return world.Sand
 	case h > baseHeight+40:
-		surface = world.Snow
+		return world.Snow
 	case h > baseHeight+24:
-		surface = world.Gravel
+		return world.Gravel
 	default:
-		surface = world.Grass
-	}
-	c.Set(x, h, z, world.Block{ID: surface})
-	if surface == world.Grass || surface == world.Sand {
-		for y := h - 1; y > h-4 && y > 0; y-- {
-			c.Set(x, y, z, world.Block{ID: world.Dirt})
-		}
+		return world.Grass
 	}
 }
 

@@ -1,6 +1,8 @@
 package terrain
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +167,119 @@ func TestGeneratedChunkEncodesRoundTrip(t *testing.T) {
 		}
 		if !dec.Equal(c) {
 			t.Fatalf("%s: encode/decode changed the chunk", g.Name())
+		}
+	}
+}
+
+// The column-major generators the product shipped until chunks became
+// layered, kept verbatim as the reference GenerateInto is held to: one Set
+// per block, no knowledge of layers.
+
+func oracleFlatGenerate(pos world.ChunkPos) *world.Chunk {
+	c := world.NewChunk(pos)
+	for x := 0; x < world.ChunkSizeX; x++ {
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
+			for y := 1; y < FlatSurfaceY; y++ {
+				c.Set(x, y, z, world.Block{ID: world.Dirt})
+			}
+			c.Set(x, FlatSurfaceY, z, world.Block{ID: world.Grass})
+		}
+	}
+	c.GenWork = flatWorkUnits
+	return c
+}
+
+func oracleDefaultGenerate(g Default, pos world.ChunkPos) *world.Chunk {
+	c := world.NewChunk(pos)
+	origin := pos.Origin()
+	for x := 0; x < world.ChunkSizeX; x++ {
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			wx, wz := origin.X+x, origin.Z+z
+			h := g.heightAt(wx, wz)
+			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
+			for y := 1; y <= h && y < world.ChunkSizeY; y++ {
+				c.Set(x, y, z, world.Block{ID: world.Stone})
+			}
+			oracleDecorateColumn(c, x, z, h)
+			for y := h + 1; y <= seaLevel; y++ {
+				c.Set(x, y, z, world.Block{ID: world.Water})
+			}
+		}
+	}
+	c.GenWork = defaultWorkUnits
+	return c
+}
+
+// oracleDecorateColumn replaces the top of a stone column with biome surface
+// material.
+func oracleDecorateColumn(c *world.Chunk, x, z, h int) {
+	if h <= 0 || h >= world.ChunkSizeY {
+		return
+	}
+	var surface world.BlockID
+	switch {
+	case h < seaLevel+2:
+		surface = world.Sand
+	case h > baseHeight+40:
+		surface = world.Snow
+	case h > baseHeight+24:
+		surface = world.Gravel
+	default:
+		surface = world.Grass
+	}
+	c.Set(x, h, z, world.Block{ID: surface})
+	if surface == world.Grass || surface == world.Sand {
+		for y := h - 1; y > h-4 && y > 0; y-- {
+			c.Set(x, y, z, world.Block{ID: world.Dirt})
+		}
+	}
+}
+
+// TestGeneratorsMatchColumnMajorOracle holds the layer-by-layer generators
+// to the per-block ones they replaced: Equal and byte-identical encodings
+// over four seeds × 2 500 positions (near the origin, far out, and on both
+// sides of every axis), generated alternately into a fresh chunk and into
+// one scratch chunk that last held different — often taller — terrain.
+func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
+	positions := make([]world.ChunkPos, 0, 2500)
+	for x := -20; x < 20; x++ {
+		for z := -20; z < 20; z++ {
+			positions = append(positions, world.ChunkPos{X: x, Z: z})
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for len(positions) < cap(positions) {
+		positions = append(positions, world.ChunkPos{X: r.Intn(200001) - 100000, Z: r.Intn(200001) - 100000})
+	}
+	r.Shuffle(len(positions), func(i, j int) { positions[i], positions[j] = positions[j], positions[i] })
+
+	scratch := new(world.Chunk)
+	check := func(name string, gen Generator, want *world.Chunk, i int) {
+		got := scratch
+		if i%2 == 0 {
+			got = gen.Generate(want.Pos)
+		} else {
+			gen.GenerateInto(scratch, want.Pos)
+		}
+		if !got.Equal(want) || !want.Equal(got) {
+			t.Fatalf("%s %v: chunk differs from the column-major generator's", name, want.Pos)
+		}
+		if !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Fatalf("%s %v: encoding differs from the column-major generator's", name, want.Pos)
+		}
+		if got.GenWork != want.GenWork || got.Pos != want.Pos {
+			t.Fatalf("%s %v: pos %v genwork %d, want genwork %d", name, want.Pos, got.Pos, got.GenWork, want.GenWork)
+		}
+	}
+	for _, seed := range []int64{0, 1, 42, 7777} {
+		g := Default{Seed: seed}
+		for i, pos := range positions {
+			check("default", g, oracleDefaultGenerate(g, pos), i)
+			if seed == 0 && i%50 == 0 {
+				// Flat terrain into the scratch chunk a default chunk just left.
+				check("flat", Flat{}, oracleFlatGenerate(pos), 1)
+			}
 		}
 	}
 }

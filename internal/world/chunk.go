@@ -8,12 +8,28 @@ import (
 	"slices"
 )
 
-// Chunk is one 16×16×256 column of blocks. Blocks are stored in a flat
-// array indexed by (y, z, x); the zero value of the array is all Air, so a
-// freshly allocated chunk is valid empty space.
+// Chunk is one 16×16×256 column of blocks, stored a Y-layer at a time: a
+// layer holding a single block type is that Block (fill[y]); a layer that
+// mixes types owns a 256-block array, indexed (z, x). Terrain is almost all
+// uniform layers — stone below the surface band, air above it — so a
+// resident default-world chunk is a few KiB and a flat-world chunk is this
+// header. The zero value is valid empty space (every layer a fill of Air).
+//
+// A Chunk must not be copied by value: the copy would share the mixed
+// layers. Use Clone.
 type Chunk struct {
-	Pos    ChunkPos
-	blocks [BlocksPerChunk]Block
+	Pos ChunkPos
+	// fill[y] is the block filling layer y while slot[y] is 0.
+	fill [ChunkSizeY]Block
+	// slot[y] is 0 for a uniform layer, else 1 + the index in mixed of the
+	// layer's own blocks. A mixed layer may come to hold one block type
+	// through Set; it is still read as what it holds (Equal and the codec
+	// are defined over content, not representation).
+	slot [ChunkSizeY]uint16
+	// mixed is the storage of the non-uniform layers, in the order they
+	// were promoted. Reset keeps the layers past its length for reuse:
+	// within mixed[:cap] the allocated layers form a prefix.
+	mixed []*layer
 	// Version counts mutations, used by the persistence layer to detect
 	// dirty chunks and by tests to assert copy semantics.
 	Version uint64
@@ -23,42 +39,174 @@ type Chunk struct {
 	GenWork int
 }
 
+// layerBlocks is the number of blocks in one Y-layer of a chunk.
+const layerBlocks = ChunkSizeX * ChunkSizeZ
+
+// layer is the blocks of one Y-layer, indexed (z, x).
+type layer [layerBlocks]Block
+
+// holdsOnly reports whether every block of the layer is b.
+func (l *layer) holdsOnly(b Block) bool {
+	for _, have := range l {
+		if have != b {
+			return false
+		}
+	}
+	return true
+}
+
+// fillWith makes every block of the layer b.
+func (l *layer) fillWith(b Block) {
+	for i := range l {
+		l[i] = b
+	}
+}
+
 // NewChunk returns an empty (all-air) chunk at pos.
 func NewChunk(pos ChunkPos) *Chunk {
 	return &Chunk{Pos: pos}
 }
 
-func blockIndex(x, y, z int) int {
-	return (y*ChunkSizeZ+z)*ChunkSizeX + x
+// Reset makes c the empty (all-air) chunk at pos with zero Version and
+// GenWork. The storage of its mixed layers is kept for the next occupant.
+func (c *Chunk) Reset(pos ChunkPos) {
+	*c = Chunk{Pos: pos, mixed: c.mixed[:0]}
+}
+
+// mixedLayer returns the blocks of layer y, or nil if the layer is uniform
+// (fill[y]).
+func (c *Chunk) mixedLayer(y int) *layer {
+	if s := c.slot[y]; s != 0 {
+		return c.mixed[s-1]
+	}
+	return nil
+}
+
+// promote gives the uniform layer y storage of its own, contents
+// unspecified, reusing a kept layer when there is one. Only that one layer
+// is allocated; the chunk's other layers are never moved.
+func (c *Chunk) promote(y int) *layer {
+	n := len(c.mixed)
+	if n < cap(c.mixed) {
+		c.mixed = c.mixed[:n+1] // not append: mixed[n] may be a kept layer
+	} else {
+		c.mixed = append(c.mixed, nil)
+	}
+	if c.mixed[n] == nil {
+		c.mixed[n] = new(layer)
+	}
+	c.slot[y] = uint16(n + 1)
+	return c.mixed[n]
+}
+
+// resizeMixed makes mixed hold n layers of unspecified contents, reusing
+// kept storage and allocating whatever is missing as one slab.
+func (c *Chunk) resizeMixed(n int) {
+	if n > cap(c.mixed) {
+		grown := make([]*layer, n)
+		copy(grown, c.mixed[:cap(c.mixed)])
+		c.mixed = grown
+	}
+	c.mixed = c.mixed[:n]
+	have := 0
+	for have < n && c.mixed[have] != nil {
+		have++
+	}
+	if have < n {
+		slab := make([]layer, n-have)
+		for i := range slab {
+			c.mixed[have+i] = &slab[i]
+		}
+	}
+}
+
+func inChunk(x, y, z int) bool {
+	return uint(x) < ChunkSizeX && uint(z) < ChunkSizeZ && uint(y) < ChunkSizeY
 }
 
 // At returns the block at chunk-local coordinates. Coordinates outside the
 // chunk bounds return Air.
 func (c *Chunk) At(x, y, z int) Block {
-	if x < 0 || x >= ChunkSizeX || z < 0 || z >= ChunkSizeZ || y < 0 || y >= ChunkSizeY {
+	if !inChunk(x, y, z) {
 		return Block{}
 	}
-	return c.blocks[blockIndex(x, y, z)]
+	if l := c.mixedLayer(y); l != nil {
+		return l[z*ChunkSizeX+x]
+	}
+	return c.fill[y]
 }
 
 // Set writes the block at chunk-local coordinates. Out-of-bounds writes are
-// ignored.
+// ignored. The first write that makes a uniform layer mixed allocates that
+// layer's blocks.
 func (c *Chunk) Set(x, y, z int, b Block) {
-	if x < 0 || x >= ChunkSizeX || z < 0 || z >= ChunkSizeZ || y < 0 || y >= ChunkSizeY {
+	if !inChunk(x, y, z) {
 		return
 	}
-	i := blockIndex(x, y, z)
-	if c.blocks[i] != b {
-		c.blocks[i] = b
+	l := c.mixedLayer(y)
+	if l == nil {
+		if c.fill[y] == b {
+			return
+		}
+		l = c.promote(y)
+		l.fillWith(c.fill[y])
+	}
+	if i := z*ChunkSizeX + x; l[i] != b {
+		l[i] = b
 		c.Version++
 	}
+}
+
+// FillLayer makes every block of layer y b. Out-of-range layers are
+// ignored. A layer that already has blocks of its own keeps them (filled
+// with b): storage is released by Reset only.
+func (c *Chunk) FillLayer(y int, b Block) {
+	if uint(y) >= ChunkSizeY {
+		return
+	}
+	if l := c.mixedLayer(y); l != nil {
+		if !l.holdsOnly(b) {
+			l.fillWith(b)
+			c.Version++
+		}
+	} else if c.fill[y] != b {
+		c.fill[y] = b
+		c.Version++
+	}
+}
+
+// SetLayer copies blocks, indexed (z, x), over layer y. Out-of-range
+// layers are ignored. Blocks of a single type written over a uniform layer
+// are stored as a fill, so a generator can emit every layer of its surface
+// band through SetLayer and leave the chunk as small as its content allows.
+func (c *Chunk) SetLayer(y int, blocks *[ChunkSizeX * ChunkSizeZ]Block) {
+	if uint(y) >= ChunkSizeY {
+		return
+	}
+	in := (*layer)(blocks)
+	l := c.mixedLayer(y)
+	if l == nil {
+		if in.holdsOnly(in[0]) {
+			c.FillLayer(y, in[0])
+			return
+		}
+		l = c.promote(y)
+	} else if *l == *in {
+		return
+	}
+	*l = *in
+	c.Version++
 }
 
 // SurfaceY returns the Y coordinate of the highest solid block in the given
 // column, or -1 if the column is empty.
 func (c *Chunk) SurfaceY(x, z int) int {
 	for y := ChunkSizeY - 1; y >= 0; y-- {
-		if c.blocks[blockIndex(x, y, z)].ID.Solid() {
+		b := c.fill[y]
+		if l := c.mixedLayer(y); l != nil {
+			b = l[z*ChunkSizeX+x]
+		}
+		if b.ID.Solid() {
 			return y
 		}
 	}
@@ -69,24 +217,57 @@ func (c *Chunk) SurfaceY(x, z int) int {
 // used by tests and the cost model.
 func (c *Chunk) NonAirCount() int {
 	n := 0
-	for _, b := range c.blocks {
-		if !b.IsAir() {
-			n++
+	for y := range c.slot {
+		if l := c.mixedLayer(y); l != nil {
+			for _, b := range l {
+				if !b.IsAir() {
+					n++
+				}
+			}
+		} else if !c.fill[y].IsAir() {
+			n += layerBlocks
 		}
 	}
 	return n
 }
 
-// Clone returns a deep copy of the chunk.
+// Clone returns a deep copy of the chunk: the copy shares no layer with
+// the original.
 func (c *Chunk) Clone() *Chunk {
 	out := *c
+	out.mixed = nil
+	out.resizeMixed(len(c.mixed))
+	for i, l := range c.mixed {
+		*out.mixed[i] = *l
+	}
 	return &out
 }
 
 // Equal reports whether two chunks hold identical block data at the same
-// position (versions and generation metadata are ignored).
+// position (versions and generation metadata are ignored, and so is how
+// each chunk happens to store a layer).
 func (c *Chunk) Equal(o *Chunk) bool {
-	return c.Pos == o.Pos && c.blocks == o.blocks
+	if c.Pos != o.Pos {
+		return false
+	}
+	for y := range c.slot {
+		cl, ol := c.mixedLayer(y), o.mixedLayer(y)
+		var same bool
+		switch {
+		case cl != nil && ol != nil:
+			same = *cl == *ol
+		case cl != nil:
+			same = cl.holdsOnly(o.fill[y])
+		case ol != nil:
+			same = ol.holdsOnly(c.fill[y])
+		default:
+			same = c.fill[y] == o.fill[y]
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
 }
 
 // --- Binary encoding -------------------------------------------------------
@@ -117,9 +298,6 @@ func (c *Chunk) Equal(o *Chunk) bool {
 // produces, and any stream in this format decodes, whoever wrote it.
 
 const chunkMagic = 0x53564f43
-
-// layerBlocks is the number of blocks in one Y-layer of a chunk.
-const layerBlocks = ChunkSizeX * ChunkSizeZ
 
 // chunkHeaderLen is the fixed part of an encoding before the palette.
 const chunkHeaderLen = 14
@@ -154,29 +332,26 @@ func (c *Chunk) Encode() []byte {
 // and the wire protocol.
 //
 // A first pass over the layers discovers the palette (first-appearance
-// order, for determinism) and notes which layers hold a single block type;
-// a second packs the indices. Palette lookups use a linear scan with a
-// last-hit memo instead of a map: real chunks have tiny palettes and long
-// runs of identical blocks, which makes this several times faster than
-// hashing. Uniform layers — all but a dozen or so of a terrain chunk's
-// 256 — are never walked block by block: one array comparison classifies
-// them and copies fill them.
+// order, for determinism) — one lookup for a uniform layer, which is all
+// but a dozen or so of a terrain chunk's 256; a second packs the indices,
+// walking only the mixed layers block by block and filling the rest by
+// copying. Palette lookups use a linear scan with a last-hit memo instead
+// of a map: real chunks have tiny palettes and long runs of identical
+// blocks, which makes this several times faster than hashing.
 func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
-	lastKey, lastIdx := c.blocks[0].key(), 0
+	lastKey, lastIdx := c.At(0, 0, 0).key(), 0
 	pal := append(palArr[:0], lastKey)
 	// uniform[y] is the palette index filling layer y, or -1 if the layer
-	// mixes block types.
+	// has blocks of its own.
 	var uniform [ChunkSizeY]int32
 	for y := range uniform {
-		layer := c.blocks[y*layerBlocks:][:layerBlocks]
-		// A layer equal to itself shifted by one block is one block
-		// repeated; comparing arrays compiles to a single memequal.
-		isUniform := *(*[layerBlocks - 1]Block)(layer) == *(*[layerBlocks - 1]Block)(layer[1:])
-		if isUniform {
-			layer = layer[:1]
+		l := c.mixedLayer(y)
+		blocks := c.fill[y : y+1]
+		if l != nil {
+			blocks = l[:]
 		}
-		for _, b := range layer {
+		for _, b := range blocks {
 			if k := b.key(); k != lastKey {
 				lastKey, lastIdx = k, slices.Index(pal, k)
 				if lastIdx < 0 {
@@ -185,17 +360,22 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 				}
 			}
 		}
-		uniform[y] = -1
-		if isUniform {
-			uniform[y] = int32(lastIdx)
+		uniform[y] = int32(lastIdx)
+		if l != nil {
+			uniform[y] = -1
 		}
 	}
 
-	// The size is known now: grow dst once and fill it in place.
+	// The size is known now: grow dst once and fill it in place. (By hand:
+	// slices.Grow costs a second allocation under the race detector, and
+	// the handler's one-allocation contract is tested there too.)
 	bits := bitsFor(len(pal))
 	dataOff := chunkHeaderLen + 2*len(pal) + 1
-	base := len(dst)
-	dst = slices.Grow(dst, dataOff+packedLen(ChunkSizeY, bits))[:base+dataOff+packedLen(ChunkSizeY, bits)]
+	base, need := len(dst), dataOff+packedLen(ChunkSizeY, bits)
+	if cap(dst)-base < need {
+		dst = append(make([]byte, 0, base+need), dst...)
+	}
+	dst = dst[:base+need]
 	hdr, data := dst[base:base+dataOff], dst[base+dataOff:]
 	binary.LittleEndian.PutUint32(hdr, chunkMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(c.Pos.X)))
@@ -209,17 +389,20 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	layerLen := packedLen(1, bits)
 	for y, idx := range uniform {
 		out := data[y*layerLen:][:layerLen]
-		layer := c.blocks[y*layerBlocks:][:layerBlocks]
 		switch {
 		case idx < 0:
-			packIndices(out, layer, bits, pal)
+			packIndices(out, c.mixedLayer(y)[:], bits, pal)
 		case y > 0 && uniform[y-1] == idx:
 			copy(out, data[(y-1)*layerLen:]) // runs of one layer are the norm
 		default:
 			// 32 indices are `bits` whole words; the rest of the layer
 			// repeats them.
+			var run [32]Block
+			for i := range run {
+				run[i] = c.fill[y]
+			}
 			n := 4 * int(bits)
-			packIndices(out[:n], layer[:32], bits, pal)
+			packIndices(out[:n], run[:], bits, pal)
 			for ; n < layerLen; n *= 2 {
 				copy(out[n:], out[:n])
 			}
@@ -263,8 +446,11 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 // DecodeChunkInto parses a chunk previously produced by Encode into c,
 // overwriting every block plus Pos, Version and GenWork — the chunk needs
 // no prior reset, so pooled (recycled) chunks decode identically to fresh
-// ones. On error the chunk's contents are unspecified. Small palettes
-// (the terrain norm) decode with zero allocations.
+// ones. On error the chunk's contents are unspecified. Layers the stream
+// holds uniform are adopted as fills; the mixed ones reuse the storage c
+// kept, and what is missing is allocated once, after everything but their
+// indices has validated — so with a small palette (the terrain norm) a
+// chunk that has held as many mixed layers decodes with zero allocations.
 //
 // It accepts any stream in the format, not only EncodeAppend's: index
 // widths wider than the palette needs, palettes with repeated entries and
@@ -308,26 +494,56 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 		return fmt.Errorf("%w: truncated block data", ErrBadChunkEncoding)
 	}
 	data := buf[off:]
+	layerLen := packedLen(1, bits)
+	// Eight indices are `bits` whole bytes, so a packed layer equal to
+	// itself shifted by that many bytes repeats its first eight blocks
+	// throughout.
+	periodic := func(in []byte) bool { return bytes.Equal(in[:layerLen-int(bits)], in[bits:]) }
+
+	// A first pass adopts the layers the wire says are uniform — the
+	// common case: periodic, and the eight blocks one type — as fills, and
+	// counts the rest. Nothing of c is written, and no layer allocated,
+	// until every such layer has been range-checked.
+	var fill [ChunkSizeY]Block
+	var slot [ChunkSizeY]uint16
+	mixed := 0
+	for y := range slot {
+		in := data[y*layerLen:][:layerLen]
+		if periodic(in) {
+			var first [8]Block
+			if err := unpackIndices(first[:], in, bits, palette); err != nil {
+				return err
+			}
+			if *(*[7]Block)(first[:]) == *(*[7]Block)(first[1:]) {
+				fill[y] = first[0]
+				continue
+			}
+		}
+		mixed++
+		slot[y] = uint16(mixed)
+	}
 	c.Pos = pos
 	c.Version = 0
 	c.GenWork = 0
-	layerLen := packedLen(1, bits)
-	for y := 0; y < ChunkSizeY; y++ {
+	c.fill, c.slot = fill, slot
+	c.resizeMixed(mixed)
+	for y, s := range slot {
+		if s == 0 {
+			continue
+		}
 		in := data[y*layerLen:][:layerLen]
-		layer := c.blocks[y*layerBlocks:][:layerBlocks]
-		// Eight indices are `bits` whole bytes, so a packed layer equal to
-		// itself shifted by that many bytes repeats its first eight blocks
-		// throughout (a uniform layer is the common case): unpack — and
-		// range-check — those, and copy the rest.
+		l := c.mixed[s-1]
+		// Unpack — and range-check — a periodic layer's first eight
+		// blocks, and copy the rest.
 		n := layerBlocks
-		if bytes.Equal(in[:layerLen-int(bits)], in[bits:]) {
+		if periodic(in) {
 			n = 8
 		}
-		if err := unpackIndices(layer[:n], in, bits, palette); err != nil {
+		if err := unpackIndices(l[:n], in, bits, palette); err != nil {
 			return err
 		}
 		for ; n < layerBlocks; n *= 2 {
-			copy(layer[n:], layer[:n])
+			copy(l[n:], l[:n])
 		}
 	}
 	return nil

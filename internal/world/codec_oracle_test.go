@@ -26,8 +26,8 @@ func OracleEncode(c *Chunk) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, 0) // palLen, patched below
 	palOff := len(dst)
 	lastKey := uint16(0xffff)
-	for i := range c.blocks {
-		k := c.blocks[i].key()
+	for i := 0; i < BlocksPerChunk; i++ {
+		k := oracleAt(c, i).key()
 		if k == lastKey {
 			continue
 		}
@@ -54,8 +54,8 @@ func OracleEncode(c *Chunk) []byte {
 	lastKey = 0xffff
 	lastIdx := uint32(0)
 	var bitPos uint
-	for i := range c.blocks {
-		k := c.blocks[i].key()
+	for i := 0; i < BlocksPerChunk; i++ {
+		k := oracleAt(c, i).key()
 		if k != lastKey {
 			for j := 0; j < palLen; j++ {
 				if binary.LittleEndian.Uint16(dst[palOff+2*j:]) == k {
@@ -115,9 +115,17 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 		if int(idx) >= palLen {
 			return fmt.Errorf("%w: palette index %d out of range", ErrBadChunkEncoding, idx)
 		}
-		c.blocks[i] = palette[idx]
+		c.Set(i%ChunkSizeX, i/layerBlocks, i/ChunkSizeX%ChunkSizeZ, palette[idx])
 	}
+	c.Version = 0
 	return nil
+}
+
+// oracleAt is the i-th block in the format's (y, z, x) order. The oracle
+// reads and writes a chunk through At and Set only: it knows nothing of how
+// a Chunk stores its layers.
+func oracleAt(c *Chunk, i int) Block {
+	return c.At(i%ChunkSizeX, i/layerBlocks, i/ChunkSizeX%ChunkSizeZ)
 }
 
 // writeBits writes the low `bits` bits of v at bit offset pos. Values span

@@ -246,24 +246,73 @@ func TestDecodeForeignStreams(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkAllocationBounded: a hostile header cannot make the
-// decoder allocate beyond what the input itself justifies — the palette is
-// sized only after the buffer is known to hold it.
+// TestDecodeChunkAllocationBounded: nothing is allocated before header,
+// palette and length validate — a hostile header cannot make the decoder
+// allocate at all — and whatever the input, decoding never allocates more
+// than one flat chunk: a stream is free to mix all 256 layers (8 KiB of
+// 1-bit indices does), and then the decoder owes each its 512 bytes, but
+// never more than that and its 2 KiB table of layers — beside, as ever, a
+// palette of more than 64 entries, which the input's own length justifies.
 func TestDecodeChunkAllocationBounded(t *testing.T) {
+	allocated := func(c *world.Chunk, buf []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := world.DecodeChunkInto(c, buf)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	r := rand.New(rand.NewSource(1))
+	noise1bit := handStream([]uint16{0, 0x0100}, 1, func(int) uint32 { return uint32(r.Intn(2)) })
+
 	hostile := binary.LittleEndian.AppendUint32(nil, 0x53564f43)
 	hostile = append(hostile, make([]byte, 8)...)
 	hostile = binary.LittleEndian.AppendUint16(hostile, 0xffff) // 65 535 palette entries, none present
 	hostile = append(hostile, make([]byte, 64)...)
-	big := paletteChunk(rand.New(rand.NewSource(1)), 4097, false).Encode()
-	c := new(world.Chunk)
-	for name, buf := range map[string][]byte{"hostile": hostile, "palette-4097": big} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_ = world.DecodeChunkInto(c, buf)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(buf)+1024); got > limit {
-			t.Errorf("%s: decoding %d bytes allocated %d, want at most %d", name, len(buf), got, limit)
+	badWidth := bytes.Clone(noise1bit)
+	badWidth[14+2*2] = 17
+	for name, buf := range map[string][]byte{
+		"hostile-palette-len": hostile,
+		"bad-width":           badWidth,
+		"truncated-data":      noise1bit[:len(noise1bit)-1],
+	} {
+		got, err := allocated(new(world.Chunk), buf)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
 		}
+		// The error value itself is the only allocation (a few hundred
+		// bytes of formatting under the race detector).
+		if got > 1024 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(buf), got)
+		}
+	}
+
+	// One flat chunk, the layer table, and slack for size-class rounding.
+	const ceiling = 2*world.BlocksPerChunk + 2048 + 1024
+	for name, tc := range map[string]struct {
+		buf     []byte
+		palette uint64 // what a spilled palette may add
+	}{
+		"noise-1bit":   {noise1bit, 0}, // 8 KiB that mix every layer
+		"palette-4097": {paletteChunk(r, 4097, true).Encode(), 2 * 4097 * 5 / 4},
+	} {
+		got, err := allocated(new(world.Chunk), tc.buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got > ceiling+tc.palette {
+			t.Errorf("%s: decoding %d bytes allocated %d, want at most %d", name, len(tc.buf), got, ceiling+tc.palette)
+		}
+	}
+	// Noise whose last index is out of range is refused only once every
+	// layer has storage: that is still no more than the chunk.
+	bad := handStream([]uint16{0, 0x0100}, 2, func(i int) uint32 {
+		if i == world.BlocksPerChunk-1 {
+			return 3
+		}
+		return uint32(r.Intn(2))
+	})
+	if got, err := allocated(new(world.Chunk), bad); err == nil || got > ceiling {
+		t.Errorf("bad last index: err %v, allocated %d", err, got)
 	}
 }
 
@@ -284,10 +333,10 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 	}
 	dirty := dirtyChunk(r)
-	scribble := dirty.Clone()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, ref := scribble, new(world.Chunk)
-		*dec = *dirty
+		// A Chunk value copy shares its layers, so a dirty chunk to decode
+		// over is a Clone, never `*dec = *dirty`.
+		dec, ref := dirty.Clone(), new(world.Chunk)
 		err, oerr := world.DecodeChunkInto(dec, data), world.OracleDecodeInto(ref, data)
 		if (err == nil) != (oerr == nil) {
 			t.Fatalf("decoder says %v, oracle says %v", err, oerr)

@@ -2,15 +2,19 @@ package world
 
 // ChunkPool is a bounded freelist of Chunk values for the chunk-churn fast
 // path: generation storms, store round-trips and far-chunk unloads move a
-// 128 KiB Chunk per event, and without recycling every one is a fresh heap
-// allocation. The pool is deliberately not concurrency-safe — each shard
-// owns one, and all Get/Put calls happen on that shard's lane (or inside
-// its ordered commit drain), which the lane scheduler already serialises.
+// Chunk per event — its 1 KiB layer table plus 512 bytes for every mixed
+// layer, ~6 KiB of default terrain — and without recycling each is two or
+// three fresh heap allocations. The pool is deliberately not
+// concurrency-safe — each shard owns one, and all Get/Put calls happen on
+// that shard's lane (or inside its ordered commit drain), which the lane
+// scheduler already serialises.
 //
-// Put fully zeroes the chunk before shelving it, so Get is semantically
-// identical to NewChunk: a pooled chunk is indistinguishable from a fresh
-// one (all-air blocks, zero Version/GenWork). All methods are nil-safe; a
-// nil *ChunkPool degrades to plain allocation.
+// Put resets the chunk before shelving it (Chunk.Reset: the layer table is
+// cleared, the storage of its mixed layers is kept for the next occupant
+// to decode into), so Get is semantically identical to NewChunk: a pooled
+// chunk is indistinguishable from a fresh one (all-air blocks, zero
+// Version/GenWork). All methods are nil-safe; a nil *ChunkPool degrades to
+// plain allocation.
 type ChunkPool struct {
 	free []*Chunk
 	max  int
@@ -23,7 +27,9 @@ type ChunkPool struct {
 
 // DefaultChunkPoolCap bounds the freelist when NewChunkPool is given a
 // non-positive capacity: enough to absorb an unload sweep's worth of
-// chunks (~a view rectangle per player) without pinning unbounded memory.
+// chunks (~a view rectangle per player). A shelved chunk pins the layer
+// storage its largest occupant needed — ~2 MiB for a full pool of default
+// terrain, 32 MiB at the very worst (every layer of every chunk mixed).
 const DefaultChunkPoolCap = 256
 
 // NewChunkPool returns a pool holding at most max recycled chunks
@@ -54,7 +60,7 @@ func (p *ChunkPool) Get(pos ChunkPos) *Chunk {
 	return NewChunk(pos)
 }
 
-// Put resets c to the zero chunk and shelves it for reuse. Chunks beyond
+// Put resets c to the empty chunk and shelves it for reuse. Chunks beyond
 // the pool's capacity are dropped for the GC to take. The caller must not
 // retain c after Put — in particular, a chunk must not be Put while a
 // deferred commit closure still references it (e.g. a pending store
@@ -64,7 +70,7 @@ func (p *ChunkPool) Put(c *Chunk) {
 	if p == nil || c == nil || len(p.free) >= p.max {
 		return
 	}
-	*c = Chunk{}
+	c.Reset(ChunkPos{})
 	p.free = append(p.free, c)
 }
 
