@@ -30,12 +30,16 @@ nofork:
 		grep -vE '^(servo_test\.go|internal/core/core_test\.go):[0-9]+:[[:space:]]*if (inst\.Cluster\(\)|sys\.Cluster) == nil \{$$')"; \
 	if [ -n "$$out" ]; then echo "nil-Cluster forks:"; echo "$$out"; exit 1; fi
 
-# loc prints the two line counts a simplification PR reports in
-# CHANGES.md: tracked non-test Go outside benchmark/, and the scenario
-# package's share of it.
+# loc prints the line counts a simplification PR reports in CHANGES.md:
+# tracked non-test Go outside benchmark/, the scenario package's share of
+# it, and then each package directory's share, sorted by directory so
+# that two trees' outputs line up under diff.
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
 	@git ls-files 'internal/scenario/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/scenario:"
+	@echo "non-test Go lines per package directory:"
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs wc -l | \
+		awk '$$2 != "total" {d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
 
 build:
 	$(GO) build ./...

@@ -219,9 +219,8 @@ func BenchmarkVisibilityScan(b *testing.B) {
 	}
 }
 
-// BenchmarkGhostDigest measures the digest wire forms: the stateless
-// full encoding and the steady-state delta path (stable membership,
-// moving positions), which must not allocate.
+// BenchmarkGhostDigest measures the digest wire form on a 512-entry
+// shard pair.
 func BenchmarkGhostDigest(b *testing.B) {
 	entries := make([]cluster.DigestEntry, 512)
 	for i := range entries {
@@ -231,20 +230,6 @@ func BenchmarkGhostDigest(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.EncodeGhostDigest(entries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		var enc cluster.DigestEncoder
-		if _, err := enc.Encode(entries, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			entries[i%len(entries)].X += 0.5
-			if _, err := enc.Encode(entries, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,10 +28,6 @@ func (c *Cluster) checkpointTick() {
 		if !ok {
 			continue
 		}
-		// Owned constructs are not checkpointed: their live copies stay in
-		// the world, and readmit discards snapshot constructs anyway (a
-		// re-restore would duplicate world state).
-		snap.Constructs = nil
 		c.Checkpoints.Inc()
 		c.transfer.Save(p.Name, mve.EncodeSnapshot(snap), func() {})
 	}

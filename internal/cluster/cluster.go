@@ -17,14 +17,14 @@
 //
 // Cross-shard handoff: a periodic scan detects avatars that crossed a
 // region boundary (with one scan of hysteresis against boundary
-// oscillation) and transfers the session — the player snapshot plus any
-// player-owned constructs is saved through the cluster's Transfer (the
-// shared storage substrate, with retrying writes, so a brownout delays
-// but never loses state), restored on the target shard, and admitted
-// there. The wall between eviction and admission is the handoff latency,
-// recorded per transfer. Ownership migration and failover reuse the same
-// machinery: after an epoch change, resident players simply look foreign
-// to the scan and follow their tile to its new owner.
+// oscillation) and transfers the session — the player snapshot is saved
+// through the cluster's Transfer (the shared storage substrate, with
+// retrying writes, so a brownout delays but never loses state), restored
+// on the target shard, and admitted there. The wall between eviction and
+// admission is the handoff latency, recorded per transfer. Ownership
+// migration and failover reuse the same machinery: after an epoch change,
+// resident players simply look foreign to the scan and follow their tile
+// to its new owner.
 package cluster
 
 import (
@@ -128,17 +128,11 @@ type Player struct {
 	// the failover fallback when a player on a killed shard was never
 	// persisted.
 	lastPos world.BlockPos
-	// constructs are the player-owned constructs simulated on the
-	// player's shard and travelling with it on handoff.
-	constructs []ownedConstruct
 	// vc is the session's cached border membership (see visibility.go);
 	// the visibility scan recomputes it only when position, host shard,
 	// or ownership epoch changed.
 	vc visCache
 }
-
-// OwnedConstructs returns the number of constructs owned by the player.
-func (p *Player) OwnedConstructs() int { return len(p.constructs) }
 
 // Shard returns the index of the shard currently hosting the session
 // (the source shard while a handoff is in flight).
@@ -146,14 +140,6 @@ func (p *Player) Shard() int { return p.shard }
 
 // InFlight reports whether the session is mid-handoff.
 func (p *Player) InFlight() bool { return p.inflight }
-
-// ownedConstruct tracks one player-owned construct on its current shard,
-// by anchor: shard-level ids are not stable across the halt/resume cycle
-// (resuming re-adds the construct under a fresh id), so the live id is
-// resolved from the anchor at handoff time.
-type ownedConstruct struct {
-	anchor world.BlockPos
-}
 
 // HandoffRecord logs one completed handoff, in completion order. The
 // sequence is part of the deterministic replay surface: same seed, same
@@ -252,7 +238,7 @@ type Cluster struct {
 	// fullRescan makes every scan recompute every session's border
 	// membership from scratch, the pre-incremental behaviour: the
 	// reference the in-package tests and benchmarks compare the
-	// membership cache against (digest bytes, ghost log and gap audit
+	// membership cache against (ghost registries, ghost log and gap audit
 	// are identical either way). Nothing outside the package can set it.
 	fullRescan bool
 	// GhostUpdates counts digest entries applied to ghost registries.
@@ -272,9 +258,6 @@ type Cluster struct {
 	// moved. Idle sessions and sessions pacing inside one chunk leave it
 	// still: the incremental scan's observable win.
 	VisRecomputes metrics.Counter
-	// DigestErrors counts digests the encoder refused to emit (an entry
-	// the wire form cannot represent; the ghosts still apply).
-	DigestErrors metrics.Counter
 	// DigestsSent counts per-pair digests actually published, and
 	// DigestsSkipped those suppressed by the rate limiter: a pair whose
 	// entry list is byte-identical to its last published digest under an
@@ -592,25 +575,12 @@ func (c *Cluster) Session(p *Player) *mve.Player {
 	return c.shards[p.shard].Player(p.pid)
 }
 
-// SpawnConstruct activates an unowned construct on the shard owning its
-// anchor and returns (shard, id). Unowned constructs never migrate.
+// SpawnConstruct activates a construct on the shard owning its anchor
+// and returns (shard, id). Constructs never migrate: a construct stays on
+// the shard that spawned it.
 func (c *Cluster) SpawnConstruct(con *sc.Construct, anchor world.BlockPos) (int, uint64) {
 	shard := c.table.ShardOfBlock(anchor)
 	return shard, c.shards[shard].SpawnConstruct(con, anchor)
-}
-
-// SpawnOwnedConstruct activates a construct owned by a player. Owned
-// constructs are simulated by the shard hosting their owner (their
-// outputs feed that player's client) and travel with the owner on
-// handoff when their anchor lies in the destination region — the case
-// where the footprint moves between chunk copies each persisted by
-// their owning shard. Constructs anchored elsewhere, constructs that are
-// halted (chunk unloaded) at handoff time, and all owned constructs on
-// disconnect stay behind on their current shard as unowned.
-func (c *Cluster) SpawnOwnedConstruct(con *sc.Construct, anchor world.BlockPos, owner *Player) uint64 {
-	id := c.shards[owner.shard].SpawnConstruct(con, anchor)
-	owner.constructs = append(owner.constructs, ownedConstruct{anchor: anchor})
-	return id
 }
 
 // scan walks every session in join order and starts handoffs for avatars
@@ -649,9 +619,8 @@ func (c *Cluster) scan() {
 }
 
 // handoff transfers a session from its current shard to dst: evict, save
-// the snapshot (player + owned constructs) through the storage substrate,
-// restore on dst, admit. With a nil Transfer the move is purely in
-// memory.
+// the player snapshot through the storage substrate, restore on dst,
+// admit. With a nil Transfer the move is purely in memory.
 func (c *Cluster) handoff(p *Player, dst int) {
 	src := p.shard
 	snap, ok := c.shards[src].EvictPlayer(p.pid)
@@ -664,50 +633,6 @@ func (c *Cluster) handoff(p *Player, dst int) {
 	// ghost behind, so viewers on the source shard keep seeing the
 	// avatar while its state crosses the storage substrate.
 	c.demoteToGhost(p, src, snap.X, snap.Z, dst)
-	// Owned constructs whose anchor lies in the destination region leave
-	// the source shard with their owner, resolved by anchor (ids are not
-	// stable across halt/resume). Migration is restricted to
-	// destination-region anchors so the world footprint only ever moves
-	// between chunk copies persisted by their owning shard — eviction
-	// clears the source's never-persisted ghost copy, respawn writes the
-	// destination's owned copy. Constructs anchored elsewhere (and
-	// constructs currently halted) stay behind on the source shard as
-	// unowned.
-	for _, oc := range p.constructs {
-		if c.table.ShardOfBlock(oc.anchor) != dst {
-			continue
-		}
-		id, ok := c.shards[src].ActiveConstructAt(oc.anchor)
-		if !ok {
-			continue
-		}
-		if con, anchor, ok := c.shards[src].EvictConstruct(id); ok {
-			snap.Constructs = append(snap.Constructs, mve.ConstructSnapshot{
-				Anchor: anchor,
-				Layout: con.EncodeLayout(),
-				State:  con.State(),
-			})
-		}
-	}
-	p.constructs = nil
-
-	// restoreConstructs re-activates the travelling constructs on a
-	// shard, returning their ownership refs.
-	restoreConstructs := func(shard int, snaps []mve.ConstructSnapshot) []ownedConstruct {
-		var out []ownedConstruct
-		for _, cs := range snaps {
-			con, err := sc.DecodeLayout(cs.Layout)
-			if err != nil {
-				continue
-			}
-			if err := con.SetState(cs.State); err != nil {
-				continue
-			}
-			c.shards[shard].SpawnConstruct(con, cs.Anchor)
-			out = append(out, ownedConstruct{anchor: cs.Anchor})
-		}
-		return out
-	}
 
 	finish := func(restored mve.PlayerSnapshot) {
 		p.inflight = false
@@ -719,12 +644,9 @@ func (c *Cluster) handoff(p *Player, dst int) {
 		}
 		if p.closed {
 			// Disconnected mid-handoff: the player record is already
-			// persisted (when a Transfer exists), and the travelling
-			// constructs land on the target shard as unowned — the same
-			// stay-behind contract as a plain disconnect. The avatar is
-			// gone for good, so its ghosts must not linger pinned.
+			// persisted (when a Transfer exists). The avatar is gone for
+			// good, so its ghosts must not linger pinned.
 			c.dropGhosts(p.Name)
-			restoreConstructs(dst, restored.Constructs)
 			c.drop(p.ID)
 			return
 		}
@@ -733,7 +655,6 @@ func (c *Cluster) handoff(p *Player, dst int) {
 		// pinned double unpins and rides the normal refresh/expiry cycle.
 		c.promoteFromGhost(p, src, dst, restored.X, restored.Z)
 		p.shard, p.pid, p.pendingShard = dst, sess.ID, dst
-		p.constructs = restoreConstructs(dst, restored.Constructs)
 		lat := c.clock.Now() - start
 		c.Handoffs.Inc()
 		c.HandoffLatency.Add(lat)

@@ -8,7 +8,6 @@ import (
 
 	"servo/internal/blob"
 	"servo/internal/mve"
-	"servo/internal/sc"
 	"servo/internal/servo/rstore"
 	"servo/internal/sim"
 	"servo/internal/world"
@@ -114,81 +113,6 @@ func TestHandoffHysteresisNoThrash(t *testing.T) {
 	}
 }
 
-func TestOwnedConstructMigratesWithState(t *testing.T) {
-	loop, c := newTestCluster(t, 3, 2, Config{})
-	p := c.ConnectAt("engineer", walker(100, 8, 8), world.BlockPos{X: 32, Y: 0, Z: 8})
-	con := sc.BuildSized(48)
-	// Anchor near the walk's destination so the construct's chunk stays
-	// within view range on both shards (an anchor left far behind would
-	// legitimately halt on chunk unload instead of migrating).
-	c.SpawnOwnedConstruct(con, world.BlockPos{X: 90, Y: 5, Z: 8}, p)
-	if c.Shard(0).SCs().Count() != 1 {
-		t.Fatal("construct not on source shard")
-	}
-	c.Start()
-	loop.RunUntil(30 * time.Second)
-
-	if c.Handoffs.Value() == 0 {
-		t.Fatal("no handoff happened")
-	}
-	if got := c.Shard(0).SCs().Count(); got != 0 {
-		t.Fatalf("source shard still simulates %d constructs", got)
-	}
-	if got := c.Shard(1).SCs().Count(); got != 1 {
-		t.Fatalf("target shard simulates %d constructs, want 1", got)
-	}
-	if p.OwnedConstructs() != 1 {
-		t.Fatalf("ownership refs lost: %d", p.OwnedConstructs())
-	}
-}
-
-// seqWalker walks through waypoints in order, one move at a time.
-func seqWalker(speed float64, waypoints ...[2]float64) mve.Behavior {
-	idx := 0
-	return mve.BehaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
-		if p.Moving() || idx >= len(waypoints) {
-			return nil
-		}
-		w := waypoints[idx]
-		idx++
-		return []mve.Action{mve.MoveTo(w[0], w[1], speed)}
-	})
-}
-
-// TestOwnedConstructSurvivesHaltResumeThenMigrates is the stale-id
-// regression: the owner walks far enough that the construct's chunk
-// unloads (halting it), comes back (the construct resumes under a FRESH
-// shard-level id), and then crosses a shard boundary. Anchor-based
-// ownership must still migrate the construct.
-func TestOwnedConstructSurvivesHaltResumeThenMigrates(t *testing.T) {
-	loop, c := newTestCluster(t, 8, 2, Config{})
-	// Out along +Z far past view+margin (halts the construct anchored at
-	// the edge of view), back (resumes it under a fresh shard-level id),
-	// then across the x=64 band boundary. The anchor sits in band 1 so
-	// the handoff into shard 1 migrates it.
-	p := c.ConnectAt("roamer", seqWalker(8, [2]float64{32, 150}, [2]float64{32, 8}, [2]float64{80, 8}),
-		world.BlockPos{X: 32, Y: 0, Z: 8})
-	c.SpawnOwnedConstruct(sc.BuildSized(48), world.BlockPos{X: 70, Y: 5, Z: 8}, p)
-	c.Start()
-	loop.RunUntil(90 * time.Second)
-
-	if c.Shard(0).ConstructsResumed.Value() == 0 {
-		t.Fatal("construct never halted+resumed; regression test proves nothing")
-	}
-	if c.Handoffs.Value() == 0 {
-		t.Fatal("no handoff happened")
-	}
-	if got := c.Shard(1).SCs().Count(); got != 1 {
-		t.Fatalf("construct did not migrate after halt/resume: shard1 has %d", got)
-	}
-	if got := c.Shard(0).SCs().Count(); got != 0 {
-		t.Fatalf("source shard still simulates %d constructs", got)
-	}
-	if p.OwnedConstructs() != 1 {
-		t.Fatalf("ownership lost across halt/resume: %d refs", p.OwnedConstructs())
-	}
-}
-
 // retryingTransfer is the test double of core's blob-backed transfer.
 type retryingTransfer struct{ remote *blob.Store }
 
@@ -248,7 +172,6 @@ func TestDisconnectDuringHandoffDoesNotCrash(t *testing.T) {
 		return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 	})
 	p := c.ConnectAt("quitter", walker(100, 8, 8), world.BlockPos{X: 32, Y: 0, Z: 8})
-	c.SpawnOwnedConstruct(sc.BuildSized(48), world.BlockPos{X: 90, Y: 5, Z: 8}, p)
 	c.Start()
 	// Slow the store drastically so the handoff is in flight for a while.
 	remote.SetChaos(&blob.Chaos{LatencyFactor: 50})
@@ -274,12 +197,6 @@ func TestDisconnectDuringHandoffDoesNotCrash(t *testing.T) {
 	// the record.
 	if !remote.Exists(rstore.PlayerKey("quitter")) {
 		t.Fatal("mid-handoff disconnect lost the persisted player record")
-	}
-	// The travelling construct was not dropped from the world: it landed
-	// on the target shard as unowned (the stay-behind disconnect
-	// contract).
-	if got := c.Shard(0).SCs().Count() + c.Shard(1).SCs().Count(); got != 1 {
-		t.Fatalf("mid-handoff disconnect lost the owned construct: %d in world", got)
 	}
 }
 

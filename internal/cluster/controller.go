@@ -344,7 +344,6 @@ func (c *Cluster) FailShard(i int) bool {
 // observed position with an empty record.
 func (c *Cluster) readmit(p *Player) {
 	p.inflight = true
-	p.constructs = nil
 	finish := func(snap mve.PlayerSnapshot) {
 		p.inflight = false
 		if p.closed {
@@ -375,10 +374,6 @@ func (c *Cluster) readmit(p *Player) {
 		if ok {
 			if dec, err := mve.DecodeSnapshot(data); err == nil {
 				dec.Name, dec.Behavior = p.Name, p.behavior
-				// Constructs in a stale handoff snapshot were already
-				// respawned somewhere when that handoff completed;
-				// re-restoring them would duplicate world state.
-				dec.Constructs = nil
 				snap = dec
 			}
 		}

@@ -23,7 +23,7 @@
 // displaced-session pairing and the gap audit run over a spatial bucket
 // index instead of all pairs. The in-package tests cross-check the cache
 // against a scan that recomputes everything (Cluster.fullRescan): both
-// produce byte-identical digests and ghost logs.
+// leave identical ghost registries and ghost logs.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
 // session demotes it to a pinned ghost on the source shard (viewers keep
@@ -44,7 +44,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -74,11 +73,6 @@ type VisibilityConfig struct {
 	Margin int
 	// Interval is the replication cadence (0 → DefaultVisibilityInterval).
 	Interval time.Duration
-	// Observer, when set, receives every published per-shard-pair digest
-	// (a test hook for the determinism contract; not consulted by the
-	// bus itself). The digest buffer is reused on the next scan: observers
-	// that keep it must copy.
-	Observer func(src, dst int, digest []byte)
 }
 
 // withDefaults fills zero fields. The margin default needs the shard
@@ -113,18 +107,8 @@ type DigestEntry struct {
 	Home int
 }
 
-// Digest wire form. Every digest opens with a version/kind byte: a full
-// digest carries each entry's name, position, and home shard; a delta
-// digest — emitted when the entry key sequence (names and homes, in
-// order) matches the pair's previous digest and the ownership epoch is
-// unchanged — carries a changed-entry bitmask and the moved positions
-// only. The header byte versions the format so the two forms can never
-// be confused with each other (or with the headerless pre-versioned
-// encoding).
-const (
-	digestKindFull  = 0x02
-	digestKindDelta = 0x03
-)
+// digestKindFull is the version byte every digest opens with.
+const digestKindFull = 0x02
 
 // Digest entry bounds, enforced at the encode boundary: a name longer
 // than 64 KiB cannot be framed by the uint16 length prefix, and a home
@@ -135,25 +119,28 @@ const (
 	maxDigestHome    = math.MaxInt32
 )
 
-// digestEntryMinLen is the wire size of a full-form entry with an empty
-// name: the uint16 name length, two float64 coordinates, the uint32 home.
+// digestEntryMinLen is the wire size of an entry with an empty name: the
+// uint16 name length, two float64 coordinates, the uint32 home.
 const digestEntryMinLen = 2 + 8 + 8 + 4
 
-// validateDigestEntries rejects entries the wire form cannot represent.
-func validateDigestEntries(entries []DigestEntry) error {
+// EncodeGhostDigest serialises one shard-pair digest: each entry's name,
+// position, and home shard. It validates every entry and returns an
+// error instead of corrupting the frame. The bus itself applies entries
+// to the ghost registries in memory and never encodes; this stays for
+// the frozen benchmark/ harness (its digest-encode row) and the root
+// package's BenchmarkGhostDigest, which ROADMAP item 1 retires.
+func EncodeGhostDigest(entries []DigestEntry) ([]byte, error) {
+	size := 5 + digestEntryMinLen*len(entries)
 	for i, e := range entries {
 		if len(e.Name) > maxDigestNameLen {
-			return fmt.Errorf("ghost digest entry %d: name is %d bytes, exceeds the %d-byte frame limit", i, len(e.Name), maxDigestNameLen)
+			return nil, fmt.Errorf("ghost digest entry %d: name is %d bytes, exceeds the %d-byte frame limit", i, len(e.Name), maxDigestNameLen)
 		}
 		if e.Home < 0 || e.Home > maxDigestHome {
-			return fmt.Errorf("ghost digest entry %d (%q): home shard %d outside [0, %d]", i, e.Name, e.Home, maxDigestHome)
+			return nil, fmt.Errorf("ghost digest entry %d (%q): home shard %d outside [0, %d]", i, e.Name, e.Home, maxDigestHome)
 		}
+		size += len(e.Name)
 	}
-	return nil
-}
-
-// appendFullDigest appends the full wire form to buf.
-func appendFullDigest(buf []byte, entries []DigestEntry) []byte {
+	buf := make([]byte, 0, size)
 	buf = append(buf, digestKindFull)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
@@ -163,139 +150,7 @@ func appendFullDigest(buf []byte, entries []DigestEntry) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Z))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Home))
 	}
-	return buf
-}
-
-// EncodeGhostDigest serialises one shard-pair digest in the full wire
-// form (the stateless encoding; DigestEncoder adds delta compression).
-// It validates every entry and returns an error instead of corrupting
-// the frame.
-func EncodeGhostDigest(entries []DigestEntry) ([]byte, error) {
-	if err := validateDigestEntries(entries); err != nil {
-		return nil, err
-	}
-	size := 5 + digestEntryMinLen*len(entries)
-	for i := range entries {
-		size += len(entries[i].Name)
-	}
-	return appendFullDigest(make([]byte, 0, size), entries), nil
-}
-
-// DigestEncoder encodes the digest stream of one shard pair with delta
-// compression: when the entry key sequence matches the previous digest
-// and the epoch is unchanged, only a changed-position bitmask and the
-// moved coordinates go on the wire. The buffer is reused across calls —
-// zero allocations in steady state — so the returned slice is only valid
-// until the next Encode.
-type DigestEncoder struct {
-	buf   []byte
-	prev  []DigestEntry
-	epoch uint64
-	init  bool
-}
-
-// Encode returns the digest for entries at the given ownership epoch:
-// delta against the previous digest when the key sequence allows it, a
-// full digest on first contact, epoch change, or membership change.
-func (e *DigestEncoder) Encode(entries []DigestEntry, epoch uint64) ([]byte, error) {
-	if err := validateDigestEntries(entries); err != nil {
-		return nil, err
-	}
-	delta := e.init && epoch == e.epoch && len(entries) == len(e.prev)
-	if delta {
-		for i := range entries {
-			if entries[i].Name != e.prev[i].Name || entries[i].Home != e.prev[i].Home {
-				delta = false
-				break
-			}
-		}
-	}
-	e.buf = e.buf[:0]
-	if delta {
-		e.buf = append(e.buf, digestKindDelta)
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(entries)))
-		mask := len(e.buf)
-		for i := 0; i < (len(entries)+7)/8; i++ {
-			e.buf = append(e.buf, 0)
-		}
-		for i, en := range entries {
-			if en.X == e.prev[i].X && en.Z == e.prev[i].Z {
-				continue
-			}
-			e.buf[mask+i/8] |= 1 << (i % 8)
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(en.X))
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(en.Z))
-		}
-	} else {
-		e.buf = appendFullDigest(e.buf, entries)
-	}
-	e.prev = append(e.prev[:0], entries...)
-	e.epoch = epoch
-	e.init = true
-	return e.buf, nil
-}
-
-// DecodeGhostDigest parses a digest. prev is the pair's previously
-// decoded entry list, required to resolve a delta digest (nil is fine
-// for a full one).
-func DecodeGhostDigest(prev []DigestEntry, data []byte) ([]DigestEntry, error) {
-	if len(data) < 5 {
-		return nil, errors.New("ghost digest: truncated header")
-	}
-	kind := data[0]
-	n := int(binary.LittleEndian.Uint32(data[1:5]))
-	data = data[5:]
-	switch kind {
-	case digestKindFull:
-		// A count the remaining bytes cannot hold is refused before it
-		// sizes an allocation.
-		if n > len(data)/digestEntryMinLen {
-			return nil, errors.New("ghost digest: truncated entry")
-		}
-		out := make([]DigestEntry, 0, n)
-		for i := 0; i < n; i++ {
-			if len(data) < 2 {
-				return nil, errors.New("ghost digest: truncated entry")
-			}
-			nameLen := int(binary.LittleEndian.Uint16(data))
-			data = data[2:]
-			if len(data) < nameLen+20 {
-				return nil, errors.New("ghost digest: truncated entry")
-			}
-			out = append(out, DigestEntry{
-				Name: string(data[:nameLen]),
-				X:    math.Float64frombits(binary.LittleEndian.Uint64(data[nameLen:])),
-				Z:    math.Float64frombits(binary.LittleEndian.Uint64(data[nameLen+8:])),
-				Home: int(int32(binary.LittleEndian.Uint32(data[nameLen+16:]))),
-			})
-			data = data[nameLen+20:]
-		}
-		return out, nil
-	case digestKindDelta:
-		if n != len(prev) {
-			return nil, fmt.Errorf("ghost digest: delta over %d entries, previous digest had %d", n, len(prev))
-		}
-		maskLen := (n + 7) / 8
-		if len(data) < maskLen {
-			return nil, errors.New("ghost digest: truncated bitmask")
-		}
-		mask := data[:maskLen]
-		data = data[maskLen:]
-		out := append([]DigestEntry(nil), prev...)
-		for i := 0; i < n; i++ {
-			if mask[i/8]&(1<<(i%8)) == 0 {
-				continue
-			}
-			if len(data) < 16 {
-				return nil, errors.New("ghost digest: truncated delta entry")
-			}
-			out[i].X = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			out[i].Z = math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-			data = data[16:]
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("ghost digest: unknown kind 0x%02x", kind)
+	return buf, nil
 }
 
 // viewDistance resolves the shard servers' shared view distance from the
@@ -375,11 +230,10 @@ type visPair struct{ src, dst int }
 // window, so a rate-limited ghost can never be reaped as stale.
 const digestMaxSkips = ghostTTLScans - 2
 
-// visPairState is one shard pair's digest buffer, delta encoder, and
-// rate-limiter state, reused every scan.
+// visPairState is one shard pair's digest buffer and rate-limiter state,
+// reused every scan.
 type visPairState struct {
 	entries []DigestEntry
-	enc     DigestEncoder
 
 	// Rate limiter: lastPub is a copy of the entry list most recently
 	// published (backing array reused — entry Names share the sessions'
@@ -398,7 +252,7 @@ type visPairState struct {
 // identical to the last published digest, same ownership epoch, and the
 // consecutive-skip cap not yet reached. Shared by the incremental scan
 // and the full-rescan reference — both feed the same apply loop, so the
-// digest stream stays byte-identical across the two.
+// ghost registries stay identical across the two.
 func (ps *visPairState) shouldSkip(epoch uint64) bool {
 	if !ps.pubValid || epoch != ps.lastEpoch || ps.skips >= digestMaxSkips {
 		return false
@@ -605,9 +459,9 @@ func (c *Cluster) VisibilityScanOnce() {
 
 	// Apply: materialise the digests as ghosts, in (src, dst) order. A
 	// pair whose entries are identical to its last published digest under
-	// an unchanged epoch is rate-limited: nothing goes on the wire and no
-	// registry is touched, capped at digestMaxSkips consecutive scans so
-	// the staleness stamps refresh before the expiry TTL.
+	// an unchanged epoch is rate-limited: no registry is touched, capped
+	// at digestMaxSkips consecutive scans so the staleness stamps refresh
+	// before the expiry TTL.
 	for src := 0; src < len(c.shards); src++ {
 		for dst := 0; dst < len(c.shards); dst++ {
 			ps := c.visPairs[visPair{src: src, dst: dst}]
@@ -627,13 +481,6 @@ func (c *Cluster) VisibilityScanOnce() {
 				ps.skips++
 				c.DigestsSkipped.Inc()
 				continue
-			}
-			if c.vis.Observer != nil {
-				if digest, err := ps.enc.Encode(ps.entries, epoch); err == nil {
-					c.vis.Observer(src, dst, digest)
-				} else {
-					c.DigestErrors.Inc()
-				}
 			}
 			for _, e := range ps.entries {
 				if c.shards[dst].UpsertGhost(e.Name, e.X, e.Z, e.Home, c.visSeq) {

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +26,30 @@ func pacer(x1, z1, x2, z2, speed float64) mve.Behavior {
 		}
 		return []mve.Action{mve.MoveTo(x1, z1, speed)}
 	})
+}
+
+// sampleReplication runs the loop to until in replication-interval steps
+// and writes, after each step, the bus's replay surface: the digest
+// counters, the ghost log's length, and every alive shard's ghost
+// registry in creation order (id, name, exact position, home, pinned).
+// The registries are the state the published digests stand for, so two
+// runs that sample alike replicated alike.
+func sampleReplication(b *strings.Builder, loop *sim.Loop, c *Cluster, until time.Duration) {
+	for loop.Now() < until {
+		loop.RunUntil(min(loop.Now()+c.vis.Interval, until))
+		fmt.Fprintf(b, "t=%v sent=%d skipped=%d glog=%d\n",
+			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.GhostLog.Total())
+		for i, s := range c.shards {
+			if !c.table.Alive(i) {
+				continue
+			}
+			fmt.Fprintf(b, "  shard %d:", i)
+			s.EachGhost(func(g *mve.GhostAvatar) {
+				fmt.Fprintf(b, " %d:%s(%v,%v)>%d pinned=%t", g.ID, g.Name, g.X, g.Z, g.Home, g.Pinned)
+			})
+			b.WriteByte('\n')
+		}
+	}
 }
 
 func TestVisibilityGhostAcrossBorder(t *testing.T) {
@@ -172,25 +196,18 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 }
 
 // TestVisibilityDigestDeterministicReplay runs the same seeded pacing
-// cluster twice: the published digest byte stream, the ghost-transition
-// log, and the handoff log must be identical — the replay surface of the
-// interest-management layer.
+// cluster twice: the ghost registries at every replication interval, the
+// ghost-transition log, and the handoff log must be identical — the
+// replay surface of the interest-management layer.
 func TestVisibilityDigestDeterministicReplay(t *testing.T) {
-	run := func() ([]byte, []GhostRecord, []HandoffRecord) {
+	run := func() (string, []GhostRecord, []HandoffRecord) {
 		loop := sim.NewLoop(33)
 		remote := blob.NewStore(loop, blob.TierPremium)
-		var stream bytes.Buffer
 		cfg := Config{
-			Transfer: &retryingTransfer{remote: remote},
-			Shards:   2,
-			Topology: world.BandTopology{BandChunks: 4},
-			Visibility: VisibilityConfig{
-				Enabled: true,
-				Observer: func(src, dst int, digest []byte) {
-					fmt.Fprintf(&stream, "%d>%d:", src, dst)
-					stream.Write(digest)
-				},
-			},
+			Transfer:   &retryingTransfer{remote: remote},
+			Shards:     2,
+			Topology:   world.BandTopology{BandChunks: 4},
+			Visibility: VisibilityConfig{Enabled: true},
 		}
 		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
@@ -201,17 +218,17 @@ func TestVisibilityDigestDeterministicReplay(t *testing.T) {
 				world.BlockPos{X: 40, Y: 0, Z: i * 8})
 		}
 		c.Start()
-		loop.RunUntil(2 * time.Minute)
-		return stream.Bytes(), c.GhostLog.All(), c.Log.All()
+		var dump strings.Builder
+		sampleReplication(&dump, loop, c, 2*time.Minute)
+		return dump.String(), c.GhostLog.All(), c.Log.All()
 	}
 	d1, g1, h1 := run()
 	d2, g2, h2 := run()
-	if len(d1) == 0 || len(g1) == 0 || len(h1) == 0 {
-		t.Fatalf("empty replay surface (digests %d, ghost log %d, handoffs %d); test proves nothing",
-			len(d1), len(g1), len(h1))
+	if len(g1) == 0 || len(h1) == 0 {
+		t.Fatalf("empty replay surface (ghost log %d, handoffs %d); test proves nothing", len(g1), len(h1))
 	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatalf("digest streams diverge (%d vs %d bytes)", len(d1), len(d2))
+	if d1 != d2 {
+		t.Fatalf("ghost registries diverge:\n%s", firstDiff(d1, d2))
 	}
 	if len(g1) != len(g2) {
 		t.Fatalf("ghost logs diverge: %d vs %d records", len(g1), len(g2))
@@ -224,6 +241,17 @@ func TestVisibilityDigestDeterministicReplay(t *testing.T) {
 	if len(h1) != len(h2) {
 		t.Fatalf("handoff logs diverge: %d vs %d", len(h1), len(h2))
 	}
+}
+
+// firstDiff reports the first line two registry samples disagree on.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\n  %s\n  %s", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("one sample ends at line %d, the other at %d", len(la), len(lb))
 }
 
 // TestVisibilityBrownoutDegradesWithoutLosingLiveness: a storage

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-
-	"servo/internal/sc"
-	"servo/internal/world"
 )
 
 // PlayerStore persists per-player data (position, inventory). The paper's
@@ -49,13 +46,20 @@ func decodePlayer(data []byte) (playerRecord, error) {
 	}, nil
 }
 
+// snapshotLen is the encoded size of a handoff snapshot: the 17-byte
+// player record, destination, speed, delivery counter, and a trailing
+// two-byte count that is always zero (it once framed travelling
+// constructs; persisted records keep the length, which the store's
+// transfer time and billing read).
+const snapshotLen = 17 + 8 + 8 + 8 + 4 + 2
+
 // EncodeSnapshot serialises a handoff snapshot. The first 17 bytes are a
 // valid player record (see encodePlayer), so a snapshot persisted under
 // the player's storage key doubles as the player's saved state: a crash
 // between handoff save and restore loses nothing, and a later plain
 // reconnect decodes the prefix.
 func EncodeSnapshot(s PlayerSnapshot) []byte {
-	out := make([]byte, 0, 64)
+	out := make([]byte, 0, snapshotLen)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.X))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Z))
 	out = append(out, s.Inventory)
@@ -63,17 +67,7 @@ func EncodeSnapshot(s PlayerSnapshot) []byte {
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.DestZ))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Speed))
 	out = binary.LittleEndian.AppendUint32(out, uint32(s.ChunksReceived))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s.Constructs)))
-	for _, c := range s.Constructs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(c.Anchor.X)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(c.Anchor.Y)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(c.Anchor.Z)))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.Layout)))
-		out = append(out, c.Layout...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.State)))
-		out = append(out, c.State...)
-	}
-	return out
+	return binary.LittleEndian.AppendUint16(out, 0)
 }
 
 // errBadSnapshot reports a corrupt handoff snapshot.
@@ -81,7 +75,8 @@ var errBadSnapshot = errors.New("mve: bad handoff snapshot")
 
 // DecodeSnapshot parses a handoff snapshot (Name and Behavior are carried
 // out of band). A bare 17-byte player record decodes too, with zero
-// movement state, so snapshots and plain records share a storage key.
+// movement state, so snapshots and plain records share a storage key. A
+// non-zero trailing count is refused; bytes past snapshotLen are ignored.
 func DecodeSnapshot(data []byte) (PlayerSnapshot, error) {
 	rec, err := decodePlayer(data)
 	if err != nil {
@@ -92,58 +87,13 @@ func DecodeSnapshot(data []byte) (PlayerSnapshot, error) {
 	if len(data) == 17 {
 		return s, nil
 	}
-	buf := data[17:]
-	u64 := func() (uint64, bool) {
-		if len(buf) < 8 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-		return v, true
-	}
-	u32 := func() (uint32, bool) {
-		if len(buf) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, true
-	}
-	dx, ok1 := u64()
-	dz, ok2 := u64()
-	sp, ok3 := u64()
-	cr, ok4 := u32()
-	if !(ok1 && ok2 && ok3 && ok4) || len(buf) < 2 {
+	if len(data) < snapshotLen || binary.LittleEndian.Uint16(data[snapshotLen-2:]) != 0 {
 		return PlayerSnapshot{}, errBadSnapshot
 	}
-	s.DestX = math.Float64frombits(dx)
-	s.DestZ = math.Float64frombits(dz)
-	s.Speed = math.Float64frombits(sp)
-	s.ChunksReceived = int(cr)
-	n := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	for i := 0; i < n; i++ {
-		ax, oka := u32()
-		ay, okb := u32()
-		az, okc := u32()
-		if !(oka && okb && okc) {
-			return PlayerSnapshot{}, errBadSnapshot
-		}
-		c := ConstructSnapshot{Anchor: world.BlockPos{X: int(int32(ax)), Y: int(int32(ay)), Z: int(int32(az))}}
-		ln, ok := u32()
-		if !ok || len(buf) < int(ln) {
-			return PlayerSnapshot{}, errBadSnapshot
-		}
-		c.Layout = append([]byte(nil), buf[:ln]...)
-		buf = buf[ln:]
-		ln, ok = u32()
-		if !ok || len(buf) < int(ln) {
-			return PlayerSnapshot{}, errBadSnapshot
-		}
-		c.State = append(sc.StateVector(nil), buf[:ln]...)
-		buf = buf[ln:]
-		s.Constructs = append(s.Constructs, c)
-	}
+	s.DestX = math.Float64frombits(binary.LittleEndian.Uint64(data[17:]))
+	s.DestZ = math.Float64frombits(binary.LittleEndian.Uint64(data[25:]))
+	s.Speed = math.Float64frombits(binary.LittleEndian.Uint64(data[33:]))
+	s.ChunksReceived = int(binary.LittleEndian.Uint32(data[41:]))
 	return s, nil
 }
 

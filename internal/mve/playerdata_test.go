@@ -1,6 +1,9 @@
 package mve
 
 import (
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -123,4 +126,59 @@ func TestNoStoreNoPersistence(t *testing.T) {
 	p := s.Connect("ghost", nil)
 	runFor(loop, 100*time.Millisecond)
 	s.Disconnect(p.ID) // must not panic without a store
+}
+
+// wireSnapshot and snapshotWire pin the handoff snapshot's bytes, which
+// are persisted under the player's key and whose length the store's
+// transfer time and billing read: the 17-byte player record, DestX,
+// DestZ, Speed, ChunksReceived, and the always-zero trailing count.
+var wireSnapshot = PlayerSnapshot{
+	X: 12.5, Z: -3.25, DestX: 99, DestZ: -44, Speed: 3.5,
+	Inventory: 9, ChunksReceived: 17,
+}
+
+const snapshotWire = "0000000000002940" + "0000000000000ac0" + "09" +
+	"0000000000c05840" + "00000000000046c0" + "0000000000000c40" +
+	"11000000" + "0000"
+
+func TestSnapshotWireFormat(t *testing.T) {
+	data := EncodeSnapshot(wireSnapshot)
+	if got := hex.EncodeToString(data); got != snapshotWire {
+		t.Fatalf("EncodeSnapshot = %s (%d bytes), want %s", got, len(data), snapshotWire)
+	}
+	bare, err := DecodeSnapshot(data[:17])
+	if err != nil {
+		t.Fatalf("bare 17-byte record refused: %v", err)
+	}
+	want := PlayerSnapshot{X: 12.5, Z: -3.25, DestX: 12.5, DestZ: -3.25, Inventory: 9}
+	if bare != want {
+		t.Fatalf("bare record decoded as %+v, want %+v", bare, want)
+	}
+	counted := bytes.Clone(data)
+	counted[len(counted)-2] = 1
+	if _, err := DecodeSnapshot(counted); !errors.Is(err, errBadSnapshot) {
+		t.Fatalf("non-zero construct count: err %v, want errBadSnapshot", err)
+	}
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary records. It must not
+// panic; whatever decodes is a bare 17-byte record or a full snapshot,
+// and re-encodes to the input's first snapshotLen bytes (float bits
+// included; trailing bytes are ignored). The seeds are the files under
+// testdata/fuzz/FuzzDecodeSnapshot: a valid snapshot, a bare record, a
+// truncation at every field, a non-zero count, and trailing bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		n := min(len(data), snapshotLen)
+		if n != 17 && n != snapshotLen {
+			t.Fatalf("a %d-byte input decoded", len(data))
+		}
+		if got := EncodeSnapshot(s)[:n]; !bytes.Equal(got, data[:n]) {
+			t.Fatalf("decoded %+v re-encodes to %x, want %x", s, got, data[:n])
+		}
+	})
 }

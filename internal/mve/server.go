@@ -558,47 +558,6 @@ func (s *Server) SpawnConstruct(c *sc.Construct, anchor world.BlockPos) uint64 {
 	return id
 }
 
-// ActiveConstructAt returns the id of the active construct anchored at
-// anchor. Anchors are stable across the halt/resume cycle while ids are
-// not (resuming re-adds the construct under a fresh id), so cross-shard
-// ownership tracks constructs by anchor and resolves the live id here.
-// With multiple constructs on one anchor the smallest id wins, keeping
-// the lookup deterministic.
-func (s *Server) ActiveConstructAt(anchor world.BlockPos) (uint64, bool) {
-	best, found := uint64(0), false
-	for id, h := range s.anchors {
-		if h.anchor == anchor && (!found || id < best) {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
-// EvictConstruct deactivates an active construct and clears its world
-// footprint, returning the construct and its anchor so a cluster can
-// transfer it to another shard (the inverse of SpawnConstruct). Unlike
-// unload halting, the construct will not resume on this server. Halted
-// constructs (their chunk is unloaded) are not evictable and return false.
-func (s *Server) EvictConstruct(id uint64) (*sc.Construct, world.BlockPos, bool) {
-	h, ok := s.anchors[id]
-	if !ok {
-		return nil, world.BlockPos{}, false
-	}
-	s.scs.Remove(id)
-	delete(s.anchors, id)
-	w, ch := h.construct.Size()
-	for y := 0; y < ch; y++ {
-		for x := 0; x < w; x++ {
-			bp := h.anchor.Offset(x, 0, y)
-			if s.footprint[bp] == id {
-				delete(s.footprint, bp)
-				s.world.SetBlockAt(bp, world.Block{})
-			}
-		}
-	}
-	return h.construct, h.anchor, true
-}
-
 func blockForCell(k sc.CellKind) world.BlockID {
 	switch k {
 	case sc.Wire:
@@ -726,9 +685,9 @@ func (s *Server) tickOnce() {
 // invalidates the cursor (unloadFarChunks). So clean players only need
 // the chunks applied since the previous scan, replayed in rect order;
 // dirty players — fresh sessions, handoff arrivals, chunk-rect
-// crossings, view-distance changes — take the full walk and count one
-// TerrainRecomputes. The request/send streams are byte-identical to the
-// full rescan (fullDemandRescan is the in-package tests' cross-check).
+// crossings — take the full walk and count one TerrainRecomputes. The
+// request/send streams are byte-identical to the full rescan
+// (fullDemandRescan is the in-package tests' cross-check).
 func (s *Server) scanTerrainDemand() {
 	avatars := s.obsBufs[s.obsIdx][:0]
 	newly := s.newlyLoaded
@@ -815,19 +774,6 @@ func (s *Server) scanTerrainDemand() {
 // ScanTerrainDemand runs one demand scan outside the tick cadence — the
 // benchmark entry point (the game loop calls the scan on its own period).
 func (s *Server) ScanTerrainDemand() { s.scanTerrainDemand() }
-
-// SetViewDistance changes the view distance mid-run and invalidates
-// every player's demand cursor, so the next scan re-walks the new rects
-// in full.
-func (s *Server) SetViewDistance(blocks int) {
-	if blocks <= 0 || blocks == s.cfg.ViewDistance {
-		return
-	}
-	s.cfg.ViewDistance = blocks
-	for _, p := range s.players {
-		p.demandValid = false
-	}
-}
 
 // requestChunk starts the load-or-generate path for one chunk. With a
 // store the request is only queued; flushChunkLoads turns the queue into

@@ -89,14 +89,6 @@ func (s *Server) Player(id PlayerID) *Player { return s.players[id] }
 // PlayerCount returns the number of connected players.
 func (s *Server) PlayerCount() int { return len(s.players) }
 
-// ConstructSnapshot is the transferable state of one player-owned
-// construct: its layout, cell state, and world anchor.
-type ConstructSnapshot struct {
-	Anchor world.BlockPos
-	Layout []byte // sc.Construct.EncodeLayout
-	State  sc.StateVector
-}
-
 // PlayerSnapshot is the transferable state of a session: the unit of
 // cross-shard handoff. Behavior rides along in memory only (behaviors are
 // code, not data); everything else round-trips through EncodeSnapshot.
@@ -109,9 +101,6 @@ type PlayerSnapshot struct {
 	// ChunksReceived carries the client's delivery counter across shards.
 	ChunksReceived int
 	Behavior       Behavior
-	// Constructs are the player's owned constructs travelling with it
-	// (populated by the cluster, not by EvictPlayer).
-	Constructs []ConstructSnapshot
 }
 
 // SnapshotPlayer returns a session's transferable state without removing
@@ -151,10 +140,9 @@ func (s *Server) EvictPlayer(id PlayerID) (PlayerSnapshot, bool) {
 
 // AdmitPlayer installs a session from a snapshot at its recorded position:
 // the target half of a cross-shard handoff. Unlike Connect it does not
-// consult the player store (the cluster already moved the state) and it
-// restores any constructs travelling with the player. The client's chunk
-// knowledge is empty on the new shard, so terrain resends — exactly the
-// reconnect cost a real cross-server transfer pays.
+// consult the player store (the cluster already moved the state). The
+// client's chunk knowledge is empty on the new shard, so terrain resends
+// — exactly the reconnect cost a real cross-server transfer pays.
 func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 	s.nextPlayer++
 	p := &Player{

@@ -3,7 +3,6 @@ package mve
 import (
 	"testing"
 
-	"servo/internal/sc"
 	"servo/internal/sim"
 	"servo/internal/world"
 )
@@ -46,44 +45,20 @@ func TestEvictAdmitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCodecRoundTrip checks the wire format, including owned
-// constructs and prefix compatibility with the plain player record.
+// TestSnapshotCodecRoundTrip checks the wire format's round trip and its
+// prefix compatibility with the plain player record.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
-	con := sc.BuildSized(48)
 	snap := PlayerSnapshot{
 		X: 12.5, Z: -3.25, DestX: 99, DestZ: -44, Speed: 3.5,
 		Inventory: 9, ChunksReceived: 17,
-		Constructs: []ConstructSnapshot{{
-			Anchor: world.BlockPos{X: -8, Y: 5, Z: 120},
-			Layout: con.EncodeLayout(),
-			State:  con.State(),
-		}},
 	}
 	data := EncodeSnapshot(snap)
 	got, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.X != snap.X || got.Z != snap.Z || got.DestX != 99 || got.Speed != 3.5 ||
-		got.Inventory != 9 || got.ChunksReceived != 17 {
+	if got != snap {
 		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if len(got.Constructs) != 1 {
-		t.Fatalf("constructs lost: %d", len(got.Constructs))
-	}
-	c := got.Constructs[0]
-	if c.Anchor != (world.BlockPos{X: -8, Y: 5, Z: 120}) {
-		t.Fatalf("anchor mismatch: %v", c.Anchor)
-	}
-	dec, err := sc.DecodeLayout(c.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SetState(c.State); err != nil {
-		t.Fatal(err)
-	}
-	if dec.BlockCount() != con.BlockCount() {
-		t.Fatalf("construct layout mismatch: %d vs %d blocks", dec.BlockCount(), con.BlockCount())
 	}
 
 	// Prefix compatibility: the snapshot decodes as a plain player record.

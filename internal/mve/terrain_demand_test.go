@@ -67,7 +67,7 @@ func walker(stride float64) Behavior {
 }
 
 // driveDemandRun runs one server through the shared script — walking
-// players, a mid-run view-distance change, and a handoff-displaced
+// players, whose far chunks unload behind them, and a handoff-displaced
 // player — collecting a signature each scan period.
 func driveDemandRun(full bool) (sigs []string, recomputes int64) {
 	loop := sim.NewLoop(11)
@@ -83,9 +83,6 @@ func driveDemandRun(full bool) (sigs []string, recomputes int64) {
 	s.Connect("drifter", walker(3))
 	s.Start()
 
-	// Mid-run view-distance growth: every cursor must invalidate and the
-	// wider rects must stream in identically.
-	loop.After(4*time.Second, func() { s.SetViewDistance(64) })
 	// Handoff displacement: evict a session and re-admit it far away
 	// (the cluster's cross-shard handoff path), where no terrain is
 	// loaded yet.

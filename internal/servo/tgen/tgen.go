@@ -160,7 +160,7 @@ type Backend struct {
 	// chunks (left visible for experiment sanity checks).
 	Failures int
 	// DecodeErrors counts malformed generation replies specifically (a
-	// subset of Failures; the DigestErrors-style corruption guard).
+	// subset of Failures: the corruption guard).
 	DecodeErrors int
 	// GenDeduped counts chunks adopted from the cross-shard cache instead
 	// of re-invoking FaaS.

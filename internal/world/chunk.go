@@ -30,8 +30,8 @@ type Chunk struct {
 	// were promoted. Reset keeps the layers past its length for reuse:
 	// within mixed[:cap] the allocated layers form a prefix.
 	mixed []*layer
-	// Version counts mutations, used by the persistence layer to detect
-	// dirty chunks and by tests to assert copy semantics.
+	// Version counts mutations: any change of content bumps it, and only
+	// a decode or a trip through the pool zeroes it.
 	Version uint64
 	// GenWork records the number of abstract work units spent generating
 	// this chunk (0 for hand-built chunks); the cost model charges it

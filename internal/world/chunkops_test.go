@@ -72,9 +72,8 @@ func opBlock(sel byte) world.Block {
 // chunk, ChunkPool Put→Get), an x/z or pattern byte, y, and a block
 // selector — applied both to a Chunk and to the flat model, and after every
 // one holds the chunk's reads, its encoding and its Version to the model:
-// any change of content bumps Version (world.World's dirty tracking relies
-// on nothing more), and nothing ever lowers it but a decode or a trip
-// through the pool, which zero it.
+// any change of content bumps Version, and nothing ever lowers it but a
+// decode or a trip through the pool, which zero it.
 func chunkOps(t *testing.T, data []byte) {
 	const maxOps = 48
 	pos := world.ChunkPos{X: -2, Z: 11}

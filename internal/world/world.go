@@ -6,15 +6,11 @@ package world
 // provides storage and block addressing across chunk boundaries.
 type World struct {
 	chunks map[ChunkPos]*Chunk
-	dirty  map[ChunkPos]uint64 // version at last persistence flush
 }
 
 // New returns an empty world.
 func New() *World {
-	return &World{
-		chunks: make(map[ChunkPos]*Chunk),
-		dirty:  make(map[ChunkPos]uint64),
-	}
+	return &World{chunks: make(map[ChunkPos]*Chunk)}
 }
 
 // Chunk returns the loaded chunk at pos, or nil if not loaded.
@@ -22,18 +18,13 @@ func (w *World) Chunk(pos ChunkPos) *Chunk {
 	return w.chunks[pos]
 }
 
-// AddChunk inserts (or replaces) a chunk. The chunk is considered clean at
-// its current version.
-func (w *World) AddChunk(c *Chunk) {
-	w.chunks[c.Pos] = c
-	w.dirty[c.Pos] = c.Version
-}
+// AddChunk inserts (or replaces) a chunk.
+func (w *World) AddChunk(c *Chunk) { w.chunks[c.Pos] = c }
 
 // RemoveChunk unloads the chunk at pos and returns it (nil if not loaded).
 func (w *World) RemoveChunk(pos ChunkPos) *Chunk {
 	c := w.chunks[pos]
 	delete(w.chunks, pos)
-	delete(w.dirty, pos)
 	return c
 }
 
@@ -91,23 +82,4 @@ func (w *World) SurfaceY(x, z int) int {
 		return -1
 	}
 	return c.SurfaceY(floorMod(x, ChunkSizeX), floorMod(z, ChunkSizeZ))
-}
-
-// DirtyChunks returns the chunks modified since their last MarkClean, the
-// set the persistence layer must flush.
-func (w *World) DirtyChunks() []*Chunk {
-	var out []*Chunk
-	for pos, c := range w.chunks {
-		if c.Version != w.dirty[pos] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// MarkClean records that the chunk's current version has been persisted.
-func (w *World) MarkClean(c *Chunk) {
-	if w.chunks[c.Pos] == c {
-		w.dirty[c.Pos] = c.Version
-	}
 }

@@ -219,24 +219,6 @@ func TestWorldBlockAddressingAcrossChunks(t *testing.T) {
 	}
 }
 
-func TestWorldDirtyTracking(t *testing.T) {
-	w := New()
-	c := NewChunk(ChunkPos{})
-	w.AddChunk(c)
-	if len(w.DirtyChunks()) != 0 {
-		t.Fatal("fresh chunk must be clean")
-	}
-	w.SetBlockAt(BlockPos{X: 1, Y: 1, Z: 1}, Block{ID: Stone})
-	d := w.DirtyChunks()
-	if len(d) != 1 || d[0] != c {
-		t.Fatalf("DirtyChunks = %v, want the mutated chunk", d)
-	}
-	w.MarkClean(c)
-	if len(w.DirtyChunks()) != 0 {
-		t.Fatal("MarkClean did not clear dirty state")
-	}
-}
-
 func TestWorldRemoveChunk(t *testing.T) {
 	w := New()
 	c := NewChunk(ChunkPos{X: 3, Z: 4})
