@@ -201,7 +201,9 @@ func NewStore(clock sim.Clock, tier Tier) *Store {
 func (s *Store) Tier() Tier { return s.tier }
 
 // Get fetches the object at key asynchronously; cb runs on the clock after
-// the modelled read latency with a copy of the data, or ErrNotFound.
+// the modelled read latency with the data, or ErrNotFound. The data is the
+// stored object itself, not a copy: a read-only view that the receiver may
+// keep (the terrain cache does) but must never mutate.
 func (s *Store) Get(key string, cb func(data []byte, err error)) {
 	data, ok := s.objects[key]
 	lat := s.model.Read.Sample(s.clock.RNG()) + s.model.transferTime(len(data))
@@ -222,22 +224,24 @@ func (s *Store) Get(key string, cb func(data []byte, err error)) {
 			cb(nil, fmt.Errorf("%w: %q", ErrNotFound, key))
 			return
 		}
-		out := make([]byte, len(data))
-		copy(out, data)
 		s.bytesOut += int64(len(data))
-		cb(out, nil)
+		cb(data, nil)
 	})
 }
 
-// Put stores a copy of data under key asynchronously; cb (which may be nil)
-// runs after the modelled write latency.
+// Put stores data under key asynchronously; cb (which may be nil) runs
+// after the modelled write latency. The store takes ownership of data: it
+// installs the slice itself, so the caller must not mutate it afterwards
+// (an encoded chunk is shared by the chunk, the terrain cache and the
+// store, and never written again).
 func (s *Store) Put(key string, data []byte, cb func(err error)) {
 	s.put(key, data, 0, cb)
 }
 
 // put is Put with an optional write generation: a non-zero gen installs
 // the object only if it is still the newest PutRetrying chain for key, so
-// a slow stale write completing late cannot clobber a newer one.
+// a slow stale write completing late cannot clobber a newer one. Like Put
+// it takes ownership of data, as does every write path built on it.
 func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 	lat := s.model.Write.Sample(s.clock.RNG()) + s.model.transferTime(len(data))
 	if ch := s.chaos; ch != nil {
@@ -256,8 +260,6 @@ func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 	}
 	s.Writes.Inc()
 	s.WriteLatency.Add(lat)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.clock.After(lat, func() {
 		if gen != 0 && s.putGen[key] != gen {
 			// Superseded by a newer write chain: drop the stale install.
@@ -269,8 +271,8 @@ func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 		if old, ok := s.objects[key]; ok {
 			s.curBytes -= int64(len(old))
 		}
-		s.objects[key] = cp
-		s.curBytes += int64(len(cp))
+		s.objects[key] = data
+		s.curBytes += int64(len(data))
 		if s.curBytes > s.peakBytes {
 			s.peakBytes = s.curBytes
 		}
@@ -392,9 +394,10 @@ func (s *Store) Exists(key string) bool {
 func (s *Store) Len() int { return len(s.objects) }
 
 // CopyFrom clones every object of src into s instantly, without latency or
-// billing. It is a harness utility for handing one experiment phase's data
-// to a fresh storage stack (and for test fixtures); the game path never
-// uses it.
+// billing: each object is deep-copied, so the two stores share no bytes.
+// It is a harness utility for handing one experiment phase's data to a
+// fresh storage stack (and for test fixtures); the game path never uses
+// it.
 func (s *Store) CopyFrom(src *Store) {
 	for k, v := range src.objects {
 		cp := make([]byte, len(v))

@@ -40,35 +40,49 @@ func TestGetMissingKey(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// sameSlice reports whether a and b are the same bytes in memory, not
+// merely equal ones.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+func TestGetDeliversStoredSlice(t *testing.T) {
 	loop := sim.NewLoop(1)
 	s := NewStore(loop, TierLocal)
 	s.Put("k", []byte("abc"), nil)
-	var first []byte
 	loop.Run()
+	var first, second []byte
 	s.Get("k", func(data []byte, _ error) { first = data })
-	loop.Run()
-	first[0] = 'X'
-	var second []byte
 	s.Get("k", func(data []byte, _ error) { second = data })
 	loop.Run()
-	if string(second) != "abc" {
-		t.Fatal("mutating a Get result corrupted the stored object")
+	if string(first) != "abc" || !sameSlice(first, s.objects["k"]) || !sameSlice(first, second) {
+		t.Fatal("Get delivered a copy, not the stored object")
 	}
 }
 
-func TestPutCopiesInput(t *testing.T) {
+func TestPutInstallsCallerSlice(t *testing.T) {
 	loop := sim.NewLoop(1)
 	s := NewStore(loop, TierLocal)
 	data := []byte("abc")
 	s.Put("k", data, nil)
-	data[0] = 'X' // mutate before the write lands
 	loop.Run()
-	var got []byte
-	s.Get("k", func(d []byte, _ error) { got = d })
+	if !sameSlice(s.objects["k"], data) {
+		t.Fatal("Put installed a copy, not the caller's slice")
+	}
+}
+
+func TestCopyFromDeepCopies(t *testing.T) {
+	loop := sim.NewLoop(1)
+	src, dst := NewStore(loop, TierLocal), NewStore(loop, TierLocal)
+	src.Put("k", []byte("abc"), nil)
 	loop.Run()
-	if string(got) != "abc" {
-		t.Fatal("store aliased the caller's buffer")
+	dst.CopyFrom(src)
+	if string(dst.objects["k"]) != "abc" || sameSlice(dst.objects["k"], src.objects["k"]) {
+		t.Fatal("CopyFrom shares the source's bytes")
+	}
+	src.objects["k"][0] = 'X'
+	if string(dst.objects["k"]) != "abc" {
+		t.Fatal("a write to the source store's object showed in the copy")
 	}
 }
 

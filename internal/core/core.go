@@ -581,6 +581,7 @@ func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 			cb(nil, false)
 			return
 		}
+		c.KeepEncoded(data) // storing it back unchanged rewrites this slice
 		cb(c, true)
 	})
 }
@@ -594,17 +595,18 @@ func (u *uncachedStore) LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPo
 	}
 }
 
-// Store implements mve.ChunkStore. The blob store retains the bytes it is
-// handed, so each write encodes into a slice of its own.
+// Store implements mve.ChunkStore. The blob store keeps the very slice
+// Encoded returns, which is never written again, so an unchanged chunk is
+// stored without encoding or copying anything.
 func (u *uncachedStore) Store(c *world.Chunk) {
-	u.remote.PutRetrying(tcache.Key(c.Pos), c.Encode())
+	u.remote.PutRetrying(tcache.Key(c.Pos), c.Encoded())
 }
 
 // StoreThen implements mve.SyncingChunkStore: done runs once data for
 // the chunk is durably stored — even if a concurrent unload-path write
 // superseded this one (ownership migrations gate the tile flip on it).
 func (u *uncachedStore) StoreThen(c *world.Chunk, done func()) {
-	u.remote.PutDurablyThen(tcache.Key(c.Pos), c.Encode(), done)
+	u.remote.PutDurablyThen(tcache.Key(c.Pos), c.Encoded(), done)
 }
 
 // SavePlayer implements mve.PlayerStore.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"servo/internal/sim"
+	"servo/internal/terrain"
 	"servo/internal/world"
 )
 
@@ -104,6 +105,73 @@ func TestRegionGatedPersistence(t *testing.T) {
 		t.Fatal("no chunks persisted at all")
 	}
 }
+
+// TestUnpersistedChunkDropsItsReply is the seam-chunk heap guard: a
+// generated chunk arrives holding the encoding it was decoded from (the
+// FaaS reply). One the server persists keeps it — the store shares that
+// slice — but one it applies without persisting (another shard owns it)
+// must let it go, or every seam chunk pins its reply beside the far
+// smaller resident chunk.
+func TestUnpersistedChunkDropsItsReply(t *testing.T) {
+	loop := sim.NewLoop(3)
+	topo := world.BandTopology{BandChunks: 4}
+	region := world.NewOwnershipTable(2, topo).View(0)
+	gen := &replyTerrain{replies: map[world.ChunkPos][]byte{}}
+	s := NewServer(loop, Config{
+		WorldType:    "flat",
+		ViewDistance: 64,
+		Region:       region,
+		Store:        &recordingStore{stored: map[world.ChunkPos]bool{}},
+		Terrain:      gen,
+	})
+	s.Connect("p", nil)
+	s.Start()
+	loop.RunUntil(10 * 1e9)
+	owned, unowned := 0, 0
+	for pos, reply := range gen.replies {
+		c := s.world.Chunk(pos)
+		if c == nil {
+			continue
+		}
+		kept := &c.Encoded()[0] == &reply[0]
+		if region.Contains(pos) {
+			owned++
+			if !kept {
+				t.Errorf("persisted chunk %v dropped the reply it arrived in", pos)
+			}
+		} else {
+			unowned++
+			if kept {
+				t.Errorf("unowned chunk %v still holds the reply it arrived in", pos)
+			}
+		}
+	}
+	if owned == 0 || unowned == 0 {
+		t.Fatalf("applied %d owned and %d unowned generated chunks; want both", owned, unowned)
+	}
+}
+
+// replyTerrain delivers flat chunks the way the serverless backend does:
+// each keeps the encoding it would have been decoded from.
+type replyTerrain struct {
+	replies map[world.ChunkPos][]byte
+	done    []*world.Chunk
+}
+
+func (r *replyTerrain) Request(pos world.ChunkPos) {
+	c := terrain.Flat{}.Generate(pos)
+	r.replies[pos] = c.Encode()
+	c.KeepEncoded(r.replies[pos])
+	r.done = append(r.done, c)
+}
+
+func (r *replyTerrain) DrainAppend(dst []*world.Chunk) []*world.Chunk {
+	dst = append(dst, r.done...)
+	r.done = r.done[:0]
+	return dst
+}
+
+func (r *replyTerrain) Load() (busyWorkers, queued int) { return 0, 0 }
 
 // recordingStore is a ChunkStore that records Store calls and always
 // misses on Load.

@@ -57,7 +57,9 @@ func (s *Store) Cache() *tcache.Cache { return s.cache }
 func (s *Store) UseChunkPool(p *world.ChunkPool) { s.pool = p }
 
 // Load implements mve.ChunkStore: fetch through the cache; a missing
-// object reports ok=false so the server generates the chunk instead.
+// object reports ok=false so the server generates the chunk instead. The
+// chunk keeps the cached bytes it was decoded from as its encoding, so
+// storing it back unchanged writes that same slice.
 func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 	s.cache.Get(pos, func(data []byte, err error) {
 		if err != nil {
@@ -77,6 +79,7 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 			cb(nil, false)
 			return
 		}
+		c.KeepEncoded(data)
 		cb(c, true)
 	})
 }
@@ -92,11 +95,13 @@ func (s *Store) LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPos, c *wo
 	}
 }
 
-// Store implements mve.ChunkStore: encode and write back through the
-// cache (flushed to remote storage periodically). The cache retains the
-// bytes it is handed, so each write encodes into a slice of its own.
+// Store implements mve.ChunkStore: write the chunk's encoding back
+// through the cache (flushed to remote storage periodically). The cache
+// and the blob store keep the very slice Encoded returns, which is never
+// written again, so an unchanged chunk — generated, loaded or stored
+// before — is written without encoding or copying anything.
 func (s *Store) Store(c *world.Chunk) {
-	s.cache.Put(c.Pos, c.Encode())
+	s.cache.Put(c.Pos, c.Encoded())
 }
 
 // StoreThen implements mve.SyncingChunkStore: the chunk is written
@@ -105,7 +110,7 @@ func (s *Store) Store(c *world.Chunk) {
 // source shard's band through this path before flipping the band to its
 // new owner.
 func (s *Store) StoreThen(c *world.Chunk, done func()) {
-	s.cache.PutThen(c.Pos, c.Encode(), done)
+	s.cache.PutThen(c.Pos, c.Encoded(), done)
 }
 
 // PlayerKey returns the storage key for a player record.

@@ -40,6 +40,37 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreOfLoadedChunkAllocatesNothing: a chunk loaded through Load
+// keeps the cached bytes it was decoded from, so storing it back unchanged
+// hands the cache that same slice — no encoding, no copy.
+func TestStoreOfLoadedChunkAllocatesNothing(t *testing.T) {
+	loop, remote, s := newStore(6)
+	want := (terrain.Default{Seed: 5}).Generate(world.ChunkPos{X: 2, Z: 3})
+	remote.Put(tcache.Key(want.Pos), want.Encode(), nil)
+	loop.Run()
+	var c *world.Chunk
+	s.Load(want.Pos, func(lc *world.Chunk, _ bool) { c = lc })
+	loop.Run()
+	if c == nil || !c.Equal(want) {
+		t.Fatal("load did not deliver the stored chunk")
+	}
+	cachedEntry := func() []byte {
+		var cached []byte
+		s.Cache().Get(want.Pos, func(data []byte, _ error) { cached = data })
+		loop.Run()
+		return cached
+	}
+	if cached, enc := cachedEntry(), c.Encoded(); &cached[0] != &enc[0] {
+		t.Fatal("the loaded chunk does not keep the cached bytes it was decoded from")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Store(c) }); allocs != 0 {
+		t.Fatalf("storing an unchanged loaded chunk allocates %.1f objects, want 0", allocs)
+	}
+	if cached, enc := cachedEntry(), c.Encoded(); &cached[0] != &enc[0] {
+		t.Fatal("storing the chunk replaced the cache entry with a copy")
+	}
+}
+
 func TestLoadMissingChunk(t *testing.T) {
 	loop, _, s := newStore(2)
 	called := false

@@ -227,7 +227,9 @@ func (c *Cache) Prefetch(positions []world.ChunkPos) {
 }
 
 // Put stores the encoded chunk locally and marks it for the next periodic
-// flush to remote storage.
+// flush to remote storage. The cache keeps data itself and the flush hands
+// that slice to the blob store, which keeps it too (see blob.Store.Put):
+// the caller must not mutate it afterwards.
 func (c *Cache) Put(pos world.ChunkPos, data []byte) {
 	c.local[pos] = data
 	delete(c.absent, pos)

@@ -83,9 +83,10 @@ func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handle
 			return nil, 1
 		}
 		gen.GenerateInto(scratch, pos)
-		// The response is owned by the invocation (it outlives this
-		// call), so unlike the chunk it cannot come from a reused scratch
-		// buffer; Encode allocates it once, at its final size.
+		// The response outlives this call — the backend keeps it as the
+		// generated chunk's encoding, the very bytes storage then holds —
+		// so unlike the chunk it cannot come from a reused scratch buffer;
+		// Encode allocates it once, at its final size.
 		return scratch.Encode(), scratch.GenWork
 	}
 }
@@ -240,6 +241,7 @@ func (b *Backend) drainAdoptions() {
 		if data := b.dedup.Lookup(pos); data != nil {
 			c := b.pool.Get(pos)
 			if err := world.DecodeChunkInto(c, data); err == nil {
+				c.KeepEncoded(data)
 				b.GenDeduped++
 				delete(b.pending, pos)
 				b.done = append(b.done, c)
@@ -351,10 +353,13 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 		b.release(r)
 		return
 	}
+	// The reply is the chunk's encoding (the handler's Encode), and
+	// nobody writes it again: the chunk keeps it, so persisting the chunk
+	// stores these bytes, and the dedup cache shares them too.
+	c.KeepEncoded(inv.Response)
 	if b.dedup != nil {
 		// Publish the encoded reply so bordering shards can adopt the
-		// seam chunk instead of re-invoking; the response slice is owned
-		// by this invocation, so the cache retains it without copying.
+		// seam chunk instead of re-invoking.
 		b.dedup.Publish(pos, inv.Response)
 	}
 	b.done = append(b.done, c)

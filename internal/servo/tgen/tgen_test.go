@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"servo/internal/blob"
 	"servo/internal/faas"
+	"servo/internal/servo/rstore"
+	"servo/internal/servo/tcache"
 	"servo/internal/sim"
 	"servo/internal/terrain"
 	"servo/internal/world"
@@ -157,5 +160,64 @@ func TestHandlerSteadyStateAllocatesItsReply(t *testing.T) {
 		if want := gen.Generate(pos); !bytes.Equal(resp, want.Encode()) || work != want.GenWork {
 			t.Fatalf("reply for %v differs from a fresh chunk's encoding", pos)
 		}
+	}
+}
+
+// invokerFunc adapts a function to the Invoker interface.
+type invokerFunc func(name string, payload []byte, cb func(faas.Invocation))
+
+func (f invokerFunc) Invoke(name string, payload []byte, cb func(faas.Invocation)) {
+	f(name, payload, cb)
+}
+
+// sameBytes reports whether a and b are one slice in memory, not merely
+// equal bytes.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// TestReplyIsTheStoredEncoding: one encoding per chunk version. The FaaS
+// reply becomes the generated chunk's encoding, storing the chunk hands
+// that very slice to the terrain cache and, on flush, to the blob store,
+// and the chunk's first change of content drops it.
+func TestReplyIsTheStoredEncoding(t *testing.T) {
+	loop := sim.NewLoop(3)
+	p := faas.NewPlatform(loop)
+	Register(p, terrain.Default{Seed: 42}, fastFnConfig())
+	var reply []byte
+	b := NewBackend(invokerFunc(func(name string, payload []byte, cb func(faas.Invocation)) {
+		p.Invoke(name, payload, func(inv faas.Invocation) {
+			reply = inv.Response
+			cb(inv)
+		})
+	}), FunctionName)
+	b.Request(world.ChunkPos{X: 3, Z: -4})
+	loop.Run()
+	c := b.DrainAppend(nil)[0]
+	if !sameBytes(c.Encoded(), reply) {
+		t.Fatal("the generated chunk does not keep the reply it was decoded from")
+	}
+
+	remote := blob.NewStore(loop, blob.TierPremium)
+	cache := tcache.New(loop, remote, tcache.DefaultConfig())
+	rstore.New(cache).Store(c)
+	cache.Flush()
+	loop.Run()
+	var cached, stored []byte
+	cache.Get(c.Pos, func(data []byte, _ error) { cached = data })
+	remote.Get(tcache.Key(c.Pos), func(data []byte, _ error) { stored = data })
+	loop.Run()
+	if !sameBytes(cached, reply) || !sameBytes(stored, reply) {
+		t.Fatalf("stored a copy of the reply: cache shares it %v, blob shares it %v",
+			sameBytes(cached, reply), sameBytes(stored, reply))
+	}
+
+	c.Set(0, world.ChunkSizeY-1, 0, world.Block{ID: world.Stone})
+	enc := c.Encoded()
+	if sameBytes(enc, reply) {
+		t.Fatal("a changed chunk still holds the reply it was decoded from")
+	}
+	if d, err := world.DecodeChunk(enc); err != nil || !d.Equal(c) {
+		t.Fatalf("the changed chunk's encoding does not decode to it (%v)", err)
 	}
 }

@@ -37,6 +37,10 @@ type Chunk struct {
 	// this chunk (0 for hand-built chunks); the cost model charges it
 	// when a locally-generated chunk is applied on the game loop.
 	GenWork int
+	// enc is the encoding of the current content, kept until the content
+	// changes (see Encoded); nil when none is kept. It is immutable and
+	// may be shared with storage, the generation dedup cache and clones.
+	enc []byte
 }
 
 // layerBlocks is the number of blocks in one Y-layer of a chunk.
@@ -68,7 +72,8 @@ func NewChunk(pos ChunkPos) *Chunk {
 }
 
 // Reset makes c the empty (all-air) chunk at pos with zero Version and
-// GenWork. The storage of its mixed layers is kept for the next occupant.
+// GenWork and no kept encoding. The storage of its mixed layers is kept for
+// the next occupant.
 func (c *Chunk) Reset(pos ChunkPos) {
 	*c = Chunk{Pos: pos, mixed: c.mixed[:0]}
 }
@@ -153,7 +158,7 @@ func (c *Chunk) Set(x, y, z int, b Block) {
 	}
 	if i := z*ChunkSizeX + x; l[i] != b {
 		l[i] = b
-		c.Version++
+		c.changed()
 	}
 }
 
@@ -167,11 +172,11 @@ func (c *Chunk) FillLayer(y int, b Block) {
 	if l := c.mixedLayer(y); l != nil {
 		if !l.holdsOnly(b) {
 			l.fillWith(b)
-			c.Version++
+			c.changed()
 		}
 	} else if c.fill[y] != b {
 		c.fill[y] = b
-		c.Version++
+		c.changed()
 	}
 }
 
@@ -195,7 +200,14 @@ func (c *Chunk) SetLayer(y int, blocks *[ChunkSizeX * ChunkSizeZ]Block) {
 		return
 	}
 	*l = *in
+	c.changed()
+}
+
+// changed records a change of content: Version moves on and the kept
+// encoding, which described the old content, is dropped.
+func (c *Chunk) changed() {
 	c.Version++
+	c.enc = nil
 }
 
 // SurfaceY returns the Y coordinate of the highest solid block in the given
@@ -232,7 +244,7 @@ func (c *Chunk) NonAirCount() int {
 }
 
 // Clone returns a deep copy of the chunk: the copy shares no layer with
-// the original.
+// the original (only the kept encoding, which nobody writes).
 func (c *Chunk) Clone() *Chunk {
 	out := *c
 	out.mixed = nil
@@ -319,10 +331,31 @@ func packedLen(layers int, bits uint) int {
 	return layers * layerBlocks / 8 * int(bits)
 }
 
-// Encode serialises the chunk to the palette format described above.
+// Encode serialises the chunk to the palette format described above into
+// a slice the caller owns.
 func (c *Chunk) Encode() []byte {
 	return c.EncodeAppend(nil)
 }
+
+// Encoded returns the encoding of the chunk's current content: the bytes
+// KeepEncoded attached, or else Encode's, which are then kept. Either way
+// the slice is shared — with the chunk and with whoever else was handed
+// it (storage keeps what it is given) — and must not be mutated. Any
+// change of content drops it, so an unchanged chunk is encoded at most
+// once however often it is stored.
+func (c *Chunk) Encoded() []byte {
+	if c.enc == nil {
+		c.enc = c.Encode()
+	}
+	return c.enc
+}
+
+// KeepEncoded attaches buf as the chunk's encoding, for Encoded to return
+// until the content changes: the caller vouches that buf is what Encode
+// would produce for the chunk now (typically the bytes it was just decoded
+// from) and that nobody mutates it afterwards. KeepEncoded(nil) drops the
+// kept bytes, releasing them to the GC.
+func (c *Chunk) KeepEncoded(buf []byte) { c.enc = buf }
 
 // EncodeAppend serialises the chunk to the palette format described above,
 // appending to dst and returning the extended slice. dst grows at most
@@ -444,9 +477,11 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 }
 
 // DecodeChunkInto parses a chunk previously produced by Encode into c,
-// overwriting every block plus Pos, Version and GenWork — the chunk needs
-// no prior reset, so pooled (recycled) chunks decode identically to fresh
-// ones. On error the chunk's contents are unspecified. Layers the stream
+// overwriting every block plus Pos, Version and GenWork and dropping any
+// kept encoding (a caller that knows buf is canonical attaches it with
+// KeepEncoded) — the chunk needs no prior reset, so pooled (recycled)
+// chunks decode identically to fresh ones, never inheriting a stale
+// encoding. On error the chunk's contents are unspecified. Layers the stream
 // holds uniform are adopted as fills; the mixed ones reuse the storage c
 // kept, and what is missing is allocated once, after everything but their
 // indices has validated — so with a small palette (the terrain norm) a
@@ -525,6 +560,7 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 	c.Pos = pos
 	c.Version = 0
 	c.GenWork = 0
+	c.enc = nil
 	c.fill, c.slot = fill, slot
 	c.resizeMixed(mixed)
 	for y, s := range slot {

@@ -68,20 +68,33 @@ func opBlock(sel byte) world.Block {
 }
 
 // chunkOps interprets data as a sequence of four-byte operations — kind
-// (mod 6: Set, FillLayer, SetLayer, Clone, encode→DecodeChunkInto a dirty
-// chunk, ChunkPool Put→Get), an x/z or pattern byte, y, and a block
-// selector — applied both to a Chunk and to the flat model, and after every
-// one holds the chunk's reads, its encoding and its Version to the model:
-// any change of content bumps Version, and nothing ever lowers it but a
-// decode or a trip through the pool, which zero it.
+// (mod 7: Set, FillLayer, SetLayer, Clone, encode→DecodeChunkInto a dirty
+// chunk, ChunkPool Put→Get, KeepEncoded of the chunk's own encoding), an
+// x/z or pattern byte, y, and a block selector — applied both to a Chunk
+// and to the flat model, and after every one holds the chunk's reads, its
+// encoding and its Version to the model: any change of content bumps
+// Version, and nothing ever lowers it but a decode or a trip through the
+// pool, which zero it.
+//
+// It also holds the kept encoding to the content. Encoded is called after
+// every op, so every op starts on a chunk holding bytes (the decode target
+// too); afterwards Encoded must return the same bytes Encode does, and the
+// very slice held before when the content did not change, a fresh one when
+// it did or when the chunk went through a decode or the pool.
 func chunkOps(t *testing.T, data []byte) {
 	const maxOps = 48
 	pos := world.ChunkPos{X: -2, Z: 11}
 	c, model := world.NewChunk(pos), new(flatModel)
 	spare := dirtyChunk(rand.New(rand.NewSource(int64(len(data)))))
 	pool := world.NewChunkPool(2)
+	held := c.Encoded()
+	// The decode target starts out holding bytes too: stale ones (its own
+	// encoding costs about a second — its palette is huge), which the
+	// first decode into it must drop like any other.
+	spareHeld := world.NewChunk(world.ChunkPos{X: 7}).Encode()
+	spare.KeepEncoded(spareHeld)
 	for op := 0; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
-		kind, a, y, sel := data[0]%6, int(data[1]), int(data[2]), data[3]
+		kind, a, y, sel := data[0]%7, int(data[1]), int(data[2]), data[3]
 		before, was := c.Version, *model
 		switch kind {
 		case 0:
@@ -122,13 +135,17 @@ func chunkOps(t *testing.T, data []byte) {
 				t.Fatalf("decode of an encoded chunk: %v", err)
 			}
 			c, spare = spare, c
+			held, spareHeld = spareHeld, held
 		case 5:
 			pool.Put(c)
 			c = pool.Get(pos)
 			*model = flatModel{}
+		case 6:
+			held = c.Encode()
+			c.KeepEncoded(held)
 		}
 		switch {
-		case kind >= 4:
+		case kind == 4 || kind == 5:
 			if c.Version != 0 || c.GenWork != 0 || c.Pos != pos {
 				t.Fatalf("op %d: a decoded or pooled chunk has version %d, genwork %d, pos %v", op, c.Version, c.GenWork, c.Pos)
 			}
@@ -136,6 +153,23 @@ func chunkOps(t *testing.T, data []byte) {
 			t.Fatalf("op %d (kind %d): content changed %v, Version %d → %d", op, kind, was != *model, before, c.Version)
 		}
 		model.agrees(t, c)
+		enc := c.Encoded()
+		kept := &enc[0] == &held[0]
+		switch {
+		case kind == 4 || kind == 5:
+			if kept {
+				t.Fatalf("op %d: a decoded or pooled chunk kept the encoding it held before", op)
+			}
+		case kept != (was == *model):
+			t.Fatalf("op %d (kind %d): content changed %v, kept encoding %v", op, kind, was != *model, kept)
+		}
+		if !bytes.Equal(enc, c.Encode()) {
+			t.Fatalf("op %d (kind %d): Encoded differs from Encode", op, kind)
+		}
+		if d, err := world.DecodeChunk(enc); err != nil || !d.Equal(c) {
+			t.Fatalf("op %d (kind %d): Encoded does not decode to the chunk (%v)", op, kind, err)
+		}
+		held = enc
 	}
 }
 
