@@ -1,6 +1,7 @@
 package mve
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -140,6 +141,38 @@ type haltedConstruct struct {
 	anchor    world.BlockPos
 }
 
+// placement is a live construct's place in the world: its grid cell
+// (x, y) sits on the block at anchor + (x, 0, y).
+type placement struct {
+	id uint64
+	haltedConstruct
+	// owned has one bit per grid cell (y*w + x): the world block there
+	// belongs to this construct. A construct spawned later over the same
+	// block takes the bit (the last spawned wins), and breaking the block
+	// clears it.
+	owned []uint64
+}
+
+// cell returns the index of the grid cell on world block pos, if any.
+func (p *placement) cell(pos world.BlockPos) (int, bool) {
+	w, h := p.construct.Size()
+	x, y := pos.X-p.anchor.X, pos.Z-p.anchor.Z
+	if pos.Y != p.anchor.Y || x < 0 || x >= w || y < 0 || y >= h {
+		return 0, false
+	}
+	return y*w + x, true
+}
+
+func (p *placement) owns(i int) bool { return p.owned[i/64]&(1<<(i%64)) != 0 }
+func (p *placement) take(i int)      { p.owned[i/64] |= 1 << (i % 64) }
+func (p *placement) cede(i int)      { p.owned[i/64] &^= 1 << (i % 64) }
+
+// chunks returns the range of chunks the grid covers.
+func (p *placement) chunks() (lo, hi world.ChunkPos) {
+	w, h := p.construct.Size()
+	return p.anchor.Chunk(), p.anchor.Offset(w-1, 0, h-1).Chunk()
+}
+
 // Server is one MVE instance: a world, its players, and the 20 Hz loop.
 // It runs entirely on a sim.Clock; it is not safe for concurrent use (the
 // clock serialises all access).
@@ -171,11 +204,12 @@ type Server struct {
 	tileActions map[world.TileID]int64
 	tileStores  map[world.TileID]int64
 
-	// Construct placement: world-footprint → construct id, plus anchors
-	// for halting on unload.
-	footprint map[world.BlockPos]uint64
-	anchors   map[uint64]haltedConstruct
-	halted    map[world.ChunkPos][]haltedConstruct
+	// Construct placement: every live construct, indexed by each chunk its
+	// grid covers in spawn order (which construct owns a block is a
+	// look-up there, see owner), and the constructs of unloaded chunks,
+	// halted until their chunk reloads.
+	placed map[world.ChunkPos][]*placement
+	halted map[world.ChunkPos][]haltedConstruct
 
 	// requested tracks chunk demand already in flight (store load or
 	// generation).
@@ -221,7 +255,7 @@ type Server struct {
 	obsFn      func()
 	unloadAll  []world.ChunkPos
 	unloadFar  []world.ChunkPos
-	unloadIDs  []uint64
+	unloadHalt []*placement
 	// tickFn is the stored tickOnce method value; rescheduling through it
 	// avoids a closure allocation every tick.
 	tickFn func()
@@ -290,8 +324,7 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		store:         cfg.Store,
 		players:       make(map[PlayerID]*Player),
 		ghosts:        make(map[string]*GhostAvatar),
-		footprint:     make(map[world.BlockPos]uint64),
-		anchors:       make(map[uint64]haltedConstruct),
+		placed:        make(map[world.ChunkPos][]*placement),
 		halted:        make(map[world.ChunkPos][]haltedConstruct),
 		requested:     make(map[world.ChunkPos]bool),
 		TickDurations: metrics.NewSample(16384),
@@ -540,22 +573,89 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 
 // SpawnConstruct activates a simulated construct whose grid cell (0, 0)
 // maps to the anchor block position (cells extend along +X and +Z on the
-// terrain surface). Returns the construct id.
+// terrain surface). It owns the blocks of its non-empty cells, taking them
+// from any construct spawned there before. Returns the construct id.
 func (s *Server) SpawnConstruct(c *sc.Construct, anchor world.BlockPos) uint64 {
 	id := s.scs.Add(c)
-	s.anchors[id] = haltedConstruct{construct: c, anchor: anchor}
 	w, h := c.Size()
+	p := &placement{
+		id:              id,
+		haltedConstruct: haltedConstruct{construct: c, anchor: anchor},
+		owned:           make([]uint64, (w*h+63)/64),
+	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			if c.At(x, y).Kind == sc.Empty {
+			k := c.At(x, y).Kind
+			if k == sc.Empty {
 				continue
 			}
 			bp := anchor.Offset(x, 0, y)
-			s.footprint[bp] = id
-			s.world.SetBlockAt(bp, world.Block{ID: blockForCell(c.At(x, y).Kind)})
+			if prev, i := s.owner(bp); prev != nil {
+				prev.cede(i)
+			}
+			p.take(y*w + x)
+			s.world.SetBlockAt(bp, world.Block{ID: blockForCell(k)})
+		}
+	}
+	lo, hi := p.chunks()
+	for cx := lo.X; cx <= hi.X; cx++ {
+		for cz := lo.Z; cz <= hi.Z; cz++ {
+			cp := world.ChunkPos{X: cx, Z: cz}
+			s.placed[cp] = append(s.placed[cp], p)
 		}
 	}
 	return id
+}
+
+// owner returns the live construct owning the world block at pos and the
+// grid cell on it, or nil.
+func (s *Server) owner(pos world.BlockPos) (*placement, int) {
+	for _, p := range s.placed[pos.Chunk()] {
+		if i, ok := p.cell(pos); ok && p.owns(i) {
+			return p, i
+		}
+	}
+	return nil, 0
+}
+
+// haltConstructs halts the constructs anchored in chunk cp (§II-A), in id
+// order: each leaves the backend and the index, so the blocks it owned are
+// nobody's, and waits in halted until cp reloads.
+func (s *Server) haltConstructs(cp world.ChunkPos) {
+	halt := s.unloadHalt[:0]
+	for _, p := range s.placed[cp] {
+		if p.anchor.Chunk() == cp {
+			halt = append(halt, p)
+		}
+	}
+	slices.SortFunc(halt, func(a, b *placement) int { return cmp.Compare(a.id, b.id) })
+	for i, p := range halt {
+		s.halted[cp] = append(s.halted[cp], p.haltedConstruct)
+		s.scs.Remove(p.id)
+		lo, hi := p.chunks()
+		for cx := lo.X; cx <= hi.X; cx++ {
+			for cz := lo.Z; cz <= hi.Z; cz++ {
+				at := world.ChunkPos{X: cx, Z: cz}
+				if rest := slices.DeleteFunc(s.placed[at], func(q *placement) bool { return q == p }); len(rest) > 0 {
+					s.placed[at] = rest
+				} else {
+					delete(s.placed, at)
+				}
+			}
+		}
+		halt[i] = nil
+	}
+	s.unloadHalt = halt[:0]
+}
+
+// resumeConstructs respawns the constructs halted in chunk cp.
+func (s *Server) resumeConstructs(cp world.ChunkPos) {
+	hs := s.halted[cp]
+	delete(s.halted, cp)
+	for _, h := range hs {
+		s.SpawnConstruct(h.construct, h.anchor)
+		s.ConstructsResumed.Inc()
+	}
 }
 
 func blockForCell(k sc.CellKind) world.BlockID {
@@ -857,12 +957,8 @@ func (s *Server) applyChunk(c *world.Chunk, countResume bool) {
 	s.world.AddChunk(c)
 	delete(s.requested, c.Pos)
 	s.newlyLoaded = append(s.newlyLoaded, c.Pos)
-	if hs := s.halted[c.Pos]; len(hs) > 0 && countResume {
-		delete(s.halted, c.Pos)
-		for _, h := range hs {
-			s.SpawnConstruct(h.construct, h.anchor)
-			s.ConstructsResumed.Inc()
-		}
+	if countResume {
+		s.resumeConstructs(c.Pos)
 	}
 }
 
@@ -933,27 +1029,7 @@ func (s *Server) unloadFarChunks() {
 		return a.Z - b.Z
 	})
 	for _, cp := range far {
-		// Halt constructs anchored in this chunk.
-		ids := s.unloadIDs[:0]
-		for id, h := range s.anchors {
-			if h.anchor.Chunk() == cp {
-				ids = append(ids, id)
-			}
-		}
-		s.unloadIDs = ids
-		slices.Sort(ids)
-		for _, id := range ids {
-			h := s.anchors[id]
-			s.halted[cp] = append(s.halted[cp], h)
-			s.scs.Remove(id)
-			delete(s.anchors, id)
-			w, ch := h.construct.Size()
-			for y := 0; y < ch; y++ {
-				for x := 0; x < w; x++ {
-					delete(s.footprint, h.anchor.Offset(x, 0, y))
-				}
-			}
-		}
+		s.haltConstructs(cp)
 		c := s.world.RemoveChunk(cp)
 		if s.store != nil && c != nil && s.owned(cp) {
 			// The write joins the tick's grouped store commit; the chunk is

@@ -177,12 +177,11 @@ func (s *Server) processAction(p *Player, a Action) time.Duration {
 		if a.Kind == ActionBreakBlock {
 			b = world.Block{}
 		}
-		if id, ok := s.footprint[a.Pos]; ok {
+		if owner, i := s.owner(a.Pos); owner != nil {
 			// The block belongs to a simulated construct: this is a
 			// player modification that invalidates speculation.
-			anchor := s.anchors[id].anchor
-			cx, cz := a.Pos.X-anchor.X, a.Pos.Z-anchor.Z
-			s.scs.Modify(id, func(c *sc.Construct) {
+			cx, cz := a.Pos.X-owner.anchor.X, a.Pos.Z-owner.anchor.Z
+			s.scs.Modify(owner.id, func(c *sc.Construct) {
 				cell := c.At(cx, cz)
 				if a.Kind == ActionBreakBlock {
 					c.Set(cx, cz, sc.Cell{})
@@ -192,7 +191,7 @@ func (s *Server) processAction(p *Player, a Action) time.Duration {
 				}
 			})
 			if a.Kind == ActionBreakBlock {
-				delete(s.footprint, a.Pos)
+				owner.cede(i)
 			}
 		}
 		s.world.SetBlockAt(a.Pos, b)

@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 )
 
 // CellKind enumerates circuit cell types. Empty is the zero value.
@@ -32,6 +32,10 @@ const (
 
 // MaxPower is the highest power level; wire power decays by one per cell.
 const MaxPower = 15
+
+// MaxDelay is the longest repeater delay: a repeater's timer stays below
+// its delay, and the state vector holds a timer in seven bits.
+const MaxDelay = 128
 
 // String implements fmt.Stringer.
 func (k CellKind) String() string {
@@ -53,31 +57,56 @@ func (k CellKind) String() string {
 }
 
 // Cell is one grid cell: immutable wiring (Kind, Delay) plus mutable
-// simulation state (Power, On, Timer).
+// simulation state (Power, On, Timer). An empty cell has no state.
 type Cell struct {
 	Kind  CellKind
-	Delay uint8 // Repeater: ticks of sustained input before the output flips
+	Delay uint8 // Repeater: ticks of sustained input before the output flips (≤ MaxDelay)
 
 	// Mutable state.
 	Power uint8 // Wire: current power level
 	On    bool  // Source/Lamp/Repeater/Inverter: output or lit state
-	Timer uint8 // Repeater: consecutive ticks the input has disagreed with the output
+	Timer uint8 // Repeater: consecutive ticks the input has disagreed with the output (7 bits)
 }
 
 // Construct is a rectangular W×H grid of cells simulated in lockstep with
 // the game (one Step per game tick when simulated locally).
+//
+// It is kept compiled for the speculative path (paper §III-C), whose
+// per-tick work is applying a precomputed state: the mutable state of its
+// blocks (non-empty cells) is stored packed, in exactly the StateVector
+// encoding, so State, SetState and Hash are a copy or a pass over one byte
+// slice, and the block count is its length. The per-cell index into it
+// changes only when a cell turns empty or non-empty.
 type Construct struct {
-	w, h  int
-	cells []Cell
-	step  uint64 // steps executed since construction
+	w, h int
+	// wiring holds Kind, Delay for every cell in cell order: the cell
+	// section of EncodeLayout.
+	wiring []byte
+	// block maps a cell to its block's index in state (two bytes a
+	// block), or -1 for an empty cell.
+	block []int32
+	// state is the StateVector of the blocks, in cell order.
+	state []byte
+	step  uint64
 }
+
+// State byte layout: a block's first byte is its power, its second its
+// on flag and timer.
+const (
+	onBit     = 0x80
+	timerMask = 0x7f
+)
 
 // New returns an empty construct with the given grid dimensions.
 func New(w, h int) *Construct {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("sc: invalid construct size %dx%d", w, h))
 	}
-	return &Construct{w: w, h: h, cells: make([]Cell, w*h)}
+	c := &Construct{w: w, h: h, wiring: make([]byte, 2*w*h), block: make([]int32, w*h), state: []byte{}}
+	for i := range c.block {
+		c.block[i] = -1
+	}
+	return c
 }
 
 // Size returns the grid dimensions.
@@ -88,44 +117,103 @@ func (c *Construct) Steps() uint64 { return c.step }
 
 func (c *Construct) idx(x, y int) int { return y*c.w + x }
 
+func (c *Construct) kind(i int) CellKind { return CellKind(c.wiring[2*i]) }
+
 // At returns the cell at (x, y); out-of-range coordinates return an Empty
 // cell.
 func (c *Construct) At(x, y int) Cell {
 	if x < 0 || x >= c.w || y < 0 || y >= c.h {
 		return Cell{}
 	}
-	return c.cells[c.idx(x, y)]
+	i := c.idx(x, y)
+	cell := Cell{Kind: c.kind(i), Delay: c.wiring[2*i+1]}
+	if b := c.block[i]; b >= 0 {
+		s := c.state[2*b:]
+		cell.Power, cell.On, cell.Timer = s[0], s[1]&onBit != 0, s[1]&timerMask
+	}
+	return cell
 }
 
-// Set places a cell at (x, y). Out-of-range placements are ignored.
+// Set places a cell at (x, y). Out-of-range placements are ignored; a
+// repeater delay above MaxDelay panics.
 func (c *Construct) Set(x, y int, cell Cell) {
 	if x < 0 || x >= c.w || y < 0 || y >= c.h {
 		return
 	}
-	c.cells[c.idx(x, y)] = cell
+	if cell.Kind == Repeater && cell.Delay > MaxDelay {
+		panic(fmt.Sprintf("sc: repeater delay %d above MaxDelay", cell.Delay))
+	}
+	i := c.idx(x, y)
+	b := c.block[i]
+	switch {
+	case b < 0 && cell.Kind != Empty:
+		b = c.insertBlock(i)
+	case b >= 0 && cell.Kind == Empty:
+		c.removeBlock(i)
+		b = -1
+	}
+	c.wiring[2*i], c.wiring[2*i+1] = byte(cell.Kind), cell.Delay
+	if b >= 0 {
+		c.state[2*b], c.state[2*b+1] = cell.Power, packOn(cell.On, cell.Timer)
+	}
+}
+
+func packOn(on bool, timer uint8) byte {
+	if on {
+		return onBit | timer&timerMask
+	}
+	return timer & timerMask
+}
+
+// insertBlock makes empty cell i a block and returns its index. The cells
+// are scanned only as far as the blocks around i, so a grid filled in cell
+// order (as the builders fill theirs) costs a constant per cell.
+func (c *Construct) insertBlock(i int) int32 {
+	var b int32
+	for j := i - 1; j >= 0; j-- {
+		if c.block[j] >= 0 {
+			b = c.block[j] + 1
+			break
+		}
+	}
+	c.shiftBlocks(i, int32(len(c.state)/2)-b, 1)
+	c.block[i] = b
+	c.state = slices.Insert(c.state, 2*int(b), 0, 0)
+	return b
+}
+
+// removeBlock makes block cell i empty.
+func (c *Construct) removeBlock(i int) {
+	b := c.block[i]
+	c.block[i] = -1
+	c.shiftBlocks(i, int32(len(c.state)/2)-b-1, -1)
+	c.state = slices.Delete(c.state, 2*int(b), 2*int(b)+2)
+}
+
+// shiftBlocks moves the indices of the n blocks after cell i by d.
+func (c *Construct) shiftBlocks(i int, n, d int32) {
+	for j := i + 1; n > 0; j++ {
+		if c.block[j] >= 0 {
+			c.block[j] += d
+			n--
+		}
+	}
 }
 
 // BlockCount returns the number of non-empty cells: the construct's size in
 // blocks, the metric the paper uses for §IV-G (252- and 484-block
 // constructs).
-func (c *Construct) BlockCount() int {
-	n := 0
-	for i := range c.cells {
-		if c.cells[i].Kind != Empty {
-			n++
-		}
-	}
-	return n
-}
+func (c *Construct) BlockCount() int { return len(c.state) / 2 }
 
 // Clone returns a deep copy sharing no state with the receiver.
 func (c *Construct) Clone() *Construct {
-	out := &Construct{w: c.w, h: c.h, step: c.step, cells: make([]Cell, len(c.cells))}
-	copy(out.cells, c.cells)
-	return out
+	return &Construct{
+		w: c.w, h: c.h, step: c.step,
+		wiring: slices.Clone(c.wiring),
+		block:  slices.Clone(c.block),
+		state:  slices.Clone(c.state),
+	}
 }
-
-var neighborOffsets = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 
 // Step advances the construct by one simulation step and returns the number
 // of work units performed (cells visited during power propagation plus
@@ -140,31 +228,36 @@ var neighborOffsets = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 //     step, so feedback loops oscillate rather than racing.
 func (c *Construct) Step() int {
 	work := c.propagatePower()
-	// Phase 2: component updates against the settled power field.
-	for i := range c.cells {
-		cell := &c.cells[i]
-		switch cell.Kind {
-		case Lamp, Repeater, Inverter:
-			x, y := i%c.w, i/c.w
-			in := c.inputPower(x, y)
-			work++
-			switch cell.Kind {
-			case Lamp:
-				cell.On = in > 0
-			case Inverter:
-				cell.On = in == 0
-			case Repeater:
-				want := in > 0
-				if want != cell.On {
-					cell.Timer++
-					if cell.Timer >= cell.Delay {
-						cell.On = want
-						cell.Timer = 0
-					}
-				} else {
-					cell.Timer = 0
+	// Phase 2: component updates against the settled power field, in cell
+	// order (a component reads the outputs its predecessors just wrote).
+	for i, b := range c.block {
+		if b < 0 {
+			continue
+		}
+		k := c.kind(i)
+		if k != Lamp && k != Repeater && k != Inverter {
+			continue
+		}
+		in := c.inputPower(i)
+		work++
+		s := &c.state[2*b+1]
+		switch k {
+		case Lamp:
+			*s = packOn(in > 0, *s)
+		case Inverter:
+			*s = packOn(in == 0, *s)
+		case Repeater:
+			want, on := in > 0, *s&onBit != 0
+			timer := int(*s & timerMask)
+			if want != on {
+				timer++
+				if timer >= int(c.wiring[2*i+1]) {
+					on, timer = want, 0
 				}
+			} else {
+				timer = 0
 			}
+			*s = packOn(on, uint8(timer))
 		}
 	}
 	c.step++
@@ -172,65 +265,104 @@ func (c *Construct) Step() int {
 }
 
 // propagatePower recomputes wire power levels from the current component
-// outputs and returns the number of cells visited.
+// outputs and returns the number of cells visited: every cell of the grid
+// once, then every in-grid neighbour of each emitter and powered wire.
+//
+// It is a breadth-first search from the emitters. All of them start at
+// MaxPower and each wire hop loses one level, so the queue holds
+// non-increasing levels and a wire is queued once, at its final level.
 func (c *Construct) propagatePower() int {
-	work := 0
-	// Reset wire power, then multi-source BFS from emitters by descending
-	// power level (bucketed by power, 15 levels).
-	var frontier [MaxPower + 1][]int
-	for i := range c.cells {
-		cell := &c.cells[i]
-		switch cell.Kind {
+	work := len(c.block)
+	// The queue holds cells; each block enters it at most once, so 2 KiB
+	// of stack covers the paper's constructs (≤ 484 blocks) without
+	// allocating.
+	var buf [512]int32
+	queue := buf[:0]
+	for i, b := range c.block {
+		if b < 0 {
+			continue
+		}
+		switch c.kind(i) {
 		case Wire:
-			cell.Power = 0
+			c.state[2*b] = 0
 		case Source, Repeater, Inverter:
-			if cell.On {
-				frontier[MaxPower] = append(frontier[MaxPower], i)
+			if c.state[2*b+1]&onBit != 0 {
+				queue = append(queue, int32(i))
 			}
 		}
-		work++
 	}
-	for p := MaxPower; p > 0; p-- {
-		for _, i := range frontier[p] {
-			x, y := i%c.w, i/c.w
-			for _, d := range neighborOffsets {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || nx >= c.w || ny < 0 || ny >= c.h {
-					continue
-				}
-				ni := c.idx(nx, ny)
-				n := &c.cells[ni]
-				work++
-				if n.Kind == Wire && int(n.Power) < p-1 {
-					n.Power = uint8(p - 1)
-					frontier[p-1] = append(frontier[p-1], ni)
-				}
-			}
+	for q := 0; q < len(queue); q++ {
+		i := int(queue[q])
+		p := MaxPower
+		if c.kind(i) == Wire {
+			p = int(c.state[2*c.block[i]])
+		}
+		x, y := i%c.w, i/c.w
+		if x+1 < c.w {
+			work++
+			queue = c.raise(queue, i+1, p-1)
+		}
+		if x > 0 {
+			work++
+			queue = c.raise(queue, i-1, p-1)
+		}
+		if y+1 < c.h {
+			work++
+			queue = c.raise(queue, i+c.w, p-1)
+		}
+		if y > 0 {
+			work++
+			queue = c.raise(queue, i-c.w, p-1)
 		}
 	}
 	return work
 }
 
-// inputPower returns the strongest power signal adjacent to (x, y): wire
+// raise lifts wire cell i to power level p if that is higher than it has,
+// queueing it to spread the new level.
+func (c *Construct) raise(queue []int32, i, p int) []int32 {
+	if b := c.block[i]; b >= 0 && c.kind(i) == Wire && int(c.state[2*b]) < p {
+		c.state[2*b] = uint8(p)
+		queue = append(queue, int32(i))
+	}
+	return queue
+}
+
+// inputPower returns the strongest power signal adjacent to cell i: wire
 // power, or MaxPower next to an emitting component.
-func (c *Construct) inputPower(x, y int) int {
+func (c *Construct) inputPower(i int) int {
+	x, y := i%c.w, i/c.w
 	in := 0
-	for _, d := range neighborOffsets {
-		n := c.At(x+d[0], y+d[1])
-		var p int
-		switch n.Kind {
-		case Wire:
-			p = int(n.Power)
-		case Source, Repeater, Inverter:
-			if n.On {
-				p = MaxPower
-			}
-		}
-		if p > in {
-			in = p
-		}
+	if x+1 < c.w {
+		in = max(in, c.emits(i+1))
+	}
+	if x > 0 {
+		in = max(in, c.emits(i-1))
+	}
+	if y+1 < c.h {
+		in = max(in, c.emits(i+c.w))
+	}
+	if y > 0 {
+		in = max(in, c.emits(i-c.w))
 	}
 	return in
+}
+
+// emits returns the power cell i presents to its neighbours.
+func (c *Construct) emits(i int) int {
+	b := c.block[i]
+	if b < 0 {
+		return 0
+	}
+	switch c.kind(i) {
+	case Wire:
+		return int(c.state[2*b])
+	case Source, Repeater, Inverter:
+		if c.state[2*b+1]&onBit != 0 {
+			return MaxPower
+		}
+	}
+	return 0
 }
 
 // --- State snapshots --------------------------------------------------------
@@ -246,54 +378,33 @@ type StateVector []byte
 var ErrStateMismatch = errors.New("sc: state vector does not match construct layout")
 
 // State snapshots the construct's mutable state.
-func (c *Construct) State() StateVector {
-	out := make([]byte, 0, len(c.cells)*2)
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.Kind == Empty {
-			continue
-		}
-		var on byte
-		if cell.On {
-			on = 1
-		}
-		out = append(out, cell.Power, on<<7|cell.Timer&0x7f)
-	}
-	return out
-}
+func (c *Construct) State() StateVector { return slices.Clone(c.state) }
 
 // SetState restores a snapshot previously produced by State on a construct
 // with identical wiring.
 func (c *Construct) SetState(s StateVector) error {
-	n := 0
-	for i := range c.cells {
-		if c.cells[i].Kind != Empty {
-			n++
-		}
+	if len(s) != len(c.state) {
+		return fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(s), len(c.state))
 	}
-	if len(s) != n*2 {
-		return fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(s), n*2)
-	}
-	j := 0
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.Kind == Empty {
-			continue
-		}
-		cell.Power = s[j]
-		cell.On = s[j+1]&0x80 != 0
-		cell.Timer = s[j+1] & 0x7f
-		j += 2
-	}
+	copy(c.state, s)
 	return nil
 }
+
+// FNV-1a, 64-bit (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // Hash returns a 64-bit FNV-1a digest of the construct's mutable state,
 // used by the loop detector (paper §III-C1) to recognise repeated states.
 func (c *Construct) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(c.State())
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for _, b := range c.state {
+		h ^= uint64(b)
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // --- Layout encoding ---------------------------------------------------------
@@ -302,15 +413,29 @@ func (c *Construct) Hash() uint64 {
 // construct can be shipped to a serverless function (paper §III-C: "passes
 // the simulated construct's current state").
 func (c *Construct) EncodeLayout() []byte {
-	out := make([]byte, 0, 8+len(c.cells)*2)
-	out = binary.LittleEndian.AppendUint32(out, uint32(c.w))
-	out = binary.LittleEndian.AppendUint32(out, uint32(c.h))
-	for i := range c.cells {
-		cell := &c.cells[i]
-		out = append(out, byte(cell.Kind), cell.Delay)
-	}
-	return append(out, c.State()...)
+	out, _ := c.AppendLayout(nil, nil)
+	return out
 }
+
+// AppendLayout appends EncodeLayout's encoding of the construct to dst,
+// with state s in place of its current state (nil keeps the current
+// state). The construct is not modified; s must fit its wiring.
+func (c *Construct) AppendLayout(dst []byte, s StateVector) ([]byte, error) {
+	if s == nil {
+		s = c.state
+	}
+	if len(s) != len(c.state) {
+		return dst, fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(s), len(c.state))
+	}
+	dst = slices.Grow(dst, 8+len(c.wiring)+len(s))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.w))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.h))
+	dst = append(dst, c.wiring...)
+	return append(dst, s...), nil
+}
+
+// maxLayoutCells bounds the grid DecodeLayout accepts.
+const maxLayoutCells = 1 << 20
 
 // DecodeLayout reconstructs a construct from EncodeLayout output.
 func DecodeLayout(buf []byte) (*Construct, error) {
@@ -319,24 +444,33 @@ func DecodeLayout(buf []byte) (*Construct, error) {
 	}
 	w := int(binary.LittleEndian.Uint32(buf))
 	h := int(binary.LittleEndian.Uint32(buf[4:]))
-	if w <= 0 || h <= 0 || w*h > 1<<20 {
+	// w*h can overflow: bound it by division.
+	if w <= 0 || h <= 0 || w > maxLayoutCells/h {
 		return nil, fmt.Errorf("sc: bad layout size %dx%d", w, h)
 	}
 	if len(buf) < 8+w*h*2 {
 		return nil, errors.New("sc: truncated layout cells")
 	}
-	c := New(w, h)
-	off := 8
-	for i := range c.cells {
-		kind := CellKind(buf[off])
+	wiring := buf[8 : 8+w*h*2]
+	block := make([]int32, w*h)
+	n := int32(0)
+	for i := range block {
+		kind, delay := CellKind(wiring[2*i]), wiring[2*i+1]
 		if kind > Inverter {
 			return nil, fmt.Errorf("sc: unknown cell kind %d", kind)
 		}
-		c.cells[i] = Cell{Kind: kind, Delay: buf[off+1]}
-		off += 2
+		if kind == Repeater && delay > MaxDelay {
+			return nil, fmt.Errorf("sc: repeater delay %d above MaxDelay", delay)
+		}
+		block[i] = -1
+		if kind != Empty {
+			block[i] = n
+			n++
+		}
 	}
-	if err := c.SetState(StateVector(buf[off:])); err != nil {
-		return nil, err
+	state := buf[8+len(wiring):]
+	if len(state) != 2*int(n) {
+		return nil, fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(state), 2*n)
 	}
-	return c, nil
+	return &Construct{w: w, h: h, wiring: slices.Clone(wiring), block: block, state: slices.Clone(state)}, nil
 }

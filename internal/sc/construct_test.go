@@ -1,7 +1,9 @@
 package sc
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +214,62 @@ func TestDecodeLayoutRejectsCorruptInput(t *testing.T) {
 	if _, err := DecodeLayout(bad); err == nil {
 		t.Error("DecodeLayout accepted unknown cell kind")
 	}
+}
+
+func TestDecodeLayoutRejectsOverlongRepeaterDelay(t *testing.T) {
+	c := New(2, 1)
+	c.Set(1, 0, Cell{Kind: Repeater, Delay: MaxDelay})
+	enc := c.EncodeLayout()
+	if _, err := DecodeLayout(enc); err != nil {
+		t.Fatalf("a repeater at MaxDelay: %v", err)
+	}
+	enc[8+2+1]++ // the repeater's delay byte
+	if _, err := DecodeLayout(enc); err == nil {
+		t.Fatal("DecodeLayout accepted a repeater delay above MaxDelay")
+	}
+}
+
+// layoutAllocated returns the bytes one DecodeLayout of buf allocated.
+func layoutAllocated(buf []byte) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = DecodeLayout(buf)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeLayout feeds DecodeLayout arbitrary payloads: it is what the
+// simulation function decodes from every request. It must not panic, must
+// not allocate more than a small multiple of its input (a decoded
+// construct holds its wiring, a four-byte index per cell and its state;
+// other goroutines of the test binary allocate too, so only an excess that
+// repeats is the decoder's), and whatever decodes must re-encode to the
+// input: the format has one spelling of every construct. The seeds are the
+// builders' layouts, mid-run.
+func FuzzDecodeLayout(f *testing.F) {
+	for _, c := range []*Construct{NewClock(3, 2), NewLampBank(2, 4), BuildSized(12), New(1, 1)} {
+		c.Step()
+		f.Add(c.EncodeLayout())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := uint64(4*len(data) + 1024)
+		for try := 0; ; try++ {
+			got := layoutAllocated(data)
+			if got <= limit {
+				break
+			}
+			if try == 3 {
+				t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, limit)
+			}
+		}
+		c, err := DecodeLayout(data)
+		if err != nil {
+			return
+		}
+		if got := c.EncodeLayout(); !bytes.Equal(got, data) {
+			t.Fatalf("decoded layout re-encodes to %x, want %x", got, data)
+		}
+	})
 }
 
 func TestBuildSizedExactCounts(t *testing.T) {

@@ -47,7 +47,7 @@ func Simulate(c *Construct, steps int, detectLoops bool) Result {
 	if detectLoops {
 		seen = make(map[uint64][]int, steps+1)
 		initial = sim.State()
-		seen[sim.Hash()] = append(seen[sim.Hash()], -1)
+		seen[sim.Hash()] = []int{-1}
 	}
 	for i := 0; i < steps; i++ {
 		res.WorkUnits += sim.Step()

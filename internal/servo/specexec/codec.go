@@ -36,9 +36,18 @@ type Reply struct {
 
 var errTruncated = errors.New("specexec: truncated message")
 
+// requestHeaderLen is the size of a request before its layout.
+const requestHeaderLen = 29
+
 // EncodeRequest serialises a request.
 func EncodeRequest(r Request) []byte {
-	out := make([]byte, 0, 29+len(r.Layout))
+	out := appendRequestHeader(make([]byte, 0, requestHeaderLen+len(r.Layout)), r)
+	return append(out, r.Layout...)
+}
+
+// appendRequestHeader appends every field of r but its layout, which
+// follows it on the wire.
+func appendRequestHeader(out []byte, r Request) []byte {
 	out = binary.LittleEndian.AppendUint64(out, r.ConstructID)
 	out = binary.LittleEndian.AppendUint64(out, r.Version)
 	out = binary.LittleEndian.AppendUint64(out, r.BaseTick)
@@ -47,13 +56,12 @@ func EncodeRequest(r Request) []byte {
 	if r.DetectLoops {
 		fl = 1
 	}
-	out = append(out, fl)
-	return append(out, r.Layout...)
+	return append(out, fl)
 }
 
 // DecodeRequest parses a request.
 func DecodeRequest(buf []byte) (Request, error) {
-	if len(buf) < 29 {
+	if len(buf) < requestHeaderLen {
 		return Request{}, errTruncated
 	}
 	return Request{
@@ -62,7 +70,7 @@ func DecodeRequest(buf []byte) (Request, error) {
 		BaseTick:    binary.LittleEndian.Uint64(buf[16:]),
 		Steps:       binary.LittleEndian.Uint32(buf[24:]),
 		DetectLoops: buf[28] == 1,
-		Layout:      buf[29:],
+		Layout:      buf[requestHeaderLen:],
 	}, nil
 }
 
@@ -131,6 +139,13 @@ func DecodeReply(buf []byte) (Reply, error) {
 		}
 		r.States = append(r.States, sc.StateVector(buf[off:off+l]))
 		off += l
+	}
+	// A loop is the tail of the states: replay maps a tick past the last
+	// state into [EntryIndex, EntryIndex+Period), which must end the buffer
+	// (sc.Simulate truncates it there).
+	if r.Loop != nil && r.Loop.EntryIndex+r.Loop.Period != len(r.States) {
+		return Reply{}, fmt.Errorf("specexec: loop [%d, %d+%d) does not end the %d states",
+			r.Loop.EntryIndex, r.Loop.EntryIndex, r.Loop.Period, len(r.States))
 	}
 	return r, nil
 }

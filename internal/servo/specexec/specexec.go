@@ -105,8 +105,8 @@ type Manager struct {
 	// fraction of delivered steps the server did not have to simulate
 	// locally.
 	Efficiency []float64
-	// ApplyLatency samples, per applied invocation, how long the reply
-	// took relative to its tick budget (diagnostic).
+	// Discards counts replies dropped unapplied: stale (a player modified
+	// the construct after the request left) or undecodable.
 	Discards metrics.Counter
 
 	stats Stats
@@ -304,12 +304,10 @@ func (m *Manager) invoke(mc *managed) {
 	if mc.inFlight {
 		return
 	}
-	base := mc.construct.Clone()
+	var base sc.StateVector // nil: the authoritative state
 	baseTick := m.tick
 	if len(mc.buf) > 0 {
-		if err := base.SetState(mc.buf[len(mc.buf)-1]); err != nil {
-			return
-		}
+		base = mc.buf[len(mc.buf)-1]
 		baseTick = mc.bufBase + uint64(len(mc.buf))
 	}
 	req := Request{
@@ -318,14 +316,19 @@ func (m *Manager) invoke(mc *managed) {
 		BaseTick:    baseTick,
 		Steps:       uint32(m.cfg.StepsPerInvocation),
 		DetectLoops: m.cfg.DetectLoops,
-		Layout:      base.EncodeLayout(),
+	}
+	// The layout is encoded after the header in place: the construct's
+	// wiring with the base state, the construct itself untouched.
+	payload, err := mc.construct.AppendLayout(appendRequestHeader(make([]byte, 0, requestHeaderLen), req), base)
+	if err != nil {
+		return
 	}
 	mc.inFlight = true
 	mc.flightVersion = mc.version
 	mc.flightBase = baseTick
 	mc.flightSteps = m.cfg.StepsPerInvocation
 	mc.localDuring = 0
-	m.platform.Invoke(m.fnName, EncodeRequest(req), func(inv faas.Invocation) {
+	m.platform.Invoke(m.fnName, payload, func(inv faas.Invocation) {
 		m.onReply(mc.id, inv)
 	})
 }
@@ -407,13 +410,14 @@ func (m *Manager) onReply(id uint64, inv faas.Invocation) {
 }
 
 // estimateStepWork approximates the work of one local simulation step
-// without executing it (grid scan plus typical propagation).
+// without executing it (grid scan plus typical propagation). It costs
+// nothing to compute: the construct keeps its block count.
 func estimateStepWork(c *sc.Construct) int {
 	w, h := c.Size()
 	return w*h + c.BlockCount()*2
 }
 
-// Stats returns a snapshot of the unit's counters.
+// Snapshot returns a snapshot of the unit's counters.
 func (m *Manager) Snapshot() Stats {
 	s := m.stats
 	s.ConstructCnt = len(m.constructs)

@@ -1,6 +1,7 @@
 package specexec
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -293,13 +294,13 @@ func TestRequestReplyCodecRoundTrip(t *testing.T) {
 	reply := Reply{
 		ConstructID: 7, Version: 3, BaseTick: 1234,
 		States: []sc.StateVector{{1, 2}, {3, 4, 5, 6}},
-		Loop:   &sc.LoopInfo{EntryIndex: 1, Period: 4},
+		Loop:   &sc.LoopInfo{EntryIndex: 1, Period: 1},
 	}
 	decR, err := DecodeReply(EncodeReply(reply))
 	if err != nil {
 		t.Fatalf("DecodeReply: %v", err)
 	}
-	if decR.Loop == nil || decR.Loop.Period != 4 || len(decR.States) != 2 ||
+	if decR.Loop == nil || decR.Loop.Period != 1 || len(decR.States) != 2 ||
 		string(decR.States[1]) != string(reply.States[1]) {
 		t.Fatalf("reply round trip mismatch: %+v", decR)
 	}
@@ -356,4 +357,134 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 	if resp != nil {
 		t.Fatal("Handler must fail cleanly on a corrupt layout")
 	}
+}
+
+// TestDecodeReplyRejectsLoopNotEndingStates: a loop must be the tail of the
+// states it comes with, as sc.Simulate emits it. One that runs past them
+// never maps a replayed tick inside the buffer, and while it is installed
+// the construct is neither replayed nor refreshed: it would run locally
+// until a player modified it.
+func TestDecodeReplyRejectsLoopNotEndingStates(t *testing.T) {
+	states := []sc.StateVector{{1, 2}, {3, 4}, {5, 6}}
+	for _, tc := range []struct {
+		loop sc.LoopInfo
+		ok   bool
+	}{
+		{sc.LoopInfo{EntryIndex: 0, Period: 3}, true},
+		{sc.LoopInfo{EntryIndex: 2, Period: 1}, true},
+		{sc.LoopInfo{EntryIndex: 1, Period: 4}, false},
+		{sc.LoopInfo{EntryIndex: 0, Period: 2}, false},
+		{sc.LoopInfo{EntryIndex: 3, Period: 1}, false},
+	} {
+		loop := tc.loop
+		_, err := DecodeReply(EncodeReply(Reply{States: states, Loop: &loop}))
+		if (err == nil) != tc.ok {
+			t.Errorf("loop %+v over %d states: error %v, want ok=%v", loop, len(states), err, tc.ok)
+		}
+	}
+	// The handler's own replies always pass.
+	res := sc.Simulate(sc.NewClock(3, 1), 100, true)
+	if res.Loop == nil {
+		t.Fatal("a clock found no loop")
+	}
+	if _, err := DecodeReply(EncodeReply(Reply{States: res.States, Loop: res.Loop})); err != nil {
+		t.Fatalf("a simulated loop: %v", err)
+	}
+}
+
+// allocated returns the bytes one call of decode allocated.
+func allocated(decode func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAllocation fails t if decode allocates more than limit bytes.
+// Other goroutines of the test binary allocate too, so only an excess that
+// repeats is the decoder's.
+func checkAllocation(t *testing.T, limit uint64, decode func()) {
+	t.Helper()
+	for try := 0; ; try++ {
+		got := allocated(decode)
+		if got <= limit {
+			return
+		}
+		if try == 3 {
+			t.Fatalf("decoding allocated %d bytes, want at most %d", got, limit)
+		}
+	}
+}
+
+// seedRequests returns requests as the manager sends them: the wiring and
+// a mid-run state of the builders' constructs.
+func seedRequests() [][]byte {
+	var out [][]byte
+	for i, c := range []*sc.Construct{sc.NewClock(3, 1), sc.NewLampBank(2, 4), sc.BuildSized(12)} {
+		c.Step()
+		out = append(out, EncodeRequest(Request{
+			ConstructID: uint64(i + 1), Version: uint64(i), BaseTick: 1000, Steps: 50,
+			DetectLoops: i%2 == 0, Layout: c.EncodeLayout(),
+		}))
+	}
+	return out
+}
+
+// FuzzDecodeRequest feeds DecodeRequest arbitrary payloads. It must not
+// panic or allocate (the layout is a view of the payload), and whatever
+// decodes must re-encode to the payload, but for a detect-loops flag byte
+// other than 0 or 1, which reads as false. The seeds are requests as the
+// manager sends them and the files under testdata/fuzz/FuzzDecodeRequest.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, req := range seedRequests() {
+		f.Add(req)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAllocation(t, 1024, func() { _, _ = DecodeRequest(data) })
+		r, err := DecodeRequest(data)
+		if err != nil {
+			return
+		}
+		want := bytes.Clone(data)
+		if want[28] > 1 {
+			want[28] = 0
+		}
+		if got := EncodeRequest(r); !bytes.Equal(got, want) {
+			t.Fatalf("decoded request re-encodes to %x, want %x", got, want)
+		}
+	})
+}
+
+// FuzzDecodeReply feeds DecodeReply arbitrary replies. It must not panic,
+// must not allocate more than a state header per four input bytes (every
+// state costs its length prefix), must accept a loop only as the tail of
+// the states, and whatever decodes must re-encode to the bytes it was
+// decoded from, but for a loop flag byte other than 1, which reads as no
+// loop (encoded as nine zero bytes), and the bytes after the last state,
+// which are ignored. The seeds are the handler's replies to seedRequests
+// and the hostile replies under testdata/fuzz/FuzzDecodeReply.
+func FuzzDecodeReply(f *testing.F) {
+	for _, req := range seedRequests() {
+		reply, _ := Handler(req)
+		f.Add(reply)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAllocation(t, uint64(6*len(data)+1024), func() { _, _ = DecodeReply(data) })
+		r, err := DecodeReply(data)
+		if err != nil {
+			return
+		}
+		if l := r.Loop; l != nil && (l.Period <= 0 || l.EntryIndex < 0 || l.EntryIndex+l.Period != len(r.States)) {
+			t.Fatalf("accepted loop %+v over %d states", *l, len(r.States))
+		}
+		enc := EncodeReply(r)
+		want := bytes.Clone(data[:len(enc)])
+		if want[24] != 1 {
+			clear(want[24:33])
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("decoded reply re-encodes to %x, want %x", enc, want)
+		}
+	})
 }
