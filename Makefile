@@ -84,8 +84,8 @@ fuzzsmoke:
 
 # rtsmoke drives the wall-clock product end to end from its own CLIs:
 # servo-server on a free loopback port, four servo-bot clients for three
-# seconds. It fails if either exits non-zero, if no state update arrived,
-# or if no move was timed to its visible effect; it prints the
+# seconds. It fails if either exits non-zero, if no state update or no
+# chunk arrived, or if no move was timed to its visible effect; it prints the
 # action→update latency the bots felt and does not gate on it (wall-clock
 # numbers are the ledger's, see benchmark/).
 rtsmoke:
@@ -98,6 +98,7 @@ rtsmoke:
 	"$$dir/servo-bot" -addr "$$addr" -n 4 -behavior star -speed 8 -duration 3s | tee "$$dir/bot.out"; \
 	kill -INT $$pid; wait $$pid; pid=; grep 'shutting down' "$$dir/server.log"; \
 	grep -Eq 'received [1-9][0-9]* state updates' "$$dir/bot.out" || { echo "rtsmoke: no state updates"; exit 1; }; \
+	grep -Eq 'state updates, [1-9][0-9]* chunks' "$$dir/bot.out" || { echo "rtsmoke: no chunks"; exit 1; }; \
 	grep -Eq 'ms \([1-9][0-9]*\)$$' "$$dir/bot.out" || { echo "rtsmoke: no move was timed"; exit 1; }
 
 # replaygate runs every bundled scenario twice and fails on any report

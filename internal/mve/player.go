@@ -27,6 +27,8 @@ type Player struct {
 	Inventory uint8
 
 	behavior Behavior
+	// receiver is behavior as a ChunkReceiver, or nil.
+	receiver ChunkReceiver
 
 	// known tracks chunks already sent to this client; sendQueue holds
 	// chunks waiting to be serialised (drained a few per tick), with
@@ -54,6 +56,13 @@ type Behavior interface {
 	// Actions returns the player's commands for this tick. r is the
 	// server's deterministic random source.
 	Actions(r *rand.Rand, p *Player, s *Server) []Action
+}
+
+// ChunkReceiver is a Behavior's network client: the send queue hands it
+// each chunk it counts in ChunksReceived, in order, with the server holding
+// it. It rides on the behavior, so it follows the player across a handoff.
+type ChunkReceiver interface {
+	ReceiveChunk(from *Server, cp world.ChunkPos)
 }
 
 // BehaviorFunc adapts a function to the Behavior interface.

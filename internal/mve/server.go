@@ -985,6 +985,9 @@ func (s *Server) drainSendQueues() time.Duration {
 			cost += s.cost.ChunkSend
 			p.ChunksReceived++
 			s.ChunksSent.Inc()
+			if p.receiver != nil {
+				p.receiver.ReceiveChunk(s, cp)
+			}
 			sent++
 		}
 		switch {

@@ -33,6 +33,7 @@ func (s *Server) ConnectAt(name string, b Behavior, x, z float64) *Player {
 		behavior: b,
 		known:    make(map[world.ChunkPos]bool),
 	}
+	p.receiver, _ = b.(ChunkReceiver)
 	p.destX, p.destZ = p.X, p.Z
 	s.players[p.ID] = p
 	s.playerOrder = append(s.playerOrder, p.ID)
@@ -158,6 +159,7 @@ func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 		behavior:       snap.Behavior,
 		known:          make(map[world.ChunkPos]bool),
 	}
+	p.receiver, _ = snap.Behavior.(ChunkReceiver)
 	s.players[p.ID] = p
 	s.playerOrder = append(s.playerOrder, p.ID)
 	return p

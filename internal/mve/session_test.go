@@ -1,7 +1,9 @@
 package mve
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"servo/internal/sim"
 	"servo/internal/terrain"
@@ -43,6 +45,51 @@ func TestEvictAdmitRoundTrip(t *testing.T) {
 	}
 	if b.PlayerCount() != 1 {
 		t.Fatalf("target has %d players", b.PlayerCount())
+	}
+}
+
+// chunkLog is a ChunkReceiver behavior recording every delivery.
+type chunkLog struct {
+	from []*Server
+	got  []world.ChunkPos
+}
+
+func (l *chunkLog) Actions(*rand.Rand, *Player, *Server) []Action { return nil }
+func (l *chunkLog) ReceiveChunk(from *Server, cp world.ChunkPos) {
+	l.from = append(l.from, from)
+	l.got = append(l.got, cp)
+}
+
+// TestChunkReceiverFollowsThePlayer: a behavior that is a ChunkReceiver is
+// handed every chunk its player is counted as sent, by the server sending
+// it — before a handoff and, riding on the snapshot, after it.
+func TestChunkReceiverFollowsThePlayer(t *testing.T) {
+	loop := sim.NewLoop(1)
+	a := NewServer(loop, Config{WorldType: "flat", ViewDistance: 32})
+	b := NewServer(loop, Config{WorldType: "flat", ViewDistance: 32})
+	log := &chunkLog{}
+	p := a.Connect("client", log)
+	a.Start()
+	b.Start()
+	loop.RunUntil(time.Second)
+	if len(log.got) == 0 || len(log.got) != p.ChunksReceived {
+		t.Fatalf("received %d chunks, ChunksReceived = %d", len(log.got), p.ChunksReceived)
+	}
+	before := len(log.got)
+	snap, _ := a.EvictPlayer(p.ID)
+	q := b.AdmitPlayer(snap)
+	loop.RunUntil(2 * time.Second)
+	if len(log.got) != q.ChunksReceived || len(log.got) == before {
+		t.Fatalf("after the handoff: received %d chunks, ChunksReceived = %d (%d before)", len(log.got), q.ChunksReceived, before)
+	}
+	for i, from := range log.from {
+		want := b
+		if i < before {
+			want = a
+		}
+		if from != want || from.World().Chunk(log.got[i]) == nil {
+			t.Fatalf("delivery %d (%v) names the wrong server or an unloaded chunk", i, log.got[i])
+		}
 	}
 }
 

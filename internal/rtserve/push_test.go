@@ -18,10 +18,11 @@ import (
 // frames a tick builds. Milliseconds are the end-to-end ledger's business
 // (rt-loopback).
 
-// startDefaultServer is startServer at the default Config: 100 ms pushes.
+// startDefaultServer is startServer at the default cadence: a quiet
+// session is pushed every quietPushTicks ticks.
 func startDefaultServer(t *testing.T, seed int64) (*servo.Instance, *Server, string) {
 	t.Helper()
-	return startServerWith(t, servo.Config{Seed: seed}, Config{})
+	return startServerWith(t, servo.Config{Seed: seed}, quietPushTicks)
 }
 
 // rawClient is a protocol connection the test reads message by message.
@@ -111,30 +112,31 @@ func TestActionShowsInNextTicksUpdate(t *testing.T) {
 	}
 }
 
-// TestPushTicks: PushInterval is counted in whole ticks, rounded, and an
-// interval below one tick means every tick.
+// TestPushTicks: on the virtual clock a quiet session is woken on every
+// quietPushTicks-th tick exactly, and on no tick between.
 func TestPushTicks(t *testing.T) {
-	for _, c := range []struct {
-		interval time.Duration
-		want     uint64
-	}{
-		{0, 2}, // the 100 ms default over the 50 ms tick
-		{time.Millisecond, 1},
-		{20 * time.Millisecond, 1},
-		{50 * time.Millisecond, 1},
-		{120 * time.Millisecond, 2},
-		{130 * time.Millisecond, 3},
-		{time.Second, 20},
-	} {
-		srv := NewServer(bareInstance{benchServer(0, 0)}, Config{PushInterval: c.interval})
-		if srv.pushTicks != c.want {
-			t.Errorf("PushInterval %v is %d ticks, want %d", c.interval, srv.pushTicks, c.want)
+	loop := sim.NewLoop(1)
+	game := mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 16})
+	srv := NewServer(bareInstance{game}, Config{})
+	c := addSession(srv, "quiet", sinkConn{})
+	game.Start()
+	var woken []uint64
+	for i := 0; i < 10; i++ {
+		loop.RunUntil(loop.Now() + mve.DefaultTickInterval)
+		select {
+		case <-c.wake:
+			woken = append(woken, game.Tick())
+		default:
 		}
+	}
+	// Joining counts as acting, so tick 1 pushes; then every second tick.
+	if want := []uint64{1, 3, 5, 7, 9}; fmt.Sprint(woken) != fmt.Sprint(want) {
+		t.Fatalf("woken on ticks %v, want %v", woken, want)
 	}
 }
 
 // TestQuietSessionCadence: a client that sends nothing is updated every
-// round(PushInterval/TickInterval) ticks exactly.
+// quietPushTicks ticks exactly over the wall clock too.
 func TestQuietSessionCadence(t *testing.T) {
 	_, srv, addr := startDefaultServer(t, 12)
 	c := dialRaw(t, addr, "quiet")
@@ -201,41 +203,52 @@ func (sinkConn) Write(p []byte) (int, error)      { return len(p), nil }
 func (sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func (sinkConn) Close() error                     { return nil }
 
-// addSession joins a hand-made session on a sink connection, as serveConn
-// would have.
-func addSession(s *Server, name string) *session {
-	c := s.newSession(sinkConn{})
+// addSession joins a hand-made session on conn, as serveConn would have.
+func addSession(s *Server, name string, conn net.Conn) *session {
+	c := s.newSession(conn)
 	c.player = s.inst.ConnectBehavior(name, c)
 	s.sessions[c] = struct{}{}
 	return c
 }
 
+// writePush writes p as the session's push goroutine would.
+func writePush(t *testing.T, c *session, p push) {
+	t.Helper()
+	if err := c.write(p.frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.sendChunks(p.chunks); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // settledServer builds a virtual-clock game server with n sessions pushed
-// every tick, each streamed its whole view: their cursors are clean, so a
-// commit has nothing to do but the state update.
+// every tick, each streamed everything its send queue delivered: their
+// queues and outboxes are empty, so a commit has nothing to do but the
+// state update.
 func settledServer(t *testing.T, n int) (*sim.Loop, *mve.Server, *Server) {
 	t.Helper()
 	loop := sim.NewLoop(1)
 	game := mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 16})
-	srv := NewServer(bareInstance{game}, Config{PushInterval: time.Millisecond})
+	srv := NewServer(bareInstance{game}, Config{})
+	srv.pushTicks = 1
 	for i := 0; i < n; i++ {
-		addSession(srv, fmt.Sprintf("s%d", i))
+		addSession(srv, fmt.Sprintf("s%d", i), sinkConn{})
 	}
 	game.Start()
+	last := make(map[*session]push)
 	for tick := 0; tick < 10; tick++ {
 		loop.RunUntil(loop.Now() + mve.DefaultTickInterval)
 		for c := range srv.sessions {
 			p := <-c.wake
-			if p.chunks {
-				if err := c.streamChunks(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			writePush(t, c, p)
+			last[c] = p
 		}
 	}
 	for c := range srv.sessions {
-		if !c.walkDone || len(c.sent) == 0 {
-			t.Fatalf("session not settled after 10 pushes: walkDone=%v, %d chunks sent", c.walkDone, len(c.sent))
+		if len(last[c].chunks) != 0 || len(c.outbox) != 0 || c.player.ChunksReceived == 0 {
+			t.Fatalf("session not settled after 10 pushes: the last carried %d chunks, %d wait, %d received",
+				len(last[c].chunks), len(c.outbox), c.player.ChunksReceived)
 		}
 	}
 	return loop, game, srv
@@ -264,8 +277,8 @@ func TestCommitPushAllocs(t *testing.T) {
 		if frames, pushes := after.FramesBuilt-before.FramesBuilt, after.Pushes-before.Pushes; frames != runs+1 || pushes != int64(n)*frames {
 			t.Errorf("%d sessions: %d frames and %d pushes in %d ticks", n, frames, pushes, runs+1)
 		}
-		if last.chunks {
-			t.Errorf("%d sessions: a settled session was told to walk for chunks", n)
+		if len(last.chunks) != 0 {
+			t.Errorf("%d sessions: a settled session was handed %d chunks", n, len(last.chunks))
 		}
 		m, err := netproto.Decode(last.frame[4:])
 		if err != nil || m.Tick != game.Tick() || len(m.Avatars) != n {
@@ -305,13 +318,14 @@ func TestActionsReusesBatch(t *testing.T) {
 	}
 }
 
-// TestActedSessionIsPushedByThatTick: at a long PushInterval a session is
+// TestActedSessionIsPushedByThatTick: at a long quiet cadence a session is
 // still due the moment a tick consumes its action, and only that session.
 func TestActedSessionIsPushedByThatTick(t *testing.T) {
 	loop := sim.NewLoop(1)
 	game := mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 16})
-	srv := NewServer(bareInstance{game}, Config{PushInterval: time.Second})
-	actor, bystander := addSession(srv, "actor"), addSession(srv, "bystander")
+	srv := NewServer(bareInstance{game}, Config{})
+	srv.pushTicks = 20
+	actor, bystander := addSession(srv, "actor", sinkConn{}), addSession(srv, "bystander", sinkConn{})
 	game.Start()
 	step := func() { loop.RunUntil(loop.Now() + mve.DefaultTickInterval) }
 	step() // both are new: both are due

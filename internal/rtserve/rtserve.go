@@ -4,15 +4,16 @@
 //
 // Each client session owns a player whose actions are fed from the network
 // (a queue drained by the game loop each tick) and receives state updates
-// plus view-local chunk data. Pushes ride the tick commit: the server
-// installs the game loop's commit hook, and at the end of every tick
-// decides which sessions are due — one whose actions the tick just
-// consumed (its update is the acknowledgement, one tick after the action
-// arrived), or one whose last update is PushInterval old, counted in
-// whole ticks. If any is, the state update is encoded once, and every due
-// session's goroutine is woken to write those same bytes to its socket;
-// only a session with chunks left to stream takes the game-loop lock.
-// Lock order is game-loop lock, then Server.mu, never the reverse.
+// plus the chunks its player's send queue delivers. Pushes ride the tick
+// commit: the server installs the game loop's commit hook, and at the end
+// of every tick decides which sessions are due — one whose actions the
+// tick just consumed (its update is the acknowledgement, one tick after
+// the action arrived), or one whose last update is two ticks old. If any
+// is, the state update is encoded once, and every due session's goroutine
+// is woken to write those same bytes to its socket, followed by the chunks
+// delivered to it since its last push; only a push with chunks takes the
+// game-loop lock. Lock order is game-loop lock, then Server.mu, never the
+// reverse.
 //
 // Servo's backend is invisible at this layer — the protocol is identical
 // for baseline and serverless servers (paper requirement R4).
@@ -45,13 +46,6 @@ type Instance interface {
 
 // Config tunes the network server.
 type Config struct {
-	// PushInterval is the longest a quiet session waits between state
-	// updates (default 100 ms), counted in whole ticks; an interval below
-	// one tick means every tick. A session whose action a tick consumed is
-	// updated by that tick regardless.
-	PushInterval time.Duration
-	// ChunksPerPush caps chunk payloads per update cycle (default 4).
-	ChunksPerPush int
 	// Logf receives connection events; nil silences logging.
 	Logf func(format string, args ...any)
 }
@@ -61,11 +55,16 @@ type Config struct {
 // one that stops reading is closed after this long.
 const ioTimeout = 10 * time.Second
 
+// quietPushTicks is the longest a quiet session waits between updates:
+// 100 ms at the default 50 ms tick.
+const quietPushTicks = 2
+
 // Stats counts what the server did since it was built.
 type Stats struct {
 	Sessions        int   // connected right now
 	FramesBuilt     int64 // state updates encoded (at most one per tick)
 	Pushes          int64 // state updates handed to sessions
+	WakesSkipped    int64 // due pushes skipped because the session was still writing its previous one
 	ActionsDropped  int64 // client actions discarded because a session's queue was full
 	SessionsStalled int64 // sessions closed because a write hit its deadline
 	JoinTimeouts    int64 // connections released without ever sending MsgJoin
@@ -75,9 +74,9 @@ type Stats struct {
 type Server struct {
 	inst Instance
 	cfg  Config
-	// pushTicks is PushInterval in whole ticks, at least one.
+	// pushTicks and ioTimeout are the package constants; in-package tests
+	// change them.
 	pushTicks uint64
-	// ioTimeout is the package constant; in-package tests shorten it.
 	ioTimeout time.Duration
 
 	// avatars is the commit hook's reusable avatar batch: every local
@@ -95,22 +94,11 @@ type Server struct {
 // NewServer returns a network server for inst and installs its push path
 // as the commit hook of the instance's game loop; Close removes it.
 func NewServer(inst Instance, cfg Config) *Server {
-	if cfg.PushInterval <= 0 {
-		cfg.PushInterval = 100 * time.Millisecond
-	}
-	if cfg.ChunksPerPush <= 0 {
-		cfg.ChunksPerPush = 4
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	s := &Server{inst: inst, cfg: cfg, ioTimeout: ioTimeout, sessions: make(map[*session]struct{})}
-	inst.Locked(func() {
-		srv := inst.Server()
-		tick := srv.Config().TickInterval
-		s.pushTicks = max(1, uint64((cfg.PushInterval+tick/2)/tick))
-		srv.SetCommitHook(s.onCommit)
-	})
+	s := &Server{inst: inst, cfg: cfg, pushTicks: quietPushTicks, ioTimeout: ioTimeout, sessions: make(map[*session]struct{})}
+	inst.Locked(func() { inst.Server().SetCommitHook(s.onCommit) })
 	return s
 }
 
@@ -171,14 +159,13 @@ func (s *Server) count(update func(*Stats)) {
 
 // onCommit is the game loop's commit hook: it runs under the game-loop
 // lock once the tick's effects are visible, finds the sessions that are
-// due an update, encodes the update once if there are any, and wakes them.
-// The frame is never written again after it is handed out, so any number
-// of session goroutines may be sending it at once.
+// due an update, encodes the update once if there are any, and wakes them,
+// handing each the chunks delivered to it since its last push. The frame
+// is never written again after it is handed out, so any number of session
+// goroutines may be sending it at once.
 func (s *Server) onCommit() {
 	srv := s.inst.Server()
 	tick := srv.Tick()
-	view := srv.Config().ViewDistance
-	applied := srv.ChunksApplied.Value()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var frame []byte
@@ -194,24 +181,30 @@ func (s *Server) onCommit() {
 			s.stats.FramesBuilt++
 		}
 		c.acted, c.lastPushTick = false, tick
-		// The chunk cursor: nothing new can be streamed to a session whose
-		// last walk covered its whole view rect, while the rect is the
-		// same and no chunk has been applied since.
-		rect := world.ChunkRectWithin(c.player.Pos(), view)
-		chunks := !c.walkDone || rect != c.walkRect || applied != c.walkApplied
 		select {
-		case c.wake <- push{frame: frame, chunks: chunks}:
+		case c.wake <- push{frame: frame, chunks: c.outbox}:
+			c.outbox = nil
 			s.stats.Pushes++
-		default: // still busy with its previous push; it is due again next interval
+		default:
+			// Still busy with its previous push: it is due again next
+			// interval, and its chunks wait in the outbox until then.
+			s.stats.WakesSkipped++
 		}
 	}
 }
 
 // push is one wake-up of a session's push goroutine: the shared state
-// frame to write, and whether to walk for chunks after it.
+// frame to write, then the chunks to stream after it.
 type push struct {
 	frame  []byte
-	chunks bool
+	chunks []delivery
+}
+
+// delivery is one chunk the send queue delivered to a session's player:
+// its position, and the server whose world holds it.
+type delivery struct {
+	from *mve.Server
+	pos  world.ChunkPos
 }
 
 // session is one connected client.
@@ -224,21 +217,18 @@ type session struct {
 
 	// Guarded by the game-loop lock. actBuf is the batch Actions hands the
 	// loop, reused every tick (the loop consumes it before the next call);
-	// acted says a tick consumed actions since the last push; the walk*
-	// fields are the chunk cursor onCommit checks (see streamChunks).
+	// acted says a tick consumed actions since the last push; outbox holds
+	// the chunks delivered since the last push, in delivery order.
 	actBuf       []mve.Action
 	acted        bool
 	lastPushTick uint64
-	sent         map[world.ChunkPos]bool
-	walkRect     world.ChunkRect
-	walkApplied  int64
-	walkDone     bool
+	outbox       []delivery
 
-	// chunkBuf holds one chunk's encoding and frames the push's framed
-	// chunk messages; both are reused, so streaming allocates nothing once
-	// they have warmed. Owned by the push goroutine.
+	// chunkBuf holds one chunk's encoding and frame its framed message;
+	// both are reused, so streaming allocates nothing once they have
+	// warmed, and neither outgrows one chunk. Owned by the push goroutine.
 	chunkBuf []byte
-	frames   []byte
+	frame    []byte
 
 	writeMu sync.Mutex // serialises the push goroutine and pong replies
 }
@@ -252,7 +242,6 @@ func (s *Server) newSession(conn net.Conn) *session {
 		// seconds of a fast client, and overflow is dropped and counted.
 		actions: make(chan mve.Action, 256),
 		wake:    make(chan push, 1),
-		sent:    make(map[world.ChunkPos]bool),
 		acted:   true, // joining counts: the next commit sends the first update
 	}
 }
@@ -272,7 +261,16 @@ func (c *session) Actions(_ *rand.Rand, _ *mve.Player, _ *mve.Server) []mve.Acti
 	}
 }
 
-var _ mve.Behavior = (*session)(nil)
+// ReceiveChunk implements mve.ChunkReceiver: the chunk waits in the
+// outbox for the session's next push.
+func (c *session) ReceiveChunk(from *mve.Server, cp world.ChunkPos) {
+	c.outbox = append(c.outbox, delivery{from: from, pos: cp})
+}
+
+var (
+	_ mve.Behavior      = (*session)(nil)
+	_ mve.ChunkReceiver = (*session)(nil)
+)
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
@@ -379,64 +377,43 @@ func (c *session) handle(m netproto.Message) bool {
 }
 
 // pushLoop writes each push the commit hook wakes it with: the shared
-// state frame as is — no encode, no game-loop lock — then the session's
-// own chunk payloads if the hook saw any to stream.
+// state frame as is — no encode, no game-loop lock — then the chunks the
+// push carries.
 func (c *session) pushLoop(done <-chan struct{}) {
 	for {
 		select {
 		case <-done:
 			return
 		case p := <-c.wake:
-			if c.write(p.frame) != nil {
-				return
-			}
-			if p.chunks && c.streamChunks() != nil {
+			if c.write(p.frame) != nil || c.sendChunks(p.chunks) != nil {
 				return
 			}
 		}
 	}
 }
 
-// streamChunks walks the session's view rect under the game-loop lock,
-// frames up to ChunksPerPush loaded chunks the client has not been sent,
-// and writes them after releasing the lock. It leaves the cursor behind:
-// the rect it walked, the server's applied-chunk count at the time, and
-// whether the walk reached the end of the rect or stopped at the cap.
-func (c *session) streamChunks() error {
-	srv := c.server.inst.Server()
-	c.frames = c.frames[:0]
-	c.server.inst.Locked(func() {
-		rect := world.ChunkRectWithin(c.player.Pos(), srv.Config().ViewDistance)
-		n, done := 0, true
-	walk:
-		for cx := rect.Min.X; cx <= rect.Max.X; cx++ {
-			for cz := rect.Min.Z; cz <= rect.Max.Z; cz++ {
-				cp := world.ChunkPos{X: cx, Z: cz}
-				if c.sent[cp] {
-					continue
-				}
-				ch := srv.World().Chunk(cp)
-				if ch == nil {
-					continue
-				}
-				if n == c.server.cfg.ChunksPerPush {
-					done = false
-					break walk
-				}
-				n++
-				c.sent[cp] = true
+// sendChunks streams the chunks a push carries, one at a time: each is
+// encoded under the game-loop lock and written after releasing it, so a
+// backlog costs the session its positions, never their encodings. A chunk
+// its server has unloaded since the delivery is skipped.
+func (c *session) sendChunks(chunks []delivery) error {
+	for _, d := range chunks {
+		c.frame = c.frame[:0]
+		c.server.inst.Locked(func() {
+			if ch := d.from.World().Chunk(d.pos); ch != nil {
 				c.chunkBuf = ch.EncodeAppend(c.chunkBuf[:0])
-				c.frames = netproto.AppendEncode(c.frames, netproto.Message{
+				c.frame = netproto.AppendEncode(c.frame, netproto.Message{
 					Type: netproto.MsgChunkData, ChunkData: c.chunkBuf,
 				})
 			}
+		})
+		if len(c.frame) > 0 {
+			if err := c.write(c.frame); err != nil {
+				return err
+			}
 		}
-		c.walkRect, c.walkApplied, c.walkDone = rect, srv.ChunksApplied.Value(), done
-	})
-	if len(c.frames) == 0 {
-		return nil
 	}
-	return c.write(c.frames)
+	return nil
 }
 
 // appendAvatars coalesces the server's avatar state into buf: every

@@ -285,7 +285,8 @@ func (t *OwnershipTable) Encode() []byte {
 // errBadOwnershipTable reports a corrupt persisted ownership table.
 var errBadOwnershipTable = errors.New("world: bad ownership table")
 
-// DecodeOwnershipTable parses an encoded table.
+// DecodeOwnershipTable parses an encoded table. It refuses an override
+// under a tile alias, which no lookup would route (Owner canonicalises).
 func DecodeOwnershipTable(data []byte) (*OwnershipTable, error) {
 	if len(data) < 36 || binary.LittleEndian.Uint32(data) != ownershipMagicV2 {
 		return nil, errBadOwnershipTable
@@ -321,7 +322,7 @@ func DecodeOwnershipTable(data []byte) (*OwnershipTable, error) {
 			Z: int(int32(binary.LittleEndian.Uint32(buf[4:]))),
 		}
 		owner := int(int32(binary.LittleEndian.Uint32(buf[8:])))
-		if owner < 0 || owner >= t.shards {
+		if owner < 0 || owner >= t.shards || t.Canon(tile) != tile {
 			return nil, errBadOwnershipTable
 		}
 		t.overrides[tile] = owner

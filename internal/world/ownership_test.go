@@ -2,6 +2,8 @@ package world
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -297,4 +299,67 @@ func TestRegionViewFollowsLiveTable(t *testing.T) {
 	if r0.Contains(cp) || !r1.Contains(cp) {
 		t.Fatal("region views did not follow the migration")
 	}
+}
+
+// ownershipAllocated returns the bytes one DecodeOwnershipTable of buf
+// allocated.
+func ownershipAllocated(buf []byte) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = DecodeOwnershipTable(buf)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeOwnershipTable feeds DecodeOwnershipTable arbitrary bytes: a
+// restarting cluster reads its table back from storage. It must not panic,
+// must not allocate more than a small multiple of its input (an override is
+// one map entry per 12 input bytes; other goroutines of the test binary
+// allocate too, so only an excess that repeats is the decoder's), every
+// override it keeps must be the one routing sees, and whatever decodes must
+// re-encode to a table that decodes to the same geometry, epoch and
+// overrides. The seeds are encoded tables of both topology kinds; the
+// checked-in corpus adds overrides under a tile alias, which decoding once
+// stored verbatim where no lookup would route them.
+func FuzzDecodeOwnershipTable(f *testing.F) {
+	band := NewOwnershipTable(3, BandTopology{BandChunks: 4})
+	band.SetOwner(TileID{X: -2}, 1)
+	band.SetOwner(TileID{X: 5}, 2)
+	grid := NewOwnershipTable(4, GridTopology{TilesX: 3, TilesZ: 2, TileChunks: 2})
+	grid.SetOwner(TileID{X: 2, Z: 1}, 0)
+	grid.SetOwner(TileID{X: 0, Z: 0}, 3)
+	for _, tab := range []*OwnershipTable{NewOwnershipTable(1, nil), band, grid} {
+		f.Add(tab.Encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := uint64(16*len(data) + 2048)
+		for try := 0; ; try++ {
+			got := ownershipAllocated(data)
+			if got <= limit {
+				break
+			}
+			if try == 3 {
+				t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, limit)
+			}
+		}
+		tab, err := DecodeOwnershipTable(data)
+		if err != nil {
+			return
+		}
+		for _, o := range tab.Overrides() {
+			if got := tab.Owner(o.Tile); got != o.Owner {
+				t.Fatalf("override %v -> shard %d is routed to shard %d", o.Tile, o.Owner, got)
+			}
+		}
+		again, err := DecodeOwnershipTable(tab.Encode())
+		if err != nil {
+			t.Fatalf("a decoded table re-encodes to bytes that do not decode: %v", err)
+		}
+		if again.Shards() != tab.Shards() || again.Epoch() != tab.Epoch() ||
+			again.Topology().Spec() != tab.Topology().Spec() || !slices.Equal(again.Overrides(), tab.Overrides()) {
+			t.Fatalf("round trip changed the table: %d shards, epoch %d, %+v, %v -> %d, %d, %+v, %v",
+				tab.Shards(), tab.Epoch(), tab.Topology().Spec(), tab.Overrides(),
+				again.Shards(), again.Epoch(), again.Topology().Spec(), again.Overrides())
+		}
+	})
 }
