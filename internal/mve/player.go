@@ -30,18 +30,21 @@ type Player struct {
 	// receiver is behavior as a ChunkReceiver, or nil.
 	receiver ChunkReceiver
 
-	// known tracks chunks already sent to this client; sendQueue holds
-	// chunks waiting to be serialised (drained a few per tick), with
-	// sendHead indexing the next unsent entry — a head-index ring over
-	// one reusable backing array (see drainSendQueues).
-	known     map[world.ChunkPos]bool
+	// known has one bit per world slot (world.World.Slot): the chunk
+	// loaded there was queued for this client. unloadFarChunks clears a
+	// chunk's bit before its slot can be reused. sendQueue holds chunks
+	// waiting to be serialised (drained a few per tick), with sendHead
+	// indexing the next unsent entry — a head-index ring over one
+	// reusable backing array (see drainSendQueues).
+	known     []uint64
 	sendQueue []world.ChunkPos
 	sendHead  int
 
-	// Demand cursor: the chunk rect covered by this player's last full
-	// terrain-demand walk. While the rect is unchanged (and nothing in
-	// it was unloaded) the scan skips the walk entirely; fresh sessions
-	// and handoff arrivals start invalid (see scanTerrainDemand).
+	// Demand cursor: the chunk rect covered by this player's last
+	// terrain-demand walk. While it is valid (nothing in it was unloaded)
+	// the scan looks up only the chunks a moved rect gains, none for an
+	// unchanged one; fresh sessions and handoff arrivals start invalid
+	// (see scanTerrainDemand).
 	demandRect  world.ChunkRect
 	demandValid bool
 
@@ -71,6 +74,29 @@ type BehaviorFunc func(r *rand.Rand, p *Player, s *Server) []Action
 // Actions implements Behavior.
 func (f BehaviorFunc) Actions(r *rand.Rand, p *Player, s *Server) []Action {
 	return f(r, p, s)
+}
+
+// knows reports whether the chunk in world slot i was queued for this
+// client.
+func (p *Player) knows(i int) bool {
+	return i/64 < len(p.known) && p.known[i/64]&(1<<(i%64)) != 0
+}
+
+// queue marks the chunk at cp, in world slot i, known and queues it for
+// sending.
+func (p *Player) queue(cp world.ChunkPos, i int) {
+	if w := i / 64; w >= len(p.known) {
+		p.known = append(p.known, make([]uint64, w+1-len(p.known))...)
+	}
+	p.known[i/64] |= 1 << (i % 64)
+	p.sendQueue = append(p.sendQueue, cp)
+}
+
+// forget clears world slot i's bit: the chunk there was unloaded.
+func (p *Player) forget(i int) {
+	if i/64 < len(p.known) {
+		p.known[i/64] &^= 1 << (i % 64)
+	}
 }
 
 // Pos returns the avatar's position as a block position (Y at surface).

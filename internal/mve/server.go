@@ -235,14 +235,20 @@ type Server struct {
 	// drainBuf is the reused per-tick terrain-drain slice (DrainAppend).
 	drainBuf []*world.Chunk
 	// newlyLoaded accumulates chunk positions applied since the last
-	// demand scan: the only chunks a clean-cursor player can newly see
-	// (see scanTerrainDemand).
+	// demand scan: the only chunks a valid cursor's rect can newly show
+	// (see scanTerrainDemand). newlySlots is their world slots, resolved
+	// once a scan.
 	newlyLoaded []world.ChunkPos
+	newlySlots  []int
 	// fullDemandRescan makes every scan re-walk every player's whole view
 	// rect, the pre-incremental behaviour: the reference the in-package
 	// tests compare the demand cursor against. Nothing outside the
 	// package can set it.
 	fullDemandRescan bool
+	// stripWalks counts demand walks of a moved rect that looked up only
+	// the chunks it gained, and demandLookups the World look-ups every
+	// demand walk made: what the in-package tests hold the strip walk to.
+	stripWalks, demandLookups int64
 
 	// Reusable tick-loop scratch, so the steady-state tick allocates
 	// nothing. obsBufs double-buffers the avatar positions handed to the
@@ -772,22 +778,27 @@ func (s *Server) tickOnce() {
 	}
 }
 
+// noRect is the empty chunk rect: a cold demand cursor has seen nothing.
+var noRect = world.ChunkRectWithin(world.BlockPos{}, -1)
+
 // scanTerrainDemand requests every chunk within any player's view distance
 // that is neither loaded nor already requested, and refreshes send queues.
 //
 // The scan is incremental: each player caches the chunk rect its view
-// distance resolved to at its last full walk (the demand cursor). A
-// player whose rect is unchanged is clean, and for a clean player the
-// full walk is a no-op by construction — after a full walk every chunk
-// in the rect is either known (queued for send) or in flight in
-// s.requested, requests only leave that set by loading (tracked in
-// s.newlyLoaded), and an unload of a chunk inside a cached rect
-// invalidates the cursor (unloadFarChunks). So clean players only need
-// the chunks applied since the previous scan, replayed in rect order;
-// dirty players — fresh sessions, handoff arrivals, chunk-rect
-// crossings — take the full walk and count one TerrainRecomputes. The
-// request/send streams are byte-identical to the full rescan
-// (fullDemandRescan is the in-package tests' cross-check).
+// distance resolved to at its last walk (the demand cursor). When a walk
+// ends, every chunk in the rect is either known (queued for send) or in
+// flight in s.requested; requests only leave that set by loading (tracked
+// in s.newlyLoaded), and an unload of a chunk inside a cached rect
+// invalidates the cursor (unloadFarChunks). So for the chunks a valid
+// cursor's rect still covers, a full walk's only effect is to queue the
+// ones applied since the previous scan, and walkDemand replays just those
+// there and looks up only the chunks the rect gained: none for a clean
+// cursor (unchanged rect), one 17-chunk strip for a one-chunk crossing at
+// the default view distance. Dirty players — fresh sessions, handoff
+// arrivals, chunk-rect crossings — count one TerrainRecomputes; only a
+// cold cursor walks its whole rect. The request/send streams are
+// byte-identical to the full rescan (fullDemandRescan is the in-package
+// tests' cross-check).
 func (s *Server) scanTerrainDemand() {
 	avatars := s.obsBufs[s.obsIdx][:0]
 	newly := s.newlyLoaded
@@ -799,38 +810,27 @@ func (s *Server) scanTerrainDemand() {
 			return a.Z - b.Z
 		})
 	}
+	s.newlySlots = s.newlySlots[:0]
+	for _, cp := range newly {
+		s.newlySlots = append(s.newlySlots, s.world.Slot(cp))
+	}
 	for _, id := range s.playerOrder {
 		p := s.players[id]
 		pos := p.Pos()
 		avatars = append(avatars, pos)
 		rect := world.ChunkRectWithin(pos, s.cfg.ViewDistance)
-		if !s.fullDemandRescan && p.demandValid && rect == p.demandRect {
-			// Clean cursor: replay only the chunks loaded since the last
-			// scan. Sorted (X, Z) order is exactly the full walk's
-			// iteration order restricted to this set, so the send queue
-			// receives them in the same order a full rescan would.
-			for _, cp := range newly {
-				if rect.Contains(cp) && !p.known[cp] {
-					p.known[cp] = true
-					p.sendQueue = append(p.sendQueue, cp)
-				}
-			}
+		seen := p.demandRect
+		switch {
+		case s.fullDemandRescan || !p.demandValid:
+			seen = noRect
+			s.TerrainRecomputes.Inc()
+		case rect != seen:
+			s.TerrainRecomputes.Inc()
+			s.stripWalks++
+		case len(newly) == 0:
 			continue
 		}
-		s.TerrainRecomputes.Inc()
-		for cx := rect.Min.X; cx <= rect.Max.X; cx++ {
-			for cz := rect.Min.Z; cz <= rect.Max.Z; cz++ {
-				cp := world.ChunkPos{X: cx, Z: cz}
-				if s.world.Loaded(cp) {
-					if !p.known[cp] {
-						p.known[cp] = true
-						p.sendQueue = append(p.sendQueue, cp)
-					}
-					continue
-				}
-				s.requestChunk(cp)
-			}
-		}
+		s.walkDemand(p, rect, seen)
 		p.demandRect, p.demandValid = rect, true
 	}
 	s.newlyLoaded = newly[:0]
@@ -874,6 +874,51 @@ func (s *Server) scanTerrainDemand() {
 // ScanTerrainDemand runs one demand scan outside the tick cadence — the
 // benchmark entry point (the game loop calls the scan on its own period).
 func (s *Server) ScanTerrainDemand() { s.scanTerrainDemand() }
+
+// walkDemand brings p's view of rect up to date in the full walk's order
+// (X-major, Z ascending). Chunks inside seen, the rect of p's last walk,
+// need only the replay of the ones applied since (sorted, so the replay
+// keeps the walk's order); every other chunk is looked up.
+func (s *Server) walkDemand(p *Player, rect, seen world.ChunkRect) {
+	newly, slots := s.newlyLoaded, s.newlySlots
+	i := 0
+	zLo, zHi := max(rect.Min.Z, seen.Min.Z), min(rect.Max.Z, seen.Max.Z)
+	for cx := rect.Min.X; cx <= rect.Max.X; cx++ {
+		// The column's overlap with seen is [lo, hi]: empty (lo > hi) when
+		// the column or its Z range lies outside seen.
+		lo, hi := rect.Min.Z, rect.Min.Z-1
+		if cx >= seen.Min.X && cx <= seen.Max.X && zLo <= zHi {
+			lo, hi = zLo, zHi
+		}
+		for cz := rect.Min.Z; cz < lo; cz++ {
+			s.demand(p, world.ChunkPos{X: cx, Z: cz})
+		}
+		// Skip to the first chunk applied since in the overlap.
+		for ; i < len(newly) && (newly[i].X < cx || newly[i].X == cx && newly[i].Z < lo); i++ {
+		}
+		for ; i < len(newly) && newly[i].X == cx && newly[i].Z <= hi; i++ {
+			if slot := slots[i]; slot >= 0 && !p.knows(slot) {
+				p.queue(newly[i], slot)
+			}
+		}
+		for cz := hi + 1; cz <= rect.Max.Z; cz++ {
+			s.demand(p, world.ChunkPos{X: cx, Z: cz})
+		}
+	}
+}
+
+// demand looks cp up for p: a loaded chunk p does not know yet is queued
+// for sending, a missing one requested.
+func (s *Server) demand(p *Player, cp world.ChunkPos) {
+	s.demandLookups++
+	if slot := s.world.Slot(cp); slot >= 0 {
+		if !p.knows(slot) {
+			p.queue(cp, slot)
+		}
+		return
+	}
+	s.requestChunk(cp)
+}
 
 // requestChunk starts the load-or-generate path for one chunk. With a
 // store the request is only queued; flushChunkLoads turns the queue into
@@ -966,11 +1011,16 @@ func (s *Server) applyChunk(c *world.Chunk, countResume bool) {
 // compacted in place (once the prefix is also at least half the queue).
 const sendCompactMin = 64
 
+// sendKeepMax is the largest backing array a drained send queue keeps: a
+// first view queues hundreds of chunks, a chunk crossing a strip of them.
+const sendKeepMax = 64
+
 // drainSendQueues serialises queued chunks to clients, a few per player per
 // tick, and returns the work cost. The queue is a head-index ring over one
 // backing array: popping advances sendHead instead of re-slicing, which
 // would pin the consumed prefix for the array's lifetime, and the array is
-// reused once drained (or compacted when the dead prefix dominates).
+// reused once drained (or compacted when the dead prefix dominates), unless
+// it is larger than sendKeepMax.
 func (s *Server) drainSendQueues() time.Duration {
 	var cost time.Duration
 	for _, id := range s.playerOrder {
@@ -991,6 +1041,8 @@ func (s *Server) drainSendQueues() time.Duration {
 			sent++
 		}
 		switch {
+		case p.sendHead == len(p.sendQueue) && cap(p.sendQueue) > sendKeepMax:
+			p.sendQueue, p.sendHead = nil, 0
 		case p.sendHead == len(p.sendQueue):
 			p.sendQueue = p.sendQueue[:0]
 			p.sendHead = 0
@@ -1033,6 +1085,7 @@ func (s *Server) unloadFarChunks() {
 	})
 	for _, cp := range far {
 		s.haltConstructs(cp)
+		slot := s.world.Slot(cp)
 		c := s.world.RemoveChunk(cp)
 		if s.store != nil && c != nil && s.owned(cp) {
 			// The write joins the tick's grouped store commit; the chunk is
@@ -1044,12 +1097,13 @@ func (s *Server) unloadFarChunks() {
 			// No pending write references the chunk: recycle it directly.
 			s.pool.Put(c)
 		}
-		// Drop client knowledge so re-approach resends, and invalidate
-		// the demand cursor of any player whose cached rect held the
-		// chunk — that restores the clean-cursor invariant (every rect
-		// chunk loaded-or-requested) the incremental scan relies on.
+		// Drop client knowledge so re-approach resends — before the next
+		// AddChunk can hand the freed slot to another chunk — and
+		// invalidate the demand cursor of any player whose cached rect held
+		// the chunk: that restores the cursor invariant (every rect chunk
+		// loaded-or-requested) the incremental scan relies on.
 		for _, p := range s.players {
-			delete(p.known, cp)
+			p.forget(slot)
 			if p.demandValid && p.demandRect.Contains(cp) {
 				p.demandValid = false
 			}

@@ -31,7 +31,6 @@ func (s *Server) ConnectAt(name string, b Behavior, x, z float64) *Player {
 		X:        x,
 		Z:        z,
 		behavior: b,
-		known:    make(map[world.ChunkPos]bool),
 	}
 	p.receiver, _ = b.(ChunkReceiver)
 	p.destX, p.destZ = p.X, p.Z
@@ -157,7 +156,6 @@ func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 		Inventory:      snap.Inventory,
 		ChunksReceived: snap.ChunksReceived,
 		behavior:       snap.Behavior,
-		known:          make(map[world.ChunkPos]bool),
 	}
 	p.receiver, _ = snap.Behavior.(ChunkReceiver)
 	s.players[p.ID] = p

@@ -8,6 +8,7 @@ package mve
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -25,20 +26,27 @@ func demandSignature(s *Server) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tick=%d sent=%d applied=%d loaded=%d\n",
 		s.Tick(), s.ChunksSent.Value(), s.ChunksApplied.Value(), s.World().LoadedCount())
+	loaded := s.World().LoadedChunks()
+	sort.Slice(loaded, func(i, j int) bool {
+		if loaded[i].X != loaded[j].X {
+			return loaded[i].X < loaded[j].X
+		}
+		return loaded[i].Z < loaded[j].Z
+	})
 	for _, id := range s.playerOrder {
 		p := s.players[id]
-		known := make([]world.ChunkPos, 0, len(p.known))
-		for cp := range p.known {
-			known = append(known, cp)
-		}
-		sort.Slice(known, func(i, j int) bool {
-			if known[i].X != known[j].X {
-				return known[i].X < known[j].X
+		var known []world.ChunkPos
+		for _, cp := range loaded {
+			if p.knows(s.World().Slot(cp)) {
+				known = append(known, cp)
 			}
-			return known[i].Z < known[j].Z
-		})
-		fmt.Fprintf(&b, "p%d recv=%d known=%v queue=%v\n",
-			p.ID, p.ChunksReceived, known, p.sendQueue[p.sendHead:])
+		}
+		bits := 0
+		for _, w := range p.known {
+			bits += mathbits.OnesCount64(w)
+		}
+		fmt.Fprintf(&b, "p%d recv=%d known=%v bits=%d queue=%v\n",
+			p.ID, p.ChunksReceived, known, bits, p.sendQueue[p.sendHead:])
 	}
 	requested := make([]world.ChunkPos, 0, len(s.requested))
 	for cp := range s.requested {
@@ -68,8 +76,9 @@ func walker(stride float64) Behavior {
 
 // driveDemandRun runs one server through the shared script — walking
 // players, whose far chunks unload behind them, and a handoff-displaced
-// player — collecting a signature each scan period.
-func driveDemandRun(full bool) (sigs []string, recomputes int64) {
+// player — collecting a signature each scan period. It also returns how
+// many demand walks took the strip path.
+func driveDemandRun(full bool) (sigs []string, recomputes, strips int64) {
 	loop := sim.NewLoop(11)
 	s := NewServer(loop, Config{
 		Profile:      ProfileOpencraft,
@@ -100,7 +109,7 @@ func driveDemandRun(full bool) (sigs []string, recomputes int64) {
 		loop.RunUntil(loop.Now() + scanPeriodDuration(s))
 		sigs = append(sigs, demandSignature(s))
 	}
-	return sigs, s.TerrainRecomputes.Value()
+	return sigs, s.TerrainRecomputes.Value(), s.stripWalks
 }
 
 func scanPeriodDuration(s *Server) time.Duration {
@@ -108,8 +117,8 @@ func scanPeriodDuration(s *Server) time.Duration {
 }
 
 func TestIncrementalDemandMatchesFullRescan(t *testing.T) {
-	incSigs, incRecomputes := driveDemandRun(false)
-	fullSigs, fullRecomputes := driveDemandRun(true)
+	incSigs, incRecomputes, strips := driveDemandRun(false)
+	fullSigs, fullRecomputes, _ := driveDemandRun(true)
 	if len(incSigs) != len(fullSigs) {
 		t.Fatalf("checkpoint counts diverge: inc %d, full %d", len(incSigs), len(fullSigs))
 	}
@@ -125,6 +134,9 @@ func TestIncrementalDemandMatchesFullRescan(t *testing.T) {
 	if incRecomputes >= fullRecomputes {
 		t.Fatalf("incremental scan recomputed %d rects, full rescan %d — no work was skipped",
 			incRecomputes, fullRecomputes)
+	}
+	if strips == 0 {
+		t.Fatal("no walker's crossing took the strip walk")
 	}
 }
 
@@ -164,6 +176,97 @@ func TestScanTerrainDemandZeroAlloc(t *testing.T) {
 		t.Fatalf("settled demand scan: %v allocs per scan, want 0", got)
 	}
 }
+
+// TestStripWalkZeroAlloc: on a settled flat world, 100 players oscillating
+// across a chunk boundary take the strip walk every scan, one gained
+// column each, and neither the scan nor the send-queue drain allocates.
+func TestStripWalkZeroAlloc(t *testing.T) {
+	loop := sim.NewLoop(9)
+	s := NewServer(loop, Config{WorldType: "flat", ViewDistance: 64})
+	for i := 0; i < 100; i++ {
+		s.ConnectAt(fmt.Sprintf("p%d", i), nil, float64((i%10)*24-108), float64(i/10*24-108))
+	}
+	side := 1.0
+	oscillate := func() {
+		for _, id := range s.playerOrder {
+			p := s.players[id]
+			placeAt(p, p.X+side*world.ChunkSizeX, p.Z)
+		}
+		side = -side
+		s.ScanTerrainDemand()
+		s.drainSendQueues()
+	}
+	s.Start()
+	runFor(loop, 5*time.Second)
+	oscillate()
+	runFor(loop, 25*time.Second)
+	oscillate()
+	strips, lookups := s.stripWalks, s.demandLookups
+	if got := testing.AllocsPerRun(100, oscillate); got != 0 {
+		t.Fatalf("oscillating players: %v allocs per strip scan, want 0", got)
+	}
+	const scans = 101 // AllocsPerRun warms up with one extra call
+	const column = 2*64/world.ChunkSizeZ + 1
+	if got := s.stripWalks - strips; got != 100*scans {
+		t.Fatalf("%d strip walks in %d scans of 100 players, want %d", got, scans, 100*scans)
+	}
+	if got := s.demandLookups - lookups; got != 100*scans*column {
+		t.Fatalf("%d World look-ups in %d scans, want one %d-chunk column a player", got, scans, column)
+	}
+}
+
+// TestFreedSlotChunkIsStillSent: a chunk sent to a player and then
+// unloaded frees its world slot; the chunk that takes the slot next has
+// never been sent and must be.
+func TestFreedSlotChunkIsStillSent(t *testing.T) {
+	loop := sim.NewLoop(3)
+	s := NewServer(loop, Config{WorldType: "flat", ViewDistance: 48})
+	rec := &recordingBehavior{got: make(map[world.ChunkPos]bool)}
+	p := s.Connect("p", rec)
+	s.Start()
+	runFor(loop, 2*time.Second)
+	sent := make(map[int]world.ChunkPos) // slot → the chunk there, sent
+	for cp := range rec.got {
+		sent[s.World().Slot(cp)] = cp
+	}
+	if len(sent) == 0 {
+		t.Fatal("nothing was sent at spawn")
+	}
+	// Away long enough for the unload scan to drop every spawn chunk.
+	placeAt(p, 2000, 0)
+	runFor(loop, 6*time.Second)
+	for _, cp := range sent {
+		if s.World().Loaded(cp) {
+			t.Fatalf("spawn chunk %v still loaded", cp)
+		}
+	}
+	// Then somewhere new, whose chunks take the freed slots.
+	rec.got = make(map[world.ChunkPos]bool)
+	placeAt(p, 0, 2000)
+	runFor(loop, 2*time.Second)
+	reused := 0
+	for _, cp := range world.ChunksWithin(p.Pos(), 48) {
+		slot := s.World().Slot(cp)
+		was, freed := sent[slot]
+		if freed {
+			reused++
+		}
+		if !rec.got[cp] {
+			t.Fatalf("chunk %v in slot %d (freed by %v: %v) was never sent", cp, slot, was, freed)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no chunk of the new view took a freed slot — the fixture does not reach the hazard")
+	}
+}
+
+// recordingBehavior is an idle player whose client records every chunk it
+// is sent.
+type recordingBehavior struct{ got map[world.ChunkPos]bool }
+
+func (r *recordingBehavior) Actions(*rand.Rand, *Player, *Server) []Action { return nil }
+
+func (r *recordingBehavior) ReceiveChunk(_ *Server, cp world.ChunkPos) { r.got[cp] = true }
 
 // TestSteadyTickZeroAlloc: a whole tick of a settled server — 50 idle
 // players whose terrain has fully streamed in and whose send queues have

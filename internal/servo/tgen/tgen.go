@@ -35,13 +35,17 @@ func AppendRequest(dst []byte, pos world.ChunkPos) []byte {
 
 // EncodeRequest serialises a generation request into a fresh buffer.
 func EncodeRequest(pos world.ChunkPos) []byte {
-	return AppendRequest(make([]byte, 0, 8), pos)
+	return AppendRequest(make([]byte, 0, requestLen), pos)
 }
 
-// DecodeRequest parses a generation request.
+// requestLen is the length of an encoded generation request.
+const requestLen = 8
+
+// DecodeRequest parses a generation request: exactly requestLen bytes, so
+// a truncated request and one with trailing bytes are both refused.
 func DecodeRequest(buf []byte) (world.ChunkPos, error) {
-	if len(buf) < 8 {
-		return world.ChunkPos{}, errors.New("tgen: truncated request")
+	if len(buf) != requestLen {
+		return world.ChunkPos{}, errors.New("tgen: request is not 8 bytes")
 	}
 	return world.ChunkPos{
 		X: int(int32(binary.LittleEndian.Uint32(buf))),

@@ -121,6 +121,41 @@ func TestRequestCodec(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRequest feeds DecodeRequest arbitrary payloads. It must not
+// panic, whatever decodes must re-encode to the payload and decode back to
+// the same position, and the handler must count what does not decode as a
+// bad request and generate what does. The reply is a chunk encoding, which
+// FuzzDecodeChunk (internal/world) covers. The seeds are requests as the
+// backend sends them and the files under testdata/fuzz/FuzzDecodeRequest.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, pos := range []world.ChunkPos{{}, {X: -100, Z: 100}, {X: 1 << 20, Z: -(1 << 20)}} {
+		f.Add(EncodeRequest(pos))
+	}
+	var stats HandlerStats
+	h := NewHandlerWithStats(terrain.Flat{}, &stats)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bad := stats.BadRequests
+		reply, _ := h(data)
+		pos, err := DecodeRequest(data)
+		if err != nil {
+			if reply != nil || stats.BadRequests != bad+1 {
+				t.Fatalf("undecodable request %x: reply of %d bytes, %d bad requests counted", data, len(reply), stats.BadRequests-bad)
+			}
+			return
+		}
+		if got := AppendRequest(nil, pos); !bytes.Equal(got, data) {
+			t.Fatalf("request %x decodes to %v, which re-encodes to %x", data, pos, got)
+		}
+		if again, err := DecodeRequest(AppendRequest(nil, pos)); err != nil || again != pos {
+			t.Fatalf("%v round-trips to %v (%v)", pos, again, err)
+		}
+		c, err := world.DecodeChunk(reply)
+		if err != nil || c.Pos != pos || stats.BadRequests != bad {
+			t.Fatalf("request for %v: reply decodes to %v (%v), %d bad requests counted", pos, c, err, stats.BadRequests-bad)
+		}
+	})
+}
+
 func TestHandlerRejectsGarbage(t *testing.T) {
 	h := NewHandler(terrain.Flat{})
 	resp, work := h([]byte{1, 2})

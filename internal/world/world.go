@@ -4,34 +4,77 @@ package world
 // set of currently loaded chunks. Loading, generation, and persistence
 // policy live above this type (internal/mve and internal/servo); World only
 // provides storage and block addressing across chunk boundaries.
+//
+// Every loaded chunk holds a slot: a small dense index, unique among the
+// loaded chunks, that callers may key their own per-chunk state by (a
+// bitset instead of a map). A chunk keeps its slot while it stays loaded,
+// replacing it at the same position included; RemoveChunk frees the slot
+// and the next AddChunk of a new position reuses the most recently freed
+// one, so slots stay below the peak loaded count. A caller keying state by
+// slot must drop that state when it removes the chunk.
 type World struct {
-	chunks map[ChunkPos]*Chunk
+	chunks map[ChunkPos]loaded
+	free   []int
+	slots  int
+}
+
+// loaded is a loaded chunk and its slot.
+type loaded struct {
+	c    *Chunk
+	slot int
 }
 
 // New returns an empty world.
 func New() *World {
-	return &World{chunks: make(map[ChunkPos]*Chunk)}
+	return &World{chunks: make(map[ChunkPos]loaded)}
 }
 
 // Chunk returns the loaded chunk at pos, or nil if not loaded.
 func (w *World) Chunk(pos ChunkPos) *Chunk {
-	return w.chunks[pos]
+	return w.chunks[pos].c
 }
 
 // AddChunk inserts (or replaces) a chunk.
-func (w *World) AddChunk(c *Chunk) { w.chunks[c.Pos] = c }
+func (w *World) AddChunk(c *Chunk) {
+	e, ok := w.chunks[c.Pos]
+	if !ok {
+		if n := len(w.free); n > 0 {
+			e.slot = w.free[n-1]
+			w.free = w.free[:n-1]
+		} else {
+			e.slot = w.slots
+			w.slots++
+		}
+	}
+	e.c = c
+	w.chunks[c.Pos] = e
+}
 
-// RemoveChunk unloads the chunk at pos and returns it (nil if not loaded).
+// RemoveChunk unloads the chunk at pos and returns it (nil if not loaded),
+// freeing its slot.
 func (w *World) RemoveChunk(pos ChunkPos) *Chunk {
-	c := w.chunks[pos]
+	e, ok := w.chunks[pos]
+	if !ok {
+		return nil
+	}
 	delete(w.chunks, pos)
-	return c
+	w.free = append(w.free, e.slot)
+	return e.c
 }
 
 // Loaded reports whether the chunk at pos is in memory.
 func (w *World) Loaded(pos ChunkPos) bool {
 	_, ok := w.chunks[pos]
 	return ok
+}
+
+// Slot returns the slot of the loaded chunk at pos, or -1 if it is not
+// loaded.
+func (w *World) Slot(pos ChunkPos) int {
+	if e, ok := w.chunks[pos]; ok {
+		return e.slot
+	}
+	return -1
 }
 
 // LoadedCount returns the number of chunks currently in memory.
@@ -55,7 +98,7 @@ func (w *World) LoadedChunksAppend(dst []ChunkPos) []ChunkPos {
 // BlockAt returns the block at an absolute position. Unloaded chunks and
 // out-of-range Y read as Air.
 func (w *World) BlockAt(p BlockPos) Block {
-	c := w.chunks[p.Chunk()]
+	c := w.Chunk(p.Chunk())
 	if c == nil {
 		return Block{}
 	}
@@ -65,7 +108,7 @@ func (w *World) BlockAt(p BlockPos) Block {
 // SetBlockAt writes the block at an absolute position. It reports whether
 // the containing chunk was loaded (and hence whether the write happened).
 func (w *World) SetBlockAt(p BlockPos, b Block) bool {
-	c := w.chunks[p.Chunk()]
+	c := w.Chunk(p.Chunk())
 	if c == nil {
 		return false
 	}
@@ -77,7 +120,7 @@ func (w *World) SetBlockAt(p BlockPos, b Block) bool {
 // the chunk is not loaded or the column is empty.
 func (w *World) SurfaceY(x, z int) int {
 	p := BlockPos{X: x, Z: z}
-	c := w.chunks[p.Chunk()]
+	c := w.Chunk(p.Chunk())
 	if c == nil {
 		return -1
 	}

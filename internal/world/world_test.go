@@ -234,6 +234,66 @@ func TestWorldRemoveChunk(t *testing.T) {
 	}
 }
 
+// TestWorldSlots holds the slot contract over random loads, replaces and
+// unloads: slots are unique among loaded chunks and below the peak loaded
+// count, a chunk keeps its slot while loaded (replacing it at the same
+// position included), an unloaded chunk has none, and a new position takes
+// the slot freed last.
+func TestWorldSlots(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	w := New()
+	held := make(map[ChunkPos]int)
+	var freed []int
+	peak := 0
+	for i := 0; i < 4000; i++ {
+		pos := ChunkPos{X: r.Intn(12) - 6, Z: r.Intn(12) - 6}
+		prev, loaded := held[pos]
+		switch {
+		case r.Intn(3) == 0:
+			w.RemoveChunk(pos)
+			if loaded {
+				delete(held, pos)
+				freed = append(freed, prev)
+			}
+		case loaded:
+			w.AddChunk(NewChunk(pos))
+			if got := w.Slot(pos); got != prev {
+				t.Fatalf("op %d: replacing %v moved its slot %d to %d", i, pos, prev, got)
+			}
+		default:
+			w.AddChunk(NewChunk(pos))
+			got := w.Slot(pos)
+			if n := len(freed); n > 0 {
+				if got != freed[n-1] {
+					t.Fatalf("op %d: %v took slot %d, want the last freed %d", i, pos, got, freed[n-1])
+				}
+				freed = freed[:n-1]
+			}
+			held[pos] = got
+		}
+		peak = max(peak, len(held))
+		if w.Slot(pos) >= 0 != (w.Chunk(pos) != nil) {
+			t.Fatalf("op %d: %v has slot %d, chunk loaded %v", i, pos, w.Slot(pos), w.Chunk(pos) != nil)
+		}
+		seen := make(map[int]ChunkPos, len(held))
+		for cp, slot := range held {
+			if got := w.Slot(cp); got != slot {
+				t.Fatalf("op %d: %v's slot moved %d → %d while loaded", i, cp, slot, got)
+			}
+			if slot < 0 || slot >= peak {
+				t.Fatalf("op %d: %v's slot %d outside [0, %d)", i, cp, slot, peak)
+			}
+			if other, dup := seen[slot]; dup {
+				t.Fatalf("op %d: %v and %v share slot %d", i, cp, other, slot)
+			}
+			seen[slot] = cp
+		}
+		if w.LoadedCount() != len(held) {
+			t.Fatalf("op %d: %d chunks loaded, model holds %d", i, w.LoadedCount(), len(held))
+		}
+	}
+}
+
 func TestStatefulBlockClassification(t *testing.T) {
 	stateful := []BlockID{Wire, Battery, Lamp, Repeater, Inverter}
 	for _, id := range stateful {
