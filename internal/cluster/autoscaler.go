@@ -28,6 +28,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"servo/internal/metrics"
@@ -35,21 +36,27 @@ import (
 	"servo/internal/world"
 )
 
-// Autoscaler defaults.
+// The autoscaling policy's fixed parameters and its defaults.
 const (
-	// DefaultAutoscaleInterval is the policy check cadence.
-	DefaultAutoscaleInterval = 2 * time.Second
-	// DefaultHighUtil / DefaultLowUtil are the utilization band edges:
+	// autoscaleInterval is the policy check cadence.
+	autoscaleInterval = 2 * time.Second
+	// upCooldown is the minimum gap between successive scale-ups.
+	upCooldown = 2 * autoscaleInterval
+	// horizon is how far ahead the tile-load derivative is projected
+	// when deciding: the predictive window that catches a flash crowd
+	// forming.
+	horizon = 2 * autoscaleInterval
+	// maxMoves caps one planning round's migration plan.
+	maxMoves = 4
+	// HighUtil / DefaultLowUtil are the utilization band edges:
 	// projected utilization above High scales up, utilization that would
 	// stay under Low even after removing a shard scales down.
-	DefaultHighUtil = 0.75
-	DefaultLowUtil  = 0.35
+	HighUtil       = 0.75
+	DefaultLowUtil = 0.35
 	// DefaultShardCapacity is one shard's nominal demand capacity in cost
 	// units (actions + chunk stores) per second. Workload-dependent;
 	// scenarios calibrate it explicitly.
 	DefaultShardCapacity = 500
-	// DefaultMaxMoves caps one planning round's migration plan.
-	DefaultMaxMoves = 4
 )
 
 // AutoscaleConfig tunes the autoscaling policy subsystem.
@@ -64,44 +71,28 @@ type AutoscaleConfig struct {
 	// only shards added at runtime are ever removed.
 	MinShards int
 	MaxShards int
-	// Interval is the policy check cadence (0 → DefaultAutoscaleInterval).
-	Interval time.Duration
-	// HighUtil / LowUtil are the utilization band edges (0 → defaults).
-	HighUtil float64
-	LowUtil  float64
+	// LowUtil is the scale-down band edge (0 → DefaultLowUtil); it must
+	// lie below HighUtil.
+	LowUtil float64
 	// ShardCapacity is one shard's demand capacity in cost units per
 	// second (0 → DefaultShardCapacity).
 	ShardCapacity float64
-	// UpCooldown / DownCooldown are the minimum gaps between successive
-	// scale-ups / scale-downs (0 → 2× / 6× Interval).
-	UpCooldown   time.Duration
+	// DownCooldown is the minimum gap between successive scale-downs
+	// (0 → 6 policy intervals).
 	DownCooldown time.Duration
-	// Horizon is how far ahead the tile-load derivative is projected when
-	// deciding (0 → 2× Interval): the predictive window that catches a
-	// flash crowd forming.
-	Horizon time.Duration
-	// MaxMoves caps each planning round's migration plan (0 → DefaultMaxMoves).
-	MaxMoves int
-	// MaxFailures crashes within FailureWindow quarantine a shard for
-	// Probation (zeros → failure-tracker defaults: 3 in 2m, 2m probation).
-	MaxFailures   int
-	FailureWindow time.Duration
-	Probation     time.Duration
+	// Probation is how long a crash-looping shard stays quarantined
+	// after its last crash (0 → the failure tracker's 2m). A shard is
+	// quarantined after 3 crashes within 2 minutes.
+	Probation time.Duration
 }
 
 // withDefaults fills zero fields; boot is the boot shard count.
 func (a AutoscaleConfig) withDefaults(boot int) AutoscaleConfig {
-	if a.Interval == 0 {
-		a.Interval = DefaultAutoscaleInterval
-	}
 	if a.MinShards <= 0 {
 		a.MinShards = boot
 	}
 	if a.MaxShards <= 0 {
 		a.MaxShards = 2 * boot
-	}
-	if a.HighUtil == 0 {
-		a.HighUtil = DefaultHighUtil
 	}
 	if a.LowUtil == 0 {
 		a.LowUtil = DefaultLowUtil
@@ -109,19 +100,33 @@ func (a AutoscaleConfig) withDefaults(boot int) AutoscaleConfig {
 	if a.ShardCapacity == 0 {
 		a.ShardCapacity = DefaultShardCapacity
 	}
-	if a.UpCooldown == 0 {
-		a.UpCooldown = 2 * a.Interval
-	}
 	if a.DownCooldown == 0 {
-		a.DownCooldown = 6 * a.Interval
-	}
-	if a.Horizon == 0 {
-		a.Horizon = 2 * a.Interval
-	}
-	if a.MaxMoves <= 0 {
-		a.MaxMoves = DefaultMaxMoves
+		a.DownCooldown = 6 * autoscaleInterval
 	}
 	return a
+}
+
+// CheckBounds returns an error when the policy, enabled on a cluster
+// that boots boot shards over topo (nil → bands), has a shard range the
+// cluster cannot keep: the effective maximum (MaxShards, or twice the
+// boot count) must reach both the boot count and the effective minimum,
+// and a finite topology needs a tile for every shard. The scenario spec
+// and servo.NewInstance both check through it.
+func (a AutoscaleConfig) CheckBounds(boot int, topo world.Topology) error {
+	eff := a.withDefaults(boot)
+	hi := fmt.Sprint(eff.MaxShards)
+	if a.MaxShards <= 0 {
+		hi += " (twice the boot count)"
+	}
+	switch {
+	case eff.MaxShards < boot:
+		return fmt.Errorf("max shards %s is below the boot shard count %d", hi, boot)
+	case eff.MinShards > eff.MaxShards:
+		return fmt.Errorf("min shards %d exceeds max shards %s", eff.MinShards, hi)
+	case topo != nil && topo.Tiles() > 0 && eff.MaxShards > topo.Tiles():
+		return fmt.Errorf("max shards %s over a %d-tile grid: more shards than tiles", hi, topo.Tiles())
+	}
+	return nil
 }
 
 // ScaleRecord logs one autoscaling event, in occurrence order. Like the
@@ -188,7 +193,7 @@ func (c *Cluster) AddShard() int {
 		if first {
 			// The table's second slot: the first boundary to scan for
 			// (Start left the scan unarmed on a one-shard table).
-			c.clock.After(c.cfg.ScanInterval, c.scan)
+			c.clock.After(c.scanInterval, c.scan)
 		}
 	}
 	return idx
@@ -286,7 +291,7 @@ func (c *Cluster) drainTick(i int) {
 		}
 		c.migrateTile(tile, dst, "drain")
 	}
-	c.clock.After(c.cfg.ScanInterval, func() { c.drainTick(i) })
+	c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 }
 
 // finishDrain flushes the drained shard's remaining chunk copies and
@@ -302,7 +307,7 @@ func (c *Cluster) finishDrain(i int) {
 			return
 		}
 		if len(c.ownedTiles(i)) > 0 || c.shards[i].PlayerCount() > 0 || c.hasSessions(i) {
-			c.clock.After(c.cfg.ScanInterval, func() { c.drainTick(i) })
+			c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 			return
 		}
 		if !c.table.Retire(i) {
@@ -371,7 +376,7 @@ func (c *Cluster) autoscalerTick() {
 	if c.stopped {
 		return
 	}
-	defer c.clock.After(c.auto.Interval, c.autoscalerTick)
+	defer c.clock.After(autoscaleInterval, c.autoscalerTick)
 	now := c.clock.Now()
 	rates, projected := c.updateTileRates(now)
 	c.noteShardsActive()
@@ -410,13 +415,13 @@ func (c *Cluster) autoscalerTick() {
 	// drain flushes every dirty chunk, and that store burst reads as a
 	// one-tick demand spike that would otherwise whipsaw the policy
 	// straight back up.
-	if alive < c.auto.MaxShards && now-c.lastScaleUp >= c.auto.UpCooldown &&
-		now-c.lastScaleDown >= c.auto.UpCooldown &&
-		totalProj/(float64(alive)*cap) > c.auto.HighUtil {
+	if alive < c.auto.MaxShards && now-c.lastScaleUp >= upCooldown &&
+		now-c.lastScaleDown >= upCooldown &&
+		totalProj/(float64(alive)*cap) > HighUtil {
 		idx := c.AddShard()
 		if idx >= 0 {
 			c.lastScaleUp = now
-			for _, mv := range PlanBalance(rates, c.planCandidates(), c.topo.Index, c.auto.MaxMoves) {
+			for _, mv := range PlanBalance(rates, c.planCandidates(), c.topo.Index, maxMoves) {
 				c.migrateTile(mv.Tile, mv.To, "scale-up")
 			}
 			return
@@ -428,7 +433,7 @@ func (c *Cluster) autoscalerTick() {
 	// hotspot before latency degrades. PlanBalance only emits strict
 	// post-move-max improvements, so a balanced cluster plans nothing.
 	if c.shardOverloaded(projected, cap) {
-		plan := PlanBalance(projected, c.planCandidates(), c.topo.Index, c.auto.MaxMoves)
+		plan := PlanBalance(projected, c.planCandidates(), c.topo.Index, maxMoves)
 		if len(plan) > 0 {
 			for _, mv := range plan {
 				c.migrateTile(mv.Tile, mv.To, "spread")
@@ -463,7 +468,7 @@ func (c *Cluster) autoscalerTick() {
 func (c *Cluster) updateTileRates(now time.Duration) (cur, proj []TileRate) {
 	dt := (now - c.lastRateAt).Seconds()
 	c.lastRateAt = now
-	horizon := c.auto.Horizon.Seconds()
+	ahead := horizon.Seconds()
 	for _, tl := range c.TileLoads() {
 		total := tl.Actions + tl.Stores
 		st, ok := c.rateState[tl.Tile]
@@ -492,7 +497,7 @@ func (c *Cluster) updateTileRates(now time.Duration) (cur, proj []TileRate) {
 		if dt > 0 {
 			deriv = (rate - st.lastRate) / dt
 		}
-		projected := rate + deriv*horizon
+		projected := rate + deriv*ahead
 		if projected < 0 {
 			projected = 0
 		}
@@ -523,7 +528,7 @@ func (c *Cluster) shardOverloaded(rates []TileRate, cap float64) bool {
 		load[r.Owner] += r.Rate
 	}
 	for _, i := range c.planCandidates() {
-		if load[i] > c.auto.HighUtil*cap {
+		if load[i] > HighUtil*cap {
 			return true
 		}
 	}

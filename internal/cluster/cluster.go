@@ -38,8 +38,8 @@ import (
 )
 
 // DefaultScanInterval is how often the cluster checks avatars against
-// region boundaries (5 ticks at the 20 Hz default rate).
-const DefaultScanInterval = 250 * time.Millisecond
+// region boundaries: every 5 ticks.
+const DefaultScanInterval = 5 * mve.TickInterval
 
 // ShardBuilder constructs shard i's server owning region. internal/core
 // supplies a builder that wires every shard onto one shared serverless
@@ -73,8 +73,6 @@ type Config struct {
 	// Topology is the region tiling (nil → the default band topology,
 	// world.BandTopology{}).
 	Topology world.Topology
-	// ScanInterval is the boundary-scan cadence (0 → DefaultScanInterval).
-	ScanInterval time.Duration
 	// Transfer persists handoff state; nil moves state in memory.
 	Transfer Transfer
 	// TableStore persists the ownership table; nil keeps it in memory.
@@ -96,10 +94,6 @@ type Config struct {
 	// a shard failover restores inventory even for players that never
 	// crossed a boundary (0 disables; requires a Transfer).
 	Checkpoint time.Duration
-	// LogRetention caps each replay log (handoffs, migrations, ghost
-	// events) at the most recent N records (0 → DefaultLogRetention,
-	// < 0 → unbounded).
-	LogRetention int
 }
 
 // PlayerID is a cluster-global player identity, stable across handoffs
@@ -159,6 +153,10 @@ type Cluster struct {
 	table *world.OwnershipTable
 	// build rebuilds a shard server after failover (RecoverShard).
 	build ShardBuilder
+	// scanInterval is the boundary-scan and drain cadence:
+	// DefaultScanInterval, unless an in-package test parks handoffs by
+	// raising it before Start.
+	scanInterval time.Duration
 
 	shards     []*mve.Server
 	transfer   Transfer
@@ -204,7 +202,7 @@ type Cluster struct {
 	HandoffsIn     []metrics.Counter // per target shard
 	HandoffsOut    []metrics.Counter // per source shard
 	// Log records completed handoffs in completion order, bounded by
-	// Config.LogRetention.
+	// DefaultLogRetention.
 	Log RecordRing[HandoffRecord]
 
 	// Control-plane metrics.
@@ -214,7 +212,7 @@ type Cluster struct {
 	PlayersFailedOver metrics.Counter // sessions re-admitted after a shard kill
 	// MigrationLog records ownership changes in completion order (part of
 	// the deterministic replay surface, like Log), bounded by
-	// Config.LogRetention.
+	// DefaultLogRetention.
 	MigrationLog RecordRing[MigrationRecord]
 
 	// Autoscaling metrics (see autoscaler.go).
@@ -223,7 +221,7 @@ type Cluster struct {
 	Quarantines  metrics.Counter // crash-loop quarantine entries
 	TilesDrained metrics.Counter // tiles migrated off draining shards
 	// ScaleLog records autoscaling events in occurrence order (part of
-	// the deterministic replay surface), bounded by Config.LogRetention.
+	// the deterministic replay surface), bounded by DefaultLogRetention.
 	ScaleLog RecordRing[ScaleRecord]
 	// ShardsActive samples the alive shard count at every change: the
 	// scale trajectory, reported as a time series.
@@ -249,7 +247,7 @@ type Cluster struct {
 	VisibilityGaps metrics.Counter
 	// GhostLog records ghost-registry transitions in occurrence order
 	// (part of the deterministic replay surface, like Log), bounded by
-	// Config.LogRetention.
+	// DefaultLogRetention.
 	GhostLog RecordRing[GhostRecord]
 	// VisRecomputes counts border-membership recomputations — the dirty
 	// set's size summed over scans, where dirty means a membership input
@@ -288,14 +286,7 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 	if cfg.Topology == nil {
 		cfg.Topology = world.BandTopology{}
 	}
-	if cfg.ScanInterval == 0 {
-		cfg.ScanInterval = DefaultScanInterval
-	}
-	if cfg.LogRetention == 0 {
-		cfg.LogRetention = DefaultLogRetention
-	}
 	cfg.Rebalance = cfg.Rebalance.withDefaults()
-	cfg.Visibility = cfg.Visibility.withDefaults()
 	cfg.Autoscale = cfg.Autoscale.withDefaults(cfg.Shards)
 	c := &Cluster{
 		clock:          clock,
@@ -303,6 +294,7 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		topo:           cfg.Topology,
 		table:          world.NewOwnershipTable(cfg.Shards, cfg.Topology),
 		build:          build,
+		scanInterval:   DefaultScanInterval,
 		transfer:       cfg.Transfer,
 		tableStore:     cfg.TableStore,
 		reb:            cfg.Rebalance,
@@ -316,20 +308,16 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		HandoffLatency: metrics.NewSample(4096),
 		HandoffsIn:     make([]metrics.Counter, cfg.Shards),
 		HandoffsOut:    make([]metrics.Counter, cfg.Shards),
-		Log:            newRecordRing[HandoffRecord](cfg.LogRetention),
-		MigrationLog:   newRecordRing[MigrationRecord](cfg.LogRetention),
-		GhostLog:       newRecordRing[GhostRecord](cfg.LogRetention),
-		ScaleLog:       newRecordRing[ScaleRecord](cfg.LogRetention),
+		Log:            newRecordRing[HandoffRecord](DefaultLogRetention),
+		MigrationLog:   newRecordRing[MigrationRecord](DefaultLogRetention),
+		GhostLog:       newRecordRing[GhostRecord](DefaultLogRetention),
+		ScaleLog:       newRecordRing[ScaleRecord](DefaultLogRetention),
 		ShardsActive:   &metrics.TimeSeries{},
 		visBuckets:     make(map[visCell][]int),
 		visPairs:       make(map[visPair]*visPairState),
 	}
 	if cfg.Autoscale.Enabled {
-		c.tracker = newFailureTracker(failureTrackerConfig{
-			maxFailures: cfg.Autoscale.MaxFailures,
-			window:      cfg.Autoscale.FailureWindow,
-			probation:   cfg.Autoscale.Probation,
-		})
+		c.tracker = newFailureTracker(failureTrackerConfig{probation: cfg.Autoscale.Probation})
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		c.shards = append(c.shards, build(i, c.table.View(i)))
@@ -434,7 +422,7 @@ func (c *Cluster) Start() {
 	// `revisit` action_to_update_ms_p50 (an idle-slice median) +33 %,
 	// `town` alloc_mb_per_vsec +4.2 % and vsec_per_wallsec −1 to −2 %.
 	if c.table.Shards() > 1 {
-		c.clock.After(c.cfg.ScanInterval, c.scan)
+		c.clock.After(c.scanInterval, c.scan)
 	}
 	c.lastRateAt = c.clock.Now()
 	c.noteShardsActive()
@@ -442,10 +430,10 @@ func (c *Cluster) Start() {
 		c.clock.After(c.reb.Interval, c.controllerTick)
 	}
 	if c.auto.Enabled {
-		c.clock.After(c.auto.Interval, c.autoscalerTick)
+		c.clock.After(autoscaleInterval, c.autoscalerTick)
 	}
 	if c.vis.Enabled {
-		c.clock.After(c.vis.Interval, c.visibilityScan)
+		c.clock.After(DefaultVisibilityInterval, c.visibilityScan)
 	}
 	if c.transfer != nil && c.cfg.Checkpoint > 0 {
 		c.clock.After(c.cfg.Checkpoint, c.checkpointTick)
@@ -615,7 +603,7 @@ func (c *Cluster) scan() {
 		}
 		c.handoff(p, want)
 	}
-	c.clock.After(c.cfg.ScanInterval, c.scan)
+	c.clock.After(c.scanInterval, c.scan)
 }
 
 // handoff transfers a session from its current shard to dst: evict, save

@@ -14,18 +14,17 @@ package cluster
 // enough that a cluster running for days stays bounded.
 const DefaultLogRetention = 65536
 
-// RecordRing is a bounded append-only log keeping the most recent Cap
-// records. The zero value is unbounded until initialised with a cap
-// (newRecordRing); Cluster always initialises its logs.
+// RecordRing is a bounded append-only log keeping the most recent cap
+// records. Build one with newRecordRing; Cluster initialises its logs
+// with DefaultLogRetention.
 type RecordRing[T any] struct {
-	cap   int // <= 0: unbounded
+	cap   int
 	buf   []T
 	start int    // index of the oldest record when the ring has wrapped
 	total uint64 // records ever appended
 }
 
-// newRecordRing returns a ring retaining the last cap records (cap <= 0:
-// unbounded).
+// newRecordRing returns a ring retaining the last cap (> 0) records.
 func newRecordRing[T any](cap int) RecordRing[T] {
 	return RecordRing[T]{cap: cap}
 }
@@ -33,7 +32,7 @@ func newRecordRing[T any](cap int) RecordRing[T] {
 // Append adds a record, evicting the oldest once the cap is reached.
 func (r *RecordRing[T]) Append(v T) {
 	r.total++
-	if r.cap <= 0 || len(r.buf) < r.cap {
+	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, v)
 		return
 	}

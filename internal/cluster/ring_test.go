@@ -22,15 +22,6 @@ func TestRecordRing(t *testing.T) {
 	if r.Len() != 3 || r.Total() != 5 {
 		t.Fatalf("Len/Total = %d/%d, want 3/5", r.Len(), r.Total())
 	}
-
-	// Unbounded (cap <= 0) never evicts.
-	u := newRecordRing[int](-1)
-	for i := 0; i < 100; i++ {
-		u.Append(i)
-	}
-	if u.Len() != 100 || u.All()[99] != 99 {
-		t.Fatalf("unbounded ring evicted: len %d", u.Len())
-	}
 }
 
 // TestLogRetentionBoundsGhostLog: the cluster-level wiring — a tiny

@@ -47,16 +47,16 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
+	"servo/internal/mve"
 	"servo/internal/world"
 )
 
 // Visibility defaults.
 const (
 	// DefaultVisibilityInterval is the replication cadence: once per
-	// 20 Hz server tick.
-	DefaultVisibilityInterval = 50 * time.Millisecond
+	// server tick.
+	DefaultVisibilityInterval = mve.TickInterval
 	// ghostTTLScans is how many replication scans a ghost survives
 	// without a refresh before it expires (handoff-pinned ghosts are
 	// exempt).
@@ -71,17 +71,6 @@ type VisibilityConfig struct {
 	// tile boundary replicate to the bordering tiles' owners
 	// (0 → the shard servers' view distance).
 	Margin int
-	// Interval is the replication cadence (0 → DefaultVisibilityInterval).
-	Interval time.Duration
-}
-
-// withDefaults fills zero fields. The margin default needs the shard
-// servers and is resolved at Start.
-func (v VisibilityConfig) withDefaults() VisibilityConfig {
-	if v.Interval == 0 {
-		v.Interval = DefaultVisibilityInterval
-	}
-	return v
 }
 
 // GhostRecord logs one ghost-registry transition, in occurrence order.
@@ -313,7 +302,7 @@ func (c *Cluster) visibilityScan() {
 	if c.stopped {
 		return
 	}
-	defer c.clock.After(c.vis.Interval, c.visibilityScan)
+	defer c.clock.After(DefaultVisibilityInterval, c.visibilityScan)
 	c.VisibilityScanOnce()
 }
 

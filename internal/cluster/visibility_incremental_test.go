@@ -83,14 +83,14 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 	run := func(full bool) (string, []GhostRecord) {
 		loop := sim.NewLoop(43)
 		cfg := Config{
-			Shards:       2,
-			Topology:     world.BandTopology{BandChunks: 4},
-			ScanInterval: time.Hour, // park handoffs: hold the displaced transient open
-			Visibility:   VisibilityConfig{Enabled: true, Margin: 16},
+			Shards:     2,
+			Topology:   world.BandTopology{BandChunks: 4},
+			Visibility: VisibilityConfig{Enabled: true, Margin: 16},
 		}
 		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 		})
+		c.scanInterval = time.Hour // park handoffs: hold the displaced transient open
 		c.fullRescan = full
 		// Tile 2 is shard 0's, tile 3 shard 1's; the two sessions stand
 		// 10 blocks apart across that seam, and each tile then migrates to
@@ -218,14 +218,14 @@ func TestIncrementalScanOddMargin(t *testing.T) {
 	run := func(full bool) (string, []GhostRecord) {
 		loop := sim.NewLoop(47)
 		cfg := Config{
-			Shards:       2,
-			Topology:     world.BandTopology{BandChunks: 4},
-			ScanInterval: time.Hour, // park handoffs: the crosser stays on shard 0 and turns displaced
-			Visibility:   VisibilityConfig{Enabled: true, Margin: 24},
+			Shards:     2,
+			Topology:   world.BandTopology{BandChunks: 4},
+			Visibility: VisibilityConfig{Enabled: true, Margin: 24},
 		}
 		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 		})
+		c.scanInterval = time.Hour // park handoffs: the crosser stays on shard 0 and turns displaced
 		c.fullRescan = full
 		c.ConnectAt("crosser", pacer(60, 8, 70, 8, 2), world.BlockPos{X: 60, Y: 0, Z: 8})
 		c.ConnectAt("west", nil, world.BlockPos{X: 50, Y: 0, Z: 8})

@@ -36,7 +36,7 @@ func pacer(x1, z1, x2, z2, speed float64) mve.Behavior {
 // runs that sample alike replicated alike.
 func sampleReplication(b *strings.Builder, loop *sim.Loop, c *Cluster, until time.Duration) {
 	for loop.Now() < until {
-		loop.RunUntil(min(loop.Now()+c.vis.Interval, until))
+		loop.RunUntil(min(loop.Now()+DefaultVisibilityInterval, until))
 		fmt.Fprintf(b, "t=%v sent=%d skipped=%d glog=%d\n",
 			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.GhostLog.Total())
 		for i, s := range c.shards {
@@ -317,9 +317,9 @@ func TestVisibilityBrownoutDegradesWithoutLosingLiveness(t *testing.T) {
 // the transient open.
 func TestVisibilityServesDisplacedSessions(t *testing.T) {
 	loop, c := newTestCluster(t, 35, 2, Config{
-		ScanInterval: time.Hour,
-		Visibility:   VisibilityConfig{Enabled: true, Margin: 16},
+		Visibility: VisibilityConfig{Enabled: true, Margin: 16},
 	})
+	c.scanInterval = time.Hour
 	// Band 2 (x in [128,192)) starts as shard 0's; both players stand at
 	// its center, far from any band border under the 16-block margin.
 	home := c.TileCenter(world.TileID{X: 2})

@@ -39,13 +39,9 @@ type Config struct {
 	WorldType string
 	// ViewDistance in blocks (0 → the 128-block default).
 	ViewDistance int
-	// TickInterval (0 → 50 ms).
-	TickInterval time.Duration
 
 	// Profile sets the cost profile; 0 → mve.ProfileServo.
 	Profile mve.Profile
-	// Cost optionally overrides the profile cost table.
-	Cost *mve.CostParams
 
 	// ServerlessSC offloads simulated constructs (paper §III-C).
 	ServerlessSC bool
@@ -65,13 +61,6 @@ type Config struct {
 	// queued requests dispatch nearest-player-first as the window refills
 	// (0 → tgen.DefaultMaxInflight).
 	TGMaxInflight int
-	// DisableGenDedup turns off the cross-shard generation dedup cache
-	// (on by default for sharded serverless terrain: bordering shards
-	// adopt seam chunks a neighbour just generated instead of re-invoking
-	// FaaS).
-	DisableGenDedup bool
-	// StorageTier for remote storage (0 → Premium).
-	StorageTier blob.Tier
 	// Remote, if non-nil, is used as the backing object store instead of
 	// creating a fresh one — e.g. to restart a server over an existing
 	// world (the Fig. 13 read phase).
@@ -122,19 +111,12 @@ type Config struct {
 	// VisibilityMargin is the border margin in blocks
 	// (0 → the view distance).
 	VisibilityMargin int
-	// VisibilityInterval is the replication cadence
-	// (0 → cluster.DefaultVisibilityInterval).
-	VisibilityInterval time.Duration
 	// CheckpointInterval, when positive, periodically persists every
 	// session's snapshot through the shared store, so a shard failover
 	// restores inventory even for players the handoff path never
 	// persisted. Requires a storage backend and Shards > 1 (a one-shard
 	// boot has no failover to restore from).
 	CheckpointInterval time.Duration
-	// LogRetention caps the cluster's replay logs (handoffs, migrations,
-	// ghost events) at the most recent N records
-	// (0 → cluster.DefaultLogRetention, < 0 → unbounded).
-	LogRetention int
 
 	// Workers sizes the goroutine pool the virtual clock runs
 	// same-timestamp ticks of distinct shards on (0 → 1). Every shard
@@ -284,22 +266,23 @@ func New(clock sim.Clock, cfg Config) *System {
 		gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 		sys.TGHandlerStats = &tgen.HandlerStats{}
 		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
-		// One shard has nobody to adopt from: a dedup cache there queues
-		// every request for adoption and retains each published chunk's
-		// bytes for no reader (`explore` live_heap_mb +5.1 %, bound 6 %).
-		if neighbours && !cfg.DisableGenDedup {
+		// Bordering shards adopt seam chunks a neighbour just generated
+		// instead of re-invoking FaaS. One shard has nobody to adopt
+		// from: a dedup cache there queues every request for adoption
+		// and retains each published chunk's bytes for no reader
+		// (`explore` live_heap_mb +5.1 %, bound 6 %).
+		if neighbours {
 			sys.GenCache = tgen.NewGenCache(0)
 		}
 	}
 	if cfg.ServerlessRS || cfg.LocalStore {
 		sys.Remote = cfg.Remote
 		if sys.Remote == nil {
+			// Managed storage is the paper's premium tier; the baselines
+			// persist to local disk.
 			tier := blob.TierLocal
 			if cfg.ServerlessRS {
-				tier = cfg.StorageTier
-				if tier == 0 {
-					tier = blob.TierPremium
-				}
+				tier = blob.TierPremium
 			}
 			sys.Remote = blob.NewStore(clock, tier)
 		}
@@ -332,8 +315,6 @@ func New(clock sim.Clock, cfg Config) *System {
 			WorldType:    cfg.WorldType,
 			Seed:         cfg.Seed,
 			ViewDistance: cfg.ViewDistance,
-			TickInterval: cfg.TickInterval,
-			Cost:         cfg.Cost,
 			Region:       region,
 			PhaseLock:    cfg.PhaseLock,
 		}
@@ -406,12 +387,10 @@ func New(clock sim.Clock, cfg Config) *System {
 			Interval:  cfg.RebalanceInterval,
 		},
 		Visibility: cluster.VisibilityConfig{
-			Enabled:  cfg.Visibility,
-			Margin:   cfg.VisibilityMargin,
-			Interval: cfg.VisibilityInterval,
+			Enabled: cfg.Visibility,
+			Margin:  cfg.VisibilityMargin,
 		},
-		Autoscale:    cfg.Autoscale,
-		LogRetention: cfg.LogRetention,
+		Autoscale: cfg.Autoscale,
 		// A retired shard's flusher stops like a failed shard's: the
 		// drain already flushed everything it owned.
 		OnRetire: func(i int) {

@@ -87,13 +87,6 @@ func (o Options) window(paper time.Duration) time.Duration {
 	return d
 }
 
-// QoSThreshold is the paper's tick-duration QoS bound: 1/R = 50 ms.
-const QoSThreshold = 50 * time.Millisecond
-
-// QoSFraction is the supported-players criterion: fewer than 5% of tick
-// samples may exceed QoSThreshold.
-const QoSFraction = 0.05
-
 // buildGame assembles the system for one Game. SC offloading is serverless
 // only for Servo (Table I: SC column L+S); terrain and storage modes are
 // chosen per experiment via the extra toggles.
@@ -141,7 +134,7 @@ func connectPlayers(s *mve.Server, n int, behavior string) {
 func measureTicks(loop *sim.Loop, s *mve.Server, warmup, window time.Duration) *metrics.Sample {
 	s.Start()
 	loop.RunUntil(loop.Now() + warmup)
-	s.TickDurations = metrics.NewSample(int(window / s.Config().TickInterval))
+	s.TickDurations = metrics.NewSample(int(window / mve.TickInterval))
 	loop.RunUntil(loop.Now() + window)
 	s.Stop()
 	return s.TickDurations
@@ -160,7 +153,7 @@ func scRunTicks(g Game, scCount, players int, opt Options) *metrics.Sample {
 // playersSupported reports whether the configuration meets the QoS
 // criterion.
 func playersSupported(sample *metrics.Sample) bool {
-	return sample.FracAbove(QoSThreshold) < QoSFraction
+	return sample.FracAbove(mve.QoSThreshold) < mve.QoSFraction
 }
 
 // MaxPlayers finds the paper's "maximum number of supported players" for

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"servo/internal/metrics"
+	"servo/internal/mve"
 	"servo/internal/sim"
 	"servo/internal/workload"
 )
@@ -74,7 +75,7 @@ func fig12aRun(g Game, wl string, opt Options) *Fig12aSeries {
 	windows := srv.TickSeries.Windows(joinInterval)
 	s := &Fig12aSeries{TickWindows: windows, SupportedPlayers: fig12MaxJoiners}
 	for i, wp := range windows {
-		if wp.P95 > QoSThreshold {
+		if wp.P95 > mve.QoSThreshold {
 			// Window i spans the interval with ~i+1 players connected;
 			// the last supported count is i.
 			s.SupportedPlayers = i

@@ -101,10 +101,8 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	case StorageServerless:
 		coreCfg.ServerlessRS = true
 		coreCfg.DisableCache = true
-		coreCfg.StorageTier = blob.TierPremium
 	case StorageServerlessCache:
 		coreCfg.ServerlessRS = true
-		coreCfg.StorageTier = blob.TierPremium
 	}
 	sys := core.New(loop, coreCfg)
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"servo/internal/metrics"
+	"servo/internal/mve"
 )
 
 // SCCounts is the paper's Fig. 7a workload axis: worlds with increasing
@@ -131,7 +132,7 @@ func msCell(d time.Duration) string {
 }
 
 func supportCell(b metrics.Boxplot) string {
-	if b.P95 > QoSThreshold {
+	if b.P95 > mve.QoSThreshold {
 		return "FAIL"
 	}
 	return "ok"

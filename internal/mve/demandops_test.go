@@ -109,7 +109,7 @@ func demandOps(t *testing.T, data []byte) int64 {
 			case kind == 4 && p != nil:
 				s.Disconnect(p.ID)
 			case kind == 5:
-				runFor(loops[i], time.Duration(1+int(arg))*s.cfg.TickInterval)
+				runFor(loops[i], time.Duration(1+int(arg))*TickInterval)
 			}
 			if scanNow {
 				before := s.demandLookups

@@ -70,10 +70,6 @@ type Config struct {
 	Seed int64
 	// ViewDistance in blocks (default 128, the paper's default).
 	ViewDistance int
-	// TickInterval is 1/R (default 50 ms, R = 20 Hz).
-	TickInterval time.Duration
-	// Cost overrides the profile's calibrated cost parameters.
-	Cost *CostParams
 	// SC overrides the profile's construct backend.
 	SC SCBackend
 	// Terrain overrides the profile's terrain backend.
@@ -85,9 +81,6 @@ type Config struct {
 	// store and terrain backend so recycled chunks feed their decode
 	// paths. Nil disables recycling (plain allocation).
 	ChunkPool *world.ChunkPool
-	// MaxChunkSendsPerTick throttles per-player chunk serialisation
-	// (default 4, as real servers do).
-	MaxChunkSendsPerTick int
 	// Region is the slice of chunk space this server owns: a cluster
 	// shard's view of the ownership table, or the zero value, which owns
 	// everything (a bare server outside any cluster). A sharded server
@@ -112,11 +105,23 @@ type Config struct {
 	PhaseLock bool
 }
 
-// Defaults for Config fields.
+// The game loop's fixed rate and the QoS bound the paper defines on it.
+const (
+	// TickInterval is 1/R: the paper runs the loop at R = 20 Hz.
+	TickInterval = 50 * time.Millisecond
+	// QoSThreshold is the paper's tick-duration QoS bound: one tick.
+	QoSThreshold = TickInterval
+	// QoSFraction is the supported-players criterion: fewer than 5 % of
+	// ticks may exceed QoSThreshold.
+	QoSFraction = 0.05
+)
+
+// Defaults for Config fields, and the loop's other fixed parameters.
 const (
 	DefaultViewDistance = 128
-	DefaultTickInterval = 50 * time.Millisecond
-	defaultMaxSends     = 4
+	// maxChunkSendsPerTick throttles per-player chunk serialisation, as
+	// real servers do.
+	maxChunkSendsPerTick = 4
 	// terrainScanPeriod is how often (in ticks) view-distance demand is
 	// recomputed.
 	terrainScanPeriod = 5
@@ -308,16 +313,7 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 	if cfg.ViewDistance == 0 {
 		cfg.ViewDistance = DefaultViewDistance
 	}
-	if cfg.TickInterval == 0 {
-		cfg.TickInterval = DefaultTickInterval
-	}
-	if cfg.MaxChunkSendsPerTick == 0 {
-		cfg.MaxChunkSendsPerTick = defaultMaxSends
-	}
 	cost := Params(cfg.Profile)
-	if cfg.Cost != nil {
-		cost = *cfg.Cost
-	}
 	gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 	s := &Server{
 		clock:         clock,
@@ -496,8 +492,8 @@ func (s *Server) Start() {
 		return
 	}
 	s.running = true
-	s.dueAt = s.clock.Now() + s.cfg.TickInterval
-	s.clock.After(s.cfg.TickInterval, s.tickFn)
+	s.dueAt = s.clock.Now() + TickInterval
+	s.clock.After(TickInterval, s.tickFn)
 }
 
 // SetCommitHook installs fn to run once per tick, last, through
@@ -694,7 +690,7 @@ func (s *Server) tickOnce() {
 	work += s.cost.TickBase
 
 	// 1. Player behaviors produce actions; process them.
-	dt := s.cfg.TickInterval.Seconds()
+	dt := TickInterval.Seconds()
 	for _, id := range s.playerOrder {
 		p := s.players[id]
 		work += s.cost.PerPlayer
@@ -760,16 +756,16 @@ func (s *Server) tickOnce() {
 	// cluster-wide wave instead of drifting off-phase forever. An overlong
 	// tick, or one a whole period late, re-bases the timetable on the
 	// clock: there is no catch-up burst.
-	due := s.dueAt + s.cfg.TickInterval
-	if d > s.cfg.TickInterval {
+	due := s.dueAt + TickInterval
+	if d > TickInterval {
 		due = now + d
 		if s.cfg.PhaseLock {
-			if rem := due % s.cfg.TickInterval; rem != 0 {
-				due += s.cfg.TickInterval - rem
+			if rem := due % TickInterval; rem != 0 {
+				due += TickInterval - rem
 			}
 		}
 	} else if due <= now {
-		due = now + s.cfg.TickInterval
+		due = now + TickInterval
 	}
 	s.dueAt = due
 	s.clock.After(due-now, s.tickFn)
@@ -1026,7 +1022,7 @@ func (s *Server) drainSendQueues() time.Duration {
 	for _, id := range s.playerOrder {
 		p := s.players[id]
 		sent := 0
-		for p.sendHead < len(p.sendQueue) && sent < s.cfg.MaxChunkSendsPerTick {
+		for p.sendHead < len(p.sendQueue) && sent < maxChunkSendsPerTick {
 			cp := p.sendQueue[p.sendHead]
 			p.sendHead++
 			if !s.world.Loaded(cp) {

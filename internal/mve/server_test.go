@@ -187,9 +187,9 @@ func TestChunkSendThrottle(t *testing.T) {
 	p := s.Connect("static", nil)
 	s.Start()
 	// The spawn area is preloaded; the initial view must stream to the
-	// client at most MaxChunkSendsPerTick per tick.
+	// client at most maxChunkSendsPerTick per tick.
 	runFor(loop, 300*time.Millisecond)
-	maxPerTick := s.Config().MaxChunkSendsPerTick
+	maxPerTick := maxChunkSendsPerTick
 	if p.ChunksReceived > (6+1)*maxPerTick {
 		t.Fatalf("client received %d chunks in 6 ticks, throttle is %d/tick", p.ChunksReceived, maxPerTick)
 	}
@@ -266,8 +266,7 @@ func TestServoProfileUnimodalWithLocalBackend(t *testing.T) {
 	// Sanity check of the profile flag: with SCEveryOtherTick=false the
 	// distribution collapses to one mode even with the local backend.
 	loop := sim.NewLoop(6)
-	cost := Params(ProfileServo)
-	s := NewServer(loop, Config{Profile: ProfileServo, WorldType: "flat", Cost: &cost})
+	s := NewServer(loop, Config{Profile: ProfileServo, WorldType: "flat"})
 	for i := 0; i < 50; i++ {
 		s.SpawnConstruct(sc.BuildSized(250), world.BlockPos{X: i * 40, Y: 5, Z: 10})
 	}

@@ -113,7 +113,7 @@ func driveDemandRun(full bool) (sigs []string, recomputes, strips int64) {
 }
 
 func scanPeriodDuration(s *Server) time.Duration {
-	return time.Duration(terrainScanPeriod) * s.cfg.TickInterval
+	return time.Duration(terrainScanPeriod) * TickInterval
 }
 
 func TestIncrementalDemandMatchesFullRescan(t *testing.T) {
@@ -282,7 +282,7 @@ func TestSteadyTickZeroAlloc(t *testing.T) {
 	runFor(loop, 30*time.Second)
 	before := s.Tick()
 	const ticks = 100
-	got := testing.AllocsPerRun(ticks, func() { runFor(loop, DefaultTickInterval) })
+	got := testing.AllocsPerRun(ticks, func() { runFor(loop, TickInterval) })
 	if ran := s.Tick() - before; ran != ticks+1 { // AllocsPerRun warms up with one extra call
 		t.Fatalf("measured window ran %d ticks, want %d", ran, ticks+1)
 	}
@@ -302,9 +302,9 @@ func TestPhaseLockRealignsOverlongTicks(t *testing.T) {
 		s := NewServer(loop, Config{
 			Profile:   ProfileOpencraft,
 			WorldType: "flat",
-			Cost:      &overloaded,
 			PhaseLock: phaseLock,
 		})
+		s.cost = overloaded
 		s.Start()
 		runFor(loop, 2*time.Second)
 		times, _ := s.TickSeries.Points()
@@ -316,15 +316,15 @@ func TestPhaseLockRealignsOverlongTicks(t *testing.T) {
 		t.Fatal("phase-locked server never ticked")
 	}
 	for i, at := range locked {
-		if at%DefaultTickInterval != 0 {
-			t.Fatalf("phase-locked tick %d at %v is off the %v grid", i, at, DefaultTickInterval)
+		if at%TickInterval != 0 {
+			t.Fatalf("phase-locked tick %d at %v is off the %v grid", i, at, TickInterval)
 		}
 	}
 
 	free := run(false)
 	off := 0
 	for _, at := range free {
-		if at%DefaultTickInterval != 0 {
+		if at%TickInterval != 0 {
 			off++
 		}
 	}

@@ -42,8 +42,8 @@ func (c *slackClock) fire() {
 
 func newSlackServer(tickCost time.Duration, phaseLock bool) (*slackClock, *Server) {
 	clock := &slackClock{slack: 1300 * time.Microsecond, rng: rand.New(rand.NewSource(1))}
-	cost := CostParams{TickBase: tickCost} // no noise, no tails
-	s := NewServer(clock, Config{WorldType: "flat", ViewDistance: 16, Cost: &cost, PhaseLock: phaseLock})
+	s := NewServer(clock, Config{WorldType: "flat", ViewDistance: 16, PhaseLock: phaseLock})
+	s.cost = CostParams{TickBase: tickCost} // no noise, no tails
 	s.Start()
 	return clock, s
 }
@@ -61,17 +61,17 @@ func TestTickTimetableAbsorbsLateness(t *testing.T) {
 		clock.fire()
 	}
 	span := clock.ranAt[ticks] - clock.ranAt[0]
-	if want := ticks * DefaultTickInterval; span < want-clock.slack || span > want+clock.slack {
+	if want := ticks * TickInterval; span < want-clock.slack || span > want+clock.slack {
 		t.Fatalf("%d ticks spanned %v, want %v ± %v", ticks, span, want, clock.slack)
 	}
 
-	clock.stall = 3 * DefaultTickInterval
+	clock.stall = 3 * TickInterval
 	clock.fire()
-	if got := clock.delays[len(clock.delays)-1]; got != DefaultTickInterval {
-		t.Fatalf("after a tick three periods late the next timer is %v, want a full %v", got, DefaultTickInterval)
+	if got := clock.delays[len(clock.delays)-1]; got != TickInterval {
+		t.Fatalf("after a tick three periods late the next timer is %v, want a full %v", got, TickInterval)
 	}
 	clock.fire()
-	if got, want := clock.delays[len(clock.delays)-1], DefaultTickInterval-clock.slack; got != want {
+	if got, want := clock.delays[len(clock.delays)-1], TickInterval-clock.slack; got != want {
 		t.Fatalf("one tick after the stall the timer is %v, want %v", got, want)
 	}
 }
@@ -90,8 +90,8 @@ func TestOverlongTickSchedulesFromNow(t *testing.T) {
 			want := d
 			if phaseLock {
 				target := now + d
-				if rem := target % DefaultTickInterval; rem != 0 {
-					target += DefaultTickInterval - rem
+				if rem := target % TickInterval; rem != 0 {
+					target += TickInterval - rem
 				}
 				want = target - now
 			}

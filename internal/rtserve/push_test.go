@@ -122,7 +122,7 @@ func TestPushTicks(t *testing.T) {
 	game.Start()
 	var woken []uint64
 	for i := 0; i < 10; i++ {
-		loop.RunUntil(loop.Now() + mve.DefaultTickInterval)
+		loop.RunUntil(loop.Now() + mve.TickInterval)
 		select {
 		case <-c.wake:
 			woken = append(woken, game.Tick())
@@ -238,7 +238,7 @@ func settledServer(t *testing.T, n int) (*sim.Loop, *mve.Server, *Server) {
 	game.Start()
 	last := make(map[*session]push)
 	for tick := 0; tick < 10; tick++ {
-		loop.RunUntil(loop.Now() + mve.DefaultTickInterval)
+		loop.RunUntil(loop.Now() + mve.TickInterval)
 		for c := range srv.sessions {
 			p := <-c.wake
 			writePush(t, c, p)
@@ -265,7 +265,7 @@ func TestCommitPushAllocs(t *testing.T) {
 		before := srv.Stats()
 		const runs = 50
 		commit := testing.AllocsPerRun(runs, func() {
-			loop.RunUntil(loop.Now() + mve.DefaultTickInterval)
+			loop.RunUntil(loop.Now() + mve.TickInterval)
 			for c := range srv.sessions {
 				last = <-c.wake
 			}
@@ -327,7 +327,7 @@ func TestActedSessionIsPushedByThatTick(t *testing.T) {
 	srv.pushTicks = 20
 	actor, bystander := addSession(srv, "actor", sinkConn{}), addSession(srv, "bystander", sinkConn{})
 	game.Start()
-	step := func() { loop.RunUntil(loop.Now() + mve.DefaultTickInterval) }
+	step := func() { loop.RunUntil(loop.Now() + mve.TickInterval) }
 	step() // both are new: both are due
 	<-actor.wake
 	<-bystander.wake
@@ -361,7 +361,7 @@ func TestActedSessionIsPushedByThatTick(t *testing.T) {
 func TestCloseRemovesCommitHook(t *testing.T) {
 	loop, _, srv := settledServer(t, 1)
 	srv.Close()
-	loop.RunUntil(loop.Now() + 10*mve.DefaultTickInterval)
+	loop.RunUntil(loop.Now() + 10*mve.TickInterval)
 	for c := range srv.sessions {
 		select {
 		case <-c.wake:

@@ -99,7 +99,7 @@ func newRig(t *testing.T, view int) *rig {
 // wake. An overlong tick delays the next one past a tick interval.
 func (r *rig) tick() {
 	for t0 := r.game.Tick(); r.game.Tick() == t0; {
-		r.loop.RunUntil(r.loop.Now() + mve.DefaultTickInterval)
+		r.loop.RunUntil(r.loop.Now() + mve.TickInterval)
 	}
 }
 

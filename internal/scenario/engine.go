@@ -19,9 +19,6 @@ import (
 	"servo/internal/world"
 )
 
-// qosBudget is the paper's tick-duration QoS bound (1/R = 50 ms).
-const qosBudget = 50 * time.Millisecond
-
 // scSpacing is the construct grid pitch, matching the paper's §IV-B
 // placement (constructs stay within loaded terrain for bounded players).
 const scSpacing = 15
@@ -113,16 +110,6 @@ func profileFor(name string) mve.Profile {
 	return mve.ProfileServo
 }
 
-func tierFor(name string) blob.Tier {
-	switch name {
-	case "local":
-		return blob.TierLocal
-	case "standard":
-		return blob.TierStandard
-	}
-	return blob.TierPremium
-}
-
 func hasFlip(spec *Spec) bool {
 	for _, e := range spec.Events {
 		if e.Kind == EvFlipStorage {
@@ -146,56 +133,25 @@ func (r *Runner) build() {
 		ServerlessTG: spec.Backend.Terrain,
 		ServerlessRS: spec.Backend.Storage,
 		LocalStore:   spec.Backend.LocalStore,
-		StorageTier:  tierFor(spec.Backend.StorageTier),
 		Shards:       spec.Shards,
+		Topology:     spec.Topology.build(),
 		Workers:      spec.Workers,
 		PhaseLock:    spec.PhaseLock,
 	}
 	cfg.TGMaxInflight = spec.Backend.TGMaxInflight
-	if gd := spec.Backend.GenDedup; gd != nil && !*gd {
-		cfg.DisableGenDedup = true
-	}
-	if tp := spec.Topology; tp != nil {
-		built, err := (world.TopologySpec{
-			Kind:       tp.Kind,
-			TileChunks: tp.TileChunks,
-			TilesX:     tp.TilesX,
-			TilesZ:     tp.TilesZ,
-		}).Build()
-		if err == nil { // Validate has already vetted the geometry
-			cfg.Topology = built
-		}
-	}
 	if rb := spec.Rebalance; rb != nil {
 		cfg.Rebalance = true
 		cfg.RebalanceThreshold = rb.Threshold
 		cfg.RebalanceInterval = rb.Interval.D()
 	}
 	if a := spec.Autoscale; a != nil {
-		cfg.Autoscale = cluster.AutoscaleConfig{
-			Enabled:       true,
-			MinShards:     a.MinShards,
-			MaxShards:     a.MaxShards,
-			Interval:      a.Interval.D(),
-			HighUtil:      a.HighUtil,
-			LowUtil:       a.LowUtil,
-			ShardCapacity: a.ShardCapacity,
-			UpCooldown:    a.UpCooldown.D(),
-			DownCooldown:  a.DownCooldown.D(),
-			Horizon:       a.Horizon.D(),
-			MaxMoves:      a.MaxMoves,
-			MaxFailures:   a.MaxFailures,
-			FailureWindow: a.FailureWindow.D(),
-			Probation:     a.Probation.D(),
-		}
+		cfg.Autoscale = a.config()
 	}
 	if v := spec.Visibility; v != nil {
 		cfg.Visibility = true
 		cfg.VisibilityMargin = v.Margin
-		cfg.VisibilityInterval = v.Interval.D()
 	}
 	cfg.CheckpointInterval = spec.Checkpoint.D()
-	cfg.LogRetention = spec.LogRetention
 	if se := spec.Backend.SpecExec; se != nil {
 		sx := specexec.DefaultConfig()
 		if se.TickLead != nil {
@@ -436,7 +392,7 @@ func (r *Runner) run() *Report {
 	spec := r.spec
 	r.loop.RunUntil(r.t0 + spec.Warmup.D())
 	r.snapshotBaseline()
-	measured := int((spec.Duration - spec.Warmup).D() / r.sys.Server.Config().TickInterval)
+	measured := int((spec.Duration - spec.Warmup).D() / mve.TickInterval)
 	for _, sh := range r.sys.Shards {
 		sh.Server.TickDurations = metrics.NewSample(measured)
 		if m := sh.SpecExec; m != nil {

@@ -12,6 +12,7 @@ import (
 	"servo/internal/core"
 	"servo/internal/faas"
 	"servo/internal/metrics"
+	"servo/internal/mve"
 )
 
 // class is an availability class: some metrics, events, placements and
@@ -82,8 +83,8 @@ var (
 // (or pooled samples) across shards.
 var metricTable = []metricDef{
 	{name: "ticks_total", class: always, tick: func(t *metrics.Sample) float64 { return float64(t.Len()) }},
-	{name: "ticks_over_budget", class: always, tick: func(t *metrics.Sample) float64 { return float64(t.CountAbove(qosBudget)) }}, // ticks above the 50 ms QoS bound
-	{name: "over_budget_frac", class: always, tick: func(t *metrics.Sample) float64 { return t.FracAbove(qosBudget) }},
+	{name: "ticks_over_budget", class: always, tick: func(t *metrics.Sample) float64 { return float64(t.CountAbove(mve.QoSThreshold)) }}, // ticks above the 50 ms QoS bound
+	{name: "over_budget_frac", class: always, tick: func(t *metrics.Sample) float64 { return t.FracAbove(mve.QoSThreshold) }},
 	{name: "tick_p50_ms", class: always, tick: tickPercentile(50)},
 	{name: "tick_p90_ms", class: always, tick: tickPercentile(90)},
 	{name: "tick_p95_ms", class: always, tick: tickPercentile(95)},

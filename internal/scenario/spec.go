@@ -52,6 +52,7 @@ import (
 	"servo/internal/cluster"
 	"servo/internal/mve"
 	"servo/internal/workload"
+	"servo/internal/world"
 )
 
 // Span is a duration field in scenario files, written as a Go duration
@@ -108,12 +109,9 @@ type BackendSpec struct {
 	Constructs bool `json:"constructs,omitempty"`
 	// Terrain offloads terrain generation to FaaS (§III-D).
 	Terrain bool `json:"terrain,omitempty"`
-	// Storage persists chunks in managed storage behind the pre-fetching
-	// cache (§III-E).
+	// Storage persists chunks in premium-tier managed storage behind the
+	// pre-fetching cache (§III-E).
 	Storage bool `json:"storage,omitempty"`
-	// StorageTier is "local", "premium", or "standard"; "" → "premium".
-	// Only valid with Storage.
-	StorageTier string `json:"storage_tier,omitempty"`
 	// LocalStore persists chunks to a local-disk-class store instead
 	// (the baselines' behaviour). Mutually exclusive with Storage.
 	LocalStore bool `json:"local_store,omitempty"`
@@ -122,9 +120,6 @@ type BackendSpec struct {
 	// TGMaxInflight caps concurrent terrain-generation invocations per
 	// shard (0 → the tgen default). Only valid with Terrain.
 	TGMaxInflight int `json:"tg_max_inflight,omitempty"`
-	// GenDedup toggles the cross-shard generation dedup cache on sharded
-	// terrain backends (unset → enabled). Only valid with Terrain.
-	GenDedup *bool `json:"gen_dedup,omitempty"`
 }
 
 // ConstructGroup places a grid of simulated constructs at scenario start.
@@ -151,17 +146,34 @@ type TopologySpec struct {
 // Grid reports whether the topology is a 2-D grid.
 func (t *TopologySpec) Grid() bool { return t != nil && t.Kind == "grid" }
 
+// build returns the tiling a validated section describes (nil → the
+// cluster's default bands).
+func (t *TopologySpec) build() world.Topology {
+	if t == nil {
+		return nil
+	}
+	topo, err := (world.TopologySpec{
+		Kind:       t.Kind,
+		TileChunks: t.TileChunks,
+		TilesX:     t.TilesX,
+		TilesZ:     t.TilesZ,
+	}).Build()
+	if err != nil { // Validate has already vetted the geometry
+		return nil
+	}
+	return topo
+}
+
 // VisibilitySpec enables the cluster's interest-management layer: each
 // replication tick, every shard publishes its avatars standing within
 // the border margin of a region-tile boundary, and the shards owning the
 // bordering tiles materialise them as read-only ghost avatars — players
 // near a seam see one continuous world, and handoffs promote/demote a
 // ghost instead of popping. Its presence in a spec turns the layer on.
+// Replication runs once per server tick.
 type VisibilitySpec struct {
 	// Margin is the border margin in blocks; 0 → the view distance.
 	Margin int `json:"margin,omitempty"`
-	// Interval is the replication cadence; 0 → 50ms (one server tick).
-	Interval Span `json:"interval,omitempty"`
 }
 
 // FleetGroup is a group of players joining (and optionally leaving) at
@@ -230,6 +242,9 @@ type RebalanceSpec struct {
 // spec turns the subsystem on. Scale-ups spawn fresh shards over the
 // persisted world; scale-downs drain every owned tile through the
 // durable migration path before retiring, so no player is ever lost.
+// The policy checks every 2s, scales up when projected utilization tops
+// 0.75, projects 4s ahead, waits 4s between scale-ups, moves at most 4
+// tiles a round, and quarantines a shard after 3 crashes within 2m.
 type AutoscaleSpec struct {
 	// MinShards / MaxShards bound the alive shard count (min 0 → the boot
 	// shard count; max 0 → twice the boot count). Only shards added at
@@ -240,28 +255,28 @@ type AutoscaleSpec struct {
 	// (actions + chunk stores) per second; 0 → 500. Workload-dependent —
 	// calibrate it against the tile_load CSV rows of a probe run.
 	ShardCapacity float64 `json:"shard_capacity,omitempty"`
-	// Interval is the policy check cadence; 0 → 2s.
-	Interval Span `json:"interval,omitempty"`
-	// HighUtil / LowUtil are the utilization band edges: projected
-	// utilization above high scales up, demand that would stay under low
-	// on one fewer shard scales down (0 → 0.75 / 0.35).
-	HighUtil float64 `json:"high_util,omitempty"`
-	LowUtil  float64 `json:"low_util,omitempty"`
-	// UpCooldown / DownCooldown are the minimum gaps between successive
-	// scale-ups / scale-downs (0 → 2× / 6× the interval).
-	UpCooldown   Span `json:"up_cooldown,omitempty"`
+	// LowUtil is the scale-down band edge: demand that would stay under
+	// it on one fewer shard scales down (0 → 0.35; below 0.75).
+	LowUtil float64 `json:"low_util,omitempty"`
+	// DownCooldown is the minimum gap between successive scale-downs
+	// (0 → 12s).
 	DownCooldown Span `json:"down_cooldown,omitempty"`
-	// Horizon is how far ahead tile-load derivatives are projected when
-	// deciding (0 → 2× the interval) — the predictive window that catches
-	// a flash crowd forming.
-	Horizon Span `json:"horizon,omitempty"`
-	// MaxMoves caps each planning round's migration plan; 0 → 4.
-	MaxMoves int `json:"max_moves,omitempty"`
-	// MaxFailures crashes within FailureWindow quarantine a shard for
-	// Probation (zeros → 3 failures in 2m, 2m probation).
-	MaxFailures   int  `json:"max_failures,omitempty"`
-	FailureWindow Span `json:"failure_window,omitempty"`
-	Probation     Span `json:"probation,omitempty"`
+	// Probation is how long a quarantined shard stays out after its last
+	// crash (0 → 2m).
+	Probation Span `json:"probation,omitempty"`
+}
+
+// config is the cluster policy the section asks for.
+func (a *AutoscaleSpec) config() cluster.AutoscaleConfig {
+	return cluster.AutoscaleConfig{
+		Enabled:       true,
+		MinShards:     a.MinShards,
+		MaxShards:     a.MaxShards,
+		LowUtil:       a.LowUtil,
+		ShardCapacity: a.ShardCapacity,
+		DownCooldown:  a.DownCooldown.D(),
+		Probation:     a.Probation.D(),
+	}
 }
 
 // PrewriteSpec runs a write phase before the measured scenario: a
@@ -335,10 +350,6 @@ type Spec struct {
 	// even for players that never crossed a boundary (requires
 	// shards > 1 and a storage backend).
 	Checkpoint Span `json:"checkpoint,omitempty"`
-	// LogRetention caps the cluster's replay logs (handoffs, migrations,
-	// ghost events) at the most recent N records (0 → the cluster
-	// default, -1 → unbounded).
-	LogRetention int `json:"log_retention,omitempty"`
 	// Workers sizes the goroutine pool of the virtual clock's
 	// lane-batched scheduler, which runs same-timestamp ticks of
 	// distinct shards in parallel (0 → 1). The report is byte-identical
@@ -412,8 +423,8 @@ func (s *Spec) require(thing string, needs ...*class) error {
 // nothing the loops observe changes faster, and a nanosecond-scale typo
 // ("50us" for "50ms") would otherwise schedule billions of scan events.
 func (s *Spec) checkCadence(field string, d Span) error {
-	if d != 0 && d.D() < mve.DefaultTickInterval {
-		return s.errf("%s must be at least %s (got %s)", field, mve.DefaultTickInterval, d)
+	if d != 0 && d.D() < mve.TickInterval {
+		return s.errf("%s must be at least %s (got %s)", field, mve.TickInterval, d)
 	}
 	return nil
 }
@@ -475,9 +486,6 @@ func (s *Spec) Validate() error {
 		if v.Margin < 0 || v.Margin > 1024 {
 			return s.errf("visibility.margin must be in [0, 1024] (got %d)", v.Margin)
 		}
-		if err := s.checkCadence("visibility.interval", v.Interval); err != nil {
-			return err
-		}
 	}
 	if s.Checkpoint != 0 {
 		if err := s.require("checkpoint", needsCluster, needsStore); err != nil {
@@ -486,9 +494,6 @@ func (s *Spec) Validate() error {
 		if err := s.checkCadence("checkpoint", s.Checkpoint); err != nil {
 			return err
 		}
-	}
-	if s.LogRetention < -1 {
-		return s.errf("log_retention must be >= -1 (got %d)", s.LogRetention)
 	}
 	if s.Workers < 0 || s.Workers > 256 {
 		return s.errf("workers must be in [0, 256] (got %d)", s.Workers)
@@ -551,47 +556,20 @@ func (s *Spec) validateAutoscale() error {
 	if err := s.require("autoscale", needsCluster); err != nil {
 		return err
 	}
-	if err := s.checkCadence("autoscale.interval", a.Interval); err != nil {
-		return err
-	}
 	if a.MinShards < 0 || a.MaxShards < 0 {
 		return s.errf("autoscale.min_shards and max_shards must be non-negative")
 	}
-	if a.MaxShards != 0 {
-		if a.MaxShards < s.Shards {
-			return s.errf("autoscale.max_shards %d is below the boot shard count %d", a.MaxShards, s.Shards)
-		}
-		if a.MaxShards > 64 {
-			return s.errf("autoscale.max_shards must be <= 64 (got %d)", a.MaxShards)
-		}
+	if a.MaxShards > 64 {
+		return s.errf("autoscale.max_shards must be <= 64 (got %d)", a.MaxShards)
 	}
-	if a.MinShards != 0 && a.MaxShards != 0 && a.MinShards > a.MaxShards {
-		return s.errf("autoscale.min_shards %d exceeds max_shards %d", a.MinShards, a.MaxShards)
+	if err := a.config().CheckBounds(s.Shards, s.Topology.build()); err != nil {
+		return s.errf("autoscale: %v", err)
 	}
-	if tp := s.Topology; tp.Grid() && s.maxShards() > tp.TilesX*tp.TilesZ {
-		return s.errf("autoscale.max_shards %d over a %dx%d grid: more shards than tiles", s.maxShards(), tp.TilesX, tp.TilesZ)
-	}
-	if a.HighUtil < 0 || a.HighUtil > 1 || a.LowUtil < 0 || a.LowUtil > 1 {
-		return s.errf("autoscale.high_util and low_util must be in [0, 1]")
-	}
-	hi, lo := a.HighUtil, a.LowUtil
-	if hi == 0 {
-		hi = cluster.DefaultHighUtil
-	}
-	if lo == 0 {
-		lo = cluster.DefaultLowUtil
-	}
-	if lo >= hi {
-		return s.errf("autoscale.low_util %g must be below high_util %g", lo, hi)
+	if a.LowUtil < 0 || a.LowUtil >= cluster.HighUtil {
+		return s.errf("autoscale.low_util must be in [0, %g) (got %g)", cluster.HighUtil, a.LowUtil)
 	}
 	if a.ShardCapacity < 0 {
 		return s.errf("autoscale.shard_capacity must be non-negative")
-	}
-	if a.MaxMoves < 0 {
-		return s.errf("autoscale.max_moves must be non-negative")
-	}
-	if a.MaxFailures < 0 {
-		return s.errf("autoscale.max_failures must be non-negative")
 	}
 	return nil
 }
@@ -655,18 +633,6 @@ func (s *Spec) validateBackend() error {
 	if b.Storage && b.LocalStore {
 		return s.errf("backend.storage and backend.local_store are mutually exclusive")
 	}
-	switch b.StorageTier {
-	case "":
-		if b.Storage {
-			b.StorageTier = "premium"
-		}
-	case "local", "premium", "standard":
-		if !b.Storage {
-			return s.errf("backend.storage_tier is set but backend.storage is false")
-		}
-	default:
-		return s.errf(`backend.storage_tier must be "local", "premium", or "standard" (got %q)`, b.StorageTier)
-	}
 	if b.SpecExec != nil {
 		if !b.Constructs {
 			return s.errf("backend.spec_exec is set but backend.constructs is false")
@@ -683,9 +649,6 @@ func (s *Spec) validateBackend() error {
 	}
 	if b.TGMaxInflight > 0 && !b.Terrain {
 		return s.errf("backend.tg_max_inflight is set but backend.terrain is false")
-	}
-	if b.GenDedup != nil && !b.Terrain {
-		return s.errf("backend.gen_dedup is set but backend.terrain is false")
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"encoding/json"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,10 +34,10 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"unknown field", minimal(`"flet": []`), "unknown field"},
 		{"bad world type", minimal(`"world": {"type": "spherical"}`), `world.type must be "flat" or "default"`},
 		{"bad profile", minimal(`"world": {"profile": "fortnite"}`), "world.profile must be"},
-		{"storage tier without storage", minimal(`"backend": {"storage_tier": "premium"}`), "backend.storage is false"},
-		{"bad storage tier", minimal(`"backend": {"storage": true, "storage_tier": "glacier"}`), "storage_tier must be"},
+		{"storage tier without storage", minimal(`"backend": {"storage_tier": "premium"}`), `unknown field "storage_tier"`},
+		{"bad storage tier", minimal(`"backend": {"storage": true, "storage_tier": "glacier"}`), `unknown field "storage_tier"`},
 		{"storage and local store", minimal(`"backend": {"storage": true, "local_store": true}`), "mutually exclusive"},
-		{"spec_exec without constructs", minimal(`"backend": {"spec_exec": {"tick_lead": 5}}`), "backend.constructs is false"},
+		{"spec_exec without constructs", minimal(`"backend": {"spec_exec": {"detect_loops": false}}`), "backend.constructs is false"},
 		{"construct count zero", minimal(`"constructs": [{"count": 0}]`), "count must be positive"},
 		{"construct too small", minimal(`"constructs": [{"count": 1, "blocks": 4}]`), "blocks must be >= 12"},
 		{"fleet count zero", minimal(`"fleet": [{"count": 0}]`), "count must be positive"},
@@ -119,10 +123,24 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"checkpoint without store", minimal(`"shards": 2, "checkpoint": "10s"`), "checkpoint requires a storage backend"},
 		{"fleet pos and tile", minimal(`"shards": 2, "fleet": [{"count": 1, "tile": [0, 0], "pos": [5, 5]}]`), "mutually exclusive"},
 		{"fleet pos out of range", minimal(`"fleet": [{"count": 1, "pos": [2000000, 0]}]`), "pos coordinate 2000000 out of range"},
-		{"visibility cadence under a tick", minimal(`"shards": 2, "visibility": {"interval": "1ns"}`), "visibility.interval must be at least 50ms (got 1ns)"},
 		{"rebalance cadence under a tick", minimal(`"shards": 2, "rebalance": {"interval": "50us"}`), "rebalance.interval must be at least 50ms (got 50µs)"},
-		{"autoscale cadence under a tick", minimal(`"shards": 2, "autoscale": {"interval": "49ms"}`), "autoscale.interval must be at least 50ms (got 49ms)"},
 		{"checkpoint cadence under a tick", minimal(`"shards": 2, "backend": {"storage": true}, "checkpoint": "1ms"}`), "checkpoint must be at least 50ms (got 1ms)"},
+		{"autoscale min above default max", minimal(`"shards": 2, "autoscale": {"min_shards": 5}`), "autoscale: min shards 5 exceeds max shards 4 (twice the boot count)"},
+		{"autoscale min above max", minimal(`"shards": 2, "autoscale": {"min_shards": 5, "max_shards": 4}`), "autoscale: min shards 5 exceeds max shards 4"},
+		{"autoscale max below boot", minimal(`"shards": 3, "autoscale": {"max_shards": 2}`), "autoscale: max shards 2 is below the boot shard count 3"},
+		{"autoscale default max over grid", minimal(`"shards": 2, "topology": {"kind": "grid", "tiles_x": 3, "tiles_z": 1}, "autoscale": {}`), "autoscale: max shards 4 (twice the boot count) over a 3-tile grid"},
+		{"autoscale low util at high band", minimal(`"shards": 2, "autoscale": {"low_util": 0.75}`), "autoscale.low_util must be in [0, 0.75) (got 0.75)"},
+		// Keys whose value is now a constant are refused like typos.
+		{"removed key backend.gen_dedup", minimal(`"backend": {"terrain": true, "gen_dedup": false}`), `unknown field "gen_dedup"`},
+		{"removed key log_retention", minimal(`"log_retention": -1`), `unknown field "log_retention"`},
+		{"removed key visibility.interval", minimal(`"shards": 2, "visibility": {"interval": "50ms"}`), `unknown field "interval"`},
+		{"removed key autoscale.interval", minimal(`"shards": 2, "autoscale": {"interval": "2s"}`), `unknown field "interval"`},
+		{"removed key autoscale.high_util", minimal(`"shards": 2, "autoscale": {"high_util": 0.75}`), `unknown field "high_util"`},
+		{"removed key autoscale.up_cooldown", minimal(`"shards": 2, "autoscale": {"up_cooldown": "4s"}`), `unknown field "up_cooldown"`},
+		{"removed key autoscale.horizon", minimal(`"shards": 2, "autoscale": {"horizon": "4s"}`), `unknown field "horizon"`},
+		{"removed key autoscale.max_moves", minimal(`"shards": 2, "autoscale": {"max_moves": 4}`), `unknown field "max_moves"`},
+		{"removed key autoscale.max_failures", minimal(`"shards": 2, "autoscale": {"max_failures": 3}`), `unknown field "max_failures"`},
+		{"removed key autoscale.failure_window", minimal(`"shards": 2, "autoscale": {"failure_window": "2m"}`), `unknown field "failure_window"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,16 +205,6 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
-func TestStorageTierDefaultsWithStorage(t *testing.T) {
-	spec, err := Parse([]byte(minimal(`"backend": {"storage": true}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Backend.StorageTier != "premium" {
-		t.Errorf("storage tier default = %q, want premium", spec.Backend.StorageTier)
-	}
-}
-
 func TestColdStartStormDurationDefault(t *testing.T) {
 	spec, err := Parse([]byte(minimal(`"backend": {"terrain": true},
 		"events": [{"at": "1s", "kind": "cold_start_storm"}]`)))
@@ -248,5 +256,117 @@ func TestShardedSpecAccepted(t *testing.T) {
 	}
 	if !spec.Assertions[2].Windowed() {
 		t.Fatal("windowed assertion not recognised")
+	}
+}
+
+// unsetKeys lists the spec keys no bundled scenario sets, each with the
+// reason it stays in the language. Every other key must have a setter.
+var unsetKeys = map[string]string{
+	"checkpoint":          "safety: the snapshots a shard failover restores from",
+	"backend.local_store": "Fig. 13's local-disk baseline (core.Config.LocalStore)",
+	"visibility.margin":   "public through servo.Config.Visibility.Margin",
+	"fleet.shard":         `the Placement form stress "spread" gives every bot`,
+	"events.failure_rate": "faas_chaos workload, exercised by TestDeterministicReplay",
+	"events.force_cold":   "faas_chaos workload, exercised by TestDeterministicReplay",
+	"events.function":     "faas_chaos workload, exercised by TestDeterministicReplay",
+}
+
+// specKeyPaths maps the dotted JSON path of every leaf key of Spec to
+// its setting: the key's path under the shallowest appearance of its
+// struct type. A struct type used at two paths (fleet and
+// prewrite.fleet) is one set of settings, whichever path sets it.
+// Slices and pointers are looked through, and embedded structs add their
+// keys to the embedding struct.
+func specKeyPaths() map[string]string {
+	type node struct {
+		t               reflect.Type
+		prefix, setting string
+	}
+	first := make(map[reflect.Type]string)
+	paths := make(map[string]string)
+	for queue := []node{{t: reflect.TypeOf(Spec{})}}; len(queue) > 0; queue = queue[1:] {
+		n := queue[0]
+		if p, ok := first[n.t]; ok {
+			n.setting = p
+		} else {
+			first[n.t] = n.setting
+		}
+		for _, f := range reflect.VisibleFields(n.t) {
+			if f.Anonymous {
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			ft := f.Type
+			for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct {
+				queue = append(queue, node{ft, n.prefix + name + ".", n.setting + name + "."})
+			} else {
+				paths[n.prefix+name] = n.setting + name
+			}
+		}
+	}
+	return paths
+}
+
+// setKeyPaths adds the dotted path of every key the JSON value v
+// spells to into.
+func setKeyPaths(v any, prefix string, into map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			into[prefix+k] = true
+			setKeyPaths(x, prefix+k+".", into)
+		}
+	case []any:
+		for _, x := range v {
+			setKeyPaths(x, prefix, into)
+		}
+	}
+}
+
+// TestEverySpecKeyHasASetter: a spec key stays in the language only
+// while some bundled scenario sets it, or unsetKeys says why it stays.
+// A key whose value every scenario leaves at its default belongs in the
+// code as a constant. Keys are paths, not names: interval is three
+// settings (rebalance, visibility and autoscale had one each).
+func TestEverySpecKeyHasASetter(t *testing.T) {
+	paths := specKeyPaths()
+	set := make(map[string]bool)
+	for _, name := range Bundled() {
+		src, err := BundledSource(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v any
+		if err := json.Unmarshal(src, &v); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		spelled := make(map[string]bool)
+		setKeyPaths(v, "", spelled)
+		for path, setting := range paths {
+			if spelled[path] {
+				set[setting] = true
+			}
+		}
+	}
+	settings := make(map[string]bool)
+	for _, setting := range paths {
+		settings[setting] = true
+	}
+	for _, setting := range slices.Sorted(maps.Keys(settings)) {
+		_, listed := unsetKeys[setting]
+		switch {
+		case set[setting] && listed:
+			t.Errorf("%s is set by a bundled scenario: drop it from unsetKeys", setting)
+		case !set[setting] && !listed:
+			t.Errorf("no bundled scenario sets %s: make its value a constant, or list why it stays in unsetKeys", setting)
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(unsetKeys)) {
+		if !settings[key] {
+			t.Errorf("unsetKeys lists %s, which is not a spec key", key)
+		}
 	}
 }

@@ -229,7 +229,8 @@ type Player = mve.Player
 // TickStats summarises an instance's tick-duration distribution.
 type TickStats struct {
 	Box metrics.Boxplot
-	// OverBudget is the fraction of ticks above the 50 ms QoS bound.
+	// OverBudget is the fraction of ticks above the QoS bound, one
+	// 50 ms tick.
 	OverBudget float64
 	// SupportsQoS is the paper's criterion: OverBudget < 5%.
 	SupportsQoS bool
@@ -253,7 +254,9 @@ type Instance struct {
 // NewInstance assembles and starts an instance. It panics on an invalid
 // Topology (unknown Kind, or a grid with fewer tiles than shards —
 // shards beyond the tile count could never own territory and their
-// Home placement would silently land players elsewhere).
+// Home placement would silently land players elsewhere), and on an
+// enabled Autoscale whose effective shard bounds the cluster cannot
+// keep (a minimum above the maximum, or a maximum beyond the grid).
 func NewInstance(cfg Config) *Instance {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -262,6 +265,17 @@ func NewInstance(cfg Config) *Instance {
 	if topo != nil && cfg.Shards > topo.Tiles() {
 		panic(fmt.Sprintf("servo: %d shards over a %d-tile grid: more shards than tiles",
 			cfg.Shards, topo.Tiles()))
+	}
+	autoscale := cluster.AutoscaleConfig{
+		Enabled:       cfg.Autoscale.Enabled,
+		MinShards:     cfg.Autoscale.MinShards,
+		MaxShards:     cfg.Autoscale.MaxShards,
+		ShardCapacity: cfg.Autoscale.ShardCapacity,
+	}
+	if autoscale.Enabled {
+		if err := autoscale.CheckBounds(max(cfg.Shards, 1), topo); err != nil {
+			panic("servo: Autoscale: " + err.Error())
+		}
 	}
 	inst := &Instance{cfg: cfg}
 	var clock sim.Clock
@@ -285,14 +299,9 @@ func NewInstance(cfg Config) *Instance {
 		Rebalance:        cfg.Rebalance,
 		Visibility:       cfg.Visibility.Enabled,
 		VisibilityMargin: cfg.Visibility.Margin,
-		Autoscale: cluster.AutoscaleConfig{
-			Enabled:       cfg.Autoscale.Enabled,
-			MinShards:     cfg.Autoscale.MinShards,
-			MaxShards:     cfg.Autoscale.MaxShards,
-			ShardCapacity: cfg.Autoscale.ShardCapacity,
-		},
-		Workers:   cfg.Workers,
-		PhaseLock: cfg.PhaseLock,
+		Autoscale:        autoscale,
+		Workers:          cfg.Workers,
+		PhaseLock:        cfg.PhaseLock,
 	})
 	inst.sys.Cluster.Start()
 	return inst
@@ -441,8 +450,8 @@ func (i *Instance) TickStats() TickStats {
 	for _, sh := range i.sys.Shards {
 		s.AddAll(sh.Server.TickDurations.Values())
 	}
-	over := s.FracAbove(50 * time.Millisecond)
-	return TickStats{Box: s.Box(), OverBudget: over, SupportsQoS: over < 0.05}
+	over := s.FracAbove(mve.QoSThreshold)
+	return TickStats{Box: s.Box(), OverBudget: over, SupportsQoS: over < mve.QoSFraction}
 }
 
 // ResetStats clears accumulated tick samples (e.g. after a warm-up).

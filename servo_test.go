@@ -190,8 +190,9 @@ func TestShardedDisconnectReportsNoOps(t *testing.T) {
 }
 
 // TestTopologyConfigRejectsInvalid pins the fail-fast contract: a
-// misspelled kind or an overcommitted grid must panic at construction,
-// never silently boot the band fallback.
+// misspelled kind, an overcommitted grid, or autoscale bounds the
+// cluster cannot keep must panic at construction, never silently boot
+// the band fallback or a cluster that can never scale down.
 func TestTopologyConfigRejectsInvalid(t *testing.T) {
 	expectPanic := func(name string, cfg Config) {
 		t.Helper()
@@ -206,6 +207,15 @@ func TestTopologyConfigRejectsInvalid(t *testing.T) {
 	expectPanic("more shards than tiles", Config{
 		Shards:   20,
 		Topology: TopologyConfig{Kind: "grid", TilesX: 4, TilesZ: 4},
+	})
+	expectPanic("autoscale min above default max", Config{
+		Shards:    2,
+		Autoscale: AutoscaleConfig{Enabled: true, MinShards: 5},
+	})
+	expectPanic("autoscale default max over grid", Config{
+		Shards:    2,
+		Topology:  TopologyConfig{Kind: "grid", TilesX: 3, TilesZ: 1},
+		Autoscale: AutoscaleConfig{Enabled: true},
 	})
 }
 
