@@ -268,8 +268,9 @@ type Cluster struct {
 	// Reused visibility-scan scratch (see visibility.go).
 	visAll       []visSess
 	visResidents []int
-	visBuckets   map[visCell][]int
-	visPairs     map[visPair]*visPairState
+	visIdx       visIndex
+	visHolders   []uint64
+	visPairs     []visPairState // dense, see pairTable
 	visBorders   []world.BorderNeighbor
 
 	// Checkpoints counts periodic player-checkpoint writes (checkpoint.go).
@@ -313,8 +314,6 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		GhostLog:       newRecordRing[GhostRecord](DefaultLogRetention),
 		ScaleLog:       newRecordRing[ScaleRecord](DefaultLogRetention),
 		ShardsActive:   &metrics.TimeSeries{},
-		visBuckets:     make(map[visCell][]int),
-		visPairs:       make(map[visPair]*visPairState),
 	}
 	if cfg.Autoscale.Enabled {
 		c.tracker = newFailureTracker(failureTrackerConfig{probation: cfg.Autoscale.Probation})

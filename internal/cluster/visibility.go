@@ -20,8 +20,9 @@
 // margin rect changed (about one step in sixteen for a walker), were
 // handed off, or saw the ownership table change under them (every
 // migration, failover, and recovery bumps the epoch). The
-// displaced-session pairing and the gap audit run over a spatial bucket
-// index instead of all pairs. The in-package tests cross-check the cache
+// displaced-session pairing and the gap audit run over a cell-sorted
+// spatial index (visindex.go) instead of all pairs, and the per-shard-pair
+// digest state is a dense table. The in-package tests cross-check the cache
 // against a scan that recomputes everything (Cluster.fullRescan): both
 // leave identical ghost registries and ghost logs.
 //
@@ -36,9 +37,12 @@
 // The bus also audits itself: after applying the digests, it checks
 // every cross-shard pair of border residents within view distance of
 // each other and counts a visibility gap tick if any viewer's shard is
-// missing the matching ghost. A healthy configuration (margin ≥ view
-// distance) holds the gap counter at zero; the bundled border-patrol
-// scenario asserts exactly that.
+// missing the matching ghost. It looks each resident's ghost up once per
+// shard hosting a resident near it, not once per pair, and checks pairs
+// only around a resident some nearby shard does not mirror
+// (visIndex.hasGap). A healthy configuration (margin ≥ view distance)
+// holds the gap counter at zero; the bundled border-patrol scenario
+// asserts exactly that.
 
 package cluster
 
@@ -46,6 +50,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"servo/internal/mve"
@@ -207,12 +212,6 @@ type visSess struct {
 	extra []int
 }
 
-// visCell is one bucket of the spatial index.
-type visCell struct{ x, z int }
-
-// visPair keys per-shard-pair digest state.
-type visPair struct{ src, dst int }
-
 // digestMaxSkips caps how many consecutive scans a pair's publication
 // may be suppressed: a forced refresh lands at least every
 // digestMaxSkips+1 scans, strictly inside the ghostTTLScans expiry
@@ -267,33 +266,6 @@ func addSorted(s []int, v int) []int {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-// cellOf maps a position to its bucket under the given cell size. Two
-// positions within Chebyshev distance `size` land in the same or an
-// adjacent cell, so a 3×3 neighbourhood covers every candidate pair.
-func cellOf(p world.BlockPos, size int) visCell {
-	return visCell{floorDiv(p.X, size), floorDiv(p.Z, size)}
-}
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-// resetBuckets truncates every reused bucket list (keeping capacity) and
-// drops the whole index when it has grown far past the working set.
-func (c *Cluster) resetBuckets(working int) {
-	if len(c.visBuckets) > 8*working+64 {
-		c.visBuckets = make(map[visCell][]int)
-		return
-	}
-	for k, v := range c.visBuckets {
-		c.visBuckets[k] = v[:0]
-	}
 }
 
 // visibilityScan is one replication tick of the interest-management
@@ -368,27 +340,33 @@ func (c *Cluster) VisibilityScanOnce() {
 	// terrain under them, the migration/handoff transient — pair up with
 	// every session near them: tile ownership cannot name their host
 	// shard, so their neighbours publish to it (and vice versa) by
-	// session geometry. The candidates come from a margin-sized bucket
-	// index instead of all pairs.
+	// session geometry. The candidates come from the spatial index at
+	// margin-sized cells instead of all pairs.
+	ix := &c.visIdx
 	if displacedAny {
-		c.resetBuckets(len(all))
+		ix.reset(margin)
 		for i := range all {
-			cell := cellOf(all[i].pos, margin)
-			c.visBuckets[cell] = append(c.visBuckets[cell], i)
+			ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, i)
 		}
-		for i := range all {
-			if !all[i].p.vc.displaced {
-				continue
-			}
-			home := cellOf(all[i].pos, margin)
-			for dx := -1; dx <= 1; dx++ {
-				for dz := -1; dz <= 1; dz++ {
-					for _, j := range c.visBuckets[visCell{home.x + dx, home.z + dz}] {
-						if i == j || all[i].p.shard == all[j].p.shard || chebDist(all[i].pos, all[j].pos) > margin {
+		ix.group(0)
+		for ci := range ix.cells {
+			cell := &ix.cells[ci]
+			for i := cell.lo; i < cell.hi; i++ {
+				a := &ix.recs[i]
+				sa := &all[a.id]
+				if !sa.p.vc.displaced {
+					continue
+				}
+				for _, j := range cell.near() {
+					nc := &ix.cells[j]
+					for k := nc.lo; k < nc.hi; k++ {
+						b := &ix.recs[k]
+						if b.shard == a.shard || a.dist(b) > margin {
 							continue
 						}
-						all[j].extra = addSorted(all[j].extra, all[i].p.shard)
-						all[i].extra = addSorted(all[i].extra, all[j].p.shard)
+						sb := &all[b.id]
+						sb.extra = addSorted(sb.extra, int(a.shard))
+						sa.extra = addSorted(sa.extra, int(b.shard))
 					}
 				}
 			}
@@ -398,8 +376,10 @@ func (c *Cluster) VisibilityScanOnce() {
 	// Publish: collect, per (src, dst) shard pair, the avatars dst should
 	// mirror, in join order. residents are the sessions with any
 	// replication target: the set the gap audit checks.
-	for _, ps := range c.visPairs {
-		ps.entries = ps.entries[:0]
+	n := len(c.shards)
+	pairs := c.pairTable()
+	for k := range pairs {
+		pairs[k].entries = pairs[k].entries[:0]
 	}
 	residents := c.visResidents[:0]
 	for i := range all {
@@ -435,12 +415,7 @@ func (c *Cluster) VisibilityScanOnce() {
 			if !c.table.Alive(dst) {
 				continue
 			}
-			key := visPair{src: s.p.shard, dst: dst}
-			ps, ok := c.visPairs[key]
-			if !ok {
-				ps = &visPairState{}
-				c.visPairs[key] = ps
-			}
+			ps := &pairs[s.p.shard*n+dst]
 			ps.entries = append(ps.entries, DigestEntry{Name: s.p.Name, X: s.x, Z: s.z, Home: s.p.shard})
 		}
 	}
@@ -451,38 +426,33 @@ func (c *Cluster) VisibilityScanOnce() {
 	// an unchanged epoch is rate-limited: no registry is touched, capped
 	// at digestMaxSkips consecutive scans so the staleness stamps refresh
 	// before the expiry TTL.
-	for src := 0; src < len(c.shards); src++ {
-		for dst := 0; dst < len(c.shards); dst++ {
-			ps := c.visPairs[visPair{src: src, dst: dst}]
-			if ps == nil {
-				continue
-			}
-			if len(ps.entries) == 0 {
-				// Quiet pair: invalidate the limiter. Its ghosts expire
-				// over the coming scans, so when traffic resumes — even
-				// with byte-identical entries — publication must not be
-				// suppressed.
-				ps.pubValid = false
-				ps.skips = 0
-				continue
-			}
-			if ps.shouldSkip(epoch) {
-				ps.skips++
-				c.DigestsSkipped.Inc()
-				continue
-			}
-			for _, e := range ps.entries {
-				if c.shards[dst].UpsertGhost(e.Name, e.X, e.Z, e.Home, c.visSeq) {
-					c.GhostLog.Append(GhostRecord{Player: e.Name, Shard: dst, Event: "spawn"})
-				}
-				c.GhostUpdates.Inc()
-			}
-			ps.lastPub = append(ps.lastPub[:0], ps.entries...)
-			ps.lastEpoch = epoch
-			ps.pubValid = true
+	for k := range pairs {
+		ps, dst := &pairs[k], k%n
+		if len(ps.entries) == 0 {
+			// Quiet pair: invalidate the limiter. Its ghosts expire over
+			// the coming scans, so when traffic resumes — even with
+			// byte-identical entries — publication must not be
+			// suppressed.
+			ps.pubValid = false
 			ps.skips = 0
-			c.DigestsSent.Inc()
+			continue
 		}
+		if ps.shouldSkip(epoch) {
+			ps.skips++
+			c.DigestsSkipped.Inc()
+			continue
+		}
+		for _, e := range ps.entries {
+			if c.shards[dst].UpsertGhost(e.Name, e.X, e.Z, e.Home, c.visSeq) {
+				c.GhostLog.Append(GhostRecord{Player: e.Name, Shard: dst, Event: "spawn"})
+			}
+			c.GhostUpdates.Inc()
+		}
+		ps.lastPub = append(ps.lastPub[:0], ps.entries...)
+		ps.lastEpoch = epoch
+		ps.pubValid = true
+		ps.skips = 0
+		c.DigestsSent.Inc()
 	}
 
 	// Reap: unpinned ghosts not refreshed for ghostTTLScans scans.
@@ -499,58 +469,52 @@ func (c *Cluster) VisibilityScanOnce() {
 
 	// Audit: every cross-shard pair of border residents within view
 	// distance must be mutually served by a ghost. One or more unserved
-	// pairs make this a visibility gap tick. Candidate pairs come from a
-	// view-sized bucket index instead of all pairs.
-	view := c.viewDistance()
-	if view < 1 {
-		view = 1
+	// pairs make this a visibility gap tick. The residents go into the
+	// spatial index at view-sized cells; each one's holders — the shards
+	// holding its ghost — are looked up once per shard hosting a resident
+	// near it, and the index's cover test (visIndex.hasGap) checks pairs
+	// only where such a look-up came back empty.
+	view := max(c.viewDistance(), 1)
+	words := bitWords(n)
+	ix.reset(view)
+	for r, i := range residents {
+		ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, r)
 	}
-	c.resetBuckets(len(residents))
-	for a, i := range residents {
-		cell := cellOf(all[i].pos, view)
-		c.visBuckets[cell] = append(c.visBuckets[cell], a)
-	}
-	gap := false
-audit:
-	for a, i := range residents {
-		sa := &all[i]
-		home := cellOf(sa.pos, view)
-		for dx := -1; dx <= 1; dx++ {
-			for dz := -1; dz <= 1; dz++ {
-				for _, b := range c.visBuckets[visCell{home.x + dx, home.z + dz}] {
-					if b <= a {
-						continue
-					}
-					sb := &all[residents[b]]
-					if sa.p.shard == sb.p.shard || chebDist(sa.pos, sb.pos) > view {
-						continue
-					}
-					if c.shards[sa.p.shard].Ghost(sb.p.Name) == nil || c.shards[sb.p.shard].Ghost(sa.p.Name) == nil {
-						gap = true
-						break audit
+	ix.group(words)
+	holders := zeroed(c.visHolders, len(residents)*words)
+	c.visHolders = holders
+	for ci := range ix.cells {
+		cell := &ix.cells[ci]
+		near := ix.shardsNear[ci*words : (ci+1)*words]
+		for i := cell.lo; i < cell.hi; i++ {
+			rec := &ix.recs[i]
+			name := all[residents[rec.id]].p.Name
+			h := holders[int(rec.id)*words : (int(rec.id)+1)*words]
+			for w, m := range near {
+				for ; m != 0; m &= m - 1 {
+					dst := w<<6 | bits.TrailingZeros64(m)
+					if dst != int(rec.shard) && c.shards[dst].Ghost(name) != nil {
+						setBit(h, dst)
 					}
 				}
 			}
 		}
 	}
-	if gap {
+	if ix.hasGap(holders, words) {
 		c.VisibilityGaps.Inc()
 	}
 }
 
-// chebDist is the Chebyshev distance in blocks between two positions.
-func chebDist(a, b world.BlockPos) int {
-	dx, dz := a.X-b.X, a.Z-b.Z
-	if dx < 0 {
-		dx = -dx
+// pairTable returns the per-shard-pair digest state, one entry per
+// (src, dst) at src*len(c.shards)+dst. A reused slot keeps its index,
+// and so its pairs' state. A grown cluster starts a fresh table: a zero
+// state never suppresses a publication, and AddShard bumps the ownership
+// epoch, which invalidates every pair's limiter anyway.
+func (c *Cluster) pairTable() []visPairState {
+	if n := len(c.shards); len(c.visPairs) != n*n {
+		c.visPairs = make([]visPairState, n*n)
 	}
-	if dz < 0 {
-		dz = -dz
-	}
-	if dx > dz {
-		return dx
-	}
-	return dz
+	return c.visPairs
 }
 
 // GhostCount returns the number of live ghosts across the alive shards

@@ -146,6 +146,81 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 	}
 }
 
+// TestIncrementalScanAcrossShardChanges: the membership cache and the
+// dense per-shard-pair digest table across a growing shard set and a
+// reused slot. Border traffic runs on three band shards; a fourth shard
+// joins and takes over a tile that has residents on both sides of its
+// seam (the pair table grows from 3×3 to 4×4 pairs mid-run), then shard 1
+// fails and is recovered into the same slot, keeping its pairs' state. The
+// ghost registries at every replication interval and the ghost log must
+// match the full rescan's, and both the new shard and the reused slot
+// must have mirrored avatars.
+func TestIncrementalScanAcrossShardChanges(t *testing.T) {
+	run := func(full bool) (string, []GhostRecord) {
+		loop := sim.NewLoop(49)
+		cfg := Config{
+			Shards:     3,
+			Topology:   world.BandTopology{BandChunks: 4},
+			Visibility: VisibilityConfig{Enabled: true, Margin: 16},
+		}
+		c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
+			return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
+		})
+		c.fullRescan = full
+		c.ConnectAt("a", pacer(50, 8, 80, 8, 4), world.BlockPos{X: 50, Y: 0, Z: 8})
+		c.ConnectAt("b", pacer(115, 24, 140, 24, 4), world.BlockPos{X: 115, Y: 0, Z: 24})
+		c.ConnectAt("c", nil, world.BlockPos{X: 60, Y: 0, Z: 40})
+		c.ConnectAt("d", nil, world.BlockPos{X: 70, Y: 0, Z: 40})
+		c.ConnectAt("e", nil, world.BlockPos{X: 186, Y: 0, Z: 8})
+		c.ConnectAt("f", pacer(196, 8, 220, 8, 3), world.BlockPos{X: 196, Y: 0, Z: 8})
+		c.Start()
+		var dump strings.Builder
+		sampleReplication(&dump, loop, c, 2*time.Second)
+		added := c.AddShard()
+		if added != 3 {
+			t.Fatalf("AddShard = %d, want 3", added)
+		}
+		if !c.MigrateTile(world.TileID{X: 3}, added) {
+			t.Fatal("MigrateTile refused")
+		}
+		sampleReplication(&dump, loop, c, 5*time.Second)
+		if !c.FailShard(1) {
+			t.Fatal("FailShard refused")
+		}
+		sampleReplication(&dump, loop, c, 7*time.Second)
+		recoveredAt := c.GhostLog.Total()
+		if !c.RecoverShard(1) {
+			t.Fatal("RecoverShard refused")
+		}
+		sampleReplication(&dump, loop, c, 12*time.Second)
+		glog := c.GhostLog.All()
+		mirrored := func(shard int, from uint64) bool {
+			for i := int(from); i < len(glog); i++ {
+				if glog[i].Shard == shard && glog[i].Event == "spawn" {
+					return true
+				}
+			}
+			return false
+		}
+		if !mirrored(added, 0) {
+			t.Fatal("the added shard never mirrored an avatar")
+		}
+		if !mirrored(1, recoveredAt) {
+			t.Fatal("the recovered slot never mirrored an avatar")
+		}
+		fmt.Fprintf(&dump, "gap ticks %d\n", c.VisibilityGaps.Value())
+		return dump.String(), glog
+	}
+	inc, glogI := run(false)
+	fullD, glogF := run(true)
+	if inc != fullD {
+		t.Fatalf("incremental and full-rescan ghost registries diverge:\n%s", firstDiff(inc, fullD))
+	}
+	if !slices.Equal(glogI, glogF) {
+		t.Fatalf("incremental and full-rescan ghost logs diverge (%d vs %d records)", len(glogI), len(glogF))
+	}
+}
+
 // TestVisRecomputesStopIdle: once every session is stationary and the
 // ownership epoch is quiet, the dirty set is empty — membership
 // recomputation stops while replication (ghost refreshes) carries on.
@@ -297,25 +372,55 @@ func TestDigestEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestVisibilityScanZeroAlloc: one replication tick over 1000 idle
-// border residents — paired across a band seam, spaced along Z so each
-// pair audits locally, membership caches and ghost registries warmed by
-// one scan — allocates nothing.
+// TestVisibilityScanZeroAlloc: a steady-state replication tick —
+// membership caches, ghost registries and scan scratch warmed by one
+// scan — allocates nothing, on two shapes. "spaced": 1000 idle border
+// residents paired across a band seam and spaced along Z, so each pair
+// audits locally. "crowded": 300 residents within view of each other
+// around the corner of four tiles on a 2×2 grid, the shape the cluster
+// workload runs, where every resident is near every shard.
 func TestVisibilityScanZeroAlloc(t *testing.T) {
-	_, c := newTestCluster(t, 7, 2, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
-	for i := 0; i < 1000; i++ {
-		x := 60 // 4 blocks west of the x=64 band seam, shard 0
-		if i%2 == 1 {
-			x = 70 // 6 blocks east, shard 1
-		}
-		c.ConnectAt(fmt.Sprintf("r%d", i), nil, world.BlockPos{X: x, Y: 0, Z: (i / 2) * 48})
-	}
-	c.VisibilityScanOnce()
-	if c.GhostCount() != 1000 {
-		t.Fatalf("warm-up scan mirrored %d ghosts, want 1000", c.GhostCount())
-	}
-	if got := testing.AllocsPerRun(20, c.VisibilityScanOnce); got != 0 {
-		t.Fatalf("steady-state visibility scan: %v allocs per scan, want 0", got)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		topo   world.Topology
+		n      int
+		pos    func(i int) world.BlockPos
+	}{
+		{"spaced", 2, nil, 1000, func(i int) world.BlockPos {
+			x := 60 // 4 blocks west of the x=64 band seam, shard 0
+			if i%2 == 1 {
+				x = 70 // 6 blocks east, shard 1
+			}
+			return world.BlockPos{X: x, Z: (i / 2) * 48}
+		}},
+		{"crowded", 4, world.GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 2}, 300, func(i int) world.BlockPos {
+			// Inside [16, 47]² around the corner at (32, 32): every pair
+			// within the view distance of 32, every resident within the
+			// 16-block margin of two seams.
+			return world.BlockPos{X: 16 + i%32, Z: 16 + i/32*3}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := newTestCluster(t, 7, tc.shards, Config{Topology: tc.topo, Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
+			hosts := map[int]int{}
+			for i := 0; i < tc.n; i++ {
+				hosts[c.ConnectAt(fmt.Sprintf("r%d", i), nil, tc.pos(i)).Shard()]++
+			}
+			if len(hosts) != tc.shards {
+				t.Fatalf("residents on %d shards, want all %d", len(hosts), tc.shards)
+			}
+			c.VisibilityScanOnce()
+			if want := tc.n * (tc.shards - 1); c.GhostCount() != want {
+				t.Fatalf("warm-up scan mirrored %d ghosts, want %d", c.GhostCount(), want)
+			}
+			if got := testing.AllocsPerRun(20, c.VisibilityScanOnce); got != 0 {
+				t.Fatalf("steady-state visibility scan: %v allocs per scan, want 0", got)
+			}
+			if got := c.VisibilityGaps.Value(); got != 0 {
+				t.Fatalf("visibility gap ticks = %d, want 0", got)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,222 @@
+// The visibility bus's spatial index: one cell-sorted array of compact
+// session records, rebuilt every scan, which both the displaced-session
+// pairing (cells one border margin wide) and the gap audit (cells one
+// view distance wide) walk. Two positions within Chebyshev distance
+// `size` of each other lie in the same or adjacent cells, so the 3×3
+// cell neighbourhood of a record holds every partner it can have. The
+// arrays are reused across scans: a steady-state build allocates
+// nothing.
+
+package cluster
+
+import (
+	"cmp"
+	"slices"
+)
+
+// visRec is one session's record in the index.
+type visRec struct {
+	// key is the packed cell (cellKey), the sort key.
+	key uint64
+	// x, z is the block position.
+	x, z int
+	// shard is the host shard.
+	shard int32
+	// id is the caller's number for the session.
+	id int32
+}
+
+// dist is the Chebyshev distance in blocks between two records.
+func (a *visRec) dist(b *visRec) int {
+	dx, dz := a.x-b.x, a.z-b.z
+	return max(dx, -dx, dz, -dz)
+}
+
+// visCellSpan is one occupied cell: the records recs[lo:hi].
+type visCellSpan struct {
+	key    uint64
+	lo, hi int32
+	// nb[:nn] are the occupied cells of the 3×3 neighbourhood, this one
+	// included.
+	nb [9]int32
+	nn int32
+}
+
+// near returns the occupied cells of the cell's 3×3 neighbourhood.
+func (s *visCellSpan) near() []int32 { return s.nb[:s.nn] }
+
+// visIndex is the cell-sorted index. Build it with reset, add and group.
+type visIndex struct {
+	size  int
+	recs  []visRec
+	cells []visCellSpan
+	// With group(words > 0): own[ci*words:] is the bitset of the shards
+	// hosting a record in cell ci, and shardsNear[ci*words:] the union of
+	// own over the cell's neighbourhood.
+	own, shardsNear []uint64
+}
+
+// cellKey packs a cell into one sortable word: x-major, then z. Both
+// halves are the cell coordinate's low 32 bits with the sign bit flipped,
+// so negative cells sort before positive ones. Neighbour keys are
+// computed by the same function from the same integers, so a neighbour is
+// never missed; cells 2³² apart collide, which at worst lists a far cell
+// as near — every pair check still measures the distance.
+func cellKey(cx, cz int) uint64 {
+	return uint64(uint32(int32(cx))^1<<31)<<32 | uint64(uint32(int32(cz))^1<<31)
+}
+
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+// reset empties the index for cells size blocks wide.
+func (ix *visIndex) reset(size int) {
+	ix.size = size
+	ix.recs = ix.recs[:0]
+}
+
+// add indexes a session at block (x, z), hosted by shard.
+func (ix *visIndex) add(x, z, shard, id int) {
+	ix.recs = append(ix.recs, visRec{
+		key: cellKey(floorDiv(x, ix.size), floorDiv(z, ix.size)),
+		x:   x, z: z, shard: int32(shard), id: int32(id),
+	})
+}
+
+// group sorts the records into cells and lists each cell's
+// neighbourhood. words > 0 also fills own and shardsNear with bitsets of
+// that many words.
+func (ix *visIndex) group(words int) {
+	slices.SortFunc(ix.recs, func(a, b visRec) int { return cmp.Compare(a.key, b.key) })
+	ix.cells = ix.cells[:0]
+	for i := range ix.recs {
+		if i == 0 || ix.recs[i].key != ix.recs[i-1].key {
+			ix.cells = append(ix.cells, visCellSpan{key: ix.recs[i].key, lo: int32(i)})
+		}
+		ix.cells[len(ix.cells)-1].hi = int32(i + 1)
+	}
+	for ci := range ix.cells {
+		cell := &ix.cells[ci]
+		r := &ix.recs[cell.lo]
+		cx, cz := floorDiv(r.x, ix.size), floorDiv(r.z, ix.size)
+		cell.nn = 0
+		for dx := -1; dx <= 1; dx++ {
+			for dz := -1; dz <= 1; dz++ {
+				if j := ix.find(cellKey(cx+dx, cz+dz)); j >= 0 {
+					cell.nb[cell.nn] = int32(j)
+					cell.nn++
+				}
+			}
+		}
+	}
+	if words == 0 {
+		return
+	}
+	ix.own = zeroed(ix.own, len(ix.cells)*words)
+	ix.shardsNear = zeroed(ix.shardsNear, len(ix.cells)*words)
+	for ci := range ix.cells {
+		cell := &ix.cells[ci]
+		own := ix.own[ci*words : (ci+1)*words]
+		for i := cell.lo; i < cell.hi; i++ {
+			setBit(own, int(ix.recs[i].shard))
+		}
+	}
+	for ci := range ix.cells {
+		near := ix.shardsNear[ci*words : (ci+1)*words]
+		for _, j := range ix.cells[ci].near() {
+			for w, m := range ix.own[int(j)*words : (int(j)+1)*words] {
+				near[w] |= m
+			}
+		}
+	}
+}
+
+// find returns the index of the cell with the given key, or -1.
+func (ix *visIndex) find(key uint64) int {
+	lo, hi := 0, len(ix.cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.cells[m].key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ix.cells) && ix.cells[lo].key == key {
+		return lo
+	}
+	return -1
+}
+
+// hasGap is the gap audit over an index grouped with group(words), its
+// cells one view distance wide: it reports whether two records on
+// different shards within view distance of each other are not mirrored
+// both ways, where holders[id*words:(id+1)*words] is the bitset of the
+// shards holding record id's ghost. Only the bits of the shards near the
+// record (shardsNear, its own shard aside) are read.
+//
+// The cover test spares most records every pair check: one whose holders
+// include every shard near it is mirrored wherever a partner of it can
+// be hosted. A record that fails walks its neighbourhood and checks one
+// direction of each pair — that the partner's shard holds it. The other
+// direction is the partner's own check, and the partner does fail its
+// cover test when its holders lack this record's shard, because this
+// record's shard is near it. So the result is exact, and no pair is
+// looked at unless a ghost is actually missing near it.
+func (ix *visIndex) hasGap(holders []uint64, words int) bool {
+	for ci := range ix.cells {
+		cell := &ix.cells[ci]
+		near := ix.shardsNear[ci*words : (ci+1)*words]
+		for i := cell.lo; i < cell.hi; i++ {
+			a := &ix.recs[i]
+			h := holders[int(a.id)*words : (int(a.id)+1)*words]
+			if covers(h, near, int(a.shard)) {
+				continue
+			}
+			for _, j := range cell.near() {
+				nc := &ix.cells[j]
+				for k := nc.lo; k < nc.hi; k++ {
+					b := &ix.recs[k]
+					if b.shard != a.shard && !hasBit(h, int(b.shard)) && a.dist(b) <= ix.size {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// covers reports whether the bitset h holds every shard of near except
+// own.
+func covers(h, near []uint64, own int) bool {
+	for w, m := range near {
+		m &^= h[w]
+		if w == own>>6 {
+			m &^= 1 << (own & 63)
+		}
+		if m != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func setBit(s []uint64, i int)      { s[i>>6] |= 1 << (i & 63) }
+func hasBit(s []uint64, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func bitWords(n int) int            { return (n + 63) >> 6 }
+
+// zeroed returns s resized to n cleared words, reusing its array.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -1,0 +1,182 @@
+// Tests for the visibility bus's spatial index and the gap audit it
+// runs: the audit (visIndex.hasGap, with its cover test) is checked
+// against an all-pairs reference on random residents (TestGapAudit*,
+// FuzzGapAudit), and against a ghost removed from a live cluster.
+
+package cluster
+
+import (
+	"math/rand"
+	"testing"
+
+	"servo/internal/world"
+)
+
+// gapResident is one audit input: a position, a host shard and the
+// bitset of the shards holding the resident's ghost.
+type gapResident struct {
+	x, z, shard int
+	holders     []uint64
+}
+
+// allPairsGap is the reference audit: every pair of residents on
+// different shards within Chebyshev distance view must be mirrored both
+// ways.
+func allPairsGap(rs []gapResident, view int) bool {
+	for i := range rs {
+		for j := i + 1; j < len(rs); j++ {
+			a, b := &rs[i], &rs[j]
+			if a.shard == b.shard || max(a.x-b.x, b.x-a.x, a.z-b.z, b.z-a.z) > view {
+				continue
+			}
+			if !hasBit(a.holders, b.shard) || !hasBit(b.holders, a.shard) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// indexedGap runs the audit the bus runs: the residents go into ix at
+// view-sized cells, and hasGap reads their holder sets.
+func indexedGap(ix *visIndex, rs []gapResident, view, words int) bool {
+	ix.reset(view)
+	holders := make([]uint64, 0, len(rs)*words)
+	for i, r := range rs {
+		ix.add(r.x, r.z, r.shard, i)
+		holders = append(holders, r.holders...)
+	}
+	ix.group(words)
+	return ix.hasGap(holders, words)
+}
+
+// TestGapAuditMatchesAllPairs drives the audit with random residents —
+// 2 to 70 shards (so holder sets of one and two words), negative
+// coordinates, points on cell edges, hosts that mostly follow a tile
+// grid but are sometimes displaced to any shard, and holder sets with
+// holes at random — and compares it with the all-pairs reference.
+func TestGapAuditMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ix visIndex
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 2000; trial++ {
+		shards := 2 + rng.Intn(69)
+		words := bitWords(shards)
+		view := 1 + rng.Intn(40)
+		tile := view * (1 + rng.Intn(3))
+		holes := []float64{0, 0.002, 0.02, 0.2}[rng.Intn(4)]
+		rs := make([]gapResident, rng.Intn(120))
+		coord := func() int {
+			if rng.Intn(3) == 0 {
+				// A cell edge, or one block either side of it.
+				return view*(rng.Intn(9)-4) + rng.Intn(3) - 1
+			}
+			return rng.Intn(8*view+1) - 4*view
+		}
+		for i := range rs {
+			r := &rs[i]
+			r.x, r.z = coord(), coord()
+			r.shard = ((floorDiv(r.x, tile)*7 + floorDiv(r.z, tile)*13) & 0xffff) % shards
+			if rng.Intn(10) == 0 {
+				r.shard = rng.Intn(shards)
+			}
+			r.holders = make([]uint64, words)
+			for s := 0; s < shards; s++ {
+				if rng.Float64() >= holes {
+					setBit(r.holders, s)
+				}
+			}
+		}
+		want := allPairsGap(rs, view)
+		if got := indexedGap(&ix, rs, view, words); got != want {
+			t.Fatalf("trial %d (%d shards, view %d, %d residents): audit says gap=%v, all pairs say %v", trial, shards, view, len(rs), got, want)
+		}
+		outcomes[want]++
+	}
+	if outcomes[true] < 200 || outcomes[false] < 200 {
+		t.Fatalf("outcomes %v: too few of one kind; the test proves little", outcomes)
+	}
+}
+
+// gapOps is the model check behind FuzzGapAudit. data[0] picks the shard
+// count (2..70) and data[1] the view distance (1..24); every following
+// 4-byte group is one op — place a resident with every ghost (kind 0),
+// move one (kind 1), or un-ghost one from a shard (kind 2) — after which
+// the audit must agree with the all-pairs reference.
+func gapOps(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	shards, view := 2+int(data[0])%69, 1+int(data[1])%24
+	words := bitWords(shards)
+	var ix visIndex
+	var rs []gapResident
+	const maxOps = 256
+	for op, data := 0, data[2:]; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
+		kind, k := data[0]%3, int(data[1])
+		x, z := int(int8(data[2])), int(int8(data[3]))
+		switch {
+		case kind == 0:
+			r := gapResident{x: x, z: z, shard: k % shards, holders: make([]uint64, words)}
+			for s := 0; s < shards; s++ {
+				setBit(r.holders, s)
+			}
+			rs = append(rs, r)
+		case len(rs) == 0:
+			continue
+		case kind == 1:
+			rs[k%len(rs)].x, rs[k%len(rs)].z = x, z
+		case kind == 2:
+			s := int(data[2]) % shards
+			rs[k%len(rs)].holders[s>>6] &^= 1 << (s & 63)
+		}
+		if got, want := indexedGap(&ix, rs, view, words), allPairsGap(rs, view); got != want {
+			t.Fatalf("op %d (kind %d, %d residents, %d shards, view %d): audit says gap=%v, all pairs say %v",
+				op, kind, len(rs), shards, view, got, want)
+		}
+	}
+}
+
+// FuzzGapAudit is the model check of the gap audit; see gapOps. Its
+// seeds are the files under testdata/fuzz/FuzzGapAudit, named for what
+// each sequence exercises; go test runs them in tier-1.
+func FuzzGapAudit(f *testing.F) {
+	f.Fuzz(gapOps)
+}
+
+// TestGapOpsRandom drives gapOps with random sequences.
+func TestGapOpsRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 40; i++ {
+		data := make([]byte, 2+4*96)
+		r.Read(data)
+		gapOps(t, data)
+	}
+}
+
+// TestGapAuditSeesMissingGhost: the audit on a live cluster. Two
+// residents ten blocks apart across a band seam are mirrored both ways;
+// then shard 1 loses alice's ghost between two scans. The second scan's
+// digests are rate-limited, so nothing restores the ghost before the
+// audit runs, and the scan must count a gap tick.
+func TestGapAuditSeesMissingGhost(t *testing.T) {
+	_, c := newTestCluster(t, 48, 2, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
+	c.ConnectAt("alice", nil, world.BlockPos{X: 60, Y: 0, Z: 8})
+	c.ConnectAt("bob", nil, world.BlockPos{X: 70, Y: 0, Z: 8})
+	c.VisibilityScanOnce()
+	if c.Shard(1).Ghost("alice") == nil || c.Shard(0).Ghost("bob") == nil {
+		t.Fatal("setup: the pair is not mirrored both ways")
+	}
+	if got := c.VisibilityGaps.Value(); got != 0 {
+		t.Fatalf("visibility gap ticks = %d after a healthy scan, want 0", got)
+	}
+	skipped := c.DigestsSkipped.Value()
+	c.Shard(1).RemoveGhost("alice")
+	c.VisibilityScanOnce()
+	if c.DigestsSkipped.Value() == skipped {
+		t.Fatal("the scan republished its digests; the removed ghost was restored before the audit")
+	}
+	if got := c.VisibilityGaps.Value(); got != 1 {
+		t.Fatalf("visibility gap ticks = %d after shard 1 lost alice's ghost, want 1", got)
+	}
+}

@@ -11,7 +11,11 @@
 
 package mve
 
-import "servo/internal/world"
+import (
+	"slices"
+
+	"servo/internal/world"
+)
 
 // GhostAvatar is a read-only avatar mirrored from another shard.
 type GhostAvatar struct {
@@ -48,8 +52,9 @@ func (s *Server) UpsertGhost(name string, x, z float64, home int, seq uint64) bo
 		return false
 	}
 	s.nextGhost++
-	s.ghosts[name] = &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, Home: home, seq: seq}
-	s.ghostOrder = append(s.ghostOrder, name)
+	g := &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, Home: home, seq: seq}
+	s.ghosts[name] = g
+	s.ghostOrder = append(s.ghostOrder, g)
 	return true
 }
 
@@ -65,16 +70,13 @@ func (s *Server) PinGhost(name string, pinned bool) {
 // was admitted here — the ghost promotes to a real avatar). It reports
 // whether a ghost existed.
 func (s *Server) RemoveGhost(name string) bool {
-	if _, ok := s.ghosts[name]; !ok {
+	g, ok := s.ghosts[name]
+	if !ok {
 		return false
 	}
 	delete(s.ghosts, name)
-	for i, n := range s.ghostOrder {
-		if n == name {
-			s.ghostOrder = append(s.ghostOrder[:i], s.ghostOrder[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(s.ghostOrder, g)
+	s.ghostOrder = slices.Delete(s.ghostOrder, i, i+1)
 	return true
 }
 
@@ -84,15 +86,16 @@ func (s *Server) RemoveGhost(name string) bool {
 func (s *Server) ExpireGhosts(before uint64) []string {
 	var expired []string
 	kept := s.ghostOrder[:0]
-	for _, name := range s.ghostOrder {
-		g := s.ghosts[name]
+	for _, g := range s.ghostOrder {
 		if !g.Pinned && g.seq < before {
-			delete(s.ghosts, name)
-			expired = append(expired, name)
+			delete(s.ghosts, g.Name)
+			expired = append(expired, g.Name)
 			continue
 		}
-		kept = append(kept, name)
+		kept = append(kept, g)
 	}
+	// The freed tail would otherwise keep the expired ghosts reachable.
+	clear(s.ghostOrder[len(kept):])
 	s.ghostOrder = kept
 	return expired
 }
@@ -104,8 +107,8 @@ func (s *Server) Ghost(name string) *GhostAvatar { return s.ghosts[name] }
 // (the per-tick path: rtserve folds ghosts into every state update).
 // fn must not mutate the registry.
 func (s *Server) EachGhost(fn func(*GhostAvatar)) {
-	for _, name := range s.ghostOrder {
-		fn(s.ghosts[name])
+	for _, g := range s.ghostOrder {
+		fn(g)
 	}
 }
 

@@ -199,7 +199,7 @@ type Server struct {
 	// Ghost registry (ghost.go): read-only avatars replicated from
 	// neighbouring shards by the cluster's visibility bus.
 	ghosts     map[string]*GhostAvatar
-	ghostOrder []string
+	ghostOrder []*GhostAvatar
 	nextGhost  int64
 
 	// Per-tile cost attribution: actions and chunk stores keyed by the
@@ -848,8 +848,8 @@ func (s *Server) scanTerrainDemand() {
 	// by the persistent closure at drain time, and the buffer flip keeps
 	// the next scan from clobbering it while queued.
 	if _, ok := s.store.(AvatarObserver); ok {
-		for _, name := range s.ghostOrder {
-			avatars = append(avatars, s.ghosts[name].Pos())
+		for _, g := range s.ghostOrder {
+			avatars = append(avatars, g.Pos())
 		}
 		s.obsBufs[s.obsIdx] = avatars
 		s.obsIdx = 1 - s.obsIdx
