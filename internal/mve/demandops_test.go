@@ -31,8 +31,7 @@ func placeAt(p *Player, x, z float64) {
 // a cold cursor's whole rect, and the chunks a moved rect gained.
 func gainedLookups(s *Server) int64 {
 	var n int64
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		rect := world.ChunkRectWithin(p.Pos(), s.cfg.ViewDistance)
 		switch {
 		case !p.demandValid:
@@ -83,7 +82,7 @@ func demandOps(t *testing.T, data []byte) int64 {
 		for i, s := range servers {
 			var p *Player
 			if n := len(s.playerOrder); n > 0 {
-				p = s.players[s.playerOrder[who%n]]
+				p = s.playerOrder[who%n]
 			}
 			switch {
 			case kind == 0 && p != nil:

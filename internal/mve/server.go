@@ -192,8 +192,10 @@ type Server struct {
 	terrain TerrainBackend
 	store   ChunkStore
 
+	// players is the look-up by id; playerOrder holds the same sessions in
+	// join order, and every per-tick walk ranges over it.
 	players     map[PlayerID]*Player
-	playerOrder []PlayerID
+	playerOrder []*Player
 	nextPlayer  PlayerID
 
 	// Ghost registry (ghost.go): read-only avatars replicated from
@@ -264,6 +266,7 @@ type Server struct {
 	obsIdx     int
 	obsPending []world.BlockPos
 	obsFn      func()
+	unloadPos  []world.BlockPos
 	unloadAll  []world.ChunkPos
 	unloadFar  []world.ChunkPos
 	unloadHalt []*placement
@@ -691,8 +694,7 @@ func (s *Server) tickOnce() {
 
 	// 1. Player behaviors produce actions; process them.
 	dt := TickInterval.Seconds()
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		work += s.cost.PerPlayer
 		if p.behavior != nil {
 			for _, a := range p.behavior.Actions(rng, p, s) {
@@ -810,8 +812,7 @@ func (s *Server) scanTerrainDemand() {
 	for _, cp := range newly {
 		s.newlySlots = append(s.newlySlots, s.world.Slot(cp))
 	}
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		pos := p.Pos()
 		avatars = append(avatars, pos)
 		rect := world.ChunkRectWithin(pos, s.cfg.ViewDistance)
@@ -1019,8 +1020,7 @@ const sendKeepMax = 64
 // it is larger than sendKeepMax.
 func (s *Server) drainSendQueues() time.Duration {
 	var cost time.Duration
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		sent := 0
 		for p.sendHead < len(p.sendQueue) && sent < maxChunkSendsPerTick {
 			cp := p.sendQueue[p.sendHead]
@@ -1052,23 +1052,25 @@ func (s *Server) drainSendQueues() time.Duration {
 }
 
 // unloadFarChunks persists and evicts chunks far outside every player's
-// view distance, halting embedded constructs (§II-A).
+// view distance, halting embedded constructs (§II-A). A chunk stays while
+// some player is within ViewDistance+unloadMargin blocks of it; the
+// positions are sorted by X once a scan, so each chunk tests only the
+// players in its X band (anyWithin).
 func (s *Server) unloadFarChunks() {
 	if len(s.players) == 0 {
 		return
 	}
 	limit := s.cfg.ViewDistance + unloadMargin
+	byX := s.unloadPos[:0]
+	for _, p := range s.playerOrder {
+		byX = append(byX, p.Pos())
+	}
+	slices.SortFunc(byX, func(a, b world.BlockPos) int { return cmp.Compare(a.X, b.X) })
+	s.unloadPos = byX
 	far := s.unloadFar[:0]
 	s.unloadAll = s.world.LoadedChunksAppend(s.unloadAll[:0])
 	for _, cp := range s.unloadAll {
-		near := false
-		for _, id := range s.playerOrder {
-			if cp.DistanceBlocks(s.players[id].Pos()) <= limit {
-				near = true
-				break
-			}
-		}
-		if !near {
+		if !anyWithin(byX, cp, limit) {
 			far = append(far, cp)
 		}
 	}
@@ -1098,7 +1100,7 @@ func (s *Server) unloadFarChunks() {
 		// invalidate the demand cursor of any player whose cached rect held
 		// the chunk: that restores the cursor invariant (every rect chunk
 		// loaded-or-requested) the incremental scan relies on.
-		for _, p := range s.players {
+		for _, p := range s.playerOrder {
 			p.forget(slot)
 			if p.demandValid && p.demandRect.Contains(cp) {
 				p.demandValid = false
@@ -1107,14 +1109,29 @@ func (s *Server) unloadFarChunks() {
 	}
 }
 
+// anyWithin reports whether some position of byX, sorted by X, lies within
+// limit blocks of cp — cp.DistanceBlocks(pos) <= limit, which holds exactly
+// when pos is inside the chunk's footprint grown by limit on every side. A
+// binary search finds the first position of the chunk's X band; the walk
+// stops at the band's end or the first position whose Z is in range too.
+func anyWithin(byX []world.BlockPos, cp world.ChunkPos, limit int) bool {
+	ox, oz := cp.X*world.ChunkSizeX, cp.Z*world.ChunkSizeZ
+	i, _ := slices.BinarySearchFunc(byX, ox-limit, func(p world.BlockPos, x int) int { return cmp.Compare(p.X, x) })
+	for ; i < len(byX) && byX[i].X <= ox+world.ChunkSizeX-1+limit; i++ {
+		if z := byX[i].Z; z >= oz-limit && z <= oz+world.ChunkSizeZ-1+limit {
+			return true
+		}
+	}
+	return false
+}
+
 // MinViewMargin returns the smallest distance (over players) from an
 // avatar to the closest missing chunk within its view range, the QoS
 // metric of Fig. 10. With no players or no missing terrain it returns the
 // configured view distance.
 func (s *Server) MinViewMargin() int {
 	min := s.cfg.ViewDistance
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		pos := p.Pos()
 		r := world.ChunkRectWithin(pos, s.cfg.ViewDistance)
 		for cx := r.Min.X; cx <= r.Max.X; cx++ {

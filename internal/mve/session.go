@@ -7,6 +7,7 @@
 package mve
 
 import (
+	"slices"
 	"time"
 
 	"servo/internal/sc"
@@ -35,7 +36,7 @@ func (s *Server) ConnectAt(name string, b Behavior, x, z float64) *Player {
 	p.receiver, _ = b.(ChunkReceiver)
 	p.destX, p.destZ = p.X, p.Z
 	s.players[p.ID] = p
-	s.playerOrder = append(s.playerOrder, p.ID)
+	s.playerOrder = append(s.playerOrder, p)
 	s.loadPlayerData(p)
 	return p
 }
@@ -49,28 +50,23 @@ func (s *Server) Disconnect(id PlayerID) bool {
 		return false
 	}
 	s.savePlayerData(p)
-	s.removeSession(id)
+	s.removeSession(p)
 	return true
 }
 
-// removeSession drops the session from the routing tables.
-func (s *Server) removeSession(id PlayerID) {
-	delete(s.players, id)
-	for i, pid := range s.playerOrder {
-		if pid == id {
-			s.playerOrder = append(s.playerOrder[:i], s.playerOrder[i+1:]...)
-			break
-		}
+// removeSession drops the session from the routing tables. slices.Delete
+// clears the vacated tail slot, so the order's backing array does not keep
+// the departed session reachable.
+func (s *Server) removeSession(p *Player) {
+	delete(s.players, p.ID)
+	if i := slices.Index(s.playerOrder, p); i >= 0 {
+		s.playerOrder = slices.Delete(s.playerOrder, i, i+1)
 	}
 }
 
 // Players returns the connected players in join order.
 func (s *Server) Players() []*Player {
-	out := make([]*Player, 0, len(s.playerOrder))
-	for _, id := range s.playerOrder {
-		out = append(out, s.players[id])
-	}
-	return out
+	return append(make([]*Player, 0, len(s.playerOrder)), s.playerOrder...)
 }
 
 // EachPlayer visits every connected player in join order without
@@ -78,8 +74,8 @@ func (s *Server) Players() []*Player {
 // paths like the network push loop). fn must not connect or disconnect
 // sessions.
 func (s *Server) EachPlayer(fn func(*Player)) {
-	for _, id := range s.playerOrder {
-		fn(s.players[id])
+	for _, p := range s.playerOrder {
+		fn(p)
 	}
 }
 
@@ -134,7 +130,7 @@ func (s *Server) EvictPlayer(id PlayerID) (PlayerSnapshot, bool) {
 	if !ok {
 		return PlayerSnapshot{}, false
 	}
-	s.removeSession(id)
+	s.removeSession(s.players[id])
 	return snap, true
 }
 
@@ -159,7 +155,7 @@ func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 	}
 	p.receiver, _ = snap.Behavior.(ChunkReceiver)
 	s.players[p.ID] = p
-	s.playerOrder = append(s.playerOrder, p.ID)
+	s.playerOrder = append(s.playerOrder, p)
 	return p
 }
 

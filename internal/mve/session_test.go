@@ -133,7 +133,7 @@ func TestRegionGatedPersistence(t *testing.T) {
 	loop := sim.NewLoop(3)
 	topo := world.BandTopology{BandChunks: 4}
 	region := world.NewOwnershipTable(2, topo).View(0)
-	store := &recordingStore{stored: map[world.ChunkPos]bool{}}
+	store := &recordingStore{}
 	s := NewServer(loop, Config{
 		WorldType:    "flat",
 		ViewDistance: 64,
@@ -143,7 +143,7 @@ func TestRegionGatedPersistence(t *testing.T) {
 	s.Connect("p", nil)
 	s.Start()
 	loop.RunUntil(10 * 1e9) // 10s: boot requests resolve, terrain persists
-	for cp := range store.stored {
+	for _, cp := range store.stored {
 		if !region.Contains(cp) {
 			t.Errorf("persisted unowned chunk %v (owner shard %d)", cp, world.DefaultOwner(topo, 2, topo.TileOf(cp)))
 		}
@@ -168,7 +168,7 @@ func TestUnpersistedChunkDropsItsReply(t *testing.T) {
 		WorldType:    "flat",
 		ViewDistance: 64,
 		Region:       region,
-		Store:        &recordingStore{stored: map[world.ChunkPos]bool{}},
+		Store:        &recordingStore{},
 		Terrain:      gen,
 	})
 	s.Connect("p", nil)
@@ -220,9 +220,9 @@ func (r *replyTerrain) DrainAppend(dst []*world.Chunk) []*world.Chunk {
 
 func (r *replyTerrain) Load() (busyWorkers, queued int) { return 0, 0 }
 
-// recordingStore is a ChunkStore that records Store calls and always
-// misses on Load.
-type recordingStore struct{ stored map[world.ChunkPos]bool }
+// recordingStore is a ChunkStore that records Store calls in order and
+// always misses on Load.
+type recordingStore struct{ stored []world.ChunkPos }
 
 func (r *recordingStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) { cb(nil, false) }
-func (r *recordingStore) Store(c *world.Chunk)                                 { r.stored[c.Pos] = true }
+func (r *recordingStore) Store(c *world.Chunk)                                 { r.stored = append(r.stored, c.Pos) }

@@ -33,8 +33,7 @@ func demandSignature(s *Server) string {
 		}
 		return loaded[i].Z < loaded[j].Z
 	})
-	for _, id := range s.playerOrder {
-		p := s.players[id]
+	for _, p := range s.playerOrder {
 		var known []world.ChunkPos
 		for _, cp := range loaded {
 			if p.knows(s.World().Slot(cp)) {
@@ -96,7 +95,7 @@ func driveDemandRun(full bool) (sigs []string, recomputes, strips int64) {
 	// (the cluster's cross-shard handoff path), where no terrain is
 	// loaded yet.
 	loop.After(6*time.Second, func() {
-		snap, ok := s.EvictPlayer(s.playerOrder[0])
+		snap, ok := s.EvictPlayer(s.playerOrder[0].ID)
 		if !ok {
 			panic("evict failed")
 		}
@@ -188,8 +187,7 @@ func TestStripWalkZeroAlloc(t *testing.T) {
 	}
 	side := 1.0
 	oscillate := func() {
-		for _, id := range s.playerOrder {
-			p := s.players[id]
+		for _, p := range s.playerOrder {
 			placeAt(p, p.X+side*world.ChunkSizeX, p.Z)
 		}
 		side = -side

@@ -27,6 +27,7 @@
 package specexec
 
 import (
+	"slices"
 	"time"
 
 	"servo/internal/faas"
@@ -96,8 +97,10 @@ type Manager struct {
 	fnName   string
 	cfg      Config
 
+	// constructs is the look-up by id; order holds the same constructs in
+	// insertion order, and every loop over them walks it.
 	constructs map[uint64]*managed
-	order      []uint64 // deterministic iteration order (insertion order)
+	order      []*managed
 	nextID     uint64
 	tick       uint64
 
@@ -136,7 +139,7 @@ func (m *Manager) Add(c *sc.Construct) uint64 {
 	id := m.nextID
 	mc := &managed{id: id, construct: c, bufBase: m.tick}
 	m.constructs[id] = mc
-	m.order = append(m.order, id)
+	m.order = append(m.order, mc)
 	// Offload immediately: the server simulates locally until the first
 	// reply arrives (paper Fig. 6).
 	m.invoke(mc)
@@ -144,16 +147,16 @@ func (m *Manager) Add(c *sc.Construct) uint64 {
 }
 
 // Remove deactivates a construct (e.g. its terrain was unloaded).
+// slices.Delete clears the vacated tail slot, so the order's backing array
+// does not keep the removed construct reachable.
 func (m *Manager) Remove(id uint64) {
-	if _, ok := m.constructs[id]; !ok {
+	mc, ok := m.constructs[id]
+	if !ok {
 		return
 	}
 	delete(m.constructs, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(m.order, mc); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
 	}
 }
 
@@ -210,8 +213,8 @@ const applyCostDivisor = 20
 func (m *Manager) Tick() TickWork {
 	m.tick++
 	var w TickWork
-	for _, id := range m.order {
-		w.add(m.tickConstruct(m.constructs[id]))
+	for _, mc := range m.order {
+		w.add(m.tickConstruct(mc))
 	}
 	return w
 }
@@ -421,7 +424,7 @@ func estimateStepWork(c *sc.Construct) int {
 func (m *Manager) Snapshot() Stats {
 	s := m.stats
 	s.ConstructCnt = len(m.constructs)
-	for _, mc := range m.constructs {
+	for _, mc := range m.order {
 		if mc.loop != nil {
 			s.LoopsActive++
 		}

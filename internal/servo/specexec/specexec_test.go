@@ -199,6 +199,29 @@ func TestRemoveStopsManagement(t *testing.T) {
 	f.runTicks(50)
 }
 
+// TestRemoveLeavesNoTrace: a removed construct leaves no pointer in the
+// vacated tail of the insertion-order slice, and the rest keep their order.
+func TestRemoveLeavesNoTrace(t *testing.T) {
+	f := newFixture(t, 8, DefaultConfig(), fastFn())
+	var ids []uint64
+	for i := 0; i < 5; i++ {
+		ids = append(ids, f.mgr.Add(sc.NewClock(3, 1)))
+	}
+	f.runTicks(10)
+	for _, id := range []uint64{ids[1], ids[0], ids[4]} {
+		f.mgr.Remove(id)
+		for i, mc := range f.mgr.order[len(f.mgr.order):cap(f.mgr.order)] {
+			if mc != nil {
+				t.Fatalf("after removing %d: tail slot %d still holds construct %d", id, len(f.mgr.order)+i, mc.id)
+			}
+		}
+	}
+	if len(f.mgr.order) != 2 || f.mgr.order[0].id != ids[2] || f.mgr.order[1].id != ids[3] {
+		t.Fatalf("order after removals holds %d constructs, want ids %d, %d", len(f.mgr.order), ids[2], ids[3])
+	}
+	f.runTicks(10)
+}
+
 func TestAppliedStepsCheaperThanLocal(t *testing.T) {
 	// The point of offloading: applying speculative states must cost far
 	// less than local simulation.

@@ -9,23 +9,22 @@ import (
 )
 
 // Chunk is one 16×16×256 column of blocks, stored a Y-layer at a time: a
-// layer holding a single block type is that Block (fill[y]); a layer that
-// mixes types owns a 256-block array, indexed (z, x). Terrain is almost all
-// uniform layers — stone below the surface band, air above it — so a
-// resident default-world chunk is a few KiB and a flat-world chunk is this
-// header. The zero value is valid empty space (every layer a fill of Air).
+// layer holding a single block type is that Block (its head's fill); a
+// layer that mixes types owns a 256-block array, indexed (z, x). Terrain is
+// almost all uniform layers — stone below the surface band, air above it —
+// and the head stops at the highest layer ever written other than Air, so
+// a resident default-world chunk is a few KiB and a flat-world chunk is
+// this struct and six layer heads. The zero value is valid empty space
+// (every layer a fill of Air).
 //
-// A Chunk must not be copied by value: the copy would share the mixed
-// layers. Use Clone.
+// A Chunk must not be copied by value: the copy would share the head and
+// the mixed layers. Use Clone.
 type Chunk struct {
 	Pos ChunkPos
-	// fill[y] is the block filling layer y while slot[y] is 0.
-	fill [ChunkSizeY]Block
-	// slot[y] is 0 for a uniform layer, else 1 + the index in mixed of the
-	// layer's own blocks. A mixed layer may come to hold one block type
-	// through Set; it is still read as what it holds (Equal and the codec
-	// are defined over content, not representation).
-	slot [ChunkSizeY]uint16
+	// head[y] describes layer y; every layer from len(head) up is a fill of
+	// Block{} (Air, no data). Only a write of another block lengthens it
+	// (reach), and Reset keeps its storage for the next occupant.
+	head []layerHead
 	// mixed is the storage of the non-uniform layers, in the order they
 	// were promoted. Reset keeps the layers past its length for reuse:
 	// within mixed[:cap] the allocated layers form a prefix.
@@ -41,6 +40,17 @@ type Chunk struct {
 	// changes (see Encoded); nil when none is kept. It is immutable and
 	// may be shared with storage, the generation dedup cache and clones.
 	enc []byte
+}
+
+// layerHead is how one Y-layer is stored.
+type layerHead struct {
+	// fill is the block filling the layer while slot is 0.
+	fill Block
+	// slot is 0 for a uniform layer, else 1 + the index in mixed of the
+	// layer's own blocks. A mixed layer may come to hold one block type
+	// through Set; it is still read as what it holds (Equal and the codec
+	// are defined over content, not representation).
+	slot uint16
 }
 
 // layerBlocks is the number of blocks in one Y-layer of a chunk.
@@ -72,24 +82,52 @@ func NewChunk(pos ChunkPos) *Chunk {
 }
 
 // Reset makes c the empty (all-air) chunk at pos with zero Version and
-// GenWork and no kept encoding. The storage of its mixed layers is kept for
-// the next occupant.
+// GenWork and no kept encoding. The storage of its head and mixed layers is
+// kept for the next occupant.
 func (c *Chunk) Reset(pos ChunkPos) {
-	*c = Chunk{Pos: pos, mixed: c.mixed[:0]}
+	*c = Chunk{Pos: pos, head: c.head[:0], mixed: c.mixed[:0]}
 }
 
 // mixedLayer returns the blocks of layer y, or nil if the layer is uniform
-// (fill[y]).
+// (fillOf(y)).
 func (c *Chunk) mixedLayer(y int) *layer {
-	if s := c.slot[y]; s != 0 {
-		return c.mixed[s-1]
+	if y < len(c.head) {
+		if s := c.head[y].slot; s != 0 {
+			return c.mixed[s-1]
+		}
 	}
 	return nil
 }
 
-// promote gives the uniform layer y storage of its own, contents
-// unspecified, reusing a kept layer when there is one. Only that one layer
-// is allocated; the chunk's other layers are never moved.
+// fillOf returns the block filling layer y while it is uniform.
+func (c *Chunk) fillOf(y int) Block {
+	if y < len(c.head) {
+		return c.head[y].fill
+	}
+	return Block{}
+}
+
+// reach lengthens the head to hold layer y; the heads it adds are fills of
+// Block{}, which those layers were. It allocates only past the kept capacity,
+// and then once, by hand rather than by append(make) so that the race
+// detector's build allocates no more.
+func (c *Chunk) reach(y int) {
+	n := len(c.head)
+	if y < n {
+		return
+	}
+	if y >= cap(c.head) {
+		grown := make([]layerHead, n, min(max(y+1, 2*cap(c.head)), ChunkSizeY))
+		copy(grown, c.head)
+		c.head = grown
+	}
+	c.head = c.head[:y+1]
+	clear(c.head[n:])
+}
+
+// promote gives the uniform layer y, which the head reaches, storage of its
+// own, contents unspecified, reusing a kept layer when there is one. Only
+// that one layer is allocated; the chunk's other layers are never moved.
 func (c *Chunk) promote(y int) *layer {
 	n := len(c.mixed)
 	if n < cap(c.mixed) {
@@ -100,7 +138,7 @@ func (c *Chunk) promote(y int) *layer {
 	if c.mixed[n] == nil {
 		c.mixed[n] = new(layer)
 	}
-	c.slot[y] = uint16(n + 1)
+	c.head[y].slot = uint16(n + 1)
 	return c.mixed[n]
 }
 
@@ -138,7 +176,7 @@ func (c *Chunk) At(x, y, z int) Block {
 	if l := c.mixedLayer(y); l != nil {
 		return l[z*ChunkSizeX+x]
 	}
-	return c.fill[y]
+	return c.fillOf(y)
 }
 
 // Set writes the block at chunk-local coordinates. Out-of-bounds writes are
@@ -150,11 +188,13 @@ func (c *Chunk) Set(x, y, z int, b Block) {
 	}
 	l := c.mixedLayer(y)
 	if l == nil {
-		if c.fill[y] == b {
+		fill := c.fillOf(y)
+		if fill == b {
 			return
 		}
+		c.reach(y)
 		l = c.promote(y)
-		l.fillWith(c.fill[y])
+		l.fillWith(fill)
 	}
 	if i := z*ChunkSizeX + x; l[i] != b {
 		l[i] = b
@@ -174,8 +214,9 @@ func (c *Chunk) FillLayer(y int, b Block) {
 			l.fillWith(b)
 			c.changed()
 		}
-	} else if c.fill[y] != b {
-		c.fill[y] = b
+	} else if c.fillOf(y) != b {
+		c.reach(y)
+		c.head[y].fill = b
 		c.changed()
 	}
 }
@@ -195,6 +236,7 @@ func (c *Chunk) SetLayer(y int, blocks *[ChunkSizeX * ChunkSizeZ]Block) {
 			c.FillLayer(y, in[0])
 			return
 		}
+		c.reach(y)
 		l = c.promote(y)
 	} else if *l == *in {
 		return
@@ -213,8 +255,8 @@ func (c *Chunk) changed() {
 // SurfaceY returns the Y coordinate of the highest solid block in the given
 // column, or -1 if the column is empty.
 func (c *Chunk) SurfaceY(x, z int) int {
-	for y := ChunkSizeY - 1; y >= 0; y-- {
-		b := c.fill[y]
+	for y := len(c.head) - 1; y >= 0; y-- {
+		b := c.head[y].fill
 		if l := c.mixedLayer(y); l != nil {
 			b = l[z*ChunkSizeX+x]
 		}
@@ -229,14 +271,14 @@ func (c *Chunk) SurfaceY(x, z int) int {
 // used by tests and the cost model.
 func (c *Chunk) NonAirCount() int {
 	n := 0
-	for y := range c.slot {
+	for y, h := range c.head {
 		if l := c.mixedLayer(y); l != nil {
 			for _, b := range l {
 				if !b.IsAir() {
 					n++
 				}
 			}
-		} else if !c.fill[y].IsAir() {
+		} else if !h.fill.IsAir() {
 			n += layerBlocks
 		}
 	}
@@ -247,6 +289,7 @@ func (c *Chunk) NonAirCount() int {
 // the original (only the kept encoding, which nobody writes).
 func (c *Chunk) Clone() *Chunk {
 	out := *c
+	out.head = slices.Clone(c.head)
 	out.mixed = nil
 	out.resizeMixed(len(c.mixed))
 	for i, l := range c.mixed {
@@ -262,18 +305,18 @@ func (c *Chunk) Equal(o *Chunk) bool {
 	if c.Pos != o.Pos {
 		return false
 	}
-	for y := range c.slot {
+	for y := range max(len(c.head), len(o.head)) {
 		cl, ol := c.mixedLayer(y), o.mixedLayer(y)
 		var same bool
 		switch {
 		case cl != nil && ol != nil:
 			same = *cl == *ol
 		case cl != nil:
-			same = cl.holdsOnly(o.fill[y])
+			same = cl.holdsOnly(o.fillOf(y))
 		case ol != nil:
-			same = ol.holdsOnly(c.fill[y])
+			same = ol.holdsOnly(c.fillOf(y))
 		default:
-			same = c.fill[y] == o.fill[y]
+			same = c.fillOf(y) == o.fillOf(y)
 		}
 		if !same {
 			return false
@@ -380,7 +423,7 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	var uniform [ChunkSizeY]int32
 	for y := range uniform {
 		l := c.mixedLayer(y)
-		blocks := c.fill[y : y+1]
+		blocks := []Block{c.fillOf(y)}
 		if l != nil {
 			blocks = l[:]
 		}
@@ -432,7 +475,7 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 			// repeats them.
 			var run [32]Block
 			for i := range run {
-				run[i] = c.fill[y]
+				run[i] = c.fillOf(y)
 			}
 			n := 4 * int(bits)
 			packIndices(out[:n], run[:], bits, pal)
@@ -537,12 +580,12 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 
 	// A first pass adopts the layers the wire says are uniform — the
 	// common case: periodic, and the eight blocks one type — as fills, and
-	// counts the rest. Nothing of c is written, and no layer allocated,
-	// until every such layer has been range-checked.
-	var fill [ChunkSizeY]Block
-	var slot [ChunkSizeY]uint16
-	mixed := 0
-	for y := range slot {
+	// counts the rest, and the height below which they and every fill
+	// other than Block{} lie. Nothing of c is written, and no layer
+	// allocated, until every such layer has been range-checked.
+	var head [ChunkSizeY]layerHead
+	mixed, top := 0, 0
+	for y := range head {
 		in := data[y*layerLen:][:layerLen]
 		if periodic(in) {
 			var first [8]Block
@@ -550,20 +593,25 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 				return err
 			}
 			if *(*[7]Block)(first[:]) == *(*[7]Block)(first[1:]) {
-				fill[y] = first[0]
+				head[y].fill = first[0]
+				if first[0] != (Block{}) {
+					top = y + 1
+				}
 				continue
 			}
 		}
 		mixed++
-		slot[y] = uint16(mixed)
+		head[y].slot = uint16(mixed)
+		top = y + 1
 	}
 	c.Pos = pos
 	c.Version = 0
 	c.GenWork = 0
 	c.enc = nil
-	c.fill, c.slot = fill, slot
+	c.head = append(c.head[:0], head[:top]...)
 	c.resizeMixed(mixed)
-	for y, s := range slot {
+	for y, h := range c.head {
+		s := h.slot
 		if s == 0 {
 			continue
 		}

@@ -204,8 +204,9 @@ func heapDelta(build func() any) int64 {
 }
 
 // TestResidentChunkFootprint pins what the layered store is for: a resident
-// chunk costs what its mixed layers cost, not a flat 128 KiB. Chunks arrive
-// as the server gets them — decoded from the wire into fresh chunks.
+// chunk costs what its mixed layers cost, not a flat 128 KiB, and a head as
+// tall as its highest non-air layer, not all 256. Chunks arrive as the
+// server gets them — decoded from the wire into fresh chunks.
 func TestResidentChunkFootprint(t *testing.T) {
 	const n = 256
 	for _, tc := range []struct {
@@ -213,7 +214,7 @@ func TestResidentChunkFootprint(t *testing.T) {
 		perChunk int64
 	}{
 		{terrain.Default{Seed: 42}, 16 << 10},
-		{terrain.Flat{}, 2 << 10},
+		{terrain.Flat{}, 256}, // the struct and six layer heads
 	} {
 		encoded := make([][]byte, 0, n)
 		for x := -8; x < 8; x++ {

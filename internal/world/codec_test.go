@@ -248,15 +248,23 @@ func TestDecodeForeignStreams(t *testing.T) {
 
 // TestDecodeChunkAllocationBounded: nothing is allocated before header,
 // palette and length validate — a hostile header cannot make the decoder
-// allocate at all — and whatever the input, decoding never allocates more
-// than one flat chunk: a stream is free to mix all 256 layers (8 KiB of
-// 1-bit indices does), and then the decoder owes each its 512 bytes, but
-// never more than that and its 2 KiB table of layers — beside, as ever, a
-// palette of more than 64 entries, which the input's own length justifies.
+// allocate at all — and whatever the input, a chunk decoded fresh never
+// costs more than one flat chunk: a stream is free to mix all 256 layers
+// (8 KiB of 1-bit indices does), and then the decoder owes each its 512
+// bytes, but never more than that, its 2 KiB table of layers and the
+// Chunk with its 1 KiB of layer heads — beside, as ever, a palette of more
+// than 64 entries, which the input's own length justifies.
 func TestDecodeChunkAllocationBounded(t *testing.T) {
+	// allocated reports what decoding buf into c allocates; a nil c is a
+	// new Chunk allocated inside the measurement, so the figure is what
+	// the whole decoded chunk costs.
 	allocated := func(c *world.Chunk, buf []byte) (uint64, error) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		if c == nil {
+			c = new(world.Chunk)
+			decodedChunk = c // on the heap, as a resident chunk is
+		}
 		err := world.DecodeChunkInto(c, buf)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, err
@@ -286,8 +294,10 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 		}
 	}
 
-	// One flat chunk, the layer table, and slack for size-class rounding.
-	const ceiling = 2*world.BlocksPerChunk + 2048 + 1024
+	// One flat chunk's blocks, the layer table, the Chunk — its layer heads
+	// (4 bytes a layer) and 128 bytes of fields — and slack for size-class
+	// rounding.
+	const ceiling = 2*world.BlocksPerChunk + 2048 + 4*world.ChunkSizeY + 128 + 1024
 	for name, tc := range map[string]struct {
 		buf     []byte
 		palette uint64 // what a spilled palette may add
@@ -295,7 +305,7 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 		"noise-1bit":   {noise1bit, 0}, // 8 KiB that mix every layer
 		"palette-4097": {paletteChunk(r, 4097, true).Encode(), 2 * 4097 * 5 / 4},
 	} {
-		got, err := allocated(new(world.Chunk), tc.buf)
+		got, err := allocated(nil, tc.buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -311,10 +321,14 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 		}
 		return uint32(r.Intn(2))
 	})
-	if got, err := allocated(new(world.Chunk), bad); err == nil || got > ceiling {
+	if got, err := allocated(nil, bad); err == nil || got > ceiling {
 		t.Errorf("bad last index: err %v, allocated %d", err, got)
 	}
 }
+
+// decodedChunk keeps the chunk TestDecodeChunkAllocationBounded measures
+// on the heap.
+var decodedChunk *world.Chunk
 
 // FuzzDecodeChunk feeds the decoder arbitrary bytes. It must not panic,
 // must agree with the per-block oracle on what is accepted and on every

@@ -17,8 +17,8 @@ func layerKinds(t *testing.T) (c *Chunk, fillY, mixedY, uniformMixedY int) {
 	c.Set(3, mixedY, 5, Block{ID: Wire, Data: 7})
 	c.Set(1, uniformMixedY, 2, Block{ID: Lamp})
 	c.Set(1, uniformMixedY, 2, Block{ID: Stone})
-	if c.slot[fillY] != 0 || c.slot[mixedY] == 0 || c.slot[uniformMixedY] == 0 {
-		t.Fatalf("layer kinds not as built: slots %d %d %d", c.slot[fillY], c.slot[mixedY], c.slot[uniformMixedY])
+	if c.mixedLayer(fillY) != nil || c.mixedLayer(mixedY) == nil || c.mixedLayer(uniformMixedY) == nil {
+		t.Fatalf("layer kinds not as built: heads %v %v %v", c.head[fillY], c.head[mixedY], c.head[uniformMixedY])
 	}
 	return c, fillY, mixedY, uniformMixedY
 }
@@ -68,7 +68,7 @@ func TestEqualAndEncodeIgnoreRepresentation(t *testing.T) {
 		b.FillLayer(y, Block{ID: Stone})
 	}
 	b.Set(3, mixedY, 5, Block{ID: Wire, Data: 7})
-	if b.slot[uniformMixedY] != 0 {
+	if b.mixedLayer(uniformMixedY) != nil {
 		t.Fatal("b's layer is not a fill")
 	}
 	if !a.Equal(b) || !b.Equal(a) {
@@ -87,7 +87,7 @@ func TestEqualAndEncodeIgnoreRepresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Equal(a) || dec.slot[uniformMixedY] != 0 || len(dec.mixed) != 1 {
+	if !dec.Equal(a) || dec.mixedLayer(uniformMixedY) != nil || len(dec.mixed) != 1 {
 		t.Fatalf("decode did not adopt the uniform layer as a fill (%d mixed layers)", len(dec.mixed))
 	}
 	// One block's difference is seen from both sides and in every pairing.
@@ -102,9 +102,10 @@ func TestEqualAndEncodeIgnoreRepresentation(t *testing.T) {
 	}
 }
 
-// TestPromoteAllocatesOneLayer: the first Set that mixes a uniform layer
-// allocates that layer's 512 bytes and nothing else — in particular it does
-// not move the chunk's other mixed layers — and a Set into a layer already
+// TestPromoteAllocatesOneLayer: the first Set that mixes a uniform layer the
+// head reaches allocates that layer's 512 bytes and nothing else — in
+// particular it does not move the chunk's other mixed layers — one above
+// the head allocates the grown head too, and a Set into a layer already
 // mixed allocates nothing.
 func TestPromoteAllocatesOneLayer(t *testing.T) {
 	c := NewChunk(ChunkPos{})
@@ -112,6 +113,7 @@ func TestPromoteAllocatesOneLayer(t *testing.T) {
 		c.Set(0, y, 0, Block{ID: Stone}) // 64 mixed layers, and room in the table
 	}
 	c.mixed = append(make([]*layer, 0, ChunkSizeY), c.mixed...)
+	c.reach(ChunkSizeY - 1) // and a head that reaches every layer
 	first := c.mixed[0]
 	y := 64
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -136,5 +138,28 @@ func TestPromoteAllocatesOneLayer(t *testing.T) {
 		y++
 	}); allocs != 0 {
 		t.Fatalf("promoting into kept storage allocates %.1f objects, want 0", allocs)
+	}
+	// Above a head that stops short — building on a flat world's chunk —
+	// the first edit also grows the head: two objects, the layer and the
+	// head, and never the other layers.
+	short := make([]*Chunk, 101)
+	for i := range short {
+		short[i] = NewChunk(ChunkPos{})
+		for y := range 4 {
+			short[i].FillLayer(y, Block{ID: Stone})
+		}
+		short[i].mixed = make([]*layer, 0, ChunkSizeY)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		short[i].Set(1, 64, 1, Block{ID: Lamp})
+		i++
+	}); allocs != 2 {
+		t.Fatalf("promoting a layer above the head allocates %.1f objects, want 2", allocs)
+	}
+	for _, s := range short {
+		if s.At(0, 3, 0).ID != Stone || s.At(1, 64, 1).ID != Lamp || s.At(1, 63, 1) != (Block{}) {
+			t.Fatal("growing the head disturbed a layer")
+		}
 	}
 }

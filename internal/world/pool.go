@@ -2,16 +2,17 @@ package world
 
 // ChunkPool is a bounded freelist of Chunk values for the chunk-churn fast
 // path: generation storms, store round-trips and far-chunk unloads move a
-// Chunk per event — its 1 KiB layer table plus 512 bytes for every mixed
-// layer, ~6 KiB of default terrain — and without recycling each is two or
-// three fresh heap allocations. The pool is deliberately not
+// Chunk per event — its layer heads (4 bytes a layer up to the highest
+// non-air one) plus 512 bytes for every mixed layer, ~6 KiB of default
+// terrain — and without recycling each is three or four fresh heap
+// allocations. The pool is deliberately not
 // concurrency-safe — each shard owns one, and all Get/Put calls happen on
 // that shard's lane (or inside its ordered commit drain), which the lane
 // scheduler already serialises.
 //
-// Put resets the chunk before shelving it (Chunk.Reset: the layer table is
-// cleared, the storage of its mixed layers is kept for the next occupant
-// to decode into), so Get is semantically identical to NewChunk: a pooled
+// Put resets the chunk before shelving it (Chunk.Reset: the layer heads
+// are cleared, their storage and that of the mixed layers is kept for the
+// next occupant to decode into), so Get is semantically identical to NewChunk: a pooled
 // chunk is indistinguishable from a fresh one (all-air blocks, zero
 // Version/GenWork). All methods are nil-safe; a nil *ChunkPool degrades to
 // plain allocation.
