@@ -13,6 +13,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -30,19 +31,12 @@ func main() {
 	seed := flag.Int64("seed", 42, "world seed")
 	flag.Parse()
 
-	cfg := servo.Config{Seed: *seed, WorldType: *worldType, RealTime: true}
-	switch *profile {
-	case "opencraft":
-		cfg.Profile = servo.Opencraft
-	case "minecraft":
-		cfg.Profile = servo.Minecraft
-	default:
-		cfg.Profile = servo.ServoProfile
+	cfg, err := newConfig(*worldType, *profile, *serverless, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "servo-server: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *serverless {
-		cfg.Servo = servo.AllServerless()
-	}
-
 	inst := servo.NewInstance(cfg)
 	defer inst.Stop()
 
@@ -66,4 +60,30 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	log.Printf("servo-server: shutting down; %s; %+v", inst.TickStats(), srv.Stats())
+}
+
+// newConfig builds the real-time instance config the flags select. An
+// unknown world type or profile is an error: neither falls back to a
+// default.
+func newConfig(worldType, profile string, serverless bool, seed int64) (servo.Config, error) {
+	cfg := servo.Config{Seed: seed, WorldType: worldType, RealTime: true}
+	switch worldType {
+	case "default", "flat":
+	default:
+		return cfg, fmt.Errorf(`-world must be "default" or "flat" (got %q)`, worldType)
+	}
+	switch profile {
+	case "servo":
+		cfg.Profile = servo.ServoProfile
+	case "opencraft":
+		cfg.Profile = servo.Opencraft
+	case "minecraft":
+		cfg.Profile = servo.Minecraft
+	default:
+		return cfg, fmt.Errorf(`-profile must be "servo", "opencraft" or "minecraft" (got %q)`, profile)
+	}
+	if serverless {
+		cfg.Servo = servo.AllServerless()
+	}
+	return cfg, nil
 }

@@ -105,28 +105,26 @@ func (g Default) Generate(pos world.ChunkPos) *world.Chunk {
 // dirtDepth is how many blocks of dirt lie under a grass or sand surface.
 const dirtDepth = 3
 
+// chunkColumns is the number of columns in a chunk, one per (z, x).
+const chunkColumns = world.ChunkSizeX * world.ChunkSizeZ
+
 // GenerateInto implements Generator. A column is bedrock, stone up to its
 // height h, a surface block at h (over dirtDepth blocks of dirt when it is
-// grass or sand) and water from there up to sea level. The chunk is
-// written a Y-layer at a time, because that is how world.Chunk stores it:
-// every layer more than dirtDepth below the lowest column is stone and
-// every layer above the highest column and the sea is air, each said once,
-// and only the band between — a dozen layers or so — is composed block by
-// block.
+// grass or sand) and water from there up to sea level. The heights come
+// from heightmap, a chunk at a time. The chunk is written a Y-layer at a
+// time, because that is how world.Chunk stores it: every layer more than
+// dirtDepth below the lowest column is stone and every layer above the
+// highest column and the sea is air, each said once, and only the band
+// between — a dozen layers or so — is composed block by block.
 func (g Default) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
 	c.Reset(pos)
-	const columns = world.ChunkSizeX * world.ChunkSizeZ
-	var heights [columns]int            // indexed (z, x), as a layer is
-	var surfaces [columns]world.BlockID // the block at each column's height
-	origin := pos.Origin()
+	var heights [chunkColumns]int            // indexed (z, x), as a layer is
+	var surfaces [chunkColumns]world.BlockID // the block at each column's height
+	g.heightmap(&heights, pos.Origin())
 	minH, maxH := world.ChunkSizeY, 0
-	for z := 0; z < world.ChunkSizeZ; z++ {
-		for x := 0; x < world.ChunkSizeX; x++ {
-			h := g.heightAt(origin.X+x, origin.Z+z)
-			heights[z*world.ChunkSizeX+x] = h
-			surfaces[z*world.ChunkSizeX+x] = surfaceAt(h)
-			minH, maxH = min(minH, h), max(maxH, h)
-		}
+	for i, h := range heights {
+		surfaces[i] = surfaceAt(h)
+		minH, maxH = min(minH, h), max(maxH, h)
 	}
 
 	c.FillLayer(0, world.Block{ID: world.Bedrock})
@@ -134,7 +132,7 @@ func (g Default) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
 	for ; y < minH-dirtDepth; y++ {
 		c.FillLayer(y, world.Block{ID: world.Stone})
 	}
-	var layer [columns]world.Block
+	var layer [chunkColumns]world.Block
 	for ; y <= max(maxH, seaLevel); y++ {
 		for i, h := range heights {
 			surface := surfaces[i]
@@ -172,35 +170,81 @@ func surfaceAt(h int) world.BlockID {
 	}
 }
 
-// heightAt computes the terrain height via three noise octaves.
-func (g Default) heightAt(x, z int) int {
-	h := float64(baseHeight)
-	h += 28 * g.noise(float64(x)/173.0, float64(z)/173.0, 0)
-	h += 12 * g.noise(float64(x)/59.0, float64(z)/59.0, 1)
-	h += 4 * g.noise(float64(x)/17.0, float64(z)/17.0, 2)
-	if h < 1 {
-		h = 1
-	}
-	if h > world.ChunkSizeY-2 {
-		h = world.ChunkSizeY - 2
-	}
-	return int(h)
+// octaves are the default terrain's value-noise octaves: a column's height
+// is baseHeight plus amp × noise(x/scale, z/scale) of each, summed in this
+// order, with the octave's index salting its lattice. Every scale is wider
+// than a chunk (> world.ChunkSizeX and world.ChunkSizeZ columns), so a
+// chunk's columns lie in at most two lattice cells per axis and touch at
+// most 3×3 lattice corners an octave: heightmap's corner table holds
+// exactly that many.
+var octaves = [...]struct{ scale, amp float64 }{
+	{173, 28},
+	{59, 12},
+	{17, 4},
 }
 
-// noise is smooth 2D value noise in [-1, 1]: hash lattice values with
-// smoothstep bilinear interpolation.
-func (g Default) noise(x, z float64, octave int64) float64 {
-	x0, z0 := math.Floor(x), math.Floor(z)
-	fx, fz := x-x0, z-z0
-	ix, iz := int64(x0), int64(z0)
-	v00 := g.lattice(ix, iz, octave)
-	v10 := g.lattice(ix+1, iz, octave)
-	v01 := g.lattice(ix, iz+1, octave)
-	v11 := g.lattice(ix+1, iz+1, octave)
-	sx, sz := smoothstep(fx), smoothstep(fz)
-	top := v00 + (v10-v00)*sx
-	bot := v01 + (v11-v01)*sx
-	return top + (bot-top)*sz
+// heightmap sets hm, indexed (z, x) as a layer is, to the terrain height
+// of every column of the chunk whose first column is origin. It is smooth
+// 2D value noise — hashed lattice values, smoothstep-weighted bilinear
+// interpolation — evaluated a chunk at a time: each octave hashes the
+// lattice corners the chunk touches once, and each column's lattice cell
+// and weight are worked out once per X and once per Z. The arithmetic is
+// the per-column evaluation's, expression for expression and in the same
+// order, so every height is bit-identical to it.
+func (g Default) heightmap(hm *[chunkColumns]int, origin world.BlockPos) {
+	var sum [chunkColumns]float64
+	for i := range sum {
+		sum[i] = baseHeight
+	}
+	for o, oct := range octaves {
+		// Each column's lattice cell, as an offset from the first
+		// column's, and its smoothstep weight within the cell.
+		var cx, cz [world.ChunkSizeX]int
+		var sx, sz [world.ChunkSizeX]float64
+		ix0 := cell(origin.X, oct.scale, &cx, &sx)
+		iz0 := cell(origin.Z, oct.scale, &cz, &sz)
+		var corner [3][3]float64 // [x][z] from (ix0, iz0)
+		for a := 0; a <= cx[world.ChunkSizeX-1]+1; a++ {
+			for b := 0; b <= cz[world.ChunkSizeZ-1]+1; b++ {
+				corner[a][b] = g.lattice(ix0+int64(a), iz0+int64(b), int64(o))
+			}
+		}
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			b := cz[z]
+			for x := 0; x < world.ChunkSizeX; x++ {
+				a := cx[x]
+				v00, v10 := corner[a][b], corner[a+1][b]
+				v01, v11 := corner[a][b+1], corner[a+1][b+1]
+				top := v00 + (v10-v00)*sx[x]
+				bot := v01 + (v11-v01)*sx[x]
+				sum[z*world.ChunkSizeX+x] += oct.amp * (top + (bot-top)*sz[z])
+			}
+		}
+	}
+	for i, h := range sum {
+		if h < 1 {
+			h = 1
+		}
+		if h > world.ChunkSizeY-2 {
+			h = world.ChunkSizeY - 2
+		}
+		hm[i] = int(h)
+	}
+}
+
+// cell returns the lattice coordinate of world coordinate w0 at the given
+// scale, and for each of the chunk's columns w0+i along one axis (a chunk
+// is as wide in Z as in X) sets off[i] to its lattice coordinate as an
+// offset from w0's and s[i] to its smoothstep weight within that cell.
+func cell(w0 int, scale float64, off *[world.ChunkSizeX]int, s *[world.ChunkSizeX]float64) int64 {
+	i0 := int64(math.Floor(float64(w0) / scale))
+	for i := range off {
+		v := float64(w0+i) / scale
+		f := math.Floor(v)
+		off[i] = int(int64(f) - i0)
+		s[i] = smoothstep(v - f)
+	}
+	return i0
 }
 
 func smoothstep(t float64) float64 { return t * t * (3 - 2*t) }
@@ -232,7 +276,8 @@ func (Default) WorkUnits() int { return defaultWorkUnits }
 func (Default) Name() string { return "default" }
 
 // ForWorldType returns the generator for a Table I world type name.
-// Unknown names fall back to the default generator.
+// Unknown names fall back to the default generator; servo.NewInstance and
+// the scenario spec refuse them before they get here.
 func ForWorldType(name string, seed int64) Generator {
 	if name == "flat" {
 		return Flat{}

@@ -2,6 +2,7 @@ package terrain
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -173,7 +174,40 @@ func TestGeneratedChunkEncodesRoundTrip(t *testing.T) {
 
 // The column-major generators the product shipped until chunks became
 // layered, kept verbatim as the reference GenerateInto is held to: one Set
-// per block, no knowledge of layers.
+// per block, no knowledge of layers, and every column's height computed on
+// its own by heightAt, which hashes the four lattice corners around it in
+// each octave.
+
+// heightAt computes the terrain height via three noise octaves.
+func (g Default) heightAt(x, z int) int {
+	h := float64(baseHeight)
+	h += 28 * g.noise(float64(x)/173.0, float64(z)/173.0, 0)
+	h += 12 * g.noise(float64(x)/59.0, float64(z)/59.0, 1)
+	h += 4 * g.noise(float64(x)/17.0, float64(z)/17.0, 2)
+	if h < 1 {
+		h = 1
+	}
+	if h > world.ChunkSizeY-2 {
+		h = world.ChunkSizeY - 2
+	}
+	return int(h)
+}
+
+// noise is smooth 2D value noise in [-1, 1]: hash lattice values with
+// smoothstep bilinear interpolation.
+func (g Default) noise(x, z float64, octave int64) float64 {
+	x0, z0 := math.Floor(x), math.Floor(z)
+	fx, fz := x-x0, z-z0
+	ix, iz := int64(x0), int64(z0)
+	v00 := g.lattice(ix, iz, octave)
+	v10 := g.lattice(ix+1, iz, octave)
+	v01 := g.lattice(ix, iz+1, octave)
+	v11 := g.lattice(ix+1, iz+1, octave)
+	sx, sz := smoothstep(fx), smoothstep(fz)
+	top := v00 + (v10-v00)*sx
+	bot := v01 + (v11-v01)*sx
+	return top + (bot-top)*sz
+}
 
 func oracleFlatGenerate(pos world.ChunkPos) *world.Chunk {
 	c := world.NewChunk(pos)
@@ -282,4 +316,48 @@ func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOctavesWiderThanChunk pins the assumption heightmap's 3×3 corner
+// table rests on: an octave no wider than a chunk would put its columns in
+// three or more lattice cells along an axis.
+func TestOctavesWiderThanChunk(t *testing.T) {
+	for i, oct := range octaves {
+		if oct.scale <= world.ChunkSizeX || oct.scale <= world.ChunkSizeZ {
+			t.Errorf("octave %d: scale %v is not wider than a %d×%d chunk", i, oct.scale, world.ChunkSizeX, world.ChunkSizeZ)
+		}
+	}
+}
+
+// FuzzHeightmap holds the per-chunk heightmap to the per-column heightAt
+// on every column of a fuzzed chunk. The seeds cover the origin, negative
+// chunks (where floor rounds away from zero), chunks straddling a lattice
+// line of each octave on either side of zero, and chunks near ±2²⁷, whose
+// origins near the int32 range the codec stores.
+func FuzzHeightmap(f *testing.F) {
+	f.Add(int64(0), int32(0), int32(0))
+	f.Add(int64(1), int32(-1), int32(-1))
+	f.Add(int64(42), int32(-7), int32(3))
+	for _, scale := range []int32{17, 59, 173} {
+		// The chunk holding world X (then Z) = ±scale.
+		f.Add(int64(7), scale/world.ChunkSizeX, int32(0))
+		f.Add(int64(7), int32(0), scale/world.ChunkSizeZ)
+		f.Add(int64(7), -scale/world.ChunkSizeX-1, -scale/world.ChunkSizeZ-1)
+	}
+	f.Add(int64(-3), int32(1<<27-1), int32(-(1 << 27)))
+	f.Add(int64(9), int32(-(1 << 27)), int32(1<<27-1))
+	f.Add(int64(math.MinInt64), int32(math.MaxInt32), int32(math.MinInt32))
+	f.Fuzz(func(t *testing.T, seed int64, cx, cz int32) {
+		g := Default{Seed: seed}
+		origin := world.ChunkPos{X: int(cx), Z: int(cz)}.Origin()
+		var hm [chunkColumns]int
+		g.heightmap(&hm, origin)
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			for x := 0; x < world.ChunkSizeX; x++ {
+				if got, want := hm[z*world.ChunkSizeX+x], g.heightAt(origin.X+x, origin.Z+z); got != want {
+					t.Fatalf("seed %d chunk (%d, %d) column (%d, %d): height %d, heightAt %d", seed, cx, cz, x, z, got, want)
+				}
+			}
+		}
+	})
 }

@@ -411,13 +411,19 @@ func (c *Chunk) KeepEncoded(buf []byte) { c.enc = buf }
 // order, for determinism) — one lookup for a uniform layer, which is all
 // but a dozen or so of a terrain chunk's 256; a second packs the indices,
 // walking only the mixed layers block by block and filling the rest by
-// copying. Palette lookups use a linear scan with a last-hit memo instead
-// of a map: real chunks have tiny palettes and long runs of identical
-// blocks, which makes this several times faster than hashing.
+// copying. Both passes look a block's palette index up only when it differs
+// from the block before (a last-hit memo: real chunks have long runs of
+// identical blocks), and then by its ID: a 256-entry table, kept on the
+// stack, maps each BlockID to the palette index of its Data-0 block, which
+// is every block terrain generates. Only a block with Data ≠ 0 (circuit
+// state) falls back to a linear scan of the palette — real palettes are
+// tiny, so the scan still beats hashing.
 func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
+	var byID idTable      // the Data-0 entries of pal
 	lastKey, lastIdx := c.At(0, 0, 0).key(), 0
 	pal := append(palArr[:0], lastKey)
+	byID.add(lastKey, 0)
 	// uniform[y] is the palette index filling layer y, or -1 if the layer
 	// has blocks of its own.
 	var uniform [ChunkSizeY]int32
@@ -429,10 +435,11 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 		}
 		for _, b := range blocks {
 			if k := b.key(); k != lastKey {
-				lastKey, lastIdx = k, slices.Index(pal, k)
+				lastKey, lastIdx = k, paletteIndex(k, pal, &byID)
 				if lastIdx < 0 {
 					lastIdx = len(pal)
 					pal = append(pal, k)
+					byID.add(k, lastIdx)
 				}
 			}
 		}
@@ -467,7 +474,7 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 		out := data[y*layerLen:][:layerLen]
 		switch {
 		case idx < 0:
-			packIndices(out, c.mixedLayer(y)[:], bits, pal)
+			packIndices(out, c.mixedLayer(y)[:], bits, pal, &byID)
 		case y > 0 && uniform[y-1] == idx:
 			copy(out, data[(y-1)*layerLen:]) // runs of one layer are the norm
 		default:
@@ -478,7 +485,7 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 				run[i] = c.fillOf(y)
 			}
 			n := 4 * int(bits)
-			packIndices(out[:n], run[:], bits, pal)
+			packIndices(out[:n], run[:], bits, pal, &byID)
 			for ; n < layerLen; n *= 2 {
 				copy(out[n:], out[:n])
 			}
@@ -487,17 +494,38 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	return dst
 }
 
+// idTable maps a BlockID to 1 + the palette index of its Data-0 block,
+// or 0 while that block is not in the palette.
+type idTable [256]int32
+
+// add records that key k is palette entry i, if k is a Data-0 key.
+func (t *idTable) add(k uint16, i int) {
+	if k&0xff == 0 {
+		t[k>>8] = int32(i + 1)
+	}
+}
+
+// paletteIndex returns the index of key k in pal, or -1 if it is not
+// there: from byID for a Data-0 key, else by scanning pal.
+func paletteIndex(k uint16, pal []uint16, byID *idTable) int {
+	if k&0xff == 0 {
+		return int(byID[k>>8]) - 1
+	}
+	return slices.Index(pal, k)
+}
+
 // packIndices packs the palette index of every block in blocks, bits wide
 // each, into out, which they must fill to a whole number of 32-bit words
-// (any multiple of 32 blocks does). Every block must be in pal.
-func packIndices(out []byte, blocks []Block, bits uint, pal []uint16) {
+// (any multiple of 32 blocks does). Every block must be in pal; byID
+// indexes pal's Data-0 entries.
+func packIndices(out []byte, blocks []Block, bits uint, pal []uint16, byID *idTable) {
 	lastKey := blocks[0].key()
-	lastIdx := slices.Index(pal, lastKey)
+	lastIdx := paletteIndex(lastKey, pal, byID)
 	var acc uint64 // pending bits, the oldest lowest
 	var n uint     // how many of them
 	for _, b := range blocks {
 		if k := b.key(); k != lastKey {
-			lastKey, lastIdx = k, slices.Index(pal, k)
+			lastKey, lastIdx = k, paletteIndex(k, pal, byID)
 		}
 		acc |= uint64(lastIdx) << n
 		n += bits

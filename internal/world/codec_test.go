@@ -51,6 +51,27 @@ func paletteChunk(r *rand.Rand, n int, noisy bool) *world.Chunk {
 	return c
 }
 
+// sameIDChunk returns terrain whose surface band mixes one block type
+// with Data 0 and with non-zero Data; dataFirst picks which the chunk's
+// block order meets first.
+func sameIDChunk(r *rand.Rand, dataFirst bool) *world.Chunk {
+	c := terrain.Default{Seed: r.Int63()}.Generate(randomPos(r))
+	id := []world.BlockID{world.Stone, world.Dirt, world.Wire}[r.Intn(3)]
+	first, second := world.Block{ID: id}, world.Block{ID: id, Data: uint8(1 + r.Intn(255))}
+	if dataFirst {
+		first, second = second, first
+	}
+	c.Set(0, 0, 0, first)
+	for i := 0; i < 600; i++ {
+		b := first
+		if r.Intn(2) == 0 {
+			b = second
+		}
+		c.Set(r.Intn(16), 1+r.Intn(80), r.Intn(16), b)
+	}
+	return c
+}
+
 // codecShapes are the chunk shapes the codec is held to the oracle on.
 var codecShapes = []struct {
 	name string
@@ -97,6 +118,31 @@ var codecShapes = []struct {
 	{"palette-65", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 65, false) }, 65},
 	{"palette-257", 2, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 257, false) }, 257},
 	{"palette-4097", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 4097, false) }, 4097},
+	// The encoder finds a Data-0 block's palette index by its ID and
+	// scans the palette for any other: one ID with and without Data, in
+	// both orders of first appearance, crossing inside mixed layers.
+	{"same-id-data0-first", 2, func(r *rand.Rand) *world.Chunk { return sameIDChunk(r, false) }, 0},
+	{"same-id-data-first", 2, func(r *rand.Rand) *world.Chunk { return sameIDChunk(r, true) }, 0},
+	// Every ID with Data 0 and with Data 1 in a shuffled order: palette
+	// indices past 255 behind both the table and the scan.
+	{"every-id-both-data", 2, func(r *rand.Rand) *world.Chunk {
+		keys := r.Perm(512)
+		return fillChunk(randomPos(r), func(x, y, z int) world.Block {
+			k := keys[((y*world.ChunkSizeZ+z)*world.ChunkSizeX+x)/8%512]
+			return world.Block{ID: world.BlockID(k >> 1), Data: uint8(k & 1)}
+		})
+	}, 512},
+	// ID 255, the table's last entry, first with Data 0 and then
+	// {ID: 255, Data: 255}, the key the oracle's memo mistakes for "none"
+	// (TestEncodeFirstBlockAllOnes has it as the first block).
+	{"id-255", 2, func(r *rand.Rand) *world.Chunk {
+		return fillChunk(randomPos(r), func(x, y, z int) world.Block {
+			if y < 128 || (x+z)%3 == 0 {
+				return world.Block{ID: 255}
+			}
+			return world.Block{ID: 255, Data: uint8(255 - r.Intn(2))}
+		})
+	}, 3},
 	{"palette-65-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 65, true) }, 65},
 	{"palette-4097-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 4097, true) }, 4097},
 }
@@ -146,17 +192,28 @@ func TestCodecMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEncodeFirstBlockAllOnes covers the one input the oracle gets wrong:
-// a first block whose key is the old encoder's "no memo" sentinel.
+// TestEncodeFirstBlockAllOnes covers the one input the oracle gets wrong,
+// so it cannot be held to OracleEncode's bytes: a first block whose key is
+// the old encoder's "no memo" sentinel. The encoding must list it first in
+// the palette, and both decoders must read the chunk back.
 func TestEncodeFirstBlockAllOnes(t *testing.T) {
 	c := world.NewChunk(world.ChunkPos{X: 1, Z: 2})
 	c.Set(0, 0, 0, keyBlock(0xffff))
 	c.Set(1, 0, 0, keyBlock(0xffff))
-	dec, err := world.DecodeChunk(c.Encode())
+	enc := c.Encode()
+	// Two palette entries: {ID: 255, Data: 255}, then air.
+	if want := []byte{2, 0, 0xff, 0xff, 0, 0}; !bytes.Equal(enc[12:18], want) {
+		t.Fatalf("palette % x, want % x", enc[12:18], want)
+	}
+	dec, err := world.DecodeChunk(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Equal(c) {
+	ref := new(world.Chunk)
+	if err := world.OracleDecodeInto(ref, enc); err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Equal(c) || !ref.Equal(c) {
 		t.Fatal("round trip mismatch")
 	}
 }

@@ -122,7 +122,8 @@ type AutoscaleConfig struct {
 type Config struct {
 	// Seed makes the instance deterministic. Zero means seed 1.
 	Seed int64
-	// WorldType is "flat" or "default" (procedurally generated terrain).
+	// WorldType is "flat" or "default" (procedurally generated terrain);
+	// empty means "default".
 	WorldType string
 	// Profile selects the cost profile; zero means the Servo profile.
 	Profile Profile
@@ -256,10 +257,17 @@ type Instance struct {
 // shards beyond the tile count could never own territory and their
 // Home placement would silently land players elsewhere), and on an
 // enabled Autoscale whose effective shard bounds the cluster cannot
-// keep (a minimum above the maximum, or a maximum beyond the grid).
+// keep (a minimum above the maximum, or a maximum beyond the grid). It
+// panics on an unknown WorldType too, rather than serve a misspelt flat
+// world as procedural terrain.
 func NewInstance(cfg Config) *Instance {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	switch cfg.WorldType {
+	case "", "flat", "default":
+	default:
+		panic(fmt.Sprintf(`servo: WorldType must be "flat" or "default" (got %q)`, cfg.WorldType))
 	}
 	topo := cfg.Topology.topology()
 	if topo != nil && cfg.Shards > topo.Tiles() {

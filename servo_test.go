@@ -219,6 +219,21 @@ func TestTopologyConfigRejectsInvalid(t *testing.T) {
 	})
 }
 
+// TestUnknownWorldTypePanics: a misspelt world type panics rather than
+// boot the procedural default world in its place.
+func TestUnknownWorldTypePanics(t *testing.T) {
+	for _, wt := range []string{"flatt", "Default", "opencraft"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WorldType %q: NewInstance did not panic", wt)
+				}
+			}()
+			NewInstance(Config{WorldType: wt}).Stop()
+		}()
+	}
+}
+
 // TestGridTopologyInstance boots a sharded instance over a 2-D grid
 // topology through the public API and checks that a Z-axis spread of
 // players lands on different shards — the placement a band topology
