@@ -1,7 +1,6 @@
 package world
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -327,35 +326,55 @@ func (c *Chunk) Equal(o *Chunk) bool {
 
 // --- Binary encoding -------------------------------------------------------
 //
-// Format (little-endian):
+// The encoding carries the resident layout: runs of layers that each hold a
+// single block type, and packed palette indices only for the layers that
+// mix types. Format (little-endian):
 //
-//	magic   uint32  = 0x53564f43 ("SVOC")
+//	magic   uint32  = 0x53564f4c ("SVOL")
 //	posX    int32
 //	posZ    int32
-//	palLen  uint16          number of palette entries
-//	palette palLen × uint16 packed Block keys
+//	palMax  uint16          number of palette entries − 1 (never empty)
+//	palette palMax+1 × uint16 packed Block keys
 //	bits    uint8           index width in bits (1..16)
-//	data    ceil(BlocksPerChunk*bits/8) bytes of packed indices
+//	runs    3 bytes each, covering layers 0..255 bottom up:
+//	  len   uint8           layers in the run − 1
+//	  fill  uint16          palette index of the block filling each of
+//	                        them, or 0xffff (mixedRun): they mix types
+//	data    32*bits bytes per mixed layer, in Y order
 //
-// The palette makes typical terrain chunks (a handful of block types)
-// encode in a few kilobytes instead of the raw 128 KiB.
+// A flat chunk is a few runs and no data; a default-terrain chunk spells out
+// only its surface band. 0xffff is never a fill index: a chunk with a
+// uniform layer holds at most 1 + 255*256 = 65 281 distinct blocks, so the
+// only palette with an index 0xffff — all 65 536 keys — leaves no layer
+// uniform.
 //
-// Layer alignment. Indices are packed in block order (y, z, x), the i-th
-// at bit offset i*bits, least-significant bit first. One Y-layer is
-// layerBlocks = 256 indices, so it occupies 256*bits bits = 8*bits 32-bit
-// words for every legal width: each layer starts word-aligned at byte
-// y*32*bits of data, and a layer of one block type is a bits-byte pattern
-// (eight indices) repeated 32 times. The codec below relies on both facts —
-// it packs and unpacks a layer at a time through whole 32-bit words and
-// fills repetitive layers by copying — but they are properties of the
-// format above, not additions to it: the bytes are exactly those the
-// per-block packing loop (kept as the test oracle in codec_oracle_test.go)
-// produces, and any stream in this format decodes, whoever wrote it.
+// A mixed layer's 256 indices are packed in block order (z, x), the i-th at
+// bit offset i*bits, least-significant bit first: 256*bits bits are 8*bits
+// whole 32-bit words for every legal width, which packIndices and
+// unpackIndices read and write a word at a time.
+//
+// EncodeAppend writes one canonical stream per content: the palette in
+// order of first appearance in (y, z, x) block order, the narrowest width,
+// maximal runs, and every layer that holds one block type — however the
+// chunk stores it — as a fill. DecodeChunkInto accepts any stream in the
+// format: wider widths, repeated palette entries, runs split in two and
+// mixed layers of one type all decode, and every run, index and length is
+// checked. Nothing may follow the data. There is one format: chunk bytes
+// live only in memory and on the wire, never past the process that wrote
+// them, so a stream in the earlier all-layers format (magic "SVOC") is
+// refused like any other bad magic.
 
-const chunkMagic = 0x53564f43
+const chunkMagic = 0x53564f4c
 
 // chunkHeaderLen is the fixed part of an encoding before the palette.
 const chunkHeaderLen = 14
+
+// runLen is the length of one layer run; mixedRun is the fill index of a
+// run of mixed layers.
+const (
+	runLen   = 3
+	mixedRun = 0xffff
+)
 
 // ErrBadChunkEncoding is returned by DecodeChunk for malformed input.
 var ErrBadChunkEncoding = errors.New("world: bad chunk encoding")
@@ -374,7 +393,7 @@ func packedLen(layers int, bits uint) int {
 	return layers * layerBlocks / 8 * int(bits)
 }
 
-// Encode serialises the chunk to the palette format described above into
+// Encode serialises the chunk to the layer-run format described above into
 // a slice the caller owns.
 func (c *Chunk) Encode() []byte {
 	return c.EncodeAppend(nil)
@@ -400,41 +419,44 @@ func (c *Chunk) Encoded() []byte {
 // kept bytes, releasing them to the GC.
 func (c *Chunk) KeepEncoded(buf []byte) { c.enc = buf }
 
-// EncodeAppend serialises the chunk to the palette format described above,
-// appending to dst and returning the extended slice. dst grows at most
-// once, to the encoding's final size, so EncodeAppend(nil) costs a single
-// allocation and a reused buffer (`buf = c.EncodeAppend(buf[:0])`) none —
-// EncodeAppend is the hot path of chunk persistence, terrain generation
-// and the wire protocol.
+// EncodeAppend serialises the chunk to the layer-run format described
+// above, appending to dst and returning the extended slice. dst grows at
+// most once, to the encoding's final size, so EncodeAppend(nil) costs a
+// single allocation and a reused buffer (`buf = c.EncodeAppend(buf[:0])`)
+// none — EncodeAppend is the hot path of chunk persistence, terrain
+// generation and the wire protocol.
 //
 // A first pass over the layers discovers the palette (first-appearance
-// order, for determinism) — one lookup for a uniform layer, which is all
-// but a dozen or so of a terrain chunk's 256; a second packs the indices,
-// walking only the mixed layers block by block and filling the rest by
-// copying. Both passes look a block's palette index up only when it differs
-// from the block before (a last-hit memo: real chunks have long runs of
-// identical blocks), and then by its ID: a 256-entry table, kept on the
-// stack, maps each BlockID to the palette index of its Data-0 block, which
-// is every block terrain generates. Only a block with Data ≠ 0 (circuit
-// state) falls back to a linear scan of the palette — real palettes are
-// tiny, so the scan still beats hashing.
+// order, for determinism) and which layers mix types — one lookup for a
+// fill, which is all but a dozen or so of a terrain chunk's 256 layers, and
+// a walk of a stored layer's blocks. The runs follow from that pass, and a
+// second packs the mixed layers' indices. Both look a block's palette
+// index up only when it differs from the block before (a last-hit memo:
+// real chunks have long runs of identical blocks), and then by its ID: a
+// 256-entry table, kept on the stack, maps each BlockID to the palette
+// index of its Data-0 block, which is every block terrain generates. Only
+// a block with Data ≠ 0 (circuit state) falls back to a linear scan of the
+// palette — real palettes are tiny, so the scan still beats hashing.
 func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
 	var byID idTable      // the Data-0 entries of pal
 	lastKey, lastIdx := c.At(0, 0, 0).key(), 0
 	pal := append(palArr[:0], lastKey)
 	byID.add(lastKey, 0)
-	// uniform[y] is the palette index filling layer y, or -1 if the layer
-	// has blocks of its own.
-	var uniform [ChunkSizeY]int32
-	for y := range uniform {
-		l := c.mixedLayer(y)
+	// fill[y] is the palette index of the one block layer y holds, or
+	// mixedRun.
+	var fill [ChunkSizeY]uint16
+	runs, mixed := 0, 0
+	for y := range fill {
 		blocks := []Block{c.fillOf(y)}
-		if l != nil {
+		if l := c.mixedLayer(y); l != nil {
 			blocks = l[:]
 		}
-		for _, b := range blocks {
+		// A layer mixes types if the block changes after its first.
+		isMixed := false
+		for i, b := range blocks {
 			if k := b.key(); k != lastKey {
+				isMixed = isMixed || i > 0
 				lastKey, lastIdx = k, paletteIndex(k, pal, &byID)
 				if lastIdx < 0 {
 					lastIdx = len(pal)
@@ -443,9 +465,13 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 				}
 			}
 		}
-		uniform[y] = int32(lastIdx)
-		if l != nil {
-			uniform[y] = -1
+		fill[y] = uint16(lastIdx)
+		if isMixed {
+			fill[y] = mixedRun
+			mixed++
+		}
+		if y == 0 || fill[y] != fill[y-1] {
+			runs++
 		}
 	}
 
@@ -453,43 +479,40 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	// slices.Grow costs a second allocation under the race detector, and
 	// the handler's one-allocation contract is tested there too.)
 	bits := bitsFor(len(pal))
-	dataOff := chunkHeaderLen + 2*len(pal) + 1
-	base, need := len(dst), dataOff+packedLen(ChunkSizeY, bits)
+	runsOff := chunkHeaderLen + 2*len(pal) + 1
+	dataOff := runsOff + runLen*runs
+	layerLen := packedLen(1, bits)
+	base, need := len(dst), dataOff+mixed*layerLen
 	if cap(dst)-base < need {
 		dst = append(make([]byte, 0, base+need), dst...)
 	}
 	dst = dst[:base+need]
-	hdr, data := dst[base:base+dataOff], dst[base+dataOff:]
-	binary.LittleEndian.PutUint32(hdr, chunkMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(c.Pos.X)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(c.Pos.Z)))
-	binary.LittleEndian.PutUint16(hdr[12:], uint16(len(pal)))
+	out := dst[base:]
+	binary.LittleEndian.PutUint32(out, chunkMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(int32(c.Pos.X)))
+	binary.LittleEndian.PutUint32(out[8:], uint32(int32(c.Pos.Z)))
+	binary.LittleEndian.PutUint16(out[12:], uint16(len(pal)-1))
 	for i, k := range pal {
-		binary.LittleEndian.PutUint16(hdr[chunkHeaderLen+2*i:], k)
+		binary.LittleEndian.PutUint16(out[chunkHeaderLen+2*i:], k)
 	}
-	hdr[dataOff-1] = byte(bits)
+	out[runsOff-1] = byte(bits)
 
-	layerLen := packedLen(1, bits)
-	for y, idx := range uniform {
-		out := data[y*layerLen:][:layerLen]
-		switch {
-		case idx < 0:
-			packIndices(out, c.mixedLayer(y)[:], bits, pal, &byID)
-		case y > 0 && uniform[y-1] == idx:
-			copy(out, data[(y-1)*layerLen:]) // runs of one layer are the norm
-		default:
-			// 32 indices are `bits` whole words; the rest of the layer
-			// repeats them.
-			var run [32]Block
-			for i := range run {
-				run[i] = c.fillOf(y)
-			}
-			n := 4 * int(bits)
-			packIndices(out[:n], run[:], bits, pal, &byID)
-			for ; n < layerLen; n *= 2 {
-				copy(out[n:], out[:n])
+	run, data := out[runsOff:dataOff], out[dataOff:]
+	for y := 0; y < ChunkSizeY; {
+		n := 1
+		for y+n < ChunkSizeY && fill[y+n] == fill[y] {
+			n++
+		}
+		run[0] = byte(n - 1)
+		binary.LittleEndian.PutUint16(run[1:], fill[y])
+		run = run[runLen:]
+		if fill[y] == mixedRun {
+			for i := range n {
+				packIndices(data[:layerLen], c.mixedLayer(y + i)[:], bits, pal, &byID)
+				data = data[layerLen:]
 			}
 		}
+		y += n
 	}
 	return dst
 }
@@ -552,17 +575,17 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 // kept encoding (a caller that knows buf is canonical attaches it with
 // KeepEncoded) — the chunk needs no prior reset, so pooled (recycled)
 // chunks decode identically to fresh ones, never inheriting a stale
-// encoding. On error the chunk's contents are unspecified. Layers the stream
-// holds uniform are adopted as fills; the mixed ones reuse the storage c
-// kept, and what is missing is allocated once, after everything but their
-// indices has validated — so with a small palette (the terrain norm) a
-// chunk that has held as many mixed layers decodes with zero allocations.
+// encoding. On error the chunk's contents are unspecified.
 //
-// It accepts any stream in the format, not only EncodeAppend's: index
-// widths wider than the palette needs, palettes with repeated entries and
-// arbitrary index patterns all decode, and every index is range-checked.
+// Runs of uniform layers become fills; the mixed layers reuse the storage c
+// kept, and what is missing is allocated once, after the header, the
+// palette, every run and the data's length have validated — so a stream
+// that is truncated, overruns or claims data it does not carry allocates
+// nothing, and with a small palette (the terrain norm) a chunk that has
+// held as many mixed layers decodes with zero allocations. A mixed layer's
+// indices are range-checked as they are unpacked.
 func DecodeChunkInto(c *Chunk, buf []byte) error {
-	if len(buf) < chunkHeaderLen+1 {
+	if len(buf) < chunkHeaderLen {
 		return fmt.Errorf("%w: truncated header (%d bytes)", ErrBadChunkEncoding, len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf) != chunkMagic {
@@ -572,13 +595,66 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 		X: int(int32(binary.LittleEndian.Uint32(buf[4:]))),
 		Z: int(int32(binary.LittleEndian.Uint32(buf[8:]))),
 	}
-	palLen := int(binary.LittleEndian.Uint16(buf[12:]))
-	if palLen == 0 {
-		return fmt.Errorf("%w: empty palette", ErrBadChunkEncoding)
-	}
-	off := chunkHeaderLen
-	if len(buf) < off+2*palLen+1 {
+	palLen := 1 + int(binary.LittleEndian.Uint16(buf[12:]))
+	off := chunkHeaderLen + 2*palLen
+	if len(buf) < off+1 {
 		return fmt.Errorf("%w: truncated palette", ErrBadChunkEncoding)
+	}
+	keys := buf[chunkHeaderLen:off]
+	bits := uint(buf[off])
+	off++
+	if bits == 0 || bits > 16 {
+		return fmt.Errorf("%w: bad index width %d", ErrBadChunkEncoding, bits)
+	}
+
+	// The runs give every layer's head, the count of mixed layers, and the
+	// height below which they and every fill other than Block{} lie. Nothing
+	// of c is written until they and the data's length have checked out.
+	var head [ChunkSizeY]layerHead
+	mixed, top := 0, 0
+	for y := 0; y < ChunkSizeY; {
+		if len(buf) < off+runLen {
+			return fmt.Errorf("%w: truncated runs at layer %d", ErrBadChunkEncoding, y)
+		}
+		n, idx := int(buf[off])+1, int(binary.LittleEndian.Uint16(buf[off+1:]))
+		off += runLen
+		if y+n > ChunkSizeY {
+			return fmt.Errorf("%w: run of %d layers from layer %d overruns the chunk", ErrBadChunkEncoding, n, y)
+		}
+		switch {
+		case idx == mixedRun:
+			for range n {
+				mixed++
+				head[y].slot = uint16(mixed)
+				y++
+			}
+			top = y
+		case idx >= palLen:
+			return fmt.Errorf("%w: fill index %d out of range", ErrBadChunkEncoding, idx)
+		default:
+			b := blockFromKey(binary.LittleEndian.Uint16(keys[2*idx:]))
+			for range n {
+				head[y].fill = b
+				y++
+			}
+			if b != (Block{}) {
+				top = y
+			}
+		}
+	}
+	data := buf[off:]
+	if want := packedLen(mixed, bits); len(data) != want {
+		return fmt.Errorf("%w: %d bytes of block data, runs call for %d", ErrBadChunkEncoding, len(data), want)
+	}
+
+	c.Pos = pos
+	c.Version = 0
+	c.GenWork = 0
+	c.enc = nil
+	c.head = append(c.head[:0], head[:top]...)
+	c.resizeMixed(mixed)
+	if mixed == 0 {
+		return nil
 	}
 	var palArr [64]Block
 	var palette []Block
@@ -588,75 +664,17 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 		palette = make([]Block, palLen)
 	}
 	for i := range palette {
-		palette[i] = blockFromKey(binary.LittleEndian.Uint16(buf[off:]))
-		off += 2
+		palette[i] = blockFromKey(binary.LittleEndian.Uint16(keys[2*i:]))
 	}
-	bits := uint(buf[off])
-	off++
-	if bits == 0 || bits > 16 {
-		return fmt.Errorf("%w: bad index width %d", ErrBadChunkEncoding, bits)
-	}
-	if len(buf) < off+packedLen(ChunkSizeY, bits) {
-		return fmt.Errorf("%w: truncated block data", ErrBadChunkEncoding)
-	}
-	data := buf[off:]
 	layerLen := packedLen(1, bits)
-	// Eight indices are `bits` whole bytes, so a packed layer equal to
-	// itself shifted by that many bytes repeats its first eight blocks
-	// throughout.
-	periodic := func(in []byte) bool { return bytes.Equal(in[:layerLen-int(bits)], in[bits:]) }
-
-	// A first pass adopts the layers the wire says are uniform — the
-	// common case: periodic, and the eight blocks one type — as fills, and
-	// counts the rest, and the height below which they and every fill
-	// other than Block{} lie. Nothing of c is written, and no layer
-	// allocated, until every such layer has been range-checked.
-	var head [ChunkSizeY]layerHead
-	mixed, top := 0, 0
-	for y := range head {
-		in := data[y*layerLen:][:layerLen]
-		if periodic(in) {
-			var first [8]Block
-			if err := unpackIndices(first[:], in, bits, palette); err != nil {
-				return err
-			}
-			if *(*[7]Block)(first[:]) == *(*[7]Block)(first[1:]) {
-				head[y].fill = first[0]
-				if first[0] != (Block{}) {
-					top = y + 1
-				}
-				continue
-			}
-		}
-		mixed++
-		head[y].slot = uint16(mixed)
-		top = y + 1
-	}
-	c.Pos = pos
-	c.Version = 0
-	c.GenWork = 0
-	c.enc = nil
-	c.head = append(c.head[:0], head[:top]...)
-	c.resizeMixed(mixed)
-	for y, h := range c.head {
-		s := h.slot
-		if s == 0 {
+	for _, h := range c.head {
+		if h.slot == 0 {
 			continue
 		}
-		in := data[y*layerLen:][:layerLen]
-		l := c.mixed[s-1]
-		// Unpack — and range-check — a periodic layer's first eight
-		// blocks, and copy the rest.
-		n := layerBlocks
-		if periodic(in) {
-			n = 8
-		}
-		if err := unpackIndices(l[:n], in, bits, palette); err != nil {
+		if err := unpackIndices(c.mixed[h.slot-1][:], data[:layerLen], bits, palette); err != nil {
 			return err
 		}
-		for ; n < layerBlocks; n *= 2 {
-			copy(l[n:], l[:n])
-		}
+		data = data[layerLen:]
 	}
 	return nil
 }

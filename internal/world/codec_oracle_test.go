@@ -3,76 +3,89 @@ package world
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
-// The per-block codec the product shipped until the layer-aware rewrite,
-// kept verbatim as the reference the differential tests and the fuzz
-// target hold EncodeAppend and DecodeChunkInto to: one generic
-// writeBits/readBits call per block, no knowledge of layers. It is
-// exported from this _test file for the external test package, which can
-// import the terrain generators (package world's own tests cannot).
-//
-// One known defect is preserved with it: the encoder's 0xffff "no memo
-// yet" sentinel is also a legal block key, so a chunk whose first block
-// is {ID: 255, Data: 255} is mis-encoded. EncodeAppend primes its memo
-// from the first block instead; TestEncodeFirstBlockAllOnes covers it.
+// A per-block reference for the layer-run format (see chunk.go), which the
+// differential tests and the fuzz targets hold EncodeAppend and
+// DecodeChunkInto to. It reads and writes a chunk through At and Set only,
+// knows nothing of how a Chunk stores its layers, finds palette indices by
+// a linear search of the palette and packs them with one generic writeBits/readBits call
+// per block. It is exported from this _test file for the external test
+// package, which can import the terrain generators (package world's own
+// tests cannot).
 
 // OracleEncode is the reference encoder.
 func OracleEncode(c *Chunk) []byte {
-	var dst []byte
-	dst = binary.LittleEndian.AppendUint32(dst, chunkMagic)
+	// The palette: every key, in order of first appearance.
+	var pal []uint16
+	var seen [1 << 16]bool
+	for i := 0; i < BlocksPerChunk; i++ {
+		if k := oracleAt(c, i).key(); !seen[k] {
+			seen[k] = true
+			pal = append(pal, k)
+		}
+	}
+	bits := bitsFor(len(pal))
+	// index returns the palette index of k. It searches from the last hit
+	// on, wrapping round: a block that repeats, or that follows its
+	// predecessor in the palette, is found at once.
+	last := 0
+	index := func(k uint16) int {
+		if j := slices.Index(pal[last:], k); j >= 0 {
+			last += j
+		} else {
+			last = slices.Index(pal[:last], k)
+		}
+		return last
+	}
+
+	// fill[y] is the palette index of the one block layer y holds, or
+	// mixedRun.
+	var fill [ChunkSizeY]int
+	for y := range fill {
+		first := c.At(0, y, 0)
+		fill[y] = index(first.key())
+		for i := 0; i < layerBlocks; i++ {
+			if oracleAt(c, y*layerBlocks+i) != first {
+				fill[y] = mixedRun
+			}
+		}
+	}
+
+	dst := binary.LittleEndian.AppendUint32(nil, chunkMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(c.Pos.X)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(c.Pos.Z)))
-	dst = binary.LittleEndian.AppendUint16(dst, 0) // palLen, patched below
-	palOff := len(dst)
-	lastKey := uint16(0xffff)
-	for i := 0; i < BlocksPerChunk; i++ {
-		k := oracleAt(c, i).key()
-		if k == lastKey {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(pal)-1))
+	for _, k := range pal {
+		dst = binary.LittleEndian.AppendUint16(dst, k)
+	}
+	dst = append(dst, byte(bits))
+	for y := 0; y < ChunkSizeY; {
+		n := 1
+		for y+n < ChunkSizeY && fill[y+n] == fill[y] {
+			n++
+		}
+		dst = append(dst, byte(n-1))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(fill[y]))
+		y += n
+	}
+	for y, f := range fill {
+		if f != mixedRun {
 			continue
 		}
-		found := false
-		for j := palOff; j < len(dst); j += 2 {
-			if binary.LittleEndian.Uint16(dst[j:]) == k {
-				found = true
-				break
-			}
+		data := make([]byte, layerBlocks*int(bits)/8)
+		for i := 0; i < layerBlocks; i++ {
+			writeBits(data, uint(i)*bits, bits, uint32(index(oracleAt(c, y*layerBlocks+i).key())))
 		}
-		if !found {
-			dst = binary.LittleEndian.AppendUint16(dst, k)
-		}
-		lastKey = k
-	}
-	palLen := (len(dst) - palOff) / 2
-	binary.LittleEndian.PutUint16(dst[12:], uint16(palLen))
-	bits := bitsFor(palLen)
-	dst = append(dst, byte(bits))
-	dataLen := (BlocksPerChunk*int(bits) + 7) / 8
-	dataOff := len(dst)
-	dst = append(dst, make([]byte, dataLen)...)
-	data := dst[dataOff:]
-	lastKey = 0xffff
-	lastIdx := uint32(0)
-	var bitPos uint
-	for i := 0; i < BlocksPerChunk; i++ {
-		k := oracleAt(c, i).key()
-		if k != lastKey {
-			for j := 0; j < palLen; j++ {
-				if binary.LittleEndian.Uint16(dst[palOff+2*j:]) == k {
-					lastKey, lastIdx = k, uint32(j)
-					break
-				}
-			}
-		}
-		writeBits(data, bitPos, bits, lastIdx)
-		bitPos += bits
+		dst = append(dst, data...)
 	}
 	return dst
 }
 
 // OracleDecodeInto is the reference decoder.
 func OracleDecodeInto(c *Chunk, buf []byte) error {
-	if len(buf) < 15 {
+	if len(buf) < 14 {
 		return fmt.Errorf("%w: truncated header (%d bytes)", ErrBadChunkEncoding, len(buf))
 	}
 	if binary.LittleEndian.Uint32(buf) != chunkMagic {
@@ -82,10 +95,7 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 		X: int(int32(binary.LittleEndian.Uint32(buf[4:]))),
 		Z: int(int32(binary.LittleEndian.Uint32(buf[8:]))),
 	}
-	palLen := int(binary.LittleEndian.Uint16(buf[12:]))
-	if palLen == 0 {
-		return fmt.Errorf("%w: empty palette", ErrBadChunkEncoding)
-	}
+	palLen := 1 + int(binary.LittleEndian.Uint16(buf[12:]))
 	off := 14
 	if len(buf) < off+2*palLen+1 {
 		return fmt.Errorf("%w: truncated palette", ErrBadChunkEncoding)
@@ -100,30 +110,53 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 	if bits == 0 || bits > 16 {
 		return fmt.Errorf("%w: bad index width %d", ErrBadChunkEncoding, bits)
 	}
-	dataLen := (BlocksPerChunk*int(bits) + 7) / 8
-	if len(buf) < off+dataLen {
-		return fmt.Errorf("%w: truncated block data", ErrBadChunkEncoding)
+	var fill [ChunkSizeY]int
+	mixed := 0
+	for y := 0; y < ChunkSizeY; {
+		if len(buf) < off+3 {
+			return fmt.Errorf("%w: truncated runs", ErrBadChunkEncoding)
+		}
+		n, idx := int(buf[off])+1, int(binary.LittleEndian.Uint16(buf[off+1:]))
+		off += 3
+		if y+n > ChunkSizeY {
+			return fmt.Errorf("%w: run overruns the chunk", ErrBadChunkEncoding)
+		}
+		if idx != mixedRun && idx >= palLen {
+			return fmt.Errorf("%w: fill index %d out of range", ErrBadChunkEncoding, idx)
+		}
+		for ; n > 0; n-- {
+			fill[y] = idx
+			if idx == mixedRun {
+				mixed++
+			}
+			y++
+		}
 	}
-	data := buf[off : off+dataLen]
+	data := buf[off:]
+	if len(data) != mixed*layerBlocks*int(bits)/8 {
+		return fmt.Errorf("%w: block data length %d", ErrBadChunkEncoding, len(data))
+	}
 	c.Pos = pos
+	var bitPos uint
+	for y, f := range fill {
+		for i := 0; i < layerBlocks; i++ {
+			idx := f
+			if f == mixedRun {
+				idx = int(readBits(data, bitPos, bits))
+				bitPos += bits
+				if idx >= palLen {
+					return fmt.Errorf("%w: palette index %d out of range", ErrBadChunkEncoding, idx)
+				}
+			}
+			c.Set(i%ChunkSizeX, y, i/ChunkSizeX, palette[idx])
+		}
+	}
 	c.Version = 0
 	c.GenWork = 0
-	var bitPos uint
-	for i := 0; i < BlocksPerChunk; i++ {
-		idx := readBits(data, bitPos, bits)
-		bitPos += bits
-		if int(idx) >= palLen {
-			return fmt.Errorf("%w: palette index %d out of range", ErrBadChunkEncoding, idx)
-		}
-		c.Set(i%ChunkSizeX, i/layerBlocks, i/ChunkSizeX%ChunkSizeZ, palette[idx])
-	}
-	c.Version = 0
 	return nil
 }
 
-// oracleAt is the i-th block in the format's (y, z, x) order. The oracle
-// reads and writes a chunk through At and Set only: it knows nothing of how
-// a Chunk stores its layers.
+// oracleAt is the i-th block in the format's (y, z, x) order.
 func oracleAt(c *Chunk, i int) Block {
 	return c.At(i%ChunkSizeX, i/layerBlocks, i/ChunkSizeX%ChunkSizeZ)
 }

@@ -5,7 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"servo/internal/terrain"
@@ -133,8 +137,7 @@ var codecShapes = []struct {
 		})
 	}, 512},
 	// ID 255, the table's last entry, first with Data 0 and then
-	// {ID: 255, Data: 255}, the key the oracle's memo mistakes for "none"
-	// (TestEncodeFirstBlockAllOnes has it as the first block).
+	// {ID: 255, Data: 255}, the largest key.
 	{"id-255", 2, func(r *rand.Rand) *world.Chunk {
 		return fillChunk(randomPos(r), func(x, y, z int) world.Block {
 			if y < 128 || (x+z)%3 == 0 {
@@ -145,6 +148,21 @@ var codecShapes = []struct {
 	}, 3},
 	{"palette-65-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 65, true) }, 65},
 	{"palette-4097-noisy", 1, func(r *rand.Rand) *world.Chunk { return paletteChunk(r, 4097, true) }, 4097},
+	// The largest key as the very first block, over terrain.
+	{"all-ones-first", 2, func(r *rand.Rand) *world.Chunk {
+		c := terrain.Default{Seed: r.Int63()}.Generate(randomPos(r))
+		c.Set(0, 0, 0, keyBlock(0xffff))
+		return c
+	}, 0},
+	// Every one of the 65 536 keys once: the largest palette, whose size
+	// does not fit the 16-bit count field, and no layer uniform. Its
+	// first-appearance order is shuffled.
+	{"every-key", 1, func(r *rand.Rand) *world.Chunk {
+		keys := r.Perm(1 << 16)
+		return fillChunk(randomPos(r), func(x, y, z int) world.Block {
+			return keyBlock(keys[(y*world.ChunkSizeZ+z)*world.ChunkSizeX+x])
+		})
+	}, 1 << 16},
 }
 
 // dirtyChunk returns a chunk as a pool hands one to a decoder at worst:
@@ -170,7 +188,7 @@ func TestCodecMatchesOracle(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("run %d: encoding differs from the oracle's (%d vs %d bytes)", i, len(got), len(want))
 				}
-				if n := int(binary.LittleEndian.Uint16(got[12:])); shape.palLen != 0 && n != shape.palLen {
+				if n := 1 + int(binary.LittleEndian.Uint16(got[12:])); shape.palLen != 0 && n != shape.palLen {
 					t.Fatalf("run %d: palette has %d entries, want %d", i, n, shape.palLen)
 				}
 				dec := dirtyChunk(r)
@@ -192,18 +210,21 @@ func TestCodecMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestEncodeFirstBlockAllOnes covers the one input the oracle gets wrong,
-// so it cannot be held to OracleEncode's bytes: a first block whose key is
-// the old encoder's "no memo" sentinel. The encoding must list it first in
-// the palette, and both decoders must read the chunk back.
+// TestEncodeFirstBlockAllOnes: a first block whose key is the largest,
+// {ID: 255, Data: 255} — a value a per-block encoder might take for "no
+// block yet" — is listed first in the palette, the bytes are the oracle's,
+// and both decoders read the chunk back.
 func TestEncodeFirstBlockAllOnes(t *testing.T) {
 	c := world.NewChunk(world.ChunkPos{X: 1, Z: 2})
 	c.Set(0, 0, 0, keyBlock(0xffff))
 	c.Set(1, 0, 0, keyBlock(0xffff))
 	enc := c.Encode()
-	// Two palette entries: {ID: 255, Data: 255}, then air.
-	if want := []byte{2, 0, 0xff, 0xff, 0, 0}; !bytes.Equal(enc[12:18], want) {
+	// Two palette entries (a count of 1 more): {ID: 255, Data: 255}, then air.
+	if want := []byte{1, 0, 0xff, 0xff, 0, 0}; !bytes.Equal(enc[12:18], want) {
 		t.Fatalf("palette % x, want % x", enc[12:18], want)
+	}
+	if !bytes.Equal(enc, world.OracleEncode(c)) {
+		t.Fatal("encoding differs from the oracle's")
 	}
 	dec, err := world.DecodeChunk(enc)
 	if err != nil {
@@ -218,20 +239,87 @@ func TestEncodeFirstBlockAllOnes(t *testing.T) {
 	}
 }
 
+// TestEncodingSize is the format's size contract, computed from the
+// chunk's content through At alone: header, palette, bits, one run per
+// maximal stretch of layers alike (each holding the same one block, or
+// each mixing types), and 32*bits bytes per mixed layer, where bits is the
+// narrowest width that indexes the palette. A default-terrain chunk fits
+// in 2 KiB and a flat one in 64 bytes.
+func TestEncodingSize(t *testing.T) {
+	for _, shape := range codecShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(21))
+			for i := 0; i < shape.runs; i++ {
+				c := shape.gen(r)
+				palette := map[world.Block]bool{}
+				runs, mixed := 0, 0
+				var prev world.Block
+				prevMixed := false
+				for y := 0; y < world.ChunkSizeY; y++ {
+					first, isMixed := c.At(0, y, 0), false
+					for j := 0; j < layerBlocks; j++ {
+						b := c.At(j%world.ChunkSizeX, y, j/world.ChunkSizeX)
+						palette[b] = true
+						isMixed = isMixed || b != first
+					}
+					if isMixed {
+						mixed++
+					}
+					if y == 0 || isMixed != prevMixed || (!isMixed && first != prev) {
+						runs++
+					}
+					prev, prevMixed = first, isMixed
+				}
+				bits := 1
+				for 1<<bits < len(palette) {
+					bits++
+				}
+				want := 14 + 2*len(palette) + 1 + 3*runs + 32*bits*mixed
+				if got := len(c.Encode()); got != want {
+					t.Fatalf("run %d: %d bytes, want %d (%d palette entries, %d runs, %d mixed layers)",
+						i, got, want, len(palette), runs, mixed)
+				}
+				if limit := map[string]int{"default-terrain": 2 << 10, "flat": 64}[shape.name]; limit != 0 && want > limit {
+					t.Fatalf("run %d: a %s chunk encodes to %d bytes, want at most %d", i, shape.name, want, limit)
+				}
+			}
+		})
+	}
+}
+
+// layerRun is one run of a hand-built stream: n layers, each filled with
+// palette entry fill, or each mixed if fill is mixed.
+type layerRun struct{ n, fill int }
+
+// mixed is the fill index that marks a run of mixed layers.
+const mixed = 0xffff
+
+// allMixed is the one run of a stream that packs every layer's indices.
+var allMixed = []layerRun{{world.ChunkSizeY, mixed}}
+
 // handStream builds a stream no Servo encoder writes: the given palette,
-// an index width of the caller's choosing, and indices from idx.
-func handStream(palette []uint16, bits uint, idx func(i int) uint32) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, 0x53564f43)
+// index width and runs, and the mixed layers' indices from idx — the i-th
+// index of the data, the mixed layers in Y order; all zero if idx is nil.
+func handStream(palette []uint16, bits uint, runs []layerRun, idx func(i int) uint32) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, 0x53564f4c)
 	buf = binary.LittleEndian.AppendUint32(buf, 0xfffffffd) // X = -3
 	buf = binary.LittleEndian.AppendUint32(buf, 9)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(palette)))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(palette)-1))
 	for _, k := range palette {
 		buf = binary.LittleEndian.AppendUint16(buf, k)
 	}
 	buf = append(buf, byte(bits))
+	n := 0
+	for _, r := range runs {
+		buf = append(buf, byte(r.n-1))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(r.fill))
+		if r.fill == mixed {
+			n += r.n * layerBlocks
+		}
+	}
 	off := len(buf)
-	buf = append(buf, make([]byte, world.BlocksPerChunk*int(bits)/8)...)
-	for i := 0; i < world.BlocksPerChunk; i++ {
+	buf = append(buf, make([]byte, n*int(bits)/8)...)
+	for i := 0; i < n && idx != nil; i++ {
 		v, pos := uint64(idx(i)), uint(i)*bits
 		for b := uint(0); b < bits; b++ {
 			if v>>b&1 != 0 {
@@ -243,17 +331,27 @@ func handStream(palette []uint16, bits uint, idx func(i int) uint32) []byte {
 }
 
 // TestDecodeForeignStreams holds the decoder to the oracle on streams in
-// the format that EncodeAppend would never produce, and checks that an
-// out-of-range index is refused wherever it sits — inside a uniform layer,
-// where the decoder takes its copying shortcut, included.
+// the format that EncodeAppend would never produce — index widths wider
+// than the palette needs, a repeated palette entry, runs split where they
+// need not be, mixed-marked layers that hold one block type — and checks
+// that every malformed run, index and length is refused.
 func TestDecodeForeignStreams(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pal := []uint16{0, 0x0100, 0x0b07, 0x0100, 0xffff} // a repeated entry too
+	// Layer 8 is mixed-marked but holds one block type.
+	split := []layerRun{{3, 1}, {5, 1}, {1, mixed}, {2, mixed}, {100, 4}, {45, 3}, {100, 0}}
 	for bits := uint(3); bits <= 16; bits++ {
+		splitStream := handStream(pal, bits, split, func(i int) uint32 {
+			if i < layerBlocks {
+				return 2
+			}
+			return uint32(r.Intn(5))
+		})
 		streams := map[string][]byte{
-			"wide-uniform": handStream(pal, bits, func(i int) uint32 { return uint32(i / 256 % 5) }),
-			"wide-noise":   handStream(pal, bits, func(int) uint32 { return uint32(r.Intn(5)) }),
-			"wide-period8": handStream(pal, bits, func(i int) uint32 { return uint32(i % 8 % 5) }),
+			"wide-one-type-layers": handStream(pal, bits, allMixed, func(i int) uint32 { return uint32(i / 256 % 5) }),
+			"wide-noise":           handStream(pal, bits, allMixed, func(int) uint32 { return uint32(r.Intn(5)) }),
+			"wide-period8":         handStream(pal, bits, allMixed, func(i int) uint32 { return uint32(i % 8 % 5) }),
+			"split-runs":           splitStream,
 		}
 		for name, buf := range streams {
 			dec, ref := dirtyChunk(r), new(world.Chunk)
@@ -272,45 +370,49 @@ func TestDecodeForeignStreams(t *testing.T) {
 				t.Fatalf("%s bits=%d: re-encode round trip failed: %v", name, bits, err)
 			}
 		}
-		// Index 5 is one past the palette: as a whole uniform layer, as
-		// one block of an otherwise uniform layer, and as the last block.
-		bad := map[string]func(i int) uint32{
-			"uniform-layer": func(i int) uint32 {
-				if i/256 == 200 {
-					return 5
+		// Index 5 is one past the palette: as a whole mixed-marked layer,
+		// as one block of an otherwise one-type layer, as the last block,
+		// and as a run's fill.
+		outOfRange := func(at int, v uint32) func(i int) uint32 {
+			return func(i int) uint32 {
+				if i == at || at < 0 && i/layerBlocks == 200 {
+					return v
 				}
 				return 1
-			},
-			"one-block": func(i int) uint32 {
-				if i == 77*256+13 {
-					return 5
-				}
-				return 1
-			},
-			"last-block": func(i int) uint32 {
-				if i == world.BlocksPerChunk-1 {
-					return 7
-				}
-				return 0
-			},
+			}
 		}
-		for name, idx := range bad {
-			err := world.DecodeChunkInto(dirtyChunk(r), handStream(pal, bits, idx))
+		bad := map[string][]byte{
+			"index-whole-layer": handStream(pal, bits, allMixed, outOfRange(-1, 5)),
+			"index-one-block":   handStream(pal, bits, allMixed, outOfRange(77*256+13, 5)),
+			"index-last-block":  handStream(pal, bits, allMixed, outOfRange(world.BlocksPerChunk-1, 7)),
+			"fill-index":        handStream(pal, bits, []layerRun{{56, 1}, {200, 5}}, nil),
+			"runs-overrun":      handStream(pal, bits, []layerRun{{200, 1}, {57, 0}}, nil),
+			"runs-stop-short":   handStream(pal, bits, []layerRun{{200, 1}, {55, 0}}, nil),
+			"data-short":        splitStream[:len(splitStream)-1],
+			"data-long":         append(bytes.Clone(splitStream), 0),
+		}
+		for name, buf := range bad {
+			err := world.DecodeChunkInto(dirtyChunk(r), buf)
 			if !errors.Is(err, world.ErrBadChunkEncoding) {
-				t.Fatalf("%s bits=%d: bad index accepted (err %v)", name, bits, err)
+				t.Fatalf("%s bits=%d: accepted (err %v)", name, bits, err)
+			}
+			if oerr := world.OracleDecodeInto(new(world.Chunk), buf); oerr == nil {
+				t.Fatalf("%s bits=%d: the oracle accepts it", name, bits)
 			}
 		}
 	}
 }
 
 // TestDecodeChunkAllocationBounded: nothing is allocated before header,
-// palette and length validate — a hostile header cannot make the decoder
-// allocate at all — and whatever the input, a chunk decoded fresh never
-// costs more than one flat chunk: a stream is free to mix all 256 layers
-// (8 KiB of 1-bit indices does), and then the decoder owes each its 512
-// bytes, but never more than that, its 2 KiB table of layers and the
-// Chunk with its 1 KiB of layer heads — beside, as ever, a palette of more
-// than 64 entries, which the input's own length justifies.
+// palette, runs and length validate — a hostile header, a run that
+// overruns the chunk or runs claiming data the stream does not carry
+// cannot make the decoder allocate at all — and whatever the input, a
+// chunk decoded fresh never costs more than one flat chunk: a stream is
+// free to mix all 256 layers (8 KiB of 1-bit indices does), and then the
+// decoder owes each its 512 bytes, but never more than that, its 2 KiB
+// table of layers and the Chunk with its 1 KiB of layer heads — beside, as
+// ever, a palette of more than 64 entries, which the input's own length
+// justifies.
 func TestDecodeChunkAllocationBounded(t *testing.T) {
 	// allocated reports what decoding buf into c allocates; a nil c is a
 	// new Chunk allocated inside the measurement, so the figure is what
@@ -327,18 +429,22 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc, err
 	}
 	r := rand.New(rand.NewSource(1))
-	noise1bit := handStream([]uint16{0, 0x0100}, 1, func(int) uint32 { return uint32(r.Intn(2)) })
+	pal := []uint16{0, 0x0100}
+	noise1bit := handStream(pal, 1, allMixed, func(int) uint32 { return uint32(r.Intn(2)) })
 
-	hostile := binary.LittleEndian.AppendUint32(nil, 0x53564f43)
+	hostile := binary.LittleEndian.AppendUint32(nil, 0x53564f4c)
 	hostile = append(hostile, make([]byte, 8)...)
-	hostile = binary.LittleEndian.AppendUint16(hostile, 0xffff) // 65 535 palette entries, none present
+	hostile = binary.LittleEndian.AppendUint16(hostile, 0xffff) // 65 536 palette entries, none present
 	hostile = append(hostile, make([]byte, 64)...)
 	badWidth := bytes.Clone(noise1bit)
 	badWidth[14+2*2] = 17
+	wide := handStream(pal, 16, allMixed, nil)
 	for name, buf := range map[string][]byte{
 		"hostile-palette-len": hostile,
 		"bad-width":           badWidth,
 		"truncated-data":      noise1bit[:len(noise1bit)-1],
+		"mixed-runs-no-data":  wide[:14+2*2+1+3],
+		"runs-overrun":        handStream(pal, 1, []layerRun{{200, mixed}, {200, mixed}}, nil),
 	} {
 		got, err := allocated(new(world.Chunk), buf)
 		if err == nil {
@@ -372,7 +478,7 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 	}
 	// Noise whose last index is out of range is refused only once every
 	// layer has storage: that is still no more than the chunk.
-	bad := handStream([]uint16{0, 0x0100}, 2, func(i int) uint32 {
+	bad := handStream(pal, 2, allMixed, func(i int) uint32 {
 		if i == world.BlocksPerChunk-1 {
 			return 3
 		}
@@ -390,11 +496,11 @@ var decodedChunk *world.Chunk
 // FuzzDecodeChunk feeds the decoder arbitrary bytes. It must not panic,
 // must agree with the per-block oracle on what is accepted and on every
 // decoded block (decoding into a dirty recycled chunk), and whatever
-// decodes must re-encode to something that decodes to an equal chunk.
-// Allocation is bounded by construction; TestDecodeChunkAllocationBounded
-// holds that. The seeds are the differential test's shapes (bar the
-// largest palettes, whose 70–110 KB inputs and linear-scan re-encode slow
-// the fuzzer to a crawl) plus the hostile files under
+// decodes must re-encode to the oracle's bytes, which decode to an equal
+// chunk. Allocation is bounded by construction;
+// TestDecodeChunkAllocationBounded holds that. The seeds are the
+// differential test's shapes (bar the largest palettes, whose 70–130 KB
+// inputs slow the fuzzer to a crawl) plus the hostile files under
 // testdata/fuzz/FuzzDecodeChunk.
 func FuzzDecodeChunk(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
@@ -428,12 +534,45 @@ func FuzzDecodeChunk(f *testing.F) {
 		if binary.LittleEndian.Uint16(data[12:]) > 512 {
 			return
 		}
-		again, err := world.DecodeChunk(dec.Encode())
+		enc := dec.Encode()
+		again, err := world.DecodeChunk(enc)
 		if err != nil {
 			t.Fatalf("re-encoded chunk does not decode: %v", err)
 		}
 		if !again.Equal(dec) {
 			t.Fatal("re-encoded chunk decodes to a different chunk")
 		}
+		if !bytes.Equal(enc, world.OracleEncode(dec)) {
+			t.Fatal("re-encoding differs from the oracle's")
+		}
 	})
+}
+
+// TestDecodeChunkCorpus: the hand-written seeds under
+// testdata/fuzz/FuzzDecodeChunk are what their names say — those named
+// valid-* decode, every other one is refused by both decoders.
+func TestDecodeChunkCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeChunk")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		buf, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a []byte seed (%v)", e.Name(), err)
+		}
+		valid := strings.HasPrefix(e.Name(), "valid-")
+		derr := world.DecodeChunkInto(dirtyChunk(rand.New(rand.NewSource(1))), []byte(buf))
+		oerr := world.OracleDecodeInto(new(world.Chunk), []byte(buf))
+		if (derr == nil) != valid || (oerr == nil) != valid {
+			t.Errorf("%s: decoder says %v, oracle says %v", e.Name(), derr, oerr)
+		}
+	}
 }

@@ -182,8 +182,8 @@ func TestDecodeChunkRejectsCorruptInput(t *testing.T) {
 
 func TestDecodeChunkRejectsBadPaletteIndex(t *testing.T) {
 	c := NewChunk(ChunkPos{})
-	enc := c.Encode() // palette of 1 entry, 1 bit per index, all zeros
-	// Flip a data bit so an index points past the palette.
+	enc := c.Encode() // palette of 1 entry, one run of 256 air layers
+	// Set the top bit of the run's fill index, past the palette.
 	mut := make([]byte, len(enc))
 	copy(mut, enc)
 	mut[len(mut)-1] |= 0x80
