@@ -239,8 +239,7 @@ func (c *Cluster) ownedTiles(i int) []world.TileID {
 	for _, tl := range c.TileLoads() {
 		add(tl.Tile)
 	}
-	for _, id := range c.order {
-		p := c.players[id]
+	for _, p := range c.order {
 		if p.inflight {
 			continue
 		}
@@ -330,8 +329,8 @@ func (c *Cluster) finishDrain(i int) {
 // hasSessions reports whether any cluster session is currently attached
 // to shard i (including handoffs in flight out of it).
 func (c *Cluster) hasSessions(i int) bool {
-	for _, id := range c.order {
-		if c.players[id].shard == i {
+	for _, p := range c.order {
+		if p.shard == i {
 			return true
 		}
 	}

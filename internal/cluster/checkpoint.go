@@ -9,7 +9,11 @@
 
 package cluster
 
-import "servo/internal/mve"
+import (
+	"slices"
+
+	"servo/internal/mve"
+)
 
 // checkpointTick persists every live session's snapshot and schedules
 // the next round. Sessions mid-handoff are skipped — their snapshot is
@@ -19,9 +23,8 @@ func (c *Cluster) checkpointTick() {
 		return
 	}
 	defer c.clock.After(c.cfg.Checkpoint, c.checkpointTick)
-	for _, id := range append([]PlayerID(nil), c.order...) {
-		p, ok := c.players[id]
-		if !ok || p.inflight {
+	for _, p := range slices.Clone(c.order) {
+		if p.slot < 0 || p.inflight {
 			continue
 		}
 		snap, ok := c.shards[p.shard].SnapshotPlayer(p.pid)

@@ -28,6 +28,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"servo/internal/metrics"
@@ -126,6 +127,13 @@ type Player struct {
 	// the visibility scan recomputes it only when position, host shard,
 	// or ownership epoch changed.
 	vc visCache
+	// slot is the session's dense cluster slot, its identity in the
+	// visibility index: assigned at join, reused after the session is
+	// dropped, and −1 once it is.
+	slot int
+	// key is the player name's interned key, which finds the name's
+	// ghosts in the shards' registries.
+	key int
 }
 
 // Shard returns the index of the shard currently hosting the session
@@ -162,9 +170,22 @@ type Cluster struct {
 	transfer   Transfer
 	tableStore TableStore
 
+	// players is the look-up by id (Disconnect); order holds the same
+	// sessions in join order, and every walk ranges over it.
 	players map[PlayerID]*Player
-	order   []PlayerID
+	order   []*Player
 	nextID  PlayerID
+	// freeSlots are the slots of dropped sessions, reused last-freed
+	// first; slots is the number ever handed out.
+	freeSlots []int
+	slots     int
+	// nameKeys interns player names: a name's key is its index in names.
+	// The table grows by one entry per distinct name ever admitted and is
+	// never pruned, so a key stays valid in every ghost registry; the
+	// store keeps a player record per name too, so this is the same
+	// order of growth.
+	nameKeys map[string]int
+	names    []string
 
 	running bool
 	stopped bool
@@ -234,10 +255,11 @@ type Cluster struct {
 	// visSeq numbers replication scans (ghost staleness stamps).
 	visSeq uint64
 	// fullRescan makes every scan recompute every session's border
-	// membership from scratch, the pre-incremental behaviour: the
-	// reference the in-package tests and benchmarks compare the
-	// membership cache against (ghost registries, ghost log and gap audit
-	// are identical either way). Nothing outside the package can set it.
+	// membership and sort both visibility indexes from scratch, the
+	// pre-incremental behaviour: the reference the in-package tests and
+	// benchmarks compare the membership cache and the index repair
+	// against (ghost registries, ghost log and gap audit are identical
+	// either way). Nothing outside the package can set it.
 	fullRescan bool
 	// GhostUpdates counts digest entries applied to ghost registries.
 	GhostUpdates metrics.Counter
@@ -265,10 +287,13 @@ type Cluster struct {
 	DigestsSent    metrics.Counter
 	DigestsSkipped metrics.Counter
 
-	// Reused visibility-scan scratch (see visibility.go).
+	// Reused visibility-scan scratch (see visibility.go). The pairing and
+	// the audit index their sessions at different cell sizes, so each
+	// keeps its own index and its own order.
 	visAll       []visSess
 	visResidents []int
-	visIdx       visIndex
+	visPairIdx   visIndex
+	visAuditIdx  visIndex
 	visHolders   []uint64
 	visPairs     []visPairState // dense, see pairTable
 	visBorders   []world.BorderNeighbor
@@ -306,6 +331,7 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		recoverWanted:  make(map[int]bool),
 		rateState:      make(map[world.TileID]*tileRateState),
 		players:        make(map[PlayerID]*Player),
+		nameKeys:       make(map[string]int),
 		HandoffLatency: metrics.NewSample(4096),
 		HandoffsIn:     make([]metrics.Counter, cfg.Shards),
 		HandoffsOut:    make([]metrics.Counter, cfg.Shards),
@@ -458,9 +484,10 @@ func (c *Cluster) Connect(name string, b mve.Behavior) *Player {
 // the position once the shard's store answers.
 func (c *Cluster) ConnectAt(name string, b mve.Behavior, pos world.BlockPos) *Player {
 	shard := c.table.ShardOfBlock(pos)
+	key := c.intern(name)
 	// A rejoining identity supersedes any stale ghost of its former life
 	// on the joining shard (the real avatar is authoritative).
-	if c.vis.Enabled && c.shards[shard].RemoveGhost(name) {
+	if c.vis.Enabled && c.shards[shard].RemoveGhost(key) {
 		c.GhostLog.Append(GhostRecord{Player: name, Shard: shard, Event: "promote"})
 	}
 	sess := c.shards[shard].ConnectAt(name, b, float64(pos.X), float64(pos.Z))
@@ -473,10 +500,28 @@ func (c *Cluster) ConnectAt(name string, b mve.Behavior, pos world.BlockPos) *Pl
 		behavior:     b,
 		pendingShard: shard,
 		lastPos:      pos,
+		key:          key,
+	}
+	if n := len(c.freeSlots); n > 0 {
+		p.slot, c.freeSlots = c.freeSlots[n-1], c.freeSlots[:n-1]
+	} else {
+		p.slot = c.slots
+		c.slots++
 	}
 	c.players[p.ID] = p
-	c.order = append(c.order, p.ID)
+	c.order = append(c.order, p)
 	return p
+}
+
+// intern returns name's key, assigning the next one to a new name.
+func (c *Cluster) intern(name string) int {
+	key, ok := c.nameKeys[name]
+	if !ok {
+		key = len(c.names)
+		c.nameKeys[name] = key
+		c.names = append(c.names, name)
+	}
+	return key
 }
 
 // Home returns a spawn position inside shard i's default territory (see
@@ -500,19 +545,17 @@ func (c *Cluster) Disconnect(id PlayerID) bool {
 		return true
 	}
 	c.shards[p.shard].Disconnect(p.pid)
-	c.drop(id)
+	c.drop(p)
 	return true
 }
 
-// drop removes the handle from the routing tables.
-func (c *Cluster) drop(id PlayerID) {
-	delete(c.players, id)
-	for i, pid := range c.order {
-		if pid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+// drop removes the handle from the routing tables and frees its slot.
+func (c *Cluster) drop(p *Player) {
+	delete(c.players, p.ID)
+	i := slices.Index(c.order, p)
+	c.order = slices.Delete(c.order, i, i+1)
+	c.freeSlots = append(c.freeSlots, p.slot)
+	p.slot = -1
 }
 
 // HandleOf finds the handle behind a shard-level session: by pointer
@@ -524,8 +567,7 @@ func (c *Cluster) drop(id PlayerID) {
 func (c *Cluster) HandleOf(sess *mve.Player) *Player {
 	var byName *Player
 	nameMatches := 0
-	for _, id := range c.order {
-		h := c.players[id]
+	for _, h := range c.order {
 		if c.Session(h) == sess {
 			return h
 		}
@@ -542,11 +584,7 @@ func (c *Cluster) HandleOf(sess *mve.Player) *Player {
 
 // Players returns the live session handles in join order.
 func (c *Cluster) Players() []*Player {
-	out := make([]*Player, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.players[id])
-	}
-	return out
+	return append(make([]*Player, 0, len(c.order)), c.order...)
 }
 
 // PlayerCount returns the number of live sessions (including in-flight
@@ -577,9 +615,8 @@ func (c *Cluster) scan() {
 	if c.stopped {
 		return
 	}
-	for _, id := range append([]PlayerID(nil), c.order...) {
-		p, ok := c.players[id]
-		if !ok || p.inflight {
+	for _, p := range slices.Clone(c.order) {
+		if p.slot < 0 || p.inflight {
 			continue
 		}
 		sess := c.shards[p.shard].Player(p.pid)
@@ -633,8 +670,8 @@ func (c *Cluster) handoff(p *Player, dst int) {
 			// Disconnected mid-handoff: the player record is already
 			// persisted (when a Transfer exists). The avatar is gone for
 			// good, so its ghosts must not linger pinned.
-			c.dropGhosts(p.Name)
-			c.drop(p.ID)
+			c.dropGhosts(p)
+			c.drop(p)
 			return
 		}
 		sess := c.shards[dst].AdmitPlayer(restored)

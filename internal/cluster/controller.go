@@ -155,8 +155,7 @@ func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
 	counts := make(map[world.TileID]int)
 	var tiles []world.TileID
 	hotPlayers, coldPlayers := 0, 0
-	for _, id := range c.order {
-		p := c.players[id]
+	for _, p := range c.order {
 		if p.inflight {
 			continue
 		}
@@ -313,8 +312,8 @@ func (c *Cluster) FailShard(i int) bool {
 	}
 	// Collect the victims before the crash wipes the shard's sessions.
 	var victims []*Player
-	for _, id := range c.order {
-		if p := c.players[id]; p.shard == i && !p.inflight {
+	for _, p := range c.order {
+		if p.shard == i && !p.inflight {
 			victims = append(victims, p)
 		}
 	}
@@ -347,13 +346,13 @@ func (c *Cluster) readmit(p *Player) {
 	finish := func(snap mve.PlayerSnapshot) {
 		p.inflight = false
 		if p.closed {
-			c.drop(p.ID)
+			c.drop(p)
 			return
 		}
 		dst := c.table.ShardOfBlock(world.BlockPos{X: int(snap.X), Z: int(snap.Z)})
 		sess := c.shards[dst].AdmitPlayer(snap)
 		// The re-admitted avatar supersedes any ghost of itself here.
-		if c.vis.Enabled && c.shards[dst].RemoveGhost(p.Name) {
+		if c.vis.Enabled && c.shards[dst].RemoveGhost(p.key) {
 			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: dst, Event: "promote"})
 		}
 		p.shard, p.pid, p.pendingShard = dst, sess.ID, dst

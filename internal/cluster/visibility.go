@@ -20,11 +20,16 @@
 // margin rect changed (about one step in sixteen for a walker), were
 // handed off, or saw the ownership table change under them (every
 // migration, failover, and recovery bumps the epoch). The
-// displaced-session pairing and the gap audit run over a cell-sorted
-// spatial index (visindex.go) instead of all pairs, and the per-shard-pair
-// digest state is a dense table. The in-package tests cross-check the cache
-// against a scan that recomputes everything (Cluster.fullRescan): both
-// leave identical ghost registries and ghost logs.
+// displaced-session pairing and the gap audit each run over a cell-sorted
+// spatial index (visindex.go) instead of all pairs, and each index keeps
+// its cell order from one scan to the next, so a scan repairs the order
+// instead of sorting. The per-shard-pair digest state is a dense table,
+// and the digests name avatars by the player name's interned key
+// (Cluster.intern), which is also how the shards' ghost registries find
+// a ghost: neither publication nor the audit hashes a name. The
+// in-package tests cross-check the cache against a scan that recomputes
+// everything (Cluster.fullRescan, which also makes both indexes forget
+// their order): both leave identical ghost registries and ghost logs.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
 // session demotes it to a pinned ghost on the source shard (viewers keep
@@ -92,8 +97,9 @@ type GhostRecord struct {
 	Event string
 }
 
-// DigestEntry is one ghost-digest line: an avatar another shard should
-// mirror.
+// DigestEntry is one line of the ghost digest's wire form
+// (EncodeGhostDigest): an avatar another shard should mirror. The bus
+// itself carries visEntry, which names the avatar by its key.
 type DigestEntry struct {
 	Name string
 	X, Z float64
@@ -218,19 +224,27 @@ type visSess struct {
 // window, so a rate-limited ghost can never be reaped as stale.
 const digestMaxSkips = ghostTTLScans - 2
 
+// visEntry is one digest line as the bus applies it: the name key of an
+// avatar another shard should mirror, its position, and its home shard.
+type visEntry struct {
+	key  int
+	x, z float64
+	home int
+}
+
 // visPairState is one shard pair's digest buffer and rate-limiter state,
 // reused every scan.
 type visPairState struct {
-	entries []DigestEntry
+	entries []visEntry
 
 	// Rate limiter: lastPub is a copy of the entry list most recently
-	// published (backing array reused — entry Names share the sessions'
-	// strings, so the steady-state copy allocates nothing), lastEpoch the
-	// ownership epoch it was published under, and skips the consecutive
-	// scans suppressed since. pubValid goes false whenever the pair goes
-	// quiet (no entries), because ghosts may expire while a pair is
-	// silent and a later identical-looking scan must re-publish them.
-	lastPub   []DigestEntry
+	// published (backing array reused, so the steady-state copy allocates
+	// nothing), lastEpoch the ownership epoch it was published under, and
+	// skips the consecutive scans suppressed since. pubValid goes false
+	// whenever the pair goes quiet (no entries), because ghosts may
+	// expire while a pair is silent and a later identical-looking scan
+	// must re-publish them.
+	lastPub   []visEntry
 	lastEpoch uint64
 	pubValid  bool
 	skips     int
@@ -299,8 +313,7 @@ func (c *Cluster) VisibilityScanOnce() {
 	// against the ownership epoch — recomputes membership.
 	all := c.visAll[:0]
 	displacedAny := false
-	for _, id := range c.order {
-		p := c.players[id]
+	for _, p := range c.order {
 		if p.inflight {
 			continue
 		}
@@ -342,11 +355,15 @@ func (c *Cluster) VisibilityScanOnce() {
 	// shard, so their neighbours publish to it (and vice versa) by
 	// session geometry. The candidates come from the spatial index at
 	// margin-sized cells instead of all pairs.
-	ix := &c.visIdx
+	if c.fullRescan {
+		c.visPairIdx.forget()
+		c.visAuditIdx.forget()
+	}
+	ix := &c.visPairIdx
 	if displacedAny {
 		ix.reset(margin)
 		for i := range all {
-			ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, i)
+			ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, i, all[i].p.slot)
 		}
 		ix.group(0)
 		for ci := range ix.cells {
@@ -416,7 +433,7 @@ func (c *Cluster) VisibilityScanOnce() {
 				continue
 			}
 			ps := &pairs[s.p.shard*n+dst]
-			ps.entries = append(ps.entries, DigestEntry{Name: s.p.Name, X: s.x, Z: s.z, Home: s.p.shard})
+			ps.entries = append(ps.entries, visEntry{key: s.p.key, x: s.x, z: s.z, home: s.p.shard})
 		}
 	}
 	c.visResidents = residents
@@ -443,8 +460,8 @@ func (c *Cluster) VisibilityScanOnce() {
 			continue
 		}
 		for _, e := range ps.entries {
-			if c.shards[dst].UpsertGhost(e.Name, e.X, e.Z, e.Home, c.visSeq) {
-				c.GhostLog.Append(GhostRecord{Player: e.Name, Shard: dst, Event: "spawn"})
+			if c.shards[dst].UpsertGhost(e.key, c.names[e.key], e.x, e.z, e.home, c.visSeq) {
+				c.GhostLog.Append(GhostRecord{Player: c.names[e.key], Shard: dst, Event: "spawn"})
 			}
 			c.GhostUpdates.Inc()
 		}
@@ -476,9 +493,10 @@ func (c *Cluster) VisibilityScanOnce() {
 	// only where such a look-up came back empty.
 	view := max(c.viewDistance(), 1)
 	words := bitWords(n)
+	ix = &c.visAuditIdx
 	ix.reset(view)
 	for r, i := range residents {
-		ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, r)
+		ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, r, all[i].p.slot)
 	}
 	ix.group(words)
 	holders := zeroed(c.visHolders, len(residents)*words)
@@ -488,12 +506,12 @@ func (c *Cluster) VisibilityScanOnce() {
 		near := ix.shardsNear[ci*words : (ci+1)*words]
 		for i := cell.lo; i < cell.hi; i++ {
 			rec := &ix.recs[i]
-			name := all[residents[rec.id]].p.Name
+			key := all[residents[rec.id]].p.key
 			h := holders[int(rec.id)*words : (int(rec.id)+1)*words]
 			for w, m := range near {
 				for ; m != 0; m &= m - 1 {
 					dst := w<<6 | bits.TrailingZeros64(m)
-					if dst != int(rec.shard) && c.shards[dst].Ghost(name) != nil {
+					if dst != int(rec.shard) && c.shards[dst].Ghost(key) != nil {
 						setBit(h, dst)
 					}
 				}
@@ -541,13 +559,13 @@ func (c *Cluster) demoteToGhost(p *Player, src int, x, z float64, home int) {
 		return
 	}
 	if c.table.Alive(src) {
-		if c.shards[src].UpsertGhost(p.Name, x, z, home, c.visSeq) {
+		if c.shards[src].UpsertGhost(p.key, p.Name, x, z, home, c.visSeq) {
 			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: src, Event: "demote"})
 		}
 	}
 	for i, s := range c.shards {
-		if c.table.Alive(i) && s.Ghost(p.Name) != nil {
-			s.PinGhost(p.Name, true)
+		if c.table.Alive(i) {
+			s.PinGhost(p.key, true)
 		}
 	}
 }
@@ -562,28 +580,28 @@ func (c *Cluster) promoteFromGhost(p *Player, src, dst int, x, z float64) {
 	if !c.vis.Enabled {
 		return
 	}
-	if c.shards[dst].RemoveGhost(p.Name) {
+	if c.shards[dst].RemoveGhost(p.key) {
 		c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: dst, Event: "promote"})
 	}
 	for i, s := range c.shards {
-		if i == dst || !c.table.Alive(i) || s.Ghost(p.Name) == nil {
+		if i == dst || !c.table.Alive(i) || s.Ghost(p.key) == nil {
 			continue
 		}
-		s.UpsertGhost(p.Name, x, z, dst, c.visSeq)
-		s.PinGhost(p.Name, false)
+		s.UpsertGhost(p.key, p.Name, x, z, dst, c.visSeq)
+		s.PinGhost(p.key, false)
 	}
 }
 
 // dropGhosts removes a session's ghosts from every shard (mid-handoff
 // disconnect: the avatar is gone for good, so no ghost — pinned ones
 // included — may linger anywhere).
-func (c *Cluster) dropGhosts(name string) {
+func (c *Cluster) dropGhosts(p *Player) {
 	if !c.vis.Enabled {
 		return
 	}
 	for i, s := range c.shards {
-		if c.table.Alive(i) && s.RemoveGhost(name) {
-			c.GhostLog.Append(GhostRecord{Player: name, Shard: i, Event: "drop"})
+		if c.table.Alive(i) && s.RemoveGhost(p.key) {
+			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: i, Event: "drop"})
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 		if a.Shard() != 0 || b.Shard() != 1 {
 			t.Fatal("handoff scan fired; the displaced transient did not hold")
 		}
-		if c.Shard(1).Ghost("astray") == nil || c.Shard(0).Ghost("bstray") == nil {
+		if ghostNamed(c.Shard(1), "astray") == nil || ghostNamed(c.Shard(0), "bstray") == nil {
 			t.Fatal("displaced pair not mutually mirrored")
 		}
 		if got := c.VisibilityGaps.Value(); got != 0 {
@@ -374,18 +374,24 @@ func TestDigestEncodeAllocs(t *testing.T) {
 
 // TestVisibilityScanZeroAlloc: a steady-state replication tick —
 // membership caches, ghost registries and scan scratch warmed by one
-// scan — allocates nothing, on two shapes. "spaced": 1000 idle border
+// scan, or by a few in each position where residents move — allocates
+// nothing, on three shapes. "spaced": 1000 idle border
 // residents paired across a band seam and spaced along Z, so each pair
 // audits locally. "crowded": 300 residents within view of each other
 // around the corner of four tiles on a 2×2 grid, the shape the cluster
-// workload runs, where every resident is near every shard.
+// workload runs, where every resident is near every shard. "crossing":
+// the crowded shape with every resident stepping one block diagonally
+// back and forth between measured scans, so those on a cell edge change
+// cell (and tile) every scan and both indexes repair their order.
 func TestVisibilityScanZeroAlloc(t *testing.T) {
+	grid := world.GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 2}
 	for _, tc := range []struct {
 		name   string
 		shards int
 		topo   world.Topology
 		n      int
 		pos    func(i int) world.BlockPos
+		step   bool
 	}{
 		{"spaced", 2, nil, 1000, func(i int) world.BlockPos {
 			x := 60 // 4 blocks west of the x=64 band seam, shard 0
@@ -393,28 +399,60 @@ func TestVisibilityScanZeroAlloc(t *testing.T) {
 				x = 70 // 6 blocks east, shard 1
 			}
 			return world.BlockPos{X: x, Z: (i / 2) * 48}
-		}},
-		{"crowded", 4, world.GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 2}, 300, func(i int) world.BlockPos {
+		}, false},
+		{"crowded", 4, grid, 300, func(i int) world.BlockPos {
 			// Inside [16, 47]² around the corner at (32, 32): every pair
 			// within the view distance of 32, every resident within the
 			// 16-block margin of two seams.
 			return world.BlockPos{X: 16 + i%32, Z: 16 + i/32*3}
-		}},
+		}, false},
+		{"crossing", 4, grid, 300, func(i int) world.BlockPos {
+			// Inside [17, 46]², so a step of one block keeps every
+			// resident within the margin of both seams; those at x or
+			// z = 31 cross the corner's cell and tile edges.
+			return world.BlockPos{X: 17 + i%29, Z: 17 + i/29*2}
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := newTestCluster(t, 7, tc.shards, Config{Topology: tc.topo, Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
 			hosts := map[int]int{}
+			crossers := 0
 			for i := 0; i < tc.n; i++ {
-				hosts[c.ConnectAt(fmt.Sprintf("r%d", i), nil, tc.pos(i)).Shard()]++
+				pos := tc.pos(i)
+				hosts[c.ConnectAt(fmt.Sprintf("r%d", i), nil, pos).Shard()]++
+				if pos.X == 31 || pos.Z == 31 {
+					crossers++
+				}
 			}
 			if len(hosts) != tc.shards {
 				t.Fatalf("residents on %d shards, want all %d", len(hosts), tc.shards)
+			}
+			if tc.step && crossers == 0 {
+				t.Fatal("no resident on a cell edge; the repair moves nothing")
 			}
 			c.VisibilityScanOnce()
 			if want := tc.n * (tc.shards - 1); c.GhostCount() != want {
 				t.Fatalf("warm-up scan mirrored %d ghosts, want %d", c.GhostCount(), want)
 			}
-			if got := testing.AllocsPerRun(20, c.VisibilityScanOnce); got != 0 {
+			step := 1.0
+			scan := func() {
+				if tc.step {
+					for _, p := range c.order {
+						sp := c.Session(p)
+						sp.X, sp.Z = sp.X+step, sp.Z+step
+					}
+					step = -step
+				}
+				c.VisibilityScanOnce()
+			}
+			if tc.step {
+				// Both step phases warm their own scratch: the first
+				// stepped scans grow the displaced pairing's shard sets.
+				for range 4 {
+					scan()
+				}
+			}
+			if got := testing.AllocsPerRun(20, scan); got != 0 {
 				t.Fatalf("steady-state visibility scan: %v allocs per scan, want 0", got)
 			}
 			if got := c.VisibilityGaps.Value(); got != 0 {

@@ -67,18 +67,18 @@ func TestVisibilityGhostAcrossBorder(t *testing.T) {
 	loop.RunUntil(time.Second)
 
 	// Each border resident is mirrored on the neighbouring shard...
-	ga := c.Shard(1).Ghost("alice")
+	ga := ghostNamed(c.Shard(1), "alice")
 	if ga == nil {
 		t.Fatal("no ghost of alice on shard 1")
 	}
 	if ga.X != 60 || ga.Home != 0 {
 		t.Fatalf("ghost of alice = %+v, want x=60 home=0", ga)
 	}
-	if c.Shard(0).Ghost("bob") == nil {
+	if ghostNamed(c.Shard(0), "bob") == nil {
 		t.Fatal("no ghost of bob on shard 0")
 	}
 	// ...while the mid-band player replicates nowhere.
-	if c.Shard(0).Ghost("carol") != nil || c.Shard(1).Ghost("carol") != nil {
+	if ghostNamed(c.Shard(0), "carol") != nil || ghostNamed(c.Shard(1), "carol") != nil {
 		t.Fatal("mid-band player grew a ghost")
 	}
 	if got := c.GhostCount(); got != 2 {
@@ -97,7 +97,7 @@ func TestVisibilityGhostAcrossBorder(t *testing.T) {
 	// -1's western seam too); her ghost must expire within the TTL.
 	c.Session(a).X = 32
 	loop.RunUntil(2 * time.Second)
-	if c.Shard(1).Ghost("alice") != nil {
+	if ghostNamed(c.Shard(1), "alice") != nil {
 		t.Fatal("ghost of alice survived her leaving the border")
 	}
 	expired := false
@@ -134,7 +134,7 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 			loop.After(10*time.Millisecond, poll)
 			return
 		}
-		g := c.Shard(0).Ghost("mover")
+		g := ghostNamed(c.Shard(0), "mover")
 		if g == nil {
 			t.Error("no ghost of the in-flight session on the source shard")
 		} else if !g.Pinned {
@@ -147,7 +147,7 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 		// flight pinned instead of TTL-expiring — the avatar would
 		// otherwise pop out of the very world it is arriving in. Keep
 		// polling until the flight ends to catch a late expiry.
-		if dg := c.Shard(1).Ghost("mover"); dg == nil {
+		if dg := ghostNamed(c.Shard(1), "mover"); dg == nil {
 			t.Error("destination shard's ghost expired mid-flight")
 		} else if !dg.Pinned {
 			t.Error("destination shard's ghost not pinned mid-flight")
@@ -167,12 +167,12 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 		t.Fatalf("mover on shard %d, want 1", p.Shard())
 	}
 	// Promotion: the real avatar replaced any ghost on the destination.
-	if c.Shard(1).Ghost("mover") != nil {
+	if ghostNamed(c.Shard(1), "mover") != nil {
 		t.Fatal("ghost of mover still on its own shard after admission")
 	}
 	// The source's demoted double is unpinned again (free to expire once
 	// the avatar leaves the border).
-	if g := c.Shard(0).Ghost("mover"); g != nil && g.Pinned {
+	if g := ghostNamed(c.Shard(0), "mover"); g != nil && g.Pinned {
 		t.Fatal("source ghost still pinned after the handoff completed")
 	}
 	var demotes, promotes int
@@ -278,7 +278,7 @@ func TestVisibilityBrownoutDegradesWithoutLosingLiveness(t *testing.T) {
 	ghostGone := 0
 	var watch func()
 	watch = func() {
-		if p.InFlight() && c.Shard(0).Ghost("trooper") == nil && c.Shard(1).Ghost("trooper") == nil {
+		if p.InFlight() && ghostNamed(c.Shard(0), "trooper") == nil && ghostNamed(c.Shard(1), "trooper") == nil {
 			ghostGone++ // the avatar vanished from every world mid-flight
 		}
 		loop.After(50*time.Millisecond, watch)
@@ -344,10 +344,10 @@ func TestVisibilityServesDisplacedSessions(t *testing.T) {
 	if a.Shard() != 0 {
 		t.Fatal("handoff scan fired; the displaced transient did not hold")
 	}
-	if c.Shard(1).Ghost("astray") == nil {
+	if ghostNamed(c.Shard(1), "astray") == nil {
 		t.Fatal("displaced session not mirrored onto the terrain owner's shard")
 	}
-	if c.Shard(0).Ghost("bystander") == nil {
+	if ghostNamed(c.Shard(0), "bystander") == nil {
 		t.Fatal("neighbour of a displaced session not mirrored onto its host shard")
 	}
 	if got := c.VisibilityGaps.Value(); got != 0 {

@@ -1,11 +1,23 @@
-// The visibility bus's spatial index: one cell-sorted array of compact
-// session records, rebuilt every scan, which both the displaced-session
-// pairing (cells one border margin wide) and the gap audit (cells one
-// view distance wide) walk. Two positions within Chebyshev distance
-// `size` of each other lie in the same or adjacent cells, so the 3×3
-// cell neighbourhood of a record holds every partner it can have. The
-// arrays are reused across scans: a steady-state build allocates
-// nothing.
+// The visibility bus's spatial index: a cell-sorted array of compact
+// session records. The displaced-session pairing (cells one border margin
+// wide) and the gap audit (cells one view distance wide) each keep one.
+// Two positions within Chebyshev distance `size` of each other lie in
+// the same or adjacent cells, so the 3×3 cell neighbourhood of a record
+// holds every partner it can have.
+//
+// The index keeps its cell order from one scan to the next. Every record
+// carries its session's stable cluster slot, and group lays the new
+// build's records out in the previous build's order: departed sessions
+// drop out, the rest are re-keyed, and a stable insertion pass repairs
+// the order — a resident moves a few blocks between scans, so most keep
+// their cell and the pass touches each record once. Newcomers (a join, a
+// resident entering the border zone, or everyone after a cell-size
+// change, which forgets the history) are sorted among themselves and
+// merged in, so a mass join costs what a full sort did. Records with the
+// same key may end up in any order, and nothing downstream can tell: the
+// pairing builds sorted shard sets (addSorted), and the audit builds
+// holder bitsets and one boolean. The arrays are reused across scans: a
+// steady-state build allocates nothing.
 
 package cluster
 
@@ -22,8 +34,11 @@ type visRec struct {
 	x, z int
 	// shard is the host shard.
 	shard int32
-	// id is the caller's number for the session.
+	// id is the caller's number for the session in this build.
 	id int32
+	// slot is the session's stable identity across builds (its cluster
+	// slot).
+	slot int32
 }
 
 // dist is the Chebyshev distance in blocks between two records.
@@ -45,10 +60,16 @@ type visCellSpan struct {
 // near returns the occupied cells of the cell's 3×3 neighbourhood.
 func (s *visCellSpan) near() []int32 { return s.nb[:s.nn] }
 
-// visIndex is the cell-sorted index. Build it with reset, add and group.
+// visIndex is the cell-sorted index. Build it with reset, add and group;
+// every reset must end in a group.
 type visIndex struct {
-	size  int
-	recs  []visRec
+	size int
+	// recs is the grouped order, which the next group starts from.
+	recs []visRec
+	// fresh holds this build's records in add order, and at[slot] is 1 +
+	// a slot's position in it (0: absent; all zero outside a build).
+	fresh []visRec
+	at    []int32
 	cells []visCellSpan
 	// With group(words > 0): own[ci*words:] is the bitset of the shards
 	// hosting a record in cell ci, and shardsNear[ci*words:] the union of
@@ -74,25 +95,87 @@ func floorDiv(a, b int) int {
 	return q
 }
 
-// reset empties the index for cells size blocks wide.
+// reset starts a build for cells size blocks wide. A new cell size
+// forgets the previous order: every record is re-keyed, so all of them
+// would move.
 func (ix *visIndex) reset(size int) {
+	if size != ix.size {
+		ix.forget()
+	}
 	ix.size = size
-	ix.recs = ix.recs[:0]
+	ix.fresh = ix.fresh[:0]
 }
 
-// add indexes a session at block (x, z), hosted by shard.
-func (ix *visIndex) add(x, z, shard, id int) {
-	ix.recs = append(ix.recs, visRec{
+// forget drops the previous build's order, so the next group sorts every
+// record as a newcomer.
+func (ix *visIndex) forget() { ix.recs = ix.recs[:0] }
+
+// add indexes a session at block (x, z), hosted by shard, under the
+// caller's number id and the session's stable slot (unique in a build).
+func (ix *visIndex) add(x, z, shard, id, slot int) {
+	if slot >= len(ix.at) {
+		ix.at = append(ix.at, make([]int32, slot+1-len(ix.at))...)
+	}
+	ix.fresh = append(ix.fresh, visRec{
 		key: cellKey(floorDiv(x, ix.size), floorDiv(z, ix.size)),
-		x:   x, z: z, shard: int32(shard), id: int32(id),
+		x:   x, z: z, shard: int32(shard), id: int32(id), slot: int32(slot),
 	})
+	ix.at[slot] = int32(len(ix.fresh))
 }
 
-// group sorts the records into cells and lists each cell's
+// group sorts this build's records into cells — starting from the
+// previous build's order, see the file comment — and lists each cell's
 // neighbourhood. words > 0 also fills own and shardsNear with bitsets of
 // that many words.
 func (ix *visIndex) group(words int) {
-	slices.SortFunc(ix.recs, func(a, b visRec) int { return cmp.Compare(a.key, b.key) })
+	// Survivors: this build's records in the previous build's order,
+	// written over that order.
+	n := 0
+	for i := range ix.recs {
+		slot := ix.recs[i].slot
+		if at := ix.at[slot]; at != 0 {
+			ix.recs[n] = ix.fresh[at-1]
+			ix.at[slot] = 0
+			n++
+		}
+	}
+	recs := ix.recs[:n]
+	// Repair the order: stable, and one step per record that kept its
+	// place.
+	for i := 1; i < n; i++ {
+		if recs[i].key >= recs[i-1].key {
+			continue
+		}
+		r, j := recs[i], i
+		for ; j > 0 && recs[j-1].key > r.key; j-- {
+			recs[j] = recs[j-1]
+		}
+		recs[j] = r
+	}
+	// Newcomers: the records no survivor took, written over fresh, then
+	// sorted and merged in from the back.
+	newc := ix.fresh[:0]
+	for i := range ix.fresh {
+		if slot := ix.fresh[i].slot; ix.at[slot] != 0 {
+			newc = append(newc, ix.fresh[i])
+			ix.at[slot] = 0
+		}
+	}
+	if len(newc) > 0 {
+		slices.SortFunc(newc, func(a, b visRec) int { return cmp.Compare(a.key, b.key) })
+		recs = slices.Grow(recs, len(newc))[:n+len(newc)]
+		for i, j, k := n-1, len(newc)-1, len(recs)-1; j >= 0; k-- {
+			if i >= 0 && recs[i].key > newc[j].key {
+				recs[k] = recs[i]
+				i--
+			} else {
+				recs[k] = newc[j]
+				j--
+			}
+		}
+	}
+	ix.recs = recs
+
 	ix.cells = ix.cells[:0]
 	for i := range ix.recs {
 		if i == 0 || ix.recs[i].key != ix.recs[i-1].key {

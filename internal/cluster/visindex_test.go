@@ -1,22 +1,28 @@
 // Tests for the visibility bus's spatial index and the gap audit it
 // runs: the audit (visIndex.hasGap, with its cover test) is checked
 // against an all-pairs reference on random residents (TestGapAudit*,
-// FuzzGapAudit), and against a ghost removed from a live cluster.
+// FuzzGapAudit), and against a ghost removed from a live cluster; the
+// index's order repair (group starting from the previous build) is
+// checked against a build from scratch after every FuzzGapAudit op.
 
 package cluster
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"servo/internal/world"
 )
 
-// gapResident is one audit input: a position, a host shard and the
-// bitset of the shards holding the resident's ghost.
+// gapResident is one audit input: a position, a host shard, the bitset
+// of the shards holding the resident's ghost, and the resident's stable
+// slot in the index.
 type gapResident struct {
 	x, z, shard int
 	holders     []uint64
+	slot        int
 }
 
 // allPairsGap is the reference audit: every pair of residents on
@@ -43,7 +49,7 @@ func indexedGap(ix *visIndex, rs []gapResident, view, words int) bool {
 	ix.reset(view)
 	holders := make([]uint64, 0, len(rs)*words)
 	for i, r := range rs {
-		ix.add(r.x, r.z, r.shard, i)
+		ix.add(r.x, r.z, r.shard, i, r.slot)
 		holders = append(holders, r.holders...)
 	}
 	ix.group(words)
@@ -75,7 +81,7 @@ func TestGapAuditMatchesAllPairs(t *testing.T) {
 		}
 		for i := range rs {
 			r := &rs[i]
-			r.x, r.z = coord(), coord()
+			r.x, r.z, r.slot = coord(), coord(), i
 			r.shard = ((floorDiv(r.x, tile)*7 + floorDiv(r.z, tile)*13) & 0xffff) % shards
 			if rng.Intn(10) == 0 {
 				r.shard = rng.Intn(shards)
@@ -100,28 +106,55 @@ func TestGapAuditMatchesAllPairs(t *testing.T) {
 
 // gapOps is the model check behind FuzzGapAudit. data[0] picks the shard
 // count (2..70) and data[1] the view distance (1..24); every following
-// 4-byte group is one op — place a resident with every ghost (kind 0),
-// move one (kind 1), or un-ghost one from a shard (kind 2) — after which
-// the audit must agree with the all-pairs reference.
+// 4-byte group is one op on resident k = data[1] (modulo the count) at
+// (x, z) = (int8 data[2], int8 data[3]):
+//   - kind 0 places a resident with every ghost at (x, z) on shard k;
+//   - kind 1 moves resident k to (x, z);
+//   - kind 2 un-ghosts resident k from shard data[2];
+//   - kind 3 departs resident k, freeing its slot for the next placement;
+//   - kind 4 changes the view distance (the cell size) to 1 + data[1]%24;
+//   - kind 5 places 1 + data[1]%48 residents at once, in rows of eight
+//     three blocks apart from (x, z) (a mass join);
+//   - kind 6 shifts every resident by (x, z).
+//
+// After every op the audit must agree with the all-pairs reference, and
+// the index, repaired from the previous op's order, must equal one built
+// from scratch (sameGrouping).
 func gapOps(t *testing.T, data []byte) {
 	if len(data) < 2 {
 		return
 	}
 	shards, view := 2+int(data[0])%69, 1+int(data[1])%24
 	words := bitWords(shards)
-	var ix visIndex
+	var ix, scratch visIndex
 	var rs []gapResident
+	var free []int
+	slots := 0
+	place := func(x, z, shard int) {
+		r := gapResident{x: x, z: z, shard: shard, holders: make([]uint64, words), slot: slots}
+		if n := len(free); n > 0 {
+			r.slot, free = free[n-1], free[:n-1]
+		} else {
+			slots++
+		}
+		for s := 0; s < shards; s++ {
+			setBit(r.holders, s)
+		}
+		rs = append(rs, r)
+	}
 	const maxOps = 256
 	for op, data := 0, data[2:]; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
-		kind, k := data[0]%3, int(data[1])
+		kind, k := data[0]%7, int(data[1])
 		x, z := int(int8(data[2])), int(int8(data[3]))
 		switch {
 		case kind == 0:
-			r := gapResident{x: x, z: z, shard: k % shards, holders: make([]uint64, words)}
-			for s := 0; s < shards; s++ {
-				setBit(r.holders, s)
+			place(x, z, k%shards)
+		case kind == 4:
+			view = 1 + k%24
+		case kind == 5:
+			for j := 0; j <= k%48; j++ {
+				place(x+3*(j%8), z+3*(j/8), (k+j)%shards)
 			}
-			rs = append(rs, r)
 		case len(rs) == 0:
 			continue
 		case kind == 1:
@@ -129,12 +162,56 @@ func gapOps(t *testing.T, data []byte) {
 		case kind == 2:
 			s := int(data[2]) % shards
 			rs[k%len(rs)].holders[s>>6] &^= 1 << (s & 63)
+		case kind == 3:
+			free = append(free, rs[k%len(rs)].slot)
+			rs = slices.Delete(rs, k%len(rs), k%len(rs)+1)
+		case kind == 6:
+			for i := range rs {
+				rs[i].x += x
+				rs[i].z += z
+			}
 		}
 		if got, want := indexedGap(&ix, rs, view, words), allPairsGap(rs, view); got != want {
 			t.Fatalf("op %d (kind %d, %d residents, %d shards, view %d): audit says gap=%v, all pairs say %v",
 				op, kind, len(rs), shards, view, got, want)
 		}
+		scratch.forget()
+		indexedGap(&scratch, rs, view, words)
+		if err := sameGrouping(&ix, &scratch, words); err != "" {
+			t.Fatalf("op %d (kind %d, %d residents, view %d): the repaired index differs from a fresh build: %s",
+				op, kind, len(rs), view, err)
+		}
 	}
+}
+
+// sameGrouping compares two grouped indexes over the same records: the
+// same cell keys in order, the same records in each cell (in any order),
+// the same neighbourhoods and the same shard bitsets. It returns what
+// differs, or "".
+func sameGrouping(a, b *visIndex, words int) string {
+	if len(a.cells) != len(b.cells) {
+		return "cell count"
+	}
+	bySlot := func(x, y visRec) int { return cmp.Compare(x.slot, y.slot) }
+	for ci := range a.cells {
+		ca, cb := &a.cells[ci], &b.cells[ci]
+		if ca.key != cb.key {
+			return "cell keys"
+		}
+		ra := slices.SortedFunc(slices.Values(a.recs[ca.lo:ca.hi]), bySlot)
+		rb := slices.SortedFunc(slices.Values(b.recs[cb.lo:cb.hi]), bySlot)
+		if !slices.Equal(ra, rb) {
+			return "records of a cell"
+		}
+		if !slices.Equal(ca.near(), cb.near()) {
+			return "neighbourhood"
+		}
+	}
+	if !slices.Equal(a.own[:len(a.cells)*words], b.own[:len(b.cells)*words]) ||
+		!slices.Equal(a.shardsNear[:len(a.cells)*words], b.shardsNear[:len(b.cells)*words]) {
+		return "shard bitsets"
+	}
+	return ""
 }
 
 // FuzzGapAudit is the model check of the gap audit; see gapOps. Its
@@ -164,14 +241,14 @@ func TestGapAuditSeesMissingGhost(t *testing.T) {
 	c.ConnectAt("alice", nil, world.BlockPos{X: 60, Y: 0, Z: 8})
 	c.ConnectAt("bob", nil, world.BlockPos{X: 70, Y: 0, Z: 8})
 	c.VisibilityScanOnce()
-	if c.Shard(1).Ghost("alice") == nil || c.Shard(0).Ghost("bob") == nil {
+	if ghostNamed(c.Shard(1), "alice") == nil || ghostNamed(c.Shard(0), "bob") == nil {
 		t.Fatal("setup: the pair is not mirrored both ways")
 	}
 	if got := c.VisibilityGaps.Value(); got != 0 {
 		t.Fatalf("visibility gap ticks = %d after a healthy scan, want 0", got)
 	}
 	skipped := c.DigestsSkipped.Value()
-	c.Shard(1).RemoveGhost("alice")
+	c.Shard(1).RemoveGhost(c.intern("alice"))
 	c.VisibilityScanOnce()
 	if c.DigestsSkipped.Value() == skipped {
 		t.Fatal("the scan republished its digests; the removed ghost was restored before the audit")

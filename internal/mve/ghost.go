@@ -8,6 +8,17 @@
 // pre-fetching store (scanTerrainDemand observes their positions), so
 // the terrain around an approaching avatar is warm before its handoff
 // lands.
+//
+// Ghosts are found by key, not by name: the cluster interns each player
+// name to a small dense integer once, when a session under that name
+// first joins, and every registry call passes it. A name keeps its key
+// for the cluster's lifetime, so same-name sessions share one ghost per
+// shard, as they did when the registry was a map by name. The registry
+// is a slice indexed by key — one pointer per key up to the largest key
+// this shard has mirrored, so it grows with the number of distinct names
+// ever admitted, the same order as the player records the store keeps —
+// plus the live ghosts in creation order, which is the order EachGhost,
+// ExpireGhosts and the ghost ids follow.
 
 package mve
 
@@ -36,6 +47,8 @@ type GhostAvatar struct {
 	Pinned bool
 	// seq is the replication-scan sequence number of the last refresh.
 	seq uint64
+	// key is the name key the registry holds the ghost under.
+	key int
 }
 
 // Pos returns the ghost's position as a block position.
@@ -43,38 +56,41 @@ func (g *GhostAvatar) Pos() world.BlockPos {
 	return world.BlockPos{X: int(g.X), Z: int(g.Z)}
 }
 
-// UpsertGhost installs or refreshes the ghost mirroring name, reporting
-// whether it was newly created. seq stamps the refresh for staleness
-// reaping (ExpireGhosts).
-func (s *Server) UpsertGhost(name string, x, z float64, home int, seq uint64) bool {
-	if g, ok := s.ghosts[name]; ok {
+// UpsertGhost installs or refreshes the ghost under key, reporting
+// whether it was newly created; name is what a new ghost mirrors. seq
+// stamps the refresh for staleness reaping (ExpireGhosts).
+func (s *Server) UpsertGhost(key int, name string, x, z float64, home int, seq uint64) bool {
+	if g := s.Ghost(key); g != nil {
 		g.X, g.Z, g.Home, g.seq = x, z, home, seq
 		return false
 	}
+	if key >= len(s.ghosts) {
+		s.ghosts = append(s.ghosts, make([]*GhostAvatar, key+1-len(s.ghosts))...)
+	}
 	s.nextGhost++
-	g := &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, Home: home, seq: seq}
-	s.ghosts[name] = g
+	g := &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, Home: home, seq: seq, key: key}
+	s.ghosts[key] = g
 	s.ghostOrder = append(s.ghostOrder, g)
 	return true
 }
 
-// PinGhost marks or unmarks the named ghost as handoff-pinned; pinned
-// ghosts are exempt from ExpireGhosts. A no-op for unknown names.
-func (s *Server) PinGhost(name string, pinned bool) {
-	if g, ok := s.ghosts[name]; ok {
+// PinGhost marks or unmarks the ghost under key as handoff-pinned;
+// pinned ghosts are exempt from ExpireGhosts. A no-op for an absent key.
+func (s *Server) PinGhost(key int, pinned bool) {
+	if g := s.Ghost(key); g != nil {
 		g.Pinned = pinned
 	}
 }
 
-// RemoveGhost drops the named ghost (e.g. because the session it mirrors
-// was admitted here — the ghost promotes to a real avatar). It reports
-// whether a ghost existed.
-func (s *Server) RemoveGhost(name string) bool {
-	g, ok := s.ghosts[name]
-	if !ok {
+// RemoveGhost drops the ghost under key (e.g. because the session it
+// mirrors was admitted here — the ghost promotes to a real avatar). It
+// reports whether a ghost existed.
+func (s *Server) RemoveGhost(key int) bool {
+	g := s.Ghost(key)
+	if g == nil {
 		return false
 	}
-	delete(s.ghosts, name)
+	s.ghosts[key] = nil
 	i := slices.Index(s.ghostOrder, g)
 	s.ghostOrder = slices.Delete(s.ghostOrder, i, i+1)
 	return true
@@ -88,7 +104,7 @@ func (s *Server) ExpireGhosts(before uint64) []string {
 	kept := s.ghostOrder[:0]
 	for _, g := range s.ghostOrder {
 		if !g.Pinned && g.seq < before {
-			delete(s.ghosts, g.Name)
+			s.ghosts[g.key] = nil
 			expired = append(expired, g.Name)
 			continue
 		}
@@ -100,8 +116,13 @@ func (s *Server) ExpireGhosts(before uint64) []string {
 	return expired
 }
 
-// Ghost returns the ghost mirroring name, or nil.
-func (s *Server) Ghost(name string) *GhostAvatar { return s.ghosts[name] }
+// Ghost returns the ghost under key, or nil.
+func (s *Server) Ghost(key int) *GhostAvatar {
+	if key < len(s.ghosts) {
+		return s.ghosts[key]
+	}
+	return nil
+}
 
 // EachGhost visits the live ghosts in creation order without allocating
 // (the per-tick path: rtserve folds ghosts into every state update).
@@ -113,4 +134,4 @@ func (s *Server) EachGhost(fn func(*GhostAvatar)) {
 }
 
 // GhostCount returns the number of live ghosts.
-func (s *Server) GhostCount() int { return len(s.ghosts) }
+func (s *Server) GhostCount() int { return len(s.ghostOrder) }

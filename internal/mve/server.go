@@ -200,7 +200,9 @@ type Server struct {
 
 	// Ghost registry (ghost.go): read-only avatars replicated from
 	// neighbouring shards by the cluster's visibility bus.
-	ghosts     map[string]*GhostAvatar
+	// ghosts is indexed by the cluster's name key; ghostOrder holds the
+	// same ghosts in creation order.
+	ghosts     []*GhostAvatar
 	ghostOrder []*GhostAvatar
 	nextGhost  int64
 
@@ -328,7 +330,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		terrain:       cfg.Terrain,
 		store:         cfg.Store,
 		players:       make(map[PlayerID]*Player),
-		ghosts:        make(map[string]*GhostAvatar),
 		placed:        make(map[world.ChunkPos][]*placement),
 		halted:        make(map[world.ChunkPos][]haltedConstruct),
 		requested:     make(map[world.ChunkPos]bool),
@@ -519,7 +520,7 @@ func (s *Server) Crash() {
 	s.stopped = true
 	s.players = make(map[PlayerID]*Player)
 	s.playerOrder = nil
-	s.ghosts = make(map[string]*GhostAvatar)
+	s.ghosts = nil
 	s.ghostOrder = nil
 }
 

@@ -186,7 +186,7 @@ func TestGhostAvatarsInStateUpdates(t *testing.T) {
 	}
 	defer c.Close()
 	inst.Locked(func() {
-		inst.Server().UpsertGhost("neighbour", 20, 30, 1, 1)
+		inst.Server().UpsertGhost(0, "neighbour", 20, 30, 1, 1)
 	})
 	waitFor(t, "the ghost avatar", func() bool {
 		_, _, ok := c.Position(-1)
@@ -201,7 +201,7 @@ func TestGhostAvatarsInStateUpdates(t *testing.T) {
 		t.Fatal("local avatar missing from updates")
 	}
 	// Promotion removes the ghost from subsequent updates.
-	inst.Locked(func() { inst.Server().RemoveGhost("neighbour") })
+	inst.Locked(func() { inst.Server().RemoveGhost(0) })
 	waitFor(t, "ghost removal", func() bool {
 		var n int
 		inst.Locked(func() { n = inst.Server().GhostCount() })
@@ -217,7 +217,7 @@ func benchServer(players, ghosts int) *mve.Server {
 		srv.ConnectAt(fmt.Sprintf("p%d", i), nil, float64(i), float64(i))
 	}
 	for i := 0; i < ghosts; i++ {
-		srv.UpsertGhost(fmt.Sprintf("g%d", i), float64(i), -float64(i), 1, 1)
+		srv.UpsertGhost(i, fmt.Sprintf("g%d", i), float64(i), -float64(i), 1, 1)
 	}
 	return srv
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"servo/internal/mve"
 	"servo/internal/world"
 )
 
@@ -265,9 +266,21 @@ func TestGridTopologyInstance(t *testing.T) {
 	}
 }
 
+// ghostNamed returns s's ghost mirroring name, or nil, by walking the
+// registry.
+func ghostNamed(s *mve.Server, name string) *mve.GhostAvatar {
+	var found *mve.GhostAvatar
+	s.EachGhost(func(g *mve.GhostAvatar) {
+		if g.Name == name {
+			found = g
+		}
+	})
+	return found
+}
+
 // TestVisibilityInstance: a sharded instance with visibility on mirrors
 // border avatars as ghosts on the neighbouring shard, and rtserve-facing
-// state (Server().Ghost / EachGhost) sees them.
+// state (EachGhost) sees them.
 func TestVisibilityInstance(t *testing.T) {
 	inst := NewInstance(Config{
 		Seed: 6, WorldType: "flat", Shards: 2,
@@ -281,7 +294,7 @@ func TestVisibilityInstance(t *testing.T) {
 		t.Fatalf("edge player on shard %d, want 0", h.Shard())
 	}
 	inst.Run(5 * time.Second)
-	g := cl.Shard(1).Ghost("edge")
+	g := ghostNamed(cl.Shard(1), "edge")
 	if g == nil {
 		t.Fatal("no ghost of the border player on the neighbouring shard")
 	}
