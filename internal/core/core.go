@@ -272,7 +272,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		// and retains each published chunk's bytes for no reader
 		// (`explore` live_heap_mb +5.1 %, bound 6 %).
 		if neighbours {
-			sys.GenCache = tgen.NewGenCache(0)
+			sys.GenCache = tgen.NewGenCache()
 		}
 	}
 	if cfg.ServerlessRS || cfg.LocalStore {

@@ -96,8 +96,11 @@ func (l *LocalSC) Construct(id uint64) *sc.Construct { return l.constructs[id] }
 // TerrainBackend produces chunks on demand. The game loop requests chunks
 // entering view distance and drains completed chunks each tick.
 type TerrainBackend interface {
-	// Request asks for the chunk at pos to be generated or loaded.
-	// Duplicate requests for in-flight positions are ignored.
+	// Request asks for the chunk at pos to be generated or loaded. The
+	// server is the only de-duplicator, so backends queue every request
+	// they get: it requests a position at most once until that
+	// position's chunk is drained, and asks again only after the chunk
+	// has been unloaded.
 	Request(pos world.ChunkPos)
 	// DrainAppend appends the chunks that completed since the last call
 	// to dst and returns it, so the game loop reuses one drain slice
@@ -131,11 +134,7 @@ type LocalTerrain struct {
 
 	busy  int
 	queue []world.ChunkPos
-	// requested holds every position between Request and the end of its
-	// generation, for duplicate suppression. It must not outlive that: a
-	// chunk generated, unloaded and demanded again is generated again.
-	requested map[world.ChunkPos]bool
-	done      []*world.Chunk
+	done  []*world.Chunk
 }
 
 var _ TerrainBackend = (*LocalTerrain)(nil)
@@ -156,16 +155,11 @@ func NewLocalTerrain(clock sim.Clock, gen terrain.Generator) *LocalTerrain {
 		gen:       gen,
 		workers:   DefaultLocalWorkers,
 		nsPerUnit: defaultLocalGenNsPerUnit,
-		requested: make(map[world.ChunkPos]bool),
 	}
 }
 
 // Request implements TerrainBackend.
 func (l *LocalTerrain) Request(pos world.ChunkPos) {
-	if l.requested[pos] {
-		return
-	}
-	l.requested[pos] = true
 	l.queue = append(l.queue, pos)
 	l.dispatch()
 }
@@ -182,7 +176,6 @@ func (l *LocalTerrain) dispatch() {
 		genTime += time.Duration(l.clock.RNG().Int63n(int64(genTime)/5)) - genTime/10
 		l.clock.After(genTime, func() {
 			l.busy--
-			delete(l.requested, c.Pos)
 			l.done = append(l.done, c)
 			l.dispatch()
 		})

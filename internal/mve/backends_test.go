@@ -90,16 +90,188 @@ func TestLocalTerrainWorkerPoolThroughput(t *testing.T) {
 	}
 }
 
+// heldTerrain is a TerrainBackend that holds every request until release
+// and counts requests per position. A request for a position the server
+// has already asked for and not yet drained counts as a duplicate.
+type heldTerrain struct {
+	requests    map[world.ChunkPos]int
+	outstanding map[world.ChunkPos]bool
+	held        []world.ChunkPos
+	done        []*world.Chunk
+	duplicates  int
+}
+
+func newHeldTerrain() *heldTerrain {
+	return &heldTerrain{requests: map[world.ChunkPos]int{}, outstanding: map[world.ChunkPos]bool{}}
+}
+
+func (h *heldTerrain) Request(pos world.ChunkPos) {
+	h.requests[pos]++
+	if h.outstanding[pos] {
+		h.duplicates++
+	}
+	h.outstanding[pos] = true
+	h.held = append(h.held, pos)
+}
+
+// release completes every held request.
+func (h *heldTerrain) release() {
+	for _, pos := range h.held {
+		h.done = append(h.done, terrain.Flat{}.Generate(pos))
+	}
+	h.held = h.held[:0]
+}
+
+func (h *heldTerrain) DrainAppend(dst []*world.Chunk) []*world.Chunk {
+	for _, c := range h.done {
+		delete(h.outstanding, c.Pos)
+	}
+	dst = append(dst, h.done...)
+	h.done = h.done[:0]
+	return dst
+}
+
+func (h *heldTerrain) Load() (busyWorkers, queued int) { return 0, len(h.held) }
+
+// TestServerRequestsEachChunkOnce: the server is the only request
+// de-duplicator, so its terrain backend must see a position once until
+// that chunk is drained, and once more only after an unload. Two players
+// with overlapping views are scanned several times while every request is
+// held, with and without a store (whose misses reach the backend through
+// the load callback); then the chunks are delivered, the players walk away
+// until they unload, and come back.
+func TestServerRequestsEachChunkOnce(t *testing.T) {
+	for _, withStore := range []bool{false, true} {
+		loop := sim.NewLoop(5)
+		gen := newHeldTerrain()
+		cfg := Config{WorldType: "flat", Seed: 5, ViewDistance: demandView, Terrain: gen}
+		if withStore {
+			cfg.Store = &recordingStore{}
+		}
+		s := NewServer(loop, cfg)
+		p0 := s.ConnectAt("p0", nil, 1000, 0)
+		p1 := s.ConnectAt("p1", nil, 1040, -24)
+		s.Start()
+		view := func() map[world.ChunkPos]bool {
+			in := map[world.ChunkPos]bool{}
+			for _, p := range []*Player{p0, p1} {
+				for _, cp := range world.ChunksWithin(p.Pos(), demandView) {
+					in[cp] = true
+				}
+			}
+			return in
+		}
+		settle := func() {
+			runFor(loop, 2*time.Second)
+			gen.release()
+			runFor(loop, 2*time.Second)
+		}
+
+		// Several scans, the players stepping a chunk between them, while
+		// nothing is delivered.
+		first := map[world.ChunkPos]bool{}
+		for step := 0; step < 4; step++ {
+			runFor(loop, time.Second)
+			for cp := range view() {
+				first[cp] = true
+			}
+			placeAt(p0, p0.X+world.ChunkSizeX, p0.Z)
+			placeAt(p1, p1.X, p1.Z+world.ChunkSizeZ)
+		}
+		settle()
+		for cp := range first {
+			if n := gen.requests[cp]; n != 1 {
+				t.Fatalf("store %v: %v requested %d times before delivery, want 1", withStore, cp, n)
+			}
+		}
+
+		// Walk away until everything seen so far unloads (an unload scan
+		// passes), then come back.
+		back0, back1 := p0.Pos(), p1.Pos()
+		placeAt(p0, 4000, 0)
+		placeAt(p1, 4040, -24)
+		runFor(loop, unloadScanPeriod*TickInterval)
+		settle()
+		for cp := range first {
+			if s.World().Loaded(cp) {
+				t.Fatalf("store %v: %v still loaded after the players left", withStore, cp)
+			}
+		}
+		placeAt(p0, float64(back0.X), float64(back0.Z))
+		placeAt(p1, float64(back1.X), float64(back1.Z))
+		settle()
+		for cp := range view() {
+			if !s.World().Loaded(cp) {
+				t.Fatalf("store %v: %v not loaded after the players came back", withStore, cp)
+			}
+			if n := gen.requests[cp]; n != 2 {
+				t.Fatalf("store %v: %v requested %d times after one unload, want 2", withStore, cp, n)
+			}
+		}
+		if gen.duplicates != 0 {
+			t.Fatalf("store %v: %d requests for positions already in flight", withStore, gen.duplicates)
+		}
+	}
+}
+
+// countingTerrain counts the requests that reach a LocalTerrain and the
+// chunks it delivers, per position.
+type countingTerrain struct {
+	*LocalTerrain
+	requests  map[world.ChunkPos]int
+	delivered map[world.ChunkPos]int
+}
+
+func (c *countingTerrain) Request(pos world.ChunkPos) {
+	c.requests[pos]++
+	c.LocalTerrain.Request(pos)
+}
+
+func (c *countingTerrain) DrainAppend(dst []*world.Chunk) []*world.Chunk {
+	n := len(dst)
+	dst = c.LocalTerrain.DrainAppend(dst)
+	for _, ch := range dst[n:] {
+		c.delivered[ch.Pos]++
+	}
+	return dst
+}
+
+// TestLocalTerrainDeduplicatesRequests: LocalTerrain queues every request
+// it gets, so duplicates are kept from it by the server in front of it.
+// Two players with overlapping views stand still while the default world's
+// slow generation spans several demand scans; every position must still
+// be requested, generated and delivered once.
 func TestLocalTerrainDeduplicatesRequests(t *testing.T) {
 	loop := sim.NewLoop(2)
-	lt := NewLocalTerrain(loop, terrain.Flat{})
-	pos := world.ChunkPos{X: 1, Z: 1}
-	lt.Request(pos)
-	lt.Request(pos)
-	lt.Request(pos)
-	loop.Run()
-	if got := len(lt.DrainAppend(nil)); got != 1 {
-		t.Fatalf("%d chunks for one position, want 1", got)
+	gen := terrain.Default{Seed: 2}
+	lt := &countingTerrain{
+		LocalTerrain: NewLocalTerrain(loop, gen),
+		requests:     map[world.ChunkPos]int{},
+		delivered:    map[world.ChunkPos]int{},
+	}
+	s := NewServer(loop, Config{WorldType: "default", Seed: 2, ViewDistance: demandView, Terrain: lt})
+	p0 := s.ConnectAt("p0", nil, 1000, 0)
+	p1 := s.ConnectAt("p1", nil, 1040, -24)
+	s.Start()
+	runFor(loop, time.Second)
+	if _, queued := lt.Load(); queued == 0 {
+		t.Fatal("no request queued after a second; generation is too fast to span scans")
+	}
+	runFor(loop, 10*time.Second)
+	for _, p := range []*Player{p0, p1} {
+		for _, cp := range world.ChunksWithin(p.Pos(), demandView) {
+			if !s.World().Loaded(cp) {
+				t.Fatalf("%v in view not loaded", cp)
+			}
+			if lt.requests[cp] != 1 || lt.delivered[cp] != 1 {
+				t.Fatalf("%v requested %d and delivered %d times, want 1 and 1", cp, lt.requests[cp], lt.delivered[cp])
+			}
+		}
+	}
+	for cp, n := range lt.requests {
+		if n != 1 {
+			t.Fatalf("%v requested %d times, want 1", cp, n)
+		}
 	}
 }
 

@@ -221,7 +221,9 @@ type Server struct {
 	halted map[world.ChunkPos][]haltedConstruct
 
 	// requested tracks chunk demand already in flight (store load or
-	// generation).
+	// generation) and is the only request de-duplicator: a position
+	// enters in requestChunk and leaves only in applyChunk, so neither
+	// the store nor the terrain backend sees it twice meanwhile.
 	requested map[world.ChunkPos]bool
 	// loadedFromStore queues store-loaded chunks for on-loop application;
 	// the backing array is reused across ticks.

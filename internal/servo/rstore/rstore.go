@@ -26,9 +26,9 @@ type Store struct {
 	seen  map[world.ChunkPos]bool
 	batch []world.ChunkPos
 	// settled holds view rects known to contain no tcache.Unknown chunk,
-	// under settledRadius. The cache's status is monotone (see
-	// tcache.Cache), so such a rect can never contribute a prefetch
-	// again and ObserveAvatars skips it. It is only a skip hint:
+	// under settledRadius. A cache record's state field never returns to
+	// Unknown (see tcache.Cache), so such a rect can never contribute a
+	// prefetch again and ObserveAvatars skips it. It is only a skip hint:
 	// dropping it costs one re-walk per avatar and changes nothing else.
 	settled       map[world.ChunkRect]struct{}
 	settledRadius int

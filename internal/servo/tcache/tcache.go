@@ -19,9 +19,9 @@
 package tcache
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"servo/internal/blob"
@@ -73,26 +73,27 @@ const (
 
 // Cache is a write-back terrain cache bound to a clock and a remote store.
 //
-// Invariant (status is monotone): a position moves Unknown → Pending →
-// Local or Absent, and Absent → Local on Put/PutThen. It never returns
-// to Unknown: local is never evicted, absent is only ever replaced by
-// local, and fetch (GetRetrying) ends in data or not-found, never in
-// "forget". Exactly one of local, absent and pending holds a known
-// position, except that a Put may land on a Pending one (local wins
-// when the read lands). rstore's avatar observer leans on this: an area
-// it has seen free of Unknown positions can never need a prefetch again,
-// so it stops looking. Any future change that lets a position fall back
-// to Unknown (say, evicting from local) must also clear that observer's
+// Invariant (status is monotone): a position's record moves through
+// state Unknown → Pending → Local or Absent, and Absent → Local on
+// Put/PutThen. It never returns to Unknown: a record is never deleted,
+// Absent is only ever replaced by Local, and fetch (GetRetrying) ends in
+// data or not-found, never in "forget". A Put may land on a Pending
+// record (it becomes Local, and the read's waiters get the newer bytes
+// when it lands). rstore's avatar observer leans on this: an area it has
+// seen free of Unknown positions can never need a prefetch again, so it
+// stops looking. Any future change that lets a record fall back to
+// Unknown (say, evicting Local data) must also clear that observer's
 // settled set (rstore.Store.settled).
 type Cache struct {
 	clock  sim.Clock
 	remote *blob.Store
 	cfg    Config
 
-	local   map[world.ChunkPos][]byte // encoded chunks cached locally
-	absent  map[world.ChunkPos]bool   // negative cache: known-missing keys
-	dirty   map[world.ChunkPos]bool   // locally written, not yet flushed
-	pending map[world.ChunkPos][]func(data []byte, err error)
+	// known holds one record per position the cache has been asked about.
+	known map[world.ChunkPos]entry
+	// waiters holds the callbacks of each remote read in flight; a
+	// position leaves it when its read lands.
+	waiters map[world.ChunkPos][]func(data []byte, err error)
 
 	// RetrievalLatency records the end-to-end chunk retrieval latency as
 	// observed by the game server — the metric of Fig. 13.
@@ -107,6 +108,14 @@ type Cache struct {
 	flushGen int // invalidates old flusher closures across stop/start
 }
 
+// entry is what the cache holds for one position: its status, the
+// encoded chunk while Local, and whether that chunk awaits write-back.
+type entry struct {
+	data  []byte
+	state Status
+	dirty bool
+}
+
 // New returns a cache in front of remote. Start the periodic write-back
 // with StartFlusher (experiments without write traffic may skip it).
 func New(clock sim.Clock, remote *blob.Store, cfg Config) *Cache {
@@ -114,10 +123,8 @@ func New(clock sim.Clock, remote *blob.Store, cfg Config) *Cache {
 		clock:   clock,
 		remote:  remote,
 		cfg:     cfg,
-		local:   make(map[world.ChunkPos][]byte),
-		absent:  make(map[world.ChunkPos]bool),
-		dirty:   make(map[world.ChunkPos]bool),
-		pending: make(map[world.ChunkPos][]func([]byte, error)),
+		known:   make(map[world.ChunkPos]entry),
+		waiters: make(map[world.ChunkPos][]func([]byte, error)),
 	}
 }
 
@@ -143,66 +150,57 @@ func (c *Cache) Get(pos world.ChunkPos, cb func(data []byte, err error)) {
 		}
 		cb(data, err)
 	}
-	if data, ok := c.local[pos]; ok {
+	switch e := c.known[pos]; e.state {
+	case Local:
 		c.Hits.Inc()
 		lat := c.cfg.LocalRead.Sample(c.clock.RNG())
-		c.clock.After(lat, func() { done(data, nil) })
-		return
-	}
-	if c.absent[pos] {
-		// Known missing: answer from local knowledge. The single writer
-		// of a world instance is this server, so absence is stable until
-		// our own Put.
+		c.clock.After(lat, func() { done(e.data, nil) })
+	case Absent:
+		// Known missing: answer from local knowledge until this cache's
+		// own Put. Absence is never re-checked: on a sharded system every
+		// shard has its own Cache over one remote store, and another
+		// shard's write to this position does not clear this Absent.
 		lat := c.cfg.LocalRead.Sample(c.clock.RNG())
 		c.clock.After(lat, func() { done(nil, fmt.Errorf("%w: %v", blob.ErrNotFound, pos)) })
-		return
+	default:
+		c.Misses.Inc()
+		c.fetch(pos, done)
 	}
-	c.Misses.Inc()
-	c.fetch(pos, done)
 }
 
-// fetch joins or starts a remote read for pos.
+// fetch joins or starts a remote read for an Unknown or Pending pos.
 func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
-	if waiters, inflight := c.pending[pos]; inflight {
-		c.pending[pos] = append(waiters, cb)
+	if ws, inflight := c.waiters[pos]; inflight {
+		c.waiters[pos] = append(ws, cb)
 		return
 	}
-	c.pending[pos] = []func([]byte, error){cb}
+	c.waiters[pos] = []func([]byte, error){cb}
+	c.known[pos] = entry{state: Pending}
 	// GetRetrying: chaos-injected faults retry inside the store, so a
 	// fault window never surfaces as a spurious not-found (which would
 	// trigger destructive regeneration) and never double-counts
-	// hits/misses — those were tallied once in Get.
+	// hits/misses — those were tallied once in Get. It ends in data or
+	// not-found.
 	c.remote.GetRetrying(Key(pos), func(data []byte, err error) {
 		// A local write that raced the fetch wins, whatever the remote
 		// answered: it is newer.
-		if newer, ok := c.local[pos]; ok {
-			data, err = newer, nil
+		if e := c.known[pos]; e.state == Local {
+			data, err = e.data, nil
 		} else if err == nil {
-			c.local[pos] = data
-		} else if errors.Is(err, blob.ErrNotFound) {
-			c.absent[pos] = true
+			c.known[pos] = entry{data: data, state: Local}
+		} else {
+			c.known[pos] = entry{state: Absent}
 		}
-		waiters := c.pending[pos]
-		delete(c.pending, pos)
-		for _, w := range waiters {
+		ws := c.waiters[pos]
+		delete(c.waiters, pos)
+		for _, w := range ws {
 			w(data, err)
 		}
 	})
 }
 
 // Status reports what the cache knows about pos.
-func (c *Cache) Status(pos world.ChunkPos) Status {
-	if _, ok := c.local[pos]; ok {
-		return Local
-	}
-	if c.absent[pos] {
-		return Absent
-	}
-	if _, inflight := c.pending[pos]; inflight {
-		return Pending
-	}
-	return Unknown
-}
+func (c *Cache) Status(pos world.ChunkPos) Status { return c.known[pos].state }
 
 // PrefetchBudget returns how many fetches one Prefetch call may start
 // (0 = unlimited).
@@ -231,9 +229,7 @@ func (c *Cache) Prefetch(positions []world.ChunkPos) {
 // that slice to the blob store, which keeps it too (see blob.Store.Put):
 // the caller must not mutate it afterwards.
 func (c *Cache) Put(pos world.ChunkPos, data []byte) {
-	c.local[pos] = data
-	delete(c.absent, pos)
-	c.dirty[pos] = true
+	c.known[pos] = entry{data: data, state: Local, dirty: true}
 }
 
 // PutThen stores the chunk locally and pushes it to remote storage
@@ -244,15 +240,21 @@ func (c *Cache) Put(pos world.ChunkPos, data []byte) {
 // to gate the ownership flip on the flush, so a brownout delays the
 // migration but never loses the chunk.
 func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
-	c.local[pos] = data
-	delete(c.absent, pos)
 	// This write supersedes any queued write-back of the same chunk.
-	delete(c.dirty, pos)
+	c.known[pos] = entry{data: data, state: Local}
 	c.remote.PutDurablyThen(Key(pos), data, done)
 }
 
 // DirtyLen returns the number of chunks awaiting write-back.
-func (c *Cache) DirtyLen() int { return len(c.dirty) }
+func (c *Cache) DirtyLen() int {
+	n := 0
+	for _, e := range c.known {
+		if e.dirty {
+			n++
+		}
+	}
+	return n
+}
 
 // StartFlusher begins the periodic write-back loop.
 func (c *Cache) StartFlusher() {
@@ -284,31 +286,36 @@ func (c *Cache) StartFlusher() {
 func (c *Cache) StopFlusher() { c.flushing = false }
 
 // Flush writes every dirty chunk to remote storage immediately, in
-// deterministic position order (map order would pair the store's random
+// deterministic (X, Z) order (map order would pair the store's random
 // latency/fault draws with different chunks on every run, breaking
-// replay). A failed write (e.g. a chaos-injected storage fault) re-marks
-// the chunk dirty so the next flush retries it once the fault window
-// passes.
+// replay), clearing each record's flag. A failed write (e.g. a
+// chaos-injected storage fault) sets the flag again so the next flush
+// retries it once the fault window passes.
 func (c *Cache) Flush() {
-	keys := make([]world.ChunkPos, 0, len(c.dirty))
-	for pos := range c.dirty {
-		keys = append(keys, pos)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].X != keys[j].X {
-			return keys[i].X < keys[j].X
+	var keys []world.ChunkPos
+	for pos, e := range c.known {
+		if e.dirty {
+			keys = append(keys, pos)
 		}
-		return keys[i].Z < keys[j].Z
+	}
+	slices.SortFunc(keys, func(a, b world.ChunkPos) int {
+		if a.X != b.X {
+			return cmp.Compare(a.X, b.X)
+		}
+		return cmp.Compare(a.Z, b.Z)
 	})
-	c.dirty = make(map[world.ChunkPos]bool)
 	for _, pos := range keys {
-		pos := pos
+		e := c.known[pos]
+		e.dirty = false
+		c.known[pos] = e
 		// PutLatest: if the chunk is re-flushed before a chaos-slowed
 		// write lands, the stale write is dropped instead of reverting
 		// the newer data.
-		c.remote.PutLatest(Key(pos), c.local[pos], func(err error) {
+		c.remote.PutLatest(Key(pos), e.data, func(err error) {
 			if err != nil {
-				c.dirty[pos] = true
+				e := c.known[pos]
+				e.dirty = true
+				c.known[pos] = e
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package tcache
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -182,8 +183,7 @@ func TestLocalWriteWinsOverRacingFetch(t *testing.T) {
 
 // TestLocalWriteWinsOverRacingNotFound: the same rule when the remote
 // read comes back not-found. The waiters get the newer local bytes, and
-// the position is not also recorded absent ("absent" means we hold
-// nothing).
+// the position stays Local ("absent" means we hold nothing).
 func TestLocalWriteWinsOverRacingNotFound(t *testing.T) {
 	loop, _, c := newFixture(7)
 	pos := world.ChunkPos{X: 4, Z: 4}
@@ -195,9 +195,6 @@ func TestLocalWriteWinsOverRacingNotFound(t *testing.T) {
 	if gotErr != nil || string(got) != "fresh" {
 		t.Fatalf("racing fetch returned %q, %v; want the newer local write", got, gotErr)
 	}
-	if c.absent[pos] {
-		t.Fatal("position recorded absent beside its local bytes")
-	}
 	if got := c.Status(pos); got != Local {
 		t.Fatalf("status = %d, want Local", got)
 	}
@@ -207,11 +204,13 @@ func TestLocalWriteWinsOverRacingNotFound(t *testing.T) {
 }
 
 // TestStatusIsMonotone drives a random Get / Prefetch / Put / PutThen /
-// Flush schedule (reads failing and retrying one time in five) and
-// checks the invariant stated on Cache after every operation and every
-// clock advance: no position ever returns to Unknown, Local is final,
-// Absent only ever becomes Local, and absent and local never both hold
-// a position.
+// Flush schedule (reads and writes failing one time in five, reads
+// retrying) and checks the invariant stated on Cache after every operation
+// and every clock advance: no position ever returns to Unknown, Local is
+// final, and Absent only ever becomes Local. Once the schedule has drained
+// and storage has recovered, one Flush must leave nothing dirty, and every
+// Local position must serve — and remote storage must hold — its last
+// write, or the remote bytes if it was never written.
 func TestStatusIsMonotone(t *testing.T) {
 	const side = 12
 	for seed := int64(1); seed <= 5; seed++ {
@@ -221,16 +220,11 @@ func TestStatusIsMonotone(t *testing.T) {
 			remote.Put(Key(world.ChunkPos{X: r.Intn(side), Z: r.Intn(side)}), []byte("remote"), nil)
 		}
 		loop.Run()
-		remote.SetChaos(&blob.Chaos{ReadErrorRate: 0.2})
+		remote.SetChaos(&blob.Chaos{ReadErrorRate: 0.2, WriteErrorRate: 0.2})
 
 		var prev [side][side]Status
 		check := func(step int, op string) {
 			t.Helper()
-			for pos := range c.absent {
-				if _, ok := c.local[pos]; ok {
-					t.Fatalf("seed %d step %d (%s): %v is absent and local at once", seed, step, op, pos)
-				}
-			}
 			for x := 0; x < side; x++ {
 				for z := 0; z < side; z++ {
 					was, now := prev[x][z], c.Status(world.ChunkPos{X: x, Z: z})
@@ -244,8 +238,10 @@ func TestStatusIsMonotone(t *testing.T) {
 				}
 			}
 		}
+		last := map[world.ChunkPos]string{}
 		for step := 0; step < 2000; step++ {
 			pos := world.ChunkPos{X: r.Intn(side), Z: r.Intn(side)}
+			data := fmt.Sprintf("written at step %d", step)
 			var op string
 			switch r.Intn(10) {
 			case 0, 1, 2:
@@ -256,10 +252,12 @@ func TestStatusIsMonotone(t *testing.T) {
 				c.Prefetch(world.ChunksWithin(pos.Origin(), 16*r.Intn(3)))
 			case 5:
 				op = "Put"
-				c.Put(pos, []byte("written"))
+				c.Put(pos, []byte(data))
+				last[pos] = data
 			case 6:
 				op = "PutThen"
-				c.PutThen(pos, []byte("written"), func() {})
+				c.PutThen(pos, []byte(data), func() {})
+				last[pos] = data
 			case 7:
 				op = "Flush"
 				c.Flush()
@@ -275,6 +273,35 @@ func TestStatusIsMonotone(t *testing.T) {
 			for z := 0; z < side; z++ {
 				if prev[x][z] == Pending {
 					t.Fatalf("seed %d: chunk(%d,%d) still pending after the loop drained", seed, x, z)
+				}
+			}
+		}
+
+		remote.SetChaos(nil)
+		c.Flush()
+		loop.Run()
+		if n := c.DirtyLen(); n != 0 {
+			t.Fatalf("seed %d: %d chunks dirty after a fault-free flush", seed, n)
+		}
+		for x := 0; x < side; x++ {
+			for z := 0; z < side; z++ {
+				pos := world.ChunkPos{X: x, Z: z}
+				want, written := last[pos]
+				if !written {
+					want = "remote"
+				}
+				if c.Status(pos) != Local {
+					if written {
+						t.Fatalf("seed %d: written chunk(%d,%d) has status %d", seed, x, z, c.Status(pos))
+					}
+					continue
+				}
+				var served, stored []byte
+				c.Get(pos, func(data []byte, _ error) { served = data })
+				remote.Get(Key(pos), func(data []byte, _ error) { stored = data })
+				loop.Run()
+				if string(served) != want || string(stored) != want {
+					t.Fatalf("seed %d: chunk(%d,%d) serves %q, remote holds %q; want %q", seed, x, z, served, stored, want)
 				}
 			}
 		}

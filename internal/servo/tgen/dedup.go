@@ -14,91 +14,47 @@ import "servo/internal/world"
 // lane scheduler already serialises in deterministic order, so the cache
 // is byte-identical at every worker-pool size.
 type GenCache struct {
-	max  int
-	data map[world.ChunkPos]genEntry
-	// order is the FIFO eviction log: (pos, seq) in publish order, with a
-	// consumed head index (compacted when the dead prefix dominates). The
-	// seq guard makes a stale log entry — a position evicted and later
-	// republished — a no-op instead of an early eviction of fresh bytes.
-	order []genOrder
+	data map[world.ChunkPos][]byte
+	// order is the FIFO eviction log in publish order, with a consumed
+	// head index (compacted when the dead prefix dominates). A position
+	// is published at most once while cached and leaves only by eviction,
+	// so order[head:] holds exactly the positions in data.
+	order []world.ChunkPos
 	head  int
-	seq   uint64
-
-	// Published and Evicted count cache turnover (visible for tests and
-	// experiment sanity checks).
-	Published int
-	Evicted   int
 }
 
-type genEntry struct {
-	bytes []byte
-	seq   uint64
-}
+// genCacheSize bounds the cache: enough for the seam rectangles of a
+// handful of shard borders (a few MiB of encoded terrain) without holding
+// the whole world in memory.
+const genCacheSize = 512
 
-type genOrder struct {
-	pos world.ChunkPos
-	seq uint64
-}
-
-// DefaultGenCacheSize bounds the cache when NewGenCache is given a
-// non-positive capacity: enough for the seam rectangles of a handful of
-// shard borders (a few MiB of encoded terrain) without holding the whole
-// world in memory.
-const DefaultGenCacheSize = 512
-
-// NewGenCache returns a cache holding at most max encoded chunks
-// (DefaultGenCacheSize if max <= 0).
-func NewGenCache(max int) *GenCache {
-	if max <= 0 {
-		max = DefaultGenCacheSize
-	}
-	return &GenCache{max: max, data: make(map[world.ChunkPos]genEntry, max)}
+// NewGenCache returns an empty cache.
+func NewGenCache() *GenCache {
+	return &GenCache{data: make(map[world.ChunkPos][]byte, genCacheSize)}
 }
 
 // Publish records the encoded generation reply for pos, evicting the
-// oldest entries beyond capacity. The cache retains data without copying
+// oldest entry at capacity. The cache retains data without copying
 // (callers hand over invocation-owned reply buffers). Republishing a
 // cached position is a no-op: generation is deterministic in (seed, pos),
 // so the bytes would be identical.
 func (g *GenCache) Publish(pos world.ChunkPos, data []byte) {
-	if g == nil || len(data) == 0 {
-		return
-	}
 	if _, ok := g.data[pos]; ok {
 		return
 	}
-	for len(g.data) >= g.max && g.head < len(g.order) {
-		o := g.order[g.head]
+	if len(g.data) >= genCacheSize {
+		delete(g.data, g.order[g.head])
 		g.head++
-		if e, ok := g.data[o.pos]; ok && e.seq == o.seq {
-			delete(g.data, o.pos)
-			g.Evicted++
-		}
 	}
 	if g.head > 64 && g.head*2 >= len(g.order) {
 		n := copy(g.order, g.order[g.head:])
 		g.order = g.order[:n]
 		g.head = 0
 	}
-	g.seq++
-	g.data[pos] = genEntry{bytes: data, seq: g.seq}
-	g.order = append(g.order, genOrder{pos: pos, seq: g.seq})
-	g.Published++
+	g.data[pos] = data
+	g.order = append(g.order, pos)
 }
 
 // Lookup returns the encoded reply cached for pos, or nil. The returned
 // bytes are shared and must not be mutated.
-func (g *GenCache) Lookup(pos world.ChunkPos) []byte {
-	if g == nil {
-		return nil
-	}
-	return g.data[pos].bytes
-}
-
-// Len returns the number of cached replies.
-func (g *GenCache) Len() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.data)
-}
+func (g *GenCache) Lookup(pos world.ChunkPos) []byte { return g.data[pos] }

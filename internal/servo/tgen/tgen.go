@@ -139,9 +139,6 @@ type Backend struct {
 
 	maxInflight int
 	inflight    int
-	// pending tracks every position between Request and delivery (queued,
-	// dedup-checking, or inflight) for duplicate suppression.
-	pending map[world.ChunkPos]bool
 	// queue holds positions awaiting an inflight slot; dispatch pulls the
 	// nearest-to-a-player entry first ((X, Z) tiebreak, deterministic).
 	queue   []world.ChunkPos
@@ -179,7 +176,6 @@ func NewBackend(platform Invoker, fnName string) *Backend {
 		platform:    platform,
 		fnName:      fnName,
 		maxInflight: DefaultMaxInflight,
-		pending:     make(map[world.ChunkPos]bool),
 	}
 	b.adoptFn = b.drainAdoptions
 	return b
@@ -217,12 +213,9 @@ func (b *Backend) SetFocus(positions []world.BlockPos) {
 // position first takes a commit-buffered trip through the shared cache —
 // a seam chunk a neighbouring shard just generated is adopted without an
 // invocation; otherwise it joins the bounded nearest-player-first
-// dispatch queue.
+// dispatch queue. It does not de-duplicate: the server asks once per
+// position until the chunk is drained (see mve.TerrainBackend).
 func (b *Backend) Request(pos world.ChunkPos) {
-	if b.pending[pos] {
-		return
-	}
-	b.pending[pos] = true
 	if b.dedup != nil {
 		b.adoptQueue = append(b.adoptQueue, pos)
 		if !b.adoptQueued {
@@ -247,7 +240,6 @@ func (b *Backend) drainAdoptions() {
 			if err := world.DecodeChunkInto(c, data); err == nil {
 				c.KeepEncoded(data)
 				b.GenDeduped++
-				delete(b.pending, pos)
 				b.done = append(b.done, c)
 				continue
 			}
@@ -343,12 +335,10 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 		}
 		// Permanent error (e.g. missing deployment): give up, as before
 		// the chaos layer existed.
-		delete(b.pending, r.pos)
 		b.release(r)
 		return
 	}
 	pos := r.pos
-	delete(b.pending, pos)
 	c := b.pool.Get(pos)
 	if err := world.DecodeChunkInto(c, inv.Response); err != nil {
 		b.pool.Put(c)

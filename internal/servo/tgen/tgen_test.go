@@ -7,6 +7,7 @@ import (
 
 	"servo/internal/blob"
 	"servo/internal/faas"
+	"servo/internal/mve"
 	"servo/internal/servo/rstore"
 	"servo/internal/servo/tcache"
 	"servo/internal/sim"
@@ -48,24 +49,59 @@ func TestRequestGeneratesCorrectChunk(t *testing.T) {
 	}
 }
 
+// countingBackend counts the requests that reach a Backend per position.
+type countingBackend struct {
+	*Backend
+	requests map[world.ChunkPos]int
+}
+
+func (c *countingBackend) Request(pos world.ChunkPos) {
+	c.requests[pos]++
+	c.Backend.Request(pos)
+}
+
+// TestRequestDeduplicatesInflight: the backend queues every request it gets,
+// so duplicates are kept from it by the server in front of it. Two players
+// with overlapping views stand still while every invocation stays in flight
+// over several demand scans; each position must still be requested and
+// invoked once, and delivered.
 func TestRequestDeduplicatesInflight(t *testing.T) {
 	loop := sim.NewLoop(2)
 	p := faas.NewPlatform(loop)
-	fn := Register(p, terrain.Flat{}, fastFnConfig())
-	b := NewBackend(p, FunctionName)
-	pos := world.ChunkPos{X: 1, Z: 1}
-	b.Request(pos)
-	b.Request(pos)
-	b.Request(pos)
-	if b.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1", b.Inflight())
+	cfg := fastFnConfig()
+	cfg.NetRTT = sim.Constant(3 * time.Second)
+	fn := Register(p, terrain.Flat{}, cfg)
+	b := &countingBackend{Backend: NewBackend(p, FunctionName), requests: map[world.ChunkPos]int{}}
+	const view = 48
+	s := mve.NewServer(loop, mve.Config{WorldType: "flat", Seed: 2, ViewDistance: view, Terrain: b})
+	p0 := s.ConnectAt("p0", nil, 1000, 0)
+	p1 := s.ConnectAt("p1", nil, 1040, -24)
+	s.Start()
+	loop.RunUntil(loop.Now() + 2*time.Second)
+	if b.Inflight() == 0 {
+		t.Fatal("nothing in flight after two seconds; invocations are too fast to span scans")
 	}
-	loop.Run()
-	if fn.Invocations.Count() != 1 {
-		t.Fatalf("invocations = %d, want 1", fn.Invocations.Count())
+	loop.RunUntil(loop.Now() + 10*time.Second)
+	if b.Inflight() != 0 || b.Queued() != 0 {
+		t.Fatalf("inflight %d, queued %d after the run, want 0", b.Inflight(), b.Queued())
 	}
-	if len(b.DrainAppend(nil)) != 1 {
-		t.Fatal("expected exactly one completed chunk")
+	for _, pl := range []*mve.Player{p0, p1} {
+		for _, cp := range world.ChunksWithin(pl.Pos(), view) {
+			if !s.World().Loaded(cp) {
+				t.Fatalf("%v in view not loaded", cp)
+			}
+			if b.requests[cp] != 1 {
+				t.Fatalf("%v requested %d times, want 1", cp, b.requests[cp])
+			}
+		}
+	}
+	for cp, n := range b.requests {
+		if n != 1 {
+			t.Fatalf("%v requested %d times, want 1", cp, n)
+		}
+	}
+	if got := fn.Invocations.Count(); got != len(b.requests) {
+		t.Fatalf("invocations = %d for %d positions, want one each", got, len(b.requests))
 	}
 }
 
