@@ -257,7 +257,7 @@ func New(clock sim.Clock, cfg Config) *System {
 	// once, regardless of the shard count.
 	spec := cfg.SpecExec
 	if cfg.ServerlessSC {
-		sys.SCFn = sys.Platform.Register(SCFunctionName, DefaultSCFnConfig(), specexec.Handler)
+		sys.SCFn = sys.Platform.Register(SCFunctionName, DefaultSCFnConfig(), specexec.NewHandler())
 		if spec.StepsPerInvocation == 0 {
 			spec = specexec.DefaultConfig()
 		}

@@ -167,7 +167,7 @@ func AblationPlatform(opt Options) *AblationPlatformReport {
 		cfg.KeepAlive = preset.KeepAlive
 		loop := sim.NewLoop(opt.Seed)
 		platform := faas.NewPlatform(loop)
-		fn := platform.Register("sim", cfg, specexec.Handler)
+		fn := platform.Register("sim", cfg, specexec.NewHandler())
 		for i := 0; i < n; i++ {
 			i := i
 			loop.After(time.Duration(i)*4*time.Second, func() {

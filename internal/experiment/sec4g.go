@@ -52,7 +52,7 @@ func Sec4G(opt Options) *Sec4GReport {
 	for _, blocks := range ConstructSizes {
 		loop := sim.NewLoop(opt.Seed)
 		platform := faas.NewPlatform(loop)
-		platform.Register(core.SCFunctionName, core.DefaultSCFnConfig(), specexec.Handler)
+		platform.Register(core.SCFunctionName, core.DefaultSCFnConfig(), specexec.NewHandler())
 		construct := sc.BuildSized(blocks)
 
 		rates := metrics.NewSample(samples)

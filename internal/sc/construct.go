@@ -74,9 +74,11 @@ type Cell struct {
 // It is kept compiled for the speculative path (paper §III-C), whose
 // per-tick work is applying a precomputed state: the mutable state of its
 // blocks (non-empty cells) is stored packed, in exactly the StateVector
-// encoding, so State, SetState and Hash are a copy or a pass over one byte
-// slice, and the block count is its length. The per-cell index into it
-// changes only when a cell turns empty or non-empty.
+// encoding, so the block count is its length and Hash is a pass over one
+// byte slice. SetState does not copy: the construct reads the vector it
+// was given in place and copies it into storage of its own only before
+// its next write (Step, Set). The per-cell index into the state changes
+// only when a cell turns empty or non-empty.
 type Construct struct {
 	w, h int
 	// wiring holds Kind, Delay for every cell in cell order: the cell
@@ -85,9 +87,14 @@ type Construct struct {
 	// block maps a cell to its block's index in state (two bytes a
 	// block), or -1 for an empty cell.
 	block []int32
-	// state is the StateVector of the blocks, in cell order.
-	state []byte
-	step  uint64
+	// state is the StateVector of the blocks, in cell order. While
+	// shared is set it is the caller's vector from SetState, which the
+	// construct never writes: own copies it into spare, the storage the
+	// construct held before, ahead of the next write.
+	state  []byte
+	spare  []byte
+	shared bool
+	step   uint64
 }
 
 // State byte layout: a block's first byte is its power, its second its
@@ -143,6 +150,7 @@ func (c *Construct) Set(x, y int, cell Cell) {
 	if cell.Kind == Repeater && cell.Delay > MaxDelay {
 		panic(fmt.Sprintf("sc: repeater delay %d above MaxDelay", cell.Delay))
 	}
+	c.own()
 	i := c.idx(x, y)
 	b := c.block[i]
 	switch {
@@ -227,6 +235,7 @@ func (c *Construct) Clone() *Construct {
 //     invert. New outputs become visible to the power field at the next
 //     step, so feedback loops oscillate rather than racing.
 func (c *Construct) Step() int {
+	c.own()
 	work := c.propagatePower()
 	// Phase 2: component updates against the settled power field, in cell
 	// order (a component reads the outputs its predecessors just wrote).
@@ -381,13 +390,28 @@ var ErrStateMismatch = errors.New("sc: state vector does not match construct lay
 func (c *Construct) State() StateVector { return slices.Clone(c.state) }
 
 // SetState restores a snapshot previously produced by State on a construct
-// with identical wiring.
+// with identical wiring. The construct references s rather than copying
+// it, and copies it only before its next Step or Set, so s must not change
+// while the construct may still read it: hand it a vector nobody writes,
+// such as a decoded reply's.
 func (c *Construct) SetState(s StateVector) error {
 	if len(s) != len(c.state) {
 		return fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(s), len(c.state))
 	}
-	copy(c.state, s)
+	if !c.shared {
+		c.spare = c.state
+	}
+	c.state, c.shared = s, true
 	return nil
+}
+
+// own gives the construct a state it may write: a shared vector is copied
+// into the storage the construct held before SetState.
+func (c *Construct) own() {
+	if c.shared {
+		c.state = append(c.spare[:0], c.state...)
+		c.spare, c.shared = nil, false
+	}
 }
 
 // FNV-1a, 64-bit (hash/fnv's New64a).
@@ -439,38 +463,64 @@ const maxLayoutCells = 1 << 20
 
 // DecodeLayout reconstructs a construct from EncodeLayout output.
 func DecodeLayout(buf []byte) (*Construct, error) {
+	c := new(Construct)
+	if err := DecodeLayoutInto(c, buf); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DecodeLayoutInto is DecodeLayout into an existing construct, reusing
+// its storage: c becomes the decoded construct, with a step count of 0,
+// and shares no bytes with buf. On error c is unchanged.
+func DecodeLayoutInto(c *Construct, buf []byte) error {
 	if len(buf) < 8 {
-		return nil, errors.New("sc: truncated layout")
+		return errors.New("sc: truncated layout")
 	}
 	w := int(binary.LittleEndian.Uint32(buf))
 	h := int(binary.LittleEndian.Uint32(buf[4:]))
 	// w*h can overflow: bound it by division.
 	if w <= 0 || h <= 0 || w > maxLayoutCells/h {
-		return nil, fmt.Errorf("sc: bad layout size %dx%d", w, h)
+		return fmt.Errorf("sc: bad layout size %dx%d", w, h)
 	}
 	if len(buf) < 8+w*h*2 {
-		return nil, errors.New("sc: truncated layout cells")
+		return errors.New("sc: truncated layout cells")
 	}
 	wiring := buf[8 : 8+w*h*2]
-	block := make([]int32, w*h)
-	n := int32(0)
-	for i := range block {
-		kind, delay := CellKind(wiring[2*i]), wiring[2*i+1]
+	n := 0
+	for i := 0; i < len(wiring); i += 2 {
+		kind, delay := CellKind(wiring[i]), wiring[i+1]
 		if kind > Inverter {
-			return nil, fmt.Errorf("sc: unknown cell kind %d", kind)
+			return fmt.Errorf("sc: unknown cell kind %d", kind)
 		}
 		if kind == Repeater && delay > MaxDelay {
-			return nil, fmt.Errorf("sc: repeater delay %d above MaxDelay", delay)
+			return fmt.Errorf("sc: repeater delay %d above MaxDelay", delay)
 		}
-		block[i] = -1
 		if kind != Empty {
-			block[i] = n
 			n++
 		}
 	}
 	state := buf[8+len(wiring):]
-	if len(state) != 2*int(n) {
-		return nil, fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(state), 2*n)
+	if len(state) != 2*n {
+		return fmt.Errorf("%w: have %d bytes, want %d", ErrStateMismatch, len(state), 2*n)
 	}
-	return &Construct{w: w, h: h, wiring: slices.Clone(wiring), block: block, state: slices.Clone(state)}, nil
+	c.w, c.h, c.step = w, h, 0
+	c.wiring = append(c.wiring[:0], wiring...)
+	if cap(c.block) < w*h {
+		c.block = make([]int32, w*h)
+	}
+	c.block = c.block[:w*h]
+	b := int32(0)
+	for i := range c.block {
+		c.block[i] = -1
+		if CellKind(wiring[2*i]) != Empty {
+			c.block[i] = b
+			b++
+		}
+	}
+	if c.shared {
+		c.state, c.spare, c.shared = c.spare, nil, false
+	}
+	c.state = append(c.state[:0], state...)
+	return nil
 }

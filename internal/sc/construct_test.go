@@ -244,14 +244,34 @@ func layoutAllocated(buf []byte) uint64 {
 // construct holds its wiring, a four-byte index per cell and its state;
 // other goroutines of the test binary allocate too, so only an excess that
 // repeats is the decoder's), and whatever decodes must re-encode to the
-// input: the format has one spelling of every construct. The seeds are the
-// builders' layouts, mid-run.
+// input: the format has one spelling of every construct. DecodeLayoutInto
+// a construct in use, its state referenced from elsewhere, must decode the
+// same, leave the construct as it was on error, and never write the
+// referenced state. The seeds are the builders' layouts, mid-run.
 func FuzzDecodeLayout(f *testing.F) {
 	for _, c := range []*Construct{NewClock(3, 2), NewLampBank(2, 4), BuildSized(12), New(1, 1)} {
 		c.Step()
 		f.Add(c.EncodeLayout())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		into := NewClock(3, 2)
+		into.Step()
+		shared := into.State()
+		if err := into.SetState(shared); err != nil {
+			t.Fatal(err)
+		}
+		was, wasState := into.EncodeLayout(), bytes.Clone(shared)
+		intoErr := DecodeLayoutInto(into, data)
+		if !bytes.Equal(shared, wasState) {
+			t.Fatal("DecodeLayoutInto wrote the state the construct referenced")
+		}
+		want := data
+		if intoErr != nil {
+			want = was
+		}
+		if got := into.EncodeLayout(); !bytes.Equal(got, want) {
+			t.Fatalf("DecodeLayoutInto (error %v) left a construct encoding to %x, want %x", intoErr, got, want)
+		}
 		limit := uint64(4*len(data) + 1024)
 		for try := 0; ; try++ {
 			got := layoutAllocated(data)
@@ -263,6 +283,9 @@ func FuzzDecodeLayout(f *testing.F) {
 			}
 		}
 		c, err := DecodeLayout(data)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("DecodeLayout error %v, DecodeLayoutInto error %v", err, intoErr)
+		}
 		if err != nil {
 			return
 		}

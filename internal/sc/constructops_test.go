@@ -61,6 +61,33 @@ func opState(s StateVector, a int, b byte) StateVector {
 	return s
 }
 
+// referenced is a state vector a construct was handed by SetState, which
+// it reads in place: the vector, as it was handed over, and another
+// construct reading the same vector.
+type referenced struct {
+	s, was StateVector
+	peer   *Construct
+	result Result // the simulation s came from, if any
+	states []StateVector
+}
+
+// unchanged fails t unless the vector, the peer and the result are still
+// what they were when the vector was handed over.
+func (r *referenced) unchanged(t *testing.T, op int) {
+	t.Helper()
+	if !bytes.Equal(r.s, r.was) {
+		t.Fatalf("op %d: a referenced state vector changed from %x to %x", op, r.was, r.s)
+	}
+	if got := r.peer.State(); !bytes.Equal(got, r.was) {
+		t.Fatalf("op %d: a construct sharing a state vector reads %x, want %x", op, got, r.was)
+	}
+	for i, s := range r.result.States {
+		if !bytes.Equal(s, r.states[i]) {
+			t.Fatalf("op %d: state %d of a referenced result changed from %x to %x", op, i, r.states[i], s)
+		}
+	}
+}
+
 // constructOps interprets data as a grid size (two bytes) and then a
 // sequence of four-byte operations — kind (mod 7: Set, Set empty, Step,
 // SetState, Clone, layout round trip, AppendLayout with another state),
@@ -69,6 +96,12 @@ func opState(s StateVector, a int, b byte) StateVector {
 // compiled. After every one it holds the construct's reads, its hash, its
 // block count and its layout to the oracle's; Step's work units, which
 // bill the FaaS and set the tick, must match step for step.
+//
+// SetState references its vector (selector bit 1: a state from a
+// Simulate result of the construct), and a layout round trip may decode
+// into the construct itself (selector bit 0). Every vector a construct
+// was handed, another construct given the same vector and the result it
+// came from must come out of every later operation unchanged.
 func constructOps(t *testing.T, data []byte) {
 	const maxOps = 64
 	if len(data) < 2 {
@@ -76,6 +109,7 @@ func constructOps(t *testing.T, data []byte) {
 	}
 	w, h := 1+int(data[0])%12, 1+int(data[1])%6
 	c, ref := New(w, h), newOracle(w, h)
+	var refs []*referenced
 	data = data[2:]
 	for op := 0; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
 		kind, a, b, sel := data[0]%7, int(data[1]), data[2], data[3]
@@ -94,13 +128,27 @@ func constructOps(t *testing.T, data []byte) {
 				}
 			}
 		case 3:
-			s := opState(ref.State(), a, b)
-			if sel&1 != 0 {
-				s = append(s, b) // one byte too many: refused, nothing changes
+			r := &referenced{s: opState(ref.State(), a, b)}
+			if sel&2 != 0 {
+				r.result = Simulate(c, 1+a%4, sel&4 != 0)
+				r.s = r.result.States[len(r.result.States)-1]
+				for _, s := range r.result.States {
+					r.states = append(r.states, bytes.Clone(s))
+				}
 			}
-			got, want := c.SetState(s), ref.SetState(s)
+			if sel&1 != 0 {
+				r.s = append(r.s, b) // one byte too many: refused, nothing changes
+			}
+			got, want := c.SetState(r.s), ref.SetState(r.s)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("op %d: SetState error %v, oracle %v", op, got, want)
+			}
+			if got == nil {
+				r.was, r.peer = bytes.Clone(r.s), c.Clone()
+				if err := r.peer.SetState(r.s); err != nil {
+					t.Fatal(err)
+				}
+				refs = append(refs, r)
 			}
 		case 4:
 			// Carry on with a clone; scribbling over the original must not show.
@@ -110,14 +158,18 @@ func constructOps(t *testing.T, data []byte) {
 			orig.Step()
 			orig.SetState(make(StateVector, 2*orig.BlockCount()))
 		case 5:
-			d, err := DecodeLayout(c.EncodeLayout())
+			var err error
+			if sel&1 != 0 {
+				err = DecodeLayoutInto(c, c.EncodeLayout())
+			} else {
+				c, err = DecodeLayout(c.EncodeLayout())
+			}
 			if err != nil {
 				t.Fatalf("op %d: decode of an encoded layout: %v", op, err)
 			}
 			if ref, err = oracleDecodeLayout(ref.EncodeLayout()); err != nil {
 				t.Fatal(err)
 			}
-			c = d
 		case 6:
 			// Encode with a state the construct does not hold, after a
 			// prefix (a request header); the construct itself stays put.
@@ -140,6 +192,9 @@ func constructOps(t *testing.T, data []byte) {
 			}
 		}
 		agrees(t, op, c, ref)
+		for _, r := range refs {
+			r.unchanged(t, op)
+		}
 	}
 }
 

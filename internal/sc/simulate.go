@@ -1,9 +1,12 @@
 package sc
 
-// Simulation entry point shared by the game server's local fallback path
-// and the serverless simulation function. Simulate is what Servo deploys as
-// the FaaS handler body (paper §III-C): it advances a construct several
-// steps, records every intermediate state, and detects state loops.
+// Simulation entry point of the serverless simulation function. A
+// Simulator's Run is what Servo deploys as the FaaS handler body (paper
+// §III-C): it advances a construct several steps, records every
+// intermediate state, and detects state loops. Simulate is the same run on
+// a copy of a construct, with storage of its own.
+
+import "bytes"
 
 // LoopInfo describes a detected state cycle (paper §III-C1): after reaching
 // States[EntryIndex] the construct cycles with the given period, so future
@@ -31,6 +34,11 @@ type Result struct {
 	WorkUnits int
 }
 
+// MaxSteps bounds the steps one simulation request may ask for: well above
+// the paper's 50–200-step invocations (Fig. 8/9), and low enough that a
+// request's states can be bounded before they are computed.
+const MaxSteps = 4096
+
 // Simulate advances a copy of the construct by up to steps steps, returning
 // every intermediate state. The input construct is not modified. When
 // detectLoops is set and the state sequence revisits an earlier state, the
@@ -40,40 +48,109 @@ type Result struct {
 // matches by comparing full state vectors, so hash collisions cannot
 // produce a false loop.
 func Simulate(c *Construct, steps int, detectLoops bool) Result {
-	sim := c.Clone()
-	res := Result{States: make([]StateVector, 0, steps)}
-	var seen map[uint64][]int // state hash → indices into res.States (and -1 for the initial state)
-	var initial StateVector
+	var s Simulator
+	return s.Run(c.Clone(), steps, detectLoops)
+}
+
+// Simulator runs Simulate with storage kept from one run to the next: the
+// states of a run are written back to back into one slab, and loop
+// detection indexes them by hash in one open-addressed table. Once both
+// have grown to a workload's size, a run allocates nothing. A Simulator
+// is not safe for concurrent use.
+type Simulator struct {
+	// slab holds the initial state and then the state after each step,
+	// each len(c.state) bytes.
+	slab   []byte
+	states []StateVector
+	loop   LoopInfo
+	seen   loopTable
+}
+
+// Run is Simulate on c itself: c is advanced in place, by as many steps as
+// the result holds. The result's States and Loop are views of the
+// simulator's storage, valid until its next Run.
+func (s *Simulator) Run(c *Construct, steps int, detectLoops bool) Result {
+	n := len(c.state)
+	s.slab = append(s.slab[:0], c.state...)
 	if detectLoops {
-		seen = make(map[uint64][]int, steps+1)
-		initial = sim.State()
-		seen[sim.Hash()] = []int{-1}
+		s.seen.reset(steps)
+		s.seen.insert(c.Hash(), 0)
 	}
-	for i := 0; i < steps; i++ {
-		res.WorkUnits += sim.Step()
-		state := sim.State()
-		res.States = append(res.States, state)
+	res := Result{}
+	k := 0
+	for k < steps {
+		k++
+		res.WorkUnits += c.Step()
+		s.slab = append(s.slab, c.state...)
 		if !detectLoops {
 			continue
 		}
-		h := sim.Hash()
-		for _, j := range seen[h] {
-			var prev StateVector
-			if j == -1 {
-				prev = initial
-			} else {
-				prev = res.States[j]
-			}
-			if string(prev) == string(state) {
-				entry := j + 1 // first state index of the loop body
-				res.Loop = &LoopInfo{EntryIndex: entry, Period: i - j}
-				res.States = res.States[:i+1]
-				return res
+		h := c.Hash()
+		if j, ok := s.seen.find(h, s.slab, n, k); ok {
+			s.loop = LoopInfo{EntryIndex: j, Period: k - j}
+			res.Loop = &s.loop
+			break
+		}
+		s.seen.insert(h, k)
+	}
+	s.states = s.states[:0]
+	for i := 1; i <= k; i++ {
+		s.states = append(s.states, s.slab[i*n:(i+1)*n:(i+1)*n])
+	}
+	res.States = s.states
+	return res
+}
+
+// loopTable maps state hashes to the slab indices of the states. It is
+// open-addressed with linear probing, and reset sizes it so a run keeps it
+// at most half full.
+type loopTable []loopSlot
+
+// loopSlot is one table entry; state is the slab index plus one, so the
+// zero slot is empty.
+type loopSlot struct {
+	hash  uint64
+	state int32
+}
+
+// reset empties the table, sized for a run of the given steps.
+func (t *loopTable) reset(steps int) {
+	size := 16
+	for size < 2*(steps+1) {
+		size *= 2
+	}
+	if cap(*t) < size {
+		*t = make(loopTable, size)
+	}
+	*t = (*t)[:size]
+	clear(*t)
+}
+
+// find returns the index of an earlier state equal to state k of slab
+// (states n bytes each) whose hash is h. Equal hashes are confirmed by a
+// full compare.
+func (t loopTable) find(h uint64, slab []byte, n, k int) (int, bool) {
+	cur := slab[k*n : (k+1)*n]
+	mask := len(t) - 1
+	for i := int(h) & mask; t[i].state != 0; i = (i + 1) & mask {
+		if t[i].hash == h {
+			j := int(t[i].state) - 1
+			if bytes.Equal(slab[j*n:(j+1)*n], cur) {
+				return j, true
 			}
 		}
-		seen[h] = append(seen[h], i)
 	}
-	return res
+	return 0, false
+}
+
+// insert records state k under hash h.
+func (t loopTable) insert(h uint64, k int) {
+	mask := len(t) - 1
+	i := int(h) & mask
+	for t[i].state != 0 {
+		i = (i + 1) & mask
+	}
+	t[i] = loopSlot{hash: h, state: int32(k) + 1}
 }
 
 // StateAt returns the construct state at the given future step offset

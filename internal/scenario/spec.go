@@ -51,6 +51,7 @@ import (
 
 	"servo/internal/cluster"
 	"servo/internal/mve"
+	"servo/internal/sc"
 	"servo/internal/workload"
 	"servo/internal/world"
 )
@@ -637,8 +638,8 @@ func (s *Spec) validateBackend() error {
 		if !b.Constructs {
 			return s.errf("backend.spec_exec is set but backend.constructs is false")
 		}
-		if b.SpecExec.Steps != nil && *b.SpecExec.Steps <= 0 {
-			return s.errf("backend.spec_exec.steps must be positive")
+		if b.SpecExec.Steps != nil && (*b.SpecExec.Steps <= 0 || *b.SpecExec.Steps > sc.MaxSteps) {
+			return s.errf("backend.spec_exec.steps must be in [1, %d]", sc.MaxSteps)
 		}
 		if b.SpecExec.TickLead != nil && *b.SpecExec.TickLead < 0 {
 			return s.errf("backend.spec_exec.tick_lead must be non-negative")

@@ -38,6 +38,8 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"bad storage tier", minimal(`"backend": {"storage": true, "storage_tier": "glacier"}`), `unknown field "storage_tier"`},
 		{"storage and local store", minimal(`"backend": {"storage": true, "local_store": true}`), "mutually exclusive"},
 		{"spec_exec without constructs", minimal(`"backend": {"spec_exec": {"detect_loops": false}}`), "backend.constructs is false"},
+		{"spec_exec steps zero", minimal(`"backend": {"constructs": true, "spec_exec": {"steps": 0}}`), "steps must be in [1, 4096]"},
+		{"spec_exec steps past max", minimal(`"backend": {"constructs": true, "spec_exec": {"steps": 4097}}`), "steps must be in [1, 4096]"},
 		{"construct count zero", minimal(`"constructs": [{"count": 0}]`), "count must be positive"},
 		{"construct too small", minimal(`"constructs": [{"count": 1, "blocks": 4}]`), "blocks must be >= 12"},
 		{"fleet count zero", minimal(`"fleet": [{"count": 0}]`), "count must be positive"},

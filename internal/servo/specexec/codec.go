@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"servo/internal/faas"
 	"servo/internal/sc"
 )
 
@@ -74,9 +75,17 @@ func DecodeRequest(buf []byte) (Request, error) {
 	}, nil
 }
 
-// EncodeReply serialises a reply.
+// replyHeaderLen is the size of a reply before its states: the three
+// echoed fields, the loop flag and loop, and the state count.
+const replyHeaderLen = 24 + 9 + 4
+
+// maxReplyBytes bounds a reply: the handler refuses a request whose states
+// could encode to more before it sizes anything for them.
+const maxReplyBytes = 64 << 20
+
+// EncodeReply serialises a reply into one slice of its exact length.
 func EncodeReply(r Reply) []byte {
-	size := 24 + 9 + 8
+	size := replyHeaderLen
 	for _, s := range r.States {
 		size += 4 + len(s)
 	}
@@ -101,7 +110,7 @@ func EncodeReply(r Reply) []byte {
 
 // DecodeReply parses a reply.
 func DecodeReply(buf []byte) (Reply, error) {
-	if len(buf) < 37 {
+	if len(buf) < replyHeaderLen {
 		return Reply{}, errTruncated
 	}
 	r := Reply{
@@ -142,7 +151,7 @@ func DecodeReply(buf []byte) (Reply, error) {
 	}
 	// A loop is the tail of the states: replay maps a tick past the last
 	// state into [EntryIndex, EntryIndex+Period), which must end the buffer
-	// (sc.Simulate truncates it there).
+	// (the simulator truncates it there).
 	if r.Loop != nil && r.Loop.EntryIndex+r.Loop.Period != len(r.States) {
 		return Reply{}, fmt.Errorf("specexec: loop [%d, %d+%d) does not end the %d states",
 			r.Loop.EntryIndex, r.Loop.EntryIndex, r.Loop.Period, len(r.States))
@@ -150,26 +159,43 @@ func DecodeReply(buf []byte) (Reply, error) {
 	return r, nil
 }
 
-// Handler is the serverless simulation function body (paper §III-C): it
-// decodes the construct, simulates the requested number of steps with loop
-// detection, and returns the speculative state sequence. Deploy it on a
-// faas.Platform under any name and point the Manager at it.
-func Handler(payload []byte) ([]byte, int) {
-	req, err := DecodeRequest(payload)
-	if err != nil {
-		return nil, 1
+// NewHandler returns the serverless simulation function body (paper
+// §III-C): it decodes the construct, simulates the requested number of
+// steps with loop detection, and returns the speculative state sequence.
+// Deploy it on a faas.Platform under any name and point the Manager at it.
+//
+// Every invocation decodes into one construct and simulates with one
+// sc.Simulator, both owned by the handler, so once they have grown to a
+// workload's constructs an invocation allocates only its reply; like
+// tgen's handler it relies on the platform running handlers in serial
+// order. The reply outlives the call (the manager applies its states in
+// place), so it is copied out of the simulator at its exact size. A
+// request for more than sc.MaxSteps steps, or whose states could encode
+// to more than maxReplyBytes, is refused before anything is sized for it.
+func NewHandler() faas.Handler {
+	var (
+		c   sc.Construct
+		sim sc.Simulator
+	)
+	return func(payload []byte) ([]byte, int) {
+		req, err := DecodeRequest(payload)
+		if err != nil || req.Steps > sc.MaxSteps {
+			return nil, 1
+		}
+		if err := sc.DecodeLayoutInto(&c, req.Layout); err != nil {
+			return nil, 1
+		}
+		if replyHeaderLen+int(req.Steps)*(4+2*c.BlockCount()) > maxReplyBytes {
+			return nil, 1
+		}
+		res := sim.Run(&c, int(req.Steps), req.DetectLoops)
+		reply := Reply{
+			ConstructID: req.ConstructID,
+			Version:     req.Version,
+			BaseTick:    req.BaseTick,
+			States:      res.States,
+			Loop:        res.Loop,
+		}
+		return EncodeReply(reply), res.WorkUnits
 	}
-	c, err := sc.DecodeLayout(req.Layout)
-	if err != nil {
-		return nil, 1
-	}
-	res := sc.Simulate(c, int(req.Steps), req.DetectLoops)
-	reply := Reply{
-		ConstructID: req.ConstructID,
-		Version:     req.Version,
-		BaseTick:    req.BaseTick,
-		States:      res.States,
-		Loop:        res.Loop,
-	}
-	return EncodeReply(reply), res.WorkUnits
 }

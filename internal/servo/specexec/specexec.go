@@ -27,6 +27,7 @@
 package specexec
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -116,10 +117,14 @@ type Manager struct {
 }
 
 // NewManager returns a unit that offloads constructs to the named function
-// on platform.
+// on platform. A StepsPerInvocation above sc.MaxSteps panics: the function
+// would refuse every request.
 func NewManager(platform TickSource, fnName string, cfg Config) *Manager {
 	if cfg.StepsPerInvocation <= 0 {
 		cfg.StepsPerInvocation = DefaultConfig().StepsPerInvocation
+	}
+	if cfg.StepsPerInvocation > sc.MaxSteps {
+		panic(fmt.Sprintf("specexec: %d steps per invocation, above sc.MaxSteps (%d)", cfg.StepsPerInvocation, sc.MaxSteps))
 	}
 	if cfg.TickLead < 0 {
 		cfg.TickLead = 0
@@ -201,9 +206,12 @@ type TickWork struct {
 }
 
 // applyCostDivisor scales the cost of merging a speculative state relative
-// to simulating the step locally: applying a precomputed state vector is a
-// copy, roughly 20× cheaper than the BFS power propagation of a real step.
-// Calibrated against Fig. 7b (Servo's tick box sits near Opencraft's p25).
+// to simulating the step locally: the model charges applying a precomputed
+// state vector as a copy, roughly 20× cheaper than the BFS power
+// propagation of a real step. Calibrated against Fig. 7b (Servo's tick box
+// sits near Opencraft's p25). SetState no longer copies, but the charge
+// stays a copy's on purpose: work units set the modelled tick, and every
+// report and figure is pinned to them.
 const applyCostDivisor = 20
 
 // Tick advances every managed construct by one game tick. For each

@@ -25,7 +25,7 @@ func newFixture(t *testing.T, seed int64, cfg Config, fnCfg faas.Config) *fixtur
 	t.Helper()
 	loop := sim.NewLoop(seed)
 	platform := faas.NewPlatform(loop)
-	fn := platform.Register("simulate-sc", fnCfg, Handler)
+	fn := platform.Register("simulate-sc", fnCfg, NewHandler())
 	return &fixture{loop: loop, mgr: NewManager(platform, "simulate-sc", cfg), fn: fn}
 }
 
@@ -370,20 +370,21 @@ func TestDecodeReplyRefusesOversizedCount(t *testing.T) {
 }
 
 func TestHandlerRejectsGarbage(t *testing.T) {
-	resp, work := Handler([]byte{1, 2, 3})
+	h := NewHandler()
+	resp, work := h([]byte{1, 2, 3})
 	if resp != nil || work != 1 {
-		t.Fatal("Handler must fail cleanly on garbage input")
+		t.Fatal("the handler must fail cleanly on garbage input")
 	}
 	// Valid header, garbage layout.
 	req := Request{Steps: 10, Layout: []byte{9, 9, 9}}
-	resp, _ = Handler(EncodeRequest(req))
+	resp, _ = h(EncodeRequest(req))
 	if resp != nil {
-		t.Fatal("Handler must fail cleanly on a corrupt layout")
+		t.Fatal("the handler must fail cleanly on a corrupt layout")
 	}
 }
 
 // TestDecodeReplyRejectsLoopNotEndingStates: a loop must be the tail of the
-// states it comes with, as sc.Simulate emits it. One that runs past them
+// states it comes with, as the simulator emits it. One that runs past them
 // never maps a replayed tick inside the buffer, and while it is installed
 // the construct is neither replayed nor refreshed: it would run locally
 // until a player modified it.
@@ -488,8 +489,9 @@ func FuzzDecodeRequest(f *testing.F) {
 // which are ignored. The seeds are the handler's replies to seedRequests
 // and the hostile replies under testdata/fuzz/FuzzDecodeReply.
 func FuzzDecodeReply(f *testing.F) {
+	h := NewHandler()
 	for _, req := range seedRequests() {
-		reply, _ := Handler(req)
+		reply, _ := h(req)
 		f.Add(reply)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
