@@ -555,12 +555,12 @@ func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 			return
 		}
 		c := u.pool.Get(pos)
-		if derr := world.DecodeChunkInto(c, data); derr != nil {
+		// Sealed: storing it back unchanged rewrites this slice.
+		if derr := c.LoadEncoded(data); derr != nil {
 			u.pool.Put(c)
 			cb(nil, false)
 			return
 		}
-		c.KeepEncoded(data) // storing it back unchanged rewrites this slice
 		cb(c, true)
 	})
 }

@@ -986,11 +986,6 @@ func (s *Server) applyCompletedChunks() time.Duration {
 			}
 		} else if !applied {
 			s.pool.Put(c)
-		} else {
-			// Resident but never persisted here (another shard owns it,
-			// or there is no store): nothing will share the reply it
-			// arrived in, so do not pin it beside the far smaller chunk.
-			c.KeepEncoded(nil)
 		}
 		s.drainBuf[i] = nil
 	}

@@ -153,13 +153,12 @@ func TestRegionGatedPersistence(t *testing.T) {
 	}
 }
 
-// TestUnpersistedChunkDropsItsReply is the seam-chunk heap guard: a
-// generated chunk arrives holding the encoding it was decoded from (the
-// FaaS reply). One the server persists keeps it — the store shares that
-// slice — but one it applies without persisting (another shard owns it)
-// must let it go, or every seam chunk pins its reply beside the far
-// smaller resident chunk.
-func TestUnpersistedChunkDropsItsReply(t *testing.T) {
+// TestAppliedChunkKeepsItsReply: a generated chunk arrives sealed with the
+// FaaS reply it was loaded from, and keeps it once applied, whether the
+// server persists it (the store shares that slice) or another shard owns
+// it. For a sealed chunk those bytes are the chunk: dropping them would
+// force a decode to keep its blocks.
+func TestAppliedChunkKeepsItsReply(t *testing.T) {
 	loop := sim.NewLoop(3)
 	topo := world.BandTopology{BandChunks: 4}
 	region := world.NewOwnershipTable(2, topo).View(0)
@@ -180,17 +179,13 @@ func TestUnpersistedChunkDropsItsReply(t *testing.T) {
 		if c == nil {
 			continue
 		}
-		kept := &c.Encoded()[0] == &reply[0]
+		if &c.Encoded()[0] != &reply[0] {
+			t.Errorf("chunk %v (owned %v) dropped the reply it arrived in", pos, region.Contains(pos))
+		}
 		if region.Contains(pos) {
 			owned++
-			if !kept {
-				t.Errorf("persisted chunk %v dropped the reply it arrived in", pos)
-			}
 		} else {
 			unowned++
-			if kept {
-				t.Errorf("unowned chunk %v still holds the reply it arrived in", pos)
-			}
 		}
 	}
 	if owned == 0 || unowned == 0 {
@@ -199,16 +194,18 @@ func TestUnpersistedChunkDropsItsReply(t *testing.T) {
 }
 
 // replyTerrain delivers flat chunks the way the serverless backend does:
-// each keeps the encoding it would have been decoded from.
+// each is sealed with its encoding, the reply.
 type replyTerrain struct {
 	replies map[world.ChunkPos][]byte
 	done    []*world.Chunk
 }
 
 func (r *replyTerrain) Request(pos world.ChunkPos) {
-	c := terrain.Flat{}.Generate(pos)
-	r.replies[pos] = c.Encode()
-	c.KeepEncoded(r.replies[pos])
+	r.replies[pos] = terrain.Flat{}.Generate(pos).Encode()
+	c := new(world.Chunk)
+	if err := c.LoadEncoded(r.replies[pos]); err != nil {
+		panic(err)
+	}
 	r.done = append(r.done, c)
 }
 

@@ -395,7 +395,8 @@ func (c *session) pushLoop(done <-chan struct{}) {
 // sendChunks streams the chunks a push carries, one at a time: each is
 // encoded under the game-loop lock and written after releasing it, so a
 // backlog costs the session its positions, never their encodings. A chunk
-// its server has unloaded since the delivery is skipped.
+// still sealed since it was loaded is its bytes, copied without decoding
+// it. A chunk its server has unloaded since the delivery is skipped.
 func (c *session) sendChunks(chunks []delivery) error {
 	for _, d := range chunks {
 		c.frame = c.frame[:0]

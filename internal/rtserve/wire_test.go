@@ -2,11 +2,13 @@ package rtserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,4 +220,59 @@ func TestSkippedWakeIsCountedAndItsChunksFollow(t *testing.T) {
 	}
 	writePush(t, r.sess, next)
 	r.check("after the next push")
+}
+
+// splitRun returns enc with its first run of two or more layers split in
+// two: the same chunk, in bytes Encode never writes (its runs are
+// maximal). The run table follows the 14-byte header, the palette and the
+// index-width byte; a run is a length − 1 byte and a 2-byte fill.
+func splitRun(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	for off := 14 + 2*(1+int(binary.LittleEndian.Uint16(enc[12:]))) + 1; off+3 <= len(enc); off += 3 {
+		if n := enc[off]; n > 0 {
+			out := append(slices.Clone(enc[:off]), 0, enc[off+1], enc[off+2], n-1)
+			return append(out, enc[off+1:]...)
+		}
+	}
+	t.Fatal("no run to split")
+	return nil
+}
+
+// TestPushLeavesChunksSealed: a push never decodes a chunk. One sealed with
+// bytes Encode would not write goes out as it was loaded, push after push;
+// had a push decoded it, the next would carry the re-encoding, as a push
+// after a block read does.
+func TestPushLeavesChunksSealed(t *testing.T) {
+	r := newRig(t, 16)
+	r.step()
+	pos := r.sess.player.Pos().Chunk()
+	canonical := r.game.World().Chunk(pos).Encode()
+	loaded := splitRun(t, canonical)
+	sealed := new(world.Chunk)
+	if err := sealed.LoadEncoded(loaded); err != nil {
+		t.Fatal(err)
+	}
+	r.game.World().AddChunk(sealed)
+	conn := &recordConn{}
+	probe := addSession(r.srv, "probe", conn)
+	pushed := func() []byte {
+		conn.buf.Reset()
+		if err := probe.sendChunks([]delivery{{r.game, pos}}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := netproto.NewReader(&conn.buf).Next()
+		if err != nil || m.Type != netproto.MsgChunkData {
+			t.Fatalf("push wrote %v (%v), want one chunk frame", m.Type, err)
+		}
+		return m.ChunkData
+	}
+	for i := range 3 {
+		if got := pushed(); !bytes.Equal(got, loaded) {
+			t.Fatalf("push %d carries %d bytes, not the %d the chunk was loaded from", i, len(got), len(loaded))
+		}
+	}
+	sealed.At(0, 0, 0)
+	if got := pushed(); !bytes.Equal(got, canonical) {
+		t.Fatal("a push after a block read does not carry the re-encoding")
+	}
 }

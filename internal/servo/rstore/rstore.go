@@ -58,8 +58,8 @@ func (s *Store) UseChunkPool(p *world.ChunkPool) { s.pool = p }
 
 // Load implements mve.ChunkStore: fetch through the cache; a missing
 // object reports ok=false so the server generates the chunk instead. The
-// chunk keeps the cached bytes it was decoded from as its encoding, so
-// storing it back unchanged writes that same slice.
+// chunk is sealed with the cached bytes (LoadEncoded): it decodes only if
+// a block is read, and storing it back unchanged writes that same slice.
 func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 	s.cache.Get(pos, func(data []byte, err error) {
 		if err != nil {
@@ -73,13 +73,12 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 			return
 		}
 		c := s.pool.Get(pos)
-		if derr := world.DecodeChunkInto(c, data); derr != nil {
+		if derr := c.LoadEncoded(data); derr != nil {
 			s.pool.Put(c)
 			s.DecodeFailures++
 			cb(nil, false)
 			return
 		}
-		c.KeepEncoded(data)
 		cb(c, true)
 	})
 }

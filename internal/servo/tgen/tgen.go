@@ -229,16 +229,16 @@ func (b *Backend) Request(pos world.ChunkPos) {
 }
 
 // drainAdoptions resolves queued positions against the shared cache
-// (serial context): hits decode into pooled chunks and complete without
-// an invocation; misses fall through to the dispatch queue.
+// (serial context): hits seal pooled chunks with the shared bytes and
+// complete without an invocation; misses fall through to the dispatch
+// queue.
 func (b *Backend) drainAdoptions() {
 	b.adoptQueued = false
 	for i, pos := range b.adoptQueue {
 		b.adoptQueue[i] = world.ChunkPos{}
 		if data := b.dedup.Lookup(pos); data != nil {
 			c := b.pool.Get(pos)
-			if err := world.DecodeChunkInto(c, data); err == nil {
-				c.KeepEncoded(data)
+			if err := c.LoadEncoded(data); err == nil {
 				b.GenDeduped++
 				b.done = append(b.done, c)
 				continue
@@ -340,17 +340,16 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 	}
 	pos := r.pos
 	c := b.pool.Get(pos)
-	if err := world.DecodeChunkInto(c, inv.Response); err != nil {
+	// The reply is the chunk's encoding (the handler's Encode), and
+	// nobody writes it again: the chunk is sealed with it, so persisting
+	// the chunk stores these bytes, and the dedup cache shares them too.
+	if err := c.LoadEncoded(inv.Response); err != nil {
 		b.pool.Put(c)
 		b.Failures++
 		b.DecodeErrors++
 		b.release(r)
 		return
 	}
-	// The reply is the chunk's encoding (the handler's Encode), and
-	// nobody writes it again: the chunk keeps it, so persisting the chunk
-	// stores these bytes, and the dedup cache shares them too.
-	c.KeepEncoded(inv.Response)
 	if b.dedup != nil {
 		// Publish the encoded reply so bordering shards can adopt the
 		// seam chunk instead of re-invoking.

@@ -266,7 +266,7 @@ func TestReplyIsTheStoredEncoding(t *testing.T) {
 	loop.Run()
 	c := b.DrainAppend(nil)[0]
 	if !sameBytes(c.Encoded(), reply) {
-		t.Fatal("the generated chunk does not keep the reply it was decoded from")
+		t.Fatal("the generated chunk does not keep the reply it was loaded from")
 	}
 
 	remote := blob.NewStore(loop, blob.TierPremium)
@@ -286,7 +286,7 @@ func TestReplyIsTheStoredEncoding(t *testing.T) {
 	c.Set(0, world.ChunkSizeY-1, 0, world.Block{ID: world.Stone})
 	enc := c.Encoded()
 	if sameBytes(enc, reply) {
-		t.Fatal("a changed chunk still holds the reply it was decoded from")
+		t.Fatal("a changed chunk still holds the reply it was loaded from")
 	}
 	if d, err := world.DecodeChunk(enc); err != nil || !d.Equal(c) {
 		t.Fatalf("the changed chunk's encoding does not decode to it (%v)", err)

@@ -68,19 +68,27 @@ func opBlock(sel byte) world.Block {
 }
 
 // chunkOps interprets data as a sequence of four-byte operations — kind
-// (mod 7: Set, FillLayer, SetLayer, Clone, encode→DecodeChunkInto a dirty
-// chunk, ChunkPool Put→Get, KeepEncoded of the chunk's own encoding), an
-// x/z or pattern byte, y, and a block selector — applied both to a Chunk
-// and to the flat model, and after every one holds the chunk's reads, its
-// encoding and its Version to the model: any change of content bumps
-// Version, and nothing ever lowers it but a decode or a trip through the
-// pool, which zero it.
+// (mod 8: Set, FillLayer, SetLayer, Clone, encode→DecodeChunkInto a dirty
+// chunk, ChunkPool Put→Get, encode→LoadEncoded a dirty chunk, seal: the
+// chunk's LoadEncoded of its own kept encoding), an x/z or pattern byte, y,
+// and a block selector — applied both to a Chunk and to the flat model, and
+// after every one holds the chunk's reads, its encoding and its Version to
+// the model: any change of content bumps Version, and nothing ever lowers
+// it but a decode, a load, a seal or a trip through the pool, which zero it.
 //
 // It also holds the kept encoding to the content. Encoded is called after
 // every op, so every op starts on a chunk holding bytes (the decode target
 // too); afterwards Encoded must return the same bytes Encode does, and the
-// very slice held before when the content did not change, a fresh one when
-// it did or when the chunk went through a decode or the pool.
+// very slice held before when the content did not change, the very slice
+// loaded after a load or a seal, a fresh one when the content changed or
+// when the chunk went through a decode or the pool.
+//
+// A loaded or sealed chunk must stay sealed until a block is read: its
+// content is checked through a decoded copy of its encoding, and then the
+// block selector picks which read, if any, opens it (At, NonAirCount,
+// SurfaceY, either side of Equal). A chunk left sealed meets the next op
+// sealed, which must then decode it in place and keep Version and the
+// kept bytes.
 func chunkOps(t *testing.T, data []byte) {
 	const maxOps = 48
 	pos := world.ChunkPos{X: -2, Z: 11}
@@ -88,13 +96,15 @@ func chunkOps(t *testing.T, data []byte) {
 	spare := dirtyChunk(rand.New(rand.NewSource(int64(len(data)))))
 	pool := world.NewChunkPool(2)
 	held := c.Encoded()
-	// The decode target starts out holding bytes too: stale ones (its own
-	// encoding costs about a second — its palette is huge), which the
-	// first decode into it must drop like any other.
+	// The decode target starts out sealed with stale bytes over the storage
+	// of its dirty layers (its own encoding costs about a second — its
+	// palette is huge), which the first decode into it must drop.
 	spareHeld := world.NewChunk(world.ChunkPos{X: 7}).Encode()
-	spare.KeepEncoded(spareHeld)
+	if err := spare.LoadEncoded(spareHeld); err != nil {
+		t.Fatal(err)
+	}
 	for op := 0; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
-		kind, a, y, sel := data[0]%7, int(data[1]), int(data[2]), data[3]
+		kind, a, y, sel := data[0]%8, int(data[1]), int(data[2]), data[3]
 		before, was := c.Version, *model
 		switch kind {
 		case 0:
@@ -141,18 +151,37 @@ func chunkOps(t *testing.T, data []byte) {
 			c = pool.Get(pos)
 			*model = flatModel{}
 		case 6:
-			held = c.Encode()
-			c.KeepEncoded(held)
+			// Loaded into a chunk that last held something else, as the
+			// loaders do.
+			buf := c.Encode()
+			if err := spare.LoadEncoded(buf); err != nil {
+				t.Fatalf("load of an encoded chunk: %v", err)
+			}
+			c, spare = spare, c
+			held, spareHeld = buf, held
+		case 7:
+			// Stored and loaded back: the bytes the chunk kept.
+			if err := c.LoadEncoded(held); err != nil {
+				t.Fatalf("seal with the kept encoding: %v", err)
+			}
 		}
 		switch {
-		case kind == 4 || kind == 5:
+		case kind >= 4:
 			if c.Version != 0 || c.GenWork != 0 || c.Pos != pos {
-				t.Fatalf("op %d: a decoded or pooled chunk has version %d, genwork %d, pos %v", op, c.Version, c.GenWork, c.Pos)
+				t.Fatalf("op %d (kind %d): a decoded, loaded or pooled chunk has version %d, genwork %d, pos %v",
+					op, kind, c.Version, c.GenWork, c.Pos)
 			}
 		case c.Version < before, c.Version == before && was != *model:
 			t.Fatalf("op %d (kind %d): content changed %v, Version %d → %d", op, kind, was != *model, before, c.Version)
 		}
-		model.agrees(t, c)
+		if sealed := world.Sealed(c); sealed != (kind >= 6) {
+			t.Fatalf("op %d (kind %d): sealed %v", op, kind, sealed)
+		}
+		if kind >= 6 {
+			openSealed(t, c, model, sel)
+		} else {
+			model.agrees(t, c)
+		}
 		enc := c.Encoded()
 		kept := &enc[0] == &held[0]
 		switch {
@@ -160,6 +189,8 @@ func chunkOps(t *testing.T, data []byte) {
 			if kept {
 				t.Fatalf("op %d: a decoded or pooled chunk kept the encoding it held before", op)
 			}
+		case kind >= 6 && !kept:
+			t.Fatalf("op %d (kind %d): a loaded chunk does not hand out the bytes it was loaded from", op, kind)
 		case kept != (was == *model):
 			t.Fatalf("op %d (kind %d): content changed %v, kept encoding %v", op, kind, was != *model, kept)
 		}
@@ -171,6 +202,51 @@ func chunkOps(t *testing.T, data []byte) {
 		}
 		held = enc
 	}
+}
+
+// openSealed checks a sealed chunk against the model without opening it,
+// then reads it the way sel picks — or not at all, leaving it sealed for
+// the next op — and holds what it opened to the model. Opening keeps
+// Version and the kept encoding.
+func openSealed(t *testing.T, c *world.Chunk, model *flatModel, sel byte) {
+	t.Helper()
+	enc, version := c.Encoded(), c.Version
+	if again := c.EncodeAppend([]byte{1}); !bytes.Equal(again[1:], enc) {
+		t.Fatal("EncodeAppend of a sealed chunk differs from its kept encoding")
+	}
+	d, err := world.DecodeChunk(enc)
+	if err != nil {
+		t.Fatalf("a sealed chunk's encoding does not decode: %v", err)
+	}
+	model.agrees(t, d)
+	if !world.Sealed(c) {
+		t.Fatal("encoding a sealed chunk opened it")
+	}
+	switch sel % 6 {
+	case 0:
+		return
+	case 1:
+		c.At(int(sel)%world.ChunkSizeX, int(sel), 0)
+	case 2:
+		c.NonAirCount()
+	case 3:
+		c.SurfaceY(0, int(sel)%world.ChunkSizeZ)
+	case 4:
+		if !c.Equal(d) {
+			t.Fatal("a sealed chunk differs from its decoded encoding")
+		}
+	case 5:
+		if !d.Equal(c) {
+			t.Fatal("a decoded encoding differs from the sealed chunk")
+		}
+	}
+	if world.Sealed(c) {
+		t.Fatalf("read %d left the chunk sealed", sel%6)
+	}
+	if c.Version != version || &c.Encoded()[0] != &enc[0] {
+		t.Fatal("opening a sealed chunk changed its Version or dropped its encoding")
+	}
+	model.agrees(t, c)
 }
 
 // FuzzChunkOps is the model-based test of the layered chunk store; see
@@ -255,7 +331,8 @@ func TestResidentChunkFootprint(t *testing.T) {
 // TestPoolDecodeCycleZeroAlloc: the chunk-churn path — Get a recycled
 // chunk, decode terrain into it, Put it back — allocates nothing once the
 // pool's chunks have held terrain of the same shape, because Put keeps the
-// layer storage Reset leaves behind.
+// layer storage Reset leaves behind. So does a sealed chunk decoded on its
+// first read.
 func TestPoolDecodeCycleZeroAlloc(t *testing.T) {
 	gen := terrain.Default{Seed: 42}
 	var encoded [][]byte
@@ -276,7 +353,51 @@ func TestPoolDecodeCycleZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Fatalf("Get→DecodeChunkInto→Put allocates %.1f per 8 chunks, want 0", allocs)
 	}
+	onRead := func() {
+		for _, enc := range encoded {
+			c := pool.Get(world.ChunkPos{})
+			if err := c.LoadEncoded(enc); err != nil {
+				t.Fatal(err)
+			}
+			c.At(0, 0, 0)
+			pool.Put(c)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, onRead); allocs != 0 {
+		t.Fatalf("Get→LoadEncoded→At→Put allocates %.1f per 8 chunks, want 0", allocs)
+	}
 	if pool.Fresh != 1 {
 		t.Fatalf("pool allocated %d chunks, want 1", pool.Fresh)
+	}
+}
+
+// TestPoolLoadEncodedCycleZeroAlloc: the load path — Get a recycled chunk,
+// seal it with stored terrain, Put it back — allocates nothing at all, the
+// first time round included: a sealed chunk holds no layer of its own.
+func TestPoolLoadEncodedCycleZeroAlloc(t *testing.T) {
+	gen := terrain.Default{Seed: 42}
+	var encoded [][]byte
+	for x := 0; x < 8; x++ {
+		encoded = append(encoded, gen.Generate(world.ChunkPos{X: x, Z: 3}).Encode())
+	}
+	pool := world.NewChunkPool(1)
+	pool.Put(world.NewChunk(world.ChunkPos{}))
+	cycle := func() {
+		for _, enc := range encoded {
+			c := pool.Get(world.ChunkPos{})
+			if err := c.LoadEncoded(enc); err != nil {
+				t.Fatal(err)
+			}
+			if !world.Sealed(c) || &c.Encoded()[0] != &enc[0] {
+				t.Fatal("a loaded chunk is not sealed with the bytes it was loaded from")
+			}
+			pool.Put(c)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("Get→LoadEncoded→Put allocates %.1f per 8 chunks, want 0", allocs)
+	}
+	if pool.Fresh != 0 {
+		t.Fatalf("pool allocated %d chunks, want 0", pool.Fresh)
 	}
 }

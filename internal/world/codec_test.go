@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -364,6 +365,14 @@ func TestDecodeForeignStreams(t *testing.T) {
 			if !dec.Equal(ref) {
 				t.Fatalf("%s bits=%d: decode differs from the oracle's", name, bits)
 			}
+			// Sealed, the foreign bytes are handed out as they came.
+			sealed := dirtyChunk(r)
+			if err := sealed.LoadEncoded(buf); err != nil {
+				t.Fatalf("%s bits=%d: LoadEncoded: %v", name, bits, err)
+			}
+			if !bytes.Equal(sealed.Encode(), buf) || !sealed.Equal(ref) {
+				t.Fatalf("%s bits=%d: the sealed chunk re-encodes or differs from the oracle's", name, bits)
+			}
 			// What decoded re-encodes (at the natural width) to an equal chunk.
 			again, err := world.DecodeChunk(dec.Encode())
 			if err != nil || !again.Equal(dec) {
@@ -396,6 +405,9 @@ func TestDecodeForeignStreams(t *testing.T) {
 			if !errors.Is(err, world.ErrBadChunkEncoding) {
 				t.Fatalf("%s bits=%d: accepted (err %v)", name, bits, err)
 			}
+			if lerr := new(world.Chunk).LoadEncoded(buf); fmt.Sprint(lerr) != fmt.Sprint(err) {
+				t.Fatalf("%s bits=%d: decoder says %v, LoadEncoded says %v", name, bits, err, lerr)
+			}
 			if oerr := world.OracleDecodeInto(new(world.Chunk), buf); oerr == nil {
 				t.Fatalf("%s bits=%d: the oracle accepts it", name, bits)
 			}
@@ -404,9 +416,10 @@ func TestDecodeForeignStreams(t *testing.T) {
 }
 
 // TestDecodeChunkAllocationBounded: nothing is allocated before header,
-// palette, runs and length validate — a hostile header, a run that
-// overruns the chunk or runs claiming data the stream does not carry
-// cannot make the decoder allocate at all — and whatever the input, a
+// palette, runs, length and indices validate — a hostile header, a run
+// that overruns the chunk, runs claiming data the stream does not carry or
+// a palette index out of range cannot make the decoder allocate at all —
+// and whatever the input, a
 // chunk decoded fresh never costs more than one flat chunk: a stream is
 // free to mix all 256 layers (8 KiB of 1-bit indices does), and then the
 // decoder owes each its 512 bytes, but never more than that, its 2 KiB
@@ -439,12 +452,20 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 	badWidth := bytes.Clone(noise1bit)
 	badWidth[14+2*2] = 17
 	wide := handStream(pal, 16, allMixed, nil)
+	// Noise whose last index is out of range.
+	badLast := handStream(pal, 2, allMixed, func(i int) uint32 {
+		if i == world.BlocksPerChunk-1 {
+			return 3
+		}
+		return uint32(r.Intn(2))
+	})
 	for name, buf := range map[string][]byte{
 		"hostile-palette-len": hostile,
 		"bad-width":           badWidth,
 		"truncated-data":      noise1bit[:len(noise1bit)-1],
 		"mixed-runs-no-data":  wide[:14+2*2+1+3],
 		"runs-overrun":        handStream(pal, 1, []layerRun{{200, mixed}, {200, mixed}}, nil),
+		"bad-last-index":      badLast,
 	} {
 		got, err := allocated(new(world.Chunk), buf)
 		if err == nil {
@@ -476,17 +497,6 @@ func TestDecodeChunkAllocationBounded(t *testing.T) {
 			t.Errorf("%s: decoding %d bytes allocated %d, want at most %d", name, len(tc.buf), got, ceiling+tc.palette)
 		}
 	}
-	// Noise whose last index is out of range is refused only once every
-	// layer has storage: that is still no more than the chunk.
-	bad := handStream(pal, 2, allMixed, func(i int) uint32 {
-		if i == world.BlocksPerChunk-1 {
-			return 3
-		}
-		return uint32(r.Intn(2))
-	})
-	if got, err := allocated(nil, bad); err == nil || got > ceiling {
-		t.Errorf("bad last index: err %v, allocated %d", err, got)
-	}
 }
 
 // decodedChunk keeps the chunk TestDecodeChunkAllocationBounded measures
@@ -497,6 +507,9 @@ var decodedChunk *world.Chunk
 // must agree with the per-block oracle on what is accepted and on every
 // decoded block (decoding into a dirty recycled chunk), and whatever
 // decodes must re-encode to the oracle's bytes, which decode to an equal
+// chunk. LoadEncoded must accept exactly what the decoder accepts and
+// refuse the rest with the decoder's error, and the chunk it seals must
+// hand out the input slice itself as its encoding and equal the decoded
 // chunk. Allocation is bounded by construction;
 // TestDecodeChunkAllocationBounded holds that. The seeds are the
 // differential test's shapes (bar the largest palettes, whose 70–130 KB
@@ -513,16 +526,29 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A Chunk value copy shares its layers, so a dirty chunk to decode
 		// over is a Clone, never `*dec = *dirty`.
-		dec, ref := dirty.Clone(), new(world.Chunk)
+		dec, ref, sealed := dirty.Clone(), new(world.Chunk), dirty.Clone()
 		err, oerr := world.DecodeChunkInto(dec, data), world.OracleDecodeInto(ref, data)
 		if (err == nil) != (oerr == nil) {
 			t.Fatalf("decoder says %v, oracle says %v", err, oerr)
+		}
+		if lerr := sealed.LoadEncoded(data); fmt.Sprint(lerr) != fmt.Sprint(err) {
+			t.Fatalf("decoder says %v, LoadEncoded says %v", err, lerr)
 		}
 		if err != nil {
 			if !errors.Is(err, world.ErrBadChunkEncoding) {
 				t.Fatalf("rejection %v does not wrap ErrBadChunkEncoding", err)
 			}
 			return
+		}
+		if enc := sealed.Encoded(); len(enc) != len(data) || &enc[0] != &data[0] {
+			t.Fatal("a sealed chunk's encoding is not the slice it was loaded from")
+		}
+		if sealed.Pos != dec.Pos || sealed.Version != 0 || sealed.GenWork != 0 {
+			t.Fatalf("sealed chunk at %v, version %d, genwork %d; decoded at %v",
+				sealed.Pos, sealed.Version, sealed.GenWork, dec.Pos)
+		}
+		if !sealed.Equal(dec) {
+			t.Fatal("the sealed chunk differs from the decoded one")
 		}
 		if !dec.Equal(ref) {
 			t.Fatal("decoded blocks differ from the oracle's")
@@ -550,7 +576,8 @@ func FuzzDecodeChunk(f *testing.F) {
 
 // TestDecodeChunkCorpus: the hand-written seeds under
 // testdata/fuzz/FuzzDecodeChunk are what their names say — those named
-// valid-* decode, every other one is refused by both decoders.
+// valid-* decode, every other one is refused by both decoders and by
+// LoadEncoded.
 func TestDecodeChunkCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeChunk")
 	entries, err := os.ReadDir(dir)
@@ -571,8 +598,9 @@ func TestDecodeChunkCorpus(t *testing.T) {
 		valid := strings.HasPrefix(e.Name(), "valid-")
 		derr := world.DecodeChunkInto(dirtyChunk(rand.New(rand.NewSource(1))), []byte(buf))
 		oerr := world.OracleDecodeInto(new(world.Chunk), []byte(buf))
-		if (derr == nil) != valid || (oerr == nil) != valid {
-			t.Errorf("%s: decoder says %v, oracle says %v", e.Name(), derr, oerr)
+		lerr := new(world.Chunk).LoadEncoded([]byte(buf))
+		if (derr == nil) != valid || (oerr == nil) != valid || (lerr == nil) != valid {
+			t.Errorf("%s: decoder says %v, oracle says %v, LoadEncoded says %v", e.Name(), derr, oerr, lerr)
 		}
 	}
 }
