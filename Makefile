@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
+.PHONY: ci vet fmtcheck nofork nomap loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
-ci: vet fmtcheck nofork build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
+ci: vet fmtcheck nofork nomap build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,19 @@ nofork:
 	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | xargs grep -nE 'Cluster(\(\))? [!=]= nil|Cluster(\(\))?; cl [!=]= nil' | \
 		grep -vE '^(servo_test\.go|internal/core/core_test\.go):[0-9]+:[[:space:]]*if (inst\.Cluster\(\)|sys\.Cluster) == nil \{$$')"; \
 	if [ -n "$$out" ]; then echo "nil-Cluster forks:"; echo "$$out"; exit 1; fi
+
+# nomap fails if tracked non-test Go outside benchmark/ declares a Go map
+# keyed by a chunk position, a chunk rect or a tile: per-chunk and
+# per-tile state lives in world.ChunkMap, which hashes the key's two ints
+# instead of running the generic 16-byte map hash. Two maps stay Go maps
+# and are let through by field name: mve's halted (touched only when a
+# chunk holding constructs unloads or reloads) and rstore's settled
+# (keyed by a whole ChunkRect, which at a fixed radius is not a function
+# of its Min).
+nomap:
+	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs grep -nE 'map\[(world\.)?(ChunkPos|ChunkRect|TileID)\]' | \
+		grep -vE '^(internal/mve/server\.go:[0-9]+:[[:space:]]*halted|internal/servo/rstore/rstore\.go:[0-9]+:[[:space:]]*settled):? ')"; \
+	if [ -n "$$out" ]; then echo "Go maps keyed by ChunkPos/ChunkRect/TileID (use world.ChunkMap):"; echo "$$out"; exit 1; fi
 
 # loc prints the line counts a simplification PR reports in CHANGES.md:
 # tracked non-test Go outside benchmark/, the scenario package's share of

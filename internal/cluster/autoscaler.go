@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"servo/internal/metrics"
@@ -224,12 +225,10 @@ func (c *Cluster) RemoveShard(i int) bool {
 // tiles defaulting to a boot shard are not enumerable — which is why
 // only added shards, who own nothing by default, are removable.)
 func (c *Cluster) ownedTiles(i int) []world.TileID {
-	seen := make(map[world.TileID]bool)
 	var out []world.TileID
 	add := func(tile world.TileID) {
 		tile = c.table.Canon(tile)
-		if !seen[tile] && c.table.Owner(tile) == i {
-			seen[tile] = true
+		if !slices.Contains(out, tile) && c.table.Owner(tile) == i {
 			out = append(out, tile)
 		}
 	}
@@ -281,7 +280,7 @@ func (c *Cluster) drainTick(i int) {
 		return
 	}
 	for _, tile := range tiles {
-		if c.migrating[tile] {
+		if _, busy := c.migrating.Get(tile); busy {
 			continue
 		}
 		dst := c.drainDest(i)
@@ -395,7 +394,7 @@ func (c *Cluster) autoscalerTick() {
 	}
 
 	// Stability: let in-flight migrations and drains land before deciding.
-	if len(c.migrating) > 0 || len(c.draining) > 0 {
+	if c.migrating.Len() > 0 || len(c.draining) > 0 {
 		return
 	}
 	alive := c.table.AliveCount()
@@ -470,10 +469,10 @@ func (c *Cluster) updateTileRates(now time.Duration) (cur, proj []TileRate) {
 	ahead := horizon.Seconds()
 	for _, tl := range c.TileLoads() {
 		total := tl.Actions + tl.Stores
-		st, ok := c.rateState[tl.Tile]
+		st, ok := c.rateState.Get(tl.Tile)
 		if !ok {
 			st = &tileRateState{lastTotal: total}
-			c.rateState[tl.Tile] = st
+			c.rateState.Put(tl.Tile, st)
 			cur = append(cur, TileRate{Tile: tl.Tile, Owner: tl.Owner})
 			proj = append(proj, TileRate{Tile: tl.Tile, Owner: tl.Owner})
 			continue

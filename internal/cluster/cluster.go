@@ -196,7 +196,7 @@ type Cluster struct {
 	// rebalancer's two-check hysteresis, mirroring the handoff scan's).
 	hotStreak int
 	// migrating marks tiles whose ownership flush is in flight.
-	migrating map[world.TileID]bool
+	migrating world.ChunkMap[world.TileID, struct{}]
 
 	// Autoscaler state (see autoscaler.go).
 	auto AutoscaleConfig
@@ -209,7 +209,7 @@ type Cluster struct {
 	// quarantine; the autoscaler re-admits them once probation expires.
 	recoverWanted map[int]bool
 	// rateState holds per-tile demand-rate history between policy ticks.
-	rateState  map[world.TileID]*tileRateState
+	rateState  world.ChunkMap[world.TileID, *tileRateState]
 	lastRateAt time.Duration
 	// lastScaleUp / lastScaleDown drive the per-direction cooldowns.
 	lastScaleUp   time.Duration
@@ -326,10 +326,8 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		reb:            cfg.Rebalance,
 		vis:            cfg.Visibility,
 		auto:           cfg.Autoscale,
-		migrating:      make(map[world.TileID]bool),
 		draining:       make(map[int]bool),
 		recoverWanted:  make(map[int]bool),
-		rateState:      make(map[world.TileID]*tileRateState),
 		players:        make(map[PlayerID]*Player),
 		nameKeys:       make(map[string]int),
 		HandoffLatency: metrics.NewSample(4096),

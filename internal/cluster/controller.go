@@ -83,7 +83,7 @@ func (c *Cluster) controllerTick() {
 		return
 	}
 	defer c.clock.After(c.reb.Interval, c.controllerTick)
-	if len(c.migrating) > 0 || len(c.draining) > 0 {
+	if c.migrating.Len() > 0 || len(c.draining) > 0 {
 		// Let the in-flight migration (or a drain emptying a shard toward
 		// retirement) land before re-measuring.
 		return
@@ -152,7 +152,7 @@ func (c *Cluster) loadImbalance() (imb float64, hot, cold int) {
 // bands every tile has the same adjacency, so this stays identical to
 // the PR 3 lowest-band rule).
 func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
-	counts := make(map[world.TileID]int)
+	var counts world.ChunkMap[world.TileID, int]
 	var tiles []world.TileID
 	hotPlayers, coldPlayers := 0, 0
 	for _, p := range c.order {
@@ -168,10 +168,11 @@ func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
 		case hot:
 			hotPlayers++
 			if c.table.Owner(tile) == hot {
-				if counts[tile] == 0 {
+				n, _ := counts.Get(tile)
+				if n == 0 {
 					tiles = append(tiles, tile)
 				}
-				counts[tile]++
+				counts.Put(tile, n+1)
 			}
 		case cold:
 			coldPlayers++
@@ -185,7 +186,7 @@ func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
 	bestMax, bestAdj := 0, -1
 	found := false
 	for _, tile := range tiles {
-		n := counts[tile]
+		n, _ := counts.Get(tile)
 		m := hotPlayers - n
 		if coldPlayers+n > m {
 			m = coldPlayers + n
@@ -224,25 +225,23 @@ type TileLoad struct {
 // shard's server and sorted by the topology's space-filling index (on
 // unbounded band topologies only tiles that saw work appear).
 func (c *Cluster) TileLoads() []TileLoad {
-	sums := make(map[world.TileID]*TileLoad)
-	var order []world.TileID
+	var sums world.ChunkMap[world.TileID, TileLoad]
 	for _, s := range c.shards {
 		for tile, cost := range s.TileCosts() {
-			tl, ok := sums[tile]
+			tl, ok := sums.Get(tile)
 			if !ok {
-				tl = &TileLoad{Tile: tile, Owner: c.table.Owner(tile)}
-				sums[tile] = tl
-				order = append(order, tile)
+				tl = TileLoad{Tile: tile, Owner: c.table.Owner(tile)}
 			}
 			tl.Actions += cost.Actions
 			tl.Stores += cost.Stores
+			sums.Put(tile, tl)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return c.topo.Index(order[i]) < c.topo.Index(order[j]) })
-	out := make([]TileLoad, 0, len(order))
-	for _, tile := range order {
-		out = append(out, *sums[tile])
+	out := make([]TileLoad, 0, sums.Len())
+	for _, tl := range sums.All() {
+		out = append(out, tl)
 	}
+	sort.Slice(out, func(i, j int) bool { return c.topo.Index(out[i].Tile) < c.topo.Index(out[j].Tile) })
 	return out
 }
 
@@ -271,14 +270,14 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, reason string) bool {
 	// against TileOf output, which an aliased caller reference would miss.
 	tile = c.table.Canon(tile)
 	src := c.table.Owner(tile)
-	if src == dst || !c.table.Alive(dst) || c.migrating[tile] {
+	if _, busy := c.migrating.Get(tile); src == dst || !c.table.Alive(dst) || busy {
 		return false
 	}
-	c.migrating[tile] = true
+	c.migrating.Put(tile, struct{}{})
 	start := c.clock.Now()
 	pred := func(cp world.ChunkPos) bool { return c.table.TileOf(cp) == tile }
 	c.shards[src].FlushOwnedChunks(pred, func() {
-		delete(c.migrating, tile)
+		c.migrating.Delete(tile)
 		if c.stopped || !c.table.Alive(dst) {
 			return // the cluster stopped or dst died while we flushed
 		}

@@ -1,6 +1,8 @@
 package mve
 
 import (
+	"iter"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -65,9 +67,9 @@ func (o footprintOracle) agrees(t *testing.T, op int, s *Server) {
 	}
 }
 
-// sortedKeys returns m's chunk positions in (X, Z) order.
-func sortedKeys[V any](m map[world.ChunkPos]V) []world.ChunkPos {
-	out := make([]world.ChunkPos, 0, len(m))
+// sortedKeys returns the chunk positions of m's entries in (X, Z) order.
+func sortedKeys[V any](m iter.Seq2[world.ChunkPos, V]) []world.ChunkPos {
+	var out []world.ChunkPos
 	for cp := range m {
 		out = append(out, cp)
 	}
@@ -120,9 +122,10 @@ func TestFootprintMatchesOracle(t *testing.T) {
 				}
 			}
 		case 2:
-			cps := sortedKeys(s.placed)
+			cps := sortedKeys(s.placed.All())
 			cp := cps[r.Intn(len(cps))]
-			for _, p := range s.placed[cp] {
+			ps, _ := s.placed.Get(cp)
+			for _, p := range ps {
 				if p.anchor.Chunk() == cp {
 					o.halt(p.construct)
 					halts++
@@ -130,7 +133,7 @@ func TestFootprintMatchesOracle(t *testing.T) {
 			}
 			s.haltConstructs(cp)
 		case 3:
-			if cps := sortedKeys(s.halted); len(cps) > 0 {
+			if cps := sortedKeys(maps.All(s.halted)); len(cps) > 0 {
 				cp := cps[r.Intn(len(cps))]
 				for _, h := range s.halted[cp] {
 					o.spawn(h.construct, h.anchor)

@@ -2,6 +2,7 @@ package mve
 
 import (
 	"cmp"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -209,22 +210,21 @@ type Server struct {
 	// Per-tile cost attribution: actions and chunk stores keyed by the
 	// region tile they happened in (nil topology — a bare server with the
 	// zero Region, outside any cluster — disables attribution entirely).
-	tileTopo    world.Topology
-	tileActions map[world.TileID]int64
-	tileStores  map[world.TileID]int64
+	tileTopo  world.Topology
+	tileCosts world.ChunkMap[world.TileID, TileCost]
 
 	// Construct placement: every live construct, indexed by each chunk its
 	// grid covers in spawn order (which construct owns a block is a
 	// look-up there, see owner), and the constructs of unloaded chunks,
 	// halted until their chunk reloads.
-	placed map[world.ChunkPos][]*placement
+	placed world.ChunkMap[world.ChunkPos, []*placement]
 	halted map[world.ChunkPos][]haltedConstruct
 
 	// requested tracks chunk demand already in flight (store load or
 	// generation) and is the only request de-duplicator: a position
 	// enters in requestChunk and leaves only in applyChunk, so neither
 	// the store nor the terrain backend sees it twice meanwhile.
-	requested map[world.ChunkPos]bool
+	requested world.ChunkMap[world.ChunkPos, struct{}]
 	// loadedFromStore queues store-loaded chunks for on-loop application;
 	// the backing array is reused across ticks.
 	loadedFromStore []*world.Chunk
@@ -309,6 +309,8 @@ type Server struct {
 	// ConstructsResumed counts halted constructs whose simulation resumed
 	// because their chunk was reloaded (§II-A).
 	ConstructsResumed metrics.Counter
+	// MovesRefused counts moves processAction refused (see validMove).
+	MovesRefused metrics.Counter
 }
 
 // NewServer builds a server on clock. Zero-value config fields take the
@@ -332,9 +334,7 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		terrain:       cfg.Terrain,
 		store:         cfg.Store,
 		players:       make(map[PlayerID]*Player),
-		placed:        make(map[world.ChunkPos][]*placement),
 		halted:        make(map[world.ChunkPos][]haltedConstruct),
-		requested:     make(map[world.ChunkPos]bool),
 		TickDurations: metrics.NewSample(16384),
 		TickSeries:    &metrics.TimeSeries{},
 	}
@@ -381,8 +381,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 	}
 	if cfg.Region.Table != nil {
 		s.tileTopo = cfg.Region.Table.Topology()
-		s.tileActions = make(map[world.TileID]int64)
-		s.tileStores = make(map[world.TileID]int64)
 	}
 	if s.scs == nil {
 		s.scs = NewLocalSC(cost.SCEveryOtherTick)
@@ -431,21 +429,11 @@ type TileCost struct {
 	Actions, Stores int64
 }
 
-// TileCosts returns a copy of the per-tile attributed cost since boot
-// (empty for a bare server outside any cluster, which has no tiles).
-func (s *Server) TileCosts() map[world.TileID]TileCost {
-	out := make(map[world.TileID]TileCost, len(s.tileActions))
-	for t, n := range s.tileActions {
-		c := out[t]
-		c.Actions = n
-		out[t] = c
-	}
-	for t, n := range s.tileStores {
-		c := out[t]
-		c.Stores = n
-		out[t] = c
-	}
-	return out
+// TileCosts yields the per-tile attributed cost since boot (nothing for a
+// bare server outside any cluster, which has no tiles), in no particular
+// order.
+func (s *Server) TileCosts() iter.Seq2[world.TileID, TileCost] {
+	return s.tileCosts.All()
 }
 
 // AdoptTileCosts folds a predecessor server's per-tile cost accounting
@@ -453,27 +441,35 @@ func (s *Server) TileCosts() map[world.TileID]TileCost {
 // reused by a scale-up). Demand-rate consumers difference the
 // cluster-summed signal over time, so a replacement server must not
 // make the cumulative totals regress.
-func (s *Server) AdoptTileCosts(costs map[world.TileID]TileCost) {
+func (s *Server) AdoptTileCosts(costs iter.Seq2[world.TileID, TileCost]) {
 	if s.tileTopo == nil {
 		return
 	}
 	for t, c := range costs {
-		s.tileActions[t] += c.Actions
-		s.tileStores[t] += c.Stores
+		own, _ := s.tileCosts.Get(t)
+		own.Actions += c.Actions
+		own.Stores += c.Stores
+		s.tileCosts.Put(t, own)
 	}
 }
 
 // noteAction attributes one processed action to the acting avatar's tile.
 func (s *Server) noteAction(pos world.BlockPos) {
 	if s.tileTopo != nil {
-		s.tileActions[s.tileTopo.TileOf(pos.Chunk())]++
+		t := s.tileTopo.TileOf(pos.Chunk())
+		c, _ := s.tileCosts.Get(t)
+		c.Actions++
+		s.tileCosts.Put(t, c)
 	}
 }
 
 // noteStore attributes one chunk write to the chunk's tile.
 func (s *Server) noteStore(cp world.ChunkPos) {
 	if s.tileTopo != nil {
-		s.tileStores[s.tileTopo.TileOf(cp)]++
+		t := s.tileTopo.TileOf(cp)
+		c, _ := s.tileCosts.Get(t)
+		c.Stores++
+		s.tileCosts.Put(t, c)
 	}
 }
 
@@ -609,7 +605,8 @@ func (s *Server) SpawnConstruct(c *sc.Construct, anchor world.BlockPos) uint64 {
 	for cx := lo.X; cx <= hi.X; cx++ {
 		for cz := lo.Z; cz <= hi.Z; cz++ {
 			cp := world.ChunkPos{X: cx, Z: cz}
-			s.placed[cp] = append(s.placed[cp], p)
+			ps, _ := s.placed.Get(cp)
+			s.placed.Put(cp, append(ps, p))
 		}
 	}
 	return id
@@ -618,7 +615,8 @@ func (s *Server) SpawnConstruct(c *sc.Construct, anchor world.BlockPos) uint64 {
 // owner returns the live construct owning the world block at pos and the
 // grid cell on it, or nil.
 func (s *Server) owner(pos world.BlockPos) (*placement, int) {
-	for _, p := range s.placed[pos.Chunk()] {
+	ps, _ := s.placed.Get(pos.Chunk())
+	for _, p := range ps {
 		if i, ok := p.cell(pos); ok && p.owns(i) {
 			return p, i
 		}
@@ -631,7 +629,8 @@ func (s *Server) owner(pos world.BlockPos) (*placement, int) {
 // nobody's, and waits in halted until cp reloads.
 func (s *Server) haltConstructs(cp world.ChunkPos) {
 	halt := s.unloadHalt[:0]
-	for _, p := range s.placed[cp] {
+	ps, _ := s.placed.Get(cp)
+	for _, p := range ps {
 		if p.anchor.Chunk() == cp {
 			halt = append(halt, p)
 		}
@@ -644,10 +643,11 @@ func (s *Server) haltConstructs(cp world.ChunkPos) {
 		for cx := lo.X; cx <= hi.X; cx++ {
 			for cz := lo.Z; cz <= hi.Z; cz++ {
 				at := world.ChunkPos{X: cx, Z: cz}
-				if rest := slices.DeleteFunc(s.placed[at], func(q *placement) bool { return q == p }); len(rest) > 0 {
-					s.placed[at] = rest
+				ps, _ := s.placed.Get(at)
+				if rest := slices.DeleteFunc(ps, func(q *placement) bool { return q == p }); len(rest) > 0 {
+					s.placed.Put(at, rest)
 				} else {
-					delete(s.placed, at)
+					s.placed.Delete(at)
 				}
 			}
 		}
@@ -924,10 +924,10 @@ func (s *Server) demand(p *Player, cp world.ChunkPos) {
 // store the request is only queued; flushChunkLoads turns the queue into
 // one batched commit per scan.
 func (s *Server) requestChunk(cp world.ChunkPos) {
-	if s.requested[cp] {
+	if _, ok := s.requested.Get(cp); ok {
 		return
 	}
-	s.requested[cp] = true
+	s.requested.Put(cp, struct{}{})
 	if s.store != nil {
 		s.pendingLoads = append(s.pendingLoads, cp)
 		return
@@ -995,7 +995,7 @@ func (s *Server) applyCompletedChunks() time.Duration {
 // applyChunk installs a chunk and resumes any halted constructs in it.
 func (s *Server) applyChunk(c *world.Chunk, countResume bool) {
 	s.world.AddChunk(c)
-	delete(s.requested, c.Pos)
+	s.requested.Delete(c.Pos)
 	s.newlyLoaded = append(s.newlyLoaded, c.Pos)
 	if countResume {
 		s.resumeConstructs(c.Pos)

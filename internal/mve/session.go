@@ -7,6 +7,7 @@
 package mve
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -159,6 +160,19 @@ func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 	return p
 }
 
+// validMove reports whether a move is one the server can carry out: a
+// finite speed, and a destination inside the int32 block range the wire
+// formats name positions in. Past it an avatar's chunks would alias: the
+// chunk codec and the generation request store int32 chunk coordinates,
+// so a chunk generated at X = 2^36 comes back under a position near the
+// origin and could be applied and stored over real terrain. NaN fails
+// every comparison.
+func validMove(a Action) bool {
+	return !math.IsInf(a.Speed, 0) && !math.IsNaN(a.Speed) &&
+		a.DestX >= math.MinInt32 && a.DestX <= math.MaxInt32 &&
+		a.DestZ >= math.MinInt32 && a.DestZ <= math.MaxInt32
+}
+
 // processAction applies one player action and returns its work cost.
 func (s *Server) processAction(p *Player, a Action) time.Duration {
 	s.ActionCount.Inc()
@@ -166,6 +180,10 @@ func (s *Server) processAction(p *Player, a Action) time.Duration {
 	cost := s.cost.PerAction
 	switch a.Kind {
 	case ActionMove:
+		if !validMove(a) {
+			s.MovesRefused.Inc()
+			break
+		}
 		p.destX, p.destZ = a.DestX, a.DestZ
 		p.speed = a.Speed
 	case ActionPlaceBlock, ActionBreakBlock:

@@ -47,8 +47,8 @@ func demandSignature(s *Server) string {
 		fmt.Fprintf(&b, "p%d recv=%d known=%v bits=%d queue=%v\n",
 			p.ID, p.ChunksReceived, known, bits, p.sendQueue[p.sendHead:])
 	}
-	requested := make([]world.ChunkPos, 0, len(s.requested))
-	for cp := range s.requested {
+	requested := make([]world.ChunkPos, 0, s.requested.Len())
+	for cp := range s.requested.All() {
 		requested = append(requested, cp)
 	}
 	sort.Slice(requested, func(i, j int) bool {

@@ -2,6 +2,7 @@ package rtserve
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -90,6 +91,56 @@ func TestEndToEndMovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "avatar movement visible in updates", func() bool {
+		x, _, ok := c.Position(c.PlayerID())
+		return ok && x > 10
+	})
+}
+
+// TestMoveOutsideWireRangeIsRefused: a client's MsgMove past the int32
+// block range the wire formats name positions in (x = 2^40, and +Inf) is
+// refused and counted by a store-backed server, and the avatar stays
+// where it was. Carried out, the first would put the avatar at chunk
+// 2^36, whose encoding stores an int32 position, so its generated
+// terrain would come back under a position near the origin; the second
+// would put it at X = MinInt64.
+func TestMoveOutsideWireRangeIsRefused(t *testing.T) {
+	inst, _, addr := startServer(t, servo.Config{Seed: 2, Servo: servo.AllServerless()})
+	c, err := Dial(addr, "mover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tick := func() (n uint64) {
+		inst.Locked(func() { n = inst.Server().Tick() })
+		return n
+	}
+	for i, x := range []float64{1 << 40, math.Inf(1)} {
+		if err := c.Move(x, 0, 1e15); err != nil {
+			t.Fatal(err)
+		}
+		t0 := tick()
+		waitFor(t, "five ticks", func() bool { return tick() >= t0+5 })
+		inst.Locked(func() {
+			srv := inst.Server()
+			if n := srv.MovesRefused.Value(); n != int64(i+1) {
+				t.Errorf("move to x = %g: MovesRefused = %d, want %d", x, n, i+1)
+			}
+			for _, p := range srv.Players() {
+				if pos := p.Pos(); pos.X < -1000 || pos.X > 1000 {
+					t.Errorf("move to x = %g: the avatar is at %v", x, pos)
+				}
+			}
+			for _, cp := range srv.World().LoadedChunks() {
+				if cp.X < -1<<20 || cp.X > 1<<20 {
+					t.Errorf("move to x = %g: %v is loaded", x, cp)
+				}
+			}
+		})
+	}
+	if err := c.Move(30, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "an in-range move visible in updates", func() bool {
 		x, _, ok := c.Position(c.PlayerID())
 		return ok && x > 10
 	})

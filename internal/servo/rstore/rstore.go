@@ -23,7 +23,7 @@ type Store struct {
 	pool *world.ChunkPool
 	// seen and batch are ObserveAvatars' working set, reused across calls:
 	// the chunks of this call's batch, and the batch in prefetch order.
-	seen  map[world.ChunkPos]bool
+	seen  world.ChunkMap[world.ChunkPos, struct{}]
 	batch []world.ChunkPos
 	// settled holds view rects known to contain no tcache.Unknown chunk,
 	// under settledRadius. A cache record's state field never returns to
@@ -44,7 +44,6 @@ type Store struct {
 func New(cache *tcache.Cache) *Store {
 	return &Store{
 		cache:   cache,
-		seen:    make(map[world.ChunkPos]bool),
 		settled: make(map[world.ChunkRect]struct{}),
 	}
 }
@@ -159,7 +158,7 @@ func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
 	if len(s.settled) > settledPerAvatar*len(positions)+settledSlack {
 		s.pruneSettled(positions, radius)
 	}
-	clear(s.seen)
+	s.seen.Clear()
 	s.batch = s.batch[:0]
 	budget := s.cache.PrefetchBudget()
 	for _, p := range positions {
@@ -221,8 +220,8 @@ func (s *Store) walk(r world.ChunkRect) bool {
 				continue
 			}
 			clean = false
-			if !s.seen[cp] {
-				s.seen[cp] = true
+			if _, dup := s.seen.Get(cp); !dup {
+				s.seen.Put(cp, struct{}{})
 				s.batch = append(s.batch, cp)
 			}
 		}

@@ -90,10 +90,10 @@ type Cache struct {
 	cfg    Config
 
 	// known holds one record per position the cache has been asked about.
-	known map[world.ChunkPos]entry
+	known world.ChunkMap[world.ChunkPos, entry]
 	// waiters holds the callbacks of each remote read in flight; a
 	// position leaves it when its read lands.
-	waiters map[world.ChunkPos][]func(data []byte, err error)
+	waiters world.ChunkMap[world.ChunkPos, []func(data []byte, err error)]
 
 	// RetrievalLatency records the end-to-end chunk retrieval latency as
 	// observed by the game server — the metric of Fig. 13.
@@ -119,13 +119,7 @@ type entry struct {
 // New returns a cache in front of remote. Start the periodic write-back
 // with StartFlusher (experiments without write traffic may skip it).
 func New(clock sim.Clock, remote *blob.Store, cfg Config) *Cache {
-	return &Cache{
-		clock:   clock,
-		remote:  remote,
-		cfg:     cfg,
-		known:   make(map[world.ChunkPos]entry),
-		waiters: make(map[world.ChunkPos][]func([]byte, error)),
-	}
+	return &Cache{clock: clock, remote: remote, cfg: cfg}
 }
 
 // Remote returns the backing object store.
@@ -150,7 +144,7 @@ func (c *Cache) Get(pos world.ChunkPos, cb func(data []byte, err error)) {
 		}
 		cb(data, err)
 	}
-	switch e := c.known[pos]; e.state {
+	switch e, _ := c.known.Get(pos); e.state {
 	case Local:
 		c.Hits.Inc()
 		lat := c.cfg.LocalRead.Sample(c.clock.RNG())
@@ -170,12 +164,12 @@ func (c *Cache) Get(pos world.ChunkPos, cb func(data []byte, err error)) {
 
 // fetch joins or starts a remote read for an Unknown or Pending pos.
 func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
-	if ws, inflight := c.waiters[pos]; inflight {
-		c.waiters[pos] = append(ws, cb)
+	if ws, inflight := c.waiters.Get(pos); inflight {
+		c.waiters.Put(pos, append(ws, cb))
 		return
 	}
-	c.waiters[pos] = []func([]byte, error){cb}
-	c.known[pos] = entry{state: Pending}
+	c.waiters.Put(pos, []func([]byte, error){cb})
+	c.known.Put(pos, entry{state: Pending})
 	// GetRetrying: chaos-injected faults retry inside the store, so a
 	// fault window never surfaces as a spurious not-found (which would
 	// trigger destructive regeneration) and never double-counts
@@ -184,15 +178,14 @@ func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
 	c.remote.GetRetrying(Key(pos), func(data []byte, err error) {
 		// A local write that raced the fetch wins, whatever the remote
 		// answered: it is newer.
-		if e := c.known[pos]; e.state == Local {
+		if e, _ := c.known.Get(pos); e.state == Local {
 			data, err = e.data, nil
 		} else if err == nil {
-			c.known[pos] = entry{data: data, state: Local}
+			c.known.Put(pos, entry{data: data, state: Local})
 		} else {
-			c.known[pos] = entry{state: Absent}
+			c.known.Put(pos, entry{state: Absent})
 		}
-		ws := c.waiters[pos]
-		delete(c.waiters, pos)
+		ws, _ := c.waiters.Delete(pos)
 		for _, w := range ws {
 			w(data, err)
 		}
@@ -200,7 +193,10 @@ func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
 }
 
 // Status reports what the cache knows about pos.
-func (c *Cache) Status(pos world.ChunkPos) Status { return c.known[pos].state }
+func (c *Cache) Status(pos world.ChunkPos) Status {
+	e, _ := c.known.Get(pos)
+	return e.state
+}
 
 // PrefetchBudget returns how many fetches one Prefetch call may start
 // (0 = unlimited).
@@ -229,7 +225,7 @@ func (c *Cache) Prefetch(positions []world.ChunkPos) {
 // that slice to the blob store, which keeps it too (see blob.Store.Put):
 // the caller must not mutate it afterwards.
 func (c *Cache) Put(pos world.ChunkPos, data []byte) {
-	c.known[pos] = entry{data: data, state: Local, dirty: true}
+	c.known.Put(pos, entry{data: data, state: Local, dirty: true})
 }
 
 // PutThen stores the chunk locally and pushes it to remote storage
@@ -241,14 +237,14 @@ func (c *Cache) Put(pos world.ChunkPos, data []byte) {
 // migration but never loses the chunk.
 func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 	// This write supersedes any queued write-back of the same chunk.
-	c.known[pos] = entry{data: data, state: Local}
+	c.known.Put(pos, entry{data: data, state: Local})
 	c.remote.PutDurablyThen(Key(pos), data, done)
 }
 
 // DirtyLen returns the number of chunks awaiting write-back.
 func (c *Cache) DirtyLen() int {
 	n := 0
-	for _, e := range c.known {
+	for _, e := range c.known.All() {
 		if e.dirty {
 			n++
 		}
@@ -285,15 +281,16 @@ func (c *Cache) StartFlusher() {
 // closures pin the whole system in memory for the rest of the run.
 func (c *Cache) StopFlusher() { c.flushing = false }
 
-// Flush writes every dirty chunk to remote storage immediately, in
-// deterministic (X, Z) order (map order would pair the store's random
-// latency/fault draws with different chunks on every run, breaking
-// replay), clearing each record's flag. A failed write (e.g. a
-// chaos-injected storage fault) sets the flag again so the next flush
-// retries it once the fault window passes.
+// Flush writes every dirty chunk to remote storage immediately, in (X, Z)
+// order, clearing each record's flag. The order decides which chunk each
+// of the store's latency and fault draws falls on, so it depends only on
+// the set of dirty chunks: the record table's own order is deterministic
+// too, but it also follows the table's insert and growth history. A
+// failed write (e.g. a chaos-injected storage fault) sets the flag again
+// so the next flush retries it once the fault window passes.
 func (c *Cache) Flush() {
 	var keys []world.ChunkPos
-	for pos, e := range c.known {
+	for pos, e := range c.known.All() {
 		if e.dirty {
 			keys = append(keys, pos)
 		}
@@ -305,17 +302,17 @@ func (c *Cache) Flush() {
 		return cmp.Compare(a.Z, b.Z)
 	})
 	for _, pos := range keys {
-		e := c.known[pos]
+		e, _ := c.known.Get(pos)
 		e.dirty = false
-		c.known[pos] = e
+		c.known.Put(pos, e)
 		// PutLatest: if the chunk is re-flushed before a chaos-slowed
 		// write lands, the stale write is dropped instead of reverting
 		// the newer data.
 		c.remote.PutLatest(Key(pos), e.data, func(err error) {
 			if err != nil {
-				e := c.known[pos]
+				e, _ := c.known.Get(pos)
 				e.dirty = true
-				c.known[pos] = e
+				c.known.Put(pos, e)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import "servo/internal/world"
 // lane scheduler already serialises in deterministic order, so the cache
 // is byte-identical at every worker-pool size.
 type GenCache struct {
-	data map[world.ChunkPos][]byte
+	data world.ChunkMap[world.ChunkPos, []byte]
 	// order is the FIFO eviction log in publish order, with a consumed
 	// head index (compacted when the dead prefix dominates). A position
 	// is published at most once while cached and leaves only by eviction,
@@ -30,7 +30,7 @@ const genCacheSize = 512
 
 // NewGenCache returns an empty cache.
 func NewGenCache() *GenCache {
-	return &GenCache{data: make(map[world.ChunkPos][]byte, genCacheSize)}
+	return &GenCache{}
 }
 
 // Publish records the encoded generation reply for pos, evicting the
@@ -39,11 +39,11 @@ func NewGenCache() *GenCache {
 // cached position is a no-op: generation is deterministic in (seed, pos),
 // so the bytes would be identical.
 func (g *GenCache) Publish(pos world.ChunkPos, data []byte) {
-	if _, ok := g.data[pos]; ok {
+	if _, ok := g.data.Get(pos); ok {
 		return
 	}
-	if len(g.data) >= genCacheSize {
-		delete(g.data, g.order[g.head])
+	if g.data.Len() >= genCacheSize {
+		g.data.Delete(g.order[g.head])
 		g.head++
 	}
 	if g.head > 64 && g.head*2 >= len(g.order) {
@@ -51,10 +51,13 @@ func (g *GenCache) Publish(pos world.ChunkPos, data []byte) {
 		g.order = g.order[:n]
 		g.head = 0
 	}
-	g.data[pos] = data
+	g.data.Put(pos, data)
 	g.order = append(g.order, pos)
 }
 
 // Lookup returns the encoded reply cached for pos, or nil. The returned
 // bytes are shared and must not be mutated.
-func (g *GenCache) Lookup(pos world.ChunkPos) []byte { return g.data[pos] }
+func (g *GenCache) Lookup(pos world.ChunkPos) []byte {
+	data, _ := g.data.Get(pos)
+	return data
+}

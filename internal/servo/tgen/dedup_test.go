@@ -17,11 +17,11 @@ func reply(pos world.ChunkPos, version byte) []byte {
 func checkLog(t *testing.T, g *GenCache) {
 	t.Helper()
 	live := g.order[g.head:]
-	if len(live) != len(g.data) {
-		t.Fatalf("order log holds %d live positions, cache %d", len(live), len(g.data))
+	if len(live) != g.data.Len() {
+		t.Fatalf("order log holds %d live positions, cache %d", len(live), g.data.Len())
 	}
 	for _, pos := range live {
-		if g.data[pos] == nil {
+		if g.Lookup(pos) == nil {
 			t.Fatalf("order log holds %v, which is not cached", pos)
 		}
 	}
@@ -54,7 +54,7 @@ func TestGenCacheEvictsInPublishOrder(t *testing.T) {
 
 	// Republishing a cached position keeps its bytes and its place.
 	g.Publish(at(1), reply(at(1), 2))
-	if !bytes.Equal(g.Lookup(at(1)), reply(at(1), 1)) || len(g.data) != genCacheSize {
+	if !bytes.Equal(g.Lookup(at(1)), reply(at(1), 1)) || g.data.Len() != genCacheSize {
 		t.Fatal("republishing a cached position changed the cache")
 	}
 	checkLog(t, g)
@@ -92,7 +92,7 @@ func TestGenCacheEvictsInPublishOrder(t *testing.T) {
 			}
 		}
 		if len(g.order) > 2*genCacheSize+1 {
-			t.Fatalf("order log grew to %d entries for %d cached", len(g.order), len(g.data))
+			t.Fatalf("order log grew to %d entries for %d cached", len(g.order), g.data.Len())
 		}
 	}
 	if compactions == 0 {

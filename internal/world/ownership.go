@@ -36,7 +36,7 @@ type OwnershipTable struct {
 	base  int
 	epoch uint64
 	// overrides are tiles migrated away from the default assignment.
-	overrides map[TileID]int
+	overrides ChunkMap[TileID, int]
 	// dead marks shards whose loops were killed; their tiles reroute to
 	// the surviving shards until they recover.
 	dead map[int]bool
@@ -57,12 +57,11 @@ func NewOwnershipTable(shards int, topo Topology) *OwnershipTable {
 		topo = BandTopology{}
 	}
 	return &OwnershipTable{
-		topo:      topo,
-		shards:    shards,
-		base:      shards,
-		overrides: make(map[TileID]int),
-		dead:      make(map[int]bool),
-		retired:   make(map[int]bool),
+		topo:    topo,
+		shards:  shards,
+		base:    shards,
+		dead:    make(map[int]bool),
+		retired: make(map[int]bool),
 	}
 }
 
@@ -102,7 +101,7 @@ func (t *OwnershipTable) TileOfBlock(b BlockPos) TileID { return t.topo.TileOf(b
 // observer agrees on the reassignment without coordination.
 func (t *OwnershipTable) Owner(tile TileID) int {
 	tile = t.Canon(tile)
-	o, ok := t.overrides[tile]
+	o, ok := t.overrides.Get(tile)
 	if !ok {
 		o = DefaultOwner(t.topo, t.base, tile)
 	}
@@ -134,9 +133,9 @@ func (t *OwnershipTable) SetOwner(tile TileID, shard int) bool {
 	}
 	if DefaultOwner(t.topo, t.base, tile) == shard {
 		// Back to its default owner: drop the override instead of pinning.
-		delete(t.overrides, tile)
+		t.overrides.Delete(tile)
 	} else {
-		t.overrides[tile] = shard
+		t.overrides.Put(tile, shard)
 	}
 	t.epoch++
 	return true
@@ -226,8 +225,8 @@ type TileOverride struct {
 
 // Overrides returns the migrated tiles in ascending (Z, X) order.
 func (t *OwnershipTable) Overrides() []TileOverride {
-	out := make([]TileOverride, 0, len(t.overrides))
-	for tile, o := range t.overrides {
+	out := make([]TileOverride, 0, t.overrides.Len())
+	for tile, o := range t.overrides.All() {
 		out = append(out, TileOverride{Tile: tile, Owner: o})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -325,7 +324,7 @@ func DecodeOwnershipTable(data []byte) (*OwnershipTable, error) {
 		if owner < 0 || owner >= t.shards || t.Canon(tile) != tile {
 			return nil, errBadOwnershipTable
 		}
-		t.overrides[tile] = owner
+		t.overrides.Put(tile, owner)
 		buf = buf[12:]
 	}
 	return t, nil
@@ -341,9 +340,9 @@ func (t *OwnershipTable) Adopt(dec *OwnershipTable) bool {
 		dec.topo.Spec() != t.topo.Spec() || dec.epoch <= t.epoch {
 		return false
 	}
-	t.overrides = make(map[TileID]int, len(dec.overrides))
-	for tile, o := range dec.overrides {
-		t.overrides[tile] = o
+	t.overrides.Clear()
+	for tile, o := range dec.overrides.All() {
+		t.overrides.Put(tile, o)
 	}
 	t.epoch = dec.epoch
 	return true

@@ -13,7 +13,7 @@ package world
 // one, so slots stay below the peak loaded count. A caller keying state by
 // slot must drop that state when it removes the chunk.
 type World struct {
-	chunks map[ChunkPos]loaded
+	chunks ChunkMap[ChunkPos, loaded]
 	free   []int
 	slots  int
 }
@@ -26,17 +26,18 @@ type loaded struct {
 
 // New returns an empty world.
 func New() *World {
-	return &World{chunks: make(map[ChunkPos]loaded)}
+	return &World{}
 }
 
 // Chunk returns the loaded chunk at pos, or nil if not loaded.
 func (w *World) Chunk(pos ChunkPos) *Chunk {
-	return w.chunks[pos].c
+	e, _ := w.chunks.Get(pos)
+	return e.c
 }
 
 // AddChunk inserts (or replaces) a chunk.
 func (w *World) AddChunk(c *Chunk) {
-	e, ok := w.chunks[c.Pos]
+	e, ok := w.chunks.Get(c.Pos)
 	if !ok {
 		if n := len(w.free); n > 0 {
 			e.slot = w.free[n-1]
@@ -47,49 +48,50 @@ func (w *World) AddChunk(c *Chunk) {
 		}
 	}
 	e.c = c
-	w.chunks[c.Pos] = e
+	w.chunks.Put(c.Pos, e)
 }
 
 // RemoveChunk unloads the chunk at pos and returns it (nil if not loaded),
 // freeing its slot.
 func (w *World) RemoveChunk(pos ChunkPos) *Chunk {
-	e, ok := w.chunks[pos]
+	e, ok := w.chunks.Delete(pos)
 	if !ok {
 		return nil
 	}
-	delete(w.chunks, pos)
 	w.free = append(w.free, e.slot)
 	return e.c
 }
 
 // Loaded reports whether the chunk at pos is in memory.
 func (w *World) Loaded(pos ChunkPos) bool {
-	_, ok := w.chunks[pos]
+	_, ok := w.chunks.Get(pos)
 	return ok
 }
 
 // Slot returns the slot of the loaded chunk at pos, or -1 if it is not
 // loaded.
 func (w *World) Slot(pos ChunkPos) int {
-	if e, ok := w.chunks[pos]; ok {
+	if e, ok := w.chunks.Get(pos); ok {
 		return e.slot
 	}
 	return -1
 }
 
 // LoadedCount returns the number of chunks currently in memory.
-func (w *World) LoadedCount() int { return len(w.chunks) }
+func (w *World) LoadedCount() int { return w.chunks.Len() }
 
-// LoadedChunks returns the positions of all loaded chunks (unordered).
+// LoadedChunks returns the positions of all loaded chunks, in the chunk
+// table's order: deterministic, but not (X, Z) order — a caller whose
+// output depends on the order sorts.
 func (w *World) LoadedChunks() []ChunkPos {
-	return w.LoadedChunksAppend(make([]ChunkPos, 0, len(w.chunks)))
+	return w.LoadedChunksAppend(make([]ChunkPos, 0, w.chunks.Len()))
 }
 
-// LoadedChunksAppend appends the positions of all loaded chunks to dst
-// (unordered) and returns it; reusing dst across calls makes the
+// LoadedChunksAppend appends the positions of all loaded chunks to dst, in
+// LoadedChunks' order, and returns it; reusing dst across calls makes the
 // enumeration allocation-free.
 func (w *World) LoadedChunksAppend(dst []ChunkPos) []ChunkPos {
-	for p := range w.chunks {
+	for p := range w.chunks.All() {
 		dst = append(dst, p)
 	}
 	return dst

@@ -294,24 +294,29 @@ func NewInstance(cfg Config) *Instance {
 		inst.loop = sim.NewLoop(cfg.Seed)
 		clock = inst.loop
 	}
-	inst.sys = core.New(clock, core.Config{
-		Seed:             cfg.Seed,
-		WorldType:        cfg.WorldType,
-		Profile:          cfg.Profile,
-		ViewDistance:     cfg.ViewDistance,
-		ServerlessSC:     cfg.Servo.Constructs,
-		ServerlessTG:     cfg.Servo.Terrain,
-		ServerlessRS:     cfg.Servo.Storage,
-		Shards:           cfg.Shards,
-		Topology:         topo,
-		Rebalance:        cfg.Rebalance,
-		Visibility:       cfg.Visibility.Enabled,
-		VisibilityMargin: cfg.Visibility.Margin,
-		Autoscale:        autoscale,
-		Workers:          cfg.Workers,
-		PhaseLock:        cfg.PhaseLock,
+	// In real time the boot's storage reads complete on timer goroutines,
+	// which run under the clock's callback lock: hold it until the system
+	// is built and started, or a completion races the rest of the boot.
+	inst.Locked(func() {
+		inst.sys = core.New(clock, core.Config{
+			Seed:             cfg.Seed,
+			WorldType:        cfg.WorldType,
+			Profile:          cfg.Profile,
+			ViewDistance:     cfg.ViewDistance,
+			ServerlessSC:     cfg.Servo.Constructs,
+			ServerlessTG:     cfg.Servo.Terrain,
+			ServerlessRS:     cfg.Servo.Storage,
+			Shards:           cfg.Shards,
+			Topology:         topo,
+			Rebalance:        cfg.Rebalance,
+			Visibility:       cfg.Visibility.Enabled,
+			VisibilityMargin: cfg.Visibility.Margin,
+			Autoscale:        autoscale,
+			Workers:          cfg.Workers,
+			PhaseLock:        cfg.PhaseLock,
+		})
+		inst.sys.Cluster.Start()
 	})
-	inst.sys.Cluster.Start()
 	return inst
 }
 
