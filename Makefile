@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork nomap loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
+.PHONY: ci vet fmtcheck nofork nomap testonly loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
-ci: vet fmtcheck nofork nomap build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
+ci: vet fmtcheck nofork nomap testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -18,16 +18,15 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 
-# nofork fails if tracked Go outside benchmark/ tests System.Cluster (or
-# Instance.Cluster()) against nil: every System is a Cluster, so such a
-# test is a fork onto a second assembly that no longer exists. The one
-# form let through is the bare assertion `if sys.Cluster == nil {` /
-# `if inst.Cluster() == nil {` in the two assembly test files.
+# nofork fails if tracked Go outside benchmark/ tests System.Cluster
+# against nil: every System is a Cluster, so such a test is a fork onto a
+# second assembly that no longer exists. The one form let through is the
+# bare assertion `if sys.Cluster == nil {` in the assembly test file.
 # (benchmark/ is frozen and keeps its nine always-true forks until
 # ROADMAP item 1(a).)
 nofork:
 	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | xargs grep -nE 'Cluster(\(\))? [!=]= nil|Cluster(\(\))?; cl [!=]= nil' | \
-		grep -vE '^(servo_test\.go|internal/core/core_test\.go):[0-9]+:[[:space:]]*if (inst\.Cluster\(\)|sys\.Cluster) == nil \{$$')"; \
+		grep -vE '^internal/core/core_test\.go:[0-9]+:[[:space:]]*if sys\.Cluster == nil \{$$')"; \
 	if [ -n "$$out" ]; then echo "nil-Cluster forks:"; echo "$$out"; exit 1; fi
 
 # nomap fails if tracked non-test Go outside benchmark/ declares a Go map
@@ -43,15 +42,27 @@ nomap:
 		grep -vE '^(internal/mve/server\.go:[0-9]+:[[:space:]]*halted|internal/servo/rstore/rstore\.go:[0-9]+:[[:space:]]*settled):? ')"; \
 	if [ -n "$$out" ]; then echo "Go maps keyed by ChunkPos/ChunkRect/TileID (use world.ChunkMap):"; echo "$$out"; exit 1; fi
 
+# testonly fails if product code exports what only tests reach, or keeps
+# an unexported declaration that nothing reaches: TestNoTestOnlyExports
+# (testonly_test.go) type-checks every package of the module, the non-test
+# files of benchmark/ and each package's tests with go/types, and lists the
+# exported identifiers no non-test file uses and the unexported ones no
+# file uses at all; -v also prints the allow table's rows and their
+# reasons. The test is part of tier-1 too; here it runs alone, early.
+testonly:
+	$(GO) test -count=1 -run '^TestNoTestOnlyExports$$' -v .
+
 # loc prints the line counts a simplification PR reports in CHANGES.md:
-# tracked non-test Go outside benchmark/, the scenario package's share of
-# it, and then each package directory's share, sorted by directory so
-# that two trees' outputs line up under diff.
+# tracked non-test Go outside benchmark/ and testdata/ (fixtures the build
+# never compiles), the scenario package's share of it, and then each
+# package directory's share, sorted by directory so that two trees'
+# outputs line up under diff.
+LOC_FILES = git ls-files '*.go' | grep -v '_test\.go$$' | grep -vE '^benchmark/|(^|/)testdata/'
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
+	@$(LOC_FILES) | xargs cat | wc -l | xargs echo "non-test Go lines outside benchmark/:"
 	@git ls-files 'internal/scenario/*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go lines in internal/scenario:"
 	@echo "non-test Go lines per package directory:"
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs wc -l | \
+	@$(LOC_FILES) | xargs wc -l | \
 		awk '$$2 != "total" {d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
 
 build:

@@ -158,9 +158,6 @@ func (c *Chaos) inflate(lat time.Duration, rng *rand.Rand) time.Duration {
 // SetChaos installs (or, with nil, removes) the store's fault injector.
 func (s *Store) SetChaos(c *Chaos) { s.chaos = c }
 
-// Chaos returns the installed fault injector, or nil.
-func (s *Store) Chaos() *Chaos { return s.chaos }
-
 // Store is a simulated object store bound to a clock.
 type Store struct {
 	clock   sim.Clock
@@ -367,27 +364,6 @@ func (s *Store) GetRetrying(key string, cb func(data []byte, err error)) {
 		})
 	}
 	attempt()
-}
-
-// Delete removes the object at key asynchronously.
-func (s *Store) Delete(key string, cb func(err error)) {
-	lat := s.model.Write.Sample(s.clock.RNG())
-	s.clock.After(lat, func() {
-		if old, ok := s.objects[key]; ok {
-			s.curBytes -= int64(len(old))
-			delete(s.objects, key)
-		}
-		if cb != nil {
-			cb(nil)
-		}
-	})
-}
-
-// Exists reports whether key currently holds an object (no latency: used by
-// tests and warm-up code, not by the game path).
-func (s *Store) Exists(key string) bool {
-	_, ok := s.objects[key]
-	return ok
 }
 
 // Len returns the number of stored objects.

@@ -78,7 +78,7 @@ func TestBlobChaosWriteErrorsDropTheWrite(t *testing.T) {
 	if !errors.Is(gotErr, ErrInjectedFault) {
 		t.Fatalf("write error = %v, want ErrInjectedFault", gotErr)
 	}
-	if s.Exists("k") {
+	if _, ok := s.objects["k"]; ok {
 		t.Fatal("failed write still installed the object")
 	}
 }

@@ -26,7 +26,8 @@ const auditReach = 64
 // settledExplorer runs a small default world with serverless terrain and
 // storage: an explorer walks out of the boot region, the periodic flush
 // fires once, and then the shard stops and its cache is flushed and left to
-// land, so no entry is awaiting write-back.
+// land, so no entry is awaiting write-back (an entry that still were would
+// have no blob object, which storedEncodingErrors reports).
 func settledExplorer(t *testing.T) (*sim.Loop, *core.System) {
 	t.Helper()
 	loop := sim.NewLoop(auditSeed)
@@ -40,9 +41,6 @@ func settledExplorer(t *testing.T) (*sim.Loop, *core.System) {
 	srv.Stop()
 	sys.Shards[0].Cache.Flush()
 	loop.RunUntil(loop.Now() + 5*time.Second)
-	if n := sys.Shards[0].Cache.DirtyLen(); n != 0 {
-		t.Fatalf("%d cache entries still await write-back", n)
-	}
 	return loop, sys
 }
 

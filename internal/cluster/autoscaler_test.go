@@ -43,7 +43,7 @@ func TestFailureTrackerWindowPrunesOldCrashes(t *testing.T) {
 	ft := newFailureTracker(failureTrackerConfig{maxFailures: 3, window: time.Minute, probation: 30 * time.Second})
 	ft.RecordFailure(0, 0)
 	ft.RecordFailure(0, 10*time.Second)
-	if got := ft.Failures(0, 10*time.Second); got != 2 {
+	if got := len(ft.prune(0, 10*time.Second)); got != 2 {
 		t.Fatalf("failures in window = %d, want 2", got)
 	}
 	// 70s: the crash at t=0 has aged out; this is only the second crash
@@ -51,7 +51,7 @@ func TestFailureTrackerWindowPrunesOldCrashes(t *testing.T) {
 	if ft.RecordFailure(0, 70*time.Second) {
 		t.Fatal("quarantined though the first crash aged out of the window")
 	}
-	if got := ft.Failures(0, 70*time.Second); got != 2 {
+	if got := len(ft.prune(0, 70*time.Second)); got != 2 {
 		t.Fatalf("failures in window = %d, want 2", got)
 	}
 }
@@ -151,11 +151,11 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 	if got := c.AliveCount(); got != 3 {
 		t.Fatalf("alive = %d after AddShard, want 3", got)
 	}
-	if !c.MigrateTile(band, idx) {
-		t.Fatal("MigrateTile onto the new shard refused")
+	if !c.migrateTile(band, idx, "manual") {
+		t.Fatal("migrateTile onto the new shard refused")
 	}
 	loop.RunUntil(30 * time.Second)
-	if got := c.Table().Owner(band); got != idx {
+	if got := c.table.Owner(band); got != idx {
 		t.Fatalf("band owner = %d after spread, want %d", got, idx)
 	}
 	if p.Shard() != idx {
@@ -166,13 +166,13 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 		t.Fatal("RemoveShard refused")
 	}
 	loop.RunUntil(2 * time.Minute)
-	if c.Table().Alive(idx) {
+	if c.table.Alive(idx) {
 		t.Fatal("drained shard still alive")
 	}
 	if got := c.AliveCount(); got != 2 {
 		t.Fatalf("alive = %d after retire, want 2", got)
 	}
-	if got := c.Table().Owner(band); got == idx {
+	if got := c.table.Owner(band); got == idx {
 		t.Fatal("retired shard still owns its tile")
 	}
 	if p.Shard() == idx {
@@ -212,11 +212,11 @@ func TestAddRemoveShardDeterministicReplay(t *testing.T) {
 		c.Start()
 		loop.RunUntil(5 * time.Second)
 		idx := c.AddShard()
-		c.MigrateTile(world.TileID{X: 2}, idx)
+		c.migrateTile(world.TileID{X: 2}, idx, "manual")
 		loop.RunUntil(30 * time.Second)
 		c.RemoveShard(idx)
 		loop.RunUntil(2 * time.Minute)
-		if c.Table().Alive(idx) {
+		if c.table.Alive(idx) {
 			t.Fatalf("workers=%d: drain never finished", workers)
 		}
 		return c.ScaleLog.All(), c.MigrationLog.All(), c.Log.All()
@@ -259,8 +259,8 @@ func TestDrainBrownoutDelaysButNeverLoses(t *testing.T) {
 	loop.RunUntil(10 * time.Second)
 
 	idx := c.AddShard()
-	if !c.MigrateTile(band, idx) {
-		t.Fatal("MigrateTile onto the new shard refused")
+	if !c.migrateTile(band, idx, "manual") {
+		t.Fatal("migrateTile onto the new shard refused")
 	}
 	loop.RunUntil(40 * time.Second)
 	if p.Shard() != idx {
@@ -276,14 +276,14 @@ func TestDrainBrownoutDelaysButNeverLoses(t *testing.T) {
 	// Mid-brownout the flush is still fighting faults: the shard must
 	// not have retired yet (delayed, not skipped).
 	loop.RunUntil(40*time.Second + 50*time.Millisecond)
-	if !c.Table().Alive(idx) {
+	if !c.table.Alive(idx) {
 		t.Fatal("shard retired before its drain flush landed")
 	}
 	loop.RunUntil(3 * time.Minute)
 	remote.SetChaos(nil)
 	loop.RunUntil(6 * time.Minute)
 
-	if c.Table().Alive(idx) {
+	if c.table.Alive(idx) {
 		t.Fatal("drain never completed after the brownout")
 	}
 	if remote.FaultsInjected.Value() == 0 {

@@ -140,9 +140,6 @@ type Player struct {
 // (the source shard while a handoff is in flight).
 func (p *Player) Shard() int { return p.shard }
 
-// InFlight reports whether the session is mid-handoff.
-func (p *Player) InFlight() bool { return p.inflight }
-
 // HandoffRecord logs one completed handoff, in completion order. The
 // sequence is part of the deterministic replay surface: same seed, same
 // records.
@@ -352,18 +349,8 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 	return c
 }
 
-// Topology returns the cluster's region tiling. Ownership itself lives
-// in the Table.
-func (c *Cluster) Topology() world.Topology { return c.topo }
-
-// Table returns the live ownership table.
-func (c *Cluster) Table() *world.OwnershipTable { return c.table }
-
 // Epoch returns the current ownership epoch.
 func (c *Cluster) Epoch() uint64 { return c.table.Epoch() }
-
-// Alive reports whether shard i's loop is running.
-func (c *Cluster) Alive(i int) bool { return c.table.Alive(i) }
 
 // AliveCount returns the number of alive (neither dead nor retired)
 // shards.
@@ -409,9 +396,6 @@ func (c *Cluster) persistTable() {
 		c.tableStore.SaveTable(c.table.Encode())
 	}
 }
-
-// Shards returns the shard servers in shard order.
-func (c *Cluster) Shards() []*mve.Server { return c.shards }
 
 // Shard returns shard i's server.
 func (c *Cluster) Shard(i int) *mve.Server { return c.shards[i] }

@@ -257,14 +257,10 @@ func (c *Cluster) coldAdjacency(tile world.TileID, cold int) int {
 	return adj
 }
 
-// MigrateTile migrates ownership of a tile to dst: flush the source
+// migrateTile migrates ownership of a tile to dst: flush the source
 // shard's chunk copies with completion reporting, then flip the table
 // (epoch bump, persisted). Resident players follow through the boundary
 // scan. Reports whether a migration was started.
-func (c *Cluster) MigrateTile(tile world.TileID, dst int) bool {
-	return c.migrateTile(tile, dst, "manual")
-}
-
 func (c *Cluster) migrateTile(tile world.TileID, dst int, reason string) bool {
 	// Canonical form: the flush predicate and the in-flight set compare
 	// against TileOf output, which an aliased caller reference would miss.

@@ -87,15 +87,15 @@ func TestMigrateBandMovesOwnershipAndPlayers(t *testing.T) {
 	}
 	c.Start()
 	loop.RunUntil(5 * time.Second)
-	if !c.MigrateTile(world.TileID{X: 2}, 1) {
-		t.Fatal("MigrateTile refused")
+	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+		t.Fatal("migrateTile refused")
 	}
 	loop.RunUntil(30 * time.Second)
 
 	if got := c.Epoch(); got != 1 {
 		t.Fatalf("epoch = %d after one migration, want 1", got)
 	}
-	if got := c.Table().Owner(world.TileID{X: 2}); got != 1 {
+	if got := c.table.Owner(world.TileID{X: 2}); got != 1 {
 		t.Fatalf("tile 2 owner = %d, want 1", got)
 	}
 	for _, p := range ps {
@@ -131,8 +131,8 @@ func TestMigrationBrownoutDelaysButNeverLoses(t *testing.T) {
 
 	// Brownout: most writes fail, everything is 20x slower.
 	remote.SetChaos(&blob.Chaos{WriteErrorRate: 0.6, ReadErrorRate: 0.6, LatencyFactor: 20})
-	if !c.MigrateTile(world.TileID{X: 2}, 1) {
-		t.Fatal("MigrateTile refused")
+	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+		t.Fatal("migrateTile refused")
 	}
 	// Mid-brownout the flush is still fighting faults: the ownership flip
 	// must not have happened yet (delayed, not skipped).
@@ -147,7 +147,7 @@ func TestMigrationBrownoutDelaysButNeverLoses(t *testing.T) {
 	if c.Epoch() == 0 {
 		t.Fatal("migration never completed after the brownout")
 	}
-	if got := c.Table().Owner(world.TileID{X: 2}); got != 1 {
+	if got := c.table.Owner(world.TileID{X: 2}); got != 1 {
 		t.Fatalf("tile 2 owner = %d, want 1", got)
 	}
 	if p.Shard() != 1 {
@@ -197,7 +197,7 @@ func TestFailoverReadmitsEveryPlayer(t *testing.T) {
 	if !c.FailShard(1) {
 		t.Fatal("FailShard refused")
 	}
-	if c.Alive(1) {
+	if c.table.Alive(1) {
 		t.Fatal("shard 1 still alive after the kill")
 	}
 	loop.RunUntil(30 * time.Second)
@@ -217,7 +217,7 @@ func TestFailoverReadmitsEveryPlayer(t *testing.T) {
 		}
 	}
 	// The dead shard owns nothing; survivors own its bands.
-	if c.Table().ShardOfBlock(c.Home(1)) == 1 {
+	if c.table.ShardOfBlock(c.Home(1)) == 1 {
 		t.Fatal("dead shard still owns its home band")
 	}
 
@@ -227,7 +227,7 @@ func TestFailoverReadmitsEveryPlayer(t *testing.T) {
 		t.Fatal("RecoverShard refused")
 	}
 	loop.RunUntil(2 * time.Minute)
-	if !c.Alive(1) {
+	if !c.table.Alive(1) {
 		t.Fatal("shard 1 not alive after recovery")
 	}
 	// The rebuilt server inherited the crashed one's tick history, so
@@ -281,10 +281,10 @@ func TestRebalanceControllerMovesHotBand(t *testing.T) {
 	if got := c.TilesMoved.Value(); got < 1 {
 		t.Fatalf("controller moved %d tiles, want >= 1", got)
 	}
-	if got := c.Table().Owner(world.TileID{X: 2}); got != 1 {
+	if got := c.table.Owner(world.TileID{X: 2}); got != 1 {
 		t.Fatalf("tile 2 owner = %d, want 1 (shed to the cold shard)", got)
 	}
-	if got := c.Table().Owner(world.TileID{X: 0}); got != 0 {
+	if got := c.table.Owner(world.TileID{X: 0}); got != 0 {
 		t.Fatalf("tile 0 owner = %d: the controller moved the hotspot instead of shedding", got)
 	}
 	s0, s1 := c.Shard(0).PlayerCount(), c.Shard(1).PlayerCount()
@@ -350,7 +350,7 @@ func TestGridRebalanceSplitsZAxisCrowd(t *testing.T) {
 	}
 	// A Z-axis crowd along column x=0: tiles (0,0) and (0,1).
 	tileA, tileB := world.TileID{X: 0, Z: 0}, world.TileID{X: 0, Z: 1}
-	if c.Table().Owner(tileA) == c.Table().Owner(tileB) {
+	if c.table.Owner(tileA) == c.table.Owner(tileB) {
 		t.Fatalf("Z-separated tiles %v and %v share a shard; the grid is not splitting Z", tileA, tileB)
 	}
 	for j := 0; j < 15; j++ {
@@ -365,7 +365,7 @@ func TestGridRebalanceSplitsZAxisCrowd(t *testing.T) {
 	}
 	// The crowd tiles themselves must not have moved (shedding them would
 	// just relocate the hotspot); the light home tiles did.
-	if got := c.Table().Owner(tileA); got != 0 {
+	if got := c.table.Owner(tileA); got != 0 {
 		t.Errorf("crowd tile %v moved to shard %d: hotspot relocated instead of shed", tileA, got)
 	}
 	max := 0
@@ -382,7 +382,7 @@ func TestGridRebalanceSplitsZAxisCrowd(t *testing.T) {
 // chatOnce emits a single chat action on the first tick.
 func chatOnce() mve.Behavior {
 	sent := false
-	return mve.BehaviorFunc(func(_ *rand.Rand, _ *mve.Player, _ *mve.Server) []mve.Action {
+	return behaviorFunc(func(_ *rand.Rand, _ *mve.Player, _ *mve.Server) []mve.Action {
 		if sent {
 			return nil
 		}
@@ -458,7 +458,7 @@ func TestCheckpointRestoresInventoryOnFailover(t *testing.T) {
 	if c.Checkpoints.Value() == 0 {
 		t.Fatal("no checkpoints written; test proves nothing")
 	}
-	if !remote.Exists(rstore.PlayerKey("homebody")) {
+	if !stored(loop, remote, rstore.PlayerKey("homebody")) {
 		t.Fatal("checkpoint did not persist the player record")
 	}
 	if !c.FailShard(1) {

@@ -108,12 +108,6 @@ func (ft *failureTracker) Quarantined(shard int, now time.Duration) bool {
 	return true
 }
 
-// Failures returns how many crashes of the shard fall inside the rolling
-// window ending at now.
-func (ft *failureTracker) Failures(shard int, now time.Duration) int {
-	return len(ft.prune(shard, now))
-}
-
 // prune drops crashes older than the window and returns the survivors.
 func (ft *failureTracker) prune(shard int, now time.Duration) []time.Duration {
 	recent := ft.crashes[shard]

@@ -40,13 +40,6 @@ func (r *RecordRing[T]) Append(v T) {
 	r.start = (r.start + 1) % r.cap
 }
 
-// Len returns the number of records currently retained.
-func (r *RecordRing[T]) Len() int { return len(r.buf) }
-
-// Total returns the number of records ever appended (retained or
-// evicted).
-func (r *RecordRing[T]) Total() uint64 { return r.total }
-
 // All returns the retained records, oldest first.
 func (r *RecordRing[T]) All() []T {
 	out := make([]T, 0, len(r.buf))

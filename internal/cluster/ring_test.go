@@ -4,7 +4,7 @@ import "testing"
 
 func TestRecordRing(t *testing.T) {
 	r := newRecordRing[int](3)
-	if r.Len() != 0 || r.Total() != 0 || len(r.All()) != 0 {
+	if len(r.buf) != 0 || r.total != 0 || len(r.All()) != 0 {
 		t.Fatal("fresh ring not empty")
 	}
 	for i := 1; i <= 2; i++ {
@@ -19,8 +19,8 @@ func TestRecordRing(t *testing.T) {
 	if got := r.All(); len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
 		t.Fatalf("wrapped contents = %v, want [3 4 5]", got)
 	}
-	if r.Len() != 3 || r.Total() != 5 {
-		t.Fatalf("Len/Total = %d/%d, want 3/5", r.Len(), r.Total())
+	if len(r.buf) != 3 || r.total != 5 {
+		t.Fatalf("Len/Total = %d/%d, want 3/5", len(r.buf), r.total)
 	}
 }
 
@@ -31,7 +31,7 @@ func TestLogRetentionBoundsGhostLog(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Append(GhostRecord{Player: "p", Shard: i % 2, Event: "spawn"})
 	}
-	if r.Len() != 2 || r.Total() != 10 {
-		t.Fatalf("Len/Total = %d/%d, want 2/10", r.Len(), r.Total())
+	if len(r.buf) != 2 || r.total != 10 {
+		t.Fatalf("Len/Total = %d/%d, want 2/10", len(r.buf), r.total)
 	}
 }

@@ -5,7 +5,7 @@
 // avatar out of one world and into another. The visibility bus closes
 // the seam: each replication tick, every shard publishes a compact
 // digest of its avatars standing within the border margin of a tile
-// boundary (membership via world.BordersWithin: the home tile's
+// boundary (membership via world.BordersWithinAppend: the home tile's
 // Topology.Neighbors ring, and further rings when the margin spans
 // them), and the shards owning the bordering tiles materialise the
 // entries as read-only ghost avatars (mve's ghost registry). Ghosts are

@@ -107,8 +107,8 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 		c.Start()
 		var dump strings.Builder
 		sampleReplication(&dump, loop, c, time.Second)
-		if !c.MigrateTile(world.TileID{X: 2}, 1) || !c.MigrateTile(world.TileID{X: 3}, 0) {
-			t.Fatal("MigrateTile refused")
+		if !c.migrateTile(world.TileID{X: 2}, 1, "manual") || !c.migrateTile(world.TileID{X: 3}, 0, "manual") {
+			t.Fatal("migrateTile refused")
 		}
 		sampleReplication(&dump, loop, c, time.Minute)
 		if a.Shard() != 0 || b.Shard() != 1 {
@@ -180,15 +180,15 @@ func TestIncrementalScanAcrossShardChanges(t *testing.T) {
 		if added != 3 {
 			t.Fatalf("AddShard = %d, want 3", added)
 		}
-		if !c.MigrateTile(world.TileID{X: 3}, added) {
-			t.Fatal("MigrateTile refused")
+		if !c.migrateTile(world.TileID{X: 3}, added, "manual") {
+			t.Fatal("migrateTile refused")
 		}
 		sampleReplication(&dump, loop, c, 5*time.Second)
 		if !c.FailShard(1) {
 			t.Fatal("FailShard refused")
 		}
 		sampleReplication(&dump, loop, c, 7*time.Second)
-		recoveredAt := c.GhostLog.Total()
+		recoveredAt := c.GhostLog.total
 		if !c.RecoverShard(1) {
 			t.Fatal("RecoverShard refused")
 		}

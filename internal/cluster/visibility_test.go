@@ -16,7 +16,7 @@ import (
 // pacer walks back and forth between two waypoints forever.
 func pacer(x1, z1, x2, z2, speed float64) mve.Behavior {
 	target := 0
-	return mve.BehaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
+	return behaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
 		if p.Moving() {
 			return nil
 		}
@@ -38,7 +38,7 @@ func sampleReplication(b *strings.Builder, loop *sim.Loop, c *Cluster, until tim
 	for loop.Now() < until {
 		loop.RunUntil(min(loop.Now()+DefaultVisibilityInterval, until))
 		fmt.Fprintf(b, "t=%v sent=%d skipped=%d glog=%d\n",
-			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.GhostLog.Total())
+			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.GhostLog.total)
 		for i, s := range c.shards {
 			if !c.table.Alive(i) {
 				continue
@@ -130,7 +130,7 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 	sawPinned := false
 	var poll func()
 	poll = func() {
-		if !p.InFlight() {
+		if !p.inflight {
 			loop.After(10*time.Millisecond, poll)
 			return
 		}
@@ -278,7 +278,7 @@ func TestVisibilityBrownoutDegradesWithoutLosingLiveness(t *testing.T) {
 	ghostGone := 0
 	var watch func()
 	watch = func() {
-		if p.InFlight() && ghostNamed(c.Shard(0), "trooper") == nil && ghostNamed(c.Shard(1), "trooper") == nil {
+		if p.inflight && ghostNamed(c.Shard(0), "trooper") == nil && ghostNamed(c.Shard(1), "trooper") == nil {
 			ghostGone++ // the avatar vanished from every world mid-flight
 		}
 		loop.After(50*time.Millisecond, watch)
@@ -298,7 +298,7 @@ func TestVisibilityBrownoutDegradesWithoutLosingLiveness(t *testing.T) {
 	if c.PlayerCount() != 2 {
 		t.Fatalf("players = %d after brownout, want 2", c.PlayerCount())
 	}
-	if c.Session(p) == nil && !p.InFlight() {
+	if c.Session(p) == nil && !p.inflight {
 		t.Fatal("session lost")
 	}
 	// Degradation is visible: the brownout stretched handoffs well past
@@ -329,8 +329,8 @@ func TestVisibilityServesDisplacedSessions(t *testing.T) {
 	}
 	c.Start()
 	loop.RunUntil(time.Second)
-	if !c.MigrateTile(world.TileID{X: 2}, 1) {
-		t.Fatal("MigrateTile refused")
+	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+		t.Fatal("migrateTile refused")
 	}
 	loop.RunUntil(1100 * time.Millisecond) // let the flip land
 	// A second player joins on the migrated terrain: routed to the new

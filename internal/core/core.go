@@ -265,7 +265,7 @@ func New(clock sim.Clock, cfg Config) *System {
 	if cfg.ServerlessTG {
 		gen := terrain.ForWorldType(cfg.WorldType, cfg.Seed)
 		sys.TGHandlerStats = &tgen.HandlerStats{}
-		sys.TGFn = tgen.RegisterWithStats(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
+		sys.TGFn = tgen.Register(sys.Platform, gen, DefaultTGFnConfig(), sys.TGHandlerStats)
 		// Bordering shards adopt seam chunks a neighbour just generated
 		// instead of re-invoking FaaS. One shard has nobody to adopt
 		// from: a dedup cache there queues every request for adoption

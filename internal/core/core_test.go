@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,6 +12,13 @@ import (
 	"servo/internal/sim"
 	"servo/internal/world"
 )
+
+// behaviorFunc adapts a function to the mve.Behavior interface.
+type behaviorFunc func(r *rand.Rand, p *mve.Player, s *mve.Server) []mve.Action
+
+func (f behaviorFunc) Actions(r *rand.Rand, p *mve.Player, s *mve.Server) []mve.Action {
+	return f(r, p, s)
+}
 
 func TestBaselineAssemblyHasNoServerlessParts(t *testing.T) {
 	loop := sim.NewLoop(1)
@@ -62,20 +70,22 @@ func TestServoServerlessSCMatchesLocalSimulation(t *testing.T) {
 	// Use the Servo profile for the baseline too so its LocalSC steps
 	// every tick like the speculative unit does.
 
-	c := sc.NewLampBank(4, 8)
+	// Each backend keeps the construct it is given as the authoritative
+	// state, so the test reads both through the pointers it passed. A
+	// clock cycles through its states (a lamp bank settles after one
+	// tick), so the speculative side replays a detected loop.
+	c := sc.NewClock(3, 2)
 	anchor := world.BlockPos{X: 4, Y: 5, Z: 4}
-	idA := servo.Server.SpawnConstruct(c.Clone(), anchor)
-	idB := baseline.Server.SpawnConstruct(c.Clone(), anchor)
+	a, b := c.Clone(), c.Clone()
+	servo.Server.SpawnConstruct(a, anchor)
+	baseline.Server.SpawnConstruct(b, anchor)
 
 	servo.Server.Start()
 	baseline.Server.Start()
 	for i := 0; i < 200; i++ {
 		loopA.RunUntil(loopA.Now() + 50*time.Millisecond)
 		loopB.RunUntil(loopB.Now() + 50*time.Millisecond)
-		a := servo.SpecExec.Construct(idA)
-		b := baseline.Server.SCs().(*mve.LocalSC).Construct(idB)
-		if a.Steps() != b.Steps() && a.Hash() != b.Hash() {
-			// Steps can momentarily differ by scheduling boundary; states must match.
+		if a.Hash() != b.Hash() {
 			t.Fatalf("tick %d: Servo construct state diverged from baseline", i)
 		}
 	}
@@ -206,14 +216,14 @@ func TestOneShardAssemblyIsACluster(t *testing.T) {
 		if sys.Cluster == nil {
 			t.Fatalf("Shards=%d: no cluster assembled", shards)
 		}
-		if n := len(sys.Cluster.Shards()); n != 1 || len(sys.Shards) != 1 {
+		if n := sys.Cluster.AliveCount(); n != 1 || len(sys.Shards) != 1 {
 			t.Fatalf("Shards=%d: %d cluster shards, %d component sets; want 1 and 1", shards, n, len(sys.Shards))
 		}
 		if sys.Cluster.Shard(0) != sys.Server {
 			t.Fatalf("Shards=%d: Cluster.Shard(0) is not System.Server", shards)
 		}
-		if !sys.Server.OwnedRegion().All() {
-			t.Fatalf("Shards=%d: the only shard owns %v, want everything", shards, sys.Server.OwnedRegion())
+		if region := sys.Server.Config().Region; !region.All() {
+			t.Fatalf("Shards=%d: the only shard owns %v, want everything", shards, region)
 		}
 	}
 }
@@ -248,8 +258,8 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 	if sys.Cluster == nil {
 		t.Fatal("no cluster assembled")
 	}
-	if len(sys.Shards) != 4 || len(sys.Cluster.Shards()) != 4 {
-		t.Fatalf("shard count wrong: %d / %d", len(sys.Shards), len(sys.Cluster.Shards()))
+	if len(sys.Shards) != 4 || sys.Cluster.AliveCount() != 4 {
+		t.Fatalf("shard count wrong: %d / %d", len(sys.Shards), sys.Cluster.AliveCount())
 	}
 	if sys.Server != sys.Shards[0].Server {
 		t.Fatal("legacy Server field must alias shard 0")
@@ -266,21 +276,25 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 		if sh.Cache.Remote() != sys.Remote {
 			t.Fatalf("shard %d's cache does not flush into the shared store", i)
 		}
-		region := sh.Server.OwnedRegion()
-		if region.Index != i {
+		// The region each server gates chunk persistence with.
+		region := sh.Server.Config().Region
+		if region.Index != i || !region.Contains(sys.Cluster.Home(i).Chunk()) {
 			t.Fatalf("shard %d owns region %v", i, region)
 		}
 	}
-	// One platform, functions registered once.
-	if sys.Platform.Function(SCFunctionName) != sys.SCFn {
-		t.Fatal("construct function not shared")
-	}
-
+	// One platform, functions registered once: a construct simulated on a
+	// shard other than 0 invokes the deployment System.SCFn names (a
+	// per-shard Register would replace it on the platform and leave
+	// SCFn stale).
+	sys.Shards[1].Server.SpawnConstruct(sc.NewClock(3, 2), sys.Cluster.Home(1))
 	// A player walking right out of shard 0's band hands off through the
 	// shared store.
 	p := sys.Cluster.ConnectAt("mover", walkRight(200, 8), world.BlockPos{X: 32, Y: 0, Z: 8})
 	sys.Cluster.Start()
 	loop.RunUntil(60 * time.Second)
+	if sys.SCFn.Invocations.Count() == 0 {
+		t.Fatal("shard 1's construct did not invoke the shared construct function")
+	}
 	if sys.Cluster.Handoffs.Value() == 0 {
 		t.Fatal("no handoff through the assembled cluster")
 	}
@@ -291,7 +305,12 @@ func TestShardedAssemblySharesSubstrate(t *testing.T) {
 		t.Fatal("store-backed handoff must have nonzero latency")
 	}
 	// The handoff persisted the player record on the shared store.
-	if !sys.Remote.Exists("player/mover") {
+	stored, done := false, false
+	sys.Remote.Get("player/mover", func(_ []byte, err error) { stored, done = err == nil, true })
+	for !done {
+		loop.RunUntil(loop.Now() + 50*time.Millisecond)
+	}
+	if !stored {
 		t.Fatal("handoff did not persist the player record")
 	}
 }
@@ -311,8 +330,10 @@ func TestGridShardedAssembly(t *testing.T) {
 		Shards:       4,
 		Topology:     topo,
 	})
-	if got := sys.Cluster.Topology().Spec(); got != topo.Spec() {
-		t.Fatalf("cluster topology = %+v, want %+v", got, topo.Spec())
+	for _, tile := range []world.TileID{{X: 0, Z: 0}, {X: 3, Z: 1}, {X: 1, Z: 3}} {
+		if got, want := sys.Cluster.TileCenter(tile), topo.Center(tile); got != want {
+			t.Fatalf("cluster centers tile %v at %v, want %v", tile, got, want)
+		}
 	}
 	// Each shard's home tile center is loaded at boot (the space-filling
 	// initial placement): the server can host a player there immediately.
@@ -321,8 +342,8 @@ func TestGridShardedAssembly(t *testing.T) {
 		if !sys.Shards[i].Server.World().Loaded(home.Chunk()) {
 			t.Fatalf("shard %d's home tile %v not booted", i, home)
 		}
-		if got := sys.Cluster.Table().ShardOfBlock(home); got != i {
-			t.Fatalf("shard %d's home block owned by %d", i, got)
+		if got := sys.Cluster.ConnectAt(fmt.Sprintf("probe%d", i), nil, home).Shard(); got != i {
+			t.Fatalf("shard %d's home block routes to shard %d", i, got)
 		}
 	}
 	// A player walking along +Z crosses tile rows and hands off between
@@ -342,7 +363,7 @@ func TestGridShardedAssembly(t *testing.T) {
 // walkDown issues one move order toward +Z.
 func walkDown(z, speed float64) mve.Behavior {
 	issued := false
-	return mve.BehaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
+	return behaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
 		if issued {
 			return nil
 		}
@@ -354,7 +375,7 @@ func walkDown(z, speed float64) mve.Behavior {
 // walkRight issues one move order toward +X.
 func walkRight(x, speed float64) mve.Behavior {
 	issued := false
-	return mve.BehaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
+	return behaviorFunc(func(_ *rand.Rand, p *mve.Player, _ *mve.Server) []mve.Action {
 		if issued {
 			return nil
 		}

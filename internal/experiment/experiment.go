@@ -62,12 +62,6 @@ type Options struct {
 	Log io.Writer
 }
 
-// DefaultOptions returns the bench-scale defaults: 60-second measurement
-// windows (Scale 0.1) and a fixed seed.
-func DefaultOptions() Options {
-	return Options{Seed: 42, Scale: 0.1}
-}
-
 func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)

@@ -126,7 +126,7 @@ func TestFig13CacheCutsTail(t *testing.T) {
 	// maximum), so assert the robust properties of the three curves.
 	// Bench scale (not tiny) gives the steady-state reads enough weight
 	// against the fixed boot-read population.
-	r := Fig13(DefaultOptions())
+	r := Fig13(Options{Seed: 42, Scale: 0.1})
 	local := r.Latency[StorageLocal]
 	raw := r.Latency[StorageServerless]
 	cached := r.Latency[StorageServerlessCache]

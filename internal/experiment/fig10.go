@@ -115,21 +115,6 @@ func (r *Fig10Report) Print(w io.Writer) {
 	fmt.Fprint(w, t2.String())
 }
 
-// MinFinalViewRange returns the mean view-range of the last quarter of the
-// run for a game (used by tests: Servo must hold ~128, Opencraft collapse).
-func (r *Fig10Report) MinFinalViewRange(g Game) float64 {
-	s := r.Series[g].ViewRange
-	if len(s) == 0 {
-		return 0
-	}
-	tail := s[len(s)*3/4:]
-	var sum float64
-	for _, p := range tail {
-		sum += float64(p.Mean)
-	}
-	return sum / float64(len(tail))
-}
-
 // --- Fig. 11: generation latency vs function memory --------------------------
 
 // MemoryConfigs is the Fig. 11 memory axis (MB).

@@ -208,18 +208,12 @@ func (c *Chaos) inflate(lat time.Duration, rng *rand.Rand) time.Duration {
 // SetChaos installs (or, with nil, removes) the platform's fault injector.
 func (p *Platform) SetChaos(c *Chaos) { p.chaos = c }
 
-// Chaos returns the installed fault injector, or nil.
-func (p *Platform) Chaos() *Chaos { return p.chaos }
-
 // SetChaos installs (or, with nil, removes) a fault injector targeting
 // this function only. A function-level injector fully overrides the
 // platform-wide one for this function's invocations (settings do not
 // merge), so a scenario can fail only `simulate-construct` while
 // `generate-terrain` stays healthy.
 func (f *Function) SetChaos(c *Chaos) { f.chaos = c }
-
-// Chaos returns the function-level fault injector, or nil.
-func (f *Function) Chaos() *Chaos { return f.chaos }
 
 // SetFunctionChaos installs a fault injector on the named function. It
 // reports whether the function exists.
@@ -267,9 +261,6 @@ func (p *Platform) Register(name string, cfg Config, h Handler) *Function {
 	p.fns[name] = f
 	return f
 }
-
-// Function returns the deployment for name, or nil.
-func (p *Platform) Function(name string) *Function { return p.fns[name] }
 
 // Invocation carries the outcome of one function invocation.
 type Invocation struct {
@@ -381,26 +372,11 @@ func (f *Function) retireInstance(now sim.Time, busy, keepAlive time.Duration) {
 	f.instances = append(f.instances, &instance{availableAt: done, expiresAt: done + keepAlive})
 }
 
-// WarmInstances returns the number of non-expired instances at time now
-// (including busy ones).
-func (f *Function) WarmInstances(now sim.Time) int {
-	n := 0
-	for _, in := range f.instances {
-		if in.expiresAt > now {
-			n++
-		}
-	}
-	return n
-}
-
 // BilledDollars returns the accumulated invocation cost: GB-seconds plus
 // per-request fees.
 func (f *Function) BilledDollars() float64 {
 	return f.BilledGBs*DollarsPerGBSecond + float64(f.Invocations.Count())*DollarsPerRequest
 }
-
-// Name returns the function's deployment name.
-func (f *Function) Name() string { return f.name }
 
 // Config returns the function's deployment configuration.
 func (f *Function) Configuration() Config { return f.cfg }

@@ -11,9 +11,9 @@ import (
 func testConfig() Config {
 	return Config{
 		MemoryMB:      FullVCPUMemMB,
-		ColdStart:     sim.Constant(200 * time.Millisecond),
-		NetRTT:        sim.Constant(10 * time.Millisecond),
-		KeepAlive:     sim.Constant(time.Minute),
+		ColdStart:     fixed(200 * time.Millisecond),
+		NetRTT:        fixed(10 * time.Millisecond),
+		KeepAlive:     fixed(time.Minute),
 		NsPerWorkUnit: time.Microsecond,
 		ParallelFrac:  0.85,
 	}
@@ -77,7 +77,7 @@ func TestKeepAliveExpiryCausesColdStart(t *testing.T) {
 	if !second.Cold {
 		t.Fatal("invocation after keep-alive expiry must be cold")
 	}
-	if got := p.Function("echo").ColdStarts.Value(); got != 2 {
+	if got := p.fns["echo"].ColdStarts.Value(); got != 2 {
 		t.Fatalf("cold starts = %d, want 2", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestConcurrentInvocationsEachGetAnInstance(t *testing.T) {
 	if colds != 10 {
 		t.Fatalf("%d cold starts for 10 concurrent invocations, want 10 (no instance sharing mid-flight)", colds)
 	}
-	if got := p.Function("echo").WarmInstances(loop.Now()); got != 10 {
+	if got := p.fns["echo"].WarmInstances(loop.Now()); got != 10 {
 		t.Fatalf("warm pool = %d, want 10", got)
 	}
 }
@@ -122,8 +122,8 @@ func TestMemoryScalingSpeedsUpExecution(t *testing.T) {
 		p := NewPlatform(loop)
 		cfg := testConfig()
 		cfg.MemoryMB = memMB
-		cfg.ColdStart = sim.Constant(0)
-		cfg.NetRTT = sim.Constant(0)
+		cfg.ColdStart = fixed(0)
+		cfg.NetRTT = fixed(0)
 		p.Register("work", cfg, func([]byte) ([]byte, int) { return nil, 1_000_000 })
 		var lat time.Duration
 		p.Invoke("work", nil, func(inv Invocation) { lat = inv.Latency })
@@ -186,8 +186,8 @@ func TestSmallMemoryHasHigherVariability(t *testing.T) {
 		p := NewPlatform(loop)
 		cfg := testConfig()
 		cfg.MemoryMB = memMB
-		cfg.ColdStart = sim.Constant(0)
-		cfg.NetRTT = sim.Constant(0)
+		cfg.ColdStart = fixed(0)
+		cfg.NetRTT = fixed(0)
 		cfg.ExecNoiseSigma = 0.08
 		f := p.Register("work", cfg, func([]byte) ([]byte, int) { return nil, 100_000 })
 		for i := 0; i < 500; i++ {
@@ -211,19 +211,39 @@ func TestLatencySampleRecorded(t *testing.T) {
 	if f.Latency.Len() != 1 {
 		t.Fatalf("latency samples = %d, want 1", f.Latency.Len())
 	}
-	if f.Name() != "echo" || f.Configuration().MemoryMB != FullVCPUMemMB {
+	if f.name != "echo" || f.Configuration().MemoryMB != FullVCPUMemMB {
 		t.Fatal("function metadata accessors broken")
 	}
 }
 
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig()
+	loop := sim.NewLoop(1)
 	for _, d := range []sim.Dist{cfg.ColdStart, cfg.NetRTT, cfg.KeepAlive} {
-		if err := sim.Validate(d); err != nil {
-			t.Fatalf("default config distribution invalid: %v", err)
+		if d.Mean() <= 0 {
+			t.Fatalf("default config distribution %#v has mean %v, want positive", d, d.Mean())
+		}
+		for range 1000 {
+			d.Sample(loop.RNG()) // a Uniform with High < Low panics here
 		}
 	}
 	if cfg.NsPerWorkUnit <= 0 || cfg.ParallelFrac <= 0 || cfg.ParallelFrac >= 1 {
 		t.Fatal("default config parameters out of range")
 	}
 }
+
+// WarmInstances returns the number of non-expired instances at time now
+// (including busy ones).
+func (f *Function) WarmInstances(now sim.Time) int {
+	n := 0
+	for _, in := range f.instances {
+		if in.expiresAt > now {
+			n++
+		}
+	}
+	return n
+}
+
+// fixed is a latency distribution that always returns d: a uniform one of
+// zero width.
+func fixed(d time.Duration) sim.Dist { return sim.Uniform{Low: d, High: d} }

@@ -100,15 +100,6 @@ func (s *Sample) Max() time.Duration {
 	return s.values[len(s.values)-1]
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.values[0]
-}
-
 // FracAbove returns the fraction of observations strictly greater than
 // threshold. This implements the paper's supported-players criterion
 // ("fewer than 5% of tick duration samples exceed 50 ms").

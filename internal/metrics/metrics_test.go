@@ -229,3 +229,12 @@ func TestSampleValuesIsACopy(t *testing.T) {
 		t.Fatal("mutating Values() result leaked into the sample")
 	}
 }
+
+// Min returns the smallest observation, or 0 for an empty sample.
+func (s *Sample) Min() time.Duration {
+	if len(s.values) == 0 {
+		return 0
+	}
+	s.sort()
+	return s.values[0]
+}

@@ -88,9 +88,6 @@ func (l *LocalSC) Tick(tick uint64) SCTickWork {
 // Count implements SCBackend.
 func (l *LocalSC) Count() int { return len(l.constructs) }
 
-// Construct returns the construct with the given id (for tests).
-func (l *LocalSC) Construct(id uint64) *sc.Construct { return l.constructs[id] }
-
 // --- Terrain backends --------------------------------------------------------
 
 // TerrainBackend produces chunks on demand. The game loop requests chunks

@@ -59,7 +59,7 @@ func TestLocalSCAddRemoveModify(t *testing.T) {
 		t.Fatal("modify of unknown id must fail")
 	}
 	b.Remove(id)
-	if b.Count() != 0 || b.Construct(id) != nil {
+	if b.Count() != 0 || b.constructs[id] != nil {
 		t.Fatal("remove failed")
 	}
 	if w := b.Tick(1); w.Simulated {
@@ -316,7 +316,7 @@ func TestLocalTerrainRegeneratesUnloadedChunks(t *testing.T) {
 	// Out well past the preloaded spawn area and the unload margin, then
 	// back to a point whose whole view was generated on the way out.
 	waypoints := []float64{900, 400}
-	p := s.Connect("pacer", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	p := s.Connect("pacer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if p.Moving() || len(waypoints) == 0 {
 			return nil
 		}

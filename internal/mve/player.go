@@ -68,14 +68,6 @@ type ChunkReceiver interface {
 	ReceiveChunk(from *Server, cp world.ChunkPos)
 }
 
-// BehaviorFunc adapts a function to the Behavior interface.
-type BehaviorFunc func(r *rand.Rand, p *Player, s *Server) []Action
-
-// Actions implements Behavior.
-func (f BehaviorFunc) Actions(r *rand.Rand, p *Player, s *Server) []Action {
-	return f(r, p, s)
-}
-
 // knows reports whether the chunk in world slot i was queued for this
 // client.
 func (p *Player) knows(i int) bool {

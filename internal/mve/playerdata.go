@@ -34,16 +34,21 @@ func encodePlayer(p *Player) []byte {
 // errBadPlayerRecord reports a corrupt persisted player record.
 var errBadPlayerRecord = errors.New("mve: bad player record")
 
-// decodePlayer parses a persisted player record.
+// decodePlayer parses a persisted player record. A position out of reach
+// (see inReach) is refused like a truncated record.
 func decodePlayer(data []byte) (playerRecord, error) {
 	if len(data) < 17 {
 		return playerRecord{}, errBadPlayerRecord
 	}
-	return playerRecord{
+	rec := playerRecord{
 		X:         math.Float64frombits(binary.LittleEndian.Uint64(data)),
 		Z:         math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
 		Inventory: data[16],
-	}, nil
+	}
+	if !inReach(rec.X, rec.Z, 0) {
+		return playerRecord{}, errBadPlayerRecord
+	}
+	return rec, nil
 }
 
 // snapshotLen is the encoded size of a handoff snapshot: the 17-byte
@@ -76,7 +81,8 @@ var errBadSnapshot = errors.New("mve: bad handoff snapshot")
 // DecodeSnapshot parses a handoff snapshot (Name and Behavior are carried
 // out of band). A bare 17-byte player record decodes too, with zero
 // movement state, so snapshots and plain records share a storage key. A
-// non-zero trailing count is refused; bytes past snapshotLen are ignored.
+// non-zero trailing count and a movement out of reach (see inReach) are
+// refused; bytes past snapshotLen are ignored.
 func DecodeSnapshot(data []byte) (PlayerSnapshot, error) {
 	rec, err := decodePlayer(data)
 	if err != nil {
@@ -94,6 +100,9 @@ func DecodeSnapshot(data []byte) (PlayerSnapshot, error) {
 	s.DestZ = math.Float64frombits(binary.LittleEndian.Uint64(data[25:]))
 	s.Speed = math.Float64frombits(binary.LittleEndian.Uint64(data[33:]))
 	s.ChunksReceived = int(binary.LittleEndian.Uint32(data[41:]))
+	if !inReach(s.DestX, s.DestZ, s.Speed) {
+		return PlayerSnapshot{}, errBadSnapshot
+	}
 	return s, nil
 }
 

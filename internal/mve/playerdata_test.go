@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,9 +162,49 @@ func TestSnapshotWireFormat(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseUnreachableState: a stored player record or handoff
+// snapshot holding a position, destination or speed that no client move
+// could set is refused, and a player whose stored record is refused starts
+// at spawn, as a first-time player does.
+func TestDecodersRefuseUnreachableState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*PlayerSnapshot)
+		want error
+	}{
+		{"X = +Inf", func(s *PlayerSnapshot) { s.X = math.Inf(1) }, errBadPlayerRecord},
+		{"Z = 2^40", func(s *PlayerSnapshot) { s.Z = 1 << 40 }, errBadPlayerRecord},
+		{"DestX = NaN", func(s *PlayerSnapshot) { s.DestX = math.NaN() }, errBadSnapshot},
+		{"Speed = +Inf", func(s *PlayerSnapshot) { s.Speed = math.Inf(1) }, errBadSnapshot},
+	} {
+		snap := wireSnapshot
+		tc.edit(&snap)
+		data := EncodeSnapshot(snap)
+		if _, err := DecodeSnapshot(data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: snapshot decoded with err %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want != errBadPlayerRecord {
+			continue
+		}
+		if _, err := decodePlayer(data[:17]); !errors.Is(err, errBadPlayerRecord) {
+			t.Errorf("%s: player record decoded with err %v, want %v", tc.name, err, errBadPlayerRecord)
+		}
+		loop := sim.NewLoop(4)
+		store := newMemPlayerStore(loop, time.Millisecond)
+		store.records["mallory"] = data[:17]
+		s := NewServer(loop, Config{WorldType: "flat", Store: store})
+		s.Start()
+		p := s.Connect("mallory", nil)
+		runFor(loop, time.Second)
+		if p.X != 0 || p.Z != 0 || p.Inventory != 0 {
+			t.Errorf("%s: a refused record placed the player at (%v, %v, inv %d), want spawn", tc.name, p.X, p.Z, p.Inventory)
+		}
+	}
+}
+
 // FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary records. It must not
-// panic; whatever decodes is a bare 17-byte record or a full snapshot,
-// and re-encodes to the input's first snapshotLen bytes (float bits
+// panic; whatever decodes is a bare 17-byte record or a full snapshot
+// whose position and movement are in reach (see inReach), and re-encodes to the input's first snapshotLen bytes (float bits
 // included; trailing bytes are ignored). The seeds are the files under
 // testdata/fuzz/FuzzDecodeSnapshot: a valid snapshot, a bare record, a
 // truncation at every field, a non-zero count, and trailing bytes.
@@ -172,6 +213,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {
 			return
+		}
+		if !inReach(s.X, s.Z, 0) || !inReach(s.DestX, s.DestZ, s.Speed) {
+			t.Fatalf("decoded %+v, which no move could reach", s)
 		}
 		n := min(len(data), snapshotLen)
 		if n != 17 && n != snapshotLen {

@@ -309,7 +309,7 @@ type Server struct {
 	// ConstructsResumed counts halted constructs whose simulation resumed
 	// because their chunk was reloaded (§II-A).
 	ConstructsResumed metrics.Counter
-	// MovesRefused counts moves processAction refused (see validMove).
+	// MovesRefused counts moves processAction refused (see inReach).
 	MovesRefused metrics.Counter
 }
 
@@ -413,10 +413,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 	s.flushChunkLoads()
 	return s
 }
-
-// OwnedRegion returns the slice of chunk space this server owns (the whole
-// grid for a cluster's only shard, or a bare server).
-func (s *Server) OwnedRegion() world.Region { return s.cfg.Region }
 
 // owned reports whether this server is the persisting owner of the chunk.
 func (s *Server) owned(cp world.ChunkPos) bool { return s.cfg.Region.Contains(cp) }

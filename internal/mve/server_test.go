@@ -10,6 +10,21 @@ import (
 	"servo/internal/world"
 )
 
+// blockAt reads the block at p from w, or air if its chunk is not loaded.
+func blockAt(w *world.World, p world.BlockPos) world.Block {
+	c := w.Chunk(p.Chunk())
+	if c == nil {
+		return world.Block{}
+	}
+	o := c.Pos.Origin()
+	return c.At(p.X-o.X, p.Y, p.Z-o.Z)
+}
+
+// behaviorFunc adapts a function to the Behavior interface.
+type behaviorFunc func(r *rand.Rand, p *Player, s *Server) []Action
+
+func (f behaviorFunc) Actions(r *rand.Rand, p *Player, s *Server) []Action { return f(r, p, s) }
+
 // runFor drives the loop for d of virtual time.
 func runFor(loop *sim.Loop, d time.Duration) {
 	loop.RunUntil(loop.Now() + d)
@@ -70,7 +85,7 @@ func TestMovementIntegration(t *testing.T) {
 	loop, s := newFlatServer(1)
 	start := false
 	moved := false
-	p := s.Connect("walker", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	p := s.Connect("walker", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if !start || moved {
 			return nil
 		}
@@ -100,7 +115,7 @@ func TestPlaceAndBreakBlocks(t *testing.T) {
 	loop, s := newFlatServer(1)
 	step := 0
 	target := world.BlockPos{X: 2, Y: 10, Z: 2}
-	s.Connect("builder", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.Connect("builder", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		step++
 		switch step {
 		case 1:
@@ -112,11 +127,11 @@ func TestPlaceAndBreakBlocks(t *testing.T) {
 	}))
 	s.Start()
 	runFor(loop, 60*time.Millisecond)
-	if got := s.World().BlockAt(target); got.ID != world.Stone {
+	if got := blockAt(s.World(), target); got.ID != world.Stone {
 		t.Fatalf("after place, block = %v", got)
 	}
 	runFor(loop, 60*time.Millisecond)
-	if got := s.World().BlockAt(target); !got.IsAir() {
+	if got := blockAt(s.World(), target); got.ID != world.Air {
 		t.Fatalf("after break, block = %v", got)
 	}
 	if s.ActionCount.Value() != 2 {
@@ -136,7 +151,7 @@ func TestSpawnConstructWritesFootprint(t *testing.T) {
 		t.Fatal("construct not registered with the backend")
 	}
 	// The anchor cell (an inverter) must be mirrored into the world.
-	if got := s.World().BlockAt(anchor); got.ID != world.Inverter {
+	if got := blockAt(s.World(), anchor); got.ID != world.Inverter {
 		t.Fatalf("anchor block = %v, want inverter", got)
 	}
 }
@@ -146,10 +161,10 @@ func TestBreakingConstructBlockInvalidates(t *testing.T) {
 	c := sc.NewClock(3, 1)
 	anchor := world.BlockPos{X: 4, Y: 5, Z: 4}
 	id := s.SpawnConstruct(c, anchor)
-	before := s.SCs().(*LocalSC).Construct(id).BlockCount()
+	before := s.SCs().(*LocalSC).constructs[id].BlockCount()
 
 	fired := false
-	s.Connect("griefer", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.Connect("griefer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if fired {
 			return nil
 		}
@@ -158,18 +173,18 @@ func TestBreakingConstructBlockInvalidates(t *testing.T) {
 	}))
 	s.Start()
 	runFor(loop, 100*time.Millisecond)
-	after := s.SCs().(*LocalSC).Construct(id).BlockCount()
+	after := s.SCs().(*LocalSC).constructs[id].BlockCount()
 	if after != before-1 {
 		t.Fatalf("construct block count %d → %d, want a cell removed", before, after)
 	}
-	if got := s.World().BlockAt(anchor); !got.IsAir() {
+	if got := blockAt(s.World(), anchor); got.ID != world.Air {
 		t.Fatal("world block not removed")
 	}
 }
 
 func TestTerrainGeneratesAroundMovingPlayer(t *testing.T) {
 	loop, s := newFlatServer(2)
-	s.Connect("explorer", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.Connect("explorer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		return []Action{MoveTo(p.X+1000, 0, 8)}
 	}))
 	s.Start()
@@ -207,7 +222,7 @@ func TestUnloadFarChunksHaltsAndResumesConstructs(t *testing.T) {
 	_ = id
 	// A player who teleports far away (move at high speed) and back.
 	phase := 0
-	s.Connect("traveler", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.Connect("traveler", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if phase == 0 {
 			phase = 1
 			return []Action{MoveTo(4000, 0, 100)} // sprint far away
@@ -335,7 +350,7 @@ func TestProfileString(t *testing.T) {
 func TestChatFansOut(t *testing.T) {
 	loop, s := newFlatServer(8)
 	sent := false
-	s.Connect("chatter", BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.Connect("chatter", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if sent {
 			return nil
 		}

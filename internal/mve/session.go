@@ -160,17 +160,19 @@ func (s *Server) AdmitPlayer(snap PlayerSnapshot) *Player {
 	return p
 }
 
-// validMove reports whether a move is one the server can carry out: a
-// finite speed, and a destination inside the int32 block range the wire
-// formats name positions in. Past it an avatar's chunks would alias: the
-// chunk codec and the generation request store int32 chunk coordinates,
-// so a chunk generated at X = 2^36 comes back under a position near the
-// origin and could be applied and stored over real terrain. NaN fails
-// every comparison.
-func validMove(a Action) bool {
-	return !math.IsInf(a.Speed, 0) && !math.IsNaN(a.Speed) &&
-		a.DestX >= math.MinInt32 && a.DestX <= math.MaxInt32 &&
-		a.DestZ >= math.MinInt32 && a.DestZ <= math.MaxInt32
+// inReach reports whether the server can carry out a movement to (x, z)
+// at speed: a finite speed, and a position inside the int32 block range
+// the wire formats name positions in. Past it an avatar's chunks would
+// alias: the chunk codec and the generation request store int32 chunk
+// coordinates, so a chunk generated at X = 2^36 comes back under a
+// position near the origin and could be applied and stored over real
+// terrain. NaN fails every comparison. Client moves, persisted player
+// records and handoff snapshots all pass it, so no stored state can place
+// an avatar where no move could take it.
+func inReach(x, z, speed float64) bool {
+	return !math.IsInf(speed, 0) && !math.IsNaN(speed) &&
+		x >= math.MinInt32 && x <= math.MaxInt32 &&
+		z >= math.MinInt32 && z <= math.MaxInt32
 }
 
 // processAction applies one player action and returns its work cost.
@@ -180,7 +182,7 @@ func (s *Server) processAction(p *Player, a Action) time.Duration {
 	cost := s.cost.PerAction
 	switch a.Kind {
 	case ActionMove:
-		if !validMove(a) {
+		if !inReach(a.DestX, a.DestZ, a.Speed) {
 			s.MovesRefused.Inc()
 			break
 		}

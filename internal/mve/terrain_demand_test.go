@@ -64,7 +64,7 @@ func demandSignature(s *Server) string {
 // walker returns a deterministic behavior that strides outward, crossing
 // chunk boundaries regularly so demand cursors keep dirtying.
 func walker(stride float64) Behavior {
-	return BehaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	return behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if s.Tick()%25 != 1 {
 			return nil
 		}

@@ -162,7 +162,7 @@ func TestFrameSharedAcrossSessions(t *testing.T) {
 		}
 		defer c.Close()
 	}
-	waitFor(t, "eight sessions", func() bool { return srv.SessionCount() == clients })
+	waitFor(t, "eight sessions", func() bool { return srv.Stats().Sessions == clients })
 	sample := func() (tick uint64, st Stats) {
 		inst.Locked(func() { tick, st = inst.Server().Tick(), srv.Stats() })
 		return

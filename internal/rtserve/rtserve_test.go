@@ -68,7 +68,7 @@ func TestEndToEndJoinAndUpdates(t *testing.T) {
 	if c.PlayerID() == 0 {
 		t.Fatal("no player id assigned")
 	}
-	waitFor(t, "a session", func() bool { return srv.SessionCount() == 1 })
+	waitFor(t, "a session", func() bool { return srv.Stats().Sessions == 1 })
 	var players int
 	inst.Locked(func() { players = inst.Server().PlayerCount() })
 	if players != 1 {
@@ -159,7 +159,11 @@ func TestEndToEndBlockPlacement(t *testing.T) {
 	}
 	waitFor(t, "block to appear in the world", func() bool {
 		var got world.Block
-		inst.Locked(func() { got = inst.Server().World().BlockAt(target) })
+		inst.Locked(func() {
+			if c := inst.Server().World().Chunk(target.Chunk()); c != nil {
+				got = c.At(target.X, target.Y, target.Z) // chunk (0, 0): local = absolute
+			}
+		})
 		return got.ID == world.Stone
 	})
 }
@@ -176,7 +180,7 @@ func TestEndToEndMultipleClientsSeeEachOther(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	waitFor(t, "two sessions", func() bool { return srv.SessionCount() == 2 })
+	waitFor(t, "two sessions", func() bool { return srv.Stats().Sessions == 2 })
 	waitFor(t, "client a to see client b", func() bool {
 		_, _, ok := a.Position(b.PlayerID())
 		return ok
@@ -189,9 +193,9 @@ func TestDisconnectCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session", func() bool { return srv.SessionCount() == 1 })
+	waitFor(t, "session", func() bool { return srv.Stats().Sessions == 1 })
 	c.Close()
-	waitFor(t, "session cleanup", func() bool { return srv.SessionCount() == 0 })
+	waitFor(t, "session cleanup", func() bool { return srv.Stats().Sessions == 0 })
 	waitFor(t, "player removal", func() bool {
 		var n int
 		inst.Locked(func() { n = inst.Server().PlayerCount() })

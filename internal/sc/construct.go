@@ -119,9 +119,6 @@ func New(w, h int) *Construct {
 // Size returns the grid dimensions.
 func (c *Construct) Size() (w, h int) { return c.w, c.h }
 
-// Steps returns the number of Step calls executed on this instance.
-func (c *Construct) Steps() uint64 { return c.step }
-
 func (c *Construct) idx(x, y int) int { return y*c.w + x }
 
 func (c *Construct) kind(i int) CellKind { return CellKind(c.wiring[2*i]) }

@@ -20,8 +20,8 @@ func agrees(t *testing.T, op int, c *Construct, ref *oracle) {
 	if got, want := c.BlockCount(), ref.BlockCount(); got != want {
 		t.Fatalf("op %d: BlockCount %d, oracle %d", op, got, want)
 	}
-	if c.Steps() != ref.step {
-		t.Fatalf("op %d: Steps %d, oracle %d", op, c.Steps(), ref.step)
+	if c.step != ref.step {
+		t.Fatalf("op %d: Steps %d, oracle %d", op, c.step, ref.step)
 	}
 	if got, want := c.EncodeLayout(), ref.EncodeLayout(); !bytes.Equal(got, want) {
 		t.Fatalf("op %d: EncodeLayout %x, oracle %x", op, got, want)

@@ -152,22 +152,3 @@ func (t loopTable) insert(h uint64, k int) {
 	}
 	t[i] = loopSlot{hash: h, state: int32(k) + 1}
 }
-
-// StateAt returns the construct state at the given future step offset
-// (1-based: offset 1 is the state after one step), replaying the loop if
-// one was detected. It reports false when the offset is beyond the
-// recorded window and no loop is available.
-func (r Result) StateAt(offset int) (StateVector, bool) {
-	if offset < 1 {
-		return nil, false
-	}
-	if offset <= len(r.States) {
-		return r.States[offset-1], true
-	}
-	if r.Loop == nil {
-		return nil, false
-	}
-	// Replay: indices ≥ EntryIndex cycle with the loop period.
-	i := r.Loop.EntryIndex + (offset-1-r.Loop.EntryIndex)%r.Loop.Period
-	return r.States[i], true
-}

@@ -12,7 +12,7 @@ func TestSimulateMatchesLocalStepping(t *testing.T) {
 		t.Fatalf("got %d states, want 50", len(res.States))
 	}
 	// The original construct must be untouched.
-	if c.Steps() != 0 {
+	if c.step != 0 {
 		t.Fatal("Simulate mutated its input")
 	}
 	local := c.Clone()
@@ -132,4 +132,23 @@ func TestSimulateZeroSteps(t *testing.T) {
 	if len(res.States) != 0 || res.Loop != nil || res.WorkUnits != 0 {
 		t.Fatalf("zero-step simulation must be empty, got %+v", res)
 	}
+}
+
+// StateAt returns the construct state at the given future step offset
+// (1-based: offset 1 is the state after one step), replaying the loop if
+// one was detected. It reports false when the offset is beyond the
+// recorded window and no loop is available.
+func (r Result) StateAt(offset int) (StateVector, bool) {
+	if offset < 1 {
+		return nil, false
+	}
+	if offset <= len(r.States) {
+		return r.States[offset-1], true
+	}
+	if r.Loop == nil {
+		return nil, false
+	}
+	// Replay: indices ≥ EntryIndex cycle with the loop period.
+	i := r.Loop.EntryIndex + (offset-1-r.Loop.EntryIndex)%r.Loop.Period
+	return r.States[i], true
 }

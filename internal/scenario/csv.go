@@ -5,10 +5,15 @@ import (
 	"strings"
 )
 
-// RenderCSV renders the report as CSV, covering both the summary metrics
-// and the per-tick series — the machine-readable sibling of Render, with
-// the same determinism guarantee (two runs of the same spec produce
-// byte-identical CSV).
+// CSVHeader is the column header of RenderCSVRows output.
+const CSVHeader = "kind,shard,name,at_ms,value,ok"
+
+// RenderCSVRows renders the report as CSV rows without the header,
+// covering both the summary metrics and the per-tick series — the
+// machine-readable sibling of Render, with the same determinism guarantee
+// (two runs of the same spec produce byte-identical CSV). A
+// multi-scenario run emits one parseable table: CSVHeader once, then each
+// report's rows (every report starts with its own `scenario` row).
 //
 // One table, discriminated by the kind column:
 //
@@ -22,16 +27,6 @@ import (
 //
 // None of the emitted fields contain commas or quotes, so the output
 // needs no CSV escaping.
-func (r *Report) RenderCSV() string {
-	return CSVHeader + "\n" + r.RenderCSVRows()
-}
-
-// CSVHeader is the column header of RenderCSV / RenderCSVRows output.
-const CSVHeader = "kind,shard,name,at_ms,value,ok"
-
-// RenderCSVRows renders the report's CSV rows without the header, so a
-// multi-scenario run can emit one parseable table: header once, then
-// each report's rows (every report starts with its own `scenario` row).
 func (r *Report) RenderCSVRows() string {
 	var b strings.Builder
 	verdict := "pass"

@@ -361,7 +361,7 @@ func runBundledTwice(t *testing.T, name string) (text1, text2, csv1, csv2 string
 		if !rep.Pass {
 			t.Fatalf("%s failed its assertions:\n%s", name, rep.Render())
 		}
-		return rep.Render(), rep.RenderCSV()
+		return rep.Render(), CSVHeader + "\n" + rep.RenderCSVRows()
 	}
 	text1, csv1 = render()
 	text2, csv2 = render()
@@ -487,7 +487,7 @@ func TestRenderCSVStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv := rep.RenderCSV()
+	csv := CSVHeader + "\n" + rep.RenderCSVRows()
 	lines := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
 	if lines[0] != "kind,shard,name,at_ms,value,ok" {
 		t.Fatalf("csv header = %q", lines[0])

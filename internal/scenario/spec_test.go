@@ -264,7 +264,7 @@ func TestShardedSpecAccepted(t *testing.T) {
 // unsetKeys lists the spec keys no bundled scenario sets, each with the
 // reason it stays in the language. Every other key must have a setter.
 var unsetKeys = map[string]string{
-	"checkpoint":          "safety: the snapshots a shard failover restores from",
+	"checkpoint":          "a sedentary player's inventory is lost on failover without it and kept with it (cluster TestCheckpointDisabledLosesInventory, TestCheckpointRestoresInventoryOnFailover)",
 	"backend.local_store": "Fig. 13's local-disk baseline (core.Config.LocalStore)",
 	"visibility.margin":   "public through servo.Config.Visibility.Margin",
 	"fleet.shard":         `the Placement form stress "spread" gives every bot`,

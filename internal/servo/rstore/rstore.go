@@ -48,9 +48,6 @@ func New(cache *tcache.Cache) *Store {
 	}
 }
 
-// Cache exposes the underlying terrain cache (for metrics).
-func (s *Store) Cache() *tcache.Cache { return s.cache }
-
 // UseChunkPool makes the store decode loads into recycled chunks from p
 // (typically the owning shard's pool).
 func (s *Store) UseChunkPool(p *world.ChunkPool) { s.pool = p }

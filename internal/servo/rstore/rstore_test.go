@@ -57,7 +57,7 @@ func TestStoreOfLoadedChunkAllocatesNothing(t *testing.T) {
 	}
 	cachedEntry := func() []byte {
 		var cached []byte
-		s.Cache().Get(want.Pos, func(data []byte, _ error) { cached = data })
+		s.cache.Get(want.Pos, func(data []byte, _ error) { cached = data })
 		loop.Run()
 		return cached
 	}
@@ -122,11 +122,11 @@ func TestObserveAvatarsPrefetches(t *testing.T) {
 	loop.Run()
 	s.ObserveAvatars([]world.BlockPos{{X: 0, Z: 0}, {X: 64, Z: 64}}, 48)
 	loop.RunUntil(loop.Now() + 10*time.Second)
-	if got := s.Cache().PrefetchIssued.Value(); got == 0 {
+	if got := s.cache.PrefetchIssued.Value(); got == 0 {
 		t.Fatal("no prefetches issued")
 	}
 	// Chunks near an avatar must now be cache-local.
-	if s.Cache().Status(world.ChunkPos{X: 1, Z: 1}) != tcache.Local {
+	if s.cache.Status(world.ChunkPos{X: 1, Z: 1}) != tcache.Local {
 		t.Fatal("nearby chunk not prefetched into the cache")
 	}
 	// Duplicate positions across the two avatars must not double-fetch:
@@ -137,7 +137,7 @@ func TestObserveAvatarsPrefetches(t *testing.T) {
 			union[cp] = true
 		}
 	}
-	if got := int(s.Cache().PrefetchIssued.Value()); got > len(union) {
+	if got := int(s.cache.PrefetchIssued.Value()); got > len(union) {
 		t.Fatalf("prefetched %d chunks, union is %d", got, len(union))
 	}
 }
@@ -149,7 +149,7 @@ func TestStoreIsWriteBack(t *testing.T) {
 	if remote.Writes.Value() != 0 {
 		t.Fatal("Store must go through the write-back cache, not straight to remote")
 	}
-	s.Cache().Flush()
+	s.cache.Flush()
 	loop.Run()
 	if remote.Writes.Value() != 1 {
 		t.Fatalf("remote writes after flush = %d, want 1", remote.Writes.Value())

@@ -135,7 +135,7 @@ func TestAppliedReplyIsNeverWritten(t *testing.T) {
 	fnCfg := fastFn()
 	// 7 ticks in flight: the clock's period is 2, so the local steps from
 	// an applied state never end on the state they started from.
-	fnCfg.NetRTT = sim.Constant(350 * time.Millisecond)
+	fnCfg.NetRTT = fixed(350 * time.Millisecond)
 	h := NewHandler()
 	var replies, snapshots [][]byte
 	platform.Register("simulate-sc", fnCfg, func(payload []byte) ([]byte, int) {

@@ -165,14 +165,6 @@ func (m *Manager) Remove(id uint64) {
 	}
 }
 
-// Construct returns the authoritative construct state for id, or nil.
-func (m *Manager) Construct(id uint64) *sc.Construct {
-	if mc := m.constructs[id]; mc != nil {
-		return mc.construct
-	}
-	return nil
-}
-
 // Len returns the number of managed constructs.
 func (m *Manager) Len() int { return len(m.constructs) }
 

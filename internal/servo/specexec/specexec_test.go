@@ -34,9 +34,9 @@ func newFixture(t *testing.T, seed int64, cfg Config, fnCfg faas.Config) *fixtur
 func fastFn() faas.Config {
 	return faas.Config{
 		MemoryMB:      faas.FullVCPUMemMB,
-		ColdStart:     sim.Constant(0),
-		NetRTT:        sim.Constant(20 * time.Millisecond),
-		KeepAlive:     sim.Constant(time.Hour),
+		ColdStart:     fixed(0),
+		NetRTT:        fixed(20 * time.Millisecond),
+		KeepAlive:     fixed(time.Hour),
 		NsPerWorkUnit: time.Nanosecond,
 		ParallelFrac:  0.85,
 	}
@@ -55,7 +55,7 @@ func TestSpeculativeStatesMatchPureLocalSimulation(t *testing.T) {
 	// the sequence of authoritative states equals pure local simulation.
 	for _, rtt := range []time.Duration{5 * time.Millisecond, 80 * time.Millisecond, 400 * time.Millisecond} {
 		fnCfg := fastFn()
-		fnCfg.NetRTT = sim.Constant(rtt)
+		fnCfg.NetRTT = fixed(rtt)
 		f := newFixture(t, 1, Config{TickLead: 10, StepsPerInvocation: 40, DetectLoops: false}, fnCfg)
 
 		ref := sc.NewLampBank(4, 8) // pure local reference
@@ -132,7 +132,7 @@ func TestEfficiencyDegradesWithZeroLeadAndSlowFunction(t *testing.T) {
 	// Fig. 8 lead-0 row: the server simulates locally while each
 	// invocation is in flight, so efficiency < 1.
 	fnCfg := fastFn()
-	fnCfg.NetRTT = sim.Constant(400 * time.Millisecond) // 8 ticks in flight
+	fnCfg.NetRTT = fixed(400 * time.Millisecond) // 8 ticks in flight
 	f := newFixture(t, 5, Config{TickLead: 0, StepsPerInvocation: 50, DetectLoops: false}, fnCfg)
 	f.mgr.Add(sc.NewLampBank(4, 8))
 	f.runTicks(600)
@@ -150,7 +150,7 @@ func TestModificationInvalidatesSpeculation(t *testing.T) {
 	// A slow function guarantees an invocation is in flight when the
 	// player modifies the construct, so its reply arrives stale.
 	fnCfg := fastFn()
-	fnCfg.NetRTT = sim.Constant(300 * time.Millisecond) // 6 ticks in flight
+	fnCfg.NetRTT = fixed(300 * time.Millisecond) // 6 ticks in flight
 	f := newFixture(t, 6, Config{TickLead: 10, StepsPerInvocation: 50, DetectLoops: true}, fnCfg)
 	ref := sc.NewLampBank(3, 6)
 	id := f.mgr.Add(ref.Clone())
@@ -254,7 +254,7 @@ func TestManagerColdStartFallback(t *testing.T) {
 	// With a huge cold start, the server must keep ticking locally and
 	// remain correct.
 	fnCfg := fastFn()
-	fnCfg.ColdStart = sim.Constant(2 * time.Second) // 40 ticks
+	fnCfg.ColdStart = fixed(2 * time.Second) // 40 ticks
 	f := newFixture(t, 10, Config{TickLead: 0, StepsPerInvocation: 100, DetectLoops: false}, fnCfg)
 	ref := sc.NewLampBank(2, 4)
 	id := f.mgr.Add(ref.Clone())
@@ -513,3 +513,15 @@ func FuzzDecodeReply(f *testing.F) {
 		}
 	})
 }
+
+// Construct returns the authoritative construct state for id, or nil.
+func (m *Manager) Construct(id uint64) *sc.Construct {
+	if mc := m.constructs[id]; mc != nil {
+		return mc.construct
+	}
+	return nil
+}
+
+// fixed is a latency distribution that always returns d: a uniform one of
+// zero width.
+func fixed(d time.Duration) sim.Dist { return sim.Uniform{Low: d, High: d} }

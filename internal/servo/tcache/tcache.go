@@ -241,17 +241,6 @@ func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 	c.remote.PutDurablyThen(Key(pos), data, done)
 }
 
-// DirtyLen returns the number of chunks awaiting write-back.
-func (c *Cache) DirtyLen() int {
-	n := 0
-	for _, e := range c.known.All() {
-		if e.dirty {
-			n++
-		}
-	}
-	return n
-}
-
 // StartFlusher begins the periodic write-back loop.
 func (c *Cache) StartFlusher() {
 	if c.flushing {

@@ -136,7 +136,10 @@ func TestPutIsWriteBack(t *testing.T) {
 	}
 	c.Flush()
 	loop.Run()
-	if !remote.Exists(Key(pos)) {
+	var persisted []byte
+	remote.Get(Key(pos), func(data []byte, _ error) { persisted = data })
+	loop.Run()
+	if string(persisted) != "new" {
 		t.Fatal("flush did not persist the chunk")
 	}
 	if c.DirtyLen() != 0 {
@@ -386,4 +389,15 @@ func sortedCopy(in []time.Duration) []time.Duration {
 		}
 	}
 	return out
+}
+
+// DirtyLen returns the number of chunks awaiting write-back.
+func (c *Cache) DirtyLen() int {
+	n := 0
+	for _, e := range c.known.All() {
+		if e.dirty {
+			n++
+		}
+	}
+	return n
 }

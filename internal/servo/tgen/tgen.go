@@ -33,11 +33,6 @@ func AppendRequest(dst []byte, pos world.ChunkPos) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(int32(pos.Z)))
 }
 
-// EncodeRequest serialises a generation request into a fresh buffer.
-func EncodeRequest(pos world.ChunkPos) []byte {
-	return AppendRequest(make([]byte, 0, requestLen), pos)
-}
-
 // requestLen is the length of an encoded generation request.
 const requestLen = 8
 
@@ -66,14 +61,10 @@ type HandlerStats struct {
 // NewHandler returns the FaaS handler body for terrain generation: decode
 // the position, generate the chunk, return its encoding. The reported work
 // units are the generator's real per-chunk work, which (with the memory
-// configuration) determines the invocation latency of Fig. 11.
-func NewHandler(gen terrain.Generator) faas.Handler {
-	return NewHandlerWithStats(gen, nil)
-}
-
-// NewHandlerWithStats is NewHandler with an anomaly counter: malformed
-// requests are tallied in stats instead of vanishing into a nil response.
-func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handler {
+// configuration) determines the invocation latency of Fig. 11. Malformed
+// requests are tallied in stats (if non-nil) instead of vanishing into a
+// nil response.
+func NewHandler(gen terrain.Generator, stats *HandlerStats) faas.Handler {
 	// The chunk is only needed until it is encoded, so every invocation
 	// generates into this one, reusing its layer storage; like stats it
 	// relies on the platform running handlers in serial order.
@@ -95,15 +86,10 @@ func NewHandlerWithStats(gen terrain.Generator, stats *HandlerStats) faas.Handle
 	}
 }
 
-// Register deploys the generation function on the platform.
-func Register(p *faas.Platform, gen terrain.Generator, cfg faas.Config) *faas.Function {
-	return p.Register(FunctionName, cfg, NewHandler(gen))
-}
-
-// RegisterWithStats deploys the generation function with a handler-side
-// anomaly counter.
-func RegisterWithStats(p *faas.Platform, gen terrain.Generator, cfg faas.Config, stats *HandlerStats) *faas.Function {
-	return p.Register(FunctionName, cfg, NewHandlerWithStats(gen, stats))
+// Register deploys the generation function on the platform, with a
+// handler-side anomaly counter (stats may be nil).
+func Register(p *faas.Platform, gen terrain.Generator, cfg faas.Config, stats *HandlerStats) *faas.Function {
+	return p.Register(FunctionName, cfg, NewHandler(gen, stats))
 }
 
 // Invoker abstracts function invocation; it is satisfied by

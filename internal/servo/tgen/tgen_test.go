@@ -18,9 +18,9 @@ import (
 func fastFnConfig() faas.Config {
 	return faas.Config{
 		MemoryMB:      faas.FullVCPUMemMB,
-		ColdStart:     sim.Constant(0),
-		NetRTT:        sim.Constant(10 * time.Millisecond),
-		KeepAlive:     sim.Constant(time.Hour),
+		ColdStart:     fixed(0),
+		NetRTT:        fixed(10 * time.Millisecond),
+		KeepAlive:     fixed(time.Hour),
 		NsPerWorkUnit: time.Microsecond,
 		ParallelFrac:  0.85,
 	}
@@ -30,7 +30,7 @@ func TestRequestGeneratesCorrectChunk(t *testing.T) {
 	loop := sim.NewLoop(1)
 	p := faas.NewPlatform(loop)
 	gen := terrain.Default{Seed: 42}
-	Register(p, gen, fastFnConfig())
+	Register(p, gen, fastFnConfig(), nil)
 	b := NewBackend(p, FunctionName)
 
 	pos := world.ChunkPos{X: 3, Z: -4}
@@ -69,8 +69,8 @@ func TestRequestDeduplicatesInflight(t *testing.T) {
 	loop := sim.NewLoop(2)
 	p := faas.NewPlatform(loop)
 	cfg := fastFnConfig()
-	cfg.NetRTT = sim.Constant(3 * time.Second)
-	fn := Register(p, terrain.Flat{}, cfg)
+	cfg.NetRTT = fixed(3 * time.Second)
+	fn := Register(p, terrain.Flat{}, cfg, nil)
 	b := &countingBackend{Backend: NewBackend(p, FunctionName), requests: map[world.ChunkPos]int{}}
 	const view = 48
 	s := mve.NewServer(loop, mve.Config{WorldType: "flat", Seed: 2, ViewDistance: view, Terrain: b})
@@ -112,7 +112,7 @@ func TestConcurrentFanOut(t *testing.T) {
 	p := faas.NewPlatform(loop)
 	cfg := fastFnConfig()
 	cfg.NsPerWorkUnit = 40 * time.Microsecond // ~512ms per default chunk
-	Register(p, terrain.Default{Seed: 1}, cfg)
+	Register(p, terrain.Default{Seed: 1}, cfg, nil)
 	b := NewBackend(p, FunctionName)
 	start := loop.Now()
 	for i := 0; i < 50; i++ {
@@ -144,7 +144,7 @@ func TestUnknownFunctionCountsFailure(t *testing.T) {
 
 func TestRequestCodec(t *testing.T) {
 	for _, pos := range []world.ChunkPos{{X: 0, Z: 0}, {X: -100, Z: 100}, {X: 1 << 20, Z: -(1 << 20)}} {
-		got, err := DecodeRequest(EncodeRequest(pos))
+		got, err := DecodeRequest(AppendRequest(nil, pos))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -165,10 +165,10 @@ func TestRequestCodec(t *testing.T) {
 // backend sends them and the files under testdata/fuzz/FuzzDecodeRequest.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, pos := range []world.ChunkPos{{}, {X: -100, Z: 100}, {X: 1 << 20, Z: -(1 << 20)}} {
-		f.Add(EncodeRequest(pos))
+		f.Add(AppendRequest(nil, pos))
 	}
 	var stats HandlerStats
-	h := NewHandlerWithStats(terrain.Flat{}, &stats)
+	h := NewHandler(terrain.Flat{}, &stats)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bad := stats.BadRequests
 		reply, _ := h(data)
@@ -193,7 +193,7 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func TestHandlerRejectsGarbage(t *testing.T) {
-	h := NewHandler(terrain.Flat{})
+	h := NewHandler(terrain.Flat{}, nil)
 	resp, work := h([]byte{1, 2})
 	if resp != nil || work != 1 {
 		t.Fatal("handler must fail cleanly on truncated input")
@@ -207,11 +207,11 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 // chunk held before.
 func TestHandlerSteadyStateAllocatesItsReply(t *testing.T) {
 	gen := terrain.Default{Seed: 42}
-	h := NewHandler(gen)
+	h := NewHandler(gen, nil)
 	var reqs [][]byte
 	for x := -4; x < 4; x++ {
 		for z := -4; z < 4; z++ {
-			reqs = append(reqs, EncodeRequest(world.ChunkPos{X: x, Z: z}))
+			reqs = append(reqs, AppendRequest(nil, world.ChunkPos{X: x, Z: z}))
 		}
 	}
 	for _, req := range reqs {
@@ -254,7 +254,7 @@ func sameBytes(a, b []byte) bool {
 func TestReplyIsTheStoredEncoding(t *testing.T) {
 	loop := sim.NewLoop(3)
 	p := faas.NewPlatform(loop)
-	Register(p, terrain.Default{Seed: 42}, fastFnConfig())
+	Register(p, terrain.Default{Seed: 42}, fastFnConfig(), nil)
 	var reply []byte
 	b := NewBackend(invokerFunc(func(name string, payload []byte, cb func(faas.Invocation)) {
 		p.Invoke(name, payload, func(inv faas.Invocation) {
@@ -292,3 +292,7 @@ func TestReplyIsTheStoredEncoding(t *testing.T) {
 		t.Fatalf("the changed chunk's encoding does not decode to it (%v)", err)
 	}
 }
+
+// fixed is a latency distribution that always returns d: a uniform one of
+// zero width.
+func fixed(d time.Duration) sim.Dist { return sim.Uniform{Low: d, High: d} }

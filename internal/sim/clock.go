@@ -161,6 +161,3 @@ func (l *Loop) Run() {
 	for l.StepBatch() {
 	}
 }
-
-// Pending returns the number of scheduled events not yet executed.
-func (l *Loop) Pending() int { return len(l.queue) }

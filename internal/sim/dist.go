@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -20,15 +19,6 @@ type Dist interface {
 	Mean() time.Duration
 }
 
-// Constant is a degenerate distribution that always returns V.
-type Constant time.Duration
-
-// Sample implements Dist.
-func (c Constant) Sample(*rand.Rand) time.Duration { return time.Duration(c) }
-
-// Mean implements Dist.
-func (c Constant) Mean() time.Duration { return time.Duration(c) }
-
 // Uniform samples uniformly from [Low, High].
 type Uniform struct {
 	Low, High time.Duration
@@ -44,22 +34,6 @@ func (u Uniform) Sample(r *rand.Rand) time.Duration {
 
 // Mean implements Dist.
 func (u Uniform) Mean() time.Duration { return (u.Low + u.High) / 2 }
-
-// Normal samples from a truncated-at-zero normal distribution.
-type Normal struct {
-	Mu    time.Duration
-	Sigma time.Duration
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(r *rand.Rand) time.Duration {
-	v := float64(n.Mu) + r.NormFloat64()*float64(n.Sigma)
-	return clampNonNeg(time.Duration(v))
-}
-
-// Mean implements Dist. The truncation bias is ignored; calibration uses
-// Mu ≫ Sigma so the approximation holds.
-func (n Normal) Mean() time.Duration { return n.Mu }
 
 // LogNormal samples exp(N(mu, sigma)) scaled to Scale. With Scale = 1ms,
 // mu and sigma are the log-millisecond parameters. Log-normal bodies with
@@ -122,56 +96,9 @@ func (m Mixture) Mean() time.Duration {
 	return time.Duration(b*(1-m.P) + t*m.P)
 }
 
-// Scaled multiplies every sample of Base by Factor.
-type Scaled struct {
-	Base   Dist
-	Factor float64
-}
-
-// Sample implements Dist.
-func (s Scaled) Sample(r *rand.Rand) time.Duration {
-	return clampNonNeg(time.Duration(float64(s.Base.Sample(r)) * s.Factor))
-}
-
-// Mean implements Dist.
-func (s Scaled) Mean() time.Duration {
-	return time.Duration(float64(s.Base.Mean()) * s.Factor)
-}
-
 func clampNonNeg(d time.Duration) time.Duration {
 	if d < 0 {
 		return 0
 	}
 	return d
-}
-
-// Validate reports an error for distributions with nonsensical parameters.
-// It is a convenience for configuration loading.
-func Validate(d Dist) error {
-	switch v := d.(type) {
-	case Constant:
-		if v < 0 {
-			return fmt.Errorf("sim: constant distribution is negative: %v", time.Duration(v))
-		}
-	case Uniform:
-		if v.High < v.Low {
-			return fmt.Errorf("sim: uniform distribution has High < Low: [%v, %v]", v.Low, v.High)
-		}
-	case Mixture:
-		if v.P < 0 || v.P > 1 {
-			return fmt.Errorf("sim: mixture probability out of range: %v", v.P)
-		}
-		if err := Validate(v.Body); err != nil {
-			return err
-		}
-		return Validate(v.Tail)
-	case Shifted:
-		return Validate(v.Base)
-	case Scaled:
-		if v.Factor < 0 {
-			return fmt.Errorf("sim: scale factor is negative: %v", v.Factor)
-		}
-		return Validate(v.Base)
-	}
-	return nil
 }

@@ -30,12 +30,6 @@ type Generator interface {
 	// a caller that only needs the chunk until its next call (the FaaS
 	// handler, which encodes it) reuses one chunk and its layer storage.
 	GenerateInto(c *world.Chunk, pos world.ChunkPos)
-	// WorkUnits estimates the abstract CPU work of generating one chunk,
-	// used by the FaaS execution model and the local-generation cost
-	// model. It is constant per generator.
-	WorkUnits() int
-	// Name identifies the world type ("default", "flat").
-	Name() string
 }
 
 // Flat generates an infinite plain: bedrock, three layers of dirt, and a
@@ -73,12 +67,6 @@ const (
 	flatWorkUnits    = 256
 	defaultWorkUnits = 12800
 )
-
-// WorkUnits implements Generator.
-func (Flat) WorkUnits() int { return flatWorkUnits }
-
-// Name implements Generator.
-func (Flat) Name() string { return "flat" }
 
 // Default is the natural-terrain generator. It layers three octaves of
 // smooth value noise into a heightmap, carves water below sea level, and
@@ -269,11 +257,9 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// WorkUnits implements Generator.
+// WorkUnits is the abstract CPU work of generating one default chunk (the
+// GenWork every generated chunk carries).
 func (Default) WorkUnits() int { return defaultWorkUnits }
-
-// Name implements Generator.
-func (Default) Name() string { return "default" }
 
 // ForWorldType returns the generator for a Table I world type name.
 // Unknown names fall back to the default generator; servo.NewInstance and

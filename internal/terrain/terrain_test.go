@@ -26,7 +26,7 @@ func TestFlatChunkShape(t *testing.T) {
 			if got := c.SurfaceY(x, z); got != FlatSurfaceY {
 				t.Fatalf("SurfaceY(%d,%d) = %d, want %d", x, z, got, FlatSurfaceY)
 			}
-			if !c.At(x, FlatSurfaceY+1, z).IsAir() {
+			if c.At(x, FlatSurfaceY+1, z).ID != world.Air {
 				t.Fatal("block above surface must be air")
 			}
 		}
@@ -71,7 +71,7 @@ func TestDefaultChunkWellFormed(t *testing.T) {
 			}
 			// No floating air pockets below the surface except water columns.
 			for y := 1; y < h; y++ {
-				if c.At(x, y, z).IsAir() {
+				if c.At(x, y, z).ID == world.Air {
 					t.Fatalf("air pocket below surface at (%d,%d,%d)", x, y, z)
 				}
 			}
@@ -136,23 +136,28 @@ func TestNoiseBounded(t *testing.T) {
 }
 
 func TestWorkUnitsOrdering(t *testing.T) {
-	if (Flat{}).WorkUnits() >= (Default{}).WorkUnits() {
+	pos := world.ChunkPos{X: 2, Z: -3}
+	flat, def := Flat{}.Generate(pos).GenWork, Default{}.Generate(pos).GenWork
+	if flat >= def {
 		t.Fatal("flat world must be cheaper to generate than default")
 	}
-	if (Flat{}).WorkUnits() <= 0 {
+	if flat <= 0 {
 		t.Fatal("work units must be positive")
+	}
+	if def != (Default{}).WorkUnits() {
+		t.Fatalf("a default chunk carries %d work units, WorkUnits says %d", def, (Default{}).WorkUnits())
 	}
 }
 
 func TestForWorldType(t *testing.T) {
-	if g := ForWorldType("flat", 1); g.Name() != "flat" {
-		t.Fatalf("ForWorldType(flat) = %s", g.Name())
+	if g := ForWorldType("flat", 1); g != (Flat{}) {
+		t.Fatalf("ForWorldType(flat) = %#v", g)
 	}
-	if g := ForWorldType("default", 1); g.Name() != "default" {
-		t.Fatalf("ForWorldType(default) = %s", g.Name())
+	if g := ForWorldType("default", 1); g != (Default{Seed: 1}) {
+		t.Fatalf("ForWorldType(default) = %#v", g)
 	}
-	if g := ForWorldType("unknown", 1); g.Name() != "default" {
-		t.Fatalf("unknown world type must fall back to default, got %s", g.Name())
+	if g := ForWorldType("unknown", 1); g != (Default{Seed: 1}) {
+		t.Fatalf("unknown world type must fall back to default, got %#v", g)
 	}
 }
 
@@ -164,10 +169,10 @@ func TestGeneratedChunkEncodesRoundTrip(t *testing.T) {
 		c := g.Generate(world.ChunkPos{X: 1, Z: 1})
 		dec, err := world.DecodeChunk(c.Encode())
 		if err != nil {
-			t.Fatalf("%s: decode: %v", g.Name(), err)
+			t.Fatalf("%T: decode: %v", g, err)
 		}
 		if !dec.Equal(c) {
-			t.Fatalf("%s: encode/decode changed the chunk", g.Name())
+			t.Fatalf("%T: encode/decode changed the chunk", g)
 		}
 	}
 }

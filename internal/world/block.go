@@ -22,8 +22,11 @@ const (
 	Sand
 	Water
 	Bedrock
-	Wood
-	Leaves
+	// Two retired terrain blocks (wood, leaves): their slots stay so the
+	// IDs carried in the chunk encoding and the wire protocol keep their
+	// values.
+	_
+	_
 	Snow
 	Gravel
 	// Stateful circuit blocks.
@@ -35,16 +38,6 @@ const (
 
 	numBlockIDs
 )
-
-// Stateful reports whether blocks of this type carry simulation state and
-// therefore participate in simulated constructs.
-func (id BlockID) Stateful() bool {
-	switch id {
-	case Wire, Battery, Lamp, Repeater, Inverter:
-		return true
-	}
-	return false
-}
 
 // Solid reports whether the block obstructs movement. Used by the avatar
 // movement code to settle avatars on the terrain surface.
@@ -76,9 +69,6 @@ type Block struct {
 	ID   BlockID
 	Data uint8
 }
-
-// IsAir reports whether the block is empty space.
-func (b Block) IsAir() bool { return b.ID == Air }
 
 // key packs the block into a comparable map key for palette construction.
 func (b Block) key() uint16 { return uint16(b.ID)<<8 | uint16(b.Data) }

@@ -1,6 +1,6 @@
 // Tile-border proximity: which foreign tiles an avatar standing at a
-// block position can reach within a margin, and how far away the nearest
-// one is. This is the geometric half of cross-shard visibility — an
+// block position can reach within a margin, and how far away each one
+// is. This is the geometric half of cross-shard visibility — an
 // avatar within view distance of a tile border can see terrain (and
 // should see avatars) hosted by the border tile's owner, so the cluster
 // replicates it there as a ghost. With the margin at most one tile side
@@ -19,22 +19,16 @@ type BorderNeighbor struct {
 	Dist int
 }
 
-// BordersWithin returns every foreign tile whose territory comes within
-// margin blocks (Chebyshev) of pos, nearest-block distance included.
-// Tiles are unions of whole chunks, so the scan enumerates
-// ChunksWithin(pos, margin) in its deterministic order, folding each
-// tile to its minimum distance (a wrapping torus reaches the same tile
-// from several sides). It never touches topology internals — any
-// Topology works.
-func BordersWithin(topo Topology, pos BlockPos, margin int) []BorderNeighbor {
-	return BordersWithinAppend(nil, topo, pos, margin)
-}
-
-// BordersWithinAppend is BordersWithin appending into dst (first-seen
-// order preserved); callers that reuse dst across calls run the scan
-// allocation-free. The fold deduplicates by linear search over the
-// appended suffix — the foreign-tile set a view square clips is a
-// handful of entries, far below map break-even.
+// BordersWithinAppend appends to dst every foreign tile whose territory
+// comes within margin blocks (Chebyshev) of pos, nearest-block distance
+// included, in first-seen order; callers that reuse dst across calls run
+// the scan allocation-free. Tiles are unions of whole chunks, so the scan
+// enumerates ChunksWithin(pos, margin) in its deterministic order, folding
+// each tile to its minimum distance (a wrapping torus reaches the same tile
+// from several sides) by linear search over the appended suffix — the
+// foreign-tile set a view square clips is a handful of entries, far below
+// map break-even. It never touches topology internals — any Topology
+// works.
 func BordersWithinAppend(dst []BorderNeighbor, topo Topology, pos BlockPos, margin int) []BorderNeighbor {
 	if topo == nil || margin < 0 {
 		return dst
@@ -66,29 +60,4 @@ func BordersWithinAppend(dst []BorderNeighbor, topo Topology, pos BlockPos, marg
 		}
 	}
 	return dst
-}
-
-// BorderDistance returns the Chebyshev distance in blocks from pos to
-// the nearest block lying in a different tile, or max+1 when no foreign
-// tile is within max blocks (including topologies with a single tile,
-// where no border exists at all). It allocates nothing.
-func BorderDistance(topo Topology, pos BlockPos, max int) int {
-	best := max + 1
-	if topo == nil || max < 0 {
-		return best
-	}
-	home := topo.TileOf(pos.Chunk())
-	r := ChunkRectWithin(pos, max)
-	for cx := r.Min.X; cx <= r.Max.X; cx++ {
-		for cz := r.Min.Z; cz <= r.Max.Z; cz++ {
-			cp := ChunkPos{X: cx, Z: cz}
-			if topo.TileOf(cp) == home {
-				continue
-			}
-			if d := cp.DistanceBlocks(pos); d < best {
-				best = d
-			}
-		}
-	}
-	return best
 }

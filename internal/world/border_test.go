@@ -2,6 +2,16 @@ package world
 
 import "testing"
 
+// nearestBorder is the distance from pos to the nearest foreign tile within
+// margin, or margin+1 when none is in reach.
+func nearestBorder(topo Topology, pos BlockPos, margin int) int {
+	best := margin + 1
+	for _, bn := range BordersWithinAppend(nil, topo, pos, margin) {
+		best = min(best, bn.Dist)
+	}
+	return best
+}
+
 func TestBorderDistanceBands(t *testing.T) {
 	topo := BandTopology{BandChunks: 4} // 64-block bands
 	cases := []struct {
@@ -15,13 +25,13 @@ func TestBorderDistanceBands(t *testing.T) {
 		{0, 0, 64, 1},   // western edge of band 0
 		{32, 500, 64, 32} /* bands are unbounded in Z */}
 	for _, c := range cases {
-		got := BorderDistance(topo, BlockPos{X: c.x, Z: c.z}, c.margin)
+		got := nearestBorder(topo, BlockPos{X: c.x, Z: c.z}, c.margin)
 		if got != c.want {
-			t.Errorf("BorderDistance(band, x=%d z=%d, %d) = %d, want %d", c.x, c.z, c.margin, got, c.want)
+			t.Errorf("nearest border(band, x=%d z=%d, %d) = %d, want %d", c.x, c.z, c.margin, got, c.want)
 		}
 	}
 	// Out of reach: capped at margin+1.
-	if got := BorderDistance(topo, BlockPos{X: 32, Z: 0}, 16); got != 17 {
+	if got := nearestBorder(topo, BlockPos{X: 32, Z: 0}, 16); got != 17 {
 		t.Fatalf("capped distance = %d, want 17", got)
 	}
 }
@@ -46,7 +56,7 @@ func TestBordersWithinMatchesNeighbors(t *testing.T) {
 					reach[nn] = true
 				}
 			}
-			for _, bn := range BordersWithin(topo, pos, 64) {
+			for _, bn := range BordersWithinAppend(nil, topo, pos, 64) {
 				if bn.Tile == home {
 					t.Fatalf("%v: home tile reported as its own border", topo)
 				}
@@ -66,7 +76,7 @@ func TestBordersWithinGridCorner(t *testing.T) {
 	// One block inside tile (0,0)'s north-west... south-east corner at
 	// (63, 63): all of east (1,0), south (0,1), and the diagonal (1,1)
 	// are 1 block away.
-	got := BordersWithin(topo, BlockPos{X: 63, Z: 63}, 32)
+	got := BordersWithinAppend(nil, topo, BlockPos{X: 63, Z: 63}, 32)
 	want := map[TileID]int{{X: 1, Z: 0}: 1, {X: 0, Z: 1}: 1, {X: 1, Z: 1}: 1}
 	if len(got) != len(want) {
 		t.Fatalf("corner borders = %v, want tiles %v", got, want)
@@ -77,7 +87,7 @@ func TestBordersWithinGridCorner(t *testing.T) {
 		}
 	}
 	// Mid-tile with a small margin: nothing in reach.
-	if got := BordersWithin(topo, BlockPos{X: 32, Z: 32}, 8); len(got) != 0 {
+	if got := BordersWithinAppend(nil, topo, BlockPos{X: 32, Z: 32}, 8); len(got) != 0 {
 		t.Fatalf("mid-tile borders = %v, want none", got)
 	}
 }
@@ -86,7 +96,7 @@ func TestBordersWithinOneWideAxisFolds(t *testing.T) {
 	// On a 2x1 grid the east and west neighbours are the same tile: the
 	// fold must dedupe to one entry at the minimum distance.
 	topo := GridTopology{TilesX: 2, TilesZ: 1, TileChunks: 4}
-	got := BordersWithin(topo, BlockPos{X: 10, Z: 8}, 64)
+	got := BordersWithinAppend(nil, topo, BlockPos{X: 10, Z: 8}, 64)
 	if len(got) != 1 || got[0].Tile != (TileID{X: 1}) {
 		t.Fatalf("folded borders = %v, want just tile(1,0)", got)
 	}
@@ -94,7 +104,7 @@ func TestBordersWithinOneWideAxisFolds(t *testing.T) {
 		t.Fatalf("folded distance = %d, want 11", got[0].Dist)
 	}
 	// A 1x1 grid has no borders at all.
-	if got := BordersWithin(GridTopology{TilesX: 1, TilesZ: 1}, BlockPos{}, 1000); len(got) != 0 {
+	if got := BordersWithinAppend(nil, GridTopology{TilesX: 1, TilesZ: 1}, BlockPos{}, 1000); len(got) != 0 {
 		t.Fatalf("1x1 grid borders = %v, want none", got)
 	}
 }
@@ -108,7 +118,7 @@ func TestBordersWithinSpansMultipleRings(t *testing.T) {
 	// ring out.
 	topo := GridTopology{TilesX: 8, TilesZ: 8, TileChunks: 1}
 	pos := BlockPos{X: 8, Z: 8} // center of tile (0,0)
-	got := BordersWithin(topo, pos, 64)
+	got := BordersWithinAppend(nil, topo, pos, 64)
 	byTile := make(map[TileID]int)
 	for _, bn := range got {
 		byTile[bn.Tile] = bn.Dist

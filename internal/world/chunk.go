@@ -18,7 +18,7 @@ import (
 //
 // A chunk loaded with LoadEncoded is sealed: it is only its encoding, and
 // the first read or write of a block (At, Set, FillLayer, SetLayer,
-// SurfaceY, NonAirCount, Clone, Equal) decodes it in place. So a read may
+// SurfaceY, Equal) decodes it in place. So a read may
 // write the chunk: like any write, it must happen on the chunk's shard's
 // lane or under the game-loop lock, never concurrently with another read.
 // Encoding a sealed chunk hands out the bytes it was loaded from and
@@ -299,39 +299,6 @@ func (c *Chunk) SurfaceY(x, z int) int {
 		}
 	}
 	return -1
-}
-
-// NonAirCount returns the number of non-air blocks, a cheap density measure
-// used by tests and the cost model.
-func (c *Chunk) NonAirCount() int {
-	c.open()
-	n := 0
-	for y, h := range c.head {
-		if l := c.mixedLayer(y); l != nil {
-			for _, b := range l {
-				if !b.IsAir() {
-					n++
-				}
-			}
-		} else if !h.fill.IsAir() {
-			n += layerBlocks
-		}
-	}
-	return n
-}
-
-// Clone returns a deep copy of the chunk: the copy shares no layer with
-// the original (only the kept encoding, which nobody writes).
-func (c *Chunk) Clone() *Chunk {
-	c.open()
-	out := *c
-	out.head = slices.Clone(c.head)
-	out.mixed = nil
-	out.resizeMixed(len(c.mixed))
-	for i, l := range c.mixed {
-		*out.mixed[i] = *l
-	}
-	return &out
 }
 
 // Equal reports whether two chunks hold identical block data at the same

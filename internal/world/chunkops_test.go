@@ -31,7 +31,7 @@ func (m *flatModel) agrees(t *testing.T, c *world.Chunk) {
 		if got := c.At(x, y, z); got != want {
 			t.Fatalf("At(%d,%d,%d) = %v, model holds %v", x, y, z, got, want)
 		}
-		if !want.IsAir() {
+		if want.ID != world.Air {
 			nonAir++
 		}
 		if y == 0 {
@@ -320,10 +320,10 @@ func TestResidentChunkFootprint(t *testing.T) {
 			}
 			return chunks
 		})
-		t.Logf("%s: %d bytes a chunk decoded, %d generated", tc.gen.Name(), decoded/n, generated/n)
+		t.Logf("%T: %d bytes a chunk decoded, %d generated", tc.gen, decoded/n, generated/n)
 		if decoded/n > tc.perChunk || generated/n > tc.perChunk {
-			t.Errorf("%s: a resident chunk costs %d bytes decoded, %d generated, want at most %d",
-				tc.gen.Name(), decoded/n, generated/n, tc.perChunk)
+			t.Errorf("%T: a resident chunk costs %d bytes decoded, %d generated, want at most %d",
+				tc.gen, decoded/n, generated/n, tc.perChunk)
 		}
 	}
 }

@@ -8,8 +8,6 @@ const (
 	ChunkSizeX = 16
 	ChunkSizeZ = 16
 	ChunkSizeY = 256
-	// BlocksPerChunk is the number of voxels in one chunk.
-	BlocksPerChunk = ChunkSizeX * ChunkSizeZ * ChunkSizeY
 )
 
 // BlockPos is an absolute block coordinate in the world. Y is the vertical

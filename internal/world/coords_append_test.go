@@ -57,7 +57,7 @@ func TestBordersWithinAppendReusesBuffer(t *testing.T) {
 	// value per call would itself allocate.
 	var topo Topology = GridTopology{TilesX: 4, TilesZ: 4, TileChunks: 4} // 64-block tiles
 	pos := BlockPos{X: 63, Z: 63}                                         // tile corner: several foreign tiles in reach
-	want := BordersWithin(topo, pos, 32)
+	want := BordersWithinAppend(nil, topo, pos, 32)
 	if len(want) == 0 {
 		t.Fatal("corner position found no border neighbors")
 	}

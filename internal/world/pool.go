@@ -74,11 +74,3 @@ func (p *ChunkPool) Put(c *Chunk) {
 	c.Reset(ChunkPos{})
 	p.free = append(p.free, c)
 }
-
-// Len returns the number of chunks currently shelved.
-func (p *ChunkPool) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}

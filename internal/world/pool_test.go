@@ -80,16 +80,16 @@ func TestChunkPoolResetAndBounds(t *testing.T) {
 	pool.Put(NewChunk(ChunkPos{}))
 	pool.Put(NewChunk(ChunkPos{}))
 	pool.Put(NewChunk(ChunkPos{}))
-	if pool.Len() != 2 {
-		t.Fatalf("pool holds %d chunks, want capacity bound 2", pool.Len())
+	if len(pool.free) != 2 {
+		t.Fatalf("pool holds %d chunks, want capacity bound 2", len(pool.free))
 	}
 	if pool.Recycled != 1 || pool.Fresh != 0 {
 		t.Fatalf("counters = recycled %d fresh %d, want 1/0", pool.Recycled, pool.Fresh)
 	}
 	// Nil pool degrades to plain allocation.
 	var nilPool *ChunkPool
-	if nilPool.Get(ChunkPos{X: 1}) == nil || nilPool.Len() != 0 {
-		t.Fatal("nil pool Get/Len misbehaved")
+	if nilPool.Get(ChunkPos{X: 1}) == nil {
+		t.Fatal("nil pool Get misbehaved")
 	}
 	nilPool.Put(c) // must not panic
 }

@@ -97,16 +97,6 @@ func (w *World) LoadedChunksAppend(dst []ChunkPos) []ChunkPos {
 	return dst
 }
 
-// BlockAt returns the block at an absolute position. Unloaded chunks and
-// out-of-range Y read as Air.
-func (w *World) BlockAt(p BlockPos) Block {
-	c := w.Chunk(p.Chunk())
-	if c == nil {
-		return Block{}
-	}
-	return c.At(floorMod(p.X, ChunkSizeX), p.Y, floorMod(p.Z, ChunkSizeZ))
-}
-
 // SetBlockAt writes the block at an absolute position. It reports whether
 // the containing chunk was loaded (and hence whether the write happened).
 func (w *World) SetBlockAt(p BlockPos, b Block) bool {

@@ -73,7 +73,7 @@ func TestChunksWithinConsistentWithDistance(t *testing.T) {
 
 func TestChunkSetAtAndVersion(t *testing.T) {
 	c := NewChunk(ChunkPos{1, 2})
-	if got := c.At(3, 64, 5); !got.IsAir() {
+	if got := c.At(3, 64, 5); got.ID != Air {
 		t.Fatalf("fresh chunk block = %v, want air", got)
 	}
 	c.Set(3, 64, 5, Block{ID: Stone})
@@ -92,7 +92,7 @@ func TestChunkSetAtAndVersion(t *testing.T) {
 	// Out-of-bounds access must be safe.
 	c.Set(-1, 0, 0, Block{ID: Stone})
 	c.Set(0, 300, 0, Block{ID: Stone})
-	if got := c.At(16, 0, 0); !got.IsAir() {
+	if got := c.At(16, 0, 0); got.ID != Air {
 		t.Fatalf("out-of-bounds read = %v, want air", got)
 	}
 }
@@ -294,18 +294,7 @@ func TestWorldSlots(t *testing.T) {
 	}
 }
 
-func TestStatefulBlockClassification(t *testing.T) {
-	stateful := []BlockID{Wire, Battery, Lamp, Repeater, Inverter}
-	for _, id := range stateful {
-		if !id.Stateful() {
-			t.Errorf("%v.Stateful() = false, want true", id)
-		}
-	}
-	for _, id := range []BlockID{Air, Stone, Water, Grass} {
-		if id.Stateful() {
-			t.Errorf("%v.Stateful() = true, want false", id)
-		}
-	}
+func TestSolidBlockClassification(t *testing.T) {
 	if Air.Solid() || Water.Solid() || !Stone.Solid() {
 		t.Error("solidity classification wrong")
 	}

@@ -31,17 +31,13 @@ package servo
 
 import (
 	"fmt"
-	"io"
 	"time"
 
-	"servo/internal/blob"
 	"servo/internal/cluster"
 	"servo/internal/core"
-	"servo/internal/experiment"
 	"servo/internal/metrics"
 	"servo/internal/mve"
 	"servo/internal/sc"
-	"servo/internal/scenario"
 	"servo/internal/sim"
 	"servo/internal/workload"
 	"servo/internal/world"
@@ -136,7 +132,7 @@ type Config struct {
 	// player handoff when avatars cross region-tile boundaries. Every
 	// instance is a cluster — one shard is the paper's single game loop —
 	// so session calls (Connect, Disconnect, SpawnConstruct) always route
-	// through it; Cluster() exposes the router for handoff metrics.
+	// through it.
 	Shards int
 	// Topology selects the region tiling: the zero value keeps the 1-D X
 	// bands of earlier releases; Kind "grid" cuts chunk space into 2-D
@@ -320,32 +316,6 @@ func NewInstance(cfg Config) *Instance {
 	return inst
 }
 
-// Cluster exposes the session router every instance runs behind (one
-// shard unless Config.Shards asks for more).
-func (i *Instance) Cluster() *cluster.Cluster { return i.sys.Cluster }
-
-// FailShard kills one shard's game loop: its tiles reroute to the
-// surviving shards and its players are re-admitted from their last
-// snapshots. Reports whether the failover ran (refused on the last alive
-// shard).
-func (i *Instance) FailShard(shard int) bool {
-	if i.rtc != nil {
-		i.rtc.Lock()
-		defer i.rtc.Unlock()
-	}
-	return i.sys.FailShard(shard)
-}
-
-// RecoverShard rebuilds a failed shard over the persisted world and
-// returns its tiles.
-func (i *Instance) RecoverShard(shard int) bool {
-	if i.rtc != nil {
-		i.rtc.Lock()
-		defer i.rtc.Unlock()
-	}
-	return i.sys.RecoverShard(shard)
-}
-
 // Server exposes shard 0's game server for advanced use — the whole
 // world on a one-shard instance. rtserve streams from it, and it is part
 // of the surface the frozen benchmark/ harness reads (ROADMAP item 1(a)).
@@ -436,14 +406,6 @@ func (i *Instance) Run(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Now returns the instance's current (virtual or wall) time.
-func (i *Instance) Now() time.Duration {
-	if i.loop != nil {
-		return i.loop.Now()
-	}
-	return i.rtc.Now()
-}
-
 // Stop halts the game loop(s).
 func (i *Instance) Stop() {
 	if i.rtc != nil {
@@ -467,13 +429,6 @@ func (i *Instance) TickStats() TickStats {
 	return TickStats{Box: s.Box(), OverBudget: over, SupportsQoS: over < mve.QoSFraction}
 }
 
-// ResetStats clears accumulated tick samples (e.g. after a warm-up).
-func (i *Instance) ResetStats() {
-	for _, sh := range i.sys.Shards {
-		sh.Server.TickDurations = metrics.NewSample(4096)
-	}
-}
-
 // ViewMargin returns the distance from the closest player to the nearest
 // missing terrain (the Fig. 10 QoS metric; view distance = perfect),
 // taking the minimum across shards.
@@ -486,59 +441,3 @@ func (i *Instance) ViewMargin() int {
 	}
 	return margin
 }
-
-// StorageTier names a storage tier for Experiments.
-type StorageTier = blob.Tier
-
-// Experiment options and runners, re-exported so downstream users can
-// regenerate any paper artifact programmatically.
-type (
-	// ExperimentOptions controls experiment scale and seeding.
-	ExperimentOptions = experiment.Options
-)
-
-// DefaultExperimentOptions returns bench-scale experiment options.
-func DefaultExperimentOptions() ExperimentOptions { return experiment.DefaultOptions() }
-
-// RunExperiment runs one or more named experiments (comma-separated; see
-// ListExperiments) writing the reports to w.
-func RunExperiment(names string, opt ExperimentOptions, w io.Writer) error {
-	return experiment.RunByName(names, opt, w)
-}
-
-// ListExperiments returns the available experiment names and descriptions.
-func ListExperiments() map[string]string {
-	out := make(map[string]string)
-	for _, r := range experiment.Runners() {
-		out[r.Name] = r.Description
-	}
-	return out
-}
-
-// Scenario-harness re-exports (internal/scenario): declarative scenarios
-// that drive the real server/backend stack with fleets, chaos injection,
-// stress generators, and end-of-run assertions. See cmd/servo-sim for the
-// CLI front-end and the README for the spec format.
-type (
-	// ScenarioSpec is a parsed, validated scenario.
-	ScenarioSpec = scenario.Spec
-	// ScenarioReport is the deterministic outcome of one scenario run.
-	ScenarioReport = scenario.Report
-)
-
-// ParseScenario decodes and validates a scenario spec document (JSON).
-func ParseScenario(data []byte) (*ScenarioSpec, error) { return scenario.Parse(data) }
-
-// RunScenario executes a scenario to completion on the virtual clock.
-// log, if non-nil, receives progress lines; the returned report is a pure
-// function of the spec (byte-identical across runs).
-func RunScenario(spec *ScenarioSpec, log io.Writer) (*ScenarioReport, error) {
-	return scenario.Run(spec, log)
-}
-
-// BundledScenarios returns the names of the scenarios shipped with
-// cmd/servo-sim.
-func BundledScenarios() []string { return scenario.Bundled() }
-
-// LoadBundledScenario parses a bundled scenario by name.
-func LoadBundledScenario(name string) (*ScenarioSpec, error) { return scenario.LoadBundled(name) }

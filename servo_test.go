@@ -18,8 +18,8 @@ func TestInstanceLifecycle(t *testing.T) {
 		t.Fatal("connect failed")
 	}
 	inst.Run(30 * time.Second)
-	if inst.Now() < 30*time.Second {
-		t.Fatalf("virtual time did not advance: %v", inst.Now())
+	if inst.loop.Now() < 30*time.Second {
+		t.Fatalf("virtual time did not advance: %v", inst.loop.Now())
 	}
 	stats := inst.TickStats()
 	if stats.Box.N == 0 {
@@ -37,16 +37,12 @@ func TestInstanceLifecycle(t *testing.T) {
 	}
 }
 
-func TestInstanceDefaultsAndReset(t *testing.T) {
+func TestInstanceDefaults(t *testing.T) {
 	inst := NewInstance(Config{}) // all defaults: seed 1, Servo profile
 	defer inst.Stop()
 	inst.Run(5 * time.Second)
 	if inst.TickStats().Box.N == 0 {
 		t.Fatal("no ticks with default config")
-	}
-	inst.ResetStats()
-	if inst.TickStats().Box.N != 0 {
-		t.Fatal("ResetStats did not clear samples")
 	}
 	if inst.ViewMargin() <= 0 {
 		t.Fatal("view margin must be positive with no players")
@@ -90,25 +86,6 @@ func TestRealTimeInstance(t *testing.T) {
 	inst.Stop()
 }
 
-func TestExperimentAPISurface(t *testing.T) {
-	exps := ListExperiments()
-	for _, name := range []string{"fig1", "fig7a", "fig8", "fig13", "tab1"} {
-		if _, ok := exps[name]; !ok {
-			t.Errorf("experiment %q missing from registry", name)
-		}
-	}
-	var sb strings.Builder
-	if err := RunExperiment("tab2", DefaultExperimentOptions(), &sb); err != nil {
-		t.Fatalf("RunExperiment: %v", err)
-	}
-	if !strings.Contains(sb.String(), "40%") {
-		t.Fatalf("Table II output wrong:\n%s", sb.String())
-	}
-	if err := RunExperiment("bogus", DefaultExperimentOptions(), &sb); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 func TestDeterministicInstances(t *testing.T) {
 	run := func() time.Duration {
 		inst := NewInstance(Config{Seed: 21, WorldType: "flat", Servo: AllServerless()})
@@ -126,9 +103,6 @@ func TestDeterministicInstances(t *testing.T) {
 func TestShardedInstance(t *testing.T) {
 	inst := NewInstance(Config{Seed: 5, WorldType: "flat", Shards: 2, Servo: Serverless{Storage: true}})
 	defer inst.Stop()
-	if inst.Cluster() == nil {
-		t.Fatal("sharded instance has no cluster")
-	}
 	p := inst.Connect("bob", BehaviorRandom)
 	if p == nil || p.Name != "bob" {
 		t.Fatal("connect through the cluster failed")
@@ -144,7 +118,7 @@ func TestShardedInstance(t *testing.T) {
 	if !inst.Disconnect(p) {
 		t.Fatal("disconnect of a live sharded session reported failure")
 	}
-	if n := inst.Cluster().PlayerCount(); n != 0 {
+	if n := inst.sys.Cluster.PlayerCount(); n != 0 {
 		t.Fatalf("player count after disconnect = %d", n)
 	}
 }
@@ -173,7 +147,7 @@ func TestShardedDisconnectReportsNoOps(t *testing.T) {
 		if inst.Disconnect(p1) {
 			t.Fatalf("shards=%d: ambiguous stale disconnect reported success", shards)
 		}
-		if n := inst.Cluster().PlayerCount(); n != 2 {
+		if n := inst.sys.Cluster.PlayerCount(); n != 2 {
 			t.Fatalf("shards=%d: ambiguous stale disconnect removed a session: %d live, want 2", shards, n)
 		}
 		// A stale pointer with exactly one name match still resolves: the
@@ -183,7 +157,7 @@ func TestShardedDisconnectReportsNoOps(t *testing.T) {
 		if !inst.Disconnect(p2) {
 			t.Fatalf("shards=%d: unique-name disconnect failed", shards)
 		}
-		if n := inst.Cluster().PlayerCount(); n != 2 {
+		if n := inst.sys.Cluster.PlayerCount(); n != 2 {
 			t.Fatalf("shards=%d: player count = %d after disconnecting solo, want 2", shards, n)
 		}
 		inst.Stop()
@@ -247,13 +221,10 @@ func TestGridTopologyInstance(t *testing.T) {
 		Topology:  TopologyConfig{Kind: "grid", TilesX: 4, TilesZ: 4},
 	})
 	defer inst.Stop()
-	cl := inst.Cluster()
-	if cl == nil {
-		t.Fatal("sharded instance has no cluster")
+	if n := inst.cfg.Topology.topology().Tiles(); n != 16 {
+		t.Fatalf("grid config has %d tiles, want 16", n)
 	}
-	if cl.Topology().Tiles() != 16 {
-		t.Fatalf("grid instance has %d tiles, want 16", cl.Topology().Tiles())
-	}
+	cl := inst.sys.Cluster
 	// Two players one tile apart along Z, same X.
 	a := cl.ConnectAt("za", nil, cl.TileCenter(world.TileID{X: 0, Z: 0}))
 	b := cl.ConnectAt("zb", nil, cl.TileCenter(world.TileID{X: 0, Z: 1}))
@@ -287,7 +258,7 @@ func TestVisibilityInstance(t *testing.T) {
 		Visibility: VisibilityConfig{Enabled: true, Margin: 64},
 	})
 	defer inst.Stop()
-	cl := inst.Cluster()
+	cl := inst.sys.Cluster
 	// Band 0 spans x in [0,128) by default: stand flush against the seam.
 	h := cl.ConnectAt("edge", nil, At(126, 0, 8))
 	if h.Shard() != 0 {
