@@ -147,9 +147,11 @@ paritygate:
 parity-update:
 	$(GO) run ./cmd/servo-sim parity -update all
 
-# figuregate is the parent-parity gate of the paper's figures, which
-# drive shard 0's server directly and so are not covered by
-# PARITY.sha256: FIGURES.sha256 pins one SHA-256 per `servo-bench -list`
+# figuregate is the parent-parity gate of the paper's figures. Their
+# full-system cells run through the scenario engine and the cluster, but
+# a figure's output is not a scenario report, so PARITY.sha256 does not
+# cover them and they keep a pin of their own: FIGURES.sha256 pins one
+# SHA-256 per `servo-bench -list`
 # name, over the output of `servo-bench -exp <name>` at FIGURE_ARGS, and
 # the gate prints the names of the experiments that no longer hash to
 # their line. Same contract as paritygate: a perf or refactoring PR must

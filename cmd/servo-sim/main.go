@@ -202,7 +202,7 @@ func cmdRun(args []string) int {
 		if *verbose {
 			log = os.Stderr
 		}
-		rep, err := scenario.Run(spec, log)
+		rep, _, err := scenario.Run(spec, log)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
 			return 1
@@ -241,7 +241,7 @@ func cmdReplay(args []string) int {
 	diverged := 0
 	for _, spec := range specs {
 		render := func() (string, error) {
-			rep, err := scenario.Run(spec, nil)
+			rep, _, err := scenario.Run(spec, nil)
 			if err != nil {
 				return "", err
 			}
@@ -320,7 +320,7 @@ func cmdParity(args []string) int {
 	}
 	var differ []string
 	for _, spec := range specs {
-		rep, err := scenario.Run(spec, nil)
+		rep, _, err := scenario.Run(spec, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "servo-sim: %v\n", err)
 			return 1

@@ -38,7 +38,7 @@ func main() {
 	sys := inst.System()
 	fmt.Printf("construct offloads: %d invocations, %d cold starts, $%.4f billed\n",
 		sys.SCFn.Invocations.Count(), sys.SCFn.ColdStarts.Value(), sys.SCFn.BilledDollars())
-	spec := sys.SpecExec.Snapshot()
+	spec := sys.Shards[0].SpecExec.Snapshot()
 	fmt.Printf("construct steps: %d applied from speculation, %d replayed from loops, %d simulated locally\n",
 		spec.RemoteSteps, spec.ReplaySteps, spec.LocalSteps)
 	fmt.Printf("view margin: %d blocks (%d = perfect)\n",

@@ -42,9 +42,10 @@ func run(lead int) (float64, specexec.Stats) {
 			DetectLoops:        false,
 		},
 	})
-	sys.Server.SpawnConstruct(sc.BuildSized(252), world.BlockPos{X: 4, Y: 5, Z: 4})
-	sys.Server.Start()
+	sys.Cluster.SpawnConstruct(sc.BuildSized(252), world.BlockPos{X: 4, Y: 5, Z: 4})
+	sys.Cluster.Start()
 	loop.RunUntil(2 * time.Minute)
-	sys.Server.Stop()
-	return sys.SpecExec.MedianEfficiency(), sys.SpecExec.Snapshot()
+	sys.Cluster.Stop()
+	mgr := sys.Shards[0].SpecExec
+	return mgr.MedianEfficiency(), mgr.Snapshot()
 }

@@ -33,7 +33,7 @@ func settledExplorer(t *testing.T) (*sim.Loop, *core.System) {
 	loop := sim.NewLoop(auditSeed)
 	sys := core.New(loop, core.Config{WorldType: "default", Seed: auditSeed, ServerlessTG: true, ServerlessRS: true})
 	srv := sys.Cluster.Shard(0)
-	p := srv.Connect("explorer", nil)
+	p := srv.ConnectAt("explorer", nil, 0, 0)
 	srv.Start()
 	loop.RunUntil(time.Second)
 	p.X = 300

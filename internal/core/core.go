@@ -158,11 +158,12 @@ type ShardComponents struct {
 // System is an assembled Servo (or baseline) instance: Config.Shards
 // region shards (one by default) behind a Cluster.
 type System struct {
-	// Server is shard 0's game loop, Cluster.Shard(0) at boot.
-	// internal/experiment and examples/ drive a one-shard system through
-	// it directly; with SpecExec and TGBackend below it is also the
-	// surface the frozen benchmark/ harness reads, which ROADMAP item
-	// 1(a) retires in favour of Cluster and Shards[0].
+	// Server is shard 0's game loop, Cluster.Shard(0) at boot. It and
+	// SpecExec and TGBackend below alias Shards[0]'s fields. Outside
+	// tests only the root package's Instance.Server and the frozen
+	// benchmark/ harness read them; everything else starts, stops and
+	// connects through Cluster and reads Shards. ROADMAP item 1(i)
+	// retires them.
 	Server   *mve.Server
 	Platform *faas.Platform
 
@@ -174,7 +175,7 @@ type System struct {
 	Shards []*ShardComponents
 
 	// SpecExec is shard 0's speculative execution unit (nil unless
-	// ServerlessSC): Shards[0].SpecExec, kept for the frozen harness.
+	// ServerlessSC): Shards[0].SpecExec.
 	SpecExec *specexec.Manager
 	// SCFn and TGFn are the deployed functions (nil if unused), shared by
 	// every shard.
@@ -189,7 +190,7 @@ type System struct {
 	// enabled).
 	GenCache *tgen.GenCache
 	// TGBackend is shard 0's serverless terrain backend (nil unless
-	// ServerlessTG): Shards[0].TGBackend, kept for the frozen harness.
+	// ServerlessTG): Shards[0].TGBackend.
 	TGBackend *tgen.Backend
 
 	// Remote is the shared object store (nil unless a store is

@@ -49,7 +49,7 @@ func TestFullServoAssembly(t *testing.T) {
 		t.Fatal("functions not deployed")
 	}
 	sys.Server.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: 2, Y: 5, Z: 2})
-	sys.Server.Connect("p", nil)
+	sys.Server.ConnectAt("p", nil, 0, 0)
 	sys.Server.Start()
 	loop.RunUntil(30 * time.Second)
 	if sys.SCFn.Invocations.Count() == 0 {
@@ -94,7 +94,7 @@ func TestServoServerlessSCMatchesLocalSimulation(t *testing.T) {
 func TestServerlessTGFillsViewWithoutLocalWorkers(t *testing.T) {
 	loop := sim.NewLoop(4)
 	sys := New(loop, Config{WorldType: "default", ServerlessTG: true})
-	p := sys.Server.Connect("p", nil)
+	p := sys.Server.ConnectAt("p", nil, 0, 0)
 	sys.Server.Start()
 	loop.RunUntil(time.Second)
 	p.X = 500 // leave the preloaded spawn region
@@ -117,7 +117,7 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 	sysA := New(loop, Config{WorldType: "default", Seed: 9, ServerlessRS: true})
 	// An explorer walks beyond the preloaded spawn region so fresh terrain
 	// goes through the demand-generation path and is persisted.
-	p := sysA.Server.Connect("p", nil)
+	p := sysA.Server.ConnectAt("p", nil, 0, 0)
 	sysA.Server.Start()
 	loop.RunUntil(time.Second)
 	p.X = 400 // teleport outside the preload; the scan demands new chunks

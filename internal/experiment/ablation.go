@@ -33,7 +33,8 @@ type AblationLoopReport struct {
 
 // AblationLoop runs 50 clock constructs (all periodic) with and without
 // loop detection and compares invocation counts and billed cost: the
-// §III-C1 optimisation in numbers.
+// §III-C1 optimisation in numbers. It stays Go rather than a scenario
+// cell: its clock constructs are not the engine's BuildSized constructs.
 func AblationLoop(opt Options) *AblationLoopReport {
 	r := &AblationLoopReport{
 		Invocations: make(map[bool]int),
@@ -49,15 +50,15 @@ func AblationLoop(opt Options) *AblationLoopReport {
 			SpecExec:     specexec.Config{TickLead: 20, StepsPerInvocation: 100, DetectLoops: detect},
 		})
 		for i := 0; i < 50; i++ {
-			sys.Server.SpawnConstruct(sc.NewClock(3, 1+i%3),
+			sys.Cluster.SpawnConstruct(sc.NewClock(3, 1+i%3),
 				world.BlockPos{X: (i%10)*20 - 100, Y: 5, Z: (i/10)*20 - 100})
 		}
-		sys.Server.Start()
+		sys.Cluster.Start()
 		loop.RunUntil(opt.window(10 * time.Minute))
-		sys.Server.Stop()
+		sys.Cluster.Stop()
 		r.Invocations[detect] = sys.SCFn.Invocations.Count()
 		r.Dollars[detect] = sys.SCFn.BilledDollars()
-		s := sys.SpecExec.Snapshot()
+		s := sys.Shards[0].SpecExec.Snapshot()
 		r.ServerWork[detect] = s.LocalSteps + s.RemoteSteps + s.ReplaySteps
 		opt.logf("ablation-loop: detect=%v invocations=%d $%.4f", detect,
 			r.Invocations[detect], r.Dollars[detect])

@@ -5,6 +5,15 @@
 // quoted beside each figure's code and held by experiment_test.go;
 // FIGURES.sha256 (`make figuregate`) pins every experiment's output.
 //
+// A full-system figure cell (Figs. 1, 7a, 7b, 8, 9, 12a and 12b) is a
+// scenario.Spec that scenario.Run executes through the cluster; this
+// package keeps only the sweeps over cells (player counts, SC counts,
+// leads, steps, seeds), reads shard 0's samples off the system the engine
+// returns, and prints. Figs. 10 and 13 and abl-loop assemble their system
+// themselves, for the reasons stated beside them, and still drive it
+// through the cluster. The component-level figures (3, 11, IV-G,
+// abl-prefetch, abl-platform) drive one component alone.
+//
 // Experiments are deterministic in Options.Seed and scale their virtual
 // duration with Options.Scale so the full suite runs in seconds as a test
 // and in minutes as a faithful benchmark.
@@ -13,15 +22,13 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"servo/internal/core"
 	"servo/internal/metrics"
 	"servo/internal/mve"
-	"servo/internal/sc"
-	"servo/internal/sim"
-	"servo/internal/workload"
-	"servo/internal/world"
+	"servo/internal/scenario"
 )
 
 // Game identifies one of the compared systems.
@@ -81,67 +88,46 @@ func (o Options) window(paper time.Duration) time.Duration {
 	return d
 }
 
-// buildGame assembles the system for one Game. SC offloading is serverless
-// only for Servo (Table I: SC column L+S); terrain and storage modes are
-// chosen per experiment via the extra toggles.
-func buildGame(loop *sim.Loop, g Game, worldType string, seed int64, serverlessTG, serverlessRS bool) *core.System {
-	cfg := core.Config{
-		Seed:         seed,
-		WorldType:    worldType,
-		ServerlessTG: serverlessTG,
-		ServerlessRS: serverlessRS,
-	}
-	switch g {
-	case Opencraft:
-		cfg.Profile = mve.ProfileOpencraft
-	case Minecraft:
-		cfg.Profile = mve.ProfileMinecraft
-	default:
-		cfg.Profile = mve.ProfileServo
-		cfg.ServerlessSC = true
-	}
-	return core.New(loop, cfg)
-}
-
-// placeConstructGrid spawns n ≈250-block constructs on a grid near spawn,
-// spaced so they always stay within loaded terrain for bounded-area
-// players (behavior A).
-func placeConstructGrid(s *mve.Server, n int) {
-	const spacing = 15
-	for i := 0; i < n; i++ {
-		x := (i%14)*spacing - 105
-		z := (i/14)*spacing - 105
-		s.SpawnConstruct(sc.BuildSized(250), world.BlockPos{X: x, Y: 5, Z: z})
+// cellSpec is the scenario of one full-system figure cell: game g's
+// profile, with construct simulation offloaded only for Servo (Table I:
+// SC column L+S), on worldType, measured for window after warmup. The
+// figure adds its terrain and storage backends, constructs and fleet.
+func cellSpec(g Game, worldType string, seed int64, warmup, window time.Duration) *scenario.Spec {
+	return &scenario.Spec{
+		Name:     "cell",
+		Seed:     seed,
+		Duration: scenario.Span(warmup + window),
+		Warmup:   scenario.Span(warmup),
+		World:    scenario.WorldSpec{Type: worldType, Profile: strings.ToLower(g.String())},
+		Backend:  scenario.BackendSpec{Constructs: g == Servo},
 	}
 }
 
-// connectPlayers joins n players with fresh instances of the named
-// behavior (Table I names).
-func connectPlayers(s *mve.Server, n int, behavior string) {
-	for i := 0; i < n; i++ {
-		s.Connect(fmt.Sprintf("player-%d", i), workload.ForName(behavior))
+// runCell executes a cell through the scenario engine and returns the
+// stopped system: its tick, efficiency and function samples cover the
+// post-warm-up window only.
+func runCell(spec *scenario.Spec) *core.System {
+	_, sys, err := scenario.Run(spec, nil)
+	if err != nil {
+		panic(err) // cells are built above, never read from input
 	}
+	return sys
 }
 
-// measureTicks runs the server for warmup+window and returns the tick
-// duration sample collected during the window only.
-func measureTicks(loop *sim.Loop, s *mve.Server, warmup, window time.Duration) *metrics.Sample {
-	s.Start()
-	loop.RunUntil(loop.Now() + warmup)
-	s.TickDurations = metrics.NewSample(int(window / mve.TickInterval))
-	loop.RunUntil(loop.Now() + window)
-	s.Stop()
-	return s.TickDurations
+// scSpec is one SC-scalability cell (paper §IV-B setup: behavior A, flat
+// world, scCount 250-block constructs on the engine's construct grid).
+func scSpec(g Game, scCount, players int, opt Options) *scenario.Spec {
+	spec := cellSpec(g, "flat", opt.Seed, 15*time.Second, opt.window(10*time.Minute))
+	if scCount > 0 {
+		spec.Constructs = []scenario.ConstructGroup{{Count: scCount, Blocks: 250}}
+	}
+	spec.Fleet = []scenario.FleetGroup{{Count: players, Behavior: "A"}}
+	return spec
 }
 
-// scRunTicks runs one SC-scalability configuration and returns the tick
-// sample (paper §IV-B setup: behavior A, flat world).
+// scRunTicks runs one SC-scalability cell and returns its tick sample.
 func scRunTicks(g Game, scCount, players int, opt Options) *metrics.Sample {
-	loop := sim.NewLoop(opt.Seed)
-	sys := buildGame(loop, g, "flat", opt.Seed, false, false)
-	placeConstructGrid(sys.Server, scCount)
-	connectPlayers(sys.Server, players, "A")
-	return measureTicks(loop, sys.Server, 15*time.Second, opt.window(10*time.Minute))
+	return runCell(scSpec(g, scCount, players, opt)).Shards[0].Server.TickDurations
 }
 
 // playersSupported reports whether the configuration meets the QoS

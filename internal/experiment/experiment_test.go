@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"servo/internal/scenario"
 )
 
 // tinyOpt returns the smallest useful experiment scale for shape tests.
@@ -54,9 +57,10 @@ func TestBaselineBimodalServoNot(t *testing.T) {
 
 func TestFig8LeadHidesLatency(t *testing.T) {
 	opt := tinyOpt()
-	mgr0, _, _ := specRun(0, 100, opt)
-	mgr20, _, _ := specRun(20, 100, opt)
-	e0, e20 := summarizeEff(mgr0.Efficiency), summarizeEff(mgr20.Efficiency)
+	eff := func(lead int) EffSummary {
+		return summarizeEff(runCell(specSpec(lead, 100, opt)).Shards[0].SpecExec.Efficiency)
+	}
+	e0, e20 := eff(0), eff(20)
 	if e0.Median >= 0.99 {
 		t.Errorf("lead 0 median efficiency = %v, expected < 1 (local fallback)", e0.Median)
 	}
@@ -226,5 +230,36 @@ func TestDeterministicExperiments(t *testing.T) {
 	c := scRunTicks(Servo, 50, 30, opt2)
 	if a.Len() == c.Len() && a.Percentile(95) == c.Percentile(95) {
 		t.Fatal("different seeds produced identical results")
+	}
+}
+
+// TestPortsAreFigureCells holds the bundled scenario ports to the figure
+// cells they are ports of: apart from their name, description and
+// assertions, each is the spec the figure's builder runs for that cell.
+// fig10-view-margin and fig13-read-phase are not cells. Fig. 10 ramps its
+// walkers every window/6 where the "Sinc" behaviour ramps at 200 s, and
+// Fig. 13's write phase keeps its writers connected and its flusher
+// running where the engine's prewrite stops both.
+func TestPortsAreFigureCells(t *testing.T) {
+	for _, c := range []struct {
+		port string
+		cell *scenario.Spec
+	}{
+		{"fig7-sc-scalability", scSpec(Servo, 100, 150, Options{Seed: 42, Scale: 0.1})},
+		{"fig8-latency-hiding", specSpec(20, 100, Options{Seed: 42, Scale: 0.2})},
+	} {
+		port, err := scenario.LoadBundled(c.port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.cell.Validate(); err != nil {
+			t.Fatalf("%s cell: %v", c.port, err)
+		}
+		for _, s := range []*scenario.Spec{port, c.cell} {
+			s.Name, s.Description, s.Assertions = "", "", nil
+		}
+		if !reflect.DeepEqual(port, c.cell) {
+			t.Errorf("%s is not its figure's cell:\nport %+v\ncell %+v", c.port, *port, *c.cell)
+		}
 	}
 }

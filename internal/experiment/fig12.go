@@ -7,8 +7,7 @@ import (
 
 	"servo/internal/metrics"
 	"servo/internal/mve"
-	"servo/internal/sim"
-	"servo/internal/workload"
+	"servo/internal/scenario"
 )
 
 // Fig12 (paper §IV-E): serverless terrain generation scalability. Players
@@ -54,23 +53,25 @@ func Fig12a(opt Options) *Fig12aReport {
 // joinInterval is the paper's player arrival period.
 const joinInterval = 10 * time.Second
 
+// fig12Spec is one terrain-scalability cell: the default world, with
+// terrain generation and storage serverless only for Servo (Table I).
+func fig12Spec(g Game, seed int64, warmup, window time.Duration) *scenario.Spec {
+	spec := cellSpec(g, "default", seed, warmup, window)
+	spec.Backend.Terrain = g == Servo
+	spec.Backend.Storage = g == Servo
+	return spec
+}
+
 func fig12aRun(g Game, wl string, opt Options) *Fig12aSeries {
-	loop := sim.NewLoop(opt.Seed)
-	sys := buildGame(loop, g, "default", opt.Seed, g == Servo, g == Servo)
-	srv := sys.Server
-	speed := 3.0
-	if wl == "S8" {
-		speed = 8.0
-	}
+	// The engine's default warm-up resets nothing this figure reads: the
+	// tick series spans the whole run.
+	spec := fig12Spec(g, opt.Seed, 0, time.Duration(fig12MaxJoiners+2)*joinInterval)
 	for i := 0; i < fig12MaxJoiners; i++ {
-		i := i
-		loop.After(time.Duration(i)*joinInterval, func() {
-			srv.Connect(fmt.Sprintf("star-%d", i), &workload.Star{Speed: speed})
+		spec.Fleet = append(spec.Fleet, scenario.FleetGroup{
+			Count: 1, Behavior: wl, JoinAt: scenario.Span(time.Duration(i) * joinInterval),
 		})
 	}
-	srv.Start()
-	loop.RunUntil(time.Duration(fig12MaxJoiners+2) * joinInterval)
-	srv.Stop()
+	srv := runCell(spec).Shards[0].Server
 
 	windows := srv.TickSeries.Windows(joinInterval)
 	s := &Fig12aSeries{TickWindows: windows, SupportedPlayers: fig12MaxJoiners}
@@ -131,11 +132,9 @@ func Fig12b(opt Options) *Fig12bReport {
 			seed := opt.Seed + int64(rep)*1000
 			supported := 0
 			for _, n := range fig12bPlayers {
-				loop := sim.NewLoop(seed)
-				sys := buildGame(loop, g, "default", seed, g == Servo, g == Servo)
-				connectPlayers(sys.Server, n, "R")
-				sample := measureTicks(loop, sys.Server, 10*time.Second, opt.window(3*time.Minute))
-				if !playersSupported(sample) {
+				spec := fig12Spec(g, seed, 10*time.Second, opt.window(3*time.Minute))
+				spec.Fleet = []scenario.FleetGroup{{Count: n, Behavior: "R"}}
+				if !playersSupported(runCell(spec).Shards[0].Server.TickDurations) {
 					break
 				}
 				supported = n

@@ -10,6 +10,7 @@ import (
 	"servo/internal/metrics"
 	"servo/internal/mve"
 	"servo/internal/sim"
+	"servo/internal/workload"
 	"servo/internal/world"
 )
 
@@ -88,6 +89,11 @@ func (p *storeLatencyProbe) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)
 
 func (p *storeLatencyProbe) Store(c *world.Chunk) { p.inner.Store(c) }
 
+// fig13Run stays Go rather than a scenario cell. Its write phase ends
+// with the writers connected and the cache flusher running, where the
+// engine's prewrite disconnects the writers and stops the flusher; and
+// its uncached curve needs DisableCache and a per-load latency probe,
+// neither of which the spec language has.
 func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	loop := sim.NewLoop(opt.Seed)
 	coreCfg := core.Config{
@@ -108,10 +114,12 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 
 	// Phase 1 (write): 8 star players explore, persisting terrain.
 	window := opt.window(10 * time.Minute)
-	connectPlayers(sys.Server, 8, "S3")
-	sys.Server.Start()
+	for i := 0; i < 8; i++ {
+		sys.Cluster.Connect(fmt.Sprintf("player-%d", i), &workload.Star{Speed: 3})
+	}
+	sys.Cluster.Start()
 	loop.RunUntil(window)
-	sys.Server.Stop()
+	sys.Cluster.Stop()
 	if ca := sys.Shards[0].Cache; ca != nil {
 		ca.Flush()
 	}
@@ -120,18 +128,19 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	// Phase 2 (read): a fresh server over the same storage re-explores
 	// the same area (same seed ⇒ same directions), so chunk demand is
 	// served from storage.
-	srvCfg2 := coreCfg
-	sys2 := rebuildOverSameStorage(loop, srvCfg2, sys)
-	connectPlayers(sys2.Server, 8, "S3")
-	sys2.Server.Start()
+	sys2 := rebuildOverSameStorage(loop, coreCfg, sys)
+	for i := 0; i < 8; i++ {
+		sys2.Cluster.Connect(fmt.Sprintf("player-%d", i), &workload.Star{Speed: 3})
+	}
+	sys2.Cluster.Start()
 	loop.RunUntil(loop.Now() + window)
-	sys2.Server.Stop()
+	sys2.Cluster.Stop()
 
 	switch cfg {
 	case StorageServerlessCache:
 		return &sys2.Shards[0].Cache.RetrievalLatency
 	default:
-		probe := sys2.Server.Config().Store.(*storeLatencyProbe)
+		probe := sys2.Shards[0].Server.Config().Store.(*storeLatencyProbe)
 		return probe.Latency
 	}
 }

@@ -6,13 +6,9 @@ import (
 	"sort"
 	"time"
 
-	"servo/internal/core"
 	"servo/internal/faas"
 	"servo/internal/metrics"
-	"servo/internal/sc"
-	"servo/internal/servo/specexec"
-	"servo/internal/sim"
-	"servo/internal/world"
+	"servo/internal/scenario"
 )
 
 // Fig8/Fig9 setup (paper §IV-C, Table I row "SC: Latency hiding"): a flat
@@ -38,41 +34,18 @@ const fig89Constructs = 15
 // latency at 200 steps).
 const fig89ConstructBlocks = 1150
 
-// specRun runs the latency-hiding workload with one (lead, steps)
-// configuration and returns the manager and function after the window.
-func specRun(lead, steps int, opt Options) (*specexec.Manager, *core.System, time.Duration) {
-	loop := sim.NewLoop(opt.Seed)
-	sys := core.New(loop, core.Config{
-		WorldType:    "flat",
-		Seed:         opt.Seed,
-		ServerlessSC: true,
-		SpecExec:     specexec.Config{TickLead: lead, StepsPerInvocation: steps, DetectLoops: false},
-	})
-	for i := 0; i < fig89Constructs; i++ {
-		sys.Server.SpawnConstruct(sc.BuildSized(fig89ConstructBlocks),
-			world.BlockPos{X: (i % 5) * 50, Y: 5, Z: (i / 5) * 50})
-	}
-	connectPlayers(sys.Server, 1, "A") // Table I: 1 player
-	window := opt.window(5 * time.Minute)
-	sys.Server.Start()
-	// Warm up past the activation invocations (whose efficiency is
-	// dominated by the deliberate local-fallback period) and the first
-	// cold starts, then measure steady state.
-	loop.RunUntil(loop.Now() + 30*time.Second)
-	sys.SpecExec.Efficiency = nil
-	sys.SCFn.Latency = *metricsNewSample()
-	loop.RunUntil(loop.Now() + window)
-	sys.Server.Stop()
-	return sys.SpecExec, sys, window
+// specSpec is one latency-hiding cell: fig89Constructs offloaded
+// constructs and one bounded player (Table I), with loop detection off.
+// The 30 s warm-up runs past the activation invocations (whose
+// efficiency is dominated by the deliberate local-fallback period) and
+// the first cold starts.
+func specSpec(lead, steps int, opt Options) *scenario.Spec {
+	spec := cellSpec(Servo, "flat", opt.Seed, 30*time.Second, opt.window(5*time.Minute))
+	spec.Backend.SpecExec = &scenario.SpecExecSpec{TickLead: &lead, Steps: &steps, DetectLoops: new(bool)}
+	spec.Constructs = []scenario.ConstructGroup{{Count: fig89Constructs, Blocks: fig89ConstructBlocks}}
+	spec.Fleet = []scenario.FleetGroup{{Count: 1, Behavior: "A"}}
+	return spec
 }
-
-func metricsNewSample() *metrics.Sample { return metrics.NewSample(4096) }
-
-// Billing constants re-exported for the cost derivation.
-const (
-	faasDollarsPerGBSecond = faas.DollarsPerGBSecond
-	faasDollarsPerRequest  = faas.DollarsPerRequest
-)
 
 // EffSummary summarises an efficiency distribution.
 type EffSummary struct {
@@ -117,13 +90,13 @@ type Fig8Report struct {
 func Fig8(opt Options) *Fig8Report {
 	r := &Fig8Report{ByLead: make(map[int]EffSummary), BySteps: make(map[int]EffSummary)}
 	for _, lead := range TickLeads {
-		mgr, _, _ := specRun(lead, 100, opt)
-		r.ByLead[lead] = summarizeEff(mgr.Efficiency)
+		sys := runCell(specSpec(lead, 100, opt))
+		r.ByLead[lead] = summarizeEff(sys.Shards[0].SpecExec.Efficiency)
 		opt.logf("fig8: lead=%d median=%.2f", lead, r.ByLead[lead].Median)
 	}
 	for _, steps := range SimLengths {
-		mgr, _, _ := specRun(20, steps, opt)
-		r.BySteps[steps] = summarizeEff(mgr.Efficiency)
+		sys := runCell(specSpec(20, steps, opt))
+		r.BySteps[steps] = summarizeEff(sys.Shards[0].SpecExec.Efficiency)
 		opt.logf("fig8: steps=%d median=%.2f", steps, r.BySteps[steps].Median)
 	}
 	return r
@@ -168,17 +141,16 @@ func Fig9(opt Options) *Fig9Report {
 		DollarsHour: make(map[int]float64),
 	}
 	for _, steps := range SimLengths {
-		_, sys, window := specRun(20, steps, opt)
-		fn := sys.SCFn
-		end := window + 30*time.Second // measurement followed warm-up
+		spec := specSpec(20, steps, opt)
+		fn := runCell(spec).SCFn
 		r.Latency[steps] = fn.Latency.Box()
-		r.PerMinute[steps] = fn.Invocations.RatePerMinute(30*time.Second, end)
+		r.PerMinute[steps] = fn.Invocations.RatePerMinute(spec.Warmup.D(), spec.Duration.D())
 		// Cost over the measurement window: mean latency × rate × memory
 		// pricing, the paper's own calculation.
 		gbSeconds := r.Latency[steps].Mean.Seconds() * r.PerMinute[steps] * 60 *
 			float64(fn.Configuration().MemoryMB) / 1024
-		r.DollarsHour[steps] = gbSeconds*faasDollarsPerGBSecond +
-			r.PerMinute[steps]*60*faasDollarsPerRequest
+		r.DollarsHour[steps] = gbSeconds*faas.DollarsPerGBSecond +
+			r.PerMinute[steps]*60*faas.DollarsPerRequest
 		opt.logf("fig9: steps=%d mean=%v rate=%.0f/min $%.3f/h",
 			steps, r.Latency[steps].Mean, r.PerMinute[steps], r.DollarsHour[steps])
 	}

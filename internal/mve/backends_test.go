@@ -316,14 +316,14 @@ func TestLocalTerrainRegeneratesUnloadedChunks(t *testing.T) {
 	// Out well past the preloaded spawn area and the unload margin, then
 	// back to a point whose whole view was generated on the way out.
 	waypoints := []float64{900, 400}
-	p := s.Connect("pacer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	p := s.ConnectAt("pacer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if p.Moving() || len(waypoints) == 0 {
 			return nil
 		}
 		x := waypoints[0]
 		waypoints = waypoints[1:]
 		return []Action{MoveTo(x, 0, 30)}
-	}))
+	}), 0, 0)
 	s.Start()
 	runFor(loop, 60*time.Second)
 	if p.Moving() || p.Pos().X != 400 {

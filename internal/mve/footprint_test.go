@@ -89,7 +89,7 @@ func sortedKeys[V any](m iter.Seq2[world.ChunkPos, V]) []world.ChunkPos {
 // must empty the owner's cell.
 func TestFootprintMatchesOracle(t *testing.T) {
 	_, s := newFlatServer(1)
-	player := s.Connect("griefer", nil)
+	player := s.ConnectAt("griefer", nil, 0, 0)
 	o, overlaps := footprintOracle{}, 0
 	for i := 0; i < 100; i++ {
 		c, anchor := sc.BuildSized(250), world.BlockPos{X: (i%10)*20 - 100, Y: 5, Z: (i/10)*20 - 100}
@@ -155,7 +155,7 @@ func TestFootprintMatchesOracle(t *testing.T) {
 // reaches it and invalidates its speculation.
 func TestHaltKeepsNeighbourFootprint(t *testing.T) {
 	_, s := newFlatServer(1)
-	player := s.Connect("griefer", nil)
+	player := s.ConnectAt("griefer", nil, 0, 0)
 	wide := sc.NewClock(80, 2) // 240×3
 	wideAnchor := world.BlockPos{X: 0, Y: 5, Z: 0}
 	s.SpawnConstruct(wide, wideAnchor)

@@ -73,7 +73,7 @@ func TestPlayerPersistsAcrossSessions(t *testing.T) {
 	s.Start()
 
 	// First session: move somewhere, set inventory, disconnect.
-	p := s.Connect("veteran", nil)
+	p := s.ConnectAt("veteran", nil, 0, 0)
 	runFor(loop, time.Second)
 	p.X, p.Z = 42, -17
 	p.destX, p.destZ = 42, -17
@@ -84,7 +84,7 @@ func TestPlayerPersistsAcrossSessions(t *testing.T) {
 	}
 
 	// Second session: state must be restored after the load completes.
-	p2 := s.Connect("veteran", nil)
+	p2 := s.ConnectAt("veteran", nil, 0, 0)
 	if p2.X != 0 {
 		t.Fatal("player must spawn at origin until the load arrives")
 	}
@@ -99,7 +99,7 @@ func TestFirstTimePlayerStartsFresh(t *testing.T) {
 	store := newMemPlayerStore(loop, time.Millisecond)
 	s := NewServer(loop, Config{WorldType: "flat", Store: store})
 	s.Start()
-	p := s.Connect("rookie", nil)
+	p := s.ConnectAt("rookie", nil, 0, 0)
 	runFor(loop, time.Second)
 	if p.X != 0 || p.Z != 0 || p.Inventory != 0 {
 		t.Fatal("first-time player must start at spawn defaults")
@@ -112,7 +112,7 @@ func TestStaleLoadDoesNotTeleportMovingPlayer(t *testing.T) {
 	store.records["runner"] = encodePlayer(&Player{X: 999, Z: 999})
 	s := NewServer(loop, Config{WorldType: "flat", Store: store})
 	s.Start()
-	p := s.Connect("runner", nil)
+	p := s.ConnectAt("runner", nil, 0, 0)
 	// The player starts moving before the (slow) load lands.
 	p.destX, p.destZ, p.speed = 50, 0, 4
 	runFor(loop, 5*time.Second)
@@ -124,7 +124,7 @@ func TestStaleLoadDoesNotTeleportMovingPlayer(t *testing.T) {
 func TestNoStoreNoPersistence(t *testing.T) {
 	loop, s := newFlatServer(4)
 	s.Start()
-	p := s.Connect("ghost", nil)
+	p := s.ConnectAt("ghost", nil, 0, 0)
 	runFor(loop, 100*time.Millisecond)
 	s.Disconnect(p.ID) // must not panic without a store
 }
@@ -194,7 +194,7 @@ func TestDecodersRefuseUnreachableState(t *testing.T) {
 		store.records["mallory"] = data[:17]
 		s := NewServer(loop, Config{WorldType: "flat", Store: store})
 		s.Start()
-		p := s.Connect("mallory", nil)
+		p := s.ConnectAt("mallory", nil, 0, 0)
 		runFor(loop, time.Second)
 		if p.X != 0 || p.Z != 0 || p.Inventory != 0 {
 			t.Errorf("%s: a refused record placed the player at (%v, %v, inv %d), want spawn", tc.name, p.X, p.Z, p.Inventory)

@@ -65,8 +65,8 @@ func TestServerStop(t *testing.T) {
 
 func TestConnectDisconnect(t *testing.T) {
 	loop, s := newFlatServer(1)
-	p1 := s.Connect("alice", nil)
-	p2 := s.Connect("bob", nil)
+	p1 := s.ConnectAt("alice", nil, 0, 0)
+	p2 := s.ConnectAt("bob", nil, 0, 0)
 	if s.PlayerCount() != 2 {
 		t.Fatalf("players = %d, want 2", s.PlayerCount())
 	}
@@ -85,13 +85,13 @@ func TestMovementIntegration(t *testing.T) {
 	loop, s := newFlatServer(1)
 	start := false
 	moved := false
-	p := s.Connect("walker", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	p := s.ConnectAt("walker", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if !start || moved {
 			return nil
 		}
 		moved = true
 		return []Action{MoveTo(10, 0, 2)} // 10 blocks at 2 blocks/s = 5 s
-	}))
+	}), 0, 0)
 	s.Start()
 	// Let the join-time terrain burst settle so ticks run at 20 Hz (an
 	// overloaded server legitimately moves avatars slower per second,
@@ -115,7 +115,7 @@ func TestPlaceAndBreakBlocks(t *testing.T) {
 	loop, s := newFlatServer(1)
 	step := 0
 	target := world.BlockPos{X: 2, Y: 10, Z: 2}
-	s.Connect("builder", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.ConnectAt("builder", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		step++
 		switch step {
 		case 1:
@@ -124,7 +124,7 @@ func TestPlaceAndBreakBlocks(t *testing.T) {
 			return []Action{{Kind: ActionBreakBlock, Pos: target}}
 		}
 		return nil
-	}))
+	}), 0, 0)
 	s.Start()
 	runFor(loop, 60*time.Millisecond)
 	if got := blockAt(s.World(), target); got.ID != world.Stone {
@@ -164,13 +164,13 @@ func TestBreakingConstructBlockInvalidates(t *testing.T) {
 	before := s.SCs().(*LocalSC).constructs[id].BlockCount()
 
 	fired := false
-	s.Connect("griefer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.ConnectAt("griefer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if fired {
 			return nil
 		}
 		fired = true
 		return []Action{{Kind: ActionBreakBlock, Pos: anchor}}
-	}))
+	}), 0, 0)
 	s.Start()
 	runFor(loop, 100*time.Millisecond)
 	after := s.SCs().(*LocalSC).constructs[id].BlockCount()
@@ -184,9 +184,9 @@ func TestBreakingConstructBlockInvalidates(t *testing.T) {
 
 func TestTerrainGeneratesAroundMovingPlayer(t *testing.T) {
 	loop, s := newFlatServer(2)
-	s.Connect("explorer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.ConnectAt("explorer", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		return []Action{MoveTo(p.X+1000, 0, 8)}
-	}))
+	}), 0, 0)
 	s.Start()
 	runFor(loop, 60*time.Second) // 480 blocks of travel past the preload
 	if s.ChunksApplied.Value() == 0 {
@@ -199,7 +199,7 @@ func TestTerrainGeneratesAroundMovingPlayer(t *testing.T) {
 
 func TestChunkSendThrottle(t *testing.T) {
 	loop, s := newFlatServer(3)
-	p := s.Connect("static", nil)
+	p := s.ConnectAt("static", nil, 0, 0)
 	s.Start()
 	// The spawn area is preloaded; the initial view must stream to the
 	// client at most maxChunkSendsPerTick per tick.
@@ -222,13 +222,13 @@ func TestUnloadFarChunksHaltsAndResumesConstructs(t *testing.T) {
 	_ = id
 	// A player who teleports far away (move at high speed) and back.
 	phase := 0
-	s.Connect("traveler", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.ConnectAt("traveler", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if phase == 0 {
 			phase = 1
 			return []Action{MoveTo(4000, 0, 100)} // sprint far away
 		}
 		return nil
-	}))
+	}), 0, 0)
 	s.Start()
 	runFor(loop, 60*time.Second)
 	if s.SCs().Count() != 0 {
@@ -251,7 +251,7 @@ func TestTickDurationGrowsWithPlayers(t *testing.T) {
 	meanTick := func(players int) time.Duration {
 		loop, s := newFlatServer(5)
 		for i := 0; i < players; i++ {
-			s.Connect("p", nil)
+			s.ConnectAt("p", nil, 0, 0)
 		}
 		s.Start()
 		runFor(loop, 30*time.Second)
@@ -295,7 +295,7 @@ func TestServoProfileUnimodalWithLocalBackend(t *testing.T) {
 
 func TestMinViewMarginFullWhenLoaded(t *testing.T) {
 	loop, s := newFlatServer(7)
-	s.Connect("p", nil)
+	s.ConnectAt("p", nil, 0, 0)
 	s.Start()
 	runFor(loop, 30*time.Second) // give generation time to fill the view
 	if got := s.MinViewMargin(); got != s.Config().ViewDistance {
@@ -310,7 +310,7 @@ func TestDeterministicTickTrace(t *testing.T) {
 			s.SpawnConstruct(sc.NewClock(3, 1), world.BlockPos{X: i * 20, Y: 5, Z: 0})
 		}
 		for i := 0; i < 5; i++ {
-			s.Connect("p", &trivialMover{})
+			s.ConnectAt("p", &trivialMover{}, 0, 0)
 		}
 		s.Start()
 		runFor(loop, 10*time.Second)
@@ -350,15 +350,15 @@ func TestProfileString(t *testing.T) {
 func TestChatFansOut(t *testing.T) {
 	loop, s := newFlatServer(8)
 	sent := false
-	s.Connect("chatter", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
+	s.ConnectAt("chatter", behaviorFunc(func(r *rand.Rand, p *Player, s *Server) []Action {
 		if sent {
 			return nil
 		}
 		sent = true
 		return []Action{{Kind: ActionChat}}
-	}))
+	}), 0, 0)
 	for i := 0; i < 9; i++ {
-		s.Connect("listener", nil)
+		s.ConnectAt("listener", nil, 0, 0)
 	}
 	s.Start()
 	runFor(loop, 100*time.Millisecond)

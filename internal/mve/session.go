@@ -15,13 +15,8 @@ import (
 	"servo/internal/world"
 )
 
-// Connect adds a player at the spawn point with the given behavior
-// (nil for an idle player) and returns the session.
-func (s *Server) Connect(name string, b Behavior) *Player {
-	return s.ConnectAt(name, b, 0, 0)
-}
-
-// ConnectAt is Connect with an explicit spawn position (shard-aware fleet
+// ConnectAt adds a player standing at (x, z) with the given behavior
+// (nil for an idle player) and returns the session (shard-aware fleet
 // placement drops players into their shard's home band). Persisted player
 // data, when a store is configured, still overrides the position once it
 // arrives.

@@ -68,7 +68,7 @@ func TestChunkReceiverFollowsThePlayer(t *testing.T) {
 	a := NewServer(loop, Config{WorldType: "flat", ViewDistance: 32})
 	b := NewServer(loop, Config{WorldType: "flat", ViewDistance: 32})
 	log := &chunkLog{}
-	p := a.Connect("client", log)
+	p := a.ConnectAt("client", log, 0, 0)
 	a.Start()
 	b.Start()
 	loop.RunUntil(time.Second)
@@ -140,7 +140,7 @@ func TestRegionGatedPersistence(t *testing.T) {
 		Region:       region,
 		Store:        store,
 	})
-	s.Connect("p", nil)
+	s.ConnectAt("p", nil, 0, 0)
 	s.Start()
 	loop.RunUntil(10 * 1e9) // 10s: boot requests resolve, terrain persists
 	for _, cp := range store.stored {
@@ -170,7 +170,7 @@ func TestAppliedChunkKeepsItsReply(t *testing.T) {
 		Store:        &recordingStore{},
 		Terrain:      gen,
 	})
-	s.Connect("p", nil)
+	s.ConnectAt("p", nil, 0, 0)
 	s.Start()
 	loop.RunUntil(10 * 1e9)
 	owned, unowned := 0, 0

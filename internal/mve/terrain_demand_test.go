@@ -86,9 +86,9 @@ func driveDemandRun(full bool) (sigs []string, recomputes, strips int64) {
 		ViewDistance: 48,
 	})
 	s.fullDemandRescan = full
-	s.Connect("strider", walker(6))
-	s.Connect("camper", nil) // never moves: stays clean after its first scan
-	s.Connect("drifter", walker(3))
+	s.ConnectAt("strider", walker(6), 0, 0)
+	s.ConnectAt("camper", nil, 0, 0) // never moves: stays clean after its first scan
+	s.ConnectAt("drifter", walker(3), 0, 0)
 	s.Start()
 
 	// Handoff displacement: evict a session and re-admit it far away
@@ -220,7 +220,7 @@ func TestFreedSlotChunkIsStillSent(t *testing.T) {
 	loop := sim.NewLoop(3)
 	s := NewServer(loop, Config{WorldType: "flat", ViewDistance: 48})
 	rec := &recordingBehavior{got: make(map[world.ChunkPos]bool)}
-	p := s.Connect("p", rec)
+	p := s.ConnectAt("p", rec, 0, 0)
 	s.Start()
 	runFor(loop, 2*time.Second)
 	sent := make(map[int]world.ChunkPos) // slot → the chunk there, sent

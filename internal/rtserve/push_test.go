@@ -188,7 +188,7 @@ type bareInstance struct{ srv *mve.Server }
 
 func (b bareInstance) Server() *mve.Server { return b.srv }
 func (b bareInstance) ConnectBehavior(name string, beh mve.Behavior) *mve.Player {
-	return b.srv.Connect(name, beh)
+	return b.srv.ConnectAt(name, beh, 0, 0)
 }
 func (b bareInstance) Disconnect(p *mve.Player) bool { return b.srv.Disconnect(p.ID) }
 func (b bareInstance) Locked(fn func())              { fn() }

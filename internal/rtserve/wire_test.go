@@ -92,7 +92,7 @@ func newRig(t *testing.T, view int) *rig {
 		conn: &recordConn{}, twin: &recorder{}}
 	r.srv.pushTicks = 1
 	r.sess = addSession(r.srv, "client", r.conn)
-	game.Connect("twin", r.twin)
+	game.ConnectAt("twin", r.twin, 0, 0)
 	game.Start()
 	return r
 }

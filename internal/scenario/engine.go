@@ -10,6 +10,7 @@ import (
 	"servo/internal/blob"
 	"servo/internal/cluster"
 	"servo/internal/core"
+	"servo/internal/faas"
 	"servo/internal/metrics"
 	"servo/internal/mve"
 	"servo/internal/sc"
@@ -73,11 +74,13 @@ type Runner struct {
 }
 
 // Run validates spec (normalising defaults), executes it to completion on
-// the virtual clock, and returns the report. log, if non-nil, receives
-// progress lines (they are not part of the deterministic report).
-func Run(spec *Spec, log io.Writer) (*Report, error) {
+// the virtual clock, and returns the report and the stopped system it ran
+// on, whose samples a caller may read past the report's metrics (the
+// paper's figure cells do). log, if non-nil, receives progress lines
+// (they are not part of the deterministic report).
+func Run(spec *Spec, log io.Writer) (*Report, *core.System, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r := &Runner{
 		spec:      spec,
@@ -87,7 +90,7 @@ func Run(spec *Spec, log io.Writer) (*Report, error) {
 	}
 	r.build()
 	r.schedule()
-	return r.run(), nil
+	return r.run(), r.sys, nil
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -403,6 +406,13 @@ func (r *Runner) run() *Report {
 		// Like the tick sample, storage latency percentiles are measured
 		// over the post-warm-up window only (boot reads excluded).
 		st.ReadLatency = metrics.Sample{}
+	}
+	// So are function latencies (Fig. 9's: cold starts and activation
+	// invocations excluded).
+	for _, fn := range []*faas.Function{r.sys.SCFn, r.sys.TGFn} {
+		if fn != nil {
+			fn.Latency = metrics.Sample{}
+		}
 	}
 	r.sys.Cluster.HandoffLatency = metrics.NewSample(4096)
 	r.logf("warm-up complete; measuring")

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"servo/internal/faas"
 )
 
 // replaySpec is a seeded stress scenario exercising every nondeterminism
@@ -46,7 +49,7 @@ func TestDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(spec, nil)
+		rep, _, err := Run(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +92,7 @@ func TestBundledScenariosPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Run(spec, nil)
+			rep, _, err := Run(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +127,7 @@ func TestFlipStorageScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(spec, nil)
+		rep, _, err := Run(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +224,7 @@ func TestGridScenarioDeterministicReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(spec, nil)
+		rep, _, err := Run(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +263,7 @@ func TestPerFunctionChaosScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func TestPrewriteRestartServesFromStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +312,49 @@ func TestPrewriteRestartServesFromStorage(t *testing.T) {
 			{"metric": "chunks_applied", "op": ">", "value": 0}
 		]
 	}`))
-	rep2, err := Run(spec2, nil)
+	rep2, _, err := Run(spec2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Render() != rep2.Render() {
 		t.Fatalf("prewrite replay diverged:\n--- first ---\n%s--- second ---\n%s", rep.Render(), rep2.Render())
+	}
+}
+
+// TestWarmupResetsFunctionLatency pins that a deployed function's latency
+// sample, like the tick sample, holds the measured window only: the
+// invocations issued during warm-up (cold starts, construct activation,
+// boot terrain) are counted by the function's meter but are not in its
+// latency sample after Run.
+func TestWarmupResetsFunctionLatency(t *testing.T) {
+	spec, err := Parse([]byte(`{
+		"name": "latency-reset",
+		"duration": "30s",
+		"warmup": "10s",
+		"world": {"type": "default"},
+		"backend": {"constructs": true, "terrain": true, "spec_exec": {"detect_loops": false}},
+		"constructs": [{"count": 4}],
+		"fleet": [{"count": 2, "behavior": "S8"}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sys, err := Run(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmup := spec.Warmup.D()
+	for name, fn := range map[string]*faas.Function{"SCFn": sys.SCFn, "TGFn": sys.TGFn} {
+		// The loop runs events at the warm-up instant before the reset, so
+		// the warm-up is [0, warmup] inclusive, as the meter counts it.
+		inWarmup := int(math.Round(fn.Invocations.RatePerMinute(0, warmup) * warmup.Minutes()))
+		if inWarmup == 0 {
+			t.Fatalf("%s: no invocations during warm-up; the probe shows nothing", name)
+		}
+		if got, want := fn.Latency.Len(), fn.Invocations.Count()-inWarmup; got != want || got == 0 {
+			t.Errorf("%s: latency sample holds %d invocations, want the %d after warm-up (%d in all)",
+				name, got, want, fn.Invocations.Count())
+		}
 	}
 }
 
@@ -336,7 +376,7 @@ func TestWindowedAssertionCountsTicksInWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +394,7 @@ func runBundledTwice(t *testing.T, name string) (text1, text2, csv1, csv2 string
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(spec, nil)
+		rep, _, err := Run(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +460,7 @@ func TestShardFailInlineZeroLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +494,7 @@ func TestShardSlotNeverCreated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +523,7 @@ func TestRenderCSVStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +576,7 @@ func TestOneShardReportHasNoControlPlaneRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +611,7 @@ func TestCrossShardChatScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +645,7 @@ func TestVisibilityScenarioInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

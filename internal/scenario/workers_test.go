@@ -76,7 +76,7 @@ func renderSourceAtWorkers(t *testing.T, name string, src []byte, workers int) s
 		t.Fatalf("parsing %q: %v", name, err)
 	}
 	spec.Workers = workers
-	rep, err := Run(spec, nil)
+	rep, _, err := Run(spec, nil)
 	if err != nil {
 		t.Fatalf("%s at workers=%d: %v", name, workers, err)
 	}

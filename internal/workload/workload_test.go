@@ -17,7 +17,7 @@ func newServer(seed int64) (*sim.Loop, *mve.Server) {
 
 func TestBoundedMoveStaysInBounds(t *testing.T) {
 	loop, s := newServer(1)
-	p := s.Connect("a", &BoundedMove{Radius: 40})
+	p := s.ConnectAt("a", &BoundedMove{Radius: 40}, 0, 0)
 	s.Start()
 	loop.RunUntil(5 * time.Minute)
 	// Destinations are within the radius, so the avatar can stray at most
@@ -35,7 +35,7 @@ func TestStarPatternFansOut(t *testing.T) {
 	loop, s := newServer(2)
 	players := make([]*mve.Player, 0, 5)
 	for i := 0; i < 5; i++ {
-		players = append(players, s.Connect("s", &Star{Speed: 3}))
+		players = append(players, s.ConnectAt("s", &Star{Speed: 3}, 0, 0))
 	}
 	s.Start()
 	loop.RunUntil(3 * time.Minute)
@@ -57,7 +57,7 @@ func TestStarPatternFansOut(t *testing.T) {
 
 func TestStarRampIncreasesSpeed(t *testing.T) {
 	loop, s := newServer(3)
-	p := s.Connect("inc", &Star{Speed: 1, RampEvery: 30 * time.Second})
+	p := s.ConnectAt("inc", &Star{Speed: 1, RampEvery: 30 * time.Second}, 0, 0)
 	s.Start()
 	loop.RunUntil(20 * time.Second)
 	d1 := math.Hypot(p.X, p.Z)
@@ -76,7 +76,7 @@ func TestRandomBehaviorActionMix(t *testing.T) {
 	// Table II: 40% move, 30% block op, 20% stand, 5% chat, 5% inventory.
 	b := &Random{}
 	loop, s := newServer(4)
-	p := s.Connect("r", nil)
+	p := s.ConnectAt("r", nil, 0, 0)
 	r := rand.New(rand.NewSource(7))
 	counts := map[mve.ActionKind]int{}
 	const trials = 20000
@@ -110,7 +110,7 @@ func TestRandomBehaviorActionMix(t *testing.T) {
 func TestRandomBehaviorRunsOnServer(t *testing.T) {
 	loop, s := newServer(5)
 	for i := 0; i < 4; i++ {
-		s.Connect("r", &Random{})
+		s.ConnectAt("r", &Random{}, 0, 0)
 	}
 	s.Start()
 	loop.RunUntil(2 * time.Minute)
