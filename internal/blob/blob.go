@@ -198,9 +198,10 @@ func NewStore(clock sim.Clock, tier Tier) *Store {
 func (s *Store) Tier() Tier { return s.tier }
 
 // Get fetches the object at key asynchronously; cb runs on the clock after
-// the modelled read latency with the data, or ErrNotFound. The data is the
-// stored object itself, not a copy: a read-only view that the receiver may
-// keep (the terrain cache does) but must never mutate.
+// the modelled read latency with the data, or ErrNotFound itself: a miss
+// is what every read of a cold world answers, so it formats nothing. The
+// data is the stored object itself, not a copy: a read-only view that the
+// receiver may keep (the terrain cache does) but must never mutate.
 func (s *Store) Get(key string, cb func(data []byte, err error)) {
 	data, ok := s.objects[key]
 	lat := s.model.Read.Sample(s.clock.RNG()) + s.model.transferTime(len(data))
@@ -218,7 +219,7 @@ func (s *Store) Get(key string, cb func(data []byte, err error)) {
 	s.ReadLatency.Add(lat)
 	s.clock.After(lat, func() {
 		if !ok {
-			cb(nil, fmt.Errorf("%w: %q", ErrNotFound, key))
+			cb(nil, ErrNotFound)
 			return
 		}
 		s.bytesOut += int64(len(data))

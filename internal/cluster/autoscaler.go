@@ -166,6 +166,7 @@ func (c *Cluster) AddShard() int {
 		return -1
 	}
 	first := c.table.Shards() == 1
+	before := c.table.Clone()
 	idx := c.table.Grow()
 	srv := c.build(idx, c.table.View(idx))
 	if idx < len(c.shards) {
@@ -185,6 +186,8 @@ func (c *Cluster) AddShard() int {
 	}
 	src := srv
 	srv.SetChatRelay(func(from *mve.Player) int { return c.relayChat(src, from) })
+	// A new alive slot reroutes dead shards' tiles over the survivors.
+	c.reloadGained(before, idx)
 	c.persistTable()
 	c.ScaleUps.Inc()
 	c.noteShardsActive()
@@ -308,10 +311,12 @@ func (c *Cluster) finishDrain(i int) {
 			c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 			return
 		}
+		before := c.table.Clone()
 		if !c.table.Retire(i) {
 			delete(c.draining, i)
 			return
 		}
+		c.reloadGained(before, -1) // dead shards' tiles reroute over fewer survivors
 		delete(c.draining, i)
 		c.persistTable()
 		c.shards[i].Stop()

@@ -228,6 +228,9 @@ type Cluster struct {
 	TilesMoved        metrics.Counter // completed ownership migrations
 	Failovers         metrics.Counter // shards failed over
 	PlayersFailedOver metrics.Counter // sessions re-admitted after a shard kill
+	// reloads counts the chunk copies shards dropped and read again from
+	// storage on gaining their tiles (reloadGained).
+	reloads int
 	// MigrationLog records ownership changes in completion order (part of
 	// the deterministic replay surface, like Log), bounded by
 	// DefaultLogRetention.

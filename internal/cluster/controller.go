@@ -277,9 +277,11 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, reason string) bool {
 		if c.stopped || !c.table.Alive(dst) {
 			return // the cluster stopped or dst died while we flushed
 		}
+		before := c.table.Clone()
 		if !c.table.SetOwner(tile, dst) {
 			return
 		}
+		c.reloadGained(before, -1)
 		c.persistTable()
 		c.TilesMoved.Inc()
 		if reason == "drain" {
@@ -313,7 +315,9 @@ func (c *Cluster) FailShard(i int) bool {
 		}
 	}
 	c.shards[i].Crash()
+	before := c.table.Clone()
 	c.table.SetDead(i, true)
+	c.reloadGained(before, -1)
 	// A crash aborts any drain in progress on the shard: failover owns
 	// the cleanup from here.
 	delete(c.draining, i)
@@ -331,6 +335,24 @@ func (c *Cluster) FailShard(i int) bool {
 		c.readmit(p)
 	}
 	return true
+}
+
+// reloadGained makes every alive shard but fresh drop and reload the chunk
+// copies it holds of tiles it owns now and did not own under before, the
+// table as it stood before an ownership change. A copy a shard held as a
+// non-owner never saw the owner's edits, which storage has: a migration
+// flips only after the source's flush landed, and a failover's storage is
+// as current as the dead shard's last flush. It runs in serial context,
+// at the change, before any shard's next tick.
+func (c *Cluster) reloadGained(before *world.OwnershipTable, fresh int) {
+	for s, srv := range c.shards {
+		if s == fresh || !c.table.Alive(s) {
+			continue
+		}
+		c.reloads += srv.ReloadChunks(func(cp world.ChunkPos) bool {
+			return c.table.ShardOf(cp) == s && before.ShardOf(cp) != s
+		})
+	}
 }
 
 // readmit restores one failed shard's session: from the last persisted
@@ -411,7 +433,12 @@ func (c *Cluster) RecoverShard(i int) bool {
 		c.shards[i].AdoptTileCosts(crashed.TileCosts())
 		src := c.shards[i]
 		src.SetChatRelay(func(from *mve.Player) int { return c.relayChat(src, from) })
+		before := c.table.Clone()
 		c.table.SetDead(i, false)
+		// The fresh server read the world after every survivor's flush:
+		// only the survivors can hold stale copies, of tiles that a
+		// change of the alive set reroutes to them.
+		c.reloadGained(before, i)
 		c.persistTable()
 		c.noteShardsActive()
 		c.MigrationLog.Append(MigrationRecord{

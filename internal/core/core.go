@@ -545,7 +545,10 @@ type uncachedStore struct {
 }
 
 var _ mve.ChunkStore = (*uncachedStore)(nil)
-var _ mve.BatchingChunkStore = (*uncachedStore)(nil)
+var (
+	_ mve.BatchingChunkStore   = (*uncachedStore)(nil)
+	_ mve.ForgettingChunkStore = (*rstore.Store)(nil)
+)
 
 func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 	// GetRetrying: a false not-found would make the server regenerate and

@@ -12,7 +12,6 @@ import (
 	"servo/internal/sim"
 	"servo/internal/terrain"
 	"servo/internal/workload"
-	"servo/internal/world"
 )
 
 // Fig10 (paper §IV-D): terrain-generation QoS under the Sinc workload —
@@ -151,9 +150,8 @@ func Fig11(opt Options) *Fig11Report {
 		cfg := core.DefaultTGFnConfig()
 		cfg.MemoryMB = mem
 		gen := terrain.Default{Seed: opt.Seed}
-		fn := platform.Register("gen", cfg, func(payload []byte) ([]byte, int) {
-			c := gen.Generate(world.ChunkPos{X: int(payload[0]), Z: int(payload[1])})
-			return nil, c.GenWork
+		fn := platform.Register("gen", cfg, func([]byte) ([]byte, int) {
+			return nil, gen.WorkUnits()
 		})
 		for i := 0; i < invocations; i++ {
 			// Spread invocations ~3 s apart so keep-alive expiry and

@@ -5,7 +5,6 @@ import (
 	"iter"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"servo/internal/metrics"
@@ -60,6 +59,17 @@ type SyncingChunkStore interface {
 	// StoreThen persists the chunk and calls done once the write has
 	// landed in backing storage (retrying through transient faults).
 	StoreThen(c *world.Chunk, done func())
+}
+
+// ForgettingChunkStore is an optional ChunkStore extension for stores that
+// keep what they read (a local cache in front of remote storage):
+// ForgetWhere drops what the store holds for the positions pred matches,
+// resident in the world or not, so that its next Load of each reads
+// backing storage, and so does a read of one in flight. A server that
+// gains ownership of chunks forgets them (ReloadChunks): what it cached as
+// a non-owner may predate the owner's writes.
+type ForgettingChunkStore interface {
+	ForgetWhere(pred func(world.ChunkPos) bool)
 }
 
 // Config configures a Server.
@@ -225,6 +235,11 @@ type Server struct {
 	// enters in requestChunk and leaves only in applyChunk, so neither
 	// the store nor the terrain backend sees it twice meanwhile.
 	requested world.ChunkMap[world.ChunkPos, struct{}]
+	// stale holds requested positions whose load or generation was in
+	// flight when ReloadChunks gained them: the answer may predate the
+	// previous owner's flush, so it is dropped on arrival and the chunk
+	// read again (reread).
+	stale world.ChunkMap[world.ChunkPos, struct{}]
 	// loadedFromStore queues store-loaded chunks for on-loop application;
 	// the backing array is reused across ticks.
 	loadedFromStore []*world.Chunk
@@ -347,6 +362,10 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 	// serial context (commit drain), strictly before the next tick's
 	// appends on this shard's lane.
 	s.loadCB = func(pos world.ChunkPos, c *world.Chunk, ok bool) {
+		if s.reread(pos, c) {
+			s.flushChunkLoads()
+			return
+		}
 		if ok {
 			s.loadedFromStore = append(s.loadedFromStore, c)
 			return
@@ -541,12 +560,7 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 	chunks := s.world.LoadedChunks()
 	// Deterministic write order: the store draws latency and fault
 	// outcomes from the clock RNG per operation.
-	sort.Slice(chunks, func(i, j int) bool {
-		if chunks[i].X != chunks[j].X {
-			return chunks[i].X < chunks[j].X
-		}
-		return chunks[i].Z < chunks[j].Z
-	})
+	slices.SortFunc(chunks, byXZ)
 	syncStore, _ := s.store.(SyncingChunkStore)
 	pending := 1
 	finish := func() {
@@ -569,6 +583,58 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 		}
 	}
 	finish()
+}
+
+// ReloadChunks drops this server's copies of the chunks pred matches and
+// reads them again from the store, returning how many it dropped. A shard
+// calls it when it gains ownership of chunks (cluster migration and
+// failover): a copy it held as a non-owner never saw the owner's edits,
+// which the owner's flush put in storage before the flip. The store
+// forgets what it cached of every matching chunk, resident or not
+// (ForgettingChunkStore), and a load or generation already in flight for a
+// matching chunk is read again once it lands, because it may have read
+// storage before that flush. It must run in serial context. Without a
+// store there is nothing newer to read.
+func (s *Server) ReloadChunks(pred func(world.ChunkPos) bool) int {
+	if s.store == nil {
+		return 0
+	}
+	if f, ok := s.store.(ForgettingChunkStore); ok {
+		f.ForgetWhere(pred)
+	}
+	for cp := range s.requested.All() {
+		if pred(cp) {
+			s.stale.Put(cp, struct{}{})
+		}
+	}
+	chunks := s.world.LoadedChunks()
+	slices.SortFunc(chunks, byXZ) // deterministic read order, as FlushOwnedChunks' writes
+	n := 0
+	for _, cp := range chunks {
+		if !pred(cp) {
+			continue
+		}
+		s.pool.Put(s.evict(cp))
+		s.requestChunk(cp)
+		n++
+	}
+	s.flushChunkLoads()
+	return n
+}
+
+// reread reports whether pos is stale (see Server.stale) and, if so, drops
+// c, the answer that may predate the previous owner's flush, and queues
+// pos's load again; pos stays requested.
+func (s *Server) reread(pos world.ChunkPos, c *world.Chunk) bool {
+	if s.stale.Len() == 0 {
+		return false
+	}
+	if _, ok := s.stale.Delete(pos); !ok {
+		return false
+	}
+	s.pool.Put(c)
+	s.pendingLoads = append(s.pendingLoads, pos)
+	return true
 }
 
 // SpawnConstruct activates a simulated construct whose grid cell (0, 0)
@@ -800,12 +866,7 @@ func (s *Server) scanTerrainDemand() {
 	avatars := s.obsBufs[s.obsIdx][:0]
 	newly := s.newlyLoaded
 	if len(newly) > 1 {
-		slices.SortFunc(newly, func(a, b world.ChunkPos) int {
-			if a.X != b.X {
-				return a.X - b.X
-			}
-			return a.Z - b.Z
-		})
+		slices.SortFunc(newly, byXZ)
 	}
 	s.newlySlots = s.newlySlots[:0]
 	for _, cp := range newly {
@@ -961,15 +1022,26 @@ func (s *Server) applyCompletedChunks() time.Duration {
 		s.ChunksApplied.Inc()
 		return true
 	}
+	// A chunk that landed before its position was gained, and was read
+	// or generated from a storage that may predate the gain, is read
+	// again (reread) instead of applied.
+	reread := false
 	for i, c := range s.loadedFromStore {
-		if !apply(c) {
+		s.loadedFromStore[i] = nil
+		if s.reread(c.Pos, c) {
+			reread = true
+		} else if !apply(c) {
 			s.pool.Put(c)
 		}
-		s.loadedFromStore[i] = nil
 	}
 	s.loadedFromStore = s.loadedFromStore[:0]
 	s.drainBuf = s.terrain.DrainAppend(s.drainBuf[:0])
 	for i, c := range s.drainBuf {
+		s.drainBuf[i] = nil
+		if s.reread(c.Pos, c) {
+			reread = true
+			continue
+		}
 		applied := apply(c)
 		if s.store != nil && s.owned(c.Pos) {
 			// Persist freshly generated terrain — superseded chunks
@@ -983,7 +1055,9 @@ func (s *Server) applyCompletedChunks() time.Duration {
 		} else if !applied {
 			s.pool.Put(c)
 		}
-		s.drainBuf[i] = nil
+	}
+	if reread {
+		s.flushChunkLoads()
 	}
 	return cost
 }
@@ -1069,16 +1143,9 @@ func (s *Server) unloadFarChunks() {
 		}
 	}
 	s.unloadFar = far
-	slices.SortFunc(far, func(a, b world.ChunkPos) int {
-		if a.X != b.X {
-			return a.X - b.X
-		}
-		return a.Z - b.Z
-	})
+	slices.SortFunc(far, byXZ)
 	for _, cp := range far {
-		s.haltConstructs(cp)
-		slot := s.world.Slot(cp)
-		c := s.world.RemoveChunk(cp)
+		c := s.evict(cp)
 		if s.store != nil && c != nil && s.owned(cp) {
 			// The write joins the tick's grouped store commit; the chunk is
 			// recycled inside that same commit, after its Store call.
@@ -1089,18 +1156,34 @@ func (s *Server) unloadFarChunks() {
 			// No pending write references the chunk: recycle it directly.
 			s.pool.Put(c)
 		}
-		// Drop client knowledge so re-approach resends — before the next
-		// AddChunk can hand the freed slot to another chunk — and
-		// invalidate the demand cursor of any player whose cached rect held
-		// the chunk: that restores the cursor invariant (every rect chunk
-		// loaded-or-requested) the incremental scan relies on.
-		for _, p := range s.playerOrder {
-			p.forget(slot)
-			if p.demandValid && p.demandRect.Contains(cp) {
-				p.demandValid = false
-			}
+	}
+}
+
+// evict removes the loaded chunk at cp, halting the constructs in it, and
+// returns it. Every player forgets it, so a re-approach resends — before
+// the next AddChunk can hand its freed slot to another chunk — and the
+// demand cursor of any player whose cached rect held it is invalidated:
+// that restores the cursor invariant (every rect chunk loaded-or-requested)
+// the incremental scan relies on.
+func (s *Server) evict(cp world.ChunkPos) *world.Chunk {
+	s.haltConstructs(cp)
+	slot := s.world.Slot(cp)
+	c := s.world.RemoveChunk(cp)
+	for _, p := range s.playerOrder {
+		p.forget(slot)
+		if p.demandValid && p.demandRect.Contains(cp) {
+			p.demandValid = false
 		}
 	}
+	return c
+}
+
+// byXZ orders chunk positions by X, then Z.
+func byXZ(a, b world.ChunkPos) int {
+	if a.X != b.X {
+		return a.X - b.X
+	}
+	return a.Z - b.Z
 }
 
 // anyWithin reports whether some position of byX, sorted by X, lies within

@@ -509,10 +509,11 @@ type flipStore struct {
 }
 
 var (
-	_ mve.ChunkStore         = (*flipStore)(nil)
-	_ mve.BatchingChunkStore = (*flipStore)(nil)
-	_ mve.PlayerStore        = (*flipStore)(nil)
-	_ mve.AvatarObserver     = (*flipStore)(nil)
+	_ mve.ChunkStore           = (*flipStore)(nil)
+	_ mve.BatchingChunkStore   = (*flipStore)(nil)
+	_ mve.PlayerStore          = (*flipStore)(nil)
+	_ mve.AvatarObserver       = (*flipStore)(nil)
+	_ mve.ForgettingChunkStore = (*flipStore)(nil)
 )
 
 func (f *flipStore) cur() mve.ChunkStore {
@@ -536,6 +537,16 @@ func (f *flipStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *worl
 	for _, cp := range pos {
 		cp := cp
 		cur.Load(cp, func(c *world.Chunk, ok bool) { cb(cp, c, ok) })
+	}
+}
+
+// ForgetWhere forwards to both sides: either may have cached chunks a
+// gained tile holds.
+func (f *flipStore) ForgetWhere(pred func(world.ChunkPos) bool) {
+	for _, s := range []mve.ChunkStore{f.serverless, f.local} {
+		if fs, ok := s.(mve.ForgettingChunkStore); ok {
+			fs.ForgetWhere(pred)
+		}
 	}
 }
 

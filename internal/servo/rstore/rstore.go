@@ -26,9 +26,10 @@ type Store struct {
 	seen  world.ChunkMap[world.ChunkPos, struct{}]
 	batch []world.ChunkPos
 	// settled holds view rects known to contain no tcache.Unknown chunk,
-	// under settledRadius. A cache record's state field never returns to
-	// Unknown (see tcache.Cache), so such a rect can never contribute a
-	// prefetch again and ObserveAvatars skips it. It is only a skip hint:
+	// under settledRadius. A cache record's state field returns to
+	// Unknown only through ForgetWhere, which clears this set (see
+	// tcache.Cache), so such a rect can never contribute a prefetch again
+	// and ObserveAvatars skips it. It is only a skip hint:
 	// dropping it costs one re-walk per avatar and changes nothing else.
 	settled       map[world.ChunkRect]struct{}
 	settledRadius int
@@ -77,6 +78,14 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 		}
 		cb(c, true)
 	})
+}
+
+// ForgetWhere implements mve.ForgettingChunkStore: the cache forgets the
+// positions pred matches, and the settled rects, which assumed no record
+// falls back to Unknown, are dropped (one re-walk per avatar).
+func (s *Store) ForgetWhere(pred func(world.ChunkPos) bool) {
+	s.cache.ForgetWhere(pred)
+	clear(s.settled)
 }
 
 // LoadMany implements mve.BatchingChunkStore: one call serves a whole

@@ -1,6 +1,7 @@
 package rstore
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -37,6 +38,34 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	}
 	if s.DecodeFailures != 0 {
 		t.Fatalf("decode failures = %d", s.DecodeFailures)
+	}
+}
+
+// TestMissIsNotFoundNotFailure: a miss answers the blob.ErrNotFound
+// sentinel itself, from the remote store on the first read and from the
+// cache's Absent record on the next, and rstore counts neither as a decode
+// failure.
+func TestMissIsNotFoundNotFailure(t *testing.T) {
+	loop, _, s := newStore(2)
+	pos := world.ChunkPos{X: -4, Z: 9}
+	for read := range 2 {
+		var errs []error
+		s.cache.Get(pos, func(_ []byte, err error) { errs = append(errs, err) })
+		loaded := true
+		s.Load(pos, func(_ *world.Chunk, ok bool) { loaded = ok })
+		loop.Run()
+		if len(errs) != 1 || !errors.Is(errs[0], blob.ErrNotFound) {
+			t.Fatalf("read %d: a miss answered %v, want blob.ErrNotFound", read, errs)
+		}
+		if loaded {
+			t.Fatalf("read %d: Load of a missing chunk reported it found", read)
+		}
+		if got := s.cache.Status(pos); got != tcache.Absent {
+			t.Fatalf("read %d: cache status %v, want Absent", read, got)
+		}
+	}
+	if s.DecodeFailures != 0 {
+		t.Fatalf("misses counted %d decode failures, want 0", s.DecodeFailures)
 	}
 }
 

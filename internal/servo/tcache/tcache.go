@@ -20,7 +20,6 @@ package tcache
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"time"
 
@@ -73,17 +72,16 @@ const (
 
 // Cache is a write-back terrain cache bound to a clock and a remote store.
 //
-// Invariant (status is monotone): a position's record moves through
-// state Unknown → Pending → Local or Absent, and Absent → Local on
-// Put/PutThen. It never returns to Unknown: a record is never deleted,
-// Absent is only ever replaced by Local, and fetch (GetRetrying) ends in
-// data or not-found, never in "forget". A Put may land on a Pending
-// record (it becomes Local, and the read's waiters get the newer bytes
-// when it lands). rstore's avatar observer leans on this: an area it has
-// seen free of Unknown positions can never need a prefetch again, so it
-// stops looking. Any future change that lets a record fall back to
-// Unknown (say, evicting Local data) must also clear that observer's
-// settled set (rstore.Store.settled).
+// Invariant (status is monotone until forgotten): a position's record
+// moves through state Unknown → Pending → Local or Absent, and Absent →
+// Local on Put/PutThen. Only ForgetWhere returns it to Unknown: otherwise
+// a record is never deleted, Absent is only ever replaced by Local, and
+// fetch (GetRetrying) ends in data or not-found. A Put may land on a
+// Pending record (it becomes Local, and the read's waiters get the newer
+// bytes when it lands). rstore's avatar observer leans on this: an area it
+// has seen free of Unknown positions can never need a prefetch again, so
+// it stops looking — and rstore.Store.ForgetWhere, the one caller of
+// ForgetWhere, clears that observer's settled set.
 type Cache struct {
 	clock  sim.Clock
 	remote *blob.Store
@@ -94,6 +92,10 @@ type Cache struct {
 	// waiters holds the callbacks of each remote read in flight; a
 	// position leaves it when its read lands.
 	waiters world.ChunkMap[world.ChunkPos, []func(data []byte, err error)]
+	// reread holds positions whose read in flight was forgotten: the
+	// object it captured may predate a write that landed since, so its
+	// answer is dropped and storage read again for the same waiters.
+	reread world.ChunkMap[world.ChunkPos, struct{}]
 
 	// RetrievalLatency records the end-to-end chunk retrieval latency as
 	// observed by the game server — the metric of Fig. 13.
@@ -155,7 +157,7 @@ func (c *Cache) Get(pos world.ChunkPos, cb func(data []byte, err error)) {
 		// shard has its own Cache over one remote store, and another
 		// shard's write to this position does not clear this Absent.
 		lat := c.cfg.LocalRead.Sample(c.clock.RNG())
-		c.clock.After(lat, func() { done(nil, fmt.Errorf("%w: %v", blob.ErrNotFound, pos)) })
+		c.clock.After(lat, func() { done(nil, blob.ErrNotFound) })
 	default:
 		c.Misses.Inc()
 		c.fetch(pos, done)
@@ -170,12 +172,20 @@ func (c *Cache) fetch(pos world.ChunkPos, cb func(data []byte, err error)) {
 	}
 	c.waiters.Put(pos, []func([]byte, error){cb})
 	c.known.Put(pos, entry{state: Pending})
-	// GetRetrying: chaos-injected faults retry inside the store, so a
-	// fault window never surfaces as a spurious not-found (which would
-	// trigger destructive regeneration) and never double-counts
-	// hits/misses — those were tallied once in Get. It ends in data or
-	// not-found.
+	c.read(pos)
+}
+
+// read issues the remote read of pos, whose waiters are registered.
+// GetRetrying: chaos-injected faults retry inside the store, so a fault
+// window never surfaces as a spurious not-found (which would trigger
+// destructive regeneration) and never double-counts hits/misses — those
+// were tallied once in Get. It ends in data or not-found.
+func (c *Cache) read(pos world.ChunkPos) {
 	c.remote.GetRetrying(Key(pos), func(data []byte, err error) {
+		if _, again := c.reread.Delete(pos); again {
+			c.read(pos) // forgotten in flight (ForgetWhere)
+			return
+		}
 		// A local write that raced the fetch wins, whatever the remote
 		// answered: it is newer.
 		if e, _ := c.known.Get(pos); e.state == Local {
@@ -239,6 +249,37 @@ func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 	// This write supersedes any queued write-back of the same chunk.
 	c.known.Put(pos, entry{data: data, state: Local})
 	c.remote.PutDurablyThen(Key(pos), data, done)
+}
+
+// ForgetWhere drops the records of the positions pred matches, Local or
+// Absent, so that the next Get of each reads remote storage: a shard that
+// gains ownership of chunks calls it, because what it cached as a
+// non-owner — read for its view, prefetched, or found absent before the
+// owner generated the chunk — may predate the previous owner's writes,
+// which reached remote storage before the gain. A read in flight is
+// forgotten too: its record stays Pending, and when the read lands its
+// answer is dropped and storage read again for the same waiters.
+//
+// A dirty record stays, with its pending write-back: it is a write this
+// cache made while its shard owned the chunk before and has not flushed
+// yet, the newest copy this shard holds, so it wins over remote storage
+// (the periodic flush writes it over whatever the owners in between
+// stored).
+func (c *Cache) ForgetWhere(pred func(world.ChunkPos) bool) {
+	var drop []world.ChunkPos
+	for pos, e := range c.known.All() {
+		if !e.dirty && pred(pos) {
+			drop = append(drop, pos)
+		}
+	}
+	for _, pos := range drop {
+		if _, inflight := c.waiters.Get(pos); inflight {
+			c.known.Put(pos, entry{state: Pending})
+			c.reread.Put(pos, struct{}{})
+		} else {
+			c.known.Delete(pos)
+		}
+	}
 }
 
 // StartFlusher begins the periodic write-back loop.

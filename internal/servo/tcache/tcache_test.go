@@ -206,6 +206,65 @@ func TestLocalWriteWinsOverRacingNotFound(t *testing.T) {
 	}
 }
 
+// TestForgetWhereRereadsStorage: ForgetWhere drops the Local and Absent
+// records it matches, whether or not anyone holds their chunks, so the next
+// Get reads what storage holds now; a read in flight at the forget is
+// dropped when it lands and storage read again for every waiter, those
+// that joined after the forget included; a dirty record, a write not yet
+// flushed, stays and keeps its write-back; records pred does not match
+// stay.
+func TestForgetWhereRereadsStorage(t *testing.T) {
+	loop, remote, c := newFixture(3)
+	local, absent, inflight, dirty, other := world.ChunkPos{X: 1}, world.ChunkPos{X: 2}, world.ChunkPos{X: 3}, world.ChunkPos{X: 4}, world.ChunkPos{X: 9}
+	for _, pos := range []world.ChunkPos{local, inflight, other} {
+		seedRemote(loop, remote, pos, []byte("old"))
+	}
+	c.Prefetch([]world.ChunkPos{local, absent, other})
+	c.Put(dirty, []byte("mine"))
+	loop.Run()
+	// A slow read: it captures the old object now and lands after the
+	// writes below.
+	var early, late []byte
+	remote.SetChaos(&blob.Chaos{LatencyFactor: 1000})
+	c.Get(inflight, func(data []byte, _ error) { early = data })
+	remote.SetChaos(nil)
+
+	landed := 0
+	for _, pos := range []world.ChunkPos{local, absent, inflight, dirty, other} {
+		remote.Put(Key(pos), []byte("new"), func(error) { landed++ }) // the previous owner's flush
+	}
+	loop.RunUntil(loop.Now() + time.Second)
+	if landed != 5 || c.Status(inflight) != Pending {
+		t.Fatalf("%d of 5 writes landed and the slow read is %v, want all and Pending", landed, c.Status(inflight))
+	}
+	c.ForgetWhere(func(pos world.ChunkPos) bool { return pos != other })
+	if got := c.Status(inflight); got != Pending {
+		t.Fatalf("a read in flight is %v after ForgetWhere, want Pending", got)
+	}
+	c.Get(inflight, func(data []byte, _ error) { late = data })
+	loop.Run()
+	if string(early) != "new" || string(late) != "new" {
+		t.Fatalf("the read in flight at the forget answered %q and %q, want the newer bytes", early, late)
+	}
+	want := map[world.ChunkPos]string{local: "new", absent: "new", inflight: "new", dirty: "mine", other: "old"}
+	for pos, w := range want {
+		var got []byte
+		c.Get(pos, func(data []byte, _ error) { got = data })
+		loop.Run()
+		if string(got) != w {
+			t.Fatalf("%v reads %q after ForgetWhere, want %q", pos, got, w)
+		}
+	}
+	c.Flush()
+	loop.Run()
+	var stored []byte
+	remote.Get(Key(dirty), func(data []byte, _ error) { stored = data })
+	loop.Run()
+	if string(stored) != "mine" {
+		t.Fatalf("the dirty record's write-back stored %q, want %q", stored, "mine")
+	}
+}
+
 // TestStatusIsMonotone drives a random Get / Prefetch / Put / PutThen /
 // Flush schedule (reads and writes failing one time in five, reads
 // retrying) and checks the invariant stated on Cache after every operation

@@ -7,7 +7,11 @@
 //
 // Generation is deterministic in (seed, position): the function's output is
 // bit-identical to what the server would have generated locally, so the
-// offload is invisible to clients (requirement R4).
+// offload is invisible to clients (requirement R4). The function's reply is
+// the chunk's encoding as the generator writes it
+// (terrain.Generator.AppendEncoded): the handler builds no chunk, and the
+// backend seals the generated chunk with the reply, which storage and the
+// dedup cache then share.
 package tgen
 
 import (
@@ -59,16 +63,13 @@ type HandlerStats struct {
 }
 
 // NewHandler returns the FaaS handler body for terrain generation: decode
-// the position, generate the chunk, return its encoding. The reported work
-// units are the generator's real per-chunk work, which (with the memory
-// configuration) determines the invocation latency of Fig. 11. Malformed
-// requests are tallied in stats (if non-nil) instead of vanishing into a
-// nil response.
+// the position and return the chunk's encoding, which the generator writes
+// directly (terrain.Generator.AppendEncoded: no chunk is built). The
+// reported work units are the generator's per-chunk work, which (with the
+// memory configuration) determines the invocation latency of Fig. 11.
+// Malformed requests are tallied in stats (if non-nil) instead of
+// vanishing into a nil response.
 func NewHandler(gen terrain.Generator, stats *HandlerStats) faas.Handler {
-	// The chunk is only needed until it is encoded, so every invocation
-	// generates into this one, reusing its layer storage; like stats it
-	// relies on the platform running handlers in serial order.
-	scratch := new(world.Chunk)
 	return func(payload []byte) ([]byte, int) {
 		pos, err := DecodeRequest(payload)
 		if err != nil {
@@ -77,12 +78,10 @@ func NewHandler(gen terrain.Generator, stats *HandlerStats) faas.Handler {
 			}
 			return nil, 1
 		}
-		gen.GenerateInto(scratch, pos)
 		// The response outlives this call — the backend keeps it as the
 		// generated chunk's encoding, the very bytes storage then holds —
-		// so unlike the chunk it cannot come from a reused scratch buffer;
-		// Encode allocates it once, at its final size.
-		return scratch.Encode(), scratch.GenWork
+		// so it is the invocation's one allocation, at its final size.
+		return gen.AppendEncoded(nil, pos), gen.WorkUnits()
 	}
 }
 
@@ -326,7 +325,7 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 	}
 	pos := r.pos
 	c := b.pool.Get(pos)
-	// The reply is the chunk's encoding (the handler's Encode), and
+	// The reply is the chunk's encoding (the handler's AppendEncoded), and
 	// nobody writes it again: the chunk is sealed with it, so persisting
 	// the chunk stores these bytes, and the dedup cache shares them too.
 	if err := c.LoadEncoded(inv.Response); err != nil {

@@ -200,11 +200,10 @@ func TestHandlerRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHandlerSteadyStateAllocatesItsReply: the handler generates into one
-// chunk of its own, so once that chunk has held the tallest terrain an
-// invocation allocates exactly the encoded reply it returns — and a reply
-// is still what a fresh chunk would have encoded to, whatever the scratch
-// chunk held before.
+// TestHandlerSteadyStateAllocatesItsReply: the handler builds no chunk —
+// the generator writes the encoding straight into the reply — so an
+// invocation allocates exactly the reply it returns, and the reply is what
+// a chunk generated at that position encodes to, with its work units.
 func TestHandlerSteadyStateAllocatesItsReply(t *testing.T) {
 	gen := terrain.Default{Seed: 42}
 	h := NewHandler(gen, nil)

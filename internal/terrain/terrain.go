@@ -14,6 +14,15 @@
 // is bit-identical whether generated on the game server or inside a
 // serverless function, which is what makes Servo's generation offloading
 // transparent (paper §III-D).
+//
+// A chunk is born in its wire form. A generator writes the canonical
+// chunk encoding — the bytes world.Chunk.EncodeAppend would write for its
+// blocks — straight from its terrain function through world.AppendLayout,
+// without building layers of blocks: the FaaS handler returns those bytes
+// as its reply, and Generate seals a chunk with them, so a locally
+// generated chunk decodes only once a block of it is read. The tests keep
+// the column-major generators, one Set per block, as the oracle the bytes
+// are held to.
 package terrain
 
 import (
@@ -24,12 +33,28 @@ import (
 
 // Generator produces chunks deterministically from their position.
 type Generator interface {
-	// Generate builds the chunk at pos.
+	// AppendEncoded appends the encoding of the chunk at pos — the bytes
+	// world.Chunk.EncodeAppend writes for its blocks — to dst and returns
+	// the extended slice. dst grows at most once, so AppendEncoded(nil,
+	// pos) costs one allocation: the FaaS handler's reply.
+	AppendEncoded(dst []byte, pos world.ChunkPos) []byte
+	// Generate returns the chunk at pos, sealed with its AppendEncoded
+	// bytes (it decodes only once a block is read) and carrying WorkUnits
+	// as its GenWork.
 	Generate(pos world.ChunkPos) *world.Chunk
-	// GenerateInto builds the chunk at pos in c, whatever c held before;
-	// a caller that only needs the chunk until its next call (the FaaS
-	// handler, which encodes it) reuses one chunk and its layer storage.
-	GenerateInto(c *world.Chunk, pos world.ChunkPos)
+	// WorkUnits is the abstract CPU work of generating one chunk.
+	WorkUnits() int
+}
+
+// sealed is every generator's Generate: a chunk sealed with its encoding,
+// carrying its work units.
+func sealed(enc []byte, work int) *world.Chunk {
+	c := new(world.Chunk)
+	if err := c.LoadEncoded(enc); err != nil {
+		panic("terrain: a generated encoding does not load: " + err.Error())
+	}
+	c.GenWork = work
+	return c
 }
 
 // Flat generates an infinite plain: bedrock, three layers of dirt, and a
@@ -43,20 +68,22 @@ var _ Generator = Flat{}
 
 // Generate implements Generator.
 func (g Flat) Generate(pos world.ChunkPos) *world.Chunk {
-	c := world.NewChunk(pos)
-	g.GenerateInto(c, pos)
-	return c
+	return sealed(g.AppendEncoded(nil, pos), g.WorkUnits())
 }
 
-// GenerateInto implements Generator: five uniform layers.
-func (Flat) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
-	c.Reset(pos)
-	c.FillLayer(0, world.Block{ID: world.Bedrock})
+// WorkUnits implements Generator.
+func (Flat) WorkUnits() int { return flatWorkUnits }
+
+// AppendEncoded implements Generator: every flat chunk has one layout,
+// five uniform layers under air.
+func (Flat) AppendEncoded(dst []byte, pos world.ChunkPos) []byte {
+	var fill [world.ChunkSizeY]world.BlockID // Air above the surface
+	fill[0] = world.Bedrock
 	for y := 1; y < FlatSurfaceY; y++ {
-		c.FillLayer(y, world.Block{ID: world.Dirt})
+		fill[y] = world.Dirt
 	}
-	c.FillLayer(FlatSurfaceY, world.Block{ID: world.Grass})
-	c.GenWork = flatWorkUnits
+	fill[FlatSurfaceY] = world.Grass
+	return world.AppendLayout(dst, pos, &fill, 0, nil)
 }
 
 // Work-unit constants. One unit ≈ one column of simple block writes; the
@@ -85,10 +112,12 @@ const (
 
 // Generate implements Generator.
 func (g Default) Generate(pos world.ChunkPos) *world.Chunk {
-	c := world.NewChunk(pos)
-	g.GenerateInto(c, pos)
-	return c
+	return sealed(g.AppendEncoded(nil, pos), g.WorkUnits())
 }
+
+// WorkUnits is the abstract CPU work of generating one default chunk (the
+// GenWork every generated chunk carries).
+func (Default) WorkUnits() int { return defaultWorkUnits }
 
 // dirtDepth is how many blocks of dirt lie under a grass or sand surface.
 const dirtDepth = 3
@@ -96,65 +125,117 @@ const dirtDepth = 3
 // chunkColumns is the number of columns in a chunk, one per (z, x).
 const chunkColumns = world.ChunkSizeX * world.ChunkSizeZ
 
-// GenerateInto implements Generator. A column is bedrock, stone up to its
+// bandRows is how many layers of block rows AppendEncoded keeps on the
+// stack. Only the band [minH − dirtDepth, maxH] can mix block types, and a
+// chunk's heights lie within 20 of each other on every chunk sampled
+// (400 000, random seeds and positions; the noise's slope bounds the
+// spread by 42). A taller band gets its rows from the heap.
+const bandRows = 32
+
+// AppendEncoded implements Generator. A column is bedrock, stone up to its
 // height h, a surface block at h (over dirtDepth blocks of dirt when it is
 // grass or sand) and water from there up to sea level. The heights come
-// from heightmap, a chunk at a time. The chunk is written a Y-layer at a
-// time, because that is how world.Chunk stores it: every layer more than
-// dirtDepth below the lowest column is stone and every layer above the
-// highest column and the sea is air, each said once, and only the band
-// between — a dozen layers or so — is composed block by block.
-func (g Default) GenerateInto(c *world.Chunk, pos world.ChunkPos) {
-	c.Reset(pos)
-	var heights [chunkColumns]int            // indexed (z, x), as a layer is
-	var surfaces [chunkColumns]world.BlockID // the block at each column's height
-	g.heightmap(&heights, pos.Origin())
-	minH, maxH := world.ChunkSizeY, 0
-	for i, h := range heights {
-		surfaces[i] = surfaceAt(h)
-		minH, maxH = min(minH, h), max(maxH, h)
-	}
-
-	c.FillLayer(0, world.Block{ID: world.Bedrock})
-	y := 1
-	for ; y < minH-dirtDepth; y++ {
-		c.FillLayer(y, world.Block{ID: world.Stone})
-	}
-	var layer [chunkColumns]world.Block
-	for ; y <= max(maxH, seaLevel); y++ {
-		for i, h := range heights {
-			surface := surfaces[i]
-			var id world.BlockID // air above the column and the sea
-			switch {
-			case y > h:
-				if y <= seaLevel {
-					id = world.Water
-				}
-			case y == h:
-				id = surface
-			case y >= h-dirtDepth && (surface == world.Grass || surface == world.Sand):
-				id = world.Dirt
-			default:
-				id = world.Stone
-			}
-			layer[i] = world.Block{ID: id}
-		}
-		c.SetLayer(y, &layer)
-	}
-	c.GenWork = defaultWorkUnits
+// from heightmap, a chunk at a time, and they alone fix the layout: every
+// layer below minH − dirtDepth is stone, every layer above maxH water up to
+// sea level and air past it, and only the band between is written a block
+// at a time, as rows of block IDs; world.AppendLayout finds the palette.
+func (g Default) AppendEncoded(dst []byte, pos world.ChunkPos) []byte {
+	var band [bandRows]world.IDRow
+	return g.appendEncoded(dst, pos, band[:])
 }
 
-// surfaceAt picks the biome surface material of a column by its height.
-func surfaceAt(h int) world.BlockID {
+// appendEncoded is AppendEncoded with the band's rows in scratch, or on
+// the heap when the band is taller.
+func (g Default) appendEncoded(dst []byte, pos world.ChunkPos, scratch []world.IDRow) []byte {
+	var heights [chunkColumns]int // indexed (z, x), as a layer is
+	g.heightmap(&heights, pos.Origin())
+	minH, maxH := world.ChunkSizeY, 0
+	for _, h := range &heights {
+		minH, maxH = min(minH, h), max(maxH, h)
+	}
+	lo := max(1, minH-dirtDepth)
+	rows := scratch
+	if n := maxH - lo + 1; n > len(rows) {
+		rows = make([]world.IDRow, n)
+	} else {
+		rows = rows[:n]
+	}
+	writeBand(rows, lo, &heights)
+
+	var fill [world.ChunkSizeY]world.BlockID // Air past sea level
+	fill[0] = world.Bedrock
+	for y := 1; y < lo; y++ {
+		fill[y] = world.Stone
+	}
+	for y := maxH + 1; y <= seaLevel; y++ {
+		fill[y] = world.Water
+	}
+	return world.AppendLayout(dst, pos, &fill, lo, rows)
+}
+
+// writeBand sets rows[i] to the block IDs of layer lo+i of the chunk with
+// these column heights. A column's block at layer y follows from
+// d = y − h clamped to [−4, 1]: stone, then the three layers under the
+// surface (dirt under grass and sand, stone under gravel and snow), the
+// surface, then above it water up to sea level and air past it. tab holds
+// a row of these six per surface kind, and each layer sets the sixth, so
+// the inner loop has no branch.
+func writeBand(rows []world.IDRow, lo int, heights *[chunkColumns]int) {
+	const rowLen = 8
+	var tab [len(surfaceBlocks) * rowLen]uint8
+	for k, s := range surfaceBlocks {
+		under := world.Stone
+		if k == sand || k == grass {
+			under = world.Dirt
+		}
+		copy(tab[rowLen*k:], []uint8{uint8(world.Stone), uint8(under), uint8(under), uint8(under), uint8(s)})
+	}
+	var rowOf [chunkColumns]uint8 // each column's row of tab
+	for col, h := range heights {
+		rowOf[col] = uint8(rowLen * surfaceKind(h))
+	}
+	for i := range rows {
+		y := lo + i
+		above := uint8(world.Air)
+		if y <= seaLevel {
+			above = uint8(world.Water)
+		}
+		for k := range surfaceBlocks {
+			tab[rowLen*k+5] = above
+		}
+		row := &rows[i]
+		for col, h := range heights {
+			d := y - h + dirtDepth + 1
+			d &^= d >> 63 // max(d, 0)
+			d -= 5        // min(d, 5) − 5
+			d &= d >> 63
+			row[col] = tab[uint(int(rowOf[col])+d+5)%uint(len(tab))]
+		}
+	}
+}
+
+// The surface kinds, indices of surfaceBlocks.
+const (
+	sand = iota
+	snow
+	gravel
+	grass
+)
+
+// surfaceBlocks is the block of each surface kind.
+var surfaceBlocks = [...]world.BlockID{sand: world.Sand, snow: world.Snow, gravel: world.Gravel, grass: world.Grass}
+
+// surfaceKind picks the biome surface material of a column by its height.
+func surfaceKind(h int) int {
 	switch {
 	case h < seaLevel+2:
-		return world.Sand
+		return sand
 	case h > baseHeight+40:
-		return world.Snow
+		return snow
 	case h > baseHeight+24:
-		return world.Gravel
+		return gravel
 	default:
-		return world.Grass
+		return grass
 	}
 }
 
@@ -256,10 +337,6 @@ func mix64(h uint64) uint64 {
 	h ^= h >> 31
 	return h
 }
-
-// WorkUnits is the abstract CPU work of generating one default chunk (the
-// GenWork every generated chunk carries).
-func (Default) WorkUnits() int { return defaultWorkUnits }
 
 // ForWorldType returns the generator for a Table I world type name.
 // Unknown names fall back to the default generator; servo.NewInstance and

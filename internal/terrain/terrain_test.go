@@ -178,10 +178,10 @@ func TestGeneratedChunkEncodesRoundTrip(t *testing.T) {
 }
 
 // The column-major generators the product shipped until chunks became
-// layered, kept verbatim as the reference GenerateInto is held to: one Set
-// per block, no knowledge of layers, and every column's height computed on
-// its own by heightAt, which hashes the four lattice corners around it in
-// each octave.
+// layered, kept verbatim as the reference AppendEncoded is held to: one Set
+// per block, no knowledge of layers or of the encoding, and every column's
+// height computed on its own by heightAt, which hashes the four lattice
+// corners around it in each octave.
 
 // heightAt computes the terrain height via three noise octaves.
 func (g Default) heightAt(x, z int) int {
@@ -275,11 +275,42 @@ func oracleDecorateColumn(c *world.Chunk, x, z, h int) {
 	}
 }
 
-// TestGeneratorsMatchColumnMajorOracle holds the layer-by-layer generators
-// to the per-block ones they replaced: Equal and byte-identical encodings
-// over four seeds × 2 500 positions (near the origin, far out, and on both
-// sides of every axis), generated alternately into a fresh chunk and into
-// one scratch chunk that last held different — often taller — terrain.
+// checkBorn holds a generator's born chunk at want.Pos to want, the
+// column-major oracle's: AppendEncoded writes want's EncodeAppend bytes
+// (after a prefix it leaves alone), LoadEncoded accepts them, and the
+// chunk they open to is Equal to want, as is Generate's, which keeps them
+// and carries want's GenWork.
+func checkBorn(t *testing.T, name string, gen Generator, want *world.Chunk) {
+	t.Helper()
+	enc := want.EncodeAppend(nil)
+	if got := gen.AppendEncoded(nil, want.Pos); !bytes.Equal(got, enc) {
+		t.Fatalf("%s %v: born bytes differ from the column-major chunk's encoding", name, want.Pos)
+	}
+	prefix := []byte("prefix")
+	if got := gen.AppendEncoded(prefix, want.Pos); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], enc) {
+		t.Fatalf("%s %v: AppendEncoded after a prefix wrote other bytes", name, want.Pos)
+	}
+	loaded := world.NewChunk(world.ChunkPos{X: 1 << 20})
+	if err := loaded.LoadEncoded(gen.AppendEncoded(nil, want.Pos)); err != nil {
+		t.Fatalf("%s %v: LoadEncoded refuses the born bytes: %v", name, want.Pos, err)
+	}
+	if !loaded.Equal(want) || !want.Equal(loaded) {
+		t.Fatalf("%s %v: the born chunk differs from the column-major chunk", name, want.Pos)
+	}
+	got := gen.Generate(want.Pos)
+	if !bytes.Equal(got.Encoded(), enc) {
+		t.Fatalf("%s %v: Generate's chunk does not keep the born bytes", name, want.Pos)
+	}
+	if got.GenWork != want.GenWork || got.Pos != want.Pos || !got.Equal(want) {
+		t.Fatalf("%s %v: pos %v genwork %d, want genwork %d", name, want.Pos, got.Pos, got.GenWork, want.GenWork)
+	}
+}
+
+// TestGeneratorsMatchColumnMajorOracle holds the born generators to the
+// per-block ones they replaced over four seeds × 2 500 positions (near
+// the origin, far out, and on both sides of every axis), and holds the
+// default generator's heap fallback for a band taller than its stack rows
+// to the same bytes.
 func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
 	positions := make([]world.ChunkPos, 0, 2500)
 	for x := -20; x < 20; x++ {
@@ -291,36 +322,62 @@ func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
 	for len(positions) < cap(positions) {
 		positions = append(positions, world.ChunkPos{X: r.Intn(200001) - 100000, Z: r.Intn(200001) - 100000})
 	}
-	r.Shuffle(len(positions), func(i, j int) { positions[i], positions[j] = positions[j], positions[i] })
-
-	scratch := new(world.Chunk)
-	check := func(name string, gen Generator, want *world.Chunk, i int) {
-		got := scratch
-		if i%2 == 0 {
-			got = gen.Generate(want.Pos)
-		} else {
-			gen.GenerateInto(scratch, want.Pos)
-		}
-		if !got.Equal(want) || !want.Equal(got) {
-			t.Fatalf("%s %v: chunk differs from the column-major generator's", name, want.Pos)
-		}
-		if !bytes.Equal(got.Encode(), want.Encode()) {
-			t.Fatalf("%s %v: encoding differs from the column-major generator's", name, want.Pos)
-		}
-		if got.GenWork != want.GenWork || got.Pos != want.Pos {
-			t.Fatalf("%s %v: pos %v genwork %d, want genwork %d", name, want.Pos, got.Pos, got.GenWork, want.GenWork)
-		}
-	}
 	for _, seed := range []int64{0, 1, 42, 7777} {
 		g := Default{Seed: seed}
 		for i, pos := range positions {
-			check("default", g, oracleDefaultGenerate(g, pos), i)
-			if seed == 0 && i%50 == 0 {
-				// Flat terrain into the scratch chunk a default chunk just left.
-				check("flat", Flat{}, oracleFlatGenerate(pos), 1)
+			want := oracleDefaultGenerate(g, pos)
+			checkBorn(t, "default", g, want)
+			if i%50 == 0 {
+				if got := g.appendEncoded(nil, pos, nil); !bytes.Equal(got, want.Encode()) {
+					t.Fatalf("default %v: the heap-row encoding differs from the column-major chunk's", pos)
+				}
+				if seed == 0 {
+					checkBorn(t, "flat", Flat{}, oracleFlatGenerate(pos))
+				}
 			}
 		}
 	}
+}
+
+// FuzzBornChunk holds both generators' born chunks to the column-major
+// oracle (checkBorn) at fuzzed seeds and positions, seeded as
+// FuzzHeightmap is: the origin, negative chunks, chunks straddling a
+// lattice line of each octave, chunks near ±2²⁷ and the int32 extremes the
+// codec stores, and the extreme seed.
+func FuzzBornChunk(f *testing.F) {
+	f.Add(int64(0), int32(0), int32(0))
+	f.Add(int64(1), int32(-1), int32(-1))
+	f.Add(int64(42), int32(-7), int32(3))
+	for _, scale := range []int32{17, 59, 173} {
+		f.Add(int64(7), scale/world.ChunkSizeX, int32(0))
+		f.Add(int64(7), int32(0), scale/world.ChunkSizeZ)
+		f.Add(int64(7), -scale/world.ChunkSizeX-1, -scale/world.ChunkSizeZ-1)
+	}
+	f.Add(int64(-3), int32(1<<27-1), int32(-(1 << 27)))
+	f.Add(int64(9), int32(-(1 << 27)), int32(1<<27-1))
+	f.Add(int64(math.MinInt64), int32(math.MaxInt32), int32(math.MinInt32))
+	f.Fuzz(func(t *testing.T, seed int64, cx, cz int32) {
+		pos := world.ChunkPos{X: int(cx), Z: int(cz)}
+		g := Default{Seed: seed}
+		checkBorn(t, "default", g, oracleDefaultGenerate(g, pos))
+		checkBorn(t, "flat", Flat{}, oracleFlatGenerate(pos))
+	})
+}
+
+// BenchmarkBornChunk is a drill-down, not a ledger row: a default chunk
+// born encoded against the same chunk built block by block and encoded.
+func BenchmarkBornChunk(b *testing.B) {
+	g := Default{Seed: 1}
+	b.Run("born", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			g.AppendEncoded(nil, world.ChunkPos{X: i % 64, Z: i / 64 % 64})
+		}
+	})
+	b.Run("column-major", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			oracleDefaultGenerate(g, world.ChunkPos{X: i % 64, Z: i / 64 % 64}).Encode()
+		}
+	})
 }
 
 // TestOctavesWiderThanChunk pins the assumption heightmap's 3×3 corner

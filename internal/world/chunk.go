@@ -17,10 +17,10 @@ import (
 // (every layer a fill of Air).
 //
 // A chunk loaded with LoadEncoded is sealed: it is only its encoding, and
-// the first read or write of a block (At, Set, FillLayer, SetLayer,
-// SurfaceY, Equal) decodes it in place. So a read may
-// write the chunk: like any write, it must happen on the chunk's shard's
-// lane or under the game-loop lock, never concurrently with another read.
+// the first read or write of a block (At, Set, SurfaceY, Equal) decodes
+// it in place. So a read may write the chunk: like any write, it must
+// happen on the chunk's shard's lane or under the game-loop lock, never
+// concurrently with another read.
 // Encoding a sealed chunk hands out the bytes it was loaded from and
 // leaves it sealed.
 //
@@ -233,51 +233,6 @@ func (c *Chunk) Set(x, y, z int, b Block) {
 	}
 }
 
-// FillLayer makes every block of layer y b. Out-of-range layers are
-// ignored. A layer that already has blocks of its own keeps them (filled
-// with b): storage is released by Reset only.
-func (c *Chunk) FillLayer(y int, b Block) {
-	if uint(y) >= ChunkSizeY {
-		return
-	}
-	c.open()
-	if l := c.mixedLayer(y); l != nil {
-		if !l.holdsOnly(b) {
-			l.fillWith(b)
-			c.changed()
-		}
-	} else if c.fillOf(y) != b {
-		c.reach(y)
-		c.head[y].fill = b
-		c.changed()
-	}
-}
-
-// SetLayer copies blocks, indexed (z, x), over layer y. Out-of-range
-// layers are ignored. Blocks of a single type written over a uniform layer
-// are stored as a fill, so a generator can emit every layer of its surface
-// band through SetLayer and leave the chunk as small as its content allows.
-func (c *Chunk) SetLayer(y int, blocks *[ChunkSizeX * ChunkSizeZ]Block) {
-	if uint(y) >= ChunkSizeY {
-		return
-	}
-	c.open()
-	in := (*layer)(blocks)
-	l := c.mixedLayer(y)
-	if l == nil {
-		if in.holdsOnly(in[0]) {
-			c.FillLayer(y, in[0])
-			return
-		}
-		c.reach(y)
-		l = c.promote(y)
-	} else if *l == *in {
-		return
-	}
-	*l = *in
-	c.changed()
-}
-
 // changed records a change of content: Version moves on and the kept
 // encoding, which described the old content, is dropped.
 func (c *Chunk) changed() {
@@ -422,21 +377,24 @@ func (c *Chunk) Encoded() []byte {
 // above, appending to dst and returning the extended slice. dst grows at
 // most once, to the encoding's final size, so EncodeAppend(nil) costs a
 // single allocation and a reused buffer (`buf = c.EncodeAppend(buf[:0])`)
-// none — EncodeAppend is the hot path of chunk persistence, terrain
-// generation and the wire protocol. A sealed chunk appends the bytes it
-// was loaded from and stays sealed.
+// none. It encodes what was changed since it was loaded or generated —
+// chunk persistence after an edit, the wire protocol's pushes of opened
+// chunks — since a generated chunk is born encoded (AppendLayout) and a
+// loaded one keeps its bytes: a sealed chunk appends the bytes it was
+// loaded from and stays sealed.
 //
 // A first pass over the layers discovers the palette (first-appearance
 // order, for determinism) and which layers mix types — one lookup for a
 // fill, which is all but a dozen or so of a terrain chunk's 256 layers, and
-// a walk of a stored layer's blocks. The runs follow from that pass, and a
-// second packs the mixed layers' indices. Both look a block's palette
-// index up only when it differs from the block before (a last-hit memo:
-// real chunks have long runs of identical blocks), and then by its ID: a
-// 256-entry table, kept on the stack, maps each BlockID to the palette
-// index of its Data-0 block, which is every block terrain generates. Only
-// a block with Data ≠ 0 (circuit state) falls back to a linear scan of the
-// palette — real palettes are tiny, so the scan still beats hashing.
+// a walk of a stored layer's blocks. appendLayout writes the header and
+// the runs that pass found, and a second pass packs the mixed layers'
+// indices. Both look a block's palette index up only when it differs from
+// the block before (a last-hit memo: real chunks have long runs of
+// identical blocks), and then by its ID: a 256-entry table, kept on the
+// stack, maps each BlockID to the palette index of its Data-0 block,
+// which is every block terrain generates. Only a block with Data ≠ 0
+// (circuit state) falls back to a linear scan of the palette — real
+// palettes are tiny, so the scan still beats hashing.
 func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	if c.sealed {
 		return append(dst, c.enc...)
@@ -449,7 +407,6 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	// fill[y] is the palette index of the one block layer y holds, or
 	// mixedRun.
 	var fill [ChunkSizeY]uint16
-	runs, mixed := 0, 0
 	for y := range fill {
 		blocks := []Block{c.fillOf(y)}
 		if l := c.mixedLayer(y); l != nil {
@@ -471,36 +428,138 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 		fill[y] = uint16(lastIdx)
 		if isMixed {
 			fill[y] = mixedRun
-			mixed++
-		}
-		if y == 0 || fill[y] != fill[y-1] {
-			runs++
 		}
 	}
 
+	dst, data, bits := appendLayout(dst, c.Pos, pal, &fill)
+	layerLen := packedLen(1, bits)
+	for y, f := range fill {
+		if f == mixedRun {
+			packIndices(data[:layerLen], c.mixedLayer(y)[:], bits, pal, &byID)
+			data = data[layerLen:]
+		}
+	}
+	return dst
+}
+
+// IDRow is the block IDs of one layer, as bytes, indexed (z, x) as a
+// layer is.
+type IDRow = [layerBlocks]uint8
+
+// AppendLayout appends to dst the encoding of the chunk at pos whose layers
+// lo to lo+len(rows)−1 hold the blocks of rows, and whose every other
+// layer y holds only block fill[y] — every block with Data 0 — and returns
+// the extended slice. The bytes are EncodeAppend's for those blocks: it is
+// EncodeAppend's writer for a caller that knows a chunk's blocks a layer
+// at a time without building the chunk (terrain generation). It finds the
+// palette itself, in order of first appearance in (y, z, x) block order,
+// and stores a row of one block type as a fill. lo+len(rows) must not
+// pass ChunkSizeY, and rows is scratch: AppendLayout overwrites it with
+// palette indices. dst grows at most once, to the encoding's final size.
+func AppendLayout(dst []byte, pos ChunkPos, fill *[ChunkSizeY]BlockID, lo int, rows []IDRow) []byte {
+	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
+	pal := palArr[:0]
+	var idx [1 << 8]uint16 // 1 + the palette index of each BlockID, 0 until it appears
+	// layers[y] is the palette index of the one block layer y holds, or
+	// mixedRun.
+	var layers [ChunkSizeY]uint16
+	for y, id := range fill {
+		if y == lo {
+			pal = indexRows(rows, &layers, lo, pal, &idx)
+		}
+		if y >= lo && y < lo+len(rows) {
+			continue
+		}
+		if idx[id] == 0 {
+			pal = append(pal, Block{ID: id}.key())
+			idx[id] = uint16(len(pal))
+		}
+		layers[y] = idx[id] - 1
+	}
+	dst, data, bits := appendLayout(dst, pos, pal, &layers)
+	layerLen := packedLen(1, bits)
+	for i := range rows {
+		if layers[lo+i] == mixedRun {
+			packRow(data[:layerLen], &rows[i], bits)
+			data = data[layerLen:]
+		}
+	}
+	return dst
+}
+
+// indexRows rewrites rows, layers lo onwards, as indices into pal, which
+// it extends with each block ID in order of first appearance, and sets
+// their entries of layers: the one index a row holds, or mixedRun. It
+// works eight blocks, a 64-bit word, at a time, and remaps a word
+// block by block only when it differs from the word before: a layer's
+// blocks come in long spans of one type.
+func indexRows(rows []IDRow, layers *[ChunkSizeY]uint16, lo int, pal []uint16, idx *[1 << 8]uint16) []uint16 {
+	for i := range rows {
+		row := &rows[i]
+		first := uint64(row[0]) * 0x0101010101010101
+		var mixed, in, out uint64
+		for g := 0; g < layerBlocks; g += 8 {
+			w := binary.LittleEndian.Uint64(row[g:])
+			mixed |= w ^ first
+			if g > 0 && w == in {
+				binary.LittleEndian.PutUint64(row[g:], out)
+				continue
+			}
+			for j := g; j < g+8; j++ {
+				id := row[j]
+				if idx[id] == 0 {
+					pal = append(pal, Block{ID: BlockID(id)}.key())
+					idx[id] = uint16(len(pal))
+				}
+				row[j] = uint8(idx[id] - 1)
+			}
+			in, out = w, binary.LittleEndian.Uint64(row[g:])
+		}
+		layers[lo+i] = uint16(row[0])
+		if mixed != 0 {
+			layers[lo+i] = mixedRun
+		}
+	}
+	return pal
+}
+
+// appendLayout grows dst once to the whole encoding of the chunk at pos
+// with palette pal (as keys) and layer fills fill (a palette index, or
+// mixedRun), writes everything but the packed indices — header, palette,
+// index width and maximal runs — and returns the extended slice, the
+// region of it the mixed layers' packed indices go to, in Y order, and
+// their width.
+func appendLayout(dst []byte, pos ChunkPos, pal []uint16, fill *[ChunkSizeY]uint16) (out, data []byte, bits uint) {
+	runs, mixed := 0, 0
+	for y, f := range fill {
+		if y == 0 || f != fill[y-1] {
+			runs++
+		}
+		if f == mixedRun {
+			mixed++
+		}
+	}
 	// The size is known now: grow dst once and fill it in place. (By hand:
 	// slices.Grow costs a second allocation under the race detector, and
 	// the handler's one-allocation contract is tested there too.)
-	bits := bitsFor(len(pal))
+	bits = bitsFor(len(pal))
 	runsOff := chunkHeaderLen + 2*len(pal) + 1
 	dataOff := runsOff + runLen*runs
-	layerLen := packedLen(1, bits)
-	base, need := len(dst), dataOff+mixed*layerLen
+	base, need := len(dst), dataOff+packedLen(mixed, bits)
 	if cap(dst)-base < need {
 		dst = append(make([]byte, 0, base+need), dst...)
 	}
 	dst = dst[:base+need]
-	out := dst[base:]
-	binary.LittleEndian.PutUint32(out, chunkMagic)
-	binary.LittleEndian.PutUint32(out[4:], uint32(int32(c.Pos.X)))
-	binary.LittleEndian.PutUint32(out[8:], uint32(int32(c.Pos.Z)))
-	binary.LittleEndian.PutUint16(out[12:], uint16(len(pal)-1))
+	enc := dst[base:]
+	binary.LittleEndian.PutUint32(enc, chunkMagic)
+	binary.LittleEndian.PutUint32(enc[4:], uint32(int32(pos.X)))
+	binary.LittleEndian.PutUint32(enc[8:], uint32(int32(pos.Z)))
+	binary.LittleEndian.PutUint16(enc[12:], uint16(len(pal)-1))
 	for i, k := range pal {
-		binary.LittleEndian.PutUint16(out[chunkHeaderLen+2*i:], k)
+		binary.LittleEndian.PutUint16(enc[chunkHeaderLen+2*i:], k)
 	}
-	out[runsOff-1] = byte(bits)
-
-	run, data := out[runsOff:dataOff], out[dataOff:]
+	enc[runsOff-1] = byte(bits)
+	run := enc[runsOff:dataOff]
 	for y := 0; y < ChunkSizeY; {
 		n := 1
 		for y+n < ChunkSizeY && fill[y+n] == fill[y] {
@@ -509,15 +568,33 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 		run[0] = byte(n - 1)
 		binary.LittleEndian.PutUint16(run[1:], fill[y])
 		run = run[runLen:]
-		if fill[y] == mixedRun {
-			for i := range n {
-				packIndices(data[:layerLen], c.mixedLayer(y + i)[:], bits, pal, &byID)
-				data = data[layerLen:]
-			}
-		}
 		y += n
 	}
-	return dst
+	return dst, enc[dataOff:], bits
+}
+
+// packRow packs a row of palette indices, bits ≤ 8 wide each, into out
+// (packedLen(1, bits) bytes). Eight indices are bits whole bytes: each
+// group of eight is one 64-bit load, whose bytes are gathered pairwise
+// into fields of 2·bits, then 4·bits, then 8·bits bits, and one store.
+// (EncodeAppend packs from blocks, packIndices: rows for it would cost a
+// pass to write them.)
+func packRow(out []byte, row *IDRow, bits uint) {
+	const m8, m16, m32 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
+	var tail [8]byte
+	for g := 0; g < layerBlocks; g += 8 {
+		v := binary.LittleEndian.Uint64(row[g:])
+		v = v&m8 | (v>>8&m8)<<bits
+		v = v&m16 | (v>>16&m16)<<(2*bits)
+		v = v&m32 | (v>>32)<<(4*bits)
+		if len(out) >= 8 {
+			binary.LittleEndian.PutUint64(out, v)
+		} else { // the row's last groups: store no further than its end
+			binary.LittleEndian.PutUint64(tail[:], v)
+			copy(out, tail[:bits])
+		}
+		out = out[bits:]
+	}
 }
 
 // idTable maps a BlockID to 1 + the palette index of its Data-0 block,

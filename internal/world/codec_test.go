@@ -211,6 +211,55 @@ func TestCodecMatchesOracle(t *testing.T) {
 	}
 }
 
+// layoutOf returns what AppendLayout takes for c: the block IDs of layers
+// lo to hi−1 as rows, and the one block ID of every other layer as fill.
+// c's blocks must all have Data 0, and its layers outside [lo, hi) hold
+// one block type each.
+func layoutOf(c *world.Chunk, lo, hi int) (fill [world.ChunkSizeY]world.BlockID, rows []world.IDRow) {
+	for y := range fill {
+		fill[y] = c.At(0, y, 0).ID
+		if y < lo || y >= hi {
+			continue
+		}
+		var row world.IDRow
+		for i := range row {
+			row[i] = uint8(c.At(i%world.ChunkSizeX, y, i/world.ChunkSizeX).ID)
+		}
+		rows = append(rows, row)
+	}
+	return fill, rows
+}
+
+// TestAppendLayoutMatchesEncodeAppend: AppendLayout, given a chunk's
+// blocks as fills and rows, writes EncodeAppend's bytes at every index
+// width it takes (palettes of 1 to 256 block IDs, first seen in a fill or
+// in a row), with rows that hold one block type inside the band and at its
+// ends, after a prefix it leaves alone.
+func TestAppendLayoutMatchesEncodeAppend(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for _, n := range []int{1, 2, 3, 4, 5, 9, 17, 33, 65, 129, 255, 256} {
+		for _, noisy := range []bool{false, true} {
+			ids := r.Perm(256)[:n]
+			// Layers 0–9 and 40–255 hold one ID each, the band 10–39
+			// mixes them on its noisy layers and holds one on the others.
+			c := fillChunk(randomPos(r), func(x, y, z int) world.Block {
+				id := ids[y%n]
+				if y >= 10 && y < 40 && (noisy || y%7 == 3) {
+					id = ids[r.Intn(n)]
+				}
+				return world.Block{ID: world.BlockID(id)}
+			})
+			for _, band := range [][2]int{{10, 40}, {9, 40}, {10, 41}, {5, 45}, {0, world.ChunkSizeY}} {
+				fill, rows := layoutOf(c, band[0], band[1])
+				want := c.EncodeAppend([]byte("prefix"))
+				if got := world.AppendLayout([]byte("prefix"), c.Pos, &fill, band[0], rows); !bytes.Equal(got, want) {
+					t.Fatalf("%d blocks (noisy %v), band %v: AppendLayout's bytes differ from EncodeAppend's", n, noisy, band)
+				}
+			}
+		}
+	}
+}
+
 // TestEncodeFirstBlockAllOnes: a first block whose key is the largest,
 // {ID: 255, Data: 255} — a value a per-block encoder might take for "no
 // block yet" — is listed first in the palette, the bytes are the oracle's,

@@ -50,3 +50,51 @@ func (c *Chunk) Clone() *Chunk {
 	}
 	return &out
 }
+
+// FillLayer and SetLayer write a whole layer at a time, as generators did
+// before a chunk was born encoded (terrain's AppendEncoded); the tests keep
+// them to build fills and mixed layers directly.
+
+// FillLayer makes every block of layer y b. Out-of-range layers are
+// ignored. A layer that already has blocks of its own keeps them (filled
+// with b): storage is released by Reset only.
+func (c *Chunk) FillLayer(y int, b Block) {
+	if uint(y) >= ChunkSizeY {
+		return
+	}
+	c.open()
+	if l := c.mixedLayer(y); l != nil {
+		if !l.holdsOnly(b) {
+			l.fillWith(b)
+			c.changed()
+		}
+	} else if c.fillOf(y) != b {
+		c.reach(y)
+		c.head[y].fill = b
+		c.changed()
+	}
+}
+
+// SetLayer copies blocks, indexed (z, x), over layer y. Out-of-range
+// layers are ignored. Blocks of a single type written over a uniform layer
+// are stored as a fill, leaving the chunk as small as its content allows.
+func (c *Chunk) SetLayer(y int, blocks *[ChunkSizeX * ChunkSizeZ]Block) {
+	if uint(y) >= ChunkSizeY {
+		return
+	}
+	c.open()
+	in := (*layer)(blocks)
+	l := c.mixedLayer(y)
+	if l == nil {
+		if in.holdsOnly(in[0]) {
+			c.FillLayer(y, in[0])
+			return
+		}
+		c.reach(y)
+		l = c.promote(y)
+	} else if *l == *in {
+		return
+	}
+	*l = *in
+	c.changed()
+}

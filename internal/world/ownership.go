@@ -13,6 +13,7 @@ package world
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sort"
 )
 
@@ -63,6 +64,20 @@ func NewOwnershipTable(shards int, topo Topology) *OwnershipTable {
 		dead:    make(map[int]bool),
 		retired: make(map[int]bool),
 	}
+}
+
+// Clone returns a copy of the table that later changes to either leave
+// the other alone: what a caller compares the table with after a change
+// to learn which tiles moved.
+func (t *OwnershipTable) Clone() *OwnershipTable {
+	c := *t
+	c.overrides = ChunkMap[TileID, int]{}
+	for tile, o := range t.overrides.All() {
+		c.overrides.Put(tile, o)
+	}
+	c.dead = maps.Clone(t.dead)
+	c.retired = maps.Clone(t.retired)
+	return &c
 }
 
 // Topology returns the table's static tiling; ownership itself lives in
