@@ -18,10 +18,11 @@
 // Arguments to run/validate/replay are bundled scenario names or paths
 // to scenario JSON files (anything containing a path separator or ending
 // in .json is treated as a file). run exits non-zero if any scenario
-// fails its assertions; replay runs every scenario twice and exits
-// non-zero on any report byte difference; parity compares each
-// scenario's report hash with the checked-in one and exits non-zero
-// naming the scenarios that differ.
+// fails its assertions (with -v it also logs progress and, at the end of
+// each run, the cluster journal to stderr); replay runs every scenario
+// twice and exits non-zero on any report or journal difference; parity
+// compares each scenario's report hash with the checked-in one and exits
+// non-zero naming the scenarios that differ.
 package main
 
 import (
@@ -142,7 +143,7 @@ func parseTopology(arg string) (*scenario.TopologySpec, error) {
 
 func cmdRun(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	verbose := fs.Bool("v", false, "log per-event progress to stderr")
+	verbose := fs.Bool("v", false, "log per-event progress and, at the end of each run, the cluster journal to stderr")
 	seed := fs.Int64("seed", 0, "override every scenario's seed (0 = use the spec's)")
 	shards := fs.Int("shards", 0, "override every scenario's shard count (0 = use the spec's; >1 runs a region-sharded cluster)")
 	workers := fs.Int("workers", 0, "override every scenario's worker-pool size for lane-batched shard ticks (0 = use the spec's; reports are byte-identical for every pool size)")
@@ -229,9 +230,10 @@ func cmdRun(args []string) int {
 }
 
 // cmdReplay is the determinism gate: every scenario runs twice and both
-// renderings (text and CSV, covering the full per-tick series) must be
-// byte-identical. Assertion failures are not replay failures — only a
-// divergent report is.
+// report renderings (text and CSV, covering the full per-tick series) and
+// the cluster journals (every control-plane event, as run -v writes
+// them) must be byte-identical. Assertion failures are not replay
+// failures — only a divergent report or journal is.
 func cmdReplay(args []string) int {
 	specs, err := resolve(args)
 	if err != nil {
@@ -240,12 +242,17 @@ func cmdReplay(args []string) int {
 	}
 	diverged := 0
 	for _, spec := range specs {
+		// The rendering is the report followed by the journal, whose lines
+		// alone open with "[".
 		render := func() (string, error) {
-			rep, _, err := scenario.Run(spec, nil)
+			rep, sys, err := scenario.Run(spec, nil)
 			if err != nil {
 				return "", err
 			}
-			return rep.Render() + rep.RenderCSVRows(), nil
+			var b strings.Builder
+			b.WriteString(rep.Render() + rep.RenderCSVRows())
+			sys.Cluster.WriteJournal(&b)
+			return b.String(), nil
 		}
 		a, err := render()
 		if err != nil {
@@ -258,17 +265,16 @@ func cmdReplay(args []string) int {
 			return 1
 		}
 		if a == b {
-			fmt.Printf("replay ok    %s (%d report bytes)\n", spec.Name, len(a))
+			fmt.Printf("replay ok    %s (%d report and journal bytes)\n", spec.Name, len(a))
 			continue
 		}
 		diverged++
-		fmt.Printf("replay DIFF  %s: two runs rendered %d vs %d bytes\n", spec.Name, len(a), len(b))
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				fmt.Printf("  first divergence at byte %d\n", i)
-				break
-			}
+		la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+		i := 0
+		for i < len(la)-1 && i < len(lb)-1 && la[i] == lb[i] {
+			i++
 		}
+		fmt.Printf("replay DIFF  %s: line %d differs\n  first run:  %s\n  second run: %s\n", spec.Name, i+1, la[i], lb[i])
 	}
 	if diverged > 0 {
 		fmt.Printf("%d scenario(s) diverged\n", diverged)

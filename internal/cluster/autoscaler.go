@@ -130,23 +130,6 @@ func (a AutoscaleConfig) CheckBounds(boot int, topo world.Topology) error {
 	return nil
 }
 
-// ScaleRecord logs one autoscaling event, in occurrence order. Like the
-// handoff and migration logs, the sequence is part of the deterministic
-// replay surface.
-type ScaleRecord struct {
-	// At is the virtual time of the event.
-	At time.Duration
-	// Kind is "scale-up", "drain" (scale-down started), "scale-down"
-	// (drain completed, shard retired), "spread" (proactive plan),
-	// "quarantine", or "readmit".
-	Kind  string
-	Shard int
-	// Tiles is the move count of the plan attached to the event (spread
-	// plans and drain starts).
-	Tiles int
-	Epoch uint64
-}
-
 // tileRateState tracks one tile's demand between policy ticks.
 type tileRateState struct {
 	lastTotal int64
@@ -189,9 +172,8 @@ func (c *Cluster) AddShard() int {
 	// A new alive slot reroutes dead shards' tiles over the survivors.
 	c.reloadGained(before, idx)
 	c.persistTable()
-	c.ScaleUps.Inc()
 	c.noteShardsActive()
-	c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "scale-up", Shard: idx, Epoch: c.table.Epoch()})
+	c.record(Record{Kind: ScaleUp, Shard: idx, Epoch: c.table.Epoch()})
 	if c.running {
 		srv.Start()
 		if first {
@@ -217,7 +199,7 @@ func (c *Cluster) RemoveShard(i int) bool {
 		return false
 	}
 	c.draining[i] = true
-	c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "drain", Shard: i, Tiles: len(c.ownedTiles(i)), Epoch: c.table.Epoch()})
+	c.record(Record{Kind: Drain, Shard: i, N: int32(len(c.ownedTiles(i))), Epoch: c.table.Epoch()})
 	c.drainTick(i)
 	return true
 }
@@ -249,17 +231,8 @@ func (c *Cluster) ownedTiles(i int) []world.TileID {
 			add(c.table.TileOfBlock(sess.Pos()))
 		}
 	}
-	sortTilesByIndex(c.topo, out)
+	slices.SortStableFunc(out, func(a, b world.TileID) int { return c.topo.Index(a) - c.topo.Index(b) })
 	return out
-}
-
-// sortTilesByIndex orders tiles by the topology's space-filling index.
-func sortTilesByIndex(topo world.Topology, tiles []world.TileID) {
-	for i := 1; i < len(tiles); i++ {
-		for j := i; j > 0 && topo.Index(tiles[j]) < topo.Index(tiles[j-1]); j-- {
-			tiles[j], tiles[j-1] = tiles[j-1], tiles[j]
-		}
-	}
 }
 
 // drainTick is one step of shard i's drain: push every still-owned tile
@@ -290,7 +263,7 @@ func (c *Cluster) drainTick(i int) {
 		if dst < 0 {
 			break
 		}
-		c.migrateTile(tile, dst, "drain")
+		c.migrateTile(tile, dst, MoveDrain)
 	}
 	c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 }
@@ -323,10 +296,9 @@ func (c *Cluster) finishDrain(i int) {
 		if c.cfg.OnRetire != nil {
 			c.cfg.OnRetire(i)
 		}
-		c.ScaleDowns.Inc()
 		c.noteShardsActive()
-		c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "scale-down", Shard: i, Epoch: c.table.Epoch()})
-		c.MigrationLog.Append(MigrationRecord{From: i, To: -1, Epoch: c.table.Epoch(), Reason: "retire"})
+		c.record(Record{Kind: ScaleDown, Shard: i, Epoch: c.table.Epoch()})
+		c.record(Record{Kind: Retire, Shard: i, Epoch: c.table.Epoch()})
 	})
 }
 
@@ -363,9 +335,7 @@ func (c *Cluster) drainDest(i int) int {
 // lifecycle transition, so the series is the scale trajectory.
 func (c *Cluster) noteShardsActive() {
 	n := c.table.AliveCount()
-	if n > c.ShardsPeak {
-		c.ShardsPeak = n
-	}
+	c.ShardsPeak = max(c.ShardsPeak, n)
 	if c.ShardsActive.Len() == 0 || c.lastActiveCount != n {
 		c.ShardsActive.Add(c.clock.Now(), time.Duration(n))
 		c.lastActiveCount = n
@@ -394,7 +364,7 @@ func (c *Cluster) autoscalerTick() {
 		}
 		delete(c.recoverWanted, i)
 		if c.RecoverShard(i) {
-			c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "readmit", Shard: i, Epoch: c.table.Epoch()})
+			c.record(Record{Kind: Readmit, Shard: i, Epoch: c.table.Epoch()})
 		}
 	}
 
@@ -425,7 +395,7 @@ func (c *Cluster) autoscalerTick() {
 		if idx >= 0 {
 			c.lastScaleUp = now
 			for _, mv := range PlanBalance(rates, c.planCandidates(), c.topo.Index, maxMoves) {
-				c.migrateTile(mv.Tile, mv.To, "scale-up")
+				c.migrateTile(mv.Tile, mv.To, MoveScaleUp)
 			}
 			return
 		}
@@ -439,9 +409,9 @@ func (c *Cluster) autoscalerTick() {
 		plan := PlanBalance(projected, c.planCandidates(), c.topo.Index, maxMoves)
 		if len(plan) > 0 {
 			for _, mv := range plan {
-				c.migrateTile(mv.Tile, mv.To, "spread")
+				c.migrateTile(mv.Tile, mv.To, MoveSpread)
 			}
-			c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "spread", Shard: plan[0].From, Tiles: len(plan), Epoch: c.table.Epoch()})
+			c.record(Record{Kind: Spread, Shard: plan[0].From, N: int32(len(plan)), Epoch: c.table.Epoch()})
 			return
 		}
 	}
@@ -451,11 +421,7 @@ func (c *Cluster) autoscalerTick() {
 	// rising wave). Highest-index added shard drains first.
 	if alive > c.auto.MinShards && now-c.lastScaleDown >= c.auto.DownCooldown &&
 		now-c.lastScaleUp >= c.auto.DownCooldown {
-		worst := total
-		if totalProj > worst {
-			worst = totalProj
-		}
-		if worst/(float64(alive-1)*cap) < c.auto.LowUtil {
+		if max(total, totalProj)/(float64(alive-1)*cap) < c.auto.LowUtil {
 			if i := c.removeCandidate(); i >= 0 && c.RemoveShard(i) {
 				c.lastScaleDown = now
 			}
@@ -492,18 +458,12 @@ func (c *Cluster) updateTileRates(now time.Duration) (cur, proj []TileRate) {
 			proj = append(proj, TileRate{Tile: tl.Tile, Owner: tl.Owner})
 			continue
 		}
-		rate := 0.0
+		rate, deriv := 0.0, 0.0
 		if dt > 0 {
 			rate = float64(total-st.lastTotal) / dt
-		}
-		deriv := 0.0
-		if dt > 0 {
 			deriv = (rate - st.lastRate) / dt
 		}
-		projected := rate + deriv*ahead
-		if projected < 0 {
-			projected = 0
-		}
+		projected := max(rate+deriv*ahead, 0)
 		st.lastTotal, st.lastRate = total, rate
 		cur = append(cur, TileRate{Tile: tl.Tile, Owner: tl.Owner, Rate: rate})
 		proj = append(proj, TileRate{Tile: tl.Tile, Owner: tl.Owner, Rate: projected})

@@ -151,7 +151,7 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 	if got := c.AliveCount(); got != 3 {
 		t.Fatalf("alive = %d after AddShard, want 3", got)
 	}
-	if !c.migrateTile(band, idx, "manual") {
+	if !c.migrateTile(band, idx, MoveRebalance) {
 		t.Fatal("migrateTile onto the new shard refused")
 	}
 	loop.RunUntil(30 * time.Second)
@@ -185,7 +185,7 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 	if sess.Inventory != 29 {
 		t.Fatalf("inventory lost in the drain: %d", sess.Inventory)
 	}
-	if c.TilesDrained.Value() == 0 {
+	if c.Journal.Count(MoveDrain) == 0 {
 		t.Fatal("drain moved no tiles; test proves nothing")
 	}
 
@@ -199,10 +199,10 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 }
 
 // TestAddRemoveShardDeterministicReplay is the lifecycle leg of the
-// determinism contract: the scale, migration, and handoff logs are
-// identical across runs and across worker-pool sizes.
+// determinism contract: the journal is identical across runs and across
+// worker-pool sizes.
 func TestAddRemoveShardDeterministicReplay(t *testing.T) {
-	run := func(workers int) ([]ScaleRecord, []MigrationRecord, []HandoffRecord) {
+	run := func(workers int) (string, *Cluster) {
 		loop, c := newTestCluster(t, 77, 2, Config{})
 		loop.SetWorkers(workers)
 		for i := 0; i < 6; i++ {
@@ -212,38 +212,22 @@ func TestAddRemoveShardDeterministicReplay(t *testing.T) {
 		c.Start()
 		loop.RunUntil(5 * time.Second)
 		idx := c.AddShard()
-		c.migrateTile(world.TileID{X: 2}, idx, "manual")
+		c.migrateTile(world.TileID{X: 2}, idx, MoveRebalance)
 		loop.RunUntil(30 * time.Second)
 		c.RemoveShard(idx)
 		loop.RunUntil(2 * time.Minute)
 		if c.table.Alive(idx) {
 			t.Fatalf("workers=%d: drain never finished", workers)
 		}
-		return c.ScaleLog.All(), c.MigrationLog.All(), c.Log.All()
+		return journalText(c), c
 	}
-	s1, m1, h1 := run(1)
-	s4, m4, h4 := run(4)
-	if len(s1) == 0 || len(m1) == 0 {
-		t.Fatal("no scale/migration events recorded; test proves nothing")
+	j1, c := run(1)
+	j4, _ := run(4)
+	if c.Journal.Count(ScaleUp, Drain, ScaleDown) == 0 || c.Journal.Count(moveKinds...) == 0 || c.Journal.Count(Handoff) == 0 {
+		t.Fatal("no scale, move or handoff records; test proves nothing")
 	}
-	if len(s1) != len(s4) || len(m1) != len(m4) || len(h1) != len(h4) {
-		t.Fatalf("log lengths differ across pool sizes: scale %d/%d, migrations %d/%d, handoffs %d/%d",
-			len(s1), len(s4), len(m1), len(m4), len(h1), len(h4))
-	}
-	for i := range s1 {
-		if s1[i] != s4[i] {
-			t.Fatalf("scale[%d] differs: %+v vs %+v", i, s1[i], s4[i])
-		}
-	}
-	for i := range m1 {
-		if m1[i] != m4[i] {
-			t.Fatalf("migration[%d] differs: %+v vs %+v", i, m1[i], m4[i])
-		}
-	}
-	for i := range h1 {
-		if h1[i] != h4[i] {
-			t.Fatalf("handoff[%d] differs: %+v vs %+v", i, h1[i], h4[i])
-		}
+	if j1 != j4 {
+		t.Fatalf("journals differ between workers=1 and workers=4:\n%s", firstDiff(j1, j4))
 	}
 }
 
@@ -259,7 +243,7 @@ func TestDrainBrownoutDelaysButNeverLoses(t *testing.T) {
 	loop.RunUntil(10 * time.Second)
 
 	idx := c.AddShard()
-	if !c.migrateTile(band, idx, "manual") {
+	if !c.migrateTile(band, idx, MoveRebalance) {
 		t.Fatal("migrateTile onto the new shard refused")
 	}
 	loop.RunUntil(40 * time.Second)

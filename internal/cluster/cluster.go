@@ -140,15 +140,6 @@ type Player struct {
 // (the source shard while a handoff is in flight).
 func (p *Player) Shard() int { return p.shard }
 
-// HandoffRecord logs one completed handoff, in completion order. The
-// sequence is part of the deterministic replay surface: same seed, same
-// records.
-type HandoffRecord struct {
-	Player   string
-	From, To int
-	Latency  time.Duration
-}
-
 // Cluster is a set of region shards behind one session router.
 type Cluster struct {
 	clock sim.Clock
@@ -214,36 +205,17 @@ type Cluster struct {
 	// lastActiveCount is the most recent ShardsActive sample.
 	lastActiveCount int
 
-	// Handoff metrics.
+	// Journal records every control-plane event in occurrence order and
+	// counts each kind (see journal.go).
+	Journal Journal
+
+	// Handoff metrics. Handoffs is the journal's Handoff count, kept as a
+	// counter of its own because the end-to-end benchmark reads it.
 	Handoffs       metrics.Counter
 	HandoffLatency *metrics.Sample
 	HandoffsIn     []metrics.Counter // per target shard
 	HandoffsOut    []metrics.Counter // per source shard
-	// Log records completed handoffs in completion order, bounded by
-	// DefaultLogRetention.
-	Log RecordRing[HandoffRecord]
 
-	// Control-plane metrics.
-	Rebalances        metrics.Counter // controller rebalance decisions
-	TilesMoved        metrics.Counter // completed ownership migrations
-	Failovers         metrics.Counter // shards failed over
-	PlayersFailedOver metrics.Counter // sessions re-admitted after a shard kill
-	// reloads counts the chunk copies shards dropped and read again from
-	// storage on gaining their tiles (reloadGained).
-	reloads int
-	// MigrationLog records ownership changes in completion order (part of
-	// the deterministic replay surface, like Log), bounded by
-	// DefaultLogRetention.
-	MigrationLog RecordRing[MigrationRecord]
-
-	// Autoscaling metrics (see autoscaler.go).
-	ScaleUps     metrics.Counter // shards added at runtime
-	ScaleDowns   metrics.Counter // shards drained and retired
-	Quarantines  metrics.Counter // crash-loop quarantine entries
-	TilesDrained metrics.Counter // tiles migrated off draining shards
-	// ScaleLog records autoscaling events in occurrence order (part of
-	// the deterministic replay surface), bounded by DefaultLogRetention.
-	ScaleLog RecordRing[ScaleRecord]
 	// ShardsActive samples the alive shard count at every change: the
 	// scale trajectory, reported as a time series.
 	ShardsActive *metrics.TimeSeries
@@ -258,19 +230,16 @@ type Cluster struct {
 	// membership and sort both visibility indexes from scratch, the
 	// pre-incremental behaviour: the reference the in-package tests and
 	// benchmarks compare the membership cache and the index repair
-	// against (ghost registries, ghost log and gap audit are identical
+	// against (ghost registries, journal and gap audit are identical
 	// either way). Nothing outside the package can set it.
 	fullRescan bool
-	// GhostUpdates counts digest entries applied to ghost registries.
+	// GhostUpdates counts digest entries applied to ghost registries
+	// (not a journal kind: a refresh changes no registry membership).
 	GhostUpdates metrics.Counter
 	// VisibilityGaps counts replication scans during which some
 	// cross-shard pair of avatars within view distance was not served by
 	// a ghost (the visibility_gap_ticks metric).
 	VisibilityGaps metrics.Counter
-	// GhostLog records ghost-registry transitions in occurrence order
-	// (part of the deterministic replay surface, like Log), bounded by
-	// DefaultLogRetention.
-	GhostLog RecordRing[GhostRecord]
 	// VisRecomputes counts border-membership recomputations — the dirty
 	// set's size summed over scans, where dirty means a membership input
 	// changed (the chunk underfoot, the margin square's chunk rect, the
@@ -333,10 +302,7 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		HandoffLatency: metrics.NewSample(4096),
 		HandoffsIn:     make([]metrics.Counter, cfg.Shards),
 		HandoffsOut:    make([]metrics.Counter, cfg.Shards),
-		Log:            newRecordRing[HandoffRecord](DefaultLogRetention),
-		MigrationLog:   newRecordRing[MigrationRecord](DefaultLogRetention),
-		GhostLog:       newRecordRing[GhostRecord](DefaultLogRetention),
-		ScaleLog:       newRecordRing[ScaleRecord](DefaultLogRetention),
+		Journal:        Journal{cap: DefaultLogRetention},
 		ShardsActive:   &metrics.TimeSeries{},
 	}
 	if cfg.Autoscale.Enabled {
@@ -473,7 +439,7 @@ func (c *Cluster) ConnectAt(name string, b mve.Behavior, pos world.BlockPos) *Pl
 	// A rejoining identity supersedes any stale ghost of its former life
 	// on the joining shard (the real avatar is authoritative).
 	if c.vis.Enabled && c.shards[shard].RemoveGhost(key) {
-		c.GhostLog.Append(GhostRecord{Player: name, Shard: shard, Event: "promote"})
+		c.record(Record{Kind: GhostPromote, Player: int32(key), Shard: shard})
 	}
 	sess := c.shards[shard].ConnectAt(name, b, float64(pos.X), float64(pos.Z))
 	c.nextID++
@@ -669,7 +635,7 @@ func (c *Cluster) handoff(p *Player, dst int) {
 		c.HandoffLatency.Add(lat)
 		c.HandoffsIn[dst].Inc()
 		c.HandoffsOut[src].Inc()
-		c.Log.Append(HandoffRecord{Player: p.Name, From: src, To: dst, Latency: lat})
+		c.record(Record{Kind: Handoff, Player: int32(p.key), Shard: src, Peer: dst, Latency: lat})
 	}
 
 	if c.transfer == nil {

@@ -96,8 +96,8 @@ func TestHandoffAcrossBoundary(t *testing.T) {
 	if sess.X < 99 || sess.X > 101 {
 		t.Fatalf("avatar did not keep walking after handoff: x=%g", sess.X)
 	}
-	if log := c.Log.All(); len(log) != 1 || log[0].From != 0 || log[0].To != 1 || log[0].Player != "runner" {
-		t.Fatalf("handoff log wrong: %+v", c.Log.All())
+	if log := ofKinds(c, Handoff); len(log) != 1 || log[0].Shard != 0 || log[0].Peer != 1 || c.names[log[0].Player] != "runner" {
+		t.Fatalf("handoff records wrong:\n%s", journalText(c))
 	}
 	if c.HandoffsOut[0].Value() != 1 || c.HandoffsIn[1].Value() != 1 {
 		t.Fatalf("per-shard counters wrong: out0=%d in1=%d", c.HandoffsOut[0].Value(), c.HandoffsIn[1].Value())
@@ -219,9 +219,9 @@ func TestDisconnectDuringHandoffDoesNotCrash(t *testing.T) {
 }
 
 // TestHandoffDeterministicSequence runs the same seeded multi-player
-// cluster twice and requires identical handoff logs.
+// cluster twice and requires identical journals.
 func TestHandoffDeterministicSequence(t *testing.T) {
-	run := func() []HandoffRecord {
+	run := func() (string, int64) {
 		loop, c := newTestCluster(t, 42, 4, Config{})
 		for i := 0; i < 12; i++ {
 			home := c.Home(i % 4)
@@ -232,19 +232,15 @@ func TestHandoffDeterministicSequence(t *testing.T) {
 		}
 		c.Start()
 		loop.RunUntil(2 * time.Minute)
-		return c.Log.All()
+		return journalText(c), c.Journal.Count(Handoff)
 	}
-	a, b := run(), run()
-	if len(a) == 0 {
+	a, handoffs := run()
+	b, _ := run()
+	if handoffs == 0 {
 		t.Fatal("no handoffs recorded; test proves nothing")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("handoff counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("handoff[%d] differs: %+v vs %+v", i, a[i], b[i])
-		}
+	if a != b {
+		t.Fatalf("journals differ:\n%s", firstDiff(a, b))
 	}
 }
 
@@ -274,7 +270,7 @@ func TestOneShardClusterScansOnlyOnceGrown(t *testing.T) {
 	if idx != 1 {
 		t.Fatalf("AddShard = %d, want 1", idx)
 	}
-	if !c.migrateTile(c.table.TileOfBlock(sess.Pos()), idx, "manual") {
+	if !c.migrateTile(c.table.TileOfBlock(sess.Pos()), idx, MoveRebalance) {
 		t.Fatal("migration to the added shard refused")
 	}
 	loop.RunUntil(loop.Now() + 30*time.Second)

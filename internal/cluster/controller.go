@@ -60,20 +60,6 @@ func (r RebalanceConfig) withDefaults() RebalanceConfig {
 	return r
 }
 
-// MigrationRecord logs one ownership change, in completion order. Like
-// the handoff Log, the sequence is part of the deterministic replay
-// surface: same seed, same records.
-type MigrationRecord struct {
-	Tile     world.TileID
-	From, To int
-	Epoch    uint64
-	// Reason is "rebalance", "failover", or "recover".
-	Reason string
-	// Latency is the flush-to-flip wall time (zero for failover, which
-	// flips immediately: the dead shard has nothing left to flush).
-	Latency time.Duration
-}
-
 // controllerTick is one controller check: measure per-shard tick load
 // over the last interval, and migrate one tile from the hottest to the
 // coldest shard once the imbalance has stayed over threshold for
@@ -99,8 +85,8 @@ func (c *Cluster) controllerTick() {
 	}
 	c.hotStreak = 0
 	if tile, ok := c.pickTile(hot, cold); ok {
-		c.Rebalances.Inc()
-		c.migrateTile(tile, cold, "rebalance")
+		c.record(Record{Kind: Rebalance, Tile: tile, Shard: hot, Peer: cold})
+		c.migrateTile(tile, cold, MoveRebalance)
 	}
 }
 
@@ -178,19 +164,13 @@ func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
 			coldPlayers++
 		}
 	}
-	cur := hotPlayers
-	if coldPlayers > cur {
-		cur = coldPlayers
-	}
+	cur := max(hotPlayers, coldPlayers)
 	var best world.TileID
 	bestMax, bestAdj := 0, -1
 	found := false
 	for _, tile := range tiles {
 		n, _ := counts.Get(tile)
-		m := hotPlayers - n
-		if coldPlayers+n > m {
-			m = coldPlayers + n
-		}
+		m := max(hotPlayers-n, coldPlayers+n)
 		if m >= cur {
 			continue // no strict improvement: never a candidate
 		}
@@ -260,8 +240,9 @@ func (c *Cluster) coldAdjacency(tile world.TileID, cold int) int {
 // migrateTile migrates ownership of a tile to dst: flush the source
 // shard's chunk copies with completion reporting, then flip the table
 // (epoch bump, persisted). Resident players follow through the boundary
-// scan. Reports whether a migration was started.
-func (c *Cluster) migrateTile(tile world.TileID, dst int, reason string) bool {
+// scan. move is the journal kind of the migration's reason. Reports
+// whether a migration was started.
+func (c *Cluster) migrateTile(tile world.TileID, dst int, move Kind) bool {
 	// Canonical form: the flush predicate and the in-flight set compare
 	// against TileOf output, which an aliased caller reference would miss.
 	tile = c.table.Canon(tile)
@@ -283,14 +264,9 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, reason string) bool {
 		}
 		c.reloadGained(before, -1)
 		c.persistTable()
-		c.TilesMoved.Inc()
-		if reason == "drain" {
-			c.TilesDrained.Inc()
-		}
-		c.MigrationLog.Append(MigrationRecord{
-			Tile: tile, From: src, To: dst,
-			Epoch: c.table.Epoch(), Reason: reason,
-			Latency: c.clock.Now() - start,
+		c.record(Record{
+			Kind: move, Tile: tile, Shard: src, Peer: dst,
+			Epoch: c.table.Epoch(), Latency: c.clock.Now() - start,
 		})
 	})
 	return true
@@ -322,15 +298,11 @@ func (c *Cluster) FailShard(i int) bool {
 	// the cleanup from here.
 	delete(c.draining, i)
 	if c.tracker != nil && c.tracker.RecordFailure(i, c.clock.Now()) {
-		c.Quarantines.Inc()
-		c.ScaleLog.Append(ScaleRecord{At: c.clock.Now(), Kind: "quarantine", Shard: i, Epoch: c.table.Epoch()})
+		c.record(Record{Kind: Quarantine, Shard: i, Epoch: c.table.Epoch()})
 	}
 	c.persistTable()
-	c.Failovers.Inc()
 	c.noteShardsActive()
-	c.MigrationLog.Append(MigrationRecord{
-		From: i, To: -1, Epoch: c.table.Epoch(), Reason: "failover",
-	})
+	c.record(Record{Kind: Failover, Shard: i, Epoch: c.table.Epoch()})
 	for _, p := range victims {
 		c.readmit(p)
 	}
@@ -349,9 +321,12 @@ func (c *Cluster) reloadGained(before *world.OwnershipTable, fresh int) {
 		if s == fresh || !c.table.Alive(s) {
 			continue
 		}
-		c.reloads += srv.ReloadChunks(func(cp world.ChunkPos) bool {
+		n := srv.ReloadChunks(func(cp world.ChunkPos) bool {
 			return c.table.ShardOf(cp) == s && before.ShardOf(cp) != s
 		})
+		if n > 0 {
+			c.record(Record{Kind: Reload, Shard: s, N: int32(n), Epoch: c.table.Epoch()})
+		}
 	}
 }
 
@@ -370,10 +345,10 @@ func (c *Cluster) readmit(p *Player) {
 		sess := c.shards[dst].AdmitPlayer(snap)
 		// The re-admitted avatar supersedes any ghost of itself here.
 		if c.vis.Enabled && c.shards[dst].RemoveGhost(p.key) {
-			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: dst, Event: "promote"})
+			c.record(Record{Kind: GhostPromote, Player: int32(p.key), Shard: dst})
 		}
+		c.record(Record{Kind: FailedOver, Player: int32(p.key), Shard: p.shard, Peer: dst})
 		p.shard, p.pid, p.pendingShard = dst, sess.ID, dst
-		c.PlayersFailedOver.Inc()
 	}
 	fallback := mve.PlayerSnapshot{
 		Name: p.Name,
@@ -441,9 +416,7 @@ func (c *Cluster) RecoverShard(i int) bool {
 		c.reloadGained(before, i)
 		c.persistTable()
 		c.noteShardsActive()
-		c.MigrationLog.Append(MigrationRecord{
-			From: -1, To: i, Epoch: c.table.Epoch(), Reason: "recover",
-		})
+		c.record(Record{Kind: Recover, Shard: i, Epoch: c.table.Epoch()})
 		if c.running {
 			c.shards[i].Start()
 		}

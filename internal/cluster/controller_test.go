@@ -87,7 +87,7 @@ func TestMigrateBandMovesOwnershipAndPlayers(t *testing.T) {
 	}
 	c.Start()
 	loop.RunUntil(5 * time.Second)
-	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+	if !c.migrateTile(world.TileID{X: 2}, 1, MoveRebalance) {
 		t.Fatal("migrateTile refused")
 	}
 	loop.RunUntil(30 * time.Second)
@@ -103,11 +103,8 @@ func TestMigrateBandMovesOwnershipAndPlayers(t *testing.T) {
 			t.Fatalf("player %s still on shard %d after migration", p.Name, p.Shard())
 		}
 	}
-	if got := c.TilesMoved.Value(); got != 1 {
-		t.Fatalf("tiles moved = %d, want 1", got)
-	}
-	if log := c.MigrationLog.All(); len(log) != 1 || log[0].Tile != (world.TileID{X: 2}) || log[0].To != 1 {
-		t.Fatalf("migration log wrong: %+v", c.MigrationLog.All())
+	if log := ofKinds(c, moveKinds...); len(log) != 1 || log[0].Tile != (world.TileID{X: 2}) || log[0].Peer != 1 {
+		t.Fatalf("move records wrong:\n%s", journalText(c))
 	}
 }
 
@@ -131,7 +128,7 @@ func TestMigrationBrownoutDelaysButNeverLoses(t *testing.T) {
 
 	// Brownout: most writes fail, everything is 20x slower.
 	remote.SetChaos(&blob.Chaos{WriteErrorRate: 0.6, ReadErrorRate: 0.6, LatencyFactor: 20})
-	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+	if !c.migrateTile(world.TileID{X: 2}, 1, MoveRebalance) {
 		t.Fatal("migrateTile refused")
 	}
 	// Mid-brownout the flush is still fighting faults: the ownership flip
@@ -205,7 +202,7 @@ func TestFailoverReadmitsEveryPlayer(t *testing.T) {
 	if got := c.PlayerCount(); got != 12 {
 		t.Fatalf("players after failover = %d, want 12 (zero lost)", got)
 	}
-	if got := c.PlayersFailedOver.Value(); got != 4 {
+	if got := c.Journal.Count(FailedOver); got != 4 {
 		t.Fatalf("players failed over = %d, want 4", got)
 	}
 	for _, p := range victims {
@@ -278,7 +275,7 @@ func TestRebalanceControllerMovesHotBand(t *testing.T) {
 	c.Start()
 	loop.RunUntil(90 * time.Second)
 
-	if got := c.TilesMoved.Value(); got < 1 {
+	if got := c.Journal.Count(moveKinds...); got < 1 {
 		t.Fatalf("controller moved %d tiles, want >= 1", got)
 	}
 	if got := c.table.Owner(world.TileID{X: 2}); got != 1 {
@@ -294,9 +291,9 @@ func TestRebalanceControllerMovesHotBand(t *testing.T) {
 }
 
 // TestRebalanceDeterministicReplay runs the same seeded rebalancing
-// cluster twice and requires identical handoff and migration logs.
+// cluster twice and requires identical journals.
 func TestRebalanceDeterministicReplay(t *testing.T) {
-	run := func() ([]HandoffRecord, []MigrationRecord) {
+	run := func() (string, int64) {
 		loop, c := newTestCluster(t, 42, 2, Config{
 			Rebalance: RebalanceConfig{Enabled: true, Threshold: 1.1, Interval: 2 * time.Second},
 		})
@@ -309,25 +306,15 @@ func TestRebalanceDeterministicReplay(t *testing.T) {
 		c.ConnectAt("c0", nil, c.TileCenter(world.TileID{X: 1}))
 		c.Start()
 		loop.RunUntil(90 * time.Second)
-		return c.Log.All(), c.MigrationLog.All()
+		return journalText(c), c.Journal.Count(moveKinds...)
 	}
-	h1, m1 := run()
-	h2, m2 := run()
-	if len(m1) == 0 {
+	a, moves := run()
+	b, _ := run()
+	if moves == 0 {
 		t.Fatal("no migrations recorded; test proves nothing")
 	}
-	if len(h1) != len(h2) || len(m1) != len(m2) {
-		t.Fatalf("log lengths differ: handoffs %d/%d, migrations %d/%d", len(h1), len(h2), len(m1), len(m2))
-	}
-	for i := range h1 {
-		if h1[i] != h2[i] {
-			t.Fatalf("handoff[%d] differs: %+v vs %+v", i, h1[i], h2[i])
-		}
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("migration[%d] differs: %+v vs %+v", i, m1[i], m2[i])
-		}
+	if a != b {
+		t.Fatalf("journals differ:\n%s", firstDiff(a, b))
 	}
 }
 
@@ -360,7 +347,7 @@ func TestGridRebalanceSplitsZAxisCrowd(t *testing.T) {
 	c.Start()
 	loop.RunUntil(2 * time.Minute)
 
-	if got := c.TilesMoved.Value(); got < 2 {
+	if got := c.Journal.Count(moveKinds...); got < 2 {
 		t.Fatalf("controller moved %d tiles, want >= 2 (one per hot row)", got)
 	}
 	// The crowd tiles themselves must not have moved (shedding them would

@@ -43,8 +43,8 @@ func dumpGhosts(b *strings.Builder, c *Cluster) {
 		b.WriteByte('\n')
 	}
 	b.WriteString("log:")
-	for _, r := range c.GhostLog.All() {
-		fmt.Fprintf(b, " %s@%d:%s", r.Player, r.Shard, r.Event)
+	for _, r := range ofKinds(c, ghostKinds...) {
+		fmt.Fprintf(b, " %s@%d:%s", c.names[r.Player], r.Shard, r.Kind)
 	}
 	b.WriteByte('\n')
 }

@@ -102,6 +102,15 @@ func wantHeld(t *testing.T, c *Cluster, shard int, when string) {
 	}
 }
 
+// wantReload fails t unless the journal holds exactly one reload record:
+// shard re-reading some chunks of the tiles it gained at epoch.
+func wantReload(t *testing.T, c *Cluster, shard int, epoch uint64) {
+	t.Helper()
+	if rs := ofKinds(c, Reload); len(rs) != 1 || rs[0].Shard != shard || rs[0].Epoch != epoch || rs[0].N <= 0 {
+		t.Fatalf("want one reload record by shard %d at epoch %d, journal:\n%s", shard, epoch, journalText(c))
+	}
+}
+
 // TestGainedTileReloadsFromStorage is the lost write of two migrations:
 // band 2 moves from shard 0, where the stone was set, to shard 1, which
 // held a dirt copy for its watcher, and back. Before gaining tiles
@@ -111,7 +120,7 @@ func TestGainedTileReloadsFromStorage(t *testing.T) {
 	loop, remote, c := watched(t)
 	carve(t, c, 0, 1)
 
-	if !c.migrateTile(band2, 1, "manual") {
+	if !c.migrateTile(band2, 1, MoveRebalance) {
 		t.Fatal("migrateTile 2 → 1 refused")
 	}
 	loop.RunUntil(20 * time.Second)
@@ -119,11 +128,9 @@ func TestGainedTileReloadsFromStorage(t *testing.T) {
 		t.Fatal("band 2 did not move to shard 1")
 	}
 	wantHeld(t, c, 1, "after the first flip")
-	if c.reloads == 0 {
-		t.Fatal("shard 1 gained band 2 and reloaded nothing")
-	}
+	wantReload(t, c, 1, c.Epoch())
 
-	if !c.migrateTile(band2, 0, "manual") {
+	if !c.migrateTile(band2, 0, MoveRebalance) {
 		t.Fatal("migrateTile 2 → 0 refused")
 	}
 	loop.RunUntil(30 * time.Second)
@@ -143,7 +150,7 @@ func TestGainedTileReloadsFromStorage(t *testing.T) {
 func TestDrainedTileReloadsFromStorage(t *testing.T) {
 	loop, remote, c := watched(t)
 	idx := c.AddShard()
-	if !c.migrateTile(band2, idx, "manual") {
+	if !c.migrateTile(band2, idx, MoveRebalance) {
 		t.Fatal("migrateTile onto the new shard refused")
 	}
 	loop.RunUntil(40 * time.Second)
@@ -175,11 +182,10 @@ func TestFailedOverTileReloadsFromStorage(t *testing.T) {
 	if !c.FailShard(0) {
 		t.Fatal("FailShard refused")
 	}
+	epoch := c.Epoch()
 	loop.RunUntil(loop.Now() + 10*time.Second)
 	wantHeld(t, c, 1, "after the failover")
-	if c.reloads == 0 {
-		t.Fatal("shard 1 gained shard 0's bands and reloaded nothing")
-	}
+	wantReload(t, c, 1, epoch)
 	flushed(t, loop, c.Shard(1))
 	if got := storedBlock(t, loop, remote, mark); got.ID != world.Stone {
 		t.Fatalf("the store holds %v at mark after the failover, want stone", got)
@@ -256,7 +262,7 @@ func TestGainedTileForgetsCachedCopies(t *testing.T) {
 	if _, ok := heldBlock(c.Shard(1), mark); ok {
 		t.Fatal("shard 1 still holds mark's chunk with its watcher gone")
 	}
-	if !c.migrateTile(band2, 1, "manual") {
+	if !c.migrateTile(band2, 1, MoveRebalance) {
 		t.Fatal("migrateTile 2 → 1 refused")
 	}
 	loop.RunUntil(loop.Now() + 10*time.Second)

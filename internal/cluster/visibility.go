@@ -29,7 +29,7 @@
 // a ghost: neither publication nor the audit hashes a name. The
 // in-package tests cross-check the cache against a scan that recomputes
 // everything (Cluster.fullRescan, which also makes both indexes forget
-// their order): both leave identical ghost registries and ghost logs.
+// their order): both leave identical ghost registries and journals.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
 // session demotes it to a pinned ghost on the source shard (viewers keep
@@ -81,20 +81,6 @@ type VisibilityConfig struct {
 	// tile boundary replicate to the bordering tiles' owners
 	// (0 → the shard servers' view distance).
 	Margin int
-}
-
-// GhostRecord logs one ghost-registry transition, in occurrence order.
-// Like the handoff Log, the sequence is part of the deterministic replay
-// surface: same seed, same records.
-type GhostRecord struct {
-	Player string
-	// Shard is the shard whose registry changed.
-	Shard int
-	// Event is "spawn" (scan created a ghost), "demote" (handoff eviction
-	// left a pinned ghost behind), "promote" (admission replaced the
-	// ghost with the real avatar), "expire" (staleness reaping), or
-	// "drop" (the mirrored session disconnected mid-handoff).
-	Event string
 }
 
 // DigestEntry is one line of the ghost digest's wire form
@@ -461,7 +447,7 @@ func (c *Cluster) VisibilityScanOnce() {
 		}
 		for _, e := range ps.entries {
 			if c.shards[dst].UpsertGhost(e.key, c.names[e.key], e.x, e.z, e.home, c.visSeq) {
-				c.GhostLog.Append(GhostRecord{Player: c.names[e.key], Shard: dst, Event: "spawn"})
+				c.record(Record{Kind: GhostSpawn, Player: int32(e.key), Shard: dst})
 			}
 			c.GhostUpdates.Inc()
 		}
@@ -479,7 +465,7 @@ func (c *Cluster) VisibilityScanOnce() {
 				continue
 			}
 			for _, name := range s.ExpireGhosts(c.visSeq - ghostTTLScans) {
-				c.GhostLog.Append(GhostRecord{Player: name, Shard: i, Event: "expire"})
+				c.record(Record{Kind: GhostExpire, Player: int32(c.nameKeys[name]), Shard: i})
 			}
 		}
 	}
@@ -560,7 +546,7 @@ func (c *Cluster) demoteToGhost(p *Player, src int, x, z float64, home int) {
 	}
 	if c.table.Alive(src) {
 		if c.shards[src].UpsertGhost(p.key, p.Name, x, z, home, c.visSeq) {
-			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: src, Event: "demote"})
+			c.record(Record{Kind: GhostDemote, Player: int32(p.key), Shard: src})
 		}
 	}
 	for i, s := range c.shards {
@@ -581,7 +567,7 @@ func (c *Cluster) promoteFromGhost(p *Player, src, dst int, x, z float64) {
 		return
 	}
 	if c.shards[dst].RemoveGhost(p.key) {
-		c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: dst, Event: "promote"})
+		c.record(Record{Kind: GhostPromote, Player: int32(p.key), Shard: dst})
 	}
 	for i, s := range c.shards {
 		if i == dst || !c.table.Alive(i) || s.Ghost(p.key) == nil {
@@ -601,7 +587,7 @@ func (c *Cluster) dropGhosts(p *Player) {
 	}
 	for i, s := range c.shards {
 		if c.table.Alive(i) && s.RemoveGhost(p.key) {
-			c.GhostLog.Append(GhostRecord{Player: p.Name, Shard: i, Event: "drop"})
+			c.record(Record{Kind: GhostDrop, Player: int32(p.key), Shard: i})
 		}
 	}
 }

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +79,7 @@ func TestViewDistanceMismatchAsserted(t *testing.T) {
 // interval and the ghost log must be identical across replays and across
 // incremental vs. full scans.
 func TestIncrementalScanMatchesFullRescan(t *testing.T) {
-	run := func(full bool) (string, []GhostRecord) {
+	run := func(full bool) (string, string) {
 		loop := sim.NewLoop(43)
 		cfg := Config{
 			Shards:     2,
@@ -107,7 +106,7 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 		c.Start()
 		var dump strings.Builder
 		sampleReplication(&dump, loop, c, time.Second)
-		if !c.migrateTile(world.TileID{X: 2}, 1, "manual") || !c.migrateTile(world.TileID{X: 3}, 0, "manual") {
+		if !c.migrateTile(world.TileID{X: 2}, 1, MoveRebalance) || !c.migrateTile(world.TileID{X: 3}, 0, MoveRebalance) {
 			t.Fatal("migrateTile refused")
 		}
 		sampleReplication(&dump, loop, c, time.Minute)
@@ -120,28 +119,23 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 		if got := c.VisibilityGaps.Value(); got != 0 {
 			t.Fatalf("visibility gap ticks = %d, want 0", got)
 		}
-		return dump.String(), c.GhostLog.All()
+		if c.Journal.Count(ghostKinds...) == 0 {
+			t.Fatal("no ghost records; test proves nothing")
+		}
+		return dump.String(), journalText(c)
 	}
-	incA, glogA := run(false)
-	incB, glogB := run(false)
-	fullD, glogF := run(true)
-	if len(glogA) == 0 {
-		t.Fatal("empty ghost log; test proves nothing")
-	}
+	incA, jA := run(false)
+	incB, jB := run(false)
+	fullD, jF := run(true)
 	if incA != incB {
 		t.Fatalf("incremental ghost registries not replay-stable:\n%s", firstDiff(incA, incB))
 	}
 	if incA != fullD {
 		t.Fatalf("incremental and full-rescan ghost registries diverge:\n%s", firstDiff(incA, fullD))
 	}
-	for name, glog := range map[string][]GhostRecord{"replay": glogB, "full rescan": glogF} {
-		if len(glog) != len(glogA) {
-			t.Fatalf("%s ghost log diverges: %d vs %d records", name, len(glog), len(glogA))
-		}
-		for i := range glog {
-			if glog[i] != glogA[i] {
-				t.Fatalf("%s ghost log[%d] differs: %+v vs %+v", name, i, glog[i], glogA[i])
-			}
+	for name, j := range map[string]string{"replay": jB, "full rescan": jF} {
+		if j != jA {
+			t.Fatalf("%s journal diverges:\n%s", name, firstDiff(jA, j))
 		}
 	}
 }
@@ -156,7 +150,7 @@ func TestIncrementalScanMatchesFullRescan(t *testing.T) {
 // match the full rescan's, and both the new shard and the reused slot
 // must have mirrored avatars.
 func TestIncrementalScanAcrossShardChanges(t *testing.T) {
-	run := func(full bool) (string, []GhostRecord) {
+	run := func(full bool) (string, string) {
 		loop := sim.NewLoop(49)
 		cfg := Config{
 			Shards:     3,
@@ -180,7 +174,7 @@ func TestIncrementalScanAcrossShardChanges(t *testing.T) {
 		if added != 3 {
 			t.Fatalf("AddShard = %d, want 3", added)
 		}
-		if !c.migrateTile(world.TileID{X: 3}, added, "manual") {
+		if !c.migrateTile(world.TileID{X: 3}, added, MoveRebalance) {
 			t.Fatal("migrateTile refused")
 		}
 		sampleReplication(&dump, loop, c, 5*time.Second)
@@ -188,15 +182,14 @@ func TestIncrementalScanAcrossShardChanges(t *testing.T) {
 			t.Fatal("FailShard refused")
 		}
 		sampleReplication(&dump, loop, c, 7*time.Second)
-		recoveredAt := c.GhostLog.total
+		recoveredAt := loop.Now()
 		if !c.RecoverShard(1) {
 			t.Fatal("RecoverShard refused")
 		}
 		sampleReplication(&dump, loop, c, 12*time.Second)
-		glog := c.GhostLog.All()
-		mirrored := func(shard int, from uint64) bool {
-			for i := int(from); i < len(glog); i++ {
-				if glog[i].Shard == shard && glog[i].Event == "spawn" {
+		mirrored := func(shard int, from time.Duration) bool {
+			for _, r := range ofKinds(c, GhostSpawn) {
+				if r.Shard == shard && r.At >= from {
 					return true
 				}
 			}
@@ -209,15 +202,15 @@ func TestIncrementalScanAcrossShardChanges(t *testing.T) {
 			t.Fatal("the recovered slot never mirrored an avatar")
 		}
 		fmt.Fprintf(&dump, "gap ticks %d\n", c.VisibilityGaps.Value())
-		return dump.String(), glog
+		return dump.String(), journalText(c)
 	}
-	inc, glogI := run(false)
-	fullD, glogF := run(true)
+	inc, jI := run(false)
+	fullD, jF := run(true)
 	if inc != fullD {
 		t.Fatalf("incremental and full-rescan ghost registries diverge:\n%s", firstDiff(inc, fullD))
 	}
-	if !slices.Equal(glogI, glogF) {
-		t.Fatalf("incremental and full-rescan ghost logs diverge (%d vs %d records)", len(glogI), len(glogF))
+	if jI != jF {
+		t.Fatalf("incremental and full-rescan journals diverge:\n%s", firstDiff(jI, jF))
 	}
 }
 
@@ -290,7 +283,7 @@ func TestVisRecomputesFollowChunks(t *testing.T) {
 // 26 from shard 0's band, so reachable only through the displaced
 // pairing) is never mirrored to the crosser's shard.
 func TestIncrementalScanOddMargin(t *testing.T) {
-	run := func(full bool) (string, []GhostRecord) {
+	run := func(full bool) (string, string) {
 		loop := sim.NewLoop(47)
 		cfg := Config{
 			Shards:     2,
@@ -309,8 +302,8 @@ func TestIncrementalScanOddMargin(t *testing.T) {
 		var dump strings.Builder
 		sampleReplication(&dump, loop, c, 30*time.Second)
 		mirrored := false
-		for _, g := range c.GhostLog.All() {
-			mirrored = mirrored || (g.Player == "east" && g.Shard == 0)
+		for _, g := range ofKinds(c, ghostKinds...) {
+			mirrored = mirrored || (c.names[g.Player] == "east" && g.Shard == 0)
 		}
 		if !mirrored {
 			t.Fatal("east was never mirrored to the displaced crosser's shard")
@@ -318,18 +311,15 @@ func TestIncrementalScanOddMargin(t *testing.T) {
 		if got := c.VisibilityGaps.Value(); got != 0 {
 			t.Fatalf("visibility gap ticks = %d, want 0", got)
 		}
-		return dump.String(), c.GhostLog.All()
+		return dump.String(), journalText(c)
 	}
-	inc, glogI := run(false)
-	fullD, glogF := run(true)
-	if len(glogI) == 0 {
-		t.Fatal("empty ghost log; test proves nothing")
-	}
+	inc, jI := run(false)
+	fullD, jF := run(true)
 	if inc != fullD {
 		t.Fatalf("incremental and full-rescan ghost registries diverge:\n%s", firstDiff(inc, fullD))
 	}
-	if !slices.Equal(glogI, glogF) {
-		t.Fatalf("incremental and full-rescan ghost logs diverge (%d vs %d records)", len(glogI), len(glogF))
+	if jI != jF {
+		t.Fatalf("incremental and full-rescan journals diverge:\n%s", firstDiff(jI, jF))
 	}
 }
 

@@ -30,7 +30,7 @@ func pacer(x1, z1, x2, z2, speed float64) mve.Behavior {
 
 // sampleReplication runs the loop to until in replication-interval steps
 // and writes, after each step, the bus's replay surface: the digest
-// counters, the ghost log's length, and every alive shard's ghost
+// counters, the journal's ghost-record count, and every alive shard's ghost
 // registry in creation order (id, name, exact position, home, pinned).
 // The registries are the state the published digests stand for, so two
 // runs that sample alike replicated alike.
@@ -38,7 +38,7 @@ func sampleReplication(b *strings.Builder, loop *sim.Loop, c *Cluster, until tim
 	for loop.Now() < until {
 		loop.RunUntil(min(loop.Now()+DefaultVisibilityInterval, until))
 		fmt.Fprintf(b, "t=%v sent=%d skipped=%d glog=%d\n",
-			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.GhostLog.total)
+			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.Journal.Count(ghostKinds...))
 		for i, s := range c.shards {
 			if !c.table.Alive(i) {
 				continue
@@ -101,13 +101,13 @@ func TestVisibilityGhostAcrossBorder(t *testing.T) {
 		t.Fatal("ghost of alice survived her leaving the border")
 	}
 	expired := false
-	for _, r := range c.GhostLog.All() {
-		if r == (GhostRecord{Player: "alice", Shard: 1, Event: "expire"}) {
+	for _, r := range ofKinds(c, GhostExpire) {
+		if r.Shard == 1 && c.names[r.Player] == "alice" {
 			expired = true
 		}
 	}
 	if !expired {
-		t.Fatalf("no expire record for alice in the ghost log: %+v", c.GhostLog.All())
+		t.Fatalf("no expire record for alice in the journal:\n%s", journalText(c))
 	}
 }
 
@@ -176,14 +176,14 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 		t.Fatal("source ghost still pinned after the handoff completed")
 	}
 	var demotes, promotes int
-	for _, r := range c.GhostLog.All() {
-		if r.Player != "mover" {
+	for _, r := range ofKinds(c, GhostDemote, GhostPromote) {
+		if c.names[r.Player] != "mover" {
 			continue
 		}
-		switch r.Event {
-		case "demote":
+		switch r.Kind {
+		case GhostDemote:
 			demotes++
-		case "promote":
+		case GhostPromote:
 			if demotes == 0 {
 				t.Fatal("promote before demote in the ghost log")
 			}
@@ -191,16 +191,16 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 		}
 	}
 	if demotes == 0 {
-		t.Fatalf("no demote records in the ghost log: %+v", c.GhostLog.All())
+		t.Fatalf("no demote records in the journal:\n%s", journalText(c))
 	}
 }
 
 // TestVisibilityDigestDeterministicReplay runs the same seeded pacing
-// cluster twice: the ghost registries at every replication interval, the
-// ghost-transition log, and the handoff log must be identical — the
+// cluster twice: the ghost registries at every replication interval and
+// the journal (ghost transitions and handoffs) must be identical — the
 // replay surface of the interest-management layer.
 func TestVisibilityDigestDeterministicReplay(t *testing.T) {
-	run := func() (string, []GhostRecord, []HandoffRecord) {
+	run := func() (string, string, *Cluster) {
 		loop := sim.NewLoop(33)
 		remote := blob.NewStore(loop, blob.TierPremium)
 		cfg := Config{
@@ -220,26 +220,18 @@ func TestVisibilityDigestDeterministicReplay(t *testing.T) {
 		c.Start()
 		var dump strings.Builder
 		sampleReplication(&dump, loop, c, 2*time.Minute)
-		return dump.String(), c.GhostLog.All(), c.Log.All()
+		return dump.String(), journalText(c), c
 	}
-	d1, g1, h1 := run()
-	d2, g2, h2 := run()
-	if len(g1) == 0 || len(h1) == 0 {
-		t.Fatalf("empty replay surface (ghost log %d, handoffs %d); test proves nothing", len(g1), len(h1))
+	d1, j1, c := run()
+	d2, j2, _ := run()
+	if g, h := c.Journal.Count(ghostKinds...), c.Journal.Count(Handoff); g == 0 || h == 0 {
+		t.Fatalf("empty replay surface (ghost records %d, handoffs %d); test proves nothing", g, h)
 	}
 	if d1 != d2 {
 		t.Fatalf("ghost registries diverge:\n%s", firstDiff(d1, d2))
 	}
-	if len(g1) != len(g2) {
-		t.Fatalf("ghost logs diverge: %d vs %d records", len(g1), len(g2))
-	}
-	for i := range g1 {
-		if g1[i] != g2[i] {
-			t.Fatalf("ghost log[%d] differs: %+v vs %+v", i, g1[i], g2[i])
-		}
-	}
-	if len(h1) != len(h2) {
-		t.Fatalf("handoff logs diverge: %d vs %d", len(h1), len(h2))
+	if j1 != j2 {
+		t.Fatalf("journals diverge:\n%s", firstDiff(j1, j2))
 	}
 }
 
@@ -329,7 +321,7 @@ func TestVisibilityServesDisplacedSessions(t *testing.T) {
 	}
 	c.Start()
 	loop.RunUntil(time.Second)
-	if !c.migrateTile(world.TileID{X: 2}, 1, "manual") {
+	if !c.migrateTile(world.TileID{X: 2}, 1, MoveRebalance) {
 		t.Fatal("migrateTile refused")
 	}
 	loop.RunUntil(1100 * time.Millisecond) // let the flip land

@@ -49,14 +49,14 @@ func (r *Report) RenderCSVRows() string {
 		fmt.Fprintf(&b, "assert,,%s,,%s,%s\n", name, fmtVal(c.Actual), status)
 	}
 	for _, tl := range r.TileLoads {
-		fmt.Fprintf(&b, "tile_load,%d,tile_%d_%d_actions,,%d,\n", tl.Owner, tl.X, tl.Z, tl.Actions)
-		fmt.Fprintf(&b, "tile_load,%d,tile_%d_%d_stores,,%d,\n", tl.Owner, tl.X, tl.Z, tl.Stores)
+		fmt.Fprintf(&b, "tile_load,%d,tile_%d_%d_actions,,%d,\n", tl.Owner, tl.Tile.X, tl.Tile.Z, tl.Actions)
+		fmt.Fprintf(&b, "tile_load,%d,tile_%d_%d_stores,,%d,\n", tl.Owner, tl.Tile.X, tl.Tile.Z, tl.Stores)
 	}
 	for _, p := range r.ScaleSeries {
 		fmt.Fprintf(&b, "scale,,shards_active,%s,%d,\n", fmtVal(msOf(p.At)), p.Count)
 	}
 	for _, ev := range r.ScaleEvents {
-		fmt.Fprintf(&b, "scale_event,%d,%s,%s,%d,\n", ev.Shard, ev.Kind, fmtVal(msOf(ev.At)), ev.Tiles)
+		fmt.Fprintf(&b, "scale_event,%d,%s,%s,%d,\n", ev.Shard, ev.Kind, fmtVal(msOf(ev.At)), ev.N)
 	}
 	for _, s := range r.Series {
 		for _, p := range s.Ticks {

@@ -423,6 +423,9 @@ func (r *Runner) run() *Report {
 		ticks += sh.Server.TickDurations.Len()
 	}
 	r.logf("run complete: %d ticks measured across %d shard(s)", ticks, len(r.sys.Shards))
+	if r.log != nil {
+		r.sys.Cluster.WriteJournal(r.log)
+	}
 	return r.collect()
 }
 
@@ -471,21 +474,15 @@ func (r *Runner) collect() *Report {
 	// than one shard; a one-shard report carries none of them.
 	if needsCluster.has(spec) {
 		cl := r.sys.Cluster
-		for _, tl := range cl.TileLoads() {
-			rep.TileLoads = append(rep.TileLoads, TileLoadRow{
-				X: tl.Tile.X, Z: tl.Tile.Z, Owner: tl.Owner,
-				Actions: tl.Actions, Stores: tl.Stores,
-			})
-		}
+		rep.TileLoads = cl.TileLoads()
 		times, counts := cl.ShardsActive.Points()
 		for j := range times {
 			rep.ScaleSeries = append(rep.ScaleSeries, ScalePoint{At: times[j], Count: int(counts[j])})
 		}
-		for _, ev := range cl.ScaleLog.All() {
-			rep.ScaleEvents = append(rep.ScaleEvents, ScaleEventRow{
-				At: ev.At, Kind: ev.Kind, Shard: ev.Shard,
-				Tiles: ev.Tiles, Epoch: ev.Epoch,
-			})
+		for _, ev := range cl.Journal.Records() {
+			if ev.Kind.Scale() {
+				rep.ScaleEvents = append(rep.ScaleEvents, ev)
+			}
 		}
 	}
 	rep.Metrics = r.collectMetrics()

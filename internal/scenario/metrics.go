@@ -136,17 +136,17 @@ var metricTable = []metricDef{
 	// spiked after a hotspot event and decreased once the controller
 	// rebalanced.
 	{name: "load_imbalance", class: needsCluster, read: loadImbalance, window: (*Runner).windowImbalance},
-	{name: "ownership_epoch", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Epoch()) })},                    // ownership-table version (migrations + failovers)
-	{name: "rebalances", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Rebalances.Value()) })}, // controller rebalance decisions
-	{name: "tiles_moved", class: needsCluster, delta: true, read: tilesMoved},                                                                            // completed tile-ownership migrations
-	{name: "failovers", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Failovers.Value()) })},   // shards failed over
-	{name: "players_failed_over", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.PlayersFailedOver.Value()) })},
+	{name: "ownership_epoch", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Epoch()) })},                              // ownership-table version (migrations + failovers)
+	{name: "rebalances", class: needsCluster, delta: true, read: journalCount(cluster.Rebalance)},                                                                  // controller rebalance decisions
+	{name: "tiles_moved", class: needsCluster, delta: true, read: journalCount(cluster.MoveRebalance, cluster.MoveDrain, cluster.MoveScaleUp, cluster.MoveSpread)}, // completed tile-ownership migrations
+	{name: "failovers", class: needsCluster, delta: true, read: journalCount(cluster.Failover)},                                                                    // shards failed over
+	{name: "players_failed_over", class: needsCluster, delta: true, read: journalCount(cluster.FailedOver)},
 	{name: "shards_active", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.AliveCount()) })},                                  // alive shards at end of run
 	{name: "shards_peak", class: needsCluster, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.ShardsPeak) })},                                      // highest alive shard count seen
-	{name: "scale_ups", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.ScaleUps.Value()) })},                     // shards added at runtime
-	{name: "scale_downs", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.ScaleDowns.Value()) })},                 // shards drained and retired
-	{name: "quarantines", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.Quarantines.Value()) })},                // crash-loop quarantine entries
-	{name: "tiles_drained", class: needsCluster, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.TilesDrained.Value()) })},             // tiles migrated off draining shards
+	{name: "scale_ups", class: needsCluster, delta: true, read: journalCount(cluster.ScaleUp)},                                                                            // shards added at runtime
+	{name: "scale_downs", class: needsCluster, delta: true, read: journalCount(cluster.ScaleDown)},                                                                        // shards drained and retired
+	{name: "quarantines", class: needsCluster, delta: true, read: journalCount(cluster.Quarantine)},                                                                       // crash-loop quarantine entries
+	{name: "tiles_drained", class: needsCluster, delta: true, read: journalCount(cluster.MoveDrain)},                                                                      // tiles migrated off draining shards
 	{name: "ghost_avatars", class: needsVisibility, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.GhostCount()) })},                               // live ghost avatars at end of run
 	{name: "ghost_updates", class: needsVisibility, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.GhostUpdates.Value()) })},          // digest entries applied to ghost registries
 	{name: "visibility_gap_ticks", class: needsVisibility, delta: true, read: ofCluster(func(cl *cluster.Cluster) float64 { return float64(cl.VisibilityGaps.Value()) })}, // replication scans with an unserved visible pair
@@ -309,7 +309,10 @@ func ofCluster(f func(*cluster.Cluster) float64) func(*Runner) float64 {
 	return func(r *Runner) float64 { return f(r.sys.Cluster) }
 }
 
-func tilesMoved(r *Runner) float64 { return float64(r.sys.Cluster.TilesMoved.Value()) }
+// journalCount reads the cluster journal's total of the given kinds.
+func journalCount(kinds ...cluster.Kind) func(*Runner) float64 {
+	return func(r *Runner) float64 { return float64(r.sys.Cluster.Journal.Count(kinds...)) }
+}
 
 func minViewMargin(r *Runner) float64 {
 	margin := -1

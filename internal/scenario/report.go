@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"time"
+
+	"servo/internal/cluster"
 )
 
 // Metric is one named observation in a report.
@@ -48,34 +50,12 @@ type ShardSeries struct {
 	Ticks []TickPoint
 }
 
-// TileLoadRow is one region tile's attributed cost over the whole run
-// (warm-up included, like the tick series): player actions processed
-// and chunk writes issued on the tile's terrain, with the tile's owner
-// at end of run — the per-tile load signal behind the resident-player
-// proxy the controller uses. The CSV emitter renders it; the text
-// report does not.
-type TileLoadRow struct {
-	X, Z, Owner     int
-	Actions, Stores int64
-}
-
 // ScalePoint is one shards_active observation: the alive shard count
 // sampled at every lifecycle transition (scale-up, retirement,
 // failover, recovery) — the cluster's scale trajectory.
 type ScalePoint struct {
 	At    time.Duration
 	Count int
-}
-
-// ScaleEventRow is one autoscaling event from the cluster's scale log,
-// in occurrence order: scale-up, drain, scale-down, spread, quarantine,
-// or readmit. The CSV emitter renders it; the text report does not.
-type ScaleEventRow struct {
-	At    time.Duration
-	Kind  string
-	Shard int
-	Tiles int
-	Epoch uint64
 }
 
 // Report is the outcome of one scenario run. Its rendering is a pure
@@ -89,14 +69,16 @@ type Report struct {
 	Checks  []Check
 	// Series holds every shard's per-tick durations for the CSV emitter.
 	Series []ShardSeries
-	// TileLoads holds the per-tile cost rows of a sharded run for the
-	// CSV emitter, in space-filling-index order.
-	TileLoads []TileLoadRow
+	// TileLoads holds a sharded run's per-tile attributed cost over the
+	// whole run (warm-up included, like the tick series), with each
+	// tile's owner at the end, in space-filling-index order, for the CSV
+	// emitter.
+	TileLoads []cluster.TileLoad
 	// ScaleSeries is the alive-shard-count trajectory of a sharded run,
-	// and ScaleEvents its autoscaling event log, both for the CSV
+	// and ScaleEvents the journal's autoscaling records, both for the CSV
 	// emitter.
 	ScaleSeries []ScalePoint
-	ScaleEvents []ScaleEventRow
+	ScaleEvents []cluster.Record
 }
 
 // fmtVal renders a metric value deterministically: integral values without

@@ -4,11 +4,14 @@
 // This test is the `make workersgate` CI step: it runs the bundled
 // sharded scenarios and one test-only sharded construct scenario at
 // Workers 0, 1 and 4, and two one-shard scenarios at 0 and 4, and fails
-// on any report byte diff (text and CSV renderings both).
+// on any report byte diff (text and CSV renderings both) and on any
+// difference between the cluster journals.
 
 package scenario
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -57,9 +60,28 @@ const shardedConstructs = `{
   ]
 }`
 
+// rendering is one run's replay surface: the report's text + CSV
+// renderings and the cluster journal as run -v writes it.
+type rendering struct{ report, journal string }
+
+// diff describes the first difference between two renderings, or returns
+// "" when they are identical.
+func (a rendering) diff(b rendering) string {
+	if a.report != b.report {
+		return fmt.Sprintf("reports differ:\n--- first ---\n%s--- second ---\n%s", a.report, b.report)
+	}
+	la, lb := strings.Split(a.journal, "\n"), strings.Split(b.journal, "\n")
+	for i := 0; i < len(la) || i < len(lb); i++ {
+		if i >= len(la) || i >= len(lb) || la[i] != lb[i] {
+			return fmt.Sprintf("journals differ at line %d:\n  %q\n  %q", i+1, la[min(i, len(la)-1)], lb[min(i, len(lb)-1)])
+		}
+	}
+	return ""
+}
+
 // renderAtWorkers runs one bundled scenario at the given pool size and
-// returns the concatenated text + CSV renderings.
-func renderAtWorkers(t *testing.T, name string, workers int) string {
+// returns its rendering.
+func renderAtWorkers(t *testing.T, name string, workers int) rendering {
 	t.Helper()
 	src, err := BundledSource(name)
 	if err != nil {
@@ -69,33 +91,35 @@ func renderAtWorkers(t *testing.T, name string, workers int) string {
 }
 
 // renderSourceAtWorkers is renderAtWorkers for a scenario's source.
-func renderSourceAtWorkers(t *testing.T, name string, src []byte, workers int) string {
+func renderSourceAtWorkers(t *testing.T, name string, src []byte, workers int) rendering {
 	t.Helper()
 	spec, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parsing %q: %v", name, err)
 	}
 	spec.Workers = workers
-	rep, _, err := Run(spec, nil)
+	rep, sys, err := Run(spec, nil)
 	if err != nil {
 		t.Fatalf("%s at workers=%d: %v", name, workers, err)
 	}
 	if !rep.Pass {
 		t.Fatalf("%s at workers=%d failed its assertions:\n%s", name, workers, rep.Render())
 	}
-	return rep.Render() + rep.RenderCSVRows()
+	var j strings.Builder
+	sys.Cluster.WriteJournal(&j)
+	return rendering{rep.Render() + rep.RenderCSVRows(), j.String()}
 }
 
-// TestWorkersByteIdentity is the determinism gate: every report byte
-// identical at -workers 0, 1 and 4.
+// TestWorkersByteIdentity is the determinism gate: every report byte and
+// every journal line identical at -workers 0, 1 and 4.
 func TestWorkersByteIdentity(t *testing.T) {
 	gate := func(names []string, sizes ...int) {
 		for _, name := range names {
 			t.Run(name, func(t *testing.T) {
 				base := renderAtWorkers(t, name, sizes[0])
 				for _, n := range sizes[1:] {
-					if got := renderAtWorkers(t, name, n); got != base {
-						t.Fatalf("%s diverges between workers=%d and workers=%d:\n--- workers=%d ---\n%s--- workers=%d ---\n%s", name, sizes[0], n, sizes[0], base, n, got)
+					if d := base.diff(renderAtWorkers(t, name, n)); d != "" {
+						t.Fatalf("%s diverges between workers=%d and workers=%d: %s", name, sizes[0], n, d)
 					}
 				}
 			})
@@ -106,8 +130,8 @@ func TestWorkersByteIdentity(t *testing.T) {
 	t.Run("sharded-constructs", func(t *testing.T) {
 		base := renderSourceAtWorkers(t, "sharded-constructs", []byte(shardedConstructs), 0)
 		for _, n := range []int{1, 4} {
-			if got := renderSourceAtWorkers(t, "sharded-constructs", []byte(shardedConstructs), n); got != base {
-				t.Fatalf("sharded-constructs diverges between workers=0 and workers=%d:\n--- workers=0 ---\n%s--- workers=%d ---\n%s", n, base, n, got)
+			if d := base.diff(renderSourceAtWorkers(t, "sharded-constructs", []byte(shardedConstructs), n)); d != "" {
+				t.Fatalf("sharded-constructs diverges between workers=0 and workers=%d: %s", n, d)
 			}
 		}
 	})
