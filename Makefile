@@ -47,8 +47,10 @@ nomap:
 # (testonly_test.go) type-checks every package of the module, the non-test
 # files of benchmark/ and each package's tests with go/types, and lists the
 # exported identifiers no non-test file uses and the unexported ones no
-# file uses at all; -v also prints the allow table's rows and their
-# reasons. The test is part of tier-1 too; here it runs alone, early.
+# file uses at all, and the struct fields that are read but never set or
+# set but never read (for an exported field only non-test files count);
+# -v also prints the allow table's rows and their reasons. The test is
+# part of tier-1 too; here it runs alone, early.
 testonly:
 	$(GO) test -count=1 -run '^TestNoTestOnlyExports$$' -v .
 

@@ -18,7 +18,6 @@ package blob
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"servo/internal/metrics"
@@ -140,17 +139,12 @@ type Chaos struct {
 	// LatencyFactor multiplies every operation's latency when > 1
 	// (service brownout).
 	LatencyFactor float64
-	// ExtraLatency, if non-nil, is added to every operation's latency.
-	ExtraLatency sim.Dist
 }
 
 // inflate applies the brownout latency model to one operation.
-func (c *Chaos) inflate(lat time.Duration, rng *rand.Rand) time.Duration {
+func (c *Chaos) inflate(lat time.Duration) time.Duration {
 	if c.LatencyFactor > 1 {
 		lat = time.Duration(float64(lat) * c.LatencyFactor)
-	}
-	if c.ExtraLatency != nil {
-		lat += c.ExtraLatency.Sample(rng)
 	}
 	return lat
 }
@@ -171,10 +165,9 @@ type Store struct {
 	durable map[string][]func()
 
 	// Metrics observable by experiments.
-	ReadLatency  metrics.Sample
-	WriteLatency metrics.Sample
-	Reads        metrics.Counter
-	Writes       metrics.Counter
+	ReadLatency metrics.Sample
+	Reads       metrics.Counter
+	Writes      metrics.Counter
 	// FaultsInjected counts chaos-injected operation failures.
 	FaultsInjected metrics.Counter
 	bytesOut       int64
@@ -206,7 +199,7 @@ func (s *Store) Get(key string, cb func(data []byte, err error)) {
 	data, ok := s.objects[key]
 	lat := s.model.Read.Sample(s.clock.RNG()) + s.model.transferTime(len(data))
 	if ch := s.chaos; ch != nil {
-		lat = ch.inflate(lat, s.clock.RNG())
+		lat = ch.inflate(lat)
 		if ch.ReadErrorRate > 0 && s.clock.RNG().Float64() < ch.ReadErrorRate {
 			s.Reads.Inc()
 			s.ReadLatency.Add(lat)
@@ -243,10 +236,9 @@ func (s *Store) Put(key string, data []byte, cb func(err error)) {
 func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 	lat := s.model.Write.Sample(s.clock.RNG()) + s.model.transferTime(len(data))
 	if ch := s.chaos; ch != nil {
-		lat = ch.inflate(lat, s.clock.RNG())
+		lat = ch.inflate(lat)
 		if ch.WriteErrorRate > 0 && s.clock.RNG().Float64() < ch.WriteErrorRate {
 			s.Writes.Inc()
-			s.WriteLatency.Add(lat)
 			s.FaultsInjected.Inc()
 			s.clock.After(lat, func() {
 				if cb != nil {
@@ -257,7 +249,6 @@ func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 		}
 	}
 	s.Writes.Inc()
-	s.WriteLatency.Add(lat)
 	s.clock.After(lat, func() {
 		if gen != 0 && s.putGen[key] != gen {
 			// Superseded by a newer write chain: drop the stale install.

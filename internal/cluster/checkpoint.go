@@ -31,7 +31,6 @@ func (c *Cluster) checkpointTick() {
 		if !ok {
 			continue
 		}
-		c.Checkpoints.Inc()
 		c.transfer.Save(p.Name, mve.EncodeSnapshot(snap), func() {})
 	}
 }

@@ -240,21 +240,21 @@ type Cluster struct {
 	// cross-shard pair of avatars within view distance was not served by
 	// a ghost (the visibility_gap_ticks metric).
 	VisibilityGaps metrics.Counter
-	// VisRecomputes counts border-membership recomputations — the dirty
+	// visRecomputes counts border-membership recomputations — the dirty
 	// set's size summed over scans, where dirty means a membership input
 	// changed (the chunk underfoot, the margin square's chunk rect, the
 	// host shard, or the ownership epoch), not merely that the session
 	// moved. Idle sessions and sessions pacing inside one chunk leave it
 	// still: the incremental scan's observable win.
-	VisRecomputes metrics.Counter
-	// DigestsSent counts per-pair digests actually published, and
-	// DigestsSkipped those suppressed by the rate limiter: a pair whose
+	visRecomputes metrics.Counter
+	// digestsSent counts per-pair digests actually published, and
+	// digestsSkipped those suppressed by the rate limiter: a pair whose
 	// entry list is byte-identical to its last published digest under an
 	// unchanged ownership epoch skips publication, capped at
 	// digestMaxSkips consecutive skips so ghost staleness stamps keep
 	// refreshing well inside the expiry TTL.
-	DigestsSent    metrics.Counter
-	DigestsSkipped metrics.Counter
+	digestsSent    metrics.Counter
+	digestsSkipped metrics.Counter
 
 	// Reused visibility-scan scratch (see visibility.go). The pairing and
 	// the audit index their sessions at different cell sizes, so each
@@ -266,9 +266,6 @@ type Cluster struct {
 	visHolders   []uint64
 	visPairs     []visPairState // dense, see pairTable
 	visBorders   []world.BorderNeighbor
-
-	// Checkpoints counts periodic player-checkpoint writes (checkpoint.go).
-	Checkpoints metrics.Counter
 }
 
 // New builds a cluster of cfg.Shards servers via build. Shard servers are
@@ -607,7 +604,7 @@ func (c *Cluster) handoff(p *Player, dst int) {
 	// Visually seamless handoff: the evicted session leaves a pinned
 	// ghost behind, so viewers on the source shard keep seeing the
 	// avatar while its state crosses the storage substrate.
-	c.demoteToGhost(p, src, snap.X, snap.Z, dst)
+	c.demoteToGhost(p, src, snap.X, snap.Z)
 
 	finish := func(restored mve.PlayerSnapshot) {
 		p.inflight = false

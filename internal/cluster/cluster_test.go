@@ -182,6 +182,43 @@ func TestHandoffThroughStoreSurvivesBrownout(t *testing.T) {
 	}
 }
 
+// TestHandleOfResolvesStaleSessions pins the two-shard HandleOf contract
+// that servo.Instance.Disconnect relies on: a session pointer that a
+// handoff made stale resolves by its unique name, a stale pointer whose
+// name several live sessions bear resolves to nothing (so no other
+// player's session is disconnected in its place), and a pointer whose
+// handle is gone resolves to nothing.
+func TestHandleOfResolvesStaleSessions(t *testing.T) {
+	loop, c := newTestCluster(t, 6, 2, Config{})
+	gone := c.Session(c.Connect("dup", nil))
+	if h := c.HandleOf(gone); h == nil || !c.Disconnect(h.ID) {
+		t.Fatal("first disconnect failed")
+	}
+	if c.HandleOf(gone) != nil {
+		t.Fatal("a disconnected session still resolves")
+	}
+	c.Connect("dup", nil)
+	c.Connect("dup", nil)
+	if h := c.HandleOf(gone); h != nil {
+		t.Fatalf("a stale pointer resolved to handle %d with its name ambiguous", h.ID)
+	}
+	// Band 0 (x in [0,64)) → shard 0; the walk hands solo off to shard 1,
+	// which installs a fresh session object.
+	solo := c.ConnectAt("solo", walker(100, 8, 8), world.BlockPos{X: 32, Y: 0, Z: 8})
+	stale := c.Session(solo)
+	c.Start()
+	loop.RunUntil(30 * time.Second)
+	if solo.Shard() != 1 || c.Session(solo) == stale {
+		t.Fatalf("setup: solo on shard %d, session replaced %v; want shard 1 and a fresh session", solo.Shard(), c.Session(solo) != stale)
+	}
+	if h := c.HandleOf(stale); h != solo || !c.Disconnect(h.ID) {
+		t.Fatal("a stale pointer with a unique name did not resolve to its handle")
+	}
+	if n := c.PlayerCount(); n != 2 {
+		t.Fatalf("player count = %d after disconnecting solo, want the two dups", n)
+	}
+}
+
 func TestDisconnectDuringHandoffDoesNotCrash(t *testing.T) {
 	loop := sim.NewLoop(5)
 	remote := blob.NewStore(loop, blob.TierStandard)

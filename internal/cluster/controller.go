@@ -278,7 +278,11 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, move Kind) bool {
 // snapshots — falling back to the last scan-observed position for players
 // that were never persisted, so a failover loses no player. Owned-
 // construct state on the dead shard died with it; the ownership refs are
-// dropped. Refuses to kill the last alive shard.
+// dropped. Terrain is not as durable: the gaining shards reload the dead
+// shard's tiles from storage, so its chunk edits that its terrain cache
+// had not yet written back — up to one tcache FlushInterval (30 s by
+// default) of them — are lost, and nothing counts them. Refuses to kill
+// the last alive shard.
 func (c *Cluster) FailShard(i int) bool {
 	if i < 0 || i >= len(c.shards) || !c.table.Alive(i) || c.table.AliveCount() <= 1 {
 		return false

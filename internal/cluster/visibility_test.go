@@ -31,21 +31,21 @@ func pacer(x1, z1, x2, z2, speed float64) mve.Behavior {
 // sampleReplication runs the loop to until in replication-interval steps
 // and writes, after each step, the bus's replay surface: the digest
 // counters, the journal's ghost-record count, and every alive shard's ghost
-// registry in creation order (id, name, exact position, home, pinned).
+// registry in creation order (id, name, exact position, pinned).
 // The registries are the state the published digests stand for, so two
 // runs that sample alike replicated alike.
 func sampleReplication(b *strings.Builder, loop *sim.Loop, c *Cluster, until time.Duration) {
 	for loop.Now() < until {
 		loop.RunUntil(min(loop.Now()+DefaultVisibilityInterval, until))
 		fmt.Fprintf(b, "t=%v sent=%d skipped=%d glog=%d\n",
-			loop.Now(), c.DigestsSent.Value(), c.DigestsSkipped.Value(), c.Journal.Count(ghostKinds...))
+			loop.Now(), c.digestsSent.Value(), c.digestsSkipped.Value(), c.Journal.Count(ghostKinds...))
 		for i, s := range c.shards {
 			if !c.table.Alive(i) {
 				continue
 			}
 			fmt.Fprintf(b, "  shard %d:", i)
 			s.EachGhost(func(g *mve.GhostAvatar) {
-				fmt.Fprintf(b, " %d:%s(%v,%v)>%d pinned=%t", g.ID, g.Name, g.X, g.Z, g.Home, g.Pinned)
+				fmt.Fprintf(b, " %d:%s(%v,%v) pinned=%t", g.ID, g.Name, g.X, g.Z, g.Pinned)
 			})
 			b.WriteByte('\n')
 		}
@@ -71,8 +71,8 @@ func TestVisibilityGhostAcrossBorder(t *testing.T) {
 	if ga == nil {
 		t.Fatal("no ghost of alice on shard 1")
 	}
-	if ga.X != 60 || ga.Home != 0 {
-		t.Fatalf("ghost of alice = %+v, want x=60 home=0", ga)
+	if ga.X != 60 {
+		t.Fatalf("ghost of alice = %+v, want x=60", ga)
 	}
 	if ghostNamed(c.Shard(0), "bob") == nil {
 		t.Fatal("no ghost of bob on shard 0")

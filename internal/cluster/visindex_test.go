@@ -247,10 +247,10 @@ func TestGapAuditSeesMissingGhost(t *testing.T) {
 	if got := c.VisibilityGaps.Value(); got != 0 {
 		t.Fatalf("visibility gap ticks = %d after a healthy scan, want 0", got)
 	}
-	skipped := c.DigestsSkipped.Value()
+	skipped := c.digestsSkipped.Value()
 	c.Shard(1).RemoveGhost(c.intern("alice"))
 	c.VisibilityScanOnce()
-	if c.DigestsSkipped.Value() == skipped {
+	if c.digestsSkipped.Value() == skipped {
 		t.Fatal("the scan republished its digests; the removed ghost was restored before the audit")
 	}
 	if got := c.VisibilityGaps.Value(); got != 1 {

@@ -518,13 +518,7 @@ func (a *scAdapter) Modify(id uint64, mutate func(*sc.Construct)) bool {
 func (a *scAdapter) Count() int { return a.mgr.Len() }
 
 func (a *scAdapter) Tick(tick uint64) mve.SCTickWork {
-	w := a.mgr.Tick()
-	return mve.SCTickWork{
-		WorkUnits:    w.WorkUnits,
-		LocalSteps:   w.LocalSteps,
-		AppliedSteps: w.AppliedSteps + w.ReplaySteps,
-		Simulated:    a.mgr.Len() > 0,
-	}
+	return mve.SCTickWork{WorkUnits: a.mgr.Tick(), Simulated: a.mgr.Len() > 0}
 }
 
 // NewBlobChunkStore returns an uncached chunk-and-player store backed

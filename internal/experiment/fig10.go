@@ -30,8 +30,7 @@ type Fig10Series struct {
 
 // Fig10Report holds both games' series.
 type Fig10Report struct {
-	Series   map[Game]*Fig10Series
-	Duration time.Duration
+	Series map[Game]*Fig10Series
 }
 
 // fig10RampEvery scales the Sinc speed-up period with the experiment
@@ -50,7 +49,7 @@ func Fig10(opt Options) *Fig10Report {
 	if window < 10*time.Minute {
 		window = 10 * time.Minute
 	}
-	r := &Fig10Report{Series: make(map[Game]*Fig10Series), Duration: window}
+	r := &Fig10Report{Series: make(map[Game]*Fig10Series)}
 	for _, g := range []Game{Servo, Opencraft} {
 		r.Series[g] = fig10Run(g, window, opt)
 		opt.logf("fig10: %s done", g)

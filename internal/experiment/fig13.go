@@ -169,8 +169,7 @@ func (r *Fig13Report) Print(w io.Writer) {
 	for _, f := range ICDFFractions {
 		row := []string{fmt.Sprintf("%g", f)}
 		for _, cfg := range StorageConfigs {
-			pts := r.Latency[cfg].ICDF([]float64{f})
-			row = append(row, msCell(pts[0].Latency))
+			row = append(row, msCell(r.Latency[cfg].ICDF(f)))
 		}
 		t.AddRow(row...)
 	}

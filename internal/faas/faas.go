@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"servo/internal/metrics"
@@ -186,8 +185,6 @@ type Chaos struct {
 	// LatencyFactor multiplies every invocation's end-to-end latency when
 	// > 1 (platform slowdown / throttling).
 	LatencyFactor float64
-	// ExtraLatency, if non-nil, is added to every invocation's latency.
-	ExtraLatency sim.Dist
 	// ForceCold makes every invocation pay a cold start regardless of the
 	// warm pool (correlated cold-start storms).
 	ForceCold bool
@@ -195,12 +192,9 @@ type Chaos struct {
 
 // inflate applies the slowdown model to one invocation's latency,
 // mirroring blob.Chaos.inflate so the two chaos layers share semantics.
-func (c *Chaos) inflate(lat time.Duration, rng *rand.Rand) time.Duration {
+func (c *Chaos) inflate(lat time.Duration) time.Duration {
 	if c.LatencyFactor > 1 {
 		lat = time.Duration(float64(lat) * c.LatencyFactor)
-	}
-	if c.ExtraLatency != nil {
-		lat += c.ExtraLatency.Sample(rng)
 	}
 	return lat
 }
@@ -266,7 +260,6 @@ func (p *Platform) Register(name string, cfg Config, h Handler) *Function {
 type Invocation struct {
 	Response []byte
 	Latency  time.Duration
-	Cold     bool
 	Err      error
 }
 
@@ -314,7 +307,7 @@ func (p *Platform) Invoke(name string, payload []byte, cb func(Invocation)) {
 	// draws no randomness, so disabled chaos is invisible to replay.
 	failed := false
 	if ch := chaos; ch != nil {
-		latency = ch.inflate(latency, rng)
+		latency = ch.inflate(latency)
 		if ch.FailureRate > 0 && rng.Float64() < ch.FailureRate {
 			failed = true
 			f.FaultsInjected.Inc()
@@ -332,10 +325,10 @@ func (p *Platform) Invoke(name string, payload []byte, cb func(Invocation)) {
 
 	p.clock.After(latency, func() {
 		if failed {
-			cb(Invocation{Latency: latency, Cold: cold, Err: ErrInjectedFault})
+			cb(Invocation{Latency: latency, Err: ErrInjectedFault})
 			return
 		}
-		cb(Invocation{Response: resp, Latency: latency, Cold: cold})
+		cb(Invocation{Response: resp, Latency: latency})
 	})
 }
 

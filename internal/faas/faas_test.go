@@ -24,7 +24,7 @@ func echo(payload []byte) ([]byte, int) { return payload, 1000 } // 1 ms at 1 vC
 func TestInvokeDeliversResponse(t *testing.T) {
 	loop := sim.NewLoop(1)
 	p := NewPlatform(loop)
-	p.Register("echo", testConfig(), echo)
+	fn := p.Register("echo", testConfig(), echo)
 	var got Invocation
 	p.Invoke("echo", []byte("hello"), func(inv Invocation) { got = inv })
 	loop.Run()
@@ -34,7 +34,7 @@ func TestInvokeDeliversResponse(t *testing.T) {
 	if string(got.Response) != "hello" {
 		t.Fatalf("response = %q", got.Response)
 	}
-	if !got.Cold {
+	if fn.ColdStarts.Value() != 1 {
 		t.Fatal("first invocation must be a cold start")
 	}
 	// Cold: 10ms RTT + 200ms cold + 1ms exec = 211ms.
@@ -46,7 +46,7 @@ func TestInvokeDeliversResponse(t *testing.T) {
 func TestWarmInvocationSkipsColdStart(t *testing.T) {
 	loop := sim.NewLoop(1)
 	p := NewPlatform(loop)
-	p.Register("echo", testConfig(), echo)
+	fn := p.Register("echo", testConfig(), echo)
 	var second Invocation
 	p.Invoke("echo", nil, func(Invocation) {
 		// Invoke again once the instance is warm and idle.
@@ -55,7 +55,7 @@ func TestWarmInvocationSkipsColdStart(t *testing.T) {
 		})
 	})
 	loop.Run()
-	if second.Cold {
+	if fn.ColdStarts.Value() != 1 {
 		t.Fatal("second invocation should reuse the warm instance")
 	}
 	if second.Latency != 11*time.Millisecond {
@@ -74,11 +74,12 @@ func TestKeepAliveExpiryCausesColdStart(t *testing.T) {
 		})
 	})
 	loop.Run()
-	if !second.Cold {
-		t.Fatal("invocation after keep-alive expiry must be cold")
-	}
 	if got := p.fns["echo"].ColdStarts.Value(); got != 2 {
-		t.Fatalf("cold starts = %d, want 2", got)
+		t.Fatalf("cold starts = %d, want 2: the invocation after keep-alive expiry must be cold", got)
+	}
+	// Cold: 10ms RTT + 200ms cold + 1ms exec = 211ms.
+	if second.Latency != 211*time.Millisecond {
+		t.Fatalf("latency after keep-alive expiry = %v, want the cold 211ms", second.Latency)
 	}
 }
 
@@ -86,16 +87,11 @@ func TestConcurrentInvocationsEachGetAnInstance(t *testing.T) {
 	loop := sim.NewLoop(1)
 	p := NewPlatform(loop)
 	p.Register("echo", testConfig(), echo)
-	colds := 0
 	for i := 0; i < 10; i++ {
-		p.Invoke("echo", nil, func(inv Invocation) {
-			if inv.Cold {
-				colds++
-			}
-		})
+		p.Invoke("echo", nil, func(Invocation) {})
 	}
 	loop.Run()
-	if colds != 10 {
+	if colds := p.fns["echo"].ColdStarts.Value(); colds != 10 {
 		t.Fatalf("%d cold starts for 10 concurrent invocations, want 10 (no instance sharing mid-flight)", colds)
 	}
 	if got := p.fns["echo"].WarmInstances(loop.Now()); got != 10 {

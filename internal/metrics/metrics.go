@@ -155,24 +155,11 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
-// ICDFPoint is one point of an inverse cumulative distribution function:
-// Frac of the observations are strictly greater than Latency.
-type ICDFPoint struct {
-	Latency time.Duration
-	Frac    float64
-}
-
-// ICDF returns the inverse CDF evaluated at the given fractions (e.g.
-// 1, 0.1, 0.01, 1e-3, 1e-4 for the log-scale axis of Fig. 13). For each
-// fraction f it reports the smallest latency such that at most f of the
-// observations exceed it.
-func (s *Sample) ICDF(fracs []float64) []ICDFPoint {
-	out := make([]ICDFPoint, 0, len(fracs))
-	for _, f := range fracs {
-		p := (1 - f) * 100
-		out = append(out, ICDFPoint{Latency: s.Percentile(p), Frac: f})
-	}
-	return out
+// ICDF returns the inverse CDF evaluated at the fraction frac (1, 0.1,
+// 0.01, 1e-3, 1e-4 are the log-scale axis of Fig. 13): the smallest
+// latency such that at most frac of the observations exceed it.
+func (s *Sample) ICDF(frac float64) time.Duration {
+	return s.Percentile((1 - frac) * 100)
 }
 
 // TimeSeries records (time, duration) observations and supports
@@ -214,9 +201,8 @@ func (ts *TimeSeries) ValuesBetween(from, to time.Duration) []time.Duration {
 
 // WindowPoint summarises one rolling window.
 type WindowPoint struct {
-	T                  time.Duration // window end time
-	Mean, P5, P95, P50 time.Duration
-	N                  int
+	T         time.Duration // window end time
+	Mean, P95 time.Duration
 }
 
 // Windows partitions the series into consecutive windows of the given width
@@ -233,10 +219,7 @@ func (ts *TimeSeries) Windows(width time.Duration) []WindowPoint {
 			out = append(out, WindowPoint{
 				T:    windowEnd,
 				Mean: cur.Mean(),
-				P5:   cur.Percentile(5),
-				P50:  cur.Percentile(50),
 				P95:  cur.Percentile(95),
-				N:    cur.Len(),
 			})
 		}
 		cur = Sample{}

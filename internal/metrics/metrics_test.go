@@ -129,17 +129,17 @@ func TestICDF(t *testing.T) {
 	for i := 1; i <= 10000; i++ {
 		s.Add(time.Duration(i) * time.Microsecond)
 	}
-	pts := s.ICDF([]float64{1, 0.1, 0.01, 0.001})
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
+	var pts []time.Duration
+	for _, f := range []float64{1, 0.1, 0.01, 0.001} {
+		pts = append(pts, s.ICDF(f))
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Latency < pts[i-1].Latency {
+		if pts[i] < pts[i-1] {
 			t.Fatalf("ICDF latencies must be non-decreasing: %v", pts)
 		}
 	}
 	// At fraction 0.001 the latency should be near the 99.9th percentile.
-	if got, want := pts[3].Latency, s.Percentile(99.9); got != want {
+	if got, want := pts[3], s.Percentile(99.9); got != want {
 		t.Fatalf("ICDF(0.001) = %v, want %v", got, want)
 	}
 }
@@ -155,11 +155,12 @@ func TestTimeSeriesWindows(t *testing.T) {
 		t.Fatalf("got %d windows, want 4", len(ws))
 	}
 	for i, w := range ws {
-		if w.N != 25 {
-			t.Fatalf("window %d has %d samples, want 25", i, w.N)
+		// Window i holds 1+25i .. 25+25i ms: mean 13+25i, p95 25+25i.
+		if want := time.Duration(13+25*i) * time.Millisecond; w.Mean != want {
+			t.Fatalf("window %d mean = %v, want %v", i, w.Mean, want)
 		}
-		if w.P5 > w.P50 || w.P50 > w.P95 {
-			t.Fatalf("window %d percentiles out of order: %+v", i, w)
+		if w.P95 < w.Mean || w.P95 > time.Duration(25+25*i)*time.Millisecond {
+			t.Fatalf("window %d p95 = %v outside [mean, max]: %+v", i, w.P95, w)
 		}
 	}
 	if ws[0].Mean >= ws[3].Mean {

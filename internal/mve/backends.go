@@ -29,10 +29,8 @@ type SCBackend interface {
 
 // SCTickWork reports one tick of SC simulation.
 type SCTickWork struct {
-	WorkUnits    int // units executed on the game loop
-	LocalSteps   int
-	AppliedSteps int // speculative states applied (Servo only)
-	Simulated    bool
+	WorkUnits int // units executed on the game loop
+	Simulated bool
 }
 
 // LocalSC is the baselines' construct backend: every construct is stepped
@@ -79,7 +77,6 @@ func (l *LocalSC) Tick(tick uint64) SCTickWork {
 	}
 	for _, c := range l.constructs {
 		w.WorkUnits += c.Step()
-		w.LocalSteps++
 	}
 	w.Simulated = len(l.constructs) > 0
 	return w

@@ -38,9 +38,6 @@ type GhostAvatar struct {
 	Name string
 	// X, Z is the replicated avatar position.
 	X, Z float64
-	// Home is the shard hosting the real session (the handoff
-	// destination while the session is in flight).
-	Home int
 	// Pinned marks a ghost that must survive staleness reaping: the
 	// demoted double of a session whose handoff is crossing the storage
 	// substrate and cannot refresh itself.
@@ -59,16 +56,16 @@ func (g *GhostAvatar) Pos() world.BlockPos {
 // UpsertGhost installs or refreshes the ghost under key, reporting
 // whether it was newly created; name is what a new ghost mirrors. seq
 // stamps the refresh for staleness reaping (ExpireGhosts).
-func (s *Server) UpsertGhost(key int, name string, x, z float64, home int, seq uint64) bool {
+func (s *Server) UpsertGhost(key int, name string, x, z float64, seq uint64) bool {
 	if g := s.Ghost(key); g != nil {
-		g.X, g.Z, g.Home, g.seq = x, z, home, seq
+		g.X, g.Z, g.seq = x, z, seq
 		return false
 	}
 	if key >= len(s.ghosts) {
 		s.ghosts = append(s.ghosts, make([]*GhostAvatar, key+1-len(s.ghosts))...)
 	}
 	s.nextGhost++
-	g := &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, Home: home, seq: seq, key: key}
+	g := &GhostAvatar{ID: s.nextGhost, Name: name, X: x, Z: z, seq: seq, key: key}
 	s.ghosts[key] = g
 	s.ghostOrder = append(s.ghostOrder, g)
 	return true

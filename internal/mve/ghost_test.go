@@ -24,11 +24,11 @@ func TestGhostRegistryOrder(t *testing.T) {
 	s := NewServer(sim.NewLoop(1), Config{WorldType: "flat"})
 	const a, b, c, d, e, f = 0, 1, 2, 3, 4, 5
 	for i, name := range []string{"a", "b", "c", "d", "e"} {
-		if !s.UpsertGhost(i, name, float64(i), 0, 1, 1) {
+		if !s.UpsertGhost(i, name, float64(i), 0, 1) {
 			t.Fatalf("UpsertGhost(%q) did not create", name)
 		}
 	}
-	if s.UpsertGhost(c, "c", 9, 9, 2, 3) {
+	if s.UpsertGhost(c, "c", 9, 9, 3) {
 		t.Fatal("refreshing c created a second ghost")
 	}
 	if !s.RemoveGhost(b) || s.RemoveGhost(b) {
@@ -38,7 +38,7 @@ func TestGhostRegistryOrder(t *testing.T) {
 		t.Fatalf("order after removing b = %v, want %v", got, want)
 	}
 	s.PinGhost(a, true)
-	s.UpsertGhost(f, "f", 0, 0, 1, 3)
+	s.UpsertGhost(f, "f", 0, 0, 3)
 	if got, want := s.ExpireGhosts(2), []string{"d", "e"}; !slices.Equal(got, want) {
 		t.Fatalf("ExpireGhosts(2) = %v, want %v (stale, unpinned, in registry order)", got, want)
 	}
@@ -64,13 +64,13 @@ type refRegistry struct {
 	next   int64
 }
 
-func (r *refRegistry) upsert(name string, x, z float64, home int, seq uint64) bool {
+func (r *refRegistry) upsert(name string, x, z float64, seq uint64) bool {
 	if g, ok := r.ghosts[name]; ok {
-		g.X, g.Z, g.Home, g.seq = x, z, home, seq
+		g.X, g.Z, g.seq = x, z, seq
 		return false
 	}
 	r.next++
-	g := &GhostAvatar{ID: r.next, Name: name, X: x, Z: z, Home: home, seq: seq}
+	g := &GhostAvatar{ID: r.next, Name: name, X: x, Z: z, seq: seq}
 	r.ghosts[name] = g
 	r.order = append(r.order, g)
 	return true
@@ -113,17 +113,17 @@ func ghostLine(g *GhostAvatar) string {
 	if g == nil {
 		return "none"
 	}
-	return fmt.Sprintf("%d:%s(%v,%v)>%d pinned=%t", g.ID, g.Name, g.X, g.Z, g.Home, g.Pinned)
+	return fmt.Sprintf("%d:%s(%v,%v) pinned=%t", g.ID, g.Name, g.X, g.Z, g.Pinned)
 }
 
 // ghostRegistryOps is the model check behind FuzzGhostRegistry. Every
 // 4-byte group of data is one op on key k = data[1] (name "p<k>"):
-// upsert at (int8 data[2], int8 data[3]) with home data[2]%4 (kind 0),
+// upsert at (int8 data[2], int8 data[3]) (kind 0),
 // pin or unpin by data[2]&1 (kind 1), remove (kind 2), expire everything
 // refreshed more than data[2]%4 scans ago (kind 3), or start the next
 // scan (kind 4). The keyed registry and the by-name reference must agree
 // on every return value, on the ghost under k, on GhostCount, and on the
-// EachGhost order with every ghost's id, name, position, home and pin.
+// EachGhost order with every ghost's id, name, position and pin.
 func ghostRegistryOps(t *testing.T, data []byte) {
 	s := NewServer(sim.NewLoop(1), Config{WorldType: "flat"})
 	ref := &refRegistry{ghosts: map[string]*GhostAvatar{}}
@@ -135,8 +135,7 @@ func ghostRegistryOps(t *testing.T, data []byte) {
 		x, z := float64(int8(data[2])), float64(int8(data[3]))
 		switch kind {
 		case 0:
-			home := int(data[2] % 4)
-			if got, want := s.UpsertGhost(key, name, x, z, home, seq), ref.upsert(name, x, z, home, seq); got != want {
+			if got, want := s.UpsertGhost(key, name, x, z, seq), ref.upsert(name, x, z, seq); got != want {
 				t.Fatalf("op %d: UpsertGhost(%d) created=%v, reference %v", op, key, got, want)
 			}
 		case 1:

@@ -198,7 +198,6 @@ type Server struct {
 	cost  CostParams
 
 	world   *world.World
-	gen     terrain.Generator
 	scs     SCBackend
 	terrain TerrainBackend
 	store   ChunkStore
@@ -319,13 +318,11 @@ type Server struct {
 	ChatsDelivered metrics.Counter
 	// TerrainRecomputes counts full per-player demand-rect walks — the
 	// incremental scan's cache-miss counter (the engine-tick sibling of
-	// the visibility bus's VisRecomputes).
+	// the cluster's border-membership recomputations).
 	TerrainRecomputes metrics.Counter
 	// ConstructsResumed counts halted constructs whose simulation resumed
 	// because their chunk was reloaded (§II-A).
 	ConstructsResumed metrics.Counter
-	// MovesRefused counts moves processAction refused (see inReach).
-	MovesRefused metrics.Counter
 }
 
 // NewServer builds a server on clock. Zero-value config fields take the
@@ -344,7 +341,6 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		cfg:           cfg,
 		cost:          cost,
 		world:         world.New(),
-		gen:           gen,
 		scs:           cfg.SC,
 		terrain:       cfg.Terrain,
 		store:         cfg.Store,

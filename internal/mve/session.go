@@ -178,7 +178,6 @@ func (s *Server) processAction(p *Player, a Action) time.Duration {
 	switch a.Kind {
 	case ActionMove:
 		if !inReach(a.DestX, a.DestZ, a.Speed) {
-			s.MovesRefused.Inc()
 			break
 		}
 		p.destX, p.destZ = a.DestX, a.DestZ

@@ -98,8 +98,8 @@ func TestEndToEndMovement(t *testing.T) {
 
 // TestMoveOutsideWireRangeIsRefused: a client's MsgMove past the int32
 // block range the wire formats name positions in (x = 2^40, and +Inf) is
-// refused and counted by a store-backed server, and the avatar stays
-// where it was. Carried out, the first would put the avatar at chunk
+// refused by a store-backed server: the avatar stays where it was and
+// no far chunk loads. Carried out, the first would put the avatar at chunk
 // 2^36, whose encoding stores an int32 position, so its generated
 // terrain would come back under a position near the origin; the second
 // would put it at X = MinInt64.
@@ -114,7 +114,7 @@ func TestMoveOutsideWireRangeIsRefused(t *testing.T) {
 		inst.Locked(func() { n = inst.Server().Tick() })
 		return n
 	}
-	for i, x := range []float64{1 << 40, math.Inf(1)} {
+	for _, x := range []float64{1 << 40, math.Inf(1)} {
 		if err := c.Move(x, 0, 1e15); err != nil {
 			t.Fatal(err)
 		}
@@ -122,9 +122,6 @@ func TestMoveOutsideWireRangeIsRefused(t *testing.T) {
 		waitFor(t, "five ticks", func() bool { return tick() >= t0+5 })
 		inst.Locked(func() {
 			srv := inst.Server()
-			if n := srv.MovesRefused.Value(); n != int64(i+1) {
-				t.Errorf("move to x = %g: MovesRefused = %d, want %d", x, n, i+1)
-			}
 			for _, p := range srv.Players() {
 				if pos := p.Pos(); pos.X < -1000 || pos.X > 1000 {
 					t.Errorf("move to x = %g: the avatar is at %v", x, pos)
@@ -241,7 +238,7 @@ func TestGhostAvatarsInStateUpdates(t *testing.T) {
 	}
 	defer c.Close()
 	inst.Locked(func() {
-		inst.Server().UpsertGhost(0, "neighbour", 20, 30, 1, 1)
+		inst.Server().UpsertGhost(0, "neighbour", 20, 30, 1)
 	})
 	waitFor(t, "the ghost avatar", func() bool {
 		_, _, ok := c.Position(-1)
@@ -272,7 +269,7 @@ func benchServer(players, ghosts int) *mve.Server {
 		srv.ConnectAt(fmt.Sprintf("p%d", i), nil, float64(i), float64(i))
 	}
 	for i := 0; i < ghosts; i++ {
-		srv.UpsertGhost(i, fmt.Sprintf("g%d", i), float64(i), -float64(i), 1, 1)
+		srv.UpsertGhost(i, fmt.Sprintf("g%d", i), float64(i), -float64(i), 1)
 	}
 	return srv
 }

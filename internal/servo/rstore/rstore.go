@@ -36,9 +36,9 @@ type Store struct {
 	// live is pruneSettled's scratch.
 	live []world.ChunkRect
 
-	// DecodeFailures counts stored objects that failed to decode
+	// decodeFailures counts stored objects that failed to decode
 	// (corruption guard; always zero in healthy runs).
-	DecodeFailures int
+	decodeFailures int
 }
 
 // New returns a store over the given cache.
@@ -64,7 +64,7 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 			// (tcache.fetch uses blob.GetRetrying), so any error here is
 			// a genuine not-found or corruption.
 			if !errors.Is(err, blob.ErrNotFound) {
-				s.DecodeFailures++
+				s.decodeFailures++
 			}
 			cb(nil, false)
 			return
@@ -72,7 +72,7 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 		c := s.pool.Get(pos)
 		if derr := c.LoadEncoded(data); derr != nil {
 			s.pool.Put(c)
-			s.DecodeFailures++
+			s.decodeFailures++
 			cb(nil, false)
 			return
 		}

@@ -36,8 +36,8 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	if !got.Equal(c) {
 		t.Fatal("round-tripped chunk differs")
 	}
-	if s.DecodeFailures != 0 {
-		t.Fatalf("decode failures = %d", s.DecodeFailures)
+	if s.decodeFailures != 0 {
+		t.Fatalf("decode failures = %d", s.decodeFailures)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestMissIsNotFoundNotFailure(t *testing.T) {
 			t.Fatalf("read %d: cache status %v, want Absent", read, got)
 		}
 	}
-	if s.DecodeFailures != 0 {
-		t.Fatalf("misses counted %d decode failures, want 0", s.DecodeFailures)
+	if s.decodeFailures != 0 {
+		t.Fatalf("misses counted %d decode failures, want 0", s.decodeFailures)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestLoadMissingChunk(t *testing.T) {
 	if !called {
 		t.Fatal("callback not delivered")
 	}
-	if s.DecodeFailures != 0 {
+	if s.decodeFailures != 0 {
 		t.Fatal("a miss is not a decode failure")
 	}
 }
@@ -134,8 +134,8 @@ func TestLoadCorruptObjectCountsDecodeFailure(t *testing.T) {
 	if ok {
 		t.Fatal("corrupt object reported ok")
 	}
-	if s.DecodeFailures != 1 {
-		t.Fatalf("decode failures = %d, want 1", s.DecodeFailures)
+	if s.decodeFailures != 1 {
+		t.Fatalf("decode failures = %d, want 1", s.decodeFailures)
 	}
 }
 

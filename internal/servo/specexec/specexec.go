@@ -74,21 +74,15 @@ type managed struct {
 	// starting at buffer index loop.EntryIndex.
 	loop *sc.LoopInfo
 
-	inFlight      bool
-	flightVersion uint64
-	flightBase    uint64 // base tick of the in-flight request
-	flightSteps   int
-	localDuring   int // local steps executed while this flight was pending
+	inFlight bool
 }
 
 // Stats aggregates the unit's counters for experiment reports.
 type Stats struct {
-	LocalSteps   int64 // steps simulated on the server (fallback path)
-	RemoteSteps  int64 // steps applied from speculative buffers
-	ReplaySteps  int64 // steps served by loop replay
-	Discarded    int64 // replies dropped due to version mismatch
-	LoopsActive  int   // constructs currently in loop replay
-	ConstructCnt int
+	LocalSteps  int64 // steps simulated on the server (fallback path)
+	RemoteSteps int64 // steps applied from speculative buffers
+	ReplaySteps int64 // steps served by loop replay
+	Discarded   int64 // replies dropped due to version mismatch
 }
 
 // Manager is the speculative execution unit. It is not safe for concurrent
@@ -188,15 +182,6 @@ func (m *Manager) Modify(id uint64, mutate func(*sc.Construct)) bool {
 	return true
 }
 
-// TickWork reports the work performed by one game tick of the unit.
-type TickWork struct {
-	// WorkUnits is the total simulation work the server performed.
-	WorkUnits int
-	// LocalSteps and AppliedSteps split the constructs between fallback
-	// local simulation and speculative application.
-	LocalSteps, AppliedSteps, ReplaySteps int
-}
-
 // applyCostDivisor scales the cost of merging a speculative state relative
 // to simulating the step locally: the model charges applying a precomputed
 // state vector as a copy, roughly 20× cheaper than the BFS power
@@ -209,25 +194,17 @@ const applyCostDivisor = 20
 // Tick advances every managed construct by one game tick. For each
 // construct the unit prefers, in order: loop replay, buffered speculative
 // state, local simulation (fallback). It also issues refresh invocations
-// for buffers within TickLead of exhaustion.
-func (m *Manager) Tick() TickWork {
+// for buffers within TickLead of exhaustion. It returns the simulation
+// work the server performed.
+func (m *Manager) Tick() (workUnits int) {
 	m.tick++
-	var w TickWork
 	for _, mc := range m.order {
-		w.add(m.tickConstruct(mc))
+		workUnits += m.tickConstruct(mc)
 	}
-	return w
+	return workUnits
 }
 
-func (w *TickWork) add(o TickWork) {
-	w.WorkUnits += o.WorkUnits
-	w.LocalSteps += o.LocalSteps
-	w.AppliedSteps += o.AppliedSteps
-	w.ReplaySteps += o.ReplaySteps
-}
-
-func (m *Manager) tickConstruct(mc *managed) TickWork {
-	var w TickWork
+func (m *Manager) tickConstruct(mc *managed) (workUnits int) {
 	idx := int(m.tick) - int(mc.bufBase) - 1
 	replay := false
 	if mc.loop != nil && idx >= len(mc.buf) && len(mc.buf) > 0 {
@@ -241,16 +218,13 @@ func (m *Manager) tickConstruct(mc *managed) TickWork {
 		// Speculative (or replayed) state available for this tick:
 		// applying it is a cheap state merge instead of a full step.
 		if err := mc.construct.SetState(mc.buf[idx]); err == nil {
-			w.WorkUnits += estimateStepWork(mc.construct)/applyCostDivisor + 1
 			if replay {
-				w.ReplaySteps++
 				m.stats.ReplaySteps++
 			} else {
-				w.AppliedSteps++
 				m.stats.RemoteSteps++
 				m.maybeRefresh(mc)
 			}
-			return w
+			return estimateStepWork(mc.construct)/applyCostDivisor + 1
 		}
 		// Layout changed without invalidation (defensive): drop all
 		// speculation and fall back to local simulation.
@@ -258,16 +232,12 @@ func (m *Manager) tickConstruct(mc *managed) TickWork {
 		mc.bufBase = m.tick - 1
 	}
 	// Fallback: local simulation at tick rate (paper Fig. 6).
-	w.WorkUnits += mc.construct.Step()
-	w.LocalSteps++
+	workUnits = mc.construct.Step()
 	m.stats.LocalSteps++
-	if mc.inFlight {
-		mc.localDuring++
-	}
 	// The local step advanced past any stale buffer prefix.
 	m.consumeBufferPrefix(mc)
 	m.maybeRefresh(mc)
-	return w
+	return workUnits
 }
 
 // consumeBufferPrefix drops buffered states that are now in the past.
@@ -327,10 +297,6 @@ func (m *Manager) invoke(mc *managed) {
 		return
 	}
 	mc.inFlight = true
-	mc.flightVersion = mc.version
-	mc.flightBase = baseTick
-	mc.flightSteps = m.cfg.StepsPerInvocation
-	mc.localDuring = 0
 	m.platform.Invoke(m.fnName, payload, func(inv faas.Invocation) {
 		m.onReply(mc.id, inv)
 	})
@@ -421,16 +387,7 @@ func estimateStepWork(c *sc.Construct) int {
 }
 
 // Snapshot returns a snapshot of the unit's counters.
-func (m *Manager) Snapshot() Stats {
-	s := m.stats
-	s.ConstructCnt = len(m.constructs)
-	for _, mc := range m.order {
-		if mc.loop != nil {
-			s.LoopsActive++
-		}
-	}
-	return s
-}
+func (m *Manager) Snapshot() Stats { return m.stats }
 
 // MedianEfficiency returns the median per-invocation efficiency, or -1 if
 // no invocations completed.

@@ -233,11 +233,12 @@ func TestAppliedStepsCheaperThanLocal(t *testing.T) {
 	var applied, local int
 	for i := 0; i < 100; i++ {
 		f.loop.After(tickInterval, func() {
+			remote := f.mgr.Snapshot().RemoteSteps
 			w := f.mgr.Tick()
-			if w.AppliedSteps > 0 {
-				applied += w.WorkUnits
+			if f.mgr.Snapshot().RemoteSteps > remote {
+				applied += w
 			} else {
-				local += w.WorkUnits
+				local += w
 			}
 		})
 		f.loop.RunUntil(f.loop.Now() + tickInterval)
@@ -280,10 +281,10 @@ func TestSnapshotCounters(t *testing.T) {
 	f.mgr.Add(sc.NewLampBank(2, 4))
 	f.runTicks(200)
 	s := f.mgr.Snapshot()
-	if s.ConstructCnt != 2 {
-		t.Fatalf("ConstructCnt = %d, want 2", s.ConstructCnt)
+	if n := f.mgr.Len(); n != 2 {
+		t.Fatalf("Len = %d, want 2", n)
 	}
-	if s.LoopsActive == 0 {
+	if s.ReplaySteps == 0 {
 		t.Fatal("clock construct should be in loop replay")
 	}
 	total := s.LocalSteps + s.RemoteSteps + s.ReplaySteps

@@ -56,10 +56,10 @@ func DecodeRequest(buf []byte) (world.ChunkPos, error) {
 // invocation of one deployment (the simulated platform runs handlers in
 // deterministic serial order, so a plain counter is safe).
 type HandlerStats struct {
-	// BadRequests counts undecodable generation requests — previously
+	// badRequests counts undecodable generation requests — previously
 	// swallowed as a silent 1-work-unit nil response; always zero in
 	// healthy runs.
-	BadRequests int
+	badRequests int
 }
 
 // NewHandler returns the FaaS handler body for terrain generation: decode
@@ -74,7 +74,7 @@ func NewHandler(gen terrain.Generator, stats *HandlerStats) faas.Handler {
 		pos, err := DecodeRequest(payload)
 		if err != nil {
 			if stats != nil {
-				stats.BadRequests++
+				stats.badRequests++
 			}
 			return nil, 1
 		}
@@ -146,9 +146,10 @@ type Backend struct {
 	// Failures counts invocations that returned errors or undecodable
 	// chunks (left visible for experiment sanity checks).
 	Failures int
-	// DecodeErrors counts malformed generation replies specifically (a
-	// subset of Failures: the corruption guard).
-	DecodeErrors int
+	// decodeErrors counts the corruption guard's refusals: malformed
+	// generation replies (a subset of Failures) and undecodable bytes in
+	// the dedup cache. Either way the chunk is generated again.
+	decodeErrors int
 	// GenDeduped counts chunks adopted from the cross-shard cache instead
 	// of re-invoking FaaS.
 	GenDeduped int
@@ -230,7 +231,7 @@ func (b *Backend) drainAdoptions() {
 			}
 			// Cache held undecodable bytes: count it and regenerate.
 			b.pool.Put(c)
-			b.DecodeErrors++
+			b.decodeErrors++
 		}
 		b.queue = append(b.queue, pos)
 	}
@@ -306,11 +307,12 @@ func (b *Backend) invoke(r *genReq) {
 }
 
 // complete finishes one invocation. Invocation errors are transient
-// platform faults (e.g. chaos-injected failures); the backend retries so
-// terrain holes heal once the fault window passes. Retries are paced by
-// the full modelled invocation latency — RTT plus the chunk's execution
-// time (~hundreds of ms) — so even a 100%-failure window produces a
-// bounded, slow retry stream rather than a hot loop.
+// platform faults (e.g. chaos-injected failures), and so is a reply that
+// does not decode; the backend retries both, because the server asks for
+// a position only once, so terrain holes heal once the fault passes.
+// Retries are paced by the full modelled invocation latency — RTT plus
+// the chunk's execution time (~hundreds of ms) — so even a 100%-failure
+// window produces a bounded, slow retry stream rather than a hot loop.
 func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 	if inv.Err != nil {
 		b.Failures++
@@ -331,8 +333,8 @@ func (b *Backend) complete(r *genReq, inv faas.Invocation) {
 	if err := c.LoadEncoded(inv.Response); err != nil {
 		b.pool.Put(c)
 		b.Failures++
-		b.DecodeErrors++
-		b.release(r)
+		b.decodeErrors++
+		b.invoke(r)
 		return
 	}
 	if b.dedup != nil {

@@ -170,12 +170,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	var stats HandlerStats
 	h := NewHandler(terrain.Flat{}, &stats)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bad := stats.BadRequests
+		bad := stats.badRequests
 		reply, _ := h(data)
 		pos, err := DecodeRequest(data)
 		if err != nil {
-			if reply != nil || stats.BadRequests != bad+1 {
-				t.Fatalf("undecodable request %x: reply of %d bytes, %d bad requests counted", data, len(reply), stats.BadRequests-bad)
+			if reply != nil || stats.badRequests != bad+1 {
+				t.Fatalf("undecodable request %x: reply of %d bytes, %d bad requests counted", data, len(reply), stats.badRequests-bad)
 			}
 			return
 		}
@@ -186,8 +186,8 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("%v round-trips to %v (%v)", pos, again, err)
 		}
 		c, err := world.DecodeChunk(reply)
-		if err != nil || c.Pos != pos || stats.BadRequests != bad {
-			t.Fatalf("request for %v: reply decodes to %v (%v), %d bad requests counted", pos, c, err, stats.BadRequests-bad)
+		if err != nil || c.Pos != pos || stats.badRequests != bad {
+			t.Fatalf("request for %v: reply decodes to %v (%v), %d bad requests counted", pos, c, err, stats.badRequests-bad)
 		}
 	})
 }
@@ -230,6 +230,61 @@ func TestHandlerSteadyStateAllocatesItsReply(t *testing.T) {
 		if want := gen.Generate(pos); !bytes.Equal(resp, want.Encode()) || work != want.GenWork {
 			t.Fatalf("reply for %v differs from a fresh chunk's encoding", pos)
 		}
+	}
+}
+
+// TestDecodeGuardRefusesAndRegenerates: the backend refuses bytes that do
+// not decode as a chunk, from a FaaS reply or from the dedup cache, counts
+// each refusal, and generates the chunk again — the server asks for a
+// position only once, so a dropped request would leave a hole for good.
+func TestDecodeGuardRefusesAndRegenerates(t *testing.T) {
+	gen := terrain.Default{Seed: 42}
+	pos := world.ChunkPos{X: 3, Z: -4}
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
+	for _, tc := range []struct {
+		name                    string
+		corruptReply, seedCache bool
+		invocations             int
+	}{
+		{name: "malformed reply", corruptReply: true, invocations: 2},
+		{name: "undecodable cache entry", seedCache: true, invocations: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop := sim.NewLoop(4)
+			p := faas.NewPlatform(loop)
+			Register(p, gen, fastFnConfig(), nil)
+			invocations := 0
+			b := NewBackend(invokerFunc(func(name string, payload []byte, cb func(faas.Invocation)) {
+				invocations++
+				corrupt := tc.corruptReply && invocations == 1
+				p.Invoke(name, payload, func(inv faas.Invocation) {
+					if corrupt {
+						inv.Response = garbage
+					}
+					cb(inv)
+				})
+			}), FunctionName)
+			if tc.seedCache {
+				cache := NewGenCache()
+				cache.Publish(pos, garbage)
+				b.UseDedup(loop, cache)
+			}
+			b.Request(pos)
+			loop.Run()
+			got := b.DrainAppend(nil)
+			if len(got) != 1 || !got[0].Equal(gen.Generate(pos)) {
+				t.Fatalf("drained %d chunks, want the one generated chunk", len(got))
+			}
+			if b.decodeErrors != 1 {
+				t.Fatalf("decode errors = %d, want 1", b.decodeErrors)
+			}
+			if invocations != tc.invocations {
+				t.Fatalf("invocations = %d, want %d", invocations, tc.invocations)
+			}
+			if b.Inflight() != 0 || b.Queued() != 0 {
+				t.Fatalf("backend still holds %d inflight, %d queued", b.Inflight(), b.Queued())
+			}
+		})
 	}
 }
 

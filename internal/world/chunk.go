@@ -36,9 +36,6 @@ type Chunk struct {
 	// were promoted. Reset keeps the layers past its length for reuse:
 	// within mixed[:cap] the allocated layers form a prefix.
 	mixed []*layer
-	// Version counts mutations: any change of content bumps it, and only
-	// a decode or a trip through the pool zeroes it.
-	Version uint64
 	// GenWork records the number of abstract work units spent generating
 	// this chunk (0 for hand-built chunks); the cost model charges it
 	// when a locally-generated chunk is applied on the game loop.
@@ -91,8 +88,8 @@ func NewChunk(pos ChunkPos) *Chunk {
 	return &Chunk{Pos: pos}
 }
 
-// Reset makes c the empty (all-air) chunk at pos with zero Version and
-// GenWork and no kept encoding, unsealed. The storage of its head and mixed
+// Reset makes c the empty (all-air) chunk at pos with zero GenWork and
+// no kept encoding, unsealed. The storage of its head and mixed
 // layers is kept for the next occupant.
 func (c *Chunk) Reset(pos ChunkPos) {
 	*c = Chunk{Pos: pos, head: c.head[:0], mixed: c.mixed[:0]}
@@ -174,7 +171,7 @@ func (c *Chunk) resizeMixed(n int) {
 }
 
 // open makes a sealed chunk's layers its content, decoding its encoding in
-// place; Pos, Version, GenWork and the encoding stay as they are. Every
+// place; Pos, GenWork and the encoding stay as they are. Every
 // method that reads or writes blocks opens the chunk first.
 func (c *Chunk) open() {
 	if c.sealed {
@@ -233,10 +230,9 @@ func (c *Chunk) Set(x, y, z int, b Block) {
 	}
 }
 
-// changed records a change of content: Version moves on and the kept
-// encoding, which described the old content, is dropped.
+// changed records a change of content: the kept encoding, which
+// described the old content, is dropped.
 func (c *Chunk) changed() {
-	c.Version++
 	c.enc = nil
 }
 
@@ -651,7 +647,7 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 }
 
 // DecodeChunkInto parses a chunk previously produced by Encode into c,
-// overwriting every block plus Pos, Version and GenWork and dropping any
+// overwriting every block plus Pos and GenWork and dropping any
 // kept encoding — the chunk needs no prior reset, so pooled (recycled)
 // chunks decode identically to fresh ones, never inheriting a stale
 // encoding. On error c is unchanged. A loader that may never read the
@@ -671,7 +667,6 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 		return err
 	}
 	c.Pos = l.pos
-	c.Version = 0
 	c.GenWork = 0
 	c.enc = nil
 	c.sealed = false
@@ -680,7 +675,7 @@ func DecodeChunkInto(c *Chunk, buf []byte) error {
 }
 
 // LoadEncoded makes c the sealed chunk that buf encodes: at buf's position,
-// with Version and GenWork 0, and buf as its kept encoding, which the caller
+// with GenWork 0, and buf as its kept encoding, which the caller
 // must not write again. It checks everything DecodeChunkInto checks, in the
 // same order and with the same errors, but writes no block; the chunk
 // decodes itself in place only when a block is first read or written. A
@@ -693,7 +688,6 @@ func (c *Chunk) LoadEncoded(buf []byte) error {
 		return err
 	}
 	c.Pos = l.pos
-	c.Version = 0
 	c.GenWork = 0
 	c.enc = buf
 	c.sealed = true

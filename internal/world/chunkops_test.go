@@ -72,9 +72,8 @@ func opBlock(sel byte) world.Block {
 // chunk, ChunkPool Put→Get, encode→LoadEncoded a dirty chunk, seal: the
 // chunk's LoadEncoded of its own kept encoding), an x/z or pattern byte, y,
 // and a block selector — applied both to a Chunk and to the flat model, and
-// after every one holds the chunk's reads, its encoding and its Version to
-// the model: any change of content bumps Version, and nothing ever lowers
-// it but a decode, a load, a seal or a trip through the pool, which zero it.
+// after every one holds the chunk's reads and its encoding to the model; a
+// decode, a load, a seal or a trip through the pool zeroes GenWork.
 //
 // It also holds the kept encoding to the content. Encoded is called after
 // every op, so every op starts on a chunk holding bytes (the decode target
@@ -87,8 +86,7 @@ func opBlock(sel byte) world.Block {
 // content is checked through a decoded copy of its encoding, and then the
 // block selector picks which read, if any, opens it (At, NonAirCount,
 // SurfaceY, either side of Equal). A chunk left sealed meets the next op
-// sealed, which must then decode it in place and keep Version and the
-// kept bytes.
+// sealed, which must then decode it in place and keep the kept bytes.
 func chunkOps(t *testing.T, data []byte) {
 	const maxOps = 48
 	pos := world.ChunkPos{X: -2, Z: 11}
@@ -105,7 +103,7 @@ func chunkOps(t *testing.T, data []byte) {
 	}
 	for op := 0; op < maxOps && len(data) >= 4; op, data = op+1, data[4:] {
 		kind, a, y, sel := data[0]%8, int(data[1]), int(data[2]), data[3]
-		before, was := c.Version, *model
+		was := *model
 		switch kind {
 		case 0:
 			x, z := a%world.ChunkSizeX, a/world.ChunkSizeX
@@ -132,9 +130,6 @@ func chunkOps(t *testing.T, data []byte) {
 			// Carry on with a clone; scribbling over the original must not show.
 			orig := c
 			c = orig.Clone()
-			if c.Version != before {
-				t.Fatalf("Clone changed Version %d to %d", before, c.Version)
-			}
 			for y := 0; y < world.ChunkSizeY; y++ {
 				orig.Set(y%16, y, 3, world.Block{ID: world.Lamp, Data: 1})
 				orig.FillLayer(y, world.Block{ID: world.Gravel})
@@ -165,14 +160,9 @@ func chunkOps(t *testing.T, data []byte) {
 				t.Fatalf("seal with the kept encoding: %v", err)
 			}
 		}
-		switch {
-		case kind >= 4:
-			if c.Version != 0 || c.GenWork != 0 || c.Pos != pos {
-				t.Fatalf("op %d (kind %d): a decoded, loaded or pooled chunk has version %d, genwork %d, pos %v",
-					op, kind, c.Version, c.GenWork, c.Pos)
-			}
-		case c.Version < before, c.Version == before && was != *model:
-			t.Fatalf("op %d (kind %d): content changed %v, Version %d → %d", op, kind, was != *model, before, c.Version)
+		if kind >= 4 && (c.GenWork != 0 || c.Pos != pos) {
+			t.Fatalf("op %d (kind %d): a decoded, loaded or pooled chunk has genwork %d, pos %v",
+				op, kind, c.GenWork, c.Pos)
 		}
 		if sealed := world.Sealed(c); sealed != (kind >= 6) {
 			t.Fatalf("op %d (kind %d): sealed %v", op, kind, sealed)
@@ -206,11 +196,11 @@ func chunkOps(t *testing.T, data []byte) {
 
 // openSealed checks a sealed chunk against the model without opening it,
 // then reads it the way sel picks — or not at all, leaving it sealed for
-// the next op — and holds what it opened to the model. Opening keeps
-// Version and the kept encoding.
+// the next op — and holds what it opened to the model. Opening keeps the
+// kept encoding.
 func openSealed(t *testing.T, c *world.Chunk, model *flatModel, sel byte) {
 	t.Helper()
-	enc, version := c.Encoded(), c.Version
+	enc := c.Encoded()
 	if again := c.EncodeAppend([]byte{1}); !bytes.Equal(again[1:], enc) {
 		t.Fatal("EncodeAppend of a sealed chunk differs from its kept encoding")
 	}
@@ -243,8 +233,8 @@ func openSealed(t *testing.T, c *world.Chunk, model *flatModel, sel byte) {
 	if world.Sealed(c) {
 		t.Fatalf("read %d left the chunk sealed", sel%6)
 	}
-	if c.Version != version || &c.Encoded()[0] != &enc[0] {
-		t.Fatal("opening a sealed chunk changed its Version or dropped its encoding")
+	if &c.Encoded()[0] != &enc[0] {
+		t.Fatal("opening a sealed chunk dropped its encoding")
 	}
 	model.agrees(t, c)
 }

@@ -151,7 +151,6 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 			c.Set(i%ChunkSizeX, y, i/ChunkSizeX, palette[idx])
 		}
 	}
-	c.Version = 0
 	c.GenWork = 0
 	return nil
 }

@@ -203,8 +203,8 @@ func TestCodecMatchesOracle(t *testing.T) {
 				if !dec.Equal(ref) || !dec.Equal(c) {
 					t.Fatalf("run %d: decode into a dirty chunk differs from the oracle's or the source", i)
 				}
-				if dec.Version != 0 || dec.GenWork != 0 {
-					t.Fatalf("run %d: decode left version %d, genwork %d", i, dec.Version, dec.GenWork)
+				if dec.GenWork != 0 {
+					t.Fatalf("run %d: decode left genwork %d", i, dec.GenWork)
 				}
 			}
 		})
@@ -592,9 +592,9 @@ func FuzzDecodeChunk(f *testing.F) {
 		if enc := sealed.Encoded(); len(enc) != len(data) || &enc[0] != &data[0] {
 			t.Fatal("a sealed chunk's encoding is not the slice it was loaded from")
 		}
-		if sealed.Pos != dec.Pos || sealed.Version != 0 || sealed.GenWork != 0 {
-			t.Fatalf("sealed chunk at %v, version %d, genwork %d; decoded at %v",
-				sealed.Pos, sealed.Version, sealed.GenWork, dec.Pos)
+		if sealed.Pos != dec.Pos || sealed.GenWork != 0 {
+			t.Fatalf("sealed chunk at %v, genwork %d; decoded at %v",
+				sealed.Pos, sealed.GenWork, dec.Pos)
 		}
 		if !sealed.Equal(dec) {
 			t.Fatal("the sealed chunk differs from the decoded one")

@@ -14,7 +14,7 @@ package world
 // are cleared, their storage and that of the mixed layers is kept for the
 // next occupant to decode into), so Get is semantically identical to NewChunk: a pooled
 // chunk is indistinguishable from a fresh one (all-air blocks, zero
-// Version/GenWork). All methods are nil-safe; a nil *ChunkPool degrades to
+// GenWork). All methods are nil-safe; a nil *ChunkPool degrades to
 // plain allocation.
 type ChunkPool struct {
 	free []*Chunk
@@ -44,7 +44,7 @@ func NewChunkPool(max int) *ChunkPool {
 
 // Get returns a chunk positioned at pos: recycled from the freelist when
 // one is available, freshly allocated otherwise. Either way the chunk is
-// empty (all air) with zero Version and GenWork.
+// empty (all air) with zero GenWork.
 func (p *ChunkPool) Get(pos ChunkPos) *Chunk {
 	if p == nil {
 		return NewChunk(pos)

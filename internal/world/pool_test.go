@@ -34,7 +34,7 @@ func TestDecodeChunkIntoRecycledEqualsFresh(t *testing.T) {
 		pool := NewChunkPool(4)
 		// First occupant: fill a chunk, unload it into the pool.
 		prev := randomChunk(rand.New(rand.NewSource(seedA)), 5)
-		prev.Version, prev.GenWork = 99, 42
+		prev.GenWork = 42
 		pool.Put(prev)
 		// Second occupant: decode different terrain into the recycled chunk.
 		src := randomChunk(rand.New(rand.NewSource(seedB)), 5)
@@ -51,7 +51,7 @@ func TestDecodeChunkIntoRecycledEqualsFresh(t *testing.T) {
 			return false
 		}
 		return recycled.Equal(fresh) && recycled.Pos == src.Pos &&
-			recycled.Version == 0 && recycled.GenWork == 0
+			recycled.GenWork == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -61,14 +61,14 @@ func TestDecodeChunkIntoRecycledEqualsFresh(t *testing.T) {
 func TestChunkPoolResetAndBounds(t *testing.T) {
 	pool := NewChunkPool(2)
 	c := randomChunk(rand.New(rand.NewSource(3)), 4)
-	c.Version, c.GenWork = 7, 9
+	c.GenWork = 9
 	pool.Put(c)
 	got := pool.Get(ChunkPos{X: 5, Z: -3})
 	if got != c {
 		t.Fatal("Get did not recycle the shelved chunk")
 	}
-	if got.Pos != (ChunkPos{X: 5, Z: -3}) || got.Version != 0 || got.GenWork != 0 {
-		t.Fatalf("recycled chunk not reset: pos=%v version=%d genwork=%d", got.Pos, got.Version, got.GenWork)
+	if got.Pos != (ChunkPos{X: 5, Z: -3}) || got.GenWork != 0 {
+		t.Fatalf("recycled chunk not reset: pos=%v genwork=%d", got.Pos, got.GenWork)
 	}
 	if got.NonAirCount() != 0 {
 		t.Fatalf("recycled chunk holds %d stale blocks, want all air", got.NonAirCount())

@@ -80,14 +80,16 @@ func TestChunkSetAtAndVersion(t *testing.T) {
 	if got := c.At(3, 64, 5); got.ID != Stone {
 		t.Fatalf("block = %v, want stone", got)
 	}
-	v := c.Version
+	// The kept encoding is the content's version: a no-op write keeps it,
+	// a mutating write drops it.
+	enc := c.Encoded()
 	c.Set(3, 64, 5, Block{ID: Stone}) // no-op write
-	if c.Version != v {
-		t.Fatal("no-op write bumped version")
+	if &c.Encoded()[0] != &enc[0] {
+		t.Fatal("no-op write dropped the kept encoding")
 	}
 	c.Set(3, 64, 5, Block{ID: Dirt})
-	if c.Version == v {
-		t.Fatal("mutating write did not bump version")
+	if &c.Encoded()[0] == &enc[0] {
+		t.Fatal("mutating write kept the stale encoding")
 	}
 	// Out-of-bounds access must be safe.
 	c.Set(-1, 0, 0, Block{ID: Stone})

@@ -24,16 +24,17 @@
 //
 // Instances run on a deterministic virtual clock by default (experiments
 // complete in milliseconds); pass RealTime to run against the wall clock
-// for interactive use (see cmd/servo-server). Every instance is a cluster
-// of Config.Shards game loops — one by default, the paper's single
-// server — so the calls above are the same at every shard count.
+// for interactive use (see cmd/servo-server). An instance is a one-shard
+// cluster — the paper's single server — whose session calls route through
+// the cluster router; sharded runs (grid topologies, rebalancing,
+// visibility, autoscaling) are scenario specs (internal/scenario, run by
+// cmd/servo-sim).
 package servo
 
 import (
 	"fmt"
 	"time"
 
-	"servo/internal/cluster"
 	"servo/internal/core"
 	"servo/internal/metrics"
 	"servo/internal/mve"
@@ -67,53 +68,6 @@ func AllServerless() Serverless {
 	return Serverless{Constructs: true, Terrain: true, Storage: true}
 }
 
-// TopologyConfig selects how an instance tiles chunk space into
-// ownership regions (see internal/world: Topology).
-type TopologyConfig struct {
-	// Kind is "band" (contiguous 1-D bands along X, the compatibility
-	// default) or "grid" (TilesX×TilesZ rectangular tiles, so load can
-	// be split along both axes).
-	Kind string
-	// TilesX and TilesZ are the grid dimensions (grid kind only;
-	// 0 → 4×4).
-	TilesX, TilesZ int
-}
-
-// VisibilityConfig tunes cross-shard avatar visibility (the
-// interest-management layer): each replication tick, every shard
-// publishes its avatars standing within Margin blocks of a region-tile
-// border, and the shards owning the bordering tiles materialise them as
-// read-only ghost avatars — so players near a seam see one continuous
-// world, and handoffs promote/demote a ghost instead of popping.
-type VisibilityConfig struct {
-	// Enabled turns border-tile avatar replication on.
-	Enabled bool
-	// Margin is the border margin in blocks (0 → the view distance).
-	Margin int
-}
-
-// AutoscaleConfig tunes the cluster's elastic shard-count policy: the
-// autoscaler differences the per-tile cost signal into demand rates,
-// scales the shard count up/down on utilization bands (with
-// per-direction cooldowns), spreads forming hotspots proactively along
-// the tile-load derivative, and quarantines crash-looping shards. Scale
-// events run on the virtual clock in lane order, so they replay
-// byte-identically at every Workers setting. Zero-valued fields take the
-// cluster defaults (see internal/cluster).
-type AutoscaleConfig struct {
-	// Enabled turns the policy loop on.
-	Enabled bool
-	// MinShards / MaxShards bound the alive shard count (0 → the boot
-	// count / twice the boot count). Only shards added at runtime are
-	// ever removed, so the effective floor is at least the boot count.
-	MinShards int
-	MaxShards int
-	// ShardCapacity is one shard's demand capacity in cost units
-	// (actions + chunk stores) per second; the utilization bands are
-	// fractions of it.
-	ShardCapacity float64
-}
-
 // Config configures an Instance.
 type Config struct {
 	// Seed makes the instance deterministic. Zero means seed 1.
@@ -127,65 +81,9 @@ type Config struct {
 	Servo Serverless
 	// ViewDistance in blocks (0 → 128, the paper's default).
 	ViewDistance int
-	// Shards is the number of region shards (0 → 1): one game loop per
-	// shard over a single shared serverless substrate, with cross-shard
-	// player handoff when avatars cross region-tile boundaries. Every
-	// instance is a cluster — one shard is the paper's single game loop —
-	// so session calls (Connect, Disconnect, SpawnConstruct) always route
-	// through it.
-	Shards int
-	// Topology selects the region tiling: the zero value keeps the 1-D X
-	// bands of earlier releases; Kind "grid" cuts chunk space into 2-D
-	// tiles.
-	Topology TopologyConfig
-	// Rebalance enables the cluster controller's live tile rebalancing:
-	// region-tile ownership migrates from the hottest to the coldest
-	// shard when per-shard tick load drifts out of balance (idle while
-	// the cluster has one shard).
-	Rebalance bool
-	// Visibility enables cross-shard avatar visibility: players near a
-	// region-tile border see the neighbouring shard's avatars as
-	// read-only ghosts (idle while the cluster has one shard).
-	Visibility VisibilityConfig
-	// Autoscale enables the elastic shard-count policy subsystem.
-	Autoscale AutoscaleConfig
 	// RealTime runs the instance on the wall clock instead of virtual
 	// time. Run then blocks for real durations.
 	RealTime bool
-	// Workers sizes the worker pool of the virtual clock's lane-batched
-	// scheduler (0 → 1): same-timestamp events from distinct shards
-	// execute on it, with side effects ordered so the observable event
-	// stream is byte-identical for every pool size. Ignored under
-	// RealTime.
-	Workers int
-	// PhaseLock snaps a shard's next tick to the global TickInterval
-	// grid after an overlong tick, so saturated shards re-align and keep
-	// forming same-timestamp waves instead of drifting off-phase
-	// forever. Deterministic at every Workers setting.
-	PhaseLock bool
-}
-
-// topology builds the world-level tiling the config describes. A grid
-// with no dimensions is 4×4. Unknown kinds panic: NewInstance has no
-// error return, and silently booting the band fallback in place of a
-// misspelled grid would reproduce exactly the hotspot failure the grid
-// exists to fix.
-func (c TopologyConfig) topology() world.Topology {
-	switch c.Kind {
-	case "", "band":
-		return nil // core defaults to the band topology
-	case "grid":
-	default:
-		panic(fmt.Sprintf(`servo: Topology.Kind must be "band" or "grid" (got %q)`, c.Kind))
-	}
-	tx, tz := c.TilesX, c.TilesZ
-	if tx < 1 {
-		tx = 4
-	}
-	if tz < 1 {
-		tz = 4
-	}
-	return world.GridTopology{TilesX: tx, TilesZ: tz}
 }
 
 // Pos is a block position in the world.
@@ -238,24 +136,17 @@ func (t TickStats) String() string {
 	return fmt.Sprintf("%s over50ms=%.2f%% qos=%v", t.Box, t.OverBudget*100, t.SupportsQoS)
 }
 
-// Instance is one running MVE world: a cluster of one or more shard
-// servers plus their (optional) serverless backend.
+// Instance is one running MVE world: a one-shard cluster plus its
+// (optional) serverless backend.
 type Instance struct {
-	cfg   Config
-	loop  *sim.Loop      // virtual-time driver (nil in real time)
-	rtc   *sim.RealClock // wall-clock driver (nil in virtual time)
-	sys   *core.System
-	stats *metrics.Sample
+	loop *sim.Loop      // virtual-time driver (nil in real time)
+	rtc  *sim.RealClock // wall-clock driver (nil in virtual time)
+	sys  *core.System
 }
 
-// NewInstance assembles and starts an instance. It panics on an invalid
-// Topology (unknown Kind, or a grid with fewer tiles than shards —
-// shards beyond the tile count could never own territory and their
-// Home placement would silently land players elsewhere), and on an
-// enabled Autoscale whose effective shard bounds the cluster cannot
-// keep (a minimum above the maximum, or a maximum beyond the grid). It
-// panics on an unknown WorldType too, rather than serve a misspelt flat
-// world as procedural terrain.
+// NewInstance assembles and starts an instance. It panics on an unknown
+// WorldType, rather than serve a misspelt flat world as procedural
+// terrain.
 func NewInstance(cfg Config) *Instance {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -265,23 +156,7 @@ func NewInstance(cfg Config) *Instance {
 	default:
 		panic(fmt.Sprintf(`servo: WorldType must be "flat" or "default" (got %q)`, cfg.WorldType))
 	}
-	topo := cfg.Topology.topology()
-	if topo != nil && cfg.Shards > topo.Tiles() {
-		panic(fmt.Sprintf("servo: %d shards over a %d-tile grid: more shards than tiles",
-			cfg.Shards, topo.Tiles()))
-	}
-	autoscale := cluster.AutoscaleConfig{
-		Enabled:       cfg.Autoscale.Enabled,
-		MinShards:     cfg.Autoscale.MinShards,
-		MaxShards:     cfg.Autoscale.MaxShards,
-		ShardCapacity: cfg.Autoscale.ShardCapacity,
-	}
-	if autoscale.Enabled {
-		if err := autoscale.CheckBounds(max(cfg.Shards, 1), topo); err != nil {
-			panic("servo: Autoscale: " + err.Error())
-		}
-	}
-	inst := &Instance{cfg: cfg}
+	inst := &Instance{}
 	var clock sim.Clock
 	if cfg.RealTime {
 		inst.rtc = sim.NewRealClock(cfg.Seed)
@@ -295,30 +170,22 @@ func NewInstance(cfg Config) *Instance {
 	// is built and started, or a completion races the rest of the boot.
 	inst.Locked(func() {
 		inst.sys = core.New(clock, core.Config{
-			Seed:             cfg.Seed,
-			WorldType:        cfg.WorldType,
-			Profile:          cfg.Profile,
-			ViewDistance:     cfg.ViewDistance,
-			ServerlessSC:     cfg.Servo.Constructs,
-			ServerlessTG:     cfg.Servo.Terrain,
-			ServerlessRS:     cfg.Servo.Storage,
-			Shards:           cfg.Shards,
-			Topology:         topo,
-			Rebalance:        cfg.Rebalance,
-			Visibility:       cfg.Visibility.Enabled,
-			VisibilityMargin: cfg.Visibility.Margin,
-			Autoscale:        autoscale,
-			Workers:          cfg.Workers,
-			PhaseLock:        cfg.PhaseLock,
+			Seed:         cfg.Seed,
+			WorldType:    cfg.WorldType,
+			Profile:      cfg.Profile,
+			ViewDistance: cfg.ViewDistance,
+			ServerlessSC: cfg.Servo.Constructs,
+			ServerlessTG: cfg.Servo.Terrain,
+			ServerlessRS: cfg.Servo.Storage,
 		})
 		inst.sys.Cluster.Start()
 	})
 	return inst
 }
 
-// Server exposes shard 0's game server for advanced use — the whole
-// world on a one-shard instance. rtserve streams from it, and it is part
-// of the surface the frozen benchmark/ harness reads (ROADMAP item 1(a)).
+// Server exposes the instance's game server for advanced use. rtserve
+// streams from it, and it is part of the surface the frozen benchmark/
+// harness reads (ROADMAP item 1(a)).
 func (i *Instance) Server() *mve.Server { return i.sys.Server }
 
 // System exposes the assembled backend (FaaS platform, functions, storage
@@ -368,8 +235,7 @@ func (i *Instance) Locked(fn func()) {
 
 // Disconnect removes a player, reporting whether a session was actually
 // removed. The session handle is resolved through the cluster (by
-// pointer, then by unique name for sessions that moved shards; see
-// cluster.HandleOf); false means the resolution failed — the player is
+// pointer, then by unique name; see cluster.HandleOf); false means the resolution failed — the player is
 // already gone, or the stale pointer's name is ambiguous (several
 // sessions bear it) and disconnecting any of them could hit the wrong
 // player.
@@ -386,7 +252,7 @@ func (i *Instance) Disconnect(p *Player) bool {
 }
 
 // SpawnConstruct activates a construct anchored at pos and returns its
-// id. The construct lands on the shard owning its anchor region.
+// id.
 func (i *Instance) SpawnConstruct(c *Construct, pos Pos) uint64 {
 	if i.rtc != nil {
 		i.rtc.Lock()
@@ -406,7 +272,7 @@ func (i *Instance) Run(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Stop halts the game loop(s).
+// Stop halts the game loop.
 func (i *Instance) Stop() {
 	if i.rtc != nil {
 		i.rtc.Lock()
@@ -418,26 +284,14 @@ func (i *Instance) Stop() {
 	i.sys.Cluster.Stop()
 }
 
-// TickStats summarises the tick-duration distribution so far, pooled
-// across every shard.
+// TickStats summarises the tick-duration distribution so far.
 func (i *Instance) TickStats() TickStats {
 	s := &metrics.Sample{}
-	for _, sh := range i.sys.Shards {
-		s.AddAll(sh.Server.TickDurations.Values())
-	}
+	s.AddAll(i.sys.Server.TickDurations.Values())
 	over := s.FracAbove(mve.QoSThreshold)
 	return TickStats{Box: s.Box(), OverBudget: over, SupportsQoS: over < mve.QoSFraction}
 }
 
 // ViewMargin returns the distance from the closest player to the nearest
-// missing terrain (the Fig. 10 QoS metric; view distance = perfect),
-// taking the minimum across shards.
-func (i *Instance) ViewMargin() int {
-	margin := -1
-	for _, sh := range i.sys.Shards {
-		if vm := sh.Server.MinViewMargin(); margin < 0 || vm < margin {
-			margin = vm
-		}
-	}
-	return margin
-}
+// missing terrain (the Fig. 10 QoS metric; view distance = perfect).
+func (i *Instance) ViewMargin() int { return i.sys.Server.MinViewMargin() }

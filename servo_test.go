@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"servo/internal/mve"
-	"servo/internal/world"
 )
 
 func TestInstanceLifecycle(t *testing.T) {
@@ -100,8 +97,12 @@ func TestDeterministicInstances(t *testing.T) {
 	}
 }
 
+// TestShardedInstance drives the session calls through the cluster
+// router every instance is: a one-shard cluster over the serverless store.
+// Two-shard routing (handoffs, stale session pointers) is tested in
+// internal/cluster.
 func TestShardedInstance(t *testing.T) {
-	inst := NewInstance(Config{Seed: 5, WorldType: "flat", Shards: 2, Servo: Serverless{Storage: true}})
+	inst := NewInstance(Config{Seed: 5, WorldType: "flat", Servo: Serverless{Storage: true}})
 	defer inst.Stop()
 	p := inst.Connect("bob", BehaviorRandom)
 	if p == nil || p.Name != "bob" {
@@ -116,7 +117,7 @@ func TestShardedInstance(t *testing.T) {
 		t.Fatalf("view margin = %d around a bounded player", inst.ViewMargin())
 	}
 	if !inst.Disconnect(p) {
-		t.Fatal("disconnect of a live sharded session reported failure")
+		t.Fatal("disconnect of a live session reported failure")
 	}
 	if n := inst.sys.Cluster.PlayerCount(); n != 0 {
 		t.Fatalf("player count after disconnect = %d", n)
@@ -124,74 +125,41 @@ func TestShardedInstance(t *testing.T) {
 }
 
 // TestShardedDisconnectReportsNoOps pins the Disconnect contract, which
-// is the same at every shard count because every instance resolves
-// sessions through its cluster: a stale session pointer resolves by
-// unique name, but with duplicate names the resolution must refuse
-// (returning false) rather than guess and disconnect a different
-// player's session.
+// holds because every instance resolves sessions through its cluster: a
+// stale session pointer resolves by unique name, but with duplicate names
+// the resolution must refuse (returning false) rather than guess and
+// disconnect a different player's session. The two-shard case, where a
+// handoff makes the pointer stale, is TestHandleOfResolvesStaleSessions
+// in internal/cluster.
 func TestShardedDisconnectReportsNoOps(t *testing.T) {
-	for _, shards := range []int{2, 1} {
-		inst := NewInstance(Config{Seed: 6, WorldType: "flat", Shards: shards})
-		p1 := inst.Connect("dup", BehaviorBounded)
-		if !inst.Disconnect(p1) {
-			t.Fatalf("shards=%d: first disconnect failed", shards)
-		}
-		if inst.Disconnect(p1) {
-			t.Fatalf("shards=%d: repeated disconnect of the same session reported success", shards)
-		}
-		// Two live sessions now share the name; the stale p1 pointer matches
-		// neither, and the name fallback is ambiguous — the disconnect must
-		// no-op (false) instead of killing one of them at random.
-		inst.Connect("dup", BehaviorBounded)
-		inst.Connect("dup", BehaviorBounded)
-		if inst.Disconnect(p1) {
-			t.Fatalf("shards=%d: ambiguous stale disconnect reported success", shards)
-		}
-		if n := inst.sys.Cluster.PlayerCount(); n != 2 {
-			t.Fatalf("shards=%d: ambiguous stale disconnect removed a session: %d live, want 2", shards, n)
-		}
-		// A stale pointer with exactly one name match still resolves: the
-		// handle behind the surviving name is the same player.
-		p2 := inst.Connect("solo", BehaviorBounded)
-		inst.Run(time.Second)
-		if !inst.Disconnect(p2) {
-			t.Fatalf("shards=%d: unique-name disconnect failed", shards)
-		}
-		if n := inst.sys.Cluster.PlayerCount(); n != 2 {
-			t.Fatalf("shards=%d: player count = %d after disconnecting solo, want 2", shards, n)
-		}
-		inst.Stop()
+	inst := NewInstance(Config{Seed: 6, WorldType: "flat"})
+	defer inst.Stop()
+	p1 := inst.Connect("dup", BehaviorBounded)
+	if !inst.Disconnect(p1) {
+		t.Fatal("first disconnect failed")
 	}
-}
-
-// TestTopologyConfigRejectsInvalid pins the fail-fast contract: a
-// misspelled kind, an overcommitted grid, or autoscale bounds the
-// cluster cannot keep must panic at construction, never silently boot
-// the band fallback or a cluster that can never scale down.
-func TestTopologyConfigRejectsInvalid(t *testing.T) {
-	expectPanic := func(name string, cfg Config) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: NewInstance did not panic", name)
-			}
-		}()
-		NewInstance(cfg).Stop()
+	if inst.Disconnect(p1) {
+		t.Fatal("repeated disconnect of the same session reported success")
 	}
-	expectPanic("unknown kind", Config{Shards: 2, Topology: TopologyConfig{Kind: "Grid"}})
-	expectPanic("more shards than tiles", Config{
-		Shards:   20,
-		Topology: TopologyConfig{Kind: "grid", TilesX: 4, TilesZ: 4},
-	})
-	expectPanic("autoscale min above default max", Config{
-		Shards:    2,
-		Autoscale: AutoscaleConfig{Enabled: true, MinShards: 5},
-	})
-	expectPanic("autoscale default max over grid", Config{
-		Shards:    2,
-		Topology:  TopologyConfig{Kind: "grid", TilesX: 3, TilesZ: 1},
-		Autoscale: AutoscaleConfig{Enabled: true},
-	})
+	// Two live sessions now share the name; the stale p1 pointer matches
+	// neither, and the name fallback is ambiguous — the disconnect must
+	// no-op (false) instead of killing one of them at random.
+	inst.Connect("dup", BehaviorBounded)
+	inst.Connect("dup", BehaviorBounded)
+	if inst.Disconnect(p1) {
+		t.Fatal("ambiguous stale disconnect reported success")
+	}
+	if n := inst.sys.Cluster.PlayerCount(); n != 2 {
+		t.Fatalf("ambiguous stale disconnect removed a session: %d live, want 2", n)
+	}
+	p2 := inst.Connect("solo", BehaviorBounded)
+	inst.Run(time.Second)
+	if !inst.Disconnect(p2) {
+		t.Fatal("unique-name disconnect failed")
+	}
+	if n := inst.sys.Cluster.PlayerCount(); n != 2 {
+		t.Fatalf("player count = %d after disconnecting solo, want 2", n)
+	}
 }
 
 // TestUnknownWorldTypePanics: a misspelt world type panics rather than
@@ -206,76 +174,5 @@ func TestUnknownWorldTypePanics(t *testing.T) {
 			}()
 			NewInstance(Config{WorldType: wt}).Stop()
 		}()
-	}
-}
-
-// TestGridTopologyInstance boots a sharded instance over a 2-D grid
-// topology through the public API and checks that a Z-axis spread of
-// players lands on different shards — the placement a band topology
-// cannot split.
-func TestGridTopologyInstance(t *testing.T) {
-	inst := NewInstance(Config{
-		Seed:      7,
-		WorldType: "flat",
-		Shards:    4,
-		Topology:  TopologyConfig{Kind: "grid", TilesX: 4, TilesZ: 4},
-	})
-	defer inst.Stop()
-	if n := inst.cfg.Topology.topology().Tiles(); n != 16 {
-		t.Fatalf("grid config has %d tiles, want 16", n)
-	}
-	cl := inst.sys.Cluster
-	// Two players one tile apart along Z, same X.
-	a := cl.ConnectAt("za", nil, cl.TileCenter(world.TileID{X: 0, Z: 0}))
-	b := cl.ConnectAt("zb", nil, cl.TileCenter(world.TileID{X: 0, Z: 1}))
-	if a.Shard() == b.Shard() {
-		t.Fatalf("Z-separated players share shard %d; the grid is not splitting Z", a.Shard())
-	}
-	inst.Run(10 * time.Second)
-	if inst.TickStats().Box.N == 0 {
-		t.Fatal("grid instance did not tick")
-	}
-}
-
-// ghostNamed returns s's ghost mirroring name, or nil, by walking the
-// registry.
-func ghostNamed(s *mve.Server, name string) *mve.GhostAvatar {
-	var found *mve.GhostAvatar
-	s.EachGhost(func(g *mve.GhostAvatar) {
-		if g.Name == name {
-			found = g
-		}
-	})
-	return found
-}
-
-// TestVisibilityInstance: a sharded instance with visibility on mirrors
-// border avatars as ghosts on the neighbouring shard, and rtserve-facing
-// state (EachGhost) sees them.
-func TestVisibilityInstance(t *testing.T) {
-	inst := NewInstance(Config{
-		Seed: 6, WorldType: "flat", Shards: 2,
-		Visibility: VisibilityConfig{Enabled: true, Margin: 64},
-	})
-	defer inst.Stop()
-	cl := inst.sys.Cluster
-	// Band 0 spans x in [0,128) by default: stand flush against the seam.
-	h := cl.ConnectAt("edge", nil, At(126, 0, 8))
-	if h.Shard() != 0 {
-		t.Fatalf("edge player on shard %d, want 0", h.Shard())
-	}
-	inst.Run(5 * time.Second)
-	g := ghostNamed(cl.Shard(1), "edge")
-	if g == nil {
-		t.Fatal("no ghost of the border player on the neighbouring shard")
-	}
-	if g.Home != 0 {
-		t.Fatalf("ghost home = %d, want 0", g.Home)
-	}
-	if cl.GhostCount() != 1 {
-		t.Fatalf("ghost count = %d, want 1", cl.GhostCount())
-	}
-	if cl.VisibilityGaps.Value() != 0 {
-		t.Fatalf("visibility gaps = %d on a single border pair", cl.VisibilityGaps.Value())
 	}
 }

@@ -1,9 +1,18 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 
 	"fixture/lib"
 )
 
-func main() { io.WriteString(new(lib.Sink), "walk") }
+func main() {
+	io.WriteString(new(lib.Sink), "walk")
+	var o lib.Options
+	if err := json.Unmarshal([]byte(`{"name":"walk"}`), &o); err != nil {
+		panic(err)
+	}
+	fmt.Printf("%+v\n", new(lib.Runner).Run(o))
+}

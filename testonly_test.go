@@ -12,7 +12,22 @@ package servo
 //     nothing uses it, test files included;
 //   - a method counts as used when its receiver type implements a module or
 //     standard-library interface that has the method (fmt.Stringer's String,
-//     io.Writer's Write, ...), since such calls go through the interface.
+//     io.Writer's Write, ...), since such calls go through the interface;
+//   - a struct field fails as "never-set" when non-test code reads it and
+//     nothing writes it, and as "write-only" when nothing reads it. For an
+//     exported field "nothing" means no non-test file; for an unexported
+//     field it means no file at all, so a test-only switch that a test sets
+//     and the product reads passes.
+//
+// A field is written by an assignment, op-assign or inc/dec whose target
+// selects it (also through x.f[i], x.f.g and *x.f chains), by a keyed
+// composite literal naming it, by an unkeyed composite literal or a
+// conversion to its struct type, and by a call of a pointer-receiver method
+// that returns nothing on it when it is not a pointer (Counter.Inc,
+// Sample.Add); &x.f both writes and reads it. Every other use reads it, and
+// a struct value passed to an interface-typed parameter (fmt's %+v) reads
+// all its fields. Fields with struct tags (reflection sets them) and fields
+// of sync and sync/atomic types are not judged for reads and writes.
 //
 // What fails must be deleted, moved into a _test.go file, or given a row in
 // allowTestOnly with a reason the walk cannot see.
@@ -59,17 +74,24 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // TestSurfaceWalkFixture proves that the walk bites: the fixture module under
-// testdata/testonly holds a test-only export, an unreferenced export, a method
-// reached only through io.Writer, an identifier only its stand-in benchmark
-// module reads, and an unexported helper only its test calls. Exactly the
-// first two are findings. testdata/orphan holds an unexported function that
-// only calls itself and a type that only its own method names.
+// testdata/testonly holds a test-only export, an unreferenced export, an
+// exported option that only its own package reads, an exported counter that
+// is only incremented, an unexported field that is written and never read, a
+// method reached only through io.Writer, an identifier only its stand-in
+// benchmark module reads, an unexported helper only its test calls, a struct
+// printed with %+v, a json-tagged field, a sync.Mutex field and an unexported
+// switch that only a test sets. Exactly the first five are findings.
+// testdata/orphan holds an unexported function that only calls itself and a
+// type that only its own method names.
 func TestSurfaceWalkFixture(t *testing.T) {
 	for _, tc := range []struct {
 		dir, users string
 		want       []string
 	}{
 		{"testdata/testonly", "benchmark", []string{
+			"lib.Options.Verbose never-set",
+			"lib.Runner.Calls write-only",
+			"lib.Runner.last write-only",
 			"lib.TestOnly test-only",
 			"lib.Unreferenced unreferenced",
 		}},
@@ -116,7 +138,9 @@ func reportSurface(t *testing.T, findings []surfaceFinding, allow map[string]str
 
 // surfaceFinding is one identifier the walk fails on. kind is "test-only"
 // (exported; only _test.go files use it), "unreferenced" (exported; nothing
-// uses it) or "orphan" (unexported; nothing uses it).
+// uses it), "orphan" (unexported; nothing uses it), "never-set" (a field
+// product code reads and nothing writes) or "write-only" (a field nothing
+// reads).
 type surfaceFinding struct {
 	at, key, kind string
 }
@@ -134,13 +158,24 @@ type listedPackage struct {
 }
 
 // surfaceDecl is a declaration the walk judges, keyed by its position.
+// Each count is indexed by file kind: [0] non-test files, [1] _test.go files.
 type surfaceDecl struct {
 	obj      types.Object
 	key      string
 	from, to token.Pos // its own declaration: uses inside do not count
-	prod     int       // uses in non-test files
-	test     int       // uses in _test.go files
+	field    bool      // a struct field judged for reads and writes
+	uses     [2]int
+	reads    [2]int // field reads
+	writes   [2]int // field writes
 }
+
+// access is how an expression uses a struct field.
+type access uint8
+
+const (
+	read access = 1 << iota
+	write
+)
 
 type surfaceWalk struct {
 	fset    *token.FileSet
@@ -333,8 +368,10 @@ func (w *surfaceWalk) parse(dir string, names []string) ([]*ast.File, error) {
 
 func newInfo() *types.Info {
 	return &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 }
 
@@ -356,8 +393,9 @@ func (w *surfaceWalk) collectInterfaces(pkg *types.Package) {
 }
 
 // declare records the declarations of a judged package that the walk
-// judges: exported package-level identifiers, methods and struct fields, and
-// unexported package-level funcs, methods, types, vars and consts. Fields of
+// judges: exported package-level identifiers, methods and struct fields,
+// unexported package-level funcs, methods, types, vars and consts, and
+// unexported struct fields (for reads and writes only). Fields of
 // a struct spelled inside an interface (a type constraint such as
 // ~struct{ X, Z int }) and embedded fields are not judged; neither are init,
 // main and _.
@@ -397,17 +435,18 @@ func (w *surfaceWalk) declare(pkg *types.Package, files []*ast.File, info *types
 	}
 }
 
-// declareMembers judges the exported fields of the struct types and the
-// methods of the interface types spelled in expr, outside function literals
-// and type constraints.
+// declareMembers judges the fields of the struct types and the methods of
+// the interface types spelled in expr, outside function literals and type
+// constraints. A field with a tag or of a sync or sync/atomic type is not
+// judged for reads and writes; an unexported one is then not judged at all.
 func (w *surfaceWalk) declareMembers(info *types.Info, owner string, expr ast.Expr) {
 	if expr == nil {
 		return
 	}
 	ast.Inspect(expr, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
+		case *ast.FuncLit, *ast.FuncType:
+			return false // parameters are not fields
 		case *ast.InterfaceType:
 			for _, m := range n.Methods.List {
 				if _, ok := m.Type.(*ast.FuncType); ok {
@@ -417,8 +456,12 @@ func (w *surfaceWalk) declareMembers(info *types.Info, owner string, expr ast.Ex
 			return false
 		case *ast.Field:
 			for _, name := range n.Names {
-				if name.IsExported() {
-					w.judge(info.Defs[name], owner+"."+name.Name, name.Pos(), name.Pos())
+				obj := info.Defs[name]
+				field := n.Tag == nil && obj != nil && !isSyncType(obj.Type())
+				if name.IsExported() || field {
+					if d := w.judge(obj, owner+"."+name.Name, name.Pos(), name.Pos()); d != nil {
+						d.field = field
+					}
 				}
 			}
 		}
@@ -426,11 +469,23 @@ func (w *surfaceWalk) declareMembers(info *types.Info, owner string, expr ast.Ex
 	})
 }
 
-func (w *surfaceWalk) judge(obj types.Object, key string, from, to token.Pos) {
-	if obj == nil || obj.Name() == "_" {
-		return
+// isSyncType reports whether t is declared in sync or sync/atomic.
+func isSyncType(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
 	}
-	w.decls[obj.Pos()] = &surfaceDecl{obj: obj, key: key, from: from, to: to}
+	path := n.Obj().Pkg().Path()
+	return path == "sync" || path == "sync/atomic"
+}
+
+func (w *surfaceWalk) judge(obj types.Object, key string, from, to token.Pos) *surfaceDecl {
+	if obj == nil || obj.Name() == "_" {
+		return nil
+	}
+	d := &surfaceDecl{obj: obj, key: key, from: from, to: to}
+	w.decls[obj.Pos()] = d
+	return d
 }
 
 // receiverName is the base type name of a method receiver expression.
@@ -460,8 +515,10 @@ func receiverName(expr ast.Expr) string {
 func (w *surfaceWalk) count(info *types.Info, files []*ast.File) {
 	inFiles := map[*token.File]bool{}
 	receivers := map[*ast.Ident]bool{}
+	accesses := map[*ast.Ident]access{}
 	for _, f := range files {
 		inFiles[w.fset.File(f.Pos())] = true
+		w.accesses(info, f, accesses)
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
 				ast.Inspect(fd.Recv, func(n ast.Node) bool {
@@ -475,12 +532,165 @@ func (w *surfaceWalk) count(info *types.Info, files []*ast.File) {
 	}
 	for id, obj := range info.Uses {
 		if !receivers[id] && inFiles[w.fset.File(id.Pos())] {
-			w.use(obj, id.Pos())
+			acc := accesses[id]
+			if acc == 0 {
+				acc = read
+			}
+			w.use(obj, id.Pos(), acc)
 		}
 	}
 }
 
-func (w *surfaceWalk) use(obj types.Object, at token.Pos) {
+// accesses records in acc the field selections of f that write (or write
+// and read) a field, and counts the uses that name no field: unkeyed
+// composite literals and conversions write every field of their struct
+// type, and a struct value passed to an interface-typed parameter reads
+// every field of its type.
+func (w *surfaceWalk) accesses(info *types.Info, f *ast.File, acc map[*ast.Ident]access) {
+	// mark records a as the access of every field that the target expression
+	// e selects, down its chain of selectors, indexes and dereferences.
+	mark := func(e ast.Expr, a access) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); !ok || !v.IsField() {
+					return
+				}
+				acc[x.Sel] |= a
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					mark(lhs, write)
+				}
+			}
+		case *ast.IncDecStmt:
+			mark(n.X, write)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				mark(n.Key, write)
+				mark(n.Value, write)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(n.X, read|write)
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st := structOf(t)
+			if st == nil || len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				for _, elt := range n.Elts {
+					if key, ok := elt.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+						acc[key] |= write
+					}
+				}
+				break
+			}
+			for i := range n.Elts {
+				w.use(st.Field(i), n.Pos(), write)
+			}
+		case *ast.CallExpr:
+			w.callAccesses(info, n, mark)
+		}
+		return true
+	})
+}
+
+// callAccesses counts the field accesses of call that are not target
+// expressions: a conversion to a struct type writes all its fields, a
+// pointer-receiver method returning nothing writes the non-pointer field
+// it is called on, and a struct value passed to an interface-typed
+// parameter reads all the fields of its type.
+func (w *surfaceWalk) callAccesses(info *types.Info, call *ast.CallExpr, mark func(ast.Expr, access)) {
+	fun := info.Types[call.Fun]
+	if fun.IsType() {
+		if st, ok := fun.Type.Underlying().(*types.Struct); ok {
+			w.useFields(st, call.Pos(), write, nil)
+		}
+		return
+	}
+	sig, ok := fun.Type.(*types.Signature)
+	if !ok || fun.IsBuiltin() {
+		return
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal && sig.Results().Len() == 0 {
+			_, ptrRecv := s.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer)
+			if ptrRecv && !s.Indirect() {
+				mark(sel.X, write)
+			}
+		}
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if call.Ellipsis.IsValid() {
+				continue
+			}
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		if _, tp := pt.(*types.TypeParam); tp || !types.IsInterface(pt) {
+			continue
+		}
+		if st := structOf(info.Types[arg].Type); st != nil {
+			w.useFields(st, arg.Pos(), read, map[*types.Struct]bool{})
+		}
+	}
+}
+
+// useFields counts an access a at at to every field of st; with seen
+// non-nil it descends into fields of struct type, as fmt does.
+func (w *surfaceWalk) useFields(st *types.Struct, at token.Pos, a access, seen map[*types.Struct]bool) {
+	if seen != nil {
+		if seen[st] {
+			return
+		}
+		seen[st] = true
+	}
+	for i := range st.NumFields() {
+		f := st.Field(i)
+		w.use(f, at, a)
+		if inner, ok := f.Type().Underlying().(*types.Struct); ok && seen != nil {
+			w.useFields(inner, at, a, seen)
+		}
+	}
+}
+
+// structOf is t's underlying struct type, or nil.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+func (w *surfaceWalk) use(obj types.Object, at token.Pos, a access) {
 	switch o := obj.(type) {
 	case *types.Func:
 		obj = o.Origin()
@@ -491,10 +701,16 @@ func (w *surfaceWalk) use(obj types.Object, at token.Pos) {
 	if d == nil || (at >= d.from && at <= d.to) {
 		return
 	}
+	k := 0
 	if strings.HasSuffix(w.fset.File(at).Name(), "_test.go") {
-		d.test++
-	} else {
-		d.prod++
+		k = 1
+	}
+	d.uses[k]++
+	if a&read != 0 {
+		d.reads[k]++
+	}
+	if a&write != 0 {
+		d.writes[k]++
 	}
 }
 
@@ -502,25 +718,45 @@ func (w *surfaceWalk) use(obj types.Object, at token.Pos) {
 func (w *surfaceWalk) findings() []surfaceFinding {
 	var out []surfaceFinding
 	for _, d := range w.decls {
-		var kind string
-		switch {
-		case d.prod > 0 || w.viaInterface(d.obj):
+		kind := w.judgement(d)
+		if kind == "" {
 			continue
-		case !d.obj.Exported():
-			if d.test > 0 {
-				continue
-			}
-			kind = "orphan"
-		case d.test > 0:
-			kind = "test-only"
-		default:
-			kind = "unreferenced"
 		}
 		p := w.fset.Position(d.obj.Pos())
 		out = append(out, surfaceFinding{at: fmt.Sprintf("%s:%d", p.Filename, p.Line), key: d.key, kind: kind})
 	}
 	slices.SortFunc(out, func(a, b surfaceFinding) int { return strings.Compare(a.key, b.key) })
 	return out
+}
+
+// judgement is the kind of finding d is, or "" if it passes.
+func (w *surfaceWalk) judgement(d *surfaceDecl) string {
+	exported := d.obj.Exported()
+	if d.uses[0] == 0 && !w.viaInterface(d.obj) {
+		switch {
+		case d.uses[1] == 0 && exported:
+			return "unreferenced"
+		case d.uses[1] == 0:
+			return "orphan"
+		case exported:
+			return "test-only"
+		}
+	}
+	if !d.field {
+		return ""
+	}
+	reads, writes := d.reads[0], d.writes[0]
+	if !exported {
+		reads += d.reads[1]
+		writes += d.writes[1]
+	}
+	switch {
+	case reads == 0:
+		return "write-only"
+	case d.reads[0] > 0 && writes == 0:
+		return "never-set"
+	}
+	return ""
 }
 
 // viaInterface reports whether obj is a method whose receiver type
