@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork nomap testonly loc build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
+.PHONY: ci vet fmtcheck nofork nomap testonly loc abpair build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
 ci: vet fmtcheck nofork nomap testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
@@ -66,6 +66,16 @@ loc:
 	@echo "non-test Go lines per package directory:"
 	@$(LOC_FILES) | xargs wc -l | \
 		awk '$$2 != "total" {d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
+
+# abpair runs PAIRS alternating parent/change pairs of one end-to-end
+# benchmark WORKLOAD (scripts/abpair.sh): the parent is a clone of REV,
+# the change is this working tree. It prints the per-pair
+# cpu_ms_per_vsec and vsec_per_wallsec, their medians, the parent's IQR
+# and the pairs the change won — the table a perf claim quotes in
+# CHANGES.md. Example: make abpair WORKLOAD=cluster PAIRS=10
+REV ?= HEAD~1
+abpair:
+	bash scripts/abpair.sh $(WORKLOAD) $(PAIRS) $(REV)
 
 build:
 	$(GO) build ./...

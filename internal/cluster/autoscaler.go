@@ -224,11 +224,8 @@ func (c *Cluster) ownedTiles(i int) []world.TileID {
 		add(tl.Tile)
 	}
 	for _, p := range c.order {
-		if p.inflight {
-			continue
-		}
-		if sess := c.shards[p.shard].Player(p.pid); sess != nil {
-			add(c.table.TileOfBlock(sess.Pos()))
+		if p.sess != nil {
+			add(c.table.TileOfBlock(p.sess.Pos()))
 		}
 	}
 	slices.SortStableFunc(out, func(a, b world.TileID) int { return c.topo.Index(a) - c.topo.Index(b) })

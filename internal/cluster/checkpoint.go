@@ -24,10 +24,10 @@ func (c *Cluster) checkpointTick() {
 	}
 	defer c.clock.After(c.cfg.Checkpoint, c.checkpointTick)
 	for _, p := range slices.Clone(c.order) {
-		if p.slot < 0 || p.inflight {
+		if p.sess == nil {
 			continue
 		}
-		snap, ok := c.shards[p.shard].SnapshotPlayer(p.pid)
+		snap, ok := c.shards[p.shard].SnapshotPlayer(p.sess.ID)
 		if !ok {
 			continue
 		}

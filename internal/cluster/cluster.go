@@ -106,8 +106,12 @@ type Player struct {
 	ID   PlayerID
 	Name string
 
-	shard    int
-	pid      mve.PlayerID
+	shard int
+	// sess is the shard-level session while one hosts the player, nil
+	// while it is in flight: set at join and at each admission (handoff,
+	// failover), cleared at eviction, at the start of a failover and at
+	// drop.
+	sess     *mve.Player
 	behavior mve.Behavior
 	// pendingShard is the boundary-scan hysteresis state: a handoff
 	// starts only when two consecutive scans agree on the same foreign
@@ -162,7 +166,9 @@ type Cluster struct {
 	// sessions in join order, and every walk ranges over it.
 	players map[PlayerID]*Player
 	order   []*Player
-	nextID  PlayerID
+	// scanOrder is the boundary scan's reused copy of order.
+	scanOrder []*Player
+	nextID    PlayerID
 	// freeSlots are the slots of dropped sessions, reused last-freed
 	// first; slots is the number ever handed out.
 	freeSlots []int
@@ -227,11 +233,11 @@ type Cluster struct {
 	// visSeq numbers replication scans (ghost staleness stamps).
 	visSeq uint64
 	// fullRescan makes every scan recompute every session's border
-	// membership and sort both visibility indexes from scratch, the
-	// pre-incremental behaviour: the reference the in-package tests and
-	// benchmarks compare the membership cache and the index repair
-	// against (ghost registries, journal and gap audit are identical
-	// either way). Nothing outside the package can set it.
+	// membership and build the gap audit's index from scratch, skipping
+	// the audit's cheap first question: the reference the in-package
+	// tests and benchmarks compare the membership cache, the index repair
+	// and that shortcut against (ghost registries, journal and gap audit
+	// are identical either way). Nothing outside the package can set it.
 	fullRescan bool
 	// GhostUpdates counts digest entries applied to ghost registries
 	// (not a journal kind: a refresh changes no registry membership).
@@ -256,12 +262,13 @@ type Cluster struct {
 	digestsSent    metrics.Counter
 	digestsSkipped metrics.Counter
 
-	// Reused visibility-scan scratch (see visibility.go). The pairing and
-	// the audit index their sessions at different cell sizes, so each
-	// keeps its own index and its own order.
+	// Reused visibility-scan scratch (see visibility.go). visDisplaced
+	// holds the displaced sessions' positions in visAll; the gap audit's
+	// index keeps its order from one build to the next.
 	visAll       []visSess
+	visDisplaced []int
 	visResidents []int
-	visPairIdx   visIndex
+	visHosts     []uint64
 	visAuditIdx  visIndex
 	visHolders   []uint64
 	visPairs     []visPairState // dense, see pairTable
@@ -444,7 +451,7 @@ func (c *Cluster) ConnectAt(name string, b mve.Behavior, pos world.BlockPos) *Pl
 		ID:           c.nextID,
 		Name:         name,
 		shard:        shard,
-		pid:          sess.ID,
+		sess:         sess,
 		behavior:     b,
 		pendingShard: shard,
 		lastPos:      pos,
@@ -492,7 +499,7 @@ func (c *Cluster) Disconnect(id PlayerID) bool {
 		p.closed = true
 		return true
 	}
-	c.shards[p.shard].Disconnect(p.pid)
+	c.shards[p.shard].Disconnect(p.sess.ID)
 	c.drop(p)
 	return true
 }
@@ -504,6 +511,7 @@ func (c *Cluster) drop(p *Player) {
 	c.order = slices.Delete(c.order, i, i+1)
 	c.freeSlots = append(c.freeSlots, p.slot)
 	p.slot = -1
+	p.sess = nil
 }
 
 // HandleOf finds the handle behind a shard-level session: by pointer
@@ -540,13 +548,9 @@ func (c *Cluster) Players() []*Player {
 func (c *Cluster) PlayerCount() int { return len(c.players) }
 
 // Session returns the shard-level session behind a handle, or nil while
-// the player is mid-handoff.
-func (c *Cluster) Session(p *Player) *mve.Player {
-	if p.inflight {
-		return nil
-	}
-	return c.shards[p.shard].Player(p.pid)
-}
+// the player is in flight (mid-handoff or mid-failover) and once it is
+// disconnected.
+func (c *Cluster) Session(p *Player) *mve.Player { return p.sess }
 
 // SpawnConstruct activates a construct on the shard owning its anchor
 // and returns (shard, id). Constructs never migrate: a construct stays on
@@ -563,20 +567,20 @@ func (c *Cluster) scan() {
 	if c.stopped {
 		return
 	}
-	for _, p := range slices.Clone(c.order) {
-		if p.slot < 0 || p.inflight {
+	// A synchronous handoff can drop a session from c.order mid-walk, so
+	// the walk ranges over a copy, kept in reused scratch and cleared
+	// after it so that it holds no departed session.
+	c.scanOrder = append(c.scanOrder[:0], c.order...)
+	for _, p := range c.scanOrder {
+		if p.sess == nil {
 			continue
 		}
-		sess := c.shards[p.shard].Player(p.pid)
-		if sess == nil {
-			continue
-		}
-		p.lastPos = sess.Pos()
+		p.lastPos = p.sess.Pos()
 		// The live table, not the boot assignment: after a migration or
 		// failover bumped the epoch, residents of a moved tile look
 		// foreign here and follow their tile to its new owner through the
 		// ordinary handoff machinery.
-		want := c.table.ShardOfBlock(sess.Pos())
+		want := c.table.ShardOfBlock(p.lastPos)
 		if want == p.shard {
 			p.pendingShard = p.shard
 			continue
@@ -587,6 +591,7 @@ func (c *Cluster) scan() {
 		}
 		c.handoff(p, want)
 	}
+	clear(c.scanOrder)
 	c.clock.After(c.scanInterval, c.scan)
 }
 
@@ -595,12 +600,12 @@ func (c *Cluster) scan() {
 // admit. With a nil Transfer the move is purely in memory.
 func (c *Cluster) handoff(p *Player, dst int) {
 	src := p.shard
-	snap, ok := c.shards[src].EvictPlayer(p.pid)
+	snap, ok := c.shards[src].EvictPlayer(p.sess.ID)
 	if !ok {
 		return
 	}
 	start := c.clock.Now()
-	p.inflight = true
+	p.inflight, p.sess = true, nil
 	// Visually seamless handoff: the evicted session leaves a pinned
 	// ghost behind, so viewers on the source shard keep seeing the
 	// avatar while its state crosses the storage substrate.
@@ -626,7 +631,7 @@ func (c *Cluster) handoff(p *Player, dst int) {
 		// The target's ghost promotes to the real avatar; the source's
 		// pinned double unpins and rides the normal refresh/expiry cycle.
 		c.promoteFromGhost(p, src, dst, restored.X, restored.Z)
-		p.shard, p.pid, p.pendingShard = dst, sess.ID, dst
+		p.shard, p.sess, p.pendingShard = dst, sess, dst
 		lat := c.clock.Now() - start
 		c.Handoffs.Inc()
 		c.HandoffLatency.Add(lat)

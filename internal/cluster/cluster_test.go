@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -314,4 +315,103 @@ func TestOneShardClusterScansOnlyOnceGrown(t *testing.T) {
 	if got := c.Handoffs.Value(); got != 1 || p.Shard() != idx {
 		t.Fatalf("after AddShard + migrateTile: %d handoffs, player on shard %d; want 1 handoff onto shard %d", got, p.Shard(), idx)
 	}
+}
+
+// checkSessions asserts the handle → session invariant: a hosted handle's
+// Session is a player its host shard hosts, an in-flight handle has none,
+// and the alive shards host exactly the hosted handles' sessions. It
+// returns how many handles were in flight.
+func checkSessions(t *testing.T, c *Cluster, when string) int {
+	t.Helper()
+	inflight, hosted := 0, 0
+	for _, p := range c.Players() {
+		s := c.Session(p)
+		if p.inflight {
+			if s != nil {
+				t.Fatalf("%s: %s is in flight and still has a session", when, p.Name)
+			}
+			inflight++
+			continue
+		}
+		if s == nil || !slices.Contains(c.Shard(p.Shard()).Players(), s) {
+			t.Fatalf("%s: %s's session is not the player shard %d hosts", when, p.Name, p.Shard())
+		}
+		hosted++
+	}
+	n := 0
+	for i := range c.shards {
+		if c.table.Alive(i) {
+			n += c.Shard(i).PlayerCount()
+		}
+	}
+	if n != hosted {
+		t.Fatalf("%s: the alive shards host %d sessions, the handles %d", when, n, hosted)
+	}
+	return inflight
+}
+
+// TestSessionFollowsThePlayer: a handle holds its shard-level session
+// through a handoff over the storage substrate, a failover and its
+// re-admission, a recovery that walks the victims home, and a
+// disconnect. The invariant is checked every tick, and the run must pass
+// through in-flight states for the check to mean anything.
+func TestSessionFollowsThePlayer(t *testing.T) {
+	loop, _, c := newStoreCluster(t, 17, 3, Config{})
+	crosser := c.ConnectAt("crosser", walker(100, 8, 8), world.BlockPos{X: 32, Y: 0, Z: 8})
+	var victims []*Player
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			p := c.ConnectAt(fmt.Sprintf("s%dp%d", i, j), nil, c.Home(i))
+			if i == 1 {
+				victims = append(victims, p)
+			}
+		}
+	}
+	c.Start()
+	inflight := 0
+	runTo := func(until time.Duration, when string) {
+		for loop.Now() < until {
+			loop.RunUntil(min(loop.Now()+mve.TickInterval, until))
+			inflight += checkSessions(t, c, when)
+		}
+	}
+	runTo(30*time.Second, "handoff")
+	if crosser.Shard() != 1 || c.Journal.Count(Handoff) == 0 {
+		t.Fatalf("setup: crosser on shard %d after %d handoffs, want shard 1", crosser.Shard(), c.Journal.Count(Handoff))
+	}
+	if inflight == 0 {
+		t.Fatal("the handoff was never seen in flight")
+	}
+
+	if !c.FailShard(1) {
+		t.Fatal("FailShard refused")
+	}
+	for _, p := range append(victims, crosser) {
+		if !p.inflight || c.Session(p) != nil {
+			t.Fatalf("failover victim %s is not in flight", p.Name)
+		}
+	}
+	runTo(60*time.Second, "failover")
+	if got := c.Journal.Count(FailedOver); got != int64(len(victims)+1) {
+		t.Fatalf("players failed over = %d, want %d", got, len(victims)+1)
+	}
+
+	if !c.RecoverShard(1) {
+		t.Fatal("RecoverShard refused")
+	}
+	runTo(2*time.Minute, "recovery")
+	for _, p := range victims {
+		if p.Shard() != 1 || c.Session(p) == nil {
+			t.Fatalf("victim %s not hosted at home after recovery (shard %d)", p.Name, p.Shard())
+		}
+	}
+
+	gone := victims[0]
+	if !c.Disconnect(gone.ID) {
+		t.Fatal("Disconnect refused")
+	}
+	if c.Session(gone) != nil {
+		t.Fatal("a disconnected handle still has a session")
+	}
+	runTo(2*time.Minute+time.Second, "disconnect")
 }

@@ -142,14 +142,10 @@ func (c *Cluster) pickTile(hot, cold int) (world.TileID, bool) {
 	var tiles []world.TileID
 	hotPlayers, coldPlayers := 0, 0
 	for _, p := range c.order {
-		if p.inflight {
+		if p.sess == nil {
 			continue
 		}
-		sess := c.shards[p.shard].Player(p.pid)
-		if sess == nil {
-			continue
-		}
-		tile := c.table.TileOfBlock(sess.Pos())
+		tile := c.table.TileOfBlock(p.sess.Pos())
 		switch p.shard {
 		case hot:
 			hotPlayers++
@@ -338,7 +334,7 @@ func (c *Cluster) reloadGained(before *world.OwnershipTable, fresh int) {
 // snapshot when the transfer store has one, else at the last scan-
 // observed position with an empty record.
 func (c *Cluster) readmit(p *Player) {
-	p.inflight = true
+	p.inflight, p.sess = true, nil
 	finish := func(snap mve.PlayerSnapshot) {
 		p.inflight = false
 		if p.closed {
@@ -352,7 +348,7 @@ func (c *Cluster) readmit(p *Player) {
 			c.record(Record{Kind: GhostPromote, Player: int32(p.key), Shard: dst})
 		}
 		c.record(Record{Kind: FailedOver, Player: int32(p.key), Shard: p.shard, Peer: dst})
-		p.shard, p.pid, p.pendingShard = dst, sess.ID, dst
+		p.shard, p.sess, p.pendingShard = dst, sess, dst
 	}
 	fallback := mve.PlayerSnapshot{
 		Name: p.Name,

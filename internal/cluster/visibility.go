@@ -19,17 +19,18 @@
 // session and recomputed only for the dirty set: sessions whose chunk or
 // margin rect changed (about one step in sixteen for a walker), were
 // handed off, or saw the ownership table change under them (every
-// migration, failover, and recovery bumps the epoch). The
-// displaced-session pairing and the gap audit each run over a cell-sorted
-// spatial index (visindex.go) instead of all pairs, and each index keeps
-// its cell order from one scan to the next, so a scan repairs the order
-// instead of sorting. The per-shard-pair digest state is a dense table,
-// and the digests name avatars by the player name's interned key
-// (Cluster.intern), which is also how the shards' ghost registries find
-// a ghost: neither publication nor the audit hashes a name. The
-// in-package tests cross-check the cache against a scan that recomputes
-// everything (Cluster.fullRescan, which also makes both indexes forget
-// their order): both leave identical ghost registries and journals.
+// migration, failover, and recovery bumps the epoch). Each session holds
+// its shard-level player (Player.sess), so the scan reads positions
+// without a look-up. The displaced-session pairing walks only the
+// displaced — a handful of sessions, each checked against every other.
+// The per-shard-pair digest state is a dense table, and the digests name
+// avatars by the player name's interned key (Cluster.intern), which is
+// also how the shards' ghost registries find a ghost: neither
+// publication nor the audit hashes a name. The in-package tests
+// cross-check the cache against a scan that recomputes everything
+// (Cluster.fullRescan, which also makes the audit build its index from
+// scratch every scan): both leave identical ghost registries, journals
+// and gap counts.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
 // session demotes it to a pinned ghost on the source shard (viewers keep
@@ -42,9 +43,13 @@
 // The bus also audits itself: after applying the digests, it checks
 // every cross-shard pair of border residents within view distance of
 // each other and counts a visibility gap tick if any viewer's shard is
-// missing the matching ghost. It looks each resident's ghost up once per
-// shard hosting a resident near it, not once per pair, and checks pairs
-// only around a resident some nearby shard does not mirror
+// missing the matching ghost. It first asks whether every shard hosting a
+// resident holds every other host's residents' ghosts; if so, no pair can
+// be unserved and the scan ends there. Otherwise the residents go into a
+// cell-sorted spatial index (visindex.go) whose cell order carries over
+// from one build to the next, each resident's ghost is looked up once per
+// shard hosting a resident near it, not once per pair, and pairs are
+// checked only around a resident some nearby shard does not mirror
 // (visIndex.hasGap). A healthy configuration (margin ≥ view distance)
 // holds the gap counter at zero; the bundled border-patrol scenario
 // asserts exactly that.
@@ -298,12 +303,9 @@ func (c *Cluster) VisibilityScanOnce() {
 	// the dirty set — chunk or margin rect changed, handed off, or stale
 	// against the ownership epoch — recomputes membership.
 	all := c.visAll[:0]
-	displacedAny := false
+	displaced := c.visDisplaced[:0]
 	for _, p := range c.order {
-		if p.inflight {
-			continue
-		}
-		sp := c.shards[p.shard].Player(p.pid)
+		sp := p.sess
 		if sp == nil {
 			continue
 		}
@@ -325,7 +327,7 @@ func (c *Cluster) VisibilityScanOnce() {
 			p.vc = visCache{valid: true, epoch: epoch, shard: p.shard, chunk: chunk, rect: rect, displaced: home != p.shard, dsts: dsts}
 		}
 		if p.vc.displaced {
-			displacedAny = true
+			displaced = append(displaced, len(all))
 		}
 		var extra []int
 		if n := len(all); n < cap(c.visAll) {
@@ -334,45 +336,24 @@ func (c *Cluster) VisibilityScanOnce() {
 		all = append(all, visSess{p: p, pos: pos, x: sp.X, z: sp.Z, extra: extra})
 	}
 	c.visAll = all
+	c.visDisplaced = displaced
 
 	// Displaced sessions — hosted by a shard that no longer owns the
 	// terrain under them, the migration/handoff transient — pair up with
 	// every session near them: tile ownership cannot name their host
 	// shard, so their neighbours publish to it (and vice versa) by
-	// session geometry. The candidates come from the spatial index at
-	// margin-sized cells instead of all pairs.
-	if c.fullRescan {
-		c.visPairIdx.forget()
-		c.visAuditIdx.forget()
-	}
-	ix := &c.visPairIdx
-	if displacedAny {
-		ix.reset(margin)
-		for i := range all {
-			ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, i, all[i].p.slot)
-		}
-		ix.group(0)
-		for ci := range ix.cells {
-			cell := &ix.cells[ci]
-			for i := cell.lo; i < cell.hi; i++ {
-				a := &ix.recs[i]
-				sa := &all[a.id]
-				if !sa.p.vc.displaced {
-					continue
-				}
-				for _, j := range cell.near() {
-					nc := &ix.cells[j]
-					for k := nc.lo; k < nc.hi; k++ {
-						b := &ix.recs[k]
-						if b.shard == a.shard || a.dist(b) > margin {
-							continue
-						}
-						sb := &all[b.id]
-						sb.extra = addSorted(sb.extra, int(a.shard))
-						sa.extra = addSorted(sa.extra, int(b.shard))
-					}
-				}
+	// session geometry. They are a handful in a scan, so each one walks
+	// every session; the extra sets are sorted, so the order of the walk
+	// cannot reach them.
+	for _, i := range displaced {
+		sa := &all[i]
+		for j := range all {
+			sb := &all[j]
+			if sb.p.shard == sa.p.shard || chebyshev(sa.pos, sb.pos) > margin {
+				continue
 			}
+			sb.extra = addSorted(sb.extra, sa.p.shard)
+			sa.extra = addSorted(sa.extra, sb.p.shard)
 		}
 	}
 
@@ -384,7 +365,10 @@ func (c *Cluster) VisibilityScanOnce() {
 	for k := range pairs {
 		pairs[k].entries = pairs[k].entries[:0]
 	}
+	words := bitWords(n)
 	residents := c.visResidents[:0]
+	hosts := zeroed(c.visHosts, words)
+	c.visHosts = hosts
 	for i := range all {
 		s := &all[i]
 		base := s.p.vc.dsts
@@ -392,6 +376,7 @@ func (c *Cluster) VisibilityScanOnce() {
 			continue
 		}
 		residents = append(residents, i)
+		setBit(hosts, s.p.shard)
 		// Deterministic fan-out order: ascending shard index, merged from
 		// the two ascending sets.
 		bi, ei := 0, 0
@@ -472,14 +457,19 @@ func (c *Cluster) VisibilityScanOnce() {
 
 	// Audit: every cross-shard pair of border residents within view
 	// distance must be mutually served by a ghost. One or more unserved
-	// pairs make this a visibility gap tick. The residents go into the
-	// spatial index at view-sized cells; each one's holders — the shards
-	// holding its ghost — are looked up once per shard hosting a resident
-	// near it, and the index's cover test (visIndex.hasGap) checks pairs
-	// only where such a look-up came back empty.
+	// pairs make this a visibility gap tick.
+	if c.fullRescan {
+		c.visAuditIdx.forget()
+	} else if c.mirroredEverywhere(all, residents, hosts) {
+		return
+	}
+	// Some resident's ghost is missing somewhere. The residents go into
+	// the spatial index at view-sized cells; each one's holders — the
+	// shards holding its ghost — are looked up once per shard hosting a
+	// resident near it, and the index's cover test (visIndex.hasGap)
+	// checks pairs only where such a look-up came back empty.
 	view := max(c.viewDistance(), 1)
-	words := bitWords(n)
-	ix = &c.visAuditIdx
+	ix := &c.visAuditIdx
 	ix.reset(view)
 	for r, i := range residents {
 		ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, r, all[i].p.slot)
@@ -507,6 +497,33 @@ func (c *Cluster) VisibilityScanOnce() {
 	if ix.hasGap(holders, words) {
 		c.VisibilityGaps.Inc()
 	}
+}
+
+// mirroredEverywhere is the audit's cheap first question: does every
+// shard in hosts — the bitset of the shards hosting a resident — other
+// than a resident's own hold the resident's ghost, for every resident? A
+// yes means no cross-shard pair of residents can be unserved, whatever
+// the distances, so the audit's answer is no gap. It stops at the first
+// ghost missing anywhere, which is where the exact audit takes over.
+func (c *Cluster) mirroredEverywhere(all []visSess, residents []int, hosts []uint64) bool {
+	for _, i := range residents {
+		p := all[i].p
+		for w, m := range hosts {
+			for ; m != 0; m &= m - 1 {
+				dst := w<<6 | bits.TrailingZeros64(m)
+				if dst != p.shard && c.shards[dst].Ghost(p.key) == nil {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// chebyshev is the Chebyshev distance in blocks between two positions.
+func chebyshev(a, b world.BlockPos) int {
+	dx, dz := a.X-b.X, a.Z-b.Z
+	return max(dx, -dx, dz, -dz)
 }
 
 // pairTable returns the per-shard-pair digest state, one entry per

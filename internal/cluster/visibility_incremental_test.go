@@ -7,6 +7,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -518,5 +520,61 @@ func BenchmarkVisibilityScanFullRescan(b *testing.B) {
 				c.VisibilityScanOnce()
 			}
 		})
+	}
+}
+
+// TestDisplacedPairingMatchesAllPairs: random fleets pace across the
+// seams of a 2×2 grid of four shards and of three bands, with handoffs
+// parked so that sessions crossing a seam stay displaced. After every
+// scan, each session's displaced-pairing additions must equal the
+// all-pairs reference: the host shards of the other sessions within the
+// margin on another shard, where one of the two is displaced.
+func TestDisplacedPairingMatchesAllPairs(t *testing.T) {
+	grid := world.GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 2}
+	displacedSeen, extraSeen := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(60 + trial)))
+		shards, topo, span := 4, world.Topology(grid), 64
+		if trial%2 == 1 {
+			shards, topo, span = 3, world.BandTopology{BandChunks: 4}, 192
+		}
+		margin := []int{3, 8, 16, 24}[rng.Intn(4)]
+		loop, c := newTestCluster(t, int64(trial), shards, Config{Topology: topo, Visibility: VisibilityConfig{Enabled: true, Margin: margin}})
+		c.scanInterval = time.Hour
+		at := func() float64 { return float64(rng.Intn(span+16) - 8) }
+		for i := 0; i < 40+rng.Intn(40); i++ {
+			x, z := at(), at()
+			c.ConnectAt(fmt.Sprintf("p%d", i), pacer(x, z, at(), at(), 2+rng.Float64()*6), world.BlockPos{X: int(x), Z: int(z)})
+		}
+		c.Start()
+		for step := 1; step <= 200; step++ {
+			loop.RunUntil(time.Duration(step) * DefaultVisibilityInterval)
+			for i := range c.visAll {
+				a := &c.visAll[i]
+				var want []int
+				for j := range c.visAll {
+					b := &c.visAll[j]
+					if b.p.shard == a.p.shard || !a.p.vc.displaced && !b.p.vc.displaced {
+						continue
+					}
+					if max(a.pos.X-b.pos.X, b.pos.X-a.pos.X, a.pos.Z-b.pos.Z, b.pos.Z-a.pos.Z) <= margin {
+						want = addSorted(want, b.p.shard)
+					}
+				}
+				if !slices.Equal(a.extra, want) {
+					t.Fatalf("trial %d, scan %d: %s's pairing additions are %v, all pairs say %v", trial, step, a.p.Name, a.extra, want)
+				}
+				if a.p.vc.displaced {
+					displacedSeen++
+				}
+				if len(a.extra) > 0 {
+					extraSeen++
+				}
+			}
+		}
+		c.Stop()
+	}
+	if displacedSeen < 100 || extraSeen < 100 {
+		t.Fatalf("%d displaced sessions and %d non-empty additions over all scans: too few, the test proves little", displacedSeen, extraSeen)
 	}
 }

@@ -1,9 +1,10 @@
-// The visibility bus's spatial index: a cell-sorted array of compact
-// session records. The displaced-session pairing (cells one border margin
-// wide) and the gap audit (cells one view distance wide) each keep one.
-// Two positions within Chebyshev distance `size` of each other lie in
-// the same or adjacent cells, so the 3×3 cell neighbourhood of a record
-// holds every partner it can have.
+// The gap audit's spatial index: a cell-sorted array of compact session
+// records, cells one view distance wide. Two positions within Chebyshev
+// distance `size` of each other lie in the same or adjacent cells, so the
+// 3×3 cell neighbourhood of a record holds every partner it can have.
+// The audit builds it only in a scan where some resident's ghost is
+// missing from a shard hosting another resident (see
+// Cluster.mirroredEverywhere); elsewhere the answer is known without it.
 //
 // The index keeps its cell order from one scan to the next. Every record
 // carries its session's stable cluster slot, and group lays the new
@@ -15,9 +16,10 @@
 // change, which forgets the history) are sorted among themselves and
 // merged in, so a mass join costs what a full sort did. Records with the
 // same key may end up in any order, and nothing downstream can tell: the
-// pairing builds sorted shard sets (addSorted), and the audit builds
-// holder bitsets and one boolean. The arrays are reused across scans: a
-// steady-state build allocates nothing.
+// audit builds holder bitsets and one boolean. A scan that skips the
+// build leaves the order as it was, and the next build repairs from it.
+// The arrays are reused across scans: a steady-state build allocates
+// nothing.
 
 package cluster
 
@@ -71,9 +73,9 @@ type visIndex struct {
 	fresh []visRec
 	at    []int32
 	cells []visCellSpan
-	// With group(words > 0): own[ci*words:] is the bitset of the shards
-	// hosting a record in cell ci, and shardsNear[ci*words:] the union of
-	// own over the cell's neighbourhood.
+	// own[ci*words:] is the bitset of the shards hosting a record in cell
+	// ci, and shardsNear[ci*words:] the union of own over the cell's
+	// neighbourhood.
 	own, shardsNear []uint64
 }
 
@@ -124,9 +126,9 @@ func (ix *visIndex) add(x, z, shard, id, slot int) {
 }
 
 // group sorts this build's records into cells — starting from the
-// previous build's order, see the file comment — and lists each cell's
-// neighbourhood. words > 0 also fills own and shardsNear with bitsets of
-// that many words.
+// previous build's order, see the file comment — lists each cell's
+// neighbourhood, and fills own and shardsNear with bitsets of words
+// words.
 func (ix *visIndex) group(words int) {
 	// Survivors: this build's records in the previous build's order,
 	// written over that order.
@@ -196,9 +198,6 @@ func (ix *visIndex) group(words int) {
 				}
 			}
 		}
-	}
-	if words == 0 {
-		return
 	}
 	ix.own = zeroed(ix.own, len(ix.cells)*words)
 	ix.shardsNear = zeroed(ix.shardsNear, len(ix.cells)*words)

@@ -231,29 +231,105 @@ func TestGapOpsRandom(t *testing.T) {
 	}
 }
 
-// TestGapAuditSeesMissingGhost: the audit on a live cluster. Two
-// residents ten blocks apart across a band seam are mirrored both ways;
-// then shard 1 loses alice's ghost between two scans. The second scan's
-// digests are rate-limited, so nothing restores the ghost before the
-// audit runs, and the scan must count a gap tick.
+// TestGapAuditSeesMissingGhost: the audit on a live cluster. Residents
+// ten blocks apart across a band seam are mirrored both ways; then shard 1
+// loses alice's ghost between two scans. The second scan's digests are
+// rate-limited, so nothing restores the ghost before the audit runs, and
+// the scan must count a gap tick. On two bands every host mirrors every
+// resident, so the healthy scan answers through the cheap first question
+// (mirroredEverywhere) and builds no index; on three bands, with
+// residents at both seams, a resident at the 0|1 seam is not mirrored on
+// shard 2, so the question fails on the healthy scan and the exact audit
+// must answer both scans.
 func TestGapAuditSeesMissingGhost(t *testing.T) {
-	_, c := newTestCluster(t, 48, 2, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
-	c.ConnectAt("alice", nil, world.BlockPos{X: 60, Y: 0, Z: 8})
-	c.ConnectAt("bob", nil, world.BlockPos{X: 70, Y: 0, Z: 8})
-	c.VisibilityScanOnce()
-	if ghostNamed(c.Shard(1), "alice") == nil || ghostNamed(c.Shard(0), "bob") == nil {
-		t.Fatal("setup: the pair is not mirrored both ways")
+	type resident struct {
+		name     string
+		x, shard int
 	}
-	if got := c.VisibilityGaps.Value(); got != 0 {
-		t.Fatalf("visibility gap ticks = %d after a healthy scan, want 0", got)
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		residents []resident
+		shortcut  bool
+	}{
+		{"two-bands", 2, []resident{{"alice", 60, 0}, {"bob", 70, 1}}, true},
+		{"three-bands", 3, []resident{{"alice", 60, 0}, {"bob", 70, 1}, {"dan", 122, 1}, {"carol", 132, 2}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := newTestCluster(t, 48, tc.shards, Config{Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
+			for _, r := range tc.residents {
+				if p := c.ConnectAt(r.name, nil, world.BlockPos{X: r.x, Y: 0, Z: 8}); p.Shard() != r.shard {
+					t.Fatalf("setup: %s on shard %d, want %d", r.name, p.Shard(), r.shard)
+				}
+			}
+			c.VisibilityScanOnce()
+			if ghostNamed(c.Shard(1), "alice") == nil || ghostNamed(c.Shard(0), "bob") == nil {
+				t.Fatal("setup: the pair is not mirrored both ways")
+			}
+			if got := c.mirroredEverywhere(c.visAll, c.visResidents, c.visHosts); got != tc.shortcut {
+				t.Fatalf("every host mirrors every resident: %v, want %v", got, tc.shortcut)
+			}
+			if built := len(c.visAuditIdx.cells) > 0; built == tc.shortcut {
+				t.Fatalf("the healthy scan built the audit index: %v, want %v", built, !tc.shortcut)
+			}
+			if got := c.VisibilityGaps.Value(); got != 0 {
+				t.Fatalf("visibility gap ticks = %d after a healthy scan, want 0", got)
+			}
+			skipped := c.digestsSkipped.Value()
+			c.Shard(1).RemoveGhost(c.intern("alice"))
+			c.VisibilityScanOnce()
+			if c.digestsSkipped.Value() == skipped {
+				t.Fatal("the scan republished its digests; the removed ghost was restored before the audit")
+			}
+			if got := c.VisibilityGaps.Value(); got != 1 {
+				t.Fatalf("visibility gap ticks = %d after shard 1 lost alice's ghost, want 1", got)
+			}
+		})
 	}
-	skipped := c.digestsSkipped.Value()
-	c.Shard(1).RemoveGhost(c.intern("alice"))
-	c.VisibilityScanOnce()
-	if c.digestsSkipped.Value() == skipped {
-		t.Fatal("the scan republished its digests; the removed ghost was restored before the audit")
+}
+
+// TestGapAuditIndexZeroAlloc: the audit's index, rebuilt every scan from
+// the previous order with residents stepping across cell edges and a
+// ghost missing (so the exact audit runs), allocates nothing in steady
+// state.
+func TestGapAuditIndexZeroAlloc(t *testing.T) {
+	const view, shards = 32, 4
+	words := bitWords(shards)
+	rs := make([]gapResident, 300)
+	for i := range rs {
+		r := &rs[i]
+		r.x, r.z, r.slot = 17+i%29, 17+i/29*2, i
+		r.shard = floorDiv(r.x, view) + 2*floorDiv(r.z, view)
+		r.holders = make([]uint64, words)
+		for s := 0; s < shards; s++ {
+			if i != 0 || s == r.shard {
+				setBit(r.holders, s)
+			}
+		}
 	}
-	if got := c.VisibilityGaps.Value(); got != 1 {
-		t.Fatalf("visibility gap ticks = %d after shard 1 lost alice's ghost, want 1", got)
+	var ix visIndex
+	holders := make([]uint64, 0, len(rs)*words)
+	step := 1
+	build := func() {
+		for i := range rs {
+			rs[i].x, rs[i].z = rs[i].x+step, rs[i].z+step
+		}
+		step = -step
+		ix.reset(view)
+		holders = holders[:0]
+		for i, r := range rs {
+			ix.add(r.x, r.z, r.shard, i, r.slot)
+			holders = append(holders, r.holders...)
+		}
+		ix.group(words)
+		if !ix.hasGap(holders, words) {
+			t.Fatal("resident 0 is mirrored nowhere, and the audit sees no gap")
+		}
+	}
+	for range 4 {
+		build()
+	}
+	if got := testing.AllocsPerRun(20, build); got != 0 {
+		t.Fatalf("steady-state audit index build: %v allocs, want 0", got)
 	}
 }

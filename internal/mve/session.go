@@ -75,9 +75,6 @@ func (s *Server) EachPlayer(fn func(*Player)) {
 	}
 }
 
-// Player returns the session with the given id, or nil.
-func (s *Server) Player(id PlayerID) *Player { return s.players[id] }
-
 // PlayerCount returns the number of connected players.
 func (s *Server) PlayerCount() int { return len(s.players) }
 

@@ -17,8 +17,9 @@ type GenCache struct {
 	data world.ChunkMap[world.ChunkPos, []byte]
 	// order is the FIFO eviction log in publish order, with a consumed
 	// head index (compacted when the dead prefix dominates). A position
-	// is published at most once while cached and leaves only by eviction,
-	// so order[head:] holds exactly the positions in data.
+	// enters the log only when it is not cached (a republish replaces the
+	// bytes in place) and leaves only by eviction, so order[head:] holds
+	// exactly the positions in data.
 	order []world.ChunkPos
 	head  int
 }
@@ -36,10 +37,14 @@ func NewGenCache() *GenCache {
 // Publish records the encoded generation reply for pos, evicting the
 // oldest entry at capacity. The cache retains data without copying
 // (callers hand over invocation-owned reply buffers). Republishing a
-// cached position is a no-op: generation is deterministic in (seed, pos),
-// so the bytes would be identical.
+// cached position replaces its bytes and keeps its place in the eviction
+// order: generation is deterministic in (seed, pos), so a healthy
+// republish changes nothing, and one that follows a refused adoption
+// (the cached bytes did not decode) overwrites what every later adopter
+// would refuse too.
 func (g *GenCache) Publish(pos world.ChunkPos, data []byte) {
 	if _, ok := g.data.Get(pos); ok {
+		g.data.Put(pos, data)
 		return
 	}
 	if g.data.Len() >= genCacheSize {

@@ -29,7 +29,8 @@ func checkLog(t *testing.T, g *GenCache) {
 
 // TestGenCacheEvictsInPublishOrder: at capacity the oldest position goes
 // first; a position evicted and published again is cached anew and waits
-// its full turn; republishing a cached position changes nothing; and the
+// its full turn; republishing a cached position replaces its bytes and
+// keeps its place; and the
 // order log is compacted once its consumed prefix dominates, so it stays
 // bounded however many positions pass through.
 func TestGenCacheEvictsInPublishOrder(t *testing.T) {
@@ -52,10 +53,11 @@ func TestGenCacheEvictsInPublishOrder(t *testing.T) {
 	}
 	checkLog(t, g)
 
-	// Republishing a cached position keeps its bytes and its place.
+	// Republishing a cached position replaces its bytes and keeps its
+	// place: it is still the oldest.
 	g.Publish(at(1), reply(at(1), 2))
-	if !bytes.Equal(g.Lookup(at(1)), reply(at(1), 1)) || g.data.Len() != genCacheSize {
-		t.Fatal("republishing a cached position changed the cache")
+	if !bytes.Equal(g.Lookup(at(1)), reply(at(1), 2)) || g.data.Len() != genCacheSize {
+		t.Fatal("republishing a cached position did not replace its bytes in place")
 	}
 	checkLog(t, g)
 

@@ -288,6 +288,43 @@ func TestDecodeGuardRefusesAndRegenerates(t *testing.T) {
 	}
 }
 
+// TestRegenerationRepairsTheDedupCache: two backends share a cache that
+// holds undecodable bytes for a position. The first refuses them, counts
+// one decode error and generates the chunk; its publication replaces the
+// bad bytes, so the second adopts the good ones with no decode error and
+// no invocation.
+func TestRegenerationRepairsTheDedupCache(t *testing.T) {
+	gen := terrain.Default{Seed: 42}
+	pos := world.ChunkPos{X: 3, Z: -4}
+	loop := sim.NewLoop(5)
+	p := faas.NewPlatform(loop)
+	Register(p, gen, fastFnConfig(), nil)
+	cache := NewGenCache()
+	cache.Publish(pos, []byte{0xba, 0xd0, 0x0d})
+	var invocations [2]int
+	var backends [2]*Backend
+	for i := range backends {
+		backends[i] = NewBackend(invokerFunc(func(name string, payload []byte, cb func(faas.Invocation)) {
+			invocations[i]++
+			p.Invoke(name, payload, cb)
+		}), FunctionName)
+		backends[i].UseDedup(loop, cache)
+	}
+	for i, want := range []struct{ decodeErrors, invocations, deduped int }{{1, 1, 0}, {0, 0, 1}} {
+		b := backends[i]
+		b.Request(pos)
+		loop.Run()
+		got := b.DrainAppend(nil)
+		if len(got) != 1 || !got[0].Equal(gen.Generate(pos)) {
+			t.Fatalf("backend %d drained %d chunks, want the one generated chunk", i, len(got))
+		}
+		if b.decodeErrors != want.decodeErrors || invocations[i] != want.invocations || b.GenDeduped != want.deduped {
+			t.Fatalf("backend %d: %d decode errors, %d invocations, %d adopted; want %d, %d, %d", i,
+				b.decodeErrors, invocations[i], b.GenDeduped, want.decodeErrors, want.invocations, want.deduped)
+		}
+	}
+}
+
 // invokerFunc adapts a function to the Invoker interface.
 type invokerFunc func(name string, payload []byte, cb func(faas.Invocation))
 
