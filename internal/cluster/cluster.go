@@ -101,17 +101,25 @@ type Config struct {
 // (shard-level mve.PlayerIDs change when a session moves).
 type PlayerID uint64
 
-// Player is a cluster-level session handle.
+// Player is a cluster-level session handle. The fields every
+// visibility scan reads for every session come first.
 type Player struct {
-	ID   PlayerID
-	Name string
-
 	shard int
+	// key is the player name's interned key, which finds the name's
+	// ghosts in the shards' registries.
+	key int
 	// sess is the shard-level session while one hosts the player, nil
 	// while it is in flight: set at join and at each admission (handoff,
 	// failover), cleared at eviction, at the start of a failover and at
 	// drop.
-	sess     *mve.Player
+	sess *mve.Player
+	// vc is the session's cached border membership (see visibility.go);
+	// the visibility scan recomputes it only when position, host shard,
+	// or ownership epoch changed.
+	vc visCache
+
+	ID       PlayerID
+	Name     string
 	behavior mve.Behavior
 	// pendingShard is the boundary-scan hysteresis state: a handoff
 	// starts only when two consecutive scans agree on the same foreign
@@ -127,17 +135,6 @@ type Player struct {
 	// the failover fallback when a player on a killed shard was never
 	// persisted.
 	lastPos world.BlockPos
-	// vc is the session's cached border membership (see visibility.go);
-	// the visibility scan recomputes it only when position, host shard,
-	// or ownership epoch changed.
-	vc visCache
-	// slot is the session's dense cluster slot, its identity in the
-	// visibility index: assigned at join, reused after the session is
-	// dropped, and −1 once it is.
-	slot int
-	// key is the player name's interned key, which finds the name's
-	// ghosts in the shards' registries.
-	key int
 }
 
 // Shard returns the index of the shard currently hosting the session
@@ -169,10 +166,6 @@ type Cluster struct {
 	// scanOrder is the boundary scan's reused copy of order.
 	scanOrder []*Player
 	nextID    PlayerID
-	// freeSlots are the slots of dropped sessions, reused last-freed
-	// first; slots is the number ever handed out.
-	freeSlots []int
-	slots     int
 	// nameKeys interns player names: a name's key is its index in names.
 	// The table grows by one entry per distinct name ever admitted and is
 	// never pruned, so a key stays valid in every ghost registry; the
@@ -233,11 +226,10 @@ type Cluster struct {
 	// visSeq numbers replication scans (ghost staleness stamps).
 	visSeq uint64
 	// fullRescan makes every scan recompute every session's border
-	// membership and build the gap audit's index from scratch, skipping
-	// the audit's cheap first question: the reference the in-package
-	// tests and benchmarks compare the membership cache, the index repair
-	// and that shortcut against (ghost registries, journal and gap audit
-	// are identical either way). Nothing outside the package can set it.
+	// membership: the reference the in-package tests and benchmarks
+	// compare the membership cache against (ghost registries, journal and
+	// gap audit are identical either way). Nothing outside the package can
+	// set it.
 	fullRescan bool
 	// GhostUpdates counts digest entries applied to ghost registries
 	// (not a journal kind: a refresh changes no registry membership).
@@ -263,14 +255,14 @@ type Cluster struct {
 	digestsSkipped metrics.Counter
 
 	// Reused visibility-scan scratch (see visibility.go). visDisplaced
-	// holds the displaced sessions' positions in visAll; the gap audit's
-	// index keeps its order from one build to the next.
+	// holds the displaced sessions' positions in visAll, and visSuspects
+	// and visMissing the gap audit's suspects and their missing holders.
 	visAll       []visSess
 	visDisplaced []int
 	visResidents []int
 	visHosts     []uint64
-	visAuditIdx  visIndex
-	visHolders   []uint64
+	visSuspects  []int
+	visMissing   []uint64
 	visPairs     []visPairState // dense, see pairTable
 	visBorders   []world.BorderNeighbor
 }
@@ -457,12 +449,6 @@ func (c *Cluster) ConnectAt(name string, b mve.Behavior, pos world.BlockPos) *Pl
 		lastPos:      pos,
 		key:          key,
 	}
-	if n := len(c.freeSlots); n > 0 {
-		p.slot, c.freeSlots = c.freeSlots[n-1], c.freeSlots[:n-1]
-	} else {
-		p.slot = c.slots
-		c.slots++
-	}
 	c.players[p.ID] = p
 	c.order = append(c.order, p)
 	return p
@@ -504,13 +490,11 @@ func (c *Cluster) Disconnect(id PlayerID) bool {
 	return true
 }
 
-// drop removes the handle from the routing tables and frees its slot.
+// drop removes the handle from the routing tables.
 func (c *Cluster) drop(p *Player) {
 	delete(c.players, p.ID)
 	i := slices.Index(c.order, p)
 	c.order = slices.Delete(c.order, i, i+1)
-	c.freeSlots = append(c.freeSlots, p.slot)
-	p.slot = -1
 	p.sess = nil
 }
 

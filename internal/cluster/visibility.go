@@ -28,8 +28,7 @@
 // also how the shards' ghost registries find a ghost: neither
 // publication nor the audit hashes a name. The in-package tests
 // cross-check the cache against a scan that recomputes everything
-// (Cluster.fullRescan, which also makes the audit build its index from
-// scratch every scan): both leave identical ghost registries, journals
+// (Cluster.fullRescan): both leave identical ghost registries, journals
 // and gap counts.
 //
 // Handoffs ride the same machinery instead of popping: evicting the
@@ -43,16 +42,14 @@
 // The bus also audits itself: after applying the digests, it checks
 // every cross-shard pair of border residents within view distance of
 // each other and counts a visibility gap tick if any viewer's shard is
-// missing the matching ghost. It first asks whether every shard hosting a
-// resident holds every other host's residents' ghosts; if so, no pair can
-// be unserved and the scan ends there. Otherwise the residents go into a
-// cell-sorted spatial index (visindex.go) whose cell order carries over
-// from one build to the next, each resident's ghost is looked up once per
-// shard hosting a resident near it, not once per pair, and pairs are
-// checked only around a resident some nearby shard does not mirror
-// (visIndex.hasGap). A healthy configuration (margin ≥ view distance)
-// holds the gap counter at zero; the bundled border-patrol scenario
-// asserts exactly that.
+// missing the matching ghost. Each resident's ghost is looked up once on
+// every other shard hosting a resident; a resident every host shard
+// mirrors is done, and any other walks the residents for one within view
+// distance on a shard that lacks its ghost (hasGap). A healthy scan
+// therefore costs residents × host shards ghost look-ups and no distance
+// check. A healthy configuration (margin ≥ view
+// distance) holds the gap counter at zero; the bundled border-patrol
+// scenario asserts exactly that.
 
 package cluster
 
@@ -457,67 +454,78 @@ func (c *Cluster) VisibilityScanOnce() {
 
 	// Audit: every cross-shard pair of border residents within view
 	// distance must be mutually served by a ghost. One or more unserved
-	// pairs make this a visibility gap tick.
-	if c.fullRescan {
-		c.visAuditIdx.forget()
-	} else if c.mirroredEverywhere(all, residents, hosts) {
-		return
-	}
-	// Some resident's ghost is missing somewhere. The residents go into
-	// the spatial index at view-sized cells; each one's holders — the
-	// shards holding its ghost — are looked up once per shard hosting a
-	// resident near it, and the index's cover test (visIndex.hasGap)
-	// checks pairs only where such a look-up came back empty.
-	view := max(c.viewDistance(), 1)
-	ix := &c.visAuditIdx
-	ix.reset(view)
-	for r, i := range residents {
-		ix.add(all[i].pos.X, all[i].pos.Z, all[i].p.shard, r, all[i].p.slot)
-	}
-	ix.group(words)
-	holders := zeroed(c.visHolders, len(residents)*words)
-	c.visHolders = holders
-	for ci := range ix.cells {
-		cell := &ix.cells[ci]
-		near := ix.shardsNear[ci*words : (ci+1)*words]
-		for i := cell.lo; i < cell.hi; i++ {
-			rec := &ix.recs[i]
-			key := all[residents[rec.id]].p.key
-			h := holders[int(rec.id)*words : (int(rec.id)+1)*words]
-			for w, m := range near {
-				for ; m != 0; m &= m - 1 {
-					dst := w<<6 | bits.TrailingZeros64(m)
-					if dst != int(rec.shard) && c.shards[dst].Ghost(key) != nil {
-						setBit(h, dst)
+	// pairs make this a visibility gap tick. Each resident's ghost is
+	// looked up once on every other host shard; a resident with a miss is
+	// a suspect, and its row of missing is the bitset of the host shards
+	// that lack its ghost.
+	suspects, missing := c.visSuspects[:0], c.visMissing[:0]
+	for _, i := range residents {
+		p := all[i].p
+		row := -1
+		for w, m := range hosts {
+			for ; m != 0; m &= m - 1 {
+				dst := w<<6 | bits.TrailingZeros64(m)
+				if dst == p.shard || c.shards[dst].Ghost(p.key) != nil {
+					continue
+				}
+				if row < 0 {
+					row = len(missing)
+					suspects = append(suspects, i)
+					for range words {
+						missing = append(missing, 0)
 					}
 				}
+				setBit(missing[row:], dst)
 			}
 		}
 	}
-	if ix.hasGap(holders, words) {
+	c.visSuspects, c.visMissing = suspects, missing
+	if hasGap(all, residents, suspects, missing, max(c.viewDistance(), 1)) {
 		c.VisibilityGaps.Inc()
 	}
 }
 
-// mirroredEverywhere is the audit's cheap first question: does every
-// shard in hosts — the bitset of the shards hosting a resident — other
-// than a resident's own hold the resident's ghost, for every resident? A
-// yes means no cross-shard pair of residents can be unserved, whatever
-// the distances, so the audit's answer is no gap. It stops at the first
-// ghost missing anywhere, which is where the exact audit takes over.
-func (c *Cluster) mirroredEverywhere(all []visSess, residents []int, hosts []uint64) bool {
-	for _, i := range residents {
-		p := all[i].p
-		for w, m := range hosts {
-			for ; m != 0; m &= m - 1 {
-				dst := w<<6 | bits.TrailingZeros64(m)
-				if dst != p.shard && c.shards[dst].Ghost(p.key) == nil {
-					return false
-				}
+// hasGap is the gap audit: it reports whether two residents (all[i] for
+// i in residents) on different shards within Chebyshev distance view of
+// each other are not mirrored both ways. suspects are the residents
+// whose ghost some other host shard lacks, and row s of missing (all rows
+// are len(missing)/len(suspects) words) is the bitset of the shards
+// lacking suspect s's ghost, its own shard excluded.
+//
+// Only suspects walk the residents, and each checks one direction of
+// each pair: that the partner's shard holds it. The other direction is
+// the partner's own check, and the partner is a suspect whenever the
+// suspect's shard lacks its ghost. So the answer is the all-pairs
+// answer, and a pair's distance is measured only from a resident whose
+// ghost some host shard lacks.
+func hasGap(all []visSess, residents, suspects []int, missing []uint64, view int) bool {
+	if len(suspects) == 0 {
+		return false
+	}
+	words := len(missing) / len(suspects)
+	for s, i := range suspects {
+		a, m := &all[i], missing[s*words:(s+1)*words]
+		for _, j := range residents {
+			if b := &all[j]; hasBit(m, b.p.shard) && chebyshev(a.pos, b.pos) <= view {
+				return true
 			}
 		}
 	}
-	return true
+	return false
+}
+
+func setBit(s []uint64, i int)      { s[i>>6] |= 1 << (i & 63) }
+func hasBit(s []uint64, i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func bitWords(n int) int            { return (n + 63) >> 6 }
+
+// zeroed returns s resized to n cleared words, reusing its array.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // chebyshev is the Chebyshev distance in blocks between two positions.

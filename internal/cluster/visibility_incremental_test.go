@@ -367,14 +367,18 @@ func TestDigestEncodeAllocs(t *testing.T) {
 // TestVisibilityScanZeroAlloc: a steady-state replication tick —
 // membership caches, ghost registries and scan scratch warmed by one
 // scan, or by a few in each position where residents move — allocates
-// nothing, on three shapes. "spaced": 1000 idle border
-// residents paired across a band seam and spaced along Z, so each pair
-// audits locally. "crowded": 300 residents within view of each other
-// around the corner of four tiles on a 2×2 grid, the shape the cluster
-// workload runs, where every resident is near every shard. "crossing":
-// the crowded shape with every resident stepping one block diagonally
-// back and forth between measured scans, so those on a cell edge change
-// cell (and tile) every scan and both indexes repair their order.
+// nothing, on four shapes. "spaced": 1000 idle border residents paired
+// across a band seam and spaced along Z. "crowded": 300 residents within
+// view of each other around the corner of four tiles on a 2×2 grid, the
+// shape the cluster workload runs, where every resident is near every
+// shard. "crossing": the crowded shape with every resident stepping one
+// block diagonally back and forth between measured scans, so those on a
+// tile edge change tile every scan and the displaced pairing runs. In
+// those three every host shard mirrors every resident, so the gap audit
+// measures no distance. "seams": 300 residents at both seams of three
+// bands, where every resident's ghost is missing from the host shard of
+// the other seam, so every resident is a gap-audit suspect and walks the
+// residents.
 func TestVisibilityScanZeroAlloc(t *testing.T) {
 	grid := world.GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 2}
 	for _, tc := range []struct {
@@ -384,6 +388,9 @@ func TestVisibilityScanZeroAlloc(t *testing.T) {
 		n      int
 		pos    func(i int) world.BlockPos
 		step   bool
+		// ghosts is the ghost count after the warm-up scan, and suspects
+		// the number of residents the gap audit walks the residents from.
+		ghosts, suspects int
 	}{
 		{"spaced", 2, nil, 1000, func(i int) world.BlockPos {
 			x := 60 // 4 blocks west of the x=64 band seam, shard 0
@@ -391,19 +398,25 @@ func TestVisibilityScanZeroAlloc(t *testing.T) {
 				x = 70 // 6 blocks east, shard 1
 			}
 			return world.BlockPos{X: x, Z: (i / 2) * 48}
-		}, false},
+		}, false, 1000, 0},
+		{"seams", 3, nil, 300, func(i int) world.BlockPos {
+			// Across the x=64 seam (shards 0 and 1) and the x=128 seam
+			// (shards 1 and 2), three blocks apart along Z: each resident
+			// is mirrored by its seam's other shard only.
+			return world.BlockPos{X: []int{60, 70, 122, 132}[i%4], Z: i / 4 * 3}
+		}, false, 300, 300},
 		{"crowded", 4, grid, 300, func(i int) world.BlockPos {
 			// Inside [16, 47]² around the corner at (32, 32): every pair
 			// within the view distance of 32, every resident within the
 			// 16-block margin of two seams.
 			return world.BlockPos{X: 16 + i%32, Z: 16 + i/32*3}
-		}, false},
+		}, false, 900, 0},
 		{"crossing", 4, grid, 300, func(i int) world.BlockPos {
 			// Inside [17, 46]², so a step of one block keeps every
 			// resident within the margin of both seams; those at x or
-			// z = 31 cross the corner's cell and tile edges.
+			// z = 31 cross the corner's tile edges.
 			return world.BlockPos{X: 17 + i%29, Z: 17 + i/29*2}
-		}, true},
+		}, true, 900, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := newTestCluster(t, 7, tc.shards, Config{Topology: tc.topo, Visibility: VisibilityConfig{Enabled: true, Margin: 16}})
@@ -420,11 +433,11 @@ func TestVisibilityScanZeroAlloc(t *testing.T) {
 				t.Fatalf("residents on %d shards, want all %d", len(hosts), tc.shards)
 			}
 			if tc.step && crossers == 0 {
-				t.Fatal("no resident on a cell edge; the repair moves nothing")
+				t.Fatal("no resident on a tile edge; no session changes tile")
 			}
 			c.VisibilityScanOnce()
-			if want := tc.n * (tc.shards - 1); c.GhostCount() != want {
-				t.Fatalf("warm-up scan mirrored %d ghosts, want %d", c.GhostCount(), want)
+			if c.GhostCount() != tc.ghosts {
+				t.Fatalf("warm-up scan mirrored %d ghosts, want %d", c.GhostCount(), tc.ghosts)
 			}
 			step := 1.0
 			scan := func() {
@@ -449,6 +462,9 @@ func TestVisibilityScanZeroAlloc(t *testing.T) {
 			}
 			if got := c.VisibilityGaps.Value(); got != 0 {
 				t.Fatalf("visibility gap ticks = %d, want 0", got)
+			}
+			if got := len(c.visSuspects); got != tc.suspects {
+				t.Fatalf("the gap audit had %d suspects, want %d", got, tc.suspects)
 			}
 		})
 	}

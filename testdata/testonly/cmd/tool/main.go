@@ -14,5 +14,7 @@ func main() {
 	if err := json.Unmarshal([]byte(`{"name":"walk"}`), &o); err != nil {
 		panic(err)
 	}
-	fmt.Printf("%+v\n", new(lib.Runner).Run(o))
+	r := new(lib.Runner)
+	r.Merge(new(lib.Runner))
+	fmt.Printf("%+v\n", r.Run(o))
 }

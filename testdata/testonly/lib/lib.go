@@ -45,7 +45,12 @@ type Runner struct {
 	mu sync.Mutex
 	// slow is set only by lib_test.go and read by Run: a test-only switch.
 	slow bool
+	// total is only summed into itself, by Merge: a finding.
+	total int
 }
+
+// Merge adds o's total to r's.
+func (r *Runner) Merge(o *Runner) { r.total += o.total }
 
 // Run reports the lines Options would print.
 func (r *Runner) Run(o Options) Report {

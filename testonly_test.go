@@ -24,10 +24,13 @@ package servo
 // composite literal naming it, by an unkeyed composite literal or a
 // conversion to its struct type, and by a call of a pointer-receiver method
 // that returns nothing on it when it is not a pointer (Counter.Inc,
-// Sample.Add); &x.f both writes and reads it. Every other use reads it, and
-// a struct value passed to an interface-typed parameter (fmt's %+v) reads
-// all its fields. Fields with struct tags (reflection sets them) and fields
-// of sync and sync/atomic types are not judged for reads and writes.
+// Sample.Add); &x.f both writes and reads it. The right-hand side of an
+// op-assign that selects the same field as its target (w.f += o.f) counts
+// with that write and not as a read: a value that only flows back into its
+// own field is read by nothing. Every other use reads it, and a struct value
+// passed to an interface-typed parameter (fmt's %+v) reads all its fields.
+// Fields with struct tags (reflection sets them) and fields of sync and
+// sync/atomic types are not judged for reads and writes.
 //
 // What fails must be deleted, moved into a _test.go file, or given a row in
 // allowTestOnly with a reason the walk cannot see.
@@ -76,11 +79,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 // TestSurfaceWalkFixture proves that the walk bites: the fixture module under
 // testdata/testonly holds a test-only export, an unreferenced export, an
 // exported option that only its own package reads, an exported counter that
-// is only incremented, an unexported field that is written and never read, a
-// method reached only through io.Writer, an identifier only its stand-in
-// benchmark module reads, an unexported helper only its test calls, a struct
-// printed with %+v, a json-tagged field, a sync.Mutex field and an unexported
-// switch that only a test sets. Exactly the first five are findings.
+// is only incremented, an unexported field that is written and never read,
+// an unexported field only summed into itself, a method reached only through
+// io.Writer, an identifier only its stand-in benchmark module reads, an
+// unexported helper only its test calls, a struct printed with %+v, a
+// json-tagged field, a sync.Mutex field and an unexported switch that only a
+// test sets. Exactly the first six are findings.
 // testdata/orphan holds an unexported function that only calls itself and a
 // type that only its own method names.
 func TestSurfaceWalkFixture(t *testing.T) {
@@ -92,6 +96,7 @@ func TestSurfaceWalkFixture(t *testing.T) {
 			"lib.Options.Verbose never-set",
 			"lib.Runner.Calls write-only",
 			"lib.Runner.last write-only",
+			"lib.Runner.total write-only",
 			"lib.TestOnly test-only",
 			"lib.Unreferenced unreferenced",
 		}},
@@ -575,6 +580,13 @@ func (w *surfaceWalk) accesses(info *types.Info, f *ast.File, acc map[*ast.Ident
 			if n.Tok != token.DEFINE {
 				for _, lhs := range n.Lhs {
 					mark(lhs, write)
+				}
+			}
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				target, ok1 := ast.Unparen(n.Lhs[0]).(*ast.SelectorExpr)
+				src, ok2 := ast.Unparen(n.Rhs[0]).(*ast.SelectorExpr)
+				if ok1 && ok2 && acc[target.Sel] != 0 && info.Uses[src.Sel] == info.Uses[target.Sel] {
+					acc[src.Sel] |= write
 				}
 			}
 		case *ast.IncDecStmt:
