@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork nomap testonly loc abpair build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
+.PHONY: ci vet fmtcheck nofork nomap oneflip testonly loc abpair build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
-ci: vet fmtcheck nofork nomap testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
+ci: vet fmtcheck nofork nomap oneflip testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +41,16 @@ nomap:
 	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs grep -nE 'map\[(world\.)?(ChunkPos|ChunkRect|TileID)\]' | \
 		grep -vE '^(internal/mve/server\.go:[0-9]+:[[:space:]]*halted|internal/servo/rstore/rstore\.go:[0-9]+:[[:space:]]*settled):? ')"; \
 	if [ -n "$$out" ]; then echo "Go maps keyed by ChunkPos/ChunkRect/TileID (use world.ChunkMap):"; echo "$$out"; exit 1; fi
+
+# oneflip fails if tracked non-test Go changes the cluster's live
+# ownership table in place: every change goes through
+# Cluster.changeOwnership (or, for a failover, its flip half), which hands
+# the change a copy to learn what each shard loses, flushes that, and only
+# then applies the same change to a fresh copy that becomes the live
+# table — so no call site can flip a tile without the flush.
+oneflip:
+	@out="$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -nE '\.table\.(SetOwner|SetDead|Grow|Retire|Adopt)\(')"; \
+	if [ -n "$$out" ]; then echo "ownership-table changes outside changeOwnership:"; echo "$$out"; exit 1; fi
 
 # testonly fails if product code exports what only tests reach, or keeps
 # an unexported declaration that nothing reaches: TestNoTestOnlyExports

@@ -32,8 +32,6 @@ import (
 	"slices"
 	"time"
 
-	"servo/internal/metrics"
-	"servo/internal/mve"
 	"servo/internal/world"
 )
 
@@ -136,63 +134,54 @@ type tileRateState struct {
 	lastRate  float64
 }
 
-// AddShard grows the cluster by one shard: the ownership table admits a
-// new slot at a new epoch (reusing a retired slot when one exists, so
-// scale cycles do not grow the table without bound), the ShardBuilder
-// constructs a fresh server over the persisted world on its own clock
-// lane, and the shard joins the boundary scan, visibility bus, and chat
-// relay like any boot shard. The new shard owns no tiles until a
-// migration plan spreads load onto it. Returns the new shard index, or
-// -1 on a stopped cluster.
-func (c *Cluster) AddShard() int {
+// AddShard grows the cluster by one shard: the table admits a new slot at
+// a new epoch (a retired one when it can), and the shard joins (join)
+// owning no tiles until a migration plan spreads load onto it. While a
+// shard is dead the new slot also reroutes that shard's tiles between
+// survivors, which flush what they lose first: an accepted chunk edit
+// reaches storage within one tcache FlushInterval, or before its tile
+// changes owner, whichever comes first. joined (may be nil) runs once the
+// shard has joined, with its index. Returns the index the table gives the
+// new slot now, or -1 on a stopped cluster.
+func (c *Cluster) AddShard(joined func(idx int)) int {
 	if c.stopped {
 		return -1
 	}
 	first := c.table.Shards() == 1
-	before := c.table.Clone()
-	idx := c.table.Grow()
-	srv := c.build(idx, c.table.View(idx))
-	if idx < len(c.shards) {
-		// Reused slot: inherit the retired incarnation's tick history so
-		// report series keep spanning the whole run, like RecoverShard —
-		// and its tile-cost accounting, so the cluster-summed demand
-		// signal the policy differences never regresses.
-		old := c.shards[idx]
-		srv.TickDurations = old.TickDurations
-		srv.TickSeries = old.TickSeries
-		srv.AdoptTileCosts(old.TileCosts())
-		c.shards[idx] = srv
-	} else {
-		c.shards = append(c.shards, srv)
-		c.HandoffsIn = append(c.HandoffsIn, metrics.Counter{})
-		c.HandoffsOut = append(c.HandoffsOut, metrics.Counter{})
+	idx := -1
+	grow := func(t *world.OwnershipTable) bool {
+		idx = t.Grow()
+		return true
 	}
-	src := srv
-	srv.SetChatRelay(func(from *mve.Player) int { return c.relayChat(src, from) })
-	// A new alive slot reroutes dead shards' tiles over the survivors.
-	c.reloadGained(before, idx)
-	c.persistTable()
-	c.noteShardsActive()
-	c.record(Record{Kind: ScaleUp, Shard: idx, Epoch: c.table.Epoch()})
-	if c.running {
-		srv.Start()
-		if first {
-			// The table's second slot: the first boundary to scan for
-			// (Start left the scan unarmed on a one-shard table).
-			c.clock.After(c.scanInterval, c.scan)
+	c.changeOwnership(grow, func(flipped bool) {
+		if !flipped {
+			return
 		}
-	}
+		c.record(Record{Kind: ScaleUp, Shard: idx, Epoch: c.table.Epoch()})
+		if c.running {
+			c.shards[idx].Start()
+			if first {
+				// The table's second slot: the first boundary to scan
+				// for (Start left the scan unarmed on a one-shard table).
+				c.clock.After(c.scanInterval, c.scan)
+			}
+		}
+		if joined != nil {
+			joined(idx)
+		}
+	})
 	return idx
 }
 
-// RemoveShard starts draining shard i toward retirement: every tile it
-// owns migrates off through the two-phase durable-flush-gated migration
-// (residents follow via the boundary scan), and once the shard owns no
-// tiles and hosts no sessions it flushes and retires at a new epoch —
-// zero lost players. Only shards added at runtime (index >= the boot
-// count) can be removed; the drain is asynchronous and survives
-// migration aborts (a destination dying mid-flush) by re-planning every
-// scan interval. Reports whether a drain started.
+// RemoveShard starts draining shard i toward retirement: its tiles
+// migrate off (residents follow via the boundary scan), and once it owns
+// no tiles and hosts no sessions it retires at a new epoch — zero lost
+// players. Each shard that loses tiles on the way flushes them first: an
+// accepted chunk edit reaches storage within one tcache FlushInterval, or
+// before its tile changes owner, whichever comes first. Only shards added
+// at runtime (index >= the boot count) can be removed; the drain survives
+// migration aborts by re-planning every scan interval. Reports whether a
+// drain started.
 func (c *Cluster) RemoveShard(i int) bool {
 	if c.stopped || i < c.table.Base() || i >= len(c.shards) ||
 		!c.table.Alive(i) || c.draining[i] || c.table.AliveCount() <= 1 {
@@ -241,22 +230,15 @@ func (c *Cluster) drainTick(i int) {
 	if c.stopped || !c.draining[i] {
 		return
 	}
-	if !c.table.Alive(i) {
-		// Crashed mid-drain: failover already rerouted its tiles and
-		// re-admitted its players; the drain is moot.
-		delete(c.draining, i)
-		return
-	}
-	tiles := c.ownedTiles(i)
-	if len(tiles) == 0 && c.shards[i].PlayerCount() == 0 && !c.hasSessions(i) {
+	if c.drained(i) {
 		c.finishDrain(i)
 		return
 	}
-	for _, tile := range tiles {
+	for _, tile := range c.ownedTiles(i) {
 		if _, busy := c.migrating.Get(tile); busy {
 			continue
 		}
-		dst := c.drainDest(i)
+		dst := c.drainDest()
 		if dst < 0 {
 			break
 		}
@@ -265,62 +247,43 @@ func (c *Cluster) drainTick(i int) {
 	c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 }
 
-// finishDrain flushes the drained shard's remaining chunk copies and
-// retires it, re-entering the drain loop if a session or tile appeared
-// while the flush was in flight.
+// drained reports whether draining shard i owns no tile and hosts no
+// session (a handoff in flight out of it included), so that it may retire.
+func (c *Cluster) drained(i int) bool {
+	return c.draining[i] && len(c.ownedTiles(i)) == 0 && c.shards[i].PlayerCount() == 0 &&
+		!slices.ContainsFunc(c.order, func(p *Player) bool { return p.shard == i })
+}
+
+// finishDrain retires the drained shard through changeOwnership, unless
+// a session or tile appeared while the flushes were in flight, which
+// re-enters the drain loop. A retirement refused outright (shard i is the
+// last alive one) ends the drain.
 func (c *Cluster) finishDrain(i int) {
-	c.shards[i].FlushOwnedChunks(nil, func() {
-		if c.stopped || !c.draining[i] {
-			return
-		}
-		if !c.table.Alive(i) {
-			delete(c.draining, i)
-			return
-		}
-		if len(c.ownedTiles(i)) > 0 || c.shards[i].PlayerCount() > 0 || c.hasSessions(i) {
+	started := c.changeOwnership(func(t *world.OwnershipTable) bool { return c.drained(i) && t.Retire(i) }, func(flipped bool) {
+		if !flipped {
 			c.clock.After(c.scanInterval, func() { c.drainTick(i) })
 			return
 		}
-		before := c.table.Clone()
-		if !c.table.Retire(i) {
-			delete(c.draining, i)
-			return
-		}
-		c.reloadGained(before, -1) // dead shards' tiles reroute over fewer survivors
 		delete(c.draining, i)
-		c.persistTable()
 		c.shards[i].Stop()
 		if c.cfg.OnRetire != nil {
 			c.cfg.OnRetire(i)
 		}
-		c.noteShardsActive()
 		c.record(Record{Kind: ScaleDown, Shard: i, Epoch: c.table.Epoch()})
 		c.record(Record{Kind: Retire, Shard: i, Epoch: c.table.Epoch()})
 	})
-}
-
-// hasSessions reports whether any cluster session is currently attached
-// to shard i (including handoffs in flight out of it).
-func (c *Cluster) hasSessions(i int) bool {
-	for _, p := range c.order {
-		if p.shard == i {
-			return true
-		}
+	if !started {
+		delete(c.draining, i)
 	}
-	return false
 }
 
 // drainDest picks where a draining shard's next tile goes: the alive,
 // non-draining shard with the lowest recent tick load, lowest index on
 // ties.
-func (c *Cluster) drainDest(i int) int {
+func (c *Cluster) drainDest() int {
 	best, bestLoad := -1, time.Duration(0)
-	for s := range c.shards {
-		if s == i || !c.table.Alive(s) || c.draining[s] {
-			continue
-		}
-		l := c.shardLoad(s)
-		if best < 0 || l < bestLoad {
+	for _, s := range c.planCandidates() {
+		if l := c.shardLoad(s); best < 0 || l < bestLoad {
 			best, bestLoad = s, l
 		}
 	}
@@ -349,7 +312,6 @@ func (c *Cluster) autoscalerTick() {
 	defer c.clock.After(autoscaleInterval, c.autoscalerTick)
 	now := c.clock.Now()
 	rates, projected := c.updateTileRates(now)
-	c.noteShardsActive()
 
 	// Health: a quarantined shard whose probation expired is re-admitted.
 	for i := range c.shards {
@@ -388,12 +350,14 @@ func (c *Cluster) autoscalerTick() {
 	if alive < c.auto.MaxShards && now-c.lastScaleUp >= upCooldown &&
 		now-c.lastScaleDown >= upCooldown &&
 		totalProj/(float64(alive)*cap) > HighUtil {
-		idx := c.AddShard()
-		if idx >= 0 {
-			c.lastScaleUp = now
+		// The plan spreads load onto the new shard once it has joined.
+		idx := c.AddShard(func(int) {
 			for _, mv := range PlanBalance(rates, c.planCandidates(), c.topo.Index, maxMoves) {
 				c.migrateTile(mv.Tile, mv.To, MoveScaleUp)
 			}
+		})
+		if idx >= 0 {
+			c.lastScaleUp = now
 			return
 		}
 	}

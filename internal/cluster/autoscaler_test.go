@@ -144,7 +144,7 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 	c.Start()
 	loop.RunUntil(5 * time.Second)
 
-	idx := c.AddShard()
+	idx := c.AddShard(nil)
 	if idx != 2 {
 		t.Fatalf("AddShard returned %d, want 2", idx)
 	}
@@ -193,7 +193,7 @@ func TestAddRemoveShardLifecycle(t *testing.T) {
 	if c.RemoveShard(0) {
 		t.Fatal("RemoveShard drained a boot shard")
 	}
-	if again := c.AddShard(); again != idx {
+	if again := c.AddShard(nil); again != idx {
 		t.Fatalf("AddShard after retire returned %d, want reused slot %d", again, idx)
 	}
 }
@@ -211,7 +211,7 @@ func TestAddRemoveShardDeterministicReplay(t *testing.T) {
 		c.ConnectAt("edge", walker(200, 8, 8), c.TileCenter(world.TileID{X: 1}))
 		c.Start()
 		loop.RunUntil(5 * time.Second)
-		idx := c.AddShard()
+		idx := c.AddShard(nil)
 		c.migrateTile(world.TileID{X: 2}, idx, MoveRebalance)
 		loop.RunUntil(30 * time.Second)
 		c.RemoveShard(idx)
@@ -242,7 +242,7 @@ func TestDrainBrownoutDelaysButNeverLoses(t *testing.T) {
 	c.Start()
 	loop.RunUntil(10 * time.Second)
 
-	idx := c.AddShard()
+	idx := c.AddShard(nil)
 	if !c.migrateTile(band, idx, MoveRebalance) {
 		t.Fatal("migrateTile onto the new shard refused")
 	}

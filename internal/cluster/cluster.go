@@ -296,20 +296,14 @@ func New(clock sim.Clock, cfg Config, build ShardBuilder) *Cluster {
 		players:        make(map[PlayerID]*Player),
 		nameKeys:       make(map[string]int),
 		HandoffLatency: metrics.NewSample(4096),
-		HandoffsIn:     make([]metrics.Counter, cfg.Shards),
-		HandoffsOut:    make([]metrics.Counter, cfg.Shards),
 		Journal:        Journal{cap: DefaultLogRetention},
 		ShardsActive:   &metrics.TimeSeries{},
 	}
 	if cfg.Autoscale.Enabled {
 		c.tracker = newFailureTracker(failureTrackerConfig{probation: cfg.Autoscale.Probation})
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, build(i, c.table.View(i)))
-	}
-	for _, s := range c.shards {
-		src := s
-		s.SetChatRelay(func(from *mve.Player) int { return c.relayChat(src, from) })
+	for i := range cfg.Shards {
+		c.join(i)
 	}
 	return c
 }
@@ -354,14 +348,6 @@ func (c *Cluster) relayChat(src *mve.Server, from *mve.Player) int {
 	return total
 }
 
-// persistTable writes the ownership table through the table store (every
-// epoch change is durable before the next controller decision).
-func (c *Cluster) persistTable() {
-	if c.tableStore != nil {
-		c.tableStore.SaveTable(c.table.Encode())
-	}
-}
-
 // Shard returns shard i's server.
 func (c *Cluster) Shard(i int) *mve.Server { return c.shards[i] }
 
@@ -382,8 +368,10 @@ func (c *Cluster) Start() {
 			if !ok {
 				return
 			}
+			// Adopting moves tiles like any ownership change: the shards
+			// that lose one flush it first, and the gainers reload.
 			if dec, err := world.DecodeOwnershipTable(data); err == nil {
-				c.table.Adopt(dec)
+				c.changeOwnership(func(t *world.OwnershipTable) bool { return t.Adopt(dec) }, func(bool) {})
 			}
 		})
 	}

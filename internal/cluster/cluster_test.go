@@ -304,7 +304,7 @@ func TestOneShardClusterScansOnlyOnceGrown(t *testing.T) {
 		t.Fatalf("a boundary scan ran on a one-shard cluster (last scanned position %v)", p.lastPos)
 	}
 
-	idx := c.AddShard()
+	idx := c.AddShard(nil)
 	if idx != 1 {
 		t.Fatalf("AddShard = %d, want 1", idx)
 	}

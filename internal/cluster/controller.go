@@ -3,12 +3,13 @@
 // imbalance drifts past a threshold (live rebalancing), and fails a
 // killed shard's tiles and players over to the survivors.
 //
-// A migration is two-phase. First the source shard flushes its copy of
-// the tile's chunks through the storage substrate with completion
-// reporting (mve.FlushOwnedChunks + SyncingChunkStore), so a brownout
-// delays the flush but cannot lose chunk state; only once every write
-// has landed does the ownership table flip the tile to its new owner
-// (epoch bump, persisted through the TableStore). Resident players then
+// A migration is two-phase, like every ownership change but a failover
+// (changeOwnership). First the source shard flushes its copy of the
+// tile's chunks through the storage substrate with completion reporting
+// (mve.FlushOwnedChunks + SyncingChunkStore), so a brownout delays the
+// flush but cannot lose chunk state; only once every write has landed
+// does the ownership table flip the tile to its new owner (epoch bump,
+// persisted through the TableStore). Resident players then
 // follow their tile through the ordinary boundary-scan handoff — two-scan
 // hysteresis, retrying storage writes — because the scan consults the
 // live table and now sees them on foreign terrain.
@@ -233,39 +234,119 @@ func (c *Cluster) coldAdjacency(tile world.TileID, cold int) int {
 	return adj
 }
 
-// migrateTile migrates ownership of a tile to dst: flush the source
-// shard's chunk copies with completion reporting, then flip the table
-// (epoch bump, persisted). Resident players follow through the boundary
-// scan. move is the journal kind of the migration's reason. Reports
-// whether a migration was started.
+// migrateTile migrates ownership of a tile to dst through
+// changeOwnership; resident players follow through the boundary scan.
+// move is the journal kind of the migration's reason. Reports whether a
+// migration was started.
 func (c *Cluster) migrateTile(tile world.TileID, dst int, move Kind) bool {
-	// Canonical form: the flush predicate and the in-flight set compare
-	// against TileOf output, which an aliased caller reference would miss.
+	// The in-flight set holds canonical tiles, as ownedTiles reports them.
 	tile = c.table.Canon(tile)
 	src := c.table.Owner(tile)
-	if _, busy := c.migrating.Get(tile); src == dst || !c.table.Alive(dst) || busy {
+	if _, busy := c.migrating.Get(tile); busy {
 		return false
 	}
 	c.migrating.Put(tile, struct{}{})
 	start := c.clock.Now()
-	pred := func(cp world.ChunkPos) bool { return c.table.TileOf(cp) == tile }
-	c.shards[src].FlushOwnedChunks(pred, func() {
+	started := c.changeOwnership(func(t *world.OwnershipTable) bool { return t.SetOwner(tile, dst) }, func(flipped bool) {
 		c.migrating.Delete(tile)
-		if c.stopped || !c.table.Alive(dst) {
-			return // the cluster stopped or dst died while we flushed
+		if flipped {
+			c.record(Record{Kind: move, Tile: tile, Shard: src, Peer: dst,
+				Epoch: c.table.Epoch(), Latency: c.clock.Now() - start})
 		}
-		before := c.table.Clone()
-		if !c.table.SetOwner(tile, dst) {
+	})
+	if !started {
+		c.migrating.Delete(tile)
+	}
+	return started
+}
+
+// changeOwnership is how the ownership table changes: change edits a table
+// and reports whether it changed anything. Applied to a copy, it tells
+// each alive shard the chunks it owns now and will not after, which the
+// shard flushes (in shard order); once every flush has landed, flip
+// applies change to the live table again, and then learns whether it
+// did. Neither runs once the cluster stopped. A change that takes nothing
+// from anyone flips before changeOwnership returns. Reports whether
+// change applied to the copy.
+func (c *Cluster) changeOwnership(change func(*world.OwnershipTable) bool, then func(flipped bool)) bool {
+	after := c.changed(change)
+	if after == nil {
+		return false
+	}
+	pending := 1
+	landed := func() {
+		pending--
+		if pending != 0 || c.stopped {
 			return
 		}
-		c.reloadGained(before, -1)
-		c.persistTable()
-		c.record(Record{
-			Kind: move, Tile: tile, Shard: src, Peer: dst,
-			Epoch: c.table.Epoch(), Latency: c.clock.Now() - start,
-		})
-	})
+		then(c.flip(change))
+	}
+	for s, srv := range c.shards {
+		if !c.table.Alive(s) {
+			continue
+		}
+		pending++
+		srv.FlushOwnedChunks(func(cp world.ChunkPos) bool { return after.ShardOf(cp) != s }, landed)
+	}
+	landed()
 	return true
+}
+
+// flip applies change to the live table with no flush (alone only in
+// FailShard: a dead shard cannot flush). If it applied, the gainers reload,
+// a shard that came alive gets a fresh server (its caller starts it), the
+// table is persisted and the alive count sampled. Reports whether change
+// applied.
+func (c *Cluster) flip(change func(*world.OwnershipTable) bool) bool {
+	next := c.changed(change)
+	if next == nil {
+		return false
+	}
+	// The region views hold the live table's address, so next's contents
+	// move in, and before keeps the old ones, which nothing changes now.
+	before := *c.table
+	*c.table = *next
+	c.reloadGained(&before)
+	for s := range c.table.Shards() {
+		if c.table.Alive(s) && (s >= before.Shards() || !before.Alive(s)) {
+			c.join(s)
+		}
+	}
+	if c.tableStore != nil {
+		c.tableStore.SaveTable(c.table.Encode())
+	}
+	c.noteShardsActive()
+	return true
+}
+
+// join builds shard i's server through the ShardBuilder, over storage as
+// it stands (after the flushes of the change that brings it alive). A
+// reused slot passes on its tick history, so report series span the whole
+// run, and its tile-cost accounting, so the demand signal the autoscaler
+// differences never regresses.
+func (c *Cluster) join(i int) {
+	srv := c.build(i, c.table.View(i))
+	if i < len(c.shards) {
+		old := c.shards[i]
+		srv.TickDurations = old.TickDurations
+		srv.TickSeries = old.TickSeries
+		srv.AdoptTileCosts(old.TileCosts())
+		c.shards[i] = srv
+	} else {
+		c.shards = append(c.shards, srv)
+		c.HandoffsIn = append(c.HandoffsIn, metrics.Counter{})
+		c.HandoffsOut = append(c.HandoffsOut, metrics.Counter{})
+	}
+	srv.SetChatRelay(func(from *mve.Player) int { return c.relayChat(srv, from) })
+}
+
+// changed returns a clone of the live table that change edited, or nil.
+func (c *Cluster) changed(change func(*world.OwnershipTable) bool) *world.OwnershipTable {
+	t := c.table.Clone()
+	if !change(t) {
+		return nil
+	}
+	return t
 }
 
 // FailShard kills shard i: its loop crashes (every in-memory session is
@@ -274,14 +355,17 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, move Kind) bool {
 // snapshots — falling back to the last scan-observed position for players
 // that were never persisted, so a failover loses no player. Owned-
 // construct state on the dead shard died with it; the ownership refs are
-// dropped. Terrain is not as durable: the gaining shards reload the dead
-// shard's tiles from storage, so its chunk edits that its terrain cache
-// had not yet written back — up to one tcache FlushInterval (30 s by
-// default) of them — are lost, and nothing counts them. Refuses to kill
-// the last alive shard.
+// dropped. Refuses to kill the last alive shard.
+//
+// Durability: an accepted chunk edit reaches storage within one tcache
+// FlushInterval (30 s) or before its tile changes owner, whichever comes
+// first — except across a failover, which flips with no flush: the dead
+// shard's unflushed edits are lost, uncounted, and while another shard is
+// already dead its rerouted tiles move between survivors
+// (alive[index mod len(alive)]) unflushed.
 func (c *Cluster) FailShard(i int) bool {
-	if i < 0 || i >= len(c.shards) || !c.table.Alive(i) || c.table.AliveCount() <= 1 {
-		return false
+	if !c.flip(func(t *world.OwnershipTable) bool { return t.SetDead(i, true) }) {
+		return false // out of range, not alive, or the last alive shard
 	}
 	// Collect the victims before the crash wipes the shard's sessions.
 	var victims []*Player
@@ -291,17 +375,12 @@ func (c *Cluster) FailShard(i int) bool {
 		}
 	}
 	c.shards[i].Crash()
-	before := c.table.Clone()
-	c.table.SetDead(i, true)
-	c.reloadGained(before, -1)
 	// A crash aborts any drain in progress on the shard: failover owns
 	// the cleanup from here.
 	delete(c.draining, i)
 	if c.tracker != nil && c.tracker.RecordFailure(i, c.clock.Now()) {
 		c.record(Record{Kind: Quarantine, Shard: i, Epoch: c.table.Epoch()})
 	}
-	c.persistTable()
-	c.noteShardsActive()
 	c.record(Record{Kind: Failover, Shard: i, Epoch: c.table.Epoch()})
 	for _, p := range victims {
 		c.readmit(p)
@@ -309,16 +388,15 @@ func (c *Cluster) FailShard(i int) bool {
 	return true
 }
 
-// reloadGained makes every alive shard but fresh drop and reload the chunk
-// copies it holds of tiles it owns now and did not own under before, the
-// table as it stood before an ownership change. A copy a shard held as a
-// non-owner never saw the owner's edits, which storage has: a migration
-// flips only after the source's flush landed, and a failover's storage is
-// as current as the dead shard's last flush. It runs in serial context,
-// at the change, before any shard's next tick.
-func (c *Cluster) reloadGained(before *world.OwnershipTable, fresh int) {
+// reloadGained makes every shard alive before and after an ownership
+// change (one that was not is fresh) drop and reload the chunk copies it
+// holds of tiles it owns now and did not under before. A copy held as a
+// non-owner never saw the owner's edits, which storage has: the losers
+// flushed before the flip, and a failover's storage is as current as the
+// dead shard's last flush. It runs in serial context, at the change.
+func (c *Cluster) reloadGained(before *world.OwnershipTable) {
 	for s, srv := range c.shards {
-		if s == fresh || !c.table.Alive(s) {
+		if !before.Alive(s) || !c.table.Alive(s) {
 			continue
 		}
 		n := srv.ReloadChunks(func(cp world.ChunkPos) bool {
@@ -372,12 +450,13 @@ func (c *Cluster) readmit(p *Player) {
 	})
 }
 
-// RecoverShard replaces a failed shard: every survivor flushes the chunks
-// it owns (so the store holds the interim owners' state), a fresh server
-// is built over the persisted world through the ShardBuilder, and the
-// shard is marked alive again — reverting its tiles (epoch bump), after
-// which resident players walk home through the boundary scan. Reports
-// whether a recovery was started.
+// RecoverShard replaces a failed shard: each survivor flushes the tiles it
+// hands back, then the shard is alive again on a fresh server (join), its
+// tiles revert (epoch bump) and residents walk home through the boundary
+// scan. Tiles a survivor keeps write back on the tcache cadence: an
+// accepted chunk edit reaches storage within one tcache FlushInterval, or
+// before its tile changes owner, whichever comes first. Reports whether a
+// recovery started.
 func (c *Cluster) RecoverShard(i int) bool {
 	if i < 0 || i >= len(c.shards) || c.table.Alive(i) || c.table.Retired(i) || c.stopped {
 		return false
@@ -389,45 +468,13 @@ func (c *Cluster) RecoverShard(i int) bool {
 		return false
 	}
 	delete(c.recoverWanted, i)
-	pending := 1
-	finish := func() {
-		pending--
-		if pending != 0 || c.stopped {
+	return c.changeOwnership(func(t *world.OwnershipTable) bool { return t.SetDead(i, false) }, func(flipped bool) {
+		if !flipped {
 			return
 		}
-		// The replacement process boots over the persisted world. It
-		// inherits the crashed server's tick history (the dead gap is
-		// simply absent), so report series and windowed assertions keep
-		// spanning the whole run.
-		crashed := c.shards[i]
-		c.shards[i] = c.build(i, c.table.View(i))
-		c.shards[i].TickDurations = crashed.TickDurations
-		c.shards[i].TickSeries = crashed.TickSeries
-		// Tile-cost accounting survives the rebuild too: the autoscaler
-		// differences the cluster-summed signal, which must not regress.
-		c.shards[i].AdoptTileCosts(crashed.TileCosts())
-		src := c.shards[i]
-		src.SetChatRelay(func(from *mve.Player) int { return c.relayChat(src, from) })
-		before := c.table.Clone()
-		c.table.SetDead(i, false)
-		// The fresh server read the world after every survivor's flush:
-		// only the survivors can hold stale copies, of tiles that a
-		// change of the alive set reroutes to them.
-		c.reloadGained(before, i)
-		c.persistTable()
-		c.noteShardsActive()
 		c.record(Record{Kind: Recover, Shard: i, Epoch: c.table.Epoch()})
 		if c.running {
 			c.shards[i].Start()
 		}
-	}
-	for s := range c.shards {
-		if !c.table.Alive(s) {
-			continue
-		}
-		pending++
-		c.shards[s].FlushOwnedChunks(nil, finish)
-	}
-	finish()
-	return true
+	})
 }

@@ -149,7 +149,7 @@ func TestGainedTileReloadsFromStorage(t *testing.T) {
 // still holds a dirt copy (shard 0 kept its own, shard 1 its watcher's).
 func TestDrainedTileReloadsFromStorage(t *testing.T) {
 	loop, remote, c := watched(t)
-	idx := c.AddShard()
+	idx := c.AddShard(nil)
 	if !c.migrateTile(band2, idx, MoveRebalance) {
 		t.Fatal("migrateTile onto the new shard refused")
 	}
@@ -289,8 +289,7 @@ func TestGainedTileForgetsCachedCopies(t *testing.T) {
 // again. Shard 0's watcher at x = 258 holds a copy of chunk 14
 // (x ∈ [224, 240)) and shard 2's at x = 180 one of chunk 12
 // (x ∈ [192, 208)); before each move the band's owner edits the chunk the
-// gainer holds. AddShard and retirement flush nothing before the move, so
-// the test flushes the owner itself.
+// gainer holds.
 func TestReroutedTileReloadsFromStorage(t *testing.T) {
 	loop, _, c := newStoreCluster(t, 12, 4, Config{})
 	band3 := world.TileID{X: 3}
@@ -333,13 +332,11 @@ func TestReroutedTileReloadsFromStorage(t *testing.T) {
 
 	in14 := world.BlockPos{X: 232, Y: 3, Z: 1}
 	edit(in14, world.Stone, 0)
-	flushed(t, loop, c.Shard(2))
-	added := c.AddShard()
+	added := c.AddShard(nil)
 	gained(in14, world.Stone, 0, "after AddShard")
 
 	in12 := world.BlockPos{X: 196, Y: 3, Z: 1}
 	edit(in12, world.Stone, 2)
-	flushed(t, loop, c.Shard(0))
 	if !c.RemoveShard(added) {
 		t.Fatal("RemoveShard refused")
 	}
@@ -355,4 +352,87 @@ func TestReroutedTileReloadsFromStorage(t *testing.T) {
 		t.Fatal("RecoverShard refused")
 	}
 	gained(next, world.Gravel, 0, "after recovery")
+}
+
+// TestLostTileFlushesUnloadedChunks: the sculptor leaves and shard 0
+// unloads mark's chunk, so the stone's last write waits in shard 0's
+// terrain cache for the next periodic write-back. Migrating band 2 to
+// shard 1 must flush that record before the flip: shard 1 reloads the
+// band from storage and must serve, and storage hold, the stone before
+// any write-back is due.
+func TestLostTileFlushesUnloadedChunks(t *testing.T) {
+	loop, remote, c := newCachedCluster(t, 12, 2)
+	c.ConnectAt("watcher", nil, watchAt)
+	sculptor := c.ConnectAt("sculptor", nil, sculpt)
+	c.ConnectAt("anchor", nil, world.BlockPos{X: 8, Z: 8}) // band 0, shard 0's: keeps its unload scan running
+	c.Start()
+	loop.RunUntil(10 * time.Second)
+	carve(t, c, 0, 1)
+
+	c.Disconnect(sculptor.ID)
+	loop.RunUntil(loop.Now() + 10*time.Second)
+	if _, ok := heldBlock(c.Shard(0), mark); ok {
+		t.Fatal("shard 0 still holds mark's chunk with its sculptor gone")
+	}
+	if !c.migrateTile(band2, 1, MoveRebalance) {
+		t.Fatal("migrateTile 2 → 1 refused")
+	}
+	loop.RunUntil(loop.Now() + 3*time.Second)
+	if c.table.Owner(band2) != 1 {
+		t.Fatal("band 2 did not move to shard 1")
+	}
+	if loop.Now() >= tcache.DefaultConfig().FlushInterval {
+		t.Fatalf("the check runs at %v, after the first periodic write-back", loop.Now())
+	}
+	if got := storedBlock(t, loop, remote, mark); got.ID != world.Stone {
+		t.Fatalf("the store holds %v at mark after the flip, want stone", got)
+	}
+	wantHeld(t, c, 1, "after the flip")
+}
+
+// blobTableStore persists the ownership table in the blob store under
+// tableKey, as core's does.
+type blobTableStore struct{ remote *blob.Store }
+
+const tableKey = "cluster/ownership"
+
+func (b *blobTableStore) SaveTable(data []byte) { b.remote.PutRetrying(tableKey, data) }
+
+func (b *blobTableStore) LoadTable(cb func([]byte, bool)) {
+	b.remote.GetRetrying(tableKey, func(data []byte, err error) { cb(data, err == nil) })
+}
+
+// TestAdoptedTableReloadsFromStorage: a cluster restarting over a world
+// whose persisted table gives band 2 to shard 1 adopts it once the read
+// lands, and adopting moves the band like a migration. The read is held
+// back while shard 0, band 2's default owner, sets the stone and shard 1
+// holds a dirt copy for its watcher: shard 0 must flush the band before
+// the flip, and shard 1 reload it.
+func TestAdoptedTableReloadsFromStorage(t *testing.T) {
+	persisted := world.NewOwnershipTable(2, world.BandTopology{BandChunks: 4})
+	persisted.SetOwner(band2, 1)
+	loop, remote, c := newStoreCluster(t, 12, 2, Config{})
+	c.tableStore = &blobTableStore{remote: remote}
+	remote.Put(tableKey, persisted.Encode(), nil)
+	loop.Run()
+
+	c.ConnectAt("watcher", nil, watchAt)
+	c.ConnectAt("sculptor", nil, sculpt)
+	remote.SetChaos(&blob.Chaos{LatencyFactor: 5000}) // holds the table read
+	c.Start()
+	remote.SetChaos(nil)
+	loop.RunUntil(10 * time.Second)
+	if c.Epoch() != 0 {
+		t.Fatalf("the table was adopted at %v, before the edit", loop.Now())
+	}
+	carve(t, c, 0, 1)
+
+	loop.RunUntil(2 * time.Minute)
+	if c.Epoch() != persisted.Epoch() || c.table.Owner(band2) != 1 {
+		t.Fatalf("epoch %d, band 2 is shard %d's: the persisted table was not adopted", c.Epoch(), c.table.Owner(band2))
+	}
+	wantHeld(t, c, 1, "after adoption")
+	if got := storedBlock(t, loop, remote, mark); got.ID != world.Stone {
+		t.Fatalf("the store holds %v at mark after adoption, want stone", got)
+	}
 }

@@ -172,7 +172,7 @@ func TestIncrementalScanAcrossShardChanges(t *testing.T) {
 		c.Start()
 		var dump strings.Builder
 		sampleReplication(&dump, loop, c, 2*time.Second)
-		added := c.AddShard()
+		added := c.AddShard(nil)
 		if added != 3 {
 			t.Fatalf("AddShard = %d, want 3", added)
 		}

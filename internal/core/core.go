@@ -540,8 +540,8 @@ type uncachedStore struct {
 
 var _ mve.ChunkStore = (*uncachedStore)(nil)
 var (
-	_ mve.BatchingChunkStore   = (*uncachedStore)(nil)
-	_ mve.ForgettingChunkStore = (*rstore.Store)(nil)
+	_ mve.BatchingChunkStore = (*uncachedStore)(nil)
+	_ mve.CachingChunkStore  = (*rstore.Store)(nil)
 )
 
 func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {

@@ -18,7 +18,7 @@ type heldStore struct {
 	stored  map[world.ChunkPos]int
 }
 
-var _ ForgettingChunkStore = (*heldStore)(nil)
+var _ CachingChunkStore = (*heldStore)(nil)
 
 func newHeldStore() *heldStore {
 	return &heldStore{
@@ -34,6 +34,9 @@ func (h *heldStore) Store(c *world.Chunk) { h.stored[c.Pos]++ }
 func (h *heldStore) ForgetWhere(pred func(world.ChunkPos) bool) {
 	h.forgets = append(h.forgets, pred)
 }
+
+// FlushWhere has nothing to write: Store records a store as it happens.
+func (h *heldStore) FlushWhere(_ func(world.ChunkPos) bool, done func()) { done() }
 
 // forgot counts the ForgetWhere calls that matched pos.
 func (h *heldStore) forgot(pos world.ChunkPos) int {

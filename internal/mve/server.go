@@ -61,15 +61,23 @@ type SyncingChunkStore interface {
 	StoreThen(c *world.Chunk, done func())
 }
 
-// ForgettingChunkStore is an optional ChunkStore extension for stores that
-// keep what they read (a local cache in front of remote storage):
-// ForgetWhere drops what the store holds for the positions pred matches,
-// resident in the world or not, so that its next Load of each reads
-// backing storage, and so does a read of one in flight. A server that
-// gains ownership of chunks forgets them (ReloadChunks): what it cached as
-// a non-owner may predate the owner's writes.
-type ForgettingChunkStore interface {
+// CachingChunkStore is an optional ChunkStore extension for stores that
+// keep what they read and write (a local cache in front of remote
+// storage), resident in the world or not. A server that gains ownership of
+// chunks forgets them (ReloadChunks): what it cached as a non-owner may
+// predate the owner's writes. A server about to lose ownership of chunks
+// flushes them (FlushOwnedChunks): a chunk it unloaded since its last
+// write has that write only in the store's cache.
+type CachingChunkStore interface {
+	// ForgetWhere drops what the store holds for the positions pred
+	// matches, so that its next Load of each reads backing storage, and
+	// so does a read of one in flight.
 	ForgetWhere(pred func(world.ChunkPos) bool)
+	// FlushWhere writes the unflushed writes of the positions pred
+	// matches through to backing storage and calls done once they have
+	// landed (retrying through transient faults), at once when there are
+	// none.
+	FlushWhere(pred func(world.ChunkPos) bool, done func())
 }
 
 // Config configures a Server.
@@ -538,13 +546,15 @@ func (s *Server) Crash() {
 // server's local players only.
 func (s *Server) SetChatRelay(relay func(from *Player) int) { s.chatRelay = relay }
 
-// FlushOwnedChunks persists every loaded chunk this server owns matching
-// pred (nil matches all), calling done once after every write has landed.
-// With a completion-reporting store (SyncingChunkStore) the writes retry
-// through fault windows before done fires — the guarantee an ownership
-// migration needs before flipping a tile to a new owner. Stores without
-// completion reporting get their writes issued fire-and-forget and done
-// runs immediately.
+// FlushOwnedChunks persists every chunk this server owns matching pred
+// (nil matches all), calling done once after every write has landed: each
+// loaded one, and, through a CachingChunkStore, each unloaded one whose
+// last write still waits in the store's cache. With a completion-reporting
+// store (SyncingChunkStore) the writes retry through fault windows before
+// done fires — the guarantee an ownership change needs before it gives a
+// tile to a new owner. Stores without completion reporting get their
+// writes issued fire-and-forget. With nothing to write, done runs before
+// FlushOwnedChunks returns.
 func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 	if done == nil {
 		done = func() {}
@@ -553,6 +563,7 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 		done()
 		return
 	}
+	match := func(cp world.ChunkPos) bool { return s.owned(cp) && (pred == nil || pred(cp)) }
 	chunks := s.world.LoadedChunks()
 	// Deterministic write order: the store draws latency and fault
 	// outcomes from the clock RNG per operation.
@@ -566,7 +577,7 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 		}
 	}
 	for _, cp := range chunks {
-		if !s.owned(cp) || (pred != nil && !pred(cp)) {
+		if !match(cp) {
 			continue
 		}
 		c := s.world.Chunk(cp)
@@ -578,6 +589,10 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 			s.store.Store(c)
 		}
 	}
+	if cs, ok := s.store.(CachingChunkStore); ok {
+		pending++
+		cs.FlushWhere(match, finish)
+	}
 	finish()
 }
 
@@ -587,7 +602,7 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 // failover): a copy it held as a non-owner never saw the owner's edits,
 // which the owner's flush put in storage before the flip. The store
 // forgets what it cached of every matching chunk, resident or not
-// (ForgettingChunkStore), and a load or generation already in flight for a
+// (CachingChunkStore), and a load or generation already in flight for a
 // matching chunk is read again once it lands, because it may have read
 // storage before that flush. It must run in serial context. Without a
 // store there is nothing newer to read.
@@ -595,7 +610,7 @@ func (s *Server) ReloadChunks(pred func(world.ChunkPos) bool) int {
 	if s.store == nil {
 		return 0
 	}
-	if f, ok := s.store.(ForgettingChunkStore); ok {
+	if f, ok := s.store.(CachingChunkStore); ok {
 		f.ForgetWhere(pred)
 	}
 	for cp := range s.requested.All() {

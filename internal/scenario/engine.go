@@ -506,11 +506,11 @@ type flipStore struct {
 }
 
 var (
-	_ mve.ChunkStore           = (*flipStore)(nil)
-	_ mve.BatchingChunkStore   = (*flipStore)(nil)
-	_ mve.PlayerStore          = (*flipStore)(nil)
-	_ mve.AvatarObserver       = (*flipStore)(nil)
-	_ mve.ForgettingChunkStore = (*flipStore)(nil)
+	_ mve.ChunkStore         = (*flipStore)(nil)
+	_ mve.BatchingChunkStore = (*flipStore)(nil)
+	_ mve.PlayerStore        = (*flipStore)(nil)
+	_ mve.AvatarObserver     = (*flipStore)(nil)
+	_ mve.CachingChunkStore  = (*flipStore)(nil)
 )
 
 func (f *flipStore) cur() mve.ChunkStore {
@@ -541,10 +541,29 @@ func (f *flipStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *worl
 // gained tile holds.
 func (f *flipStore) ForgetWhere(pred func(world.ChunkPos) bool) {
 	for _, s := range []mve.ChunkStore{f.serverless, f.local} {
-		if fs, ok := s.(mve.ForgettingChunkStore); ok {
-			fs.ForgetWhere(pred)
+		if cs, ok := s.(mve.CachingChunkStore); ok {
+			cs.ForgetWhere(pred)
 		}
 	}
+}
+
+// FlushWhere forwards to both sides, either of which may hold unflushed
+// writes of a lost tile, and calls done once both have landed.
+func (f *flipStore) FlushWhere(pred func(world.ChunkPos) bool, done func()) {
+	pending := 1
+	finish := func() {
+		pending--
+		if pending == 0 {
+			done()
+		}
+	}
+	for _, s := range []mve.ChunkStore{f.serverless, f.local} {
+		if cs, ok := s.(mve.CachingChunkStore); ok {
+			pending++
+			cs.FlushWhere(pred, finish)
+		}
+	}
+	finish()
 }
 
 func (f *flipStore) SavePlayer(name string, data []byte) {

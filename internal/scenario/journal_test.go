@@ -58,7 +58,7 @@ func TestJournalAnswersFromRecords(t *testing.T) {
 		name                       string
 		handoffs, migrations, scal int
 	}{
-		{"daily-cycle", 108, 34, 29},
+		{"daily-cycle", 84, 28, 26},
 		{"crash-loop-quarantine", 60, 6, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

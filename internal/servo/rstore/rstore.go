@@ -80,12 +80,19 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 	})
 }
 
-// ForgetWhere implements mve.ForgettingChunkStore: the cache forgets the
+// ForgetWhere implements mve.CachingChunkStore: the cache forgets the
 // positions pred matches, and the settled rects, which assumed no record
 // falls back to Unknown, are dropped (one re-walk per avatar).
 func (s *Store) ForgetWhere(pred func(world.ChunkPos) bool) {
 	s.cache.ForgetWhere(pred)
 	clear(s.settled)
+}
+
+// FlushWhere implements mve.CachingChunkStore: the cache writes the
+// dirty chunks pred matches through to remote storage, and done runs once
+// they have landed.
+func (s *Store) FlushWhere(pred func(world.ChunkPos) bool, done func()) {
+	s.cache.FlushWhere(pred, done)
 }
 
 // LoadMany implements mve.BatchingChunkStore: one call serves a whole

@@ -312,16 +312,57 @@ func (c *Cache) StartFlusher() {
 func (c *Cache) StopFlusher() { c.flushing = false }
 
 // Flush writes every dirty chunk to remote storage immediately, in (X, Z)
-// order, clearing each record's flag. The order decides which chunk each
-// of the store's latency and fault draws falls on, so it depends only on
-// the set of dirty chunks: the record table's own order is deterministic
-// too, but it also follows the table's insert and growth history. A
-// failed write (e.g. a chaos-injected storage fault) sets the flag again
-// so the next flush retries it once the fault window passes.
+// order, clearing each record's flag. A failed write (e.g. a
+// chaos-injected storage fault) sets the flag again so the next flush
+// retries it once the fault window passes.
 func (c *Cache) Flush() {
+	for _, pos := range c.takeDirty(nil) {
+		e, _ := c.known.Get(pos)
+		// PutLatest: if the chunk is re-flushed before a chaos-slowed
+		// write lands, the stale write is dropped instead of reverting
+		// the newer data.
+		c.remote.PutLatest(Key(pos), e.data, func(err error) {
+			if err != nil {
+				e, _ := c.known.Get(pos)
+				e.dirty = true
+				c.known.Put(pos, e)
+			}
+		})
+	}
+}
+
+// FlushWhere writes the dirty chunks pred matches to remote storage now,
+// in (X, Z) order, clearing their flags, through PutThen's durable path:
+// done runs once every write has landed, retrying through fault windows —
+// at once when pred matches no dirty chunk. A shard that is about to lose
+// chunks to another owner flushes them through it: a chunk its world
+// unloaded since its last write has that write only here.
+func (c *Cache) FlushWhere(pred func(world.ChunkPos) bool, done func()) {
+	pending := 1
+	finish := func() {
+		pending--
+		if pending == 0 {
+			done()
+		}
+	}
+	for _, pos := range c.takeDirty(pred) {
+		e, _ := c.known.Get(pos)
+		pending++
+		c.remote.PutDurablyThen(Key(pos), e.data, finish)
+	}
+	finish()
+}
+
+// takeDirty clears the dirty flag of every record pred matches (nil
+// matches all) and returns their positions in (X, Z) order. The order
+// decides which chunk each of the store's latency and fault draws falls
+// on, so it depends only on the set of dirty chunks: the record table's
+// own order is deterministic too, but it also follows the table's insert
+// and growth history.
+func (c *Cache) takeDirty(pred func(world.ChunkPos) bool) []world.ChunkPos {
 	var keys []world.ChunkPos
 	for pos, e := range c.known.All() {
-		if e.dirty {
+		if e.dirty && (pred == nil || pred(pos)) {
 			keys = append(keys, pos)
 		}
 	}
@@ -335,15 +376,6 @@ func (c *Cache) Flush() {
 		e, _ := c.known.Get(pos)
 		e.dirty = false
 		c.known.Put(pos, e)
-		// PutLatest: if the chunk is re-flushed before a chaos-slowed
-		// write lands, the stale write is dropped instead of reverting
-		// the newer data.
-		c.remote.PutLatest(Key(pos), e.data, func(err error) {
-			if err != nil {
-				e, _ := c.known.Get(pos)
-				e.dirty = true
-				c.known.Put(pos, e)
-			}
-		})
 	}
+	return keys
 }

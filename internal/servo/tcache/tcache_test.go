@@ -265,6 +265,44 @@ func TestForgetWhereRereadsStorage(t *testing.T) {
 	}
 }
 
+// TestFlushWhereWritesMatchedRecordsDurably: FlushWhere writes the dirty
+// records pred matches and no other, clears their flags, and calls done
+// only once the write has landed, retrying through a write-fault window;
+// with no dirty record matched it calls done before it returns.
+func TestFlushWhereWritesMatchedRecordsDurably(t *testing.T) {
+	loop, remote, c := newFixture(7)
+	mine, other := world.ChunkPos{X: 1}, world.ChunkPos{X: 2}
+	c.Put(mine, []byte("mine"))
+	c.Put(other, []byte("other"))
+	remote.SetChaos(&blob.Chaos{WriteErrorRate: 0.9})
+	isMine := func(pos world.ChunkPos) bool { return pos == mine }
+	done := false
+	c.FlushWhere(isMine, func() { done = true })
+	if done || c.DirtyLen() != 1 {
+		t.Fatalf("after FlushWhere: done %v, %d dirty; want false, 1 (the unmatched record)", done, c.DirtyLen())
+	}
+	loop.RunUntil(loop.Now() + time.Minute)
+	if !done {
+		t.Fatal("FlushWhere's done never ran")
+	}
+	remote.SetChaos(nil)
+	got := map[world.ChunkPos]string{}
+	for _, pos := range []world.ChunkPos{mine, other} {
+		remote.Get(Key(pos), func(data []byte, _ error) { got[pos] = string(data) })
+	}
+	loop.Run()
+	if got[mine] != "mine" || got[other] != "" {
+		t.Fatalf("remote holds %q and %q, want %q and nothing", got[mine], got[other], "mine")
+	}
+	for _, pred := range []func(world.ChunkPos) bool{isMine, func(world.ChunkPos) bool { return false }} {
+		done = false
+		c.FlushWhere(pred, func() { done = true })
+		if !done {
+			t.Fatal("FlushWhere with no dirty record matched did not call done at once")
+		}
+	}
+}
+
 // TestStatusIsMonotone drives a random Get / Prefetch / Put / PutThen /
 // Flush schedule (reads and writes failing one time in five, reads
 // retrying) and checks the invariant stated on Cache after every operation

@@ -95,9 +95,6 @@ func (t *OwnershipTable) Base() int { return t.base }
 // migration, failover, and recovery.
 func (t *OwnershipTable) Epoch() uint64 { return t.epoch }
 
-// TileOf returns the tile containing the chunk column.
-func (t *OwnershipTable) TileOf(cp ChunkPos) TileID { return t.topo.TileOf(cp) }
-
 // Canon returns the canonical spelling of a tile reference: the one
 // TileOf produces. On a grid, out-of-range coordinates wrap onto the
 // tile torus; on bands, the Z coordinate collapses to 0. Owner and
