@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmtcheck nofork nomap oneflip testonly loc abpair build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
+.PHONY: ci vet fmtcheck nofork nomap oneflip onestore testonly loc abpair build test race sim bench benchsmoke benchcheck benchtest clusterrace fuzzsmoke rtsmoke replaygate paritygate parity-update figuregate figure-update workersgate
 
-ci: vet fmtcheck nofork nomap oneflip testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
+ci: vet fmtcheck nofork nomap oneflip onestore testonly build benchcheck benchtest race clusterrace fuzzsmoke rtsmoke replaygate paritygate figuregate workersgate benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,16 @@ nomap:
 oneflip:
 	@out="$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -nE '\.table\.(SetOwner|SetDead|Grow|Retire|Adopt)\(')"; \
 	if [ -n "$$out" ]; then echo "ownership-table changes outside changeOwnership:"; echo "$$out"; exit 1; fi
+
+# onestore fails if tracked non-test Go outside benchmark/ type-asserts a
+# store to a part of the storage contract: mve.ChunkStore embeds
+# BatchingChunkStore, SyncingChunkStore, AvatarObserver and PlayerStore,
+# so every store has them and an assertion could only guard a fallback
+# path that never runs. (CachingChunkStore is the one optional
+# extension; benchmark/'s frozen decorator names the parts one by one.)
+onestore:
+	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs grep -nE '\.\((mve\.)?(BatchingChunkStore|SyncingChunkStore|AvatarObserver|PlayerStore)\)')"; \
+	if [ -n "$$out" ]; then echo "type assertions to a part of mve.ChunkStore:"; echo "$$out"; exit 1; fi
 
 # testonly fails if product code exports what only tests reach, or keeps
 # an unexported declaration that nothing reaches: TestNoTestOnlyExports

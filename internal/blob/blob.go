@@ -289,15 +289,6 @@ func (s *Store) put(key string, data []byte, gen uint64, cb func(err error)) {
 // write still in flight is dropped at install time, so a stale value can
 // never clobber a newer write.
 func (s *Store) PutRetrying(key string, data []byte) {
-	s.PutRetryingThen(key, data, nil)
-}
-
-// PutRetryingThen is PutRetrying with a completion callback: done runs
-// once the write lands (or once the chain is superseded by a newer write
-// for the same key). Cross-shard handoff uses it to sequence the
-// save-then-restore round-trip, so a brownout can delay but never lose a
-// transferring player's state.
-func (s *Store) PutRetryingThen(key string, data []byte, done func()) {
 	s.putGen[key]++
 	gen := s.putGen[key]
 	var put func()
@@ -305,24 +296,22 @@ func (s *Store) PutRetryingThen(key string, data []byte, done func()) {
 		s.put(key, data, gen, func(err error) {
 			if errors.Is(err, ErrInjectedFault) && s.putGen[key] == gen {
 				put()
-				return
-			}
-			if done != nil {
-				done()
 			}
 		})
 	}
 	put()
 }
 
-// PutDurablyThen stores data under key and calls done only once a write
-// for the key has actually been installed — this one, or any newer chain
-// that superseded it (the pending callback transfers to whichever write
-// lands first). This is the primitive ownership migrations gate on:
-// unlike PutRetryingThen, a supersession by a concurrent writer (an
-// unload-path PutRetrying, a cache flusher's PutLatest) cannot complete
-// the callback while zero bytes are durable, so "done" always means the
-// store holds data for the key at least as new as this write.
+// PutDurablyThen is PutRetrying with a completion callback: done runs
+// only once a write for the key has actually been installed — this one,
+// or any newer chain that superseded it (the pending callback transfers
+// to whichever write lands first). Ownership migrations gate on it, and
+// cross-shard handoff sequences its save-then-restore round-trip with it:
+// a supersession by a concurrent writer (an unload-path PutRetrying, a
+// cache flusher's PutLatest) cannot complete the callback while zero
+// bytes are durable, so "done" always means the store holds data for the
+// key at least as new as this write, and a brownout delays but never
+// loses it.
 func (s *Store) PutDurablyThen(key string, data []byte, done func()) {
 	if done != nil {
 		s.durable[key] = append(s.durable[key], done)

@@ -132,23 +132,10 @@ func TestHandoffHysteresisNoThrash(t *testing.T) {
 	}
 }
 
-// retryingTransfer is the test double of core's blob-backed transfer.
-type retryingTransfer struct{ remote *blob.Store }
-
-func (t *retryingTransfer) Save(name string, data []byte, done func()) {
-	t.remote.PutRetryingThen(rstore.PlayerKey(name), data, done)
-}
-
-func (t *retryingTransfer) Load(name string, cb func([]byte, bool)) {
-	t.remote.GetRetrying(rstore.PlayerKey(name), func(data []byte, err error) {
-		cb(data, err == nil)
-	})
-}
-
 func TestHandoffThroughStoreSurvivesBrownout(t *testing.T) {
 	loop := sim.NewLoop(4)
 	remote := blob.NewStore(loop, blob.TierPremium)
-	cfg := Config{Transfer: &retryingTransfer{remote: remote}, Shards: 2, Topology: world.BandTopology{BandChunks: 4}}
+	cfg := Config{Transfer: rstore.NewTransfer(remote), Shards: 2, Topology: world.BandTopology{BandChunks: 4}}
 	c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 		return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 	})
@@ -223,7 +210,7 @@ func TestHandleOfResolvesStaleSessions(t *testing.T) {
 func TestDisconnectDuringHandoffDoesNotCrash(t *testing.T) {
 	loop := sim.NewLoop(5)
 	remote := blob.NewStore(loop, blob.TierStandard)
-	cfg := Config{Transfer: &retryingTransfer{remote: remote}, Shards: 2, Topology: world.BandTopology{BandChunks: 4}}
+	cfg := Config{Transfer: rstore.NewTransfer(remote), Shards: 2, Topology: world.BandTopology{BandChunks: 4}}
 	c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 		return mve.NewServer(loop, mve.Config{WorldType: "flat", ViewDistance: 32, Region: region})
 	})

@@ -6,7 +6,7 @@
 // A migration is two-phase, like every ownership change but a failover
 // (changeOwnership). First the source shard flushes its copy of the
 // tile's chunks through the storage substrate with completion reporting
-// (mve.FlushOwnedChunks + SyncingChunkStore), so a brownout delays the
+// (mve.FlushOwnedChunks over the store's StoreThen), so a brownout delays the
 // flush but cannot lose chunk state; only once every write has landed
 // does the ownership table flip the tile to its new owner (epoch bump,
 // persisted through the TableStore). Resident players then

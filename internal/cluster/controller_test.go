@@ -14,39 +14,6 @@ import (
 	"servo/internal/world"
 )
 
-// blobChunkStore is the test double of core's uncached blob-backed chunk
-// store, including the completion-reporting writes (SyncingChunkStore)
-// that ownership migrations gate on.
-type blobChunkStore struct{ remote *blob.Store }
-
-var (
-	_ mve.ChunkStore        = (*blobChunkStore)(nil)
-	_ mve.SyncingChunkStore = (*blobChunkStore)(nil)
-)
-
-func (u *blobChunkStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
-	u.remote.GetRetrying(tcache.Key(pos), func(data []byte, err error) {
-		if err != nil {
-			cb(nil, false)
-			return
-		}
-		c, derr := world.DecodeChunk(data)
-		if derr != nil {
-			cb(nil, false)
-			return
-		}
-		cb(c, true)
-	})
-}
-
-func (u *blobChunkStore) Store(c *world.Chunk) {
-	u.remote.PutRetrying(tcache.Key(c.Pos), c.Encode())
-}
-
-func (u *blobChunkStore) StoreThen(c *world.Chunk, done func()) {
-	u.remote.PutDurablyThen(tcache.Key(c.Pos), c.Encode(), done)
-}
-
 // newStoreCluster builds a store-backed cluster (chunk persistence +
 // handoff transfer over one blob store), 64-block band tiles unless
 // cfg.Topology picks another tiling.
@@ -59,14 +26,14 @@ func newStoreCluster(t *testing.T, seed int64, shards int, cfg Config) (*sim.Loo
 		cfg.Topology = world.BandTopology{BandChunks: 4}
 	}
 	if cfg.Transfer == nil {
-		cfg.Transfer = &retryingTransfer{remote: remote}
+		cfg.Transfer = rstore.NewTransfer(remote)
 	}
 	c := New(loop, cfg, func(i int, region world.Region) *mve.Server {
 		return mve.NewServer(loop, mve.Config{
 			WorldType:    "flat",
 			ViewDistance: 32,
 			Region:       region,
-			Store:        &blobChunkStore{remote: remote},
+			Store:        rstore.NewUncached(remote, nil),
 		})
 	})
 	return loop, remote, c

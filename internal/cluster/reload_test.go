@@ -229,7 +229,7 @@ func newCachedCluster(t *testing.T, seed int64, shards int) (*sim.Loop, *blob.St
 	t.Helper()
 	loop := sim.NewLoop(seed)
 	remote := blob.NewStore(loop, blob.TierPremium)
-	c := New(loop, Config{Shards: shards, Topology: world.BandTopology{BandChunks: 4}, Transfer: &retryingTransfer{remote: remote}},
+	c := New(loop, Config{Shards: shards, Topology: world.BandTopology{BandChunks: 4}, Transfer: rstore.NewTransfer(remote)},
 		func(i int, region world.Region) *mve.Server {
 			cache := tcache.New(loop, remote, tcache.DefaultConfig())
 			cache.StartFlusher()
@@ -390,18 +390,6 @@ func TestLostTileFlushesUnloadedChunks(t *testing.T) {
 	wantHeld(t, c, 1, "after the flip")
 }
 
-// blobTableStore persists the ownership table in the blob store under
-// tableKey, as core's does.
-type blobTableStore struct{ remote *blob.Store }
-
-const tableKey = "cluster/ownership"
-
-func (b *blobTableStore) SaveTable(data []byte) { b.remote.PutRetrying(tableKey, data) }
-
-func (b *blobTableStore) LoadTable(cb func([]byte, bool)) {
-	b.remote.GetRetrying(tableKey, func(data []byte, err error) { cb(data, err == nil) })
-}
-
 // TestAdoptedTableReloadsFromStorage: a cluster restarting over a world
 // whose persisted table gives band 2 to shard 1 adopts it once the read
 // lands, and adopting moves the band like a migration. The read is held
@@ -412,8 +400,8 @@ func TestAdoptedTableReloadsFromStorage(t *testing.T) {
 	persisted := world.NewOwnershipTable(2, world.BandTopology{BandChunks: 4})
 	persisted.SetOwner(band2, 1)
 	loop, remote, c := newStoreCluster(t, 12, 2, Config{})
-	c.tableStore = &blobTableStore{remote: remote}
-	remote.Put(tableKey, persisted.Encode(), nil)
+	c.tableStore = rstore.NewTableStore(remote)
+	remote.Put(rstore.OwnershipKey, persisted.Encode(), nil)
 	loop.Run()
 
 	c.ConnectAt("watcher", nil, watchAt)
@@ -427,7 +415,13 @@ func TestAdoptedTableReloadsFromStorage(t *testing.T) {
 	}
 	carve(t, c, 0, 1)
 
-	loop.RunUntil(2 * time.Minute)
+	// The held read lands after its latency draw times 5000: minutes, by
+	// a draw every earlier storage operation moves. Run until it has, then
+	// long enough for the flip's reload to land.
+	for c.Epoch() == 0 && loop.Now() < time.Hour {
+		loop.RunUntil(loop.Now() + 10*time.Second)
+	}
+	loop.RunUntil(loop.Now() + 10*time.Second)
 	if c.Epoch() != persisted.Epoch() || c.table.Owner(band2) != 1 {
 		t.Fatalf("epoch %d, band 2 is shard %d's: the persisted table was not adopted", c.Epoch(), c.table.Owner(band2))
 	}

@@ -9,6 +9,7 @@ import (
 
 	"servo/internal/blob"
 	"servo/internal/mve"
+	"servo/internal/servo/rstore"
 	"servo/internal/sim"
 	"servo/internal/world"
 )
@@ -115,7 +116,7 @@ func TestHandoffSeamlessGhostPromotion(t *testing.T) {
 	loop := sim.NewLoop(32)
 	remote := blob.NewStore(loop, blob.TierPremium)
 	cfg := Config{
-		Transfer:   &retryingTransfer{remote: remote},
+		Transfer:   rstore.NewTransfer(remote),
 		Shards:     2,
 		Topology:   world.BandTopology{BandChunks: 4},
 		Visibility: VisibilityConfig{Enabled: true},
@@ -204,7 +205,7 @@ func TestVisibilityDigestDeterministicReplay(t *testing.T) {
 		loop := sim.NewLoop(33)
 		remote := blob.NewStore(loop, blob.TierPremium)
 		cfg := Config{
-			Transfer:   &retryingTransfer{remote: remote},
+			Transfer:   rstore.NewTransfer(remote),
 			Shards:     2,
 			Topology:   world.BandTopology{BandChunks: 4},
 			Visibility: VisibilityConfig{Enabled: true},
@@ -255,7 +256,7 @@ func TestVisibilityBrownoutDegradesWithoutLosingLiveness(t *testing.T) {
 	loop := sim.NewLoop(34)
 	remote := blob.NewStore(loop, blob.TierPremium)
 	cfg := Config{
-		Transfer:   &retryingTransfer{remote: remote},
+		Transfer:   rstore.NewTransfer(remote),
 		Shards:     2,
 		Topology:   world.BandTopology{BandChunks: 4},
 		Visibility: VisibilityConfig{Enabled: true},

@@ -356,7 +356,7 @@ func New(clock sim.Clock, cfg Config) *System {
 		switch {
 		case cfg.ServerlessRS:
 			if cfg.DisableCache {
-				srvCfg.Store = &uncachedStore{remote: sys.Remote, pool: shard.Pool}
+				srvCfg.Store = rstore.NewUncached(sys.Remote, shard.Pool)
 			} else {
 				shard.Cache = tcache.New(clock, sys.Remote, tcache.DefaultConfig())
 				shard.Cache.StartFlusher()
@@ -365,7 +365,7 @@ func New(clock sim.Clock, cfg Config) *System {
 				srvCfg.Store = shard.RStore
 			}
 		case cfg.LocalStore:
-			srvCfg.Store = &uncachedStore{remote: sys.Remote, pool: shard.Pool}
+			srvCfg.Store = rstore.NewUncached(sys.Remote, shard.Pool)
 		}
 		if cfg.WrapStore != nil && srvCfg.Store != nil {
 			srvCfg.Store = cfg.WrapStore(srvCfg.Store)
@@ -409,8 +409,8 @@ func New(clock sim.Clock, cfg Config) *System {
 	// would be a billed remote read whose answer is always discarded
 	// (TestOneShardStartReadsNothingFromStorage).
 	if sys.Remote != nil && neighbours {
-		clCfg.Transfer = &blobTransfer{remote: sys.Remote}
-		clCfg.TableStore = &blobTableStore{remote: sys.Remote}
+		clCfg.Transfer = rstore.NewTransfer(sys.Remote)
+		clCfg.TableStore = rstore.NewTableStore(sys.Remote)
 		clCfg.Checkpoint = cfg.CheckpointInterval
 	}
 	sys.Cluster = cluster.New(clock, clCfg, buildShard)
@@ -434,49 +434,6 @@ type commitInvoker struct {
 
 func (ci *commitInvoker) Invoke(name string, payload []byte, cb func(faas.Invocation)) {
 	sim.Commit(ci.clock, func() { ci.platform.Invoke(name, payload, cb) })
-}
-
-// blobTransfer persists handoff snapshots under the player's storage key
-// on the shared remote store: the handoff save doubles as the player's
-// persisted record (the snapshot encoding is a superset of the player
-// record), and retrying writes make brownouts delay-only.
-type blobTransfer struct {
-	remote *blob.Store
-}
-
-var _ cluster.Transfer = (*blobTransfer)(nil)
-
-func (t *blobTransfer) Save(name string, data []byte, done func()) {
-	t.remote.PutRetryingThen(rstore.PlayerKey(name), data, done)
-}
-
-func (t *blobTransfer) Load(name string, cb func(data []byte, ok bool)) {
-	t.remote.GetRetrying(rstore.PlayerKey(name), func(data []byte, err error) {
-		cb(data, err == nil)
-	})
-}
-
-// OwnershipKey is the blob-store key of the persisted ownership table.
-const OwnershipKey = "cluster/ownership"
-
-// blobTableStore persists the cluster's ownership table on the shared
-// remote store: every epoch change is written through with retries, so a
-// brownout delays but never loses an ownership decision, and a cluster
-// restarting over the same world resumes its ownership history.
-type blobTableStore struct {
-	remote *blob.Store
-}
-
-var _ cluster.TableStore = (*blobTableStore)(nil)
-
-func (t *blobTableStore) SaveTable(data []byte) {
-	t.remote.PutRetrying(OwnershipKey, data)
-}
-
-func (t *blobTableStore) LoadTable(cb func(data []byte, ok bool)) {
-	t.remote.GetRetrying(OwnershipKey, func(data []byte, err error) {
-		cb(data, err == nil)
-	})
 }
 
 // FailShard kills shard i: its cache flusher stops (a crashed process
@@ -519,82 +476,4 @@ func (a *scAdapter) Count() int { return a.mgr.Len() }
 
 func (a *scAdapter) Tick(tick uint64) mve.SCTickWork {
 	return mve.SCTickWork{WorkUnits: a.mgr.Tick(), Simulated: a.mgr.Len() > 0}
-}
-
-// NewBlobChunkStore returns an uncached chunk-and-player store backed
-// directly by remote, the same store the baselines use for local
-// persistence. The scenario harness uses it as the "local" side of
-// runtime storage-backend flips.
-func NewBlobChunkStore(remote *blob.Store) mve.ChunkStore {
-	return &uncachedStore{remote: remote}
-}
-
-// uncachedStore is a direct blob-backed chunk store with no cache: the
-// baselines' local persistence (TierLocal) and Fig. 13's uncached
-// serverless configuration.
-type uncachedStore struct {
-	remote *blob.Store
-	// pool recycles decoded chunks; nil falls back to plain allocation.
-	pool *world.ChunkPool
-}
-
-var _ mve.ChunkStore = (*uncachedStore)(nil)
-var (
-	_ mve.BatchingChunkStore = (*uncachedStore)(nil)
-	_ mve.CachingChunkStore  = (*rstore.Store)(nil)
-)
-
-func (u *uncachedStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
-	// GetRetrying: a false not-found would make the server regenerate and
-	// overwrite the persisted chunk.
-	u.remote.GetRetrying(tcache.Key(pos), func(data []byte, err error) {
-		if err != nil {
-			cb(nil, false)
-			return
-		}
-		c := u.pool.Get(pos)
-		// Sealed: storing it back unchanged rewrites this slice.
-		if derr := c.LoadEncoded(data); derr != nil {
-			u.pool.Put(c)
-			cb(nil, false)
-			return
-		}
-		cb(c, true)
-	})
-}
-
-// LoadMany implements mve.BatchingChunkStore: each position takes the
-// same retrying read path as Load, in the order given.
-func (u *uncachedStore) LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPos, c *world.Chunk, ok bool)) {
-	for _, cp := range pos {
-		cp := cp
-		u.Load(cp, func(c *world.Chunk, ok bool) { cb(cp, c, ok) })
-	}
-}
-
-// Store implements mve.ChunkStore. The blob store keeps the very slice
-// Encoded returns, which is never written again, so an unchanged chunk is
-// stored without encoding or copying anything.
-func (u *uncachedStore) Store(c *world.Chunk) {
-	u.remote.PutRetrying(tcache.Key(c.Pos), c.Encoded())
-}
-
-// StoreThen implements mve.SyncingChunkStore: done runs once data for
-// the chunk is durably stored — even if a concurrent unload-path write
-// superseded this one (ownership migrations gate the tile flip on it).
-func (u *uncachedStore) StoreThen(c *world.Chunk, done func()) {
-	u.remote.PutDurablyThen(tcache.Key(c.Pos), c.Encoded(), done)
-}
-
-// SavePlayer implements mve.PlayerStore.
-func (u *uncachedStore) SavePlayer(name string, data []byte) {
-	u.remote.PutRetrying(rstore.PlayerKey(name), data)
-}
-
-// LoadPlayer implements mve.PlayerStore. GetRetrying: a false "new
-// player" would reset the player's persisted progress.
-func (u *uncachedStore) LoadPlayer(name string, cb func([]byte, bool)) {
-	u.remote.GetRetrying(rstore.PlayerKey(name), func(data []byte, err error) {
-		cb(data, err == nil)
-	})
 }

@@ -9,6 +9,7 @@ import (
 	"servo/internal/blob"
 	"servo/internal/mve"
 	"servo/internal/sc"
+	"servo/internal/servo/rstore"
 	"servo/internal/sim"
 	"servo/internal/world"
 )
@@ -137,10 +138,8 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 	}
 
 	// A fresh store stack over the same remote must return the same chunk.
-	sysB := &System{Remote: sysA.Remote}
-	_ = sysB
 	var got *world.Chunk
-	store := &uncachedStore{remote: sysA.Remote}
+	store := rstore.NewUncached(sysA.Remote, nil)
 	store.Load(pos, func(c *world.Chunk, ok bool) {
 		if ok {
 			got = c
@@ -157,7 +156,7 @@ func TestRemoteStorageRoundTripsChunks(t *testing.T) {
 
 func TestUncachedStoreMissingChunk(t *testing.T) {
 	loop := sim.NewLoop(6)
-	store := &uncachedStore{remote: blob.NewStore(loop, blob.TierLocal)}
+	store := rstore.NewUncached(blob.NewStore(loop, blob.TierLocal), nil)
 	called := false
 	store.Load(world.ChunkPos{X: 5, Z: 5}, func(c *world.Chunk, ok bool) {
 		called = true

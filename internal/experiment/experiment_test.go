@@ -1,12 +1,17 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"servo/internal/core"
+	"servo/internal/mve"
 	"servo/internal/scenario"
+	"servo/internal/servo/rstore"
+	"servo/internal/sim"
 )
 
 // tinyOpt returns the smallest useful experiment scale for shape tests.
@@ -121,6 +126,41 @@ func TestFig11MemoryScaling(t *testing.T) {
 	if r.CostRatio[320] >= r.CostRatio[512] {
 		t.Errorf("320 MB (%v) must be less cost-efficient than 512 MB (%v)",
 			r.CostRatio[320], r.CostRatio[512])
+	}
+}
+
+// TestFig13ReadPhaseReadsPlayerRecords: every configuration's read phase
+// fetches its 8 players' records on connect, as a restarted server does
+// (§II-D: player data is fetched every time a player connects), so the
+// record reads are part of every curve. Each record puts its player away
+// from spawn; the players stand still, so each must stand where its
+// record says once the read has landed.
+func TestFig13ReadPhaseReadsPlayerRecords(t *testing.T) {
+	for _, cfg := range StorageConfigs {
+		loop := sim.NewLoop(42)
+		coreCfg := fig13Config(cfg, 42)
+		written := core.New(loop, coreCfg)
+		for i := 0; i < 8; i++ {
+			rec := mve.PlayerSnapshot{X: float64(40 + 8*i), Z: -24}
+			rec.DestX, rec.DestZ = rec.X, rec.Z
+			written.Remote.Put(rstore.PlayerKey(fmt.Sprintf("player-%d", i)), mve.EncodeSnapshot(rec), nil)
+		}
+		loop.RunUntil(time.Second)
+		sys := rebuildOverSameStorage(loop, coreCfg, written)
+		for i := 0; i < 8; i++ {
+			sys.Cluster.Connect(fmt.Sprintf("player-%d", i), nil)
+		}
+		sys.Cluster.Start()
+		loop.RunUntil(loop.Now() + 5*time.Second)
+		sys.Cluster.Stop()
+		if n := len(sys.Cluster.Players()); n != 8 {
+			t.Fatalf("%v: %d players connected, want 8", cfg, n)
+		}
+		for i, p := range sys.Cluster.Players() {
+			if sess := sys.Cluster.Session(p); sess.X != float64(40+8*i) || sess.Z != -24 {
+				t.Errorf("%v: %s stands at (%v, %v): its record was not read", cfg, p.Name, sess.X, sess.Z)
+			}
+		}
 	}
 }
 

@@ -68,26 +68,25 @@ func Fig13(opt Options) *Fig13Report {
 
 // storeLatencyProbe wraps a ChunkStore and records per-load latency as
 // observed from the game loop (for configurations whose store does not
-// already record it).
+// already record it). Everything but LoadMany, the server's one load
+// path, is the inner store's own.
 type storeLatencyProbe struct {
-	inner   mve.ChunkStore
+	mve.ChunkStore
 	clock   sim.Clock
 	Latency *metrics.Sample
 }
 
 var _ mve.ChunkStore = (*storeLatencyProbe)(nil)
 
-func (p *storeLatencyProbe) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
+func (p *storeLatencyProbe) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
 	start := p.clock.Now()
-	p.inner.Load(pos, func(c *world.Chunk, ok bool) {
+	p.ChunkStore.LoadMany(pos, func(cp world.ChunkPos, c *world.Chunk, ok bool) {
 		if ok {
 			p.Latency.Add(p.clock.Now() - start)
 		}
-		cb(c, ok)
+		cb(cp, c, ok)
 	})
 }
-
-func (p *storeLatencyProbe) Store(c *world.Chunk) { p.inner.Store(c) }
 
 // fig13Run stays Go rather than a scenario cell. Its write phase ends
 // with the writers connected and the cache flusher running, where the
@@ -96,20 +95,7 @@ func (p *storeLatencyProbe) Store(c *world.Chunk) { p.inner.Store(c) }
 // neither of which the spec language has.
 func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	loop := sim.NewLoop(opt.Seed)
-	coreCfg := core.Config{
-		Seed:      opt.Seed,
-		WorldType: "default",
-		Profile:   mve.ProfileServo,
-	}
-	switch cfg {
-	case StorageLocal:
-		coreCfg.LocalStore = true
-	case StorageServerless:
-		coreCfg.ServerlessRS = true
-		coreCfg.DisableCache = true
-	case StorageServerlessCache:
-		coreCfg.ServerlessRS = true
-	}
+	coreCfg := fig13Config(cfg, opt.Seed)
 	sys := core.New(loop, coreCfg)
 
 	// Phase 1 (write): 8 star players explore, persisting terrain.
@@ -145,6 +131,25 @@ func fig13Run(cfg StorageConfig, opt Options) *metrics.Sample {
 	}
 }
 
+// fig13Config is the system both phases of one configuration run.
+func fig13Config(cfg StorageConfig, seed int64) core.Config {
+	coreCfg := core.Config{
+		Seed:      seed,
+		WorldType: "default",
+		Profile:   mve.ProfileServo,
+	}
+	switch cfg {
+	case StorageLocal:
+		coreCfg.LocalStore = true
+	case StorageServerless:
+		coreCfg.ServerlessRS = true
+		coreCfg.DisableCache = true
+	case StorageServerlessCache:
+		coreCfg.ServerlessRS = true
+	}
+	return coreCfg
+}
+
 // rebuildOverSameStorage builds a second system whose remote store starts
 // with the first phase's data (cold local cache, warm remote), wrapping
 // non-cache stores in a latency probe.
@@ -156,7 +161,7 @@ func rebuildOverSameStorage(loop *sim.Loop, cfg core.Config, prev *core.System) 
 	cfg.Remote = prev.Remote
 	if cfg.DisableCache || cfg.LocalStore {
 		cfg.WrapStore = func(inner mve.ChunkStore) mve.ChunkStore {
-			return &storeLatencyProbe{inner: inner, clock: loop, Latency: metrics.NewSample(4096)}
+			return &storeLatencyProbe{ChunkStore: inner, clock: loop, Latency: metrics.NewSample(4096)}
 		}
 	}
 	return core.New(loop, cfg)

@@ -6,10 +6,11 @@ import (
 	"math"
 )
 
-// PlayerStore persists per-player data (position, inventory). The paper's
-// storage design covers player-, meta-, and terrain-data (§III-E); player
-// data is fetched "every time a player connects to a game instance"
-// (§II-D, Fig. 3) and written back on disconnect.
+// PlayerStore is the ChunkStore part that persists per-player data
+// (position, inventory). The paper's storage design covers player-,
+// meta-, and terrain-data (§III-E); player data is fetched "every time a
+// player connects to a game instance" (§II-D, Fig. 3) and written back on
+// disconnect.
 type PlayerStore interface {
 	// SavePlayer persists the encoded player record (asynchronously).
 	SavePlayer(name string, data []byte)
@@ -111,12 +112,11 @@ func DecodeSnapshot(data []byte) (PlayerSnapshot, error) {
 // on the real systems (the retrieval latency is the player-data curve of
 // Fig. 3).
 func (s *Server) loadPlayerData(p *Player) {
-	ps, ok := s.store.(PlayerStore)
-	if !ok {
+	if s.store == nil {
 		return
 	}
 	id := p.ID
-	ps.LoadPlayer(p.Name, func(data []byte, found bool) {
+	s.store.LoadPlayer(p.Name, func(data []byte, found bool) {
 		if !found {
 			return
 		}
@@ -138,7 +138,7 @@ func (s *Server) loadPlayerData(p *Player) {
 
 // savePlayerData persists a disconnecting player's state.
 func (s *Server) savePlayerData(p *Player) {
-	if ps, ok := s.store.(PlayerStore); ok {
-		ps.SavePlayer(p.Name, encodePlayer(p))
+	if s.store != nil {
+		s.store.SavePlayer(p.Name, encodePlayer(p))
 	}
 }

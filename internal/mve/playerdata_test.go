@@ -13,9 +13,10 @@ import (
 	"servo/internal/world"
 )
 
-// memPlayerStore is an in-memory PlayerStore (and no-op ChunkStore) with a
-// configurable load delay.
+// memPlayerStore is a ChunkStore that keeps player records in memory,
+// answers them after a configurable delay, and holds no chunks.
 type memPlayerStore struct {
+	storeRest
 	clock   sim.Clock
 	delay   time.Duration
 	records map[string][]byte
@@ -42,12 +43,15 @@ func (m *memPlayerStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 	m.clock.After(0, func() { cb(nil, false) })
 }
 
+func (m *memPlayerStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
+	loadEach(m.Load, pos, cb)
+}
+
 func (m *memPlayerStore) Store(*world.Chunk) {}
 
-var (
-	_ PlayerStore = (*memPlayerStore)(nil)
-	_ ChunkStore  = (*memPlayerStore)(nil)
-)
+func (m *memPlayerStore) StoreThen(_ *world.Chunk, done func()) { done() }
+
+var _ ChunkStore = (*memPlayerStore)(nil)
 
 func TestPlayerRecordRoundTripQuick(t *testing.T) {
 	f := func(xBits, zBits uint64, inv uint8) bool {

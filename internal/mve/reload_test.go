@@ -13,12 +13,16 @@ import (
 // heldStore answers a load only when the test does: pending holds each
 // position's callbacks in request order. It records forgets and stores.
 type heldStore struct {
+	storeRest
 	pending map[world.ChunkPos][]func(*world.Chunk, bool)
 	forgets []func(world.ChunkPos) bool
 	stored  map[world.ChunkPos]int
 }
 
-var _ CachingChunkStore = (*heldStore)(nil)
+var (
+	_ ChunkStore        = (*heldStore)(nil)
+	_ CachingChunkStore = (*heldStore)(nil)
+)
 
 func newHeldStore() *heldStore {
 	return &heldStore{
@@ -30,7 +34,14 @@ func newHeldStore() *heldStore {
 func (h *heldStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) {
 	h.pending[pos] = append(h.pending[pos], cb)
 }
+func (h *heldStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
+	loadEach(h.Load, pos, cb)
+}
 func (h *heldStore) Store(c *world.Chunk) { h.stored[c.Pos]++ }
+func (h *heldStore) StoreThen(c *world.Chunk, done func()) {
+	h.Store(c)
+	done()
+}
 func (h *heldStore) ForgetWhere(pred func(world.ChunkPos) bool) {
 	h.forgets = append(h.forgets, pred)
 }

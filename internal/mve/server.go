@@ -14,28 +14,39 @@ import (
 	"servo/internal/world"
 )
 
-// ChunkStore abstracts chunk persistence: the baselines persist to local
-// disk, Servo to cached serverless storage (internal/servo/rstore).
+// ChunkStore is the whole storage contract a server runs on: the
+// baselines persist to local disk, Servo to cached serverless storage
+// (internal/servo/rstore), and the server calls every method of it —
+// there is no fallback for a store that lacks one. Its parts keep their
+// own names (BatchingChunkStore, SyncingChunkStore, AvatarObserver,
+// PlayerStore) because the benchmark's store decorator, frozen with the
+// rest of benchmark/, lists them one by one. CachingChunkStore is the one
+// optional extension.
 type ChunkStore interface {
 	// Load fetches the chunk at pos; ok is false if it was never stored.
 	Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool))
 	// Store persists the chunk (asynchronously; write-back allowed).
 	Store(c *world.Chunk)
+	BatchingChunkStore
+	SyncingChunkStore
+	AvatarObserver
+	PlayerStore
 }
 
-// BatchingChunkStore is an optional ChunkStore extension that serves a
-// whole tick's worth of loads in one call. The server coalesces every
-// chunk requested between flushes into a single LoadMany — one substrate
-// event per tick instead of one per chunk — and the store answers each
-// position through cb exactly as Load would, in the order given.
+// BatchingChunkStore serves a whole tick's worth of loads in one call.
+// The server coalesces every chunk requested between flushes into a
+// single LoadMany — one substrate event per tick instead of one per
+// chunk — and the store answers each position through cb exactly as Load
+// would, in the order given.
 type BatchingChunkStore interface {
 	LoadMany(pos []world.ChunkPos, cb func(pos world.ChunkPos, c *world.Chunk, ok bool))
 }
 
-// AvatarObserver is implemented by stores that pre-fetch based on avatar
-// positions (Servo's terrain cache, §III-E). The server calls it once per
-// demand scan with every resident avatar, then every ghost; terrain
-// within viewDistance blocks of any of them should be made warm.
+// AvatarObserver is the pre-fetching part of the contract (Servo's
+// terrain cache, §III-E); a store that does not pre-fetch ignores it.
+// The server calls it once per demand scan with every resident avatar,
+// then every ghost; terrain within viewDistance blocks of any of them
+// should be made warm.
 //
 //   - The order of positions is significant: a store with a prefetch
 //     budget serves earlier avatars first, and the order of the reads it
@@ -51,19 +62,21 @@ type AvatarObserver interface {
 	ObserveAvatars(positions []world.BlockPos, viewDistance int)
 }
 
-// SyncingChunkStore is an optional ChunkStore extension whose writes
-// report completion. Ownership migrations gate the ownership flip on the
-// source shard's flush landing (FlushOwnedChunks), so a storage brownout
-// delays a migration but never loses chunk state.
+// SyncingChunkStore is the completion-reporting write. Ownership
+// migrations gate the ownership flip on the source shard's flush landing
+// (FlushOwnedChunks), so a storage brownout delays a migration but never
+// loses chunk state.
 type SyncingChunkStore interface {
 	// StoreThen persists the chunk and calls done once the write has
 	// landed in backing storage (retrying through transient faults).
 	StoreThen(c *world.Chunk, done func())
 }
 
-// CachingChunkStore is an optional ChunkStore extension for stores that
-// keep what they read and write (a local cache in front of remote
-// storage), resident in the world or not. A server that gains ownership of
+// CachingChunkStore is the one optional ChunkStore extension, for stores
+// that keep what they read and write (a local cache in front of remote
+// storage), resident in the world or not. It stays optional only because
+// the benchmark's frozen store decorator does not forward it; its
+// workloads never change ownership. A server that gains ownership of
 // chunks forgets them (ReloadChunks): what it cached as a non-owner may
 // predate the owner's writes. A server about to lose ownership of chunks
 // flushes them (FlushOwnedChunks): a chunk it unloaded since its last
@@ -252,8 +265,7 @@ type Server struct {
 	loadedFromStore []*world.Chunk
 	// pendingLoads coalesces the chunk-load requests issued since the
 	// last flush; flushChunkLoads turns the whole batch into one commit
-	// (and, on a BatchingChunkStore, one LoadMany call) instead of one
-	// substrate event per chunk.
+	// and one LoadMany call instead of one substrate event per chunk.
 	pendingLoads []world.ChunkPos
 	loadFn       func()
 	loadCB       func(pos world.ChunkPos, c *world.Chunk, ok bool)
@@ -377,15 +389,7 @@ func NewServer(clock sim.Clock, cfg Config) *Server {
 		s.terrain.Request(pos)
 	}
 	s.loadFn = func() {
-		batch := s.pendingLoads
-		if bs, ok := s.store.(BatchingChunkStore); ok {
-			bs.LoadMany(batch, s.loadCB)
-		} else {
-			for _, cp := range batch {
-				cp := cp
-				s.store.Load(cp, func(c *world.Chunk, ok bool) { s.loadCB(cp, c, ok) })
-			}
-		}
+		s.store.LoadMany(s.pendingLoads, s.loadCB)
 		s.pendingLoads = s.pendingLoads[:0]
 	}
 	s.flushFn = func() {
@@ -549,12 +553,10 @@ func (s *Server) SetChatRelay(relay func(from *Player) int) { s.chatRelay = rela
 // FlushOwnedChunks persists every chunk this server owns matching pred
 // (nil matches all), calling done once after every write has landed: each
 // loaded one, and, through a CachingChunkStore, each unloaded one whose
-// last write still waits in the store's cache. With a completion-reporting
-// store (SyncingChunkStore) the writes retry through fault windows before
-// done fires — the guarantee an ownership change needs before it gives a
-// tile to a new owner. Stores without completion reporting get their
-// writes issued fire-and-forget. With nothing to write, done runs before
-// FlushOwnedChunks returns.
+// last write still waits in the store's cache. The writes retry through
+// fault windows before done fires (StoreThen) — the guarantee an
+// ownership change needs before it gives a tile to a new owner. With
+// nothing to write, done runs before FlushOwnedChunks returns.
 func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 	if done == nil {
 		done = func() {}
@@ -568,7 +570,6 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 	// Deterministic write order: the store draws latency and fault
 	// outcomes from the clock RNG per operation.
 	slices.SortFunc(chunks, byXZ)
-	syncStore, _ := s.store.(SyncingChunkStore)
 	pending := 1
 	finish := func() {
 		pending--
@@ -582,12 +583,8 @@ func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
 		}
 		c := s.world.Chunk(cp)
 		s.noteStore(cp)
-		if syncStore != nil {
-			pending++
-			syncStore.StoreThen(c, finish)
-		} else {
-			s.store.Store(c)
-		}
+		pending++
+		s.store.StoreThen(c, finish)
 	}
 	if cs, ok := s.store.(CachingChunkStore); ok {
 		pending++
@@ -919,7 +916,7 @@ func (s *Server) scanTerrainDemand() {
 	// goes through the commit buffer on a lane clock; obsPending is read
 	// by the persistent closure at drain time, and the buffer flip keeps
 	// the next scan from clobbering it while queued.
-	if _, ok := s.store.(AvatarObserver); ok {
+	if s.store != nil {
 		for _, g := range s.ghostOrder {
 			avatars = append(avatars, g.Pos())
 		}
@@ -928,9 +925,7 @@ func (s *Server) scanTerrainDemand() {
 		s.obsPending = avatars
 		if s.obsFn == nil {
 			s.obsFn = func() {
-				if obs, ok := s.store.(AvatarObserver); ok {
-					obs.ObserveAvatars(s.obsPending, s.cfg.ViewDistance+PrefetchMargin)
-				}
+				s.store.ObserveAvatars(s.obsPending, s.cfg.ViewDistance+PrefetchMargin)
 			}
 		}
 		sim.Commit(s.clock, s.obsFn)

@@ -217,9 +217,36 @@ func (r *replyTerrain) DrainAppend(dst []*world.Chunk) []*world.Chunk {
 
 func (r *replyTerrain) Load() (busyWorkers, queued int) { return 0, 0 }
 
-// recordingStore is a ChunkStore that records Store calls in order and
-// always misses on Load.
-type recordingStore struct{ stored []world.ChunkPos }
+// storeRest is the part of the ChunkStore contract a chunk-only test
+// double has no use for: it observes nothing and holds no player records.
+type storeRest struct{}
+
+func (storeRest) ObserveAvatars([]world.BlockPos, int)       {}
+func (storeRest) SavePlayer(string, []byte)                  {}
+func (storeRest) LoadPlayer(_ string, cb func([]byte, bool)) { cb(nil, false) }
+
+// loadEach answers a batched load one load at a time, in order.
+func loadEach(load func(world.ChunkPos, func(*world.Chunk, bool)), pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
+	for _, cp := range pos {
+		load(cp, func(c *world.Chunk, ok bool) { cb(cp, c, ok) })
+	}
+}
+
+// recordingStore is a ChunkStore that records Store and StoreThen calls
+// in order and always misses on Load.
+type recordingStore struct {
+	storeRest
+	stored []world.ChunkPos
+}
+
+var _ ChunkStore = (*recordingStore)(nil)
 
 func (r *recordingStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) { cb(nil, false) }
-func (r *recordingStore) Store(c *world.Chunk)                                 { r.stored = append(r.stored, c.Pos) }
+func (r *recordingStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
+	loadEach(r.Load, pos, cb)
+}
+func (r *recordingStore) Store(c *world.Chunk) { r.stored = append(r.stored, c.Pos) }
+func (r *recordingStore) StoreThen(c *world.Chunk, done func()) {
+	r.Store(c)
+	done()
+}

@@ -102,9 +102,10 @@ func TestOverlongTickSchedulesFromNow(t *testing.T) {
 	}
 }
 
-// commitLog is a chunk store and avatar observer that records, in order,
-// what reached it and the tick it arrived in.
+// commitLog is a chunk store that records, in order, the stores and
+// observations that reached it and the tick each arrived in.
 type commitLog struct {
+	storeRest
 	srv     *Server
 	entries []commitEntry
 }
@@ -118,8 +119,15 @@ func (l *commitLog) add(kind string) {
 	l.entries = append(l.entries, commitEntry{kind, l.srv.Tick()})
 }
 func (l *commitLog) Load(_ world.ChunkPos, cb func(*world.Chunk, bool)) { cb(nil, false) }
-func (l *commitLog) Store(*world.Chunk)                                 { l.add("store") }
-func (l *commitLog) ObserveAvatars([]world.BlockPos, int)               { l.add("observe") }
+func (l *commitLog) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
+	loadEach(l.Load, pos, cb)
+}
+func (l *commitLog) Store(*world.Chunk) { l.add("store") }
+func (l *commitLog) StoreThen(c *world.Chunk, done func()) {
+	l.Store(c)
+	done()
+}
+func (l *commitLog) ObserveAvatars([]world.BlockPos, int) { l.add("observe") }
 
 // TestCommitHookRunsOncePerTickLast: on a plain loop (commits run inline)
 // and on a lane clock (commits drain after the wave) the hook fires

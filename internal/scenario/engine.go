@@ -14,6 +14,7 @@ import (
 	"servo/internal/metrics"
 	"servo/internal/mve"
 	"servo/internal/sc"
+	"servo/internal/servo/rstore"
 	"servo/internal/servo/specexec"
 	"servo/internal/sim"
 	"servo/internal/workload"
@@ -173,7 +174,7 @@ func (r *Runner) build() {
 	}
 	if hasFlip(spec) {
 		r.localAlt = blob.NewStore(r.loop, blob.TierLocal)
-		local := core.NewBlobChunkStore(r.localAlt)
+		local := rstore.NewUncached(r.localAlt, nil)
 		cfg.WrapStore = func(s mve.ChunkStore) mve.ChunkStore {
 			r.flip = &flipStore{serverless: s, local: local}
 			return r.flip
@@ -498,20 +499,17 @@ func (r *Runner) collect() *Report {
 
 // flipStore switches the server's chunk/player store between the
 // serverless stack and a local-disk-class store at runtime (the
-// flip_storage event). Chunks absent from the newly active side simply
-// regenerate through the normal terrain path.
+// flip_storage event), forwarding the whole contract to the active side.
+// Chunks absent from the newly active side simply regenerate through the
+// normal terrain path. It forwards no CachingChunkStore: flip_storage
+// runs on one shard only, and a one-shard cluster never changes
+// ownership, so nothing forgets or flushes through it.
 type flipStore struct {
 	serverless, local mve.ChunkStore
 	useLocal          bool
 }
 
-var (
-	_ mve.ChunkStore         = (*flipStore)(nil)
-	_ mve.BatchingChunkStore = (*flipStore)(nil)
-	_ mve.PlayerStore        = (*flipStore)(nil)
-	_ mve.AvatarObserver     = (*flipStore)(nil)
-	_ mve.CachingChunkStore  = (*flipStore)(nil)
-)
+var _ mve.ChunkStore = (*flipStore)(nil)
 
 func (f *flipStore) cur() mve.ChunkStore {
 	if f.useLocal {
@@ -521,67 +519,13 @@ func (f *flipStore) cur() mve.ChunkStore {
 }
 
 func (f *flipStore) Load(pos world.ChunkPos, cb func(*world.Chunk, bool)) { f.cur().Load(pos, cb) }
-func (f *flipStore) Store(c *world.Chunk)                                 { f.cur().Store(c) }
-
-// LoadMany forwards a batched load to whichever side is active, falling
-// back to per-position loads if that side has no batch path.
 func (f *flipStore) LoadMany(pos []world.ChunkPos, cb func(world.ChunkPos, *world.Chunk, bool)) {
-	cur := f.cur()
-	if bs, ok := cur.(mve.BatchingChunkStore); ok {
-		bs.LoadMany(pos, cb)
-		return
-	}
-	for _, cp := range pos {
-		cp := cp
-		cur.Load(cp, func(c *world.Chunk, ok bool) { cb(cp, c, ok) })
-	}
+	f.cur().LoadMany(pos, cb)
 }
-
-// ForgetWhere forwards to both sides: either may have cached chunks a
-// gained tile holds.
-func (f *flipStore) ForgetWhere(pred func(world.ChunkPos) bool) {
-	for _, s := range []mve.ChunkStore{f.serverless, f.local} {
-		if cs, ok := s.(mve.CachingChunkStore); ok {
-			cs.ForgetWhere(pred)
-		}
-	}
-}
-
-// FlushWhere forwards to both sides, either of which may hold unflushed
-// writes of a lost tile, and calls done once both have landed.
-func (f *flipStore) FlushWhere(pred func(world.ChunkPos) bool, done func()) {
-	pending := 1
-	finish := func() {
-		pending--
-		if pending == 0 {
-			done()
-		}
-	}
-	for _, s := range []mve.ChunkStore{f.serverless, f.local} {
-		if cs, ok := s.(mve.CachingChunkStore); ok {
-			pending++
-			cs.FlushWhere(pred, finish)
-		}
-	}
-	finish()
-}
-
-func (f *flipStore) SavePlayer(name string, data []byte) {
-	if ps, ok := f.cur().(mve.PlayerStore); ok {
-		ps.SavePlayer(name, data)
-	}
-}
-
-func (f *flipStore) LoadPlayer(name string, cb func([]byte, bool)) {
-	if ps, ok := f.cur().(mve.PlayerStore); ok {
-		ps.LoadPlayer(name, cb)
-		return
-	}
-	cb(nil, false)
-}
-
+func (f *flipStore) Store(c *world.Chunk)                          { f.cur().Store(c) }
+func (f *flipStore) StoreThen(c *world.Chunk, done func())         { f.cur().StoreThen(c, done) }
+func (f *flipStore) SavePlayer(name string, data []byte)           { f.cur().SavePlayer(name, data) }
+func (f *flipStore) LoadPlayer(name string, cb func([]byte, bool)) { f.cur().LoadPlayer(name, cb) }
 func (f *flipStore) ObserveAvatars(positions []world.BlockPos, viewDistance int) {
-	if o, ok := f.cur().(mve.AvatarObserver); ok {
-		o.ObserveAvatars(positions, viewDistance)
-	}
+	f.cur().ObserveAvatars(positions, viewDistance)
 }

@@ -280,6 +280,50 @@ func TestObserveAvatarsSettledZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestForgetDroppingNothingKeepsSettled: a forget that returns no record
+// to Unknown (here it matches a chunk the cache never knew and one whose
+// unflushed write it keeps) leaves the settled rects, so the next
+// observation skips the avatars standing in them; a forget that does
+// drop a record clears them, and the next observation walks again and
+// prefetches exactly that chunk.
+func TestForgetDroppingNothingKeepsSettled(t *testing.T) {
+	const radius = 64
+	cache, fleet := warmFleet(4, 0, radius)
+	cache.Flush() // every record clean, so a forget can drop it
+	rect := world.ChunkRectWithin(fleet[0], radius)
+	cache.Put(rect.Max, []byte("mine"))
+	s := New(cache)
+	s.ObserveAvatars(fleet, radius)
+	settled := len(s.settled)
+	if settled == 0 {
+		t.Fatal("no rect settled over fully known ground; test proves nothing")
+	}
+	unknown := world.ChunkPos{X: 100000}
+	s.ForgetWhere(func(cp world.ChunkPos) bool { return cp == unknown || cp == rect.Max })
+	if got := len(s.settled); got != settled {
+		t.Fatalf("a forget that dropped nothing left %d of %d settled rects", got, settled)
+	}
+	for _, p := range fleet {
+		if _, ok := s.settled[world.ChunkRectWithin(p, radius)]; !ok {
+			t.Fatalf("the avatar at %v is no longer settled: the next observation walks it", p)
+		}
+	}
+	s.ObserveAvatars(fleet, radius)
+	if got := len(s.settled); got != settled || cache.PrefetchIssued.Value() != 0 {
+		t.Fatalf("after the forget: %d settled rects (want %d), %d prefetches (want 0)", got, settled, cache.PrefetchIssued.Value())
+	}
+
+	near := rect.Min
+	s.ForgetWhere(func(cp world.ChunkPos) bool { return cp == near })
+	if got := len(s.settled); got != 0 {
+		t.Fatalf("a forget that dropped a record left %d settled rects", got)
+	}
+	s.ObserveAvatars(fleet, radius)
+	if got := cache.PrefetchIssued.Value(); got != 1 || cache.Status(near) != tcache.Pending {
+		t.Fatalf("after forgetting %v: %d prefetches, status %v; want 1 and Pending", near, got, cache.Status(near))
+	}
+}
+
 // BenchmarkObserveAvatars measures one observation of 100 avatars at the
 // default radius over known ground: standing still, walking two blocks a
 // call (down a 1024-block corridor and back, so rects keep being new and

@@ -3,16 +3,34 @@
 // local pre-fetching cache of internal/servo/tcache, so that storage
 // latency variability never reaches the game loop.
 //
-// It implements mve.ChunkStore (load/store) and mve.AvatarObserver
-// (distance-based pre-fetching driven by avatar positions).
+// A shard runs on one storage contract, mve.ChunkStore: loads, batched
+// loads, write-back and completion-reporting writes, avatar observation
+// (distance-based pre-fetching) and player records. Both stores here
+// implement all of it: Store, the cached store, and Uncached, the direct
+// blob-backed store of the baselines' local persistence and of Fig. 13's
+// uncached curve (it observes nothing). The one optional extension is
+// mve.CachingChunkStore (forget and flush what a cache holds), which only
+// Store has; it stays optional because the benchmark's frozen store
+// decorator does not forward it.
+//
+// The package also owns the blob key layout of the shared remote store:
+// chunks under tcache.Key, player records and handoff snapshots under
+// PlayerKey (Transfer), and the cluster's ownership table under
+// OwnershipKey (TableStore).
 package rstore
 
 import (
 	"errors"
 
 	"servo/internal/blob"
+	"servo/internal/mve"
 	"servo/internal/servo/tcache"
 	"servo/internal/world"
+)
+
+var (
+	_ mve.ChunkStore        = (*Store)(nil)
+	_ mve.CachingChunkStore = (*Store)(nil)
 )
 
 // Store is a cached remote chunk store.
@@ -27,9 +45,9 @@ type Store struct {
 	batch []world.ChunkPos
 	// settled holds view rects known to contain no tcache.Unknown chunk,
 	// under settledRadius. A cache record's state field returns to
-	// Unknown only through ForgetWhere, which clears this set (see
-	// tcache.Cache), so such a rect can never contribute a prefetch again
-	// and ObserveAvatars skips it. It is only a skip hint:
+	// Unknown only through ForgetWhere, which clears this set when it
+	// does (see tcache.Cache), so such a rect can never contribute a
+	// prefetch again and ObserveAvatars skips it. It is only a skip hint:
 	// dropping it costs one re-walk per avatar and changes nothing else.
 	settled       map[world.ChunkRect]struct{}
 	settledRadius int
@@ -81,11 +99,13 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 }
 
 // ForgetWhere implements mve.CachingChunkStore: the cache forgets the
-// positions pred matches, and the settled rects, which assumed no record
-// falls back to Unknown, are dropped (one re-walk per avatar).
+// positions pred matches. If a record fell back to Unknown, the settled
+// rects, which assumed none would, are dropped (one re-walk per avatar);
+// a forget that dropped nothing leaves them.
 func (s *Store) ForgetWhere(pred func(world.ChunkPos) bool) {
-	s.cache.ForgetWhere(pred)
-	clear(s.settled)
+	if s.cache.ForgetWhere(pred) {
+		clear(s.settled)
+	}
 }
 
 // FlushWhere implements mve.CachingChunkStore: the cache writes the
@@ -95,7 +115,7 @@ func (s *Store) FlushWhere(pred func(world.ChunkPos) bool, done func()) {
 	s.cache.FlushWhere(pred, done)
 }
 
-// LoadMany implements mve.BatchingChunkStore: one call serves a whole
+// LoadMany implements mve.ChunkStore: one call serves a whole
 // tick's coalesced loads. Each position takes the same cache path as Load,
 // in the order given, so hit/miss accounting and storage-latency draws
 // are identical to the per-chunk calls this replaces.
@@ -115,7 +135,7 @@ func (s *Store) Store(c *world.Chunk) {
 	s.cache.Put(c.Pos, c.Encoded())
 }
 
-// StoreThen implements mve.SyncingChunkStore: the chunk is written
+// StoreThen implements mve.ChunkStore: the chunk is written
 // through to remote storage immediately (not on the periodic write-back),
 // and done runs once the write lands. Ownership migrations flush the
 // source shard's band through this path before flipping the band to its
@@ -127,14 +147,14 @@ func (s *Store) StoreThen(c *world.Chunk, done func()) {
 // PlayerKey returns the storage key for a player record.
 func PlayerKey(name string) string { return "player/" + name }
 
-// SavePlayer implements mve.PlayerStore: player records are small and
+// SavePlayer implements mve.ChunkStore: player records are small and
 // written straight to remote storage (no chunk cache involved).
 // Chaos-injected write faults are retried until the record lands.
 func (s *Store) SavePlayer(name string, data []byte) {
 	s.cache.Remote().PutRetrying(PlayerKey(name), data)
 }
 
-// LoadPlayer implements mve.PlayerStore. GetRetrying: a false "new
+// LoadPlayer implements mve.ChunkStore. GetRetrying: a false "new
 // player" would reset the player's persisted progress.
 func (s *Store) LoadPlayer(name string, cb func(data []byte, ok bool)) {
 	s.cache.Remote().GetRetrying(PlayerKey(name), func(data []byte, err error) {
@@ -151,7 +171,7 @@ const (
 	settledSlack     = 64
 )
 
-// ObserveAvatars implements mve.AvatarObserver: pre-fetch every chunk
+// ObserveAvatars implements mve.ChunkStore: pre-fetch every chunk
 // within the pre-fetch radius of any avatar (§III-E: "pre-fetches terrain
 // data outside of, but close to, the player's view distance").
 //

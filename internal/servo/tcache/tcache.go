@@ -81,7 +81,8 @@ const (
 // bytes when it lands). rstore's avatar observer leans on this: an area it
 // has seen free of Unknown positions can never need a prefetch again, so
 // it stops looking — and rstore.Store.ForgetWhere, the one caller of
-// ForgetWhere, clears that observer's settled set.
+// ForgetWhere, clears that observer's settled set whenever ForgetWhere
+// reports a record returned to Unknown.
 type Cache struct {
 	clock  sim.Clock
 	remote *blob.Store
@@ -265,7 +266,11 @@ func (c *Cache) PutThen(pos world.ChunkPos, data []byte, done func()) {
 // yet, the newest copy this shard holds, so it wins over remote storage
 // (the periodic flush writes it over whatever the owners in between
 // stored).
-func (c *Cache) ForgetWhere(pred func(world.ChunkPos) bool) {
+//
+// ForgetWhere reports whether a record returned to Unknown. A forgotten
+// read in flight stays Pending and lands Local or Absent, so when it
+// reports false no position needs a prefetch it did not need before.
+func (c *Cache) ForgetWhere(pred func(world.ChunkPos) bool) (dropped bool) {
 	var drop []world.ChunkPos
 	for pos, e := range c.known.All() {
 		if !e.dirty && pred(pos) {
@@ -278,8 +283,10 @@ func (c *Cache) ForgetWhere(pred func(world.ChunkPos) bool) {
 			c.reread.Put(pos, struct{}{})
 		} else {
 			c.known.Delete(pos)
+			dropped = true
 		}
 	}
+	return dropped
 }
 
 // StartFlusher begins the periodic write-back loop.

@@ -237,7 +237,14 @@ func TestForgetWhereRereadsStorage(t *testing.T) {
 	if landed != 5 || c.Status(inflight) != Pending {
 		t.Fatalf("%d of 5 writes landed and the slow read is %v, want all and Pending", landed, c.Status(inflight))
 	}
-	c.ForgetWhere(func(pos world.ChunkPos) bool { return pos != other })
+	// A read in flight stays Pending and a dirty record stays: no record
+	// falls back to Unknown, and ForgetWhere says so.
+	if c.ForgetWhere(func(pos world.ChunkPos) bool { return pos == inflight || pos == dirty }) {
+		t.Fatal("forgetting a read in flight and a dirty record reported a record dropped")
+	}
+	if !c.ForgetWhere(func(pos world.ChunkPos) bool { return pos != other }) {
+		t.Fatal("forgetting Local and Absent records reported none dropped")
+	}
 	if got := c.Status(inflight); got != Pending {
 		t.Fatalf("a read in flight is %v after ForgetWhere, want Pending", got)
 	}
