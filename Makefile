@@ -44,10 +44,12 @@ nomap:
 
 # oneflip fails if tracked non-test Go changes the cluster's live
 # ownership table in place: every change goes through
-# Cluster.changeOwnership (or, for a failover, its flip half), which hands
-# the change a copy to learn what each shard loses, flushes that, and only
-# then applies the same change to a fresh copy that becomes the live
-# table — so no call site can flip a tile without the flush.
+# Cluster.changeOwnership (or, for a failover, its flip half), which
+# applies the change to a copy, asks world.Moves which shards lose a tile
+# and which gain one, has the losers flush what they lose, and only then
+# applies the same change to a fresh copy that becomes the live table,
+# after which the gainers reload — so no call site can flip a tile
+# without the flush.
 oneflip:
 	@out="$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -nE '\.table\.(SetOwner|SetDead|Grow|Retire|Adopt)\(')"; \
 	if [ -n "$$out" ]; then echo "ownership-table changes outside changeOwnership:"; echo "$$out"; exit 1; fi

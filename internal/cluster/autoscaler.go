@@ -183,8 +183,7 @@ func (c *Cluster) AddShard(joined func(idx int)) int {
 // migration aborts by re-planning every scan interval. Reports whether a
 // drain started.
 func (c *Cluster) RemoveShard(i int) bool {
-	if c.stopped || i < c.table.Base() || i >= len(c.shards) ||
-		!c.table.Alive(i) || c.draining[i] || c.table.AliveCount() <= 1 {
+	if c.stopped || i < c.table.Base() || !c.table.Alive(i) || c.draining[i] || c.table.AliveCount() <= 1 {
 		return false
 	}
 	c.draining[i] = true

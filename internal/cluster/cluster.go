@@ -364,15 +364,11 @@ func (c *Cluster) Start() {
 		s.Start()
 	}
 	if c.tableStore != nil {
-		c.tableStore.LoadTable(func(data []byte, ok bool) {
-			if !ok {
-				return
-			}
-			// Adopting moves tiles like any ownership change: the shards
-			// that lose one flush it first, and the gainers reload.
-			if dec, err := world.DecodeOwnershipTable(data); err == nil {
-				c.changeOwnership(func(t *world.OwnershipTable) bool { return t.Adopt(dec) }, func(bool) {})
-			}
+		// Adopting moves tiles like any ownership change: the shards that
+		// lose one flush it first, and the gainers reload. An absent table
+		// (nil bytes) adopts nothing.
+		c.tableStore.LoadTable(func(data []byte, _ bool) {
+			c.changeOwnership(func(t *world.OwnershipTable) bool { return t.Adopt(data) }, func(bool) {})
 		})
 	}
 	// The boundary scan needs a boundary: it is armed once the table has

@@ -262,15 +262,15 @@ func (c *Cluster) migrateTile(tile world.TileID, dst int, move Kind) bool {
 
 // changeOwnership is how the ownership table changes: change edits a table
 // and reports whether it changed anything. Applied to a copy, it tells
-// each alive shard the chunks it owns now and will not after, which the
-// shard flushes (in shard order); once every flush has landed, flip
-// applies change to the live table again, and then learns whether it
-// did. Neither runs once the cluster stopped. A change that takes nothing
-// from anyone flips before changeOwnership returns. Reports whether
-// change applied to the copy.
+// world.Moves which shards lose a tile; each loser flushes, in shard
+// order, the chunks it owns now and will not after. Once every flush has
+// landed, flip applies change to the live table again, and then learns
+// whether it did. Neither runs once the cluster stopped. A change that
+// takes nothing from anyone flips before changeOwnership returns. Reports
+// whether change applied to the copy.
 func (c *Cluster) changeOwnership(change func(*world.OwnershipTable) bool, then func(flipped bool)) bool {
-	after := c.changed(change)
-	if after == nil {
+	after := c.table.Clone()
+	if !change(after) {
 		return false
 	}
 	pending := 1
@@ -281,8 +281,9 @@ func (c *Cluster) changeOwnership(change func(*world.OwnershipTable) bool, then 
 		}
 		then(c.flip(change))
 	}
+	_, losses := world.Moves(c.table, after)
 	for s, srv := range c.shards {
-		if !c.table.Alive(s) {
+		if !losses[s] {
 			continue
 		}
 		pending++
@@ -298,8 +299,8 @@ func (c *Cluster) changeOwnership(change func(*world.OwnershipTable) bool, then 
 // table is persisted and the alive count sampled. Reports whether change
 // applied.
 func (c *Cluster) flip(change func(*world.OwnershipTable) bool) bool {
-	next := c.changed(change)
-	if next == nil {
+	next := c.table.Clone()
+	if !change(next) {
 		return false
 	}
 	// The region views hold the live table's address, so next's contents
@@ -308,7 +309,7 @@ func (c *Cluster) flip(change func(*world.OwnershipTable) bool) bool {
 	*c.table = *next
 	c.reloadGained(&before)
 	for s := range c.table.Shards() {
-		if c.table.Alive(s) && (s >= before.Shards() || !before.Alive(s)) {
+		if c.table.Alive(s) && !before.Alive(s) {
 			c.join(s)
 		}
 	}
@@ -338,15 +339,6 @@ func (c *Cluster) join(i int) {
 		c.HandoffsOut = append(c.HandoffsOut, metrics.Counter{})
 	}
 	srv.SetChatRelay(func(from *mve.Player) int { return c.relayChat(srv, from) })
-}
-
-// changed returns a clone of the live table that change edited, or nil.
-func (c *Cluster) changed(change func(*world.OwnershipTable) bool) *world.OwnershipTable {
-	t := c.table.Clone()
-	if !change(t) {
-		return nil
-	}
-	return t
 }
 
 // FailShard kills shard i: its loop crashes (every in-memory session is
@@ -388,15 +380,17 @@ func (c *Cluster) FailShard(i int) bool {
 	return true
 }
 
-// reloadGained makes every shard alive before and after an ownership
-// change (one that was not is fresh) drop and reload the chunk copies it
-// holds of tiles it owns now and did not under before. A copy held as a
-// non-owner never saw the owner's edits, which storage has: the losers
-// flushed before the flip, and a failover's storage is as current as the
-// dead shard's last flush. It runs in serial context, at the change.
+// reloadGained makes every shard that gains a tile in an ownership change
+// (world.Moves) and was alive before it (one that was not is fresh) drop
+// and reload the chunk copies it holds of tiles it owns now and did not
+// under before. A copy held as a non-owner never saw the owner's edits,
+// which storage has: the losers flushed before the flip, and a failover's
+// storage is as current as the dead shard's last flush. It runs in serial
+// context, at the change.
 func (c *Cluster) reloadGained(before *world.OwnershipTable) {
+	gains, _ := world.Moves(before, c.table)
 	for s, srv := range c.shards {
-		if !before.Alive(s) || !c.table.Alive(s) {
+		if !gains[s] || !before.Alive(s) {
 			continue
 		}
 		n := srv.ReloadChunks(func(cp world.ChunkPos) bool {
@@ -458,7 +452,7 @@ func (c *Cluster) readmit(p *Player) {
 // before its tile changes owner, whichever comes first. Reports whether a
 // recovery started.
 func (c *Cluster) RecoverShard(i int) bool {
-	if i < 0 || i >= len(c.shards) || c.table.Alive(i) || c.table.Retired(i) || c.stopped {
+	if c.stopped || !c.table.Dead(i) {
 		return false
 	}
 	if c.tracker != nil && c.tracker.Quarantined(i, c.clock.Now()) {

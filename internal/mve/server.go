@@ -558,9 +558,6 @@ func (s *Server) SetChatRelay(relay func(from *Player) int) { s.chatRelay = rela
 // ownership change needs before it gives a tile to a new owner. With
 // nothing to write, done runs before FlushOwnedChunks returns.
 func (s *Server) FlushOwnedChunks(pred func(world.ChunkPos) bool, done func()) {
-	if done == nil {
-		done = func() {}
-	}
 	if s.store == nil {
 		done()
 		return

@@ -11,10 +11,10 @@
 package world
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
-	"errors"
-	"maps"
-	"sort"
+	"slices"
 )
 
 // OwnershipTable maps region tiles to owning shards at runtime. The
@@ -26,10 +26,10 @@ import (
 // routing state moved underneath them.
 //
 // The table is not safe for concurrent use; the virtual clock serialises
-// all access, like the rest of the simulation.
+// all access, like the rest of the simulation. Look-ups only read it, so
+// lanes may look up concurrently while no change runs.
 type OwnershipTable struct {
-	topo   Topology
-	shards int
+	topo Topology
 	// base is the boot-time shard count, frozen at construction: the
 	// default assignment always splits tiles over base shards, so growing
 	// the table (autoscaling) never reshuffles defaults. Shards added by
@@ -38,14 +38,26 @@ type OwnershipTable struct {
 	epoch uint64
 	// overrides are tiles migrated away from the default assignment.
 	overrides ChunkMap[TileID, int]
-	// dead marks shards whose loops were killed; their tiles reroute to
-	// the surviving shards until they recover.
-	dead map[int]bool
-	// retired marks shards drained and removed by the autoscaler. Like
-	// dead shards their tiles reroute to survivors, but retirement is
-	// deliberate: a retired slot is only revived by Grow reusing it.
-	retired map[int]bool
+	// state holds one entry per shard slot. A dead shard's loop was
+	// killed, and its tiles reroute to the surviving shards until it
+	// recovers. A retired shard was drained and removed by the
+	// autoscaler; its tiles reroute too, but retirement is deliberate: a
+	// retired slot is only revived by Grow reusing it.
+	state []slotState
+	// alive lists the alive slots in ascending order, the survivors a
+	// rerouted tile picks from. Every liveness change recomputes it, so a
+	// look-up never builds it.
+	alive []int
 }
+
+// slotState is a shard slot's liveness.
+type slotState uint8
+
+const (
+	slotAlive slotState = iota
+	slotDead
+	slotRetired
+)
 
 // NewOwnershipTable returns a table splitting topo over the given shard
 // count with the default assignment, every shard alive, at epoch 0. A
@@ -57,26 +69,24 @@ func NewOwnershipTable(shards int, topo Topology) *OwnershipTable {
 	if topo == nil {
 		topo = BandTopology{}
 	}
-	return &OwnershipTable{
-		topo:    topo,
-		shards:  shards,
-		base:    shards,
-		dead:    make(map[int]bool),
-		retired: make(map[int]bool),
+	t := &OwnershipTable{topo: topo, base: shards, state: make([]slotState, shards)}
+	for i := range shards {
+		t.alive = append(t.alive, i)
 	}
+	return t
 }
 
 // Clone returns a copy of the table that later changes to either leave
-// the other alone: what a caller compares the table with after a change
-// to learn which tiles moved.
+// the other alone: a change applied to the copy is what Moves compares
+// with the table to learn which shards lose a tile and which gain one.
 func (t *OwnershipTable) Clone() *OwnershipTable {
 	c := *t
 	c.overrides = ChunkMap[TileID, int]{}
 	for tile, o := range t.overrides.All() {
 		c.overrides.Put(tile, o)
 	}
-	c.dead = maps.Clone(t.dead)
-	c.retired = maps.Clone(t.retired)
+	c.state = slices.Clone(t.state)
+	c.alive = slices.Clone(t.alive)
 	return &c
 }
 
@@ -85,7 +95,7 @@ func (t *OwnershipTable) Clone() *OwnershipTable {
 func (t *OwnershipTable) Topology() Topology { return t.topo }
 
 // Shards returns the shard count, including dead and retired slots.
-func (t *OwnershipTable) Shards() int { return t.shards }
+func (t *OwnershipTable) Shards() int { return len(t.state) }
 
 // Base returns the boot-time shard count the default assignment splits
 // tiles over; Grow never changes it.
@@ -117,11 +127,9 @@ func (t *OwnershipTable) Owner(tile TileID) int {
 	if !ok {
 		o = DefaultOwner(t.topo, t.base, tile)
 	}
-	if t.dead[o] || t.retired[o] {
-		alive := t.AliveShards()
-		if len(alive) > 0 {
-			o = alive[floorMod(t.topo.Index(tile), len(alive))]
-		}
+	if t.state[o] != slotAlive {
+		// Some shard is always alive: the last one cannot die or retire.
+		o = t.alive[floorMod(t.topo.Index(tile), len(t.alive))]
 	}
 	return o
 }
@@ -137,10 +145,7 @@ func (t *OwnershipTable) ShardOfBlock(b BlockPos) int { return t.ShardOf(b.Chunk
 // when the tile's effective owner already is the target.
 func (t *OwnershipTable) SetOwner(tile TileID, shard int) bool {
 	tile = t.Canon(tile)
-	if shard < 0 || shard >= t.shards || t.dead[shard] || t.retired[shard] {
-		return false
-	}
-	if t.Owner(tile) == shard {
+	if !t.Alive(shard) || t.Owner(tile) == shard {
 		return false
 	}
 	if DefaultOwner(t.topo, t.base, tile) == shard {
@@ -157,18 +162,14 @@ func (t *OwnershipTable) SetOwner(tile TileID, shard int) bool {
 // again (its tiles revert), bumping the epoch on any change. Killing the
 // last alive shard is refused: ownership must always resolve somewhere.
 func (t *OwnershipTable) SetDead(shard int, dead bool) bool {
-	if shard < 0 || shard >= t.shards || t.dead[shard] == dead || t.retired[shard] {
-		return false
-	}
-	if dead && len(t.AliveShards()) <= 1 {
-		return false
-	}
+	from, to := slotDead, slotAlive
 	if dead {
-		t.dead[shard] = true
-	} else {
-		delete(t.dead, shard)
+		from, to = slotAlive, slotDead
 	}
-	t.epoch++
+	if shard < 0 || shard >= len(t.state) || t.state[shard] != from || (dead && len(t.alive) <= 1) {
+		return false
+	}
+	t.setState(shard, to)
 	return true
 }
 
@@ -179,17 +180,13 @@ func (t *OwnershipTable) SetDead(shard int, dead bool) bool {
 // tiles by default — the default assignment stays frozen over Base() —
 // and gains territory only through SetOwner overrides.
 func (t *OwnershipTable) Grow() int {
-	for i := 0; i < t.shards; i++ {
-		if t.retired[i] {
-			delete(t.retired, i)
-			t.epoch++
-			return i
-		}
+	i := slices.Index(t.state, slotRetired)
+	if i < 0 {
+		i = len(t.state)
+		t.state = append(t.state, slotAlive)
 	}
-	idx := t.shards
-	t.shards++
-	t.epoch++
-	return idx
+	t.setState(i, slotAlive)
+	return i
 }
 
 // Retire marks a drained shard as removed: its tiles (there should be
@@ -197,37 +194,86 @@ func (t *OwnershipTable) Grow() int {
 // a target, and its slot becomes reusable by Grow. Retiring a dead,
 // out-of-range, or the last alive shard is refused.
 func (t *OwnershipTable) Retire(shard int) bool {
-	if shard < 0 || shard >= t.shards || t.dead[shard] || t.retired[shard] {
+	if !t.Alive(shard) || len(t.alive) <= 1 {
 		return false
 	}
-	if len(t.AliveShards()) <= 1 {
-		return false
-	}
-	t.retired[shard] = true
-	t.epoch++
+	t.setState(shard, slotRetired)
 	return true
 }
 
-// Retired reports whether the shard slot was drained and removed.
-func (t *OwnershipTable) Retired(shard int) bool { return t.retired[shard] }
-
-// Alive reports whether the shard's loop is considered running: neither
-// crashed (dead) nor drained away (retired).
-func (t *OwnershipTable) Alive(shard int) bool { return !t.dead[shard] && !t.retired[shard] }
-
-// AliveShards returns the alive shard indices in ascending order.
-func (t *OwnershipTable) AliveShards() []int {
-	out := make([]int, 0, t.shards)
-	for i := 0; i < t.shards; i++ {
-		if !t.dead[i] && !t.retired[i] {
-			out = append(out, i)
+// setState moves shard slot i to state s, recomputes the alive list and
+// bumps the epoch.
+func (t *OwnershipTable) setState(i int, s slotState) {
+	t.state[i] = s
+	t.alive = t.alive[:0]
+	for j, sj := range t.state {
+		if sj == slotAlive {
+			t.alive = append(t.alive, j)
 		}
 	}
-	return out
+	t.epoch++
+}
+
+// Dead reports whether the shard slot's loop was killed and has not
+// recovered.
+func (t *OwnershipTable) Dead(shard int) bool {
+	return shard >= 0 && shard < len(t.state) && t.state[shard] == slotDead
+}
+
+// Alive reports whether the shard's loop is considered running: a slot
+// of the table, neither crashed (dead) nor drained away (retired).
+func (t *OwnershipTable) Alive(shard int) bool {
+	return shard >= 0 && shard < len(t.state) && t.state[shard] == slotAlive
 }
 
 // AliveCount returns the number of alive shards.
-func (t *OwnershipTable) AliveCount() int { return len(t.AliveShards()) }
+func (t *OwnershipTable) AliveCount() int { return len(t.alive) }
+
+// Moves reports which shard slots gain and which lose at least one tile
+// when before becomes after, a changed Clone of it (so both share the
+// topology and Base); both slices cover the larger table's slots. A tile
+// no override names is owned by a function of its index that repeats with
+// a period: a grid's tile count (TileAt wraps), or on bands lcm(Base,
+// alive before, alive after), because there the default owner is the
+// index mod Base and the reroute, when that owner is not alive, the index
+// mod the alive count. So the override tiles of both tables and one
+// period of indices say everything. The period starts past every override
+// index, because an override tile cannot stand for the other tiles of its
+// residue class.
+func Moves(before, after *OwnershipTable) (gains, losses []bool) {
+	n := max(before.Shards(), after.Shards())
+	gains, losses = make([]bool, n), make([]bool, n)
+	compare := func(tile TileID) {
+		if b, a := before.Owner(tile), after.Owner(tile); b != a {
+			gains[a], losses[b] = true, true
+		}
+	}
+	topo := before.topo
+	start := 0
+	for _, t := range [2]*OwnershipTable{before, after} {
+		for tile := range t.overrides.All() {
+			compare(tile)
+			start = max(start, topo.Index(tile)+1)
+		}
+	}
+	period := topo.Tiles()
+	if period == 0 {
+		period = lcm(lcm(before.base, len(before.alive)), len(after.alive))
+	}
+	for i := start; i < start+period; i++ {
+		compare(topo.TileAt(i))
+	}
+	return gains, losses
+}
+
+// lcm returns the least common multiple of two positive integers.
+func lcm(a, b int) int {
+	x, y := a, b
+	for y != 0 {
+		x, y = y, x%y
+	}
+	return a / x * b
+}
 
 // TileOverride is one persisted deviation from the default assignment.
 type TileOverride struct {
@@ -241,11 +287,8 @@ func (t *OwnershipTable) Overrides() []TileOverride {
 	for tile, o := range t.overrides.All() {
 		out = append(out, TileOverride{Tile: tile, Owner: o})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tile.Z != out[j].Tile.Z {
-			return out[i].Tile.Z < out[j].Tile.Z
-		}
-		return out[i].Tile.X < out[j].Tile.X
+	slices.SortFunc(out, func(a, b TileOverride) int {
+		return cmp.Or(cmp.Compare(a.Tile.Z, b.Tile.Z), cmp.Compare(a.Tile.X, b.Tile.X))
 	})
 	return out
 }
@@ -278,7 +321,7 @@ func (t *OwnershipTable) Encode() []byte {
 	}
 	out := make([]byte, 0, 36+12*len(ov))
 	out = binary.LittleEndian.AppendUint32(out, ownershipMagicV2)
-	out = binary.LittleEndian.AppendUint32(out, uint32(t.shards))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(t.state)))
 	out = binary.LittleEndian.AppendUint32(out, kind)
 	out = binary.LittleEndian.AppendUint32(out, uint32(spec.TileChunks))
 	out = binary.LittleEndian.AppendUint32(out, uint32(spec.TilesX))
@@ -293,69 +336,39 @@ func (t *OwnershipTable) Encode() []byte {
 	return out
 }
 
-// errBadOwnershipTable reports a corrupt persisted ownership table.
-var errBadOwnershipTable = errors.New("world: bad ownership table")
-
-// DecodeOwnershipTable parses an encoded table. It refuses an override
-// under a tile alias, which no lookup would route (Owner canonicalises).
-func DecodeOwnershipTable(data []byte) (*OwnershipTable, error) {
-	if len(data) < 36 || binary.LittleEndian.Uint32(data) != ownershipMagicV2 {
-		return nil, errBadOwnershipTable
+// Adopt parses an encoded table into this one: its overrides and epoch
+// replace this table's when it names this table's geometry (topology spec
+// and shard count) and a newer epoch, so a cluster restarting over an
+// existing world resumes its ownership history instead of resetting it.
+// The geometry is the first 24 bytes (magic, shard count, topology spec)
+// of this table's own encoding, and is checked before anything is built,
+// so no size comes from the bytes. Bytes that are corrupt, name an owner
+// out of range or an override under a tile alias (which no look-up would
+// route; Owner canonicalises) change nothing. Liveness is never adopted.
+// Reports whether anything changed.
+func (t *OwnershipTable) Adopt(data []byte) bool {
+	if len(data) < 36 || !bytes.Equal(data[:24], t.Encode()[:24]) {
+		return false
 	}
-	shards := int(binary.LittleEndian.Uint32(data[4:]))
-	spec := TopologySpec{
-		TileChunks: int(binary.LittleEndian.Uint32(data[12:])),
-		TilesX:     int(binary.LittleEndian.Uint32(data[16:])),
-		TilesZ:     int(binary.LittleEndian.Uint32(data[20:])),
-	}
-	switch binary.LittleEndian.Uint32(data[8:]) {
-	case wireKindBand:
-		spec.Kind = "band"
-	case wireKindGrid:
-		spec.Kind = "grid"
-	default:
-		return nil, errBadOwnershipTable
-	}
-	topo, err := spec.Build()
-	if err != nil {
-		return nil, errBadOwnershipTable
-	}
-	t := NewOwnershipTable(shards, topo)
-	t.epoch = binary.LittleEndian.Uint64(data[24:])
+	epoch := binary.LittleEndian.Uint64(data[24:])
 	n := int(binary.LittleEndian.Uint32(data[32:]))
 	buf := data[36:]
-	if len(buf) < 12*n {
-		return nil, errBadOwnershipTable
+	if epoch <= t.epoch || len(buf) < 12*n {
+		return false
 	}
-	for i := 0; i < n; i++ {
+	var overrides ChunkMap[TileID, int]
+	for range n {
 		tile := TileID{
 			X: int(int32(binary.LittleEndian.Uint32(buf))),
 			Z: int(int32(binary.LittleEndian.Uint32(buf[4:]))),
 		}
 		owner := int(int32(binary.LittleEndian.Uint32(buf[8:])))
-		if owner < 0 || owner >= t.shards || t.Canon(tile) != tile {
-			return nil, errBadOwnershipTable
+		if owner < 0 || owner >= len(t.state) || t.Canon(tile) != tile {
+			return false
 		}
-		t.overrides.Put(tile, owner)
+		overrides.Put(tile, owner)
 		buf = buf[12:]
 	}
-	return t, nil
-}
-
-// Adopt merges a persisted table into this one: overrides and epoch
-// carry over when the geometry (topology spec and shard count) matches
-// and the persisted epoch is newer (a cluster restarting over an
-// existing world resumes its ownership history instead of resetting it).
-// Liveness is never adopted. Reports whether anything changed.
-func (t *OwnershipTable) Adopt(dec *OwnershipTable) bool {
-	if dec == nil || dec.shards != t.shards ||
-		dec.topo.Spec() != t.topo.Spec() || dec.epoch <= t.epoch {
-		return false
-	}
-	t.overrides.Clear()
-	for tile, o := range dec.overrides.All() {
-		t.overrides.Put(tile, o)
-	}
-	t.epoch = dec.epoch
+	t.overrides, t.epoch = overrides, epoch
 	return true
 }

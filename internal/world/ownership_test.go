@@ -1,6 +1,7 @@
 package world
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -160,9 +161,10 @@ func TestOwnershipRefusesKillingLastShard(t *testing.T) {
 }
 
 // TestOwnershipEncodeDecodeRoundTripProperty drives random topologies,
-// migrations, and kills through the codec: every decoded table must
-// reproduce the source's epoch, overrides, and per-tile owners exactly,
-// and liveness must never survive the encoding.
+// migrations, and kills through the codec: a fresh table of the same
+// geometry that adopts the encoding must reproduce the source's epoch,
+// overrides, and per-tile owners exactly, and liveness must never survive
+// the encoding.
 func TestOwnershipEncodeDecodeRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -191,19 +193,16 @@ func TestOwnershipEncodeDecodeRoundTripProperty(t *testing.T) {
 			tab.SetDead(rng.Intn(shards), true) // must not be encoded
 		}
 
-		dec, err := DecodeOwnershipTable(tab.Encode())
-		if err != nil {
-			t.Fatalf("trial %d (%v): %v", trial, topo, err)
+		dec := NewOwnershipTable(shards, topo)
+		if adopted := dec.Adopt(tab.Encode()); adopted != (tab.Epoch() > 0) {
+			t.Fatalf("trial %d (%v): Adopt of an epoch-%d table into a fresh one = %v",
+				trial, topo, tab.Epoch(), adopted)
 		}
-		if dec.Epoch() != tab.Epoch() || dec.Shards() != tab.Shards() {
-			t.Fatalf("trial %d: epoch/shards changed: %d/%d vs %d/%d",
-				trial, dec.Epoch(), dec.Shards(), tab.Epoch(), tab.Shards())
+		if dec.Epoch() != tab.Epoch() {
+			t.Fatalf("trial %d: epoch changed: %d vs %d", trial, dec.Epoch(), tab.Epoch())
 		}
-		if dec.Topology().Spec() != topo.Spec() {
-			t.Fatalf("trial %d: topology changed: %+v vs %+v", trial, dec.Topology().Spec(), topo.Spec())
-		}
-		if got, want := len(dec.Overrides()), len(tab.Overrides()); got != want {
-			t.Fatalf("trial %d: override count %d vs %d", trial, got, want)
+		if !slices.Equal(dec.Overrides(), tab.Overrides()) {
+			t.Fatalf("trial %d: overrides %v vs %v", trial, dec.Overrides(), tab.Overrides())
 		}
 		for s := 0; s < shards; s++ {
 			if !dec.Alive(s) {
@@ -226,12 +225,13 @@ func TestOwnershipEncodeDecodeRoundTripProperty(t *testing.T) {
 	// band-only layout, which is no longer read: a complete table of that
 	// shape (2 shards, 4-chunk bands, epoch 2, bands 1 and 2 overridden to
 	// shard 1 — long enough to pass for the current layout) is refused
-	// like any other unknown magic.
+	// like any other unknown magic by a table of that geometry.
 	svot := append([]byte("TOVS"), 2, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
 		1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0)
 	for _, bad := range [][]byte{[]byte("junk"), svot} {
-		if _, err := DecodeOwnershipTable(bad); err != errBadOwnershipTable {
-			t.Fatalf("DecodeOwnershipTable(%q) = %v, want errBadOwnershipTable", bad, err)
+		live := NewOwnershipTable(2, BandTopology{BandChunks: 4})
+		if live.Adopt(bad) || live.Epoch() != 0 || len(live.Overrides()) != 0 {
+			t.Fatalf("Adopt(%q) changed the table", bad)
 		}
 	}
 }
@@ -248,15 +248,14 @@ func TestOwnershipAdoptEpochSkew(t *testing.T) {
 	live.SetOwner(TileID{X: 2, Z: 2}, 0)
 	live.SetOwner(TileID{X: 2, Z: 2}, 1) // epoch 2: ahead of the snapshot
 
-	if live.Adopt(old) {
+	if live.Adopt(old.Encode()) {
 		t.Fatal("Adopt accepted a stale (older-epoch) table")
 	}
 	if live.Owner(TileID{X: 1, Z: 0}) == 3 {
 		t.Fatal("stale adoption leaked an override")
 	}
 	// Equal epochs are also refused (no change to adopt).
-	same, _ := DecodeOwnershipTable(live.Encode())
-	if live.Adopt(same) {
+	if live.Adopt(live.Encode()) {
 		t.Fatal("Adopt accepted an equal-epoch table")
 	}
 	// A strictly newer snapshot wins and replaces the override set.
@@ -264,7 +263,7 @@ func TestOwnershipAdoptEpochSkew(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		newer.SetOwner(TileID{X: 3, Z: 3}, i) // epoch 3
 	}
-	if !live.Adopt(newer) {
+	if !live.Adopt(newer.Encode()) {
 		t.Fatal("Adopt refused a newer matching table")
 	}
 	if live.Epoch() != newer.Epoch() || live.Owner(TileID{X: 3, Z: 3}) != 2 {
@@ -278,14 +277,147 @@ func TestOwnershipAdoptEpochSkew(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		foreign.SetOwner(TileID{X: 0, Z: i%2 + 1}, i%4)
 	}
-	if live.Adopt(foreign) {
+	if live.Adopt(foreign.Encode()) {
 		t.Fatal("Adopt accepted a table with different geometry")
 	}
 	bandTab := NewOwnershipTable(4, nil)
 	bandTab.epoch = 99
-	if live.Adopt(bandTab) {
+	if live.Adopt(bandTab.Encode()) {
 		t.Fatal("Adopt accepted a table with a different topology kind")
 	}
+	fewer := NewOwnershipTable(3, topo)
+	fewer.epoch = 99
+	if live.Adopt(fewer.Encode()) {
+		t.Fatal("Adopt accepted a table with a different shard count")
+	}
+}
+
+// TestOwnerOfReroutedTileAllocatesNothing pins Owner's reroute of a tile
+// whose owner is dead or retired to a look-up: the survivors are listed
+// at the change, not at every look-up.
+func TestOwnerOfReroutedTileAllocatesNothing(t *testing.T) {
+	band := NewOwnershipTable(3, BandTopology{BandChunks: 4})
+	band.SetDead(1, true)
+	grid := NewOwnershipTable(4, GridTopology{TilesX: 4, TilesZ: 4})
+	grid.Retire(3)
+	for _, c := range []struct {
+		tab  *OwnershipTable
+		tile TileID
+		gone int
+	}{
+		{band, TileID{X: 4}, 1},       // default owner 4 mod 3 = 1, dead
+		{grid, TileID{X: 0, Z: 3}, 3}, // index 15, default owner 3, retired
+	} {
+		if got := c.tab.Owner(c.tile); got == c.gone {
+			t.Fatalf("tile %v still routes to shard %d", c.tile, c.gone)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.tab.Owner(c.tile) }); n != 0 {
+			t.Fatalf("Owner of rerouted tile %v allocates %.1f times, want 0", c.tile, n)
+		}
+	}
+}
+
+// movesPair builds a table of the given shape, applies the history ops,
+// and returns it with a clone the change ops were applied to. Each op is
+// three bytes (kind, a, b): SetOwner, SetDead both ways, Grow (up to 8
+// slots, which bounds the band period the oracle walks) or Retire.
+func movesPair(grid bool, shape, shards uint8, history, change []byte) (before, after *OwnershipTable) {
+	var topo Topology = BandTopology{BandChunks: 1 + int(shape%4)}
+	if grid {
+		topo = GridTopology{TilesX: 1 + int(shape%5), TilesZ: 1 + int(shape/5%5), TileChunks: 2}
+	}
+	before = NewOwnershipTable(1+int(shards%6), topo)
+	apply := func(t *OwnershipTable, ops []byte) {
+		for ; len(ops) >= 3; ops = ops[3:] {
+			a, b := int(ops[1]), int(ops[2])
+			switch ops[0] % 5 {
+			case 0:
+				tile := TileID{X: int(int8(ops[1])), Z: b}
+				if grid {
+					tile = topo.TileAt(a)
+				}
+				t.SetOwner(tile, b%t.Shards())
+			case 1:
+				t.SetDead(a%t.Shards(), true)
+			case 2:
+				t.SetDead(a%t.Shards(), false)
+			case 3:
+				if t.Shards() < 8 {
+					t.Grow()
+				}
+			case 4:
+				t.Retire(a % t.Shards())
+			}
+		}
+	}
+	apply(before, history)
+	after = before.Clone()
+	apply(after, change)
+	return before, after
+}
+
+// bruteMoves is Moves' oracle: the owners of every tile index in a window
+// several periods wide on both sides of every override, compared one by
+// one. The product of Base and both alive counts is a period of the band
+// ownership outside the overrides; a grid's period is its tile count.
+func bruteMoves(before, after *OwnershipTable) (gains, losses []bool) {
+	n := max(before.Shards(), after.Shards())
+	gains, losses = make([]bool, n), make([]bool, n)
+	topo := before.Topology()
+	period, lo, hi := topo.Tiles(), 0, 0
+	if period == 0 {
+		period = before.Base() * before.AliveCount() * after.AliveCount()
+		for _, o := range append(before.Overrides(), after.Overrides()...) {
+			lo, hi = min(lo, topo.Index(o.Tile)), max(hi, topo.Index(o.Tile))
+		}
+	}
+	for i := lo - 3*period; i <= hi+3*period; i++ {
+		tile := topo.TileAt(i)
+		if b, a := before.Owner(tile), after.Owner(tile); b != a {
+			gains[a], losses[b] = true, true
+		}
+	}
+	return gains, losses
+}
+
+// checkMoves fails unless Moves agrees with bruteMoves on the pair.
+func checkMoves(t *testing.T, before, after *OwnershipTable) {
+	t.Helper()
+	gains, losses := Moves(before, after)
+	wantGains, wantLosses := bruteMoves(before, after)
+	if !slices.Equal(gains, wantGains) || !slices.Equal(losses, wantLosses) {
+		t.Fatalf("%v: Moves = gains %v losses %v, brute force = gains %v losses %v\nbefore: %v alive %v\nafter: %v alive %v",
+			before.Topology(), gains, losses, wantGains, wantLosses,
+			before.Overrides(), before.alive, after.Overrides(), after.alive)
+	}
+}
+
+// TestOwnershipMovesMatchesBruteForce holds Moves to the per-tile oracle
+// over random grids and bands changed by random migrations, deaths,
+// recoveries, growth and retirement.
+func TestOwnershipMovesMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	ops := func(max int) []byte {
+		b := make([]byte, 3*rng.Intn(max+1))
+		rng.Read(b)
+		return b
+	}
+	for trial := 0; trial < 400; trial++ {
+		before, after := movesPair(rng.Intn(2) == 0, uint8(rng.Intn(256)), uint8(rng.Intn(256)), ops(12), ops(3))
+		checkMoves(t, before, after)
+	}
+}
+
+// FuzzOwnershipMoves is TestOwnershipMovesMatchesBruteForce over fuzzed
+// shapes and op sequences (see movesPair).
+func FuzzOwnershipMoves(f *testing.F) {
+	f.Add(false, uint8(3), uint8(2), []byte{0, 5, 1, 0, 250, 0}, []byte{1, 0, 0})
+	f.Add(false, uint8(0), uint8(3), []byte{3, 0, 0, 0, 9, 3, 4, 1, 0}, []byte{0, 9, 0})
+	f.Add(true, uint8(7), uint8(3), []byte{0, 2, 1, 1, 2, 0}, []byte{2, 2, 0, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, grid bool, shape, shards uint8, history, change []byte) {
+		before, after := movesPair(grid, shape, shards, history, change)
+		checkMoves(t, before, after)
+	})
 }
 
 func TestRegionViewFollowsLiveTable(t *testing.T) {
@@ -301,27 +433,52 @@ func TestRegionViewFollowsLiveTable(t *testing.T) {
 	}
 }
 
-// ownershipAllocated returns the bytes one DecodeOwnershipTable of buf
-// allocated.
+// adoptGeometries are the live tables FuzzAdoptOwnershipTable adopts
+// into, fresh: the geometries of its seeds and of its checked-in corpus.
+var adoptGeometries = []func() *OwnershipTable{
+	func() *OwnershipTable { return NewOwnershipTable(1, nil) },
+	func() *OwnershipTable { return NewOwnershipTable(3, BandTopology{BandChunks: 4}) },
+	func() *OwnershipTable { return NewOwnershipTable(2, BandTopology{BandChunks: 4}) },
+	func() *OwnershipTable {
+		return NewOwnershipTable(4, GridTopology{TilesX: 3, TilesZ: 2, TileChunks: 2})
+	},
+	func() *OwnershipTable {
+		return NewOwnershipTable(2, GridTopology{TilesX: 2, TilesZ: 2, TileChunks: 4})
+	},
+	func() *OwnershipTable {
+		return NewOwnershipTable(4, GridTopology{TilesX: 4, TilesZ: 4, TileChunks: 4})
+	},
+}
+
+// ownershipAllocated returns the bytes adopting buf into a fresh table of
+// every adoptGeometries shape allocated.
 func ownershipAllocated(buf []byte) uint64 {
+	live := make([]*OwnershipTable, len(adoptGeometries))
+	for i, geo := range adoptGeometries {
+		live[i] = geo()
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _ = DecodeOwnershipTable(buf)
+	for _, t := range live {
+		t.Adopt(buf)
+	}
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzDecodeOwnershipTable feeds DecodeOwnershipTable arbitrary bytes: a
-// restarting cluster reads its table back from storage. It must not panic,
-// must not allocate more than a small multiple of its input (an override is
-// one map entry per 12 input bytes; other goroutines of the test binary
-// allocate too, so only an excess that repeats is the decoder's), every
-// override it keeps must be the one routing sees, and whatever decodes must
-// re-encode to a table that decodes to the same geometry, epoch and
-// overrides. The seeds are encoded tables of both topology kinds; the
-// checked-in corpus adds overrides under a tile alias, which decoding once
-// stored verbatim where no lookup would route them.
-func FuzzDecodeOwnershipTable(f *testing.F) {
+// FuzzAdoptOwnershipTable feeds Adopt arbitrary bytes: a restarting
+// cluster reads its table back from storage into its live one. It must not
+// panic, must not allocate more than a small multiple of its input (an
+// override is one map entry per 12 input bytes; other goroutines of the
+// test binary allocate too, so only an excess that repeats is Adopt's),
+// and bytes that name another geometry, or an epoch that is not newer,
+// must change nothing. Every override it adopts must be the one routing
+// sees, and the adopted table must encode to bytes that a fresh table
+// adopts with the same epoch and overrides. The seeds are encoded tables
+// of both topology kinds; the checked-in corpus adds overrides under a
+// tile alias, which decoding once stored verbatim where no lookup would
+// route them.
+func FuzzAdoptOwnershipTable(f *testing.F) {
 	band := NewOwnershipTable(3, BandTopology{BandChunks: 4})
 	band.SetOwner(TileID{X: -2}, 1)
 	band.SetOwner(TileID{X: 5}, 2)
@@ -339,27 +496,36 @@ func FuzzDecodeOwnershipTable(f *testing.F) {
 				break
 			}
 			if try == 3 {
-				t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, limit)
+				t.Fatalf("adopting %d bytes allocated %d, want at most %d", len(data), got, limit)
 			}
 		}
-		tab, err := DecodeOwnershipTable(data)
-		if err != nil {
-			return
-		}
-		for _, o := range tab.Overrides() {
-			if got := tab.Owner(o.Tile); got != o.Owner {
-				t.Fatalf("override %v -> shard %d is routed to shard %d", o.Tile, o.Owner, got)
+		for _, geo := range adoptGeometries {
+			tab := geo()
+			fresh := tab.Encode()
+			if !tab.Adopt(data) {
+				if !bytes.Equal(tab.Encode(), fresh) {
+					t.Fatalf("a refused Adopt changed the table: %x -> %x", fresh, tab.Encode())
+				}
+				continue
 			}
-		}
-		again, err := DecodeOwnershipTable(tab.Encode())
-		if err != nil {
-			t.Fatalf("a decoded table re-encodes to bytes that do not decode: %v", err)
-		}
-		if again.Shards() != tab.Shards() || again.Epoch() != tab.Epoch() ||
-			again.Topology().Spec() != tab.Topology().Spec() || !slices.Equal(again.Overrides(), tab.Overrides()) {
-			t.Fatalf("round trip changed the table: %d shards, epoch %d, %+v, %v -> %d, %d, %+v, %v",
-				tab.Shards(), tab.Epoch(), tab.Topology().Spec(), tab.Overrides(),
-				again.Shards(), again.Epoch(), again.Topology().Spec(), again.Overrides())
+			if !bytes.Equal(data[:24], fresh[:24]) || tab.Epoch() == 0 {
+				t.Fatalf("adopted bytes that name geometry %x epoch %d into geometry %x epoch 0",
+					data[:24], tab.Epoch(), fresh[:24])
+			}
+			for _, o := range tab.Overrides() {
+				if got := tab.Owner(o.Tile); got != o.Owner {
+					t.Fatalf("override %v -> shard %d is routed to shard %d", o.Tile, o.Owner, got)
+				}
+			}
+			adopted := tab.Encode()
+			if tab.Adopt(data) || tab.Adopt(adopted) || !bytes.Equal(tab.Encode(), adopted) {
+				t.Fatal("a table adopted bytes whose epoch is not newer than its own")
+			}
+			again := geo()
+			if !again.Adopt(adopted) || again.Epoch() != tab.Epoch() || !slices.Equal(again.Overrides(), tab.Overrides()) {
+				t.Fatalf("round trip changed the table: epoch %d, %v -> epoch %d, %v",
+					tab.Epoch(), tab.Overrides(), again.Epoch(), again.Overrides())
+			}
 		}
 	})
 }

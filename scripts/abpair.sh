@@ -13,7 +13,9 @@
 # the median of the per-pair deltas and the pairs the change won; then
 # the medians of every end-to-end metric. It reads the last line of each
 # run's output (the pipeline summary) and writes only to a temporary
-# directory, which it removes.
+# directory, which it removes. A run that exits non-zero does not stop
+# the series: it is named (pair, side, seed, exit status), the tables
+# cover the pairs that completed, and the script exits 1.
 set -euo pipefail
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
 	echo "usage: $0 WORKLOAD PAIRS [REV]" >&2
@@ -28,22 +30,47 @@ git clone -q --no-checkout "$root" "$tmp/parent"
 git -C "$tmp/parent" checkout -q --detach "$sha"
 echo "abpair: $workload, $pairs pairs, parent $(git -C "$root" rev-parse --short "$sha"), change = working tree of $root"
 
-# run DIR SEED OUT: one benchmark run in checkout DIR, its summary line
-# appended to OUT.
+# run SIDE SEED: one benchmark run in the SIDE checkout (parent or
+# change), its summary line written to $tmp/SIDE.line. Returns the run's
+# exit status.
 run() {
-	(cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds 15 --trace 0) | tail -n 1 >> "$3"
+	local dir=$tmp/parent status=0
+	[ "$1" = change ] && dir=$root
+	(cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$2" --seconds 15 --trace 0) > "$tmp/$1.out" || status=$?
+	tail -n 1 "$tmp/$1.out" > "$tmp/$1.line"
+	return $status
 }
 
+# failed names every run that exited non-zero; its pair is left out of
+# the tables.
+failed=()
 for i in $(seq 1 "$pairs"); do
-	if [ $((i % 2)) -eq 1 ]; then
-		run "$tmp/parent" "$i" "$tmp/parent.jsonl"
-		run "$root" "$i" "$tmp/change.jsonl"
-	else
-		run "$root" "$i" "$tmp/change.jsonl"
-		run "$tmp/parent" "$i" "$tmp/parent.jsonl"
+	order="parent change"
+	[ $((i % 2)) -eq 0 ] && order="change parent"
+	ok=1
+	for side in $order; do
+		status=0
+		run "$side" "$i" || status=$?
+		if [ "$status" -ne 0 ]; then
+			failed+=("pair $i: $side side, seed $i, exit status $status")
+			echo "abpair: pair $i: the $side side (seed $i) exited with status $status; its last output:" >&2
+			tail -n 5 "$tmp/$side.out" >&2
+			ok=0
+			break
+		fi
+	done
+	if [ "$ok" -eq 1 ]; then
+		cat "$tmp/parent.line" >> "$tmp/parent.jsonl"
+		cat "$tmp/change.line" >> "$tmp/change.jsonl"
+		echo "$i" >> "$tmp/pairs"
 	fi
 	echo "abpair: pair $i done" >&2
 done
+if [ ! -s "$tmp/parent.jsonl" ]; then
+	echo "abpair: no pair completed" >&2
+	printf 'abpair: %s\n' "${failed[@]}" >&2
+	exit 1
+fi
 
 # metric NAME FILE: the metric's value on each line of FILE, one a line.
 metric() {
@@ -62,11 +89,11 @@ for m in cpu_ms_per_vsec vsec_per_wallsec; do
 	echo
 	echo "$m ($better is better)"
 	printf '%6s %12s %12s %9s\n' pair parent change delta
-	paste <(metric "$m" "$tmp/parent.jsonl") <(metric "$m" "$tmp/change.jsonl") |
+	paste "$tmp/pairs" <(metric "$m" "$tmp/parent.jsonl") <(metric "$m" "$tmp/change.jsonl") |
 		awk -v better="$better" '{
-			d = 100 * ($2 - $1) / $1
-			printf "%6d %12.4g %12.4g %+8.1f%%\n", NR, $1, $2, d
-			if ((better == "lower" && $2 < $1) || (better == "higher" && $2 > $1)) won++
+			d = 100 * ($3 - $2) / $2
+			printf "%6d %12.4g %12.4g %+8.1f%%\n", $1, $2, $3, d
+			if ((better == "lower" && $3 < $2) || (better == "higher" && $3 > $2)) won++
 		} END { printf "change won %d/%d pairs\n", won, NR }'
 	read -r pm pq1 pq3 < <(metric "$m" "$tmp/parent.jsonl" | sort -g | awk "$stats")
 	read -r cm _ _ < <(metric "$m" "$tmp/change.jsonl" | sort -g | awk "$stats")
@@ -83,3 +110,10 @@ for m in $(grep -o '"[a-z0-9_]*":{"value"' "$tmp/parent.jsonl" | sed 's/"\([a-z0
 	read -r cm _ _ < <(metric "$m" "$tmp/change.jsonl" | sort -g | awk "$stats")
 	awk -v m="$m" -v a="$pm" -v b="$cm" 'BEGIN {printf "%-26s %12.4g %12.4g %+8.1f%%\n", m, a, b, a == 0 ? 0 : 100 * (b - a) / a}'
 done
+
+if [ "${#failed[@]}" -gt 0 ]; then
+	echo
+	echo "failed runs (left out of the tables above)"
+	printf '  %s\n' "${failed[@]}"
+	exit 1
+fi
