@@ -32,14 +32,12 @@ nofork:
 # nomap fails if tracked non-test Go outside benchmark/ declares a Go map
 # keyed by a chunk position, a chunk rect or a tile: per-chunk and
 # per-tile state lives in world.ChunkMap, which hashes the key's two ints
-# instead of running the generic 16-byte map hash. Two maps stay Go maps
-# and are let through by field name: mve's halted (touched only when a
-# chunk holding constructs unloads or reloads) and rstore's settled
-# (keyed by a whole ChunkRect, which at a fixed radius is not a function
-# of its Min).
+# instead of running the generic 16-byte map hash. One map stays a Go map
+# and is let through by field name: mve's halted (touched only when a
+# chunk holding constructs unloads or reloads).
 nomap:
 	@out="$$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs grep -nE 'map\[(world\.)?(ChunkPos|ChunkRect|TileID)\]' | \
-		grep -vE '^(internal/mve/server\.go:[0-9]+:[[:space:]]*halted|internal/servo/rstore/rstore\.go:[0-9]+:[[:space:]]*settled):? ')"; \
+		grep -vE '^internal/mve/server\.go:[0-9]+:[[:space:]]*halted:? ')"; \
 	if [ -n "$$out" ]; then echo "Go maps keyed by ChunkPos/ChunkRect/TileID (use world.ChunkMap):"; echo "$$out"; exit 1; fi
 
 # oneflip fails if tracked non-test Go changes the cluster's live

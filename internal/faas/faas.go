@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"servo/internal/metrics"
@@ -142,7 +143,7 @@ type Function struct {
 	name      string
 	cfg       Config
 	handler   Handler
-	instances []*instance
+	instances []instance // the warm pool, oldest retirement first
 	chaos     *Chaos
 
 	// Stats observable by experiments.
@@ -234,7 +235,7 @@ func (p *Platform) effectiveChaos(f *Function) *Chaos {
 // returns the number of instances evicted.
 func (f *Function) EvictWarm() int {
 	n := len(f.instances)
-	f.instances = nil
+	f.instances = f.instances[:0]
 	return n
 }
 
@@ -353,7 +354,7 @@ func (f *Function) acquireWarm(now sim.Time) bool {
 	}
 	// Claim it: remove from the pool; retireInstance re-adds it when the
 	// invocation completes.
-	f.instances = append(f.instances[:best], f.instances[best+1:]...)
+	f.instances = slices.Delete(f.instances, best, best+1)
 	return true
 }
 
@@ -362,7 +363,7 @@ func (f *Function) acquireWarm(now sim.Time) bool {
 // lifetime before deallocation.
 func (f *Function) retireInstance(now sim.Time, busy, keepAlive time.Duration) {
 	done := now + busy
-	f.instances = append(f.instances, &instance{availableAt: done, expiresAt: done + keepAlive})
+	f.instances = append(f.instances, instance{availableAt: done, expiresAt: done + keepAlive})
 }
 
 // BilledDollars returns the accumulated invocation cost: GB-seconds plus

@@ -243,3 +243,44 @@ func (f *Function) WarmInstances(now sim.Time) int {
 // fixed is a latency distribution that always returns d: a uniform one of
 // zero width.
 func fixed(d time.Duration) sim.Dist { return sim.Uniform{Low: d, High: d} }
+
+// TestWarmPoolPicksLatestIdle: acquireWarm drops expired instances,
+// claims the idle one that became available last (the first of equals),
+// and keeps the rest in pool order.
+func TestWarmPoolPicksLatestIdle(t *testing.T) {
+	f := &Function{instances: []instance{
+		{availableAt: 5, expiresAt: 100},
+		{availableAt: 7, expiresAt: 100},
+		{availableAt: 9, expiresAt: 10}, // expired at 10
+		{availableAt: 7, expiresAt: 100},
+		{availableAt: 20, expiresAt: 100}, // busy at 10
+	}}
+	if !f.acquireWarm(10) {
+		t.Fatal("no idle instance claimed")
+	}
+	want := []instance{{5, 100}, {7, 100}, {20, 100}}
+	if len(f.instances) != len(want) {
+		t.Fatalf("pool %v, want %v", f.instances, want)
+	}
+	for i := range want {
+		if f.instances[i] != want[i] {
+			t.Fatalf("pool %v, want %v", f.instances, want)
+		}
+	}
+}
+
+// TestWarmPoolCycleAllocatesNothing: claiming a warm instance and retiring
+// it again reuses the pool's storage.
+func TestWarmPoolCycleAllocatesNothing(t *testing.T) {
+	f := &Function{}
+	f.retireInstance(0, time.Millisecond, time.Minute)
+	now := sim.Time(time.Second)
+	if got := testing.AllocsPerRun(100, func() {
+		if !f.acquireWarm(now) {
+			t.Fatal("no warm instance")
+		}
+		f.retireInstance(now, 0, time.Minute)
+	}); got != 0 {
+		t.Fatalf("%v allocs per claim and retire, want 0", got)
+	}
+}

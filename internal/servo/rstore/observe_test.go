@@ -157,10 +157,10 @@ func TestObserveAvatarsMatchesOracle(t *testing.T) {
 				want.obs.ObserveAvatars(fleet, radius)
 				got.obs.ObserveAvatars(fleet, radius)
 				compare(step, "the call")
-				if bound := settledPerAvatar*len(fleet) + settledSlack + len(fleet); len(store.settled) > bound {
-					t.Fatalf("budget %d seed %d step %d: settled set holds %d rects for %d avatars", budget, seed, step, len(store.settled), len(fleet))
+				if bound := settledPerAvatar*len(fleet) + settledSlack + len(fleet); store.settled.Len() > bound {
+					t.Fatalf("budget %d seed %d step %d: settled set holds %d rects for %d avatars", budget, seed, step, store.settled.Len(), len(fleet))
 				}
-				peak = max(peak, len(store.settled))
+				peak = max(peak, store.settled.Len())
 
 				d := time.Duration(r.Intn(60)) * time.Millisecond
 				want.loop.RunUntil(want.loop.Now() + d)
@@ -294,28 +294,28 @@ func TestForgetDroppingNothingKeepsSettled(t *testing.T) {
 	cache.Put(rect.Max, []byte("mine"))
 	s := New(cache)
 	s.ObserveAvatars(fleet, radius)
-	settled := len(s.settled)
+	settled := s.settled.Len()
 	if settled == 0 {
 		t.Fatal("no rect settled over fully known ground; test proves nothing")
 	}
 	unknown := world.ChunkPos{X: 100000}
 	s.ForgetWhere(func(cp world.ChunkPos) bool { return cp == unknown || cp == rect.Max })
-	if got := len(s.settled); got != settled {
+	if got := s.settled.Len(); got != settled {
 		t.Fatalf("a forget that dropped nothing left %d of %d settled rects", got, settled)
 	}
 	for _, p := range fleet {
-		if _, ok := s.settled[world.ChunkRectWithin(p, radius)]; !ok {
+		if !s.isSettled(world.ChunkRectWithin(p, radius), 0, 0) {
 			t.Fatalf("the avatar at %v is no longer settled: the next observation walks it", p)
 		}
 	}
 	s.ObserveAvatars(fleet, radius)
-	if got := len(s.settled); got != settled || cache.PrefetchIssued.Value() != 0 {
+	if got := s.settled.Len(); got != settled || cache.PrefetchIssued.Value() != 0 {
 		t.Fatalf("after the forget: %d settled rects (want %d), %d prefetches (want 0)", got, settled, cache.PrefetchIssued.Value())
 	}
 
 	near := rect.Min
 	s.ForgetWhere(func(cp world.ChunkPos) bool { return cp == near })
-	if got := len(s.settled); got != 0 {
+	if got := s.settled.Len(); got != 0 {
 		t.Fatalf("a forget that dropped a record left %d settled rects", got)
 	}
 	s.ObserveAvatars(fleet, radius)

@@ -49,7 +49,9 @@ type Store struct {
 	// does (see tcache.Cache), so such a rect can never contribute a
 	// prefetch again and ObserveAvatars skips it. It is only a skip hint:
 	// dropping it costs one re-walk per avatar and changes nothing else.
-	settled       map[world.ChunkRect]struct{}
+	// It maps a rect's Min to its Max: a rect whose Min is there with
+	// another Max is a miss, and settling it overwrites the entry.
+	settled       world.ChunkMap[world.ChunkPos, world.ChunkPos]
 	settledRadius int
 	// live is pruneSettled's scratch.
 	live []world.ChunkRect
@@ -61,10 +63,7 @@ type Store struct {
 
 // New returns a store over the given cache.
 func New(cache *tcache.Cache) *Store {
-	return &Store{
-		cache:   cache,
-		settled: make(map[world.ChunkRect]struct{}),
-	}
+	return &Store{cache: cache}
 }
 
 // UseChunkPool makes the store decode loads into recycled chunks from p
@@ -104,7 +103,7 @@ func (s *Store) Load(pos world.ChunkPos, cb func(c *world.Chunk, ok bool)) {
 // a forget that dropped nothing leaves them.
 func (s *Store) ForgetWhere(pred func(world.ChunkPos) bool) {
 	if s.cache.ForgetWhere(pred) {
-		clear(s.settled)
+		s.settled.Clear()
 	}
 }
 
@@ -185,10 +184,10 @@ const (
 // prefetch budget of unknown chunks stops looking.
 func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
 	if radius != s.settledRadius {
-		clear(s.settled)
+		s.settled.Clear()
 		s.settledRadius = radius
 	}
-	if len(s.settled) > settledPerAvatar*len(positions)+settledSlack {
+	if s.settled.Len() > settledPerAvatar*len(positions)+settledSlack {
 		s.pruneSettled(positions, radius)
 	}
 	s.seen.Clear()
@@ -196,7 +195,7 @@ func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
 	budget := s.cache.PrefetchBudget()
 	for _, p := range positions {
 		r := world.ChunkRectWithin(p, radius)
-		if _, ok := s.settled[r]; ok {
+		if s.isSettled(r, 0, 0) {
 			continue
 		}
 		if budget > 0 && len(s.batch) >= budget {
@@ -205,7 +204,7 @@ func (s *Store) ObserveAvatars(positions []world.BlockPos, radius int) {
 			break
 		}
 		if s.walk(r) {
-			s.settled[r] = struct{}{}
+			s.settled.Put(r.Min, r.Max)
 		}
 	}
 	s.cache.Prefetch(s.batch)
@@ -216,13 +215,13 @@ func (s *Store) pruneSettled(positions []world.BlockPos, radius int) {
 	s.live = s.live[:0]
 	for _, p := range positions {
 		r := world.ChunkRectWithin(p, radius)
-		if _, ok := s.settled[r]; ok {
+		if s.isSettled(r, 0, 0) {
 			s.live = append(s.live, r)
 		}
 	}
-	clear(s.settled)
+	s.settled.Clear()
 	for _, r := range s.live {
-		s.settled[r] = struct{}{}
+		s.settled.Put(r.Min, r.Max)
 	}
 }
 
@@ -264,8 +263,6 @@ func (s *Store) walk(r world.ChunkRect) bool {
 
 // isSettled reports whether r moved by (dx, dz) chunks is settled.
 func (s *Store) isSettled(r world.ChunkRect, dx, dz int) bool {
-	r.Min.X, r.Max.X = r.Min.X+dx, r.Max.X+dx
-	r.Min.Z, r.Max.Z = r.Min.Z+dz, r.Max.Z+dz
-	_, ok := s.settled[r]
-	return ok
+	hi, ok := s.settled.Get(world.ChunkPos{X: r.Min.X + dx, Z: r.Min.Z + dz})
+	return ok && hi == world.ChunkPos{X: r.Max.X + dx, Z: r.Max.Z + dz}
 }

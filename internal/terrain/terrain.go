@@ -17,16 +17,19 @@
 //
 // A chunk is born in its wire form. A generator writes the canonical
 // chunk encoding — the bytes world.Chunk.EncodeAppend would write for its
-// blocks — straight from its terrain function through world.AppendLayout,
-// without building layers of blocks: the FaaS handler returns those bytes
-// as its reply, and Generate seals a chunk with them, so a locally
-// generated chunk decodes only once a block of it is read. The tests keep
-// the column-major generators, one Set per block, as the oracle the bytes
-// are held to.
+// blocks — through world.AppendTables, without building layers of blocks:
+// it decides the palette and every layer's fill up front, and the default
+// generator gives each mixed layer as a table from column height to
+// palette index, so no block is written one at a time. The FaaS handler
+// returns those bytes as its reply, and Generate seals a chunk with them,
+// so a locally generated chunk decodes only once a block of it is read.
+// The tests keep the column-major generators, one Set per block, as the
+// oracle the bytes are held to.
 package terrain
 
 import (
 	"math"
+	"slices"
 
 	"servo/internal/world"
 )
@@ -77,13 +80,21 @@ func (Flat) WorkUnits() int { return flatWorkUnits }
 // AppendEncoded implements Generator: every flat chunk has one layout,
 // five uniform layers under air.
 func (Flat) AppendEncoded(dst []byte, pos world.ChunkPos) []byte {
-	var fill [world.ChunkSizeY]world.BlockID // Air above the surface
-	fill[0] = world.Bedrock
-	for y := 1; y < FlatSurfaceY; y++ {
-		fill[y] = world.Dirt
+	pal := [...]world.BlockID{world.Bedrock, world.Dirt, world.Grass, world.Air}
+	var layers [world.ChunkSizeY]uint16
+	for y := range layers {
+		switch {
+		case y == 0:
+			layers[y] = 0
+		case y < FlatSurfaceY:
+			layers[y] = 1
+		case y == FlatSurfaceY:
+			layers[y] = 2
+		default:
+			layers[y] = 3
+		}
 	}
-	fill[FlatSurfaceY] = world.Grass
-	return world.AppendLayout(dst, pos, &fill, 0, nil)
+	return world.AppendTables(dst, pos, pal[:], &layers, nil, nil)
 }
 
 // Work-unit constants. One unit ≈ one column of simple block writes; the
@@ -125,92 +136,153 @@ const dirtDepth = 3
 // chunkColumns is the number of columns in a chunk, one per (z, x).
 const chunkColumns = world.ChunkSizeX * world.ChunkSizeZ
 
-// bandRows is how many layers of block rows AppendEncoded keeps on the
-// stack. Only the band [minH − dirtDepth, maxH] can mix block types, and a
-// chunk's heights lie within 20 of each other on every chunk sampled
-// (400 000, random seeds and positions; the noise's slope bounds the
-// spread by 42). A taller band gets its rows from the heap.
-const bandRows = 32
-
 // AppendEncoded implements Generator. A column is bedrock, stone up to its
 // height h, a surface block at h (over dirtDepth blocks of dirt when it is
 // grass or sand) and water from there up to sea level. The heights come
-// from heightmap, a chunk at a time, and they alone fix the layout: every
-// layer below minH − dirtDepth is stone, every layer above maxH water up to
-// sea level and air past it, and only the band between is written a block
-// at a time, as rows of block IDs; world.AppendLayout finds the palette.
+// from heightmap, a chunk at a time, one byte a column, and
+// appendHeights writes the chunk from them.
 func (g Default) AppendEncoded(dst []byte, pos world.ChunkPos) []byte {
-	var band [bandRows]world.IDRow
-	return g.appendEncoded(dst, pos, band[:])
+	var hm [chunkColumns]uint8 // indexed (z, x), as a layer is
+	g.heightmap(&hm, pos.Origin())
+	return appendHeights(dst, pos, &hm)
 }
 
-// appendEncoded is AppendEncoded with the band's rows in scratch, or on
-// the heap when the band is taller.
-func (g Default) appendEncoded(dst []byte, pos world.ChunkPos, scratch []world.IDRow) []byte {
-	var heights [chunkColumns]int // indexed (z, x), as a layer is
-	g.heightmap(&heights, pos.Origin())
+// appendHeights appends the encoding of the default chunk at pos whose
+// columns have heights hm, each in [1, world.ChunkSizeY−2]. A block is a
+// function of its layer y and its column's height alone (blockAt), and a
+// chunk's 256 columns have only a few dozen heights at most, so the
+// palette and every layer's fill are decided from the heights present, and
+// the columns are touched only to pack the mixed layers: every layer below
+// minH − dirtDepth is stone (bedrock at 0), every layer above maxH water up
+// to sea level and air past it, and a layer of the band between is a fill
+// if all the heights present give one block. Each mixed layer is a table
+// from height to palette index (bandTable), and world.AppendTables looks
+// every column's height up in it.
+func appendHeights(dst []byte, pos world.ChunkPos, hm *[chunkColumns]uint8) []byte {
+	// first[h] is 1 + the first column of height h, 0 if none has it.
+	var first [world.ChunkSizeY]uint16
 	minH, maxH := world.ChunkSizeY, 0
-	for _, h := range &heights {
-		minH, maxH = min(minH, h), max(maxH, h)
+	for col, h := range hm {
+		if first[h] == 0 {
+			first[h] = uint16(col + 1)
+		}
+		minH, maxH = min(minH, int(h)), max(maxH, int(h))
 	}
-	lo := max(1, minH-dirtDepth)
-	rows := scratch
-	if n := maxH - lo + 1; n > len(rows) {
-		rows = make([]world.IDRow, n)
-	} else {
-		rows = rows[:n]
+	var presentArr [world.ChunkSizeY]uint8
+	present := presentArr[:0] // the heights present, ascending
+	for h := minH; h <= maxH; h++ {
+		if first[h] != 0 {
+			present = append(present, uint8(h))
+		}
 	}
-	writeBand(rows, lo, &heights)
+	lo := max(1, minH-dirtDepth) // the band [lo, maxH] is all that can mix
 
-	var fill [world.ChunkSizeY]world.BlockID // Air past sea level
-	fill[0] = world.Bedrock
-	for y := 1; y < lo; y++ {
-		fill[y] = world.Stone
+	// The palette, in order of first appearance at y·chunkColumns + col.
+	// A column changes block only at the band's first layer, h − dirtDepth,
+	// h, h + 1 and seaLevel + 1, so a block first appears at one of those
+	// layers in the first column of some height, or in a fill layer.
+	var at [world.Gravel + 1]int // by BlockID, every block terrain makes
+	for id := range at {
+		at[id] = math.MaxInt
 	}
-	for y := maxH + 1; y <= seaLevel; y++ {
-		fill[y] = world.Water
+	see := func(id world.BlockID, y, col int) { at[id] = min(at[id], y*chunkColumns+col) }
+	see(world.Bedrock, 0, 0)
+	if lo > 1 {
+		see(world.Stone, 1, 0)
 	}
-	return world.AppendLayout(dst, pos, &fill, lo, rows)
+	for _, h := range present {
+		h, col := int(h), int(first[h])-1
+		for _, y := range [...]int{lo, h - dirtDepth, h, h + 1, seaLevel + 1} {
+			if y >= lo && y <= maxH {
+				see(blockAt(y, h), y, col)
+			}
+		}
+	}
+	if maxH < seaLevel {
+		see(world.Water, maxH+1, 0)
+	}
+	see(world.Air, max(maxH, seaLevel)+1, 0)
+	var palArr [len(at)]world.BlockID
+	pal := palArr[:0]
+	for id, p := range at {
+		if p != math.MaxInt {
+			pal = append(pal, world.BlockID(id))
+		}
+	}
+	slices.SortFunc(pal, func(a, b world.BlockID) int { return at[a] - at[b] })
+	var idx [len(at)]uint8 // palette index by BlockID
+	for i, id := range pal {
+		idx[id] = uint8(i)
+	}
+
+	var layers [world.ChunkSizeY]uint16
+	var t [256]uint8
+	for y := range layers {
+		switch {
+		case y == 0:
+			layers[y] = uint16(idx[world.Bedrock])
+		case y < lo:
+			layers[y] = uint16(idx[world.Stone])
+		case y <= maxH:
+			bandTable(&t, y, minH, maxH, &idx)
+			layers[y] = uint16(t[present[0]])
+			for _, h := range present[1:] {
+				if t[h] != t[present[0]] {
+					layers[y] = world.MixedLayer
+					break
+				}
+			}
+		case y <= seaLevel:
+			layers[y] = uint16(idx[world.Water])
+		default:
+			layers[y] = uint16(idx[world.Air])
+		}
+	}
+	return world.AppendTables(dst, pos, pal, &layers, hm, func(y int) *[256]uint8 {
+		bandTable(&t, y, minH, maxH, &idx)
+		return &t
+	})
 }
 
-// writeBand sets rows[i] to the block IDs of layer lo+i of the chunk with
-// these column heights. A column's block at layer y follows from
-// d = y − h clamped to [−4, 1]: stone, then the three layers under the
-// surface (dirt under grass and sand, stone under gravel and snow), the
-// surface, then above it water up to sea level and air past it. tab holds
-// a row of these six per surface kind, and each layer sets the sixth, so
-// the inner loop has no branch.
-func writeBand(rows []world.IDRow, lo int, heights *[chunkColumns]int) {
-	const rowLen = 8
-	var tab [len(surfaceBlocks) * rowLen]uint8
-	for k, s := range surfaceBlocks {
-		under := world.Stone
-		if k == sand || k == grass {
-			under = world.Dirt
-		}
-		copy(tab[rowLen*k:], []uint8{uint8(world.Stone), uint8(under), uint8(under), uint8(under), uint8(s)})
+// blockAt is the block at layer y ≥ 1 of a column of height h: stone, then
+// the dirtDepth layers under the surface (dirt under grass and sand, stone
+// under gravel and snow), the surface, then water up to sea level and air
+// past it.
+func blockAt(y, h int) world.BlockID {
+	k := surfaceKind(h)
+	switch {
+	case y > h && y <= seaLevel:
+		return world.Water
+	case y > h:
+		return world.Air
+	case y == h:
+		return surfaceBlocks[k]
+	case y >= h-dirtDepth && (k == sand || k == grass):
+		return world.Dirt
 	}
-	var rowOf [chunkColumns]uint8 // each column's row of tab
-	for col, h := range heights {
-		rowOf[col] = uint8(rowLen * surfaceKind(h))
+	return world.Stone
+}
+
+// bandTable sets t[h], for every height h from minH to maxH, to the
+// palette index (idx) of blockAt(y, h), for a layer 1 ≤ y ≤ maxH: the
+// heights below y see water or air, y its surface, the dirtDepth heights
+// above it what lies under their surface, and the rest stone.
+func bandTable(t *[256]uint8, y, minH, maxH int, idx *[world.Gravel + 1]uint8) {
+	above := idx[world.Air]
+	if y <= seaLevel {
+		above = idx[world.Water]
 	}
-	for i := range rows {
-		y := lo + i
-		above := uint8(world.Air)
-		if y <= seaLevel {
-			above = uint8(world.Water)
-		}
-		for k := range surfaceBlocks {
-			tab[rowLen*k+5] = above
-		}
-		row := &rows[i]
-		for col, h := range heights {
-			d := y - h + dirtDepth + 1
-			d &^= d >> 63 // max(d, 0)
-			d -= 5        // min(d, 5) − 5
-			d &= d >> 63
-			row[col] = tab[uint(int(rowOf[col])+d+5)%uint(len(tab))]
-		}
+	for h := minH; h < y; h++ {
+		t[h] = above
+	}
+	if y >= minH {
+		t[y] = idx[blockAt(y, y)]
+	}
+	for h := max(y+1, minH); h <= min(y+dirtDepth, maxH); h++ {
+		t[h] = idx[blockAt(y, h)]
+	}
+	for h := max(y+dirtDepth+1, minH); h <= maxH; h++ {
+		t[h] = idx[world.Stone]
 	}
 }
 
@@ -256,11 +328,12 @@ var octaves = [...]struct{ scale, amp float64 }{
 // of every column of the chunk whose first column is origin. It is smooth
 // 2D value noise — hashed lattice values, smoothstep-weighted bilinear
 // interpolation — evaluated a chunk at a time: each octave hashes the
-// lattice corners the chunk touches once, and each column's lattice cell
-// and weight are worked out once per X and once per Z. The arithmetic is
-// the per-column evaluation's, expression for expression and in the same
+// lattice corners the chunk touches once, each column's lattice cell and
+// weight are worked out once per X and once per Z, and the interpolants
+// along X once per X and lattice cell in Z. The arithmetic is the
+// per-column evaluation's, expression for expression and in the same
 // order, so every height is bit-identical to it.
-func (g Default) heightmap(hm *[chunkColumns]int, origin world.BlockPos) {
+func (g Default) heightmap(hm *[chunkColumns]uint8, origin world.BlockPos) {
 	var sum [chunkColumns]float64
 	for i := range sum {
 		sum[i] = baseHeight
@@ -278,15 +351,22 @@ func (g Default) heightmap(hm *[chunkColumns]int, origin world.BlockPos) {
 				corner[a][b] = g.lattice(ix0+int64(a), iz0+int64(b), int64(o))
 			}
 		}
-		for z := 0; z < world.ChunkSizeZ; z++ {
-			b := cz[z]
-			for x := 0; x < world.ChunkSizeX; x++ {
-				a := cx[x]
+		// The interpolants along X, top and bot − top, once per X and
+		// lattice cell in Z: a chunk's columns lie in at most two.
+		var top, slope [2][world.ChunkSizeX]float64
+		for b := 0; b <= cz[world.ChunkSizeZ-1]; b++ {
+			for x, a := range cx {
 				v00, v10 := corner[a][b], corner[a+1][b]
 				v01, v11 := corner[a][b+1], corner[a+1][b+1]
-				top := v00 + (v10-v00)*sx[x]
+				t := v00 + (v10-v00)*sx[x]
 				bot := v01 + (v11-v01)*sx[x]
-				sum[z*world.ChunkSizeX+x] += oct.amp * (top + (bot-top)*sz[z])
+				top[b][x], slope[b][x] = t, bot-t
+			}
+		}
+		for z := 0; z < world.ChunkSizeZ; z++ {
+			top, slope, row := &top[cz[z]], &slope[cz[z]], sum[z*world.ChunkSizeX:][:world.ChunkSizeX]
+			for x := range row {
+				row[x] += oct.amp * (top[x] + slope[x]*sz[z])
 			}
 		}
 	}
@@ -297,7 +377,7 @@ func (g Default) heightmap(hm *[chunkColumns]int, origin world.BlockPos) {
 		if h > world.ChunkSizeY-2 {
 			h = world.ChunkSizeY - 2
 		}
-		hm[i] = int(h)
+		hm[i] = uint8(h)
 	}
 }
 

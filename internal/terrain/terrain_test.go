@@ -230,12 +230,17 @@ func oracleFlatGenerate(pos world.ChunkPos) *world.Chunk {
 }
 
 func oracleDefaultGenerate(g Default, pos world.ChunkPos) *world.Chunk {
-	c := world.NewChunk(pos)
 	origin := pos.Origin()
+	return oracleColumns(pos, func(x, z int) int { return g.heightAt(origin.X+x, origin.Z+z) })
+}
+
+// oracleColumns is the column-major default chunk at pos whose column
+// (x, z) has height heightOf(x, z).
+func oracleColumns(pos world.ChunkPos, heightOf func(x, z int) int) *world.Chunk {
+	c := world.NewChunk(pos)
 	for x := 0; x < world.ChunkSizeX; x++ {
 		for z := 0; z < world.ChunkSizeZ; z++ {
-			wx, wz := origin.X+x, origin.Z+z
-			h := g.heightAt(wx, wz)
+			h := heightOf(x, z)
 			c.Set(x, 0, z, world.Block{ID: world.Bedrock})
 			for y := 1; y <= h && y < world.ChunkSizeY; y++ {
 				c.Set(x, y, z, world.Block{ID: world.Stone})
@@ -308,9 +313,7 @@ func checkBorn(t *testing.T, name string, gen Generator, want *world.Chunk) {
 
 // TestGeneratorsMatchColumnMajorOracle holds the born generators to the
 // per-block ones they replaced over four seeds × 2 500 positions (near
-// the origin, far out, and on both sides of every axis), and holds the
-// default generator's heap fallback for a band taller than its stack rows
-// to the same bytes.
+// the origin, far out, and on both sides of every axis).
 func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
 	positions := make([]world.ChunkPos, 0, 2500)
 	for x := -20; x < 20; x++ {
@@ -327,13 +330,8 @@ func TestGeneratorsMatchColumnMajorOracle(t *testing.T) {
 		for i, pos := range positions {
 			want := oracleDefaultGenerate(g, pos)
 			checkBorn(t, "default", g, want)
-			if i%50 == 0 {
-				if got := g.appendEncoded(nil, pos, nil); !bytes.Equal(got, want.Encode()) {
-					t.Fatalf("default %v: the heap-row encoding differs from the column-major chunk's", pos)
-				}
-				if seed == 0 {
-					checkBorn(t, "flat", Flat{}, oracleFlatGenerate(pos))
-				}
+			if i%50 == 0 && seed == 0 {
+				checkBorn(t, "flat", Flat{}, oracleFlatGenerate(pos))
 			}
 		}
 	}
@@ -361,6 +359,84 @@ func FuzzBornChunk(f *testing.F) {
 		g := Default{Seed: seed}
 		checkBorn(t, "default", g, oracleDefaultGenerate(g, pos))
 		checkBorn(t, "flat", Flat{}, oracleFlatGenerate(pos))
+	})
+}
+
+// checkHeights holds appendHeights, the default generator's writer, to
+// the column-major oracle chunk with the same column heights.
+func checkHeights(t *testing.T, hm *[chunkColumns]uint8) {
+	t.Helper()
+	pos := world.ChunkPos{X: 3, Z: -5}
+	want := oracleColumns(pos, func(x, z int) int { return int(hm[z*world.ChunkSizeX+x]) })
+	prefix := []byte("prefix")
+	got := appendHeights(prefix, pos, hm)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want.EncodeAppend(nil)) {
+		t.Fatalf("heights %v: the bytes differ from the column-major chunk's encoding", hm)
+	}
+}
+
+// syntheticHeights spreads column heights over [1, world.ChunkSizeY−2]:
+// column i has height 1 + (base + data[i mod len(data)] mod (spread+1))
+// mod 254, or 1 + base if data is empty.
+func syntheticHeights(base, spread uint8, data []byte) *[chunkColumns]uint8 {
+	var hm [chunkColumns]uint8
+	for i := range hm {
+		d := 0
+		if len(data) > 0 {
+			d = int(data[i%len(data)]) % (int(spread) + 1)
+		}
+		hm[i] = uint8(1 + (int(base)+d)%(world.ChunkSizeY-2))
+	}
+	return &hm
+}
+
+// terrainTableCases are column heights the noise never makes, as
+// syntheticHeights arguments: the lowest and highest heights (the band
+// clamped at layer 1 or just above it, a surface at 254), one height
+// alone, spans wider
+// than 32 layers, bands straddling sea level + 1, and bands holding every
+// surface kind.
+var terrainTableCases = []struct {
+	base, spread uint8
+	data         []byte
+}{
+	{0, 0, nil},                       // every column at height 1
+	{253, 0, nil},                     // every column at 254
+	{70, 0, nil},                      // one height, grass
+	{0, 3, []byte{0, 1, 2, 3, 2, 1}},  // the band clamped at layer 1
+	{4, 30, []byte{0, 30}},            // one stone layer under the band
+	{250, 3, []byte{3, 0, 2, 1}},      // up to 254
+	{0, 255, []byte{0, 253, 7, 128}},  // heights 1 to 254
+	{40, 60, []byte{0, 60, 30, 45}},   // a span of 60 layers
+	{58, 8, []byte{0, 1, 2, 3, 4, 5}}, // around sea level + 1
+	{61, 1, []byte{0, 1}},             // sea level + 1 and + 2
+	{55, 60, []byte{0, 20, 40, 60}},   // sand, grass, gravel and snow
+	{60, 50, []byte{50, 40, 30, 20, 10, 0, 5, 15, 25, 35, 45}},
+}
+
+// TestTerrainTablesMatchColumnMajorOracle holds the default generator's
+// writer to the column-major oracle on heights the noise never makes:
+// terrainTableCases, then random heights at random spreads.
+func TestTerrainTablesMatchColumnMajorOracle(t *testing.T) {
+	for _, c := range terrainTableCases {
+		checkHeights(t, syntheticHeights(c.base, c.spread, c.data))
+	}
+	r := rand.New(rand.NewSource(58))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 1+r.Intn(chunkColumns))
+		r.Read(data)
+		checkHeights(t, syntheticHeights(uint8(r.Intn(256)), uint8(r.Intn(256)), data))
+	}
+}
+
+// FuzzTerrainTables is TestTerrainTablesMatchColumnMajorOracle's check at
+// fuzzed heights, seeded with its cases.
+func FuzzTerrainTables(f *testing.F) {
+	for _, c := range terrainTableCases {
+		f.Add(c.base, c.spread, c.data)
+	}
+	f.Fuzz(func(t *testing.T, base, spread uint8, data []byte) {
+		checkHeights(t, syntheticHeights(base, spread, data))
 	})
 }
 
@@ -412,11 +488,11 @@ func FuzzHeightmap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, cx, cz int32) {
 		g := Default{Seed: seed}
 		origin := world.ChunkPos{X: int(cx), Z: int(cz)}.Origin()
-		var hm [chunkColumns]int
+		var hm [chunkColumns]uint8
 		g.heightmap(&hm, origin)
 		for z := 0; z < world.ChunkSizeZ; z++ {
 			for x := 0; x < world.ChunkSizeX; x++ {
-				if got, want := hm[z*world.ChunkSizeX+x], g.heightAt(origin.X+x, origin.Z+z); got != want {
+				if got, want := int(hm[z*world.ChunkSizeX+x]), g.heightAt(origin.X+x, origin.Z+z); got != want {
 					t.Fatalf("seed %d chunk (%d, %d) column (%d, %d): height %d, heightAt %d", seed, cx, cz, x, z, got, want)
 				}
 			}

@@ -296,7 +296,7 @@ func (c *Chunk) Equal(o *Chunk) bool {
 //	runs    3 bytes each, covering layers 0..255 bottom up:
 //	  len   uint8           layers in the run − 1
 //	  fill  uint16          palette index of the block filling each of
-//	                        them, or 0xffff (mixedRun): they mix types
+//	                        them, or 0xffff (MixedLayer): they mix types
 //	data    32*bits bytes per mixed layer, in Y order
 //
 // A flat chunk is a few runs and no data; a default-terrain chunk spells out
@@ -326,11 +326,11 @@ const chunkMagic = 0x53564f4c
 // chunkHeaderLen is the fixed part of an encoding before the palette.
 const chunkHeaderLen = 14
 
-// runLen is the length of one layer run; mixedRun is the fill index of a
-// run of mixed layers.
+// runLen is the length of one layer run; MixedLayer is the fill index of a
+// run of mixed layers, in the format and in AppendTables' layers.
 const (
-	runLen   = 3
-	mixedRun = 0xffff
+	runLen     = 3
+	MixedLayer = 0xffff
 )
 
 // ErrBadChunkEncoding is returned by DecodeChunk for malformed input.
@@ -375,7 +375,7 @@ func (c *Chunk) Encoded() []byte {
 // single allocation and a reused buffer (`buf = c.EncodeAppend(buf[:0])`)
 // none. It encodes what was changed since it was loaded or generated —
 // chunk persistence after an edit, the wire protocol's pushes of opened
-// chunks — since a generated chunk is born encoded (AppendLayout) and a
+// chunks — since a generated chunk is born encoded (AppendTables) and a
 // loaded one keeps its bytes: a sealed chunk appends the bytes it was
 // loaded from and stays sealed.
 //
@@ -401,7 +401,7 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	pal := append(palArr[:0], lastKey)
 	byID.add(lastKey, 0)
 	// fill[y] is the palette index of the one block layer y holds, or
-	// mixedRun.
+	// MixedLayer.
 	var fill [ChunkSizeY]uint16
 	for y := range fill {
 		blocks := []Block{c.fillOf(y)}
@@ -423,14 +423,14 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 		}
 		fill[y] = uint16(lastIdx)
 		if isMixed {
-			fill[y] = mixedRun
+			fill[y] = MixedLayer
 		}
 	}
 
 	dst, data, bits := appendLayout(dst, c.Pos, pal, &fill)
 	layerLen := packedLen(1, bits)
 	for y, f := range fill {
-		if f == mixedRun {
+		if f == MixedLayer {
 			packIndices(data[:layerLen], c.mixedLayer(y)[:], bits, pal, &byID)
 			data = data[layerLen:]
 		}
@@ -438,90 +438,64 @@ func (c *Chunk) EncodeAppend(dst []byte) []byte {
 	return dst
 }
 
-// IDRow is the block IDs of one layer, as bytes, indexed (z, x) as a
-// layer is.
-type IDRow = [layerBlocks]uint8
-
-// AppendLayout appends to dst the encoding of the chunk at pos whose layers
-// lo to lo+len(rows)−1 hold the blocks of rows, and whose every other
-// layer y holds only block fill[y] — every block with Data 0 — and returns
-// the extended slice. The bytes are EncodeAppend's for those blocks: it is
-// EncodeAppend's writer for a caller that knows a chunk's blocks a layer
-// at a time without building the chunk (terrain generation). It finds the
-// palette itself, in order of first appearance in (y, z, x) block order,
-// and stores a row of one block type as a fill. lo+len(rows) must not
-// pass ChunkSizeY, and rows is scratch: AppendLayout overwrites it with
-// palette indices. dst grows at most once, to the encoding's final size.
-func AppendLayout(dst []byte, pos ChunkPos, fill *[ChunkSizeY]BlockID, lo int, rows []IDRow) []byte {
-	var palArr [64]uint16 // keeps terrain-sized palettes off the heap
-	pal := palArr[:0]
-	var idx [1 << 8]uint16 // 1 + the palette index of each BlockID, 0 until it appears
-	// layers[y] is the palette index of the one block layer y holds, or
-	// mixedRun.
-	var layers [ChunkSizeY]uint16
-	for y, id := range fill {
-		if y == lo {
-			pal = indexRows(rows, &layers, lo, pal, &idx)
-		}
-		if y >= lo && y < lo+len(rows) {
-			continue
-		}
-		if idx[id] == 0 {
-			pal = append(pal, Block{ID: id}.key())
-			idx[id] = uint16(len(pal))
-		}
-		layers[y] = idx[id] - 1
+// AppendTables appends to dst the encoding of the chunk at pos whose layer
+// y holds block pal[layers[y]] throughout or, where layers[y] is
+// MixedLayer, block pal[table(y)[class[col]]] at column col (indexed
+// (z, x), as a layer is); every block has Data 0. It returns the extended
+// slice. It is EncodeAppend's writer for a caller that knows a chunk's
+// layout without building the chunk (terrain generation): the bytes are
+// EncodeAppend's for those blocks as long as pal lists the block IDs in
+// order of first appearance in (y, z, x) block order, each once, and a
+// MixedLayer layer does mix types. pal has at most 256 entries. table is
+// called once per mixed layer, bottom up, and its table is read before the
+// next call, so the caller may hand out one array each time, setting only
+// the entries that class holds. dst grows at most once, to the encoding's
+// final size.
+func AppendTables(dst []byte, pos ChunkPos, pal []BlockID, layers *[ChunkSizeY]uint16, class *[layerBlocks]uint8, table func(y int) *[256]uint8) []byte {
+	var keys [256]uint16
+	for i, id := range pal {
+		keys[i] = Block{ID: id}.key()
 	}
-	dst, data, bits := appendLayout(dst, pos, pal, &layers)
+	dst, data, bits := appendLayout(dst, pos, keys[:len(pal)], layers)
 	layerLen := packedLen(1, bits)
-	for i := range rows {
-		if layers[lo+i] == mixedRun {
-			packRow(data[:layerLen], &rows[i], bits)
+	for y, f := range layers {
+		if f == MixedLayer {
+			packLayer(data[:layerLen], class, table(y), bits)
 			data = data[layerLen:]
 		}
 	}
 	return dst
 }
 
-// indexRows rewrites rows, layers lo onwards, as indices into pal, which
-// it extends with each block ID in order of first appearance, and sets
-// their entries of layers: the one index a row holds, or mixedRun. It
-// works eight blocks, a 64-bit word, at a time, and remaps a word
-// block by block only when it differs from the word before: a layer's
-// blocks come in long spans of one type.
-func indexRows(rows []IDRow, layers *[ChunkSizeY]uint16, lo int, pal []uint16, idx *[1 << 8]uint16) []uint16 {
-	for i := range rows {
-		row := &rows[i]
-		first := uint64(row[0]) * 0x0101010101010101
-		var mixed, in, out uint64
-		for g := 0; g < layerBlocks; g += 8 {
-			w := binary.LittleEndian.Uint64(row[g:])
-			mixed |= w ^ first
-			if g > 0 && w == in {
-				binary.LittleEndian.PutUint64(row[g:], out)
-				continue
-			}
-			for j := g; j < g+8; j++ {
-				id := row[j]
-				if idx[id] == 0 {
-					pal = append(pal, Block{ID: BlockID(id)}.key())
-					idx[id] = uint16(len(pal))
-				}
-				row[j] = uint8(idx[id] - 1)
-			}
-			in, out = w, binary.LittleEndian.Uint64(row[g:])
+// packLayer packs the palette index t[class[col]] of every column, bits ≤ 8
+// wide each, into out (packedLen(1, bits) bytes). Eight columns are bits
+// whole bytes: each group of eight is one 64-bit load of their classes,
+// eight look-ups shifted into place, and one store. (EncodeAppend packs
+// from blocks, packIndices.)
+func packLayer(out []byte, class *[layerBlocks]uint8, t *[256]uint8, bits uint) {
+	// The shifts, masked so the compiler knows none reaches 64.
+	s1, s2, s3, s4 := bits&63, 2*bits&63, 3*bits&63, 4*bits&63
+	s5, s6, s7 := 5*bits&63, 6*bits&63, 7*bits&63
+	var tail [8]byte
+	for g := 0; g < layerBlocks; g += 8 {
+		c := binary.LittleEndian.Uint64(class[g:])
+		v := uint64(t[uint8(c)]) | uint64(t[uint8(c>>8)])<<s1 |
+			uint64(t[uint8(c>>16)])<<s2 | uint64(t[uint8(c>>24)])<<s3 |
+			uint64(t[uint8(c>>32)])<<s4 | uint64(t[uint8(c>>40)])<<s5 |
+			uint64(t[uint8(c>>48)])<<s6 | uint64(t[c>>56])<<s7
+		if len(out) >= 8 {
+			binary.LittleEndian.PutUint64(out, v)
+		} else { // the layer's last groups: store no further than its end
+			binary.LittleEndian.PutUint64(tail[:], v)
+			copy(out, tail[:bits])
 		}
-		layers[lo+i] = uint16(row[0])
-		if mixed != 0 {
-			layers[lo+i] = mixedRun
-		}
+		out = out[bits:]
 	}
-	return pal
 }
 
 // appendLayout grows dst once to the whole encoding of the chunk at pos
 // with palette pal (as keys) and layer fills fill (a palette index, or
-// mixedRun), writes everything but the packed indices — header, palette,
+// MixedLayer), writes everything but the packed indices — header, palette,
 // index width and maximal runs — and returns the extended slice, the
 // region of it the mixed layers' packed indices go to, in Y order, and
 // their width.
@@ -531,7 +505,7 @@ func appendLayout(dst []byte, pos ChunkPos, pal []uint16, fill *[ChunkSizeY]uint
 		if y == 0 || f != fill[y-1] {
 			runs++
 		}
-		if f == mixedRun {
+		if f == MixedLayer {
 			mixed++
 		}
 	}
@@ -567,30 +541,6 @@ func appendLayout(dst []byte, pos ChunkPos, pal []uint16, fill *[ChunkSizeY]uint
 		y += n
 	}
 	return dst, enc[dataOff:], bits
-}
-
-// packRow packs a row of palette indices, bits ≤ 8 wide each, into out
-// (packedLen(1, bits) bytes). Eight indices are bits whole bytes: each
-// group of eight is one 64-bit load, whose bytes are gathered pairwise
-// into fields of 2·bits, then 4·bits, then 8·bits bits, and one store.
-// (EncodeAppend packs from blocks, packIndices: rows for it would cost a
-// pass to write them.)
-func packRow(out []byte, row *IDRow, bits uint) {
-	const m8, m16, m32 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff
-	var tail [8]byte
-	for g := 0; g < layerBlocks; g += 8 {
-		v := binary.LittleEndian.Uint64(row[g:])
-		v = v&m8 | (v>>8&m8)<<bits
-		v = v&m16 | (v>>16&m16)<<(2*bits)
-		v = v&m32 | (v>>32)<<(4*bits)
-		if len(out) >= 8 {
-			binary.LittleEndian.PutUint64(out, v)
-		} else { // the row's last groups: store no further than its end
-			binary.LittleEndian.PutUint64(tail[:], v)
-			copy(out, tail[:bits])
-		}
-		out = out[bits:]
-	}
 }
 
 // idTable maps a BlockID to 1 + the palette index of its Data-0 block,
@@ -744,7 +694,7 @@ func parseChunk(buf []byte, head *[ChunkSizeY]layerHead) (chunkLayout, error) {
 			return l, fmt.Errorf("%w: run of %d layers from layer %d overruns the chunk", ErrBadChunkEncoding, n, y)
 		}
 		switch {
-		case idx == mixedRun:
+		case idx == MixedLayer:
 			if head != nil {
 				for i := range n {
 					head[y+i].slot = uint16(l.mixed + i + 1)

@@ -41,14 +41,14 @@ func OracleEncode(c *Chunk) []byte {
 	}
 
 	// fill[y] is the palette index of the one block layer y holds, or
-	// mixedRun.
+	// MixedLayer.
 	var fill [ChunkSizeY]int
 	for y := range fill {
 		first := c.At(0, y, 0)
 		fill[y] = index(first.key())
 		for i := 0; i < layerBlocks; i++ {
 			if oracleAt(c, y*layerBlocks+i) != first {
-				fill[y] = mixedRun
+				fill[y] = MixedLayer
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func OracleEncode(c *Chunk) []byte {
 		y += n
 	}
 	for y, f := range fill {
-		if f != mixedRun {
+		if f != MixedLayer {
 			continue
 		}
 		data := make([]byte, layerBlocks*int(bits)/8)
@@ -121,12 +121,12 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 		if y+n > ChunkSizeY {
 			return fmt.Errorf("%w: run overruns the chunk", ErrBadChunkEncoding)
 		}
-		if idx != mixedRun && idx >= palLen {
+		if idx != MixedLayer && idx >= palLen {
 			return fmt.Errorf("%w: fill index %d out of range", ErrBadChunkEncoding, idx)
 		}
 		for ; n > 0; n-- {
 			fill[y] = idx
-			if idx == mixedRun {
+			if idx == MixedLayer {
 				mixed++
 			}
 			y++
@@ -141,7 +141,7 @@ func OracleDecodeInto(c *Chunk, buf []byte) error {
 	for y, f := range fill {
 		for i := 0; i < layerBlocks; i++ {
 			idx := f
-			if f == mixedRun {
+			if f == MixedLayer {
 				idx = int(readBits(data, bitPos, bits))
 				bitPos += bits
 				if idx >= palLen {

@@ -211,49 +211,66 @@ func TestCodecMatchesOracle(t *testing.T) {
 	}
 }
 
-// layoutOf returns what AppendLayout takes for c: the block IDs of layers
-// lo to hi−1 as rows, and the one block ID of every other layer as fill.
-// c's blocks must all have Data 0, and its layers outside [lo, hi) hold
-// one block type each.
-func layoutOf(c *world.Chunk, lo, hi int) (fill [world.ChunkSizeY]world.BlockID, rows []world.IDRow) {
-	for y := range fill {
-		fill[y] = c.At(0, y, 0).ID
-		if y < lo || y >= hi {
-			continue
+// tablesOf returns what AppendTables takes for c with each column its own
+// class: the block IDs in order of first appearance, each layer's one
+// palette index or MixedLayer, and a table function that maps a mixed
+// layer's columns to their blocks' indices. c's blocks must all have Data
+// 0.
+func tablesOf(c *world.Chunk) (pal []world.BlockID, layers [world.ChunkSizeY]uint16, table func(y int) *[256]uint8) {
+	var idx [256]int // 1 + the palette index of each BlockID, 0 until it appears
+	for y := range layers {
+		for col := 0; col < layerBlocks; col++ {
+			id := c.At(col%world.ChunkSizeX, y, col/world.ChunkSizeX).ID
+			if idx[id] == 0 {
+				pal = append(pal, id)
+				idx[id] = len(pal)
+			}
+			if col == 0 {
+				layers[y] = uint16(idx[id] - 1)
+			} else if uint16(idx[id]-1) != layers[y] {
+				layers[y] = world.MixedLayer
+			}
 		}
-		var row world.IDRow
-		for i := range row {
-			row[i] = uint8(c.At(i%world.ChunkSizeX, y, i/world.ChunkSizeX).ID)
-		}
-		rows = append(rows, row)
 	}
-	return fill, rows
+	return pal, layers, func(y int) *[256]uint8 {
+		var t [256]uint8
+		for col := range t {
+			t[col] = uint8(idx[c.At(col%world.ChunkSizeX, y, col/world.ChunkSizeX).ID] - 1)
+		}
+		return &t
+	}
 }
 
-// TestAppendLayoutMatchesEncodeAppend: AppendLayout, given a chunk's
-// blocks as fills and rows, writes EncodeAppend's bytes at every index
-// width it takes (palettes of 1 to 256 block IDs, first seen in a fill or
-// in a row), with rows that hold one block type inside the band and at its
-// ends, after a prefix it leaves alone.
-func TestAppendLayoutMatchesEncodeAppend(t *testing.T) {
+// TestAppendTablesMatchesEncodeAppend: AppendTables, given a chunk's
+// palette, layer fills and, for each mixed layer, a table from column to
+// palette index, writes EncodeAppend's bytes at every index width it
+// takes (palettes of 1 to 256 block IDs, first seen in a fill or in a mixed
+// layer), with layers of one block type among the mixed ones and mixed
+// layers at the chunk's bottom and top, after a prefix it leaves alone.
+func TestAppendTablesMatchesEncodeAppend(t *testing.T) {
+	var class [layerBlocks]uint8
+	for col := range class {
+		class[col] = uint8(col)
+	}
 	r := rand.New(rand.NewSource(46))
 	for _, n := range []int{1, 2, 3, 4, 5, 9, 17, 33, 65, 129, 255, 256} {
-		for _, noisy := range []bool{false, true} {
-			ids := r.Perm(256)[:n]
-			// Layers 0–9 and 40–255 hold one ID each, the band 10–39
-			// mixes them on its noisy layers and holds one on the others.
-			c := fillChunk(randomPos(r), func(x, y, z int) world.Block {
-				id := ids[y%n]
-				if y >= 10 && y < 40 && (noisy || y%7 == 3) {
-					id = ids[r.Intn(n)]
-				}
-				return world.Block{ID: world.BlockID(id)}
-			})
-			for _, band := range [][2]int{{10, 40}, {9, 40}, {10, 41}, {5, 45}, {0, world.ChunkSizeY}} {
-				fill, rows := layoutOf(c, band[0], band[1])
+		for _, band := range [][2]int{{10, 40}, {0, 3}, {250, world.ChunkSizeY}, {0, world.ChunkSizeY}} {
+			for _, noisy := range []bool{false, true} {
+				ids := r.Perm(256)[:n]
+				// Layers outside the band hold one ID each, the band
+				// mixes them on its noisy layers and holds one on the
+				// others.
+				c := fillChunk(randomPos(r), func(x, y, z int) world.Block {
+					id := ids[y%n]
+					if y >= band[0] && y < band[1] && (noisy || y%7 == 3) {
+						id = ids[r.Intn(n)]
+					}
+					return world.Block{ID: world.BlockID(id)}
+				})
+				pal, layers, table := tablesOf(c)
 				want := c.EncodeAppend([]byte("prefix"))
-				if got := world.AppendLayout([]byte("prefix"), c.Pos, &fill, band[0], rows); !bytes.Equal(got, want) {
-					t.Fatalf("%d blocks (noisy %v), band %v: AppendLayout's bytes differ from EncodeAppend's", n, noisy, band)
+				if got := world.AppendTables([]byte("prefix"), c.Pos, pal, &layers, &class, table); !bytes.Equal(got, want) {
+					t.Fatalf("%d blocks (noisy %v), band %v: AppendTables' bytes differ from EncodeAppend's", n, noisy, band)
 				}
 			}
 		}
